@@ -607,13 +607,22 @@ class KernelEmitter:
 
         index_arrays = self._static_target_indices(ctx)
         if self._is_identity_cover(ctx, index_arrays, lhs_shape):
+            view = local
+        elif self._is_row_major_cover(index_arrays, lhs_shape, raw.shape):
+            view = f"{local}.reshape({raw.shape!r})"
+        else:
+            view = None
+        if view is not None:
+            # Every cell is written exactly once, so neither the previous
+            # value nor a zero fill is observable: a fresh buffer when the
+            # value escapes, reusable scratch otherwise.
             if escapes:
                 self._emit(f"{local} = _np.empty({lhs_shape!r}, dtype={dt})")
             else:
                 buf = self._scratch(lhs_shape, dtype)
                 self._emit(f"{local} = {buf}")
                 self._scratchy.add(local)
-            self._emit(f"{local}[...] = {raw.paren()}")
+            self._emit(f"{view}[...] = {raw.paren()}")
             return
 
         # General static scatter: prev-copy or zeros, then a fancy write
@@ -706,6 +715,41 @@ class KernelEmitter:
             if low != 0 or high != lhs_shape[dim] - 1:
                 return False
         return True
+
+    def _is_row_major_cover(self, index_arrays, lhs_shape, lattice_shape):
+        """True when the write is a full cover that is a reshape view.
+
+        *lattice_shape* is the payload's shape. Dimension d's subscripts
+        must vary over their own contiguous run of lattice axes only —
+        the runs in dimension order, between them using up the lattice —
+        and, flattened, count ``0..lhs_shape[d]-1``. Then lattice point
+        ``a`` lands on the cell whose d-th coordinate is the row-major
+        rank of ``a`` within run d, which is precisely
+        ``out.reshape(lattice_shape)[a]``: a blocked store such as
+        ``out[by*8+u][bx*8+v]`` over ``(by, u, bx, v)``. The subscript
+        arrays arrive un-broadcast, so the test reads ``sum(lhs_shape)``
+        elements, not the lattice.
+        """
+        if len(index_arrays) != len(lhs_shape):
+            return False
+        rank = len(lattice_shape)
+        axis = 0
+        for value, extent in zip(index_arrays, lhs_shape):
+            stop, covered = axis, 1
+            while stop < rank and covered < extent:
+                covered *= lattice_shape[stop]
+                stop += 1
+            run_shape = (
+                (1,) * axis + lattice_shape[axis:stop] + (1,) * (rank - stop)
+            )
+            if (
+                value.dtype.kind not in ("i", "u")
+                or value.shape != run_shape
+                or not np.array_equal(value.reshape(-1), np.arange(extent))
+            ):
+                return False
+            axis = stop
+        return all(size == 1 for size in lattice_shape[axis:])
 
     # -- expression emission -----------------------------------------------
 

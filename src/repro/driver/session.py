@@ -34,7 +34,7 @@ from ..passes import default_pipeline
 from ..passes.lowering import lower, supported_summary
 from ..pmlang.parser import parse
 from ..pmlang.semantic import analyze
-from ..srdfg.builder import DEFAULT_DOMAIN, BuildContext, build
+from ..srdfg.builder import build
 from .cache import ArtifactCache, accelerator_fingerprint, fingerprint
 from .diagnostics import Diagnostics
 
@@ -446,11 +446,12 @@ class CompilerSession:
 
         # srdfg-build: AST -> simultaneously-recursive dataflow graph. A
         # second, untouched build is kept for inspection (passes and
-        # lowering mutate their input in place); it parses fresh so the
-        # two graphs share no AST nodes.
+        # lowering mutate their input graph in place). Both come from the
+        # one parse: AST nodes are immutable values — rewrites build new
+        # statements around shared subtrees — so sharing them is safe.
         def build_graphs():
-            context_graph = _build_from_program(program, entry, domain)
-            inspection_graph = build(source, entry=entry, domain=domain)
+            context_graph = build(program, entry=entry, domain=domain)
+            inspection_graph = build(program, entry=entry, domain=domain)
             for name, tag in (component_domains or {}).items():
                 retag_component_domain(context_graph, name, tag)
                 retag_component_domain(inspection_graph, name, tag)
@@ -952,19 +953,3 @@ class CompilerSession:
         for entry in self.diagnostics:
             lines.append(f"  {entry.render()}")
         return "\n".join(lines)
-
-
-def _build_from_program(program, entry, domain):
-    """srDFG construction from an already-parsed Program.
-
-    Mirrors :func:`repro.srdfg.builder.build` but reuses the parse result
-    so the build stage measures graph construction, not re-parsing.
-    """
-    info = analyze(program, entry=entry)
-    context = BuildContext(program, info)
-    component = program.components[entry]
-    graph = context.build_component(
-        component, {}, domain or DEFAULT_DOMAIN, entry, {}
-    )
-    graph.validate()
-    return graph

@@ -8,42 +8,9 @@ semantics and merge-with-previous behaviour are never disturbed.
 
 from __future__ import annotations
 
-from ..pmlang import ast_nodes as ast
+from ..pmlang.ast_nodes import expr_key  # shared with the rewrite engine
 from ..srdfg.metadata import LOCAL
 from .base import Pass, reroute_consumers
-
-
-def expr_key(expr):
-    """Hashable structural key of an expression (names stay symbolic)."""
-    if expr is None:
-        return None
-    if isinstance(expr, ast.Literal):
-        return ("lit", expr.value)
-    if isinstance(expr, ast.Name):
-        return ("name", expr.id)
-    if isinstance(expr, ast.Indexed):
-        return ("idx", expr.base, tuple(expr_key(i) for i in expr.indices))
-    if isinstance(expr, ast.UnaryOp):
-        return ("un", expr.op, expr_key(expr.operand))
-    if isinstance(expr, ast.BinOp):
-        return ("bin", expr.op, expr_key(expr.left), expr_key(expr.right))
-    if isinstance(expr, ast.Ternary):
-        return (
-            "tern",
-            expr_key(expr.cond),
-            expr_key(expr.then),
-            expr_key(expr.other),
-        )
-    if isinstance(expr, ast.FuncCall):
-        return ("call", expr.func, tuple(expr_key(a) for a in expr.args))
-    if isinstance(expr, ast.ReductionCall):
-        return (
-            "red",
-            expr.op,
-            tuple((s.name, expr_key(s.predicate)) for s in expr.indices),
-            expr_key(expr.arg),
-        )
-    return ("other", repr(expr))
 
 
 def _statement_key(node, graph):

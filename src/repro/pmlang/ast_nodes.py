@@ -228,30 +228,76 @@ class Program:
 
 
 def walk_expr(expr):
-    """Yield *expr* and every sub-expression beneath it, depth-first."""
+    """Yield *expr* and every sub-expression beneath it, depth-first.
+
+    Preorder, children in source order. An explicit stack rather than
+    recursive ``yield from``: every consumer (operation classification,
+    axis spaces, the kernel emitter) walks whole statements, and a
+    generator frame per node dominated their cost.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        yield node
+        # Children go on in reverse so the leftmost is visited next.
+        if isinstance(node, (Literal, Name)):
+            continue
+        if isinstance(node, BinOp):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, Indexed):
+            stack.extend(reversed(node.indices))
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, Ternary):
+            stack.append(node.other)
+            stack.append(node.then)
+            stack.append(node.cond)
+        elif isinstance(node, FuncCall):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, ReductionCall):
+            stack.append(node.arg)
+            stack.extend(spec.predicate for spec in reversed(node.indices))
+
+
+def expr_key(expr):
+    """Hashable structural key of an expression (names stay symbolic).
+
+    Ignores line info. This is the one definition of structural equality:
+    CSE's statement keys, non-linear pattern captures and the rewrite
+    engine's cycle detection all compare these.
+    """
     if expr is None:
-        return
-    yield expr
+        return None
+    if isinstance(expr, Literal):
+        return ("lit", expr.value)
+    if isinstance(expr, Name):
+        return ("name", expr.id)
+    if isinstance(expr, Indexed):
+        return ("idx", expr.base, tuple(expr_key(i) for i in expr.indices))
     if isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, BinOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, Ternary):
-        yield from walk_expr(expr.cond)
-        yield from walk_expr(expr.then)
-        yield from walk_expr(expr.other)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk_expr(arg)
-    elif isinstance(expr, ReductionCall):
-        for spec in expr.indices:
-            if spec.predicate is not None:
-                yield from walk_expr(spec.predicate)
-        yield from walk_expr(expr.arg)
-    elif isinstance(expr, Indexed):
-        for index in expr.indices:
-            yield from walk_expr(index)
+        return ("un", expr.op, expr_key(expr.operand))
+    if isinstance(expr, BinOp):
+        return ("bin", expr.op, expr_key(expr.left), expr_key(expr.right))
+    if isinstance(expr, Ternary):
+        return (
+            "tern",
+            expr_key(expr.cond),
+            expr_key(expr.then),
+            expr_key(expr.other),
+        )
+    if isinstance(expr, FuncCall):
+        return ("call", expr.func, tuple(expr_key(a) for a in expr.args))
+    if isinstance(expr, ReductionCall):
+        return (
+            "red",
+            expr.op,
+            tuple((s.name, expr_key(s.predicate)) for s in expr.indices),
+            expr_key(expr.arg),
+        )
+    return ("other", repr(expr))
 
 
 def expr_names(expr):

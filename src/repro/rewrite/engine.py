@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import RewriteError
 from ..pmlang import ast_nodes as ast
+from ..srdfg import opclass
+from .parity import graph_signature
 from .pattern import Bindings, structural_key
-from .rules import FIXPOINT, RESTART, SWEEP, ExprContext
+from .rules import RESTART, SWEEP, ExprContext
 
 #: Rewrites allowed at one expression position before declaring divergence.
 POSITION_LIMIT = 64
@@ -152,45 +154,60 @@ def render_expr(expr):
     return repr(expr)
 
 
+def _same(new, old):
+    return all(a is b for a, b in zip(new, old))
+
+
+def _map_predicate(spec, fn):
+    if spec.predicate is None:
+        return spec
+    predicate = fn(spec.predicate)
+    if predicate is spec.predicate:
+        return spec
+    return ast.ReductionIndex(name=spec.name, predicate=predicate)
+
+
 def _map_children(expr, fn):
-    """Rebuild *expr* with *fn* applied to each child expression."""
+    """*expr* with *fn* applied to each child expression.
+
+    AST nodes are immutable values: when *fn* returns every child
+    unchanged (the same object) the result is *expr* itself, so an
+    untouched subtree keeps its identity all the way up to the statement.
+    """
     if expr is None or isinstance(expr, (ast.Literal, ast.Name)):
         return expr
     if isinstance(expr, ast.Indexed):
-        return ast.Indexed(
-            base=expr.base,
-            indices=tuple(fn(index) for index in expr.indices),
-            line=expr.line,
-        )
+        indices = tuple(fn(index) for index in expr.indices)
+        if _same(indices, expr.indices):
+            return expr
+        return ast.Indexed(base=expr.base, indices=indices, line=expr.line)
     if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(op=expr.op, operand=fn(expr.operand), line=expr.line)
+        operand = fn(expr.operand)
+        if operand is expr.operand:
+            return expr
+        return ast.UnaryOp(op=expr.op, operand=operand, line=expr.line)
     if isinstance(expr, ast.BinOp):
-        return ast.BinOp(
-            op=expr.op, left=fn(expr.left), right=fn(expr.right), line=expr.line
-        )
+        left, right = fn(expr.left), fn(expr.right)
+        if left is expr.left and right is expr.right:
+            return expr
+        return ast.BinOp(op=expr.op, left=left, right=right, line=expr.line)
     if isinstance(expr, ast.Ternary):
-        return ast.Ternary(
-            cond=fn(expr.cond), then=fn(expr.then), other=fn(expr.other),
-            line=expr.line,
-        )
+        cond, then, other = fn(expr.cond), fn(expr.then), fn(expr.other)
+        if cond is expr.cond and then is expr.then and other is expr.other:
+            return expr
+        return ast.Ternary(cond=cond, then=then, other=other, line=expr.line)
     if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            func=expr.func, args=tuple(fn(arg) for arg in expr.args), line=expr.line
-        )
+        args = tuple(fn(arg) for arg in expr.args)
+        if _same(args, expr.args):
+            return expr
+        return ast.FuncCall(func=expr.func, args=args, line=expr.line)
     if isinstance(expr, ast.ReductionCall):
+        indices = tuple(_map_predicate(spec, fn) for spec in expr.indices)
+        arg = fn(expr.arg)
+        if arg is expr.arg and _same(indices, expr.indices):
+            return expr
         return ast.ReductionCall(
-            op=expr.op,
-            indices=tuple(
-                ast.ReductionIndex(
-                    name=spec.name,
-                    predicate=fn(spec.predicate)
-                    if spec.predicate is not None
-                    else None,
-                )
-                for spec in expr.indices
-            ),
-            arg=fn(expr.arg),
-            line=expr.line,
+            op=expr.op, indices=indices, arg=arg, line=expr.line
         )
     return expr
 
@@ -204,7 +221,6 @@ class _ExprDriver:
         self.stats = stats
         self.explain = explain
         self.site = site
-        self.changed = False
 
     def rewrite(self, expr):
         if expr is None:
@@ -214,12 +230,16 @@ class _ExprDriver:
 
     def _fixpoint(self, expr):
         """Apply rules at this position until none fires."""
-        seen = {structural_key(expr)}
+        # Keys of every expression this position has held. Built when the
+        # first rule fires: most positions never see one.
+        seen = None
         for _ in range(POSITION_LIMIT):
-            fired, expr = self._apply_once(expr)
-            if not fired:
+            fired = self._apply_once(expr)
+            if fired is None:
                 return expr
-            key = structural_key(expr)
+            replacement, key, before = fired
+            if seen is None:
+                seen = {before}
             if key in seen:
                 raise RewriteError(
                     f"rule set {self.ruleset.name!r} cycles on expression "
@@ -229,14 +249,21 @@ class _ExprDriver:
             # A builder may introduce subexpressions the bottom-up walk
             # has not seen (an inlined body, a folded literal's siblings);
             # re-normalise the children before matching here again.
-            expr = _map_children(expr, self.rewrite)
+            expr = _map_children(replacement, self.rewrite)
         raise RewriteError(
             f"rule set {self.ruleset.name!r} exceeded {POSITION_LIMIT} "
             f"rewrites at one position ({self.site})"
         )
 
     def _apply_once(self, expr):
-        for rule in self.ruleset.expr_rules:
+        """Fire the first rule that makes progress on *expr*.
+
+        Returns ``(replacement, its structural key, expr's structural
+        key)``, or None when no rule fires. Only the rules indexed under
+        the root's type are offered.
+        """
+        before = None
+        for rule in self.ruleset.expr_rules_for(type(expr)):
             bindings = Bindings()
             if not rule.pattern.match(expr, bindings):
                 continue
@@ -244,10 +271,12 @@ class _ExprDriver:
             replacement = rule.build(expr, bindings, self.ctx)
             if replacement is None:
                 continue
-            if structural_key(replacement) == structural_key(expr):
+            if before is None:
+                before = structural_key(expr)
+            key = structural_key(replacement)
+            if key == before:
                 continue
             self.stats.bump(f"{self.ruleset.name}/{rule.name}.rewrites")
-            self.changed = True
             if self.explain is not None:
                 self.explain.add(
                     self.ruleset.name,
@@ -256,21 +285,20 @@ class _ExprDriver:
                     self.site,
                     detail=f"-> {render_expr(replacement)}",
                 )
-            return True, replacement
-        return False, expr
+            return replacement, key, before
+        return None
 
 
 def rewrite_statement(graph, node, ruleset, stats=None, explain=None):
     """Apply *ruleset*'s expression rules to one compute node's statement.
 
     Rewrites the target subscripts and the value (exactly the surfaces the
-    legacy expression passes touched), reinstalls the statement, and — when
-    the rule set asks for it — reclassifies the node's operation
-    descriptor, since rewrites can change the op profile. Returns True
-    when the statement changed.
+    legacy expression passes touched). A statement no rule changed comes
+    back as the same AST objects and the node is left alone; otherwise
+    the new statement is installed and — when the rule set asks for it —
+    the node's operation descriptor is reclassified, since rewrites can
+    change the op profile. Returns True when the statement changed.
     """
-    from ..srdfg import opclass
-
     stats = stats or REWRITE_STATS
     stmt = node.attrs["stmt"]
     index_ranges = node.attrs.get("index_ranges", {})
@@ -284,10 +312,14 @@ def rewrite_statement(graph, node, ruleset, stats=None, explain=None):
     driver = _ExprDriver(
         ruleset, ctx, stats, explain=explain, site=f"{stmt.target}@{node.uid}"
     )
+    target_indices = tuple(driver.rewrite(index) for index in stmt.target_indices)
+    value = driver.rewrite(stmt.value)
+    if value is stmt.value and _same(target_indices, stmt.target_indices):
+        return False
     rewritten = ast.Assign(
         target=stmt.target,
-        target_indices=tuple(driver.rewrite(index) for index in stmt.target_indices),
-        value=driver.rewrite(stmt.value),
+        target_indices=target_indices,
+        value=value,
         line=stmt.line,
     )
     node.attrs["stmt"] = rewritten
@@ -297,7 +329,7 @@ def rewrite_statement(graph, node, ruleset, stats=None, explain=None):
             rewritten, index_ranges, reductions
         )
         node.name = node.attrs["descriptor"].opname
-    return driver.changed
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +338,6 @@ def rewrite_statement(graph, node, ruleset, stats=None, explain=None):
 
 
 def _graph_key(graph):
-    from .parity import graph_signature
-
     return hash(graph_signature(graph, recursive=False))
 
 

@@ -26,7 +26,7 @@ Features the legacy visitors could not express declaratively:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 from ..pmlang import ast_nodes as ast
 
@@ -35,16 +35,11 @@ from ..pmlang import ast_nodes as ast
 ANY = object()
 
 
-def structural_key(expr):
-    """Hashable structural identity of an expression (ignores line info).
-
-    This is the equality non-linear patterns use: two bindings of one
-    capture name must have identical keys. Delegates to the statement-key
-    machinery CSE already trusts.
-    """
-    from ..passes.cse import expr_key
-
-    return expr_key(expr)
+#: Hashable structural identity of an expression (ignores line info).
+#: This is the equality non-linear patterns use — two bindings of one
+#: capture name must have identical keys — and it is the statement-key
+#: machinery CSE already trusts.
+structural_key = ast.expr_key
 
 
 class Bindings(dict):
@@ -66,6 +61,11 @@ class Pattern:
     name: Optional[str] = None
     #: Extra predicate ``where(expr) -> bool`` evaluated after structure.
     where: Optional[Callable] = None
+    #: The AST class a matching expression's root must be an instance of,
+    #: or None when any root can match. Rule sets index rules on it so a
+    #: position is only offered the rules its root type could satisfy;
+    #: a subclass that does not say stays in every bucket.
+    root: ClassVar[Optional[type]] = None
 
     def _accept(self, expr, bindings):
         """Structure-specific test; subclasses override."""
@@ -109,6 +109,8 @@ class Lit(Pattern):
     folding rules need so string literals never enter arithmetic.
     """
 
+    root = ast.Literal
+
     value: object = ANY
     numeric: bool = False
 
@@ -124,6 +126,8 @@ class Lit(Pattern):
 class Ref(Pattern):
     """Matches a bare :class:`~repro.pmlang.ast_nodes.Name` reference."""
 
+    root = ast.Name
+
     id: object = ANY
 
     def _accept(self, expr, bindings):
@@ -135,6 +139,8 @@ class Ref(Pattern):
 @dataclass(frozen=True)
 class Un(Pattern):
     """Matches a unary operation; *op* is a name, a collection, or None."""
+
+    root = ast.UnaryOp
 
     op: object = None
     operand: Optional[Pattern] = None
@@ -153,6 +159,8 @@ class Bin(Pattern):
     only if it fails (including capture conflicts) is the swapped order
     attempted — so matching stays deterministic.
     """
+
+    root = ast.BinOp
 
     op: object = None
     left: Optional[Pattern] = None
@@ -183,6 +191,8 @@ class Bin(Pattern):
 class Tern(Pattern):
     """Matches a ternary conditional expression."""
 
+    root = ast.Ternary
+
     cond: Optional[Pattern] = None
     then: Optional[Pattern] = None
     other: Optional[Pattern] = None
@@ -208,6 +218,8 @@ class Call(Pattern):
     fold-call rule: *all* arguments must be numeric literals).
     """
 
+    root = ast.FuncCall
+
     func: object = None
     args: Optional[Tuple[Pattern, ...]] = None
     each_arg: Optional[Pattern] = None
@@ -231,6 +243,8 @@ class Call(Pattern):
 @dataclass(frozen=True)
 class Idx(Pattern):
     """Matches a subscripted reference ``base[i0][i1]...``."""
+
+    root = ast.Indexed
 
     base: object = ANY
     each_index: Optional[Pattern] = None

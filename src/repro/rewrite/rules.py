@@ -73,9 +73,14 @@ class RuleSet:
     fixpoint. *prepare* runs once per sweep and its result is passed to
     every graph rule as ``ctx`` — the declarative home for whole-graph
     analyses (liveness, value numbering) that individual node rewrites
-    consult. *reclassify* controls whether statements touched by
-    expression rules get their operation descriptors recomputed (the
-    legacy expression passes always did).
+    consult. *reclassify* controls whether statements changed by
+    expression rules get their operation descriptors recomputed.
+
+    Expression rules are indexed on the AST class their pattern's root
+    can match (:attr:`Pattern.root`): :meth:`expr_rules_for` answers
+    "which rules, in declaration order, could fire on a node of this
+    type" from a table filled once per type, so positions no rule can
+    match cost the driver one lookup.
     """
 
     name: str
@@ -84,6 +89,9 @@ class RuleSet:
     strategy: str = FIXPOINT
     prepare: Optional[Callable] = None
     reclassify: bool = True
+    _by_root: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.strategy not in _STRATEGIES:
@@ -92,6 +100,18 @@ class RuleSet:
             raise RewriteError(
                 f"rule set {self.name!r}: unknown strategy {self.strategy!r}"
             )
+
+    def expr_rules_for(self, root_type):
+        """The expression rules whose pattern can match a *root_type* node."""
+        rules = self._by_root.get(root_type)
+        if rules is None:
+            rules = self._by_root[root_type] = tuple(
+                rule
+                for rule in self.expr_rules
+                if rule.pattern.root is None
+                or issubclass(root_type, rule.pattern.root)
+            )
+        return rules
 
     @property
     def rule_names(self):

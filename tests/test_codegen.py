@@ -170,6 +170,157 @@ class TestKernelEquivalence:
         assert stats["kernel_executions"] == base["kernel_executions"]
 
 
+def _blocked_store(target, out="out[8][8]", names=("by", "bx", "u", "v")):
+    """``<target> = img[..][..] * 2.0`` over 4x4 blocks of 2x2 cells."""
+    outer_row, outer_col, inner_row, inner_col = names
+    return (
+        f"main(input float img[8][8], output float {out}) {{"
+        f" index {outer_row}[0:3], {outer_col}[0:3],"
+        f" {inner_row}[0:1], {inner_col}[0:1];"
+        f" {target} = img[{outer_row}*2+{inner_row}][{outer_col}*2+{inner_col}]"
+        " * 2.0; }"
+    )
+
+
+def _store_lines(kernel):
+    """The kernel's statement-store lines (``_vN... = ...`` writes)."""
+    return [
+        line.strip() for line in kernel.source.splitlines()
+        if "[...] =" in line or "[(" in line
+    ]
+
+
+class TestStoreShapes:
+    """The three store shapes: identity cover, row-major cover, scatter."""
+
+    def _check(self, source, inputs):
+        session, plan = _compile_plan(source)
+        assert plan.kernel is not None
+        assert plan.kernel.report["fallback"] == 0
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        got = plan.kernel.try_execute(plan, inputs)
+        assert got is not None
+        _assert_identical(ref, got)
+        return plan.kernel
+
+    def _index_constants(self, kernel, shape):
+        return [
+            name for name, value in kernel.constants.items()
+            if isinstance(value, np.ndarray) and value.dtype.kind == "i"
+            and value.shape == shape
+        ]
+
+    def test_dct_stores_through_reshape_view(self):
+        from repro.eval import Harness
+
+        harness = Harness()
+        workload, app, _ = harness.compiled("DCT-1024")
+        plan = harness.session.plan_for(app, codegen=True)
+        kernel = plan.kernel
+        assert kernel is not None
+        assert any(
+            ".reshape((128, 8, 128, 8))[...] =" in line
+            for line in _store_lines(kernel)
+        )
+        # No fancy write, and no out-shaped subscript constants for one.
+        assert not any("[(" in line for line in _store_lines(kernel))
+        assert not self._index_constants(kernel, (128, 8, 128, 8))
+        params = workload.params()
+        ref_prev = got_prev = None
+        for step in range(3):
+            ref = plan._execute(
+                workload.inputs(step, ref_prev), params, {}, None, None
+            )
+            got = kernel.try_execute(
+                plan, workload.inputs(step, got_prev), params, {}
+            )
+            assert got is not None
+            _assert_identical(ref, got)
+            ref_prev, got_prev = ref, got
+
+    def test_row_major_cover_in_lattice_axis_order(self):
+        """Free axes are ordered by first use in the target, names
+        sorted within a subscript, so swapping the two blocked
+        subscripts still enumerates ``out`` in row-major order."""
+        rng = np.random.default_rng(13)
+        inputs = {"img": _int_floats(rng, (8, 8))}
+        for target in ("out[by*2+u][bx*2+v]", "out[bx*2+v][by*2+u]"):
+            kernel = self._check(_blocked_store(target), inputs)
+            assert "_v2.reshape((4, 2, 4, 2))[...] =" in kernel.source
+            assert not self._index_constants(kernel, (4, 2, 4, 2))
+
+    @pytest.mark.parametrize("source, lattice", [
+        # Transposed blocks: the inner index sorts before the outer one,
+        # so each subscript walks its two axes in column-major order.
+        (_blocked_store("out[p*2+a][q*2+b]", names=("p", "q", "a", "b")),
+         (2, 4, 2, 4)),
+        # Partial cover: rows 8 and 9 keep their previous value.
+        (_blocked_store("out[by*2+u][bx*2+v]", out="out[10][8]"),
+         (4, 2, 4, 2)),
+    ])
+    def test_other_blocked_stores_still_scatter(self, source, lattice):
+        rng = np.random.default_rng(17)
+        kernel = self._check(source, {"img": _int_floats(rng, (8, 8))})
+        assert not any(".reshape(" in line and "[...] =" in line
+                       for line in _store_lines(kernel))
+        assert len(self._index_constants(kernel, lattice)) == 2
+
+    def test_repeated_cell_store_still_scatters(self):
+        source = (
+            "main(input float x[8], output float y[4]) {"
+            " index i[0:7]; y[i % 4] = x[i] * 2.0; }"
+        )
+        rng = np.random.default_rng(19)
+        kernel = self._check(source, {"x": _int_floats(rng, 8)})
+        assert any("[(" in line for line in _store_lines(kernel))
+        assert not any("[...] =" in line for line in _store_lines(kernel))
+
+    def test_row_major_cover_aliasing_matches_identity_cover(self):
+        """Escaping values get a fresh buffer; values that stay inside
+        the kernel live in scratch and are copied if they ever escape —
+        for the reshape-view store exactly as for the identity store."""
+        template = (
+            "main(input float img[8][8], output float out[8][8]) {{"
+            " index by[0:3], bx[0:3], u[0:1], v[0:1], r[0:7], c[0:7];"
+            " float t[8][8];"
+            " {first} = img[by*2+u][bx*2+v] * 2.0;"
+            " out[r][c] = t[r][c] + t[c][r]; }}"
+        )
+        rng = np.random.default_rng(23)
+        inputs = {"img": _int_floats(rng, (8, 8))}
+
+        def alloc_and_store(kernel, op):
+            """The cover store computing *op* and the line allocating it."""
+            lines = [line.strip() for line in kernel.source.splitlines()]
+            [at] = [
+                number for number, line in enumerate(lines)
+                if "[...] =" in line and op in line
+            ]
+            return lines[at - 1], lines[at]
+
+        blocked = self._check(
+            template.format(first="t[by*2+u][bx*2+v]"), inputs
+        )
+        identity = self._check(
+            template.replace("img[by*2+u][bx*2+v]", "img[r][c]")
+            .format(first="t[r][c]"), inputs
+        )
+        # ``t`` stays inside the kernel: reusable scratch either way.
+        alloc, store = alloc_and_store(blocked, "_np.multiply")
+        assert alloc.endswith("= _S[0]")
+        assert ".reshape((4, 2, 4, 2))[...] =" in store
+        alloc, store = alloc_and_store(identity, "_np.multiply")
+        assert alloc.endswith("= _S[0]")
+        assert ".reshape(" not in store
+        # ``out`` escapes: a fresh buffer either way.
+        for kernel in (blocked, identity):
+            alloc, _ = alloc_and_store(kernel, "_np.add")
+            assert "= _np.empty((8, 8)" in alloc
+        escaping = self._check(_blocked_store("out[by*2+u][bx*2+v]"), inputs)
+        alloc, _ = alloc_and_store(escaping, "_np.multiply")
+        assert "= _np.empty((8, 8)" in alloc
+
+
 class TestBuildContract:
     def test_build_never_raises_and_counts_decline(self):
         class Hostile:

@@ -14,8 +14,18 @@ from repro.driver import (
 )
 from repro.driver.diagnostics import Diagnostic
 from repro.errors import PMLangSyntaxError, TargetError
+from repro.eval import Harness
 from repro.passes import default_pipeline
-from repro.targets import PolyMath, Robox, Tabla, default_accelerators
+from repro.rewrite import graph_signature
+from repro.srdfg import build
+from repro.targets import (
+    PolyMath,
+    Robox,
+    Tabla,
+    default_accelerators,
+    retag_component_domain,
+)
+from repro.workloads import END_TO_END, SINGLE_DOMAIN
 
 
 @pytest.fixture()
@@ -65,6 +75,23 @@ class TestStageRecords:
         record = StageRecord(stage="parse", seconds=0.25, detail="2 component(s)")
         text = record.render()
         assert "parse" in text and "ms" in text and "2 component(s)" in text
+
+
+class TestInspectionGraph:
+    @pytest.mark.parametrize("name", SINGLE_DOMAIN + END_TO_END)
+    def test_source_graph_untouched_by_the_pipeline(self, name):
+        """The compiled and the inspection graph are built from one
+        parse and share AST nodes, so no stage may mutate one in place:
+        after optimize, lower, translate, plan and codegen the inspection
+        graph must still equal a build from freshly parsed source."""
+        harness = Harness()
+        workload, app, _ = harness.compiled(name)
+        harness.session.plan_for(app, codegen=True)
+        fresh = build(workload.source(), domain=workload.domain)
+        domains = getattr(workload, "component_domains", None) or {}
+        for component, tag in domains.items():
+            retag_component_domain(fresh, component, tag)
+        assert graph_signature(app.source_graph) == graph_signature(fresh)
 
 
 class TestArtifactCache:

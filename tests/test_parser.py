@@ -204,3 +204,68 @@ class TestWalkers:
         )
         names = ast.expr_names(component.body[1].value)
         assert {"A", "b", "c", "i", "k"} <= names
+
+    def test_walk_order_matches_recursive_definition(self):
+        from repro.fuzz import generate_program
+
+        sources = [generate_program(seed).render() for seed in range(40)]
+        sources.append(
+            "main(input float A[4][4], input float k, output float y[4]) {"
+            " index i[0:3], j[0:3];"
+            " y[i] = sum[j: j != i][i: i < k](A[i][j] > 0 ? -A[i][j] :"
+            " exp(A[j][i], 2)) + max[j](A[i][j+1-1]); }"
+        )
+        walked = 0
+        for source in sources:
+            for expr in _program_exprs(parse(source)):
+                reference = [id(node) for node in _walk_expr_recursive(expr)]
+                assert [id(node) for node in ast.walk_expr(expr)] == reference
+                walked += len(reference)
+        assert walked > 1000
+        assert list(ast.walk_expr(None)) == []
+
+
+def _program_exprs(program):
+    """Every top-level expression of every statement in *program*."""
+
+    def from_body(body):
+        for stmt in body:
+            if isinstance(stmt, ast.Assign):
+                yield from stmt.target_indices
+                yield stmt.value
+            elif isinstance(stmt, ast.ComponentCall):
+                yield from stmt.args
+            elif isinstance(stmt, ast.Unroll):
+                yield from from_body(stmt.body)
+
+    for component in program.components.values():
+        yield from from_body(component.body)
+    for reduction in program.reductions.values():
+        yield reduction.expr
+
+
+def _walk_expr_recursive(expr):
+    """``walk_expr`` as it was first written: the order of record."""
+    if expr is None:
+        return
+    yield expr
+    if isinstance(expr, ast.UnaryOp):
+        yield from _walk_expr_recursive(expr.operand)
+    elif isinstance(expr, ast.BinOp):
+        yield from _walk_expr_recursive(expr.left)
+        yield from _walk_expr_recursive(expr.right)
+    elif isinstance(expr, ast.Ternary):
+        yield from _walk_expr_recursive(expr.cond)
+        yield from _walk_expr_recursive(expr.then)
+        yield from _walk_expr_recursive(expr.other)
+    elif isinstance(expr, ast.FuncCall):
+        for arg in expr.args:
+            yield from _walk_expr_recursive(arg)
+    elif isinstance(expr, ast.ReductionCall):
+        for spec in expr.indices:
+            if spec.predicate is not None:
+                yield from _walk_expr_recursive(spec.predicate)
+        yield from _walk_expr_recursive(expr.arg)
+    elif isinstance(expr, ast.Indexed):
+        for index in expr.indices:
+            yield from _walk_expr_recursive(index)

@@ -21,7 +21,8 @@ from repro.passes.base import Pass
 from repro.pmlang import ast_nodes as ast
 from repro.pmlang.parser import parse
 from repro.rewrite import (
-    REWRITE_STATS,
+    ALGEBRAIC_SIMPLIFICATION,
+    CONSTANT_FOLDING,
     Any,
     Bin,
     Bindings,
@@ -29,14 +30,16 @@ from repro.rewrite import (
     ExprRule,
     Lit,
     NodePattern,
+    Pattern,
     RulePass,
     RuleSet,
     graph_signature,
     parity_pipeline,
     rewrite_pipeline,
     rewrite_statement,
+    run_ruleset,
 )
-from repro.rewrite.engine import RewriteStats
+from repro.rewrite.engine import POSITION_LIMIT, RewriteStats
 from repro.rewrite.fusion import (
     FusionConfig,
     _crossing_candidates,
@@ -55,6 +58,34 @@ def _expr(source):
         f" output float out) {{ out = {source}; }}"
     )
     return program.components["main"].body[0].value
+
+
+#: rule -> (matches, rewrites) of the default pipeline over three paper
+#: programs. Deterministic; a change here is a change in what the
+#: optimizer does, not in how fast it does it.
+_TRIP_COUNTS = {
+    "MobileRobot": {
+        "constant-folding/fold-binop": (1, 1),
+        "constant-folding/propagate-static": (31, 2),
+        "cse/merge-duplicate-statement": (7, 0),
+        "dead-code-elimination/remove-unreachable": (44, 0),
+    },
+    "FFT-8192": {
+        "algebraic-simplification/mul-one": (4, 4),
+        "constant-folding/fold-binop": (572, 572),
+        "constant-folding/fold-neg": (26, 26),
+        "constant-folding/propagate-static": (761, 364),
+        "copy-propagation/forward-identity-copy": (28, 26),
+        "cse/merge-duplicate-statement": (30, 0),
+        "dead-code-elimination/remove-unreachable": (36, 0),
+    },
+    "ResNet-18": {
+        "algebraic-simplification/mul-one": (28, 28),
+        "constant-folding/propagate-static": (506, 41),
+        "cse/merge-duplicate-statement": (39, 0),
+        "dead-code-elimination/remove-unreachable": (299, 0),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +229,139 @@ class TestEngine:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(RewriteError, match="strategy"):
             RuleSet(name="bad", strategy="shuffle")
+
+    def test_untouched_statement_keeps_its_objects(self):
+        graph = build(
+            "main(input float x[4], output float y[4]) {"
+            " index i[0:3]; y[i] = x[i] * 3.0 + exp(x[i]); }"
+        )
+        [node] = graph.compute_nodes()
+        stmt, descriptor, name = node.attrs["stmt"], node.attrs["descriptor"], node.name
+        for ruleset in (CONSTANT_FOLDING, ALGEBRAIC_SIMPLIFICATION):
+            assert run_ruleset(graph, ruleset, stats=RewriteStats()) is False
+        assert node.attrs["stmt"] is stmt
+        assert node.attrs["descriptor"] is descriptor
+        assert node.name == name
+
+    def test_rewritten_statement_shares_untouched_subtrees(self):
+        graph = build(
+            "main(input float x[4], output float y[4]) {"
+            " index i[0:3]; y[i] = exp(x[i]) + x[i] * 1.0; }"
+        )
+        [node] = graph.compute_nodes()
+        before = node.attrs["stmt"]
+        assert rewrite_statement(graph, node, ALGEBRAIC_SIMPLIFICATION)
+        after = node.attrs["stmt"]
+        assert after is not before
+        assert after.value.left is before.value.left  # exp(x[i])
+        assert after.value.right is before.value.right.left  # x[i]
+        assert after.target_indices[0] is before.target_indices[0]
+
+    def test_two_rule_ping_pong_detected(self):
+        def flip(op):
+            return lambda expr, bindings, ctx: ast.BinOp(
+                op=op, left=expr.left, right=expr.right
+            )
+
+        ping_pong = RuleSet(
+            name="ping-pong",
+            expr_rules=(
+                ExprRule("to-minus", Bin(op="+"), flip("-")),
+                ExprRule("to-plus", Bin(op="-"), flip("+")),
+            ),
+        )
+        graph = build(
+            "main(input float x[4], output float y[4]) {"
+            " index i[0:3]; y[i] = x[i] + 1.0; }"
+        )
+        [node] = graph.compute_nodes()
+        stats = RewriteStats()
+        with pytest.raises(RewriteError, match="cycles"):
+            rewrite_statement(graph, node, ping_pong, stats=stats)
+        # + -> - fired, - -> + regenerated the first expression.
+        assert stats.per_rule() == {
+            "ping-pong/to-minus": {"matches": 1, "rewrites": 1},
+            "ping-pong/to-plus": {"matches": 1, "rewrites": 1},
+        }
+
+    def test_position_limit_on_non_repeating_chain(self):
+        counting = RuleSet(
+            name="counting",
+            expr_rules=(
+                ExprRule(
+                    "increment",
+                    Lit(numeric=True),
+                    lambda expr, bindings, ctx: ast.Literal(value=expr.value + 1),
+                ),
+            ),
+        )
+        graph = build(
+            "main(input float x[4], output float y[4]) {"
+            " index i[0:3]; y[i] = x[i] + 1.0; }"
+        )
+        [node] = graph.compute_nodes()
+        stats = RewriteStats()
+        with pytest.raises(RewriteError, match=f"exceeded {POSITION_LIMIT}"):
+            rewrite_statement(graph, node, counting, stats=stats)
+        assert stats.to_dict()["counting/increment.rewrites"] == POSITION_LIMIT
+
+    def test_wildcard_and_unknown_patterns_offered_everywhere(self):
+        class Recording(Pattern):
+            """A pattern subclass the engine knows nothing about."""
+
+            def _accept(self, expr, bindings):
+                return True
+
+        def decline(expr, bindings, ctx):
+            return None
+
+        everywhere = RuleSet(
+            name="everywhere",
+            expr_rules=(
+                ExprRule("wildcard", Any(), decline),
+                ExprRule("test-local", Recording(), decline),
+                ExprRule("binops-only", Bin(), decline),
+            ),
+        )
+        graph = build(
+            "main(input float x[4], input float k, output float y[4]) {"
+            " index i[0:3]; y[i] = -x[i] * 2.0 + (k > 0 ? exp(k) : sum[i](x[i])); }"
+        )
+        [node] = graph.compute_nodes()
+        stmt = node.attrs["stmt"]
+        positions = [
+            expr
+            for root in stmt.target_indices + (stmt.value,)
+            for expr in ast.walk_expr(root)
+        ]
+        assert {type(expr) for expr in positions} == {
+            ast.Literal, ast.Name, ast.Indexed, ast.UnaryOp, ast.BinOp,
+            ast.Ternary, ast.FuncCall, ast.ReductionCall,
+        }
+        stats = RewriteStats()
+        assert not rewrite_statement(graph, node, everywhere, stats=stats)
+        counters = stats.to_dict()
+        assert counters["everywhere/wildcard.matches"] == len(positions)
+        assert counters["everywhere/test-local.matches"] == len(positions)
+        assert counters["everywhere/binops-only.matches"] == sum(
+            isinstance(expr, ast.BinOp) for expr in positions
+        )
+
+    @pytest.mark.parametrize("workload, expected", sorted(_TRIP_COUNTS.items()))
+    def test_paper_program_trip_counts(self, workload, expected):
+        """Per-rule matches/rewrites, captured before the driver indexed
+        rules by root type: dispatch may skip work, never a match."""
+        from repro.workloads import get_workload
+
+        program = get_workload(workload)
+        stats = RewriteStats()
+        rewrite_pipeline(stats=stats).run(
+            build(program.source(), domain=program.domain)
+        )
+        assert {
+            rule: (counts["matches"], counts["rewrites"])
+            for rule, counts in stats.per_rule().items()
+        } == expected
 
 
 # ---------------------------------------------------------------------------
