@@ -22,7 +22,8 @@ import pytest
 
 from repro.driver import CompilerSession
 from repro.hw.cost import RooflineModel
-from repro.passes import AlgebraicCombination, DeadCodeElimination, PassManager, lower
+from repro.passes import PassManager, lower
+from repro.rewrite import DEAD_CODE_ELIMINATION, RulePass, combination_pass
 from repro.srdfg import Executor, build, expand_scalar
 from repro.targets import Robox, compile_to_targets, default_accelerators
 from repro.targets.graphicionado_sim import simulate_sweep
@@ -42,7 +43,9 @@ class TestAlgebraicCombinationAblation:
             graph = build(source, domain="RBT")
             lower(graph, {"RBT": Robox.spec.supported_ops}, {"RBT": ALL_SCALAR})
             if fuse:
-                PassManager([AlgebraicCombination(), DeadCodeElimination()]).run(graph)
+                PassManager(
+                    [combination_pass(), RulePass(DEAD_CODE_ELIMINATION)]
+                ).run(graph)
             accelerator = Robox()
             return accelerator, compile_to_targets(graph, {"RBT": accelerator})["RBT"]
 

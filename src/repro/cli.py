@@ -11,7 +11,6 @@ Usage (``python -m repro <command>``)::
     python -m repro figures [fig7 ...]       # regenerate figures
     python -m repro report                   # everything
     python -m repro rewrite --explain         # which rewrite rules fired where
-    python -m repro rewrite MPC FFT-8192 --assert-parity  # rules vs legacy passes
     python -m repro chaos BrainStimul --inject crash@DA   # fault-tolerant runtime
     python -m repro serve --requests 32 --workers 4       # concurrent service
     python -m repro fuzz --programs 50 --seed 7           # differential fuzzing
@@ -195,60 +194,35 @@ def _cmd_rewrite(args):
     """Run the declarative rewrite engine over workload srDFGs.
 
     Applies the rule-based optimisation pipeline to each named workload
-    and reports per-rule activity. ``--assert-parity`` instead runs every
-    rule set side by side with its legacy visitor twin and exits nonzero
-    on any graph divergence (CI's parity smoke step); ``--explain``
-    prints each rule firing with its site; ``--fuse`` additionally
-    compiles each workload with cost-guided cross-domain fusion enabled
-    and prints the :class:`~repro.rewrite.fusion.FusionReport`.
+    and reports per-rule activity. ``--explain`` prints each rule firing
+    with its site; ``--fuse`` additionally compiles each workload with
+    cost-guided cross-domain fusion enabled and prints the
+    :class:`~repro.rewrite.fusion.FusionReport`.
     """
-    from .errors import ParityError
-    from .rewrite import (
-        REWRITE_STATS,
-        ExplainLog,
-        parity_pipeline,
-        rewrite_pipeline,
-    )
+    from .rewrite import REWRITE_STATS, ExplainLog, rewrite_pipeline
     from .workloads import END_TO_END, SINGLE_DOMAIN, get_workload
 
     names = args.names or list(SINGLE_DOMAIN + END_TO_END)
     explain = ExplainLog() if (args.explain or args.json) else None
     REWRITE_STATS.reset()
-    status = 0
     entries = []
     for name in names:
         workload = get_workload(name)
         graph = workload.build_graph()
         nodes_before, edges_before = graph.total_counts()
-        pipeline = (
-            parity_pipeline(explain=explain)
-            if args.assert_parity
-            else rewrite_pipeline(explain=explain)
-        )
-        try:
-            result = pipeline.run(graph)
-        except ParityError as exc:
-            print(f"{name:15s} parity FAIL: {exc}", file=sys.stderr)
-            status = 1
-            entries.append({"workload": name, "parity": False,
-                            "error": str(exc)})
-            continue
+        result = rewrite_pipeline(explain=explain).run(graph)
         nodes_after, edges_after = result.graph.total_counts()
-        verdict = "parity ok" if args.assert_parity else "ok"
         print(
-            f"{name:15s} {verdict:9s} nodes {nodes_before}->{nodes_after}, "
+            f"{name:15s} ok        nodes {nodes_before}->{nodes_after}, "
             f"edges {edges_before}->{edges_after}"
         )
-        entry = {
+        entries.append({
             "workload": name,
             "nodes_before": nodes_before,
             "nodes_after": nodes_after,
             "edges_before": edges_before,
             "edges_after": edges_after,
-        }
-        if args.assert_parity:
-            entry["parity"] = True
-        entries.append(entry)
+        })
 
     fusion_reports = []
     if args.fuse:
@@ -283,14 +257,13 @@ def _cmd_rewrite(args):
 
     if args.json:
         payload = {
-            "mode": "parity" if args.assert_parity else "rewrite",
             "workloads": entries,
             "counters": REWRITE_STATS.to_dict(),
             "firings": explain.by_rule() if explain is not None else {},
             "fusion": fusion_reports,
         }
         _emit_json(payload, args.json)
-    return status
+    return 0
 
 
 def _cmd_profile(args):
@@ -835,14 +808,13 @@ def _cmd_serve(args):
 
 
 def _cmd_fuzz(args):
-    """Differential fuzzing: generated programs vs six oracles.
+    """Differential fuzzing: generated programs vs five oracles.
 
     Generates seeded random PMLang programs and checks every execution
-    path — interpreter lattice, execution plan, generated kernel,
-    rule-based vs legacy optimization, fusion, and fault-recovered
-    HostManager runs under swept fault campaigns — against the
-    reference interpreter, with
-    automatic test-case minimization for any divergence. Writes the
+    path — interpreter lattice, rule-optimized execution plan, generated
+    kernel, fusion, and fault-recovered HostManager runs under swept
+    fault campaigns — against the reference interpreter, with automatic
+    test-case minimization for any divergence. Writes the
     machine-readable validation matrix to ``results/BENCH_resilience.json``
     (override with ``--json``) and exits nonzero on any divergence.
     """
@@ -1363,16 +1335,10 @@ def build_parser():
     rewrite = sub.add_parser(
         "rewrite",
         help="run the declarative rewrite engine over workload srDFGs "
-        "(parity assertion, rule-firing explanation, cost-guided fusion)",
+        "(per-rule activity, rule-firing explanation, cost-guided fusion)",
     )
     rewrite.add_argument(
         "names", nargs="*", help="workload names (default: all)"
-    )
-    rewrite.add_argument(
-        "--assert-parity",
-        action="store_true",
-        help="run each rule set side by side with its legacy visitor twin "
-        "and exit nonzero on any graph divergence",
     )
     rewrite.add_argument(
         "--explain",
@@ -1483,8 +1449,8 @@ def build_parser():
     fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing: generated PMLang programs checked "
-        "against six oracles (interpreter, plan, generated kernel, "
-        "legacy pipeline, fusion, fault-recovered runtime) with "
+        "against five oracles (interpreter, plan, generated kernel, "
+        "fusion, fault-recovered runtime) with "
         "divergence minimization",
     )
     fuzz.add_argument(

@@ -93,15 +93,6 @@ class RewriteError(PassError):
     """
 
 
-class ParityError(PassError):
-    """A rule-based pass and its legacy twin produced different graphs.
-
-    Raised in parity mode (``repro rewrite --assert-parity`` and the
-    parity test suite); the message names the pass and the first point of
-    divergence.
-    """
-
-
 class LoweringError(PolyMathError):
     """Algorithm 1 could not reduce a node to target-supported operations."""
 

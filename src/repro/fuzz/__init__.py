@@ -1,7 +1,7 @@
 """repro.fuzz — differential fuzzing of the whole stack.
 
 A seeded random PMLang program generator
-(:func:`~repro.fuzz.generator.generate_program`), six differential
+(:func:`~repro.fuzz.generator.generate_program`), five differential
 oracles checking every execution path against the reference interpreter
 (:mod:`repro.fuzz.oracles`), greedy test-case minimization
 (:func:`~repro.fuzz.minimize.minimize_program`), and the campaign driver

@@ -1,6 +1,6 @@
 """The differential fuzzing campaign driver.
 
-``run_fuzz`` generates N seeded programs, pushes each through the six
+``run_fuzz`` generates N seeded programs, pushes each through the five
 oracles (see :mod:`repro.fuzz.oracles`), minimizes any divergence down
 to a small reproducer, and folds everything into a :class:`FuzzReport` —
 the machine-readable validation matrix (program seed x oracle x

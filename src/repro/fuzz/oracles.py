@@ -1,8 +1,8 @@
-"""The six differential oracles.
+"""The five differential oracles.
 
 Every generated program is executed by the *reference interpreter* — an
 :class:`~repro.srdfg.interpreter.Executor` over the raw, unoptimized
-srDFG — and the result is compared against six independent paths
+srDFG — and the result is compared against five independent paths
 through the stack:
 
 ``interpreter``
@@ -19,11 +19,6 @@ through the stack:
     (:mod:`repro.codegen`), replayed through ``KernelArtifact.run``.
     Bit-identical at f64; a declined build passes (transparent fallback
     is the tier's contract) but a runtime failure is a finding.
-``legacy``
-    The same compile through ``legacy_pipeline`` (imperative pass
-    implementations). Both the execution result (bit-identical at f64)
-    and the optimized graph's uid-free structural signature must match
-    the rule-based pipeline's.
 ``fusion``
     Compilation with cost-guided fusion enabled. Fusion retags domains
     and erases DMA crossings but must never change values: bit-identical
@@ -50,8 +45,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..driver import CompilerSession
-from ..passes import legacy_pipeline
-from ..rewrite.parity import graph_signature
 from ..runtime import FaultPlan, HostManager, RecoveryPolicy
 from ..runtime.faults import FAULT_KINDS
 from ..serve.request import result_signature
@@ -69,7 +62,7 @@ __all__ = [
 ]
 
 #: Oracle names in report order.
-ORACLES = ("interpreter", "plan", "codegen", "legacy", "fusion", "faults")
+ORACLES = ("interpreter", "plan", "codegen", "fusion", "faults")
 
 #: Per-precision comparison policy: (strict_bit_identity, rtol, atol).
 #: The tolerance is the fallback for oracles where bit-identity is not
@@ -122,12 +115,9 @@ class OracleContext:
     harness catches and minimizes real optimizer bugs.
     """
 
-    def __init__(self, rules=None, legacy=None, fused=None, domain="DA"):
+    def __init__(self, rules=None, fused=None, domain="DA"):
         accelerators = default_accelerators()
         self.rules = rules or CompilerSession(accelerators)
-        self.legacy = legacy or CompilerSession(
-            accelerators, pipeline_factory=legacy_pipeline
-        )
         self.fused = fused or CompilerSession(accelerators, fusion=True)
         self.domain = domain
 
@@ -298,23 +288,6 @@ def check_codegen(program, precision, context, reference, app):
                        max_error=err)
 
 
-def check_legacy(program, precision, context, reference, app):
-    """Legacy-pipeline compilation: execution and structural parity."""
-    source = program.render()
-    legacy_app = context.legacy.compile(source, domain=context.domain)
-    if graph_signature(legacy_app.graph) != graph_signature(app.graph):
-        return CheckResult(
-            "legacy", precision, False,
-            detail="rule-based and legacy pipelines optimized to "
-                   "structurally different graphs",
-        )
-    plan = context.legacy.plan_for(legacy_app, precision=precision)
-    ok, detail, err = _compare(
-        reference, _plan_steps(program, plan), precision
-    )
-    return CheckResult("legacy", precision, ok, detail=detail, max_error=err)
-
-
 def check_fusion(program, precision, context, reference):
     """Cost-guided-fusion compilation vs the reference."""
     source = program.render()
@@ -419,7 +392,7 @@ def run_program(program, context=None, precisions=("f64", "f32"),
             detail=f"build failed: {type(exc).__name__}: {exc}",
         )]
     app = None
-    if any(o in oracles for o in ("plan", "codegen", "legacy", "faults")):
+    if any(o in oracles for o in ("plan", "codegen", "faults")):
         try:
             app = context.rules.compile(source, domain=context.domain)
         except Exception as exc:  # noqa: BLE001
@@ -446,9 +419,6 @@ def run_program(program, context=None, precisions=("f64", "f32"),
                         program, precision, context, reference, app))
                 elif oracle == "codegen":
                     results.append(check_codegen(
-                        program, precision, context, reference, app))
-                elif oracle == "legacy":
-                    results.append(check_legacy(
                         program, precision, context, reference, app))
                 elif oracle == "fusion":
                     results.append(check_fusion(

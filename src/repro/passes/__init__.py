@@ -1,57 +1,30 @@
-"""Modular compilation passes over srDFGs (§IV of the paper)."""
+"""Modular compilation passes over srDFGs (§IV of the paper).
 
-from .algebraic import AlgebraicCombination, AlgebraicSimplification
+The pass framework (:class:`Pass`, :class:`PassManager`) and lowering live
+here; the target-independent optimisations themselves are declarative
+rule sets in :mod:`repro.rewrite`, surfaced as passes through
+:class:`~repro.rewrite.rulepass.RulePass`.
+"""
+
 from .base import Pass
-from .constant_folding import ConstantFolding
-from .copy_propagation import CopyPropagation
-from .cse import CommonSubexpressionElimination
-from .dead_code import DeadCodeElimination
 from .lowering import lower, supported_summary
 from .manager import PassManager, PipelineResult
 
 __all__ = [
-    "AlgebraicCombination",
-    "AlgebraicSimplification",
-    "CommonSubexpressionElimination",
-    "CopyPropagation",
-    "ConstantFolding",
-    "DeadCodeElimination",
     "Pass",
     "PassManager",
     "PipelineResult",
     "default_pipeline",
-    "legacy_pipeline",
     "lower",
     "supported_summary",
 ]
 
 
 def default_pipeline():
-    """The stack's standard target-independent pipeline.
-
-    Since the :mod:`repro.rewrite` port, the default pipeline is driven by
-    the declarative rule engine; pass names, order, and resulting graphs
-    are identical to :func:`legacy_pipeline` (asserted by the parity
-    suite and CI's ``repro rewrite --assert-parity`` smoke step).
-    """
-    # Imported lazily: repro.rewrite builds on repro.passes internals.
+    """The stack's standard target-independent pipeline: constant folding,
+    algebraic simplification, copy propagation, CSE and DCE, in that
+    order, each a :mod:`repro.rewrite` rule set."""
+    # Imported lazily: repro.rewrite builds on repro.passes.base.
     from ..rewrite.rulepass import rewrite_pipeline
 
     return rewrite_pipeline()
-
-
-def legacy_pipeline():
-    """The pre-rule-engine pipeline of hand-written visitor passes.
-
-    Kept as the parity oracle and as an escape hatch
-    (``CompilerSession(pipeline_factory=legacy_pipeline)``).
-    """
-    return PassManager(
-        [
-            ConstantFolding(),
-            AlgebraicSimplification(),
-            CopyPropagation(),
-            CommonSubexpressionElimination(),
-            DeadCodeElimination(),
-        ]
-    )

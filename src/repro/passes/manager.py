@@ -100,8 +100,8 @@ class PassManager:
         :class:`~repro.errors.PassError` (the span around the call site
         closes on the way out, carrying the error type).
 
-        ``PassError`` subclasses (``RewriteError``/``ParityError``) already
-        name the rule/pass that failed and keep their type; anything else —
+        ``PassError`` subclasses (``RewriteError``) already name the
+        rule/pass that failed and keep their type; anything else —
         including a ``GraphError`` from post-pass validation, which
         previously escaped without ever naming the pass — is wrapped.
         """

@@ -3,11 +3,11 @@
 The stack's optimisation passes, restated as data: patterns with
 op/attr/shape predicates and capture variables (:mod:`.pattern`), rules
 and rule sets (:mod:`.rules`), one fixpoint driver with per-rule trip
-counts and cycle detection (:mod:`.engine`), adapters into the existing
-``PassManager`` surface (:mod:`.rulepass`), and a parity mode that runs
-the legacy visitor passes side by side and asserts graph-identical
-results (:mod:`.parity`). Cost-guided cross-domain fusion builds on the
-same engine in :mod:`.fusion`.
+counts and cycle detection (:mod:`.engine`), the rule sets themselves
+(:mod:`.rulesets`, with the paper's algebraic combination in
+:mod:`.combination`), and adapters into the ``PassManager`` surface
+(:mod:`.rulepass`). Cost-guided cross-domain fusion builds on the same
+engine in :mod:`.fusion`.
 """
 
 from .engine import (
@@ -28,7 +28,6 @@ from .fusion import (
     fuse_cross_domain,
     modeled_cost,
 )
-from .parity import ParityPass, graph_signature, parity_pipeline, signature_diff
 from .pattern import (
     ANY,
     Any,
@@ -44,7 +43,7 @@ from .pattern import (
     Un,
     structural_key,
 )
-from .rulepass import RulePass, combination_pass, paired_passes, rewrite_pipeline
+from .rulepass import RulePass, combination_pass, rewrite_pipeline
 from .rules import (
     FIXPOINT,
     RESTART,
@@ -63,6 +62,7 @@ from .rulesets import (
     DEAD_CODE_ELIMINATION,
     DEFAULT_RULESETS,
 )
+from .signature import graph_signature
 
 __all__ = [
     "ANY",
@@ -90,7 +90,6 @@ __all__ = [
     "Idx",
     "Lit",
     "NodePattern",
-    "ParityPass",
     "Pattern",
     "REWRITE_STATS",
     "RESTART",
@@ -106,12 +105,9 @@ __all__ = [
     "fuse_cross_domain",
     "graph_signature",
     "modeled_cost",
-    "paired_passes",
-    "parity_pipeline",
     "render_expr",
     "rewrite_pipeline",
     "rewrite_statement",
     "run_ruleset",
-    "signature_diff",
     "structural_key",
 ]

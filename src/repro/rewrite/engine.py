@@ -23,7 +23,7 @@ from typing import Dict, List
 from ..errors import RewriteError
 from ..pmlang import ast_nodes as ast
 from ..srdfg import opclass
-from .parity import graph_signature
+from .signature import graph_signature
 from .pattern import Bindings, structural_key
 from .rules import RESTART, SWEEP, ExprContext
 
@@ -167,7 +167,7 @@ def _map_predicate(spec, fn):
     return ast.ReductionIndex(name=spec.name, predicate=predicate)
 
 
-def _map_children(expr, fn):
+def map_children(expr, fn):
     """*expr* with *fn* applied to each child expression.
 
     AST nodes are immutable values: when *fn* returns every child
@@ -225,7 +225,7 @@ class _ExprDriver:
     def rewrite(self, expr):
         if expr is None:
             return None
-        expr = _map_children(expr, self.rewrite)
+        expr = map_children(expr, self.rewrite)
         return self._fixpoint(expr)
 
     def _fixpoint(self, expr):
@@ -249,7 +249,7 @@ class _ExprDriver:
             # A builder may introduce subexpressions the bottom-up walk
             # has not seen (an inlined body, a folded literal's siblings);
             # re-normalise the children before matching here again.
-            expr = _map_children(replacement, self.rewrite)
+            expr = map_children(replacement, self.rewrite)
         raise RewriteError(
             f"rule set {self.ruleset.name!r} exceeded {POSITION_LIMIT} "
             f"rewrites at one position ({self.site})"
@@ -292,12 +292,12 @@ class _ExprDriver:
 def rewrite_statement(graph, node, ruleset, stats=None, explain=None):
     """Apply *ruleset*'s expression rules to one compute node's statement.
 
-    Rewrites the target subscripts and the value (exactly the surfaces the
-    legacy expression passes touched). A statement no rule changed comes
-    back as the same AST objects and the node is left alone; otherwise
-    the new statement is installed and — when the rule set asks for it —
-    the node's operation descriptor is reclassified, since rewrites can
-    change the op profile. Returns True when the statement changed.
+    Rewrites the target subscripts and the value. A statement no rule
+    changed comes back as the same AST objects and the node is left alone;
+    otherwise the new statement is installed and — when the rule set asks
+    for it — the node's operation descriptor is reclassified, since
+    rewrites can change the op profile. Returns True when the statement
+    changed.
     """
     stats = stats or REWRITE_STATS
     stmt = node.attrs["stmt"]
@@ -346,13 +346,11 @@ def apply_graph_rules(graph, ruleset, stats=None, explain=None):
 
     Strategy semantics:
 
-    * ``sweep`` — one pass over a snapshot of the node list. This is the
-      exact iteration discipline of the legacy single-sweep visitors
-      (CSE, copy propagation), kept so rule-based and legacy passes are
-      graph-identical even where a fixpoint would find more.
+    * ``sweep`` — one pass over a snapshot of the node list, even where
+      a second would find more (CSE, copy propagation).
     * ``fixpoint`` — sweep until a sweep changes nothing.
     * ``restart`` — restart the sweep after every successful rewrite
-      (the legacy combination pass's scan-from-the-top discipline).
+      (combination: a fusion can enable another at an earlier node).
 
     Returns the number of successful rewrites. Raises
     :class:`~repro.errors.RewriteError` when the sweep budget is

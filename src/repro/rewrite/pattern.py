@@ -4,11 +4,12 @@ The blueprint is the pattern-matching core of declarative compiler
 rewriters ("Pattern Matching in AI Compilers and its Formalization",
 PAPERS.md): a pattern is *data* — a small tree of matcher nodes with
 op/value predicates and named capture variables — and one generic
-``match`` walk interprets it against a candidate expression. Rules built
-from these patterns (see :mod:`repro.rewrite.rules`) replace the
-hand-rolled ``isinstance`` ladders the legacy visitor passes used.
+``match`` walk interprets it against a candidate expression. Rules are
+built from these patterns (see :mod:`repro.rewrite.rules`), and because a
+pattern is data, tests derive generators of matching instances from it —
+each rule is checked against the semantics of its own pattern.
 
-Features the legacy visitors could not express declaratively:
+Pattern features:
 
 * **capture variables** — ``Any("x")`` binds a subtree under a name the
   rule's builder can splice into the replacement;

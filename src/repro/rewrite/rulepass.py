@@ -3,22 +3,15 @@
 :class:`RulePass` wraps a :class:`~repro.rewrite.rules.RuleSet` as a
 :class:`~repro.passes.base.Pass`, so `CompilerSession` pipelines, per-pass
 StageRecords, obs spans, and ``PassManager`` hooks all keep working with
-zero changes — the pass *name* is the rule set's name, which is also what
-the legacy pass used, so pipeline fingerprints and reports stay stable.
+zero changes — the pass *name* is the rule set's name, which pipeline
+fingerprints and reports key on.
 """
 
 from __future__ import annotations
 
 from ..passes.base import Pass
 from .engine import REWRITE_STATS, run_ruleset
-from .rulesets import (
-    ALGEBRAIC_COMBINATION,
-    ALGEBRAIC_SIMPLIFICATION,
-    CONSTANT_FOLDING,
-    COPY_PROPAGATION,
-    CSE,
-    DEAD_CODE_ELIMINATION,
-)
+from .rulesets import ALGEBRAIC_COMBINATION, DEFAULT_RULESETS
 
 
 class RulePass(Pass):
@@ -38,53 +31,17 @@ class RulePass(Pass):
         return f"<RulePass {self.name} rules={list(self.ruleset.rule_names)}>"
 
 
-#: Default-pipeline rule sets in legacy pipeline order.
-_DEFAULT_ORDER = (
-    CONSTANT_FOLDING,
-    ALGEBRAIC_SIMPLIFICATION,
-    COPY_PROPAGATION,
-    CSE,
-    DEAD_CODE_ELIMINATION,
-)
-
-
-def _legacy_twin(ruleset):
-    from ..passes.algebraic import AlgebraicCombination, AlgebraicSimplification
-    from ..passes.constant_folding import ConstantFolding
-    from ..passes.copy_propagation import CopyPropagation
-    from ..passes.cse import CommonSubexpressionElimination
-    from ..passes.dead_code import DeadCodeElimination
-
-    return {
-        "constant-folding": ConstantFolding,
-        "algebraic-simplification": AlgebraicSimplification,
-        "copy-propagation": CopyPropagation,
-        "cse": CommonSubexpressionElimination,
-        "dead-code-elimination": DeadCodeElimination,
-        "algebraic-combination": AlgebraicCombination,
-    }[ruleset.name]()
-
-
-def paired_passes(explain=None, stats=None):
-    """(legacy pass, rule pass) twins for every default pipeline stage."""
-    return [
-        (_legacy_twin(ruleset), RulePass(ruleset, stats=stats, explain=explain))
-        for ruleset in _DEFAULT_ORDER
-    ]
-
-
 def rewrite_pipeline(validate=True, recursive=True, explain=None, stats=None,
                      combine=False):
-    """The standard target-independent pipeline, rule-engine edition.
+    """The standard target-independent pipeline
+    (:func:`repro.passes.default_pipeline` with every knob exposed).
 
-    Drop-in equivalent of :func:`repro.passes.default_pipeline` (parity
-    is asserted by the test suite and CI's smoke step). *combine* appends
-    the algebraic-combination rule set, which the default pipeline leaves
-    opt-in just as the legacy pipeline did.
+    *combine* appends the algebraic-combination rule set, which the
+    default pipeline leaves opt-in.
     """
     from ..passes.manager import PassManager
 
-    rulesets = list(_DEFAULT_ORDER)
+    rulesets = list(DEFAULT_RULESETS)
     if combine:
         rulesets.append(ALGEBRAIC_COMBINATION)
     return PassManager(
@@ -95,5 +52,5 @@ def rewrite_pipeline(validate=True, recursive=True, explain=None, stats=None,
 
 
 def combination_pass(explain=None, stats=None):
-    """The paper's multi-granularity fusion pass, rule-engine edition."""
+    """The paper's multi-granularity fusion pass (§IV-B)."""
     return RulePass(ALGEBRAIC_COMBINATION, stats=stats, explain=explain)

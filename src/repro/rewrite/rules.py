@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 from .pattern import NodePattern, Pattern
 
 #: Sweep strategies for graph rule sets.
-SWEEP = "sweep"          #: one pass over a node snapshot (legacy-visitor parity)
+SWEEP = "sweep"          #: one pass over a node snapshot
 FIXPOINT = "fixpoint"    #: sweep until a sweep changes nothing
 RESTART = "restart"      #: restart the sweep after every successful rewrite
 

@@ -1,30 +1,39 @@
 """The default optimisation passes, declared as rule sets.
 
-Each legacy visitor pass from :mod:`repro.passes` is restated here as
-data: patterns plus small builder/rewrite functions, driven by the shared
-engine. Parity with the legacy implementations is load-bearing — the
-parity suite asserts graph-identical results — so where a legacy pass had
-single-sweep (rather than fixpoint) semantics, the rule set declares
-``strategy=SWEEP`` to match, and builders reproduce legacy value
-conventions exactly (e.g. the annihilator rewrite produces an *int* zero
-regardless of the operands' literal types, as ``simplify_expr`` did).
+Each of the paper's "traditional passes" (§IV: constant propagation and
+folding, algebraic identities, copy propagation, CSE, DCE) plus the
+multi-granularity algebraic combination is data here: patterns plus small
+builder/rewrite functions, driven by the shared engine. Rule order,
+strategies and the literal types builders produce all shape the optimized
+graph, and the optimized graph's fingerprint keys the plan cache — so a
+change to any of them is a behaviour change, not a refactor.
+
+Every rule carries a proof obligation, checked by ``tests/test_rewrite.py``
+on instances generated from the rule's own pattern: an expression rule's
+replacement evaluates equal to the original under the reference
+interpreter and strictly decreases (expression size, ``Name`` count); a
+graph rule's pass leaves generated programs bit-identical at f64.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
+from ..passes.base import reroute_consumers
 from ..pmlang import ast_nodes as ast
 from ..pmlang.builtins import SCALAR_FUNCTIONS
 from ..srdfg.graph import COMPUTE, VAR
+from ..srdfg.interpreter import _BINOPS
 from ..srdfg.metadata import LOCAL
+from .combination import fuse_matvec_producer
 from .pattern import Any, Bin, Call, Lit, NodePattern, Ref, Tern, Un
 from .rules import RESTART, SWEEP, ExprRule, GraphRule, RuleSet
 
 # ---------------------------------------------------------------------------
 # constant-folding
 # ---------------------------------------------------------------------------
-
-# Shared with the legacy pass on purpose: one table of operator semantics.
-from ..passes.constant_folding import _FOLDABLE_BINOPS
 
 
 def _propagate_static(expr, bindings, ctx):
@@ -42,10 +51,25 @@ def _fold_not(expr, bindings, ctx):
 
 
 def _fold_binop(expr, bindings, ctx):
-    return ast.Literal(
-        value=_FOLDABLE_BINOPS[expr.op](expr.left.value, expr.right.value),
-        line=expr.line,
-    )
+    """Fold with the interpreter's own numpy operator, so the literal is
+    bit for bit what the runtime computes on the unoptimized graph
+    (Python's ``**`` and ``np.power`` differ in the last ulp, and Python
+    integers do not wrap). Declines where that is no finite number —
+    ``x / 0`` stays for the runtime to answer with nan or a signed inf —
+    and where numpy refuses (integers to negative integer powers, Python
+    integers beyond int64)."""
+    try:
+        with np.errstate(all="ignore"):
+            value = np.asarray(
+                _BINOPS[expr.op](expr.left.value, expr.right.value)
+            ).item()
+    except (ValueError, OverflowError):
+        return None
+    if not math.isfinite(value):
+        return None
+    if isinstance(value, bool):
+        value = int(value)
+    return ast.Literal(value=value, line=expr.line)
 
 
 def _select_branch(expr, bindings, ctx):
@@ -54,7 +78,9 @@ def _select_branch(expr, bindings, ctx):
 
 def _fold_call(expr, bindings, ctx):
     impl = SCALAR_FUNCTIONS[expr.func][0]
-    value = impl(*[arg.value for arg in expr.args])
+    # Integer arguments promote to float, as the interpreter promotes them
+    # (``pow(2, -1)`` is 0.5 there, an error on numpy integers).
+    value = impl(*[float(arg.value) for arg in expr.args])
     return ast.Literal(value=float(value), line=expr.line)
 
 
@@ -68,7 +94,7 @@ CONSTANT_FOLDING = RuleSet(
         ExprRule("fold-not", Un(op="!", operand=_NUM), _fold_not),
         ExprRule(
             "fold-binop",
-            Bin(op=frozenset(_FOLDABLE_BINOPS), left=_NUM, right=_NUM),
+            Bin(op=frozenset(_BINOPS), left=_NUM, right=_NUM),
             _fold_binop,
         ),
         ExprRule("select-branch", Tern(cond=_NUM), _select_branch),
@@ -91,8 +117,8 @@ def _keep_x(expr, bindings, ctx):
 
 
 def _annihilate(expr, bindings, ctx):
-    # Legacy convention: ``x * 0`` folds to an int zero whatever the
-    # operand types were.
+    # An int zero whatever the operand types were. Sound over finite
+    # operands only: ``inf * 0`` is nan.
     return ast.Literal(value=0, line=expr.line)
 
 
@@ -114,9 +140,8 @@ ALGEBRAIC_SIMPLIFICATION = RuleSet(
             "add-zero", _bin("+", Any(name="x"), _ZERO, commutative=True), _keep_x
         ),
         ExprRule("sub-zero", _bin("-", Any(name="x"), _ZERO), _keep_x),
-        # mul-one must precede mul-zero: for ``0 * 1`` the legacy pass
-        # returns the zero *operand* (preserving its int/float type), not
-        # a fresh int zero.
+        # mul-one precedes mul-zero so ``0.0 * 1`` keeps its operand (a
+        # float zero) instead of becoming mul-zero's int zero.
         ExprRule(
             "mul-one", _bin("*", Any(name="x"), _ONE, commutative=True), _keep_x
         ),
@@ -142,13 +167,29 @@ def _not_partial(graph, node):
 
 
 def _is_identity_copy(graph, node):
-    from ..passes.copy_propagation import _identity_copy
-
-    return _identity_copy(
-        node.attrs["stmt"],
-        node.attrs.get("index_ranges", {}),
-        node.attrs.get("lhs_shape", ()),
-    )
+    """True when the node's statement is ``y[i..] = x[i..]`` over the full
+    lattice with identical subscript order on both sides — pure data
+    movement, unlike a strided or transposing gather."""
+    stmt = node.attrs["stmt"]
+    index_ranges = node.attrs.get("index_ranges", {})
+    lhs_shape = node.attrs.get("lhs_shape", ())
+    value = stmt.value
+    if not isinstance(value, ast.Indexed):
+        return False
+    if len(stmt.target_indices) != len(value.indices):
+        return False
+    if len(stmt.target_indices) != len(lhs_shape):
+        return False
+    for dim, (lhs_index, rhs_index) in enumerate(
+        zip(stmt.target_indices, value.indices)
+    ):
+        if not (isinstance(lhs_index, ast.Name) and isinstance(rhs_index, ast.Name)):
+            return False
+        if lhs_index.id != rhs_index.id:
+            return False
+        if index_ranges.get(lhs_index.id) != (0, lhs_shape[dim] - 1):
+            return False
+    return True
 
 
 def _graph_vars(graph):
@@ -156,8 +197,13 @@ def _graph_vars(graph):
 
 
 def _forward_copy(graph, node, ctx):
-    from ..passes.base import reroute_consumers
+    """Let the copy's consumers read its source directly.
 
+    Copies that materialise a *boundary* variable (an output or state
+    write-back, e.g. the FFT's final ``fr[t] = xr[t]``) are kept — the
+    boundary buffer must be produced — but interior hand-off copies, which
+    component-by-component translation tends to create, disappear.
+    """
     stmt = node.attrs["stmt"]
     source_edges = [
         edge for edge in graph.in_edges(node) if edge.md.name == stmt.value.base
@@ -192,8 +238,9 @@ COPY_PROPAGATION = RuleSet(
             _forward_copy,
         ),
     ),
-    # Single sweep: the legacy visitor already collapses copy chains in
-    # one pass (rerouting is in place), and parity pins that discipline.
+    # Rerouting is in place, so one sweep already collapses copy chains;
+    # a fixpoint's extra sweeps could only change the optimized graph,
+    # and with it every plan cache key.
     strategy=SWEEP,
     prepare=_graph_vars,
 )
@@ -208,10 +255,31 @@ def _cse_prepare(graph):
     return {"vars": _graph_vars(graph), "seen": {}}
 
 
-def _merge_duplicate(graph, node, ctx):
-    from ..passes.base import reroute_consumers
-    from ..passes.cse import _statement_key
+def _statement_key(node, graph):
+    stmt = node.attrs["stmt"]
+    # Producers keyed by the operand name the statement reads.
+    sources = tuple(
+        sorted(
+            (edge.md.name, edge.src.uid, edge.md.producer_name)
+            for edge in graph.in_edges(node)
+        )
+    )
+    ranges = tuple(sorted(node.attrs.get("index_ranges", {}).items()))
+    return (
+        tuple(ast.expr_key(i) for i in stmt.target_indices),
+        ast.expr_key(stmt.value),
+        sources,
+        ranges,
+        tuple(node.attrs.get("lhs_shape", ())),
+        node.attrs.get("dtype"),
+    )
 
+
+def _merge_duplicate(graph, node, ctx):
+    """Merge a compute node into an earlier one evaluating a structurally
+    identical statement over identical producers. Only full writes to
+    *local* variables are candidates, so boundary semantics and
+    merge-with-previous behaviour are never disturbed."""
     target = node.attrs["stmt"].target
     info = ctx["vars"].get(target)
     if info is None or info.modifier != LOCAL:
@@ -237,9 +305,9 @@ CSE = RuleSet(
             _merge_duplicate,
         ),
     ),
-    # Single sweep with a per-sweep value-number table, like the legacy
-    # visitor: later sweeps could in principle merge newly congruent
-    # nodes, but parity requires stopping where the legacy pass stopped.
+    # Single sweep with a per-sweep value-number table. Later sweeps
+    # could merge newly congruent nodes, which would change optimized
+    # graphs and therefore plan cache keys.
     strategy=SWEEP,
     prepare=_cse_prepare,
 )
@@ -297,28 +365,22 @@ DEAD_CODE_ELIMINATION = RuleSet(
 # ---------------------------------------------------------------------------
 
 
-def _fuse_producer(graph, node, ctx):
-    from ..passes.algebraic import AlgebraicCombination
-
-    return AlgebraicCombination()._try_fuse_into(graph, node)
-
-
 ALGEBRAIC_COMBINATION = RuleSet(
     name="algebraic-combination",
     graph_rules=(
         GraphRule(
             "inline-matvec-into-additive-consumer",
             NodePattern(kind=COMPUTE),
-            _fuse_producer,
+            fuse_matvec_producer,
         ),
     ),
-    # The legacy pass rescans from the top after every fusion (a fusion
-    # can enable another at an earlier node).
+    # Rescan from the top after every fusion: a fusion can enable another
+    # at an earlier node.
     strategy=RESTART,
 )
 
 
-#: The default pipeline's rule sets, in legacy pipeline order.
+#: The default pipeline's rule sets, in pipeline order.
 DEFAULT_RULESETS = (
     CONSTANT_FOLDING,
     ALGEBRAIC_SIMPLIFICATION,

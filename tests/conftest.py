@@ -101,3 +101,26 @@ def mpc_reference_result(mpc_data):
     new_ctrl[[0, 9]] = 0.0
     new_ctrl[0:19] = ctrl[1:20] - grad[1:20]
     return {"ctrl_sgnl": signal, "ctrl_mdl": new_ctrl}
+
+
+def _rewrite_expr(ruleset, expr, static_env=None, protected=()):
+    """*expr* after ``RulePass(ruleset)``, as the value of a one-statement
+    graph (names in *protected* are index variables and stay symbolic)."""
+    from repro.pmlang import ast_nodes as ast
+    from repro.rewrite import RulePass
+    from repro.rewrite.engine import RewriteStats
+    from repro.srdfg import build
+
+    graph = build("main(output float out) { out = 0; }")
+    [node] = graph.compute_nodes()
+    node.attrs["stmt"] = ast.Assign(target="out", target_indices=(), value=expr)
+    node.attrs["static_env"] = dict(static_env or {})
+    node.attrs["index_ranges"] = {name: (0, 0) for name in protected}
+    RulePass(ruleset, stats=RewriteStats()).run(graph)
+    return node.attrs["stmt"].value
+
+
+@pytest.fixture(scope="session")
+def rewrite_expr():
+    """Drive one rule set's expression rules over a bare expression."""
+    return _rewrite_expr

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from repro.errors import PassError
-from repro.passes import (
-    AlgebraicCombination,
-    AlgebraicSimplification,
-    CommonSubexpressionElimination,
-    ConstantFolding,
-    DeadCodeElimination,
-    PassManager,
-    default_pipeline,
-    lower,
-)
+from repro.passes import PassManager, default_pipeline, lower
 from repro.pmlang import ast_nodes as ast
-from repro.passes.constant_folding import fold_expr
-from repro.passes.algebraic import simplify_expr
+from repro.rewrite import (
+    ALGEBRAIC_SIMPLIFICATION,
+    CONSTANT_FOLDING,
+    COPY_PROPAGATION,
+    CSE,
+    DEAD_CODE_ELIMINATION,
+    RulePass,
+    combination_pass,
+)
 from repro.srdfg import Executor, build
 
 
@@ -25,38 +23,36 @@ def execute(graph, **kwargs):
 
 
 class TestConstantFolding:
-    def test_fold_literal_arithmetic(self):
-        expr = fold_expr(
+    def test_fold_literal_arithmetic(self, rewrite_expr):
+        expr = rewrite_expr(
+            CONSTANT_FOLDING,
             ast.BinOp(op="+", left=ast.Literal(value=2), right=ast.Literal(value=3)),
-            {},
-            set(),
         )
         assert isinstance(expr, ast.Literal) and expr.value == 5
 
-    def test_propagates_static_names(self):
-        expr = fold_expr(ast.Name(id="h"), {"h": 10}, set())
+    def test_propagates_static_names(self, rewrite_expr):
+        expr = rewrite_expr(CONSTANT_FOLDING, ast.Name(id="h"), {"h": 10})
         assert isinstance(expr, ast.Literal) and expr.value == 10
 
-    def test_protected_names_stay_symbolic(self):
-        expr = fold_expr(ast.Name(id="i"), {"i": 10}, {"i"})
+    def test_protected_names_stay_symbolic(self, rewrite_expr):
+        expr = rewrite_expr(CONSTANT_FOLDING, ast.Name(id="i"), {"i": 10}, {"i"})
         assert isinstance(expr, ast.Name)
 
-    def test_folds_functions_of_constants(self):
-        expr = fold_expr(
-            ast.FuncCall(func="sqrt", args=(ast.Literal(value=9.0),)), {}, set()
+    def test_folds_functions_of_constants(self, rewrite_expr):
+        expr = rewrite_expr(
+            CONSTANT_FOLDING, ast.FuncCall(func="sqrt", args=(ast.Literal(value=9.0),))
         )
         assert isinstance(expr, ast.Literal)
         assert expr.value == pytest.approx(3.0)
 
-    def test_ternary_constant_condition_selects_branch(self):
-        expr = fold_expr(
+    def test_ternary_constant_condition_selects_branch(self, rewrite_expr):
+        expr = rewrite_expr(
+            CONSTANT_FOLDING,
             ast.Ternary(
                 cond=ast.Literal(value=1),
                 then=ast.Name(id="a"),
                 other=ast.Name(id="b"),
             ),
-            {},
-            set(),
         )
         assert isinstance(expr, ast.Name) and expr.id == "a"
 
@@ -69,7 +65,7 @@ class TestConstantFolding:
         inputs = {"x": np.arange(4.0)}
         graph = build(source)
         expected = execute(graph, inputs=inputs).outputs["y"]
-        folded = PassManager([ConstantFolding()]).run(build(source)).graph
+        folded = PassManager([RulePass(CONSTANT_FOLDING)]).run(build(source)).graph
         got = execute(folded, inputs=inputs).outputs["y"]
         assert np.allclose(got, expected)
         # The unroll binder and literal zero must have been folded away.
@@ -94,20 +90,22 @@ class TestAlgebraicSimplification:
             f"main(input float x[4], output float y[4]) {{"
             f" index i[0:3]; y[i] = {before}; }}"
         )
-        graph = PassManager([AlgebraicSimplification()]).run(build(source)).graph
+        graph = PassManager([RulePass(ALGEBRAIC_SIMPLIFICATION)]).run(build(source)).graph
         [node] = graph.compute_nodes()
         assert isinstance(node.attrs["stmt"].value, ast.Indexed)
 
-    def test_multiply_by_zero_annihilates(self):
-        expr = simplify_expr(
+    def test_multiply_by_zero_annihilates(self, rewrite_expr):
+        expr = rewrite_expr(
+            ALGEBRAIC_SIMPLIFICATION,
             ast.BinOp(op="*", left=ast.Indexed(base="x", indices=(ast.Name(id="i"),)),
-                      right=ast.Literal(value=0))
+                      right=ast.Literal(value=0)),
         )
         assert isinstance(expr, ast.Literal) and expr.value == 0
 
-    def test_double_negation(self):
-        expr = simplify_expr(
-            ast.UnaryOp(op="-", operand=ast.UnaryOp(op="-", operand=ast.Name(id="a")))
+    def test_double_negation(self, rewrite_expr):
+        expr = rewrite_expr(
+            ALGEBRAIC_SIMPLIFICATION,
+            ast.UnaryOp(op="-", operand=ast.UnaryOp(op="-", operand=ast.Name(id="a"))),
         )
         assert isinstance(expr, ast.Name)
 
@@ -123,7 +121,7 @@ class TestDeadCode:
         )
         graph = build(source)
         assert len(graph.compute_nodes()) == 2
-        graph = PassManager([DeadCodeElimination()]).run(graph).graph
+        graph = PassManager([RulePass(DEAD_CODE_ELIMINATION)]).run(graph).graph
         assert len(graph.compute_nodes()) == 1
         assert graph.compute_nodes()[0].attrs["stmt"].target == "y"
 
@@ -132,14 +130,14 @@ class TestDeadCode:
             "main(input float unused[4], input float x[4], output float y[4]) {"
             " index i[0:3]; y[i] = x[i]; }"
         )
-        graph = PassManager([DeadCodeElimination()]).run(build(source)).graph
+        graph = PassManager([RulePass(DEAD_CODE_ELIMINATION)]).run(build(source)).graph
         assert {node.name for node in graph.var_nodes()} >= {"unused", "x", "y"}
 
     def test_state_writers_are_live(self):
         source = (
             "main(input float x, state float acc) { acc = acc + x; }"
         )
-        graph = PassManager([DeadCodeElimination()]).run(build(source)).graph
+        graph = PassManager([RulePass(DEAD_CODE_ELIMINATION)]).run(build(source)).graph
         assert len(graph.compute_nodes()) == 1
 
 
@@ -157,7 +155,7 @@ class TestCse:
         graph = build(source)
         expected = execute(graph, inputs=inputs).outputs["y"]
         deduped = PassManager(
-            [CommonSubexpressionElimination(), DeadCodeElimination()]
+            [RulePass(CSE), RulePass(DEAD_CODE_ELIMINATION)]
         ).run(build(source)).graph
         assert len(deduped.compute_nodes()) == 2  # one mul + the add
         got = execute(deduped, inputs=inputs).outputs["y"]
@@ -172,7 +170,7 @@ class TestCse:
             " b[i] = x[i] * 3.0;"
             " y[i] = a[i] + b[i]; }"
         )
-        graph = PassManager([CommonSubexpressionElimination()]).run(build(source)).graph
+        graph = PassManager([RulePass(CSE)]).run(build(source)).graph
         assert len(graph.compute_nodes()) == 3
 
     def test_skips_boundary_targets(self):
@@ -182,7 +180,7 @@ class TestCse:
             " y[i] = x[i] * 2.0;"
             " z[i] = x[i] * 2.0; }"
         )
-        graph = PassManager([CommonSubexpressionElimination()]).run(build(source)).graph
+        graph = PassManager([RulePass(CSE)]).run(build(source)).graph
         assert len(graph.compute_nodes()) == 2
 
 
@@ -191,7 +189,7 @@ class TestAlgebraicCombination:
         graph = build(mpc_source, domain="RBT")
         lower(graph, {"RBT": set()}, {"RBT": {"alu", "mul", "div", "nonlinear"}})
         before = len(graph.compute_nodes())
-        fused = PassManager([AlgebraicCombination()]).run(graph).graph
+        fused = PassManager([combination_pass()]).run(graph).graph
         assert len(fused.compute_nodes()) < before
         assert any(
             node.attrs["descriptor"].fused for node in fused.compute_nodes()
@@ -215,7 +213,7 @@ class TestAlgebraicCombination:
             " z[j] = t[j] + 2.0; }"
         )
         graph = build(source)
-        fused = PassManager([AlgebraicCombination()]).run(graph).graph
+        fused = PassManager([combination_pass()]).run(graph).graph
         assert len(fused.compute_nodes()) == 3
 
 
@@ -248,10 +246,8 @@ class TestPassManager:
         assert result.reports[0].nodes_before == total_nodes
 
     def test_flat_counting_opt_out(self, mpc_source):
-        from repro.passes import ConstantFolding
-
         graph = build(mpc_source, domain="RBT")
-        flat = PassManager([ConstantFolding()], recursive=False).run(graph)
+        flat = PassManager([RulePass(CONSTANT_FOLDING)], recursive=False).run(graph)
         assert flat.reports[0].nodes_before == len(graph.nodes)
 
     def test_hooks_observe_each_pass(self, mpc_source):
@@ -274,8 +270,6 @@ class TestPassManager:
 
 
 class TestCopyPropagation:
-    from repro.passes import CopyPropagation
-
     def test_interior_copy_removed(self):
         source = (
             "main(input float x[4], output float y[4]) {"
@@ -286,9 +280,9 @@ class TestCopyPropagation:
         )
         inputs = {"x": np.arange(4.0)}
         expected = execute(build(source), inputs=inputs).outputs["y"]
-        from repro.passes import CopyPropagation
-
-        graph = PassManager([CopyPropagation(), DeadCodeElimination()]).run(
+        graph = PassManager(
+            [RulePass(COPY_PROPAGATION), RulePass(DEAD_CODE_ELIMINATION)]
+        ).run(
             build(source)
         ).graph
         assert len(graph.compute_nodes()) == 1
@@ -302,9 +296,7 @@ class TestCopyPropagation:
             " index i[0:3];"
             " y[i] = x[i]; }"
         )
-        from repro.passes import CopyPropagation
-
-        graph = PassManager([CopyPropagation()]).run(build(source)).graph
+        graph = PassManager([RulePass(COPY_PROPAGATION)]).run(build(source)).graph
         assert len(graph.compute_nodes()) == 1
 
     def test_strided_copy_kept(self):
@@ -316,9 +308,7 @@ class TestCopyPropagation:
             " t[i] = x[2*i];"
             " y[i] = t[i]; }"
         )
-        from repro.passes import CopyPropagation
-
-        graph = PassManager([CopyPropagation()]).run(build(source)).graph
+        graph = PassManager([RulePass(COPY_PROPAGATION)]).run(build(source)).graph
         names = [node.name for node in graph.compute_nodes()]
         assert names.count("copy") == 2
 

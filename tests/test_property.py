@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pmlang import ast_nodes as ast
 from repro.pmlang.parser import parse
-from repro.passes.constant_folding import fold_expr
+from repro.rewrite import CONSTANT_FOLDING
 from repro.srdfg import Executor, build, evaluate_statement
 from repro.srdfg.builder import eval_static
 
@@ -134,8 +134,8 @@ _const_expr = st.deferred(
 
 @given(_const_expr)
 @settings(max_examples=80, deadline=None)
-def test_fold_expr_preserves_static_value(expr):
-    folded = fold_expr(expr, {}, set())
+def test_fold_expr_preserves_static_value(rewrite_expr, expr):
+    folded = rewrite_expr(CONSTANT_FOLDING, expr)
     assert isinstance(folded, ast.Literal)
     assert folded.value == eval_static(expr, {})
 

@@ -1,40 +1,48 @@
 """Tests for the declarative rewrite engine (``repro.rewrite``).
 
 Covers the pattern matcher (commutativity, capture binding, non-linear
-patterns), the fixpoint driver (trip counts, cycle detection), parity
-between the legacy visitor passes and their rule-set ports — including
-property-based parity over random PMLang programs with bit-identical
-execution through the :class:`~repro.srdfg.plan.ExecutionPlan` — and
-cost-guided cross-domain fusion (legality around stateful nodes,
-bit-identical fused vs unfused outputs).
+patterns), the fixpoint driver (trip counts, cycle detection), the
+per-rule proof obligations — every rule checked against the reference
+interpreter on instances generated from its own pattern — and cost-guided
+cross-domain fusion (legality around stateful nodes, bit-identical fused
+vs unfused outputs).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import repro.rewrite
 from repro.driver import CompilerSession
 from repro.driver.diagnostics import Diagnostics
-from repro.errors import ParityError, PassError, RewriteError
-from repro.passes import ConstantFolding, PassManager, default_pipeline, legacy_pipeline
+from repro.errors import PassError, RewriteError
+from repro.fuzz import generate_program, run_reference
+from repro.passes import PassManager, default_pipeline
 from repro.passes.base import Pass
 from repro.pmlang import ast_nodes as ast
+from repro.pmlang.builtins import SCALAR_FUNCTIONS
 from repro.pmlang.parser import parse
 from repro.rewrite import (
+    ALGEBRAIC_COMBINATION,
     ALGEBRAIC_SIMPLIFICATION,
+    ANY,
     CONSTANT_FOLDING,
+    DEFAULT_RULESETS,
     Any,
     Bin,
     Bindings,
+    Call,
     ExplainLog,
+    ExprContext,
     ExprRule,
     Lit,
     NodePattern,
     Pattern,
+    Ref,
     RulePass,
     RuleSet,
-    graph_signature,
-    parity_pipeline,
+    Tern,
+    Un,
     rewrite_pipeline,
     rewrite_statement,
     run_ruleset,
@@ -47,7 +55,9 @@ from repro.rewrite.fusion import (
     _relower_tag,
     fuse_cross_domain,
 )
-from repro.srdfg import build
+from repro.serve.request import result_signature
+from repro.srdfg import Executor, build, evaluate_statement
+from repro.srdfg.interpreter import _BINOPS
 from repro.srdfg.plan import PlanConfig, plan_for_graph
 
 
@@ -365,90 +375,217 @@ class TestEngine:
 
 
 # ---------------------------------------------------------------------------
-# Parity: legacy visitor passes vs rule-set ports
+# Per-rule proof obligations
 # ---------------------------------------------------------------------------
+#
+# Each rule is checked against the semantics of its own pattern rather than
+# against a second implementation ("Pattern Matching in AI Compilers and
+# its Formalization", PAPERS.md). A strategy derived from an ExprRule's
+# pattern AST generates matching instances; on each, the rule must fire,
+# its replacement must evaluate equal to the original under the reference
+# interpreter, and (expression size, Name count) must strictly decrease —
+# the measure under which every expression rule set terminates.
+#
+# Domain, stated once: every operand is finite and small — names and
+# literals lie in [-8, 8], and wildcard subtrees combine them with + - *
+# only. Finiteness is what makes mul-zero sound (``inf * 0`` is nan).
+# Zeros and units are drawn often: that is where folds and identities
+# have their corner cases.
+
+_NAMES = ("a", "b", "c")
+_numbers = st.one_of(
+    st.sampled_from((0, 0.0, 1, -1)),
+    st.integers(min_value=-8, max_value=8),
+    st.floats(min_value=-8, max_value=8, allow_nan=False),
+)
+_envs = st.fixed_dictionaries({name: _numbers for name in _NAMES})
+_leaves = st.one_of(
+    _numbers.map(lambda value: ast.Literal(value=value)),
+    st.sampled_from(_NAMES).map(lambda name: ast.Name(id=name)),
+)
+_total_exprs = st.recursive(
+    _leaves,
+    lambda inner: st.builds(
+        lambda op, left, right: ast.BinOp(op=op, left=left, right=right),
+        st.sampled_from("+-*"), inner, inner,
+    ),
+    max_leaves=4,
+)
 
 
-def _random_pipeline_source(depth, size, operators, constants):
-    lines = [f"  float t0[{size}];", f"  index i[0:{size - 1}];",
-             "  t0[i] = x[i];"]
-    previous = "t0"
-    for level, (op, const) in enumerate(zip(operators, constants), start=1):
-        name = f"t{level}"
-        lines.insert(0, f"  float {name}[{size}];")
-        lines.append(f"  {name}[i] = {previous}[i] {op} {const};")
-        previous = name
-    lines.append(f"  y[i] = {previous}[i];")
-    return (
-        f"main(input float x[{size}], output float y[{size}]) {{\n"
-        + "\n".join(lines)
-        + "\n}"
+def _ops(spec, universe):
+    if spec is None:
+        return st.sampled_from(sorted(universe))
+    if isinstance(spec, str):
+        return st.just(spec)
+    return st.sampled_from(sorted(spec))
+
+
+def _call_instances(pattern):
+    def args_for(func):
+        if pattern.args is not None:
+            return st.tuples(*map(instances, pattern.args))
+        arity = SCALAR_FUNCTIONS[func][1]
+        return st.tuples(*[instances(pattern.each_arg)] * arity)
+
+    return _ops(pattern.func, SCALAR_FUNCTIONS).flatmap(
+        lambda func: args_for(func).map(
+            lambda args: ast.FuncCall(func=func, args=args)
+        )
     )
 
 
-@st.composite
-def random_program(draw):
-    depth = draw(st.integers(min_value=1, max_value=5))
-    size = draw(st.integers(min_value=1, max_value=6))
-    operators = [draw(st.sampled_from(["+", "-", "*"])) for _ in range(depth)]
-    constants = [draw(st.integers(min_value=0, max_value=3)) for _ in range(depth)]
-    seed = draw(st.integers(min_value=0, max_value=2**31))
-    return _random_pipeline_source(depth, size, operators, constants), size, seed
-
-
-class TestParity:
-    @given(random_program())
-    @settings(max_examples=40, deadline=None)
-    def test_random_programs_rule_engine_matches_legacy(self, case):
-        source, size, seed = case
-        legacy_graph = legacy_pipeline().run(build(source)).graph
-        rules_graph = rewrite_pipeline().run(build(source)).graph
-        assert graph_signature(legacy_graph) == graph_signature(rules_graph)
-
-        # Bit-identical execution through the ExecutionPlan engine.
-        x = np.random.default_rng(seed).normal(size=size)
-        config = PlanConfig(precision="f64")
-        outputs = [
-            plan_for_graph(graph, config=config)
-            .execute(inputs={"x": x})
-            .outputs["y"]
-            for graph in (legacy_graph, rules_graph)
-        ]
-        assert np.array_equal(outputs[0], outputs[1])
-
-    @given(random_program())
-    @settings(max_examples=20, deadline=None)
-    def test_parity_pipeline_asserts_random_programs(self, case):
-        source, _, _ = case
-        parity_pipeline().run(build(source))  # raises ParityError on divergence
-
-    @pytest.mark.parametrize("name", ["MobileRobot", "FFT-8192"])
-    def test_parity_pipeline_on_workloads(self, name):
-        from repro.workloads import get_workload
-
-        parity_pipeline().run(get_workload(name).build_graph())
-
-    def test_parity_pass_detects_divergence(self):
-        # A deliberately empty "constant-folding" rule set diverges from
-        # the legacy pass on any foldable program.
-        broken = RulePass(RuleSet(name="constant-folding"))
-        pipeline = PassManager([_parity_pair(ConstantFolding(), broken)])
-        graph = build(
-            "main(input float x[4], output float y[4]) {"
-            " index i[0:3]; y[i] = x[i] + (2 + 3); }"
+def instances(pattern):
+    """Strategy generating expressions *pattern* matches, read off the
+    pattern AST. An unknown pattern class has no generator — a rule built
+    on one fails here until its obligation can be stated."""
+    if pattern is None or type(pattern) is Any:
+        found = _total_exprs
+    elif isinstance(pattern, Lit):
+        if pattern.value is ANY:
+            values = _numbers
+        elif pattern.numeric:  # ``0`` and ``0.0`` both match Lit(value=0)
+            values = st.sampled_from((int(pattern.value), float(pattern.value)))
+        else:
+            values = st.just(pattern.value)
+        found = values.map(lambda value: ast.Literal(value=value))
+    elif isinstance(pattern, Ref):
+        names = st.sampled_from(_NAMES) if pattern.id is ANY else st.just(pattern.id)
+        found = names.map(lambda name: ast.Name(id=name))
+    elif isinstance(pattern, Un):
+        found = st.builds(
+            lambda op, operand: ast.UnaryOp(op=op, operand=operand),
+            _ops(pattern.op, "-!"), instances(pattern.operand),
         )
-        with pytest.raises(ParityError, match="constant-folding"):
-            pipeline.run(graph)
+    elif isinstance(pattern, Bin):
+        swapped = st.booleans() if pattern.commutative else st.just(False)
+        found = st.builds(
+            lambda op, left, right, swap: ast.BinOp(
+                op=op, left=right if swap else left, right=left if swap else right
+            ),
+            _ops(pattern.op, _BINOPS),
+            instances(pattern.left), instances(pattern.right), swapped,
+        )
+    elif isinstance(pattern, Tern):
+        found = st.builds(
+            lambda cond, then, other: ast.Ternary(cond=cond, then=then, other=other),
+            instances(pattern.cond), instances(pattern.then), instances(pattern.other),
+        )
+    elif isinstance(pattern, Call):
+        found = _call_instances(pattern)
+    else:
+        raise NotImplementedError(
+            f"no instance generator for pattern {type(pattern).__name__}"
+        )
+    return found if pattern is None or pattern.where is None else found.filter(pattern.where)
+
+
+def _evaluate(expr, env):
+    """The reference interpreter's value of scalar *expr* under *env*."""
+    stmt = ast.Assign(target="out", target_indices=(), value=expr)
+    with np.errstate(all="ignore"):
+        return evaluate_statement(stmt, {}, env, {})
+
+
+def _measure(expr):
+    nodes = list(ast.walk_expr(expr))
+    return len(nodes), sum(isinstance(node, ast.Name) for node in nodes)
+
+
+#: Every RuleSet the package exports: a rule added to any of them is
+#: enumerated below without further registration.
+_RULESETS = [
+    exported
+    for exported in (getattr(repro.rewrite, name) for name in repro.rewrite.__all__)
+    if isinstance(exported, RuleSet)
+]
+
+
+class TestRuleObligations:
+    def test_pipeline_rulesets_are_enumerated(self):
+        enumerated = {ruleset.name for ruleset in _RULESETS}
+        pipeline = DEFAULT_RULESETS + (ALGEBRAIC_COMBINATION,)
+        assert {ruleset.name for ruleset in pipeline} <= enumerated
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            pytest.param(rule, id=f"{ruleset.name}/{rule.name}")
+            for ruleset in _RULESETS
+            for rule in ruleset.expr_rules
+        ],
+    )
+    def test_expr_rule_preserves_value_and_shrinks(self, rule):
+        @given(expr=instances(rule.pattern), env=_envs)
+        @settings(max_examples=150, deadline=None)
+        def check(expr, env):
+            bindings = Bindings()
+            assert rule.pattern.match(expr, bindings)
+            with np.errstate(all="ignore"):
+                replacement = rule.build(expr, bindings, ExprContext(static_env=env))
+            # None is the builder's "no rewrite" verdict (fold-binop on
+            # ``x / 0``); hypothesis fails the test if it is the rule.
+            assume(replacement is not None)
+            assert _measure(replacement) < _measure(expr)
+            np.testing.assert_array_equal(
+                _evaluate(replacement, env), _evaluate(expr, env)
+            )
+
+        check()
+
+    @pytest.mark.parametrize(
+        "ruleset",
+        [pytest.param(r, id=r.name) for r in _RULESETS if r.graph_rules],
+    )
+    def test_graph_rules_leave_generated_programs_bit_identical(self, ruleset):
+        stats = RewriteStats()
+        for seed in range(30):
+            program = generate_program(seed)
+            optimized = PassManager([RulePass(ruleset, stats=stats)]).run(
+                build(program.render(), domain="DA")
+            ).graph
+            reference, candidate = (
+                [result_signature(step) for step in run_reference(program, "f64", graph)]
+                for graph in (None, optimized)  # None: the raw graph
+            )
+            assert candidate == reference, f"seed {seed}"
+        fired = stats.per_rule()
+        for rule in ruleset.graph_rules:
+            assert fired[f"{ruleset.name}/{rule.name}"]["rewrites"] > 0
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(0-1)/0", "0/0", "5.5 % 0", "(0-8)^(1/3)", "2 ^ (0-1)",
+            "0.0 ^ (0-1)", "20 ^ 20", "pow(2, 0-1)",
+        ],
+    )
+    def test_folding_leaves_numpy_corner_cases_to_the_runtime(self, expr):
+        """Where Python arithmetic and the interpreter's numpy operators
+        disagree the fold declines: values (nan, signed inf, wrapped
+        int64) or the exception type match the unoptimized graph's."""
+        source = (
+            "main(input float x[2], output float y[2]) {"
+            f" index i[0:1]; y[i] = x[i] + {expr}; }}"
+        )
+
+        def outcome(graph):
+            try:
+                with np.errstate(all="ignore"):
+                    return Executor(graph).run(inputs={"x": np.zeros(2)}).outputs["y"]
+            except Exception as exc:  # noqa: BLE001 — the type is the outcome
+                return type(exc)
+
+        raw = outcome(build(source))
+        optimized = outcome(default_pipeline().run(build(source)).graph)
+        if isinstance(raw, type):
+            assert optimized is raw
+        else:
+            np.testing.assert_array_equal(optimized, raw)
 
     def test_default_pipeline_is_rule_engine(self):
         pipeline = default_pipeline()
         assert all(isinstance(p, RulePass) for p in pipeline.passes)
-
-
-def _parity_pair(legacy, rules):
-    from repro.rewrite import ParityPass
-
-    return ParityPass(legacy, rules)
 
 
 # ---------------------------------------------------------------------------
