@@ -2,23 +2,21 @@
 
 The emitter walks the plan's topological step list and generates one
 straight-line Python/numpy function per plan. The contract is strict
-**bit-identity with the interpreter at f64**: for every statement it
-either
+**bit-identity with the interpreter at f64**, and it holds by
+construction: a statement is lowered by running the reference
+interpreter's own ``_ExprEvaluator`` over it with symbolic operands
+(:class:`_StagedEvaluator`). Whatever is derivable from the graph —
+index arithmetic, subscript bounds and clamping, reduction masks, axis
+extents, broadcast shapes, dtype casts — the inherited numpy calls
+compute at build time; every call that touches run-time data is printed,
+so the kernel *is* the interpreter's numpy operation sequence with the
+static parts folded to constants. A statement the staged evaluator
+declines (or that would raise) falls back to calling its own
+:class:`~repro.srdfg.plan.StatementPlan`, so unsupported constructs are
+correct by construction and runtime error behaviour (out-of-range
+subscripts, unbound names) is preserved verbatim.
 
-* emits code that replays the *exact* numpy operation sequence the
-  interpreter would run — with everything derivable from the graph
-  folded to build-time constants: index arithmetic becomes precomputed
-  flat gather arrays fed to ``np.take``, einsum subscript strings are
-  prebound, axis extents / broadcast shapes / squeeze decisions /
-  dtype casts are resolved statically, reduction masks are materialised
-  once — or
-* falls back to calling that statement's own
-  :class:`~repro.srdfg.plan.StatementPlan` (which *is* the
-  interpreter), so unsupported constructs are correct by construction
-  and runtime error behaviour (out-of-range subscripts, unbound names)
-  is preserved verbatim.
-
-Two emitter-only optimisations preserve bit-identity by argument:
+What is the emitter's own preserves bit-identity by argument:
 
 ``np.take`` gathers
     A fancy gather ``base[tuple(np.broadcast_arrays(*idx))]`` and
@@ -52,19 +50,15 @@ in the surviving source.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 
 import numpy as np
 
+from ..errors import ExecutionError
 from ..pmlang import ast_nodes as ast
-from ..pmlang.builtins import SCALAR_FUNCTIONS
 from ..srdfg.graph import COMPUTE, CONST, VAR
-from ..srdfg.interpreter import (
-    _BINOPS,
-    _REDUCE_IDENTITY,
-    _ExprEvaluator,
-    _product_factors,
-)
+from ..srdfg.interpreter import _REDUCE_IDENTITY, _ExprEvaluator
 
 __all__ = ["EmitResult", "KernelEmitter", "Unsupported"]
 
@@ -84,24 +78,6 @@ BLOCK_CHUNK_TARGET = 1 << 15
 #: Producer statements bigger than this many AST nodes are not inlined.
 MAX_INLINE_NODES = 24
 
-_UFUNC_NAMES = {
-    "+": "add",
-    "-": "subtract",
-    "*": "multiply",
-    "%": "mod",
-    "^": "power",
-    "==": "equal",
-    "!=": "not_equal",
-    "<": "less",
-    ">": "greater",
-    "<=": "less_equal",
-    ">=": "greater_equal",
-    "&&": "logical_and",
-    "||": "logical_or",
-}
-
-_REDUCE_UFUNC = {"sum": "sum", "prod": "prod", "max": "max", "min": "min"}
-
 
 class Unsupported(Exception):
     """One statement (or the whole plan) cannot be specialized."""
@@ -119,21 +95,20 @@ def _bshape(*shapes):
 class _Val:
     """One emitted expression: code text plus static shape/dtype facts.
 
-    ``shadow`` is a zero-dimensional sample (or an actual Python scalar
-    for literals) that the emitter pushes through the *same* numpy ops
-    it emits, so result dtypes follow the running numpy's promotion
+    ``code`` is always a primary expression (a name, a literal or a
+    call), safe to pass as an argument and to suffix. ``shadow`` is a
+    zero-dimensional sample (or an actual Python scalar for literals)
+    that the staged evaluator pushes through the *same* numpy functions
+    it prints, so result dtypes follow the running numpy's promotion
     rules exactly instead of a hand-written approximation.
     """
 
-    __slots__ = ("code", "shape", "shadow", "atom")
+    __slots__ = ("code", "shape", "shadow")
 
-    def __init__(self, code, shape, shadow, atom=False):
+    def __init__(self, code, shape, shadow):
         self.code = code
         self.shape = tuple(shape)
         self.shadow = shadow
-        #: Atomic codes (locals, constants, calls) are safe to suffix
-        #: with ``[...]``/``.reshape`` and to re-reference without cost.
-        self.atom = atom
 
     @property
     def dtype(self):
@@ -143,31 +118,19 @@ class _Val:
     def ndim(self):
         return len(self.shape)
 
-    def paren(self):
-        return self.code if self.atom else f"({self.code})"
+    @property
+    def size(self):
+        return math.prod(self.shape)
+
+    @property
+    def is_array(self):
+        """True when the run-time value is certainly an ndarray (0-d
+        results of ufuncs are numpy scalars, literals Python scalars)."""
+        return bool(self.shape) or isinstance(self.shadow, np.ndarray)
 
 
 def _shadow0(dtype):
     return np.zeros((), dtype=dtype)
-
-
-class _SubstEval(_ExprEvaluator):
-    """Static evaluator with some index variables bound to arrays.
-
-    Used both for plain static folding (empty substitution: index vars
-    evaluate to their own reshaped aranges, exactly as at run time) and
-    for fusion, where a producer's index variables are bound to the
-    consumer's already-evaluated subscript arrays.
-    """
-
-    def __init__(self, space, static_env, reductions, index_env=None):
-        super().__init__(space, static_env, {}, reductions)
-        self._index_env = index_env or {}
-
-    def _index(self, name):
-        if name in self._index_env:
-            return self._index_env[name]
-        return super()._index(name)
 
 
 class _InlineDef:
@@ -195,36 +158,208 @@ class EmitResult:
         self.report = report
 
 
-class _StmtCtx:
-    """Per-statement emission context."""
+#: Raised while staging a statement (or an inlined producer): the
+#: emitter cannot print it, or it would raise at run time. Either way
+#: the interpreter keeps it.
+_DECLINED = (Unsupported, ExecutionError)
 
-    __slots__ = ("emitter", "statement", "operands", "static", "mask_stack")
 
-    def __init__(self, emitter, statement, operands, static=None,
+class _StagedEvaluator(_ExprEvaluator):
+    """The reference evaluator run over one statement with :class:`_Val`
+    operands — the emitter's only reading of PMLang semantics.
+
+    A primitive whose arguments are all concrete runs the inherited
+    numpy call: that is static folding, with the interpreter's own rint
+    rounding, subscript guards and NEP-50 promotion. A primitive with a
+    symbolic argument prints the call into the kernel and pushes the
+    shadows through the same function. Values that must be inspected at
+    build time (subscripts, predicates) decline the statement when they
+    are symbolic.
+
+    *index_env* binds index variables to arrays other than their own
+    aranges (fusion: a producer's target indices stand for the consumer's
+    subscripts), and *mask_stack* shares the consumer's active predicates.
+    """
+
+    def __init__(self, emitter, statement, operands, index_env=None,
                  mask_stack=None):
+        super().__init__(
+            statement.space, statement.static_env, {}, statement.reductions,
+            enable_einsum=statement.enable_einsum,
+        )
         self.emitter = emitter
         self.statement = statement
+        #: operand name -> _Val of the gathered value.
         self.operands = operands
-        self.static = static or _SubstEval(
-            statement.space, statement.static_env, statement.reductions
+        self._index_env = index_env or {}
+        self._index_cache.update(self._index_env)
+        if mask_stack is not None:
+            self._mask_stack = mask_stack
+
+    def lift(self, value):
+        """*value* as a :class:`_Val` (build-time values embed)."""
+        if isinstance(value, _Val):
+            return value
+        return self.emitter._static_val(value)
+
+    # -- primitives --------------------------------------------------------
+
+    def _apply(self, func, *args):
+        if not any(isinstance(arg, _Val) for arg in args):
+            return func(*args)
+        vals = [self.lift(arg) for arg in args]
+        # Shadows go in raw: a Python-scalar shadow is a NEP-50 weak
+        # scalar exactly as the literal is in the printed call.
+        with np.errstate(all="ignore"):
+            shadow = func(*[val.shadow for val in vals])
+        name = getattr(func, "__name__", "")
+        if getattr(np, name, None) is func:
+            code = f"_np.{name}"
+        else:
+            code = self.emitter._const(func)
+        return _Val(
+            f"{code}({', '.join(val.code for val in vals)})",
+            _bshape(*[val.shape for val in vals]),
+            shadow,
         )
-        self.mask_stack = mask_stack if mask_stack is not None else []
 
-    @property
-    def space(self):
-        return self.statement.space
+    def _to_float(self, value):
+        if not isinstance(value, _Val):
+            return super()._to_float(value)
+        code = value.code if value.is_array else f"_np.asarray({value.code})"
+        shadow = np.asarray(value.shadow)
+        if shadow.dtype.kind not in ("f", "c"):
+            code = f"{code}.astype(_np.float64)"
+            shadow = shadow.astype(np.float64)
+        return _Val(code, value.shape, shadow)
 
-    def static_eval(self, expr):
-        """The expression's value when it is index-only, else None.
+    def _operand(self, name):
+        return self.operands.get(name)
 
-        Runs the interpreter's own evaluator with no variable bindings,
-        so static values (including rint rounding and NEP-50 promotion)
-        are identical to what the interpreter computes at run time.
-        """
-        try:
-            return self.static.eval(expr)
-        except Exception:
+    def _scalar(self, value):
+        return _Val(f"{value.code}.reshape(())", (), value.shadow)
+
+    def _bare_axes(self, expr, shape):
+        # A name bound by fusion stands for the consumer's subscripts.
+        if any(
+            isinstance(index_expr, ast.Name) and index_expr.id in self._index_env
+            for index_expr in expr.indices
+        ):
             return None
+        return super()._bare_axes(expr, shape)
+
+    def _bare_view(self, base, order, absent):
+        shape = [base.shape[dim] for dim in order]
+        for axis in absent:
+            shape.insert(axis, 1)
+        return _Val(
+            f"_axview({base.code}, {order!r}, {absent!r})", shape, base.shadow
+        )
+
+    def _gather(self, expr, base, index_arrays):
+        for dim, array in enumerate(index_arrays):
+            if array.dtype.kind not in ("i", "u"):
+                # Boolean subscripts mean mask indexing — ravel_multi_index
+                # would silently reinterpret them as 0/1 positions.
+                raise Unsupported(
+                    f"subscript {dim} of {expr.base!r} is not integral"
+                )
+        inline = self.emitter._inline.get(base.code)
+        if inline is not None:
+            fused = self.emitter._try_inline(self, inline, index_arrays)
+            if fused is not None:
+                return fused
+        return self.emitter._emit_gather(base, index_arrays)
+
+    def _broadcast_to(self, value, shape):
+        if not isinstance(value, _Val):
+            return super()._broadcast_to(value, shape)
+        if value.shape == shape:
+            # broadcast_to(x, x.shape) is an identity view.
+            return value
+        if _bshape(value.shape, shape) != shape:
+            raise Unsupported("broadcast mismatch (runtime error)")
+        return _Val(
+            f"_np.broadcast_to({value.code}, {shape!r})",
+            shape,
+            np.asarray(value.shadow),
+        )
+
+    def _squeeze(self, value, axes):
+        if not isinstance(value, _Val):
+            return super()._squeeze(value, axes)
+        if any(value.shape[axis] != 1 for axis in axes):
+            raise Unsupported(
+                "reduction axis retains extent > 1 at store "
+                "(runtime squeeze error)"
+            )
+        return _Val(
+            f"_np.squeeze({value.code}, axis={axes!r})",
+            [n for axis, n in enumerate(value.shape) if axis not in axes],
+            value.shadow,
+        )
+
+    def _reduce(self, op, data, axes):
+        if not isinstance(data, _Val):
+            return super()._reduce(op, data, axes)
+        reindex = ", ".join(
+            "None" if axis in axes else ":" for axis in range(data.ndim)
+        )
+        return self.emitter._let(
+            f"_np.{op}({data.code}, axis={axes!r})[{reindex}]",
+            [1 if axis in axes else n for axis, n in enumerate(data.shape)],
+            data.shadow,
+        )
+
+    def _run_einsum(self, einsum):
+        """Replay :meth:`_EinsumPlan.run`'s operand checks on the static
+        shapes; print the dispatch, or answer None (lattice path) where
+        ``run`` would."""
+        operands = []
+        for name, required in einsum.operands:
+            operand = self._operand(name)
+            if operand is None or operand.shape != required:
+                return None
+            operands.append(self._to_float(operand))
+        code = (
+            f"_np.einsum({einsum.spec!r}, "
+            f"{', '.join(operand.code for operand in operands)}, optimize=True)"
+        )
+        shadow = _shadow0(np.result_type(*[op.dtype for op in operands]))
+        if einsum.scalar != 1.0:
+            code = f"({code} * {self.lift(einsum.scalar).code})"
+            with np.errstate(all="ignore"):
+                shadow = shadow * einsum.scalar
+        self.emitter.report["einsum"] += 1
+        return self.emitter._let(
+            f"_np.asarray({code}).reshape({einsum.out_shape!r})",
+            einsum.out_shape,
+            shadow,
+        )
+
+    def _concrete(self, value, reason, *args):
+        if isinstance(value, _Val):
+            raise Unsupported(reason.format(*args))
+        return value
+
+    # -- reductions: decline early, block where sound ----------------------
+
+    def _eval_reduction(self, expr):
+        if expr.op not in _REDUCE_IDENTITY:
+            raise Unsupported(
+                f"reduction {expr.op!r} (argmax/argmin/custom combiner)"
+            )
+        return super()._eval_reduction(expr)
+
+    def _reduce_lattice(self, expr, axes, mask):
+        if mask is None and expr is self.statement.stmt.value:
+            blocked = self.emitter._try_emit_blocked(self, expr, axes)
+            if blocked is not None:
+                return blocked
+        return super()._reduce_lattice(expr, axes, mask)
+
+    def _eval_chunked(self, expr, chunk_plan):
+        raise Unsupported("chunked reduction (over-limit lattice)")
 
 
 class KernelEmitter:
@@ -232,7 +367,6 @@ class KernelEmitter:
 
     def __init__(self, plan):
         self.plan = plan
-        self.config = plan.config
         self.lines = []
         self.constants = {}
         self._const_by_digest = {}
@@ -267,12 +401,30 @@ class KernelEmitter:
         #: memory instead of touching its own cold dedicated slot.
         self._arena_off = 0
         self._arena_peak = 0
+        #: value key -> (shape, dtype) of every value the plan produces.
+        self._value_facts = {}
+        for step in plan.steps:
+            if step.kind == VAR:
+                facts = (step.shape, np.dtype(step.np_dtype))
+            elif step.kind == CONST:
+                facts = (tuple(step.value.shape), step.value.dtype)
+            elif step.kind == COMPUTE:
+                facts = (
+                    step.statement.lhs_shape,
+                    np.dtype(step.statement.target_dtype),
+                )
+            else:
+                continue
+            self._value_facts[step.key] = facts
 
     # -- small helpers -----------------------------------------------------
 
-    def _temp(self):
+    def _let(self, code, shape, shadow):
+        """Bind *code* to a fresh temporary; returns its :class:`_Val`."""
         self._temp_serial += 1
-        return f"_t{self._temp_serial}"
+        temp = f"_t{self._temp_serial}"
+        self._emit(f"{temp} = {code}")
+        return _Val(temp, shape, shadow)
 
     def _const(self, value, prefix="_c"):
         """Register a build-time constant; dedupes ndarrays by content."""
@@ -402,12 +554,12 @@ class KernelEmitter:
         for key, name in step.gather:
             src = self._local(key)
             shape, dtype = self._value_facts[key]
-            operands[name] = _Val(src, shape, _shadow0(dtype), atom=True)
+            operands[name] = _Val(src, shape, _shadow0(dtype))
         try:
             self._specialize_statement(step, statement, operands, local)
             self.report["specialized"] += 1
             self._register_inline_candidate(step, statement, operands, local)
-        except Unsupported as exc:
+        except _DECLINED as exc:
             del self.lines[start_line:]
             self._emit_statement_fallback(step, statement, operands, local,
                                           reason=str(exc))
@@ -504,85 +656,18 @@ class KernelEmitter:
             # fragments overlapping the dropped range vanish with it
         self._fragments = shifted
 
-    # -- static facts ------------------------------------------------------
-
-    @property
-    def _value_facts(self):
-        """key -> (shape, dtype) for every produced value, lazily built."""
-        cached = getattr(self, "_facts_cache", None)
-        if cached is not None:
-            return cached
-        facts = {}
-        for step in self.plan.steps:
-            if step.kind == VAR:
-                facts[step.key] = (step.shape, np.dtype(step.np_dtype))
-            elif step.kind == CONST:
-                facts[step.key] = (tuple(step.value.shape), step.value.dtype)
-            elif step.kind == COMPUTE:
-                statement = step.statement
-                facts[step.key] = (
-                    statement.lhs_shape,
-                    np.dtype(statement.target_dtype),
-                )
-        self._facts_cache = facts
-        return facts
-
     # -- statement specialization ------------------------------------------
 
     def _specialize_statement(self, step, statement, operands, local):
-        stmt = statement.stmt
-        ctx = _StmtCtx(self, statement, operands)
-
+        ev = _StagedEvaluator(self, statement, operands)
         self._emit(f"# {statement.label}")
-        raw = None
-        if statement.einsum is not None:
-            raw = self._try_emit_einsum_plan(ctx, statement.einsum)
-        if raw is None:
-            if statement.chunk_plan is not None:
-                raise Unsupported("chunked reduction (over-limit lattice)")
-            raw = self._eval(ctx, stmt.value)
+        raw = ev.lift(ev.statement_value(
+            statement.stmt, statement.einsum, statement.chunk_plan
+        ))
+        self._emit_store(ev, step, raw, local)
 
-        raw = self._statement_epilogue(ctx, raw)
-        self._emit_store(ctx, step, raw, local)
-
-    def _statement_epilogue(self, ctx, raw):
-        """np.asarray + squeeze(reduction axes) + broadcast_to(free_shape)."""
-        space = ctx.space
-        if raw.ndim == 0 and not isinstance(raw.shadow, np.ndarray):
-            raw = _Val(
-                f"_np.asarray({raw.paren()})", (), np.asarray(raw.shadow)
-            )
-        if raw.ndim == space.total and space.total > 0:
-            squeeze_axes = tuple(range(space.free_count, space.total))
-            if squeeze_axes:
-                for axis in squeeze_axes:
-                    if raw.shape[axis] != 1:
-                        raise Unsupported(
-                            "reduction axis retains extent > 1 at store "
-                            "(runtime squeeze error)"
-                        )
-                raw = _Val(
-                    f"_np.squeeze({raw.paren()}, axis={squeeze_axes!r})",
-                    raw.shape[: space.free_count],
-                    raw.shadow,
-                )
-        free_shape = tuple(
-            space.size(name) for name in space.order[: space.free_count]
-        )
-        if free_shape and raw.shape != free_shape:
-            if _bshape(raw.shape, free_shape) != free_shape:
-                raise Unsupported("free-shape broadcast mismatch")
-            raw = _Val(
-                f"_np.broadcast_to({raw.paren()}, {free_shape!r})",
-                free_shape,
-                raw.shadow,
-            )
-        # broadcast_to(x, x.shape) is an identity view; skipping it
-        # changes no values.
-        return raw
-
-    def _emit_store(self, ctx, step, raw, local):
-        statement = ctx.statement
+    def _emit_store(self, ev, step, raw, local):
+        statement = ev.statement
         stmt = statement.stmt
         lhs_shape = statement.lhs_shape
         dtype = np.dtype(statement.target_dtype)
@@ -600,13 +685,13 @@ class KernelEmitter:
             # operand, or a kernel constant (same element-wise cast as
             # the interpreter's asarray, so values are identical).
             self._emit(
-                f"{local} = _np.array({raw.paren()}, dtype={dt}, "
+                f"{local} = _np.array({raw.code}, dtype={dt}, "
                 f"copy=True).reshape({lhs_shape!r})"
             )
             return
 
-        index_arrays = self._static_target_indices(ctx)
-        if self._is_identity_cover(ctx, index_arrays, lhs_shape):
+        index_arrays = self._static_target_indices(ev)
+        if self._is_identity_cover(statement):
             view = local
         elif self._is_row_major_cover(index_arrays, lhs_shape, raw.shape):
             view = f"{local}.reshape({raw.shape!r})"
@@ -622,13 +707,13 @@ class KernelEmitter:
                 buf = self._scratch(lhs_shape, dtype)
                 self._emit(f"{local} = {buf}")
                 self._scratchy.add(local)
-            self._emit(f"{view}[...] = {raw.paren()}")
+            self._emit(f"{view}[...] = {raw.code}")
             return
 
         # General static scatter: prev-copy or zeros, then a fancy write
         # through precomputed broadcast target indices (the exact
         # interpreter _store sequence, with the subscripts prebound).
-        previous = ctx.operands.get(stmt.target)
+        previous = ev.operands.get(stmt.target)
         if previous is not None and previous.shape == lhs_shape:
             self._emit(
                 f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)"
@@ -647,49 +732,22 @@ class KernelEmitter:
             self._const(np.ascontiguousarray(array))
             for array in broadcast[:-1]
         )
-        payload_shape = broadcast[-1].shape
-        payload = raw.paren()
-        if raw.shape != payload_shape:
-            payload = f"_np.broadcast_to({payload}, {payload_shape!r})"
-        self._emit(f"{local}[({', '.join(targets)},)] = {payload}")
+        payload = ev._broadcast_to(raw, broadcast[-1].shape)
+        self._emit(f"{local}[({', '.join(targets)},)] = {payload.code}")
 
-    def _static_target_indices(self, ctx):
-        """Precomputed, bounds-checked write subscript arrays."""
-        statement = ctx.statement
-        stmt = statement.stmt
-        space = ctx.space
-        lhs_shape = statement.lhs_shape
-        arrays = []
-        for dim, index_expr in enumerate(stmt.target_indices):
-            value = ctx.static_eval(index_expr)
-            if value is None:
-                raise Unsupported(
-                    f"write subscript {dim} of {stmt.target!r} is "
-                    "data-dependent"
-                )
-            value = np.asarray(value)
-            if value.dtype.kind == "f":
-                value = np.rint(value).astype(np.int64)
-            if value.ndim == space.total and space.total > 0:
-                squeeze_axes = tuple(range(space.free_count, space.total))
-                if squeeze_axes:
-                    value = np.squeeze(value, axis=squeeze_axes)
+    def _static_target_indices(self, ev):
+        """The statement's write subscripts, evaluated at build time."""
+        statement = ev.statement
+        arrays = ev.write_subscripts(statement.stmt, statement.lhs_shape)
+        for value in arrays:
             if value.size > MAX_INDEX_CONSTANT:
                 raise Unsupported("write subscript constant exceeds size cap")
             if value.dtype.kind not in ("i", "u", "b"):
                 raise Unsupported("non-integral write subscript")
-            extent = lhs_shape[dim]
-            if value.dtype.kind != "b" and value.size and (
-                value.min() < 0 or value.max() >= extent
-            ):
-                raise Unsupported(
-                    f"write subscript {dim} of {stmt.target!r} statically "
-                    "out of range (runtime error)"
-                )
-            arrays.append(value)
         return arrays
 
-    def _is_identity_cover(self, ctx, index_arrays, lhs_shape):
+    @staticmethod
+    def _is_identity_cover(statement):
         """True when the write is a full-cover identity assignment.
 
         Each subscript d must be dimension d's own free index variable
@@ -697,9 +755,9 @@ class KernelEmitter:
         writes every cell exactly once in place, which is the same
         element-wise cast-assignment as ``out[...] = payload``.
         """
-        statement = ctx.statement
         stmt = statement.stmt
-        space = ctx.space
+        space = statement.space
+        lhs_shape = statement.lhs_shape
         if len(stmt.target_indices) != space.free_count:
             return False
         if len(stmt.target_indices) != len(lhs_shape):
@@ -751,231 +809,38 @@ class KernelEmitter:
             axis = stop
         return all(size == 1 for size in lattice_shape[axis:])
 
-    # -- expression emission -----------------------------------------------
-
-    def _eval(self, ctx, expr):
-        static = ctx.static_eval(expr)
-        if static is not None:
-            return self._static_val(static)
-        if isinstance(expr, ast.Literal):
-            return _Val(repr(expr.value), (), expr.value, atom=True)
-        if isinstance(expr, ast.Name):
-            return self._eval_name(ctx, expr)
-        if isinstance(expr, ast.Indexed):
-            return self._eval_indexed(ctx, expr)
-        if isinstance(expr, ast.UnaryOp):
-            if expr.op not in ("-", "!"):
-                raise Unsupported(f"unary operator {expr.op!r}")
-            operand = self._eval(ctx, expr.operand)
-            func = "negative" if expr.op == "-" else "logical_not"
-            with np.errstate(all="ignore"):
-                shadow = getattr(np, func)(np.asarray(operand.shadow))
-            return _Val(f"_np.{func}({operand.code})", operand.shape, shadow)
-        if isinstance(expr, ast.BinOp):
-            return self._eval_binop(ctx, expr)
-        if isinstance(expr, ast.Ternary):
-            cond = self._eval(ctx, expr.cond)
-            then = self._eval(ctx, expr.then)
-            other = self._eval(ctx, expr.other)
-            shape = _bshape(cond.shape, then.shape, other.shape)
-            with np.errstate(all="ignore"):
-                shadow = np.where(
-                    np.zeros((), dtype=bool), then.shadow, other.shadow
-                )
-            return _Val(
-                f"_np.where({cond.code}, {then.code}, {other.code})",
-                shape,
-                shadow,
-            )
-        if isinstance(expr, ast.FuncCall):
-            return self._eval_funccall(ctx, expr)
-        if isinstance(expr, ast.ReductionCall):
-            return self._eval_reduction(ctx, expr)
-        raise Unsupported(f"cannot emit {type(expr).__name__}")
+    # -- constants and gathers ---------------------------------------------
 
     def _static_val(self, value):
         """Embed a build-time value, preserving its exact type.
 
-        Only plain Python bool/int/float embed as source literals (they
-        are NEP-50 "weak" scalars whose repr round-trips exactly); numpy
+        Only plain Python bool/int/finite float embed as source literals
+        (they are NEP-50 "weak" scalars whose repr round-trips exactly;
+        ``inf``/``nan`` print as names the kernel does not define); numpy
         scalars and arrays become namespace constants so their dtype —
-        and therefore downstream promotion — is preserved.
+        and therefore downstream promotion — is preserved. A broadcast
+        view embeds as its un-broadcast core.
         """
         if isinstance(value, np.ndarray) and value.ndim > 0:
-            if value.size > MAX_INDEX_CONSTANT:
+            core = value[tuple(
+                slice(0, 1) if stride == 0 else slice(None)
+                for stride in value.strides
+            )]
+            if core.size > MAX_INDEX_CONSTANT:
                 raise Unsupported("static constant exceeds size cap")
-            name = self._const(np.ascontiguousarray(value))
-            return _Val(name, value.shape, _shadow0(value.dtype), atom=True)
-        if type(value) is bool or type(value) is int or type(value) is float:
-            return _Val(repr(value), (), value, atom=True)
+            code = self._const(np.ascontiguousarray(core))
+            if core.shape != value.shape:
+                code = f"_np.broadcast_to({code}, {value.shape!r})"
+            return _Val(code, value.shape, _shadow0(value.dtype))
+        if type(value) in (bool, int) or (
+            type(value) is float and math.isfinite(value)
+        ):
+            return _Val(repr(value), (), value)
         if isinstance(value, np.ndarray):
             value = value[()]  # 0-d -> numpy scalar, constant below
-        name = self._const(value)
-        return _Val(name, np.shape(value), value, atom=True)
+        return _Val(self._const(value), np.shape(value), value)
 
-    def _eval_name(self, ctx, expr):
-        name = expr.id
-        value = ctx.operands.get(name)
-        if value is None:
-            raise Unsupported(f"unbound name {name!r} (runtime error)")
-        size = int(np.prod(value.shape)) if value.shape else 1
-        if size > 1:
-            raise Unsupported(
-                f"array variable {name!r} used without subscripts "
-                "(runtime error)"
-            )
-        if value.ndim > 0:
-            # The interpreter reshapes single-element arrays to 0-d.
-            return _Val(
-                f"{value.code}.reshape(())", (), value.shadow, atom=True
-            )
-        return value
-
-    def _eval_binop(self, ctx, expr):
-        left = self._eval(ctx, expr.left)
-        right = self._eval(ctx, expr.right)
-        if expr.op not in _BINOPS:
-            raise Unsupported(f"unknown operator {expr.op!r}")
-        shape = _bshape(left.shape, right.shape)
-        with np.errstate(all="ignore"):
-            if expr.op == "/":
-                numerator_code = f"_np.asarray({left.code})"
-                numerator_shadow = np.asarray(left.shadow)
-                if numerator_shadow.dtype.kind not in ("f", "c"):
-                    numerator_code = f"{numerator_code}.astype(_np.float64)"
-                    numerator_shadow = numerator_shadow.astype(np.float64)
-                shadow = np.divide(numerator_shadow, np.asarray(right.shadow))
-                return _Val(
-                    f"_np.divide({numerator_code}, {right.code})",
-                    shape,
-                    shadow,
-                )
-            func = _UFUNC_NAMES[expr.op]
-            shadow = _BINOPS[expr.op](left.shadow, right.shadow)
-        return _Val(f"_np.{func}({left.code}, {right.code})", shape, shadow)
-
-    def _eval_funccall(self, ctx, expr):
-        if expr.func not in SCALAR_FUNCTIONS:
-            raise Unsupported(f"unknown function {expr.func!r}")
-        impl = SCALAR_FUNCTIONS[expr.func][0]
-        fname = self._const(impl)
-        args, shadows, shapes = [], [], []
-        for arg in expr.args:
-            value = self._eval(ctx, arg)
-            code = f"_np.asarray({value.code})"
-            shadow = np.asarray(value.shadow)
-            if shadow.dtype.kind not in ("f", "c"):
-                code = f"{code}.astype(_np.float64)"
-                shadow = shadow.astype(np.float64)
-            args.append(code)
-            shadows.append(shadow)
-            shapes.append(value.shape)
-        with np.errstate(all="ignore"):
-            shadow = impl(*shadows)
-        return _Val(
-            f"{fname}({', '.join(args)})",
-            _bshape(*shapes) if shapes else (),
-            shadow,
-        )
-
-    # -- indexed access ----------------------------------------------------
-
-    def _eval_indexed(self, ctx, expr):
-        base = ctx.operands.get(expr.base)
-        if base is None:
-            raise Unsupported(
-                f"unbound variable {expr.base!r} (runtime error)"
-            )
-        if len(expr.indices) != len(base.shape):
-            raise Unsupported(
-                f"{expr.base!r} subscript arity mismatch (runtime error)"
-            )
-        view = self._bare_subscript_view(ctx, expr, base)
-        if view is not None:
-            return view
-        index_arrays = self._static_subscripts(ctx, expr, base)
-        inline = self._inline.get(base.code)
-        if inline is not None:
-            fused = self._try_inline(ctx, inline, index_arrays)
-            if fused is not None:
-                return fused
-        return self._emit_gather(ctx, base, index_arrays)
-
-    def _bare_subscript_view(self, ctx, expr, base):
-        """The interpreter's zero-copy transpose+expand_dims relabelling."""
-        space = ctx.space
-        # During fusion the producer's target indices are substituted
-        # with the consumer's subscript arrays — they are no longer bare.
-        bound = getattr(ctx.static, "_index_env", None) or {}
-        axes = []
-        for dim, index_expr in enumerate(expr.indices):
-            if not (
-                isinstance(index_expr, ast.Name)
-                and index_expr.id in space.axis
-                and index_expr.id not in bound
-            ):
-                return None
-            name = index_expr.id
-            low, high = space.index_ranges[name]
-            if low != 0 or high != base.shape[dim] - 1:
-                return None
-            axes.append(space.axis[name])
-        if len(set(axes)) != len(axes):
-            return None
-        order = sorted(range(len(axes)), key=lambda position: axes[position])
-        present = set(axes)
-        absent = tuple(
-            axis for axis in range(space.total) if axis not in present
-        )
-        shape = [1] * space.total
-        for dim, axis in enumerate(axes):
-            shape[axis] = base.shape[dim]
-        code = f"_axview({base.code}, {tuple(order)!r}, {absent!r})"
-        return _Val(code, tuple(shape), base.shadow, atom=True)
-
-    def _static_subscripts(self, ctx, expr, base):
-        """Precomputed subscript arrays with the interpreter's rint,
-        bounds-check, and predicate-excused clamping applied at build."""
-        index_arrays = []
-        for dim, index_expr in enumerate(expr.indices):
-            value = ctx.static_eval(index_expr)
-            if value is None:
-                raise Unsupported(
-                    f"subscript {dim} of {expr.base!r} is data-dependent"
-                )
-            array = np.asarray(value)
-            if array.dtype.kind == "f":
-                array = np.rint(array).astype(np.int64)
-            if array.dtype.kind not in ("i", "u"):
-                # Boolean subscripts mean mask indexing — ravel_multi_index
-                # would silently reinterpret them as 0/1 positions.
-                raise Unsupported(
-                    f"subscript {dim} of {expr.base!r} is not integral"
-                )
-            extent = base.shape[dim]
-            if array.size and (array.min() < 0 or array.max() >= extent):
-                array = self._guard_subscript(ctx, expr, dim, array, extent)
-            index_arrays.append(array)
-        return index_arrays
-
-    def _guard_subscript(self, ctx, expr, dim, array, extent):
-        violating = (array < 0) | (array >= extent)
-        for mask in ctx.mask_stack:
-            if mask is None:
-                continue
-            selected = np.asarray(mask, dtype=bool)
-            try:
-                exposed = np.broadcast_arrays(violating, selected)
-            except ValueError:
-                continue
-            if not np.any(exposed[0] & exposed[1]):
-                return np.clip(array, 0, extent - 1)
-        raise Unsupported(
-            f"subscript {dim} of {expr.base!r} statically out of range "
-            "(runtime error)"
-        )
-
-    def _emit_gather(self, ctx, base, index_arrays):
+    def _emit_gather(self, base, index_arrays):
         """``np.take`` through a prebound flat index constant.
 
         Selects exactly the elements the interpreter's fancy gather
@@ -988,8 +853,8 @@ class KernelEmitter:
             raise Unsupported(
                 f"subscript broadcast mismatch (runtime error): {exc}"
             ) from exc
-        shape = broadcast[0].shape if broadcast else ()
-        size = int(np.prod(shape)) if shape else 1
+        shape = broadcast[0].shape
+        size = math.prod(shape)
         if size > MAX_INDEX_CONSTANT:
             raise Unsupported("gather index constant exceeds size cap")
         if size == 0:
@@ -1001,13 +866,13 @@ class KernelEmitter:
             ).astype(np.intp, copy=False).reshape(-1)
         cname = self._const(np.ascontiguousarray(flat))
         buf = self._transient((flat.size,), base.dtype)
-        temp = self._temp()
-        self._emit(
-            f"{temp} = _np.take({base.code}.reshape(-1), {cname}, "
-            f"out={buf}).reshape({shape!r})"
-        )
         self.report["gathers"] += 1
-        return _Val(temp, shape, base.shadow, atom=True)
+        return self._let(
+            f"_np.take({base.code}.reshape(-1), {cname}, "
+            f"out={buf}).reshape({shape!r})",
+            shape,
+            base.shadow,
+        )
 
     # -- fusion ------------------------------------------------------------
 
@@ -1027,15 +892,7 @@ class KernelEmitter:
             return
         if np.dtype(statement.target_dtype) != np.float64:
             return
-        try:
-            ctx = _StmtCtx(self, statement, operands)
-            index_arrays = self._static_target_indices(ctx)
-        except Unsupported:
-            return
-        if not (
-            stmt.target_indices
-            and self._is_identity_cover(ctx, index_arrays, statement.lhs_shape)
-        ):
+        if not (stmt.target_indices and self._is_identity_cover(statement)):
             return
         consumers = 0
         for other in self.plan.steps:
@@ -1046,295 +903,46 @@ class KernelEmitter:
             return
         self._inline[local] = _InlineDef(statement, dict(operands), local)
 
-    def _try_inline(self, ctx, inline, index_arrays):
+    def _try_inline(self, ev, inline, index_arrays):
         """Substitute the producer's elementwise expression at the
-        consumer's gathered lattice points."""
+        consumer's gathered lattice points: a second staged evaluator
+        over the producer, its index variables bound to the consumer's
+        subscripts, under the consumer's mask stack."""
         producer = inline.statement
         stmt = producer.stmt
         inline.refs += 1
         if inline.refs > 2:
             return None
+        mark = len(self.lines)
         try:
             broadcast = [
                 np.ascontiguousarray(b)
                 for b in np.broadcast_arrays(*index_arrays)
             ]
-        except ValueError:
-            inline.refs -= 1
-            return None
-        env = {}
-        for dim, index_expr in enumerate(stmt.target_indices):
-            env[index_expr.id] = broadcast[dim]
-        sub_ctx = _StmtCtx(
-            self,
-            producer,
-            inline.operands,
-            static=_SubstEval(
-                producer.space,
-                producer.static_env,
-                producer.reductions,
-                index_env=env,
-            ),
-            mask_stack=ctx.mask_stack,
-        )
-        mark = len(self.lines)
-        try:
-            value = self._eval(sub_ctx, stmt.value)
-        except Unsupported:
-            del self.lines[mark:]
-            inline.refs -= 1
-            return None
-        if value.dtype != np.float64:
+            sub = _StagedEvaluator(
+                self,
+                producer,
+                inline.operands,
+                index_env={
+                    index_expr.id: broadcast[dim]
+                    for dim, index_expr in enumerate(stmt.target_indices)
+                },
+                mask_stack=ev._mask_stack,
+            )
+            value = sub.lift(sub.eval(stmt.value))
+            if value.dtype != np.float64:
+                raise Unsupported("inlined value is not float64")
+            value = sub._broadcast_to(value, broadcast[0].shape)
+        except (ValueError, *_DECLINED):
             del self.lines[mark:]
             inline.refs -= 1
             return None
         inline.committed += 1
-        shape = broadcast[0].shape if broadcast else ()
-        if value.shape != shape:
-            _bshape(value.shape, shape)
-            value = _Val(
-                f"_np.broadcast_to({value.paren()}, {shape!r})",
-                shape,
-                value.shadow,
-            )
         return value
 
     # -- reductions --------------------------------------------------------
 
-    def _try_emit_einsum_plan(self, ctx, einsum_plan):
-        """Statically replay :class:`_EinsumPlan`'s per-run checks; emit
-        on success, return None (lattice path) when they would fail."""
-        codes = []
-        dtypes = []
-        for name, required in einsum_plan.operands:
-            operand = ctx.operands.get(name)
-            if operand is None or operand.shape != tuple(required):
-                return None
-            code = operand.code
-            dtype = operand.dtype
-            if dtype.kind not in ("f", "c"):
-                code = f"{code}.astype(_np.float64)"
-                dtype = np.dtype(np.float64)
-            codes.append(code)
-            dtypes.append(dtype)
-        out_shape = einsum_plan.out_shape
-        expr = (
-            f"_np.einsum({einsum_plan.spec!r}, {', '.join(codes)}, "
-            f"optimize=True)"
-        )
-        shadow = _shadow0(np.result_type(*dtypes))
-        if einsum_plan.scalar != 1.0:
-            expr = f"({expr} * {einsum_plan.scalar!r})"
-            with np.errstate(all="ignore"):
-                shadow = shadow * einsum_plan.scalar
-        temp = self._temp()
-        self._emit(f"{temp} = _np.asarray({expr}).reshape({out_shape!r})")
-        self.report["einsum"] += 1
-        return _Val(temp, tuple(out_shape), shadow, atom=True)
-
-    def _eval_reduction(self, ctx, expr):
-        space = ctx.space
-        statement = ctx.statement
-        for spec in expr.indices:
-            if spec.name not in space.axis:
-                raise Unsupported(f"unknown reduction index {spec.name!r}")
-        axes = tuple(space.axis[spec.name] for spec in expr.indices)
-
-        if statement.enable_einsum:
-            fast = self._try_emit_einsum_lattice(ctx, expr)
-            if fast is not None:
-                return fast
-
-        if expr.op not in _REDUCE_IDENTITY:
-            raise Unsupported(
-                f"reduction {expr.op!r} (argmax/argmin/custom combiner)"
-            )
-
-        mask = None
-        for spec in expr.indices:
-            if spec.predicate is None:
-                continue
-            predicate = ctx.static_eval(spec.predicate)
-            if predicate is None:
-                raise Unsupported("data-dependent reduction predicate")
-            predicate = np.asarray(predicate, dtype=bool)
-            mask = (
-                predicate if mask is None
-                else np.logical_and(mask, predicate)
-            )
-
-        if (
-            mask is None
-            and expr is statement.stmt.value
-            and expr.op in _REDUCE_UFUNC
-        ):
-            blocked = self._try_emit_blocked(ctx, expr, axes)
-            if blocked is not None:
-                return blocked
-
-        ctx.mask_stack.append(mask)
-        try:
-            arg = self._eval(ctx, expr.arg)
-        finally:
-            ctx.mask_stack.pop()
-        return self._reduce_epilogue(ctx, expr, arg, mask, axes)
-
-    def _reduce_target_shape(self, ctx, arg_shape, mask, axes):
-        space = ctx.space
-        target_shape = [1] * space.total
-        for operand_shape in (
-            arg_shape,
-            None if mask is None else mask.shape,
-        ):
-            if operand_shape is not None and len(operand_shape) == space.total:
-                target_shape = [
-                    max(have, got)
-                    for have, got in zip(target_shape, operand_shape)
-                ]
-        for axis in axes:
-            name = space.order[axis]
-            low, high = space.index_ranges[name]
-            target_shape[axis] = max(0, high - low + 1)
-        return tuple(target_shape)
-
-    def _reduce_epilogue(self, ctx, expr, arg, mask, axes):
-        """The interpreter's broadcast → mask → reduce → reindex tail."""
-        space = ctx.space
-        if arg.ndim not in (0, space.total):
-            raise Unsupported("unexpected intermediate rank (runtime error)")
-        target_shape = self._reduce_target_shape(ctx, arg.shape, mask, axes)
-        if arg.shape != target_shape:
-            if _bshape(arg.shape, target_shape) != target_shape:
-                raise Unsupported("reduction broadcast mismatch")
-            arg = _Val(
-                f"_np.broadcast_to({arg.paren()}, {target_shape!r})",
-                target_shape,
-                arg.shadow,
-            )
-        if mask is not None:
-            if int(np.prod(target_shape)) > MAX_INDEX_CONSTANT:
-                raise Unsupported("predicate mask exceeds size cap")
-            mask_const = self._const(
-                np.ascontiguousarray(
-                    np.broadcast_to(
-                        np.asarray(mask, dtype=bool), target_shape
-                    )
-                )
-            )
-            identity = _REDUCE_IDENTITY[expr.op]
-            with np.errstate(all="ignore"):
-                shadow = np.where(np.zeros((), bool), arg.shadow, identity)
-            arg = _Val(
-                f"_np.where({mask_const}, {arg.paren()}, {identity!r})",
-                target_shape,
-                shadow,
-            )
-        code = arg.paren()
-        shadow = np.asarray(arg.shadow)
-        if shadow.dtype.kind not in ("f", "c"):
-            code = f"_np.asarray({code}).astype(_np.float64)"
-            shadow = shadow.astype(np.float64)
-        ufunc = _REDUCE_UFUNC[expr.op]
-        reindex = ", ".join(
-            "None" if axis in axes else ":" for axis in range(space.total)
-        )
-        temp = self._temp()
-        self._emit(f"{temp} = _np.{ufunc}({code}, axis={axes!r})[{reindex}]")
-        out_shape = tuple(
-            1 if axis in axes else target_shape[axis]
-            for axis in range(space.total)
-        )
-        return _Val(temp, out_shape, shadow, atom=True)
-
-    def _try_emit_einsum_lattice(self, ctx, expr):
-        """Replicate ``_ExprEvaluator._try_einsum``'s dynamic decision
-        with static shapes (the statement-level einsum plan may be None
-        while the dynamic path still fires, e.g. for nested reductions)."""
-        space = ctx.space
-        if expr.op != "sum" or any(spec.predicate for spec in expr.indices):
-            return None
-        factors = _product_factors(expr.arg)
-        if factors is None:
-            return None
-        letters = {}
-
-        def letter(name):
-            if name not in letters:
-                letters[name] = chr(ord("a") + len(letters))
-            return letters[name]
-
-        operand_codes = []
-        operand_dtypes = []
-        subscripts = []
-        scalar = 1.0
-        for factor in factors:
-            if isinstance(factor, ast.Literal):
-                scalar *= factor.value
-                continue
-            if isinstance(factor, ast.Name):
-                if factor.id in ctx.statement.static_env:
-                    scalar *= ctx.statement.static_env[factor.id]
-                    continue
-                return None
-            if not isinstance(factor, ast.Indexed):
-                return None
-            subs = []
-            for index_expr in factor.indices:
-                if not (
-                    isinstance(index_expr, ast.Name)
-                    and index_expr.id in space.axis
-                ):
-                    return None
-                name = index_expr.id
-                low, high = space.index_ranges[name]
-                subs.append((name, low, high))
-            operand = ctx.operands.get(factor.base)
-            if operand is None or len(operand.shape) != len(subs):
-                return None
-            for dim, (name, low, high) in enumerate(subs):
-                if low != 0 or high != operand.shape[dim] - 1:
-                    return None
-            code = operand.code
-            dtype = operand.dtype
-            if dtype.kind not in ("f", "c"):
-                code = f"{code}.astype(_np.float64)"
-                dtype = np.dtype(np.float64)
-            operand_codes.append(code)
-            operand_dtypes.append(dtype)
-            subscripts.append("".join(letter(name) for name, _, _ in subs))
-
-        if not operand_codes:
-            return None
-        reduce_names = {spec.name for spec in expr.indices}
-        used_names = set(letters)
-        for name in reduce_names - used_names:
-            scalar *= space.size(name)
-        output_names = [
-            name
-            for name in space.order
-            if name in used_names and name not in reduce_names
-        ]
-        spec = ",".join(subscripts) + "->" + "".join(
-            letter(name) for name in output_names
-        )
-        shape = [1] * space.total
-        for name in output_names:
-            shape[space.axis[name]] = space.size(name)
-        shape = tuple(shape)
-        code = (
-            f"_np.einsum({spec!r}, {', '.join(operand_codes)}, optimize=True)"
-        )
-        shadow = _shadow0(np.result_type(*operand_dtypes))
-        if scalar != 1.0:
-            code = f"({code} * {scalar!r})"
-            with np.errstate(all="ignore"):
-                shadow = shadow * scalar
-        temp = self._temp()
-        self._emit(f"{temp} = _np.asarray({code}).reshape({shape!r})")
-        self.report["einsum"] += 1
-        return _Val(temp, shape, shadow, atom=True)
-
-    def _try_emit_blocked(self, ctx, expr, axes):
+    def _try_emit_blocked(self, ev, expr, axes):
         """Cache-blocked trailing-axes product reduction (see module doc).
 
         Sound only when each output cell's reduction stays inside one
@@ -1348,7 +956,7 @@ class KernelEmitter:
         Evaluates the factors itself (rolling back on decline) so the
         unblocked path never double-emits the argument.
         """
-        space = ctx.space
+        space = ev.space
         if space.free_count == 0 or space.total == space.free_count:
             return None
         if set(axes) != set(range(space.free_count, space.total)):
@@ -1364,7 +972,7 @@ class KernelEmitter:
             self._arena_off = arena_mark
             return None
 
-        factors = self._linear_factors(ctx, expr.arg)
+        factors = self._linear_factors(ev, expr.arg)
         if factors is None:
             return decline()
         try:
@@ -1373,9 +981,7 @@ class KernelEmitter:
             )
         except ValueError:
             return decline()
-        target_shape = self._reduce_target_shape(
-            ctx, product_shape, None, axes
-        )
+        target_shape = ev._reduce_target_shape(product_shape, None, axes)
         if product_shape != target_shape:
             return decline()
         lattice = int(np.prod(target_shape)) if target_shape else 1
@@ -1408,13 +1014,11 @@ class KernelEmitter:
         # each of up to n0 iterations costs real time on big convs.
         names = []
         for factor in factors:
-            if factor.atom and re.fullmatch(r"\w+", factor.code):
+            if re.fullmatch(r"\w+", factor.code):
                 names.append(factor)
             else:
-                temp = self._temp()
-                self._emit(f"{temp} = {factor.code}")
                 names.append(
-                    _Val(temp, factor.shape, factor.shadow, atom=True)
+                    self._let(factor.code, factor.shape, factor.shadow)
                 )
 
         out_shape = tuple(target_shape[: space.free_count])
@@ -1424,7 +1028,6 @@ class KernelEmitter:
             loop_out = "_ob"
         else:
             loop_out = out
-        ufunc = _REDUCE_UFUNC[expr.op]
 
         def sliced(value):
             if not value.shape or value.shape[0] == 1:
@@ -1453,15 +1056,17 @@ class KernelEmitter:
                     )
                     acc = "_cv"
         self._emit(
-            f"    _np.{ufunc}({acc}, axis={axes!r}, out={loop_out}[_i0:_s0])"
+            f"    _np.{expr.op}({acc}, axis={axes!r}, out={loop_out}[_i0:_s0])"
         )
         self.report["blocked"] += 1
         reduced_shape = out_shape + (1,) * (space.total - space.free_count)
-        temp = self._temp()
-        self._emit(f"{temp} = {out}.reshape({reduced_shape!r})")
-        return _Val(temp, reduced_shape, _shadow0(final_dtype), atom=True)
+        return self._let(
+            f"{out}.reshape({reduced_shape!r})",
+            reduced_shape,
+            _shadow0(final_dtype),
+        )
 
-    def _linear_factors(self, ctx, arg_expr):
+    def _linear_factors(self, ev, arg_expr):
         """Emit the left-deep ``*`` chain of *arg_expr* as values.
 
         Returns None when the chain is not left-deep over atomic refs
@@ -1485,8 +1090,8 @@ class KernelEmitter:
         mark = len(self.lines)
         try:
             for factor in chain:
-                values.append(self._eval(ctx, factor))
-        except Unsupported:
+                values.append(ev.lift(ev.eval(factor)))
+        except _DECLINED:
             del self.lines[mark:]
             return None
         return values

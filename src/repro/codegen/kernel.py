@@ -28,23 +28,10 @@ import threading
 import numpy as np
 
 from ..errors import ExecutionError
-from ..srdfg.interpreter import ExecutionResult
+from ..srdfg.interpreter import ExecutionResult, _axview
 from .stats import CODEGEN_STATS
 
-__all__ = ["KernelArtifact", "_axview"]
-
-
-def _axview(array, order, absent):
-    """Runtime helper for bare-subscript views (transpose + expand).
-
-    Mirrors the interpreter's ``_bare_subscript_view`` exactly: permute
-    into axis order, then insert singleton axes for every absent lattice
-    axis. Views stay views throughout.
-    """
-    out = np.transpose(array, order)
-    for axis in absent:
-        out = np.expand_dims(out, axis=axis)
-    return out
+__all__ = ["KernelArtifact"]
 
 
 class KernelArtifact:

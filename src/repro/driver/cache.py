@@ -564,8 +564,12 @@ class ArtifactCache:
                 }
                 try:
                     payload = pickle.dumps(record)
-                except Exception:
+                except Exception as exc:
                     self.stats.bump(disk_errors=1)
+                    self._warn(
+                        f"kernel {key[:12]}… is not picklable "
+                        f"({type(exc).__name__}: {exc}); entry is memory-only"
+                    )
                     return False
                 self._write_disk(key, payload)
             return True

@@ -537,9 +537,10 @@ class _Generator:
         sizes = context["sizes"]
         size = sizes["n"]  # free index i pairs with reduce index p
         _, a = self._pick_vec(context, size)
+        reduce_op = self.rng.choice(SAFE_REDUCTIONS)
         target = self._new_local(context, (size,))
         return Stmt(
-            text=f"{target}[i] = sum[p: p <= i]({a}[p]);",
+            text=f"{target}[i] = {reduce_op}[p: p <= i]({a}[p]);",
             writes=target,
             reads=(a,),
             kind="prefix",

@@ -36,7 +36,7 @@ workloads stop paying planning cost on every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -63,6 +63,8 @@ PRECISIONS = {"f64": np.float64, "f32": np.float32}
 DEFAULT_LATTICE_LIMIT = 1 << 24
 
 _REDUCE_IDENTITY = {"sum": 0.0, "prod": 1.0, "max": -np.inf, "min": np.inf}
+
+_UNARYOPS = {"-": np.negative, "!": np.logical_not}
 
 _BINOPS = {
     "+": np.add,
@@ -114,6 +116,9 @@ class _AxisSpace:
             for name in self._names(index_expr):
                 self._add(name)
         self.free_count = len(self.order)
+        #: Extents of the free (LHS) axes: the shape a statement's value
+        #: is broadcast to before it is stored.
+        self.free_shape = tuple(self.size(name) for name in self.order)
         for node in ast.walk_expr(stmt.value):
             if isinstance(node, ast.ReductionCall):
                 for spec in node.indices:
@@ -124,6 +129,9 @@ class _AxisSpace:
                         )
                     if spec.name not in self.axis:
                         self._add(spec.name)
+        #: The reduction axes: all size 1 in a statement's value, squeezed
+        #: before it is stored.
+        self.bound_axes = tuple(range(self.free_count, len(self.order)))
 
     def _names(self, expr):
         return [
@@ -160,8 +168,144 @@ class _AxisSpace:
         return values.reshape(shape)
 
 
+def _axview(array, order, absent):
+    """Zero-copy relabelling behind ``A[i][j]`` with bare full-range indices.
+
+    Transposes *array* into axis order and inserts a singleton axis for
+    every *absent* lattice axis (present axes keep their extent even when
+    it is 1). Views stay views throughout. Generated kernels call this
+    very function.
+    """
+    out = np.transpose(array, order)
+    for axis in absent:
+        out = np.expand_dims(out, axis=axis)
+    return out
+
+
+@dataclass
+class _EinsumPlan:
+    """Precompiled ``numpy.einsum`` dispatch for one sum-of-products.
+
+    Structure (subscript string, static scalar factors, output shape) is
+    resolved by :func:`compile_einsum`; only per-operand presence, shape
+    and dtype checks remain for :meth:`run`, and a mismatch answers None
+    so the caller evaluates the lattice instead.
+    """
+
+    spec: str
+    #: ``(variable name, required shape)`` per einsum operand.
+    operands: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    scalar: float
+    #: Full-rank result shape (absolute statement axes preserved).
+    out_shape: Tuple[int, ...]
+
+    def run(self, var_values):
+        arrays = []
+        for name, required in self.operands:
+            value = var_values.get(name)
+            if value is None:
+                return None
+            array = np.asarray(value)
+            if tuple(array.shape) != required:
+                return None
+            if array.dtype.kind not in ("f", "c"):
+                array = array.astype(np.float64)
+            arrays.append(array)
+        result = np.einsum(self.spec, *arrays, optimize=True)
+        if self.scalar != 1.0:
+            result = result * self.scalar
+        return np.asarray(result).reshape(self.out_shape)
+
+
+def compile_einsum(expr, space, static_env):
+    """The einsum dispatch for *expr*, or None when it has none.
+
+    Eligible is an unpredicated ``sum`` over a product of literals, static
+    names and variables subscripted by bare index names whose ranges start
+    at zero (a plain einsum then equals lattice evaluation provided each
+    operand spans its ranges exactly, which :meth:`_EinsumPlan.run`
+    checks). The one place that decides this: the evaluator asks for
+    every reduction it meets, ``StatementPlan`` once at build for the
+    statement's whole value, and the kernel emitter prints the answer.
+    """
+    if not isinstance(expr, ast.ReductionCall):
+        return None
+    if expr.op != "sum" or any(spec.predicate for spec in expr.indices):
+        return None
+    factors = _product_factors(expr.arg)
+    if factors is None:
+        return None
+
+    letters = {}
+
+    def letter(name):
+        if name not in letters:
+            letters[name] = chr(ord("a") + len(letters))
+        return letters[name]
+
+    operands = []
+    subscripts = []
+    scalar = 1.0
+    for factor in factors:
+        if isinstance(factor, ast.Literal):
+            scalar *= factor.value
+            continue
+        if isinstance(factor, ast.Name):
+            if factor.id in static_env:
+                scalar *= static_env[factor.id]
+                continue
+            return None
+        names = []
+        for index_expr in factor.indices:
+            if not (
+                isinstance(index_expr, ast.Name)
+                and index_expr.id in space.axis
+                and space.index_ranges[index_expr.id][0] == 0
+            ):
+                return None
+            names.append(index_expr.id)
+        operands.append(
+            (factor.base, tuple(space.size(name) for name in names))
+        )
+        subscripts.append("".join(letter(name) for name in names))
+
+    if not operands:
+        return None
+    reduce_names = {spec.name for spec in expr.indices}
+    for name in reduce_names - set(letters):
+        # A bound index that never appears multiplies the result by the
+        # range size; handle by scaling.
+        scalar *= space.size(name)
+    output_names = [
+        name
+        for name in space.order
+        if name in letters and name not in reduce_names
+    ]
+    out_shape = [1] * space.total
+    for name in output_names:
+        out_shape[space.axis[name]] = space.size(name)
+    return _EinsumPlan(
+        spec=",".join(subscripts) + "->" + "".join(
+            letter(name) for name in output_names
+        ),
+        operands=tuple(operands),
+        scalar=scalar,
+        out_shape=tuple(out_shape),
+    )
+
+
 class _ExprEvaluator:
-    """Evaluates one statement's expressions over its axis space."""
+    """Evaluates one statement's expressions over its axis space.
+
+    This class is the only statement of what a PMLang expression means.
+    Every numpy application it performs on operand data goes through one
+    of the primitives below, so a subclass can stage the evaluation: the
+    kernel emitter (:mod:`repro.codegen.emitter`) overrides them to print
+    the call when an argument is symbolic and inherits the numpy call
+    (static folding) when none is. A new operator or builtin is a table
+    entry (``_BINOPS``, ``_UNARYOPS``, ``SCALAR_FUNCTIONS``) and reaches
+    both tiers through :meth:`_apply`.
+    """
 
     def __init__(self, space, static_env, var_values, reductions, sub_ranges=None,
                  enable_einsum=True):
@@ -176,6 +320,61 @@ class _ExprEvaluator:
         #: points a predicate masks out are clamped instead of erroring,
         #: supporting guarded accesses like ``sum[j: i+j < n](x[i+j])``.
         self._mask_stack = []
+
+    # -- primitives (the staging seam) -------------------------------------
+
+    def _apply(self, func, *args):
+        """Apply a ufunc / scalar function / ``np.where``."""
+        return func(*args)
+
+    def _to_float(self, value):
+        """Integer/bool operands promote to float; float and complex keep
+        their kind (sqrt of complex stays complex)."""
+        array = np.asarray(value)
+        if array.dtype.kind not in ("f", "c"):
+            array = array.astype(np.float64)
+        return array
+
+    def _operand(self, name):
+        """The ndarray bound to variable *name*, or None."""
+        value = self.var_values.get(name)
+        return None if value is None else np.asarray(value)
+
+    def _scalar(self, value):
+        """A single-element operand as a 0-d value."""
+        return value.reshape(())
+
+    def _bare_view(self, base, order, absent):
+        return _axview(base, order, absent)
+
+    def _gather(self, expr, base, index_arrays):
+        return base[tuple(np.broadcast_arrays(*index_arrays))]
+
+    def _broadcast_to(self, value, shape):
+        return np.broadcast_to(value, shape)
+
+    def _squeeze(self, value, axes):
+        return np.squeeze(value, axis=axes)
+
+    def _reduce(self, op, data, axes):
+        """Builtin reduction over *axes*, reduced axes kept as singletons."""
+        return GROUP_REDUCTIONS[op][0](data, axes)[
+            tuple(
+                np.newaxis if axis in axes else slice(None)
+                for axis in range(self.space.total)
+            )
+        ]
+
+    def _run_einsum(self, einsum):
+        return einsum.run(self.var_values)
+
+    def _concrete(self, value, reason, *args):
+        """*value* is about to be inspected (subscript bounds, predicate
+        masks): a staged evaluator declines ``reason.format(*args)`` here
+        when it is not known until run time."""
+        return value
+
+    # -- expressions -------------------------------------------------------
 
     def _index(self, name):
         if name not in self._index_cache:
@@ -192,12 +391,10 @@ class _ExprEvaluator:
         if isinstance(expr, ast.Indexed):
             return self._eval_indexed(expr)
         if isinstance(expr, ast.UnaryOp):
-            operand = self.eval(expr.operand)
-            if expr.op == "-":
-                return np.negative(operand)
-            if expr.op == "!":
-                return np.logical_not(operand)
-            raise ExecutionError(f"unknown unary operator {expr.op!r}")
+            func = _UNARYOPS.get(expr.op)
+            if func is None:
+                raise ExecutionError(f"unknown unary operator {expr.op!r}")
+            return self._apply(func, self.eval(expr.operand))
         if isinstance(expr, ast.BinOp):
             left = self.eval(expr.left)
             right = self.eval(expr.right)
@@ -205,27 +402,18 @@ class _ExprEvaluator:
             if func is None:
                 raise ExecutionError(f"unknown operator {expr.op!r}")
             if expr.op == "/":
-                numerator = np.asarray(left)
-                if numerator.dtype.kind not in ("f", "c"):
-                    numerator = numerator.astype(np.float64)
-                return np.divide(numerator, right)
-            return func(left, right)
+                left = self._to_float(left)
+            return self._apply(func, left, right)
         if isinstance(expr, ast.Ternary):
             cond = self.eval(expr.cond)
             then = self.eval(expr.then)
             other = self.eval(expr.other)
-            return np.where(cond, then, other)
+            return self._apply(np.where, cond, then, other)
         if isinstance(expr, ast.FuncCall):
             impl = SCALAR_FUNCTIONS[expr.func][0]
-            args = []
-            for arg in expr.args:
-                value = np.asarray(self.eval(arg))
-                # Integer/bool operands promote to float; float and
-                # complex keep their kind (sqrt of complex stays complex).
-                if value.dtype.kind not in ("f", "c"):
-                    value = value.astype(np.float64)
-                args.append(value)
-            return impl(*args)
+            return self._apply(
+                impl, *[self._to_float(self.eval(arg)) for arg in expr.args]
+            )
         if isinstance(expr, ast.ReductionCall):
             return self._eval_reduction(expr)
         raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
@@ -236,40 +424,40 @@ class _ExprEvaluator:
             return self._index(name)
         if name in self.static_env:
             return self.static_env[name]
-        if name in self.var_values:
-            value = self.var_values[name]
-            array = np.asarray(value)
-            if array.ndim > 0 and array.size > 1:
-                raise ExecutionError(
-                    f"array variable {name!r} used without subscripts"
-                )
-            return array.reshape(()) if array.ndim else array
-        raise ExecutionError(f"unbound name {name!r} during evaluation")
+        value = self._operand(name)
+        if value is None:
+            raise ExecutionError(f"unbound name {name!r} during evaluation")
+        if value.ndim > 0 and value.size > 1:
+            raise ExecutionError(
+                f"array variable {name!r} used without subscripts"
+            )
+        return self._scalar(value) if value.ndim else value
 
     def _eval_indexed(self, expr):
-        if expr.base not in self.var_values:
+        base = self._operand(expr.base)
+        if base is None:
             raise ExecutionError(f"unbound variable {expr.base!r}")
-        base = np.asarray(self.var_values[expr.base])
         if len(expr.indices) != base.ndim:
             raise ExecutionError(
                 f"{expr.base!r} subscripted with {len(expr.indices)} indices "
                 f"but has rank {base.ndim}"
             )
-        fast = self._bare_subscript_view(expr, base)
-        if fast is not None:
-            return fast
+        bare = self._bare_axes(expr, base.shape)
+        if bare is not None:
+            return self._bare_view(base, *bare)
         index_arrays = []
         for dim, index_expr in enumerate(expr.indices):
-            value = self.eval(index_expr)
-            array = np.asarray(value)
+            array = np.asarray(self._concrete(
+                self.eval(index_expr),
+                "subscript {} of {!r} is data-dependent", dim, expr.base,
+            ))
             if array.dtype.kind == "f":
                 array = np.rint(array).astype(np.int64)
             extent = base.shape[dim]
             if array.size and (array.min() < 0 or array.max() >= extent):
                 array = self._guard_subscript(expr, dim, array, extent)
             index_arrays.append(array)
-        broadcast = np.broadcast_arrays(*index_arrays)
-        return base[tuple(broadcast)]
+        return self._gather(expr, base, index_arrays)
 
     def _guard_subscript(self, expr, dim, array, extent):
         """Clamp out-of-range subscripts that an active predicate masks.
@@ -293,12 +481,12 @@ class _ExprEvaluator:
             f"[{int(array.min())}, {int(array.max())}] for extent {extent}"
         )
 
-    def _bare_subscript_view(self, expr, base):
-        """Zero-copy evaluation of ``A[i][j]`` with bare full-range indices.
+    def _bare_axes(self, expr, shape):
+        """``(order, absent)`` for :func:`_axview` when *expr* is a pure
+        axis relabelling, else None.
 
-        When every subscript is a distinct bare index variable spanning its
-        dimension exactly, the access is a pure axis relabelling: transpose
-        the array into axis order and insert singleton axes — no gather.
+        That is when every subscript is a distinct bare index variable
+        spanning its dimension exactly — no gather is needed.
         """
         axes = []
         for dim, index_expr in enumerate(expr.indices):
@@ -310,78 +498,81 @@ class _ExprEvaluator:
                 return None
             name = index_expr.id
             low, high = self.space.index_ranges[name]
-            if low != 0 or high != base.shape[dim] - 1:
+            if low != 0 or high != shape[dim] - 1:
                 return None
             axes.append(self.space.axis[name])
         if len(set(axes)) != len(axes):
             return None
-        order = sorted(range(len(axes)), key=lambda position: axes[position])
-        view = np.transpose(base, order)
-        # Insert singleton axes for every *absent* axis (present axes keep
-        # their extent even when it is 1). Views stay views throughout.
-        present = set(axes)
-        out = view
-        for axis in range(self.space.total):
-            if axis not in present:
-                out = np.expand_dims(out, axis=axis)
-        return out
+        order = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+        absent = tuple(
+            axis for axis in range(self.space.total) if axis not in axes
+        )
+        return order, absent
 
     # -- reductions ------------------------------------------------------------
 
     def _eval_reduction(self, expr):
         axes = tuple(self.space.axis[spec.name] for spec in expr.indices)
-        fast = self._try_einsum(expr, axes) if self.enable_einsum else None
-        if fast is not None:
-            return fast
+        if self.enable_einsum and not self.sub_ranges:
+            einsum = compile_einsum(expr, self.space, self.static_env)
+            fast = None if einsum is None else self._run_einsum(einsum)
+            if fast is not None:
+                return fast
 
         mask = None
         for spec in expr.indices:
             if spec.predicate is None:
                 continue
-            predicate = np.asarray(self.eval(spec.predicate), dtype=bool)
+            predicate = np.asarray(
+                self._concrete(
+                    self.eval(spec.predicate),
+                    "data-dependent reduction predicate",
+                ),
+                dtype=bool,
+            )
             mask = predicate if mask is None else np.logical_and(mask, predicate)
+        return self._reduce_lattice(expr, axes, mask)
 
+    def _reduce_lattice(self, expr, axes, mask):
+        """Evaluate the argument over the lattice, mask and reduce it."""
         self._mask_stack.append(mask)
         try:
-            arg = np.asarray(self.eval(expr.arg))
+            arg = self.eval(expr.arg)
         finally:
             self._mask_stack.pop()
-        if arg.ndim not in (0, self.space.total):
+        if np.ndim(arg) not in (0, self.space.total):
             # Every non-scalar intermediate carries the statement's full
             # rank by construction (index arrays are reshaped to all axes).
             raise ExecutionError("internal: unexpected intermediate rank")
-        # The lattice must span both the argument and the predicate mask
-        # (a predicate may reference axes the argument does not).
-        target_shape = [1] * self.space.total
-        for operand in (arg, mask):
-            if operand is not None and operand.ndim == self.space.total:
+        target_shape = self._reduce_target_shape(np.shape(arg), mask, axes)
+        arg = self._broadcast_to(arg, target_shape)
+        if mask is not None:
+            mask = np.broadcast_to(mask, target_shape)
+
+        if expr.op in _REDUCE_IDENTITY:
+            if mask is not None:
+                arg = self._apply(np.where, mask, arg, _REDUCE_IDENTITY[expr.op])
+            return self._reduce(expr.op, self._to_float(arg), axes)
+        if expr.op in ("argmax", "argmin"):
+            return self._eval_arg_extremum(expr, arg, mask, axes)
+        return self._eval_custom_reduction(expr, arg, mask, axes)
+
+    def _reduce_target_shape(self, arg_shape, mask, axes):
+        """The lattice a reduction runs over: it must span both the
+        argument and the predicate mask (a predicate may reference axes
+        the argument does not), with every bound axis at full extent."""
+        total = self.space.total
+        target_shape = [1] * total
+        for shape in (arg_shape, () if mask is None else mask.shape):
+            if len(shape) == total:
                 target_shape = [
-                    max(have, got) for have, got in zip(target_shape, operand.shape)
+                    max(have, got) for have, got in zip(target_shape, shape)
                 ]
         for axis in axes:
             name = self.space.order[axis]
             low, high = self.sub_ranges.get(name, self.space.index_ranges[name])
             target_shape[axis] = max(0, high - low + 1)
-        arg = np.broadcast_to(arg, target_shape)
-        if mask is not None:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), target_shape)
-
-        if expr.op in _REDUCE_IDENTITY:
-            if mask is not None:
-                arg = np.where(mask, arg, _REDUCE_IDENTITY[expr.op])
-            impl = GROUP_REDUCTIONS[expr.op][0]
-            data = np.asarray(arg)
-            if data.dtype.kind not in ("f", "c"):
-                data = data.astype(np.float64)
-            return impl(data, axes)[
-                tuple(
-                    np.newaxis if axis in axes else slice(None)
-                    for axis in range(self.space.total)
-                )
-            ]
-        if expr.op in ("argmax", "argmin"):
-            return self._eval_arg_extremum(expr, arg, mask, axes)
-        return self._eval_custom_reduction(expr, arg, mask, axes)
+        return tuple(target_shape)
 
     def _eval_arg_extremum(self, expr, arg, mask, axes):
         if len(axes) != 1:
@@ -429,85 +620,78 @@ class _ExprEvaluator:
             result = np.expand_dims(result, axis=axis)
         return result
 
-    # -- einsum fast path ----------------------------------------------------------
+    # -- whole statements ------------------------------------------------------
 
-    def _try_einsum(self, expr, axes):
-        """Dispatch ``sum``-of-bare-subscript products to numpy.einsum."""
-        if expr.op != "sum" or any(spec.predicate for spec in expr.indices):
-            return None
-        if self.sub_ranges:
-            return None
-        factors = _product_factors(expr.arg)
-        if factors is None:
-            return None
-        letters = {}
+    def statement_value(self, stmt, einsum=None, chunk_plan=None):
+        """The value of *stmt* over its free lattice, ready to store.
 
-        def letter(name):
-            if name not in letters:
-                letters[name] = chr(ord("a") + len(letters))
-            return letters[name]
+        Takes the prebuilt *einsum* dispatch when it applies (a
+        contraction einsum can express never materialises the lattice, so
+        it is preferred over chunking), else evaluates the lattice —
+        chunked under a *chunk_plan* — then squeezes the bound axes and
+        broadcasts to the free shape.
+        """
+        raw = None if einsum is None else self._run_einsum(einsum)
+        if raw is None:
+            if chunk_plan is not None:
+                raw = self._eval_chunked(stmt.value, chunk_plan)
+            else:
+                raw = self.eval(stmt.value)
+        space = self.space
+        if space.bound_axes and np.ndim(raw) == space.total:
+            # Reduction axes are all size 1 after keepdims-style reduction.
+            raw = self._squeeze(raw, space.bound_axes)
+        if space.free_count:
+            raw = self._broadcast_to(raw, space.free_shape)
+        return raw
 
-        operands = []
-        subscripts = []
-        scalar = 1.0
-        for factor in factors:
-            if isinstance(factor, ast.Literal):
-                scalar *= factor.value
-                continue
-            if isinstance(factor, ast.Name):
-                if factor.id in self.static_env:
-                    scalar *= self.static_env[factor.id]
-                    continue
-                return None
-            if not isinstance(factor, ast.Indexed):
-                return None
-            subs = []
-            for index_expr in factor.indices:
-                if not (
-                    isinstance(index_expr, ast.Name)
-                    and index_expr.id in self.space.axis
-                ):
-                    return None
-                # Bare subscripts must span the variable's full extent for a
-                # plain einsum to be equivalent to lattice evaluation.
-                name = index_expr.id
-                low, high = self.space.index_ranges[name]
-                subs.append((name, low, high))
-            base = np.asarray(self.var_values.get(factor.base))
-            if self.var_values.get(factor.base) is None or base.ndim != len(subs):
-                return None
-            for dim, (name, low, high) in enumerate(subs):
-                if low != 0 or high != base.shape[dim] - 1:
-                    return None
-            base_array = np.asarray(base)
-            if base_array.dtype.kind not in ("f", "c"):
-                base_array = base_array.astype(np.float64)
-            operands.append(base_array)
-            subscripts.append("".join(letter(name) for name, _, _ in subs))
+    def write_subscripts(self, stmt, lhs_shape):
+        """One bounds-checked integer array per target subscript of *stmt*,
+        over the free axes."""
+        space = self.space
+        arrays = []
+        for dim, index_expr in enumerate(stmt.target_indices):
+            value = np.asarray(self._concrete(
+                self.eval(index_expr),
+                "write subscript {} of {!r} is data-dependent", dim, stmt.target,
+            ))
+            if value.dtype.kind == "f":
+                value = np.rint(value).astype(np.int64)
+            if space.bound_axes and value.ndim == space.total:
+                value = np.squeeze(value, axis=space.bound_axes)
+            extent = lhs_shape[dim]
+            if value.size and (value.min() < 0 or value.max() >= extent):
+                raise ExecutionError(
+                    f"write subscript {dim} of {stmt.target!r} out of range "
+                    f"for extent {extent}"
+                )
+            arrays.append(value)
+        return arrays
 
-        if not operands:
-            return None
-        reduce_names = {spec.name for spec in expr.indices}
-        used_names = set(letters)
-        if not reduce_names <= used_names:
-            # A bound index that never appears multiplies the result by the
-            # range size; handle by scaling.
-            for name in reduce_names - used_names:
-                scalar *= self.space.size(name)
-        output_names = [
-            name
-            for name in self.space.order
-            if name in used_names and name not in reduce_names
-        ]
-        spec = ",".join(subscripts) + "->" + "".join(letter(n) for n in output_names)
-        result = np.einsum(spec, *operands, optimize=True)
-        if scalar != 1.0:
-            result = result * scalar
-        # Re-expand to full-rank so downstream ops keep absolute axes.
-        shape = [1] * self.space.total
-        for name in output_names:
-            shape[self.space.axis[name]] = self.space.size(name)
-        return np.asarray(result).reshape(shape)
+    def _eval_chunked(self, expr, chunk_plan):
+        """Evaluate the over-limit builtin reduction *expr* in slabs along
+        the bound axis :func:`_plan_chunks` picked, combining partials."""
+        chunk_name, chunk_len, op = chunk_plan
+        low, high = self.space.index_ranges[chunk_name]
+        combine = {
+            "sum": np.add,
+            "prod": np.multiply,
+            "max": np.maximum,
+            "min": np.minimum,
+        }[op]
+        partial = None
+        start = low
+        while start <= high:
+            stop = min(high, start + chunk_len - 1)
+            evaluator = _ExprEvaluator(
+                self.space, self.static_env, self.var_values, self.reductions,
+                sub_ranges={chunk_name: (start, stop)},
+                enable_einsum=self.enable_einsum,
+            )
+            piece = np.asarray(evaluator.eval(expr))
+            partial = piece if partial is None else combine(partial, piece)
+            start = stop + 1
+        return partial
 
 
 def _product_factors(expr):
@@ -577,9 +761,6 @@ class Executor:
         A prebuilt :class:`~repro.srdfg.plan.ExecutionPlan` to run instead
         of planning lazily (see :meth:`from_plan`).
     """
-
-    #: Kept as a class attribute for backwards compatibility.
-    PRECISIONS = PRECISIONS
 
     def __init__(self, graph, reductions=None,
                  lattice_limit=DEFAULT_LATTICE_LIMIT, precision="f64",
@@ -701,28 +882,3 @@ def _plan_chunks(stmt, space, lattice_limit):
     lattice_without = space.lattice_size() // max(1, space.size(chunk_name))
     chunk_len = max(1, lattice_limit // max(1, lattice_without))
     return (chunk_name, chunk_len, value.op)
-
-
-def _evaluate_chunked(stmt, space, static_env, var_values, reductions, plan,
-                      enable_einsum=True):
-    chunk_name, chunk_len, op = plan
-    low, high = space.index_ranges[chunk_name]
-    partial = None
-    combine = {
-        "sum": np.add,
-        "prod": np.multiply,
-        "max": np.maximum,
-        "min": np.minimum,
-    }[op]
-    start = low
-    while start <= high:
-        stop = min(high, start + chunk_len - 1)
-        evaluator = _ExprEvaluator(
-            space, static_env, var_values, reductions,
-            sub_ranges={chunk_name: (start, stop)},
-            enable_einsum=enable_einsum,
-        )
-        piece = np.asarray(evaluator.eval(stmt.value))
-        partial = piece if partial is None else combine(partial, piece)
-        start = stop + 1
-    return partial

@@ -55,7 +55,6 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..obs import NULL_TRACER
-from ..pmlang import ast_nodes as ast
 from ..pmlang.render import render_reduction, render_stmt
 from .graph import COMPONENT, COMPUTE, CONST, VAR
 from .interpreter import (
@@ -63,10 +62,9 @@ from .interpreter import (
     ExecutionResult,
     PRECISIONS,
     _AxisSpace,
-    _evaluate_chunked,
     _ExprEvaluator,
     _plan_chunks,
-    _product_factors,
+    compile_einsum,
     resolve_dtype,
 )
 
@@ -183,124 +181,6 @@ PLAN_STATS = PlanStats()
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _EinsumPlan:
-    """Precompiled ``numpy.einsum`` dispatch for a sum-of-products statement.
-
-    Structure (subscript strings, static scalar factors, output shape) is
-    resolved at plan time; only cheap per-operand shape/dtype checks remain
-    at execution time, and a mismatch falls back to lattice evaluation —
-    exactly the conditions under which the dynamic path declined einsum.
-    """
-
-    spec: str
-    #: ``(variable name, required shape)`` per einsum operand.
-    operands: Tuple[Tuple[str, Tuple[int, ...]], ...]
-    scalar: float
-    #: Full-rank result shape (absolute statement axes preserved).
-    out_shape: Tuple[int, ...]
-
-    def run(self, var_values):
-        arrays = []
-        for name, required in self.operands:
-            value = var_values.get(name)
-            if value is None:
-                return None
-            array = np.asarray(value)
-            if tuple(array.shape) != required:
-                return None
-            if array.dtype.kind not in ("f", "c"):
-                array = array.astype(np.float64)
-            arrays.append(array)
-        result = np.einsum(self.spec, *arrays, optimize=True)
-        if self.scalar != 1.0:
-            result = result * self.scalar
-        return np.asarray(result).reshape(self.out_shape)
-
-
-def _compile_einsum(value, space, static_env):
-    """Statically decide einsum eligibility for a statement's value.
-
-    Mirrors the dynamic ``_ExprEvaluator._try_einsum`` checks, but moves
-    everything derivable from the statement and its index ranges to plan
-    time. Returns an :class:`_EinsumPlan` or None.
-    """
-    if not isinstance(value, ast.ReductionCall):
-        return None
-    if value.op != "sum" or any(spec.predicate for spec in value.indices):
-        return None
-    factors = _product_factors(value.arg)
-    if factors is None:
-        return None
-
-    letters: Dict[str, str] = {}
-
-    def letter(name):
-        if name not in letters:
-            letters[name] = chr(ord("a") + len(letters))
-        return letters[name]
-
-    operands = []
-    subscripts = []
-    scalar = 1.0
-    for factor in factors:
-        if isinstance(factor, ast.Literal):
-            scalar *= factor.value
-            continue
-        if isinstance(factor, ast.Name):
-            if factor.id in static_env:
-                scalar *= static_env[factor.id]
-                continue
-            return None
-        if not isinstance(factor, ast.Indexed):
-            return None
-        subs = []
-        for index_expr in factor.indices:
-            if not (
-                isinstance(index_expr, ast.Name)
-                and index_expr.id in space.axis
-            ):
-                return None
-            # Bare subscripts must span the variable's full extent for a
-            # plain einsum to be equivalent to lattice evaluation; the
-            # low bound is static, the extent is checked per execution.
-            name = index_expr.id
-            low, high = space.index_ranges[name]
-            if low != 0:
-                return None
-            subs.append((name, high + 1))
-        operands.append(
-            (factor.base, tuple(size for _, size in subs))
-        )
-        subscripts.append("".join(letter(name) for name, _ in subs))
-
-    if not operands:
-        return None
-    reduce_names = {spec.name for spec in value.indices}
-    used_names = set(letters)
-    for name in reduce_names - used_names:
-        # A bound index that never appears multiplies the result by the
-        # range size; handle by scaling.
-        scalar *= space.size(name)
-    output_names = [
-        name
-        for name in space.order
-        if name in used_names and name not in reduce_names
-    ]
-    spec = ",".join(subscripts) + "->" + "".join(
-        letter(name) for name in output_names
-    )
-    out_shape = [1] * space.total
-    for name in output_names:
-        out_shape[space.axis[name]] = space.size(name)
-    return _EinsumPlan(
-        spec=spec,
-        operands=tuple(operands),
-        scalar=scalar,
-        out_shape=tuple(out_shape),
-    )
-
-
 class StatementPlan:
     """One formula statement, compiled for repeated execution.
 
@@ -362,7 +242,7 @@ class StatementPlan:
         self.target_dtype = resolve_dtype(dtype, float_dtype)
         self.chunk_plan = _plan_chunks(stmt, self.space, lattice_limit)
         self.einsum = (
-            _compile_einsum(stmt.value, self.space, static_env)
+            compile_einsum(stmt.value, self.space, static_env)
             if enable_einsum
             else None
         )
@@ -387,50 +267,15 @@ class StatementPlan:
     def execute(self, var_values):
         """Evaluate the statement; returns the new value of its target."""
         start = time.perf_counter()
-        space = self.space
-        stmt = self.stmt
-
-        raw = None
-        if self.einsum is not None:
-            # Contractions that einsum can express never materialise the
-            # lattice, so prefer that over chunked evaluation.
-            raw = self.einsum.run(var_values)
-        if raw is None:
-            if self.chunk_plan is not None:
-                raw = _evaluate_chunked(
-                    stmt,
-                    space,
-                    self.static_env,
-                    var_values,
-                    self.reductions,
-                    self.chunk_plan,
-                    enable_einsum=self.enable_einsum,
-                )
-            else:
-                evaluator = _ExprEvaluator(
-                    space,
-                    self.static_env,
-                    var_values,
-                    self.reductions,
-                    enable_einsum=self.enable_einsum,
-                )
-                raw = evaluator.eval(stmt.value)
-
-        raw = np.asarray(raw)
-        if raw.ndim == space.total and space.total > 0:
-            # Drop reduction axes (all size 1 after keepdims-style reduction).
-            squeeze_axes = tuple(
-                axis for axis in range(space.free_count, space.total)
-            )
-            if squeeze_axes:
-                raw = np.squeeze(raw, axis=squeeze_axes)
-        free_shape = tuple(
-            space.size(name) for name in space.order[: space.free_count]
+        evaluator = _ExprEvaluator(
+            self.space,
+            self.static_env,
+            var_values,
+            self.reductions,
+            enable_einsum=self.enable_einsum,
         )
-        if free_shape:
-            raw = np.broadcast_to(raw, free_shape)
-
-        result = self._store(raw, var_values)
+        raw = evaluator.statement_value(self.stmt, self.einsum, self.chunk_plan)
+        result = self._store(evaluator, raw)
         seconds = time.perf_counter() - start
         # Plans are shared across serving workers; counter updates must
         # not lose increments (the reuse assertions are counter-based).
@@ -442,10 +287,9 @@ class StatementPlan:
         PLAN_STATS.bump(executions=1)
         return result
 
-    def _store(self, raw, var_values):
+    def _store(self, evaluator, raw):
         """Materialise the statement result into its target variable."""
         stmt = self.stmt
-        space = self.space
         target_dtype = self.target_dtype
         lhs_shape = self.lhs_shape
 
@@ -457,7 +301,7 @@ class StatementPlan:
                 )
             return np.asarray(raw, dtype=target_dtype).reshape(lhs_shape)
 
-        previous = var_values.get(stmt.target)
+        previous = evaluator.var_values.get(stmt.target)
         if previous is not None:
             out = np.array(previous, dtype=target_dtype, copy=True)
             if tuple(out.shape) != lhs_shape:
@@ -465,35 +309,29 @@ class StatementPlan:
         else:
             out = np.zeros(lhs_shape, dtype=target_dtype)
 
-        # Evaluate target subscripts over the free axes.
-        evaluator = _ExprEvaluator(
-            space,
-            self.static_env,
-            var_values,
-            self.reductions,
-            enable_einsum=self.enable_einsum,
-        )
-        index_arrays = []
-        for dim, index_expr in enumerate(stmt.target_indices):
-            value = np.asarray(evaluator.eval(index_expr))
-            if value.dtype.kind == "f":
-                value = np.rint(value).astype(np.int64)
-            if value.ndim == space.total and space.total > 0:
-                squeeze_axes = tuple(range(space.free_count, space.total))
-                if squeeze_axes:
-                    value = np.squeeze(value, axis=squeeze_axes)
-            extent = out.shape[dim]
-            if value.size and (value.min() < 0 or value.max() >= extent):
-                raise ExecutionError(
-                    f"write subscript {dim} of {stmt.target!r} out of range "
-                    f"for extent {extent}"
-                )
-            index_arrays.append(value)
-
+        index_arrays = evaluator.write_subscripts(stmt, lhs_shape)
         broadcast = np.broadcast_arrays(*index_arrays, np.asarray(raw))
         targets, payload = broadcast[:-1], broadcast[-1]
         out[tuple(targets)] = payload
         return out
+
+    # Kernels carry their fallback statements as constants and are
+    # pickled into the disk cache tier: the lock is dropped and recreated,
+    # and the execution counters restart at zero in the loading process.
+
+    def __getstate__(self):
+        state = {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_lock"
+        }
+        state.update(executions=0, seconds=0.0, first_seconds=None)
+        return state
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._lock = threading.Lock()
 
     # -- reporting ---------------------------------------------------------
 

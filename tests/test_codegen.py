@@ -1,8 +1,8 @@
 """Tests for the kernel codegen tier (repro.codegen).
 
 The contract under test: a generated kernel is *bit-identical* to the
-interpreted ExecutionPlan at f64 — it either replays the interpreter's
-exact numpy op sequence with build-time-folded index arithmetic, or
+interpreted ExecutionPlan at f64 — it either prints the interpreter's
+own numpy op sequence with build-time-folded index arithmetic, or
 falls back per-statement to the interpreter's own StatementPlan — and
 codegen failure at any level (build decline, runtime fallback, corrupt
 cache entry) is a counted diagnostic, never an error.
@@ -105,6 +105,31 @@ class TestKernelEquivalence:
         got = plan.kernel.try_execute(plan, inputs)
         assert got is not None
         _assert_identical(ref, got)
+
+    @pytest.mark.parametrize("op", ["max", "min"])
+    def test_predicated_extremum_identity_is_not_a_source_literal(self, op):
+        """The mask fill of a predicated max/min is -inf/+inf, whose repr
+        is a name the kernel namespace does not define: it must travel
+        as a constant, or every execution raises NameError and silently
+        runs interpreted."""
+        session, plan = _compile_plan(
+            "main(input float x[8], output float y[8]) {"
+            " index i[0:7], j[0:7];"
+            f" y[i] = {op}[j: j <= i](x[j]); }}"
+        )
+        kernel = plan.kernel
+        assert kernel is not None
+        assert kernel.report["specialized"] == 1
+        rng = np.random.default_rng(29)
+        inputs = {"x": _int_floats(rng, 8)}
+        base = CODEGEN_STATS.to_dict()
+        outputs, _ = kernel.run(inputs)
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        assert outputs["y"].dtype == ref.outputs["y"].dtype
+        assert np.array_equal(outputs["y"], ref.outputs["y"])
+        _assert_identical(ref, plan.execute(inputs))
+        stats = CODEGEN_STATS.to_dict()
+        assert stats["kernel_fallbacks"] == base["kernel_fallbacks"]
 
     def test_f32_precision_threaded(self):
         """f32 plans generate f32 kernels: same dtypes, same values on
@@ -321,6 +346,103 @@ class TestStoreShapes:
         assert "= _np.empty((8, 8)" in alloc
 
 
+#: ``(statements, specialized, fallback, fused, einsum, blocked,
+#: gathers)`` of the 17 ledger programs' kernels, and the reason of every
+#: statement fallback — literals of the commit before the emitter became
+#: the reference evaluator run over symbolic operands.
+REPORT_COUNTERS = (
+    "statements", "specialized", "fallback", "fused", "einsum", "blocked",
+    "gathers",
+)
+DATA_DEPENDENT_SUBSCRIPT = "xr := copy: subscript 0 of 'sig' is data-dependent"
+DATA_DEPENDENT_PREDICATE = (
+    "relax := reduce_min: data-dependent reduction predicate"
+)
+ARGMIN = (
+    "assign := reduce_argmin: reduction 'argmin' "
+    "(argmax/argmin/custom combiner)"
+)
+CHUNKED = "t1 := stencil: chunked reduction (over-limit lattice)"
+LEDGER_REPORTS = {
+    "MobileRobot": ((9, 9, 0, 1, 4, 0, 4), []),
+    "Hexacopter": ((12, 12, 0, 1, 4, 0, 6), []),
+    "Twitter-BFS": ((3, 2, 1, 0, 0, 0, 0), [DATA_DEPENDENT_PREDICATE]),
+    "Wiki-BFS": ((3, 2, 1, 0, 0, 0, 0), [DATA_DEPENDENT_PREDICATE]),
+    "LiveJourn-SSP": ((3, 2, 1, 0, 0, 0, 0), [DATA_DEPENDENT_PREDICATE]),
+    "MovieL-20M": ((7, 7, 0, 0, 4, 0, 0), []),
+    "MovieL-100K": ((7, 7, 0, 0, 4, 0, 0), []),
+    "DigitCluster": ((7, 6, 1, 0, 3, 0, 0), [ARGMIN]),
+    "ElecUse": ((7, 6, 1, 0, 3, 0, 0), [ARGMIN]),
+    "FFT-8192": ((30, 29, 1, 0, 0, 0, 130), [DATA_DEPENDENT_SUBSCRIPT]),
+    "FFT-16384": ((32, 31, 1, 0, 0, 0, 140), [DATA_DEPENDENT_SUBSCRIPT]),
+    "DCT-1024": ((2, 2, 0, 0, 1, 1, 1), []),
+    "DCT-2048": ((2, 1, 1, 0, 1, 0, 0), [CHUNKED]),
+    "ResNet-18": ((56, 56, 0, 0, 2, 20, 20), []),
+    "MobileNet": ((45, 45, 0, 0, 10, 5, 13), []),
+    "BrainStimul": ((39, 38, 1, 1, 5, 0, 124), [DATA_DEPENDENT_SUBSCRIPT]),
+    "OptionPricing": ((5, 5, 0, 0, 1, 0, 0), []),
+}
+
+
+class TestStagedEvaluator:
+    """The emitter is ``_ExprEvaluator`` staged, not a second walker."""
+
+    @pytest.mark.parametrize("name", sorted(LEDGER_REPORTS))
+    def test_ledger_program_reports_unchanged(self, name):
+        from repro.eval import Harness
+
+        harness = Harness()
+        _, app, _ = harness.compiled(name)
+        report = harness.session.plan_for(app, codegen=True).kernel.report
+        counters, reasons = LEDGER_REPORTS[name]
+        assert tuple(report[key] for key in REPORT_COUNTERS) == counters
+        assert report["fallback_reasons"] == reasons
+
+    def test_nested_einsum_dispatches_through_compile_einsum(
+        self, monkeypatch
+    ):
+        """An einsum that fires only in a nested position has no
+        statement-level plan; the evaluator and the emitter both get it
+        from the one ``compile_einsum``."""
+        from repro.srdfg import interpreter
+
+        dispatched = []
+        compile_einsum = interpreter.compile_einsum
+
+        def counting(expr, space, static_env):
+            einsum = compile_einsum(expr, space, static_env)
+            dispatched.append(einsum)
+            return einsum
+
+        monkeypatch.setattr(interpreter, "compile_einsum", counting)
+        session, plan = _compile_plan(
+            "main(input float a[6], input float M[6][5], input float x[5],"
+            " output float y[6]) {"
+            " index i[0:5], j[0:4];"
+            " y[i] = a[i] + sum[j](M[i][j] * x[j]); }"
+        )
+        [statement] = plan.statements.values()
+        assert statement.einsum is None
+        assert statement.path() == "lattice"
+        # One dispatch so far: the emitter's, printed into the kernel.
+        assert [einsum.spec for einsum in dispatched] == ["ab,b->a"]
+        assert plan.kernel.report["einsum"] == 1
+        assert "_np.einsum('ab,b->a'" in plan.kernel.source
+        rng = np.random.default_rng(31)
+        inputs = {
+            "a": _int_floats(rng, 6),
+            "M": _int_floats(rng, (6, 5)),
+            "x": _int_floats(rng, 5),
+        }
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        assert [einsum.spec for einsum in dispatched] == ["ab,b->a"] * 2
+        outputs, _ = plan.kernel.run(inputs)
+        assert np.array_equal(outputs["y"], ref.outputs["y"])
+        assert np.array_equal(
+            ref.outputs["y"], inputs["a"] + inputs["M"] @ inputs["x"]
+        )
+
+
 class TestBuildContract:
     def test_build_never_raises_and_counts_decline(self):
         class Hostile:
@@ -434,6 +556,49 @@ class TestKernelCache:
         assert plan2.kernel is not None
         assert second.cache.stats.kernel_disk_hits == 1
         assert plan2.kernel.source == plan.kernel.source
+
+
+    def test_kernel_with_fallback_statement_reaches_disk_tier(self, tmp_path):
+        """A fallback statement rides in the kernel's constants as its
+        StatementPlan, which holds a lock: it must still pickle, or the
+        kernel silently never leaves the process that built it."""
+        from repro.workloads import get_workload
+
+        workload = get_workload("Twitter-BFS")
+
+        def plan_in(session):
+            app = session.compile(
+                workload.source(), domain=workload.domain,
+                data_hints=workload.hints(),
+            )
+            return session.plan_for(app, codegen=True)
+
+        first = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        plan = plan_in(first)
+        assert plan.kernel.report["fallback"] == 1
+        assert first.cache.stats.disk_errors == 0
+
+        second = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        plan2 = plan_in(second)
+        assert second.cache.stats.kernel_disk_hits == 1
+        assert second.cache.stats.disk_errors == 0
+        assert plan2.kernel is not plan.kernel
+        inputs, params = workload.inputs(0, None), workload.params()
+        ref = plan._execute(inputs, params, {}, {}, None)
+        got = plan2.kernel.try_execute(plan2, inputs, params)
+        assert got is not None
+        _assert_identical(ref, got)
+
+    def test_unpicklable_kernel_is_reported(self, tmp_path):
+        session, plan = _compile_plan(MATVEC)
+        plan.kernel.constants["_c_unpicklable"] = lambda: None
+        diagnostics = Diagnostics()
+        cache = ArtifactCache(cache_dir=str(tmp_path), diagnostics=diagnostics)
+        assert cache.kernel_put(kernel_cache_key("k4"), plan.kernel) is False
+        assert cache.stats.disk_errors == 1
+        assert any(
+            "not picklable" in entry.message for entry in diagnostics.entries
+        )
 
 
 class TestServeIntegration:

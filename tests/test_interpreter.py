@@ -233,6 +233,65 @@ class TestReductions:
         assert np.allclose(big.outputs["y"], a @ x)
 
 
+class TestCompileEinsum:
+    """The one einsum dispatcher: eligibility is decided statically, the
+    operand checks the dynamic dispatch used to make live in ``run``."""
+
+    @staticmethod
+    def _compile(value, ranges="i[0:3], j[0:2]"):
+        from repro.pmlang.parser import parse
+        from repro.srdfg.interpreter import _AxisSpace, compile_einsum
+
+        program = parse(
+            "main(input float A[4][3], input float x[3], param float c,"
+            f" output float y[4]) {{ index {ranges}; y[i] = {value}; }}"
+        )
+        stmt = program.components["main"].body[-1]
+        index_ranges = {
+            spec.name: (spec.low.value, spec.high.value)
+            for decl in program.components["main"].body[:-1]
+            for spec in decl.specs
+        }
+        space = _AxisSpace(stmt, index_ranges)
+        return compile_einsum(stmt.value, space, {"two": 2.0})
+
+    def test_sum_of_products_compiles(self):
+        einsum = self._compile("sum[j](A[i][j] * x[j] * two * 3)")
+        assert einsum.spec == "ab,b->a"
+        assert einsum.operands == (("A", (4, 3)), ("x", (3,)))
+        assert einsum.scalar == 6.0
+        assert einsum.out_shape == (4, 1)
+        A, x = np.arange(12.0).reshape(4, 3), np.array([1.0, -1.0, 2.0])
+        assert np.array_equal(
+            einsum.run({"A": A, "x": x}), (6.0 * (A @ x)).reshape(4, 1)
+        )
+
+    @pytest.mark.parametrize("value, ranges", [
+        # a non-zero lower bound: bare subscripts would not span the array
+        ("sum[j](A[i][j] * x[j])", "i[0:3], j[1:2]"),
+        # a predicate
+        ("sum[j: j < 2](A[i][j] * x[j])", "i[0:3], j[0:2]"),
+        # not a product of bare-subscripted variables
+        ("sum[j](A[i][j] + x[j])", "i[0:3], j[0:2]"),
+        ("sum[j](A[i][j] * x[j + 0])", "i[0:3], j[0:2]"),
+        ("sum[j](A[i][j] * c)", "i[0:3], j[0:2]"),
+        # not a sum, not a reduction
+        ("max[j](A[i][j] * x[j])", "i[0:3], j[0:2]"),
+        ("A[i][0] * x[0]", "i[0:3], j[0:2]"),
+    ])
+    def test_ineligible_expressions_compile_to_none(self, value, ranges):
+        assert self._compile(value, ranges) is None
+
+    @pytest.mark.parametrize("values", [
+        {"A": np.ones((4, 3))},  # missing operand
+        {"A": np.ones((4, 3)), "x": np.ones((3, 1))},  # wrong rank
+        {"A": np.ones((4, 4)), "x": np.ones(3)},  # wrong extent
+    ])
+    def test_run_declines_mismatched_operands(self, values):
+        einsum = self._compile("sum[j](A[i][j] * x[j])")
+        assert einsum.run(values) is None
+
+
 class TestStateAndAliasing:
     def test_state_threads_across_invocations(self):
         graph = build(

@@ -3,7 +3,8 @@
 Four deep properties:
 
 1. statement evaluation equals a naive per-lattice-point loop interpreter
-   for randomly generated formula statements;
+   for randomly generated formula statements, and the generated kernel of
+   the same one-statement program equals the interpreter bit for bit;
 2. constant folding preserves the value of random constant expressions;
 3. the lexer/parser round-trips randomly rendered expressions;
 4. pass pipelines preserve functional semantics on random elementwise
@@ -13,11 +14,13 @@ Four deep properties:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.driver import CompilerSession
 from repro.pmlang import ast_nodes as ast
 from repro.pmlang.parser import parse
 from repro.rewrite import CONSTANT_FOLDING
 from repro.srdfg import Executor, build, evaluate_statement
 from repro.srdfg.builder import eval_static
+from repro.targets import default_accelerators
 
 # ---------------------------------------------------------------------------
 # 1. Statement evaluation vs naive loop reference
@@ -95,13 +98,14 @@ def _naive_eval(template, n, m, values):
 @settings(max_examples=60, deadline=None)
 def test_statement_evaluation_matches_naive_loops(case):
     template, n, m, values = case
-    program = parse(
+    source = (
         "main(input float a[N], input float b[N], input float b2[M],"
         " input float A[N][M], input float c,"
         " output float y[N], output float r) {"
         " index i[0:N-1], j[0:M-1];"
         f" {template} }}".replace("N", str(n)).replace("M", str(m))
     )
+    program = parse(source)
     stmt = program.components["main"].body[-1]
     result = evaluate_statement(
         stmt,
@@ -113,6 +117,22 @@ def test_statement_evaluation_matches_naive_loops(case):
     )
     expected = _naive_eval(template, n, m, values)
     assert np.allclose(np.asarray(result).ravel(), np.asarray(expected).ravel())
+
+    # The kernel tier is the same evaluator, staged: bit-identical at
+    # f64, and ``run`` (no interpreter fallback behind it) must not raise.
+    session = CompilerSession(default_accelerators())
+    plan = session.plan_for(session.compile(source, domain="DA"), codegen=True)
+    inputs = {name: values[name] for name in ("a", "b", "b2", "A", "c")}
+    interpreted = plan._execute(inputs, {}, {}, {}, None)
+    outputs, _ = plan.kernel.run(inputs)
+    assert np.array_equal(
+        outputs[stmt.target], interpreted.outputs[stmt.target], equal_nan=True
+    )
+    assert np.array_equal(
+        np.asarray(interpreted.outputs[stmt.target]).ravel(),
+        np.asarray(result).ravel(),
+        equal_nan=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -539,7 +539,7 @@ class TestRuleObligations:
     )
     def test_graph_rules_leave_generated_programs_bit_identical(self, ruleset):
         stats = RewriteStats()
-        for seed in range(30):
+        for seed in range(10, 40):  # 38 is where the matvec inlining fires
             program = generate_program(seed)
             optimized = PassManager([RulePass(ruleset, stats=stats)]).run(
                 build(program.render(), domain="DA")
