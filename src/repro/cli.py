@@ -131,17 +131,16 @@ def _stats_workload(args):
     import numpy as np
 
     from .eval import Harness
-    from .srdfg.plan import PLAN_STATS
 
     harness = Harness()
     workload, app, _ = harness.compiled(args.workload)
     session = harness.session
     plan = session.plan_for(app, precision=args.precision)
 
-    # The CLI owns the process: reset the global counters after planning
-    # so the assertion below reads absolute values (anything planned
-    # during execution shows up directly) instead of ad-hoc deltas.
-    PLAN_STATS.reset()
+    # Reset the session's plan group after planning so the assertion
+    # below reads absolute values (anything planned during execution
+    # shows up directly) instead of ad-hoc deltas.
+    session.plan_stats.reset()
     steps = max(0, args.execute)
     state = {
         key: np.asarray(value)
@@ -164,7 +163,7 @@ def _stats_workload(args):
 
     if args.assert_plan_reuse:
         problems = []
-        rebuilt = PLAN_STATS.snapshot().statements_planned
+        rebuilt = session.plan_stats.statements_planned
         if rebuilt:
             problems.append(
                 f"{rebuilt} statement plan(s) built during execution "
@@ -199,7 +198,7 @@ def _cmd_rewrite(args):
     cost-guided cross-domain fusion enabled and prints the
     :class:`~repro.rewrite.fusion.FusionReport`.
     """
-    from .rewrite import REWRITE_STATS, ExplainLog, rewrite_pipeline
+    from .rewrite import REWRITE_STATS, ExplainLog, per_rule, rewrite_pipeline
     from .workloads import END_TO_END, SINGLE_DOMAIN, get_workload
 
     names = args.names or list(SINGLE_DOMAIN + END_TO_END)
@@ -242,9 +241,8 @@ def _cmd_rewrite(args):
         print("rule firings:")
         print(explain.render())
 
-    per_rule = REWRITE_STATS.per_rule()
     fired = {
-        rule: counts for rule, counts in per_rule.items()
+        rule: counts for rule, counts in per_rule(REWRITE_STATS).items()
         if counts["rewrites"]
     }
     if fired and not args.explain:
@@ -463,7 +461,6 @@ def _serve_sessions(args):
     import time
 
     from .serve import Request, Server, percentile
-    from .srdfg.plan import PLAN_STATS
 
     name = args.workloads.split(",")[0].strip()
     try:
@@ -478,7 +475,6 @@ def _serve_sessions(args):
 
         tracer = Tracer()
 
-    PLAN_STATS.reset()
     server = Server(
         workers=args.workers,
         queue_capacity=args.queue_depth,
@@ -668,7 +664,6 @@ def _serve_sessions(args):
 def _cmd_serve(args):
     """Run the concurrent compile-and-execute service on a synthetic trace."""
     from .serve import Server, replay, run_serial, synth_trace
-    from .srdfg.plan import PLAN_STATS
 
     workloads = tuple(
         name.strip() for name in args.workloads.split(",") if name.strip()
@@ -695,7 +690,6 @@ def _cmd_serve(args):
 
         tracer = Tracer()
 
-    PLAN_STATS.reset()
     session = None
     scratch = None
     cache_dir = getattr(args, "cache_dir", None)
@@ -991,7 +985,6 @@ def _cmd_trace(args):
     """
     from .obs import CATEGORIES, Tracer, write_chrome_trace
     from .serve import Request, Server, replay, synth_trace
-    from .srdfg.plan import PLAN_STATS
 
     workloads = tuple(
         name.strip() for name in args.workloads.split(",") if name.strip()
@@ -1019,7 +1012,6 @@ def _cmd_trace(args):
     ]
 
     tracer = Tracer()
-    PLAN_STATS.reset()
     server = Server(workers=args.workers, tracer=tracer)
     registry = server.metrics_registry()
     with server:

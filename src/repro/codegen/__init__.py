@@ -19,11 +19,10 @@ import time
 
 from .emitter import EmitResult, KernelEmitter, Unsupported
 from .kernel import KernelArtifact
-from .stats import CODEGEN_STATS, CodegenStats
+from .stats import CODEGEN_STATS
 
 __all__ = [
     "CODEGEN_STATS",
-    "CodegenStats",
     "EmitResult",
     "KernelArtifact",
     "KernelEmitter",

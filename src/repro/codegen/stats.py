@@ -1,26 +1,26 @@
-"""Process-wide counters for the kernel codegen tier.
+"""The ``codegen`` counter group (build outcomes and execution routing).
 
-Mirrors the design of :data:`repro.srdfg.plan.PLAN_STATS`: wall-clock
-assertions flake, counters do not. The contract tests and the CI codegen
-smoke step snapshot :data:`CODEGEN_STATS`, run a workload for N steps,
-and assert ``kernels_built == 1`` — i.e. one generated kernel served
-every step — while ``kernel_executions`` advanced by N.
+Wall-clock assertions flake, counters do not: the contract tests and the
+CI codegen smoke step snapshot :data:`CODEGEN_STATS`, run a workload for
+N steps, and assert ``kernels_built == 1`` — i.e. one generated kernel
+served every step — while ``kernel_executions`` advanced by N.
 
-Every counter advances through :meth:`CodegenStats.bump` under an
-internal lock (kernels are shared across serving worker threads), and
-the registry snapshot feeds the serve layer's MetricsRegistry as the
-``codegen`` source.
+``kernels_built`` / ``builds_declined`` count whole-plan outcomes: a
+declined build (unsupported plan shape, emission failure) is a
+*diagnostic*, never an error — the plan keeps executing interpreted.
+``kernel_fallbacks`` counts executions that started on the kernel tier
+and transparently fell back to the interpreter at run time.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from ..obs import DEFAULT_REGISTRY
 
-__all__ = ["CODEGEN_STATS", "CodegenStats"]
+__all__ = ["CODEGEN_STATS"]
 
-#: Counter attribute names, in render order.
-_FIELDS = (
+#: Process-scoped, because kernels are artifacts shared across sessions
+#: (a kernel execution has no session to charge).
+CODEGEN_STATS = DEFAULT_REGISTRY.counters("codegen", (
     "kernels_built",
     "builds_declined",
     "build_seconds",
@@ -30,56 +30,4 @@ _FIELDS = (
     "statements_fallback",
     "statements_fused",
     "source_bytes",
-)
-
-
-@dataclass
-class CodegenStats:
-    """Codegen tier counters (build outcomes and execution routing).
-
-    ``kernels_built`` / ``builds_declined`` count whole-plan outcomes:
-    a declined build (unsupported plan shape, emission failure) is a
-    *diagnostic*, never an error — the plan keeps executing interpreted.
-    ``kernel_fallbacks`` counts executions that started on the kernel
-    tier and transparently fell back to the interpreter at run time.
-    """
-
-    kernels_built: int = 0
-    builds_declined: int = 0
-    build_seconds: float = 0.0
-    kernel_executions: int = 0
-    kernel_fallbacks: int = 0
-    statements_specialized: int = 0
-    statements_fallback: int = 0
-    statements_fused: int = 0
-    source_bytes: int = 0
-
-    def __post_init__(self):
-        self._lock = threading.Lock()
-
-    def bump(self, **deltas):
-        with self._lock:
-            for name, delta in deltas.items():
-                if name not in _FIELDS:
-                    raise AttributeError(f"unknown codegen counter {name!r}")
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self):
-        with self._lock:
-            return CodegenStats(
-                **{name: getattr(self, name) for name in _FIELDS}
-            )
-
-    def reset(self):
-        with self._lock:
-            for name in _FIELDS:
-                setattr(self, name, 0 if name != "build_seconds" else 0.0)
-        return self
-
-    def to_dict(self):
-        with self._lock:
-            return {name: getattr(self, name) for name in _FIELDS}
-
-
-#: Module-global codegen counters.
-CODEGEN_STATS = CodegenStats()
+))

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
+from ..obs import Counters
 from .lease import Lease
 
 
@@ -92,67 +93,19 @@ _STAT_FIELDS = (
 )
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting for one cache instance.
+class CacheStats(Counters):
+    """The ``cache`` counter group of one cache instance (hit/miss
+    accounting), plus its one-line rendering.
 
-    Counters advance through :meth:`bump` under an internal lock — the
-    serving layer's workers share one cache — and reads for reporting go
-    through :meth:`snapshot`/:meth:`to_dict`; :meth:`reset` lets CLI entry
-    points start from zero instead of tracking deltas.
+    The ``lease_*`` fields count cross-process single-flight (see
+    :meth:`ArtifactCache.get_or_build`): leases this process won (it
+    built), waits that ended with another process's artifact, stale
+    leases reclaimed from dead builders, and waits that timed out into a
+    defensive local build.
     """
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    disk_hits: int = 0
-    disk_errors: int = 0
-    plan_hits: int = 0
-    plan_misses: int = 0
-    plan_stores: int = 0
-    bucket_hits: int = 0
-    bucket_misses: int = 0
-    bucket_stores: int = 0
-    bucket_evictions: int = 0
-    kernel_hits: int = 0
-    kernel_misses: int = 0
-    kernel_stores: int = 0
-    kernel_disk_hits: int = 0
-    kernel_evictions: int = 0
-    #: Cross-process single-flight (see :meth:`ArtifactCache.get_or_build`):
-    #: leases this process won (it built), waits that ended with another
-    #: process's artifact, stale leases reclaimed from dead builders, and
-    #: waits that timed out into a defensive local build.
-    lease_acquired: int = 0
-    lease_waited: int = 0
-    lease_reclaimed: int = 0
-    lease_timeouts: int = 0
-
-    def __post_init__(self):
-        self._lock = threading.Lock()
-
-    def bump(self, **deltas):
-        with self._lock:
-            for name, delta in deltas.items():
-                if name not in _STAT_FIELDS:
-                    raise AttributeError(f"unknown cache counter {name!r}")
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self):
-        with self._lock:
-            return CacheStats(
-                **{name: getattr(self, name) for name in _STAT_FIELDS}
-            )
-
-    def reset(self):
-        with self._lock:
-            for name in _STAT_FIELDS:
-                setattr(self, name, 0)
-        return self
-
-    def to_dict(self):
-        with self._lock:
-            return {name: getattr(self, name) for name in _STAT_FIELDS}
+    def __init__(self):
+        super().__init__(_STAT_FIELDS)
 
     def render(self):
         line = f"{self.hits} hit(s) / {self.misses} miss(es), {self.stores} store(s)"

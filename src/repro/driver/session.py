@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from ..errors import PolyMathError, TargetError
-from ..obs import NULL_TRACER
+from ..obs import NULL_TRACER, MetricsRegistry
 from ..passes import default_pipeline
 from ..passes.lowering import lower, supported_summary
 from ..pmlang.parser import parse
@@ -162,16 +162,24 @@ class CompilerSession:
         if self.cache.diagnostics is None:
             self.cache.diagnostics = self.diagnostics
         self.records: List[StageRecord] = []
-        self.compiles = 0
-        #: Plan-build counters scoped to *this* session (the process-global
-        #: PLAN_STATS still advances too). Serving's ``plan_reuse_ok``
+        from ..srdfg.plan import PLAN_FIELDS
+
+        #: This session's counter groups: ``plan``, ``cache`` (the cache's
+        #: own group) and ``session``. Process-scoped ``rewrite`` and
+        #: ``codegen`` live in :data:`~repro.obs.DEFAULT_REGISTRY`.
+        self.metrics = MetricsRegistry()
+        #: Plan builds this session paid for. Serving's ``plan_reuse_ok``
         #: deltas read this, so two concurrent servers — or sibling worker
         #: processes — never pollute each other's reuse assertion.
-        from ..srdfg.plan import PlanStats
-
-        self.plan_stats = PlanStats()
-        #: Compiles/plans that awaited an identical in-flight request.
-        self.coalesced = 0
+        self.plan_stats = self.metrics.counters("plan", PLAN_FIELDS)
+        self.metrics.register(
+            "cache", self.cache.stats.to_dict, self.cache.stats.reset
+        )
+        #: ``compiles`` requested, and compiles/plans that ``coalesced``
+        #: onto an identical in-flight request.
+        self._counts = self.metrics.counters(
+            "session", ("compiles", "coalesced")
+        )
         self._stage_hooks: List[Callable] = []
         #: ExecutionPlans obtained through :meth:`plan_for`, in order —
         #: kept alive for the session report (plans hold only weak graph
@@ -186,6 +194,14 @@ class CompilerSession:
         self._inflight_lock = threading.Lock()
         self._inflight_compiles: Dict[str, _InFlight] = {}
         self._inflight_plans: Dict[str, _InFlight] = {}
+
+    @property
+    def compiles(self):
+        return self._counts.compiles
+
+    @property
+    def coalesced(self):
+        return self._counts.coalesced
 
     # -- hooks ---------------------------------------------------------------
 
@@ -359,8 +375,7 @@ class CompilerSession:
             source, entry, domain, component_domains, accelerators, pipeline
         )
 
-        with self._state_lock:
-            self.compiles += 1
+        self._counts.bump(compiles=1)
         start = time.perf_counter()
         with self.tracer.span(
             "compile", category="session", entry=entry, key=key[:12]
@@ -383,8 +398,7 @@ class CompilerSession:
                 flight.event.wait()
                 if flight.error is not None:
                     raise flight.error
-                with self._state_lock:
-                    self.coalesced += 1
+                self._counts.bump(coalesced=1)
                 self._record(
                     StageRecord(
                         stage=COALESCED_STAGE,
@@ -417,8 +431,7 @@ class CompilerSession:
             finally:
                 self._end_flight(self._inflight_compiles, key, flight)
             if provenance == "coalesced":
-                with self._state_lock:
-                    self.coalesced += 1
+                self._counts.bump(coalesced=1)
                 self._record(
                     StageRecord(
                         stage=COALESCED_STAGE,
@@ -631,8 +644,7 @@ class CompilerSession:
                         raise flight.error
                     plan = flight.artifact
                     memoize_plan(app.graph, plan)
-                    with self._state_lock:
-                        self.coalesced += 1
+                    self._counts.bump(coalesced=1)
                     provenance = "coalesced"
                 else:
                     try:
@@ -810,6 +822,9 @@ class CompilerSession:
         load generator — which previously would have had to scrape the
         rendered text.
         """
+        from ..codegen import CODEGEN_STATS
+        from ..rewrite.engine import REWRITE_STATS
+
         records = self._records_snapshot()
         executions: Dict[str, int] = {}
         seconds: Dict[str, float] = {}
@@ -819,13 +834,10 @@ class CompilerSession:
                 seconds.get(record.stage, 0.0) + record.seconds
             )
         with self._state_lock:
-            compiles = self.compiles
-            coalesced = self.coalesced
             plans = list(self.plans)
         counts = self.diagnostics.counts()
         return {
-            "compiles": compiles,
-            "coalesced": coalesced,
+            **self._counts.to_dict(),
             "stage_executions": executions,
             "stage_seconds": seconds,
             "cache": self.cache.stats.to_dict(),
@@ -853,44 +865,22 @@ class CompilerSession:
                 for plan in plans
             ],
             "diagnostics": dict(counts),
-            "rewrite": self._rewrite_counters(),
-            "codegen": self._codegen_counters(),
+            # Process-wide, not per-session, but surfaced here so ``repro
+            # stats --json`` and the serve report expose which rules fired
+            # and how the kernel tier behaved for what this process ran.
+            "rewrite": REWRITE_STATS.to_dict(),
+            "codegen": CODEGEN_STATS.to_dict(),
         }
-
-    @staticmethod
-    def _codegen_counters():
-        """Kernel-codegen counters (builds / declines / fallbacks).
-
-        Process-wide like the rewrite counters, surfaced here so
-        ``repro stats --json`` and the serve report expose the kernel
-        tier's behaviour for the plans this process ran.
-        """
-        from ..codegen import CODEGEN_STATS
-
-        return CODEGEN_STATS.to_dict()
-
-    @staticmethod
-    def _rewrite_counters():
-        """Per-rule rewrite-engine counters (matches / rewrites / sweeps).
-
-        Process-wide — the rule engine's counters are not per-session —
-        but surfaced here so ``repro stats --json`` exposes which rules
-        actually fired for the compiles this process ran.
-        """
-        from ..rewrite.engine import REWRITE_STATS
-
-        return REWRITE_STATS.to_dict()
 
     def stats_report(self):
         """Human-readable session report: stages, timings, cache, diagnostics."""
         records = self._records_snapshot()
         with self._state_lock:
-            compiles = self.compiles
-            coalesced = self.coalesced
             plans = list(self.plans)
-        header = f"compiler session: {compiles} compile(s)"
-        if coalesced:
-            header += f" ({coalesced} coalesced)"
+        tally = self._counts.snapshot()
+        header = f"compiler session: {tally.compiles} compile(s)"
+        if tally.coalesced:
+            header += f" ({tally.coalesced} coalesced)"
         header += f", {len(records)} stage execution(s)"
         lines = [header]
         lines.append(f"cache: {self.cache.stats.render()}")

@@ -197,8 +197,8 @@ def explore_rules(workload_name, candidates=None, include_combination=True):
     candidate, in candidate order (the default pipeline first).
     """
     from ..driver import CompilerSession
+    from ..obs import Counters
     from ..passes.manager import PassManager
-    from ..rewrite.engine import RewriteStats
     from ..rewrite.fusion import modeled_cost
     from ..rewrite.rulepass import RulePass
     from ..targets import default_accelerators
@@ -207,7 +207,7 @@ def explore_rules(workload_name, candidates=None, include_combination=True):
     candidates = candidates or pipeline_candidates(include_combination)
     points = []
     for rulesets in candidates:
-        stats = RewriteStats()
+        stats = Counters()
 
         def factory(chosen=rulesets, chosen_stats=stats):
             return PassManager(

@@ -14,8 +14,8 @@ from .engine import (
     REWRITE_STATS,
     ExplainEntry,
     ExplainLog,
-    RewriteStats,
     apply_graph_rules,
+    per_rule,
     render_expr,
     rewrite_statement,
     run_ruleset,
@@ -94,7 +94,6 @@ __all__ = [
     "REWRITE_STATS",
     "RESTART",
     "Ref",
-    "RewriteStats",
     "RulePass",
     "RuleSet",
     "SWEEP",
@@ -105,6 +104,7 @@ __all__ = [
     "fuse_cross_domain",
     "graph_signature",
     "modeled_cost",
+    "per_rule",
     "render_expr",
     "rewrite_pipeline",
     "rewrite_statement",

@@ -8,19 +8,19 @@ budgets, and cycle detection (a rewrite that regenerates an expression
 or graph already seen aborts with :class:`~repro.errors.RewriteError`
 instead of spinning).
 
-Counters follow the :class:`~repro.srdfg.plan.PlanStats` convention: a
-process-wide, thread-safe :data:`REWRITE_STATS` with ``to_dict``/``reset``
-hooks, registered as the ``rewrite`` source in the observability
-MetricsRegistry and surfaced by ``repro stats --json``.
+Counters land in the :class:`~repro.obs.Counters` group a caller hands
+in as ``stats=`` or, by default, in :data:`REWRITE_STATS` — the
+process-default registry's ``rewrite`` group, surfaced by ``repro stats
+--json``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..errors import RewriteError
+from ..obs import DEFAULT_REGISTRY
 from ..pmlang import ast_nodes as ast
 from ..srdfg import opclass
 from .signature import graph_signature
@@ -36,46 +36,22 @@ SWEEP_LIMIT = 256
 SIGNATURE_AFTER = 8
 
 
-class RewriteStats:
-    """Thread-safe dynamic counters for the rewrite engine.
-
-    Unlike :class:`~repro.srdfg.plan.PlanStats` the key space is open —
-    one ``matches``/``rewrites`` pair per rule plus per-rule-set sweep
-    counts — so counters live in a dict under a lock rather than as
-    fixed dataclass fields.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
-
-    def bump(self, key, amount=1):
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + amount
-
-    def to_dict(self):
-        with self._lock:
-            return {key: self._counters[key] for key in sorted(self._counters)}
-
-    def reset(self):
-        with self._lock:
-            self._counters.clear()
-
-    def snapshot(self):
-        return self.to_dict()
-
-    def per_rule(self):
-        """``{rule: {"matches": n, "rewrites": m}}`` across all rule sets."""
-        table: Dict[str, Dict[str, int]] = {}
-        for key, value in self.to_dict().items():
-            name, _, counter = key.rpartition(".")
-            if counter in ("matches", "rewrites"):
-                table.setdefault(name, {"matches": 0, "rewrites": 0})[counter] = value
-        return table
+#: The process-default ``rewrite`` group — open key space (one
+#: ``ruleset/rule.matches``/``.rewrites`` pair per rule plus per-rule-set
+#: sweep counts), process-scoped because pipelines come from
+#: zero-argument factories that have no session to charge.
+REWRITE_STATS = DEFAULT_REGISTRY.counters("rewrite")
 
 
-#: Process-wide counters (the ``rewrite`` MetricsRegistry source).
-REWRITE_STATS = RewriteStats()
+def per_rule(stats):
+    """``{rule: {"matches": n, "rewrites": m}}`` of a rewrite counter group,
+    across all rule sets."""
+    table: Dict[str, Dict[str, int]] = {}
+    for key, value in stats.to_dict().items():
+        name, _, counter = key.rpartition(".")
+        if counter in ("matches", "rewrites"):
+            table.setdefault(name, {"matches": 0, "rewrites": 0})[counter] = value
+    return table
 
 
 @dataclass

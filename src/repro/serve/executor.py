@@ -21,8 +21,10 @@ import time
 
 import numpy as np
 
+from ..codegen import CODEGEN_STATS
 from ..driver import BucketPolicy, SpecializationKey
-from ..obs import NULL_TRACER
+from ..obs import NULL_TRACER, MetricsRegistry
+from ..rewrite.engine import REWRITE_STATS
 from ..targets import default_accelerators
 from ..workloads import get_workload
 from .request import result_signature
@@ -47,12 +49,24 @@ class LocalExecutor:
         self._lock = threading.Lock()
         self._workloads = {}
         self._device_seconds = {}
-        #: Reuse bookkeeping, scoped to this executor: every distinct
-        #: (workload, precision, dims) config served, and each plan whose
-        #: build this executor paid for. ``plan_reuse_ok`` compares the
-        #: session's scoped PlanStats delta against these.
+        #: Every counter of the compile-and-execute stack as this
+        #: executor sees it: the session's groups, the process-scoped
+        #: ``rewrite``/``codegen`` groups, and its own ``executor`` group.
+        #: A worker child ships ``metrics.snapshot()`` home at retirement.
+        self.metrics = MetricsRegistry().include(session.metrics)
+        for name, group in (
+            ("rewrite", REWRITE_STATS), ("codegen", CODEGEN_STATS)
+        ):
+            self.metrics.register(name, group.to_dict, group.reset)
+        #: Reuse bookkeeping: the graph/statement plans this executor's
+        #: "built" provenances paid for (``plan_reuse_ok`` compares the
+        #: session's ``plan`` group against these) and every distinct
+        #: (workload, precision, dims) config served — a *set*, the one
+        #: fact here that does not add across processes.
+        self.expected = self.metrics.counters(
+            "executor", ("expected_plans", "expected_statements")
+        )
         self.distinct_configs = set()
-        self.built_plans = []
 
     # -- workload resolution ------------------------------------------------
 
@@ -118,13 +132,16 @@ class LocalExecutor:
         """Record one served config (and a paid-for plan build)."""
         with self._lock:
             self.distinct_configs.add(config_key)
-            if provenance == "built" and plan not in self.built_plans:
-                self.built_plans.append(plan)
+        if provenance == "built":
+            self.expected.bump(
+                expected_plans=plan.graph_count,
+                expected_statements=plan.statement_count,
+            )
 
-    def reuse_snapshot(self):
-        """``(built_plans, distinct_config_count)`` under the lock."""
+    def configs(self):
+        """The distinct configs served so far (a copy)."""
         with self._lock:
-            return list(self.built_plans), len(self.distinct_configs)
+            return set(self.distinct_configs)
 
     # -- the request body ---------------------------------------------------
 
@@ -259,30 +276,3 @@ class LocalExecutor:
             previous = report.result
             state = report.result.state
         return report.result
-
-    # -- counter aggregation ------------------------------------------------
-
-    def stats_payload(self):
-        """Picklable counter snapshot for cross-process aggregation.
-
-        A worker child sends this back at retirement so the parent can
-        fold per-process plan/cache/codegen counters into one truthful
-        :class:`~repro.serve.metrics.ServeReport` view.
-        """
-        from ..codegen import CODEGEN_STATS
-
-        with self._lock:
-            distinct = list(self.distinct_configs)
-            built = list(self.built_plans)
-        return {
-            "plan": self.session.plan_stats.to_dict(),
-            "expected_plans": sum(plan.graph_count for plan in built),
-            "expected_statements": sum(
-                plan.statement_count for plan in built
-            ),
-            "distinct_configs": distinct,
-            "cache": self.session.cache.stats.to_dict(),
-            "codegen": CODEGEN_STATS.to_dict(),
-            "compiles": self.session.compiles,
-            "coalesced": self.session.coalesced,
-        }

@@ -126,7 +126,7 @@ class ServeReport:
     #: Per-workload circuit-breaker counters at report time.
     breakers: Dict[str, Dict[str, object]] = field(default_factory=dict)
     queue_peak: int = 0
-    #: Counter-based plan-reuse evidence (PLAN_STATS delta vs expectation).
+    #: Counter-based plan-reuse evidence (``plan`` group delta vs expectation).
     plans_built: int = 0
     statements_planned: int = 0
     distinct_configs: int = 0

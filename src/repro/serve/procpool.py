@@ -18,10 +18,9 @@ because ``perf_counter`` values are not comparable across processes.
 A crashed child (its pipe breaks mid-request) is respawned and the
 in-flight request answered with ``WorkerCrashedError`` — the pool heals,
 the request fails loudly, and ``worker_crashes`` counts it. At
-retirement every child sends back its counter payload
-(:meth:`~repro.serve.executor.LocalExecutor.stats_payload`) so the
-parent folds per-process plan/cache/codegen counters into one truthful
-``ServeReport``.
+retirement every child sends back one flat snapshot of its executor's
+:class:`~repro.obs.MetricsRegistry` (plus the set of configs it served),
+which the parent merges — once per child — into the server's registry.
 """
 
 from __future__ import annotations
@@ -37,8 +36,12 @@ def child_main(conn, config):
     """Worker-process entry: serve envelopes from *conn* until stopped."""
     from ..driver import CompilerSession
     from ..errors import DeadlineExceededError, PolyMathError
+    from ..obs import DEFAULT_REGISTRY
     from .executor import LocalExecutor
 
+    # A forked child inherits the parent's process-wide counts; what it
+    # ships home must be its own work only.
+    DEFAULT_REGISTRY.reset()
     session = CompilerSession(
         cache_dir=config.get("cache_dir"), cross_process=True
     )
@@ -55,13 +58,12 @@ def child_main(conn, config):
             break
         if kind == "stop":
             try:
-                conn.send(("stats", executor.stats_payload()))
+                conn.send(
+                    ("stats", (executor.metrics.snapshot(), executor.configs()))
+                )
             except (OSError, ValueError):
                 pass
             break
-        if kind == "stats":
-            conn.send(("stats", executor.stats_payload()))
-            continue
         request, remaining_s = payload
         deadline_at = (
             time.perf_counter() + remaining_s
@@ -160,21 +162,6 @@ class _Member:
         self.lock = threading.Lock()
 
 
-def _zero_aggregate():
-    return {
-        "plans_built": 0,
-        "statements_planned": 0,
-        "expected_plans": 0,
-        "expected_statements": 0,
-        "distinct_configs": set(),
-        "compiles": 0,
-        "coalesced": 0,
-        "cache": {},
-        "codegen": {},
-        "processes_reported": 0,
-    }
-
-
 class ProcessWorkerSet:
     """One bound worker process per pool worker thread."""
 
@@ -190,8 +177,8 @@ class ProcessWorkerSet:
         self._members_lock = threading.Lock()
         self._started = False
         self.worker_crashes = 0
-        #: Counter payloads folded in from retired/probed children.
-        self.aggregated = _zero_aggregate()
+        #: Children that answered the retirement request with their counts.
+        self.reported = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -261,36 +248,17 @@ class ProcessWorkerSet:
             return None
         return payload
 
-    # -- counter aggregation ------------------------------------------------
-
-    def _fold(self, payload):
-        agg = self.aggregated
-        plan = payload.get("plan", {})
-        agg["plans_built"] += plan.get("graphs_planned", 0)
-        agg["statements_planned"] += plan.get("statements_planned", 0)
-        agg["expected_plans"] += payload.get("expected_plans", 0)
-        agg["expected_statements"] += payload.get("expected_statements", 0)
-        agg["distinct_configs"].update(
-            tuple(config) if isinstance(config, list) else config
-            for config in payload.get("distinct_configs", ())
-        )
-        agg["compiles"] += payload.get("compiles", 0)
-        agg["coalesced"] += payload.get("coalesced", 0)
-        for source in ("cache", "codegen"):
-            for field_name, value in payload.get(source, {}).items():
-                if isinstance(value, (int, float)):
-                    agg[source][field_name] = (
-                        agg[source].get(field_name, 0) + value
-                    )
-        agg["processes_reported"] += 1
+    # -- retirement ---------------------------------------------------------
 
     def stop(self, timeout=5.0):
-        """Retire every child, folding its counter payload; returns the
-        aggregate dict (also kept on ``self.aggregated``)."""
+        """Retire every child; returns the ``(flat counter snapshot,
+        distinct configs)`` pair each one sent back. A child is asked
+        once — a second ``stop`` finds no members and returns ``[]``."""
         with self._members_lock:
             members = dict(self._members)
             self._members = {}
         deadline = time.monotonic() + timeout
+        payloads = []
         for member in members.values():
             with member.lock:
                 try:
@@ -298,7 +266,7 @@ class ProcessWorkerSet:
                     if member.conn.poll(max(0.1, deadline - time.monotonic())):
                         kind, payload = member.conn.recv()
                         if kind == "stats":
-                            self._fold(payload)
+                            payloads.append(payload)
                 except (EOFError, OSError, BrokenPipeError):
                     pass
                 try:
@@ -310,7 +278,8 @@ class ProcessWorkerSet:
             if member.process.is_alive():
                 member.process.terminate()
                 member.process.join(timeout=1.0)
-        return self.aggregated
+        self.reported += len(payloads)
+        return payloads
 
     @property
     def alive(self):
@@ -321,27 +290,12 @@ class ProcessWorkerSet:
             )
 
     def counters(self):
-        """MetricsRegistry source: pool health + folded child counters."""
-        agg = self.aggregated
+        """Pool health (the ``procpool`` MetricsRegistry source)."""
         with self._members_lock:
-            alive = sum(
-                1 for member in self._members.values()
-                if member.process.is_alive()
-            )
             crashes = self.worker_crashes
         return {
             "processes": self.workers,
-            "alive": alive,
+            "alive": self.alive,
             "worker_crashes": crashes,
-            "processes_reported": agg["processes_reported"],
-            "child_plans_built": agg["plans_built"],
-            "child_compiles": agg["compiles"],
-            "child_coalesced": agg["coalesced"],
-            "child_cache_lease_acquired": agg["cache"].get(
-                "lease_acquired", 0
-            ),
-            "child_cache_lease_waited": agg["cache"].get("lease_waited", 0),
-            "child_cache_lease_reclaimed": agg["cache"].get(
-                "lease_reclaimed", 0
-            ),
+            "processes_reported": self.reported,
         }

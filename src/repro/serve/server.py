@@ -19,8 +19,9 @@ Because compilation amortizes — the paper's whole premise, sharpened by
 DaCe/MLIR-style reusable compiled artifacts — the steady state of a hot
 workload is: zero compiles, zero plans, pure execution fan-out across
 workers. The per-request provenance in the metrics stream makes that
-claim checkable per run, and the PLAN_STATS delta makes it a hard
-counter-based assertion (``plans_built`` == distinct configurations).
+claim checkable per run, and the ``plan`` counter group's delta makes it
+a hard counter-based assertion (``plans_built`` == distinct
+configurations).
 
 Workers optionally *emulate device occupancy*: each executed invocation
 sleeps for the cost model's accelerator seconds (scaled). That is how a
@@ -46,8 +47,7 @@ from ..errors import (
     ShapeError,
     WorkerCrashedError,
 )
-from ..obs import MetricsRegistry, NULL_TRACER
-from ..srdfg.plan import PLAN_STATS
+from ..obs import Counters, MetricsRegistry, NULL_TRACER
 from ..targets import default_accelerators
 from .breaker import BreakerBoard
 from .executor import LocalExecutor
@@ -58,6 +58,16 @@ from .request import PRIORITY_NORMAL, Request, Response, result_signature
 from .scheduler import Scheduler
 
 __all__ = ["Server", "Ticket"]
+
+#: The ``serve`` group: where every submission ends up (exactly one of the
+#: outcomes per submitted request — the conservation identity), plus
+#: ``invalid`` (refused at admission with a ShapeError: bad dims or
+#: mismatched input/state arrays — never enqueued, never counted as
+#: submitted) and ``session_steps``.
+_TALLIES = (
+    "submitted", "completed", "failed", "rejected", "expired", "cancelled",
+    "breaker_rejected", "timed_out", "invalid", "session_steps",
+)
 
 
 class Ticket:
@@ -269,34 +279,24 @@ class Server:
         self._drained = threading.Condition(self._lock)
         self._recent_service = deque(maxlen=64)
         self._tickets: List[Ticket] = []
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._rejected = 0
-        self._expired = 0
-        self._cancelled = 0
-        self._breaker_rejected = 0
-        self._timed_out = 0
-        #: Requests refused at admission with a ShapeError (bad dims or
-        #: mismatched input/state arrays) — never enqueued, never counted
-        #: as submitted.
-        self._invalid = 0
+        self._tallies = Counters(_TALLIES)
         self._sessions: List[object] = []
-        self._session_steps = 0
         self._started_at = None
         self._stopped_at = None
-        # Plan-reuse deltas are scoped to *this* server's session (not the
-        # process-global PLAN_STATS), so two concurrent servers — or the
-        # process pool's sibling workers — never pollute each other's
-        # ``plan_reuse_ok`` assertion. Process mode folds the per-child
-        # deltas in explicitly (see ``_aggregate_child_stats``).
-        self._stats_base = self.session.plan_stats.snapshot()
-        #: Plan/statement build counts reported back by retired or crashed
-        #: worker processes (process pool only), folded into report().
-        self._child_plans_built = 0
-        self._child_statements_planned = 0
-        self._child_expected_plans = 0
-        self._child_expected_statements = 0
+        #: Every counter this server touches, thread or process mode
+        #: alike: the executor's view of the compile stack (this server's
+        #: session, never a process-wide total, so two concurrent servers
+        #: cannot pollute each other's ``plan_reuse_ok``), the snapshot of
+        #: each retired worker process merged in once, and the live gauges.
+        self.metrics = MetricsRegistry().include(self.executor.metrics)
+        self.metrics.register("serve", self._serve_counters)
+        self.metrics.register("scheduler", self.scheduler.counters)
+        self.metrics.register("pool", self._pool_counters)
+        self.metrics.register("breaker", self.breakers.counters)
+        if self.procs is not None:
+            self.metrics.register("procpool", self.procs.counters)
+        # The session may have planned before this server existed.
+        self._plan_base = self.session.plan_stats.snapshot()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -316,21 +316,12 @@ class Server:
         if self._started_at is not None:
             self.pool.join()
         if self.procs is not None:
-            # Retire the children and fold their per-process counters
-            # (plan builds, cache/lease stats, distinct configs) into
-            # this server's report view.
-            aggregate = self.procs.stop()
-            with self._lock:
-                self._child_plans_built += aggregate["plans_built"]
-                self._child_statements_planned += aggregate[
-                    "statements_planned"
-                ]
-                self._child_expected_plans += aggregate["expected_plans"]
-                self._child_expected_statements += aggregate[
-                    "expected_statements"
-                ]
-            for config in aggregate["distinct_configs"]:
-                self.executor.note_planned(config, None, "aggregated")
+            # Retire the children; each one's counters (plan builds,
+            # cache/lease stats, kernels) merge in exactly once.
+            for flat, configs in self.procs.stop():
+                self.metrics.merge(flat)
+                for config in configs:
+                    self.executor.note_planned(config, None, "retired")
         self._stopped_at = time.perf_counter()
         return self
 
@@ -369,7 +360,7 @@ class Server:
                     if _inputs is not None:
                         workload.validate_values(dict(_inputs), modifier="input")
                 else:
-                    workload, specialization = self._resolve(
+                    workload, specialization = self.executor.resolve(
                         request.workload, request.dims, request.precision
                     )
                 if request.initial_state:
@@ -379,20 +370,17 @@ class Server:
             except ShapeError as exc:
                 # Refused at admission: not submitted, not enqueued — the
                 # conservation identity never sees it.
-                with self._lock:
-                    self._invalid += 1
+                self._tallies.bump(invalid=1)
                 self.tracer.instant(
                     "invalid", category="serve",
                     request_id=request.request_id,
                     workload=request.workload, error=str(exc),
                 )
                 raise
-        with self._lock:
-            self._submitted += 1
+        self._tallies.bump(submitted=1)
         allowed, retry_after = self.breakers.allow(request.workload)
         if not allowed:
-            with self._lock:
-                self._breaker_rejected += 1
+            self._tallies.bump(breaker_rejected=1)
             self.tracer.instant(
                 "breaker-rejected", category="serve",
                 request_id=request.request_id, workload=request.workload,
@@ -404,8 +392,7 @@ class Server:
             )
         now = time.perf_counter()
         if request.deadline_s is not None and request.deadline_s <= 0:
-            with self._lock:
-                self._expired += 1
+            self._tallies.bump(expired=1)
             self.tracer.instant(
                 "expired", category="serve",
                 request_id=request.request_id, workload=request.workload,
@@ -437,8 +424,8 @@ class Server:
             with self._lock:
                 self._outstanding -= 1
                 self._tickets.remove(ticket)
-                if isinstance(exc, QueueFullError):
-                    self._rejected += 1
+            if isinstance(exc, QueueFullError):
+                self._tallies.bump(rejected=1)
             self.tracer.instant(
                 "rejected", category="serve",
                 request_id=request.request_id, workload=request.workload,
@@ -475,12 +462,11 @@ class Server:
         from .session import Session
 
         try:
-            resolved, spec = self._resolve(workload, dims, precision)
+            resolved, spec = self.executor.resolve(workload, dims, precision)
         except ShapeError as exc:
             # Same admission accounting as a shape-refused submit: the
             # open never occupied a worker and never enqueued anything.
-            with self._lock:
-                self._invalid += 1
+            self._tallies.bump(invalid=1)
             self.tracer.instant(
                 "invalid", category="serve", workload=workload,
                 error=str(exc),
@@ -537,20 +523,7 @@ class Server:
 
     # -- the worker body ---------------------------------------------------
     # (the compile/plan/execute core lives in LocalExecutor, shared with
-    # the process pool's worker children; these delegates keep the
-    # server's historical surface)
-
-    def _workload(self, name):
-        return self.executor.workload(name)
-
-    def _resolve(self, name, dims=None, precision="f64"):
-        """Workload instance + SpecializationKey for a (name, dims) pair
-        (see :meth:`LocalExecutor.resolve`)."""
-        return self.executor.resolve(name, dims=dims, precision=precision)
-
-    def _modeled_device_seconds(self, request, app):
-        """Cost-model accelerator seconds for one invocation of *app*."""
-        return self.executor.modeled_device_seconds(request, app)
+    # the process pool's worker children)
 
     def _handle(self, ticket, worker_name):
         request = ticket.request
@@ -624,22 +597,18 @@ class Server:
         executed = response.error_kind not in (
             "CancelledError", "DeadlineExceededError"
         )
+        if ticket.abandoned:
+            metrics.outcome = "timed_out"
+        elif response.error_kind == "CancelledError":
+            metrics.outcome = "cancelled"
+        elif response.error_kind == "DeadlineExceededError":
+            metrics.outcome = "expired"
+        elif response.ok:
+            metrics.outcome = "completed"
+        else:
+            metrics.outcome = "failed"
+        self._tallies.bump(metrics.outcome)
         with self._lock:
-            if ticket.abandoned:
-                metrics.outcome = "timed_out"
-                self._timed_out += 1
-            elif response.error_kind == "CancelledError":
-                metrics.outcome = "cancelled"
-                self._cancelled += 1
-            elif response.error_kind == "DeadlineExceededError":
-                metrics.outcome = "expired"
-                self._expired += 1
-            elif response.ok:
-                metrics.outcome = "completed"
-                self._completed += 1
-            else:
-                metrics.outcome = "failed"
-                self._failed += 1
             self._recent_service.append(metrics.service_seconds)
         if executed:
             # Only genuine execution outcomes drive the breaker — a
@@ -777,7 +746,7 @@ class Server:
         device_seconds = 0.0
         if self.emulate_device > 0:
             device_seconds = (
-                self._modeled_device_seconds(request, sess.app)
+                self.executor.modeled_device_seconds(request, sess.app)
                 * self.emulate_device
             )
         start = time.perf_counter()
@@ -796,43 +765,26 @@ class Server:
             time.sleep(device_seconds)
         metrics.execute_seconds = time.perf_counter() - start
         sess.advance(result, metrics.execute_seconds)
-        with self._lock:
-            self._session_steps += 1
+        self._tallies.bump(session_steps=1)
 
         response.outputs = dict(result.outputs)
         response.state = dict(result.state)
         response.signature = result_signature(result.outputs)
 
-    def _execute_plan(self, request, workload, plan, device_seconds):
-        """Delegate (see :meth:`LocalExecutor.execute_plan`)."""
-        return self.executor.execute_plan(
-            request, workload, plan, device_seconds
-        )
-
-    def _execute_with_faults(self, request, workload, app):
-        """Delegate (see :meth:`LocalExecutor.execute_with_faults`)."""
-        return self.executor.execute_with_faults(request, workload, app)
-
     # -- reporting ---------------------------------------------------------
 
     def _serve_counters(self):
-        """Server-level tallies (the ``serve`` MetricsRegistry source)."""
+        """The ``serve`` group plus its gauges (a MetricsRegistry source)."""
         with self._lock:
-            return {
-                "submitted": self._submitted,
-                "completed": self._completed,
-                "failed": self._failed,
-                "rejected": self._rejected,
-                "expired": self._expired,
-                "cancelled": self._cancelled,
-                "breaker_rejected": self._breaker_rejected,
-                "timed_out": self._timed_out,
-                "invalid": self._invalid,
+            gauges = {
                 "outstanding": self._outstanding,
-                "distinct_configs": self.executor.reuse_snapshot()[1],
                 "sessions": len(self._sessions),
-                "session_steps": self._session_steps,
             }
+        return {
+            **self._tallies.to_dict(),
+            **gauges,
+            "distinct_configs": len(self.executor.configs()),
+        }
 
     def _pool_counters(self):
         return {
@@ -841,99 +793,55 @@ class Server:
             "handler_faults": self.pool.handler_faults,
         }
 
-    def metrics_registry(self, registry=None):
-        """Wire every counter system this server touches into one
-        :class:`~repro.obs.MetricsRegistry`.
-
-        Unifies the previously-disjoint telemetry surfaces — global plan
-        statistics, per-rule rewrite-engine counters, the artifact cache's
-        hit/miss counters, the scheduler's admission counters, the
-        server's own tallies, and the worker pool's health — behind a
-        single ``snapshot()``/``reset()``.
-        Sources without a safe reset (scheduler, serve, pool counters are
-        load-bearing for :meth:`report`) register snapshot-only.
+    def metrics_registry(self):
+        """This server's :class:`~repro.obs.MetricsRegistry`: one
+        ``snapshot()`` over the compile stack's groups (``plan``,
+        ``cache``, ``session``, ``executor``, ``rewrite``, ``codegen`` —
+        in process mode including every retired child's share), the
+        ``serve`` group, and the ``scheduler``/``pool``/``breaker``/
+        ``procpool`` gauges, which have no safe reset (they are
+        load-bearing for :meth:`report`) and register snapshot-only.
         """
-        from ..codegen import CODEGEN_STATS
-        from ..rewrite.engine import REWRITE_STATS
-
-        registry = registry or MetricsRegistry()
-        registry.register("plan", PLAN_STATS.to_dict, PLAN_STATS.reset)
-        registry.register("rewrite", REWRITE_STATS.to_dict, REWRITE_STATS.reset)
-        registry.register(
-            "codegen", CODEGEN_STATS.to_dict, CODEGEN_STATS.reset
-        )
-        stats = self.session.cache.stats
-        registry.register("cache", stats.to_dict, stats.reset)
-        registry.register("scheduler", self.scheduler.counters)
-        registry.register("serve", self._serve_counters)
-        registry.register("pool", self._pool_counters)
-        registry.register("breaker", self.breakers.counters)
-        if self.procs is not None:
-            # Process mode: per-child plan/cache/lease counters, folded
-            # in as the children retire, plus crash/respawn health.
-            registry.register("procpool", self.procs.counters)
-        return registry
+        return self.metrics
 
     def report(self):
         """The run's :class:`ServeReport` (call after :meth:`close`)."""
-        stats = self.session.plan_stats.snapshot()
-        built_plans, distinct = self.executor.reuse_snapshot()
+        tallies = self._tallies.snapshot()
+        counts = self.metrics.snapshot()
         with self._lock:
             tickets = list(self._tickets)
-            submitted = self._submitted
-            completed = self._completed
-            failed = self._failed
-            rejected = self._rejected
-            expired = self._expired
-            cancelled = self._cancelled
-            breaker_rejected = self._breaker_rejected
-            timed_out = self._timed_out
-            invalid = self._invalid
             sessions = list(self._sessions)
         stopped = self._stopped_at or time.perf_counter()
         started = self._started_at or stopped
         report = ServeReport(
             workers=self.workers,
             pool=self.pool_mode,
-            processes=(
-                self.procs.aggregated["processes_reported"]
-                if self.procs is not None
-                else 0
-            ),
-            worker_crashes=(
-                self.procs.worker_crashes if self.procs is not None else 0
-            ),
+            processes=counts.get("procpool.processes_reported", 0),
+            worker_crashes=counts.get("procpool.worker_crashes", 0),
             queue_capacity=self.scheduler.capacity,
             wall_seconds=max(0.0, stopped - started),
-            submitted=submitted,
-            completed=completed,
-            failed=failed,
-            rejected=rejected,
-            expired=expired,
-            cancelled=cancelled,
-            breaker_rejected=breaker_rejected,
-            timed_out=timed_out,
-            invalid=invalid,
+            submitted=tallies.submitted,
+            completed=tallies.completed,
+            failed=tallies.failed,
+            rejected=tallies.rejected,
+            expired=tallies.expired,
+            cancelled=tallies.cancelled,
+            breaker_rejected=tallies.breaker_rejected,
+            timed_out=tallies.timed_out,
+            invalid=tallies.invalid,
             sessions=[sess.summary() for sess in sessions],
             breakers=self.breakers.snapshot(),
             queue_peak=self.scheduler.peak_depth,
             plans_built=(
-                stats.graphs_planned - self._stats_base.graphs_planned
-                + self._child_plans_built
+                counts["plan.graphs_planned"] - self._plan_base.graphs_planned
             ),
             statements_planned=(
-                stats.statements_planned - self._stats_base.statements_planned
-                + self._child_statements_planned
+                counts["plan.statements_planned"]
+                - self._plan_base.statements_planned
             ),
-            distinct_configs=distinct,
-            expected_plans=(
-                sum(plan.graph_count for plan in built_plans)
-                + self._child_expected_plans
-            ),
-            expected_statements=(
-                sum(plan.statement_count for plan in built_plans)
-                + self._child_expected_statements
-            ),
+            distinct_configs=len(self.executor.configs()),
+            expected_plans=counts["executor.expected_plans"],
+            expected_statements=counts["executor.expected_statements"],
             requests=[
                 ticket.metrics for ticket in tickets if ticket.done()
             ],

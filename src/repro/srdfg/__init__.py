@@ -12,7 +12,6 @@ from .interpreter import (
 from .metadata import EdgeMeta, VarInfo
 from .opclass import OpDescriptor, classify
 from .plan import (
-    PLAN_STATS,
     ExecutionPlan,
     PlanConfig,
     StatementPlan,
@@ -39,7 +38,6 @@ __all__ = [
     "Executor",
     "Node",
     "OpDescriptor",
-    "PLAN_STATS",
     "PlanConfig",
     "SrDFG",
     "StatementPlan",

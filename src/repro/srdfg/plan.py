@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
-from ..obs import NULL_TRACER
+from ..obs import DEFAULT_REGISTRY, NULL_TRACER
 from ..pmlang.render import render_reduction, render_stmt
 from .graph import COMPONENT, COMPUTE, CONST, VAR
 from .interpreter import (
@@ -70,9 +70,8 @@ from .interpreter import (
 
 __all__ = [
     "ExecutionPlan",
+    "PLAN_FIELDS",
     "PlanConfig",
-    "PlanStats",
-    "PLAN_STATS",
     "StatementPlan",
     "build_plan",
     "graph_fingerprint",
@@ -84,7 +83,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Configuration and global counters
+# Configuration and counters
 # ---------------------------------------------------------------------------
 
 
@@ -120,60 +119,14 @@ class PlanConfig:
         )
 
 
-@dataclass
-class PlanStats:
-    """Process-wide planning counters (for counter-based reuse assertions).
+#: Field names of a ``plan`` counter group (see :mod:`repro.obs.metrics`).
+PLAN_FIELDS = ("graphs_planned", "statements_planned")
 
-    Wall-clock assertions flake; these do not. The CI smoke step snapshots
-    this object, runs a workload for N steps, and asserts the number of
-    statement plans built equals the statement count — i.e. each plan was
-    constructed exactly once regardless of N.
-
-    Counters are updated through :meth:`bump` under an internal lock, so
-    the serving layer's worker threads never lose increments; reads go
-    through :meth:`snapshot` (a consistent copy) and CLI entry points
-    start from :meth:`reset` instead of tracking ad-hoc deltas.
-    """
-
-    graphs_planned: int = 0
-    statements_planned: int = 0
-    executions: int = 0
-
-    def __post_init__(self):
-        self._lock = threading.Lock()
-
-    def bump(self, graphs_planned=0, statements_planned=0, executions=0):
-        with self._lock:
-            self.graphs_planned += graphs_planned
-            self.statements_planned += statements_planned
-            self.executions += executions
-
-    def snapshot(self):
-        with self._lock:
-            return PlanStats(
-                graphs_planned=self.graphs_planned,
-                statements_planned=self.statements_planned,
-                executions=self.executions,
-            )
-
-    def reset(self):
-        with self._lock:
-            self.graphs_planned = 0
-            self.statements_planned = 0
-            self.executions = 0
-        return self
-
-    def to_dict(self):
-        with self._lock:
-            return {
-                "graphs_planned": self.graphs_planned,
-                "statements_planned": self.statements_planned,
-                "executions": self.executions,
-            }
-
-
-#: Module-global planning counters.
-PLAN_STATS = PlanStats()
+#: Where a plan build counts when it is handed no ``stats=`` group.
+#: Wall-clock assertions flake; these do not: the reuse checks assert
+#: that the number of statement plans built equals the statement count —
+#: each plan constructed exactly once however many steps run.
+_DEFAULT_STATS = DEFAULT_REGISTRY.counters("plan", PLAN_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +206,11 @@ class StatementPlan:
         self.seconds = 0.0
         self.first_seconds = None
         self._lock = threading.Lock()
-        # Build counters land in the process-global PLAN_STATS *and*, when
-        # given, a scoped PlanStats (e.g. one CompilerSession's) — so two
-        # concurrent servers can each assert their own plan-reuse delta
-        # without reading each other's builds. Not stored: plans outlive
-        # sessions in the shared cache tier.
-        PLAN_STATS.bump(statements_planned=1)
-        if stats is not None:
-            stats.bump(statements_planned=1)
+        # A build counts in exactly one group: the scoped one it was
+        # handed (e.g. one CompilerSession's, so two concurrent servers
+        # each assert their own plan-reuse delta) or the process default.
+        # Not stored: plans outlive sessions in the shared cache tier.
+        (stats or _DEFAULT_STATS).bump(statements_planned=1)
 
     # -- execution ---------------------------------------------------------
 
@@ -284,7 +234,6 @@ class StatementPlan:
             self.seconds += seconds
             if self.first_seconds is None:
                 self.first_seconds = seconds
-        PLAN_STATS.bump(executions=1)
         return result
 
     def _store(self, evaluator, raw):
@@ -612,9 +561,7 @@ class ExecutionPlan:
         #: Optional generated-kernel tier (see repro.codegen); attached
         #: post-build by the driver, never required for correctness.
         self.kernel = None
-        PLAN_STATS.bump(graphs_planned=1)
-        if stats is not None:
-            stats.bump(graphs_planned=1)
+        (stats or _DEFAULT_STATS).bump(graphs_planned=1)
         if diagnostics is not None:
             diagnostics.note(
                 f"built execution plan for {graph.name!r}: "
@@ -768,9 +715,10 @@ class ExecutionPlan:
     def graph_count(self):
         """Recursive number of ExecutionPlans (this plan + component plans).
 
-        ``PLAN_STATS.graphs_planned`` advances by exactly this much when a
-        plan is built, which is what lets the serving layer assert — by
-        counters — that N coalesced requests planned each graph once.
+        The ``plan`` group's ``graphs_planned`` advances by exactly this
+        much when a plan is built, which is what lets the serving layer
+        assert — by counters — that N coalesced requests planned each
+        graph once.
         """
         total = 1
         for _, sub_plan in self._components:
@@ -783,8 +731,8 @@ class ExecutionPlan:
 
         Each statement's plan is constructed exactly once per
         ExecutionPlan, so this equals :attr:`statement_count`; the CI
-        smoke step checks the *global* :data:`PLAN_STATS` delta against it
-        to prove nothing was silently re-planned.
+        smoke step checks the ``plan`` group's ``statements_planned``
+        delta against it to prove nothing was silently re-planned.
         """
         return self.statement_count
 
@@ -834,9 +782,9 @@ def build_plan(graph, reductions=None, config=None, diagnostics=None,
                tracer=None, stats=None):
     """Compile *graph* into a fresh :class:`ExecutionPlan` (no memoisation).
 
-    *stats* (a :class:`PlanStats`) additionally receives the build
-    counters, scoped — e.g. one CompilerSession's — alongside the
-    process-global :data:`PLAN_STATS`.
+    *stats* (a ``plan`` :class:`~repro.obs.Counters` group, e.g. one
+    CompilerSession's) receives the build counters; without it they land
+    in the process-default registry's ``plan`` group.
     """
     tracer = tracer or NULL_TRACER
     with tracer.span(

@@ -108,7 +108,7 @@ def _rewrite_expr(ruleset, expr, static_env=None, protected=()):
     graph (names in *protected* are index variables and stay symbolic)."""
     from repro.pmlang import ast_nodes as ast
     from repro.rewrite import RulePass
-    from repro.rewrite.engine import RewriteStats
+    from repro.obs import Counters
     from repro.srdfg import build
 
     graph = build("main(output float out) { out = 0; }")
@@ -116,7 +116,7 @@ def _rewrite_expr(ruleset, expr, static_env=None, protected=()):
     node.attrs["stmt"] = ast.Assign(target="out", target_indices=(), value=expr)
     node.attrs["static_env"] = dict(static_env or {})
     node.attrs["index_ranges"] = {name: (0, 0) for name in protected}
-    RulePass(ruleset, stats=RewriteStats()).run(graph)
+    RulePass(ruleset, stats=Counters()).run(graph)
     return node.attrs["stmt"].value
 
 

@@ -2,12 +2,14 @@
 traced serve run covering every instrumented layer."""
 
 import json
+import sys
 import threading
 
 import pytest
 
 from repro.obs import (
     CATEGORIES,
+    Counters,
     MetricsRegistry,
     NULL_SPAN,
     NULL_TRACER,
@@ -184,7 +186,146 @@ class TestChromeExport:
         assert doc["traceEvents"]
 
 
+class TestCounters:
+    """The one counter mechanism: declared and open groups."""
+
+    FIELDS = ("hits", "misses", "seconds")
+
+    def test_threads_times_bumps_conserve(self):
+        # More threads than cores and a short switch interval: a lost
+        # read-modify-write would break the totals.
+        declared, opened = Counters(self.FIELDS), Counters()
+        threads_n, bumps = 16, 500
+
+        def work():
+            for _ in range(bumps):
+                declared.bump(hits=1, seconds=0.5)
+                opened.bump("set/rule.matches")
+                opened.bump("set/rule.rewrites", 2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = threads_n * bumps
+        assert declared.to_dict() == {
+            "hits": total, "misses": 0, "seconds": total * 0.5,
+        }
+        assert opened.to_dict() == {
+            "set/rule.matches": total, "set/rule.rewrites": 2 * total,
+        }
+
+    def test_declared_group_rejects_unknown_names(self):
+        stats = Counters(self.FIELDS)
+        with pytest.raises(AttributeError):
+            stats.bump(evictions=1)
+        with pytest.raises(AttributeError):
+            stats.bump("evictions")
+        with pytest.raises(AttributeError):
+            stats.merge({"hits": 1, "evictions": 1})
+        with pytest.raises(AttributeError):
+            stats.evictions
+        assert stats.hits == 0
+
+    def test_open_group_accepts_any_key_and_lists_sorted(self):
+        stats = Counters()
+        stats.bump("zeta/rule.matches")
+        stats.bump("alpha.sweeps", 3)
+        stats.bump(plain=2)
+        assert list(stats.to_dict()) == [
+            "alpha.sweeps", "plain", "zeta/rule.matches",
+        ]
+        assert stats.plain == 2
+        with pytest.raises(AttributeError):
+            stats.never_bumped
+
+    def test_both_call_shapes_land_on_the_same_counter(self):
+        stats = Counters(self.FIELDS)
+        stats.bump(hits=1)
+        stats.bump("hits")
+        stats.bump("hits", 3)
+        assert stats.hits == 5
+
+    @pytest.mark.parametrize("fields", [FIELDS, None])
+    def test_reset_equals_a_new_instance(self, fields):
+        stats = Counters(fields)
+        stats.bump(hits=4)
+        stats.bump("misses", 2)
+        assert stats != Counters(fields)
+        assert stats.reset() is stats
+        assert stats == Counters(fields)
+        assert stats.to_dict() == Counters(fields).to_dict()
+
+    def test_snapshot_is_an_equal_independent_copy(self):
+        stats = Counters(self.FIELDS)
+        stats.bump(hits=2)
+        before = stats.snapshot()
+        assert before == stats and before.hits == 2
+        stats.bump(hits=1)
+        after = stats.snapshot()
+        assert before != after
+        assert after.hits - before.hits == 1
+
+    def test_merging_snapshots_is_their_keywise_sum(self):
+        shards = []
+        for index in range(1, 5):
+            shard = Counters()
+            shard.bump("shared", index)
+            shard.bump(f"only-{index}", 10 * index)
+            shards.append(shard.to_dict())
+        merged = Counters()
+        for shard in shards:
+            merged.merge(shard)
+        expected = {}
+        for shard in shards:
+            for key, value in shard.items():
+                expected[key] = expected.get(key, 0) + value
+        assert merged.to_dict() == dict(sorted(expected.items()))
+        assert merged.shared == 1 + 2 + 3 + 4
+
+
 class TestMetricsRegistry:
+    def test_snapshot_namespaces_groups_and_sources_alike(self):
+        registry = MetricsRegistry()
+        group = registry.counters("plan", ("graphs_planned",))
+        assert registry.counters("plan") is group
+        group.bump(graphs_planned=2)
+        registry.register("pool", lambda: {"alive": 3})
+        assert registry.snapshot() == {
+            "plan.graphs_planned": 2, "pool.alive": 3,
+        }
+        assert registry.sources() == ["plan", "pool"]
+        registry.reset()
+        assert registry.snapshot() == {
+            "plan.graphs_planned": 0, "pool.alive": 3,
+        }
+
+    def test_merged_and_included_snapshots_add_to_live_ones(self):
+        # A parent's view of its own live group plus what two retired
+        # worker processes shipped home.
+        session = MetricsRegistry()
+        session.counters("plan", ("graphs_planned",)).bump(graphs_planned=1)
+        server = MetricsRegistry().include(session)
+        server.register("pool", lambda: {"alive": 2})
+        for child_built in (3, 4):
+            child = MetricsRegistry()
+            child.counters("plan", ("graphs_planned",)).bump(
+                graphs_planned=child_built
+            )
+            server.merge(child.snapshot())
+        assert server.snapshot() == {
+            "plan.graphs_planned": 8, "pool.alive": 2,
+        }
+        assert session.snapshot() == {"plan.graphs_planned": 1}
+        assert server.sources() == ["plan", "pool"]
+
     def test_register_snapshot_flattens_namespaces(self):
         registry = MetricsRegistry()
         registry.register("alpha", lambda: {"x": 1, "y": 2})

@@ -11,6 +11,7 @@ import pytest
 
 from repro.driver import ArtifactCache, CompilerSession
 from repro.errors import ExecutionError
+from repro.obs import Counters
 from repro.srdfg import build
 from repro.srdfg.interpreter import (
     DEFAULT_LATTICE_LIMIT,
@@ -18,7 +19,7 @@ from repro.srdfg.interpreter import (
     resolve_dtype,
 )
 from repro.srdfg.plan import (
-    PLAN_STATS,
+    PLAN_FIELDS,
     PlanConfig,
     build_plan,
     graph_fingerprint,
@@ -147,11 +148,11 @@ class TestPlanReuse:
 
     def test_plan_builds_once_per_graph(self):
         graph = build(MATVEC)
-        before = PLAN_STATS.snapshot()
-        plan = plan_for_graph(graph)
-        assert plan_for_graph(graph) is plan
-        after = PLAN_STATS.snapshot()
-        assert after.graphs_planned - before.graphs_planned == 1
+        stats = Counters(PLAN_FIELDS)
+        plan = plan_for_graph(graph, stats=stats)
+        assert plan_for_graph(graph, stats=stats) is plan
+        assert stats.graphs_planned == 1
+        assert stats.statements_planned == plan.statement_count
 
     def test_custom_reductions_bypass_sharing(self):
         graph = build(MATVEC)
@@ -172,9 +173,13 @@ class TestCompiledApplicationCounters:
 
         harness = Harness()
         workload, app, _ = harness.compiled("MobileRobot")
-        plan = app.execution_plan()
+        # Planned through the session, so the build lands in the session's
+        # own registry (``app.run`` shares the plan via the graph memo).
+        plan = harness.session.plan_for(app)
+        assert app.execution_plan() is plan
 
-        before = PLAN_STATS.snapshot()
+        before = harness.session.metrics.snapshot()
+        assert before["plan.statements_planned"] == plan.statement_count
         state = {
             key: np.asarray(value)
             for key, value in workload.initial_state().items()
@@ -188,11 +193,11 @@ class TestCompiledApplicationCounters:
             )
             state = result.state
             previous = result
-        after = PLAN_STATS.snapshot()
+        after = harness.session.metrics.snapshot()
 
         # Nothing was planned during the steps (the plan pre-existed),
         # and every statement plan was built once and ran 50 times.
-        assert after.statements_planned == before.statements_planned
+        assert after == before
         assert plan.plans_built == plan.statement_count
         for _, statement in plan.iter_statements():
             assert statement.built == 1

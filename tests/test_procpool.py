@@ -226,6 +226,88 @@ def test_process_mode_bit_identical_to_thread_mode(tmp_path):
     assert report.distinct_configs == 3
 
 
+def test_process_mode_registry_matches_thread_mode_and_the_report(tmp_path):
+    """One snapshot tells the truth in both pool modes: the same keys
+    (process mode adds only ``procpool.*``) and, for the children's
+    share, the totals the report is built from."""
+    from repro.driver import CompilerSession
+
+    trace = _mixed_trace()
+    with Server(workers=3, queue_capacity=32) as threaded:
+        replay(threaded, trace)
+    thread_snapshot = threaded.metrics_registry().snapshot()
+
+    session = CompilerSession(cache_dir=str(tmp_path / "shared"))
+    with Server(
+        session=session, workers=3, queue_capacity=32, pool="process"
+    ) as server:
+        responses, _ = replay(server, trace)
+    assert all(response.ok for response in responses)
+    report = server.report()
+    snapshot = server.metrics_registry().snapshot()
+
+    extra = set(snapshot) - set(thread_snapshot)
+    assert extra and all(key.startswith("procpool.") for key in extra)
+    assert set(thread_snapshot) <= set(snapshot)
+    assert snapshot["plan.graphs_planned"] == report.plans_built > 0
+    assert snapshot["plan.statements_planned"] == report.statements_planned
+    assert snapshot["executor.expected_plans"] == report.expected_plans
+    assert snapshot["cache.lease_acquired"] >= 1
+    assert snapshot["session.compiles"] == len(trace)
+    assert snapshot["procpool.processes_reported"] == report.processes == 3
+
+
+def test_process_mode_close_is_idempotent():
+    """Each child's counters merge exactly once: a second ``close()``
+    (``with server:`` then an explicit close) must not double them."""
+    with Server(workers=2, queue_capacity=8, pool="process") as server:
+        for _ in range(3):
+            assert server.request(Request(workload="MobileRobot")).ok
+
+    def counters():
+        # Everything but the two readings of the (re-stamped) stop time.
+        report = server.report().to_dict()
+        return {
+            key: value for key, value in report.items()
+            if key not in ("wall_seconds", "throughput_rps")
+        }
+
+    first = counters()
+    snapshot = server.metrics_registry().snapshot()
+    server.close()
+
+    reuse = first["plan_reuse"]
+    assert reuse["plans_built"] == reuse["expected_plans"] >= 1
+    assert first["processes"] == 2
+    assert counters() == first
+    assert server.metrics_registry().snapshot() == snapshot
+
+
+def test_forked_children_do_not_reship_the_parents_counts():
+    """A forked child starts from the parent's process-wide counts; the
+    merged ``codegen.kernels_built`` must count every build once."""
+    from repro.codegen import CODEGEN_STATS, build_kernel
+    from repro.eval import Harness
+
+    _, app, _ = Harness().compiled("MobileRobot")
+    assert build_kernel(app.execution_plan()) is not None
+    before = CODEGEN_STATS.kernels_built
+    assert before >= 1
+
+    with Server(
+        workers=2, queue_capacity=8, pool="process", codegen=True
+    ) as server:
+        for name in ("MobileRobot", "ElecUse", "MobileRobot", "ElecUse"):
+            assert server.request(Request(workload=name)).ok
+    snapshot = server.metrics_registry().snapshot()
+
+    # Without a disk tier every build is followed by exactly one store in
+    # the building child's cache, so the stores count the builds.
+    built = snapshot["codegen.kernels_built"] - before
+    assert 2 <= built <= 4
+    assert built == snapshot["cache.kernel_stores"]
+
+
 def test_process_mode_coalesces_compiles_across_processes(tmp_path):
     """With a shared disk tier, the N children build each artifact once
     between them — the lease losers coalesce."""
@@ -402,7 +484,7 @@ def test_saturate_completes_with_bit_identical_responses():
 
 # ---------------------------------------------------------------------------
 # Per-server plan-stat scoping (satellite: plan_reuse_ok must not read
-# the process-global PLAN_STATS).
+# a process-wide total).
 # ---------------------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from repro.driver import CompilerSession
 from repro.driver.diagnostics import Diagnostics
 from repro.errors import PassError, RewriteError
 from repro.fuzz import generate_program, run_reference
+from repro.obs import Counters
 from repro.passes import PassManager, default_pipeline
 from repro.passes.base import Pass
 from repro.pmlang import ast_nodes as ast
@@ -47,7 +48,7 @@ from repro.rewrite import (
     rewrite_statement,
     run_ruleset,
 )
-from repro.rewrite.engine import POSITION_LIMIT, RewriteStats
+from repro.rewrite.engine import POSITION_LIMIT, per_rule
 from repro.rewrite.fusion import (
     FusionConfig,
     _crossing_candidates,
@@ -186,7 +187,7 @@ class TestPatternMatcher:
 
 class TestEngine:
     def test_per_rule_trip_counts(self):
-        stats = RewriteStats()
+        stats = Counters()
         graph = build(
             "main(input float x[4], output float y[4]) {"
             " index i[0:3]; y[i] = x[i] * 1.0 + (2 + 3); }"
@@ -196,7 +197,7 @@ class TestEngine:
         assert counters["constant-folding/fold-binop.rewrites"] == 1
         assert counters["algebraic-simplification/mul-one.rewrites"] == 1
         # Matches dominate rewrites (a match may decline to fire).
-        for rule, counts in stats.per_rule().items():
+        for rule, counts in per_rule(stats).items():
             assert counts["matches"] >= counts["rewrites"], rule
 
     def test_explain_log_records_sites(self):
@@ -248,7 +249,7 @@ class TestEngine:
         [node] = graph.compute_nodes()
         stmt, descriptor, name = node.attrs["stmt"], node.attrs["descriptor"], node.name
         for ruleset in (CONSTANT_FOLDING, ALGEBRAIC_SIMPLIFICATION):
-            assert run_ruleset(graph, ruleset, stats=RewriteStats()) is False
+            assert run_ruleset(graph, ruleset, stats=Counters()) is False
         assert node.attrs["stmt"] is stmt
         assert node.attrs["descriptor"] is descriptor
         assert node.name == name
@@ -285,11 +286,11 @@ class TestEngine:
             " index i[0:3]; y[i] = x[i] + 1.0; }"
         )
         [node] = graph.compute_nodes()
-        stats = RewriteStats()
+        stats = Counters()
         with pytest.raises(RewriteError, match="cycles"):
             rewrite_statement(graph, node, ping_pong, stats=stats)
         # + -> - fired, - -> + regenerated the first expression.
-        assert stats.per_rule() == {
+        assert per_rule(stats) == {
             "ping-pong/to-minus": {"matches": 1, "rewrites": 1},
             "ping-pong/to-plus": {"matches": 1, "rewrites": 1},
         }
@@ -310,7 +311,7 @@ class TestEngine:
             " index i[0:3]; y[i] = x[i] + 1.0; }"
         )
         [node] = graph.compute_nodes()
-        stats = RewriteStats()
+        stats = Counters()
         with pytest.raises(RewriteError, match=f"exceeded {POSITION_LIMIT}"):
             rewrite_statement(graph, node, counting, stats=stats)
         assert stats.to_dict()["counting/increment.rewrites"] == POSITION_LIMIT
@@ -348,7 +349,7 @@ class TestEngine:
             ast.Literal, ast.Name, ast.Indexed, ast.UnaryOp, ast.BinOp,
             ast.Ternary, ast.FuncCall, ast.ReductionCall,
         }
-        stats = RewriteStats()
+        stats = Counters()
         assert not rewrite_statement(graph, node, everywhere, stats=stats)
         counters = stats.to_dict()
         assert counters["everywhere/wildcard.matches"] == len(positions)
@@ -364,13 +365,13 @@ class TestEngine:
         from repro.workloads import get_workload
 
         program = get_workload(workload)
-        stats = RewriteStats()
+        stats = Counters()
         rewrite_pipeline(stats=stats).run(
             build(program.source(), domain=program.domain)
         )
         assert {
             rule: (counts["matches"], counts["rewrites"])
-            for rule, counts in stats.per_rule().items()
+            for rule, counts in per_rule(stats).items()
         } == expected
 
 
@@ -538,7 +539,7 @@ class TestRuleObligations:
         [pytest.param(r, id=r.name) for r in _RULESETS if r.graph_rules],
     )
     def test_graph_rules_leave_generated_programs_bit_identical(self, ruleset):
-        stats = RewriteStats()
+        stats = Counters()
         for seed in range(10, 40):  # 38 is where the matvec inlining fires
             program = generate_program(seed)
             optimized = PassManager([RulePass(ruleset, stats=stats)]).run(
@@ -549,7 +550,7 @@ class TestRuleObligations:
                 for graph in (None, optimized)  # None: the raw graph
             )
             assert candidate == reference, f"seed {seed}"
-        fired = stats.per_rule()
+        fired = per_rule(stats)
         for rule in ruleset.graph_rules:
             assert fired[f"{ruleset.name}/{rule.name}"]["rewrites"] > 0
 

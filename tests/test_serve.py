@@ -83,8 +83,8 @@ def test_concurrent_run_bit_identical_to_serial():
     server = Server(workers=4, queue_capacity=32)
     with server:
         concurrent, retries = replay(server, trace)
-    # Snapshot before the serial replay: PLAN_STATS is process-global, and
-    # the serial baseline's own plan builds must not pollute this report.
+    # Snapshot before the serial replay (the report is scoped to this
+    # server's session, so the serial baseline's plan builds stay out).
     report = server.report()
     serial, _ = run_serial(trace)
 

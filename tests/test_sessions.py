@@ -3,7 +3,7 @@
 The contracts under test:
 
 * a >=50-step session builds exactly one plan per shape bucket
-  (PLAN_STATS counter-asserted) and its outputs are bit-identical to
+  (``plan`` group counter-asserted) and its outputs are bit-identical to
   one-shot requests that thread state/step_offset client-side — the
   session path skips work, never changes math,
 * shape-mismatched dims, step inputs, and initial state are refused at
@@ -26,7 +26,6 @@ import pytest
 from repro.errors import ServeError, ShapeError
 from repro.obs import Tracer
 from repro.serve import Request, Server
-from repro.srdfg.plan import PLAN_STATS
 
 
 def _chain_signatures(server, name, steps, dims=None, start_state=None):
@@ -52,8 +51,9 @@ def _chain_signatures(server, name, steps, dims=None, start_state=None):
 
 def test_fifty_step_session_builds_one_plan_and_is_bit_identical():
     steps = 50
-    baseline = PLAN_STATS.snapshot().graphs_planned
     with Server(workers=2) as server:
+        # The server's own registry: no other test's plans can leak in.
+        registry = server.metrics_registry()
         with server.open_session("MobileRobot") as session:
             signatures = []
             for _ in range(steps):
@@ -63,12 +63,12 @@ def test_fifty_step_session_builds_one_plan_and_is_bit_identical():
         assert session.steps_done == steps
         # Exactly one plan was built for the session's (single) bucket,
         # however many steps ran.
-        assert PLAN_STATS.snapshot().graphs_planned - baseline == 1
+        assert registry.snapshot()["plan.graphs_planned"] == 1
 
         # The one-shot twin threads state client-side; the plan tier
         # serves it, so still no new plan.
         assert _chain_signatures(server, "MobileRobot", steps) == signatures
-        assert PLAN_STATS.snapshot().graphs_planned - baseline == 1
+        assert registry.snapshot()["plan.graphs_planned"] == 1
 
     report = server.report()
     # Steps 2..N reused the pinned app and plan without cache lookups.

@@ -12,7 +12,7 @@ The contracts under test:
   ``CacheStats.render``,
 * ``CompilerSession.plan_for(..., specialization=)`` builds one plan
   per bucket — a repeat lookup is a bucket hit that skips planning
-  entirely (PLAN_STATS counter-asserted, not timing-based) — and plans
+  entirely (``plan`` group counter-asserted, not timing-based) — and plans
   for different dims of one workload are genuinely different programs.
 """
 
@@ -22,7 +22,6 @@ import pytest
 
 from repro.driver import CompilerSession
 from repro.driver.cache import ArtifactCache
-from repro.srdfg.plan import PLAN_STATS
 from repro.srdfg.shapes import ShapeBinding, SpecializationKey
 from repro.targets import default_accelerators
 from repro.workloads import get_workload
@@ -123,10 +122,8 @@ def test_one_plan_per_bucket_counter_asserted(session):
     small = fft.with_dims(n=1024)
     large = fft.with_dims(n=2048)
 
-    baseline = PLAN_STATS.snapshot().graphs_planned
-
     def planned():
-        return PLAN_STATS.snapshot().graphs_planned - baseline
+        return session.metrics.snapshot()["plan.graphs_planned"]
 
     spec_small = SpecializationKey(
         "FFT-8192", small.shape_binding(), ("f64",)
@@ -194,22 +191,22 @@ def test_bucket_eviction_forces_rebuild(session):
     assert session.cache.evict_bucket(
         spec.template_digest(), spec.bucket_digest()
     )
-    baseline = PLAN_STATS.snapshot().graphs_planned
+    baseline = session.metrics.snapshot()["plan.graphs_planned"]
     session.plan_for(_compile(session, fft), specialization=spec)
     # The structural plan tier may still satisfy the rebuild without
     # re-planning, but the bucket must be re-filed either way.
     assert session.cache.bucket_count(spec.template_digest()) == 1
-    assert PLAN_STATS.snapshot().graphs_planned - baseline <= 1
+    assert session.metrics.snapshot()["plan.graphs_planned"] - baseline <= 1
 
 
 def test_server_bucket_policy_rounds_requests():
     from repro.serve import Server
 
     with Server(workers=1, bucket_policy="pow2") as server:
-        workload, spec = server._resolve("FFT-8192", dims={"n": 1000})
+        workload, spec = server.executor.resolve("FFT-8192", dims={"n": 1000})
     assert workload.dims() == {"n": 1024}
     assert spec.binding == ShapeBinding(n=1024)
 
     with Server(workers=1, bucket_policy="multiple:512") as server:
-        workload, spec = server._resolve("DCT-1024", dims={"size": 1000})
+        workload, spec = server.executor.resolve("DCT-1024", dims={"size": 1000})
     assert spec.binding == ShapeBinding(size=1024)
