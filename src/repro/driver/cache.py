@@ -13,6 +13,11 @@ degrades gracefully in both directions: an artifact that will not pickle
 (or a disk that will not accept it) stays memory-only, and a corrupt,
 truncated, or unreadable on-disk entry is treated as a miss — evicted and
 reported through the session's diagnostics — never raised out of ``get``.
+
+Plans, shape-bucket specializations and generated kernels are cached the
+same way: each is one declared :class:`Tier` (counters, optional disk
+codec, siblings evicted with it) behind the one ``get`` / ``put`` /
+``evict`` of :class:`ArtifactCache`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
+from ..codegen import KernelArtifact, kernel_cache_key
 from ..obs import Counters
 from .lease import Lease
 
@@ -98,7 +104,7 @@ class CacheStats(Counters):
     accounting), plus its one-line rendering.
 
     The ``lease_*`` fields count cross-process single-flight (see
-    :meth:`ArtifactCache.get_or_build`): leases this process won (it
+    :meth:`ArtifactCache.build_once`): leases this process won (it
     built), waits that ended with another process's artifact, stale
     leases reclaimed from dead builders, and waits that timed out into a
     defensive local build.
@@ -111,44 +117,83 @@ class CacheStats(Counters):
         line = f"{self.hits} hit(s) / {self.misses} miss(es), {self.stores} store(s)"
         if self.disk_hits or self.disk_errors:
             line += f"; disk: {self.disk_hits} hit(s), {self.disk_errors} error(s)"
-        if self.plan_hits or self.plan_misses or self.plan_stores:
-            line += (
-                f"; plans: {self.plan_hits} hit(s) / "
-                f"{self.plan_misses} miss(es), {self.plan_stores} store(s)"
+        for tier in (PLAN, BUCKET, KERNEL):
+            hits, misses, stores, evicted = (
+                getattr(self, tier.prefix + event, 0)
+                for event in ("hits", "misses", "stores", "evictions")
             )
-        if (
-            self.bucket_hits
-            or self.bucket_misses
-            or self.bucket_stores
-            or self.bucket_evictions
-        ):
-            line += (
-                f"; buckets: {self.bucket_hits} hit(s) / "
-                f"{self.bucket_misses} miss(es), "
-                f"{self.bucket_stores} store(s)"
-            )
-            if self.bucket_evictions:
-                line += f", {self.bucket_evictions} evicted"
-        if self.kernel_hits or self.kernel_misses or self.kernel_stores:
-            line += (
-                f"; kernels: {self.kernel_hits} hit(s) / "
-                f"{self.kernel_misses} miss(es), "
-                f"{self.kernel_stores} store(s)"
-            )
-            if self.kernel_evictions:
-                line += f", {self.kernel_evictions} evicted"
+            if hits or misses or stores or evicted:
+                line += (
+                    f"; {tier.name}s: {hits} hit(s) / {misses} miss(es), "
+                    f"{stores} store(s)"
+                )
+                if evicted:
+                    line += f", {evicted} evicted"
         return line
+
+
+@dataclass(frozen=True, eq=False)
+class Tier:
+    """One kind of cached thing — all that differs between the tiers."""
+
+    #: Labels the tier's memory table and its diagnostics.
+    name: str
+    #: Selects its counters: ``<prefix>hits``, ``<prefix>misses``, ... —
+    #: those of them that :data:`_STAT_FIELDS` declares.
+    prefix: str = ""
+    #: ``(encode, decode)`` between a value and its picklable disk record;
+    #: None for a memory-only tier.
+    codec: Optional[tuple] = None
+    #: ``(tier, key -> sibling key)`` entries that go when one of this
+    #: tier's does.
+    evicts: tuple = ()
+
+
+def _same(value):
+    return value
+
+
+#: What the disk keeps of a kernel — its *source record*, which is
+#: ``KernelArtifact``'s own constructor arguments: code objects and exec'd
+#: functions do not pickle, the source does, and a disk hit recompiles it
+#: (raising, like any undecodable entry, on truncated or stale source).
+_KERNEL_RECORD = ("plan_key", "source", "constants", "scratch_specs", "report")
+
+#: Compiled applications, keyed by :meth:`CompilerSession.cache_key`.
+COMPILE = Tier("compile", codec=(_same, _same))
+#: Generated kernels, keyed by :func:`repro.codegen.kernel_cache_key` — a
+#: pure derivation of the owning plan's key, so plan eviction can always
+#: find its sibling. A disk hit recompiles the stored source record.
+KERNEL = Tier(
+    "kernel",
+    "kernel_",
+    codec=(
+        lambda kernel: {name: getattr(kernel, name) for name in _KERNEL_RECORD},
+        lambda record: KernelArtifact(**record),
+    ),
+)
+#: Execution plans, keyed by :func:`repro.srdfg.plan.plan_cache_key` (the
+#: graph's *structure*, so a replay that rebuilt an identical graph still
+#: hits). Memory-only: plans hold live numpy closures. A stale plan must
+#: never leave its kernel behind — the kernel bakes its shapes in.
+PLAN = Tier("plan", "plan_", evicts=((KERNEL, kernel_cache_key),))
+#: Shape-bucket specializations, keyed by the ``(template digest, bucket
+#: digest)`` pair of a :class:`~repro.srdfg.shapes.SpecializationKey`, so
+#: sibling buckets of one template are listed and evicted independently.
+BUCKET = Tier("bucket", "bucket_")
+
+TIERS = (COMPILE, PLAN, BUCKET, KERNEL)
 
 
 @dataclass
 class ArtifactCache:
-    """Two-tier (memory, optional disk) cache keyed by content hash.
+    """Memory + optional disk cache over the declared tiers (:data:`TIERS`).
 
     Thread-safe: one cache instance is shared by every worker of the
-    serving layer. Tier dictionaries and stats mutate under an internal
-    RLock, and disk entries are written via temp-file + ``os.replace`` so
-    a concurrent reader (same process or another one sharing the
-    directory) can never observe a truncated pickle.
+    serving layer. Tier tables and stats mutate under an internal RLock,
+    and disk entries are written via temp-file + ``os.replace`` so a
+    concurrent reader (same process or another one sharing the directory)
+    can never observe a truncated pickle.
     """
 
     cache_dir: Optional[str] = None
@@ -156,24 +201,9 @@ class ArtifactCache:
     #: Optional :class:`~repro.driver.diagnostics.Diagnostics` sink for
     #: disk-tier degradation warnings (the session wires its own in).
     diagnostics: Optional[object] = None
-    _memory: Dict[str, object] = field(default_factory=dict)
-    #: Execution-plan tier, keyed on (graph fingerprint, plan config).
-    #: Memory-only: plans hold live numpy closures and weak graph refs,
-    #: so they are cheap to rebuild but pointless to pickle.
-    _plans: Dict[str, object] = field(default_factory=dict)
-    #: Shape-bucket tier: ``template digest -> bucket digest -> plan``.
-    #: Groups every specialization compiled from one source template so
-    #: sibling buckets can be listed and evicted independently; plans are
-    #: memory-only for the same reason as ``_plans``.
-    _buckets: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: Generated-kernel tier, keyed by
-    #: :func:`repro.codegen.kernel_cache_key` — a pure derivation of the
-    #: owning plan's key, so plan eviction can always find its sibling.
-    #: Memory holds live :class:`~repro.codegen.KernelArtifact` objects;
-    #: the disk tier persists the generated *source record* (source text,
-    #: constants, scratch specs, report) and recompiles on load, because
-    #: code objects and exec'd functions do not pickle.
-    _kernels: Dict[str, object] = field(default_factory=dict)
+    _tables: Dict[str, Dict[object, object]] = field(
+        default_factory=lambda: {tier.name: {} for tier in TIERS}
+    )
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -190,62 +220,91 @@ class ArtifactCache:
         if self.diagnostics is not None:
             self.diagnostics.warning(message, stage="cache")
 
-    def get(self, key):
-        """Cached artifact for *key*, or None (counts a hit/miss).
+    def _on_disk(self, tier):
+        return tier.codec is not None and self.cache_dir is not None
 
-        A corrupt/truncated/unreadable disk entry is a *miss*: the entry
-        is evicted (best effort) and reported, and the compile simply
-        re-runs. No disk-tier failure ever escapes this method.
+    def _count(self, tier, *events):
+        names = (tier.prefix + event for event in events)
+        self.stats.merge({name: 1 for name in names if name in _STAT_FIELDS})
+
+    def get(self, tier, key):
+        """Cached value of *key* in *tier*, or None (counts a hit/miss).
+
+        Memory first, then — for a tier with a codec, under a
+        ``cache_dir`` — the disk entry decoded. A corrupt, truncated,
+        unreadable or undecodable entry is a *miss*: it is evicted (best
+        effort) and reported, and the caller simply rebuilds. No
+        disk-tier failure ever escapes this method.
         """
         with self._lock:
-            if key in self._memory:
-                self.stats.bump(hits=1)
-                return self._memory[key]
-            if self.cache_dir is not None:
+            table = self._tables[tier.name]
+            value = table.get(key)
+            if value is not None:
+                self._count(tier, "hits")
+                return value
+            if self._on_disk(tier):
+                stage = "cache"
                 try:
                     path = self._path(key)
-                    exists = path.exists()
-                except OSError:
+                    if path.exists():
+                        record = pickle.loads(path.read_bytes())
+                        stage = "source"
+                        value = tier.codec[1](record)
+                except Exception as exc:
                     self.stats.bump(disk_errors=1)
-                    exists = False
-                if exists:
-                    try:
-                        with open(path, "rb") as handle:
-                            artifact = pickle.load(handle)
-                    except Exception as exc:
-                        self.stats.bump(disk_errors=1)
-                        self._evict_disk(key)
-                        self._warn(
-                            f"evicted corrupt disk cache entry {key[:12]}… "
-                            f"({type(exc).__name__}); treating as a miss"
-                        )
-                    else:
-                        self._memory[key] = artifact
-                        self.stats.bump(hits=1, disk_hits=1)
-                        return artifact
-            self.stats.bump(misses=1)
+                    self._unlink(key)
+                    self._warn(
+                        f"evicted corrupt {tier.name} {stage} entry "
+                        f"{key[:12]}… ({type(exc).__name__}); "
+                        f"treating as a miss"
+                    )
+                if value is not None:
+                    table[key] = value
+                    self._count(tier, "hits", "disk_hits")
+                    return value
+            self._count(tier, "misses")
             return None
 
-    def _evict_disk(self, key):
+    def put(self, tier, key, value):
+        """Publish *value*; False when the tier has a disk form that this
+        value cannot take (it will not pickle: it stays memory-only,
+        counted and reported)."""
+        with self._lock:
+            self._tables[tier.name][key] = value
+            self._count(tier, "stores")
+            if not self._on_disk(tier):
+                return True
+            try:
+                payload = pickle.dumps(tier.codec[0](value))
+            except Exception as exc:
+                self.stats.bump(disk_errors=1)
+                self._warn(
+                    f"{tier.name} {key[:12]}… is not picklable "
+                    f"({type(exc).__name__}: {exc}); entry is memory-only"
+                )
+                return False
+            self._write_disk(key, payload)
+            return True
+
+    def evict(self, tier, key):
+        """Drop *key* from *tier* — memory and disk — and, with it, the
+        sibling entries the tier declares. True if the entry existed."""
+        with self._lock:
+            existed = self._tables[tier.name].pop(key, None) is not None
+            if self._on_disk(tier) and self._unlink(key):
+                existed = True
+            if existed:
+                self._count(tier, "evictions")
+            for sibling, sibling_key in tier.evicts:
+                self.evict(sibling, sibling_key(key))
+            return existed
+
+    def _unlink(self, key):
         try:
             self._path(key).unlink()
         except OSError:
-            pass
-
-    def put(self, key, artifact):
-        with self._lock:
-            self._memory[key] = artifact
-            self.stats.bump(stores=1)
-            if self.cache_dir is not None:
-                try:
-                    payload = pickle.dumps(artifact)
-                except Exception:
-                    # Unpicklable artifacts (exotic user extensions) stay
-                    # memory-resident; the session reports this as a warning.
-                    self.stats.bump(disk_errors=1)
-                    return False
-                self._write_disk(key, payload)
-            return True
+            return False
+        return True
 
     def _write_disk(self, key, payload):
         """Atomically publish *payload* at the key's path.
@@ -274,56 +333,47 @@ class ArtifactCache:
                 tmp.unlink()
             except OSError:
                 pass
-            return False
-        return True
 
-    # -- cross-process single-flight ----------------------------------------
+    # -- build and publish, once across processes ---------------------------
 
     def _lease_path(self, key):
         return self.cache_dir / f"{key}.lease"
 
-    def disk_probe(self, key):
-        """Stats-free existence check for the disk entry of *key*.
-
-        Used as the ``published()`` predicate while waiting on another
-        process's lease — polling must not inflate hit/miss counters.
-        """
-        if self.cache_dir is None:
-            return False
+    def _published(self, key):
+        """Stats-free existence check for the disk entry of *key* — the
+        predicate polled while waiting on another process's lease, which
+        must not inflate hit/miss counters."""
         try:
             return self._path(key).exists()
         except OSError:
             return False
 
-    def get_or_build(
-        self, key, builder, lease_ttl_s=60.0, wait_timeout_s=120.0, poll_s=0.005
-    ):
-        """Fetch *key*, or run *builder* under a cross-process lease.
+    def build_once(self, tier, key, builder, lease=False, wait_timeout_s=120.0):
+        """Run *builder* for a *key* that just missed and publish its
+        value (None — a declined build — is returned unpublished).
 
-        Returns ``(artifact, provenance)`` with provenance one of
-        ``"cache"`` (hit before any coordination), ``"built"`` (this
-        process held the lease and ran *builder*), or ``"coalesced"``
-        (another process built it while we waited on the artifact).
-
-        *builder* is called **without** the cache lock held (it is the
-        full compile pipeline) and is expected to publish its result via
-        :meth:`put` itself (as ``CompilerSession._compile_stages`` does);
-        a builder that does not is published here as a fallback.
+        With *lease*, for a tier with a disk form, the build is
+        coordinated with every process sharing ``cache_dir``. Returns
+        ``(value, provenance)``: ``"built"`` (this process ran
+        *builder*, holding the lease when there is one) or
+        ``"coalesced"`` (another process built it while we waited on the
+        artifact). *builder* runs **without** the cache lock held.
 
         The lease protocol never deadlocks: a crashed holder's lease is
         reclaimed (pid probe or ttl), and a wait that times out degrades
         to building locally — the atomic disk publish makes the
         duplicate build harmless.
         """
-        artifact = self.get(key)
-        if artifact is not None:
-            return artifact, "cache"
-        if self.cache_dir is None:
-            # No shared tier to coordinate over; plain local build.
-            artifact = builder()
-            self._publish_if_missing(key, artifact)
-            return artifact, "built"
-        lease = Lease(self._lease_path(key), ttl_s=lease_ttl_s)
+
+        def build():
+            value = builder()
+            if value is not None:
+                self.put(tier, key, value)
+            return value, "built"
+
+        if not (lease and self._on_disk(tier)):
+            return build()
+        lease = Lease(self._lease_path(key))
         deadline = time.monotonic() + wait_timeout_s
         while True:
             if lease.acquire():
@@ -331,12 +381,10 @@ class ArtifactCache:
                 try:
                     # A sibling may have published while we raced for the
                     # lease; re-check before paying for the build.
-                    artifact = self.get(key)
-                    if artifact is not None:
-                        return artifact, "coalesced"
-                    artifact = builder()
-                    self._publish_if_missing(key, artifact)
-                    return artifact, "built"
+                    value = self.get(tier, key)
+                    if value is not None:
+                        return value, "coalesced"
+                    return build()
                 finally:
                     lease.release()
             remaining = deadline - time.monotonic()
@@ -344,15 +392,13 @@ class ArtifactCache:
                 outcome = "timeout"
             else:
                 outcome = lease.wait(
-                    lambda: self.disk_probe(key),
-                    timeout_s=remaining,
-                    poll_s=poll_s,
+                    lambda: self._published(key), timeout_s=remaining
                 )
             if outcome == "published":
-                artifact = self.get(key)
-                if artifact is not None:
+                value = self.get(tier, key)
+                if value is not None:
                     self.stats.bump(lease_waited=1)
-                    return artifact, "coalesced"
+                    return value, "coalesced"
                 # Published entry was corrupt/evicted on read: fall
                 # through and race for the lease ourselves.
             elif outcome == "reclaim":
@@ -361,225 +407,35 @@ class ArtifactCache:
                 # Never deadlock on a wedged (live but stuck) holder:
                 # duplicate the build; atomic publish keeps it harmless.
                 self.stats.bump(lease_timeouts=1)
-                artifact = builder()
-                self._publish_if_missing(key, artifact)
-                return artifact, "built"
+                return build()
             # "free" (holder vanished without publishing) loops back to
             # the acquire race.
 
-    def _publish_if_missing(self, key, artifact):
+    # -- the bucket tier, by template ----------------------------------------
+
+    def buckets_for(self, template=None):
+        """Digests of every bucket cached for *template* (None: for all)."""
         with self._lock:
-            if key not in self._memory:
-                self.put(key, artifact)
-
-    # -- execution-plan tier -----------------------------------------------
-
-    def plan_get(self, key):
-        """Cached ExecutionPlan for *key*, or None (counts a hit/miss).
-
-        Keys come from :func:`repro.srdfg.plan.plan_cache_key`, which
-        hashes the graph's *structure* — so a session replay that rebuilt
-        a structurally identical graph still hits this tier and skips
-        planning entirely.
-        """
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self.stats.bump(plan_misses=1)
-                return None
-            self.stats.bump(plan_hits=1)
-            return plan
-
-    def plan_put(self, key, plan):
-        with self._lock:
-            self._plans[key] = plan
-            self.stats.bump(plan_stores=1)
-        return True
-
-    # -- shape-bucket tier ---------------------------------------------------
-
-    def bucket_get(self, template, bucket):
-        """Specialized plan for (*template*, *bucket*), or None.
-
-        *template* is a :class:`~repro.srdfg.shapes.SpecializationKey`
-        template digest (one per source template, whatever its dims);
-        *bucket* is its bucket digest (bucketed binding + plan config).
-        Counts ``bucket_hits``/``bucket_misses``.
-        """
-        with self._lock:
-            plan = self._buckets.get(template, {}).get(bucket)
-            if plan is None:
-                self.stats.bump(bucket_misses=1)
-                return None
-            self.stats.bump(bucket_hits=1)
-            return plan
-
-    def bucket_put(self, template, bucket, plan):
-        with self._lock:
-            self._buckets.setdefault(template, {})[bucket] = plan
-            self.stats.bump(bucket_stores=1)
-        return True
-
-    def buckets_for(self, template):
-        """Digests of every bucket cached for *template*."""
-        with self._lock:
-            return tuple(self._buckets.get(template, ()))
+            return tuple(
+                bucket
+                for group, bucket in self._tables[BUCKET.name]
+                if template in (None, group)
+            )
 
     def bucket_count(self, template=None):
-        with self._lock:
-            if template is not None:
-                return len(self._buckets.get(template, ()))
-            return sum(len(group) for group in self._buckets.values())
-
-    def evict_bucket(self, template, bucket):
-        """Drop one bucket's plan; sibling buckets are untouched.
-
-        Returns True if something was evicted. An emptied template group
-        is removed so ``bucket_summary`` never lists ghost templates.
-        """
-        with self._lock:
-            group = self._buckets.get(template)
-            if not group or bucket not in group:
-                return False
-            del group[bucket]
-            if not group:
-                del self._buckets[template]
-            self.stats.bump(bucket_evictions=1)
-            return True
-
-    # -- generated-kernel tier -----------------------------------------------
-
-    def kernel_get(self, key):
-        """Cached KernelArtifact for *key*, or None (counts a hit/miss).
-
-        The disk tier stores source records, not artifacts: a disk hit
-        recompiles the generated source. A record that fails to load *or
-        to recompile* (corrupt pickle, truncated source, bad constants)
-        is evicted and reported exactly like a corrupt artifact entry —
-        a counted miss, never a raise; the session just regenerates.
-        """
-        with self._lock:
-            artifact = self._kernels.get(key)
-            if artifact is not None:
-                self.stats.bump(kernel_hits=1)
-                return artifact
-            if self.cache_dir is not None:
-                record = None
-                try:
-                    path = self._path(key)
-                    if path.exists():
-                        with open(path, "rb") as handle:
-                            record = pickle.load(handle)
-                except Exception as exc:
-                    self.stats.bump(disk_errors=1)
-                    self._evict_disk(key)
-                    self._warn(
-                        f"evicted corrupt kernel cache entry {key[:12]}… "
-                        f"({type(exc).__name__}); treating as a miss"
-                    )
-                if record is not None:
-                    try:
-                        from ..codegen import KernelArtifact
-
-                        artifact = KernelArtifact(
-                            record["plan_key"],
-                            record["source"],
-                            record["constants"],
-                            record["scratch_specs"],
-                            report=record.get("report"),
-                        )
-                    except Exception as exc:
-                        self.stats.bump(disk_errors=1)
-                        self._evict_disk(key)
-                        self._warn(
-                            f"evicted corrupt kernel source entry "
-                            f"{key[:12]}… ({type(exc).__name__}); "
-                            f"treating as a miss"
-                        )
-                    else:
-                        self._kernels[key] = artifact
-                        self.stats.bump(kernel_hits=1, kernel_disk_hits=1)
-                        return artifact
-            self.stats.bump(kernel_misses=1)
-            return None
-
-    def kernel_put(self, key, artifact):
-        with self._lock:
-            self._kernels[key] = artifact
-            self.stats.bump(kernel_stores=1)
-            if self.cache_dir is not None:
-                record = {
-                    "plan_key": artifact.plan_key,
-                    "source": artifact.source,
-                    "constants": getattr(artifact, "constants", {}),
-                    "scratch_specs": list(artifact.scratch_specs),
-                    "report": dict(artifact.report),
-                }
-                try:
-                    payload = pickle.dumps(record)
-                except Exception as exc:
-                    self.stats.bump(disk_errors=1)
-                    self._warn(
-                        f"kernel {key[:12]}… is not picklable "
-                        f"({type(exc).__name__}: {exc}); entry is memory-only"
-                    )
-                    return False
-                self._write_disk(key, payload)
-            return True
-
-    def evict_kernel(self, key):
-        """Drop one kernel entry from memory and disk.
-
-        Returns True if anything was evicted."""
-        with self._lock:
-            evicted = self._kernels.pop(key, None) is not None
-            if self.cache_dir is not None:
-                try:
-                    path = self._path(key)
-                    if path.exists():
-                        path.unlink()
-                        evicted = True
-                except OSError:
-                    pass
-            if evicted:
-                self.stats.bump(kernel_evictions=1)
-            return evicted
-
-    def evict_plan(self, key):
-        """Drop a plan *and its sibling generated kernel* together.
-
-        Mirrors ``evict_bucket``'s sibling safety in the other
-        direction: a stale plan must never leave its generated kernel
-        behind (the kernel bakes the plan's shapes and constants in), so
-        eviction derives the kernel key from the plan key and clears
-        both tiers. Returns True if the plan entry existed.
-        """
-        from ..codegen import kernel_cache_key
-
-        with self._lock:
-            existed = self._plans.pop(key, None) is not None
-            self.evict_kernel(kernel_cache_key(key))
-            return existed
+        return len(self.buckets_for(template))
 
     def bucket_summary(self):
         """``template digest (12 chars) -> bucket count``, for reports."""
         with self._lock:
-            return {
-                template[:12]: len(group)
-                for template, group in sorted(self._buckets.items())
-            }
+            templates = sorted(group for group, _ in self._tables[BUCKET.name])
+        summary: Dict[str, int] = {}
+        for template in templates:
+            summary[template[:12]] = summary.get(template[:12], 0) + 1
+        return summary
 
     def clear(self):
+        """Empty every memory table (disk entries stay)."""
         with self._lock:
-            self._memory.clear()
-            self._plans.clear()
-            self._buckets.clear()
-            self._kernels.clear()
-
-    def __len__(self):
-        with self._lock:
-            return len(self._memory)
-
-    def __contains__(self, key):
-        with self._lock:
-            return key in self._memory
+            for table in self._tables.values():
+                table.clear()

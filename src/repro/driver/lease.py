@@ -6,10 +6,10 @@ compiled artifacts *shareable* across processes (atomic temp-file +
 not prevent is *duplicated work*: two worker processes missing on the
 same key both run the full compile pipeline and race to publish. A
 :class:`Lease` is the coordination half — a sidecar lock file next to the
-cache entry, created with ``O_CREAT | O_EXCL`` (atomic on POSIX and NT),
-whose payload names the holder (``pid:monotonic-wallclock stamp``).
+cache entry, published complete and exclusively (temp file + hard link),
+whose payload names the holder (``pid:wallclock stamp``).
 
-The protocol (driven by ``ArtifactCache.get_or_build``):
+The protocol (driven by ``ArtifactCache.build_once``):
 
 * the first process to miss *acquires* the lease and builds; everyone
   else *waits on the artifact* (polling the published cache entry), not
@@ -28,6 +28,7 @@ The protocol (driven by ``ArtifactCache.get_or_build``):
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 
@@ -41,26 +42,39 @@ class Lease:
         self.ttl_s = ttl_s
         self._owned = False
 
+    #: The payload write, a seam for tests that hold an acquire open.
+    _write = staticmethod(os.write)
+
     # -- acquisition -------------------------------------------------------
 
     def acquire(self):
         """Try to take the lease; True when this process is the builder.
 
-        Atomic: ``O_CREAT | O_EXCL`` either creates the file (we hold the
-        lease) or fails because someone else already does.
+        Atomic and exclusive *with its payload*: the payload is written
+        to a private temp file which is then hard-linked to the lease
+        path — ``link`` fails if the path exists (someone else holds the
+        lease) and otherwise makes the complete file visible in one step.
+        A lease that exists is therefore never empty or half-written; a
+        waiter polling :meth:`holder` sees nothing or the whole truth.
         """
+        tmp = f"{self.path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
+            fd = os.open(tmp, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
+            try:
+                self._write(fd, f"{os.getpid()}:{time.time()}".encode("ascii"))
+            finally:
+                os.close(fd)
+            os.link(tmp, self.path)
         except OSError:
-            # Unwritable directory: behave as if contended forever —
+            # FileExistsError: contended. Anything else (unwritable
+            # directory, no hard links): behave as if contended forever —
             # callers fall through to their never-deadlock timeout.
             return False
-        try:
-            os.write(fd, f"{os.getpid()}:{time.time()}".encode("ascii"))
         finally:
-            os.close(fd)
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         self._owned = True
         return True
 
@@ -79,9 +93,11 @@ class Lease:
     def holder(self):
         """``(pid, stamp)`` of the current holder, or None.
 
-        None means the lease is gone *or unreadable*; an unreadable or
-        torn payload reads as ``(0, 0.0)`` — old enough to be reclaimed
-        immediately, which is the safe direction for a corrupt lease.
+        None means the lease is gone *or unreadable*. A torn payload
+        reads as ``(0, 0.0)``, which :meth:`stale` lets a waiter reclaim
+        at once — safe only because :meth:`acquire` publishes the lease
+        with its payload in one step, so a torn payload is real
+        corruption and can never be a live holder caught mid-write.
         """
         try:
             with open(self.path, "rb") as handle:

@@ -28,14 +28,33 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+from ..codegen import CODEGEN_STATS, build_kernel, kernel_cache_key
 from ..errors import PolyMathError, TargetError
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..passes import default_pipeline
 from ..passes.lowering import lower, supported_summary
 from ..pmlang.parser import parse
 from ..pmlang.semantic import analyze
+from ..rewrite.engine import REWRITE_STATS
+from ..rewrite.fusion import FusionConfig, fuse_cross_domain
 from ..srdfg.builder import build
-from .cache import ArtifactCache, accelerator_fingerprint, fingerprint
+from ..srdfg.plan import (
+    PLAN_FIELDS,
+    PlanConfig,
+    SingleFlight,
+    memoize_plan,
+    plan_cache_key,
+    plan_for_graph,
+)
+from .cache import (
+    BUCKET,
+    COMPILE,
+    KERNEL,
+    PLAN,
+    ArtifactCache,
+    accelerator_fingerprint,
+    fingerprint,
+)
 from .diagnostics import Diagnostics
 
 #: Canonical stage names, in execution order. Every cold compile runs
@@ -56,17 +75,21 @@ CACHE_HIT_STAGE = "cache-hit"
 #: in-flight request instead of running itself.
 COALESCED_STAGE = "coalesced"
 
+_PROVENANCES = ("built", "cache", "coalesced", "declined")
 
-class _InFlight:
-    """One in-flight compile/plan: followers wait on ``event`` and then
-    take ``artifact`` (or re-raise ``error``)."""
-
-    __slots__ = ("event", "artifact", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.artifact = None
-        self.error = None
+#: How a lookup in each tier shows up: its span ``(name, category)`` and
+#: the stage it records, by provenance. No entry, no record — the stages
+#: of a built compile record themselves, and so does the plan lookup
+#: inside a bucket miss.
+_LOOKUPS = {
+    COMPILE: (
+        "compile", "session",
+        {"cache": CACHE_HIT_STAGE, "coalesced": COALESCED_STAGE},
+    ),
+    PLAN: ("plan", "plan", dict.fromkeys(_PROVENANCES, "plan")),
+    BUCKET: ("plan-bucket", "plan", {"cache": "plan", "coalesced": "plan"}),
+    KERNEL: ("codegen", "kernel", dict.fromkeys(_PROVENANCES, "codegen")),
+}
 
 
 @dataclass
@@ -140,16 +163,15 @@ class CompilerSession:
         #: disables the ``fuse`` stage, ``True`` uses the default
         #: :class:`~repro.rewrite.fusion.FusionConfig`, or pass a config.
         if fusion is True:
-            from ..rewrite.fusion import FusionConfig
-
             fusion = FusionConfig()
         self.fusion = fusion
         self.cache = cache or ArtifactCache(cache_dir=cache_dir)
         #: Cross-process single-flight: when True (and the cache has a
-        #: disk tier), uncached compiles coordinate with sibling
-        #: *processes* sharing the same cache directory through lease
-        #: files (:meth:`ArtifactCache.get_or_build`) — the lease loser
-        #: waits on the published artifact instead of recompiling.
+        #: disk tier), uncached builds of every tier with a disk form
+        #: coordinate with sibling *processes* sharing the same cache
+        #: directory through lease files
+        #: (:meth:`ArtifactCache.build_once`) — the lease loser waits on
+        #: the published artifact instead of rebuilding.
         self.cross_process = bool(cross_process)
         self.diagnostics = diagnostics or Diagnostics()
         #: Observability spine: stage spans (category ``session``), pass
@@ -162,8 +184,6 @@ class CompilerSession:
         if self.cache.diagnostics is None:
             self.cache.diagnostics = self.diagnostics
         self.records: List[StageRecord] = []
-        from ..srdfg.plan import PLAN_FIELDS
-
         #: This session's counter groups: ``plan``, ``cache`` (the cache's
         #: own group) and ``session``. Process-scoped ``rewrite`` and
         #: ``codegen`` live in :data:`~repro.obs.DEFAULT_REGISTRY`.
@@ -187,13 +207,11 @@ class CompilerSession:
         self.plans: List[object] = []
         # One session serves many worker threads in the serving layer:
         # the record stream and counters mutate under _state_lock, and
-        # identical concurrent compiles/plans coalesce through the
-        # in-flight tables (single-flight: first requester runs the
-        # stages, the rest await its artifact).
+        # identical concurrent lookups of any tier coalesce in _resolve
+        # (single-flight: first requester builds, the rest await its
+        # value).
         self._state_lock = threading.RLock()
-        self._inflight_lock = threading.Lock()
-        self._inflight_compiles: Dict[str, _InFlight] = {}
-        self._inflight_plans: Dict[str, _InFlight] = {}
+        self._flights = SingleFlight()
 
     @property
     def compiles(self):
@@ -220,20 +238,52 @@ class CompilerSession:
             hook(record)
         return record
 
-    def _begin_flight(self, table, key):
-        """Register for single-flight on *key*; returns (flight, leader)."""
-        with self._inflight_lock:
-            flight = table.get(key)
-            leader = flight is None
-            if leader:
-                flight = _InFlight()
-                table[key] = flight
-        return flight, leader
+    def _resolve(self, tier, key, build, detail, /, **attrs):
+        """The one lookup-or-build: ``(value, provenance)`` of *key* in
+        *tier*, *build* having run at most once however many ask.
 
-    def _end_flight(self, table, key, flight):
-        with self._inflight_lock:
-            table.pop(key, None)
-        flight.event.set()
+        Cache get; else in-process single-flight, whose leader builds —
+        under the cross-process lease iff the session is
+        ``cross_process`` and the tier has a disk form — and publishes.
+        Provenance is ``cache``, ``built``, ``coalesced`` (awaited another
+        thread's or process's build) or ``declined`` (*build* returned
+        None; nothing is published, and waiters get None too). One span
+        (*attrs* are its attributes) and at most one :class:`StageRecord`
+        (``detail(value)`` its detail) per call, both per :data:`_LOOKUPS`.
+        """
+        name, category, stages = _LOOKUPS[tier]
+        start = time.perf_counter()
+        with self.tracer.span(name, category=category, **attrs) as span:
+            found, how = self._flights.run(
+                (tier, key),
+                lambda: self.cache.get(tier, key),
+                lambda: self.cache.build_once(
+                    tier, key, build, lease=self.cross_process
+                ),
+            )
+            # A build answers with build_once's (value, provenance) pair;
+            # how != provenance means the waiting was on another process.
+            value, provenance = (found, how) if how == "cache" else found
+            if value is None:
+                provenance, text = "declined", f"declined, key {key[:12]}"
+            elif "coalesced" in (how, provenance):
+                awaited = "in-flight" if how == "coalesced" else "cross-process"
+                provenance = "coalesced"
+                text = f"awaited {awaited} build, {detail(value)}"
+                self._counts.bump(coalesced=1)
+            else:
+                text = detail(value)
+            span.note(provenance=provenance)
+        if provenance in stages:
+            self._record(
+                StageRecord(
+                    stage=stages[provenance],
+                    seconds=time.perf_counter() - start,
+                    cached=provenance in ("cache", "coalesced"),
+                    detail=text,
+                )
+            )
+        return value, provenance
 
     # -- cache key -----------------------------------------------------------
 
@@ -274,7 +324,14 @@ class CompilerSession:
         *graph_after* may be a callable evaluated after the action (when
         the stage produces the graph it is measured on).
         """
-        nodes_before, edges_before = _graph_counts(graph_before)
+        nodes, edges = _graph_counts(graph_before)
+        record = StageRecord(
+            stage=stage,
+            nodes_before=nodes,
+            nodes_after=nodes,
+            edges_before=edges,
+            edges_after=edges,
+        )
         start = time.perf_counter()
         try:
             with self.tracer.span(stage, category="session"):
@@ -284,31 +341,14 @@ class CompilerSession:
             column = getattr(exc, "column", None)
             message = getattr(exc, "message", None) or str(exc)
             self.diagnostics.error(message, stage=stage, line=line, column=column)
-            self._record(
-                StageRecord(
-                    stage=stage,
-                    seconds=time.perf_counter() - start,
-                    nodes_before=nodes_before,
-                    edges_before=edges_before,
-                    nodes_after=nodes_before,
-                    edges_after=edges_before,
-                    detail="failed",
-                )
-            )
+            record.seconds = time.perf_counter() - start
+            record.detail = "failed"
+            self._record(record)
             raise
-        seconds = time.perf_counter() - start
+        record.seconds = time.perf_counter() - start
         measured = graph_after(value) if callable(graph_after) else graph_after
-        nodes_after, edges_after = _graph_counts(measured)
-        if measured is None:
-            nodes_after, edges_after = nodes_before, edges_before
-        record = StageRecord(
-            stage=stage,
-            seconds=seconds,
-            nodes_before=nodes_before,
-            nodes_after=nodes_after,
-            edges_before=edges_before,
-            edges_after=edges_after,
-        )
+        if measured is not None:
+            record.nodes_after, record.edges_after = _graph_counts(measured)
         self._record(record)
         return value, record
 
@@ -376,79 +416,29 @@ class CompilerSession:
         )
 
         self._counts.bump(compiles=1)
-        start = time.perf_counter()
-        with self.tracer.span(
-            "compile", category="session", entry=entry, key=key[:12]
-        ) as span:
-            artifact = self.cache.get(key)
-            if artifact is not None:
-                self._record(
-                    StageRecord(
-                        stage=CACHE_HIT_STAGE,
-                        seconds=time.perf_counter() - start,
-                        cached=True,
-                        detail=f"key {key[:12]}",
-                    )
-                )
-                span.note(provenance="cache")
-                return artifact.with_hints(data_hints), "cache"
-
-            flight, leader = self._begin_flight(self._inflight_compiles, key)
-            if not leader:
-                flight.event.wait()
-                if flight.error is not None:
-                    raise flight.error
-                self._counts.bump(coalesced=1)
-                self._record(
-                    StageRecord(
-                        stage=COALESCED_STAGE,
-                        seconds=time.perf_counter() - start,
-                        cached=True,
-                        detail=f"awaited in-flight compile {key[:12]}",
-                    )
-                )
-                span.note(provenance="coalesced")
-                return flight.artifact.with_hints(data_hints), "coalesced"
-            try:
-                build = lambda: self._compile_stages(
-                    source, entry, domain, component_domains, accelerators,
-                    pipeline, key,
-                )
-                if self.cross_process and self.cache.cache_dir is not None:
-                    # Coordinate with sibling *processes* through the
-                    # lease file next to the disk entry: the lease loser
-                    # waits on the published artifact, never recompiling.
-                    artifact, provenance = self.cache.get_or_build(key, build)
-                    if provenance != "built":
-                        provenance = "coalesced"
-                else:
-                    artifact = build()
-                    provenance = "built"
-                flight.artifact = artifact
-            except BaseException as exc:
-                flight.error = exc
-                raise
-            finally:
-                self._end_flight(self._inflight_compiles, key, flight)
-            if provenance == "coalesced":
-                self._counts.bump(coalesced=1)
-                self._record(
-                    StageRecord(
-                        stage=COALESCED_STAGE,
-                        seconds=time.perf_counter() - start,
-                        cached=True,
-                        detail=f"awaited cross-process compile {key[:12]}",
-                    )
-                )
-            span.note(provenance=provenance)
-            return artifact.with_hints(data_hints), provenance
+        artifact, provenance = self._resolve(
+            COMPILE,
+            key,
+            lambda: self._compile_stages(
+                source, entry, domain, component_domains, accelerators,
+                pipeline,
+            ),
+            lambda artifact: f"key {key[:12]}",
+            entry=entry,
+            key=key[:12],
+        )
+        return artifact.with_hints(data_hints), provenance
 
     def _compile_stages(
         self, source, entry, domain, component_domains, accelerators,
-        pipeline, key,
+        pipeline,
     ):
         """Run the six stages for one uncached compile; returns the artifact."""
-        from ..targets.compiler import retag_component_domain
+        from ..targets.compiler import (
+            CompiledApplication,
+            compile_to_targets,
+            retag_component_domain,
+        )
 
         # parse: PMLang text -> AST.
         program, parse_record = self._run_stage("parse", lambda: parse(source))
@@ -526,8 +516,6 @@ class CompilerSession:
         # transfers outweigh any compute-cost change.
         fusion_report = None
         if self.fusion is not None:
-            from ..rewrite.fusion import fuse_cross_domain
-
             fusion_report, fuse_record = self._run_stage(
                 FUSE_STAGE,
                 lambda: fuse_cross_domain(
@@ -550,8 +538,6 @@ class CompilerSession:
 
         # translate: Algorithm 2 — per-domain accelerator programs with
         # load/store fragments at domain crossings.
-        from ..targets.compiler import CompiledApplication, compile_to_targets
-
         programs, translate_record = self._run_stage(
             "translate", lambda: compile_to_targets(lowered, accelerators)
         )
@@ -560,19 +546,13 @@ class CompilerSession:
             f"{len(programs)} domain(s)"
         )
 
-        artifact = CompiledApplication(
+        return CompiledApplication(
             graph=lowered,
             programs=programs,
             accelerators=accelerators,
             source_graph=source_graph,
             fusion_report=fusion_report,
         )
-        if not self.cache.put(key, artifact):
-            self.diagnostics.warning(
-                "compiled artifact is not picklable; cached in memory only",
-                stage="translate",
-            )
-        return artifact
 
     # -- execution plans --------------------------------------------------------
 
@@ -614,8 +594,6 @@ class CompilerSession:
         Identical concurrent plan requests coalesce exactly like compiles
         do: one worker builds, the rest await the finished plan.
         """
-        from ..srdfg.plan import PlanConfig, memoize_plan, plan_cache_key, plan_for_graph
-
         config = PlanConfig(
             precision=precision,
             lattice_limit=lattice_limit,
@@ -623,121 +601,78 @@ class CompilerSession:
         )
         if specialization is not None:
             return self._plan_for_specialized(
-                app, config, specialization, codegen=codegen
+                app, config, specialization, codegen
             )
-        start = time.perf_counter()
         key = plan_cache_key(app.graph, config)
-        with self.tracer.span(
-            "plan", category="plan", graph=app.graph.name, key=key[:12]
-        ) as span:
-            plan = self.cache.plan_get(key)
-            provenance = "cache"
-            if plan is not None:
-                # Seed the per-instance memo so Executor(app.graph) and every
-                # other direct consumer of this graph reuses the cached plan.
-                memoize_plan(app.graph, plan)
-            else:
-                flight, leader = self._begin_flight(self._inflight_plans, key)
-                if not leader:
-                    flight.event.wait()
-                    if flight.error is not None:
-                        raise flight.error
-                    plan = flight.artifact
-                    memoize_plan(app.graph, plan)
-                    self._counts.bump(coalesced=1)
-                    provenance = "coalesced"
-                else:
-                    try:
-                        plan = plan_for_graph(
-                            app.graph,
-                            config=config,
-                            diagnostics=self.diagnostics,
-                            tracer=self.tracer,
-                            stats=self.plan_stats,
-                        )
-                        self.cache.plan_put(key, plan)
-                        flight.artifact = plan
-                    except BaseException as exc:
-                        flight.error = exc
-                        raise
-                    finally:
-                        self._end_flight(self._inflight_plans, key, flight)
-                    provenance = "built"
-            span.note(provenance=provenance)
-        self._record(
-            StageRecord(
-                stage="plan",
-                seconds=time.perf_counter() - start,
-                cached=provenance != "built",
-                detail=(
-                    f"{plan.statement_count} statement plan(s), "
-                    f"key {key[:12]}"
-                ),
-            )
+        plan, provenance = self._resolve(
+            PLAN,
+            key,
+            lambda: plan_for_graph(
+                app.graph,
+                config=config,
+                diagnostics=self.diagnostics,
+                tracer=self.tracer,
+                stats=self.plan_stats,
+            ),
+            lambda plan: (
+                f"{plan.statement_count} statement plan(s), key {key[:12]}"
+            ),
+            graph=app.graph.name,
+            key=key[:12],
         )
-        with self._state_lock:
-            if plan not in self.plans:
-                self.plans.append(plan)
+        self._share(app.graph, plan)
         if codegen:
             self._ensure_kernel(plan, key)
         return plan, provenance
 
-    def _plan_for_specialized(self, app, config, specialization,
-                              codegen=False):
-        """Shape-bucketed plan lookup: bucket tier first, then the
-        normal structural plan tier, filing the result back under the
-        specialization's (template, bucket) pair."""
-        from ..srdfg.plan import memoize_plan, plan_cache_key
+    def _share(self, graph, plan):
+        """Seed *graph*'s per-instance memo with the tier's *plan*, so
+        ``Executor(graph)`` and every other direct consumer reuses it, and
+        keep the plan for the session report."""
+        memoize_plan(graph, plan)
+        with self._state_lock:
+            if plan not in self.plans:
+                self.plans.append(plan)
 
+    def _plan_for_specialized(self, app, config, specialization, codegen):
+        """Shape-bucketed plan lookup: bucket tier first, then the
+        normal structural plan tier (whose provenance is then the
+        answer), filing the result under the specialization's
+        (template, bucket) pair."""
         template = specialization.template_digest()
         bucket = specialization.bucket_digest()
         binding = specialization.binding.describe() or "default"
-        start = time.perf_counter()
-        with self.tracer.span(
-            "plan-bucket",
-            category="plan",
+        inner = []
+
+        def through_plan_tier():
+            plan, provenance = self.plan_for_traced(
+                app,
+                precision=config.precision,
+                lattice_limit=config.lattice_limit,
+                enable_einsum=config.enable_einsum,
+                codegen=codegen,
+            )
+            inner.append(provenance)
+            return plan
+
+        plan, provenance = self._resolve(
+            BUCKET,
+            (template, bucket),
+            through_plan_tier,
+            lambda plan: (
+                f"bucket {bucket[:12]} [{binding}], template {template[:12]}"
+            ),
             template=template[:12],
             bucket=bucket[:12],
             binding=binding,
-        ) as span:
-            plan = self.cache.bucket_get(template, bucket)
-            if plan is not None:
-                # Seed the per-instance memo so direct consumers of this
-                # graph (Executor, HostManager fallback) share the plan.
-                memoize_plan(app.graph, plan)
-                span.note(provenance="cache")
-                self._record(
-                    StageRecord(
-                        stage="plan",
-                        seconds=time.perf_counter() - start,
-                        cached=True,
-                        detail=(
-                            f"bucket {bucket[:12]} [{binding}], "
-                            f"template {template[:12]}"
-                        ),
-                    )
-                )
-                with self._state_lock:
-                    if plan not in self.plans:
-                        self.plans.append(plan)
-                if codegen and plan.kernel is None:
-                    # A bucket-pinned plan pins its kernel with it: the
-                    # kernel rides the plan object, so every session that
-                    # pins this bucket gets the kernel tier for free.
-                    self._ensure_kernel(
-                        plan, plan_cache_key(app.graph, config)
-                    )
-                return plan, "cache"
-            span.note(provenance="miss")
-        plan, provenance = self.plan_for_traced(
-            app,
-            precision=config.precision,
-            lattice_limit=config.lattice_limit,
-            enable_einsum=config.enable_einsum,
-            codegen=codegen,
         )
-        self.cache.bucket_put(template, bucket, plan)
-        return plan, provenance
+        self._share(app.graph, plan)
+        if codegen and not inner and plan.kernel is None:
+            # A bucket-pinned plan pins its kernel with it: the kernel
+            # rides the plan object, so every session that pins this
+            # bucket gets the kernel tier for free.
+            self._ensure_kernel(plan, plan_cache_key(app.graph, config))
+        return plan, inner[0] if inner else provenance
 
     def _ensure_kernel(self, plan, plan_key):
         """Attach a generated kernel to *plan*, cache-first.
@@ -748,48 +683,25 @@ class CompilerSession:
         the decline (the plan keeps executing interpreted — a declined
         build is never an error). Returns the kernel or None.
         """
-        from ..codegen import build_kernel, kernel_cache_key
-
         if plan.kernel is not None:
             return plan.kernel
-        start = time.perf_counter()
         key = kernel_cache_key(plan_key)
-        with self.tracer.span(
-            "codegen",
-            category="kernel",
+        artifact, _ = self._resolve(
+            KERNEL,
+            key,
+            lambda: build_kernel(
+                plan, plan_key=plan_key, diagnostics=self.diagnostics
+            ),
+            lambda artifact: (
+                f"{artifact.report.get('specialized', 0)}/"
+                f"{artifact.report.get('statements', 0)} specialized, "
+                f"{len(artifact.source)} bytes, key {key[:12]}"
+            ),
             graph=plan.graph_name,
             key=key[:12],
-        ) as span:
-            artifact = self.cache.kernel_get(key)
-            provenance = "cache"
-            if artifact is None:
-                artifact = build_kernel(
-                    plan, plan_key=plan_key, diagnostics=self.diagnostics
-                )
-                if artifact is not None:
-                    provenance = "built"
-                    self.cache.kernel_put(key, artifact)
-                else:
-                    provenance = "declined"
-            span.note(provenance=provenance)
+        )
         if artifact is not None:
             plan.attach_kernel(artifact)
-            report = artifact.report
-            detail = (
-                f"{report.get('specialized', 0)}/"
-                f"{report.get('statements', 0)} specialized, "
-                f"{len(artifact.source)} bytes, key {key[:12]}"
-            )
-        else:
-            detail = f"declined, key {key[:12]}"
-        self._record(
-            StageRecord(
-                stage="codegen",
-                seconds=time.perf_counter() - start,
-                cached=provenance == "cache",
-                detail=detail,
-            )
-        )
         return artifact
 
     # -- reporting -------------------------------------------------------------
@@ -798,21 +710,20 @@ class CompilerSession:
         with self._state_lock:
             return list(self.records)
 
+    def _tally(self, measure):
+        tally: Dict[str, float] = {}
+        for record in self._records_snapshot():
+            tally[record.stage] = tally.get(record.stage, 0) + measure(record)
+        return tally
+
     def stage_executions(self, stage=None):
         """``{stage: count}`` of recorded executions, or one stage's count."""
-        tally: Dict[str, int] = {}
-        for record in self._records_snapshot():
-            tally[record.stage] = tally.get(record.stage, 0) + 1
-        if stage is not None:
-            return tally.get(stage, 0)
-        return tally
+        tally = self._tally(lambda record: 1)
+        return tally if stage is None else tally.get(stage, 0)
 
     def stage_totals(self):
         """``{stage: total seconds}`` across every recorded execution."""
-        totals: Dict[str, float] = {}
-        for record in self._records_snapshot():
-            totals[record.stage] = totals.get(record.stage, 0.0) + record.seconds
-        return totals
+        return self._tally(lambda record: record.seconds)
 
     def stats_dict(self):
         """Machine-readable session report (the ``--json`` twin of
@@ -822,24 +733,13 @@ class CompilerSession:
         load generator — which previously would have had to scrape the
         rendered text.
         """
-        from ..codegen import CODEGEN_STATS
-        from ..rewrite.engine import REWRITE_STATS
-
-        records = self._records_snapshot()
-        executions: Dict[str, int] = {}
-        seconds: Dict[str, float] = {}
-        for record in records:
-            executions[record.stage] = executions.get(record.stage, 0) + 1
-            seconds[record.stage] = (
-                seconds.get(record.stage, 0.0) + record.seconds
-            )
         with self._state_lock:
             plans = list(self.plans)
         counts = self.diagnostics.counts()
         return {
             **self._counts.to_dict(),
-            "stage_executions": executions,
-            "stage_seconds": seconds,
+            "stage_executions": self.stage_executions(),
+            "stage_seconds": self.stage_totals(),
             "cache": self.cache.stats.to_dict(),
             "plan_buckets": self.cache.bucket_summary(),
             "plans": [
@@ -901,9 +801,8 @@ class CompilerSession:
         )
         executions = self.stage_executions()
         totals = self.stage_totals()
-        deltas: Dict[str, StageRecord] = {}
-        for record in records:
-            deltas[record.stage] = record  # last execution wins for deltas
+        # Last execution wins for deltas.
+        deltas = {record.stage: record for record in records}
         ordered = []
         # ``fuse`` slots between lower and translate when it ran.
         display_order = (CACHE_HIT_STAGE, COALESCED_STAGE) + STAGES[:-1] + (

@@ -35,9 +35,10 @@ stats --execute N`` and the CI plan-reuse smoke step assert each
 statement plan is built exactly once while being executed N times.
 
 :func:`plan_for_graph` memoises plans per graph *instance* (weakly, so
-plans never extend a graph's lifetime) and optionally consults a
-fingerprint-keyed registry (the artifact cache) for cross-instance
-reuse. :class:`~repro.srdfg.interpreter.Executor` is now a thin facade
+plans never extend a graph's lifetime); cross-instance reuse is the
+driver's plan tier, keyed on :func:`plan_cache_key`. Both build through
+:class:`SingleFlight`, the stack's one in-process single-flight.
+:class:`~repro.srdfg.interpreter.Executor` is now a thin facade
 that plans lazily through this function, which is why every existing
 ``Executor(graph).run(...)`` call site kept working without a flag day.
 """
@@ -48,6 +49,7 @@ import hashlib
 import threading
 import time
 import weakref
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -72,6 +74,7 @@ __all__ = [
     "ExecutionPlan",
     "PLAN_FIELDS",
     "PlanConfig",
+    "SingleFlight",
     "StatementPlan",
     "build_plan",
     "graph_fingerprint",
@@ -799,43 +802,63 @@ def build_plan(graph, reductions=None, config=None, diagnostics=None,
 
 
 # ---------------------------------------------------------------------------
-# Plan sharing: per-instance memo + fingerprint-keyed registry
+# Plan sharing: single-flight builds and the per-instance memo
 # ---------------------------------------------------------------------------
+
+
+class SingleFlight:
+    """In-process single-flight: at most one build per key at a time.
+
+    The one implementation behind the per-instance plan memo below and
+    every tier of :meth:`repro.driver.CompilerSession._resolve`.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._flights: Dict[object, Future] = {}
+
+    def run(self, key, lookup, build):
+        """``(value, how)``: ``lookup()``'s answer (``"cache"``), else the
+        value of one ``build()`` — run by the first caller to miss
+        (``"built"``) and shared by everyone who misses while it runs
+        (``"coalesced"``; they re-raise its error if it fails).
+
+        *lookup* runs under the flight lock, so a caller either sees what
+        a finished build published or joins the build still running — it
+        can never miss both. *build* runs outside it.
+        """
+        with self._lock:
+            value = lookup()
+            if value is not None:
+                return value, "cache"
+            flight = self._flights.get(key)
+            if flight is None:
+                leading = self._flights[key] = Future()
+        if flight is not None:
+            return flight.result(), "coalesced"
+        try:
+            leading.set_result(build())
+        except BaseException as exc:
+            leading.set_exception(exc)
+            raise
+        finally:
+            with self._lock:
+                del self._flights[key]
+        return leading.result(), "built"
+
 
 #: graph -> {PlanConfig: ExecutionPlan}. Weak keys, and plans hold only a
 #: weak reference back to their graph, so memoisation never extends a
 #: graph's lifetime.
 _PLAN_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-#: Guards _PLAN_MEMO and _PLAN_PENDING — WeakKeyDictionary mutation is not
-#: thread-safe, and the serving layer plans from many worker threads.
-_MEMO_LOCK = threading.RLock()
+#: Guards _PLAN_MEMO — WeakKeyDictionary mutation is not thread-safe, and
+#: the serving layer plans from many worker threads.
+_MEMO_LOCK = threading.Lock()
 
-
-class _PendingPlan:
-    """In-flight plan build: followers wait instead of building again.
-
-    Holds a strong reference to the graph so its ``id`` stays valid as a
-    pending-table key for the duration of the build.
-    """
-
-    __slots__ = ("graph", "event")
-
-    def __init__(self, graph):
-        self.graph = graph
-        self.event = threading.Event()
-
-
-#: (id(graph), PlanConfig) -> _PendingPlan for builds currently running.
-_PLAN_PENDING: Dict[tuple, _PendingPlan] = {}
-
-
-def _own_reductions(graph, reductions):
-    """True when *reductions* is the graph's own set (memoisation is safe)."""
-    if reductions is None:
-        return True
-    own = dict(getattr(graph, "reductions", None) or {})
-    return dict(reductions) == own
+#: Builds of (id(graph), PlanConfig) currently running; the leader's frame
+#: keeps the graph alive, so its ``id`` stays valid for the whole flight.
+_PLAN_FLIGHTS = SingleFlight()
 
 
 def memoize_plan(graph, plan):
@@ -850,70 +873,39 @@ def memoize_plan(graph, plan):
     return plan
 
 
-def plan_for_graph(graph, reductions=None, config=None, registry=None,
-                   diagnostics=None, tracer=None, stats=None):
+def plan_for_graph(graph, reductions=None, config=None, diagnostics=None,
+                   tracer=None, stats=None):
     """The shared plan for *graph* under *config*; builds at most once.
 
-    Consults (in order): the per-instance weak memo, then *registry* (an
-    object with ``plan_get``/``plan_put``, e.g. the driver's
-    :class:`~repro.driver.cache.ArtifactCache` plan tier) keyed on the
-    structural fingerprint, then builds. Custom *reductions* differing
-    from the graph's own bypass sharing entirely.
+    Consults the per-instance weak memo, then builds. Custom *reductions*
+    differing from the graph's own bypass sharing entirely. (Sharing
+    across structurally identical graph *instances* is the driver's plan
+    tier, keyed on :func:`plan_cache_key`.)
 
     Concurrent callers over one graph instance coalesce: the first caller
-    builds (outside the memo lock) while followers wait on the pending
-    entry and then return the very same plan — so ``plans_built == 1``
-    holds even when a serving worker pool floods one graph with requests.
+    builds while followers wait and then return the very same plan — so
+    ``plans_built == 1`` holds even when a serving worker pool floods one
+    graph with requests.
     """
     config = config or PlanConfig()
-    sharable = _own_reductions(graph, reductions)
-    if not sharable:
+
+    def build():
         return build_plan(
             graph, reductions=reductions, config=config,
             diagnostics=diagnostics, tracer=tracer, stats=stats,
         )
-    pending_key = (id(graph), config)
-    while True:
+
+    def memoized():
         with _MEMO_LOCK:
-            memo = _PLAN_MEMO.setdefault(graph, {})
-            plan = memo.get(config)
-            if plan is not None:
-                return plan
-            pending = _PLAN_PENDING.get(pending_key)
-            if pending is None:
-                pending = _PendingPlan(graph)
-                _PLAN_PENDING[pending_key] = pending
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            # Another thread is building this exact plan; wait, then loop
-            # (the memo either has the plan now, or the build failed and
-            # this thread becomes the new leader).
-            pending.event.wait()
-            continue
-        try:
-            if registry is not None:
-                key = plan_cache_key(graph, config)
-                plan = registry.plan_get(key)
-                if plan is None:
-                    plan = build_plan(
-                        graph, config=config, diagnostics=diagnostics,
-                        tracer=tracer, stats=stats,
-                    )
-                    registry.plan_put(key, plan)
-            else:
-                plan = build_plan(
-                    graph, config=config, diagnostics=diagnostics,
-                    tracer=tracer, stats=stats,
-                )
-            with _MEMO_LOCK:
-                memo[config] = plan
-            return plan
-        finally:
-            with _MEMO_LOCK:
-                _PLAN_PENDING.pop(pending_key, None)
-            pending.event.set()
+            return _PLAN_MEMO.get(graph, {}).get(config)
+
+    own = dict(getattr(graph, "reductions", None) or {})
+    if reductions is not None and dict(reductions) != own:
+        return build()  # sharing is only safe for the graph's own set
+    plan, _ = _PLAN_FLIGHTS.run(
+        (id(graph), config), memoized, lambda: memoize_plan(graph, build())
+    )
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.codegen import (
 )
 from repro.driver import CompilerSession
 from repro.targets import default_accelerators
-from repro.driver.cache import ArtifactCache
+from repro.driver.cache import KERNEL, PLAN, ArtifactCache
 from repro.driver.diagnostics import Diagnostics
 
 MATVEC = (
@@ -478,9 +478,9 @@ class TestKernelCache:
         artifact = plan.kernel
         cache = ArtifactCache(cache_dir=str(tmp_path))
         key = kernel_cache_key("k1")
-        cache.kernel_put(key, artifact)
-        cache._kernels.clear()
-        loaded = cache.kernel_get(key)
+        cache.put(KERNEL, key, artifact)
+        cache.clear()
+        loaded = cache.get(KERNEL, key)
         assert loaded is not None
         assert loaded.source == artifact.source
         assert cache.stats.kernel_disk_hits == 1
@@ -496,7 +496,7 @@ class TestKernelCache:
                               diagnostics=diagnostics)
         key = kernel_cache_key("k2")
         cache._path(key).write_bytes(b"\x80garbage")
-        assert cache.kernel_get(key) is None
+        assert cache.get(KERNEL, key) is None
         assert not cache._path(key).exists()
         assert cache.stats.disk_errors == 1
         assert any(
@@ -522,26 +522,26 @@ class TestKernelCache:
             "report": {},
         }
         cache._path(key).write_bytes(pickle.dumps(record))
-        assert cache.kernel_get(key) is None
+        assert cache.get(KERNEL, key) is None
         assert not cache._path(key).exists()
         assert any(
             "corrupt kernel source" in entry.message
             for entry in diagnostics.entries
         )
         # Still a functioning cache afterwards.
-        assert cache.kernel_get(key) is None
+        assert cache.get(KERNEL, key) is None
 
     def test_evict_plan_evicts_sibling_kernel(self, tmp_path):
         session, plan = _compile_plan(MATVEC)
         cache = ArtifactCache(cache_dir=str(tmp_path))
         plan_key = "plan-xyz"
-        cache.plan_put(plan_key, plan)
-        cache.kernel_put(kernel_cache_key(plan_key), plan.kernel)
+        cache.put(PLAN, plan_key, plan)
+        cache.put(KERNEL, kernel_cache_key(plan_key), plan.kernel)
         assert cache._path(kernel_cache_key(plan_key)).exists()
-        assert cache.evict_plan(plan_key)
-        assert cache.plan_get(plan_key) is None
-        assert kernel_cache_key(plan_key) not in cache._kernels
+        assert cache.evict(PLAN, plan_key)
+        assert cache.get(PLAN, plan_key) is None
         assert not cache._path(kernel_cache_key(plan_key)).exists()
+        assert cache.get(KERNEL, kernel_cache_key(plan_key)) is None
         assert cache.stats.kernel_evictions == 1
 
     def test_second_session_hits_kernel_disk_tier(self, tmp_path):
@@ -594,7 +594,7 @@ class TestKernelCache:
         plan.kernel.constants["_c_unpicklable"] = lambda: None
         diagnostics = Diagnostics()
         cache = ArtifactCache(cache_dir=str(tmp_path), diagnostics=diagnostics)
-        assert cache.kernel_put(kernel_cache_key("k4"), plan.kernel) is False
+        assert cache.put(KERNEL, kernel_cache_key("k4"), plan.kernel) is False
         assert cache.stats.disk_errors == 1
         assert any(
             "not picklable" in entry.message for entry in diagnostics.entries

@@ -1,5 +1,7 @@
 """Tests for the instrumented compilation driver (`repro.driver`)."""
 
+import copy
+
 import pytest
 
 from repro.driver import (
@@ -12,6 +14,7 @@ from repro.driver import (
     accelerator_fingerprint,
     fingerprint,
 )
+from repro.driver.cache import COMPILE, KERNEL, TIERS
 from repro.driver.diagnostics import Diagnostic
 from repro.errors import PMLangSyntaxError, TargetError
 from repro.eval import Harness
@@ -150,40 +153,15 @@ class TestArtifactCache:
         assert cold.cache.stats.disk_hits == 1
         assert "RBT" in app.programs
 
-    def test_unpicklable_artifact_degrades_to_memory(self, tmp_path):
-        cache = ArtifactCache(cache_dir=str(tmp_path / "c"))
-        assert cache.put("key", lambda: None) is False
-        assert cache.stats.disk_errors == 1
-        assert cache.get("key") is not None  # memory tier still serves it
+    def test_session_keeps_the_cache_it_is_handed(self):
+        """An empty cache used to be falsy (it had ``__len__``), so
+        ``cache or ArtifactCache()`` silently replaced it."""
+        cache = ArtifactCache()
+        assert CompilerSession(default_accelerators(), cache=cache).cache is cache
 
     def test_fingerprint_is_stable_and_order_sensitive(self):
         assert fingerprint("a", "b") == fingerprint("a", "b")
         assert fingerprint("a", "b") != fingerprint("b", "a")
-
-    def test_corrupt_disk_entry_is_a_miss_and_is_evicted(self, tmp_path):
-        cache_dir = tmp_path / "c"
-        cache = ArtifactCache(cache_dir=str(cache_dir), diagnostics=Diagnostics())
-        cache.put("key", {"payload": 1})
-        cache._memory.clear()  # force the disk tier
-
-        entry = cache_dir / "key.pkl"
-        entry.write_bytes(b"\x80garbage-not-a-pickle\xff")
-        assert cache.get("key") is None  # never raises
-        assert cache.stats.disk_errors == 1
-        assert cache.stats.misses == 1
-        assert not entry.exists()  # evicted
-        assert any("corrupt" in d.message for d in cache.diagnostics.warnings)
-
-    def test_truncated_disk_entry_is_a_miss(self, tmp_path):
-        cache_dir = tmp_path / "c"
-        cache = ArtifactCache(cache_dir=str(cache_dir))
-        cache.put("key", list(range(1000)))
-        payload = (cache_dir / "key.pkl").read_bytes()
-        (cache_dir / "key.pkl").write_bytes(payload[: len(payload) // 2])
-        cache._memory.clear()
-
-        assert cache.get("key") is None
-        assert cache.stats.disk_errors == 1
 
     def test_corrupt_entry_recompiles_through_session(self, tmp_path, mpc_source):
         cache_dir = tmp_path / "artifacts"
@@ -200,6 +178,123 @@ class TestArtifactCache:
         assert any(
             "corrupt" in d.message for d in cold.diagnostics.warnings
         )
+
+
+# One kernel, built once, for the disk-form tests below.
+MATVEC = """
+main(input float A[6][5], input float x[5], output float y[6]) {
+    index i[0:4], j[0:5];
+    y[j] = sum[i](A[j][i] * x[i]);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    session = CompilerSession(default_accelerators())
+    plan = session.plan_for(session.compile(MATVEC, domain="DA"), codegen=True)
+    assert plan.kernel is not None
+    return plan.kernel
+
+
+def _samples(tier, kernel):
+    """``(value, unpicklable value)`` for *tier*. A new tier with a codec
+    fails here until it names its pair — and then inherits every test of
+    :class:`TestDiskForm`."""
+    if tier is COMPILE:
+        return {"payload": 1}, (lambda: None)
+    if tier is KERNEL:
+        hostile = copy.copy(kernel)
+        hostile.constants = dict(kernel.constants, _c_unpicklable=lambda: None)
+        return kernel, hostile
+    raise AssertionError(f"no sample values for {tier!r}")
+
+
+@pytest.mark.parametrize(
+    "tier",
+    [tier for tier in TIERS if tier.codec is not None],
+    ids=lambda tier: tier.name,
+)
+class TestDiskForm:
+    """What every tier with a disk codec owes: the one memory → disk →
+    corrupt-entry-evict → counters path of ``ArtifactCache``."""
+
+    @staticmethod
+    def _count(cache, tier, event):
+        return getattr(cache.stats, tier.prefix + event)  # "kernel_misses"
+
+    def test_round_trips_through_disk(self, tier, kernel, tmp_path):
+        value, _ = _samples(tier, kernel)
+        cache = ArtifactCache(cache_dir=str(tmp_path))
+        assert cache.put(tier, "key", value) is True
+        assert (tmp_path / "key.pkl").exists()
+        cache.clear()  # force the disk form
+        loaded = cache.get(tier, "key")
+        assert loaded is not None
+        assert self._count(cache, tier, "disk_hits") == 1
+        assert cache.get(tier, "key") is loaded  # now memory-resident
+        assert self._count(cache, tier, "hits") == 2
+        assert self._count(cache, tier, "stores") == 1
+
+    def test_unpicklable_value_degrades_to_memory(self, tier, kernel, tmp_path):
+        _, hostile = _samples(tier, kernel)
+        diagnostics = Diagnostics()
+        cache = ArtifactCache(cache_dir=str(tmp_path), diagnostics=diagnostics)
+        assert cache.put(tier, "key", hostile) is False
+        assert cache.stats.disk_errors == 1
+        assert any(
+            "not picklable" in entry.message for entry in diagnostics.entries
+        )
+        assert not (tmp_path / "key.pkl").exists()
+        assert cache.get(tier, "key") is hostile  # memory still serves it
+
+    def test_corrupt_disk_entry_is_a_miss_and_is_evicted(
+        self, tier, kernel, tmp_path
+    ):
+        cache = ArtifactCache(cache_dir=str(tmp_path), diagnostics=Diagnostics())
+        entry = tmp_path / "key.pkl"
+        entry.write_bytes(b"\x80garbage-not-a-pickle\xff")
+        assert cache.get(tier, "key") is None  # never raises
+        assert cache.stats.disk_errors == 1
+        assert self._count(cache, tier, "misses") == 1
+        assert not entry.exists()  # evicted
+        assert any(
+            f"corrupt {tier.name}" in d.message
+            for d in cache.diagnostics.warnings
+        )
+        # Still a functioning cache afterwards.
+        assert cache.get(tier, "key") is None
+        assert cache.stats.disk_errors == 1
+
+    def test_truncated_disk_entry_is_a_miss(self, tier, kernel, tmp_path):
+        value, _ = _samples(tier, kernel)
+        cache = ArtifactCache(cache_dir=str(tmp_path))
+        cache.put(tier, "key", value)
+        entry = tmp_path / "key.pkl"
+        payload = entry.read_bytes()
+        entry.write_bytes(payload[: len(payload) // 2])
+        cache.clear()
+
+        assert cache.get(tier, "key") is None
+        assert cache.stats.disk_errors == 1
+
+    def test_eviction_removes_memory_and_disk(self, tier, kernel, tmp_path):
+        value, _ = _samples(tier, kernel)
+        cache = ArtifactCache(cache_dir=str(tmp_path))
+        cache.put(tier, "key", value)
+        assert cache.evict(tier, "key")
+        assert not (tmp_path / "key.pkl").exists()
+        assert cache.get(tier, "key") is None
+        assert not cache.evict(tier, "key")
+
+
+def test_memory_only_tiers_never_touch_the_disk(tmp_path):
+    cache = ArtifactCache(cache_dir=str(tmp_path))
+    for tier in TIERS:
+        if tier.codec is None:
+            assert cache.put(tier, "key", lambda: None) is True
+    assert list(tmp_path.iterdir()) == []
+    assert cache.stats.disk_errors == 0
 
 
 class TestHintBinding:

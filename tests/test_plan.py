@@ -6,10 +6,12 @@ in the last ulp on arbitrary reals, but are exact on integers — so
 ``np.array_equal`` (bit-identity) is the right assertion, not allclose.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.driver import ArtifactCache, CompilerSession
+from repro.driver import CompilerSession
 from repro.errors import ExecutionError
 from repro.obs import Counters
 from repro.srdfg import build
@@ -232,6 +234,100 @@ class TestCompiledApplicationCounters:
             previous = via_app
 
 
+class TestSingleFlight:
+    def test_exactly_one_build_per_key_under_contention(self):
+        """The invariant a lost update would break: lookup and flight
+        registration are one critical section, so a caller sees the
+        published value or joins the running build — never neither."""
+        import sys
+        import threading
+
+        from repro.srdfg.plan import SingleFlight
+
+        flights, store, builds = SingleFlight(), {}, []
+        keys, threads = range(40), 4 * (os.cpu_count() or 2)
+        barrier = threading.Barrier(threads, timeout=30.0)
+        seen = [[] for _ in range(threads)]
+
+        def build(key):
+            builds.append(key)  # list.append is atomic
+            store[key] = value = object()
+            return value
+
+        def worker(mine):
+            barrier.wait()
+            for key in keys:
+                value, how = flights.run(
+                    key, lambda: store.get(key), lambda: build(key)
+                )
+                mine.append((key, value, how))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=worker, args=(mine,)) for mine in seen
+            ]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in workers)
+        assert sorted(builds) == list(keys)
+        for mine in seen:
+            assert [key for key, _, _ in mine] == list(keys)
+            assert all(value is store[key] for key, value, _ in mine)
+        hows = [how for mine in seen for _, _, how in mine]
+        assert hows.count("built") == len(keys)
+        assert set(hows) <= {"built", "cache", "coalesced"}
+        assert not flights._flights
+
+    def test_followers_reraise_the_leaders_error(self):
+        import threading
+
+        from repro.srdfg.plan import SingleFlight
+
+        flights = SingleFlight()
+        started, finish = threading.Event(), threading.Event()
+        errors = []
+
+        def failing():
+            started.set()
+            assert finish.wait(timeout=30)
+            raise ValueError("build failed")
+
+        def ask(build, looked):
+            try:
+                flights.run("key", looked.set, build)  # Event.set() is None
+            except ValueError as exc:
+                errors.append(exc)
+
+        leader = threading.Thread(
+            target=ask, args=(failing, threading.Event())
+        )
+        leader.start()
+        assert started.wait(timeout=30)
+        looked = threading.Event()
+        follower = threading.Thread(
+            target=ask, args=(lambda: pytest.fail("built twice"), looked)
+        )
+        follower.start()
+        # Lookup and joining the flight are one critical section: once
+        # the lock is free again after the lookup, the follower is in.
+        assert looked.wait(timeout=30)
+        with flights._lock:
+            pass
+        finish.set()
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert len(errors) == 2 and errors[0] is errors[1]
+        assert not flights._flights  # a failed flight is not remembered
+
+
 class TestFingerprintAndCacheTier:
     def test_fingerprint_stable_across_rebuilds(self):
         assert graph_fingerprint(build(MATVEC)) == graph_fingerprint(build(MATVEC))
@@ -246,16 +342,19 @@ class TestFingerprintAndCacheTier:
         )
 
     def test_plan_tier_hits_across_graph_instances(self):
-        cache = ArtifactCache()
-        first = build(MATVEC)
-        plan = plan_for_graph(first, registry=cache)
+        from types import SimpleNamespace
+
+        session = CompilerSession()
+        cache = session.cache
+        first = SimpleNamespace(graph=build(MATVEC))
+        plan = session.plan_for(first)
         assert cache.stats.plan_misses == 1
         assert cache.stats.plan_stores == 1
 
         # A structurally identical graph (fresh build, different node
         # uids) hits the tier and reuses the very same plan object.
-        second = build(MATVEC)
-        again = plan_for_graph(second, registry=cache)
+        second = SimpleNamespace(graph=build(MATVEC))
+        again = session.plan_for(second)
         assert again is plan
         assert cache.stats.plan_hits == 1
 

@@ -32,7 +32,7 @@ import time
 
 import pytest
 
-from repro.driver.cache import ArtifactCache
+from repro.driver.cache import COMPILE, ArtifactCache
 from repro.driver.lease import Lease
 from repro.serve import (
     PRIORITY_LOW,
@@ -56,7 +56,7 @@ _FORK = multiprocessing.get_context("fork")
 # ---------------------------------------------------------------------------
 
 
-def _race_get_or_build(cache_dir, key, barrier, marker_dir, queue):
+def _race_build_once(cache_dir, key, barrier, marker_dir, queue):
     cache = ArtifactCache(cache_dir=str(cache_dir))
 
     def builder():
@@ -67,7 +67,8 @@ def _race_get_or_build(cache_dir, key, barrier, marker_dir, queue):
         return {"payload": "artifact-body", "key": key}
 
     barrier.wait(timeout=30)
-    artifact, provenance = cache.get_or_build(key, builder)
+    assert cache.get(COMPILE, key) is None
+    artifact, provenance = cache.build_once(COMPILE, key, builder, lease=True)
     queue.put(
         (
             os.getpid(),
@@ -86,7 +87,7 @@ def test_two_processes_racing_same_key_build_exactly_once(tmp_path):
     queue = _FORK.Queue()
     racers = [
         _FORK.Process(
-            target=_race_get_or_build,
+            target=_race_build_once,
             args=(cache_dir, "k-race", barrier, str(marker_dir), queue),
         )
         for _ in range(3)
@@ -121,8 +122,8 @@ def test_dead_holders_stale_lease_is_reclaimed(tmp_path):
     lease_path.write_text(f"{child.pid}:{time.time()}")
 
     started = time.monotonic()
-    artifact, provenance = cache.get_or_build(
-        "k-stale", lambda: {"v": 1}, wait_timeout_s=30.0
+    artifact, provenance = cache.build_once(
+        COMPILE, "k-stale", lambda: {"v": 1}, lease=True, wait_timeout_s=30.0
     )
     elapsed = time.monotonic() - started
 
@@ -154,8 +155,9 @@ def test_killed_leaseholder_does_not_deadlock_waiters(tmp_path):
 
     cache = ArtifactCache(cache_dir=str(cache_dir))
     started = time.monotonic()
-    artifact, provenance = cache.get_or_build(
-        "k-kill", lambda: {"v": "rebuilt"}, wait_timeout_s=60.0
+    artifact, provenance = cache.build_once(
+        COMPILE, "k-kill", lambda: {"v": "rebuilt"},
+        lease=True, wait_timeout_s=60.0,
     )
     elapsed = time.monotonic() - started
 
@@ -163,6 +165,51 @@ def test_killed_leaseholder_does_not_deadlock_waiters(tmp_path):
     assert artifact == {"v": "rebuilt"}
     assert elapsed < 30.0
     assert cache.stats.lease_reclaimed >= 1
+
+
+def test_lease_is_never_visible_without_its_payload(tmp_path):
+    """The exactly-one-build race: ``acquire`` used to create the lease
+    and only then write ``pid:stamp``, so a waiter polling in between
+    read an empty payload, called the *live* lease stale, reclaimed it
+    and built too. Hold that window open and look through it."""
+    import threading
+
+    path = tmp_path / "k-torn.lease"
+    writing, go_on = threading.Event(), threading.Event()
+
+    def held_write(fd, payload):
+        writing.set()
+        assert go_on.wait(timeout=30)
+        return os.write(fd, payload)
+
+    first, acquired = Lease(path), []
+    first._write = held_write
+    holder = threading.Thread(target=lambda: acquired.append(first.acquire()))
+    holder.start()
+    try:
+        assert writing.wait(timeout=30)
+        waiter = Lease(path)
+        # Mid-acquire there is no lease yet, or a whole one — never an
+        # empty one that reads as a dead holder.
+        assert waiter.holder() != (0, 0.0)
+        assert not waiter.stale()
+        outcome = waiter.wait(lambda: False, timeout_s=0.05, poll_s=0.001)
+        assert outcome != "reclaim"
+    finally:
+        go_on.set()
+        holder.join(timeout=30)
+
+    assert not holder.is_alive()
+    assert acquired == [True]
+    pid, stamp = waiter.holder()
+    assert pid == os.getpid() and stamp > 0
+    # While the first lease is held nobody else gets in.
+    assert waiter.acquire() is False
+    assert waiter.wait(lambda: False, timeout_s=0.05, poll_s=0.001) == "timeout"
+    first.release()
+    assert waiter.acquire() is True
+    waiter.release()
+    assert list(tmp_path.iterdir()) == []  # no lease, no temp residue
 
 
 def test_lease_staleness_probes():

@@ -22,7 +22,7 @@ import pickle
 
 import pytest
 
-from repro.driver.cache import ArtifactCache, fingerprint
+from repro.driver.cache import COMPILE, ArtifactCache, fingerprint
 from repro.errors import QueueFullError
 from repro.serve import (
     PRIORITY_HIGH,
@@ -71,6 +71,50 @@ def test_identical_concurrent_requests_coalesce():
     assert report.plan_reuse_ok
     assert report.completed == len(requests)
     assert report.failed == 0
+
+
+@pytest.mark.parametrize("name", ["FFT-8192", "MobileRobot"])
+def test_concurrent_codegen_plans_build_one_kernel(name):
+    """Exactly-one-build holds for every tier: N threads asking for the
+    same kernel-backed plan on a fresh session build one plan *and one
+    kernel* — the kernel tier used to have no single-flight at all."""
+    import threading
+
+    from repro.codegen import CODEGEN_STATS
+    from repro.driver import CompilerSession
+    from repro.targets import default_accelerators
+    from repro.workloads import get_workload
+
+    workload = get_workload(name)
+    session = CompilerSession(default_accelerators())
+    app = session.compile(
+        workload.source(), domain=workload.domain, data_hints=workload.hints()
+    )
+    threads = 4
+    barrier = threading.Barrier(threads, timeout=30.0)
+    plans, errors = [], []
+
+    def ask():
+        try:
+            barrier.wait()
+            plans.append(session.plan_for(app, codegen=True))
+        except BaseException as exc:  # surfaced below, not lost in a thread
+            errors.append(exc)
+
+    built_before = CODEGEN_STATS.kernels_built
+    workers = [threading.Thread(target=ask) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors and len(plans) == threads
+    assert CODEGEN_STATS.kernels_built - built_before == 1
+    assert session.cache.stats.kernel_stores == 1
+    assert session.plan_stats.graphs_planned == 1
+    assert plans[0].kernel is not None
+    assert all(plan.kernel is plans[0].kernel for plan in plans)
 
 
 def test_concurrent_run_bit_identical_to_serial():
@@ -193,7 +237,7 @@ def test_server_dispatches_by_priority():
 def test_disk_writes_are_atomic_and_leave_no_temp_files(tmp_path):
     cache = ArtifactCache(cache_dir=str(tmp_path))
     key = fingerprint("artifact-v1")
-    assert cache.put(key, {"payload": 1})
+    assert cache.put(COMPILE, key, {"payload": 1})
     entries = sorted(p.name for p in tmp_path.iterdir())
     assert entries == [f"{key}.pkl"]  # no .tmp residue
     with open(tmp_path / f"{key}.pkl", "rb") as handle:
@@ -203,7 +247,7 @@ def test_disk_writes_are_atomic_and_leave_no_temp_files(tmp_path):
 def test_failed_disk_write_preserves_old_entry(tmp_path, monkeypatch):
     cache = ArtifactCache(cache_dir=str(tmp_path))
     key = fingerprint("artifact-v1")
-    cache.put(key, {"version": 1})
+    cache.put(COMPILE, key, {"version": 1})
 
     def broken_replace(src, dst):
         raise OSError("disk full")
@@ -211,11 +255,11 @@ def test_failed_disk_write_preserves_old_entry(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", broken_replace)
     # The put still succeeds (memory tier), the disk tier degrades, and
     # the published on-disk entry is the intact old version.
-    assert cache.put(key, {"version": 2})
+    assert cache.put(COMPILE, key, {"version": 2})
     assert cache.stats.disk_errors == 1
     monkeypatch.undo()
 
-    assert cache.get(key) == {"version": 2}  # memory tier has the new value
+    assert cache.get(COMPILE, key) == {"version": 2}  # memory tier has the new value
     with open(tmp_path / f"{key}.pkl", "rb") as handle:
         assert pickle.load(handle) == {"version": 1}
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

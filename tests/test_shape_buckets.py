@@ -21,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.driver import CompilerSession
-from repro.driver.cache import ArtifactCache
+from repro.driver.cache import BUCKET, ArtifactCache
 from repro.srdfg.shapes import ShapeBinding, SpecializationKey
 from repro.targets import default_accelerators
 from repro.workloads import get_workload
@@ -45,12 +45,12 @@ def test_bucket_tier_keys_do_not_collide():
         _spec("DCT", n=1024),
     ]
     for index, key in enumerate(keys):
-        cache.bucket_put(key.template_digest(), key.bucket_digest(), index)
+        cache.put(BUCKET, (key.template_digest(), key.bucket_digest()), index)
 
     # Every (template, binding, config) triple reads back its own plan.
     for index, key in enumerate(keys):
-        assert cache.bucket_get(
-            key.template_digest(), key.bucket_digest()
+        assert cache.get(
+            BUCKET, (key.template_digest(), key.bucket_digest())
         ) == index
 
     # Two templates, three buckets under FFT and one under DCT.
@@ -64,18 +64,18 @@ def test_bucket_eviction_is_sibling_safe():
     cache = ArtifactCache()
     small, large = _spec("FFT", n=1024), _spec("FFT", n=2048)
     template = small.template_digest()
-    cache.bucket_put(template, small.bucket_digest(), "small-plan")
-    cache.bucket_put(template, large.bucket_digest(), "large-plan")
+    cache.put(BUCKET, (template, small.bucket_digest()), "small-plan")
+    cache.put(BUCKET, (template, large.bucket_digest()), "large-plan")
 
-    assert cache.evict_bucket(template, small.bucket_digest())
+    assert cache.evict(BUCKET, (template, small.bucket_digest()))
     # The sibling bucket survives the eviction.
-    assert cache.bucket_get(template, large.bucket_digest()) == "large-plan"
-    assert cache.bucket_get(template, small.bucket_digest()) is None
+    assert cache.get(BUCKET, (template, large.bucket_digest())) == "large-plan"
+    assert cache.get(BUCKET, (template, small.bucket_digest())) is None
     assert cache.buckets_for(template) == (large.bucket_digest(),)
 
     # Re-evicting is a no-op; emptying the template removes its group.
-    assert not cache.evict_bucket(template, small.bucket_digest())
-    assert cache.evict_bucket(template, large.bucket_digest())
+    assert not cache.evict(BUCKET, (template, small.bucket_digest()))
+    assert cache.evict(BUCKET, (template, large.bucket_digest()))
     assert cache.bucket_summary() == {}
     assert cache.stats.bucket_evictions == 2
 
@@ -85,9 +85,9 @@ def test_bucket_counters_and_render():
     key = _spec("FFT", n=1024)
     template, bucket = key.template_digest(), key.bucket_digest()
 
-    assert cache.bucket_get(template, bucket) is None
-    cache.bucket_put(template, bucket, "plan")
-    assert cache.bucket_get(template, bucket) == "plan"
+    assert cache.get(BUCKET, (template, bucket)) is None
+    cache.put(BUCKET, (template, bucket), "plan")
+    assert cache.get(BUCKET, (template, bucket)) == "plan"
 
     stats = cache.stats
     assert stats.bucket_misses == 1
@@ -188,8 +188,8 @@ def test_bucket_eviction_forces_rebuild(session):
     app = _compile(session, fft)
     session.plan_for(app, specialization=spec)
 
-    assert session.cache.evict_bucket(
-        spec.template_digest(), spec.bucket_digest()
+    assert session.cache.evict(
+        BUCKET, (spec.template_digest(), spec.bucket_digest())
     )
     baseline = session.metrics.snapshot()["plan.graphs_planned"]
     session.plan_for(_compile(session, fft), specialization=spec)
