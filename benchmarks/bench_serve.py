@@ -1,381 +1,14 @@
-"""Throughput scaling of the serving layer across worker counts.
+"""Tracer overhead on the serving layer.
 
-Not a paper figure — this benchmarks the repro.serve subsystem itself on
-a mixed four-workload trace. Workers emulate device occupancy (each
-invocation sleeps for the cost model's accelerator seconds, scaled), so
-the host thread blocks while the "accelerator" runs — exactly the regime
-where a thread pool buys throughput, and an honest one even on a
-single-CPU runner because sleeping releases the GIL.
-
-The mix deliberately pairs light host compute with meaningful modelled
-device time: heavy numpy execution (DCT-1024 spends ~100 ms of host CPU
-per step) convoys against sleeping threads under the GIL on small
-runners, which would benchmark CPython's scheduler rather than the
-serving layer.
-
-Asserted claims:
-
-* 4 workers sustain >= 2.5x the single-worker throughput,
-* the concurrent run's outputs are bit-identical to the serial baseline,
-* plans were built exactly once per distinct (workload, config) pair —
-  concurrency never duplicated compilation or planning work,
-* on the sleep-dominated saturation trace, 8 workers sustain >= 6x the
-  serial throughput in BOTH pool modes, and process mode (one worker
-  process per drainer thread, compiles coalesced cross-process through
-  the lease protocol) stays bit-identical to thread mode,
-* a sustained 10k-request saturation run through the asyncio admission
-  frontend completes every request with one bit-identical signature and
-  the conservation identity intact.
-
-Alongside the text table, the scaling run writes
-``results/BENCH_serve.json`` — throughput, p50/p95/p99 latency,
-queue-wait, and compile/plan provenance counts per worker count, plus
-the thread-vs-process rows and the saturation summary — the
-machine-readable twin of the table, matching ``BENCH_figures.json``.
-Each test read-modify-writes its own section so partial reruns keep the
-other sections' numbers.
+Not a paper figure — serving latency, throughput and pool scaling are the
+ledger's ``serve-thread`` / ``serve-process`` workloads
+(``benchmarks/ledger/``), measured on real work. What is left here is
+the one claim the ledger does not make: that instrumentation is free
+when tracing is off.
 """
 
-import json
-import tempfile
-
-from repro.serve import (
-    Request,
-    Server,
-    replay,
-    run_serial,
-    saturate,
-    synth_trace,
-)
-
-MIX = ("MobileRobot", "ElecUse", "FFT-8192", "Hexacopter")
-#: Sleep EMULATE x the modelled accelerator seconds per invocation —
-#: chosen so per-step device occupancy dominates host compute (FFT-8192
-#: sleeps ~3 s/step, ElecUse ~0.75 s/step) without any single request
-#: becoming the wall-clock long pole of the 4-worker run.
-EMULATE = 4000.0
-REQUESTS = 16
-MAX_STEPS = 2
-SEED = 7
-
-#: The 8-worker saturation trace: sleep-dominated (device emulation is
-#: where a pool scales even on a 1-CPU runner, because sleeping releases
-#: the GIL), admitted longest-first so the long FFT requests never
-#: become a makespan tail, single-step so the per-request device time is
-#: bounded by one invocation.
-SCALING_EMULATE = 2500.0
-SCALING_MIX = (
-    ("FFT-8192", 6),
-    ("ElecUse", 24),
-    ("MobileRobot", 9),
-    ("Hexacopter", 9),
-)
-
-
-def _scaling_trace():
-    return [
-        Request(workload=name, steps=1)
-        for name, count in SCALING_MIX
-        for _ in range(count)
-    ]
-
-
-def _merge_results(path, section, payload):
-    """Read-modify-write one top-level section of BENCH_serve.json."""
-    document = {}
-    if path.exists():
-        document = json.loads(path.read_text())
-    document[section] = payload
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _run_concurrent(trace, workers):
-    server = Server(
-        workers=workers,
-        queue_capacity=len(trace),
-        emulate_device=EMULATE,
-    )
-    with server:
-        responses, _ = replay(server, trace)
-    return responses, server.report()
-
-
-def _report_row(report, speedup):
-    """One BENCH_serve.json entry: the numbers an operator watches."""
-    return {
-        "workers": report.workers,
-        "wall_seconds": report.wall_seconds,
-        "throughput_rps": report.throughput,
-        "speedup": speedup,
-        "completed": report.completed,
-        "failed": report.failed,
-        "latency": {
-            "p50_seconds": report.p50_seconds,
-            "p95_seconds": report.p95_seconds,
-            "p99_seconds": report.p99_seconds,
-        },
-        "queue_wait": {
-            "mean_seconds": report.mean_queue_seconds,
-            "max_seconds": report.max_queue_seconds,
-            "peak_depth": report.queue_peak,
-        },
-        "provenance": {
-            "compile": report.provenance_counts("compile"),
-            "plan": report.provenance_counts("plan"),
-        },
-        "plan_reuse": {
-            "plans_built": report.plans_built,
-            "distinct_configs": report.distinct_configs,
-            "ok": report.plan_reuse_ok,
-        },
-    }
-
-
-def test_serve_throughput_scales_with_workers(emit, results_dir):
-    trace = synth_trace(
-        requests=REQUESTS,
-        workloads=MIX,
-        seed=SEED,
-        max_steps=MAX_STEPS,
-    )
-    distinct = len({request.config_key() for request in trace})
-
-    serial_responses, serial_report = run_serial(trace, emulate_device=EMULATE)
-    assert all(response.ok for response in serial_responses)
-
-    lines = [
-        f"serve throughput, {REQUESTS}-request mixed trace "
-        f"({', '.join(MIX)}), device emulation x{EMULATE:g}",
-        f"  {'workers':>7s}  {'wall s':>8s}  {'req/s':>7s}  {'speedup':>7s}",
-        f"  {1:7d}  {serial_report.wall_seconds:8.2f}  "
-        f"{serial_report.throughput:7.2f}  {1.0:7.2f}",
-    ]
-
-    speedups = {}
-    scaling = [_report_row(serial_report, 1.0)]
-    for workers in (2, 4, 8):
-        responses, report = _run_concurrent(trace, workers)
-        if workers == 4 and report.throughput < 2.5 * serial_report.throughput:
-            # One retry absorbs scheduler noise on loaded CI runners; a
-            # genuine scaling regression fails both attempts.
-            responses, report = _run_concurrent(trace, workers)
-
-        # Correctness first: bit-identical to the serial baseline, and
-        # no duplicated compilation or planning work under concurrency.
-        for concurrent, reference in zip(responses, serial_responses):
-            assert concurrent.ok
-            assert concurrent.signature == reference.signature
-        assert report.plan_reuse_ok, (
-            f"{report.plans_built} plan(s) built for {report.distinct_configs} "
-            f"distinct pair(s) at {workers} workers"
-        )
-        assert report.distinct_configs == distinct
-
-        speedups[workers] = report.throughput / serial_report.throughput
-        scaling.append(_report_row(report, speedups[workers]))
-        lines.append(
-            f"  {workers:7d}  {report.wall_seconds:8.2f}  "
-            f"{report.throughput:7.2f}  {speedups[workers]:7.2f}"
-        )
-
-    emit("bench_serve", "\n".join(lines))
-    path = results_dir / "BENCH_serve.json"
-    _merge_results(
-        path,
-        "trace",
-        {
-            "requests": REQUESTS,
-            "workloads": list(MIX),
-            "seed": SEED,
-            "max_steps": MAX_STEPS,
-            "emulate_device": EMULATE,
-            "distinct_configs": distinct,
-        },
-    )
-    _merge_results(path, "scaling", scaling)
-    print(f"\n[written to {path}]")
-
-    # The headline claim: 4 workers >= 2.5x one worker.
-    assert speedups[4] >= 2.5, f"4-worker speedup only {speedups[4]:.2f}x"
-    assert speedups[2] > 1.2, f"2-worker speedup only {speedups[2]:.2f}x"
-
-
-def _pool_row(mode, report, serial_report):
-    return {
-        "mode": mode,
-        "workers": report.workers,
-        "wall_seconds": report.wall_seconds,
-        "throughput_rps": report.throughput,
-        "speedup": report.throughput / serial_report.throughput,
-        "completed": report.completed,
-        "failed": report.failed,
-        "processes": report.processes,
-        "worker_crashes": report.worker_crashes,
-        "conservation_ok": report.conservation_ok,
-        "plan_reuse_ok": report.plan_reuse_ok,
-        "latency": {
-            "p50_seconds": report.p50_seconds,
-            "p95_seconds": report.p95_seconds,
-            "p99_seconds": report.p99_seconds,
-        },
-        "provenance": {
-            "compile": report.provenance_counts("compile"),
-            "plan": report.provenance_counts("plan"),
-        },
-    }
-
-
-def test_process_pool_matches_thread_pool_and_scales(emit, results_dir):
-    """Thread-vs-process scaling at 8 workers on the saturation trace.
-
-    The serial baseline and both concurrent runs execute the identical
-    trace; the process run shares one disk cache tier, so its children
-    coalesce compiles through the lease protocol instead of compiling
-    once per process. One retry per pool mode absorbs scheduler noise on
-    loaded runners — a genuine scaling regression fails both attempts.
-    """
-    from repro.driver import CompilerSession
-
-    trace = _scaling_trace()
-    serial_responses, serial_report = run_serial(
-        trace, emulate_device=SCALING_EMULATE
-    )
-    assert all(response.ok for response in serial_responses)
-    reference = [response.signature for response in serial_responses]
-
-    def run_thread():
-        server = Server(
-            workers=8,
-            queue_capacity=len(trace),
-            emulate_device=SCALING_EMULATE,
-        )
-        with server:
-            responses, _ = replay(server, trace)
-        return responses, server.report()
-
-    def run_process():
-        with tempfile.TemporaryDirectory() as shared:
-            session = CompilerSession(cache_dir=shared)
-            server = Server(
-                session=session,
-                workers=8,
-                queue_capacity=len(trace),
-                emulate_device=SCALING_EMULATE,
-                pool="process",
-            )
-            with server:
-                responses, _ = replay(server, trace)
-        return responses, server.report()
-
-    rows = [_pool_row("serial", serial_report, serial_report)]
-    lines = [
-        f"serve pool scaling, {len(trace)}-request longest-first trace "
-        f"({', '.join(f'{count}x{name}' for name, count in SCALING_MIX)}), "
-        f"device emulation x{SCALING_EMULATE:g}",
-        f"  {'mode':>8s}  {'workers':>7s}  {'wall s':>8s}  {'req/s':>7s}  "
-        f"{'speedup':>7s}",
-        f"  {'serial':>8s}  {1:7d}  {serial_report.wall_seconds:8.2f}  "
-        f"{serial_report.throughput:7.2f}  {1.0:7.2f}",
-    ]
-    speedups = {}
-    for mode, run in (("thread", run_thread), ("process", run_process)):
-        responses, report = run()
-        if report.throughput < 6.0 * serial_report.throughput:
-            responses, report = run()
-
-        assert all(response.ok for response in responses)
-        # Bit-identity across pool modes: both match the serial run.
-        assert [r.signature for r in responses] == reference, (
-            f"{mode} pool diverged from the serial baseline"
-        )
-        assert report.conservation_ok
-        assert report.plan_reuse_ok, (
-            f"{mode}: {report.plans_built} plan(s) built for "
-            f"{report.distinct_configs} distinct pair(s), expected "
-            f"{report.expected_plans}"
-        )
-        assert report.worker_crashes == 0
-        if mode == "process":
-            assert report.processes == 8
-
-        speedups[mode] = report.throughput / serial_report.throughput
-        rows.append(_pool_row(mode, report, serial_report))
-        lines.append(
-            f"  {mode:>8s}  {report.workers:7d}  "
-            f"{report.wall_seconds:8.2f}  {report.throughput:7.2f}  "
-            f"{speedups[mode]:7.2f}"
-        )
-
-    emit("bench_serve_pools", "\n".join(lines))
-    _merge_results(
-        results_dir / "BENCH_serve.json",
-        "pool_scaling",
-        {
-            "trace": {
-                "requests": len(trace),
-                "mix": {name: count for name, count in SCALING_MIX},
-                "emulate_device": SCALING_EMULATE,
-                "order": "longest-first",
-            },
-            "rows": rows,
-        },
-    )
-
-    # The headline claim: 8 workers >= 6x serial in both pool modes.
-    for mode, speedup in speedups.items():
-        assert speedup >= 6.0, (
-            f"8-worker {mode}-pool speedup only {speedup:.2f}x"
-        )
-
-
-def test_sustained_saturation_via_async_frontend(emit, results_dir):
-    """10k requests through the asyncio admission layer, one hot config.
-
-    After the first request compiles and plans, the run measures the
-    serving layer itself — admission, scheduling, dispatch, counter
-    bookkeeping — at sustained six-figure-per-minute request rates.
-    Every request must complete, bit-identically, with the conservation
-    identity intact.
-    """
-    server = Server(workers=4, queue_capacity=256)
-    with server:
-        summary = saturate(
-            server, requests=10_000, workload="MobileRobot", max_inflight=256
-        )
-    report = server.report()
-
-    assert summary["completed"] == 10_000
-    assert summary["errors"] == 0
-    assert len(summary["signatures"]) == 1
-    assert report.conservation_ok
-    assert report.plan_reuse_ok
-
-    emit(
-        "bench_serve_saturation",
-        "sustained saturation, 10000 single-config requests through the "
-        "asyncio frontend (4 workers)\n"
-        f"  wall:       {summary['wall_seconds']:8.2f} s\n"
-        f"  throughput: {summary['throughput_rps']:8.1f} req/s\n"
-        f"  completed:  {summary['completed']:8d} "
-        f"({summary['errors']} error(s), "
-        f"{len(summary['signatures'])} distinct signature(s))",
-    )
-    _merge_results(
-        results_dir / "BENCH_serve.json",
-        "saturation",
-        {
-            "requests": summary["requests"],
-            "workers": 4,
-            "pool": "thread",
-            "completed": summary["completed"],
-            "errors": summary["errors"],
-            "wall_seconds": summary["wall_seconds"],
-            "throughput_rps": summary["throughput_rps"],
-            "distinct_signatures": len(summary["signatures"]),
-            "conservation_ok": report.conservation_ok,
-        },
-    )
+from repro.obs import Tracer
+from repro.serve import Request, Server, replay
 
 
 def test_disabled_tracer_overhead_under_two_percent(emit):
@@ -389,9 +22,6 @@ def test_disabled_tracer_overhead_under_two_percent(emit):
     (a strictly harsher comparison than disabled-vs-uninstrumented),
     the throughput delta must stay under 2%.
     """
-    from repro.obs import Tracer
-    from repro.serve import Request
-
     trace = [
         Request(workload=workload, steps=2, request_id=f"ovh-{index}")
         for index, workload in enumerate(

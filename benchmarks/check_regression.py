@@ -1,24 +1,18 @@
 #!/usr/bin/env python
 """Benchmark regression gate: fresh results vs committed baselines.
 
-CI regenerates ``results/BENCH_serve.json`` (serve scaling table) and
-``results/BENCH_figures.json`` (figure/fusion/rule-trip data), then runs
-this script against the baselines committed under ``results/baselines/``.
-A run fails when:
+CI regenerates ``results/BENCH_figures.json`` (figure/fusion/rule-trip
+data) and ``results/BENCH_profiles.json`` (execute-tier profiles), then
+runs this script against the baselines committed under
+``results/baselines/``. Serving performance is not gated here: the
+ledger's ``serve-thread`` / ``serve-process`` workloads
+(``benchmarks/ledger/``) measure it on real work. A run fails when:
 
-* a serve scaling row's throughput drops more than ``--tolerance``
-  (default 15%) below the baseline, or its p99 latency rises more than
-  the tolerance above it, or a baseline worker count disappears,
-* a thread-vs-process pool row's speedup falls more than *twice* the
-  tolerance below the baseline (a ratio of two wall-clock measurements
-  carries roughly double the noise of either one), a pool row
-  disappears, loses bit-identity bookkeeping (conservation or plan
-  reuse), or crashes workers; or the saturation run stops completing
-  every request or its throughput falls more than twice the tolerance,
-* a numeric leaf of the figures file drifts more than the tolerance
-  from the baseline (wall-clock leaves — ``compile_seconds``,
-  ``wall_seconds`` — are skipped; everything else in that file is
-  deterministic cost-model output), or a baseline leaf disappears,
+* a numeric leaf of the figures file drifts more than ``--tolerance``
+  (default 15%) from the baseline (wall-clock leaves —
+  ``compile_seconds``, ``wall_seconds`` — are skipped; everything else
+  in that file is deterministic cost-model output), or a baseline leaf
+  disappears,
 * a profile in ``results/BENCH_profiles.json`` loses its generated
   kernel (build declined where the baseline built one), or its
   kernel-vs-interpreter steady-state speedup falls more than *twice*
@@ -45,112 +39,6 @@ WALL_CLOCK_MARKERS = ("compile_seconds", "wall_seconds")
 def load(path):
     with open(path) as handle:
         return json.load(handle)
-
-
-def check_serve(current, baseline, tolerance):
-    """Failures in the serve scaling table (throughput down / p99 up)."""
-    failures = []
-    current_rows = {row["workers"]: row for row in current.get("scaling", [])}
-    for base in baseline.get("scaling", []):
-        workers = base["workers"]
-        row = current_rows.get(workers)
-        if row is None:
-            failures.append(
-                f"serve: workers={workers} row missing from current results"
-            )
-            continue
-        throughput, floor = row["throughput_rps"], base["throughput_rps"]
-        if throughput < floor * (1 - tolerance):
-            failures.append(
-                f"serve: workers={workers} throughput {throughput:.2f} rps "
-                f"is >{tolerance:.0%} below baseline {floor:.2f} rps"
-            )
-        p99 = row["latency"]["p99_seconds"]
-        ceiling = base["latency"]["p99_seconds"]
-        if p99 > ceiling * (1 + tolerance):
-            failures.append(
-                f"serve: workers={workers} p99 {p99 * 1e3:.1f} ms is "
-                f">{tolerance:.0%} above baseline {ceiling * 1e3:.1f} ms"
-            )
-    failures += check_pool_scaling(current, baseline, tolerance)
-    failures += check_saturation(current, baseline, tolerance)
-    return failures
-
-
-def check_pool_scaling(current, baseline, tolerance):
-    """Failures in the thread-vs-process pool rows.
-
-    Speedup is a ratio of two independently noisy wall-clock
-    measurements, so its floor uses ``2 * tolerance`` (the same
-    allowance the profile speedup gate uses). Conservation, plan reuse,
-    and a crash-free run are boolean invariants — any flip fails.
-    """
-    failures = []
-    current_rows = {
-        (row["mode"], row["workers"]): row
-        for row in current.get("pool_scaling", {}).get("rows", [])
-    }
-    for base in baseline.get("pool_scaling", {}).get("rows", []):
-        key = (base["mode"], base["workers"])
-        row = current_rows.get(key)
-        label = f"pool={base['mode']} workers={base['workers']}"
-        if row is None:
-            failures.append(
-                f"serve: {label} row missing from current results"
-            )
-            continue
-        floor = base["speedup"] * (1 - 2 * tolerance)
-        if row["speedup"] < floor:
-            failures.append(
-                f"serve: {label} speedup {row['speedup']:.2f}x fell below "
-                f"{floor:.2f}x (baseline {base['speedup']:.2f}x, "
-                f"2x tolerance {2 * tolerance:.0%})"
-            )
-        for invariant in ("conservation_ok", "plan_reuse_ok"):
-            if base.get(invariant) and not row.get(invariant):
-                failures.append(f"serve: {label} lost {invariant}")
-        if row.get("worker_crashes", 0) > base.get("worker_crashes", 0):
-            failures.append(
-                f"serve: {label} had {row['worker_crashes']} worker "
-                f"crash(es) (baseline {base.get('worker_crashes', 0)})"
-            )
-    return failures
-
-
-def check_saturation(current, baseline, tolerance):
-    """Failures in the sustained-saturation summary."""
-    base = baseline.get("saturation")
-    if not base:
-        return []
-    entry = current.get("saturation")
-    if not entry:
-        return ["serve: saturation section missing from current results"]
-    failures = []
-    if entry.get("completed", 0) < base.get("requests", 0):
-        failures.append(
-            f"serve: saturation completed only {entry.get('completed', 0)} "
-            f"of {base.get('requests', 0)} request(s)"
-        )
-    if base.get("conservation_ok") and not entry.get("conservation_ok"):
-        failures.append("serve: saturation lost conservation_ok")
-    if entry.get("distinct_signatures", 0) > base.get(
-        "distinct_signatures", 1
-    ):
-        failures.append(
-            f"serve: saturation produced "
-            f"{entry['distinct_signatures']} distinct signature(s) "
-            f"(baseline {base.get('distinct_signatures', 1)})"
-        )
-    throughput = entry.get("throughput_rps", 0.0)
-    floor = base.get("throughput_rps", 0.0) * (1 - 2 * tolerance)
-    if throughput < floor:
-        failures.append(
-            f"serve: saturation throughput {throughput:.1f} rps fell "
-            f"below {floor:.1f} rps (baseline "
-            f"{base.get('throughput_rps', 0.0):.1f} rps, "
-            f"2x tolerance {2 * tolerance:.0%})"
-        )
-    return failures
 
 
 def numeric_leaves(value, path=""):
@@ -237,9 +125,6 @@ def check_profiles(current, baseline, tolerance):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--serve", metavar="PATH", help="fresh BENCH_serve.json"
-    )
-    parser.add_argument(
         "--figures", metavar="PATH", help="fresh BENCH_figures.json"
     )
     parser.add_argument(
@@ -260,20 +145,11 @@ def main(argv=None):
         help="allowed relative regression (default 0.15)",
     )
     args = parser.parse_args(argv)
-    if not args.serve and not args.figures and not args.profiles:
-        parser.error(
-            "nothing to check: pass --serve, --figures, and/or --profiles"
-        )
+    if not args.figures and not args.profiles:
+        parser.error("nothing to check: pass --figures and/or --profiles")
 
     baselines = Path(args.baseline_dir)
     failures, checked = [], 0
-    if args.serve:
-        failures += check_serve(
-            load(args.serve),
-            load(baselines / "BENCH_serve.json"),
-            args.tolerance,
-        )
-        checked += 1
     if args.figures:
         failures += check_figures(
             load(args.figures),

@@ -20,6 +20,8 @@ Usage (``python -m repro <command>``)::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 import time
 
@@ -128,9 +130,8 @@ def _stats_workload(args):
     counters, not wall-clock — that no statement plan was rebuilt during
     execution and every plan ran exactly once per step.
     """
-    import numpy as np
-
     from .eval import Harness
+    from .workloads import Trajectory
 
     harness = Harness()
     workload, app, _ = harness.compiled(args.workload)
@@ -142,19 +143,9 @@ def _stats_workload(args):
     # shows up directly) instead of ad-hoc deltas.
     session.plan_stats.reset()
     steps = max(0, args.execute)
-    state = {
-        key: np.asarray(value)
-        for key, value in workload.initial_state().items()
-    }
-    previous = None
-    for step in range(steps):
-        result = plan.execute(
-            inputs=workload.inputs(step, previous),
-            params=workload.params(),
-            state=state,
-        )
-        state = result.state
-        previous = result
+    trajectory = Trajectory(workload)
+    for _ in range(steps):
+        trajectory.step(plan.execute)
 
     if args.json:
         _emit_json(session.stats_dict(), args.json)
@@ -362,6 +353,7 @@ def _cmd_chaos(args):
     from .errors import RuntimeFailure
     from .eval import Harness
     from .runtime import FaultPlan, HostManager, RecoveryPolicy
+    from .workloads import Trajectory
 
     try:
         plan = FaultPlan.parse(args.inject, seed=args.seed)
@@ -380,24 +372,22 @@ def _cmd_chaos(args):
     def drive(fault_plan):
         """One chaos run: *steps* invocations threading state, one plan."""
         active = fault_plan.activate()
-        state = {
-            key: np.asarray(value)
-            for key, value in workload.initial_state().items()
-        }
-        previous = None
         report = None
-        for step in range(args.steps):
+
+        def invoke(**values):
+            nonlocal report
             report = manager.run(
                 app,
-                inputs=workload.inputs(step, previous),
-                params=workload.params(),
-                state=state,
                 fault_plan=active,
                 hints=workload.hints(),
                 precision=args.precision,
+                **values,
             )
-            previous = report.result
-            state = report.result.state
+            return report.result
+
+        trajectory = Trajectory(workload)
+        for _ in range(args.steps):
+            trajectory.step(invoke)
         return report
 
     try:
@@ -453,14 +443,77 @@ def _parse_dims(spec):
     return dims
 
 
+@contextlib.contextmanager
+def _serving(args):
+    """The started :class:`Server` of one ``repro serve`` run, either
+    mode, built from every server flag. On exit it is closed (read
+    ``server.report()`` after), the scratch cache directory is removed
+    and the ``--trace`` Chrome trace is written."""
+    import tempfile
+
+    from .obs import Tracer, write_chrome_trace
+    from .serve import Server
+
+    tracer = Tracer() if args.trace else None
+    with contextlib.ExitStack() as stack:
+        cache_dir = args.cache_dir
+        if cache_dir is None and args.pool == "process":
+            # Worker processes coalesce compiles through the disk tier;
+            # give them one even when the caller didn't ask for
+            # persistence.
+            cache_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-serve-")
+            )
+        server = Server(
+            workers=args.workers,
+            queue_capacity=args.queue_depth,
+            cache_dir=cache_dir,
+            tracer=tracer,
+            breaker_threshold=args.breaker_threshold,
+            bucket_policy=args.bucket_policy,
+            pool=args.pool,
+            aging_s=args.aging,
+        )
+        with server:
+            yield server
+    if tracer is not None:
+        write_chrome_trace(tracer, args.trace)
+        print(
+            f"wrote {len(tracer)} span(s) "
+            f"({', '.join(sorted(tracer.categories()))}) to {args.trace}"
+        )
+
+
+def _report_assertions_hold(args, report):
+    """``--assert-conservation`` / ``--assert-plan-reuse`` of either
+    ``repro serve`` mode; the rendered report above carries the detail."""
+    ok = True
+    if args.assert_conservation and not report.conservation_ok:
+        ok = False
+        print(
+            f"accounting assertion FAILED: {report.accounted} accounted "
+            f"of {report.submitted} submitted",
+            file=sys.stderr,
+        )
+    if args.assert_plan_reuse and not report.plan_reuse_ok:
+        ok = False
+        print(
+            "plan-reuse assertion FAILED: "
+            f"{report.plans_built} graph plan(s) / "
+            f"{report.statements_planned} statement plan(s) built, expected "
+            f"{report.expected_plans} / {report.expected_statements}",
+            file=sys.stderr,
+        )
+    return ok
+
+
 def _serve_sessions(args):
     """Session mode: stream M steps through N stateful sessions and
     compare per-step latency and bit-identity against one-shot
     re-submission of the same trajectory."""
     import threading
-    import time
 
-    from .serve import Request, Server, percentile
+    from .serve import Request, percentile
 
     name = args.workloads.split(",")[0].strip()
     try:
@@ -469,22 +522,8 @@ def _serve_sessions(args):
         print(f"serve: bad --dims: {exc}", file=sys.stderr)
         return 2
     steps = args.session_steps
-    tracer = None
-    if getattr(args, "trace", None):
-        from .obs import Tracer
-
-        tracer = Tracer()
-
-    server = Server(
-        workers=args.workers,
-        queue_capacity=args.queue_depth,
-        emulate_device=args.emulate_device,
-        tracer=tracer,
-        breaker_threshold=args.breaker_threshold,
-        bucket_policy=args.bucket_policy,
-    )
     status = 0
-    with server:
+    with _serving(args) as server:
         # Phase 1: N concurrent stateful sessions, M steps each.
         results = [None] * args.sessions
 
@@ -581,15 +620,6 @@ def _serve_sessions(args):
                 break
     report = server.report()
 
-    if tracer is not None:
-        from .obs import write_chrome_trace
-
-        write_chrome_trace(tracer, args.trace)
-        print(
-            f"wrote {len(tracer)} span(s) "
-            f"({', '.join(sorted(tracer.categories()))}) to {args.trace}"
-        )
-
     print(report.render())
     session_times = [t for times, _, _ in results for t in times]
     session_p50 = percentile(session_times, 0.50)
@@ -627,21 +657,8 @@ def _serve_sessions(args):
             f"needed >= {args.assert_speedup:g}x",
             file=sys.stderr,
         )
-    if args.assert_plan_reuse and not report.plan_reuse_ok:
+    if not _report_assertions_hold(args, report):
         status = 1
-        print(
-            "plan-reuse assertion FAILED: "
-            f"{report.plans_built} graph plan(s) built, expected "
-            f"{report.expected_plans}",
-            file=sys.stderr,
-        )
-    if args.assert_conservation and not report.conservation_ok:
-        status = 1
-        print(
-            f"accounting assertion FAILED: {report.accounted} accounted "
-            f"of {report.submitted} submitted",
-            file=sys.stderr,
-        )
 
     if args.json:
         payload = report.to_dict()
@@ -663,7 +680,7 @@ def _serve_sessions(args):
 
 def _cmd_serve(args):
     """Run the concurrent compile-and-execute service on a synthetic trace."""
-    from .serve import Server, replay, run_serial, synth_trace
+    from .serve import replay, run_serial, synth_trace
 
     workloads = tuple(
         name.strip() for name in args.workloads.split(",") if name.strip()
@@ -683,54 +700,9 @@ def _cmd_serve(args):
         deadline_s=args.deadline,
         fault_rate=args.fault_rate,
     )
-
-    tracer = None
-    if getattr(args, "trace", None):
-        from .obs import Tracer
-
-        tracer = Tracer()
-
-    session = None
-    scratch = None
-    cache_dir = getattr(args, "cache_dir", None)
-    pool = getattr(args, "pool", "thread")
-    if cache_dir is None and pool == "process":
-        # Worker processes coalesce compiles through the disk tier; give
-        # them one even when the caller didn't ask for persistence.
-        import tempfile
-
-        scratch = tempfile.TemporaryDirectory(prefix="repro-serve-")
-        cache_dir = scratch.name
-    if cache_dir is not None:
-        from .driver import CompilerSession
-
-        session = CompilerSession(cache_dir=cache_dir)
-    try:
-        server = Server(
-            session=session,
-            workers=args.workers,
-            queue_capacity=args.queue_depth,
-            emulate_device=args.emulate_device,
-            tracer=tracer,
-            breaker_threshold=args.breaker_threshold,
-            pool=pool,
-            aging_s=getattr(args, "aging", None),
-        )
-        with server:
-            responses, backpressure_retries = replay(server, trace)
-        report = server.report()
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
-
-    if tracer is not None:
-        from .obs import write_chrome_trace
-
-        write_chrome_trace(tracer, args.trace)
-        print(
-            f"wrote {len(tracer)} span(s) "
-            f"({', '.join(sorted(tracer.categories()))}) to {args.trace}"
-        )
+    with _serving(args) as server:
+        responses, backpressure_retries = replay(server, trace)
+    report = server.report()
 
     print(report.render())
     if backpressure_retries:
@@ -753,17 +725,8 @@ def _cmd_serve(args):
                 f"({response.request.describe()}) failed: {response.error}",
                 file=sys.stderr,
             )
-    if args.assert_conservation and not report.conservation_ok:
+    if not _report_assertions_hold(args, report):
         status = 1
-        print(
-            "accounting assertion FAILED: "
-            f"{report.accounted} accounted of {report.submitted} submitted "
-            f"(completed {report.completed} + failed {report.failed} + "
-            f"rejected {report.rejected} + expired {report.expired} + "
-            f"cancelled {report.cancelled} + breaker {report.breaker_rejected} "
-            f"+ timed out {report.timed_out})",
-            file=sys.stderr,
-        )
 
     if args.compare_serial:
         serial, _ = run_serial(trace)
@@ -784,17 +747,6 @@ def _cmd_serve(args):
                 f"  outputs bit-identical to the serial run "
                 f"({len(serial)} request(s))"
             )
-
-    if args.assert_plan_reuse and not report.plan_reuse_ok:
-        status = 1
-        print(
-            "plan-reuse assertion FAILED: "
-            f"{report.plans_built} graph plan(s) / "
-            f"{report.statements_planned} statement plan(s) built, expected "
-            f"{report.expected_plans} / {report.expected_statements} for "
-            f"{report.distinct_configs} distinct configuration(s)",
-            file=sys.stderr,
-        )
 
     if args.json:
         _emit_json(report.to_dict(), args.json)
@@ -859,8 +811,9 @@ def _cmd_codegen(args):
 
     import numpy as np
 
-    from .codegen import CODEGEN_STATS
+    from .codegen import CODEGEN_STATS, Unsupported
     from .eval import Harness
+    from .workloads import Trajectory
 
     CODEGEN_STATS.reset()
     names = list(args.workload) if args.workload else list(_CODEGEN_PROFILED)
@@ -904,25 +857,31 @@ def _cmd_codegen(args):
                 handle.write(kernel.source)
             entry["source_path"] = path
         if args.compare:
-            params = workload.params()
-            ref_state = {
-                key: np.asarray(value)
-                for key, value in workload.initial_state().items()
-            }
-            kern_state = dict(ref_state)
-            ref_prev = kern_prev = None
+            # One trajectory per tier, stepped in lockstep; only the
+            # tier's own execution is timed, not input generation.
+            seconds = {"interp": 0.0, "kernel": 0.0}
+
+            def timed(tier, run):
+                def invoke(**values):
+                    start = time.perf_counter()
+                    result = run(**values)
+                    seconds[tier] += time.perf_counter() - start
+                    if result is None:
+                        raise Unsupported(f"{tier} tier declined the step")
+                    return result
+                return invoke
+
+            interp = timed("interp", functools.partial(
+                plan._execute, output_init=None, trace=None
+            ))
+            kern = timed("kernel", functools.partial(kernel.try_execute, plan))
+            ref_run, kern_run = Trajectory(workload), Trajectory(workload)
             identical = True
-            interp_s = kernel_s = 0.0
             for step in range(max(1, args.steps)):
-                ref_in = workload.inputs(step, ref_prev)
-                start = time.perf_counter()
-                ref = plan._execute(ref_in, params, ref_state, None, None)
-                interp_s += time.perf_counter() - start
-                kern_in = workload.inputs(step, kern_prev)
-                start = time.perf_counter()
-                got = kernel.try_execute(plan, kern_in, params, kern_state)
-                kernel_s += time.perf_counter() - start
-                if got is None:
+                ref = ref_run.step(interp)
+                try:
+                    got = kern_run.step(kern)
+                except Unsupported:
                     identical = False
                     break
                 for kind, ref_d, got_d in (
@@ -941,8 +900,7 @@ def _cmd_codegen(args):
                             entry.setdefault("mismatches", []).append(
                                 f"step {step} {kind} {key}"
                             )
-                ref_state, ref_prev = ref.state, ref
-                kern_state, kern_prev = got.state, got
+            interp_s, kernel_s = seconds["interp"], seconds["kernel"]
             entry.update(
                 identical=identical,
                 steps=max(1, args.steps),
@@ -1182,14 +1140,6 @@ def build_parser():
         default="f64",
         choices=("f64", "f32"),
         help="execution-plan float precision (default f64)",
-    )
-    serve.add_argument(
-        "--emulate-device",
-        type=float,
-        default=0.0,
-        metavar="SCALE",
-        help="sleep SCALE x the cost model's accelerator seconds per "
-        "invocation, emulating device occupancy (0 disables)",
     )
     serve.add_argument(
         "--deadline",

@@ -46,6 +46,7 @@ from ..srdfg.plan import (
     plan_cache_key,
     plan_for_graph,
 )
+from ..targets.registry import default_accelerators
 from .cache import (
     BUCKET,
     COMPILE,
@@ -428,6 +429,20 @@ class CompilerSession:
             key=key[:12],
         )
         return artifact.with_hints(data_hints), provenance
+
+    def compile_workload(self, workload):
+        """:meth:`compile_traced` of a :class:`~repro.workloads.Workload`:
+        its source, domains and data hints on its own accelerator set
+        (the per-domain defaults under its ``accelerator_overrides``)."""
+        return self.compile_traced(
+            workload.source(),
+            domain=workload.domain,
+            component_domains=getattr(workload, "component_domains", None),
+            accelerators=default_accelerators(
+                getattr(workload, "accelerator_overrides", None)
+            ),
+            data_hints=workload.hints(),
+        )
 
     def _compile_stages(
         self, source, entry, domain, component_domains, accelerators,

@@ -201,7 +201,6 @@ def explore_rules(workload_name, candidates=None, include_combination=True):
     from ..passes.manager import PassManager
     from ..rewrite.fusion import modeled_cost
     from ..rewrite.rulepass import RulePass
-    from ..targets import default_accelerators
 
     workload = get_workload(workload_name)
     candidates = candidates or pipeline_candidates(include_combination)
@@ -215,17 +214,8 @@ def explore_rules(workload_name, candidates=None, include_combination=True):
             )
 
         session = CompilerSession(pipeline_factory=factory)
-        accelerators = default_accelerators(
-            getattr(workload, "accelerator_overrides", None)
-        )
         start = time.perf_counter()
-        app = session.compile(
-            workload.source(),
-            domain=workload.domain,
-            component_domains=getattr(workload, "component_domains", None),
-            accelerators=accelerators,
-            data_hints=workload.hints(),
-        )
+        app, _ = session.compile_workload(workload)
         compile_seconds = time.perf_counter() - start
         cost = modeled_cost(app.graph, app.accelerators)
         counters = stats.to_dict()

@@ -22,7 +22,6 @@ from typing import Dict, Optional
 from ..driver import CompilerSession
 from ..hw import SoCRuntime, make_jetson, make_titan_xp, make_xeon
 from ..hw.cost import PerfStats
-from ..targets import default_accelerators
 from ..util import geomean
 from ..workloads import SINGLE_DOMAIN, get_workload
 from .optimal import estimate_expert, percent_of_optimal
@@ -99,16 +98,7 @@ class Harness:
         never mutated.
         """
         workload = self.workload(name)
-        accelerators = default_accelerators(
-            getattr(workload, "accelerator_overrides", None)
-        )
-        app = self.session.compile(
-            workload.source(),
-            domain=workload.domain,
-            component_domains=getattr(workload, "component_domains", None),
-            accelerators=accelerators,
-            data_hints=workload.hints(),
-        )
+        app, _ = self.session.compile_workload(workload)
         return workload, app, app.accelerators
 
     # -- single-workload measurement ------------------------------------------------

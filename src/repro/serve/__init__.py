@@ -31,6 +31,7 @@ from .request import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
+    Outcome,
     Request,
     Response,
     result_signature,
@@ -47,6 +48,7 @@ __all__ = [
     "DEFAULT_MIX",
     "DeadlineExceededError",
     "LocalExecutor",
+    "Outcome",
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",

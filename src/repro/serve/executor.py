@@ -1,33 +1,34 @@
-"""The compile-plan-execute core, shared by both worker pool backends.
+"""The request body: the one compile → plan → guard → step code.
 
-:class:`LocalExecutor` is the request body that used to live inline in
-``Server._serve_one``: resolve the workload (bucket-rounding dim
-overrides), compile through the session (single-flight), plan
-(plan-tier cached), then execute N steps threading state — optionally
-sleeping out the cost model's emulated device occupancy, or routing
-fault-injecting requests through the HostManager.
-
-Extracting it lets the process pool run the *same* body in a worker
-child (one LocalExecutor per process, wrapped around a
-``cross_process=True`` CompilerSession warmed from the shared disk cache
-tier) while the thread pool keeps calling it in-process — so thread and
-process mode stay bit-identical by construction.
+:meth:`LocalExecutor.serve` resolves the workload (bucket-rounding dim
+overrides), compiles through the session (single-flight), plans
+(plan-tier cached), checks the deadline/cancellation guard, steps a
+:class:`~repro.workloads.Trajectory` N times and answers with one
+picklable :class:`~repro.serve.request.Outcome`. Its callers differ only
+in what they hand it: a one-shot request steps a fresh trajectory seeded
+from ``initial_state``/``step_offset``; a session step hands in the
+session's retained trajectory and, once pinned, its ``(app, plan)``, so
+no compiler surface is touched (provenance ``"session"``); a
+process-pool child makes the same call around a ``cross_process=True``
+CompilerSession warmed from the shared disk tier and sends the Outcome
+home as-is — thread and process mode are bit-identical by construction.
+A fault-injecting request differs only in the ``invoke`` its trajectory
+steps: the HostManager's recovering run instead of ``plan.execute``.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
-import numpy as np
-
 from ..codegen import CODEGEN_STATS
 from ..driver import BucketPolicy, SpecializationKey
+from ..errors import CancelledError, DeadlineExceededError
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..rewrite.engine import REWRITE_STATS
-from ..targets import default_accelerators
-from ..workloads import get_workload
-from .request import result_signature
+from ..workloads import Trajectory, get_workload
+from .request import Outcome, result_signature
 
 __all__ = ["LocalExecutor"]
 
@@ -35,20 +36,14 @@ __all__ = ["LocalExecutor"]
 class LocalExecutor:
     """One compile-and-execute engine over one CompilerSession."""
 
-    def __init__(self, session, emulate_device=0.0, codegen=False,
-                 bucket_policy="exact", tracer=None):
+    def __init__(self, session, codegen=False, bucket_policy="exact",
+                 tracer=None):
         self.session = session
-        self.emulate_device = emulate_device
         self.codegen = codegen
-        self.bucket_policy = (
-            bucket_policy
-            if isinstance(bucket_policy, BucketPolicy)
-            else BucketPolicy.parse(bucket_policy)
-        )
+        self.bucket_policy = BucketPolicy.parse(bucket_policy)
         self.tracer = tracer or NULL_TRACER
         self._lock = threading.Lock()
         self._workloads = {}
-        self._device_seconds = {}
         #: Every counter of the compile-and-execute stack as this
         #: executor sees it: the session's groups, the process-scoped
         #: ``rewrite``/``codegen`` groups, and its own ``executor`` group.
@@ -70,14 +65,6 @@ class LocalExecutor:
 
     # -- workload resolution ------------------------------------------------
 
-    def workload(self, name):
-        with self._lock:
-            instance = self._workloads.get((name, ()))
-            if instance is None:
-                instance = get_workload(name)
-                self._workloads[(name, ())] = instance
-            return instance
-
     def resolve(self, name, dims=None, precision="f64"):
         """Workload instance + SpecializationKey for a (name, dims) pair.
 
@@ -89,7 +76,10 @@ class LocalExecutor:
         landing in one bucket shares one workload, one compiled app, and
         one plan.
         """
-        base = self.workload(name)
+        with self._lock:
+            base = self._workloads.get((name, ()))
+            if base is None:
+                base = self._workloads[(name, ())] = get_workload(name)
         if not dims:
             return base, None
         dims = dict(dims)
@@ -111,23 +101,6 @@ class LocalExecutor:
         )
         return workload, spec
 
-    def modeled_device_seconds(self, request, app):
-        """Cost-model accelerator seconds for one invocation of *app*."""
-        key = request.config_key()
-        with self._lock:
-            cached = self._device_seconds.get(key)
-        if cached is not None:
-            return cached
-        total = 0.0
-        for domain, program in app.programs.items():
-            accelerator = app.accelerators.get(domain)
-            if accelerator is None:
-                continue
-            total += accelerator.estimate(program).seconds
-        with self._lock:
-            self._device_seconds[key] = total
-        return total
-
     def note_planned(self, config_key, plan, provenance):
         """Record one served config (and a paid-for plan build)."""
         with self._lock:
@@ -145,134 +118,117 @@ class LocalExecutor:
 
     # -- the request body ---------------------------------------------------
 
-    def serve(self, request, metrics, response, workload=None,
-              specialization=None, guard=None):
-        """Compile, plan, and execute *request*, filling *response*.
+    def serve(self, request, workload=None, specialization=None,
+              session=None, inputs=None, deadline_at=None, cancelled=None):
+        """Compile, plan, and execute *request*; returns its Outcome.
 
-        *workload*/*specialization* carry an admission-time resolution
-        (dim-overridden requests) so the worker never re-resolves.
-        *guard*, when given, is called after the compile/plan phase —
-        the last line of deadline/cancellation defence — and raises to
-        abort before execution.
+        Never raises: a :class:`~repro.errors.PolyMathError` or a defect
+        anywhere in the body is classified into the outcome, beside the
+        segments the body got through.
+
+        *workload*/*specialization* carry an admission-time resolution so
+        the worker never re-resolves. *session*, a
+        :class:`~repro.serve.session.Session`, supplies the retained
+        trajectory (with *inputs* overriding its generator for this step)
+        and, once pinned, the ``(app, plan)`` that skip both lookups.
+        *deadline_at* (this process's ``perf_counter``) and *cancelled* (a
+        zero-argument callable) arm the guard after the compile/plan
+        phase — the last line of defence before the request really
+        executes.
         """
-        if workload is None:
-            workload = self.workload(request.workload)
-        accelerators = default_accelerators(
-            getattr(workload, "accelerator_overrides", None)
-        )
+        outcome = Outcome()
+        try:
+            if workload is None:
+                workload, specialization = self.resolve(
+                    request.workload, request.dims, request.precision
+                )
+            if session is not None and session.plan is not None:
+                app, plan = session.app, session.plan
+                outcome.compile_provenance = outcome.plan_provenance = "session"
+            else:
+                start = time.perf_counter()
+                app, outcome.compile_provenance = self.session.compile_workload(
+                    workload
+                )
+                outcome.compile_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        app, compile_provenance = self.session.compile_traced(
-            workload.source(),
-            domain=workload.domain,
-            component_domains=getattr(workload, "component_domains", None),
-            accelerators=accelerators,
-            data_hints=workload.hints(),
-        )
-        metrics.compile_seconds = time.perf_counter() - start
-        metrics.compile_provenance = compile_provenance
+                start = time.perf_counter()
+                plan, outcome.plan_provenance = self.session.plan_for_traced(
+                    app, precision=request.precision,
+                    specialization=specialization, codegen=self.codegen,
+                )
+                outcome.plan_seconds = time.perf_counter() - start
+                self.note_planned(
+                    request.config_key(), plan, outcome.plan_provenance
+                )
+                if session is not None:
+                    session.pin(app, plan, outcome.plan_provenance)
+            if plan.kernel is not None:
+                outcome.kernel_provenance = "kernel"
 
-        start = time.perf_counter()
-        plan, plan_provenance = self.session.plan_for_traced(
-            app, precision=request.precision, specialization=specialization,
-            codegen=self.codegen,
-        )
-        metrics.plan_seconds = time.perf_counter() - start
-        metrics.plan_provenance = plan_provenance
-        metrics.kernel_provenance = (
-            "kernel" if plan.kernel is not None else ""
-        )
-        self.note_planned(request.config_key(), plan, plan_provenance)
-
-        device_seconds = 0.0
-        if self.emulate_device > 0:
-            device_seconds = (
-                self.modeled_device_seconds(request, app) * self.emulate_device
-            )
-
-        if guard is not None:
             # Compile/plan may have eaten the request's budget; past this
             # point the request really executes.
-            guard()
+            if deadline_at is not None and time.perf_counter() >= deadline_at:
+                raise DeadlineExceededError(
+                    f"request {request.request_id} deadline "
+                    f"({request.deadline_s:g}s) expired after compile/plan; "
+                    "refusing to execute"
+                )
+            if cancelled is not None and cancelled():
+                raise CancelledError(
+                    f"request {request.request_id} cancelled before execution"
+                )
 
-        start = time.perf_counter()
-        if request.inject:
-            result = self.execute_with_faults(request, workload, app)
-        else:
-            result = self.execute_plan(request, workload, plan, device_seconds)
-        metrics.execute_seconds = time.perf_counter() - start
+            if session is not None:
+                trajectory = session.trajectory
+            else:
+                # ``initial_state`` (shape-checked at admission) and
+                # ``step_offset`` let a chain of one-shot requests replay a
+                # stateful trajectory step by step — the bit-identity
+                # reference for sessions.
+                trajectory = Trajectory(
+                    workload, request.initial_state, request.step_offset
+                )
+            if request.inject:
+                invoke = self._recovering_invoke(request, workload, app)
+            else:
+                invoke = functools.partial(plan.execute, tracer=self.tracer)
+            start = time.perf_counter()
+            for _ in range(request.steps):
+                result = trajectory.step(invoke, inputs)
+            outcome.execute_seconds = time.perf_counter() - start
 
-        response.outputs = dict(result.outputs)
-        response.state = dict(result.state)
-        response.signature = result_signature(result.outputs)
+            outcome.outputs = dict(result.outputs)
+            outcome.state = dict(result.state)
+            outcome.signature = result_signature(result.outputs)
+        except Exception as exc:  # answered, never raised: the worker lives
+            outcome.fail(exc)
+        return outcome
 
-    def execute_plan(self, request, workload, plan, device_seconds):
-        """N plan invocations threading state, emulating device occupancy.
-
-        ``request.initial_state`` (shape-checked at admission) seeds the
-        state thread, and ``request.step_offset`` shifts the invocation
-        indices — together they let a chain of one-shot requests replay a
-        stateful trajectory step by step, which is the bit-identity
-        reference for sessions.
-        """
-        state = {
-            key: np.asarray(value)
-            for key, value in (
-                request.initial_state or workload.initial_state()
-            ).items()
-        }
-        params = workload.params()
-        previous = None
-        result = None
-        for step in range(request.steps):
-            result = plan.execute(
-                inputs=workload.inputs(request.step_offset + step, previous),
-                params=params,
-                state=state,
-                tracer=self.tracer,
-            )
-            state = result.state
-            previous = result
-            if device_seconds > 0:
-                # The host thread blocks while the (emulated) accelerator
-                # runs — exactly when a worker pool buys throughput.
-                time.sleep(device_seconds)
-        return result
-
-    def execute_with_faults(self, request, workload, app):
-        """Fault-injecting requests route through the HostManager."""
+    def _recovering_invoke(self, request, workload, app):
+        """The ``invoke`` of a fault-injecting request: each step runs
+        through a HostManager under the request's own fault plan and
+        recovery budget."""
         from ..runtime import FaultPlan, HostManager, RecoveryPolicy
 
-        fault_plan = FaultPlan.parse(list(request.inject), seed=request.seed)
-        policy = RecoveryPolicy(
-            max_attempts=request.retries + 1,
-            host_fallback=request.host_fallback,
-        )
         manager = HostManager(
             app.accelerators,
             diagnostics=self.session.diagnostics,
             tracer=self.tracer,
         )
-        active = fault_plan.activate()
-        state = {
-            key: np.asarray(value)
-            for key, value in (
-                request.initial_state or workload.initial_state()
-            ).items()
-        }
-        previous = None
-        report = None
-        for step in range(request.steps):
-            report = manager.run(
-                app,
-                inputs=workload.inputs(request.step_offset + step, previous),
-                params=workload.params(),
-                state=state,
-                fault_plan=active,
-                hints=workload.hints(),
-                precision=request.precision,
-                policy=policy,
-            )
-            previous = report.result
-            state = report.result.state
-        return report.result
+        active = FaultPlan.parse(
+            list(request.inject), seed=request.seed
+        ).activate()
+        policy = RecoveryPolicy(
+            max_attempts=request.retries + 1,
+            host_fallback=request.host_fallback,
+        )
+        hints = workload.hints()
+        return lambda **values: manager.run(
+            app,
+            fault_plan=active,
+            hints=hints,
+            precision=request.precision,
+            policy=policy,
+            **values,
+        ).result

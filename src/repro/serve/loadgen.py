@@ -6,8 +6,7 @@ compared bit-for-bit against serial references); ``replay`` pushes a
 trace through a running :class:`~repro.serve.server.Server`, honouring
 backpressure by waiting out ``retry_after`` hints; ``run_serial``
 executes the same trace one-request-at-a-time on a fresh single-worker
-server — the baseline for both the bit-identity checks and the
-throughput-scaling benchmark.
+server — the baseline of the bit-identity checks.
 """
 
 from __future__ import annotations
@@ -136,12 +135,7 @@ def replay(server, trace, retry=True, timeout=120.0):
     return responses, backpressure_retries
 
 
-def run_serial(
-    trace,
-    emulate_device=0.0,
-    session=None,
-    timeout: Optional[float] = 120.0,
-):
+def run_serial(trace, session=None, timeout: Optional[float] = 120.0):
     """Execute *trace* strictly one request at a time.
 
     Uses a fresh single-worker server (same code path as the concurrent
@@ -155,7 +149,6 @@ def run_serial(
         session=session,
         workers=1,
         queue_capacity=max(4, len(list(trace))),
-        emulate_device=emulate_device,
     )
     responses = []
     with server:

@@ -2,7 +2,7 @@
 
 Thread-backed today: execution plans, the artifact cache, and the
 compiler session are all shared in-process, and the workloads' heavy
-lifting (numpy kernels, emulated device occupancy) releases the GIL. The
+lifting (numpy kernels) releases the GIL. The
 pool's surface is deliberately narrow — a handler callable, ``start``,
 ``join`` — so a process-backed pool (serialized requests, per-process
 sessions warmed from the disk cache tier) can slot in behind the same

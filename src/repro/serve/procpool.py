@@ -12,8 +12,10 @@ the artifact instead of recompiling, and plans — memory-only by design —
 rebuild once per process from the shared compiled artifact.
 
 Envelopes are plain pickles: ``("request", (Request, remaining_s))``
-out, a flat result dict back. Deadlines ship as *remaining seconds*
-because ``perf_counter`` values are not comparable across processes.
+out, the body's :class:`~repro.serve.request.Outcome` back as-is.
+Deadlines ship as *remaining seconds* because ``perf_counter`` values
+are not comparable across processes; the child re-arms the body's
+post-compile guard from them.
 
 A crashed child (its pipe breaks mid-request) is respawned and the
 in-flight request answered with ``WorkerCrashedError`` — the pool heals,
@@ -25,6 +27,7 @@ which the parent merges — once per child — into the server's registry.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import threading
 import time
@@ -35,7 +38,6 @@ __all__ = ["ProcessWorkerSet", "child_main"]
 def child_main(conn, config):
     """Worker-process entry: serve envelopes from *conn* until stopped."""
     from ..driver import CompilerSession
-    from ..errors import DeadlineExceededError, PolyMathError
     from ..obs import DEFAULT_REGISTRY
     from .executor import LocalExecutor
 
@@ -47,7 +49,6 @@ def child_main(conn, config):
     )
     executor = LocalExecutor(
         session,
-        emulate_device=config.get("emulate_device", 0.0),
         codegen=config.get("codegen", False),
         bucket_policy=config.get("bucket_policy", "exact"),
     )
@@ -65,92 +66,24 @@ def child_main(conn, config):
                 pass
             break
         request, remaining_s = payload
-        deadline_at = (
-            time.perf_counter() + remaining_s
-            if remaining_s is not None
-            else None
+        outcome = executor.serve(
+            request,
+            deadline_at=(
+                time.perf_counter() + remaining_s
+                if remaining_s is not None
+                else None
+            ),
         )
-
-        def guard():
-            if (
-                deadline_at is not None
-                and time.perf_counter() >= deadline_at
-            ):
-                raise DeadlineExceededError(
-                    f"request {request.request_id} deadline "
-                    f"({request.deadline_s:g}s) expired after compile/plan; "
-                    "refusing to execute"
-                )
-
-        result = {
-            "outputs": None, "state": None, "signature": "",
-            "error": None, "error_kind": None,
-            "compile_seconds": 0.0, "plan_seconds": 0.0,
-            "execute_seconds": 0.0,
-            "compile_provenance": "", "plan_provenance": "",
-            "kernel_provenance": "",
-        }
-        metrics = _Segments()
-        response = _Body()
         try:
-            workload = specialization = None
-            if request.dims:
-                workload, specialization = executor.resolve(
-                    request.workload, request.dims, request.precision
-                )
-            executor.serve(
-                request, metrics, response,
-                workload=workload, specialization=specialization,
-                guard=guard,
-            )
-            result["outputs"] = response.outputs
-            result["state"] = response.state
-            result["signature"] = response.signature
-        except PolyMathError as exc:
-            result["error"] = str(exc)
-            result["error_kind"] = type(exc).__name__
-        except Exception as exc:  # defensive: never take the child down
-            result["error"] = str(exc)
-            result["error_kind"] = type(exc).__name__
-        result["compile_seconds"] = metrics.compile_seconds
-        result["plan_seconds"] = metrics.plan_seconds
-        result["execute_seconds"] = metrics.execute_seconds
-        result["compile_provenance"] = metrics.compile_provenance
-        result["plan_provenance"] = metrics.plan_provenance
-        result["kernel_provenance"] = metrics.kernel_provenance
-        try:
-            conn.send(("response", result))
+            conn.send(("response", outcome))
         except Exception as exc:
             # Unpicklable outputs must not wedge the parent's recv.
-            conn.send(("response", {
-                **{k: v for k, v in result.items()
-                   if k not in ("outputs", "state")},
-                "outputs": None, "state": None,
-                "error": f"response not picklable: {exc}",
-                "error_kind": "SerializationError",
-            }))
+            conn.send(("response", dataclasses.replace(
+                outcome, outputs={}, state={},
+                error=f"response not picklable: {exc}",
+                error_kind="SerializationError",
+            )))
     conn.close()
-
-
-class _Segments:
-    """Duck-typed stand-in for RequestMetrics inside the child."""
-
-    def __init__(self):
-        self.compile_seconds = 0.0
-        self.plan_seconds = 0.0
-        self.execute_seconds = 0.0
-        self.compile_provenance = ""
-        self.plan_provenance = ""
-        self.kernel_provenance = ""
-
-
-class _Body:
-    """Duck-typed stand-in for Response inside the child."""
-
-    def __init__(self):
-        self.outputs = None
-        self.state = None
-        self.signature = ""
 
 
 class _Member:
@@ -231,7 +164,7 @@ class ProcessWorkerSet:
     def dispatch(self, worker_name, request, remaining_s=None):
         """Run *request* on the worker bound to *worker_name*.
 
-        Returns the child's result dict, or None when the child crashed
+        Returns the child's Outcome, or None when the child crashed
         mid-request (the slot is respawned; the caller answers the
         request with ``WorkerCrashedError``).
         """

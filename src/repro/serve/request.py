@@ -112,7 +112,7 @@ def result_signature(outputs):
     """sha256 over the outputs' names, dtypes, shapes, and exact bytes.
 
     Two runs are bit-identical iff their signatures match — the serve
-    tests and ``bench_serve`` compare concurrent runs against serial
+    tests and the ledger compare concurrent runs against serial
     references this way without shipping arrays around.
     """
     digest = hashlib.sha256()
@@ -123,6 +123,41 @@ def result_signature(outputs):
         digest.update(repr(array.shape).encode("utf-8"))
         digest.update(array.tobytes())
     return digest.hexdigest()
+
+
+@dataclass
+class Outcome:
+    """What one run of the request body produced.
+
+    The one record that crosses from the body to its caller: the thread
+    pool applies it directly and a worker child sends it up the pipe
+    as-is (everything in it pickles). An error leaves the segments the
+    body got through filled in.
+    """
+
+    compile_seconds: float = 0.0
+    plan_seconds: float = 0.0
+    execute_seconds: float = 0.0
+    compile_provenance: str = ""
+    plan_provenance: str = ""
+    kernel_provenance: str = ""
+    outputs: Dict[str, np.ndarray] = field(default_factory=dict)
+    state: Dict[str, np.ndarray] = field(default_factory=dict)
+    signature: str = ""
+    error: Optional[str] = None
+    error_kind: Optional[str] = None
+
+    def fail(self, exc):
+        """Classify *exc* as this outcome's error; returns self."""
+        self.error = str(exc)
+        self.error_kind = type(exc).__name__
+        return self
+
+    def apply(self, metrics, response):
+        """Copy every field onto whichever of *response* (the body) and
+        *metrics* (segment seconds and provenances) declares it."""
+        for name, value in vars(self).items():
+            setattr(response if hasattr(response, name) else metrics, name, value)
 
 
 @dataclass

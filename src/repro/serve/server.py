@@ -8,12 +8,18 @@ admission queue, and a :class:`~repro.serve.pool.WorkerPool`. Requests
 flow::
 
     submit -> [scheduler: priority heap, backpressure] -> worker
-           -> compile (single-flight: identical requests coalesce)
-           -> plan    (single-flight, plan-tier cached)
-           -> execute (N steps threading state; fault-injecting requests
-                       route through the HostManager with their own
-                       RecoveryPolicy)
-           -> Response (outputs + signature + RequestMetrics)
+           -> LocalExecutor.serve, the one request body (in this process,
+              or in the worker's bound child in process mode):
+              compile (single-flight: identical requests coalesce)
+              -> plan (single-flight, plan-tier cached)
+              -> guard (deadline / cancellation, re-checked)
+              -> Trajectory.step x N (state threaded; fault-injecting
+                 requests step through the HostManager with their own
+                 RecoveryPolicy)
+           -> Outcome -> Response (outputs + signature + RequestMetrics)
+
+This module is the orchestration around that body: admission, deadlines,
+finish-time classification, breakers, and the report.
 
 Because compilation amortizes — the paper's whole premise, sharpened by
 DaCe/MLIR-style reusable compiled artifacts — the steady state of a hot
@@ -22,12 +28,6 @@ workers. The per-request provenance in the metrics stream makes that
 claim checkable per run, and the ``plan`` counter group's delta makes it
 a hard counter-based assertion (``plans_built`` == distinct
 configurations).
-
-Workers optionally *emulate device occupancy*: each executed invocation
-sleeps for the cost model's accelerator seconds (scaled). That is how a
-latency-realistic service behaves — the host thread blocks while the
-accelerator works — and it is what ``bench_serve`` uses to demonstrate
-throughput scaling across workers.
 """
 
 from __future__ import annotations
@@ -39,22 +39,19 @@ from typing import Dict, List
 
 from ..driver import BucketPolicy, CompilerSession, SpecializationKey
 from ..errors import (
-    CancelledError,
     CircuitOpenError,
     DeadlineExceededError,
-    PolyMathError,
     QueueFullError,
     ShapeError,
     WorkerCrashedError,
 )
 from ..obs import Counters, MetricsRegistry, NULL_TRACER
-from ..targets import default_accelerators
 from .breaker import BreakerBoard
 from .executor import LocalExecutor
 from .metrics import RequestMetrics, ServeReport
 from .pool import WorkerPool
 from .procpool import ProcessWorkerSet
-from .request import PRIORITY_NORMAL, Request, Response, result_signature
+from .request import PRIORITY_NORMAL, Outcome, Request, Response
 from .scheduler import Scheduler
 
 __all__ = ["Server", "Ticket"]
@@ -197,7 +194,6 @@ class Server:
         session=None,
         workers=4,
         queue_capacity=64,
-        emulate_device=0.0,
         cache_dir=None,
         tracer=None,
         breaker_threshold=5,
@@ -229,9 +225,6 @@ class Server:
             diagnostics=self.session.diagnostics,
         )
         self.workers = workers
-        #: Seconds of emulated accelerator occupancy per modelled device
-        #: second (0 disables emulation; 1.0 is real-time).
-        self.emulate_device = emulate_device
         #: Per-workload circuit breakers consulted at admission and fed
         #: at completion (threshold <= 0 disables them).
         self.breakers = BreakerBoard(
@@ -240,17 +233,15 @@ class Server:
         #: How requested dims round into shape buckets ("exact", "pow2",
         #: "multiple:N", or a BucketPolicy instance).
         self.bucket_policy = BucketPolicy.parse(bucket_policy)
-        #: Lower every plan to a generated kernel (the third execution
-        #: tier) — requests record "kernel" provenance when their plan
-        #: carries one; declined builds fall back to interpretation.
-        self.codegen = codegen
-        #: The in-process compile-plan-execute body. Thread mode runs
-        #: every request through it; process mode keeps it for session
-        #: steps (whose retained numpy state cannot cross a pipe) and
-        #: for admission-time shape resolution.
+        #: The in-process request body. Thread mode runs every request
+        #: through it; process mode keeps it for session steps (whose
+        #: retained numpy state cannot cross a pipe) and for
+        #: admission-time shape resolution. *codegen* lowers every plan
+        #: to a generated kernel (the third execution tier): requests
+        #: record "kernel" provenance when their plan carries one;
+        #: declined builds fall back to interpretation.
         self.executor = LocalExecutor(
             session=self.session,
-            emulate_device=emulate_device,
             codegen=codegen,
             bucket_policy=self.bucket_policy,
             tracer=self.tracer,
@@ -262,12 +253,7 @@ class Server:
             self.procs = ProcessWorkerSet(
                 workers,
                 config={
-                    "cache_dir": (
-                        str(self.session.cache.cache_dir)
-                        if self.session.cache.cache_dir is not None
-                        else None
-                    ),
-                    "emulate_device": emulate_device,
+                    "cache_dir": self.session.cache.cache_dir,
                     "codegen": codegen,
                     "bucket_policy": bucket_policy,
                 },
@@ -322,7 +308,8 @@ class Server:
                 self.metrics.merge(flat)
                 for config in configs:
                     self.executor.note_planned(config, None, "retired")
-        self._stopped_at = time.perf_counter()
+        if self._stopped_at is None:
+            self._stopped_at = time.perf_counter()
         return self
 
     def __enter__(self):
@@ -566,13 +553,13 @@ class Server:
                 steps=request.steps,
             ) as span:
                 try:
-                    self._serve_one(request, metrics, response, ticket)
-                except PolyMathError as exc:
-                    response.error = str(exc)
-                    response.error_kind = type(exc).__name__
+                    outcome = self._serve_one(ticket)
                 except Exception as exc:  # defensive: never poison the worker
-                    response.error = str(exc)
-                    response.error_kind = type(exc).__name__
+                    outcome = Outcome().fail(exc)
+                outcome.apply(metrics, response)
+                if ticket.session is not None and response.ok:
+                    ticket.session.step_seconds.append(metrics.execute_seconds)
+                    self._tallies.bump(session_steps=1)
                 span.note(
                     ok=response.ok,
                     **({"error_kind": response.error_kind} if response.error else {}),
@@ -621,155 +608,40 @@ class Server:
             if not self._outstanding:
                 self._drained.notify_all()
 
-    def _serve_one(self, request, metrics, response, ticket=None):
-        if ticket is not None and ticket.session is not None:
-            # Session steps always run in-parent, even in process mode:
-            # the session's retained numpy state and pinned plan live
-            # here, and shipping state across a pipe every step would
-            # cost more than it buys.
-            return self._serve_session_step(request, metrics, response, ticket)
-        if self.procs is not None:
-            return self._serve_one_remote(request, metrics, response, ticket)
-        workload = ticket.workload if ticket is not None else None
-        specialization = ticket.specialization if ticket is not None else None
+    def _serve_one(self, ticket):
+        """The request body's Outcome for *ticket*.
 
-        def guard():
-            # The last line of deadline defence: compile/plan may have
-            # eaten the budget. Past this point the request really
-            # executes.
-            if ticket is not None and ticket.expired():
-                raise DeadlineExceededError(
-                    f"request {request.request_id} deadline "
-                    f"({request.deadline_s:g}s) expired after compile/plan; "
-                    "refusing to execute"
-                )
-            if ticket is not None and ticket.cancelled:
-                raise CancelledError(
-                    f"request {request.request_id} cancelled before execution"
-                )
-
-        self.executor.serve(
-            request, metrics, response,
-            workload=workload, specialization=specialization, guard=guard,
-        )
-
-    def _serve_one_remote(self, request, metrics, response, ticket):
-        """Proxy one request to this worker's bound child process.
-
-        The envelope carries the *remaining* deadline budget in seconds
-        (``perf_counter`` values are not comparable across processes);
-        the child re-arms its own post-compile deadline guard from it.
-        A child that dies mid-request is respawned by the worker set and
-        the request answered with ``WorkerCrashedError``.
+        In process mode a one-shot request is proxied to this worker's
+        bound child; the envelope carries the *remaining* deadline budget
+        in seconds (``perf_counter`` values are not comparable across
+        processes). A child that dies mid-request is respawned by the
+        worker set and the request answered with ``WorkerCrashedError``.
+        Session steps always run in-parent, even in process mode: the
+        retained numpy state and pinned plan live here, and shipping
+        state across a pipe every step would cost more than it buys.
         """
+        request = ticket.request
+        if self.procs is None or ticket.session is not None:
+            return self.executor.serve(
+                request,
+                workload=ticket.workload,
+                specialization=ticket.specialization,
+                session=ticket.session,
+                inputs=ticket.step_inputs,
+                deadline_at=ticket.deadline_at,
+                cancelled=lambda: ticket.cancelled,
+            )
         remaining_s = None
-        if ticket is not None and ticket.deadline_at is not None:
+        if ticket.deadline_at is not None:
             remaining_s = ticket.deadline_at - time.perf_counter()
-        payload = self.procs.dispatch(metrics.worker, request, remaining_s)
-        if payload is None:
-            raise WorkerCrashedError(
-                f"worker process for {metrics.worker} died serving request "
+        worker = ticket.metrics.worker
+        outcome = self.procs.dispatch(worker, request, remaining_s)
+        if outcome is None:
+            outcome = Outcome().fail(WorkerCrashedError(
+                f"worker process for {worker} died serving request "
                 f"{request.request_id}; slot respawned"
-            )
-        metrics.compile_seconds = payload["compile_seconds"]
-        metrics.plan_seconds = payload["plan_seconds"]
-        metrics.execute_seconds = payload["execute_seconds"]
-        metrics.compile_provenance = payload["compile_provenance"]
-        metrics.plan_provenance = payload["plan_provenance"]
-        metrics.kernel_provenance = payload["kernel_provenance"]
-        if payload["error_kind"]:
-            response.error = payload["error"]
-            response.error_kind = payload["error_kind"]
-            return
-        response.outputs = dict(payload["outputs"] or {})
-        response.state = dict(payload["state"] or {})
-        response.signature = payload["signature"]
-
-    def _serve_session_step(self, request, metrics, response, ticket):
-        """One step of a stateful session.
-
-        The first step pays compile + plan (specialized into the
-        session's shape bucket) and pins both on the session; every later
-        step touches no compiler surface at all — provenance "session" —
-        and executes the pinned plan against the session's retained
-        state. A step that expires/cancels/fails never advances the
-        session, so the client can retry it.
-        """
-        sess = ticket.session
-        workload = sess.workload
-        if sess.plan is None:
-            accelerators = default_accelerators(
-                getattr(workload, "accelerator_overrides", None)
-            )
-            start = time.perf_counter()
-            app, compile_provenance = self.session.compile_traced(
-                workload.source(),
-                domain=workload.domain,
-                component_domains=getattr(workload, "component_domains", None),
-                accelerators=accelerators,
-                data_hints=workload.hints(),
-            )
-            metrics.compile_seconds = time.perf_counter() - start
-            metrics.compile_provenance = compile_provenance
-
-            start = time.perf_counter()
-            plan, plan_provenance = self.session.plan_for_traced(
-                app, precision=sess.precision,
-                specialization=sess.specialization,
-                codegen=self.codegen,
-            )
-            metrics.plan_seconds = time.perf_counter() - start
-            metrics.plan_provenance = plan_provenance
-            self.executor.note_planned(
-                request.config_key(), plan, plan_provenance
-            )
-            sess.pin(app, plan, workload.params(), plan_provenance)
-        else:
-            metrics.compile_provenance = "session"
-            metrics.plan_provenance = "session"
-        metrics.kernel_provenance = (
-            "kernel" if sess.plan is not None
-            and sess.plan.kernel is not None else ""
-        )
-
-        if ticket.expired():
-            raise DeadlineExceededError(
-                f"request {request.request_id} deadline "
-                f"({request.deadline_s:g}s) expired after compile/plan; "
-                "refusing to execute"
-            )
-        if ticket.cancelled:
-            raise CancelledError(
-                f"request {request.request_id} cancelled before execution"
-            )
-
-        device_seconds = 0.0
-        if self.emulate_device > 0:
-            device_seconds = (
-                self.executor.modeled_device_seconds(request, sess.app)
-                * self.emulate_device
-            )
-        start = time.perf_counter()
-        inputs = (
-            ticket.step_inputs
-            if ticket.step_inputs is not None
-            else workload.inputs(sess.steps_done, sess.previous)
-        )
-        result = sess.plan.execute(
-            inputs=inputs,
-            params=sess.params,
-            state=sess.state,
-            tracer=self.tracer,
-        )
-        if device_seconds > 0:
-            time.sleep(device_seconds)
-        metrics.execute_seconds = time.perf_counter() - start
-        sess.advance(result, metrics.execute_seconds)
-        self._tallies.bump(session_steps=1)
-
-        response.outputs = dict(result.outputs)
-        response.state = dict(result.state)
-        response.signature = result_signature(result.outputs)
+            ))
+        return outcome
 
     # -- reporting ---------------------------------------------------------
 

@@ -40,9 +40,8 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..errors import ServeError
+from ..workloads import Trajectory
 from .metrics import percentile
 from .request import PRIORITY_NORMAL, Request
 
@@ -86,21 +85,16 @@ class Session:
         self.opened_at = time.perf_counter()
         self.closed = False
 
-        # Pinned after the first step executes.
+        # Pinned by the request body when the first step compiles.
         self.app = None
         self.plan = None
-        self.params = None
         self.plan_provenance: Optional[str] = None
 
-        # Retained inter-step state, owned by the worker executing the
-        # current step (steps are sequential, so no two workers touch it
-        # concurrently).
-        self.state: Dict[str, np.ndarray] = {
-            key: np.asarray(value)
-            for key, value in workload.initial_state().items()
-        }
-        self.previous = None
-        self.steps_done = 0
+        #: The retained state thread, owned by the worker executing the
+        #: current step (steps are sequential, so no two workers touch it
+        #: concurrently). It advances only when a step's execution
+        #: returns — an expired, cancelled or failed step can be retried.
+        self.trajectory = Trajectory(workload)
         self.step_seconds: List[float] = []
 
         self._lock = threading.Lock()
@@ -123,6 +117,18 @@ class Session:
         worker is occupied. Only one step may be outstanding; a second
         submission before the first finishes raises :class:`ServeError`.
         """
+        deadline = self.deadline_s if deadline_s == "default" else deadline_s
+        request = Request(
+            workload=self.name,
+            steps=1,
+            precision=self.precision,
+            priority=self.priority,
+            deadline_s=deadline,
+            dims=self.dims() or None,
+        )
+        # Check-then-submit is one critical section: two clients racing
+        # here must not both find the slot free. A refused admission
+        # raises out with the slot still free.
         with self._lock:
             if self.closed:
                 raise ServeError(
@@ -133,21 +139,10 @@ class Session:
                     f"session {self.session_id} ({self.name}) already has "
                     "an outstanding step; sessions are sequential"
                 )
-        deadline = self.deadline_s if deadline_s == "default" else deadline_s
-        request = Request(
-            workload=self.name,
-            steps=1,
-            precision=self.precision,
-            priority=self.priority,
-            deadline_s=deadline,
-            dims=self.dims() or None,
-        )
-        ticket = self.server.submit(
-            request, _session=self, _inputs=inputs
-        )
-        with self._lock:
-            self._outstanding = ticket
-        return ticket
+            self._outstanding = self.server.submit(
+                request, _session=self, _inputs=inputs
+            )
+            return self._outstanding
 
     def step(self, inputs=None, deadline_s="default", timeout=None):
         """Run one step synchronously; returns its Response."""
@@ -180,19 +175,16 @@ class Session:
 
     # -- server-side hooks ---------------------------------------------------
 
-    def pin(self, app, plan, params, provenance):
+    def pin(self, app, plan, provenance):
         """Record the compiled app + specialized plan (first step only)."""
         self.app = app
         self.plan = plan
-        self.params = params
         self.plan_provenance = provenance
 
-    def advance(self, result, seconds):
-        """Commit one executed step's result into the session."""
-        self.state = result.state
-        self.previous = result
-        self.steps_done += 1
-        self.step_seconds.append(seconds)
+    @property
+    def steps_done(self):
+        """Steps committed so far (the trajectory's next index)."""
+        return self.trajectory.index
 
     # -- reporting -----------------------------------------------------------
 

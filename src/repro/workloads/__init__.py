@@ -5,7 +5,15 @@ Importing this package registers every workload; use
 """
 
 from . import analytics, deeplearning, dsp, endtoend, extensions, graphs, robotics  # noqa: F401
-from .base import CheckResult, Workload, count_loc, get_workload, register, workload_names
+from .base import (
+    CheckResult,
+    Trajectory,
+    Workload,
+    count_loc,
+    get_workload,
+    register,
+    workload_names,
+)
 
 #: Table III's fifteen single-domain benchmarks, in the paper's order.
 SINGLE_DOMAIN = (
@@ -39,6 +47,7 @@ __all__ = [
     "END_TO_END",
     "EXTENSIONS",
     "SINGLE_DOMAIN",
+    "Trajectory",
     "Workload",
     "count_loc",
     "get_workload",

@@ -253,21 +253,10 @@ class Workload:
         if graph is None:
             graph = self.cached_graph()
         executor = Executor(graph)
-        state = {
-            key: np.asarray(value)
-            for key, value in self.initial_state().items()
-        }
-        params = self.params()
-        results = []
-        previous = None
-        for step in range(steps if steps is not None else self.functional_steps):
-            result = executor.run(
-                inputs=self.inputs(step, previous), params=params, state=state
-            )
-            state = result.state
-            results.append(result)
-            previous = result
-        return results
+        trajectory = Trajectory(self)
+        if steps is None:
+            steps = self.functional_steps
+        return [trajectory.step(executor.run) for _ in range(steps)]
 
     def check_functional(self, graph=None):
         """Validate srDFG execution against the reference implementation."""
@@ -288,6 +277,51 @@ class Workload:
             np.allclose(measured, expected, rtol=self.rtol, atol=self.atol)
         )
         return CheckResult(ok=ok, error=error)
+
+
+class Trajectory:
+    """One stateful run of a workload: PMLang's ``state`` modifier as an
+    explicit container handed from one invocation to the next, and the
+    only place a prior result is threaded into :meth:`Workload.inputs`.
+
+    A one-shot request steps a fresh one (seeded from *state* / *index*
+    to replay a trajectory mid-way), a serving session retains one, and
+    :meth:`Workload.run_functional`, ``repro chaos`` and the tier
+    comparisons step the same object.
+    """
+
+    __slots__ = ("workload", "params", "state", "index", "previous")
+
+    def __init__(self, workload, state=None, index=0):
+        self.workload = workload
+        self.params = workload.params()
+        #: Live ``state`` arrays: *state* or the workload's own initial.
+        self.state = {
+            key: np.asarray(value)
+            for key, value in (state or workload.initial_state()).items()
+        }
+        #: Index of the next invocation (what ``inputs`` is asked for).
+        self.index = index
+        #: The last committed ExecutionResult (None before the first).
+        self.previous = None
+
+    def step(self, invoke, inputs=None):
+        """Run the next invocation through *invoke*; returns its result.
+
+        *invoke* is called as ``invoke(inputs=, params=, state=)`` and
+        returns an ExecutionResult (``plan.execute``, ``Executor.run``, a
+        HostManager closure). *inputs* overrides the workload's generator
+        for this step. State advances only on success: ``state``,
+        ``index`` and ``previous`` are committed after *invoke* returns,
+        so a step that raises can be retried.
+        """
+        if inputs is None:
+            inputs = self.workload.inputs(self.index, self.previous)
+        result = invoke(inputs=inputs, params=self.params, state=self.state)
+        self.state = result.state
+        self.previous = result
+        self.index += 1
+        return result
 
 
 #: Global registry: name -> factory.

@@ -111,12 +111,15 @@ class TestProfileAndDse:
 
 
 class TestServeSessions:
-    def test_session_mode_compares_against_one_shot(self, capsys, tmp_path):
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_session_mode_compares_against_one_shot(
+        self, capsys, tmp_path, pool
+    ):
         out = tmp_path / "serve.json"
         assert main(
             ["serve", "--sessions", "1", "--session-steps", "6",
              "--workloads", "MobileRobot", "--assert-plan-reuse",
-             "--assert-conservation", "--json", str(out)]
+             "--assert-conservation", "--pool", pool, "--json", str(out)]
         ) == 0
         text = capsys.readouterr().out
         assert "sessions: 1 opened" in text
@@ -125,6 +128,8 @@ class TestServeSessions:
         import json
 
         payload = json.loads(out.read_text())
+        # Session mode honours the server flags trace mode does.
+        assert payload["pool"] == pool
         compare = payload["session_compare"]
         assert compare["bit_identical"] is True
         assert compare["steps"] == 6

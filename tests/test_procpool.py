@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 
@@ -41,6 +42,7 @@ from repro.serve import (
     Scheduler,
     Server,
     replay,
+    result_signature,
     run_serial,
     saturate,
     synth_trace,
@@ -261,6 +263,16 @@ def test_process_mode_bit_identical_to_thread_mode(tmp_path):
     assert [r.signature for r in responses] == [
         r.signature for r in thread_responses
     ]
+    # The child sends the body's Outcome home as-is, so a request's
+    # metrics come back populated exactly as thread mode fills them.
+    for remote, local in zip(responses, thread_responses):
+        for name in (
+            "compile_seconds", "plan_seconds", "execute_seconds",
+            "compile_provenance", "plan_provenance", "kernel_provenance",
+        ):
+            there, here = getattr(remote.metrics, name), getattr(local.metrics, name)
+            assert type(there) is type(here) and bool(there) == bool(here), name
+        assert sorted(remote.state) == sorted(local.state)
     assert report.pool == "process"
     assert report.processes == 3
     assert report.worker_crashes == 0
@@ -271,6 +283,31 @@ def test_process_mode_bit_identical_to_thread_mode(tmp_path):
     assert report.plan_reuse_ok
     assert report.plans_built == report.expected_plans
     assert report.distinct_configs == 3
+
+
+def test_outcome_record_survives_the_pipe():
+    """What the body returns is what crosses the pipe: the record pickles
+    round-trip, arrays and all, for a success and for a classified error."""
+    executor = Server(workers=1).executor
+    done = executor.serve(Request(workload="MobileRobot", steps=2))
+    stopped = executor.serve(
+        Request(workload="MobileRobot", deadline_s=1.0), deadline_at=0.0
+    )
+    assert done.error is None and stopped.error_kind == "DeadlineExceededError"
+    for outcome in (done, stopped):
+        shipped = pickle.loads(pickle.dumps(outcome))
+        assert result_signature(shipped.outputs) == result_signature(
+            outcome.outputs
+        )
+        assert result_signature(shipped.state) == result_signature(outcome.state)
+        assert {
+            name: value for name, value in vars(shipped).items()
+            if name not in ("outputs", "state")
+        } == {
+            name: value for name, value in vars(outcome).items()
+            if name not in ("outputs", "state")
+        }
+    assert done.signature == result_signature(done.outputs)
 
 
 def test_process_mode_registry_matches_thread_mode_and_the_report(tmp_path):
@@ -311,22 +348,16 @@ def test_process_mode_close_is_idempotent():
         for _ in range(3):
             assert server.request(Request(workload="MobileRobot")).ok
 
-    def counters():
-        # Everything but the two readings of the (re-stamped) stop time.
-        report = server.report().to_dict()
-        return {
-            key: value for key, value in report.items()
-            if key not in ("wall_seconds", "throughput_rps")
-        }
-
-    first = counters()
+    first = server.report().to_dict()
     snapshot = server.metrics_registry().snapshot()
     server.close()
 
     reuse = first["plan_reuse"]
     assert reuse["plans_built"] == reuse["expected_plans"] >= 1
     assert first["processes"] == 2
-    assert counters() == first
+    # The whole report, the stop time included: it is stamped once.
+    assert first["wall_seconds"] > 0
+    assert server.report().to_dict() == first
     assert server.metrics_registry().snapshot() == snapshot
 
 

@@ -8,18 +8,15 @@ import time
 import pytest
 
 from repro.serve import (
-    CancelledError,
     CircuitBreaker,
     CircuitOpenError,
     DeadlineExceededError,
     Request,
-    RequestMetrics,
-    Response,
     Scheduler,
     Server,
-    Ticket,
     WorkerPool,
     replay,
+    run_serial,
     synth_trace,
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard
@@ -208,37 +205,48 @@ class TestDeadlines:
         assert report.breakers.get("MobileRobot", {}).get("opened", 0) == 0
 
     def test_deadline_checked_again_after_compile_and_plan(self):
-        # Drive the worker body directly with a ticket whose deadline is
+        # Drive the request body directly with a deadline that is
         # already spent: compile and plan run, execute must not.
         server = Server(workers=1)
         request = Request(workload="MobileRobot", steps=1, deadline_s=5.0)
-        ticket = Ticket(
-            request,
-            RequestMetrics(
-                request_id=request.request_id, workload=request.workload
-            ),
+        outcome = server.executor.serve(
+            request, deadline_at=time.perf_counter() - 1.0
         )
-        ticket.deadline_at = time.perf_counter() - 1.0
-        response = Response(request=request)
-        with pytest.raises(DeadlineExceededError, match="refusing to execute"):
-            server._serve_one(request, ticket.metrics, response, ticket)
-        assert not response.outputs
-        assert ticket.metrics.compile_seconds > 0  # compile did happen
+        assert outcome.error_kind == "DeadlineExceededError"
+        assert "refusing to execute" in outcome.error
+        assert not outcome.outputs
+        assert outcome.compile_seconds > 0  # compile did happen
+        assert outcome.execute_seconds == 0
 
     def test_cancellation_checked_again_after_compile_and_plan(self):
         server = Server(workers=1)
         request = Request(workload="MobileRobot", steps=1)
-        ticket = Ticket(
-            request,
-            RequestMetrics(
-                request_id=request.request_id, workload=request.workload
-            ),
-        )
-        assert ticket.cancel()
-        response = Response(request=request)
-        with pytest.raises(CancelledError):
-            server._serve_one(request, ticket.metrics, response, ticket)
-        assert not response.outputs
+        outcome = server.executor.serve(request, cancelled=lambda: True)
+        assert outcome.error_kind == "CancelledError"
+        assert not outcome.outputs
+        assert outcome.plan_provenance == "built"  # plan did happen
+
+    @pytest.mark.parametrize("guard", [
+        {"deadline_at": 0.0}, {"cancelled": lambda: True},
+    ])
+    def test_session_step_guard_pins_the_plan_but_never_advances(self, guard):
+        # The same body serves session steps: a first step stopped by
+        # the guard has compiled and pinned, and the retry starts at
+        # step 0 with nothing left to look up.
+        server = Server(workers=1)
+        session = server.open_session("MobileRobot")
+        request = Request(workload="MobileRobot", steps=1, deadline_s=5.0)
+        stopped = server.executor.serve(request, session=session, **guard)
+        assert stopped.error_kind in ("DeadlineExceededError", "CancelledError")
+        assert session.plan is not None and session.steps_done == 0
+        assert session.trajectory.previous is None
+
+        retry = server.executor.serve(request, session=session)
+        assert retry.error is None
+        assert retry.compile_provenance == retry.plan_provenance == "session"
+        assert session.steps_done == 1
+        (reference,) = run_serial([Request(workload="MobileRobot", steps=1)])[0]
+        assert retry.signature == reference.signature
 
 
 class TestServerBreaker:
@@ -319,15 +327,14 @@ class TestWorkerPoolJoin:
 
 class TestReplayResilience:
     def test_wait_timeout_is_counted_as_timed_out(self):
-        # FFT-8192 models ~0.75 ms device seconds per step; x1000
-        # emulation makes the execute phase sleep long enough that a
-        # 50 ms client timeout always fires first.
-        server = Server(workers=1, emulate_device=1000.0)
+        # A cold FFT-8192 compile takes far longer than a 1 ms client
+        # timeout, so the wait always gives up first.
+        server = Server(workers=1)
         with server:
             responses, _ = replay(
                 server,
                 [Request(workload="FFT-8192", steps=1)],
-                timeout=0.05,
+                timeout=0.001,
             )
         assert responses == [None]
         report = server.report()

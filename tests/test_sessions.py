@@ -20,12 +20,16 @@ The contracts under test:
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import ServeError, ShapeError
 from repro.obs import Tracer
-from repro.serve import Request, Server
+from repro.serve import DEFAULT_MIX, Request, Server, result_signature
+from repro.workloads import get_workload
 
 
 def _chain_signatures(server, name, steps, dims=None, start_state=None):
@@ -81,6 +85,30 @@ def test_fifty_step_session_builds_one_plan_and_is_bit_identical():
     assert "sessions: 1 opened" in report.render()
 
 
+@pytest.mark.parametrize("pool", ["thread", "process"])
+def test_four_ways_to_run_four_steps_agree(pool):
+    # One Trajectory behind every consumer: the reference driver, a
+    # session, a state-threading one-shot chain and one multi-step
+    # request end on the same bits, whichever pool runs the body.
+    steps = 4
+    with Server(workers=2, pool=pool) as server:
+        for name in DEFAULT_MIX:
+            reference = result_signature(
+                get_workload(name).run_functional(steps=steps)[-1].outputs
+            )
+            with server.open_session(name) as session:
+                for _ in range(steps):
+                    stepped = session.step()
+                    assert stepped.ok, stepped.error
+            whole = server.request(Request(name, steps=steps))
+            assert whole.ok, whole.error
+            assert {
+                stepped.signature,
+                _chain_signatures(server, name, steps)[-1],
+                whole.signature,
+            } == {reference}, name
+
+
 # ---------------------------------------------------------------------------
 # Admission: descriptive ShapeErrors before a worker is occupied.
 # ---------------------------------------------------------------------------
@@ -106,7 +134,9 @@ def test_admission_rejects_bad_step_inputs_and_state():
 
         shapes = {
             name: np.asarray(value).shape
-            for name, value in session.workload.inputs(1, session.previous).items()
+            for name, value in session.workload.inputs(
+                1, session.trajectory.previous
+            ).items()
         }
         name, shape = next(iter(shapes.items()))
         with pytest.raises(ShapeError) as info:
@@ -149,12 +179,50 @@ def test_sessions_are_sequential_and_close_refuses_steps():
             session.step()
 
 
+def test_racing_submit_steps_admit_exactly_one():
+    # Check-then-submit is one critical section: of two clients released
+    # together exactly one gets the slot, the other a ServeError, and the
+    # retained state is stepped once. The server starts only after the
+    # race, so the admitted step is still outstanding throughout it.
+    server = Server(workers=2)
+    sessions = [server.open_session("MobileRobot") for _ in range(10)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        admitted = []
+        for session in sessions:
+            barrier = threading.Barrier(2)
+            tickets, refused = [], []
+
+            def client():
+                barrier.wait(timeout=30)
+                try:
+                    tickets.append(session.submit_step())
+                except ServeError as exc:
+                    refused.append(exc)
+
+            clients = [threading.Thread(target=client) for _ in range(2)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert (len(tickets), len(refused)) == (1, 1)
+            admitted += tickets
+    finally:
+        sys.setswitchinterval(interval)
+    with server:
+        assert all(ticket.wait(timeout=120).ok for ticket in admitted)
+    assert [session.steps_done for session in sessions] == [1] * 10
+
+
 def test_expired_step_does_not_advance_state():
     with Server(workers=1) as server:
         with server.open_session("MobileRobot") as session:
             assert session.step().ok
             state_before = {
-                key: np.array(value) for key, value in session.state.items()
+                key: np.array(value)
+                for key, value in session.trajectory.state.items()
             }
 
             expired = session.step(deadline_s=1e-9)
@@ -162,7 +230,9 @@ def test_expired_step_does_not_advance_state():
             assert expired.error_kind == "DeadlineExceededError"
             assert session.steps_done == 1
             for key, value in state_before.items():
-                np.testing.assert_array_equal(session.state[key], value)
+                np.testing.assert_array_equal(
+                    session.trajectory.state[key], value
+                )
 
             # The client retries the same step and the stream continues.
             retry = session.step()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
+from repro.srdfg import Executor
 from repro.workloads import (
     END_TO_END,
     SINGLE_DOMAIN,
+    Trajectory,
     count_loc,
     get_workload,
     workload_names,
@@ -174,3 +177,67 @@ class TestTrainingConvergence:
         results = workload.run_functional(steps=30)
         signals = np.array([r.outputs["ctrl_sgnl"] for r in results])
         assert np.all(np.isfinite(signals))
+
+
+class TestTrajectory:
+    """State advances only on success — the invariant every consumer of
+    the stack (requests, sessions, chaos, the reference driver) inherits
+    from the one loop."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(total=st.integers(1, 8), data=st.data())
+    def test_a_raising_step_commits_nothing(self, total, data):
+        fail_at = data.draw(st.integers(0, total - 1))
+        workload = get_workload("MobileRobot")
+        executor = Executor(workload.cached_graph())
+        trajectory = Trajectory(workload)
+
+        def refuse(**values):
+            raise RuntimeError("device lost")
+
+        for step in range(total):
+            if step == fail_at:
+                before = (
+                    trajectory.state, trajectory.index, trajectory.previous
+                )
+                with pytest.raises(RuntimeError):
+                    trajectory.step(refuse)
+                after = (
+                    trajectory.state, trajectory.index, trajectory.previous
+                )
+                assert all(a is b for a, b in zip(before, after))
+            # The retry (or the next step) carries on from what was
+            # committed.
+            result = trajectory.step(executor.run)
+            assert trajectory.previous is result
+            assert trajectory.state is result.state
+            assert trajectory.index == step + 1
+
+        # The interrupted run ends where an uninterrupted one does.
+        expected = workload.run_functional(steps=total)[-1]
+        for name, value in expected.outputs.items():
+            np.testing.assert_array_equal(result.outputs[name], value)
+
+    def test_seeded_trajectory_replays_from_the_middle(self):
+        workload = get_workload("MobileRobot")
+        executor = Executor(workload.cached_graph())
+        whole = workload.run_functional(steps=3)
+        resumed = Trajectory(workload, state=whole[0].state, index=1)
+        assert resumed.index == 1 and resumed.previous is None
+        result = resumed.step(executor.run)
+        for name, value in whole[1].outputs.items():
+            np.testing.assert_array_equal(result.outputs[name], value)
+
+    def test_explicit_inputs_override_the_generator(self):
+        workload = get_workload("MobileRobot")
+        seen = []
+
+        def record(inputs, params, state):
+            seen.append(inputs)
+            return Executor(workload.cached_graph()).run(
+                inputs=inputs, params=params, state=state
+            )
+
+        given_inputs = workload.inputs(0, None)
+        Trajectory(workload).step(record, given_inputs)
+        assert seen == [given_inputs]
