@@ -934,12 +934,13 @@ def _cmd_trace(args):
     Produces one Chrome trace-event JSON (``chrome://tracing`` /
     Perfetto loadable) whose spans cover every layer of the stack —
     serve request lifecycle, compiler-session stages, per-pass timings,
-    plan build/execute, and host-runtime dispatch/recovery events — plus
+    plan build, kernel build/execute, and host-runtime dispatch/recovery
+    events — plus
     the unified counters dump from the server's
     :meth:`~repro.serve.server.Server.metrics_registry`. One appended
     fault-injecting request (a single transient compute error, recovered
     by retry) routes through the HostManager so the runtime layer shows
-    up even though plain requests execute plans directly.
+    up even though plain requests execute their plan's kernel directly.
     """
     from .obs import CATEGORIES, Tracer, write_chrome_trace
     from .serve import Request, Server, replay, synth_trace
@@ -1269,8 +1270,8 @@ def build_parser():
     trace.add_argument(
         "--assert-layers",
         action="store_true",
-        help="exit nonzero unless the trace contains spans from all five "
-        "layers (serve, session, passes, plan, runtime)",
+        help="exit nonzero unless the trace contains spans from all six "
+        "layers (serve, session, passes, plan, kernel, runtime)",
     )
     trace.set_defaults(func=_cmd_trace)
 

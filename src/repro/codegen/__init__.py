@@ -18,11 +18,11 @@ import hashlib
 import time
 
 from .emitter import EmitResult, KernelEmitter, Unsupported
-from .kernel import KernelArtifact
-from .stats import CODEGEN_STATS
+from .kernel import CODEGEN_STATS, KernelArtifact
 
 __all__ = [
     "CODEGEN_STATS",
+    "KERNEL_ABI",
     "EmitResult",
     "KernelArtifact",
     "KernelEmitter",
@@ -32,15 +32,25 @@ __all__ = [
 ]
 
 
+#: Version of the contract between the source the emitter prints and the
+#: :class:`KernelArtifact` that runs it (namespace names, ``_S`` layout,
+#: who owns a statement result). It salts :func:`kernel_cache_key`, so a
+#: persistent ``--cache-dir`` never replays source printed under another
+#: contract: bump it with any such change. 2: results left ``_S``.
+KERNEL_ABI = 2
+
+
 def kernel_cache_key(plan_key):
     """Cache key of the kernel generated for the plan under *plan_key*.
 
     A pure derivation of the plan's own cache key (fingerprint +
-    PlanConfig + SpecializationKey bucket), so the kernel entry is a
-    *sibling* of the plan entry: whoever evicts the plan can find and
-    evict the kernel without extra bookkeeping.
+    PlanConfig + SpecializationKey bucket) and :data:`KERNEL_ABI`, so the
+    kernel entry is a *sibling* of the plan entry: whoever evicts the
+    plan can find and evict the kernel without extra bookkeeping.
     """
-    return hashlib.sha256(f"kernel:{plan_key}".encode()).hexdigest()
+    return hashlib.sha256(
+        f"kernel/{KERNEL_ABI}:{plan_key}".encode()
+    ).hexdigest()
 
 
 def build_kernel(plan, plan_key=None, diagnostics=None):
@@ -54,13 +64,7 @@ def build_kernel(plan, plan_key=None, diagnostics=None):
     key = plan_key or f"{plan.graph_name}:{id(plan):x}"
     try:
         emitted = KernelEmitter(plan).emit()
-        artifact = KernelArtifact(
-            key,
-            emitted.source,
-            emitted.constants,
-            emitted.scratch_specs,
-            report=emitted.report,
-        )
+        artifact = KernelArtifact(key, *emitted)
     except Exception as exc:
         CODEGEN_STATS.bump(
             builds_declined=1,

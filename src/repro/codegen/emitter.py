@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import namedtuple
 
 import numpy as np
 
@@ -100,15 +101,19 @@ class _Val:
     zero-dimensional sample (or an actual Python scalar for literals)
     that the staged evaluator pushes through the *same* numpy functions
     it prints, so result dtypes follow the running numpy's promotion
-    rules exactly instead of a hand-written approximation.
+    rules exactly instead of a hand-written approximation. ``fresh``
+    says the run-time value is an array this statement's own numpy call
+    allocated — no operand, constant or scratch buffer shares its memory
+    — so a full-cover store may bind it instead of copying it.
     """
 
-    __slots__ = ("code", "shape", "shadow")
+    __slots__ = ("code", "shape", "shadow", "fresh")
 
-    def __init__(self, code, shape, shadow):
+    def __init__(self, code, shape, shadow, fresh=False):
         self.code = code
         self.shape = tuple(shape)
         self.shadow = shadow
+        self.fresh = fresh
 
     @property
     def dtype(self):
@@ -148,14 +153,9 @@ class _InlineDef:
         self.committed = 0
 
 
-class EmitResult:
-    """Everything :class:`~repro.codegen.kernel.KernelArtifact` needs."""
-
-    def __init__(self, source, constants, scratch_specs, report):
-        self.source = source
-        self.constants = constants
-        self.scratch_specs = scratch_specs
-        self.report = report
+#: What :class:`~repro.codegen.kernel.KernelArtifact` is constructed
+#: from, in its constructor's order (after the plan key).
+EmitResult = namedtuple("EmitResult", "source constants scratch_specs report")
 
 
 #: Raised while staging a statement (or an inlined producer): the
@@ -217,11 +217,25 @@ class _StagedEvaluator(_ExprEvaluator):
             code = f"_np.{name}"
         else:
             code = self.emitter._const(func)
-        return _Val(
-            f"{code}({', '.join(val.code for val in vals)})",
-            _bshape(*[val.shape for val in vals]),
-            shadow,
-        )
+        shape = _bshape(*[val.shape for val in vals])
+        args = [val.code for val in vals]
+        if isinstance(func, np.ufunc) and func.nout == 1 and shape:
+            # An elementwise ufunc may overwrite a fresh operand of the
+            # result's shape and dtype: only this call reads it, and a
+            # C-ordered one (_reuse checks) is laid out as the result
+            # would be.
+            dtype = np.asarray(shadow).dtype
+            for position, val in enumerate(vals):
+                if val.fresh and val.shape == shape and val.dtype == dtype:
+                    temp = val.code
+                    if not re.fullmatch(r"\w+", temp):
+                        temp = self.emitter._temp()
+                        args[position] = f"({temp} := {val.code})"
+                    args.append(f"out=_reuse({temp})")
+                    break
+        # Ufuncs, np.where and the SCALAR_FUNCTIONS allocate their result
+        # (or were just handed a fresh operand to put it in).
+        return _Val(f"{code}({', '.join(args)})", shape, shadow, fresh=True)
 
     def _to_float(self, value):
         if not isinstance(value, _Val):
@@ -297,6 +311,7 @@ class _StagedEvaluator(_ExprEvaluator):
             f"_np.squeeze({value.code}, axis={axes!r})",
             [n for axis, n in enumerate(value.shape) if axis not in axes],
             value.shadow,
+            fresh=value.fresh,
         )
 
     def _reduce(self, op, data, axes):
@@ -309,6 +324,7 @@ class _StagedEvaluator(_ExprEvaluator):
             f"_np.{op}({data.code}, axis={axes!r})[{reindex}]",
             [1 if axis in axes else n for axis, n in enumerate(data.shape)],
             data.shadow,
+            fresh=True,
         )
 
     def _run_einsum(self, einsum):
@@ -331,10 +347,16 @@ class _StagedEvaluator(_ExprEvaluator):
             with np.errstate(all="ignore"):
                 shadow = shadow * einsum.scalar
         self.emitter.report["einsum"] += 1
+        # einsum answers a pure relabelling ('ab->ba', 'aa->a') with a
+        # view of its operand; summing a label away, or the scalar
+        # multiply, allocates.
+        operand_labels, _, out_labels = einsum.spec.partition("->")
+        summed = set(operand_labels) - {","} - set(out_labels)
         return self.emitter._let(
             f"_np.asarray({code}).reshape({einsum.out_shape!r})",
             einsum.out_shape,
             shadow,
+            fresh=bool(summed) or einsum.scalar != 1.0,
         )
 
     def _concrete(self, value, reason, *args):
@@ -390,10 +412,6 @@ class KernelEmitter:
         self._escapes = {final for _, _, final in plan.collect}
         #: local -> (start, stop) line range of that statement's code.
         self._fragments = {}
-        #: locals that may alias preallocated scratch (an escaping
-        #: scratchy value must be copied at collect so the caller can
-        #: never observe the next execution overwriting it).
-        self._scratchy = set()
         #: transient-arena allocation cursor/peak, in float64 elements.
         #: Fragment-local buffers (gathers, blocked-reduction chunks)
         #: are carved from one shared arena whose cursor resets per
@@ -419,12 +437,15 @@ class KernelEmitter:
 
     # -- small helpers -----------------------------------------------------
 
-    def _let(self, code, shape, shadow):
-        """Bind *code* to a fresh temporary; returns its :class:`_Val`."""
+    def _temp(self):
         self._temp_serial += 1
-        temp = f"_t{self._temp_serial}"
+        return f"_t{self._temp_serial}"
+
+    def _let(self, code, shape, shadow, fresh=False):
+        """Bind *code* to a new temporary; returns its :class:`_Val`."""
+        temp = self._temp()
         self._emit(f"{temp} = {code}")
-        return _Val(temp, shape, shadow)
+        return _Val(temp, shape, shadow, fresh)
 
     def _const(self, value, prefix="_c"):
         """Register a build-time constant; dedupes ndarrays by content."""
@@ -446,22 +467,19 @@ class KernelEmitter:
             self._const_by_digest[key] = name
         return name
 
-    def _scratch(self, shape, dtype):
-        index = len(self.scratch_specs)
-        self.scratch_specs.append((tuple(shape), np.dtype(dtype)))
-        return f"_S[{index}]"
-
     def _transient(self, shape, dtype):
         """Fragment-local scratch carved from the shared f64 arena.
 
         Only values that are dead by the end of their statement may use
         it (gather buffers, blocked-reduction chunks and accumulators —
-        every store path copies, so nothing downstream aliases them).
-        Non-f64 transients get a dedicated slot instead.
+        a carving is never ``fresh``, so every store copies it and
+        nothing downstream aliases it). Non-f64 transients get a
+        dedicated ``_S`` slot instead.
         """
         shape = tuple(shape)
         if np.dtype(dtype) != np.float64:
-            return self._scratch(shape, dtype)
+            self.scratch_specs.append((shape, np.dtype(dtype)))
+            return f"_S[{len(self.scratch_specs) - 1}]"
         size = int(np.prod(shape)) if shape else 1
         offset = self._arena_off
         self._arena_off += size
@@ -500,9 +518,6 @@ class KernelEmitter:
         return EmitResult(source, self.constants, self.scratch_specs,
                           self.report)
 
-    def _bind(self, key, local):
-        self._locals[key] = local
-
     def _local(self, key):
         name = self._locals.get(key)
         if name is None:
@@ -538,12 +553,12 @@ class KernelEmitter:
             f"f\"value for '{name}' has shape "
             f"{{tuple({local}.shape)}}, declared {shape!r}\")"
         )
-        self._bind(step.key, local)
+        self._locals[step.key] = local
 
     def _emit_const_step(self, step, local):
         cname = self._const(step.value)
         self._emit(f"{local} = {cname}  # const {step.node_name}")
-        self._bind(step.key, local)
+        self._locals[step.key] = local
 
     def _emit_compute_step(self, step, local):
         self.report["statements"] += 1
@@ -567,11 +582,8 @@ class KernelEmitter:
             self.report["fallback_reasons"].append(
                 f"{statement.label}: {exc}"
             )
-            if any(op.code in self._scratchy for op in operands.values()):
-                # The interpreter may return views of its operands.
-                self._scratchy.add(local)
         self._fragments[local] = (start_line, len(self.lines))
-        self._bind(step.key, local)
+        self._locals[step.key] = local
 
     def _emit_statement_fallback(self, step, statement, operands, local,
                                  reason=""):
@@ -585,10 +597,7 @@ class KernelEmitter:
     def _emit_collect(self):
         outputs, state = [], []
         for name, modifier, final in self.plan.collect:
-            local = self._local(final)
-            if local in self._scratchy:
-                local = f"_np.array({local}, copy=True)"
-            entry = f"{name!r}: {local}"
+            entry = f"{name!r}: {self._local(final)}"
             (outputs if modifier == "output" else state).append(entry)
         self._emit(f"return {{{', '.join(outputs)}}}, {{{', '.join(state)}}}")
 
@@ -603,20 +612,15 @@ class KernelEmitter:
         for info in self._inline.values():
             if not info.refs or info.refs != info.committed:
                 continue
-            bounds = self._fragments.get(info.local)
-            if bounds is None:
-                continue
-            drop = set(range(*bounds))
-            kept = [
-                line for index, line in enumerate(self.lines)
-                if index not in drop
-            ]
+            start, stop = self._fragments[info.local]
+            kept = self.lines[:start] + self.lines[stop:]
             if re.search(rf"\b{info.local}\b", "\n".join(kept)):
                 continue
-            self.lines = kept
-            self._renumber_fragments(bounds)
+            # Blanked, not removed: fragment line numbers stay valid.
+            self.lines[start:stop] = [""] * (stop - start)
             self.report["fused"] += 1
-        source = "\n".join(self.lines) + "\n"
+        self._release_dead_locals()
+        source = "\n".join(line for line in self.lines if line) + "\n"
 
         # Prune scratch slots orphaned by dropped fragments or rolled-back
         # speculative emissions, remapping the survivors densely.
@@ -644,17 +648,33 @@ class KernelEmitter:
         }
         return source
 
-    def _renumber_fragments(self, dropped_bounds):
-        start, stop = dropped_bounds
-        width = stop - start
-        shifted = {}
-        for local, (lo, hi) in self._fragments.items():
-            if lo >= stop:
-                shifted[local] = (lo - width, hi - width)
-            elif hi <= start:
-                shifted[local] = (lo, hi)
-            # fragments overlapping the dropped range vanish with it
-        self._fragments = shifted
+    def _release_dead_locals(self):
+        """``del`` every ``_vN`` / ``_tN`` at the end of the statement
+        fragment that names it last, so a kernel holds a statement result
+        no longer than its last reader runs. Read off the surviving
+        source, like the fragment drop, because that is where fusion's
+        outcome is written down: an inlined producer's operands are named
+        in its consumer. A local last named outside any fragment (the
+        return line) is never released.
+        """
+        defined = set()
+        last = {}
+        for index, line in enumerate(self.lines):
+            defined.update(re.findall(r"(_[vt]\d+) :?= ", line))
+            for local in re.findall(r"\b_[vt]\d+\b", line):
+                last[local] = index
+        fragment_end = {
+            index: stop
+            for start, stop in self._fragments.values()
+            for index in range(start, stop)
+        }
+        dead = {}
+        for local in sorted(defined):
+            stop = fragment_end.get(last[local])
+            if stop is not None:
+                dead.setdefault(stop, []).append(local)
+        for stop in sorted(dead, reverse=True):
+            self.lines.insert(stop, f"    del {', '.join(dead[stop])}")
 
     # -- statement specialization ------------------------------------------
 
@@ -664,15 +684,14 @@ class KernelEmitter:
         raw = ev.lift(ev.statement_value(
             statement.stmt, statement.einsum, statement.chunk_plan
         ))
-        self._emit_store(ev, step, raw, local)
+        self._emit_store(ev, raw, local)
 
-    def _emit_store(self, ev, step, raw, local):
+    def _emit_store(self, ev, raw, local):
         statement = ev.statement
         stmt = statement.stmt
         lhs_shape = statement.lhs_shape
         dtype = np.dtype(statement.target_dtype)
         dt = self._const(dtype)
-        escapes = step.key in self._escapes
 
         if not stmt.target_indices:
             if lhs_shape not in ((), (1,)):
@@ -699,15 +718,23 @@ class KernelEmitter:
             view = None
         if view is not None:
             # Every cell is written exactly once, so neither the previous
-            # value nor a zero fill is observable: a fresh buffer when the
-            # value escapes, reusable scratch otherwise.
-            if escapes:
-                self._emit(f"{local} = _np.empty({lhs_shape!r}, dtype={dt})")
+            # value nor a zero fill is observable. A fresh payload holding
+            # every cell in the target dtype *is* the result
+            # (ascontiguousarray answers a C-ordered array with itself);
+            # anything else is copied into a new buffer. Never scratch
+            # either way, so the result may escape as it is.
+            if (
+                raw.fresh
+                and raw.dtype == dtype
+                and raw.size == math.prod(lhs_shape)
+            ):
+                self._emit(
+                    f"{local} = _np.ascontiguousarray({raw.code})"
+                    f".reshape({lhs_shape!r})"
+                )
             else:
-                buf = self._scratch(lhs_shape, dtype)
-                self._emit(f"{local} = {buf}")
-                self._scratchy.add(local)
-            self._emit(f"{view}[...] = {raw.code}")
+                self._emit(f"{local} = _np.empty({lhs_shape!r}, dtype={dt})")
+                self._emit(f"{view}[...] = {raw.code}")
             return
 
         # General static scatter: prev-copy or zeros, then a fancy write
@@ -1012,22 +1039,15 @@ class KernelEmitter:
         # Hoist every factor that is not a bare name (views, arena
         # reshapes, axview permutes) to a temp: re-creating the view on
         # each of up to n0 iterations costs real time on big convs.
-        names = []
-        for factor in factors:
-            if re.fullmatch(r"\w+", factor.code):
-                names.append(factor)
-            else:
-                names.append(
-                    self._let(factor.code, factor.shape, factor.shadow)
-                )
+        names = [
+            factor if re.fullmatch(r"\w+", factor.code)
+            else self._let(factor.code, factor.shape, factor.shadow)
+            for factor in factors
+        ]
 
         out_shape = tuple(target_shape[: space.free_count])
         out = self._transient(out_shape, final_dtype)
-        if not re.fullmatch(r"\w+", out):
-            self._emit(f"_ob = {out}")
-            loop_out = "_ob"
-        else:
-            loop_out = out
+        self._emit(f"_ob = {out}")
 
         def sliced(value):
             if not value.shape or value.shape[0] == 1:
@@ -1036,15 +1056,13 @@ class KernelEmitter:
 
         if len(names) > 1:
             chunk = self._transient((block,) + target_shape[1:], final_dtype)
-            if not re.fullmatch(r"\w+", chunk):
-                self._emit(f"_cb = {chunk}")
-                chunk = "_cb"
+            self._emit(f"_cb = {chunk}")
         self._emit(f"for _i0 in range(0, {n0}, {block}):")
         self._emit(f"    _s0 = min({n0}, _i0 + {block})")
         if len(names) == 1:
             acc = sliced(names[0])
         else:
-            self._emit(f"    _cv = {chunk}[: _s0 - _i0]")
+            self._emit("    _cv = _cb[: _s0 - _i0]")
             acc = None
             for factor in names:
                 if acc is None:
@@ -1056,7 +1074,7 @@ class KernelEmitter:
                     )
                     acc = "_cv"
         self._emit(
-            f"    _np.{expr.op}({acc}, axis={axes!r}, out={loop_out}[_i0:_s0])"
+            f"    _np.{expr.op}({acc}, axis={axes!r}, out=_ob[_i0:_s0])"
         )
         self.report["blocked"] += 1
         reduced_shape = out_shape + (1,) * (space.total - space.free_count)

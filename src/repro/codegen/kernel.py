@@ -6,10 +6,13 @@ A :class:`KernelArtifact` wraps one emitted kernel function for one
 * the generated source (kept for ``repro codegen --dump-source``, the
   disk cache record, and diagnostics),
 * the exec'd function object bound to its constant namespace, and
-* a pool of preallocated scratch-buffer sets, popped per execution and
-  pushed back afterwards so concurrent serving workers never share a
-  buffer while a single-threaded caller reuses the same allocation on
-  every step.
+* a free list of scratch-buffer sets (the per-statement transient arena
+  and non-f64 transients — statement results never live there), popped
+  per execution and pushed back afterwards so concurrent serving workers
+  never share a buffer while a single-threaded caller reuses the same
+  allocation on every step. A set is only ever allocated for a caller
+  that found the list empty, so the list holds as many sets as callers
+  have run at once, and none before the first call.
 
 ``try_execute`` is the only entry point the plan layer calls: it
 returns an :class:`~repro.srdfg.interpreter.ExecutionResult` on
@@ -24,14 +27,40 @@ mid-kernel failure is safe.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 
 from ..errors import ExecutionError
+from ..obs import DEFAULT_REGISTRY
 from ..srdfg.interpreter import ExecutionResult, _axview
-from .stats import CODEGEN_STATS
 
-__all__ = ["KernelArtifact"]
+__all__ = ["CODEGEN_STATS", "KernelArtifact"]
+
+#: The ``codegen`` counter group — process-scoped, because kernels are
+#: artifacts shared across sessions (an execution has no session to
+#: charge). ``kernels_built`` / ``builds_declined`` count whole-plan
+#: outcomes (a declined build is a diagnostic, never an error: the plan
+#: keeps executing interpreted); ``kernel_fallbacks`` counts executions
+#: that started on the kernel and fell back to the interpreter at run time.
+CODEGEN_STATS = DEFAULT_REGISTRY.counters("codegen", (
+    "kernels_built",
+    "builds_declined",
+    "build_seconds",
+    "kernel_executions",
+    "kernel_fallbacks",
+    "statements_specialized",
+    "statements_fallback",
+    "statements_fused",
+    "source_bytes",
+))
+
+
+def _reuse(array):
+    """*array* when a ufunc may write its result over it (``out=``),
+    else None (the ufunc allocates): only a C-ordered operand is laid out
+    as the fresh result would have been."""
+    return array if array.flags.c_contiguous else None
 
 
 class KernelArtifact:
@@ -49,6 +78,7 @@ class KernelArtifact:
             "_np": np,
             "ExecutionError": ExecutionError,
             "_axview": _axview,
+            "_reuse": _reuse,
         }
         namespace.update(constants)
         exec(self.code, namespace)
@@ -56,34 +86,26 @@ class KernelArtifact:
         self._pool = []
         self._pool_lock = threading.Lock()
 
-    # -- scratch pool ------------------------------------------------------
-
-    def _acquire_scratch(self):
-        with self._pool_lock:
-            if self._pool:
-                return self._pool.pop()
-        return [
-            np.empty(shape, dtype=dtype)
-            for shape, dtype in self.scratch_specs
-        ]
-
-    def _release_scratch(self, scratch):
-        with self._pool_lock:
-            if len(self._pool) < 8:
-                self._pool.append(scratch)
-
     # -- execution ---------------------------------------------------------
 
     def run(self, inputs=None, params=None, state=None, output_init=None):
         """Raw invocation; returns (outputs, state) dicts. May raise."""
-        scratch = self._acquire_scratch()
+        try:
+            with self._pool_lock:
+                scratch = self._pool.pop()
+        except IndexError:
+            scratch = [
+                np.empty(shape, dtype=dtype)
+                for shape, dtype in self.scratch_specs
+            ]
         try:
             return self._fn(
                 inputs or {}, params or {}, state or {}, output_init or {},
                 scratch,
             )
         finally:
-            self._release_scratch(scratch)
+            with self._pool_lock:
+                self._pool.append(scratch)
 
     def try_execute(self, plan, inputs=None, params=None, state=None,
                     output_init=None):
@@ -95,8 +117,6 @@ class KernelArtifact:
         the interpreter would raise the same error, so falling back
         would only mask it more slowly.
         """
-        import time
-
         start = time.perf_counter()
         try:
             outputs, state_out = self.run(inputs, params, state, output_init)
@@ -106,9 +126,7 @@ class KernelArtifact:
             CODEGEN_STATS.bump(kernel_fallbacks=1)
             return None
         seconds = time.perf_counter() - start
-        result = ExecutionResult()
-        result.outputs.update(outputs)
-        result.state.update(state_out)
+        result = ExecutionResult(outputs, state_out, tier="kernel")
         with plan._counters_lock:
             plan.counters.executions += 1
             plan.counters.seconds += seconds
@@ -116,11 +134,3 @@ class KernelArtifact:
                 plan.counters.first_seconds = seconds
         CODEGEN_STATS.bump(kernel_executions=1)
         return result
-
-    def describe(self):
-        return {
-            "plan_key": self.plan_key,
-            "source_bytes": len(self.source),
-            "scratch_buffers": len(self.scratch_specs),
-            "report": dict(self.report),
-        }

@@ -696,9 +696,11 @@ class CompilerSession:
         ``cached=True`` like plan hits do, fresh builds carry the
         emitter's specialization summary, and a declined build records
         the decline (the plan keeps executing interpreted — a declined
-        build is never an error). Returns the kernel or None.
+        build is never an error) and the plan remembers it, so a plan
+        the emitter cannot lower costs one attempt per process, not one
+        per request. Returns the kernel or None.
         """
-        if plan.kernel is not None:
+        if plan.kernel is not None or plan.kernel_declined:
             return plan.kernel
         key = kernel_cache_key(plan_key)
         artifact, _ = self._resolve(
@@ -715,7 +717,9 @@ class CompilerSession:
             graph=plan.graph_name,
             key=key[:12],
         )
-        if artifact is not None:
+        if artifact is None:
+            plan.kernel_declined = True
+        else:
             plan.attach_kernel(artifact)
         return artifact
 

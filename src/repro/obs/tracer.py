@@ -36,7 +36,7 @@ import time
 from typing import Dict, List, Optional
 
 #: Canonical span categories, one per instrumented layer.
-CATEGORIES = ("session", "passes", "plan", "runtime", "serve")
+CATEGORIES = ("session", "passes", "plan", "kernel", "runtime", "serve")
 
 
 class Span:

@@ -36,10 +36,8 @@ __all__ = ["LocalExecutor"]
 class LocalExecutor:
     """One compile-and-execute engine over one CompilerSession."""
 
-    def __init__(self, session, codegen=False, bucket_policy="exact",
-                 tracer=None):
+    def __init__(self, session, bucket_policy="exact", tracer=None):
         self.session = session
-        self.codegen = codegen
         self.bucket_policy = BucketPolicy.parse(bucket_policy)
         self.tracer = tracer or NULL_TRACER
         self._lock = threading.Lock()
@@ -153,9 +151,11 @@ class LocalExecutor:
                 outcome.compile_seconds = time.perf_counter() - start
 
                 start = time.perf_counter()
+                # Serving has one execution tier, the generated kernel; a
+                # plan the emitter declines stays interpreted.
                 plan, outcome.plan_provenance = self.session.plan_for_traced(
                     app, precision=request.precision,
-                    specialization=specialization, codegen=self.codegen,
+                    specialization=specialization, codegen=True,
                 )
                 outcome.plan_seconds = time.perf_counter() - start
                 self.note_planned(
@@ -163,9 +163,6 @@ class LocalExecutor:
                 )
                 if session is not None:
                     session.pin(app, plan, outcome.plan_provenance)
-            if plan.kernel is not None:
-                outcome.kernel_provenance = "kernel"
-
             # Compile/plan may have eaten the request's budget; past this
             # point the request really executes.
             if deadline_at is not None and time.perf_counter() >= deadline_at:
@@ -194,9 +191,16 @@ class LocalExecutor:
             else:
                 invoke = functools.partial(plan.execute, tracer=self.tracer)
             start = time.perf_counter()
+            tiers = set()
             for _ in range(request.steps):
                 result = trajectory.step(invoke, inputs)
+                tiers.add(result.tier)
             outcome.execute_seconds = time.perf_counter() - start
+            # What ran, not what the plan carries: one step that fell back
+            # makes the request a fallback.
+            outcome.kernel_provenance = (
+                "fallback" if "fallback" in tiers else result.tier
+            )
 
             outcome.outputs = dict(result.outputs)
             outcome.state = dict(result.state)

@@ -45,8 +45,9 @@ class RequestMetrics:
     #: its artifact (empty when the phase never ran).
     compile_provenance: str = ""
     plan_provenance: str = ""
-    #: "kernel" when the request's plan carried a generated kernel (the
-    #: codegen execution tier); empty when it executed interpreted.
+    #: The tier that executed it: "kernel" | "interpreted" (the emitter
+    #: declined its plan) | "fallback" (a kernel failed at run time and
+    #: the step re-ran interpreted); empty when the request never executed.
     kernel_provenance: str = ""
     worker: str = ""
     ok: bool = True
@@ -303,13 +304,11 @@ class ServeReport:
             f"{self.mean_queue_seconds * 1e3:.1f} ms, max "
             f"{self.max_queue_seconds * 1e3:.1f} ms"
         )
-        for phase in ("compile", "plan"):
+        for phase in ("compile", "plan", "execute"):
             counts = self.provenance_counts(phase)
             if counts:
                 rendered = ", ".join(
-                    f"{counts[kind]} {kind}"
-                    for kind in ("built", "cache", "coalesced", "session")
-                    if counts.get(kind)
+                    f"{count} {kind}" for kind, count in sorted(counts.items())
                 )
                 lines.append(f"  {phase}: {rendered}")
         verdict = "ok" if self.plan_reuse_ok else "VIOLATED"

@@ -48,9 +48,7 @@ def child_main(conn, config):
         cache_dir=config.get("cache_dir"), cross_process=True
     )
     executor = LocalExecutor(
-        session,
-        codegen=config.get("codegen", False),
-        bucket_policy=config.get("bucket_policy", "exact"),
+        session, bucket_policy=config.get("bucket_policy", "exact")
     )
     while True:
         try:

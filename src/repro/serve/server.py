@@ -199,7 +199,6 @@ class Server:
         breaker_threshold=5,
         breaker_cooldown_s=0.25,
         bucket_policy="exact",
-        codegen=False,
         pool="thread",
         aging_s=None,
     ):
@@ -236,13 +235,13 @@ class Server:
         #: The in-process request body. Thread mode runs every request
         #: through it; process mode keeps it for session steps (whose
         #: retained numpy state cannot cross a pipe) and for
-        #: admission-time shape resolution. *codegen* lowers every plan
-        #: to a generated kernel (the third execution tier): requests
-        #: record "kernel" provenance when their plan carries one;
-        #: declined builds fall back to interpretation.
+        #: admission-time shape resolution. Every plan is lowered to a
+        #: generated kernel — the one serving tier; a plan the emitter
+        #: declines, and a kernel that fails at run time, fall back to
+        #: interpretation, and each request's "execute" provenance says
+        #: which of kernel / interpreted / fallback answered it.
         self.executor = LocalExecutor(
             session=self.session,
-            codegen=codegen,
             bucket_policy=self.bucket_policy,
             tracer=self.tracer,
         )
@@ -254,7 +253,6 @@ class Server:
                 workers,
                 config={
                     "cache_dir": self.session.cache.cache_dir,
-                    "codegen": codegen,
                     "bucket_policy": bucket_policy,
                 },
                 name="serve",

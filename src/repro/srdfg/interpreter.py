@@ -90,6 +90,10 @@ class ExecutionResult:
 
     outputs: Dict[str, np.ndarray] = field(default_factory=dict)
     state: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Which execution tier produced it: "interpreted", "kernel" (the
+    #: plan's generated kernel) or "fallback" (the kernel declined at run
+    #: time and the plan re-ran interpreted).
+    tier: str = field(default="interpreted", compare=False)
 
 
 def resolve_dtype(dtype, float_dtype=np.float64):

@@ -563,7 +563,10 @@ class ExecutionPlan:
         self._counters_lock = threading.Lock()
         #: Optional generated-kernel tier (see repro.codegen); attached
         #: post-build by the driver, never required for correctness.
+        #: ``kernel_declined`` remembers a build the emitter declined, so
+        #: the driver attempts each plan once per process.
         self.kernel = None
+        self.kernel_declined = False
         (stats or _DEFAULT_STATS).bump(graphs_planned=1)
         if diagnostics is not None:
             diagnostics.note(
@@ -630,6 +633,7 @@ class ExecutionPlan:
         graphs, sessions, and servers — storing a tracer on the plan
         would leak one server's spans into another's timeline.
         """
+        tier = "interpreted"
         if self.kernel is not None and trace is None:
             if tracer is not None and tracer.enabled:
                 with tracer.span(
@@ -647,15 +651,19 @@ class ExecutionPlan:
                 return result
             # Runtime kernel fallback (already counted): re-execute
             # interpreted — the kernel never mutated the caller's dicts.
+            tier = "fallback"
         if tracer is not None and tracer.enabled:
             with tracer.span(
                 f"execute {self.graph_name}", category="plan",
                 steps=len(self.steps),
             ):
-                return self._execute(inputs, params, state, output_init, trace)
-        return self._execute(inputs, params, state, output_init, trace)
+                return self._execute(
+                    inputs, params, state, output_init, trace, tier
+                )
+        return self._execute(inputs, params, state, output_init, trace, tier)
 
-    def _execute(self, inputs, params, state, output_init, trace):
+    def _execute(self, inputs, params, state, output_init, trace,
+                 tier="interpreted"):
         start = time.perf_counter()
         inputs = inputs or {}
         params = params or {}
@@ -678,7 +686,7 @@ class ExecutionPlan:
                      "produced": produced}
                 )
 
-        result = ExecutionResult()
+        result = ExecutionResult(tier=tier)
         for name, modifier, final in self.collect:
             value = values[final]
             if modifier == "output":

@@ -14,8 +14,12 @@ statement boundaries.
 
 from __future__ import annotations
 
+import pickle
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.codegen import (
     CODEGEN_STATS,
@@ -208,11 +212,20 @@ def _blocked_store(target, out="out[8][8]", names=("by", "bx", "u", "v")):
 
 
 def _store_lines(kernel):
-    """The kernel's statement-store lines (``_vN... = ...`` writes)."""
+    """The kernel's copying statement stores (``_vN... = ...`` writes)."""
     return [
         line.strip() for line in kernel.source.splitlines()
         if "[...] =" in line or "[(" in line
     ]
+
+
+def _binding(kernel, op):
+    """The line binding a statement result computed by *op*."""
+    [line] = [
+        line.strip() for line in kernel.source.splitlines()
+        if line.strip().startswith("_v") and op in line
+    ]
+    return line
 
 
 class TestStoreShapes:
@@ -243,9 +256,11 @@ class TestStoreShapes:
         plan = harness.session.plan_for(app, codegen=True)
         kernel = plan.kernel
         assert kernel is not None
-        assert any(
-            ".reshape((128, 8, 128, 8))[...] =" in line
-            for line in _store_lines(kernel)
+        # The blocked store is a row-major cover of a fresh einsum result:
+        # bound as it is, reshaped from the lattice to the target.
+        assert "(128, 8, 128, 8, 1)" in kernel.source
+        assert _binding(kernel, "ascontiguousarray(_np.squeeze(").endswith(
+            ".reshape((1024, 1024))"
         )
         # No fancy write, and no out-shaped subscript constants for one.
         assert not any("[(" in line for line in _store_lines(kernel))
@@ -271,7 +286,9 @@ class TestStoreShapes:
         inputs = {"img": _int_floats(rng, (8, 8))}
         for target in ("out[by*2+u][bx*2+v]", "out[bx*2+v][by*2+u]"):
             kernel = self._check(_blocked_store(target), inputs)
-            assert "_v2.reshape((4, 2, 4, 2))[...] =" in kernel.source
+            assert "(4, 2, 4, 2)" in kernel.source
+            assert _binding(kernel, "_np.multiply").endswith(".reshape((8, 8))")
+            assert not _store_lines(kernel)
             assert not self._index_constants(kernel, (4, 2, 4, 2))
 
     @pytest.mark.parametrize("source, lattice", [
@@ -300,10 +317,11 @@ class TestStoreShapes:
         assert any("[(" in line for line in _store_lines(kernel))
         assert not any("[...] =" in line for line in _store_lines(kernel))
 
-    def test_row_major_cover_aliasing_matches_identity_cover(self):
-        """Escaping values get a fresh buffer; values that stay inside
-        the kernel live in scratch and are copied if they ever escape —
-        for the reshape-view store exactly as for the identity store."""
+    def test_cover_stores_bind_fresh_values_and_copy_the_rest(self):
+        """A full-cover store of a fresh value of the target dtype binds
+        it — escaping or not, reshape-view store exactly as identity store
+        — and every other payload is copied into a new buffer; no
+        statement result lives in the kernel's scratch set."""
         template = (
             "main(input float img[8][8], output float out[8][8]) {{"
             " index by[0:3], bx[0:3], u[0:1], v[0:1], r[0:7], c[0:7];"
@@ -313,16 +331,6 @@ class TestStoreShapes:
         )
         rng = np.random.default_rng(23)
         inputs = {"img": _int_floats(rng, (8, 8))}
-
-        def alloc_and_store(kernel, op):
-            """The cover store computing *op* and the line allocating it."""
-            lines = [line.strip() for line in kernel.source.splitlines()]
-            [at] = [
-                number for number, line in enumerate(lines)
-                if "[...] =" in line and op in line
-            ]
-            return lines[at - 1], lines[at]
-
         blocked = self._check(
             template.format(first="t[by*2+u][bx*2+v]"), inputs
         )
@@ -330,20 +338,166 @@ class TestStoreShapes:
             template.replace("img[by*2+u][bx*2+v]", "img[r][c]")
             .format(first="t[r][c]"), inputs
         )
-        # ``t`` stays inside the kernel: reusable scratch either way.
-        alloc, store = alloc_and_store(blocked, "_np.multiply")
-        assert alloc.endswith("= _S[0]")
-        assert ".reshape((4, 2, 4, 2))[...] =" in store
-        alloc, store = alloc_and_store(identity, "_np.multiply")
-        assert alloc.endswith("= _S[0]")
-        assert ".reshape(" not in store
-        # ``out`` escapes: a fresh buffer either way.
         for kernel in (blocked, identity):
-            alloc, _ = alloc_and_store(kernel, "_np.add")
-            assert "= _np.empty((8, 8)" in alloc
-        escaping = self._check(_blocked_store("out[by*2+u][bx*2+v]"), inputs)
-        alloc, _ = alloc_and_store(escaping, "_np.multiply")
-        assert "= _np.empty((8, 8)" in alloc
+            # ``t`` stays inside the kernel, ``out`` escapes: bound alike.
+            for op in ("_np.multiply", "_np.add"):
+                line = _binding(kernel, op)
+                assert "= _np.ascontiguousarray(" in line
+                assert line.endswith(".reshape((8, 8))")
+            assert "_np.empty(" not in kernel.source
+            assert not re.search(r"_v\d+ = _S\[", kernel.source)
+        # Not fresh (a gathered operand view), and not the target dtype
+        # (f64 sum into an int target): copied into a new buffer.
+        for source, inputs in (
+            ("main(input float x[8], output float y[8]) {"
+             " index i[0:7]; y[i] = x[7 - i]; }",
+             {"x": _int_floats(rng, 8)}),
+            ("main(input float x[8], output int y[8]) {"
+             " index i[0:7]; y[i] = x[i] + 1.0; }",
+             {"x": _int_floats(rng, 8)}),
+        ):
+            kernel = self._check(source, inputs)
+            assert "= _np.empty((8,)" in kernel.source
+            assert len(_store_lines(kernel)) == 1
+
+
+def _arrays(*mappings):
+    return [
+        value for mapping in mappings for value in mapping.values()
+        if isinstance(value, np.ndarray)
+    ]
+
+
+class TestBufferLifetimes:
+    """Statement results are bound or freshly allocated, released after
+    their last reader, and never alias anything the caller or the kernel
+    keeps."""
+
+    #: C inlines A, whose operand ``xx`` is last *gathered* by B.
+    INLINE_PAST_A_READER = (
+        "main(input float x[8], output float y[8], output float z[8]) {"
+        " index i[0:7]; float xx[8], a[8];"
+        " xx[i] = x[i] * 3.0;"
+        " a[i] = xx[i] + 1.0;"
+        " z[i] = xx[i] * 2.0;"
+        " y[i] = a[7 - i] * 5.0; }"
+    )
+
+    def test_inlined_producers_operand_outlives_an_intermediate_reader(self):
+        session, plan = _compile_plan(self.INLINE_PAST_A_READER)
+        kernel = plan.kernel
+        assert kernel.report["fused"] == 1 and kernel.report["fallback"] == 0
+        lines = [line.strip() for line in kernel.source.splitlines()]
+        [xx] = [
+            line.split(" = ")[0] for line in lines
+            if line.startswith("_v") and "3.0" in line
+        ]
+        [released] = [
+            number for number, line in enumerate(lines)
+            if line.startswith("del ") and xx in line.replace(",", " ").split()
+        ]
+        [consumer] = [
+            number for number, line in enumerate(lines) if "5.0" in line
+        ]
+        assert released > consumer
+        rng = np.random.default_rng(31)
+        inputs = {"x": _int_floats(rng, 8)}
+        outputs, _ = kernel.run(inputs)
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        for name in ("y", "z"):
+            assert np.array_equal(outputs[name], ref.outputs[name])
+
+    @given(st.integers(min_value=0, max_value=2**20))
+    @settings(max_examples=25, deadline=None)
+    def test_generated_programs_never_read_a_released_local(self, seed):
+        from repro.fuzz.generator import generate_program
+
+        program = generate_program(seed)
+        session = CompilerSession(default_accelerators())
+        plan = session.plan_for(
+            session.compile(program.render(), domain="DA"), codegen=True
+        )
+        if plan.kernel is None:
+            return
+        state = ref_state = program.initial_state()
+        for _ in range(program.steps):
+            # ``run`` has no interpreter behind it: a NameError escapes.
+            outputs, state = plan.kernel.run(
+                program.inputs(), program.params(), state
+            )
+            ref = plan._execute(
+                program.inputs(), program.params(), ref_state, {}, None
+            )
+            ref_state = ref.state
+            for name, value in ref.outputs.items():
+                assert np.array_equal(outputs[name], value, equal_nan=True)
+
+    def _check_no_aliasing(self, kernel, inputs, params, state):
+        outputs, state_out = kernel.run(inputs, params, state)
+        returned = _arrays(outputs, state_out)
+        expected = [array.copy() for array in returned]
+        kept = _arrays(inputs, params, state, kernel.constants) + [
+            buffer for scratch in kernel._pool for buffer in scratch
+        ]
+        for array in returned:
+            assert array.flags.writeable
+            assert not any(np.shares_memory(array, other) for other in kept)
+            array[...] = -7
+        again = kernel.run(inputs, params, state)
+        for want, got in zip(expected, _arrays(*again)):
+            assert np.array_equal(want, got, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["MovieL-100K", "ElecUse"])
+    def test_workload_results_never_alias(self, name):
+        from repro.workloads import get_workload
+
+        workload = get_workload(name)
+        session = CompilerSession()
+        app, _ = session.compile_workload(workload)
+        kernel = session.plan_for(app, codegen=True).kernel
+        state = {
+            key: np.asarray(value)
+            for key, value in workload.initial_state().items()
+        }
+        self._check_no_aliasing(
+            kernel, workload.inputs(0, None), workload.params(), state
+        )
+
+    @pytest.mark.parametrize("source", [
+        # An identity copy: the payload is a view of the operand.
+        "main(state float W[4][3], output float y[4][3]) {"
+        " index u[0:3], k[0:2];"
+        " W[u][k] = W[u][k]; y[u][k] = W[u][k]; }",
+        # A dtype-narrowing store: the payload is fresh, but float64.
+        "main(state float W[4][3], output int y[4][3]) {"
+        " index u[0:3], k[0:2];"
+        " W[u][k] = W[u][k] + 1.0; y[u][k] = W[u][k] * 2.0; }",
+    ])
+    def test_copied_stores_never_alias(self, source):
+        session, plan = _compile_plan(source)
+        assert plan.kernel.report["fallback"] == 0
+        rng = np.random.default_rng(37)
+        self._check_no_aliasing(
+            plan.kernel, {}, {}, {"W": _int_floats(rng, (4, 3))}
+        )
+
+    def test_movielens_kernel_holds_no_statement_result_in_scratch(self):
+        """The structural form of the memory claim (an RSS assertion
+        would flake): MovieL-100K's five 12.7 MB statement results used
+        to be pinned ``_S`` slots, 25.6 MB a scratch set."""
+        from repro.workloads import get_workload
+
+        session = CompilerSession()
+        app, _ = session.compile_workload(get_workload("MovieL-100K"))
+        kernel = session.plan_for(app, codegen=True).kernel
+        scratch_bytes = sum(
+            int(np.prod(shape)) * dtype.itemsize
+            for shape, dtype in kernel.scratch_specs
+        )
+        assert scratch_bytes < 1 << 20
+        assert not re.search(r"_v\d+ = _S\[", kernel.source)
+        # pred, err, gw and gh are released once their last reader ran.
+        assert len(re.findall(r"^ +del .*_v", kernel.source, re.M)) >= 4
 
 
 #: ``(statements, specialized, fallback, fused, einsum, blocked,
@@ -467,6 +621,26 @@ class TestBuildContract:
         assert "codegen" in stats
         assert stats["cache"]["kernel_stores"] == 1
 
+    def test_declined_build_is_attempted_once_per_plan(self, monkeypatch):
+        calls = []
+
+        def decline(plan, plan_key=None, diagnostics=None):
+            calls.append(plan_key)
+            return None
+
+        monkeypatch.setattr("repro.driver.session.build_kernel", decline)
+        session = CompilerSession(default_accelerators())
+        app = session.compile(MATVEC, domain="DA")
+        plans = [session.plan_for(app, codegen=True) for _ in range(5)]
+        assert len(calls) == 1
+        assert all(plan is plans[0] and plan.kernel is None for plan in plans)
+        records = [r for r in session.records if r.stage == "codegen"]
+        assert [r.detail.split(",")[0] for r in records] == ["declined"]
+        # Still served, interpreted.
+        rng = np.random.default_rng(29)
+        inputs = {"A": _int_floats(rng, (6, 5)), "x": _int_floats(rng, 5)}
+        assert plans[0].execute(inputs).tier == "interpreted"
+
     def test_codegen_off_by_default(self):
         session, plan = _compile_plan(MATVEC, codegen=False)
         assert plan.kernel is None
@@ -558,6 +732,43 @@ class TestKernelCache:
         assert plan2.kernel.source == plan.kernel.source
 
 
+    def test_record_of_another_kernel_abi_is_a_miss(self, tmp_path, monkeypatch):
+        """The key is salted with ``KERNEL_ABI``: source printed under
+        another contract is never found, so never exec'd — the kernel is
+        rebuilt under the current one."""
+        import hashlib
+
+        import repro.codegen
+
+        assert kernel_cache_key("k") != hashlib.sha256(b"kernel:k").hexdigest()
+
+        def plan_in(session):
+            return session.plan_for(
+                session.compile(MATVEC, domain="DA"), codegen=True
+            )
+
+        first = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        plan_in(first)
+        assert first.cache.stats.kernel_stores == 1
+        # Were the old record decoded, its source would run and raise.
+        for path in tmp_path.glob("*.pkl"):
+            record = pickle.loads(path.read_bytes())
+            if isinstance(record, dict) and "source" in record:
+                record["source"] = "raise RuntimeError('stale kernel ran')\n"
+                path.write_bytes(pickle.dumps(record))
+
+        monkeypatch.setattr(
+            repro.codegen, "KERNEL_ABI", repro.codegen.KERNEL_ABI + 1
+        )
+        base = CODEGEN_STATS.kernels_built
+        second = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        plan = plan_in(second)
+        assert plan.kernel is not None
+        assert CODEGEN_STATS.kernels_built - base == 1
+        stats = second.cache.stats
+        assert (stats.kernel_misses, stats.kernel_disk_hits) == (1, 0)
+        assert stats.disk_errors == 0
+
     def test_kernel_with_fallback_statement_reaches_disk_tier(self, tmp_path):
         """A fallback statement rides in the kernel's constants as its
         StatementPlan, which holds a lock: it must still pickle, or the
@@ -602,16 +813,19 @@ class TestKernelCache:
 
 
 class TestServeIntegration:
-    def test_request_provenance_gains_kernel(self):
+    def test_request_provenance_is_the_tier_that_ran(self):
+        """Serving always asks for the kernel tier; ``execute`` provenance
+        records what answered, and the report renders it."""
         from repro.serve import Request, Server
 
-        with Server(workers=2, queue_capacity=8, codegen=True) as server:
+        with Server(workers=2, queue_capacity=8) as server:
             ticket = server.submit(Request(workload="MobileRobot", steps=2))
             response = ticket.wait(timeout=120)
         assert response.ok
         assert response.metrics.kernel_provenance == "kernel"
         report = server.report()
-        assert report.provenance["execute"]["kernel"] >= 1
+        assert report.provenance_counts("execute") == {"kernel": 1}
+        assert "  execute: 1 kernel" in report.render()
 
     def test_metrics_registry_exposes_codegen(self):
         from repro.serve import Server

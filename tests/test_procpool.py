@@ -372,9 +372,7 @@ def test_forked_children_do_not_reship_the_parents_counts():
     before = CODEGEN_STATS.kernels_built
     assert before >= 1
 
-    with Server(
-        workers=2, queue_capacity=8, pool="process", codegen=True
-    ) as server:
+    with Server(workers=2, queue_capacity=8, pool="process") as server:
         for name in ("MobileRobot", "ElecUse", "MobileRobot", "ElecUse"):
             assert server.request(Request(workload=name)).ok
     snapshot = server.metrics_registry().snapshot()

@@ -117,6 +117,99 @@ def test_concurrent_codegen_plans_build_one_kernel(name):
     assert all(plan.kernel is plans[0].kernel for plan in plans)
 
 
+#: The nine (workload, f64, default dims) configs of the ledger's serve-*
+#: workloads.
+LEDGER_SERVE_CONFIGS = (
+    "MobileRobot", "Hexacopter", "OptionPricing", "ElecUse", "FFT-8192",
+    "MovieL-100K", "ResNet-18", "BrainStimul", "MobileNet",
+)
+
+
+@pytest.fixture(scope="module")
+def interpreted_signatures(tmp_path_factory):
+    """Two trajectory steps of each ledger serve config on a kernel-less
+    plan — a reference no serving code (all of it kernel-tier, the serial
+    baseline included) takes part in — and the cache directory holding
+    the compiles."""
+    from repro.driver import CompilerSession
+    from repro.serve import result_signature
+    from repro.workloads import Trajectory, get_workload
+
+    cache_dir = str(tmp_path_factory.mktemp("ledger-serve-cache"))
+    session = CompilerSession(cache_dir=cache_dir)
+    signatures = {}
+    for name in LEDGER_SERVE_CONFIGS:
+        workload = get_workload(name)
+        app, _ = session.compile_workload(workload)
+        plan = session.plan_for(app)
+        assert plan.kernel is None
+        trajectory = Trajectory(workload)
+        for _ in range(2):
+            result = trajectory.step(plan.execute)
+        assert result.tier == "interpreted"
+        signatures[name] = result_signature(result.outputs)
+    return cache_dir, signatures
+
+
+@pytest.mark.parametrize("pool", ["thread", "process"])
+def test_served_replies_match_the_interpreted_plan(interpreted_signatures, pool):
+    """Every ledger serve config is answered by its generated kernel, in
+    both pools, bit-identically to the interpreted plan."""
+    cache_dir, expected = interpreted_signatures
+    with Server(workers=2, queue_capacity=16, cache_dir=cache_dir,
+                pool=pool) as server:
+        fallbacks = server.metrics_registry().snapshot()[
+            "codegen.kernel_fallbacks"
+        ]
+        tickets = [
+            server.submit(Request(workload=name, steps=2))
+            for name in LEDGER_SERVE_CONFIGS
+        ]
+        responses = [ticket.wait(timeout=120) for ticket in tickets]
+    assert all(response.ok for response in responses)
+    assert {
+        response.request.workload: response.signature
+        for response in responses
+    } == expected
+    assert server.report().provenance_counts("execute") == {
+        "kernel": len(LEDGER_SERVE_CONFIGS)
+    }
+    snapshot = server.metrics_registry().snapshot()
+    assert snapshot["codegen.kernel_fallbacks"] == fallbacks
+
+
+def test_execute_provenance_names_what_ran(monkeypatch):
+    """A kernel that fails at run time is a ``fallback``, a fault-injecting
+    request is whatever its HostManager run executed, and a plan the
+    emitter declined is ``interpreted`` — never ``kernel`` because a
+    kernel merely exists."""
+    from repro.codegen import KernelArtifact
+
+    with Server(workers=1, queue_capacity=4) as server:
+        assert server.request(Request(workload="MobileRobot")).ok
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("kernel bug")
+
+        monkeypatch.setattr(KernelArtifact, "run", broken)
+        fallback = server.request(Request(workload="MobileRobot", steps=2))
+        monkeypatch.undo()
+        injected = server.request(
+            Request(workload="MobileRobot", inject=("transient",))
+        )
+        monkeypatch.setattr(
+            "repro.driver.session.build_kernel", lambda *args, **kwargs: None
+        )
+        declined = server.request(Request(workload="Hexacopter"))
+    assert fallback.ok and injected.ok and declined.ok
+    assert fallback.metrics.kernel_provenance == "fallback"
+    assert declined.metrics.kernel_provenance == "interpreted"
+    counts = server.report().provenance_counts("execute")
+    assert counts["kernel"] >= 1 and counts["fallback"] == 1
+    assert sum(counts.values()) == 4
+    assert "1 fallback" in server.report().render()
+
+
 def test_concurrent_run_bit_identical_to_serial():
     trace = synth_trace(
         requests=10,
