@@ -570,7 +570,7 @@ def _serve_sessions(args):
 
         # Phase 2: the bit-identity twin — one-shot requests threading
         # state/step_offset client-side must reproduce the session run
-        # exactly (sessions skip work, never change math).
+        # exactly (same request body, same bound config).
         twin_times, twin_signatures = [], []
         state = None
         for index in range(len(reference)):
@@ -1203,7 +1203,10 @@ def build_parser():
         help="session mode: instead of replaying the synthetic trace, "
         "open N stateful sessions on the first --workloads entry, stream "
         "--session-steps steps through each, and compare per-step latency "
-        "and bit-identity against one-shot re-submission",
+        "and bit-identity against one-shot re-submission. The "
+        "state-threading one-shot chain is expected near 1.0x of a session "
+        "step on threads (both read one bound config); the stateless "
+        "prefix recompute is what sessions beat",
     )
     serve.add_argument(
         "--session-steps",

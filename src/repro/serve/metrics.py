@@ -40,9 +40,10 @@ class RequestMetrics:
     compile_seconds: float = 0.0
     plan_seconds: float = 0.0
     execute_seconds: float = 0.0
-    #: "built" | "cache" | "coalesced" | "session" — the last meaning the
-    #: phase was skipped entirely because a session had already pinned
-    #: its artifact (empty when the phase never ran).
+    #: "built" | "cache" | "coalesced" for the lookups of a request that
+    #: bound its config; "cache" (a session step: "session") with zero
+    #: seconds when it found the config bound (empty when the phase
+    #: never ran).
     compile_provenance: str = ""
     plan_provenance: str = ""
     #: The tier that executed it: "kernel" | "interpreted" (the emitter
@@ -330,7 +331,7 @@ class ServeReport:
                     f"    session {info['session_id']} {info['workload']}"
                     + (f" [{dims}]" if dims else "")
                     + f": {info['steps']} step(s), plan "
-                    + (info.get("plan_provenance") or "unpinned")
+                    + (info.get("plan_provenance") or "unbound")
                     + f", step p50 {step.get('p50', 0.0) * 1e3:.2f} ms"
                 )
         by_workload: Dict[str, List[RequestMetrics]] = {}

@@ -97,16 +97,6 @@ class Request:
             tags.append(f"dl={self.deadline_s:g}s")
         return " ".join(tags)
 
-    def dims_key(self):
-        """Canonical hashable form of the dim overrides (sorted pairs)."""
-        if not self.dims:
-            return ()
-        return tuple(sorted(self.dims.items()))
-
-    def config_key(self):
-        """What must match for two requests to share a compile + plan."""
-        return (self.workload, self.precision, self.dims_key())
-
 
 def result_signature(outputs):
     """sha256 over the outputs' names, dtypes, shapes, and exact bytes.

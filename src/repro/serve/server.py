@@ -10,8 +10,9 @@ flow::
     submit -> [scheduler: priority heap, backpressure] -> worker
            -> LocalExecutor.serve, the one request body (in this process,
               or in the worker's bound child in process mode):
-              compile (single-flight: identical requests coalesce)
-              -> plan (single-flight, plan-tier cached)
+              config lookup; the first request of a config binds it:
+                 compile (single-flight: identical requests coalesce)
+                 -> plan (single-flight, plan-tier cached)
               -> guard (deadline / cancellation, re-checked)
               -> Trajectory.step x N (state threaded; fault-injecting
                  requests step through the HostManager with their own
@@ -37,7 +38,7 @@ import time
 from collections import deque
 from typing import Dict, List
 
-from ..driver import BucketPolicy, CompilerSession, SpecializationKey
+from ..driver import BucketPolicy, CompilerSession
 from ..errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -72,7 +73,7 @@ class Ticket:
 
     __slots__ = (
         "request", "metrics", "response", "deadline_at",
-        "session", "step_inputs", "workload", "specialization",
+        "session", "step_inputs",
         "_event", "_cancelled", "_abandoned", "_callbacks",
         "_callback_lock",
     )
@@ -89,12 +90,6 @@ class Ticket:
         #: Client-supplied inputs for a session step (validated at
         #: admission); None means "use the workload's input generator".
         self.step_inputs = None
-        #: Resolved (possibly dim-specialized) workload instance and its
-        #: :class:`~repro.srdfg.shapes.SpecializationKey`, filled at
-        #: admission when the request carries dim overrides so the worker
-        #: never re-resolves.
-        self.workload = None
-        self.specialization = None
         self._event = threading.Event()
         self._cancelled = False
         self._abandoned = False
@@ -262,7 +257,9 @@ class Server:
         self._outstanding = 0
         self._drained = threading.Condition(self._lock)
         self._recent_service = deque(maxlen=64)
-        self._tickets: List[Ticket] = []
+        #: The ``RequestMetrics`` of every finished request — scalars
+        #: only; tickets and their responses belong to the clients.
+        self._finished: List[RequestMetrics] = []
         self._tallies = Counters(_TALLIES)
         self._sessions: List[object] = []
         self._started_at = None
@@ -304,8 +301,7 @@ class Server:
             # cache/lease stats, kernels) merge in exactly once.
             for flat, configs in self.procs.stop():
                 self.metrics.merge(flat)
-                for config in configs:
-                    self.executor.note_planned(config, None, "retired")
+                self.executor.note_served(configs)
         if self._stopped_at is None:
             self._stopped_at = time.perf_counter()
         return self
@@ -336,20 +332,20 @@ class Server:
         """
         if not isinstance(request, Request):
             raise TypeError(f"expected a Request, got {type(request).__name__}")
-        workload = specialization = None
         if _session is not None or request.dims or request.initial_state:
             try:
-                if _session is not None:
-                    workload = _session.workload
-                    specialization = _session.specialization
-                    if _inputs is not None:
-                        workload.validate_values(dict(_inputs), modifier="input")
-                else:
-                    workload, specialization = self.executor.resolve(
+                config = (
+                    _session.config if _session is not None
+                    else self.executor.resolve(
                         request.workload, request.dims, request.precision
                     )
+                )
+                if _inputs is not None:
+                    config.workload.validate_values(
+                        dict(_inputs), modifier="input"
+                    )
                 if request.initial_state:
-                    workload.validate_values(
+                    config.workload.validate_values(
                         dict(request.initial_state), modifier="state"
                     )
             except ShapeError as exc:
@@ -396,19 +392,15 @@ class Server:
         ticket = Ticket(request, metrics)
         ticket.session = _session
         ticket.step_inputs = _inputs
-        ticket.workload = workload
-        ticket.specialization = specialization
         if request.deadline_s is not None:
             ticket.deadline_at = now + request.deadline_s
         with self._lock:
             self._outstanding += 1
-            self._tickets.append(ticket)
         try:
             self.scheduler.submit(request.priority, ticket)
         except BaseException as exc:
             with self._lock:
                 self._outstanding -= 1
-                self._tickets.remove(ticket)
             if isinstance(exc, QueueFullError):
                 self._tallies.bump(rejected=1)
             self.tracer.instant(
@@ -441,13 +433,13 @@ class Server:
         bucket-rounds) the workload immediately, so a bad binding raises
         :class:`~repro.errors.ShapeError` here — at open — not on the
         first step. Each subsequent ``session.step()`` flows through the
-        scheduler like any request but reuses the session's pinned plan
-        and retained state.
+        scheduler like any request but steps the session's retained
+        state.
         """
         from .session import Session
 
         try:
-            resolved, spec = self.executor.resolve(workload, dims, precision)
+            config = self.executor.resolve(workload, dims, precision)
         except ShapeError as exc:
             # Same admission accounting as a shape-refused submit: the
             # open never occupied a worker and never enqueued anything.
@@ -457,24 +449,7 @@ class Server:
                 error=str(exc),
             )
             raise
-        if spec is None and getattr(resolved, "symbolic_dims", ()):
-            # No overrides, but the workload is shape-parametric: pin the
-            # default binding so the session's plan still lives in the
-            # bucket tier (and its bucket shows up in the cache stats).
-            spec = SpecializationKey(
-                template=workload,
-                binding=resolved.shape_binding(),
-                config_key=(precision,),
-            )
-        session = Session(
-            server=self,
-            name=workload,
-            workload=resolved,
-            specialization=spec,
-            precision=precision,
-            priority=priority,
-            deadline_s=deadline_s,
-        )
+        session = Session(self, config, priority, deadline_s)
         with self._lock:
             self._sessions.append(session)
         self.tracer.instant(
@@ -595,6 +570,7 @@ class Server:
         self._tallies.bump(metrics.outcome)
         with self._lock:
             self._recent_service.append(metrics.service_seconds)
+            self._finished.append(metrics)
         if executed:
             # Only genuine execution outcomes drive the breaker — a
             # deadline expiry or cancellation says nothing about the
@@ -615,15 +591,13 @@ class Server:
         processes). A child that dies mid-request is respawned by the
         worker set and the request answered with ``WorkerCrashedError``.
         Session steps always run in-parent, even in process mode: the
-        retained numpy state and pinned plan live here, and shipping
-        state across a pipe every step would cost more than it buys.
+        retained numpy state lives here, and shipping it across a pipe
+        every step would cost more than it buys.
         """
         request = ticket.request
         if self.procs is None or ticket.session is not None:
             return self.executor.serve(
                 request,
-                workload=ticket.workload,
-                specialization=ticket.specialization,
                 session=ticket.session,
                 inputs=ticket.step_inputs,
                 deadline_at=ticket.deadline_at,
@@ -679,7 +653,7 @@ class Server:
         tallies = self._tallies.snapshot()
         counts = self.metrics.snapshot()
         with self._lock:
-            tickets = list(self._tickets)
+            finished = list(self._finished)
             sessions = list(self._sessions)
         stopped = self._stopped_at or time.perf_counter()
         started = self._started_at or stopped
@@ -712,15 +686,10 @@ class Server:
             distinct_configs=len(self.executor.configs()),
             expected_plans=counts["executor.expected_plans"],
             expected_statements=counts["executor.expected_statements"],
-            requests=[
-                ticket.metrics for ticket in tickets if ticket.done()
-            ],
+            requests=finished,
             session=self.session.stats_dict(),
         )
-        for ticket in tickets:
-            if not ticket.done():
-                continue
-            metrics = ticket.metrics
+        for metrics in finished:
             for phase, provenance in (
                 ("compile", metrics.compile_provenance),
                 ("plan", metrics.plan_provenance),

@@ -1,19 +1,18 @@
 """Long-lived stateful serving sessions.
 
 A :class:`Session` is the serving primitive for stateful workloads — an
-MPC control loop, a streaming FFT, incremental graph updates — that the
-one-shot :class:`~repro.serve.request.Request` path serves badly: every
-one-shot request re-resolves the workload, re-renders its source, hashes
-it into the artifact cache, and re-looks-up the plan, even though a
-control loop runs the *same* specialized program thousands of times.
-
-A session instead:
+MPC control loop, a streaming FFT, incremental graph updates. The compile
+and plan lookups are not what it saves: every request, one-shot or step,
+reads the same bound :class:`~repro.serve.executor.Config`. What a
+session adds is the state a session-less server does not keep, which
+otherwise forces a stateful client to thread ``state`` itself or
+re-submit ever-growing prefixes. A session:
 
 * opens a workload once (optionally at a custom shape binding, rounded
-  by the server's bucket policy into a shape bucket),
-* pins the compiled app and specialized
-  :class:`~repro.srdfg.plan.ExecutionPlan` after the first step,
-* retains inter-step ``state`` server-side, so each step is one plan
+  by the server's bucket policy into a shape bucket) and keeps that
+  config,
+* retains inter-step ``state`` server-side in one
+  :class:`~repro.workloads.Trajectory`, so each step is one plan
   invocation against live state,
 * still submits every step through the scheduler, so the existing
   deadline / cancellation / circuit-breaker machinery applies per step,
@@ -29,8 +28,8 @@ client may retry it.
 
 Bit-identity contract: a session run over N steps produces exactly the
 outputs of N one-shot requests that thread ``state``/``step_offset``
-client-side at the same binding — the session path skips *work*, never
-changes *math*.
+client-side at the same binding — both run the same request body over
+the same config.
 """
 
 from __future__ import annotations
@@ -60,41 +59,31 @@ class Session:
     def __init__(
         self,
         server,
-        name: str,
-        workload,
-        specialization=None,
-        precision: str = "f64",
+        config,
         priority: int = PRIORITY_NORMAL,
         deadline_s: Optional[float] = None,
     ):
         self.server = server
-        #: Registry name of the workload (``workload`` is the resolved,
-        #: possibly dim-specialized instance).
-        self.name = name
-        self.workload = workload
-        #: :class:`~repro.srdfg.shapes.SpecializationKey` the pinned plan
-        #: is filed under in the bucket tier (None for static workloads).
-        self.specialization = specialization
-        self.precision = precision
+        #: The :class:`~repro.serve.executor.Config` this session was
+        #: opened on: the resolved (possibly dim-specialized) workload and,
+        #: once any request has bound it, the shared ``(app, plan)``.
+        self.config = config
+        #: Registry name of the workload.
+        self.name = config.key[0]
         self.priority = priority
         #: Default per-step deadline (overridable per step).
         self.deadline_s = deadline_s
         self.session_id = next(_SESSION_IDS)
         #: Export lane: every span of this session lands on this track.
-        self.track = f"session {self.session_id} ({name})"
+        self.track = f"session {self.session_id} ({self.name})"
         self.opened_at = time.perf_counter()
         self.closed = False
-
-        # Pinned by the request body when the first step compiles.
-        self.app = None
-        self.plan = None
-        self.plan_provenance: Optional[str] = None
 
         #: The retained state thread, owned by the worker executing the
         #: current step (steps are sequential, so no two workers touch it
         #: concurrently). It advances only when a step's execution
         #: returns — an expired, cancelled or failed step can be retried.
-        self.trajectory = Trajectory(workload)
+        self.trajectory = Trajectory(config.workload)
         self.step_seconds: List[float] = []
 
         self._lock = threading.Lock()
@@ -104,9 +93,8 @@ class Session:
 
     def dims(self) -> Dict[str, int]:
         """The (bucketed) binding this session is specialized at."""
-        if self.specialization is not None:
-            return self.specialization.binding.as_dict()
-        return dict(getattr(self.workload, "dims", dict)() or {})
+        spec = self.config.specialization
+        return spec.binding.as_dict() if spec is not None else {}
 
     def submit_step(self, inputs=None, deadline_s="default"):
         """Submit the next step; returns its Ticket (non-blocking).
@@ -121,7 +109,7 @@ class Session:
         request = Request(
             workload=self.name,
             steps=1,
-            precision=self.precision,
+            precision=self.config.precision,
             priority=self.priority,
             deadline_s=deadline,
             dims=self.dims() or None,
@@ -152,8 +140,8 @@ class Session:
     def close(self):
         """Close the session; further steps are refused.
 
-        The retained state and pinned plan stay readable (for summaries
-        and tests); returns :meth:`summary`.
+        The retained state stays readable (for summaries and tests);
+        returns :meth:`summary`.
         """
         with self._lock:
             self.closed = True
@@ -173,14 +161,6 @@ class Session:
         self.close()
         return False
 
-    # -- server-side hooks ---------------------------------------------------
-
-    def pin(self, app, plan, provenance):
-        """Record the compiled app + specialized plan (first step only)."""
-        self.app = app
-        self.plan = plan
-        self.plan_provenance = provenance
-
     @property
     def steps_done(self):
         """Steps committed so far (the trajectory's next index)."""
@@ -189,16 +169,15 @@ class Session:
     # -- reporting -----------------------------------------------------------
 
     def summary(self):
-        dims = self.dims()
-        spec = self.specialization
+        spec = self.config.specialization
         return {
             "session_id": self.session_id,
             "workload": self.name,
-            "precision": self.precision,
-            "dims": dims,
+            "precision": self.config.precision,
+            "dims": self.dims(),
             "bucket": spec.bucket_digest()[:12] if spec else None,
             "steps": self.steps_done,
-            "plan_provenance": self.plan_provenance,
+            "plan_provenance": self.config.plan_provenance,
             "closed": self.closed,
             "step_seconds": {
                 "mean": (

@@ -271,7 +271,11 @@ def test_process_mode_bit_identical_to_thread_mode(tmp_path):
             "compile_provenance", "plan_provenance", "kernel_provenance",
         ):
             there, here = getattr(remote.metrics, name), getattr(local.metrics, name)
-            assert type(there) is type(here) and bool(there) == bool(here), name
+            assert type(there) is type(here), name
+            # A warm request's lookups take no time at all, and which
+            # requests are warm depends on the child each lands on.
+            if name not in ("compile_seconds", "plan_seconds"):
+                assert bool(there) == bool(here), name
         assert sorted(remote.state) == sorted(local.state)
     assert report.pool == "process"
     assert report.processes == 3
@@ -337,7 +341,10 @@ def test_process_mode_registry_matches_thread_mode_and_the_report(tmp_path):
     assert snapshot["plan.statements_planned"] == report.statements_planned
     assert snapshot["executor.expected_plans"] == report.expected_plans
     assert snapshot["cache.lease_acquired"] >= 1
-    assert snapshot["session.compiles"] == len(trace)
+    # Only a request that binds a config in its child asks the session.
+    assert snapshot["session.compiles"] == sum(
+        response.metrics.compile_seconds > 0 for response in responses
+    ) >= 3
     assert snapshot["procpool.processes_reported"] == report.processes == 3
 
 

@@ -117,6 +117,125 @@ def test_concurrent_codegen_plans_build_one_kernel(name):
     assert all(plan.kernel is plans[0].kernel for plan in plans)
 
 
+def test_first_touch_of_a_config_builds_everything_once():
+    """Eight requests released together onto a config a fresh executor
+    has never seen: one compile, one plan, one kernel, one config object,
+    eight bit-identical outcomes."""
+    import collections
+    import sys
+    import threading
+
+    from repro.codegen import CODEGEN_STATS
+    from repro.driver import CompilerSession
+    from repro.serve.executor import LocalExecutor
+
+    executor = LocalExecutor(CompilerSession())
+    threads = 8
+    barrier = threading.Barrier(threads, timeout=30.0)
+    outcomes = []
+
+    def ask():
+        barrier.wait()
+        outcomes.append(executor.serve(Request("Hexacopter", steps=2)))
+
+    built_before = CODEGEN_STATS.kernels_built
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=ask) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(outcomes) == threads
+    assert [outcome.error for outcome in outcomes] == [None] * threads
+    assert len({outcome.signature for outcome in outcomes}) == 1
+    for phase in ("compile_provenance", "plan_provenance"):
+        counts = collections.Counter(getattr(o, phase) for o in outcomes)
+        assert counts["built"] == 1, (phase, counts)
+        assert counts["coalesced"] + counts["cache"] == threads - 1, counts
+    assert CODEGEN_STATS.kernels_built - built_before == 1
+    assert executor.session.cache.stats.kernel_stores == 1
+    assert executor.session.plan_stats.graphs_planned == 1
+    (config,) = executor._configs.values()
+    assert executor.configs() == {config.key}
+    assert config.plan.kernel is not None
+
+
+@pytest.mark.parametrize("through", ["one-shot", "session"])
+def test_warm_path_is_flat(through):
+    """Once a config is bound, a request of it — one-shot or session
+    step — touches no compiler surface: no stage record, no cache or
+    plan counter, no new config, however many requests follow."""
+    names = ("MobileRobot", "Hexacopter", "OptionPricing")
+    rounds = 34  # x 3 configs: 102 warm requests
+
+    with Server(workers=2) as server:
+        for name in names:
+            assert server.request(Request(name)).ok
+
+        def compiler_counts():
+            counts = server.metrics_registry().snapshot()
+            return {
+                key: value for key, value in counts.items()
+                if key.startswith(("cache.", "plan.", "session."))
+            }
+
+        records, counts = len(server.session.records), compiler_counts()
+        # What each reply must equal: step k of a session is the last of
+        # a (k + 1)-step one-shot request.
+        session_mode = through == "session"
+        twins = [
+            Request(name, steps=index + 1 if session_mode else 2)
+            for index in range(rounds) for name in names
+        ]
+        if session_mode:
+            sessions = {name: server.open_session(name) for name in names}
+            replies = [sessions[twin.workload].step() for twin in twins]
+        else:
+            replies = [server.request(twin) for twin in twins]
+        assert len(server.session.records) == records
+        assert compiler_counts() == counts
+        assert len(server.executor._configs) == len(names)
+
+    references, _ = run_serial(twins)
+    assert len(replies) >= 100
+    for reply, reference in zip(replies, references):
+        assert reply.ok and reference.ok
+        assert reply.signature == reference.signature
+        assert reply.metrics.compile_seconds == reply.metrics.plan_seconds == 0
+    assert {reply.metrics.plan_provenance for reply in replies} == {
+        "session" if session_mode else "cache"
+    }
+
+
+def test_finished_response_is_collectable_once_the_client_drops_it():
+    """The server keeps a finished request's metrics, never its ticket
+    or its response arrays."""
+    import gc
+    import weakref
+
+    with Server(workers=1) as server:
+        response = server.request(Request("MobileRobot"))
+        assert response.ok and response.outputs
+        dropped = weakref.ref(response)
+        del response
+        # The idle worker still holds the ticket it last ran; the next
+        # request replaces it.
+        kept = server.request(Request("MobileRobot"))
+        gc.collect()
+        assert dropped() is None
+        assert kept.ok
+    report = server.report()
+    assert len(report.requests) == report.completed == 2
+    assert report.provenance["execute"] == {"kernel": 2}
+    assert report.conservation_ok
+
+
 #: The nine (workload, f64, default dims) configs of the ledger's serve-*
 #: workloads.
 LEDGER_SERVE_CONFIGS = (

@@ -238,7 +238,7 @@ class TestDeadlines:
         request = Request(workload="MobileRobot", steps=1, deadline_s=5.0)
         stopped = server.executor.serve(request, session=session, **guard)
         assert stopped.error_kind in ("DeadlineExceededError", "CancelledError")
-        assert session.plan is not None and session.steps_done == 0
+        assert session.config.plan is not None and session.steps_done == 0
         assert session.trajectory.previous is None
 
         retry = server.executor.serve(request, session=session)

@@ -109,6 +109,57 @@ def test_four_ways_to_run_four_steps_agree(pool):
             } == {reference}, name
 
 
+def _provenances(response):
+    return response.metrics.compile_provenance, response.metrics.plan_provenance
+
+
+def test_sessions_and_one_shots_read_one_bound_config():
+    with Server(workers=2) as server:
+
+        def lookups():
+            return (
+                len(server.session.records),
+                server.session.cache.stats.to_dict(),
+            )
+
+        # A one-shot request binds the config; the session opened on it
+        # afterwards never sees the compiler, not even on its first step.
+        assert server.request(Request("MobileRobot")).ok
+        before = lookups()
+        with server.open_session("MobileRobot") as session:
+            assert _provenances(session.step()) == ("session", "session")
+        assert lookups() == before
+
+        # The other way round: a session's first step binds, and a
+        # one-shot request of that config finds it bound the same way.
+        with server.open_session("Hexacopter") as session:
+            assert _provenances(session.step()) == ("built", "built")
+            before = lookups()
+            reply = server.request(Request("Hexacopter"))
+            assert reply.ok and _provenances(reply) == ("cache", "cache")
+            assert lookups() == before
+            assert server.executor.resolve("Hexacopter") is session.config
+
+
+def test_process_mode_session_binds_in_the_parent_from_the_disk_tier(tmp_path):
+    # One-shots run in children, session steps in the parent: the
+    # parent's executor binds the config on the session's first step,
+    # its compile from the disk entry a child published, its plan built
+    # once more (plans have no disk form) — and the reuse identity holds.
+    from repro.driver import CompilerSession
+
+    compiler = CompilerSession(cache_dir=str(tmp_path / "shared"))
+    with Server(session=compiler, workers=2, pool="process") as server:
+        assert server.request(Request("MobileRobot")).ok
+        with server.open_session("MobileRobot") as session:
+            assert _provenances(session.step()) == ("cache", "built")
+            assert _provenances(session.step()) == ("session", "session")
+            assert session.config.plan is not None
+    report = server.report()
+    assert report.plan_reuse_ok and report.conservation_ok
+    assert report.sessions[0]["plan_provenance"] == "built"
+
+
 # ---------------------------------------------------------------------------
 # Admission: descriptive ShapeErrors before a worker is occupied.
 # ---------------------------------------------------------------------------
@@ -134,7 +185,7 @@ def test_admission_rejects_bad_step_inputs_and_state():
 
         shapes = {
             name: np.asarray(value).shape
-            for name, value in session.workload.inputs(
+            for name, value in session.config.workload.inputs(
                 1, session.trajectory.previous
             ).items()
         }
@@ -257,14 +308,16 @@ def test_session_at_rounded_dims_matches_one_shot_at_raw_dims():
                 assert response.ok, response.error
                 signatures.append(response.signature)
 
-        # One-shot requests at the *raw* dims round to the same bucket.
+        # One-shot requests at the *raw* dims round to the same bucket:
+        # the config the session bound, so the chain looks nothing up.
         assert (
             _chain_signatures(server, "FFT-8192", steps, dims={"n": 1000})
             == signatures
         )
         stats = server.session.cache.stats
+        assert server.executor.resolve("FFT-8192", {"n": 1000}) is session.config
     assert stats.bucket_stores == 1
-    assert stats.bucket_hits >= steps  # chain requests hit the bucket
+    assert stats.bucket_hits == 0
 
 
 def test_structural_violation_survives_exact_policy():

@@ -203,10 +203,10 @@ def test_server_bucket_policy_rounds_requests():
     from repro.serve import Server
 
     with Server(workers=1, bucket_policy="pow2") as server:
-        workload, spec = server.executor.resolve("FFT-8192", dims={"n": 1000})
-    assert workload.dims() == {"n": 1024}
-    assert spec.binding == ShapeBinding(n=1024)
+        config = server.executor.resolve("FFT-8192", dims={"n": 1000})
+    assert config.workload.dims() == {"n": 1024}
+    assert config.specialization.binding == ShapeBinding(n=1024)
 
     with Server(workers=1, bucket_policy="multiple:512") as server:
-        workload, spec = server.executor.resolve("DCT-1024", dims={"size": 1000})
-    assert spec.binding == ShapeBinding(size=1024)
+        config = server.executor.resolve("DCT-1024", dims={"size": 1000})
+    assert config.specialization.binding == ShapeBinding(size=1024)
