@@ -462,21 +462,15 @@ class CompilerSession:
         # semantic: symbol/modifier/arity checking -> ProgramInfo.
         self._run_stage("semantic", lambda: analyze(program, entry=entry))
 
-        # srdfg-build: AST -> simultaneously-recursive dataflow graph. A
-        # second, untouched build is kept for inspection (passes and
-        # lowering mutate their input graph in place). Both come from the
-        # one parse: AST nodes are immutable values — rewrites build new
-        # statements around shared subtrees — so sharing them is safe.
-        def build_graphs():
-            context_graph = build(program, entry=entry, domain=domain)
-            inspection_graph = build(program, entry=entry, domain=domain)
+        # srdfg-build: AST -> simultaneously-recursive dataflow graph.
+        def build_graph():
+            graph = build(program, entry=entry, domain=domain)
             for name, tag in (component_domains or {}).items():
-                retag_component_domain(context_graph, name, tag)
-                retag_component_domain(inspection_graph, name, tag)
-            return context_graph, inspection_graph
+                retag_component_domain(graph, name, tag)
+            return graph
 
-        (graph, source_graph), _ = self._run_stage(
-            "srdfg-build", build_graphs, graph_after=lambda pair: pair[0]
+        graph, _ = self._run_stage(
+            "srdfg-build", build_graph, graph_after=lambda g: g
         )
 
         # optimize: the target-independent pass pipeline, one sub-record
@@ -565,7 +559,6 @@ class CompilerSession:
             graph=lowered,
             programs=programs,
             accelerators=accelerators,
-            source_graph=source_graph,
             fusion_report=fusion_report,
         )
 

@@ -29,7 +29,11 @@ through the stack:
     x domain present in the compiled app, plus a seeded probabilistic
     mixed campaign). Recovery — retries, checkpoint replay, host
     degradation — must reproduce the reference bit-identically at f64
-    while the campaign records availability and recovery overhead.
+    while the campaign records availability and recovery overhead. One
+    fault-free timing-plane pass per program (``placements``) first
+    checks, on every subset of accelerated domains, that the event loop
+    charges exactly what :meth:`~repro.hw.soc.SoCRuntime.execute` prices
+    — no unit dropped, none charged twice.
 
 f32 comparisons use tolerance everywhere: the plan rounds to f32 at
 statement boundaries, and optimizer-reordered arithmetic differs in the
@@ -39,6 +43,7 @@ threshold.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -328,6 +333,24 @@ def fault_campaigns(app, selector="all"):
     return campaigns
 
 
+def check_placements(app, precision):
+    """Fault-free ``execute=False`` runs on every accelerated-domain subset."""
+    manager = HostManager(app.accelerators)
+    domains = sorted(set(app.programs) & set(app.accelerators))
+    for size in range(len(domains) + 1):
+        for subset in itertools.combinations(domains, size):
+            report = manager.run(
+                app, accelerated_domains=subset, execute=False
+            )
+            if report.total != report.fault_free:
+                return CheckResult(
+                    "faults", precision, False, campaign="placements",
+                    detail=f"accelerating {list(subset)}: event loop charged "
+                    f"{report.total!r}, SoCRuntime.execute {report.fault_free!r}",
+                )
+    return CheckResult("faults", precision, True, campaign="placements")
+
+
 def check_faults(program, precision, context, reference, app,
                  selector="all"):
     """HostManager execution under swept fault campaigns."""
@@ -424,6 +447,9 @@ def run_program(program, context=None, precisions=("f64", "f32"),
                     results.append(check_fusion(
                         program, precision, context, reference))
                 elif oracle == "faults":
+                    # The timing plane has no precision: once per program.
+                    if precision == precisions[0] and campaigns != "none":
+                        results.append(check_placements(app, precision))
                     results.extend(check_faults(
                         program, precision, context, reference, app,
                         selector=campaigns))

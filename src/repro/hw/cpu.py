@@ -94,20 +94,20 @@ class BaselinePlatform:
         for node in graph.nodes:
             if node.subgraph is not None:
                 self._accumulate(node.subgraph, op_scale, total)
-            if node.kind != COMPUTE:
-                continue
-            descriptor = node.attrs.get("descriptor")
-            if descriptor is None:
-                continue
-            domain = node.domain or graph.domain
-            model = self._model(domain)
-            op_counts = {
-                cls: count * op_scale for cls, count in descriptor.op_counts.items()
-            }
-            dram, onchip = _node_bytes(graph, node, op_scale)
-            total.add(
-                model.kernel_cost(op_counts, dram, onchip, label=node.name)
-            )
+            total.add(self.node_cost(graph, node, op_scale))
+
+    def node_cost(self, graph, node, op_scale=1.0):
+        """PerfStats of one node of *graph*; zero unless it is a kernel."""
+        descriptor = node.attrs.get("descriptor")
+        if node.kind != COMPUTE or descriptor is None:
+            return PerfStats()
+        op_counts = {
+            cls: count * op_scale for cls, count in descriptor.op_counts.items()
+        }
+        dram, onchip = _node_bytes(graph, node, op_scale)
+        return self._model(node.domain or graph.domain).kernel_cost(
+            op_counts, dram, onchip, label=node.name
+        )
 
 
 def _node_bytes(graph, node, op_scale):

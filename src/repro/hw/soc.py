@@ -5,24 +5,29 @@ and a host. "A light-weight manager executes on the host, ensuring data
 dependencies between different accelerators and initiating DMA transfers
 between DRAM and local accelerator memory."
 
-The runtime composes a compiled application's per-domain programs
-sequentially along the srDFG's dataflow order (the end-to-end pipelines in
-the paper — FFT -> LR -> MPC — are chains, so sequential composition with
-DMA between stages matches the hardware), charging:
+:func:`schedule` turns Algorithm 2's per-domain fragment streams into the
+one ordered list of segments the host manager walks: compute bursts
+delimited by the crossing ``load``/``store`` fragments, each load
+depending on the segment holding the store of the same producer.
+:meth:`SoCRuntime.priced` prices a segment's units under a placement:
 
-* each fragment to its domain's accelerator model;
-* each cross-domain edge to a DMA transfer plus a fixed host-manager
-  dispatch cost;
-* kernels mapped to the *host* (non-accelerated domains in partial
-  acceleration studies) to the CPU baseline model.
+* a compute burst of an accelerated domain to its accelerator model;
+* a burst of a host-placed domain (partial-acceleration studies, degraded
+  runs) to the CPU baseline cost of the kernels it translates;
+* a transfer to :meth:`SoCRuntime.dma_cost`, except between two
+  host-placed domains, where it is plain memory and free.
+
+:meth:`SoCRuntime.execute` folds that stream into a :class:`SoCRunReport`;
+:class:`~repro.runtime.HostManager` walks the same stream under faults and
+:func:`~repro.rewrite.fusion.modeled_cost` scores candidate moves with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from itertools import groupby
+from typing import Dict, List, Optional
 
-from ..srdfg.graph import COMPUTE
 from .cost import DRAM_PJ_PER_BYTE, PerfStats, safe_div
 from .cpu import make_xeon
 
@@ -30,6 +35,134 @@ from .cpu import make_xeon
 HOST_DMA_DISPATCH_S = 5e-6
 #: Shared-DRAM DMA bandwidth between accelerator local memories.
 SOC_DMA_BW = 16e9
+#: Host-manager power draw while orchestrating or waiting.
+HOST_MANAGER_W = 2.0
+
+
+@dataclass(frozen=True)
+class Unit:
+    """One dispatchable unit: a compute burst or a single DMA transfer."""
+
+    domain: str
+    label: str
+    fragments: tuple = ()  # compute only
+    direction: str = ""  # dma only: "load" | "store"
+    peer: Optional[str] = None
+    buffer: str = ""
+    nbytes: int = 0
+    #: dma only: the ``(producer uid, producer_name)`` Algorithm 2 stamped
+    #: on the store and on every load of what it stores.
+    moves: tuple = ()
+
+    @property
+    def kind(self):
+        return "dma" if self.direction else "compute"
+
+
+@dataclass
+class Segment:
+    """One dispatchable run of a domain's program + its upstream deps.
+
+    A domain whose cross-domain traffic is linear (all loads first, all
+    stores last) is a single segment named after the domain. Ping-pong
+    traffic — compute, hand off to a peer, consume the peer's result,
+    compute again — splits into ``DA#0``, ``DA#1``, ... at each crossing
+    load that follows already-scheduled work, so every segment's loads
+    precede its stores and the dependency graph is acyclic.
+    """
+
+    domain: str
+    name: str = ""
+    units: List[Unit] = field(default_factory=list)
+    deps: set = field(default_factory=set)
+
+
+def schedule(programs):
+    """Segments of *programs* in dispatch order.
+
+    Dispatch order is a topological sort of the load-after-store
+    dependencies with the compiler's (dataflow) insertion order breaking
+    ties. Algorithm 2 emits every store before the loads it feeds, so a
+    sweep that places nothing means the fragment streams are malformed.
+    """
+    segments: List[Segment] = []
+    stored: Dict[tuple, str] = {}
+    for domain, program in programs.items():
+        parts = [Segment(domain)]
+        bursts = 0
+        #: Whether the current segment already dispatched work a later
+        #: crossing load must not be reordered above.
+        dirty = False
+        for crossing, run in groupby(
+            program.fragments, key=lambda f: bool(f.attrs.get("crossing"))
+        ):
+            if not crossing:
+                parts[-1].units.append(
+                    Unit(domain, f"{domain}.k{bursts}", fragments=tuple(run))
+                )
+                bursts += 1
+                dirty = True
+                continue
+            for fragment in run:
+                load = fragment.op == "load"
+                if load and dirty:
+                    parts.append(Segment(domain))
+                    dirty = False
+                names = fragment.inputs if load else fragment.outputs
+                buffer = names[0][0] if names else ""
+                parts[-1].units.append(
+                    Unit(
+                        domain, f"{domain}.{fragment.op}[{buffer}]",
+                        direction=fragment.op,
+                        peer=fragment.attrs.get("from_domain")
+                        or fragment.attrs.get("to_domain"),
+                        buffer=buffer,
+                        nbytes=fragment.attrs.get("nbytes", 0),
+                        # a list after the JSON archive round trip
+                        moves=tuple(fragment.attrs["moves"]),
+                    )
+                )
+                if not load:
+                    dirty = True
+        for ordinal, part in enumerate(parts):
+            part.name = domain if len(parts) == 1 else f"{domain}#{ordinal}"
+            # A device executes its own program sequentially.
+            if ordinal:
+                part.deps.add(parts[ordinal - 1].name)
+            for unit in part.units:
+                if unit.direction == "store":
+                    stored[unit.moves] = part.name
+        segments.extend(parts)
+
+    for segment in segments:
+        for unit in segment.units:
+            if unit.direction == "load":
+                segment.deps.add(stored[unit.moves])
+
+    order: List[Segment] = []
+    done: set = set()
+    while segments:
+        blocked = []
+        for segment in segments:
+            if segment.deps <= done:
+                order.append(segment)
+                done.add(segment.name)
+            else:
+                blocked.append(segment)
+        assert len(blocked) < len(segments), (
+            "cyclic cross-domain dependencies among "
+            f"{[segment.name for segment in blocked]}"
+        )
+        segments = blocked
+    return order
+
+
+def charge(report, unit, stats):
+    """Book *stats* for *unit* on *report* (total, its domain, DMA share)."""
+    report.total.add(stats)
+    report.per_domain.setdefault(unit.domain, PerfStats()).add(stats)
+    if unit.kind == "dma":
+        report.communication.add(stats)
 
 
 @dataclass
@@ -91,65 +224,65 @@ class SoCRuntime:
         Fig 10/11's single-domain vs cross-domain combinations are
         produced). Returns :class:`SoCRunReport`.
         """
-        hints = hints or {}
-        if accelerated_domains is None:
-            accelerated_domains = set(self.accelerators)
-        accelerated_domains = set(accelerated_domains)
-
-        total = PerfStats()
-        per_domain: Dict[str, PerfStats] = {}
-        communication = PerfStats()
-
-        graph = compiled.graph
-        for domain, program in compiled.programs.items():
-            if domain in accelerated_domains:
-                accelerator = self.accelerators[domain]
-                stats = PerfStats()
-                for fragment in program.fragments:
-                    if fragment.attrs.get("crossing"):
-                        # A logical transfer appears as a store (producer
-                        # side) plus a load (consumer side); the host
-                        # dispatch is paid once, on the load.
-                        dma = self.dma_cost(
-                            fragment.attrs.get("nbytes", 0),
-                            dispatch=fragment.op == "load",
-                        )
-                        stats.add(dma)
-                        communication.add(dma)
-                    else:
-                        stats.add(accelerator.fragment_cost(fragment))
-            else:
-                stats = self.host_domain_cost(graph, domain, hints)
-                # The host still pays boundary transfers into/out of the
-                # *accelerated* portion of the pipeline; host-to-host
-                # hand-offs are plain memory and charge nothing extra.
-                for fragment in program.fragments:
-                    if not fragment.attrs.get("crossing"):
-                        continue
-                    other = fragment.attrs.get("from_domain") or fragment.attrs.get(
-                        "to_domain"
-                    )
-                    if other in accelerated_domains:
-                        dma = self.dma_cost(
-                            fragment.attrs.get("nbytes", 0),
-                            dispatch=fragment.op == "load",
-                        )
-                        stats.add(dma)
-                        communication.add(dma)
-            per_domain[domain] = stats
-            total.add(stats)
-
-        return SoCRunReport(
-            total=total, per_domain=per_domain, communication=communication
+        accelerated = set(
+            self.accelerators if accelerated_domains is None
+            else accelerated_domains
         )
+        report = SoCRunReport(
+            total=PerfStats(),
+            per_domain={domain: PerfStats() for domain in compiled.programs},
+        )
+        for segment in schedule(compiled.programs):
+            for unit, cost in self.priced(
+                compiled.graph, segment.units, accelerated, hints
+            ):
+                if cost is not None:
+                    charge(report, unit, cost)
+        return report
+
+    def priced(self, graph, units, accelerated, hints=None):
+        """Yield ``(unit, PerfStats)`` for *units* with *accelerated* domains
+        on their accelerators and every other domain on the host.
+
+        A transfer between two host-placed domains is plain memory and
+        yields None in place of a cost.
+        """
+        for unit in units:
+            on_host = unit.domain not in accelerated
+            if unit.kind == "dma":
+                if on_host and unit.peer not in accelerated:
+                    yield unit, None
+                else:
+                    # A logical transfer is a store (producer side) plus a
+                    # load (consumer side); the host dispatch is paid
+                    # once, on the load.
+                    yield unit, self.dma_cost(
+                        unit.nbytes, dispatch=unit.direction == "load"
+                    )
+                continue
+            stats = PerfStats()
+            if on_host:
+                op_scale = (hints or {}).get("op_scale", 1.0)
+                for fragment in unit.fragments:
+                    uid = fragment.attrs.get("node_uid")
+                    if uid is not None:
+                        stats.add(
+                            self.host.node_cost(
+                                graph, graph.node_by_uid(uid), op_scale
+                            )
+                        )
+            else:
+                accelerator = self.accelerators[unit.domain]
+                for fragment in unit.fragments:
+                    stats.add(accelerator.fragment_cost(fragment))
+            yield unit, stats
 
     def dma_cost(self, nbytes, dispatch=True):
         """PerfStats for one host-initiated DMA transfer of *nbytes*."""
         seconds = (HOST_DMA_DISPATCH_S if dispatch else 0.0) + safe_div(
             nbytes, SOC_DMA_BW
         )
-        energy = nbytes * DRAM_PJ_PER_BYTE * 1e-12
-        energy += 2.0 * seconds  # host manager ~2 W while orchestrating
+        energy = nbytes * DRAM_PJ_PER_BYTE * 1e-12 + HOST_MANAGER_W * seconds
         return PerfStats(
             seconds=seconds,
             dram_bytes=int(nbytes),
@@ -157,25 +290,11 @@ class SoCRuntime:
             breakdown={"dma": seconds},
         )
 
-    def host_domain_cost(self, graph, domain, hints=None):
-        """Cost of running one domain's kernels on the host CPU."""
-        hints = hints or {}
-        stats = PerfStats()
-        for node in graph.nodes:
-            if node.kind != COMPUTE:
-                continue
-            if (node.domain or graph.domain) != domain:
-                continue
-            descriptor = node.attrs.get("descriptor")
-            if descriptor is None:
-                continue
-            op_scale = hints.get("op_scale", 1.0)
-            model = self.host._model(domain)
-            from .cpu import _node_bytes
-
-            dram, onchip = _node_bytes(graph, node, op_scale)
-            op_counts = {
-                cls: count * op_scale for cls, count in descriptor.op_counts.items()
-            }
-            stats.add(model.kernel_cost(op_counts, dram, onchip, label=node.name))
-        return stats
+    def idle_cost(self, seconds, domain=None):
+        """PerfStats for *seconds* of watchdog or backoff waiting: the host
+        manager spins and, given *domain*, its accelerator idles."""
+        watts = HOST_MANAGER_W
+        if domain is not None:
+            params = self.accelerators[domain].params
+            watts += params.power_w * params.static_fraction + params.system_power_w
+        return PerfStats(seconds=seconds, energy_j=watts * seconds)

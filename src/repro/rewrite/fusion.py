@@ -9,10 +9,9 @@ neighbour's accelerator can actually run the kernel (Algorithm 1's
 ``Om``/scalar-class check, re-applied against the new target) and the
 kernel is not stateful.
 
-Candidates are scored with the same accounting the SoC runtime uses —
-accelerator fragment costs for kernels plus DMA cost per crossing
-fragment — so a move is applied only when the modelled end-to-end time
-strictly improves. Domain tags and ``lowered`` annotations do not feed
+Candidates are scored by :meth:`~repro.hw.soc.SoCRuntime.execute` itself,
+so a move is applied only when the modelled end-to-end time strictly
+improves. Domain tags and ``lowered`` annotations do not feed
 the srDFG interpreter, so fused and unfused applications are
 bit-identical functionally; only the fragment streams (and their modelled
 cost) change.
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..hw.soc import SOC_DMA_BW, HOST_DMA_DISPATCH_S
+from ..hw.soc import SoCRuntime
 from ..passes.base import Pass
 from ..passes.lowering import _scalar_classes
 from ..srdfg.graph import COMPUTE, VAR
@@ -130,36 +129,28 @@ class ModeledCost:
     dma_transfers: int = 0
 
 
-def _dma_seconds(nbytes, dispatch):
-    return (HOST_DMA_DISPATCH_S if dispatch else 0.0) + nbytes / SOC_DMA_BW
-
-
 def modeled_cost(graph, accelerators):
     """Cost *graph* exactly as the SoC runtime will.
 
     Runs Algorithm 2 (:func:`~repro.targets.compiler.compile_to_targets`,
-    which is read-only on the graph) and charges crossing fragments to the
-    DMA model and everything else to its domain's accelerator — the same
-    split :meth:`~repro.hw.soc.SoCRuntime.execute` makes.
+    which is read-only on the graph) and prices the programs with
+    :meth:`~repro.hw.soc.SoCRuntime.execute`, every domain accelerated.
     """
-    from ..targets.compiler import compile_to_targets
+    from ..targets.compiler import CompiledApplication, compile_to_targets
 
     programs = compile_to_targets(graph, accelerators)
-    cost = ModeledCost()
-    for domain, program in programs.items():
-        accelerator = accelerators[domain]
-        for fragment in program.fragments:
-            if fragment.attrs.get("crossing"):
-                seconds = _dma_seconds(
-                    fragment.attrs.get("nbytes", 0),
-                    dispatch=fragment.op == "load",
-                )
-                cost.dma_transfers += 1
-                cost.dma_seconds += seconds
-                cost.seconds += seconds
-            else:
-                cost.seconds += accelerator.fragment_cost(fragment).seconds
-    return cost
+    report = SoCRuntime(accelerators).execute(
+        CompiledApplication(graph, programs, accelerators)
+    )
+    return ModeledCost(
+        seconds=report.total.seconds,
+        dma_seconds=report.communication.seconds,
+        dma_transfers=sum(
+            bool(fragment.attrs.get("crossing"))
+            for program in programs.values()
+            for fragment in program.fragments
+        ),
+    )
 
 
 def _is_stateful(graph, node):

@@ -27,7 +27,8 @@ from .faults import (
     TRANSIENT,
     parse_fault_spec,
 )
-from .manager import HOST_MANAGER_W, HostManager
+from ..hw.soc import HOST_MANAGER_W
+from .manager import HostManager
 from .policy import RecoveryPolicy
 from .report import RunReport, RuntimeEvent
 

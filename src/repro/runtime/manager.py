@@ -1,9 +1,9 @@
 """The fault-tolerant host manager (§V-A3, made executable).
 
-Where :class:`~repro.hw.soc.SoCRuntime` *prices* one SoC invocation as a
-closed formula, :class:`HostManager` *executes* it as a sequence of
-discrete dispatch events — per-domain program stages in dataflow order,
-with host-initiated DMA steps at every domain crossing — while a seeded
+:class:`HostManager` walks the priced schedule of :mod:`repro.hw.soc` —
+the segments :func:`~repro.hw.soc.schedule` orders, each unit costed by
+:meth:`~repro.hw.soc.SoCRuntime.priced` — stage by stage as discrete
+dispatch events, and adds only what can go wrong: a seeded
 :class:`~repro.runtime.faults.FaultPlan` injects stalls, crashes,
 transient compute errors, and corrupted or dropped transfers, and a
 :class:`~repro.runtime.policy.RecoveryPolicy` recovers from them:
@@ -15,30 +15,28 @@ transient compute errors, and corrupted or dropped transfers, and a
   stored, so a retry (or a host fallback) replays only the failed stage,
   never its upstream producers;
 * a domain whose accelerator **crashes** (or exhausts its retries) is
-  **degraded** onto the host CPU model — the partial-acceleration path
-  the analytic SoC runtime already prices — and the run keeps going.
+  **degraded** onto the host: its stage is replayed, and the rest of its
+  units priced, as ``SoCRuntime.execute`` prices a host-placed domain.
 
-Timing and energy reuse ``SoCRuntime``'s cost accounting exactly
-(``dma_cost``/``host_domain_cost``/``Accelerator.fragment_cost``), so a
-fault-free chaos run totals what ``SoCRuntime.execute`` prices. The
-functional plane is shared with every other backend: outputs come from
-the same srDFG interpreter regardless of where a stage ultimately ran,
-which is why a degraded run's outputs are bit-for-bit identical to the
-fault-free run — faults perturb *when and where* work happens (and its
-cost), never *what* is computed, because corrupt transfers are detected
-by checksum and never published to a consumer.
+:meth:`SoCRuntime.execute <repro.hw.soc.SoCRuntime.execute>` folds the
+same stream, so a fault-free run totals exactly what it reports, on every
+placement. The functional plane is shared with every other backend:
+outputs come from the same srDFG interpreter regardless of where a stage
+ultimately ran, which is why a degraded run's outputs are bit-for-bit
+identical to the fault-free run — faults perturb *when and where* work
+happens (and its cost), never *what* is computed, because corrupt
+transfers are detected by checksum and never published to a consumer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..driver.diagnostics import Diagnostics
 from ..errors import RuntimeFailure
 from ..obs import NULL_TRACER
-from ..hw.cost import PerfStats
-from ..hw.soc import HOST_DMA_DISPATCH_S, SoCRuntime
+from ..hw.soc import SoCRuntime, charge, schedule
 from .faults import CRASH, DMA_CORRUPT, FaultPlan, Site, TIMEOUT_FAULTS
 from .policy import RecoveryPolicy
 from .report import (
@@ -57,42 +55,6 @@ from .report import (
     WATCHDOG,
 )
 
-#: Host-manager power draw while waiting/orchestrating (matches soc.py).
-HOST_MANAGER_W = 2.0
-
-
-@dataclass
-class _Unit:
-    """One dispatchable unit: a compute burst or a single DMA transfer."""
-
-    kind: str  # "compute" | "dma"
-    label: str
-    fragments: tuple = ()
-    direction: str = ""  # dma only: "load" | "store"
-    peer: Optional[str] = None
-    buffer: str = ""
-    nbytes: int = 0
-
-
-@dataclass
-class _Stage:
-    """One dispatchable segment of a domain's program + its upstream deps.
-
-    A domain whose cross-domain traffic is linear (all loads first, all
-    stores last) is a single segment named after the domain. Ping-pong
-    traffic — compute, hand off to a peer, consume the peer's result,
-    compute again — splits into multiple segments (``DA#0``, ``DA#1``,
-    ...) at each crossing load that follows already-scheduled work, so
-    the dependency DAG stays acyclic where the old one-stage-per-domain
-    plan manufactured a false DA <-> peer cycle and aborted fault-free
-    runs with a dependency violation.
-    """
-
-    domain: str
-    name: str = ""
-    units: List[_Unit] = field(default_factory=list)
-    deps: set = field(default_factory=set)
-
 
 class HostManager:
     """Drives a :class:`CompiledApplication` as a recoverable process."""
@@ -108,161 +70,6 @@ class HostManager:
         #: so dispatch/DMA/retry/fallback land on the same timeline as
         #: compile stages and serve requests.
         self.tracer = tracer or NULL_TRACER
-
-    # -- dispatch plan -----------------------------------------------------
-
-    def _stage_plan(self, compiled):
-        """Ordered stages with data dependencies, from the compiled programs.
-
-        Each domain's fragment stream is split into segments at every
-        crossing load that follows already-scheduled work in the same
-        segment (see :class:`_Stage`). Dependencies are wired at buffer
-        granularity — a segment depends on the segment that *stores* each
-        buffer its loads consume — and the dispatch order is a
-        topological sort of that DAG with the compiler's (dataflow)
-        insertion order breaking ties.
-        """
-        stages: List[_Stage] = []
-        for domain, program in compiled.programs.items():
-            parts: List[_Stage] = [_Stage(domain=domain)]
-            burst: List = []
-            burst_index = 0
-            #: Whether the current segment already dispatched work whose
-            #: results a later crossing load must not be reordered above.
-            dirty = False
-            for fragment in program.fragments:
-                if not fragment.attrs.get("crossing"):
-                    burst.append(fragment)
-                    continue
-                direction = fragment.op
-                peer = fragment.attrs.get("from_domain") or fragment.attrs.get(
-                    "to_domain"
-                )
-                names = fragment.inputs if direction == "load" else fragment.outputs
-                buffer = names[0][0] if names else ""
-                if burst:
-                    parts[-1].units.append(
-                        _Unit(
-                            kind="compute",
-                            label=f"{domain}.k{burst_index}",
-                            fragments=tuple(burst),
-                        )
-                    )
-                    burst = []
-                    burst_index += 1
-                    dirty = True
-                if direction == "load" and dirty:
-                    # Ping-pong traffic: this segment already computed or
-                    # stored, and now needs fresh upstream data. Start a
-                    # new segment so the producer can run in between.
-                    parts.append(_Stage(domain=domain))
-                    dirty = False
-                parts[-1].units.append(
-                    _Unit(
-                        kind="dma",
-                        label=f"{domain}.{direction}[{buffer}]",
-                        direction=direction,
-                        peer=peer,
-                        buffer=buffer,
-                        nbytes=fragment.attrs.get("nbytes", 0),
-                    )
-                )
-                if direction == "store":
-                    dirty = True
-            if burst:
-                parts[-1].units.append(
-                    _Unit(
-                        kind="compute",
-                        label=f"{domain}.k{burst_index}",
-                        fragments=tuple(burst),
-                    )
-                )
-            for ordinal, stage in enumerate(parts):
-                stage.name = (
-                    domain if len(parts) == 1 else f"{domain}#{ordinal}"
-                )
-                # A device executes its own program sequentially.
-                if ordinal:
-                    stage.deps.add(parts[ordinal - 1].name)
-            stages.extend(parts)
-
-        # Cross-domain dependency wiring: a load depends on the peer
-        # segment that stores the buffer it consumes. Component
-        # boundaries rename buffers (the producer stores the caller's
-        # name, the consumer loads the formal-parameter name), so loads
-        # that match no store by name are paired with the peer's stores
-        # in channel FIFO order instead.
-        producers: Dict[str, str] = {}
-        channel_stores: Dict[tuple, List[str]] = {}
-        for stage in stages:
-            for unit in stage.units:
-                if unit.kind == "dma" and unit.direction == "store":
-                    producers.setdefault(unit.buffer, stage.name)
-                    channel_stores.setdefault(
-                        (stage.domain, unit.peer), []
-                    ).append(stage.name)
-        last_of: Dict[str, str] = {}
-        for stage in stages:
-            last_of[stage.domain] = stage.name
-        channel_loads: Dict[tuple, int] = {}
-        for stage in stages:
-            for unit in stage.units:
-                if unit.kind != "dma" or unit.direction != "load":
-                    continue
-                producer = producers.get(unit.buffer)
-                if producer is None and unit.peer is not None:
-                    channel = (unit.peer, stage.domain)
-                    index = channel_loads.get(channel, 0)
-                    channel_loads[channel] = index + 1
-                    stores = channel_stores.get(channel)
-                    if stores:
-                        producer = stores[min(index, len(stores) - 1)]
-                    else:
-                        producer = last_of.get(unit.peer)
-                if producer is not None and producer != stage.name:
-                    stage.deps.add(producer)
-
-        # Kahn's algorithm; ready stages dispatch in compiler order.
-        order: List[_Stage] = []
-        done: set = set()
-        pending = list(stages)
-        while pending:
-            progressed = False
-            for stage in list(pending):
-                if stage.deps - done:
-                    continue
-                order.append(stage)
-                done.add(stage.name)
-                pending.remove(stage)
-                progressed = True
-            if not progressed:
-                # Genuinely cyclic cross-domain traffic: fall back to
-                # compiler order for the remainder.
-                order.extend(pending)
-                break
-        return order
-
-    # -- cost helpers ------------------------------------------------------
-
-    def _compute_cost(self, soc, compiled, stage, unit, placement, hints):
-        if placement == "host":
-            return soc.host_domain_cost(compiled.graph, stage.domain, hints)
-        accelerator = soc.accelerators[stage.domain]
-        stats = PerfStats()
-        for fragment in unit.fragments:
-            stats.add(accelerator.fragment_cost(fragment))
-        return stats
-
-    def _dma_unit_cost(self, soc, unit):
-        return soc.dma_cost(unit.nbytes, dispatch=unit.direction == "load")
-
-    def _wasted_cost(self, soc, stage, seconds, placement):
-        """Watchdog/backoff time: the device idles, the host spins."""
-        watts = HOST_MANAGER_W
-        if placement == "accel":
-            params = soc.accelerators[stage.domain].params
-            watts += params.power_w * params.static_fraction + params.system_power_w
-        return PerfStats(seconds=seconds, energy_j=watts * seconds)
 
     # -- the runtime loop --------------------------------------------------
 
@@ -303,10 +110,8 @@ class HostManager:
         run only — the serving layer threads each request's own retry/
         fallback budget through one shared manager without mutating it.
         """
-        hints = dict(hints or {})
         if accelerated_domains is None:
             accelerated_domains = set(compiled.programs) & set(self.accelerators)
-        accelerated_domains = set(accelerated_domains)
         plan = fault_plan or FaultPlan()
         active = plan if hasattr(plan, "draw") else plan.activate()
 
@@ -318,40 +123,20 @@ class HostManager:
             compiled, accelerated_domains=accelerated_domains, hints=hints
         ).total
 
-        placement = {
-            domain: "accel" if domain in accelerated_domains else "host"
-            for domain in compiled.programs
-        }
         run_state = _RunState(
             report=report, active=active, soc=soc,
             policy=policy or self.policy,
+            accelerated=set(accelerated_domains),
         )
-        stages = self._stage_plan(compiled)
-
         ok = True
-        for stage in stages:
-            missing = stage.deps - run_state.completed_stages
-            if missing:
-                # Data-dependency tracking: a consumer can only dispatch
-                # once every upstream checkpoint is in host DRAM.
-                self._abort(
-                    run_state,
-                    stage,
-                    f"dependency violation: {sorted(missing)} not checkpointed",
-                )
-                ok = False
-                break
+        for stage in schedule(compiled.programs):
             with self.tracer.span(
                 f"stage {stage.domain}", category="runtime",
-                domain=stage.domain, placement=placement[stage.domain],
+                domain=stage.domain, placement=run_state.where(stage.domain),
             ):
-                stage_ok = self._run_stage(
-                    compiled, stage, placement, hints, run_state
-                )
-            if not stage_ok:
-                ok = False
+                ok = self._run_stage(compiled.graph, stage, hints, run_state)
+            if not ok:
                 break
-            run_state.completed_stages.add(stage.name)
 
         report.completed = ok
         if ok:
@@ -379,30 +164,33 @@ class HostManager:
 
     # -- stages ------------------------------------------------------------
 
-    def _run_stage(self, compiled, stage, placement, hints, run_state):
+    def _run_stage(self, graph, stage, hints, run_state):
+        """Run *stage*'s priced units; on a degrade, re-price and replay."""
         report = run_state.report
         while True:
-            where = placement[stage.domain]
-            ok = True
-            for unit in self._effective_units(stage, placement):
-                status = self._run_unit(compiled, stage, unit, placement, hints, run_state)
-                if status == "ok":
-                    continue
-                ok = False
-                if status == "degrade":
+            where = run_state.where(stage.domain)
+            status = "ok"
+            for unit, expected in run_state.soc.priced(
+                graph, stage.units, run_state.accelerated, hints
+            ):
+                status = self._run_unit(unit, expected, where, run_state)
+                if status != "ok":
                     break
-                return False  # abort
-            if ok:
+            if status == "ok":
                 return True
+            if status == "abort":
+                return False
             # Graceful degradation: replay this stage (and only this
             # stage) on the host, consuming upstream checkpoints.
             if where == "host":
-                self._abort(run_state, stage, "host replay failed")
+                self._abort(run_state, stage.domain, "host replay failed")
                 return False
-            placement[stage.domain] = "host"
+            run_state.accelerated.discard(stage.domain)
             if stage.domain not in report.degraded_domains:
                 report.degraded_domains.append(stage.domain)
-            run_state.checkpoints.drop_from(stage.domain)
+            for unit in stage.units:
+                if unit.direction == "store":
+                    run_state.checkpoints.pop(unit.moves, None)
             report.retries += 1
             self._emit(
                 run_state,
@@ -421,94 +209,56 @@ class HostManager:
                 stage="runtime",
             )
 
-    def _effective_units(self, stage, placement):
-        """Stage units under the current placement.
-
-        On the host, the domain's compute bursts collapse into one
-        host-priced unit, and DMA to/from another host-resident domain
-        becomes a plain memory hand-off (soc.py charges those nothing).
-        """
-        if placement[stage.domain] == "accel":
-            return list(stage.units)
-        units: List[_Unit] = []
-        host_compute_done = False
-        for unit in stage.units:
-            if unit.kind == "compute":
-                if not host_compute_done:
-                    units.append(
-                        _Unit(kind="compute", label=f"{stage.domain}.host")
-                    )
-                    host_compute_done = True
-                continue
-            if unit.peer is not None and placement.get(unit.peer, "host") == "host":
-                units.append(
-                    _Unit(
-                        kind="handoff",
-                        label=unit.label,
-                        direction=unit.direction,
-                        peer=unit.peer,
-                        buffer=unit.buffer,
-                        nbytes=unit.nbytes,
-                    )
-                )
-                continue
-            units.append(unit)
-        return units
-
     # -- units -------------------------------------------------------------
 
-    def _run_unit(self, compiled, stage, unit, placement, hints, run_state):
+    def _run_unit(self, unit, expected, where, run_state):
         report = run_state.report
-        policy = run_state.policy or self.policy
-        where = placement[stage.domain]
+        policy = run_state.policy
+        domain = unit.domain
 
-        if unit.kind == "handoff":
+        if unit.direction == "load":
+            # Data-dependency tracking: the schedule dispatches a consumer
+            # only after the store it loads from is in host DRAM.
+            source = run_state.checkpoints.get(unit.moves)
+            assert source is not None, f"{unit.label} dispatched before its store"
+            if expected is not None:
+                self._emit(
+                    run_state,
+                    CHECKPOINT,
+                    domain=domain,
+                    unit=unit.label,
+                    detail=f"consuming checkpoint {unit.buffer!r} from {source}",
+                )
+
+        if expected is None:
             # Host-to-host crossing: plain memory, nothing can fault.
-            run_state.checkpoints.publish(unit.buffer, stage.domain, unit.nbytes)
+            if unit.direction == "store":
+                run_state.checkpoints[unit.moves] = domain
             self._emit(
                 run_state,
                 DMA,
-                domain=stage.domain,
+                domain=domain,
                 unit=unit.label,
                 detail="host-local hand-off (no DMA)",
             )
             return "ok"
 
-        if unit.kind == "dma":
-            expected = self._dma_unit_cost(run_state.soc, unit)
-            site_unit = "dma"
-        else:
-            expected = self._compute_cost(
-                run_state.soc, compiled, stage, unit, where, hints
-            )
-            site_unit = "dispatch"
         budget = policy.watchdog_budget_s(expected.seconds)
-
-        if unit.kind == "dma" and unit.direction == "load":
-            source = run_state.checkpoints.source_of(unit.buffer, unit.peer)
-            self._emit(
-                run_state,
-                CHECKPOINT,
-                domain=stage.domain,
-                unit=unit.label,
-                detail=f"consuming checkpoint {unit.buffer!r} from {source}",
-            )
-
         failures = 0
         for attempt in range(1, policy.max_attempts + 1):
-            report.attempts[stage.domain] = report.attempts.get(stage.domain, 0) + 1
+            report.attempts[domain] = report.attempts.get(domain, 0) + 1
             if attempt > 1:
                 report.retries += 1
                 self._emit(
                     run_state,
                     RETRY,
-                    domain=stage.domain,
+                    domain=domain,
                     unit=unit.label,
                     attempt=attempt,
                 )
             site = Site(
-                unit=site_unit,
-                domain=stage.domain,
+                unit="dma" if unit.kind == "dma" else "dispatch",
+                domain=domain,
                 peer=unit.peer,
                 label=unit.label,
                 placement=where,
@@ -517,7 +267,7 @@ class HostManager:
             self._emit(
                 run_state,
                 DMA if unit.kind == "dma" else DISPATCH,
-                domain=stage.domain,
+                domain=domain,
                 unit=unit.label,
                 attempt=attempt,
                 detail=f"expected {expected.seconds * 1e6:.3f} us"
@@ -525,16 +275,14 @@ class HostManager:
             )
 
             if fault is None:
-                self._charge(run_state, stage, expected, unit)
+                self._charge(run_state, unit, expected)
                 report.useful_seconds += expected.seconds
-                if unit.kind == "dma" and unit.direction == "store":
-                    run_state.checkpoints.publish(
-                        unit.buffer, stage.domain, unit.nbytes
-                    )
+                if unit.direction == "store":
+                    run_state.checkpoints[unit.moves] = domain
                     self._emit(
                         run_state,
                         CHECKPOINT,
-                        domain=stage.domain,
+                        domain=domain,
                         unit=unit.label,
                         detail=f"checkpointed {unit.buffer!r} "
                         f"({unit.nbytes} B) in host DRAM",
@@ -547,7 +295,7 @@ class HostManager:
             self._emit(
                 run_state,
                 FAULT,
-                domain=stage.domain,
+                domain=domain,
                 unit=unit.label,
                 attempt=attempt,
                 fault=fault.kind,
@@ -562,14 +310,15 @@ class HostManager:
                 # No completion signal: the watchdog burns its budget.
                 self._charge(
                     run_state,
-                    stage,
-                    self._wasted_cost(run_state.soc, stage, budget, where),
                     unit,
+                    run_state.soc.idle_cost(
+                        budget, domain if where == "accel" else None
+                    ),
                 )
                 self._emit(
                     run_state,
                     WATCHDOG,
-                    domain=stage.domain,
+                    domain=domain,
                     unit=unit.label,
                     attempt=attempt,
                     fault=fault.kind,
@@ -579,7 +328,7 @@ class HostManager:
                 # The work ran (and is paid for) but produced a bad
                 # result: transient compute error, or a DMA checksum
                 # mismatch — detected, so the buffer is never published.
-                self._charge(run_state, stage, expected, unit)
+                self._charge(run_state, unit, expected)
                 detected = (
                     "checksum mismatch on transfer"
                     if fault.kind == DMA_CORRUPT
@@ -588,7 +337,7 @@ class HostManager:
                 self._emit(
                     run_state,
                     FAULT,
-                    domain=stage.domain,
+                    domain=domain,
                     unit=unit.label,
                     attempt=attempt,
                     fault=fault.kind,
@@ -596,35 +345,30 @@ class HostManager:
                 )
 
             if fault.kind == CRASH:
-                report.unhealthy[stage.domain] = (
+                report.unhealthy[domain] = (
                     f"crashed during {unit.label} (attempt {attempt})"
                 )
                 self.diagnostics.error(
-                    f"accelerator for {stage.domain} marked unhealthy: crash",
+                    f"accelerator for {domain} marked unhealthy: crash",
                     stage="runtime",
                 )
                 if policy.host_fallback:
                     return "degrade"
                 self._abort(
                     run_state,
-                    stage,
-                    f"accelerator for {stage.domain} crashed and host "
+                    domain,
+                    f"accelerator for {domain} crashed and host "
                     "fallback is disabled",
                 )
                 return "abort"
 
             if attempt < policy.max_attempts:
                 delay = policy.backoff_s(failures)
-                self._charge(
-                    run_state,
-                    stage,
-                    self._wasted_cost(run_state.soc, stage, delay, "host"),
-                    unit,
-                )
+                self._charge(run_state, unit, run_state.soc.idle_cost(delay))
                 self._emit(
                     run_state,
                     BACKOFF,
-                    domain=stage.domain,
+                    domain=domain,
                     unit=unit.label,
                     attempt=attempt,
                     detail=f"waiting {delay * 1e6:.3f} us before retry",
@@ -633,25 +377,20 @@ class HostManager:
         # Retries exhausted.
         if unit.kind == "compute" and where == "accel" and policy.host_fallback:
             report.unhealthy.setdefault(
-                stage.domain, f"{policy.max_attempts} consecutive failed dispatches"
+                domain, f"{policy.max_attempts} consecutive failed dispatches"
             )
             return "degrade"
         self._abort(
             run_state,
-            stage,
+            domain,
             f"{unit.label} failed {policy.max_attempts} attempt(s)",
         )
         return "abort"
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _charge(self, run_state, stage, stats, unit):
-        report = run_state.report
-        report.total.add(stats)
-        domain_stats = report.per_domain.setdefault(stage.domain, PerfStats())
-        domain_stats.add(stats)
-        if unit.kind == "dma":
-            report.communication.add(stats)
+    def _charge(self, run_state, unit, stats):
+        charge(run_state.report, unit, stats)
         run_state.clock += stats.seconds
 
     def _emit(self, run_state, kind, domain, unit="", attempt=None, fault=None,
@@ -680,34 +419,12 @@ class HostManager:
             self.tracer.instant(kind, category="runtime", **args)
         return event
 
-    def _abort(self, run_state, stage, reason):
+    def _abort(self, run_state, domain, reason):
         report = run_state.report
         report.abort_reason = reason
         report.faults_recovered = max(0, report.faults_injected - 1)
-        self._emit(run_state, ABORT, domain=stage.domain, detail=reason)
+        self._emit(run_state, ABORT, domain=domain, detail=reason)
         self.diagnostics.error(f"runtime aborted: {reason}", stage="runtime")
-
-
-@dataclass
-class _CheckpointStore:
-    """Inter-domain buffers checkpointed in host DRAM."""
-
-    buffers: Dict[str, tuple] = field(default_factory=dict)
-
-    def publish(self, name, domain, nbytes):
-        self.buffers[name] = (domain, nbytes)
-
-    def drop_from(self, domain):
-        """Invalidate buffers a replaying stage had already published."""
-        self.buffers = {
-            name: entry
-            for name, entry in self.buffers.items()
-            if entry[0] != domain
-        }
-
-    def source_of(self, name, default=None):
-        entry = self.buffers.get(name)
-        return entry[0] if entry else default
 
 
 @dataclass
@@ -716,12 +433,17 @@ class _RunState:
 
     report: RunReport
     active: object
-    soc: object = None
+    soc: SoCRuntime
+    policy: RecoveryPolicy
+    #: Domains still on their accelerator; a degrade removes one.
+    accelerated: set
     clock: float = 0.0
-    #: Per-run RecoveryPolicy override (None -> the manager's policy).
-    policy: object = None
-    completed_stages: set = field(default_factory=set)
-    checkpoints: _CheckpointStore = field(default_factory=_CheckpointStore)
+    #: Inter-domain buffers checkpointed in host DRAM: what each store
+    #: moved (``Unit.moves``) -> the domain that published it.
+    checkpoints: Dict[tuple, str] = field(default_factory=dict)
+
+    def where(self, domain):
+        return "accel" if domain in self.accelerated else "host"
 
 
-__all__ = ["HostManager", "HOST_MANAGER_W", "HOST_DMA_DISPATCH_S"]
+__all__ = ["HostManager"]

@@ -4,7 +4,10 @@
 each node's domain-appropriate translation function, accumulates fragments
 into per-domain accelerator programs (``pi_d1 ... pi_dn``), and inserts
 ``load``/``store`` fragments wherever an edge crosses a domain boundary —
-that is exactly the loop structure of Algorithm 2 in the paper.
+that is exactly the loop structure of Algorithm 2 in the paper. Each
+crossing fragment is stamped ``moves = (producer uid, producer_name)``, so
+a load names the store that feeds it even where a component boundary
+renamed the buffer between them.
 
 :class:`PolyMath` is the user-facing compiler: PMLang source in, a
 :class:`CompiledApplication` out, with per-domain programs, the lowered
@@ -94,6 +97,7 @@ def compile_to_targets(srdfg, accelerators):
                             "nbytes": in_edge.md.nbytes,
                             "from_domain": src_domain,
                             "crossing": True,
+                            "moves": (in_edge.src.uid, in_edge.md.producer_name),
                         },
                     )
                 )
@@ -120,6 +124,7 @@ def compile_to_targets(srdfg, accelerators):
                             "nbytes": out_edge.md.nbytes,
                             "to_domain": dst_domain,
                             "crossing": True,
+                            "moves": (node.uid, out_edge.md.producer_name),
                         },
                     )
                 )
@@ -134,7 +139,6 @@ class CompiledApplication:
     graph: object  # lowered srDFG (still executable)
     programs: Dict[str, AcceleratorProgram]
     accelerators: Dict[str, Accelerator]
-    source_graph: object = None  # pre-lowering srDFG
     #: :class:`~repro.rewrite.fusion.FusionReport` when the session's
     #: ``fuse`` stage ran, else None.
     fusion_report: object = None
@@ -190,9 +194,10 @@ class CompiledApplication:
     ):
         """Execute functionally; returns (ExecutionResult, PerfStats).
 
-        Performance composes sequentially across fragments, charging each
-        domain's fragments to its own accelerator and cross-domain
-        load/store fragments to the DMA model (§V-A3's host-managed DMA).
+        Performance composes sequentially across domains, each program
+        priced by its own accelerator's :meth:`Accelerator.estimate`;
+        cross-domain load/store fragments cost nothing here — the DMA model
+        (§V-A3's host-managed DMA) is :class:`~repro.hw.soc.SoCRuntime`'s.
         Execution reuses the application's shared
         :class:`~repro.srdfg.plan.ExecutionPlan` (see
         :meth:`execution_plan`): the graph is planned once, then every
@@ -275,20 +280,6 @@ class CompiledApplication:
             )
         lines.append(f"total accelerator time: {total * 1e6:.3f} us per invocation")
         return "\n".join(lines)
-
-    def communication_stats(self):
-        """PerfStats of only the cross-domain load/store fragments."""
-        total = PerfStats()
-        for domain, program in self.programs.items():
-            accelerator = self.accelerators[domain]
-            for fragment in program.fragments:
-                if fragment.attrs.get("crossing") and fragment.op == "load":
-                    total.add(
-                        accelerator.model.transfer_cost(
-                            fragment.attrs.get("nbytes", 0), label="xdma"
-                        )
-                    )
-        return total
 
 
 def retag_component_domain(graph, component_name, domain):

@@ -14,21 +14,25 @@ from repro.driver import (
     accelerator_fingerprint,
     fingerprint,
 )
+from repro.codegen import build_kernel
 from repro.driver.cache import COMPILE, KERNEL, TIERS
 from repro.driver.diagnostics import Diagnostic
 from repro.errors import PMLangSyntaxError, TargetError
-from repro.eval import Harness
 from repro.passes import default_pipeline
+from repro.passes.lowering import lower
+from repro.pmlang.parser import parse
 from repro.rewrite import graph_signature
 from repro.srdfg import build
+from repro.srdfg.plan import build_plan
 from repro.targets import (
     PolyMath,
     Robox,
     Tabla,
+    compile_to_targets,
     default_accelerators,
     retag_component_domain,
 )
-from repro.workloads import END_TO_END, SINGLE_DOMAIN
+from repro.workloads import END_TO_END, SINGLE_DOMAIN, get_workload
 
 
 @pytest.fixture()
@@ -61,10 +65,10 @@ class TestStageRecords:
     def test_deltas_are_recursive(self, session, mpc_source):
         """The MPC program nests component subgraphs; stage records must
         count them, not just the top level."""
-        app = session.compile(mpc_source, domain="RBT")
-        [build] = [r for r in session.records if r.stage == "srdfg-build"]
-        top_level = len(app.source_graph.nodes)
-        assert build.nodes_after > top_level
+        session.compile(mpc_source, domain="RBT")
+        [record] = [r for r in session.records if r.stage == "srdfg-build"]
+        top_level = len(build(mpc_source, domain="RBT").nodes)
+        assert record.nodes_after > top_level
 
     def test_stage_hooks_see_every_record(self, session, mpc_source):
         seen = []
@@ -83,18 +87,34 @@ class TestStageRecords:
 class TestInspectionGraph:
     @pytest.mark.parametrize("name", SINGLE_DOMAIN + END_TO_END)
     def test_source_graph_untouched_by_the_pipeline(self, name):
-        """The compiled and the inspection graph are built from one
-        parse and share AST nodes, so no stage may mutate one in place:
-        after optimize, lower, translate, plan and codegen the inspection
-        graph must still equal a build from freshly parsed source."""
-        harness = Harness()
-        workload, app, _ = harness.compiled(name)
-        harness.session.plan_for(app, codegen=True)
-        fresh = build(workload.source(), domain=workload.domain)
-        domains = getattr(workload, "component_domains", None) or {}
-        for component, tag in domains.items():
-            retag_component_domain(fresh, component, tag)
-        assert graph_signature(app.source_graph) == graph_signature(fresh)
+        """Graphs built from one parse share AST nodes, so no stage may
+        mutate one in place: after optimize, lower, translate, plan and
+        codegen ran on one graph, a second graph of the same parse must
+        still equal a build from freshly parsed source."""
+        workload = get_workload(name)
+
+        def graph_of(program):
+            graph = build(program, domain=workload.domain)
+            domains = getattr(workload, "component_domains", None) or {}
+            for component, tag in domains.items():
+                retag_component_domain(graph, component, tag)
+            return graph
+
+        tree = parse(workload.source())
+        compiled, inspection = graph_of(tree), graph_of(tree)
+        accelerators = default_accelerators(
+            getattr(workload, "accelerator_overrides", None)
+        )
+        lowered = lower(
+            default_pipeline().run(compiled).graph,
+            {name: acc.om_entry() for name, acc in accelerators.items()},
+            {name: acc.scalar_entry() for name, acc in accelerators.items()},
+        )
+        compile_to_targets(lowered, accelerators)
+        build_kernel(build_plan(lowered))
+        assert graph_signature(inspection) == graph_signature(
+            graph_of(workload.source())
+        )
 
 
 class TestArtifactCache:

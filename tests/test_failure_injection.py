@@ -1,6 +1,8 @@
 """Failure-injection tests: every phase fails loudly with its own error,
 and the fault-tolerant runtime recovers from injected hardware faults."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.errors import (
     TargetError,
 )
 from repro.hw import HardwareParams, SoCRuntime
+from repro.hw.soc import schedule
 from repro.passes import PassManager
 from repro.runtime import (
     FaultPlan,
@@ -170,6 +173,67 @@ def two_domain_app():
     return session.compile(TWO_DOMAIN_SOURCE, domain="DSP")
 
 
+#: Cross-domain ping-pong: DSP -> DA -> DSP -> DA. Regression source for
+#: the stage-planning bug the fuzzer found — one-stage-per-domain
+#: planning manufactured a false DA<->DSP dependency cycle here.
+PING_PONG_SOURCE = (
+    "f(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i]*2.0; }\n"
+    "g(input float y[4], output float z[4]) { index i[0:3]; z[i] = y[i]+1.0; }\n"
+    "main(input float x[4], output float z[4]) "
+    "{ float u[4], v[4], w[4]; "
+    "DSP: f(x, u); DA: g(u, v); DSP: f(v, w); DA: g(w, z); }"
+)
+
+
+@pytest.fixture(scope="module")
+def ping_pong_app():
+    session = CompilerSession(default_accelerators())
+    return session.compile(PING_PONG_SOURCE, domain="DSP")
+
+
+def _compile_workload(name):
+    from repro.workloads import get_workload
+
+    workload = get_workload(name)
+    app, _ = CompilerSession(default_accelerators()).compile_workload(workload)
+    return workload, app
+
+
+@pytest.fixture(scope="module")
+def brainstimul():
+    return _compile_workload("BrainStimul")
+
+
+@pytest.fixture(scope="module")
+def option_pricing():
+    return _compile_workload("OptionPricing")
+
+
+@pytest.fixture(scope="module")
+def placed_apps(two_domain_app, ping_pong_app, brainstimul, option_pricing):
+    """``name -> (app, hints)`` for the all-placements equality test."""
+    placed = {"two-domain": (two_domain_app, None), "ping-pong": (ping_pong_app, None)}
+    for workload, app in (brainstimul, option_pricing):
+        placed[workload.name] = (app, workload.hints())
+    return placed
+
+
+#: (app, accelerated subset) for every placement — the empty, all-host
+#: one included — of the two hand-written pipelines and the two
+#: end-to-end programs.
+PLACEMENTS = [
+    (name, subset)
+    for name, domains in (
+        ("two-domain", ("DSP", "DA")),
+        ("ping-pong", ("DSP", "DA")),
+        ("BrainStimul", ("DSP", "DA", "RBT")),
+        ("OptionPricing", ("DA", "DA-BLKS")),
+    )
+    for size in range(len(domains) + 1)
+    for subset in itertools.combinations(domains, size)
+]
+
+
 @pytest.fixture()
 def manager(two_domain_app):
     return HostManager(two_domain_app.accelerators)
@@ -180,13 +244,33 @@ class TestRuntimeFaults:
 
     INPUTS = {"x": np.arange(4.0)}
 
-    def test_fault_free_run_matches_analytic_soc_cost(self, two_domain_app, manager):
-        report = manager.run(two_domain_app, inputs=self.INPUTS)
-        analytic = SoCRuntime(two_domain_app.accelerators).execute(two_domain_app)
+    @pytest.mark.parametrize(
+        "name,subset", PLACEMENTS,
+        ids=[f"{name}-{'+'.join(subset) or 'host'}" for name, subset in PLACEMENTS],
+    )
+    def test_fault_free_run_matches_analytic_soc_cost(
+        self, placed_apps, name, subset
+    ):
+        app, hints = placed_apps[name]
+        assert set(subset) <= set(app.programs)
+        report = HostManager(app.accelerators).run(
+            app, hints=hints, accelerated_domains=subset, execute=False
+        )
+        analytic = SoCRuntime(app.accelerators).execute(
+            app, accelerated_domains=subset, hints=hints
+        )
         assert report.completed
-        assert report.total.seconds == pytest.approx(analytic.total.seconds)
         assert report.faults_injected == 0
         assert report.availability == pytest.approx(1.0)
+        assert set(report.per_domain) == set(analytic.per_domain)
+        for ours, theirs in [
+            (report.total, analytic.total),
+            (report.communication, analytic.communication),
+            *((report.per_domain[d], analytic.per_domain[d])
+              for d in analytic.per_domain),
+        ]:
+            assert ours.seconds == pytest.approx(theirs.seconds, rel=1e-9)
+            assert ours.energy_j == pytest.approx(theirs.energy_j, rel=1e-9)
 
     def test_stall_hits_watchdog_then_retry_succeeds(self, two_domain_app, manager):
         plan = FaultPlan(specs=(FaultSpec(kind="stall", domain="DSP"),), seed=5)
@@ -333,24 +417,6 @@ class TestRuntimeFaults:
             parse_fault_spec("stall@DA:frequency=often")
 
 
-#: Cross-domain ping-pong: DSP -> DA -> DSP -> DA. Regression source for
-#: the stage-planning bug the fuzzer found — one-stage-per-domain
-#: planning manufactured a false DA<->DSP dependency cycle here.
-PING_PONG_SOURCE = (
-    "f(input float x[4], output float y[4]) { index i[0:3]; y[i] = x[i]*2.0; }\n"
-    "g(input float y[4], output float z[4]) { index i[0:3]; z[i] = y[i]+1.0; }\n"
-    "main(input float x[4], output float z[4]) "
-    "{ float u[4], v[4], w[4]; "
-    "DSP: f(x, u); DA: g(u, v); DSP: f(v, w); DA: g(w, z); }"
-)
-
-
-@pytest.fixture(scope="module")
-def ping_pong_app():
-    session = CompilerSession(default_accelerators())
-    return session.compile(PING_PONG_SOURCE, domain="DSP")
-
-
 class TestPingPongStaging:
     """Ping-pong traffic needs per-segment stages, not one per domain."""
 
@@ -370,8 +436,7 @@ class TestPingPongStaging:
     def test_stage_plan_segments_domains_and_orders_dependencies(
         self, ping_pong_app
     ):
-        manager = HostManager(ping_pong_app.accelerators)
-        stages = manager._stage_plan(ping_pong_app)
+        stages = schedule(ping_pong_app.programs)
         # The alternation forces at least one domain to split into
         # multiple segments (the old planner emitted one stage per
         # domain and deadlocked on the resulting false cycle).
@@ -389,6 +454,27 @@ class TestPingPongStaging:
                 "which never ran"
             )
             seen.add(stage.name)
+
+    def test_renamed_producer_pairs_with_its_load_by_key(self, ping_pong_app):
+        # g stores its formal ``z``; the caller's f loads it as its formal
+        # ``x``. Only the stamped ``moves`` key says they are one buffer.
+        stages = schedule(ping_pong_app.programs)
+        position = {stage.name: index for index, stage in enumerate(stages)}
+        stores = {
+            unit.moves: (stage.name, unit)
+            for stage in stages for unit in stage.units
+            if unit.direction == "store"
+        }
+        renamed = 0
+        for stage in stages:
+            for unit in stage.units:
+                if unit.direction != "load":
+                    continue
+                producer, store = stores[unit.moves]
+                assert (store.domain, store.nbytes) == (unit.peer, unit.nbytes)
+                assert position[producer] < position[stage.name]
+                renamed += store.buffer != unit.buffer
+        assert renamed
 
     @pytest.mark.parametrize(
         "kind", ["transient", "stall", "dma-corrupt", "crash"]
@@ -517,18 +603,28 @@ class TestEndToEndChaos:
     """Acceptance scenario: the cascaded FFT->LR->MPC application survives
     an accelerator crash via host fallback, bit-for-bit."""
 
-    @pytest.fixture(scope="class")
-    def brainstimul(self):
-        from repro.workloads import get_workload
-
-        workload = get_workload("BrainStimul")
-        session = CompilerSession(default_accelerators())
-        app = session.compile(
-            workload.source(),
-            domain=workload.domain,
-            data_hints=workload.hints(),
+    def test_crash_costs_the_degraded_placement_plus_the_watchdog(
+        self, brainstimul
+    ):
+        # RBT crashes on its first dispatch: the run pays one burnt
+        # watchdog budget, then exactly what the SoC prices with RBT on
+        # the host — each host-placed burst its own kernels, once.
+        workload, app = brainstimul
+        manager = HostManager(app.accelerators)
+        report = manager.run(
+            app,
+            fault_plan=FaultPlan.parse(["crash@RBT"], seed=7),
+            hints=workload.hints(),
+            execute=False,
         )
-        return workload, app
+        degraded = SoCRuntime(app.accelerators).execute(
+            app, accelerated_domains={"DSP", "DA"}, hints=workload.hints()
+        )
+        assert report.degraded_domains == ["RBT"]
+        assert report.total.seconds == pytest.approx(
+            degraded.total.seconds + manager.policy.watchdog_min_s, rel=1e-9
+        )
+        assert report.total.seconds * 1e6 == pytest.approx(1773.752, abs=1e-3)
 
     def test_crash_in_da_completes_via_host_fallback(self, brainstimul):
         workload, app = brainstimul

@@ -11,8 +11,10 @@ from repro.hw import (
     make_titan_xp,
     make_xeon,
 )
+from repro.eval import Harness
 from repro.srdfg import build
 from repro.targets import PolyMath, default_accelerators
+from repro.workloads import END_TO_END, SINGLE_DOMAIN
 
 
 def simple_params(**overrides):
@@ -183,3 +185,25 @@ class TestSoC:
         da_only = soc.execute(app, accelerated_domains={"DA"}).total.seconds
         assert both <= dsp_only * 1.001
         assert both <= da_only * 1.001
+
+
+@pytest.fixture(scope="module")
+def harness():
+    return Harness()
+
+
+@pytest.mark.parametrize("name", SINGLE_DOMAIN + END_TO_END)
+def test_unaccelerated_soc_is_the_cpu_baseline(harness, name):
+    """A host-placed burst is priced through its fragments' ``node_uid``:
+    with nothing accelerated every kernel must be found exactly once, so
+    the SoC total is the CPU baseline's estimate of the same graph."""
+    workload, app, _ = harness.compiled(name)
+    hints = workload.hints()
+    soc = SoCRuntime(app.accelerators).execute(
+        app, accelerated_domains=(), hints=hints
+    )
+    cpu = make_xeon().estimate_graph(app.graph, hints)
+    assert soc.communication.seconds == 0.0
+    assert soc.total.kernels == cpu.kernels
+    assert soc.total.seconds == pytest.approx(cpu.seconds, rel=1e-12)
+    assert soc.total.energy_j == pytest.approx(cpu.energy_j, rel=1e-12)

@@ -221,12 +221,6 @@ class TestAlgorithm2:
         assert total.seconds > 0
         assert set(per_domain) == set(app.programs)
 
-    def test_communication_stats_cross_only(self):
-        compiler = PolyMath(default_accelerators())
-        app = compiler.compile(self.CROSS_SOURCE, domain="DSP")
-        comm = app.communication_stats()
-        assert comm.dram_bytes > 0
-
     def test_retag_component_domain(self):
         graph = build(self.CROSS_SOURCE, domain="DSP")
         retag_component_domain(graph, "classify", "DA-CUSTOM")
