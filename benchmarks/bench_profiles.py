@@ -97,7 +97,7 @@ def test_profile_execute_tiers(harness, results_dir):
                 ), f"{name}: kernel output {key} not bit-identical"
             entry["report"] = {
                 key: kernel.report.get(key)
-                for key in ("statements", "specialized", "fused", "blocked")
+                for key in ("statements", "specialized", "fused", "einsum")
             }
         entry["interpreter"] = _measure_tier(
             plan, workload,

@@ -839,13 +839,13 @@ def _cmd_codegen(args):
             specialized=report.get("specialized", 0),
             statements=report.get("statements", 0),
             fused=report.get("fused", 0),
-            blocked=report.get("blocked", 0),
+            einsum=report.get("einsum", 0),
             fallback=report.get("fallback", 0),
         )
         line = (
             f"{name:15s} kernel "
             f"{entry['specialized']}/{entry['statements']} specialized, "
-            f"{entry['fused']} fused, {entry['blocked']} blocked, "
+            f"{entry['fused']} fused, {entry['einsum']} einsum, "
             f"{entry['source_bytes']} bytes"
         )
         if args.dump_source:

@@ -37,7 +37,8 @@ __all__ = [
 #: who owns a statement result). It salts :func:`kernel_cache_key`, so a
 #: persistent ``--cache-dir`` never replays source printed under another
 #: contract: bump it with any such change. 2: results left ``_S``.
-KERNEL_ABI = 2
+#: 3: ``_affine_view`` joined the namespace.
+KERNEL_ABI = 3
 
 
 def kernel_cache_key(plan_key):

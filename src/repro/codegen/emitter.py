@@ -26,17 +26,6 @@ What is the emitter's own preserves bit-identity by argument:
     every downstream ufunc/reduction sees identical values in an
     identical layout.
 
-Blocked reductions
-    A trailing-axes reduction of a product lattice is evaluated in
-    slabs along the leading free axis into a preallocated scratch
-    chunk. Each output cell's reduction still happens in a single
-    ``np.sum``/``np.max``/... call over the same elements in the same
-    layout, so the per-cell pairwise summation order is unchanged;
-    only *which cells* share one numpy call changes. Factor dtypes
-    must all equal the product dtype so the ``out=`` accumulation
-    chain selects the same ufunc loops the interpreter's left-deep
-    multiply tree would.
-
 Adjacent elementwise statements fuse: a single-consumer, float64,
 full-cover elementwise statement is inlined into its consumer as one
 expression (its producer statement is dropped from the kernel), which
@@ -59,7 +48,11 @@ import numpy as np
 from ..errors import ExecutionError
 from ..pmlang import ast_nodes as ast
 from ..srdfg.graph import COMPUTE, CONST, VAR
-from ..srdfg.interpreter import _REDUCE_IDENTITY, _ExprEvaluator
+from ..srdfg.interpreter import (
+    _REDUCE_IDENTITY,
+    _ExprEvaluator,
+    _affine_view,
+)
 
 __all__ = ["EmitResult", "KernelEmitter", "Unsupported"]
 
@@ -67,14 +60,6 @@ __all__ = ["EmitResult", "KernelEmitter", "Unsupported"]
 #: statement falls back to the interpreter instead of bloating the
 #: kernel's constant pool.
 MAX_INDEX_CONSTANT = 1 << 22
-
-#: Lattices below this never block (the slab bookkeeping would cost
-#: more than the locality buys).
-BLOCK_LATTICE_MIN = 1 << 16
-
-#: Target elements per blocked-reduction slab (~256 KiB at f64 — sized
-#: to stay cache-resident between the multiply and the reduce).
-BLOCK_CHUNK_TARGET = 1 << 15
 
 #: Producer statements bigger than this many AST nodes are not inlined.
 MAX_INLINE_NODES = 24
@@ -332,10 +317,27 @@ class _StagedEvaluator(_ExprEvaluator):
         shapes; print the dispatch, or answer None (lattice path) where
         ``run`` would."""
         operands = []
-        for name, required in einsum.operands:
+        for (name, shape), view in zip(einsum.operands, einsum.views):
             operand = self._operand(name)
-            if operand is None or operand.shape != required:
+            if operand is None:
                 return None
+            if view is None:
+                if operand.shape != shape:
+                    return None
+            else:
+                # The shadow, at the operand's static shape, goes through
+                # the function the kernel calls.
+                if _affine_view(
+                    np.broadcast_to(operand.shadow, operand.shape),
+                    *view, shape,
+                ) is None:
+                    return None
+                operand = _Val(
+                    f"_affine_view({operand.code}, {view[0]!r}, "
+                    f"{view[1]!r}, {shape!r})",
+                    shape,
+                    operand.shadow,
+                )
             operands.append(self._to_float(operand))
         code = (
             f"_np.einsum({einsum.spec!r}, "
@@ -364,7 +366,7 @@ class _StagedEvaluator(_ExprEvaluator):
             raise Unsupported(reason.format(*args))
         return value
 
-    # -- reductions: decline early, block where sound ----------------------
+    # -- reductions: decline early ----------------------------------------
 
     def _eval_reduction(self, expr):
         if expr.op not in _REDUCE_IDENTITY:
@@ -372,13 +374,6 @@ class _StagedEvaluator(_ExprEvaluator):
                 f"reduction {expr.op!r} (argmax/argmin/custom combiner)"
             )
         return super()._eval_reduction(expr)
-
-    def _reduce_lattice(self, expr, axes, mask):
-        if mask is None and expr is self.statement.stmt.value:
-            blocked = self.emitter._try_emit_blocked(self, expr, axes)
-            if blocked is not None:
-                return blocked
-        return super()._reduce_lattice(expr, axes, mask)
 
     def _eval_chunked(self, expr, chunk_plan):
         raise Unsupported("chunked reduction (over-limit lattice)")
@@ -402,7 +397,6 @@ class KernelEmitter:
             "fallback": 0,
             "fused": 0,
             "einsum": 0,
-            "blocked": 0,
             "gathers": 0,
             "fallback_reasons": [],
         }
@@ -413,10 +407,10 @@ class KernelEmitter:
         #: local -> (start, stop) line range of that statement's code.
         self._fragments = {}
         #: transient-arena allocation cursor/peak, in float64 elements.
-        #: Fragment-local buffers (gathers, blocked-reduction chunks)
-        #: are carved from one shared arena whose cursor resets per
-        #: statement, so every statement reuses the same cache-hot
-        #: memory instead of touching its own cold dedicated slot.
+        #: Fragment-local gather buffers are carved from one shared
+        #: arena whose cursor resets per statement, so every statement
+        #: reuses the same cache-hot memory instead of touching its own
+        #: cold dedicated slot.
         self._arena_off = 0
         self._arena_peak = 0
         #: value key -> (shape, dtype) of every value the plan produces.
@@ -471,10 +465,9 @@ class KernelEmitter:
         """Fragment-local scratch carved from the shared f64 arena.
 
         Only values that are dead by the end of their statement may use
-        it (gather buffers, blocked-reduction chunks and accumulators —
-        a carving is never ``fresh``, so every store copies it and
-        nothing downstream aliases it). Non-f64 transients get a
-        dedicated ``_S`` slot instead.
+        it (gather buffers — a carving is never ``fresh``, so every store
+        copies it and nothing downstream aliases it). Non-f64 transients
+        get a dedicated ``_S`` slot instead.
         """
         shape = tuple(shape)
         if np.dtype(dtype) != np.float64:
@@ -966,150 +959,3 @@ class KernelEmitter:
             return None
         inline.committed += 1
         return value
-
-    # -- reductions --------------------------------------------------------
-
-    def _try_emit_blocked(self, ev, expr, axes):
-        """Cache-blocked trailing-axes product reduction (see module doc).
-
-        Sound only when each output cell's reduction stays inside one
-        numpy reduce call: the reduce axes must be exactly the trailing
-        (bound) axes, the product lattice must already have the full
-        target shape (no zero-stride broadcast feeding the reduce), all
-        factor dtypes must equal the product dtype (so ``out=``
-        accumulation selects the interpreter's ufunc loops), and
-        blocking slices only the leading free axis.
-
-        Evaluates the factors itself (rolling back on decline) so the
-        unblocked path never double-emits the argument.
-        """
-        space = ev.space
-        if space.free_count == 0 or space.total == space.free_count:
-            return None
-        if set(axes) != set(range(space.free_count, space.total)):
-            return None
-
-        mark = len(self.lines)
-        scratch_mark = len(self.scratch_specs)
-        arena_mark = self._arena_off
-
-        def decline():
-            del self.lines[mark:]
-            del self.scratch_specs[scratch_mark:]
-            self._arena_off = arena_mark
-            return None
-
-        factors = self._linear_factors(ev, expr.arg)
-        if factors is None:
-            return decline()
-        try:
-            product_shape = np.broadcast_shapes(
-                *[factor.shape for factor in factors]
-            )
-        except ValueError:
-            return decline()
-        target_shape = ev._reduce_target_shape(product_shape, None, axes)
-        if product_shape != target_shape:
-            return decline()
-        lattice = int(np.prod(target_shape)) if target_shape else 1
-        if lattice < BLOCK_LATTICE_MIN:
-            return decline()
-        n0 = target_shape[0]
-        if n0 <= 1:
-            return decline()
-
-        # Promotion along the interpreter's left-deep multiply tree must
-        # be trivial: every factor already carries the final dtype.
-        final_dtype = np.result_type(
-            *[np.asarray(factor.shadow) for factor in factors]
-        )
-        if final_dtype.kind not in ("f", "c"):
-            return decline()
-        for factor in factors:
-            if np.asarray(factor.shadow).dtype != final_dtype:
-                return decline()
-            if factor.shape and factor.shape[0] not in (1, n0):
-                return decline()
-
-        row = lattice // n0
-        block = max(1, BLOCK_CHUNK_TARGET // max(1, row))
-        if block >= n0:
-            return decline()
-
-        # Hoist every factor that is not a bare name (views, arena
-        # reshapes, axview permutes) to a temp: re-creating the view on
-        # each of up to n0 iterations costs real time on big convs.
-        names = [
-            factor if re.fullmatch(r"\w+", factor.code)
-            else self._let(factor.code, factor.shape, factor.shadow)
-            for factor in factors
-        ]
-
-        out_shape = tuple(target_shape[: space.free_count])
-        out = self._transient(out_shape, final_dtype)
-        self._emit(f"_ob = {out}")
-
-        def sliced(value):
-            if not value.shape or value.shape[0] == 1:
-                return value.code
-            return f"{value.code}[_i0:_s0]"
-
-        if len(names) > 1:
-            chunk = self._transient((block,) + target_shape[1:], final_dtype)
-            self._emit(f"_cb = {chunk}")
-        self._emit(f"for _i0 in range(0, {n0}, {block}):")
-        self._emit(f"    _s0 = min({n0}, _i0 + {block})")
-        if len(names) == 1:
-            acc = sliced(names[0])
-        else:
-            self._emit("    _cv = _cb[: _s0 - _i0]")
-            acc = None
-            for factor in names:
-                if acc is None:
-                    acc = sliced(factor)
-                else:
-                    self._emit(
-                        f"    _cv = _np.multiply({acc}, {sliced(factor)}, "
-                        f"out=_cv)"
-                    )
-                    acc = "_cv"
-        self._emit(
-            f"    _np.{expr.op}({acc}, axis={axes!r}, out=_ob[_i0:_s0])"
-        )
-        self.report["blocked"] += 1
-        reduced_shape = out_shape + (1,) * (space.total - space.free_count)
-        return self._let(
-            f"{out}.reshape({reduced_shape!r})",
-            reduced_shape,
-            _shadow0(final_dtype),
-        )
-
-    def _linear_factors(self, ev, arg_expr):
-        """Emit the left-deep ``*`` chain of *arg_expr* as values.
-
-        Returns None when the chain is not left-deep over atomic refs
-        (the interpreter would then associate multiplications
-        differently) — blocked evaluation stays off.
-        """
-        chain = []
-        node = arg_expr
-        while isinstance(node, ast.BinOp) and node.op == "*":
-            if not isinstance(
-                node.right, (ast.Indexed, ast.Name, ast.Literal)
-            ):
-                return None
-            chain.append(node.right)
-            node = node.left
-        if not isinstance(node, (ast.Indexed, ast.Name, ast.Literal)):
-            return None
-        chain.append(node)
-        chain.reverse()
-        values = []
-        mark = len(self.lines)
-        try:
-            for factor in chain:
-                values.append(ev.lift(ev.eval(factor)))
-        except _DECLINED:
-            del self.lines[mark:]
-            return None
-        return values

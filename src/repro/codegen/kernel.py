@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..obs import DEFAULT_REGISTRY
-from ..srdfg.interpreter import ExecutionResult, _axview
+from ..srdfg.interpreter import ExecutionResult, _affine_view, _axview
 
 __all__ = ["CODEGEN_STATS", "KernelArtifact"]
 
@@ -78,6 +78,7 @@ class KernelArtifact:
             "_np": np,
             "ExecutionError": ExecutionError,
             "_axview": _axview,
+            "_affine_view": _affine_view,
             "_reuse": _reuse,
         }
         namespace.update(constants)

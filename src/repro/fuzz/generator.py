@@ -3,13 +3,14 @@
 The generator draws from the surface the rest of the stack already
 exercises — elementwise arithmetic, scalar builtins, group reductions
 (dot/matvec/row-sum, predicated prefix sums), rotated/reversed affine
-subscripts, ternary selects, ``unroll`` accumulation loops, ``state``
-variables threaded across invocations, and cross-domain component calls
-— and builds programs that are *valid by construction*: every local is
-written before it is read, every subscript is provably in range (bare
-indices, rotations modulo the dimension, reversals), and numeric ranges
-stay in [-1, 1] territory so no oracle diverges on overflow instead of
-on a real compiler bug.
+subscripts, contractions over strided windows, reversed operands and
+offset reduce ranges, ternary selects, ``unroll`` accumulation loops,
+``state`` variables threaded across invocations, and cross-domain
+component calls — and builds programs that are *valid by construction*:
+every local is written before it is read, every subscript is provably in
+range (bare indices, rotations modulo the dimension, reversals, windows
+sized to their operand), and numeric ranges stay in [-1, 1] territory so
+no oracle diverges on overflow instead of on a real compiler bug.
 
 A :class:`FuzzProgram` is an intermediate representation (declarations +
 statement records with read/write sets), not a string: the differential
@@ -323,6 +324,7 @@ class _Generator:
             makers += [self._make_matvec, self._make_row_reduce]
         makers.append(self._make_prefix_reduce)
         makers.append(self._make_unroll)
+        makers.append(self._make_view_contraction)
         if rng.random() < cfg.p_helper:
             makers.append(self._make_helper_call)
             makers.append(self._make_helper_call)  # weight helpers up
@@ -515,6 +517,50 @@ class _Generator:
             writes=target,
             reads=(matrix.name, vec),
             kind="matvec",
+        )
+
+    def _make_view_contraction(self, context):
+        """A sum of products over affine subscripts — what dispatches to
+        einsum over a strided view: a strided window
+        ``sum[k](w[k+d]*a[i*s+k])`` or, given a matrix, a reversed row
+        ``sum[k](M[i][c-1-k]*v[k])`` or an offset reduce range
+        ``k[1:c-1]``. The reduce index is the statement's own, sized so
+        every subscript is in range."""
+        rng = self.rng
+        r = self.fresh("k")
+        variant = rng.choice(
+            ("window", "reversed", "offset") if context["matrices"]
+            else ("window",)
+        )
+        if variant == "window":
+            small, large = sorted(context["sizes"].values())
+            stride = rng.choice((1, 2)) if large >= 2 * small - 1 else 1
+            width = rng.randint(1, large - stride * (small - 1))
+            _, a = self._pick_vec(context, large)
+            w_size, w = self._pick_vec(
+                context, large if width > small else None
+            )
+            shift = rng.randint(0, w_size - width)
+            free = self._index_for(context, small)
+            shape, reads, low, high = (small,), (w, a), 0, width - 1
+            product = f"{w}[{r} + {shift}]*{a}[{free}*{stride} + {r}]"
+        else:
+            matrix = rng.choice(context["matrices"])
+            rows, cols = matrix.shape
+            _, vec = self._pick_vec(context, cols)
+            free = self._index_for(context, rows)
+            shape, reads, high = (rows,), (matrix.name, vec), cols - 1
+            low, sub = (0, f"{high} - {r}") if variant == "reversed" else (1, r)
+            product = f"{matrix.name}[{free}][{sub}]*{vec}[{r}]"
+        target = self._new_local(context, shape)
+        return Stmt(
+            text=(
+                f"index {r}[{low}:{high}];\n"
+                f"{target}[{free}] = sum[{r}]({product});"
+            ),
+            writes=target,
+            reads=reads,
+            kind=variant,
         )
 
     def _make_row_reduce(self, context):

@@ -17,9 +17,11 @@ index predicates (masking with the reduction's identity element).
 Two optimisations keep large workloads practical without changing
 semantics:
 
-* a ``sum``-of-products whose subscripts are all bare index names is
-  dispatched to ``numpy.einsum`` (this covers dot/matvec/matmul and
-  general tensor contractions);
+* a ``sum``-of-products whose subscripts are affine in the index
+  variables is dispatched to ``numpy.einsum`` over zero-copy strided
+  views of its operands (dot/matvec/matmul, general tensor contractions,
+  strided and windowed ones such as convolutions), after checking each
+  operand's rank and each subscript's range against the run-time shape;
 * other big reductions are evaluated in chunks along their largest bound
   axis so the materialised lattice stays under ``lattice_limit`` elements.
 
@@ -36,7 +38,7 @@ workloads stop paying planning cost on every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -186,32 +188,88 @@ def _axview(array, order, absent):
     return out
 
 
+def _affine_view(array, origin, coeffs, shape):
+    """Zero-copy read-only view behind affine subscripts, or None.
+
+    Element ``[a, b, ...]`` of the view is *array* at subscript
+    ``origin[d] + coeffs[d][0]*a + coeffs[d][1]*b + ...`` in dimension
+    ``d`` (``x[oy*2+ky]`` over ``(oy, ky)``: origin 0, coefficients
+    ``(2, 1)``). None when *array* has another rank or a subscript leaves
+    its extent on the *shape* lattice — checked at the corners, where an
+    affine subscript is extreme, before any stride is trusted. Generated
+    kernels call this very function.
+    """
+    if array.ndim != len(origin) or 0 in shape:
+        return None
+    for first, row, extent in zip(origin, coeffs, array.shape):
+        reach = [coeff * (size - 1) for coeff, size in zip(row, shape)]
+        if (
+            first + sum(step for step in reach if step < 0) < 0
+            or first + sum(step for step in reach if step > 0) >= extent
+        ):
+            return None
+    strides = [
+        sum(row[axis] * stride for row, stride in zip(coeffs, array.strides))
+        for axis in range(len(shape))
+    ]
+    return np.lib.stride_tricks.as_strided(
+        array[tuple(slice(first, None) for first in origin)],
+        shape, strides, writeable=False,
+    )
+
+
+def _affine(values):
+    """``(origin, {axis: coefficient})`` when the integer subscript array
+    *values* (broadcastable over the lattice) equals origin + coefficient
+    x coordinate along every axis it varies on, else None."""
+    values = np.asarray(values)
+    if values.dtype.kind not in ("i", "u") or values.size == 0:
+        return None
+    origin = int(values.flat[0])
+    coeffs, model = {}, origin
+    for axis, ramp in enumerate(np.indices(values.shape, sparse=True)):
+        if ramp.size > 1:
+            coeffs[axis] = int(np.take(values, 1, axis=axis).flat[0]) - origin
+            model = model + coeffs[axis] * ramp
+    return (origin, coeffs) if np.all(model == values) else None
+
+
 @dataclass
 class _EinsumPlan:
     """Precompiled ``numpy.einsum`` dispatch for one sum-of-products.
 
-    Structure (subscript string, static scalar factors, output shape) is
-    resolved by :func:`compile_einsum`; only per-operand presence, shape
-    and dtype checks remain for :meth:`run`, and a mismatch answers None
-    so the caller evaluates the lattice instead.
+    Structure (subscript string, operand views, static scalar factors,
+    output shape) is resolved by :func:`compile_einsum`; only per-operand
+    presence, shape/range and dtype checks remain for :meth:`run`, and a
+    mismatch answers None so the caller evaluates the lattice instead
+    (and raises whatever the lattice raises).
     """
 
     spec: str
-    #: ``(variable name, required shape)`` per einsum operand.
+    #: ``(variable name, shape)`` per einsum operand.
     operands: Tuple[Tuple[str, Tuple[int, ...]], ...]
     scalar: float
     #: Full-rank result shape (absolute statement axes preserved).
     out_shape: Tuple[int, ...]
+    #: Per operand: None when the variable itself is the operand (bare
+    #: subscripts; it must have exactly the operand's shape), else the
+    #: ``(origin, coeffs)`` of its :func:`_affine_view`.
+    views: Tuple[Optional[Tuple], ...]
 
     def run(self, var_values):
         arrays = []
-        for name, required in self.operands:
+        for (name, shape), view in zip(self.operands, self.views):
             value = var_values.get(name)
             if value is None:
                 return None
             array = np.asarray(value)
-            if tuple(array.shape) != required:
-                return None
+            if view is None:
+                if tuple(array.shape) != shape:
+                    return None
+            else:
+                array = _affine_view(array, *view, shape)
+                if array is None:
+                    return None
             if array.dtype.kind not in ("f", "c"):
                 array = array.astype(np.float64)
             arrays.append(array)
@@ -225,12 +283,19 @@ def compile_einsum(expr, space, static_env):
     """The einsum dispatch for *expr*, or None when it has none.
 
     Eligible is an unpredicated ``sum`` over a product of literals, static
-    names and variables subscripted by bare index names whose ranges start
-    at zero (a plain einsum then equals lattice evaluation provided each
-    operand spans its ranges exactly, which :meth:`_EinsumPlan.run`
-    checks). The one place that decides this: the evaluator asks for
-    every reduction it meets, ``StatementPlan`` once at build for the
-    statement's whole value, and the kernel emitter prints the answer.
+    names and variables whose subscripts are affine in the index
+    variables. Bare ``A[i][j]`` over zero-based ranges is the variable
+    itself (einsum equals lattice evaluation provided the operand spans
+    its ranges exactly); anything else — ``x[oy*s+ky]``, ``v[n-1-p]``, a
+    range starting above zero — is an :func:`_affine_view` of it (equal
+    provided the operand has that rank and no subscript leaves its
+    extent); :meth:`_EinsumPlan.run` checks the provisos. Affine is
+    decided numerically (:func:`_affine`) on subscripts evaluated from
+    index variables and static names alone, so ``(i+k) % n`` and
+    data-dependent subscripts stay on the lattice path. The one place
+    that decides this: the evaluator asks for every reduction it meets,
+    ``StatementPlan`` once at build for the statement's whole value, and
+    the kernel emitter prints the answer.
     """
     if not isinstance(expr, ast.ReductionCall):
         return None
@@ -248,6 +313,7 @@ def compile_einsum(expr, space, static_env):
         return letters[name]
 
     operands = []
+    views = []
     subscripts = []
     scalar = 1.0
     for factor in factors:
@@ -259,18 +325,23 @@ def compile_einsum(expr, space, static_env):
                 scalar *= static_env[factor.id]
                 continue
             return None
-        names = []
-        for index_expr in factor.indices:
-            if not (
-                isinstance(index_expr, ast.Name)
-                and index_expr.id in space.axis
-                and space.index_ranges[index_expr.id][0] == 0
-            ):
+        if all(
+            isinstance(index_expr, ast.Name)
+            and index_expr.id in space.axis
+            and space.index_ranges[index_expr.id][0] == 0
+            for index_expr in factor.indices
+        ):
+            names = [index_expr.id for index_expr in factor.indices]
+            view = None
+        else:
+            selected = _affine_subscripts(factor, space, static_env)
+            if selected is None:
                 return None
-            names.append(index_expr.id)
+            names, view = selected
         operands.append(
             (factor.base, tuple(space.size(name) for name in names))
         )
+        views.append(view)
         subscripts.append("".join(letter(name) for name in names))
 
     if not operands:
@@ -295,6 +366,30 @@ def compile_einsum(expr, space, static_env):
         operands=tuple(operands),
         scalar=scalar,
         out_shape=tuple(out_shape),
+        views=tuple(views),
+    )
+
+
+def _affine_subscripts(factor, space, static_env):
+    """``(index names, (origin, coeffs))`` of the :func:`_affine_view`
+    that *factor*'s subscripts select, or None when one is not affine in
+    index variables and static names."""
+    evaluator = _ExprEvaluator(space, static_env, {}, {})
+    parts = []
+    for index_expr in factor.indices:
+        try:
+            part = _affine(evaluator.eval(index_expr))
+        except ExecutionError:  # reads run-time data
+            return None
+        if part is None:
+            return None
+        parts.append(part)
+    axes = sorted({axis for _, coeffs in parts for axis in coeffs})
+    return [space.order[axis] for axis in axes], (
+        tuple(origin for origin, _ in parts),
+        tuple(
+            tuple(coeffs.get(axis, 0) for axis in axes) for _, coeffs in parts
+        ),
     )
 
 
@@ -535,10 +630,7 @@ class _ExprEvaluator:
                 dtype=bool,
             )
             mask = predicate if mask is None else np.logical_and(mask, predicate)
-        return self._reduce_lattice(expr, axes, mask)
 
-    def _reduce_lattice(self, expr, axes, mask):
-        """Evaluate the argument over the lattice, mask and reduce it."""
         self._mask_stack.append(mask)
         try:
             arg = self.eval(expr.arg)

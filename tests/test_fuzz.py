@@ -21,7 +21,7 @@ from repro.fuzz import (
 from repro.passes import PassManager
 from repro.passes.base import Pass
 from repro.pmlang.ast_nodes import BinOp
-from repro.srdfg import build
+from repro.srdfg import Executor, build
 from repro.targets import default_accelerators
 
 
@@ -57,6 +57,23 @@ class TestGenerator:
                 assert set(outputs) >= set(program.outputs())
                 for name in program.outputs():
                     assert np.all(np.isfinite(outputs[name]))
+
+    def test_generated_contractions_take_the_affine_dispatch(self):
+        # Windowed / reversed / offset-range contractions are in the
+        # grammar so the oracles run einsum-over-a-view on programs
+        # nobody wrote by hand: in the tier-1 batch (seeds 0-3) and in
+        # CI's run (25 programs from seed 7) some statement's plan must
+        # really hold an affine view, not fall back to the lattice.
+        for seeds in (range(4), range(7, 32)):
+            viewed = 0
+            for seed in seeds:
+                graph = build(generate_program(seed).render(), domain="DA")
+                viewed += any(
+                    statement.einsum is not None
+                    and any(view is not None for view in statement.einsum.views)
+                    for _, statement in Executor(graph).plan.iter_statements()
+                )
+            assert viewed >= 1, seeds
 
     def test_gen_config_bounds_statement_budget(self):
         config = GenConfig(min_statements=2, max_statements=3, max_outputs=1)

@@ -243,7 +243,8 @@ class TestCompileEinsum:
         from repro.srdfg.interpreter import _AxisSpace, compile_einsum
 
         program = parse(
-            "main(input float A[4][3], input float x[3], param float c,"
+            "main(input float A[4][3], input float x[3], input int idx[3],"
+            " param float c,"
             f" output float y[4]) {{ index {ranges}; y[i] = {value}; }}"
         )
         stmt = program.components["main"].body[-1]
@@ -266,14 +267,39 @@ class TestCompileEinsum:
             einsum.run({"A": A, "x": x}), (6.0 * (A @ x)).reshape(4, 1)
         )
 
+    @pytest.mark.parametrize("value, ranges, operands, views", [
+        # Ineligible while subscripts had to be bare zero-based names; an
+        # affine subscript now selects a strided view of its operand.
+        # A non-zero lower bound: both operands start at origin 1.
+        ("sum[j](A[i][j] * x[j])", "i[0:3], j[1:2]",
+         (("A", (4, 2)), ("x", (2,))),
+         (((0, 1), ((1, 0), (0, 1))), ((1,), ((1,),)))),
+        # Only the operand with a non-bare subscript is viewed.
+        ("sum[j](A[i][j] * x[j + 0])", "i[0:3], j[0:2]",
+         (("A", (4, 3)), ("x", (3,))),
+         (None, ((0,), ((1,),)))),
+    ])
+    def test_affine_subscripts_compile_to_views(self, value, ranges,
+                                                operands, views):
+        einsum = self._compile(value, ranges)
+        assert einsum.spec == "ab,b->a"
+        assert einsum.operands == operands
+        assert einsum.views == views
+        A, x = np.arange(12.0).reshape(4, 3), np.array([1.0, -1.0, 2.0])
+        low = views[1][0][0]
+        assert np.array_equal(
+            einsum.run({"A": A, "x": x}),
+            (A[:, low:] @ x[low:]).reshape(4, 1),
+        )
+
     @pytest.mark.parametrize("value, ranges", [
-        # a non-zero lower bound: bare subscripts would not span the array
-        ("sum[j](A[i][j] * x[j])", "i[0:3], j[1:2]"),
         # a predicate
         ("sum[j: j < 2](A[i][j] * x[j])", "i[0:3], j[0:2]"),
-        # not a product of bare-subscripted variables
+        # not a product of affinely subscripted variables
         ("sum[j](A[i][j] + x[j])", "i[0:3], j[0:2]"),
-        ("sum[j](A[i][j] * x[j + 0])", "i[0:3], j[0:2]"),
+        ("sum[j](A[i][j] * x[(j + 1) % 3])", "i[0:3], j[0:2]"),
+        ("sum[j](A[i][j] * x[idx[j]])", "i[0:3], j[0:2]"),
+        ("sum[j](A[i][j] * x[j > 0])", "i[0:3], j[0:2]"),
         ("sum[j](A[i][j] * c)", "i[0:3], j[0:2]"),
         # not a sum, not a reduction
         ("max[j](A[i][j] * x[j])", "i[0:3], j[0:2]"),
@@ -290,6 +316,104 @@ class TestCompileEinsum:
     def test_run_declines_mismatched_operands(self, values):
         einsum = self._compile("sum[j](A[i][j] * x[j])")
         assert einsum.run(values) is None
+
+
+class TestAffineView:
+    """Contractions over affine subscripts: einsum over ``_affine_view``
+    must equal lattice evaluation, interpreted and as a kernel."""
+
+    @staticmethod
+    def _tiers(source, inputs):
+        """Outputs of *source* on the lattice path, the einsum path and
+        the generated kernel, after checking the dispatch was taken."""
+        from repro.driver import CompilerSession
+        from repro.targets import default_accelerators
+
+        session = CompilerSession(default_accelerators())
+        plan = session.plan_for(
+            session.compile(source, domain="DA"), codegen=True
+        )
+        statements = [statement for _, statement in plan.iter_statements()]
+        assert all(statement.einsum is not None for statement in statements)
+        assert all(
+            any(view is not None for view in statement.einsum.views)
+            for statement in statements
+        )
+        assert plan.kernel.report["einsum"] == len(statements)
+        assert plan.kernel.report["fallback"] == 0
+        lattice = Executor(build(source), enable_einsum=False).run(inputs=inputs)
+        interpreted = plan._execute(inputs, {}, {}, {}, None)
+        kernel, _ = plan.kernel.run(inputs)
+        return lattice.outputs, interpreted.outputs, kernel
+
+    @pytest.mark.parametrize("body, shapes", [
+        # negative coefficient
+        ("index i[0:3], p[0:4]; y[i] = sum[p](M[i][4-p] * v[p]);",
+         {"M": (4, 5), "v": (5,)}),
+        # diagonal, from origin (1, 1): one index walks two dimensions
+        ("index i[0:3], p[1:4]; y[i] = sum[p](M[p][p] * N[i][p]);",
+         {"M": (5, 5), "N": (4, 5)}),
+        # an extent-1 axis has no coefficient to read off
+        ("index i[0:3], p[0:0]; y[i] = sum[p](M[i][p+2] * v[i+p]);",
+         {"M": (4, 5), "v": (5,)}),
+        # strided window
+        ("index i[0:3], p[0:2]; y[i] = sum[p](v[p+6] * v[i*2+p]);",
+         {"v": (9,)}),
+    ])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    def test_view_equals_lattice_on_both_tiers(self, body, shapes, layout):
+        rng = np.random.default_rng(5)
+        inputs = {}
+        for name, shape in shapes.items():
+            if layout == "transposed":
+                inputs[name] = rng.normal(size=shape[::-1]).T
+            elif layout == "strided":
+                inputs[name] = rng.normal(
+                    size=(2 * shape[0],) + shape[1:]
+                )[::2]
+            else:
+                inputs[name] = rng.normal(size=shape)
+        declared = ", ".join(
+            f"input float {name}" + "".join(f"[{n}]" for n in shape)
+            for name, shape in shapes.items()
+        )
+        source = f"main({declared}, output float y[4]) {{ {body} }}"
+        lattice, interpreted, kernel = self._tiers(source, inputs)
+        # The interpreter oracle's f64 tolerance (repro.fuzz.oracles).
+        assert np.allclose(interpreted["y"], lattice["y"], rtol=1e-9, atol=1e-12)
+        assert np.array_equal(kernel["y"], interpreted["y"])
+
+    def test_out_of_range_subscript_raises_the_lattice_error(self):
+        from repro.driver import CompilerSession
+        from repro.targets import default_accelerators
+
+        source = (
+            "main(input float w[3], input float a[8], output float y[8]) {"
+            " index i[0:7], k[0:2]; y[i] = sum[k](w[k] * a[i + k]); }"
+        )
+        inputs = {"w": np.ones(3), "a": np.arange(8.0)}
+        message = r"subscript 0 of 'a' out of range \[0, 9\] for extent 8"
+        for enable_einsum in (False, True):
+            with pytest.raises(ExecutionError, match=message):
+                run(source, inputs=inputs, enable_einsum=enable_einsum)
+        session = CompilerSession(default_accelerators())
+        plan = session.plan_for(
+            session.compile(source, domain="DA"), codegen=True
+        )
+        with pytest.raises(ExecutionError, match=message):
+            plan.kernel.run(inputs)
+
+    def test_view_is_read_only_and_checked(self):
+        from repro.srdfg.interpreter import _affine_view
+
+        base = np.arange(10.0)
+        view = _affine_view(base, (1,), ((2, 1),), (4, 2))
+        assert np.array_equal(view, [[1, 2], [3, 4], [5, 6], [7, 8]])
+        assert np.shares_memory(view, base) and not view.flags.writeable
+        # one step past either end, or another rank: no view
+        assert _affine_view(base, (1,), ((2, 1),), (5, 2)) is None
+        assert _affine_view(base, (3,), ((-2, 1),), (3, 1)) is None
+        assert _affine_view(base.reshape(2, 5), (1,), ((2, 1),), (4, 2)) is None
 
 
 class TestStateAndAliasing:
