@@ -45,9 +45,9 @@ def kernel_cache_key(plan_key):
     """Cache key of the kernel generated for the plan under *plan_key*.
 
     A pure derivation of the plan's own cache key (fingerprint +
-    PlanConfig + SpecializationKey bucket) and :data:`KERNEL_ABI`, so the
-    kernel entry is a *sibling* of the plan entry: whoever evicts the
-    plan can find and evict the kernel without extra bookkeeping.
+    PlanConfig) and :data:`KERNEL_ABI`, so the kernel entry is a
+    *sibling* of the plan entry: whoever evicts the plan can find and
+    evict the kernel without extra bookkeeping.
     """
     return hashlib.sha256(
         f"kernel/{KERNEL_ABI}:{plan_key}".encode()

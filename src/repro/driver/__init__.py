@@ -8,7 +8,7 @@ facade; every compile in the repository flows through
 :class:`CompilerSession`.
 """
 
-from ..srdfg.shapes import BucketPolicy, ShapeBinding, SpecializationKey
+from ..srdfg.shapes import BucketPolicy, ShapeBinding
 from .cache import ArtifactCache, CacheStats, accelerator_fingerprint, fingerprint
 from .diagnostics import Diagnostic, Diagnostics
 from .session import (
@@ -26,7 +26,6 @@ __all__ = [
     "CacheStats",
     "CompilerSession",
     "ShapeBinding",
-    "SpecializationKey",
     "Diagnostic",
     "Diagnostics",
     "FUSE_STAGE",

@@ -14,10 +14,9 @@ degrades gracefully in both directions: an artifact that will not pickle
 truncated, or unreadable on-disk entry is treated as a miss — evicted and
 reported through the session's diagnostics — never raised out of ``get``.
 
-Plans, shape-bucket specializations and generated kernels are cached the
-same way: each is one declared :class:`Tier` (counters, optional disk
-codec, siblings evicted with it) behind the one ``get`` / ``put`` /
-``evict`` of :class:`ArtifactCache`.
+Plans and generated kernels are cached the same way: each is one declared
+:class:`Tier` (counters, optional disk codec, siblings evicted with it)
+behind the one ``get`` / ``put`` / ``evict`` of :class:`ArtifactCache`.
 """
 
 from __future__ import annotations
@@ -83,10 +82,6 @@ _STAT_FIELDS = (
     "plan_hits",
     "plan_misses",
     "plan_stores",
-    "bucket_hits",
-    "bucket_misses",
-    "bucket_stores",
-    "bucket_evictions",
     "kernel_hits",
     "kernel_misses",
     "kernel_stores",
@@ -117,7 +112,7 @@ class CacheStats(Counters):
         line = f"{self.hits} hit(s) / {self.misses} miss(es), {self.stores} store(s)"
         if self.disk_hits or self.disk_errors:
             line += f"; disk: {self.disk_hits} hit(s), {self.disk_errors} error(s)"
-        for tier in (PLAN, BUCKET, KERNEL):
+        for tier in (PLAN, KERNEL):
             hits, misses, stores, evicted = (
                 getattr(self, tier.prefix + event, 0)
                 for event in ("hits", "misses", "stores", "evictions")
@@ -177,12 +172,8 @@ KERNEL = Tier(
 #: hits). Memory-only: plans hold live numpy closures. A stale plan must
 #: never leave its kernel behind — the kernel bakes its shapes in.
 PLAN = Tier("plan", "plan_", evicts=((KERNEL, kernel_cache_key),))
-#: Shape-bucket specializations, keyed by the ``(template digest, bucket
-#: digest)`` pair of a :class:`~repro.srdfg.shapes.SpecializationKey`, so
-#: sibling buckets of one template are listed and evicted independently.
-BUCKET = Tier("bucket", "bucket_")
 
-TIERS = (COMPILE, PLAN, BUCKET, KERNEL)
+TIERS = (COMPILE, PLAN, KERNEL)
 
 
 @dataclass
@@ -348,12 +339,12 @@ class ArtifactCache:
         except OSError:
             return False
 
-    def build_once(self, tier, key, builder, lease=False, wait_timeout_s=120.0):
+    def build_once(self, tier, key, builder, wait_timeout_s=120.0):
         """Run *builder* for a *key* that just missed and publish its
         value (None — a declined build — is returned unpublished).
 
-        With *lease*, for a tier with a disk form, the build is
-        coordinated with every process sharing ``cache_dir``. Returns
+        For a tier with a disk form under a ``cache_dir``, the build is
+        coordinated with every process sharing the directory. Returns
         ``(value, provenance)``: ``"built"`` (this process ran
         *builder*, holding the lease when there is one) or
         ``"coalesced"`` (another process built it while we waited on the
@@ -371,7 +362,7 @@ class ArtifactCache:
                 self.put(tier, key, value)
             return value, "built"
 
-        if not (lease and self._on_disk(tier)):
+        if not self._on_disk(tier):
             return build()
         lease = Lease(self._lease_path(key))
         deadline = time.monotonic() + wait_timeout_s
@@ -380,10 +371,12 @@ class ArtifactCache:
                 self.stats.bump(lease_acquired=1)
                 try:
                     # A sibling may have published while we raced for the
-                    # lease; re-check before paying for the build.
-                    value = self.get(tier, key)
-                    if value is not None:
-                        return value, "coalesced"
+                    # lease; re-check before paying for the build (the
+                    # miss that brought us here is already counted).
+                    if self._published(key):
+                        value = self.get(tier, key)
+                        if value is not None:
+                            return value, "coalesced"
                     return build()
                 finally:
                     lease.release()
@@ -410,29 +403,6 @@ class ArtifactCache:
                 return build()
             # "free" (holder vanished without publishing) loops back to
             # the acquire race.
-
-    # -- the bucket tier, by template ----------------------------------------
-
-    def buckets_for(self, template=None):
-        """Digests of every bucket cached for *template* (None: for all)."""
-        with self._lock:
-            return tuple(
-                bucket
-                for group, bucket in self._tables[BUCKET.name]
-                if template in (None, group)
-            )
-
-    def bucket_count(self, template=None):
-        return len(self.buckets_for(template))
-
-    def bucket_summary(self):
-        """``template digest (12 chars) -> bucket count``, for reports."""
-        with self._lock:
-            templates = sorted(group for group, _ in self._tables[BUCKET.name])
-        summary: Dict[str, int] = {}
-        for template in templates:
-            summary[template[:12]] = summary.get(template[:12], 0) + 1
-        return summary
 
     def clear(self):
         """Empty every memory table (disk entries stay)."""

@@ -42,13 +42,13 @@ from ..srdfg.plan import (
     PLAN_FIELDS,
     PlanConfig,
     SingleFlight,
+    graph_fingerprint,
     memoize_plan,
     plan_cache_key,
     plan_for_graph,
 )
 from ..targets.registry import default_accelerators
 from .cache import (
-    BUCKET,
     COMPILE,
     KERNEL,
     PLAN,
@@ -80,15 +80,13 @@ _PROVENANCES = ("built", "cache", "coalesced", "declined")
 
 #: How a lookup in each tier shows up: its span ``(name, category)`` and
 #: the stage it records, by provenance. No entry, no record — the stages
-#: of a built compile record themselves, and so does the plan lookup
-#: inside a bucket miss.
+#: of a built compile record themselves.
 _LOOKUPS = {
     COMPILE: (
         "compile", "session",
         {"cache": CACHE_HIT_STAGE, "coalesced": COALESCED_STAGE},
     ),
     PLAN: ("plan", "plan", dict.fromkeys(_PROVENANCES, "plan")),
-    BUCKET: ("plan-bucket", "plan", {"cache": "plan", "coalesced": "plan"}),
     KERNEL: ("codegen", "kernel", dict.fromkeys(_PROVENANCES, "codegen")),
 }
 
@@ -155,7 +153,6 @@ class CompilerSession:
         diagnostics=None,
         tracer=None,
         fusion=None,
-        cross_process=False,
     ):
         self.accelerators = dict(accelerators or {})
         self.run_pipeline = run_pipeline
@@ -167,13 +164,6 @@ class CompilerSession:
             fusion = FusionConfig()
         self.fusion = fusion
         self.cache = cache or ArtifactCache(cache_dir=cache_dir)
-        #: Cross-process single-flight: when True (and the cache has a
-        #: disk tier), uncached builds of every tier with a disk form
-        #: coordinate with sibling *processes* sharing the same cache
-        #: directory through lease files
-        #: (:meth:`ArtifactCache.build_once`) — the lease loser waits on
-        #: the published artifact instead of rebuilding.
-        self.cross_process = bool(cross_process)
         self.diagnostics = diagnostics or Diagnostics()
         #: Observability spine: stage spans (category ``session``), pass
         #: spans (via the pipeline), and plan spans all land here. The
@@ -244,8 +234,10 @@ class CompilerSession:
         *tier*, *build* having run at most once however many ask.
 
         Cache get; else in-process single-flight, whose leader builds —
-        under the cross-process lease iff the session is
-        ``cross_process`` and the tier has a disk form — and publishes.
+        under the cross-process lease (:meth:`ArtifactCache.build_once`)
+        iff the tier has a disk form and the cache a ``cache_dir``, so
+        every process sharing the directory builds a key once between
+        them — and publishes.
         Provenance is ``cache``, ``built``, ``coalesced`` (awaited another
         thread's or process's build) or ``declined`` (*build* returned
         None; nothing is published, and waiters get None too). One span
@@ -258,9 +250,7 @@ class CompilerSession:
             found, how = self._flights.run(
                 (tier, key),
                 lambda: self.cache.get(tier, key),
-                lambda: self.cache.build_once(
-                    tier, key, build, lease=self.cross_process
-                ),
+                lambda: self.cache.build_once(tier, key, build),
             )
             # A build answers with build_once's (value, provenance) pair;
             # how != provenance means the waiting was on another process.
@@ -560,12 +550,13 @@ class CompilerSession:
             programs=programs,
             accelerators=accelerators,
             fusion_report=fusion_report,
+            graph_fingerprint=graph_fingerprint(lowered),
         )
 
     # -- execution plans --------------------------------------------------------
 
     def plan_for(self, app, precision="f64", lattice_limit=None,
-                 enable_einsum=True, specialization=None, codegen=False):
+                 enable_einsum=True, codegen=False):
         """The shared :class:`~repro.srdfg.plan.ExecutionPlan` for *app*.
 
         Backed by the artifact cache's plan tier, keyed on the graph's
@@ -573,11 +564,6 @@ class CompilerSession:
         compile (even one that rebuilt a structurally identical graph)
         skips planning entirely. Each lookup is recorded as a ``plan``
         stage; hits carry ``cached=True``, like compile cache hits do.
-
-        *specialization* (a :class:`~repro.srdfg.shapes.SpecializationKey`)
-        additionally files the plan in the cache's shape-bucket tier, so
-        the specializations of one source template are grouped, counted
-        (``bucket_hits``/``bucket_misses``), and evictable per bucket.
 
         *codegen=True* additionally lowers the plan to a generated kernel
         (cache-first, recorded as a ``codegen`` stage) and attaches it, so
@@ -589,14 +575,12 @@ class CompilerSession:
             precision=precision,
             lattice_limit=lattice_limit,
             enable_einsum=enable_einsum,
-            specialization=specialization,
             codegen=codegen,
         )
         return plan
 
     def plan_for_traced(self, app, precision="f64", lattice_limit=None,
-                        enable_einsum=True, specialization=None,
-                        codegen=False):
+                        enable_einsum=True, codegen=False):
         """:meth:`plan_for` plus provenance: ``(plan, "built"|"cache"|"coalesced")``.
 
         Identical concurrent plan requests coalesce exactly like compiles
@@ -607,11 +591,12 @@ class CompilerSession:
             lattice_limit=lattice_limit,
             enable_einsum=enable_einsum,
         )
-        if specialization is not None:
-            return self._plan_for_specialized(
-                app, config, specialization, codegen
-            )
-        key = plan_cache_key(app.graph, config)
+        # The fingerprint a compile stamped on the app; anything else with
+        # a ``graph`` (or an artifact pickled before the stamp) is hashed.
+        key = plan_cache_key(
+            app.graph, config,
+            fingerprint=getattr(app, "graph_fingerprint", None),
+        )
         plan, provenance = self._resolve(
             PLAN,
             key,
@@ -641,46 +626,6 @@ class CompilerSession:
         with self._state_lock:
             if plan not in self.plans:
                 self.plans.append(plan)
-
-    def _plan_for_specialized(self, app, config, specialization, codegen):
-        """Shape-bucketed plan lookup: bucket tier first, then the
-        normal structural plan tier (whose provenance is then the
-        answer), filing the result under the specialization's
-        (template, bucket) pair."""
-        template = specialization.template_digest()
-        bucket = specialization.bucket_digest()
-        binding = specialization.binding.describe() or "default"
-        inner = []
-
-        def through_plan_tier():
-            plan, provenance = self.plan_for_traced(
-                app,
-                precision=config.precision,
-                lattice_limit=config.lattice_limit,
-                enable_einsum=config.enable_einsum,
-                codegen=codegen,
-            )
-            inner.append(provenance)
-            return plan
-
-        plan, provenance = self._resolve(
-            BUCKET,
-            (template, bucket),
-            through_plan_tier,
-            lambda plan: (
-                f"bucket {bucket[:12]} [{binding}], template {template[:12]}"
-            ),
-            template=template[:12],
-            bucket=bucket[:12],
-            binding=binding,
-        )
-        self._share(app.graph, plan)
-        if codegen and not inner and plan.kernel is None:
-            # A bucket-pinned plan pins its kernel with it: the kernel
-            # rides the plan object, so every session that pins this
-            # bucket gets the kernel tier for free.
-            self._ensure_kernel(plan, plan_cache_key(app.graph, config))
-        return plan, inner[0] if inner else provenance
 
     def _ensure_kernel(self, plan, plan_key):
         """Attach a generated kernel to *plan*, cache-first.
@@ -742,8 +687,7 @@ class CompilerSession:
         :meth:`stats_report`).
 
         Consumed by ``repro stats --json``, the serve report, and the
-        load generator — which previously would have had to scrape the
-        rendered text.
+        load generator.
         """
         with self._state_lock:
             plans = list(self.plans)
@@ -753,7 +697,6 @@ class CompilerSession:
             "stage_executions": self.stage_executions(),
             "stage_seconds": self.stage_totals(),
             "cache": self.cache.stats.to_dict(),
-            "plan_buckets": self.cache.bucket_summary(),
             "plans": [
                 {
                     "graph": plan.graph_name,
@@ -796,17 +739,6 @@ class CompilerSession:
         header += f", {len(records)} stage execution(s)"
         lines = [header]
         lines.append(f"cache: {self.cache.stats.render()}")
-        buckets = self.cache.bucket_summary()
-        if buckets:
-            total = sum(buckets.values())
-            lines.append(
-                f"plan buckets: {total} specialization(s) across "
-                f"{len(buckets)} template(s) — "
-                + ", ".join(
-                    f"{template}…x{count}"
-                    for template, count in buckets.items()
-                )
-            )
         lines.append("")
         lines.append(
             f"{'stage':28s} {'time':>12s}  {'executions':>10s}  graph deltas"

@@ -664,8 +664,7 @@ def generate_program(seed, config=None, sizes=None):
 
     *sizes* (``{"n": int, "m": int}``, distinct, >= 2) forces the tensor
     extents instead of drawing them — the harness uses this to run dim
-    variants of one seed through the oracles, exercising the compiler's
-    shape-bucket specialization path with several bindings of the same
-    generated template.
+    variants of one seed through the oracles: several bindings of the
+    same generated template, each its own graph and plan.
     """
     return _Generator(seed, config or GenConfig(), sizes=sizes).generate()

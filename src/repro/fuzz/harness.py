@@ -62,7 +62,7 @@ class FuzzReport:
     precisions: Tuple[str, ...]
     oracles: Tuple[str, ...]
     #: Size bindings run per seed (1 = just the drawn sizes; more add
-    #: forced-size variants that exercise the shape-bucket plan path).
+    #: forced-size variants, each binding its own graph and plan).
     dim_variants: int = 1
     checks: int = 0
     failures: int = 0
@@ -218,8 +218,8 @@ def run_fuzz(
     programs, which is exactly what lets tests inject a sabotaged
     pipeline and watch the harness catch it. *progress*, when given, is
     called with a one-line status string per program. *dim_variants* > 1
-    re-runs each seed at forced tensor sizes so the oracles cover the
-    shape-bucket plan-specialization path (each variant is its own
+    re-runs each seed at forced tensor sizes, so the oracles cover
+    several bindings of one generated template (each variant is its own
     matrix row, tagged with its sizes).
     """
     context = context or OracleContext()

@@ -218,25 +218,12 @@ def check_interpreter(program, precision, context, reference, graph):
 def check_plan(program, precision, context, reference, app):
     """Rule-optimized, lowered ExecutionPlan execution vs the reference.
 
-    The plan lookup routes through the artifact cache's shape-bucket
-    tier: every dim variant of one generated seed files its plan under a
-    shared template digest with its own ``{n, m}`` binding, so each fuzz
-    run also exercises the specialization path end to end. The config
-    key carries a digest of the rendered source because minimized clones
-    share the seed *and* the sizes while compiling to a different graph
-    — without it they would collide onto the full program's stale plan.
+    The plan comes from the session's content-addressed plan tier, so
+    every dim variant of one generated seed — and every minimized clone,
+    which shares the seed *and* the sizes while compiling to a different
+    graph — gets the plan of its own graph.
     """
-    from ..driver.cache import fingerprint
-    from ..srdfg.shapes import ShapeBinding, SpecializationKey
-
-    spec = SpecializationKey(
-        template=fingerprint("fuzz-template", program.seed),
-        binding=ShapeBinding(program.sizes),
-        config_key=(precision, fingerprint("fuzz-source", program.render())),
-    )
-    plan = context.rules.plan_for(
-        app, precision=precision, specialization=spec
-    )
+    plan = context.rules.plan_for(app, precision=precision)
     ok, detail, err = _compare(
         reference, _plan_steps(program, plan), precision
     )
@@ -246,8 +233,8 @@ def check_plan(program, precision, context, reference, app):
 def check_codegen(program, precision, context, reference, app):
     """Generated-kernel execution vs the reference.
 
-    Lowers the same shape-bucketed plan the plan oracle runs (shared
-    through the artifact cache) into a generated kernel and replays the
+    Lowers the same plan the plan oracle runs (shared through the
+    artifact cache) into a generated kernel and replays the
     stateful trajectory through ``KernelArtifact.run`` directly — the
     kernel is deliberately *not* attached to the shared plan, so the
     plan oracle keeps exercising the interpreted tier. Bit-identical at
@@ -257,18 +244,9 @@ def check_codegen(program, precision, context, reference, app):
     failure on a program the reference executes cleanly is a finding.
     """
     from ..codegen import build_kernel
-    from ..driver.cache import fingerprint
     from ..srdfg.interpreter import ExecutionResult
-    from ..srdfg.shapes import ShapeBinding, SpecializationKey
 
-    spec = SpecializationKey(
-        template=fingerprint("fuzz-template", program.seed),
-        binding=ShapeBinding(program.sizes),
-        config_key=(precision, fingerprint("fuzz-source", program.render())),
-    )
-    plan = context.rules.plan_for(
-        app, precision=precision, specialization=spec
-    )
+    plan = context.rules.plan_for(app, precision=precision)
     kernel = build_kernel(
         plan,
         plan_key=f"fuzz:{program.seed}:{precision}",

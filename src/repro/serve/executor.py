@@ -12,12 +12,12 @@ N times and answers with one picklable
 trajectory: a one-shot request steps a fresh one seeded from
 ``initial_state``/``step_offset``; a session step hands in the session's
 retained one (a warm step reports provenance ``"session"``, a warm
-one-shot ``"cache"``); a process-pool child makes the same call around a
-``cross_process=True`` CompilerSession warmed from the shared disk tier
-and sends the Outcome home as-is — thread and process mode are
-bit-identical by construction. A fault-injecting request differs only in
-the ``invoke`` its trajectory steps: the HostManager's recovering run
-instead of ``plan.execute``.
+one-shot ``"cache"``); a process-pool child makes the same call around
+its own CompilerSession warmed from the shared disk tier and sends the
+Outcome home as-is — thread and process mode are bit-identical by
+construction. A fault-injecting request differs only in the ``invoke``
+its trajectory steps: the HostManager's recovering run instead of
+``plan.execute``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import threading
 import time
 
 from ..codegen import CODEGEN_STATS
-from ..driver import BucketPolicy, SpecializationKey
+from ..driver import BucketPolicy
 from ..errors import CancelledError, DeadlineExceededError
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..rewrite.engine import REWRITE_STATS
@@ -42,27 +42,24 @@ class Config:
     precision — and everything its requests share.
 
     :meth:`LocalExecutor.resolve` creates it unbound (``workload`` and
-    ``specialization`` only, enough for admission to validate against);
+    ``binding`` only, enough for admission to validate against);
     the first request to reach the body binds ``app``, ``plan`` and the
     plan's provenance, and every later request just reads them.
     """
 
     __slots__ = (
-        "key", "workload", "specialization", "precision",
+        "key", "workload", "binding", "precision",
         "app", "plan", "plan_provenance",
     )
 
     def __init__(self, key, workload, binding):
         self.key = key
-        name, _, self.precision = key
+        self.precision = key[2]
         self.workload = workload
-        #: Files the plan in the cache's shape-bucket tier; None for a
-        #: workload that declares no symbolic dims.
-        self.specialization = None
-        if workload.symbolic_dims:
-            self.specialization = SpecializationKey(
-                template=name, binding=binding, config_key=(self.precision,)
-            )
+        #: The bucketed :class:`~repro.srdfg.shapes.ShapeBinding` the
+        #: workload is instantiated at; empty for a workload that
+        #: declares no symbolic dims.
+        self.binding = binding
         self.app = self.plan = self.plan_provenance = None
 
 
@@ -242,8 +239,7 @@ class LocalExecutor:
         # Serving has one execution tier, the generated kernel; a plan
         # the emitter declines stays interpreted.
         plan, outcome.plan_provenance = self.session.plan_for_traced(
-            app, precision=config.precision,
-            specialization=config.specialization, codegen=True,
+            app, precision=config.precision, codegen=True
         )
         outcome.plan_seconds = time.perf_counter() - start
         if outcome.plan_provenance == "built":

@@ -1,12 +1,11 @@
 """Worker pool draining the scheduler.
 
-Thread-backed today: execution plans, the artifact cache, and the
-compiler session are all shared in-process, and the workloads' heavy
-lifting (numpy kernels) releases the GIL. The
-pool's surface is deliberately narrow — a handler callable, ``start``,
-``join`` — so a process-backed pool (serialized requests, per-process
-sessions warmed from the disk cache tier) can slot in behind the same
-:class:`~repro.serve.server.Server` later.
+Thread-backed: execution plans, the artifact cache, and the compiler
+session are all shared in-process, and the workloads' heavy lifting
+(numpy kernels) releases the GIL. The pool's surface is deliberately
+narrow — a handler callable, ``start``, ``join`` — and process mode
+(:mod:`~repro.serve.procpool`) sits behind it: each worker thread
+proxies the request body to its own worker process.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ The thread :class:`~repro.serve.pool.WorkerPool` stays exactly where it
 was — draining the priority scheduler, running the server's admission,
 deadline, and classification logic — but in process mode each worker
 thread proxies the request body to a dedicated worker *process* over a
-pipe. Each child owns a fresh
-:class:`~repro.driver.CompilerSession` with ``cross_process=True``,
+pipe. Each child owns a fresh :class:`~repro.driver.CompilerSession`
 warmed from the shared disk cache tier: the first child to compile a
 config publishes the artifact (holding the lease file), siblings wait on
 the artifact instead of recompiling, and plans — memory-only by design —
@@ -44,9 +43,7 @@ def child_main(conn, config):
     # A forked child inherits the parent's process-wide counts; what it
     # ships home must be its own work only.
     DEFAULT_REGISTRY.reset()
-    session = CompilerSession(
-        cache_dir=config.get("cache_dir"), cross_process=True
-    )
+    session = CompilerSession(cache_dir=config.get("cache_dir"))
     executor = LocalExecutor(
         session, bucket_policy=config.get("bucket_policy", "exact")
     )

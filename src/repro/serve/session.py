@@ -93,8 +93,7 @@ class Session:
 
     def dims(self) -> Dict[str, int]:
         """The (bucketed) binding this session is specialized at."""
-        spec = self.config.specialization
-        return spec.binding.as_dict() if spec is not None else {}
+        return self.config.binding.as_dict()
 
     def submit_step(self, inputs=None, deadline_s="default"):
         """Submit the next step; returns its Ticket (non-blocking).
@@ -169,13 +168,13 @@ class Session:
     # -- reporting -----------------------------------------------------------
 
     def summary(self):
-        spec = self.config.specialization
+        binding = self.config.binding
         return {
             "session_id": self.session_id,
             "workload": self.name,
             "precision": self.config.precision,
             "dims": self.dims(),
-            "bucket": spec.bucket_digest()[:12] if spec else None,
+            "bucket": binding.fingerprint()[:12] if binding else None,
             "steps": self.steps_done,
             "plan_provenance": self.config.plan_provenance,
             "closed": self.closed,

@@ -20,12 +20,11 @@ from .plan import (
     plan_cache_key,
     plan_for_graph,
 )
-from .shapes import BucketPolicy, ShapeBinding, SpecializationKey
+from .shapes import BucketPolicy, ShapeBinding
 
 __all__ = [
     "BucketPolicy",
     "ShapeBinding",
-    "SpecializationKey",
     "COMPONENT",
     "COMPUTE",
     "CONST",

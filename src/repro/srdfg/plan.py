@@ -38,9 +38,8 @@ statement plan is built exactly once while being executed N times.
 plans never extend a graph's lifetime); cross-instance reuse is the
 driver's plan tier, keyed on :func:`plan_cache_key`. Both build through
 :class:`SingleFlight`, the stack's one in-process single-flight.
-:class:`~repro.srdfg.interpreter.Executor` is now a thin facade
-that plans lazily through this function, which is why every existing
-``Executor(graph).run(...)`` call site kept working without a flag day.
+:class:`~repro.srdfg.interpreter.Executor` is a thin facade that plans
+lazily through this function.
 """
 
 from __future__ import annotations
@@ -1010,11 +1009,15 @@ def graph_fingerprint(graph):
     return digest.hexdigest()
 
 
-def plan_cache_key(graph, config=None):
-    """Registry key for one (graph structure, plan configuration) pair."""
+def plan_cache_key(graph, config=None, fingerprint=None):
+    """Registry key for one (graph structure, plan configuration) pair.
+
+    *fingerprint* is *graph*'s :func:`graph_fingerprint` when the caller
+    already holds it (a compiled application carries its own).
+    """
     config = config or PlanConfig()
     digest = hashlib.sha256()
-    digest.update(graph_fingerprint(graph).encode("utf-8"))
+    digest.update((fingerprint or graph_fingerprint(graph)).encode("utf-8"))
     digest.update(repr(config.key()).encode("utf-8"))
     return digest.hexdigest()
 

@@ -1,20 +1,15 @@
-"""Shape bindings and bucketed plan specialization.
+"""Shape bindings and their bucketing.
 
-The stack historically compiled every PMLang application for one static
-shape binding: the workload baked its dims into the source text, the
-srDFG carried concrete extents, and the plan tier keyed on the resulting
-fingerprint. This module names the pieces that were implicit in that
-story so they can vary per request:
+A workload bakes its dims into the source text, so the srDFG carries
+concrete extents and the plan tier's structural key already tells two
+bindings of one program apart. This module names the two pieces a
+request needs to vary them:
 
 * :class:`ShapeBinding` — an immutable ``dim name -> extent`` mapping, the
   thing a client supplies when it wants a workload at non-default dims.
 * :class:`BucketPolicy` — the rounding rule that maps a requested binding
   onto the (possibly coarser) binding actually compiled, bounding how
   many specializations a template can accumulate.
-* :class:`SpecializationKey` — the pair (template identity, bucketed
-  binding + plan config) under which a specialized
-  :class:`~repro.srdfg.plan.ExecutionPlan` is cached in the
-  ArtifactCache bucket tier.
 
 Buckets are *exact-dimension* specializations: the policy rounds the
 requested dims up and the workload is re-instantiated at the bucketed
@@ -30,7 +25,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..errors import ShapeError
 
-__all__ = ["BucketPolicy", "ShapeBinding", "SpecializationKey"]
+__all__ = ["BucketPolicy", "ShapeBinding"]
 
 
 def _fingerprint(*parts):
@@ -228,70 +223,3 @@ class BucketPolicy:
 
     def __repr__(self) -> str:
         return f"BucketPolicy({self.describe()!r})"
-
-
-class SpecializationKey:
-    """Identity of one shape-bucketed plan specialization.
-
-    ``template`` groups every bucket compiled from the same source
-    template (e.g. the MobileRobot MPC program, whatever its dims);
-    ``binding`` is the *bucketed* :class:`ShapeBinding`; ``config_key``
-    is the plan configuration (precision etc.). The ArtifactCache bucket
-    tier stores plans as ``template -> bucket_digest -> plan`` so
-    sibling buckets of one template can be enumerated and evicted
-    independently.
-    """
-
-    __slots__ = ("template", "binding", "config_key")
-
-    def __init__(
-        self,
-        template: str,
-        binding: ShapeBinding,
-        config_key: Tuple = (),
-    ):
-        if not isinstance(binding, ShapeBinding):
-            raise ShapeError(
-                "SpecializationKey needs a ShapeBinding, "
-                f"got {type(binding).__name__}"
-            )
-        object.__setattr__(self, "template", str(template))
-        object.__setattr__(self, "binding", binding)
-        object.__setattr__(self, "config_key", tuple(config_key))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability
-        raise AttributeError("SpecializationKey is immutable")
-
-    def template_digest(self) -> str:
-        return _fingerprint("spec-template", self.template)
-
-    def bucket_digest(self) -> str:
-        return _fingerprint(
-            "spec-bucket", self.binding.key(), self.config_key
-        )
-
-    def digest(self) -> str:
-        return _fingerprint(
-            "specialization", self.template_digest(), self.bucket_digest()
-        )
-
-    def describe(self) -> str:
-        dims = self.binding.describe() or "default"
-        return f"{self.template} [{dims}]"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpecializationKey)
-            and self.template == other.template
-            and self.binding == other.binding
-            and self.config_key == other.config_key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.template, self.binding, self.config_key))
-
-    def __repr__(self) -> str:
-        return (
-            f"SpecializationKey(template={self.template!r}, "
-            f"binding={self.binding!r}, config_key={self.config_key!r})"
-        )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..errors import TargetError
 from ..hw.cost import PerfStats
@@ -142,6 +142,10 @@ class CompiledApplication:
     #: :class:`~repro.rewrite.fusion.FusionReport` when the session's
     #: ``fuse`` stage ran, else None.
     fusion_report: object = None
+    #: :func:`~repro.srdfg.plan.graph_fingerprint` of ``graph``, stamped
+    #: at compile time so plan lookups do not rehash the graph; None (an
+    #: artifact pickled before the field existed) falls back to hashing.
+    graph_fingerprint: Optional[str] = None
 
     def with_hints(self, data_hints):
         """This application with *data_hints* bound onto accelerator copies.

@@ -382,6 +382,40 @@ class TestFingerprintAndCacheTier:
         assert [r.cached for r in plan_records] == [False, True]
         assert "plan" in session.stats_report()
 
+    def test_warm_plan_for_does_not_rehash_the_graph(self, monkeypatch, tmp_path):
+        import pickle
+
+        from repro.srdfg import plan as plan_module
+        from repro.targets import default_accelerators
+
+        session = CompilerSession(
+            default_accelerators(), cache_dir=str(tmp_path)
+        )
+        app = session.compile(MATVEC, domain="DA")
+        # The compile hashed the lowered graph once and stamped the app.
+        assert app.graph_fingerprint == graph_fingerprint(app.graph)
+        plan = session.plan_for(app)
+
+        def rehash(graph):
+            raise AssertionError("a stamped app's plan lookup rehashed")
+
+        monkeypatch.setattr(plan_module, "graph_fingerprint", rehash)
+        assert session.plan_for(app) is plan
+        # The stamp rides the disk form, so a sibling process's first
+        # lookup is as cheap.
+        (entry,) = tmp_path.glob("*.pkl")
+        assert pickle.loads(entry.read_bytes()).graph_fingerprint == (
+            app.graph_fingerprint
+        )
+        monkeypatch.undo()
+
+        # An artifact pickled before the field existed has no stamp in
+        # its __dict__: it loads, reads None, and falls back to hashing
+        # onto the same key.
+        del app.__dict__["graph_fingerprint"]
+        assert app.graph_fingerprint is None
+        assert session.plan_for(app) is plan
+
 
 class TestPrecisionThreading:
     def test_host_fallback_honours_precision(self):

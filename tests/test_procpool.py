@@ -29,6 +29,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
@@ -70,7 +71,7 @@ def _race_build_once(cache_dir, key, barrier, marker_dir, queue):
 
     barrier.wait(timeout=30)
     assert cache.get(COMPILE, key) is None
-    artifact, provenance = cache.build_once(COMPILE, key, builder, lease=True)
+    artifact, provenance = cache.build_once(COMPILE, key, builder)
     queue.put(
         (
             os.getpid(),
@@ -114,6 +115,61 @@ def test_two_processes_racing_same_key_build_exactly_once(tmp_path):
     assert not (cache_dir / "k-race.lease").exists()
 
 
+def test_sessions_sharing_a_cache_dir_build_one_key_once(tmp_path, monkeypatch):
+    """No flag asks for the lease: two sessions (two caches) over one
+    ``cache_dir`` — the shape of ``--pool process``'s parent session and
+    its children — coordinate a cold compile, the second arriving while
+    the first is inside its build."""
+    from repro.driver import STAGES, CompilerSession
+    from repro.targets import default_accelerators
+
+    source = (
+        "main(input float A[6][5], input float x[5], output float y[6]) {"
+        " index i[0:4], j[0:5]; y[j] = sum[i](A[j][i] * x[i]); }"
+    )
+    first, second = (
+        CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        for _ in range(2)
+    )
+    assert first.cache is not second.cache
+    inside, waiting = threading.Event(), threading.Event()
+
+    # The first session's build parks after its parse stage, lease held,
+    # until the second is polling that lease.
+    def park(record):
+        if record.stage == "parse":
+            inside.set()
+            assert waiting.wait(timeout=30)
+
+    first.add_stage_hook(park)
+    lease_wait = Lease.wait
+
+    def wait(self, *args, **kwargs):
+        waiting.set()
+        return lease_wait(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lease, "wait", wait)
+
+    provenances = {}
+
+    def compile_on(name, session):
+        provenances[name] = session.compile_traced(source, domain="DA")[1]
+
+    leader = threading.Thread(target=compile_on, args=("first", first))
+    leader.start()
+    assert inside.wait(timeout=30)
+    compile_on("second", second)
+    leader.join(timeout=30)
+    assert not leader.is_alive()
+
+    assert provenances == {"first": "built", "second": "coalesced"}
+    assert [first.stage_executions(stage) for stage in STAGES] == [1] * 6
+    assert [second.stage_executions(stage) for stage in STAGES] == [0] * 6
+    assert first.cache.stats.lease_acquired == 1
+    assert second.cache.stats.lease_waited == 1
+    assert not list(tmp_path.glob("*.lease"))
+
+
 def test_dead_holders_stale_lease_is_reclaimed(tmp_path):
     cache = ArtifactCache(cache_dir=str(tmp_path))
     # A child that exits immediately gives us a guaranteed-dead pid.
@@ -125,7 +181,7 @@ def test_dead_holders_stale_lease_is_reclaimed(tmp_path):
 
     started = time.monotonic()
     artifact, provenance = cache.build_once(
-        COMPILE, "k-stale", lambda: {"v": 1}, lease=True, wait_timeout_s=30.0
+        COMPILE, "k-stale", lambda: {"v": 1}, wait_timeout_s=30.0
     )
     elapsed = time.monotonic() - started
 
@@ -158,8 +214,7 @@ def test_killed_leaseholder_does_not_deadlock_waiters(tmp_path):
     cache = ArtifactCache(cache_dir=str(cache_dir))
     started = time.monotonic()
     artifact, provenance = cache.build_once(
-        COMPILE, "k-kill", lambda: {"v": "rebuilt"},
-        lease=True, wait_timeout_s=60.0,
+        COMPILE, "k-kill", lambda: {"v": "rebuilt"}, wait_timeout_s=60.0
     )
     elapsed = time.monotonic() - started
 

@@ -314,10 +314,19 @@ def test_session_at_rounded_dims_matches_one_shot_at_raw_dims():
             _chain_signatures(server, "FFT-8192", steps, dims={"n": 1000})
             == signatures
         )
-        stats = server.session.cache.stats
-        assert server.executor.resolve("FFT-8192", {"n": 1000}) is session.config
-    assert stats.bucket_stores == 1
-    assert stats.bucket_hits == 0
+        # Raw dims 1000 and 1024 are one Config, and the one bucketed
+        # binding cost one plan (it used to read bucket_stores == 1, a
+        # count of entries in a tier that is gone: the plan tier's own
+        # counters say the same thing).
+        for raw in (1000, 1024):
+            assert (
+                server.executor.resolve("FFT-8192", {"n": raw})
+                is session.config
+            )
+        snapshot = server.session.metrics.snapshot()
+    assert snapshot["plan.graphs_planned"] == 1
+    assert snapshot["cache.plan_stores"] == 1
+    assert snapshot["cache.plan_hits"] == 0
 
 
 def test_structural_violation_survives_exact_policy():

@@ -1,19 +1,23 @@
-"""Suite for the ArtifactCache shape-bucket tier and specialized planning.
+"""Suite for shape-bucketed planning on the content-addressed plan tier.
 
-The contracts under test:
+There is no bucket tier: a workload re-instantiated at bucketed dims
+compiles to a graph with those extents, and the plan tier keys on the
+graph. The tests that put, counted and evicted ``BUCKET`` entries went
+with that tier (evicting a bucket freed nothing — the plan tier still
+held the plan); what a bucket *means* is restated here on the counters
+that are left:
 
-* the bucket tier keys plans as ``template digest -> bucket digest``:
-  distinct bindings (or plan configs) of one template never collide,
-  and distinct templates never share a group,
-* evicting one bucket leaves sibling buckets of the same template
-  untouched, and emptying a template removes it from the summary,
-* every bucket operation is counted (``bucket_hits`` / ``bucket_misses``
-  / ``bucket_stores`` / ``bucket_evictions``) and surfaced by
-  ``CacheStats.render``,
-* ``CompilerSession.plan_for(..., specialization=)`` builds one plan
-  per bucket — a repeat lookup is a bucket hit that skips planning
-  entirely (``plan`` group counter-asserted, not timing-based) — and plans
-  for different dims of one workload are genuinely different programs.
+* one plan is built per bucketed binding (``plan.graphs_planned``), and
+  a recompiled, structurally identical app is a ``PLAN`` hit returning
+  the same object (``cache.plan_hits``),
+* plans for different dims of one workload are genuinely different
+  programs,
+* two different programs presented under one workload name and binding
+  get two plans — the collision a name-keyed tier invited,
+* the server's ``Config`` table is the one by-name table in front of the
+  plan tier: raw dims that round to one binding share one ``Config``,
+  and a request whose dims equal the workload's defaults is a second
+  ``Config`` on the default config's plan.
 """
 
 from __future__ import annotations
@@ -21,87 +25,9 @@ from __future__ import annotations
 import pytest
 
 from repro.driver import CompilerSession
-from repro.driver.cache import BUCKET, ArtifactCache
-from repro.srdfg.shapes import ShapeBinding, SpecializationKey
+from repro.srdfg.shapes import ShapeBinding
 from repro.targets import default_accelerators
 from repro.workloads import get_workload
-
-
-# ---------------------------------------------------------------------------
-# Bucket tier: keying, eviction, counters.
-# ---------------------------------------------------------------------------
-
-
-def _spec(template, **dims):
-    return SpecializationKey(template, ShapeBinding(dims), ("f64",))
-
-
-def test_bucket_tier_keys_do_not_collide():
-    cache = ArtifactCache()
-    keys = [
-        _spec("FFT", n=1024),
-        _spec("FFT", n=2048),
-        SpecializationKey("FFT", ShapeBinding(n=1024), ("f32",)),
-        _spec("DCT", n=1024),
-    ]
-    for index, key in enumerate(keys):
-        cache.put(BUCKET, (key.template_digest(), key.bucket_digest()), index)
-
-    # Every (template, binding, config) triple reads back its own plan.
-    for index, key in enumerate(keys):
-        assert cache.get(
-            BUCKET, (key.template_digest(), key.bucket_digest())
-        ) == index
-
-    # Two templates, three buckets under FFT and one under DCT.
-    assert cache.bucket_count() == 4
-    assert cache.bucket_count(keys[0].template_digest()) == 3
-    assert cache.bucket_count(keys[3].template_digest()) == 1
-    assert sorted(cache.bucket_summary().values()) == [1, 3]
-
-
-def test_bucket_eviction_is_sibling_safe():
-    cache = ArtifactCache()
-    small, large = _spec("FFT", n=1024), _spec("FFT", n=2048)
-    template = small.template_digest()
-    cache.put(BUCKET, (template, small.bucket_digest()), "small-plan")
-    cache.put(BUCKET, (template, large.bucket_digest()), "large-plan")
-
-    assert cache.evict(BUCKET, (template, small.bucket_digest()))
-    # The sibling bucket survives the eviction.
-    assert cache.get(BUCKET, (template, large.bucket_digest())) == "large-plan"
-    assert cache.get(BUCKET, (template, small.bucket_digest())) is None
-    assert cache.buckets_for(template) == (large.bucket_digest(),)
-
-    # Re-evicting is a no-op; emptying the template removes its group.
-    assert not cache.evict(BUCKET, (template, small.bucket_digest()))
-    assert cache.evict(BUCKET, (template, large.bucket_digest()))
-    assert cache.bucket_summary() == {}
-    assert cache.stats.bucket_evictions == 2
-
-
-def test_bucket_counters_and_render():
-    cache = ArtifactCache()
-    key = _spec("FFT", n=1024)
-    template, bucket = key.template_digest(), key.bucket_digest()
-
-    assert cache.get(BUCKET, (template, bucket)) is None
-    cache.put(BUCKET, (template, bucket), "plan")
-    assert cache.get(BUCKET, (template, bucket)) == "plan"
-
-    stats = cache.stats
-    assert stats.bucket_misses == 1
-    assert stats.bucket_hits == 1
-    assert stats.bucket_stores == 1
-    assert "buckets: 1 hit(s) / 1 miss(es), 1 store(s)" in stats.render()
-
-    cache.clear()
-    assert cache.bucket_count() == 0
-
-
-# ---------------------------------------------------------------------------
-# Specialized planning through a CompilerSession.
-# ---------------------------------------------------------------------------
 
 
 @pytest.fixture()
@@ -117,61 +43,40 @@ def _compile(session, workload):
     )
 
 
+def _planned(session):
+    return session.metrics.snapshot()["plan.graphs_planned"]
+
+
 def test_one_plan_per_bucket_counter_asserted(session):
     fft = get_workload("FFT-8192")
     small = fft.with_dims(n=1024)
     large = fft.with_dims(n=2048)
 
-    def planned():
-        return session.metrics.snapshot()["plan.graphs_planned"]
+    plan_small = session.plan_for(_compile(session, small))
+    assert _planned(session) == 1
+    assert session.cache.stats.plan_hits == 0
 
-    spec_small = SpecializationKey(
-        "FFT-8192", small.shape_binding(), ("f64",)
-    )
-    plan_small = session.plan_for(
-        _compile(session, small), specialization=spec_small
-    )
-    assert planned() == 1
+    # The same binding again: a PLAN hit, no new plan built — even for a
+    # freshly rebuilt (structurally identical) app from another session.
+    rebuilt = _compile(CompilerSession(default_accelerators()), small)
+    assert rebuilt.graph is not _compile(session, small).graph
+    for app in (_compile(session, small), rebuilt):
+        assert session.plan_for(app) is plan_small
+    assert _planned(session) == 1
+    assert session.cache.stats.plan_hits == 2
 
-    # Identical specialization: bucket hit, no new plan built — even for
-    # a freshly recompiled (structurally identical) app.
-    again = session.plan_for(
-        _compile(session, small), specialization=spec_small
-    )
-    assert again is plan_small
-    assert planned() == 1
-
-    # A different binding of the same template is its own bucket.
-    spec_large = SpecializationKey(
-        "FFT-8192", large.shape_binding(), ("f64",)
-    )
-    plan_large = session.plan_for(
-        _compile(session, large), specialization=spec_large
-    )
+    # A different binding of the same template is its own plan.
+    plan_large = session.plan_for(_compile(session, large))
     assert plan_large is not plan_small
-    assert planned() == 2
-
-    cache = session.cache
-    template = spec_small.template_digest()
-    assert cache.bucket_count(template) == 2
-    assert set(cache.buckets_for(template)) == {
-        spec_small.bucket_digest(),
-        spec_large.bucket_digest(),
-    }
-    assert cache.stats.bucket_stores == 2
-    assert cache.stats.bucket_hits == 1
+    assert _planned(session) == 2
+    assert session.cache.stats.plan_stores == 2
 
 
 def test_specialized_plans_execute_at_their_dims(session):
     fft = get_workload("FFT-8192")
     for size in (1024, 2048):
         workload = fft.with_dims(n=size)
-        spec = SpecializationKey(
-            "FFT-8192", workload.shape_binding(), ("f64",)
-        )
-        plan = session.plan_for(
-            _compile(session, workload), specialization=spec
-        )
+        plan = session.plan_for(_compile(session, workload))
         result = plan.execute(
             workload.inputs(0, None),
             params=workload.params(),
@@ -182,21 +87,30 @@ def test_specialized_plans_execute_at_their_dims(session):
         assert lengths == {size}
 
 
-def test_bucket_eviction_forces_rebuild(session):
-    fft = get_workload("FFT-8192").with_dims(n=1024)
-    spec = SpecializationKey("FFT-8192", fft.shape_binding(), ("f64",))
-    app = _compile(session, fft)
-    session.plan_for(app, specialization=spec)
+def test_one_name_and_binding_two_programs_two_plans(session):
+    # The hazard a (name, binding)-keyed tier carried: the fuzz oracles
+    # present minimized clones under the seed and sizes of the program
+    # they were cut from, and had to salt their key with a source digest
+    # to keep them off its plan. The graph is the key, so the second
+    # program cannot be answered with the first one's plan.
+    full = """
+    main(input float x[8], output float y[8]) {
+        index i[0:7];
+        y[i] = x[i] * 2.0 + 1.0;
+    }
+    """
+    clone = full.replace(" + 1.0", "")
+    plans = [
+        session.plan_for(session.compile(source, domain="DA"))
+        for source in (full, clone)
+    ]
+    assert plans[0] is not plans[1]
+    assert _planned(session) == 2
+    assert session.cache.stats.plan_hits == 0
 
-    assert session.cache.evict(
-        BUCKET, (spec.template_digest(), spec.bucket_digest())
-    )
-    baseline = session.metrics.snapshot()["plan.graphs_planned"]
-    session.plan_for(_compile(session, fft), specialization=spec)
-    # The structural plan tier may still satisfy the rebuild without
-    # re-planning, but the bucket must be re-filed either way.
-    assert session.cache.bucket_count(spec.template_digest()) == 1
-    assert session.metrics.snapshot()["plan.graphs_planned"] - baseline <= 1
+    x = {"x": [1.0] * 8}
+    assert plans[0].execute(x).outputs["y"][0] == 3.0
+    assert plans[1].execute(x).outputs["y"][0] == 2.0
 
 
 def test_server_bucket_policy_rounds_requests():
@@ -204,9 +118,38 @@ def test_server_bucket_policy_rounds_requests():
 
     with Server(workers=1, bucket_policy="pow2") as server:
         config = server.executor.resolve("FFT-8192", dims={"n": 1000})
+        # Raw dims 1000 and 1024 round to one binding: one Config.
+        assert server.executor.resolve("FFT-8192", dims={"n": 1024}) is config
     assert config.workload.dims() == {"n": 1024}
-    assert config.specialization.binding == ShapeBinding(n=1024)
+    assert config.binding == ShapeBinding(n=1024)
 
     with Server(workers=1, bucket_policy="multiple:512") as server:
         config = server.executor.resolve("DCT-1024", dims={"size": 1000})
-    assert config.specialization.binding == ShapeBinding(size=1024)
+    assert config.binding == ShapeBinding(size=1024)
+
+
+def test_default_dims_request_shares_the_default_configs_plan():
+    from repro.serve import Request, Server
+
+    with Server(workers=1) as server:
+        executor = server.executor
+        default = executor.serve(Request(workload="FFT-8192"))
+        assert default.error is None, default.error
+        built = _planned(server.session)
+
+        explicit = executor.serve(
+            Request(workload="FFT-8192", dims={"n": 8192})
+        )
+        assert explicit.error is None, explicit.error
+        # Two by-name configs, one compiled app, one plan: the second
+        # config's first request is a COMPILE hit and a PLAN hit.
+        assert (explicit.compile_provenance, explicit.plan_provenance) == (
+            "cache", "cache"
+        )
+        assert _planned(server.session) == built
+        base = executor.resolve("FFT-8192")
+        other = executor.resolve("FFT-8192", dims={"n": 8192})
+        assert other is not base
+        assert other.plan is base.plan
+        assert len(executor.configs()) == 2
+        assert explicit.signature == default.signature

@@ -1,4 +1,4 @@
-"""Unit suite for shape bindings, bucket policies, and specialization keys.
+"""Unit suite for shape bindings and bucket policies.
 
 The contracts under test:
 
@@ -8,9 +8,6 @@ The contracts under test:
 * :class:`BucketPolicy` only ever rounds *up* (a bucketed program can
   serve any request whose dims fit inside it) and parses round-trip
   from its spec string,
-* :class:`SpecializationKey` digests separate template identity from
-  bucket identity: two bindings of one template share a template digest
-  but never a bucket digest,
 * workload ``with_dims`` re-instantiates at the new extents (the MPC
   matrices and FFT signal follow the dims) and ``validate_dims`` /
   ``validate_dim_names`` split raw-name checks from structural
@@ -22,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ShapeError
-from repro.srdfg.shapes import BucketPolicy, ShapeBinding, SpecializationKey
+from repro.srdfg.shapes import BucketPolicy, ShapeBinding
 from repro.workloads import get_workload
 
 
@@ -111,37 +108,6 @@ def test_policy_buckets_bindings():
     assert BucketPolicy.parse("multiple:6").bucket(binding) == ShapeBinding(
         n=1002, m=6
     )
-
-
-# ---------------------------------------------------------------------------
-# SpecializationKey
-# ---------------------------------------------------------------------------
-
-
-def test_specialization_digests_split_template_from_bucket():
-    small = SpecializationKey("FFT", ShapeBinding(n=1024), ("f64",))
-    large = SpecializationKey("FFT", ShapeBinding(n=2048), ("f64",))
-    other = SpecializationKey("DCT", ShapeBinding(n=1024), ("f64",))
-    f32 = SpecializationKey("FFT", ShapeBinding(n=1024), ("f32",))
-
-    # Same template, different buckets.
-    assert small.template_digest() == large.template_digest()
-    assert small.bucket_digest() != large.bucket_digest()
-    # Different template, same binding.
-    assert small.template_digest() != other.template_digest()
-    # Same binding, different plan config -> different bucket.
-    assert small.bucket_digest() != f32.bucket_digest()
-
-    digests = {key.digest() for key in (small, large, other, f32)}
-    assert len(digests) == 4
-    assert small == SpecializationKey("FFT", ShapeBinding(n=1024), ("f64",))
-    assert small != large and hash(small) != hash(large)
-    assert small.describe() == "FFT [n=1024]"
-
-
-def test_specialization_requires_a_binding():
-    with pytest.raises(ShapeError):
-        SpecializationKey("FFT", {"n": 1024})
 
 
 # ---------------------------------------------------------------------------
