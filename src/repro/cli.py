@@ -15,6 +15,7 @@ Usage (``python -m repro <command>``)::
     python -m repro serve --requests 32 --workers 4       # concurrent service
     python -m repro fuzz --programs 50 --seed 7           # differential fuzzing
     python -m repro codegen --compare --json -             # kernel codegen tier
+    python -m repro selfcheck [row ...]       # the smoke table CI runs
 """
 
 from __future__ import annotations
@@ -448,7 +449,8 @@ def _serving(args):
     """The started :class:`Server` of one ``repro serve`` run, either
     mode, built from every server flag. On exit it is closed (read
     ``server.report()`` after), the scratch cache directory is removed
-    and the ``--trace`` Chrome trace is written."""
+    and the ``--trace`` Chrome trace is written, with the unified
+    counters dump printed beside it."""
     import tempfile
 
     from .obs import Tracer, write_chrome_trace
@@ -478,10 +480,20 @@ def _serving(args):
             yield server
     if tracer is not None:
         write_chrome_trace(tracer, args.trace)
-        print(
-            f"wrote {len(tracer)} span(s) "
-            f"({', '.join(sorted(tracer.categories()))}) to {args.trace}"
-        )
+        counts = tracer.counts()
+        summary = ", ".join(f"{name}={counts[name]}" for name in sorted(counts))
+        print(f"wrote {len(tracer)} span(s) ({summary}) to {args.trace}")
+        print("counters:")
+        print(server.metrics_registry().render())
+
+
+def _serve_payload(server, report):
+    """The ``--json`` payload of either ``repro serve`` mode: the report,
+    plus — under ``--trace`` — how many spans each layer recorded."""
+    payload = report.to_dict()
+    if server.tracer.enabled:
+        payload["trace_spans"] = server.tracer.counts()
+    return payload
 
 
 def _report_assertions_hold(args, report):
@@ -656,7 +668,7 @@ def _serve_sessions(args):
         status = 1
 
     if args.json:
-        payload = report.to_dict()
+        payload = _serve_payload(server, report)
         payload["session_compare"] = {
             "workload": name,
             "dims": dims or {},
@@ -744,7 +756,7 @@ def _cmd_serve(args):
             )
 
     if args.json:
-        _emit_json(report.to_dict(), args.json)
+        _emit_json(_serve_payload(server, report), args.json)
     return status
 
 
@@ -785,8 +797,7 @@ def _cmd_fuzz(args):
     return 0 if report.ok else 1
 
 
-#: Default workload set for ``repro codegen``: the five figure profiles
-#: (matches ``benchmarks/bench_profiles.py``).
+#: Default workload set for ``repro codegen``: the five figure profiles.
 _CODEGEN_PROFILED = (
     "MobileRobot", "Twitter-BFS", "MovieL-100K", "FFT-8192", "ResNet-18",
 )
@@ -923,92 +934,11 @@ def _cmd_codegen(args):
     return 1 if failures else 0
 
 
-def _cmd_trace(args):
-    """Trace a small serve run end to end and export the span timeline.
+def _cmd_selfcheck(args):
+    """Run rows of the smoke table (:mod:`repro.selfcheck`), all by default."""
+    from .selfcheck import run
 
-    Produces one Chrome trace-event JSON (``chrome://tracing`` /
-    Perfetto loadable) whose spans cover every layer of the stack —
-    serve request lifecycle, compiler-session stages, per-pass timings,
-    plan build, kernel build/execute, and host-runtime dispatch/recovery
-    events — plus
-    the unified counters dump from the server's
-    :meth:`~repro.serve.server.Server.metrics_registry`. One appended
-    fault-injecting request (a single transient compute error, recovered
-    by retry) routes through the HostManager so the runtime layer shows
-    up even though plain requests execute their plan's kernel directly.
-    """
-    from .obs import CATEGORIES, Tracer, write_chrome_trace
-    from .serve import Request, Server, replay, synth_trace
-
-    workloads = tuple(
-        name.strip() for name in args.workloads.split(",") if name.strip()
-    )
-    if not workloads:
-        print("trace: --workloads must name at least one workload",
-              file=sys.stderr)
-        return 2
-    trace = synth_trace(
-        requests=args.requests,
-        workloads=workloads,
-        seed=args.seed,
-        max_steps=args.max_steps,
-    )
-    # One transient fault (struck once, recovered by retry) routes a
-    # request through the HostManager, so the runtime layer appears on
-    # the timeline alongside the plan-execute fast path.
-    trace = list(trace) + [
-        Request(
-            workload=workloads[0],
-            steps=1,
-            inject=("transient",),
-            seed=args.seed,
-        )
-    ]
-
-    tracer = Tracer()
-    server = Server(workers=args.workers, tracer=tracer)
-    registry = server.metrics_registry()
-    with server:
-        responses, _ = replay(server, trace)
-    report = server.report()
-
-    write_chrome_trace(tracer, args.out)
-    counts = tracer.counts()
-    summary = ", ".join(
-        f"{category}={counts[category]}" for category in sorted(counts)
-    )
-    if args.out != "-":
-        print(f"wrote {len(tracer)} span(s) to {args.out} ({summary})")
-    print()
-    print("counters:")
-    print(registry.render())
-
-    status = 0
-    failures = [r for r in responses if r is not None and not r.ok]
-    if failures:
-        status = 1
-        for response in failures:
-            print(
-                f"request {response.request.request_id} "
-                f"({response.request.describe()}) failed: {response.error}",
-                file=sys.stderr,
-            )
-    if report.failed and not failures:
-        status = 1
-
-    if args.assert_layers:
-        missing = set(CATEGORIES) - tracer.categories()
-        if missing:
-            status = 1
-            print(
-                f"layer assertion FAILED: no spans from {sorted(missing)} "
-                f"(got {sorted(tracer.categories())})",
-                file=sys.stderr,
-            )
-        else:
-            print(f"\nall {len(CATEGORIES)} layers present: "
-                  f"{', '.join(CATEGORIES)}")
-    return status
+    return run(args.rows)
 
 
 def build_parser():
@@ -1188,7 +1118,9 @@ def build_parser():
         "--trace",
         metavar="PATH",
         help="record a span trace of the run and write it as Chrome "
-        "trace-event JSON (chrome://tracing / Perfetto loadable)",
+        "trace-event JSON (chrome://tracing / Perfetto loadable); also "
+        "prints the unified counters dump and adds per-layer span counts "
+        "to the --json payload",
     )
     serve.add_argument(
         "--sessions",
@@ -1234,44 +1166,15 @@ def build_parser():
     )
     serve.set_defaults(func=_cmd_serve)
 
-    trace = sub.add_parser(
-        "trace",
-        help="trace a small serve run across every layer and export "
-        "Chrome trace-event JSON plus a unified counters dump",
+    selfcheck = sub.add_parser(
+        "selfcheck",
+        help="run the smoke table: every claim CI checks, one row each "
+        "(reports and artefacts land in results/selfcheck/)",
     )
-    trace.add_argument(
-        "--requests", type=int, default=6, help="trace length (default 6)"
+    selfcheck.add_argument(
+        "rows", nargs="*", metavar="row", help="row names (default: all)"
     )
-    trace.add_argument(
-        "--workers", type=int, default=2, help="worker threads (default 2)"
-    )
-    trace.add_argument(
-        "--workloads",
-        default="MobileRobot,ElecUse",
-        metavar="A,B,...",
-        help="comma-separated workload mix",
-    )
-    trace.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    trace.add_argument(
-        "--max-steps",
-        type=int,
-        default=2,
-        help="max invocations per request (default 2)",
-    )
-    trace.add_argument(
-        "--out",
-        default="trace.json",
-        metavar="PATH",
-        help="Chrome trace-event JSON output path (default trace.json, "
-        "- for stdout)",
-    )
-    trace.add_argument(
-        "--assert-layers",
-        action="store_true",
-        help="exit nonzero unless the trace contains spans from all six "
-        "layers (serve, session, passes, plan, kernel, runtime)",
-    )
-    trace.set_defaults(func=_cmd_trace)
+    selfcheck.set_defaults(func=_cmd_selfcheck)
 
     rewrite = sub.add_parser(
         "rewrite",

@@ -198,6 +198,7 @@ class ArtifactCache:
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
+    _lease_warned: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cache_dir is not None:
@@ -353,7 +354,8 @@ class ArtifactCache:
         The lease protocol never deadlocks: a crashed holder's lease is
         reclaimed (pid probe or ttl), and a wait that times out degrades
         to building locally — the atomic disk publish makes the
-        duplicate build harmless.
+        duplicate build harmless. A directory that cannot hold a lease
+        at all (removed, unwritable) builds locally at once.
         """
 
         def build():
@@ -367,7 +369,20 @@ class ArtifactCache:
         lease = Lease(self._lease_path(key))
         deadline = time.monotonic() + wait_timeout_s
         while True:
-            if lease.acquire():
+            try:
+                acquired = lease.acquire()
+            except OSError as exc:
+                # Not contention: nobody can lease here, so there is no
+                # one to wait for either.
+                self.stats.bump(disk_errors=1)
+                if not self._lease_warned:
+                    self._lease_warned = True
+                    self._warn(
+                        f"cannot lease builds under {self.cache_dir} "
+                        f"({type(exc).__name__}); building uncoordinated"
+                    )
+                return build()
+            if acquired:
                 self.stats.bump(lease_acquired=1)
                 try:
                     # A sibling may have published while we raced for the

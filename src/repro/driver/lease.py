@@ -48,7 +48,8 @@ class Lease:
     # -- acquisition -------------------------------------------------------
 
     def acquire(self):
-        """Try to take the lease; True when this process is the builder.
+        """Try to take the lease; True when this process is the builder,
+        False when someone else holds it.
 
         Atomic and exclusive *with its payload*: the payload is written
         to a private temp file which is then hard-linked to the lease
@@ -56,6 +57,11 @@ class Lease:
         lease) and otherwise makes the complete file visible in one step.
         A lease that exists is therefore never empty or half-written; a
         waiter polling :meth:`holder` sees nothing or the whole truth.
+
+        Only ``FileExistsError`` is contention. Any other ``OSError``
+        (directory gone or unwritable, no hard links) propagates: this
+        directory cannot coordinate anyone, and there is no holder to
+        wait for.
         """
         tmp = f"{self.path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
@@ -65,10 +71,7 @@ class Lease:
             finally:
                 os.close(fd)
             os.link(tmp, self.path)
-        except OSError:
-            # FileExistsError: contended. Anything else (unwritable
-            # directory, no hard links): behave as if contended forever —
-            # callers fall through to their never-deadlock timeout.
+        except FileExistsError:
             return False
         finally:
             try:

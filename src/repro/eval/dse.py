@@ -237,14 +237,6 @@ def explore_rules(workload_name, candidates=None, include_combination=True):
     return points
 
 
-def rules_frontier(points):
-    """Modelled-runtime vs optimisation-effort Pareto frontier."""
-    return pareto(
-        points,
-        objectives=(lambda p: p.modeled_seconds, lambda p: p.rewrites),
-    )
-
-
 def render_rules(points, title="rule-pipeline search"):
     """Tabular rendering of rule-search points, fastest modelled first."""
     lines = [title]

@@ -16,7 +16,6 @@ from .engine import (
     ExplainLog,
     apply_graph_rules,
     per_rule,
-    render_expr,
     rewrite_statement,
     run_ruleset,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "graph_signature",
     "modeled_cost",
     "per_rule",
-    "render_expr",
     "rewrite_pipeline",
     "rewrite_statement",
     "run_ruleset",

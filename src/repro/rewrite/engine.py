@@ -22,6 +22,7 @@ from typing import Dict, List
 from ..errors import RewriteError
 from ..obs import DEFAULT_REGISTRY
 from ..pmlang import ast_nodes as ast
+from ..pmlang.render import render_expr
 from ..srdfg import opclass
 from .signature import graph_signature
 from .pattern import Bindings, structural_key
@@ -101,33 +102,6 @@ class ExplainLog:
 # ---------------------------------------------------------------------------
 # Expression rewriting
 # ---------------------------------------------------------------------------
-
-
-def render_expr(expr):
-    """Compact PMLang-ish rendering of an expression (for --explain)."""
-    if expr is None:
-        return ""
-    if isinstance(expr, ast.Literal):
-        return repr(expr.value)
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Indexed):
-        return expr.base + "".join(f"[{render_expr(i)}]" for i in expr.indices)
-    if isinstance(expr, ast.UnaryOp):
-        return f"{expr.op}{render_expr(expr.operand)}"
-    if isinstance(expr, ast.BinOp):
-        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
-    if isinstance(expr, ast.Ternary):
-        return (
-            f"({render_expr(expr.cond)} ? {render_expr(expr.then)} "
-            f": {render_expr(expr.other)})"
-        )
-    if isinstance(expr, ast.FuncCall):
-        return f"{expr.func}({', '.join(render_expr(a) for a in expr.args)})"
-    if isinstance(expr, ast.ReductionCall):
-        heads = ",".join(spec.name for spec in expr.indices)
-        return f"{expr.op}[{heads}]({render_expr(expr.arg)})"
-    return repr(expr)
 
 
 def _same(new, old):

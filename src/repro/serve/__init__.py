@@ -19,10 +19,9 @@ from ..errors import (
     ShapeError,
     WorkerCrashedError,
 )
-from .aio import AsyncFrontend
 from .breaker import BreakerBoard, CircuitBreaker
 from .executor import LocalExecutor
-from .loadgen import DEFAULT_MIX, replay, run_serial, saturate, synth_trace
+from .loadgen import DEFAULT_MIX, replay, run_serial, synth_trace
 from .metrics import RequestMetrics, ServeReport, percentile
 from .pool import WorkerPool
 from .procpool import ProcessWorkerSet
@@ -40,7 +39,6 @@ from .scheduler import Scheduler
 from .server import Server, Ticket
 
 __all__ = [
-    "AsyncFrontend",
     "BreakerBoard",
     "CancelledError",
     "CircuitBreaker",
@@ -70,6 +68,5 @@ __all__ = [
     "replay",
     "result_signature",
     "run_serial",
-    "saturate",
     "synth_trace",
 ]

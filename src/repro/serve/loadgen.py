@@ -156,56 +156,3 @@ def run_serial(trace, session=None, timeout: Optional[float] = 120.0):
             responses.append(server.request(request, timeout=timeout))
     return responses, server.report()
 
-
-def saturate(
-    server,
-    requests=10_000,
-    workload="MobileRobot",
-    precision="f64",
-    steps=1,
-    max_inflight=256,
-):
-    """Sustained saturation: pump *requests* single-config requests
-    through the asyncio admission frontend with bounded in-flight.
-
-    One hot config on purpose — after the first request compiles and
-    plans, the run measures the serving layer itself (admission,
-    scheduling, dispatch, counter bookkeeping), not the compiler. The
-    frontend awaits out backpressure instead of sleeping a thread per
-    rejection, which is what makes six-figure request counts practical.
-
-    Returns a summary dict (completed/errors/throughput/signatures);
-    signatures collapse to one entry when every response was
-    bit-identical, which the saturation test asserts.
-    """
-    import asyncio
-
-    from .aio import AsyncFrontend
-
-    trace = [
-        Request(workload=workload, steps=steps, precision=precision)
-        for _ in range(requests)
-    ]
-    frontend = AsyncFrontend(server, max_inflight=max_inflight)
-    start = time.perf_counter()
-    responses = asyncio.run(frontend.gather(trace))
-    wall = time.perf_counter() - start
-    completed = sum(
-        1
-        for response in responses
-        if not isinstance(response, BaseException) and response.ok
-    )
-    errors = len(responses) - completed
-    signatures = {
-        response.signature
-        for response in responses
-        if not isinstance(response, BaseException) and response.ok
-    }
-    return {
-        "requests": requests,
-        "completed": completed,
-        "errors": errors,
-        "wall_seconds": wall,
-        "throughput_rps": completed / wall if wall > 0 else 0.0,
-        "signatures": sorted(signatures),
-    }

@@ -74,8 +74,7 @@ class Ticket:
     __slots__ = (
         "request", "metrics", "response", "deadline_at",
         "session", "step_inputs",
-        "_event", "_cancelled", "_abandoned", "_callbacks",
-        "_callback_lock",
+        "_event", "_cancelled", "_abandoned",
     )
 
     def __init__(self, request, metrics):
@@ -93,35 +92,10 @@ class Ticket:
         self._event = threading.Event()
         self._cancelled = False
         self._abandoned = False
-        self._callbacks = []
-        self._callback_lock = threading.Lock()
 
     def _finish(self, response):
         self.response = response
         self._event.set()
-        with self._callback_lock:
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            try:
-                callback(self)
-            except Exception:
-                # A broken observer must not break the worker finishing
-                # the request (or the other observers).
-                pass
-
-    def add_done_callback(self, callback):
-        """Call ``callback(ticket)`` when the response lands.
-
-        Fires immediately when the ticket is already done. This is what
-        lets an asyncio admission layer bridge worker-thread completion
-        into its event loop (``loop.call_soon_threadsafe``) without
-        burning a thread per in-flight request on ``wait``.
-        """
-        with self._callback_lock:
-            if not self._event.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
 
     def done(self):
         return self._event.is_set()

@@ -853,14 +853,11 @@ class Executor:
     enable_einsum:
         Gate the einsum fast path (disabled by tests that pin a statement
         to the lattice or chunked path).
-    plan:
-        A prebuilt :class:`~repro.srdfg.plan.ExecutionPlan` to run instead
-        of planning lazily (see :meth:`from_plan`).
     """
 
     def __init__(self, graph, reductions=None,
                  lattice_limit=DEFAULT_LATTICE_LIMIT, precision="f64",
-                 enable_einsum=True, plan=None):
+                 enable_einsum=True):
         self.graph = graph
         if reductions is None:
             reductions = getattr(graph, "reductions", None)
@@ -876,21 +873,7 @@ class Executor:
         self.precision = precision
         self.float_dtype = PRECISIONS[precision]
         self.enable_einsum = enable_einsum
-        self._plan = plan
-
-    @classmethod
-    def from_plan(cls, plan, graph=None):
-        """An executor running a prebuilt plan (no planning on first run)."""
-        if graph is None:
-            graph = plan.graph
-        return cls(
-            graph,
-            reductions=plan.reductions,
-            lattice_limit=plan.config.lattice_limit,
-            precision=plan.config.precision,
-            enable_einsum=plan.config.enable_einsum,
-            plan=plan,
-        )
+        self._plan = None
 
     @property
     def plan(self):

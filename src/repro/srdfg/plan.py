@@ -80,7 +80,6 @@ __all__ = [
     "memoize_plan",
     "plan_cache_key",
     "plan_for_graph",
-    "synthesize_bindings",
 ]
 
 
@@ -1020,27 +1019,3 @@ def plan_cache_key(graph, config=None, fingerprint=None):
     digest.update((fingerprint or graph_fingerprint(graph)).encode("utf-8"))
     digest.update(repr(config.key()).encode("utf-8"))
     return digest.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Convenience
-# ---------------------------------------------------------------------------
-
-
-def synthesize_bindings(graph, float_dtype=np.float64):
-    """Zero-filled ``(inputs, params)`` matching the graph's declarations.
-
-    Lets driver tooling (``repro stats --execute``) exercise a compiled
-    program's execution plan without workload data.
-    """
-    inputs, params = {}, {}
-    for node in graph.var_nodes():
-        modifier = node.attrs.get("modifier")
-        if modifier not in ("input", "param"):
-            continue
-        zeros = np.zeros(
-            tuple(node.attrs.get("shape", ())),
-            dtype=resolve_dtype(node.attrs.get("dtype", "float"), float_dtype),
-        )
-        (inputs if modifier == "input" else params)[node.name] = zeros
-    return inputs, params

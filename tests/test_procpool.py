@@ -1,6 +1,6 @@
 """Process-parallel serving suite: cross-process compile coalescing via
 lease files, the process-backed worker pool, crash healing, priority
-aging, closed-scheduler rejections, and the asyncio admission frontend.
+aging, and closed-scheduler rejections.
 
 The contracts under test:
 
@@ -16,24 +16,23 @@ The contracts under test:
 * priority aging promotes long-waiting low-priority entries (injectable
   clock, no sleeping),
 * a closed scheduler rejects with ``closed=True`` / ``retry_after=None``
-  and ``loadgen.replay`` gives up instead of spinning,
-* ``Ticket.add_done_callback`` fires exactly once, including when the
-  ticket is already done,
-* the saturation harness drives the asyncio frontend to completion with
-  bit-identical responses.
+  and ``loadgen.replay`` gives up instead of spinning.
 """
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import os
 import pickle
+import shutil
 import signal
 import threading
 import time
 
 import pytest
 
+from repro.driver import Diagnostics
 from repro.driver.cache import COMPILE, ArtifactCache
 from repro.driver.lease import Lease
 from repro.serve import (
@@ -45,7 +44,6 @@ from repro.serve import (
     replay,
     result_signature,
     run_serial,
-    saturate,
     synth_trace,
 )
 from repro.errors import QueueFullError, WorkerCrashedError
@@ -190,6 +188,40 @@ def test_dead_holders_stale_lease_is_reclaimed(tmp_path):
     assert cache.stats.lease_reclaimed >= 1
     assert elapsed < 10.0  # reclaimed, not waited out
     assert not lease_path.exists()
+
+
+@pytest.mark.parametrize("breakage", ["directory removed", "link refused"])
+def test_unleasable_directory_builds_at_once(tmp_path, monkeypatch, breakage):
+    """Only ``FileExistsError`` is contention. Any other ``OSError`` from
+    ``acquire`` used to read as "held", and with no lease file ``wait``
+    answered "free" at once — a sleepless acquire/wait spin until
+    ``wait_timeout_s`` (120 s by default). The suite runs as root, so a
+    ``chmod`` proves nothing: remove the directory, or refuse the link."""
+    diagnostics = Diagnostics()
+    cache = ArtifactCache(cache_dir=str(tmp_path / "cache"), diagnostics=diagnostics)
+    if breakage == "directory removed":
+        shutil.rmtree(cache.cache_dir)
+    else:
+        def refuse(src, dst):
+            raise PermissionError(errno.EPERM, "Operation not permitted", dst)
+
+        monkeypatch.setattr(os, "link", refuse)
+
+    started = time.monotonic()
+    results = [
+        cache.build_once(COMPILE, key, lambda: {"v": 1}, wait_timeout_s=30.0)
+        for key in ("k-one", "k-two")
+    ]
+    elapsed = time.monotonic() - started
+
+    assert results == [({"v": 1}, "built")] * 2
+    assert elapsed < 1.0
+    assert cache.stats.lease_timeouts == 0
+    assert cache.stats.lease_acquired == 0
+    assert cache.stats.disk_errors >= 2
+    leasing = [w for w in diagnostics.warnings if "cannot lease" in w.message]
+    assert len(leasing) == 1  # once per cache, not once per build
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_killed_leaseholder_does_not_deadlock_waiters(tmp_path):
@@ -590,34 +622,6 @@ def test_replay_gives_up_on_closed_server():
     assert responses == [None, None, None]
     assert retries == 0  # closed is terminal: no retry spin
     assert elapsed < 5.0
-
-
-# ---------------------------------------------------------------------------
-# Ticket callbacks and the asyncio admission frontend.
-# ---------------------------------------------------------------------------
-
-
-def test_ticket_done_callback_fires_exactly_once():
-    fired = []
-    with Server(workers=1, queue_capacity=4) as server:
-        ticket = server.submit(Request(workload="MobileRobot", steps=1))
-        ticket.add_done_callback(lambda t: fired.append(("pre", t.response)))
-        response = ticket.wait(timeout=120)
-        # Registering on an already-done ticket fires immediately.
-        ticket.add_done_callback(lambda t: fired.append(("post", t.response)))
-    assert [tag for tag, _ in fired] == ["pre", "post"]
-    assert all(resp is response for _, resp in fired)
-
-
-def test_saturate_completes_with_bit_identical_responses():
-    with Server(workers=2, queue_capacity=32) as server:
-        summary = saturate(server, requests=200, max_inflight=64)
-    report = server.report()
-    assert summary["completed"] == 200
-    assert summary["errors"] == 0
-    assert len(summary["signatures"]) == 1
-    assert report.conservation_ok
-    assert report.plan_reuse_ok
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,18 @@ class TestEngine:
         assert "algebraic-simplification/mul-one" in rendered
         assert "y@" in rendered  # the statement site
 
+    def test_explain_line_keeps_a_reduction_predicate(self):
+        # ``--explain`` prints with PMLang's own renderer: a second,
+        # lossy printer in the engine showed this firing as
+        # ``-> sum[i](x[i])``, as if the rewrite had dropped ``i < 2``.
+        explain = ExplainLog()
+        graph = build(
+            "main(input float x[4], output float y) {"
+            " index i[0:3]; y = sum[i: i < 2](x[i]) * 1.0; }"
+        )
+        rewrite_pipeline(explain=explain).run(graph)
+        assert explain.render().endswith("-> sum[i: i < 2](x[i])")
+
     def test_expression_cycle_detection(self):
         # A rule that swaps operands forever: the engine must detect the
         # regenerated expression and abort instead of spinning.
