@@ -1,10 +1,7 @@
-"""Shared fixtures for the benchmark suite.
-
-Each ``bench_*`` module regenerates one table or figure of the paper,
-asserts its qualitative shape (the claims catalogued in EXPERIMENTS.md),
-benchmarks its computation, and writes the rendered rows to
-``results/<id>.txt`` so a full run leaves the complete reproduced
-evaluation on disk.
+"""Shared fixtures for the supporting benchmarks (ablations, fragment
+profiles, tracer overhead); each writes its rendered rows to
+``results/<id>.txt``. The paper's figures and their claims are
+``repro.eval.claims``, run in tier-1 by ``tests/test_claims.py``.
 """
 
 import pathlib
@@ -23,17 +20,12 @@ def harness():
 
 
 @pytest.fixture(scope="session")
-def results_dir():
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def emit(results_dir):
+def emit():
     """Write a rendered table/figure to results/ and echo it."""
+    RESULTS_DIR.mkdir(exist_ok=True)
 
     def _emit(identifier, rendered):
-        path = results_dir / f"{identifier}.txt"
+        path = RESULTS_DIR / f"{identifier}.txt"
         path.write_text(rendered + "\n")
         print(f"\n{rendered}\n[written to {path}]")
         return path

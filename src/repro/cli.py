@@ -8,7 +8,7 @@ Usage (``python -m repro <command>``)::
     python -m repro stats prog.pm            # stage timings + cache report
     python -m repro show prog.pm [--dot]     # srDFG (text or GraphViz)
     python -m repro tables                   # Tables I-VI
-    python -m repro figures [fig7 ...]       # regenerate figures
+    python -m repro figures [fig7 ...] [--json PATH]  # figures (+ claims payload)
     python -m repro report                   # everything
     python -m repro rewrite --explain         # which rewrite rules fired where
     python -m repro chaos BrainStimul --inject crash@DA   # fault-tolerant runtime
@@ -326,10 +326,13 @@ _FIGURES = ("fig7", "fig8", "fig9", "fig10a", "fig10b", "fig11a", "fig11b",
 
 def _cmd_figures(args):
     from .eval import Harness, all_figures
+    from .eval.claims import figures_payload
 
-    wanted = args.ids or list(_FIGURES)
-    figures = all_figures(Harness())
-    for identifier in wanted:
+    harness = Harness()
+    # The payload counts its own compiles' rule trips: build it first.
+    payload = figures_payload(harness) if args.json else None
+    figures = all_figures(harness)
+    for identifier in args.ids or _FIGURES:
         figure = figures.get(identifier)
         if figure is None:
             print(f"unknown figure {identifier!r}; choose from {_FIGURES}",
@@ -337,6 +340,8 @@ def _cmd_figures(args):
             return 2
         print(figure.render())
         print()
+    if payload is not None:
+        _emit_json(payload, args.json)
     return 0
 
 
@@ -1235,6 +1240,10 @@ def build_parser():
 
     figures = sub.add_parser("figures", help="regenerate evaluation figures")
     figures.add_argument("ids", nargs="*", help=f"subset of {_FIGURES}")
+    figures.add_argument(
+        "--json", metavar="PATH",
+        help="also write the payload the paper claims read, as JSON (- for stdout)",
+    )
     figures.set_defaults(func=_cmd_figures)
 
     report = sub.add_parser("report", help="regenerate all tables and figures")

@@ -1,22 +1,12 @@
 """Evaluation harness: regenerates every table and figure of the paper."""
 
 from .dse import DesignPoint, explore, pareto
-from .figures import (
-    FigureData,
-    all_figures,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-)
+from .figures import FigureData, all_figures
 from ..util import geomean
 from .harness import BenchmarkRun, Harness
 from .optimal import estimate_expert, percent_of_optimal
 from .report import full_report
-from .tables import TableData, all_tables, table1, table2, table3, table4, table5, table6
+from .tables import TableData, all_tables
 
 __all__ = [
     "BenchmarkRun",
@@ -29,20 +19,7 @@ __all__ = [
     "all_figures",
     "all_tables",
     "estimate_expert",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure7",
-    "figure8",
-    "figure9",
     "full_report",
     "geomean",
     "percent_of_optimal",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
 ]

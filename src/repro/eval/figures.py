@@ -1,9 +1,8 @@
 """Regeneration of every evaluation figure (Figs 7-13 of the paper).
 
-Each ``figure*`` function returns structured rows (so tests can assert on
-the shape of the results) plus a ``render`` helper that prints the same
-series the paper plots. Expected qualitative shapes are recorded in
-EXPERIMENTS.md and asserted loosely by the benchmark suite.
+Each ``figure*`` function returns structured rows plus a ``render``
+helper that prints the same series the paper plots. The paper's claims
+about them are the rows of :data:`repro.eval.claims.CLAIMS`.
 """
 
 from __future__ import annotations

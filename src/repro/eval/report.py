@@ -16,11 +16,3 @@ def full_report(validate=False):
     for figure in all_figures(harness).values():
         sections.append(figure.render())
     return "\n\n".join(sections)
-
-
-def main():  # pragma: no cover - CLI convenience
-    print(full_report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -45,8 +44,6 @@ class Row:
     expect: tuple = ()
     #: Consecutive runs that must all exit 0.
     repeat: int = 1
-    #: Files the command leaves outside :data:`OUT`, copied into it.
-    artefacts: tuple = ()
 
     def __post_init__(self):
         self.argv = tuple(self.argv.split())
@@ -56,6 +53,16 @@ def one_plan_per_config(report):
     """plan_reuse.plans_built == plan_reuse.distinct_configs"""
     reuse = report["plan_reuse"]
     return reuse["plans_built"] == reuse["distinct_configs"]
+
+
+def claims_reproduce(report):
+    """every paper claim holds and no leaf drifted from the baseline"""
+    from .eval.claims import BASELINE, failures
+
+    found = failures(report, json.loads(BASELINE.read_text()))
+    for failure in found:
+        print(f"figures: {failure}", file=sys.stderr)
+    return not found
 
 
 _ALL_KERNEL = (("provenance", "execute"), "==", {"kernel": 32})
@@ -72,11 +79,11 @@ TABLE = (
             (("counters", "constant-folding/fold-binop.rewrites"), ">=", 1),
         ),
     ),
-    # Machine-readable paper figures; the `gate` row reads what this leaves.
+    # The paper's figure claims hold, and the figures match the baseline.
     Row(
         "figures",
-        "-m pytest benchmarks/bench_report.py::test_figures_json -q",
-        artefacts=("results/BENCH_figures.json",),
+        f"-m repro figures --json {OUT}/BENCH_figures.json",
+        expect=(claims_reproduce,),
     ),
     # A crash in DA recovers through the host fallback, bit for bit, at f32.
     Row(
@@ -161,12 +168,6 @@ TABLE = (
             )
         ),
     ),
-    # Paper-figure drift against the committed baseline (needs `figures`).
-    Row(
-        "gate",
-        "benchmarks/check_regression.py --figures results/BENCH_figures.json "
-        "--baseline-dir results/baselines",
-    ),
     # The ledger's own verdicts: traced compile; kernel == interpreter on
     # seven programs; exact plan/compile/config counts across processes.
     Row(
@@ -245,8 +246,6 @@ def run_row(row):
                     f"exit status {process.returncode} on run {attempt} of "
                     f"{row.repeat} ({OUT}/{row.name}.log):\n{tail}"
                 )
-    for artefact in row.artefacts:
-        shutil.copy(ROOT / artefact, out)
     if not row.expect:
         return None
     try:

@@ -15,8 +15,14 @@ and the verify skill — ROADMAP's "docs that are executed":
 * every ``selfcheck <row>`` in a backticked span or on a command line
   names a row of the smoke table (:mod:`repro.selfcheck`), and every
   ``-m repro`` argv in that table parses,
-* every README sentence claiming "bit-identical" / "verified by" names
-  the row or the ``tests/...::test_...`` that checks it.
+* every README and DESIGN.md sentence claiming "bit-identical" /
+  "checked against" / "verified by" names the row or the
+  ``tests/...::test_...`` that checks it,
+* EXPERIMENTS.md's Figure 7-13 tables are :data:`repro.eval.claims.CLAIMS`:
+  one row per claim, the paper's value as the claim spells it, and every
+  measured number the claim's at its printed precision (read from the
+  committed baseline, which ``tests/test_claims.py`` holds the fresh
+  figures to).
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser
+from repro.eval.claims import BASELINE, CLAIMS
 from repro.selfcheck import TABLE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,15 +127,47 @@ def _checked_by(sentence):
 
 
 def unchecked_claims(text):
-    """Sentences that claim a check ("bit-identical", "verified by")
-    and name neither a row nor a test."""
+    """Sentences that claim a check ("bit-identical", "checked against",
+    "verified by") and name neither a row nor a test."""
     sentences = re.split(r"(?<=[.:])\s+(?=[A-Z])|\n\s*\n", text)
     return [
         " ".join(sentence.split())
         for sentence in sentences
-        if re.search(r"bit-identical|verified by", sentence)
+        if re.search(r"bit-identical|checked against|verified by", sentence)
         and not _checked_by(sentence)
     ]
+
+
+def claim_problems(text, payload):
+    """Where the ``## Figure N`` tables of *text* and :data:`CLAIMS`
+    disagree: a claim with no row, a row with no claim, another paper
+    value, or a measured number (parenthesised notes aside) that is not
+    the claim's at the precision printed."""
+    sections = re.findall(r"^## Figure (\d+)\b.*?\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    rows = {
+        (f"fig{number}", quantity): (paper, measured)
+        for number, body in sections
+        for quantity, paper, measured in re.findall(r"^\| (.+?) \| (.+?) \| (.+) \|$", body, re.M)
+        if quantity != "Quantity"
+    }
+    found = []
+    for claim in CLAIMS:
+        where = f"{claim.figure}: {claim.quantity}"
+        if (claim.figure, claim.quantity) not in rows:
+            found.append(f"{where} has no row")
+            continue
+        paper, measured = rows.pop((claim.figure, claim.quantity))
+        if paper != claim.paper:
+            found.append(f"{where}: paper {paper!r}, the claim says {claim.paper!r}")
+        printed = re.findall(r"\d+(?:\.\d+)?", re.sub(r"\([^)]*\)|`[^`]*`", "", measured))
+        values = claim.measured(payload)
+        rounded = [f"{v:.{len(p.partition('.')[2])}f}" for v, p in zip(values, printed)]
+        if len(printed) != len(values) or printed != rounded:
+            found.append(
+                f"{where} prints {', '.join(printed) or 'nothing'}; the claim "
+                f"measures {', '.join(f'{value:.4g}' for value in values)}"
+            )
+    return found + [f"{figure}: {quantity} is no claim" for figure, quantity in rows]
 
 
 def problems(text):
@@ -165,6 +205,15 @@ def test_readme_claims_name_their_check():
     assert unchecked_claims((ROOT / "README.md").read_text()) == []
 
 
+def test_design_claims_name_their_check():
+    assert unchecked_claims((ROOT / "DESIGN.md").read_text()) == []
+
+
+def test_experiments_prints_every_claim_as_measured():
+    baseline = json.loads(BASELINE.read_text())
+    assert claim_problems((ROOT / "EXPERIMENTS.md").read_text(), baseline) == []
+
+
 @pytest.mark.parametrize(
     "row", [row for row in TABLE if row.argv[:2] == ("-m", "repro")],
     ids=lambda row: row.name,
@@ -199,3 +248,20 @@ def test_the_check_goes_red():
     assert unchecked_claims(
         "Fused runs stay bit-identical (tests/test_docs.py::test_no_such_test)."
     ) != []
+    assert unchecked_claims("Outputs are checked against numpy.") != []
+    # A stale number (EXPERIMENTS.md printed 10.3x here while the figure
+    # read 9.97x), a misspelt paper value, and a row no claim backs.
+    found = claim_problems(
+        "## Figure 8 — GPUs\n\n| Quantity | Paper | Measured |\n|---|---|---|\n"
+        "| geomean PPW vs Titan Xp | 7.2x | **10.3x** |\n"
+        "| geomean PPW vs Jetson | 1.7 | **3.1x** (see `fig8`, 2 GPUs) |\n"
+        "| PPW vs a TPU | 1x | 2x |\n",
+        json.loads(BASELINE.read_text()),
+    )
+    assert [problem for problem in found if problem.startswith("fig8: geomean")] == [
+        "fig8: geomean PPW vs Titan Xp prints 10.3; the claim measures 9.973",
+        "fig8: geomean PPW vs Jetson: paper '1.7', the claim says '1.7x'",
+        "fig8: geomean runtime vs Jetson has no row",
+    ]
+    assert "fig8: PPW vs a TPU is no claim" in found
+    assert "fig8: benchmarks has no row" in found

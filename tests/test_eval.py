@@ -3,7 +3,6 @@
 import pytest
 
 from repro.eval import Harness, all_tables, geomean
-from repro.eval.figures import FigureData, figure13
 from repro.eval.optimal import percent_of_optimal
 from repro.workloads import END_TO_END, SINGLE_DOMAIN
 
@@ -39,38 +38,7 @@ class TestHarnessRuns:
         assert runs["MobileNet"].accelerator_names["DL"] == "vta"
 
 
-class TestFigure7Shape:
-    """The paper's qualitative claims that must hold (EXPERIMENTS.md)."""
-
-    def test_accelerators_beat_cpu_except_dl(self, runs):
-        for name in ("MobileRobot", "Wiki-BFS", "ElecUse", "FFT-8192"):
-            assert runs[name].runtime_vs_cpu > 1.0, name
-
-    def test_dl_loses_runtime_but_wins_energy(self, runs):
-        run = runs["MobileNet"]
-        assert run.runtime_vs_cpu < 1.0  # VTA is a low-power part
-        assert run.energy_vs_cpu > 1.0
-
-    def test_energy_improvement_exceeds_runtime(self, runs):
-        for name, run in runs.items():
-            assert run.energy_vs_cpu > run.runtime_vs_cpu, name
-
-
-class TestFigure8Shape:
-    def test_titan_wins_raw_runtime_on_dense(self, runs):
-        # DCT/DL-class dense work favours the 250 W discrete GPU.
-        assert runs["MobileNet"].runtime_vs(runs["MobileNet"].titan) < 1.0
-
-    def test_accelerators_win_ppw_against_titan_on_small_kernels(self, runs):
-        assert runs["MobileRobot"].ppw_vs(runs["MobileRobot"].titan) > 1.0
-        assert runs["FFT-8192"].ppw_vs(runs["FFT-8192"].titan) > 1.0
-
-
 class TestFigure9Shape:
-    def test_percent_optimal_bounded(self, runs):
-        for name, run in runs.items():
-            assert 0 < run.percent_optimal <= 100.0, name
-
     def test_expert_never_slower(self, runs):
         for name, run in runs.items():
             assert run.expert.seconds <= run.accel.seconds * 1.0001, name
@@ -83,88 +51,63 @@ class TestFigure9Shape:
         ) == pytest.approx(50.0)
 
 
-class TestEndToEndCombos:
-    @pytest.fixture(scope="class")
-    def brain(self, harness):
-        return harness.end_to_end("BrainStimul")
-
-    def test_all_combinations_present(self, brain):
-        combos, _ = brain
-        assert len(combos) == 7  # 2^3 - 1 subsets of {FFT, LR, MPC}
-
-    def test_full_acceleration_fastest(self, brain):
-        combos, _ = brain
-        full = combos[("FFT", "LR", "MPC")]
-        for label, report in combos.items():
-            if len(label) < 3:
-                assert full.total.seconds <= report.total.seconds * 1.01, label
-
-    def test_amdahl_gap_versus_best_single(self, brain):
-        combos, _ = brain
-        full = combos[("FFT", "LR", "MPC")].total.seconds
-        best_single = min(
-            report.total.seconds
-            for label, report in combos.items()
-            if len(label) == 1
-        )
-        # Accelerating everything buys a real factor over the best single
-        # kernel (the paper reports 1.85x for BrainStimul).
-        assert best_single / full > 1.2
-
-    def test_communication_fraction_reasonable(self, brain):
-        combos, _ = brain
-        full = combos[("FFT", "LR", "MPC")]
-        assert 0.0 < full.communication_fraction < 0.5
-
-    def test_option_pricing_private_domain(self, harness):
-        combos, baselines = harness.end_to_end("OptionPricing")
-        assert ("BLKS",) in combos and ("LR",) in combos
-        full = combos[("BLKS", "LR")] if ("BLKS", "LR") in combos else combos[("LR", "BLKS")]
-        assert baselines["cpu"].seconds / full.total.seconds > 1.0
-
-
 class TestTables:
-    def test_all_tables_render(self):
-        tables = all_tables()
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return all_tables()
+
+    def test_all_tables_render(self, tables):
         assert set(tables) == {f"table{i}" for i in range(1, 7)}
         for table in tables.values():
             text = table.render()
             assert table.caption in text
 
-    def test_table2_polymath_covers_five_domains(self):
-        table2 = all_tables()["table2"]
+    def test_table1_keywords(self, tables):
+        keywords = {row[1] for row in tables["table1"].rows}
+        assert "input" in keywords and "index" in keywords
+
+    def test_table2_polymath_covers_five_domains(self, tables):
+        table2 = tables["table2"]
         header = table2.columns
         polymath_column = header.index("PolyMath")
         supported = [row[polymath_column] for row in table2.rows]
         assert supported.count("yes") == 5
         genomics_row = next(row for row in table2.rows if row[0] == "Genomics")
         assert genomics_row[polymath_column] == "no"
+        gpp = header.index("General-Purpose Processors")
+        assert [row[gpp] for row in table2.rows].count("yes") == 7
 
-    def test_table3_lists_all_benchmarks(self):
-        table3 = all_tables()["table3"]
+    def test_table3_lists_all_benchmarks(self, tables):
+        table3 = tables["table3"]
         names = {row[1] for row in table3.rows}
         assert names == set(SINGLE_DOMAIN)
+        # PMLang programs stay compact: every workload under ~200 LOC, and
+        # the formula-style kernels (graph/DSP) under ~25.
+        loc = {row[1]: row[4] for row in table3.rows}
+        assert all(lines < 200 for lines in loc.values())
+        assert loc["Twitter-BFS"] < 25 and loc["FFT-8192"] < 25
 
-    def test_table4_lists_end_to_end(self):
-        table4 = all_tables()["table4"]
+    def test_table4_lists_end_to_end(self, tables):
+        table4 = tables["table4"]
         assert {row[0] for row in table4.rows} == set(END_TO_END)
+        brain = next(row for row in table4.rows if row[0] == "BrainStimul")
+        assert set(brain[2].split("+")) == {"DSP", "DA", "RBT"}
 
-    def test_table6_platform_count(self):
-        table6 = all_tables()["table6"]
+    def test_table5_accelerator_map(self, tables):
+        mapping = {row[0]: row[1] for row in tables["table5"].rows}
+        names = {"RBT": "ROBOX", "GA": "GRAPHICIONADO", "DA": "TABLA", "DSP": "DECO", "DL": "VTA"}
+        for domain, accelerator in names.items():
+            assert accelerator in mapping[domain], domain
+
+    def test_table6_platform_count(self, tables):
+        table6 = tables["table6"]
         assert len(table6.rows) == 9  # CPU + 2 GPUs + 6 accelerators
 
-
-class TestFigure13:
-    def test_user_study_figure(self):
-        data = figure13()
-        assert isinstance(data, FigureData)
-        algorithms = {row[0] for row in data.rows}
-        assert algorithms == {"Kmeans", "DCT"}
-        assert data.summary["average_loc_x"] > 1.5
-        assert data.summary["average_time_x"] > 1.0
-        # Time reduction is smaller than LOC reduction (unfamiliarity).
-        for _, loc_reduction, time_reduction in data.rows:
-            assert time_reduction < loc_reduction
+    def test_table6_hardware_specs(self, tables):
+        by_name = {row[0]: row for row in tables["table6"].rows}
+        assert by_name["Xeon E-2176G"][2] == 80.0
+        assert by_name["Titan Xp"][2] == 250.0
+        assert by_name["ROBOX (ASIC)"][1] == 1.0  # GHz
 
 
 class TestGeomean:
