@@ -8,7 +8,7 @@ fudge factors:
 
 1. **movement fusion** — pure ``copy``/``pad`` fragments (PolyMath's
    materialised intermediate hand-offs) are folded into their consumers by
-   an expert, so their kernel time disappears (their traffic does not);
+   an expert, so they cost nothing: their operands are already on chip;
 2. **layout tuning** — microarchitectural penalty terms the backends
    charge for translated code (DECO's stage rebalancing, VTA's tile
    underfill) vanish: an expert shapes the computation for the machine;
@@ -43,10 +43,6 @@ _MOVEMENT_OPS = ("copy", "scalar_dfg[copy]")
 def expert_fragment_cost(accelerator, fragment):
     """Cost of *fragment* as an expert-tuned kernel (may be empty)."""
     if fragment.op in _MOVEMENT_OPS:
-        # Folded into the consumer: only the operand traffic remains.
-        nbytes = fragment.attrs.get("dram_bytes", 0)
-        if nbytes:
-            return accelerator.model.transfer_cost(nbytes, label="fused_copy")
         return PerfStats()
     stats = accelerator.fragment_cost(fragment)
     for label in _TUNABLE_PENALTIES:

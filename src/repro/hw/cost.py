@@ -8,12 +8,13 @@ compute node the model charges
 
 where compute time divides the node's *actual* scalar-op counts (from
 :mod:`repro.srdfg.opclass`) by the platform's per-class throughput, and
-memory time divides the operand bytes by the relevant bandwidth. Operands
-whose edges come from boundary variables (``input``/``output``/``state``/
-``param``) move over DRAM; ``local`` intermediates stay on chip. This is
-how the paper's type-modifier story becomes a measurable effect:
-accelerators that pin ``state`` on-chip pay DRAM cost once, not per
-statement.
+memory time divides the operand bytes by the relevant bandwidth. On an
+accelerator every kernel operand is on chip: ``input``/``output`` streams
+cross DRAM once per invocation through their FIFO fragments, ``param``/
+``state`` stay resident in scratchpads (what PMLang's type modifiers tell
+the hardware, §II-A), and ``local`` intermediates never leave the chip;
+resident bytes beyond the device's capacity spill. The CPU/GPU baselines
+instead move every boundary operand over DRAM, kernel by kernel.
 
 Nothing here hard-codes a benchmark result; speedups emerge from unit
 counts, frequencies, efficiencies, and the structure of the lowered srDFG.

@@ -87,16 +87,9 @@ class AcceleratorSpec:
 
 
 def _edge_operands(graph, node):
-    """(inputs, outputs, dram_bytes, onchip_bytes) from a node's edges.
-
-    On an accelerator, ``param`` and ``state`` operands live in on-chip
-    scratchpads across invocations (that is exactly what PMLang's type
-    modifiers tell the hardware, §II-A), so only ``input``/``output``
-    operands touch DRAM in steady state; ``local`` intermediates also stay
-    on chip.
-    """
+    """(inputs, outputs, onchip_bytes) from a node's edges."""
     inputs, outputs = [], []
-    dram, onchip = 0, 0
+    onchip = 0
     seen = set()
     for edge in graph.in_edges(node):
         key = (edge.src.uid, edge.md.producer_name)
@@ -118,7 +111,7 @@ def _edge_operands(graph, node):
         seen.add(key)
         outputs.append((edge.md.producer_name, tuple(edge.md.shape)))
         onchip += edge.md.nbytes
-    return tuple(inputs), tuple(outputs), dram, onchip
+    return tuple(inputs), tuple(outputs), onchip
 
 
 class Accelerator(ABC):
@@ -213,7 +206,7 @@ class Accelerator(ABC):
 
     def translate_compute(self, graph, node):
         descriptor = node.attrs["descriptor"]
-        inputs, outputs, dram, onchip = _edge_operands(graph, node)
+        inputs, outputs, onchip = _edge_operands(graph, node)
         lowered = node.attrs.get("lowered", "group")
         op = node.name if lowered != "scalar" else f"scalar_dfg[{node.name}]"
         return IRFragment(
@@ -227,14 +220,13 @@ class Accelerator(ABC):
                 "free_size": descriptor.free_size,
                 "reduce_size": descriptor.reduce_size,
                 "lowered": lowered,
-                "dram_bytes": dram,
                 "onchip_bytes": onchip,
                 "node_uid": node.uid,
             },
         )
 
     def translate_macro(self, graph, node):
-        inputs, outputs, dram, onchip = _edge_operands(graph, node)
+        inputs, outputs, onchip = _edge_operands(graph, node)
         op_counts = {}
         for _, sub_node in node.subgraph.walk():
             descriptor = sub_node.attrs.get("descriptor")
@@ -250,7 +242,6 @@ class Accelerator(ABC):
             outputs=outputs,
             attrs={
                 "op_counts": op_counts,
-                "dram_bytes": dram,
                 "onchip_bytes": onchip,
                 "node_uid": node.uid,
             },
@@ -276,8 +267,8 @@ class Accelerator(ABC):
             op_counts = {cls: count * scale for cls, count in op_counts.items()}
         return self.model.kernel_cost(
             op_counts,
-            fragment.attrs.get("dram_bytes", 0) * min(1.0, scale),
-            fragment.attrs.get("onchip_bytes", 0) * min(1.0, scale),
+            dram_bytes=0,
+            onchip_bytes=fragment.attrs.get("onchip_bytes", 0) * min(1.0, scale),
             label=fragment.op,
         )
 

@@ -80,7 +80,7 @@ class Graphicionado(Accelerator):
         if not _is_vertex_reduce(node):
             return super().translate_compute(graph, node)
         descriptor = node.attrs["descriptor"]
-        inputs, outputs, dram, onchip = _edge_operands(graph, node)
+        inputs, outputs, onchip = _edge_operands(graph, node)
         reduce_kind = node.name.replace("reduce_", "")
         return IRFragment(
             op="pipeline",
@@ -93,7 +93,7 @@ class Graphicionado(Accelerator):
                 "op_counts": dict(descriptor.op_counts),
                 "free_size": descriptor.free_size,
                 "reduce_size": descriptor.reduce_size,
-                "dram_bytes": dram,
+                "dram_bytes": 0,
                 "onchip_bytes": onchip,
                 "predicate": descriptor.has_predicate,
                 "node_uid": node.uid,
