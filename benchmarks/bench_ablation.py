@@ -5,27 +5,25 @@ on, so a change that silently disables one fails here:
 
 * **algebraic combination** (§IV-B): fusing matvec chains reduces kernel
   count and dispatch cost on ROBOX;
-* **type-modifier residency** (§II-A): keeping ``param``/``state`` on chip
-  vs streaming everything each invocation;
 * **einsum fast path**: the interpreter's contraction dispatch vs the
   general lattice evaluator;
 * **analytic vs event-level GRAPHICIONADO**: how much load imbalance the
   per-stream simulation reveals on a power-law graph;
 * **analytic vs cycle-level TABLA**: the roofline estimate against a real
   PE-array schedule.
-"""
 
-import dataclasses
+Type-modifier residency (§II-A) is a tier-1 test against the SoC walk,
+``tests/test_hw.py::test_resident_params_beat_streaming_them``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.driver import CompilerSession
-from repro.hw.cost import RooflineModel
 from repro.passes import PassManager, lower
 from repro.rewrite import DEAD_CODE_ELIMINATION, RulePass, combination_pass
 from repro.srdfg import Executor, build, expand_scalar
-from repro.targets import Robox, compile_to_targets, default_accelerators
+from repro.targets import Robox, compile_to_targets
 from repro.targets.graphicionado_sim import simulate_sweep
 from repro.targets.tabla_schedule import TablaScheduler
 from repro.workloads import get_workload
@@ -67,30 +65,6 @@ class TestAlgebraicCombinationAblation:
             f"speedup: {plain.seconds / combined.seconds:.2f}x",
         )
         assert combined.seconds < plain.seconds
-
-
-class TestResidencyAblation:
-    def test_streaming_params_is_slower(self, emit):
-        workload = get_workload("MobileRobot")
-        session = CompilerSession(default_accelerators())
-        app = session.compile(workload.source(), domain="RBT")
-        resident = app.accelerators["RBT"]
-        streaming = Robox()
-        # Ablate the scratchpad: one byte of capacity spills every param.
-        streaming.params = dataclasses.replace(
-            streaming.params, onchip_capacity_bytes=1
-        )
-        streaming.model = RooflineModel(streaming.params)
-        base = resident.estimate(app.programs["RBT"])
-        ablated = streaming.estimate(app.programs["RBT"])
-        emit(
-            "ablation_residency",
-            "Ablation: param/state scratchpad residency (ROBOX MPC)\n"
-            f"resident:  {base.seconds * 1e6:.3f} us per step\n"
-            f"streaming: {ablated.seconds * 1e6:.3f} us per step\n"
-            f"type modifiers buy {ablated.seconds / base.seconds:.2f}x",
-        )
-        assert ablated.seconds > base.seconds * 1.5
 
 
 class TestEinsumAblation:

@@ -1,22 +1,14 @@
-"""Shared fixtures for the supporting benchmarks (ablations, fragment
-profiles, tracer overhead); each writes its rendered rows to
-``results/<id>.txt``. The paper's figures and their claims are
-``repro.eval.claims``, run in tier-1 by ``tests/test_claims.py``.
+"""Shared fixtures for the supporting benchmarks (ablations, tracer
+overhead); each writes its rendered rows to ``results/<id>.txt``. The
+paper's figures and their claims are ``repro.eval.claims``, run in tier-1
+by ``tests/test_claims.py``.
 """
 
 import pathlib
 
 import pytest
 
-from repro.eval import Harness
-
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-@pytest.fixture(scope="session")
-def harness():
-    """One shared harness: workload compilations are cached across figures."""
-    return Harness()
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,11 @@ Public API quick tour::
     # Execute it functionally
     result = repro.Executor(graph).run(inputs=..., params=..., state=...)
 
-    # Compile for the Table V accelerators and estimate performance
+    # Compile for the Table V accelerators, execute, and price one
+    # invocation on the SoC (compute, DMA transfers and spill)
     compiler = repro.PolyMath(repro.default_accelerators())
     app = compiler.compile(source, domain="RBT")
-    outputs, stats, per_domain = app.run(inputs=..., params=...)
+    result, total, per_domain = app.run(inputs=..., params=...)
 
     # Regenerate the paper's evaluation
     print(repro.full_report())

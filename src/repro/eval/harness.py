@@ -111,13 +111,8 @@ class Harness:
         hints = workload.hints()
         iterations = workload.perf_iterations
 
-        accel_once = PerfStats()
-        expert_once = PerfStats()
-        for domain, program in app.programs.items():
-            accelerator = accelerators[domain]
-            accel_once.add(accelerator.estimate(program))
-            expert_once.add(estimate_expert(accelerator, program))
-
+        accel_once = SoCRuntime(accelerators).execute(app, hints=hints).total
+        expert_once = estimate_expert(app)
         cpu_once = make_xeon().estimate_graph(app.graph, hints)
         titan_once = make_titan_xp().estimate_graph(app.graph, hints)
         jetson_once = make_jetson().estimate_graph(app.graph, hints)
@@ -126,7 +121,7 @@ class Harness:
         functional_error = None
         if self.validate:
             # Warm the session's plan tier first: every validation step
-            # (and any later chaos/simulate path over this graph) then
+            # (and any later chaos or ``app.run`` over this graph) then
             # reuses one ExecutionPlan instead of replanning.
             self.session.plan_for(app)
             check = workload.check_functional(graph=app.graph)
@@ -228,19 +223,11 @@ class Harness:
         titan = make_titan_xp().estimate_graph(app.graph, hints).scaled(iterations)
         jetson = make_jetson().estimate_graph(app.graph, hints).scaled(iterations)
 
-        expert = PerfStats()
-        for domain, program in app.programs.items():
-            expert.add(estimate_expert(accelerators[domain], program))
-        # The expert end-to-end implementation still pays cross-domain DMA.
-        full = soc.execute(app, hints=hints)
-        expert.add(full.communication)
-        expert = expert.scaled(iterations)
-
         return combos, {
             "cpu": cpu,
             "titan": titan,
             "jetson": jetson,
-            "expert": expert,
+            "expert": estimate_expert(app).scaled(iterations),
         }
 
 

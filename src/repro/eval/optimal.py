@@ -25,6 +25,7 @@ workloads are dispatch-bound.
 from __future__ import annotations
 
 from ..hw.cost import PerfStats
+from ..hw.soc import SoCRuntime
 
 #: How many translated kernels an expert fuses into one dispatch.
 EXPERT_FUSION_FACTOR = 2
@@ -53,21 +54,23 @@ def expert_fragment_cost(accelerator, fragment):
     return stats
 
 
-def estimate_expert(accelerator, program):
-    """PerfStats of the expert-written native-stack program."""
-    stats = PerfStats()
-    dispatches = 0
-    for fragment in program.fragments:
-        cost = expert_fragment_cost(accelerator, fragment)
-        dispatches += cost.kernels
-        stats.add(cost)
+def estimate_expert(app):
+    """PerfStats of one invocation of the expert-written native-stack
+    implementation of *app*: the SoC walk, every domain accelerated, with
+    each fragment priced by :func:`expert_fragment_cost` — so the expert
+    pays the same transfers and spill as the translated program."""
+    report = SoCRuntime(
+        app.accelerators, fragment_cost=expert_fragment_cost
+    ).execute(app)
+    stats = report.total
     # Fused dispatch: keep 1/EXPERT_FUSION_FACTOR of the per-kernel
-    # dispatch overhead the translated program paid.
-    overhead = accelerator.params.dispatch_overhead_s
-    if overhead > 0 and dispatches > 1:
-        fused = -overhead * dispatches * (1.0 - 1.0 / EXPERT_FUSION_FACTOR)
-        stats.seconds = max(stats.seconds + fused, 1e-12)
-    # Energy follows the shortened runtime (same ops/bytes, less idle).
+    # dispatch overhead each domain's translated program paid.
+    for domain, spent in report.per_domain.items():
+        if spent.kernels > 1:
+            overhead = app.accelerators[domain].params.dispatch_overhead_s
+            stats.seconds -= (
+                overhead * spent.kernels * (1.0 - 1.0 / EXPERT_FUSION_FACTOR)
+            )
     return stats
 
 

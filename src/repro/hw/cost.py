@@ -13,8 +13,9 @@ accelerator every kernel operand is on chip: ``input``/``output`` streams
 cross DRAM once per invocation through their FIFO fragments, ``param``/
 ``state`` stay resident in scratchpads (what PMLang's type modifiers tell
 the hardware, §II-A), and ``local`` intermediates never leave the chip;
-resident bytes beyond the device's capacity spill. The CPU/GPU baselines
-instead move every boundary operand over DRAM, kernel by kernel.
+resident bytes beyond the device's capacity are the SoC walk's spill
+(:mod:`repro.hw.soc`). The CPU/GPU baselines instead move every boundary
+operand over DRAM, kernel by kernel.
 
 Nothing here hard-codes a benchmark result; speedups emerge from unit
 counts, frequencies, efficiencies, and the structure of the lowered srDFG.
@@ -75,7 +76,8 @@ class HardwareParams:
     #: On-chip memory capacity in bytes (Table VI: 512 KB for the ASICs'
     #: task memory, 64 MB eDRAM for GRAPHICIONADO, ~75 MB BRAM on the
     #: KCU1500). ``param``/``state`` footprints beyond this spill to DRAM
-    #: every invocation. ``None`` disables the check.
+    #: every invocation (priced by :mod:`repro.hw.soc`). ``None`` disables
+    #: the check.
     onchip_capacity_bytes: float = None
 
     def ops_per_second(self, cost_class):

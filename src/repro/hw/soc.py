@@ -8,18 +8,23 @@ between DRAM and local accelerator memory."
 :func:`schedule` turns Algorithm 2's per-domain fragment streams into the
 one ordered list of segments the host manager walks: compute bursts
 delimited by the crossing ``load``/``store`` fragments, each load
-depending on the segment holding the store of the same producer.
-:meth:`SoCRuntime.priced` prices a segment's units under a placement:
+depending on the segment holding the store of the same producer, and
+each domain's resident ``param``/``state`` footprint closing its last
+segment. :meth:`SoCRuntime.priced` prices a segment's units under a
+placement:
 
 * a compute burst of an accelerated domain to its accelerator model;
 * a burst of a host-placed domain (partial-acceleration studies, degraded
   runs) to the CPU baseline cost of the kernels it translates;
 * a transfer to :meth:`SoCRuntime.dma_cost`, except between two
-  host-placed domains, where it is plain memory and free.
+  host-placed domains, where it is plain memory and free;
+* an accelerated domain's footprint to its spill: the bytes beyond the
+  device's ``onchip_capacity_bytes`` (Table VI) stream from DRAM on every
+  invocation. A host-placed domain has no scratchpad to overflow.
 
-:meth:`SoCRuntime.execute` folds that stream into a :class:`SoCRunReport`;
-:class:`~repro.runtime.HostManager` walks the same stream under faults and
-:func:`~repro.rewrite.fusion.modeled_cost` scores candidate moves with it.
+That stream is the one cost plane: :meth:`SoCRuntime.execute` folds it
+into a :class:`SoCRunReport`, and every other price in the stack — the
+host manager's, fusion's, ``CompiledApplication.run``'s — folds it too.
 """
 
 from __future__ import annotations
@@ -41,22 +46,21 @@ HOST_MANAGER_W = 2.0
 
 @dataclass(frozen=True)
 class Unit:
-    """One dispatchable unit: a compute burst or a single DMA transfer."""
+    """One dispatchable unit: a compute burst, a single DMA transfer, or a
+    domain's resident footprint (what spills of it)."""
 
     domain: str
     label: str
+    kind: str = "compute"  # "compute" | "dma" | "spill"
     fragments: tuple = ()  # compute only
     direction: str = ""  # dma only: "load" | "store"
     peer: Optional[str] = None
     buffer: str = ""
+    #: dma: the bytes moved; spill: the domain's resident footprint.
     nbytes: int = 0
     #: dma only: the ``(producer uid, producer_name)`` Algorithm 2 stamped
     #: on the store and on every load of what it stores.
     moves: tuple = ()
-
-    @property
-    def kind(self):
-        return "dma" if self.direction else "compute"
 
 
 @dataclass
@@ -75,6 +79,15 @@ class Segment:
     name: str = ""
     units: List[Unit] = field(default_factory=list)
     deps: set = field(default_factory=set)
+
+
+def resident_footprint(program):
+    """Bytes of ``param``/``state`` data *program* pins on chip."""
+    return sum(
+        fragment.attrs.get("nbytes", 0)
+        for fragment in program.fragments
+        if fragment.op in ("alloc_onchip", "load_const_buf")
+    )
 
 
 def schedule(programs):
@@ -113,6 +126,7 @@ def schedule(programs):
                 parts[-1].units.append(
                     Unit(
                         domain, f"{domain}.{fragment.op}[{buffer}]",
+                        kind="dma",
                         direction=fragment.op,
                         peer=fragment.attrs.get("from_domain")
                         or fragment.attrs.get("to_domain"),
@@ -124,6 +138,12 @@ def schedule(programs):
                 )
                 if not load:
                     dirty = True
+        # Last, so a domain that degrades to the host before finishing on
+        # its accelerator never pays its spill.
+        parts[-1].units.append(Unit(
+            domain, f"{domain}.spill", kind="spill",
+            nbytes=resident_footprint(program),
+        ))
         for ordinal, part in enumerate(parts):
             part.name = domain if len(parts) == 1 else f"{domain}#{ordinal}"
             # A device executes its own program sequentially.
@@ -212,9 +232,14 @@ class SoCRunReport:
 class SoCRuntime:
     """Schedules a compiled application across accelerators + host."""
 
-    def __init__(self, accelerators, host=None):
+    def __init__(self, accelerators, host=None, fragment_cost=None):
         self.accelerators = dict(accelerators)
         self.host = host or make_xeon()
+        #: ``(accelerator, fragment) -> PerfStats`` of an accelerated
+        #: fragment; the expert of Figs 9 and 12 passes its own.
+        self.fragment_cost = fragment_cost or (
+            lambda accelerator, fragment: accelerator.fragment_cost(fragment)
+        )
 
     def execute(self, compiled, accelerated_domains=None, hints=None):
         """Account one invocation of *compiled* on the SoC.
@@ -245,7 +270,8 @@ class SoCRuntime:
         on their accelerators and every other domain on the host.
 
         A transfer between two host-placed domains is plain memory and
-        yields None in place of a cost.
+        yields None in place of a cost. A footprint yields only what
+        spills of it, and only on an accelerator.
         """
         for unit in units:
             on_host = unit.domain not in accelerated
@@ -258,6 +284,16 @@ class SoCRuntime:
                     # once, on the load.
                     yield unit, self.dma_cost(
                         unit.nbytes, dispatch=unit.direction == "load"
+                    )
+                continue
+            if unit.kind == "spill":
+                accelerator = self.accelerators[unit.domain]
+                capacity = accelerator.params.onchip_capacity_bytes
+                if not on_host and capacity and unit.nbytes > capacity:
+                    # Sparse workloads touch op_scale of their operands.
+                    scale = min(1.0, accelerator.data_hints.get("op_scale", 1.0))
+                    yield unit, accelerator.model.transfer_cost(
+                        (unit.nbytes - capacity) * scale, label="spill"
                     )
                 continue
             stats = PerfStats()
@@ -274,7 +310,7 @@ class SoCRuntime:
             else:
                 accelerator = self.accelerators[unit.domain]
                 for fragment in unit.fragments:
-                    stats.add(accelerator.fragment_cost(fragment))
+                    stats.add(self.fragment_cost(accelerator, fragment))
             yield unit, stats
 
     def dma_cost(self, nbytes, dispatch=True):

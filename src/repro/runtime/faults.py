@@ -55,7 +55,9 @@ FAULT_KINDS = COMPUTE_FAULTS | DMA_FAULTS
 class Site:
     """One injection site: a single dispatch/transfer attempt."""
 
-    unit: str  # "dispatch" (accelerator compute) or "dma" (transfer)
+    #: "dispatch" (accelerator compute), "dma" (transfer) or "spill" (the
+    #: accelerator streaming its overflow; no fault kind strikes one).
+    unit: str
     domain: Optional[str] = None
     peer: Optional[str] = None  # other endpoint of a DMA transfer
     label: str = ""

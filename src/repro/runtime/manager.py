@@ -257,7 +257,7 @@ class HostManager:
                     attempt=attempt,
                 )
             site = Site(
-                unit="dma" if unit.kind == "dma" else "dispatch",
+                unit="dispatch" if unit.kind == "compute" else unit.kind,
                 domain=domain,
                 peer=unit.peer,
                 label=unit.label,

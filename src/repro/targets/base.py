@@ -12,9 +12,10 @@ Algorithm 2 of the paper compiles a lowered srDFG against per-domain
   :class:`AcceleratorProgram`.
 
 Every concrete backend in this package supplies its specification plus a
-hardware cost model; ``simulate`` executes the lowered graph functionally
-(through the srDFG interpreter, so results are bit-identical with the
-reference path) while charging cycles/energy per fragment.
+hardware cost model: ``fragment_cost`` prices one fragment, and the SoC
+walk of :mod:`repro.hw.soc` is what sums them. A compiled application
+executes its lowered srDFG through the shared execution plan and reads
+its cost from that walk (``CompiledApplication.run``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import TargetError
 from ..hw.cost import PerfStats, RooflineModel
+from ..hw.soc import SoCRuntime
 from ..srdfg.graph import COMPONENT, COMPUTE, CONST, VAR
 from ..srdfg.metadata import LOCAL
 
@@ -253,8 +255,9 @@ class Accelerator(ABC):
         """PerfStats for executing one fragment once (steady state).
 
         ``param``/``state`` buffers are preloaded once per run, not per
-        invocation, so their var fragments are free here; streamed
-        ``input``/``output`` FIFOs are charged per invocation.
+        invocation, so their var fragments are free here (what overflows
+        the device is the SoC walk's spill); streamed ``input``/``output``
+        FIFOs are charged per invocation.
         """
         op_counts = fragment.attrs.get("op_counts")
         if not op_counts:
@@ -272,56 +275,19 @@ class Accelerator(ABC):
             label=fragment.op,
         )
 
-    def resident_footprint(self, program):
-        """Bytes of ``param``/``state`` data the program pins on chip."""
-        return sum(
-            fragment.attrs.get("nbytes", 0)
-            for fragment in program.fragments
-            if fragment.op in ("alloc_onchip", "load_const_buf")
-        )
-
     def estimate(self, program):
-        """PerfStats for one execution of *program*.
+        """PerfStats for one invocation of *program* on this accelerator:
+        what the SoC walk (:mod:`repro.hw.soc`) charges its domain for
+        compute and spill, its cross-domain transfers left out."""
+        from .compiler import CompiledApplication
 
-        When the program's resident ``param``/``state`` footprint exceeds
-        the device's on-chip capacity (Table VI), the excess spills: those
-        bytes stream from DRAM every invocation instead of staying
-        resident, exactly like TABLA re-streaming a training set that
-        outgrows BRAM.
-        """
-        stats = PerfStats()
-        for fragment in program.fragments:
-            stats.add(self.fragment_cost(fragment))
-        capacity = self.params.onchip_capacity_bytes
-        if capacity:
-            excess = self.resident_footprint(program) - capacity
-            if excess > 0:
-                scale = self.data_hints.get("op_scale", 1.0)
-                stats.add(
-                    self.model.transfer_cost(
-                        excess * min(1.0, scale), label="spill"
-                    )
-                )
-        return stats
-
-    # -- functional simulation ------------------------------------------------------
-
-    def simulate(self, lowered_graph, program, inputs=None, params=None,
-                 state=None, precision="f64", lattice_limit=None):
-        """Run the program functionally and return (result, PerfStats).
-
-        Execution goes through the shared per-graph
-        :class:`~repro.srdfg.plan.ExecutionPlan`: simulating the same
-        lowered graph repeatedly plans it once.
-        """
-        from ..srdfg.plan import PlanConfig, plan_for_graph
-
-        plan = plan_for_graph(
-            lowered_graph,
-            config=PlanConfig(precision=precision, lattice_limit=lattice_limit),
-        )
-        result = plan.execute(inputs=inputs, params=params, state=state)
-        return result, self.estimate(program)
+        domain = program.domain
+        alone = AcceleratorProgram(program.target, domain, [
+            fragment for fragment in program.fragments
+            if not fragment.attrs.get("crossing")
+        ])
+        app = CompiledApplication(None, {domain: alone}, {domain: self})
+        return SoCRuntime(app.accelerators).execute(app).total
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} domain={self.domain}>"

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import TargetError
-from ..hw.cost import PerfStats
+from ..hw.cost import safe_div
+from ..hw.soc import SoCRuntime
 from ..srdfg.graph import VAR
 from .base import Accelerator, AcceleratorProgram, IRFragment
 
@@ -196,13 +197,11 @@ class CompiledApplication:
         precision="f64",
         lattice_limit=None,
     ):
-        """Execute functionally; returns (ExecutionResult, PerfStats).
-
-        Performance composes sequentially across domains, each program
-        priced by its own accelerator's :meth:`Accelerator.estimate`;
-        cross-domain load/store fragments cost nothing here — the DMA model
-        (§V-A3's host-managed DMA) is :class:`~repro.hw.soc.SoCRuntime`'s.
-        Execution reuses the application's shared
+        """Execute functionally; returns ``(result, total, per_domain)``:
+        the ExecutionResult and the SoC walk's PerfStats for one
+        invocation (:meth:`~repro.hw.soc.SoCRuntime.execute`: compute,
+        host-managed DMA and spill, *accelerated_domains* — default all —
+        on their accelerators). Execution reuses the application's shared
         :class:`~repro.srdfg.plan.ExecutionPlan` (see
         :meth:`execution_plan`): the graph is planned once, then every
         step only binds data. *precision*/*lattice_limit* select the plan
@@ -237,50 +236,40 @@ class CompiledApplication:
             precision=precision, lattice_limit=lattice_limit
         )
         result = plan.execute(inputs=inputs, params=params, state=state)
-        total = PerfStats()
-        per_domain = {}
-        for domain, program in self.programs.items():
-            accelerator = self.accelerators[domain]
-            stats = accelerator.estimate(program)
-            per_domain[domain] = stats
-            total.add(stats)
-        return result, total, per_domain
+        report = SoCRuntime(self.accelerators).execute(
+            self, accelerated_domains=accelerated_domains, hints=hints
+        )
+        return result, report.total, report.per_domain
 
     def profile(self, top=10):
-        """Per-fragment cost table, hottest first.
+        """Where one fully accelerated invocation spends its time.
 
-        Returns ``(rows, total)`` where each row is
-        ``(domain, op, seconds, share)`` — the accelerator-side profile a
-        performance engineer would ask for first.
+        Returns ``(rows, total)``: *total* is the SoC walk's, and each row
+        ``(domain, label, seconds, share)``, hottest first, one entry of a
+        domain's breakdown — a fragment op, a backend penalty term
+        (``rebalance``, ...), ``dma`` or ``spill``.
         """
-        entries = []
-        total = 0.0
-        for domain, program in self.programs.items():
-            accelerator = self.accelerators[domain]
-            for fragment in program.fragments:
-                if fragment.attrs.get("crossing"):
-                    cost = accelerator.model.transfer_cost(
-                        fragment.attrs.get("nbytes", 0), label=fragment.op
-                    )
-                else:
-                    cost = accelerator.fragment_cost(fragment)
-                if cost.seconds > 0:
-                    entries.append((domain, fragment.op, cost.seconds))
-                    total += cost.seconds
-        entries.sort(key=lambda item: item[2], reverse=True)
-        rows = [
-            (domain, op, seconds, seconds / total if total else 0.0)
-            for domain, op, seconds in entries[:top]
-        ]
-        return rows, total
+        report = SoCRuntime(self.accelerators).execute(self)
+        total = report.total.seconds
+        rows = sorted(
+            (
+                (domain, label, seconds, safe_div(seconds, total))
+                for domain, stats in report.per_domain.items()
+                for label, seconds in stats.breakdown.items()
+                if seconds > 0
+            ),
+            key=lambda row: row[2],
+            reverse=True,
+        )
+        return rows[:top], total
 
     def profile_report(self, top=10):
         """Human-readable rendering of :meth:`profile`."""
         rows, total = self.profile(top=top)
-        lines = [f"{'domain':10s} {'fragment':28s} {'time':>12s} {'share':>7s}"]
-        for domain, op, seconds, share in rows:
+        lines = [f"{'domain':10s} {'cost':28s} {'time':>12s} {'share':>7s}"]
+        for domain, label, seconds, share in rows:
             lines.append(
-                f"{domain:10s} {op:28s} {seconds * 1e6:9.3f} us {share:6.1%}"
+                f"{domain:10s} {label:28s} {seconds * 1e6:9.3f} us {share:6.1%}"
             )
         lines.append(f"total accelerator time: {total * 1e6:.3f} us per invocation")
         return "\n".join(lines)

@@ -1,5 +1,7 @@
 """Unit tests for the hardware cost models and SoC runtime."""
 
+import dataclasses
+
 import pytest
 
 from repro.hw import (
@@ -11,7 +13,9 @@ from repro.hw import (
     make_titan_xp,
     make_xeon,
 )
+from repro.hw.soc import schedule
 from repro.eval import Harness
+from repro.runtime import HostManager
 from repro.srdfg import build
 from repro.targets import PolyMath, default_accelerators
 from repro.workloads import END_TO_END, SINGLE_DOMAIN
@@ -207,3 +211,80 @@ def test_unaccelerated_soc_is_the_cpu_baseline(harness, name):
     assert soc.total.kernels == cpu.kernels
     assert soc.total.seconds == pytest.approx(cpu.seconds, rel=1e-12)
     assert soc.total.energy_j == pytest.approx(cpu.energy_j, rel=1e-12)
+
+
+#: Per-invocation microseconds of four programs on the one cost plane.
+WALK_US = {
+    "MovieL-20M": 14857.9, "ResNet-18": 3824.6,
+    "BrainStimul": 1675.6, "OptionPricing": 30.2,
+}
+
+
+@pytest.mark.parametrize("name", SINGLE_DOMAIN + END_TO_END)
+def test_every_pricer_reads_the_one_walk(harness, name):
+    """``app.run``, ``app.profile``, ``SoCRuntime.execute`` and a
+    fault-free ``HostManager.run`` fold the same priced stream — transfers
+    and spill included — so they report the same total."""
+    workload, app, _ = harness.compiled(name)
+    hints = workload.hints()
+    walk = SoCRuntime(app.accelerators).execute(app, hints=hints).total
+    _, run, _ = app.run(
+        inputs=workload.inputs(0, None), params=workload.params(),
+        state=workload.initial_state(), hints=hints,
+    )
+    _, profiled = app.profile()
+    managed = HostManager(app.accelerators).run(app, hints=hints, execute=False)
+    for total in (run.seconds, profiled, managed.total.seconds):
+        assert total == pytest.approx(walk.seconds, rel=1e-12)
+    if name in WALK_US:
+        assert walk.seconds * 1e6 == pytest.approx(WALK_US[name], abs=0.05)
+
+
+def _spills(app, hints, accelerated):
+    """``(domain, seconds)`` of every spill the walk charges."""
+    soc = SoCRuntime(app.accelerators)
+    return [
+        (unit.domain, cost.seconds)
+        for segment in schedule(app.programs)
+        for unit, cost in soc.priced(app.graph, segment.units, accelerated, hints)
+        if unit.kind == "spill"
+    ]
+
+
+def test_spill_is_charged_once_per_invocation_on_the_accelerator_only(harness):
+    # RBT pins 16.8 MB of MPC matrices against RoboX's 512 KB.
+    workload, app, _ = harness.compiled("BrainStimul")
+    hints = workload.hints()
+    [(domain, seconds)] = _spills(app, hints, set(app.programs))
+    assert domain == "RBT"
+    assert seconds * 1e6 == pytest.approx(1272.0, abs=0.05)
+    assert _spills(app, hints, set(app.programs) - {"RBT"}) == []
+
+
+def test_fault_free_host_manager_pays_the_spill_the_soc_prices(harness):
+    workload, app, _ = harness.compiled("BrainStimul")
+    hints = workload.hints()
+    report = HostManager(app.accelerators).run(app, hints=hints, execute=False)
+    soc = SoCRuntime(app.accelerators).execute(app, hints=hints)
+    assert report.per_domain["RBT"].breakdown["spill"] > 0
+    assert report.total == soc.total
+    assert report.per_domain == soc.per_domain
+
+
+def test_translated_and_expert_pay_the_same_spill(harness):
+    # MovieL-20M's translated program spills 1762.8 us per invocation;
+    # before the expert paid it too, Fig 9 read 88.1% here.
+    assert harness.run("MovieL-20M").percent_optimal >= 99.9
+
+
+def test_resident_params_beat_streaming_them(harness):
+    """Type-modifier residency (§II-A): with RoboX's scratchpad ablated to
+    one byte, every MPC param spills on every invocation."""
+    _, app, _ = harness.compiled("MobileRobot")
+    streaming = app.accelerators["RBT"].bound()
+    streaming.params = dataclasses.replace(
+        streaming.params, onchip_capacity_bytes=1
+    )
+    resident = SoCRuntime(app.accelerators).execute(app).total
+    ablated = SoCRuntime({"RBT": streaming}).execute(app).total
+    assert ablated.seconds > resident.seconds * 1.5
