@@ -1,7 +1,7 @@
-"""Shared fixtures for the supporting benchmarks (ablations, tracer
-overhead); each writes its rendered rows to ``results/<id>.txt``. The
-paper's figures and their claims are ``repro.eval.claims``, run in tier-1
-by ``tests/test_claims.py``.
+"""Shared fixtures for the supporting benchmark (tracer overhead), which
+writes its rendered rows to ``results/<id>.txt``. The paper's figures and
+their claims are ``repro.eval.claims``, run in tier-1 by
+``tests/test_claims.py``.
 """
 
 import pathlib

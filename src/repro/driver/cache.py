@@ -1,8 +1,7 @@
 """Content-addressed artifact cache for compiled applications.
 
 Compiling the same workload repeatedly is the harness's common case (each
-figure recompiles its workloads, ``bench_ablation`` recompiles per
-configuration), so the session keys every compile on
+figure recompiles its workloads), so the session keys every compile on
 
     (source hash, entry, domain annotations,
      accelerator config fingerprint, pass-pipeline fingerprint)

@@ -36,7 +36,7 @@ from ..passes.lowering import lower, supported_summary
 from ..pmlang.parser import parse
 from ..pmlang.semantic import analyze
 from ..rewrite.engine import REWRITE_STATS
-from ..rewrite.fusion import FusionConfig, fuse_cross_domain
+from ..rewrite.fusion import fuse_cross_domain
 from ..srdfg.builder import build
 from ..srdfg.plan import (
     PLAN_FIELDS,
@@ -152,17 +152,15 @@ class CompilerSession:
         cache_dir=None,
         diagnostics=None,
         tracer=None,
-        fusion=None,
+        fusion=False,
     ):
         self.accelerators = dict(accelerators or {})
         self.run_pipeline = run_pipeline
         self.pipeline_factory: Callable = pipeline_factory or default_pipeline
-        #: Cost-guided cross-domain fusion on the lowered graph: ``None``
-        #: disables the ``fuse`` stage, ``True`` uses the default
-        #: :class:`~repro.rewrite.fusion.FusionConfig`, or pass a config.
-        if fusion is True:
-            fusion = FusionConfig()
-        self.fusion = fusion
+        #: Whether the ``fuse`` stage runs cost-guided cross-domain fusion
+        #: (:func:`~repro.rewrite.fusion.fuse_cross_domain`) on the
+        #: lowered graph.
+        self.fusion = bool(fusion)
         self.cache = cache or ArtifactCache(cache_dir=cache_dir)
         self.diagnostics = diagnostics or Diagnostics()
         #: Observability spine: stage spans (category ``session``), pass
@@ -288,11 +286,6 @@ class CompilerSession:
             pipeline.recursive,
         )
 
-    def _fusion_fingerprint(self):
-        if self.fusion is None:
-            return "no-fusion"
-        return fingerprint(self.fusion.fingerprint())
-
     def cache_key(
         self, source, entry, domain, component_domains, accelerators, pipeline
     ):
@@ -304,7 +297,7 @@ class CompilerSession:
             tuple(sorted((component_domains or {}).items())),
             accelerator_fingerprint(accelerators),
             self._pipeline_fingerprint(pipeline),
-            self._fusion_fingerprint(),
+            "fusion" if self.fusion else "no-fusion",
         )
 
     # -- stage execution -------------------------------------------------------
@@ -514,12 +507,10 @@ class CompilerSession:
         # across domain boundaries where the SoC model says the erased DMA
         # transfers outweigh any compute-cost change.
         fusion_report = None
-        if self.fusion is not None:
+        if self.fusion:
             fusion_report, fuse_record = self._run_stage(
                 FUSE_STAGE,
-                lambda: fuse_cross_domain(
-                    lowered, accelerators, config=self.fusion
-                ),
+                lambda: fuse_cross_domain(lowered, accelerators),
                 graph_before=lowered,
                 graph_after=lowered,
             )

@@ -85,11 +85,12 @@ class PassError(PolyMathError):
 class RewriteError(PassError):
     """The declarative rewrite engine diverged or a rule misbehaved.
 
-    Raised when a rule set fails to reach a fixpoint within its iteration
-    budget, or when cycle detection catches a rule pair that keeps
-    regenerating the same expression/graph (e.g. two rules that undo each
-    other). Subclasses :class:`PassError` so pipeline-level handlers and
-    the pass manager treat it like any other failing pass.
+    Raised when a rule set does not reach a fixpoint within the engine's
+    bound on rewrites at one position or on sweeps of one graph — which
+    means its rules break their termination measure (e.g. two rules that
+    undo each other) — or declares an unknown sweep strategy. Subclasses
+    :class:`PassError` so pipeline-level handlers and the pass manager
+    treat it like any other failing pass.
     """
 
 

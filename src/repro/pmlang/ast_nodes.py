@@ -266,8 +266,8 @@ def expr_key(expr):
     """Hashable structural key of an expression (names stay symbolic).
 
     Ignores line info. This is the one definition of structural equality:
-    CSE's statement keys, non-linear pattern captures and the rewrite
-    engine's cycle detection all compare these.
+    CSE's statement keys and non-linear pattern captures both compare
+    these.
     """
     if expr is None:
         return None

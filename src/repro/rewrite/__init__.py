@@ -3,11 +3,13 @@
 The stack's optimisation passes, restated as data: patterns with
 op/attr/shape predicates and capture variables (:mod:`.pattern`), rules
 and rule sets (:mod:`.rules`), one fixpoint driver with per-rule trip
-counts and cycle detection (:mod:`.engine`), the rule sets themselves
+counts and one bound per loop (:mod:`.engine`), the rule sets themselves
 (:mod:`.rulesets`, with the paper's algebraic combination in
 :mod:`.combination`), and adapters into the ``PassManager`` surface
-(:mod:`.rulepass`). Cost-guided cross-domain fusion builds on the same
-engine in :mod:`.fusion`.
+(:mod:`.rulepass`). Termination is the rules' obligation: each firing
+strictly lowers a measure, stated in :mod:`.rulesets`. Cost-guided
+cross-domain fusion (:mod:`.fusion`) reports through the same counters
+and explain log.
 """
 
 from .engine import (
@@ -20,8 +22,6 @@ from .engine import (
     run_ruleset,
 )
 from .fusion import (
-    CrossDomainFusion,
-    FusionConfig,
     FusionMove,
     FusionReport,
     fuse_cross_domain,
@@ -61,7 +61,6 @@ from .rulesets import (
     DEAD_CODE_ELIMINATION,
     DEFAULT_RULESETS,
 )
-from .signature import graph_signature
 
 __all__ = [
     "ANY",
@@ -74,10 +73,8 @@ __all__ = [
     "COPY_PROPAGATION",
     "CSE",
     "Call",
-    "CrossDomainFusion",
     "DEAD_CODE_ELIMINATION",
     "DEFAULT_RULESETS",
-    "FusionConfig",
     "FusionMove",
     "FusionReport",
     "ExplainEntry",
@@ -101,7 +98,6 @@ __all__ = [
     "apply_graph_rules",
     "combination_pass",
     "fuse_cross_domain",
-    "graph_signature",
     "modeled_cost",
     "per_rule",
     "rewrite_pipeline",

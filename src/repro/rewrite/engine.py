@@ -2,11 +2,16 @@
 
 One engine applies every rule set: expression rules run bottom-up inside
 each statement with a per-position fixpoint, graph rules run in sweeps
-over a node snapshot under the rule set's declared strategy. The engine
-— not the rules — owns termination: per-rule trip counts, iteration
-budgets, and cycle detection (a rewrite that regenerates an expression
-or graph already seen aborts with :class:`~repro.errors.RewriteError`
-instead of spinning).
+over a node snapshot under the rule set's declared strategy.
+
+Termination is the rules' own property, not something the engine
+detects: every expression rule strictly lowers (expression size, ``Name``
+count) at the position it fires, and every graph-rule firing strictly
+lowers (nodes, then edges) of its level — the measure obligations of
+:mod:`repro.rewrite.rulesets`. Each loop keeps one bound,
+:data:`POSITION_LIMIT` or :data:`SWEEP_LIMIT`; reaching it means a rule
+set broke its obligation, and raises :class:`~repro.errors.RewriteError`
+naming the measure.
 
 Counters land in the :class:`~repro.obs.Counters` group a caller hands
 in as ``stats=`` or, by default, in :data:`REWRITE_STATS` — the
@@ -24,17 +29,15 @@ from ..obs import DEFAULT_REGISTRY
 from ..pmlang import ast_nodes as ast
 from ..pmlang.render import render_expr
 from ..srdfg import opclass
-from .signature import graph_signature
-from .pattern import Bindings, structural_key
+from .pattern import Bindings
 from .rules import RESTART, SWEEP, ExprContext
 
-#: Rewrites allowed at one expression position before declaring divergence.
+#: Rewrites allowed at one expression position: a rule set that needs
+#: more does not strictly lower (expression size, ``Name`` count).
 POSITION_LIMIT = 64
-#: Graph sweeps allowed for one rule set before declaring divergence.
+#: Graph sweeps allowed for one rule set: a rule set that needs more does
+#: not strictly lower (nodes, edges) with every firing.
 SWEEP_LIMIT = 256
-#: Sweep count after which the engine starts recording graph signatures
-#: to distinguish slow convergence from a rewrite cycle.
-SIGNATURE_AFTER = 8
 
 
 #: The process-default ``rewrite`` group — open key space (one
@@ -180,39 +183,25 @@ class _ExprDriver:
 
     def _fixpoint(self, expr):
         """Apply rules at this position until none fires."""
-        # Keys of every expression this position has held. Built when the
-        # first rule fires: most positions never see one.
-        seen = None
         for _ in range(POSITION_LIMIT):
-            fired = self._apply_once(expr)
-            if fired is None:
+            replacement = self._apply_once(expr)
+            if replacement is None:
                 return expr
-            replacement, key, before = fired
-            if seen is None:
-                seen = {before}
-            if key in seen:
-                raise RewriteError(
-                    f"rule set {self.ruleset.name!r} cycles on expression "
-                    f"{key!r} at {self.site}"
-                )
-            seen.add(key)
             # A builder may introduce subexpressions the bottom-up walk
             # has not seen (an inlined body, a folded literal's siblings);
             # re-normalise the children before matching here again.
             expr = map_children(replacement, self.rewrite)
         raise RewriteError(
             f"rule set {self.ruleset.name!r} exceeded {POSITION_LIMIT} "
-            f"rewrites at one position ({self.site})"
+            f"rewrites at one position ({self.site}): its expression rules "
+            "do not strictly lower (expression size, Name count)"
         )
 
     def _apply_once(self, expr):
-        """Fire the first rule that makes progress on *expr*.
-
-        Returns ``(replacement, its structural key, expr's structural
-        key)``, or None when no rule fires. Only the rules indexed under
-        the root's type are offered.
+        """The replacement built by the first rule that fires on *expr*,
+        or None when none does. Only the rules indexed under the root's
+        type are offered.
         """
-        before = None
         for rule in self.ruleset.expr_rules_for(type(expr)):
             bindings = Bindings()
             if not rule.pattern.match(expr, bindings):
@@ -220,11 +209,6 @@ class _ExprDriver:
             self.stats.bump(f"{self.ruleset.name}/{rule.name}.matches")
             replacement = rule.build(expr, bindings, self.ctx)
             if replacement is None:
-                continue
-            if before is None:
-                before = structural_key(expr)
-            key = structural_key(replacement)
-            if key == before:
                 continue
             self.stats.bump(f"{self.ruleset.name}/{rule.name}.rewrites")
             if self.explain is not None:
@@ -235,7 +219,7 @@ class _ExprDriver:
                     self.site,
                     detail=f"-> {render_expr(replacement)}",
                 )
-            return replacement, key, before
+            return replacement
         return None
 
 
@@ -287,10 +271,6 @@ def rewrite_statement(graph, node, ruleset, stats=None, explain=None):
 # ---------------------------------------------------------------------------
 
 
-def _graph_key(graph):
-    return hash(graph_signature(graph, recursive=False))
-
-
 def apply_graph_rules(graph, ruleset, stats=None, explain=None):
     """Drive *ruleset*'s graph rules over one srDFG level.
 
@@ -303,35 +283,22 @@ def apply_graph_rules(graph, ruleset, stats=None, explain=None):
       (combination: a fusion can enable another at an earlier node).
 
     Returns the number of successful rewrites. Raises
-    :class:`~repro.errors.RewriteError` when the sweep budget is
-    exhausted or a graph state repeats (two rules undoing each other).
+    :class:`~repro.errors.RewriteError` when the graph still changes after
+    :data:`SWEEP_LIMIT` sweeps.
     """
     stats = stats or REWRITE_STATS
     total = 0
-    sweeps = 0
-    signatures = set()
-    while True:
-        sweeps += 1
-        if sweeps > SWEEP_LIMIT:
-            raise RewriteError(
-                f"rule set {ruleset.name!r} exceeded {SWEEP_LIMIT} sweeps "
-                f"on graph {graph.name!r}"
-            )
+    for _ in range(SWEEP_LIMIT):
         stats.bump(f"{ruleset.name}.sweeps")
         ctx = ruleset.prepare(graph) if ruleset.prepare is not None else None
         changed = _one_sweep(graph, ruleset, ctx, stats, explain)
         total += changed
         if ruleset.strategy == SWEEP or not changed:
-            break
-        if sweeps >= SIGNATURE_AFTER:
-            key = _graph_key(graph)
-            if key in signatures:
-                raise RewriteError(
-                    f"rule set {ruleset.name!r} cycles on graph "
-                    f"{graph.name!r} (state repeated after {sweeps} sweeps)"
-                )
-            signatures.add(key)
-    return total
+            return total
+    raise RewriteError(
+        f"rule set {ruleset.name!r} exceeded {SWEEP_LIMIT} sweeps on graph "
+        f"{graph.name!r}: its graph rules do not strictly lower (nodes, edges)"
+    )
 
 
 def _one_sweep(graph, ruleset, ctx, stats, explain):

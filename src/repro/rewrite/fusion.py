@@ -11,19 +11,20 @@ kernel is not stateful.
 
 Candidates are scored by :meth:`~repro.hw.soc.SoCRuntime.execute` itself,
 so a move is applied only when the modelled end-to-end time strictly
-improves. Domain tags and ``lowered`` annotations do not feed
-the srDFG interpreter, so fused and unfused applications are
-bit-identical functionally; only the fragment streams (and their modelled
-cost) change.
+improves. That is also why the greedy loop ends: modelled seconds fall
+with every move, and a graph has finitely many domain assignments.
+Domain tags and ``lowered`` annotations do not feed the srDFG
+interpreter, so fused and unfused applications are bit-identical
+functionally; only the fragment streams (and their modelled cost)
+change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..hw.soc import SoCRuntime
-from ..passes.base import Pass
 from ..passes.lowering import _scalar_classes
 from ..srdfg.graph import COMPUTE, VAR
 from .engine import REWRITE_STATS
@@ -31,19 +32,6 @@ from .engine import REWRITE_STATS
 #: Counter namespace in :data:`~repro.rewrite.engine.REWRITE_STATS`.
 RULESET = "fusion"
 RULE = "absorb-crossing"
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Knobs for the greedy cost-guided fusion driver."""
-
-    #: Maximum number of domain-retag moves applied.
-    max_moves: int = 8
-    #: A move must improve modelled time by more than this (seconds).
-    min_gain_seconds: float = 0.0
-
-    def fingerprint(self):
-        return (self.max_moves, self.min_gain_seconds)
 
 
 @dataclass
@@ -211,16 +199,14 @@ def _crossing_candidates(graph, accelerators):
     return candidates
 
 
-def fuse_cross_domain(graph, accelerators, config=None, stats=None,
-                      explain=None):
+def fuse_cross_domain(graph, accelerators, stats=None, explain=None):
     """Greedy cost-guided fusion over one lowered srDFG (mutates in place).
 
     Each round enumerates every legal crossing-erasing move, scores each
     by re-running the SoC accounting with the move applied, and commits
-    the best strictly-improving move; stops when no move pays or
-    ``config.max_moves`` is reached. Returns a :class:`FusionReport`.
+    the best strictly-improving move; stops when no move pays. Returns a
+    :class:`FusionReport`.
     """
-    config = config or FusionConfig()
     stats = stats or REWRITE_STATS
     baseline = modeled_cost(graph, accelerators)
     report = FusionReport(
@@ -230,7 +216,7 @@ def fuse_cross_domain(graph, accelerators, config=None, stats=None,
         modeled_seconds_before=baseline.seconds,
     )
     current = baseline
-    for _ in range(config.max_moves):
+    while True:
         best = None
         for node, target, tag in _crossing_candidates(graph, accelerators):
             report.candidates_considered += 1
@@ -248,9 +234,7 @@ def fuse_cross_domain(graph, accelerators, config=None, stats=None,
                 else:
                     node.attrs["lowered"] = old_tag
             gain = current.seconds - scored.seconds
-            if gain <= config.min_gain_seconds:
-                continue
-            if best is None or gain > best[0]:
+            if gain > 0 and (best is None or gain > best[0]):
                 best = (gain, node, target, tag, scored)
         if best is None:
             break
@@ -280,34 +264,3 @@ def fuse_cross_domain(graph, accelerators, config=None, stats=None,
     report.modeled_seconds_after = current.seconds
     return report
 
-
-class CrossDomainFusion(Pass):
-    """Pipeline adapter for :func:`fuse_cross_domain`.
-
-    Runs on the *lowered* graph (the compiler session's ``fuse`` stage),
-    after Algorithm 1 has inlined components — crossings only exist there.
-    Keeps the last :class:`FusionReport` on ``self.report``.
-    """
-
-    name = "cross-domain-fusion"
-
-    def __init__(self, accelerators, config=None, stats=None, explain=None):
-        self.accelerators = dict(accelerators)
-        self.config = config or FusionConfig()
-        self.stats = stats
-        self.explain = explain
-        self.report: Optional[FusionReport] = None
-
-    def run(self, graph):
-        self.report = fuse_cross_domain(
-            graph,
-            self.accelerators,
-            config=self.config,
-            stats=self.stats,
-            explain=self.explain,
-        )
-        return graph
-
-    def run_recursive(self, graph):
-        # Crossings are a top-level property of the lowered graph.
-        return self.run(graph)

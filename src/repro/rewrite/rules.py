@@ -1,11 +1,13 @@
 """Rule declarations: rewrite rules as data.
 
 A rule pairs a pattern (what to look for) with a builder/action (what to
-do about it). Rules carry no iteration logic — sweeps, fixpoints, trip
-counts, and cycle detection all live in :mod:`repro.rewrite.engine` — so
-a rule set is an inspectable table, not a visitor class. This is the
-split the declarative-rewriting literature (PAPERS.md) argues for: the
-*what* is data, the *how* is one shared driver.
+do about it). Rules carry no iteration logic — sweeps, fixpoints and trip
+counts live in :mod:`repro.rewrite.engine` — so a rule set is an
+inspectable table, not a visitor class. What a rule does carry is a
+termination obligation: every firing strictly lowers a measure, so the
+shared driver needs no cycle detector. This is the split the
+declarative-rewriting literature (PAPERS.md) argues for: the *what* is
+data, the *how* is one shared driver.
 
 Two rule granularities mirror the two granularities the srDFG exposes:
 
@@ -37,9 +39,9 @@ class ExprRule:
     ``build(expr, bindings, ctx)`` returns the replacement expression, or
     ``None`` to decline the match (for guards that need the context — the
     static environment, protected names — rather than just the subtree).
-    A build that returns a structurally identical expression also counts
-    as declining; rules must make progress or stand aside, which is what
-    lets the engine detect true rewrite cycles.
+    A replacement must be strictly smaller under (expression size, ``Name``
+    count); that measure is what makes every expression rule set
+    terminate.
     """
 
     name: str
@@ -52,7 +54,9 @@ class GraphRule:
     """One node-anchored structural rewrite.
 
     ``rewrite(graph, node, ctx)`` performs the transformation in place
-    and returns True when it changed the graph. ``ctx`` is whatever the
+    and returns True when it changed the graph; a change must strictly
+    lower the level's (node count, then edge count), which is what makes
+    every graph rule set terminate. ``ctx`` is whatever the
     owning rule set's ``prepare`` produced for the current sweep (a live
     set, a seen-key table, variable metadata) — per-sweep analysis
     results stay out of the rule's own state so rules remain reusable

@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, List
+from typing import List
 
 from ..driver import BucketPolicy, CompilerSession
 from ..errors import (

@@ -6,8 +6,8 @@ i.e. balanced DFGs" (§V-B1 of the paper). This module makes that concrete:
 a statement's scalar DFG is levelised into pipeline stages (ASAP levels),
 and the *stage imbalance* — the widest stage relative to the mean — tells
 us how much hardware sits idle while the fattest stage streams. The
-analytic backend uses fixed penalties; the ablation benchmark compares
-them against the factors computed here from real statements.
+analytic backend uses fixed penalties; this module computes the factors
+from real statements.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ balanced: destination vertices are partitioned across streams, so a
 power-law graph (exactly what R-MAT produces) leaves some streams with far
 more edges than others, and the sweep finishes when the *slowest* stream
 drains. This module simulates that at edge granularity from the actual
-edge list, exposing the load-imbalance the analytic model hides — used by
-``benchmarks/bench_ablation.py`` as a design-choice ablation and validated
-in ``tests/test_graphicionado_sim.py``.
+edge list, exposing the load-imbalance the analytic model hides — bounded
+against the analytic model in ``tests/test_graphicionado_sim.py``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ cost model in :mod:`repro.targets.tabla` approximates the resulting
 makespan; this module computes it exactly for statements small enough to
 scalar-expand, which both demonstrates the paper's "scalar granularity"
 lowering path concretely and validates the analytic model (see
-``tests/test_tabla_schedule.py`` and ``benchmarks/bench_ablation.py``).
+``tests/test_tabla_schedule.py``).
 
 The algorithm is resource-constrained list scheduling:
 

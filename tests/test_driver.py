@@ -21,9 +21,8 @@ from repro.errors import PMLangSyntaxError, TargetError
 from repro.passes import default_pipeline
 from repro.passes.lowering import lower
 from repro.pmlang.parser import parse
-from repro.rewrite import graph_signature
 from repro.srdfg import build
-from repro.srdfg.plan import build_plan
+from repro.srdfg.plan import build_plan, graph_fingerprint
 from repro.targets import (
     PolyMath,
     Robox,
@@ -84,6 +83,14 @@ class TestStageRecords:
         assert "parse" in text and "ms" in text and "2 component(s)" in text
 
 
+def _domains(graph):
+    """Every level's domain tags, which :func:`graph_fingerprint` omits."""
+    return graph.domain, tuple(
+        (node.domain, node.subgraph and _domains(node.subgraph))
+        for node in graph.nodes
+    )
+
+
 class TestInspectionGraph:
     @pytest.mark.parametrize("name", SINGLE_DOMAIN + END_TO_END)
     def test_source_graph_untouched_by_the_pipeline(self, name):
@@ -112,9 +119,9 @@ class TestInspectionGraph:
         )
         compile_to_targets(lowered, accelerators)
         build_kernel(build_plan(lowered))
-        assert graph_signature(inspection) == graph_signature(
-            graph_of(workload.source())
-        )
+        fresh = graph_of(workload.source())
+        assert graph_fingerprint(inspection) == graph_fingerprint(fresh)
+        assert _domains(inspection) == _domains(fresh)
 
 
 class TestArtifactCache:

@@ -1,12 +1,14 @@
 """Tests for the declarative rewrite engine (``repro.rewrite``).
 
 Covers the pattern matcher (commutativity, capture binding, non-linear
-patterns), the fixpoint driver (trip counts, cycle detection), the
+patterns), the fixpoint driver (trip counts, the one bound per loop), the
 per-rule proof obligations — every rule checked against the reference
-interpreter on instances generated from its own pattern — and cost-guided
-cross-domain fusion (legality around stateful nodes, bit-identical fused
-vs unfused outputs).
+interpreter and its termination measure on generated instances — and
+cost-guided cross-domain fusion (legality around stateful nodes,
+strictly improving moves, bit-identical fused vs unfused outputs).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,28 +38,32 @@ from repro.rewrite import (
     ExplainLog,
     ExprContext,
     ExprRule,
+    GraphRule,
     Lit,
     NodePattern,
     Pattern,
     Ref,
     RulePass,
     RuleSet,
+    SWEEP,
     Tern,
     Un,
+    apply_graph_rules,
     rewrite_pipeline,
     rewrite_statement,
     run_ruleset,
 )
-from repro.rewrite.engine import POSITION_LIMIT, per_rule
+from repro.rewrite.engine import POSITION_LIMIT, SWEEP_LIMIT, per_rule
 from repro.rewrite.fusion import (
-    FusionConfig,
     _crossing_candidates,
     _is_stateful,
     _relower_tag,
     fuse_cross_domain,
+    modeled_cost,
 )
 from repro.serve.request import result_signature
 from repro.srdfg import Executor, build, evaluate_statement
+from repro.srdfg.graph import COMPUTE, CONST, Node
 from repro.srdfg.interpreter import _BINOPS
 from repro.srdfg.plan import PlanConfig, plan_for_graph
 
@@ -69,6 +75,23 @@ def _expr(source):
         f" output float out) {{ out = {source}; }}"
     )
     return program.components["main"].body[0].value
+
+
+def _flip(op):
+    return lambda expr, bindings, ctx: ast.BinOp(
+        op=op, left=expr.left, right=expr.right
+    )
+
+
+#: Two rules that undo each other: neither lowers (expression size, Name
+#: count), so the set breaks the expression obligation.
+_PING_PONG = RuleSet(
+    name="ping-pong",
+    expr_rules=(
+        ExprRule("to-minus", Bin(op="+"), _flip("-")),
+        ExprRule("to-plus", Bin(op="-"), _flip("+")),
+    ),
+)
 
 
 #: rule -> (matches, rewrites) of the default pipeline over three paper
@@ -181,7 +204,7 @@ class TestPatternMatcher:
 
 
 # ---------------------------------------------------------------------------
-# Engine: trip counts, explain log, cycle detection
+# Engine: trip counts, explain log, the one bound per loop
 # ---------------------------------------------------------------------------
 
 
@@ -226,11 +249,11 @@ class TestEngine:
         rewrite_pipeline(explain=explain).run(graph)
         assert explain.render().endswith("-> sum[i: i < 2](x[i])")
 
-    def test_expression_cycle_detection(self):
-        # A rule that swaps operands forever: the engine must detect the
-        # regenerated expression and abort instead of spinning.
-        ping_pong = RuleSet(
-            name="ping-pong",
+    def test_operand_swap_hits_the_position_limit(self):
+        # A rule that swaps operands forever lowers no measure: the engine
+        # stops at its bound and names the broken obligation.
+        swapping = RuleSet(
+            name="swap",
             expr_rules=(
                 ExprRule(
                     name="swap",
@@ -246,8 +269,8 @@ class TestEngine:
             " index i[0:3]; y[i] = x[i] + 1.0; }"
         )
         [node] = graph.compute_nodes()
-        with pytest.raises(RewriteError, match="cycles"):
-            rewrite_statement(graph, node, ping_pong)
+        with pytest.raises(RewriteError, match="expression size, Name count"):
+            rewrite_statement(graph, node, swapping)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(RewriteError, match="strategy"):
@@ -280,32 +303,36 @@ class TestEngine:
         assert after.value.right is before.value.right.left  # x[i]
         assert after.target_indices[0] is before.target_indices[0]
 
-    def test_two_rule_ping_pong_detected(self):
-        def flip(op):
-            return lambda expr, bindings, ctx: ast.BinOp(
-                op=op, left=expr.left, right=expr.right
-            )
-
-        ping_pong = RuleSet(
-            name="ping-pong",
-            expr_rules=(
-                ExprRule("to-minus", Bin(op="+"), flip("-")),
-                ExprRule("to-plus", Bin(op="-"), flip("+")),
-            ),
-        )
+    def test_two_rule_ping_pong_hits_the_position_limit(self):
         graph = build(
             "main(input float x[4], output float y[4]) {"
             " index i[0:3]; y[i] = x[i] + 1.0; }"
         )
         [node] = graph.compute_nodes()
         stats = Counters()
-        with pytest.raises(RewriteError, match="cycles"):
-            rewrite_statement(graph, node, ping_pong, stats=stats)
-        # + -> - fired, - -> + regenerated the first expression.
+        with pytest.raises(RewriteError, match=f"exceeded {POSITION_LIMIT}"):
+            rewrite_statement(graph, node, _PING_PONG, stats=stats)
+        # + -> - and - -> + alternate until the bound.
+        half = {"matches": POSITION_LIMIT // 2, "rewrites": POSITION_LIMIT // 2}
         assert per_rule(stats) == {
-            "ping-pong/to-minus": {"matches": 1, "rewrites": 1},
-            "ping-pong/to-plus": {"matches": 1, "rewrites": 1},
+            "ping-pong/to-minus": half,
+            "ping-pong/to-plus": half,
         }
+
+    def test_graph_rule_that_never_settles_hits_the_sweep_limit(self):
+        def touch(graph, node, ctx):
+            node.attrs["touched"] = node.attrs.get("touched", 0) + 1
+            return True
+
+        restless = RuleSet(
+            name="restless",
+            graph_rules=(GraphRule("touch", NodePattern(kind=COMPUTE), touch),),
+        )
+        graph = _small_graph()
+        stats = Counters()
+        with pytest.raises(RewriteError, match=r"\(nodes, edges\)"):
+            apply_graph_rules(graph, restless, stats=stats)
+        assert stats.to_dict()["restless.sweeps"] == SWEEP_LIMIT
 
     def test_position_limit_on_non_repeating_chain(self):
         counting = RuleSet(
@@ -397,7 +424,10 @@ class TestEngine:
 # pattern AST generates matching instances; on each, the rule must fire,
 # its replacement must evaluate equal to the original under the reference
 # interpreter, and (expression size, Name count) must strictly decrease —
-# the measure under which every expression rule set terminates.
+# the measure under which every expression rule set terminates. A graph
+# rule runs over generated programs: each firing must strictly lower its
+# level's (nodes, edges), the graph rule sets' measure, and each program
+# must stay bit-identical.
 #
 # Domain, stated once: every operand is finite and small — names and
 # literals lie in [-8, 8], and wildcard subtrees combine them with + - *
@@ -505,6 +535,70 @@ def _measure(expr):
     return len(nodes), sum(isinstance(node, ast.Name) for node in nodes)
 
 
+def _check_expr_obligation(rule):
+    """On instances of *rule*'s pattern: it fires, its replacement is
+    smaller under :func:`_measure` and evaluates equal."""
+
+    @given(expr=instances(rule.pattern), env=_envs)
+    @settings(max_examples=150, deadline=None, database=None)
+    def check(expr, env):
+        bindings = Bindings()
+        assert rule.pattern.match(expr, bindings)
+        with np.errstate(all="ignore"):
+            replacement = rule.build(expr, bindings, ExprContext(static_env=env))
+        # None is the builder's "no rewrite" verdict (fold-binop on
+        # ``x / 0``); hypothesis fails the test if it is the rule.
+        assume(replacement is not None)
+        assert _measure(replacement) < _measure(expr), "measure did not fall"
+        np.testing.assert_array_equal(
+            _evaluate(replacement, env), _evaluate(expr, env)
+        )
+
+    check()
+
+
+def _measured(ruleset, firings):
+    """*ruleset* with each graph rule recording ``(rule, (nodes, edges)
+    before, after)`` of its level into *firings* whenever it fires."""
+
+    def wrap(rule):
+        def rewrite(graph, node, ctx):
+            before = len(graph.nodes), len(graph.edges)
+            fired = rule.rewrite(graph, node, ctx)
+            if fired:
+                firings.append((rule.name, before, (len(graph.nodes), len(graph.edges))))
+            return fired
+
+        return dataclasses.replace(rule, rewrite=rewrite)
+
+    return dataclasses.replace(
+        ruleset, graph_rules=tuple(map(wrap, ruleset.graph_rules))
+    )
+
+
+def _check_graph_obligation(ruleset, seeds):
+    """Run *ruleset* alone over the generated programs of *seeds*: every
+    firing strictly lowers (nodes, edges), and every program stays
+    bit-identical at f64. Returns the rule set's per-rule counts."""
+    stats = Counters()
+    for seed in seeds:
+        program = generate_program(seed)
+        firings = []
+        optimized = PassManager([RulePass(_measured(ruleset, firings), stats=stats)]).run(
+            build(program.render(), domain="DA")
+        ).graph
+        for rule, before, after in firings:
+            assert after < before, (
+                f"{ruleset.name}/{rule}, seed {seed}: (nodes, edges) {before} -> {after}"
+            )
+        reference, candidate = (
+            [result_signature(step) for step in run_reference(program, "f64", graph)]
+            for graph in (None, optimized)  # None: the raw graph
+        )
+        assert candidate == reference, f"seed {seed}"
+    return per_rule(stats)
+
+
 #: Every RuleSet the package exports: a rule added to any of them is
 #: enumerated below without further registration.
 _RULESETS = [
@@ -529,42 +623,41 @@ class TestRuleObligations:
         ],
     )
     def test_expr_rule_preserves_value_and_shrinks(self, rule):
-        @given(expr=instances(rule.pattern), env=_envs)
-        @settings(max_examples=150, deadline=None)
-        def check(expr, env):
-            bindings = Bindings()
-            assert rule.pattern.match(expr, bindings)
-            with np.errstate(all="ignore"):
-                replacement = rule.build(expr, bindings, ExprContext(static_env=env))
-            # None is the builder's "no rewrite" verdict (fold-binop on
-            # ``x / 0``); hypothesis fails the test if it is the rule.
-            assume(replacement is not None)
-            assert _measure(replacement) < _measure(expr)
-            np.testing.assert_array_equal(
-                _evaluate(replacement, env), _evaluate(expr, env)
-            )
+        _check_expr_obligation(rule)
 
-        check()
+    @pytest.mark.parametrize(
+        "rule", [pytest.param(rule, id=rule.name) for rule in _PING_PONG.expr_rules]
+    )
+    def test_ping_pong_rules_fail_the_obligation(self, rule):
+        with pytest.raises(AssertionError, match="measure did not fall"):
+            _check_expr_obligation(rule)
 
     @pytest.mark.parametrize(
         "ruleset",
         [pytest.param(r, id=r.name) for r in _RULESETS if r.graph_rules],
     )
     def test_graph_rules_leave_generated_programs_bit_identical(self, ruleset):
-        stats = Counters()
-        for seed in range(10, 40):  # 38 is where the matvec inlining fires
-            program = generate_program(seed)
-            optimized = PassManager([RulePass(ruleset, stats=stats)]).run(
-                build(program.render(), domain="DA")
-            ).graph
-            reference, candidate = (
-                [result_signature(step) for step in run_reference(program, "f64", graph)]
-                for graph in (None, optimized)  # None: the raw graph
-            )
-            assert candidate == reference, f"seed {seed}"
-        fired = per_rule(stats)
+        """Each rule set alone keeps generated programs bit-identical at
+        f64, and every firing strictly lowers (nodes, edges). Seed 38 is
+        where the matvec inlining fires."""
+        fired = _check_graph_obligation(ruleset, range(10, 40))
         for rule in ruleset.graph_rules:
             assert fired[f"{ruleset.name}/{rule.name}"]["rewrites"] > 0
+
+    def test_graph_rule_that_adds_a_node_fails_the_obligation(self):
+        def add_constant(graph, node, ctx):
+            graph.add_node(Node(name="zero", kind=CONST, attrs={"value": 0.0}))
+            return True
+
+        growing = RuleSet(
+            name="growing",
+            graph_rules=(
+                GraphRule("add-constant", NodePattern(kind=COMPUTE), add_constant),
+            ),
+            strategy=SWEEP,
+        )
+        with pytest.raises(AssertionError, match=r"\(nodes, edges\)"):
+            _check_graph_obligation(growing, range(10, 11))
 
     @pytest.mark.parametrize(
         "expr",
@@ -622,7 +715,7 @@ _STATEFUL_CROSSING = (
 )
 
 
-def _compiled(name, fusion=None):
+def _compiled(name, fusion=False):
     from repro.targets import default_accelerators
     from repro.workloads import get_workload
 
@@ -680,7 +773,7 @@ class TestFusion:
     def test_fusion_reduces_transfers_outputs_bit_identical(self):
         for name in ("OptionPricing", "BrainStimul"):
             workload, plain = _compiled(name)
-            _, fused = _compiled(name, fusion=FusionConfig())
+            _, fused = _compiled(name, fusion=True)
             report = fused.fusion_report
             assert report is not None and report.moves
             assert report.transfers_after < report.transfers_before
@@ -706,13 +799,58 @@ class TestFusion:
                     results[0].outputs[key], results[1].outputs[key]
                 ), f"{name}:{key}"
 
-    def test_max_moves_respected(self):
-        _, fused = _compiled("BrainStimul", fusion=FusionConfig(max_moves=1))
-        assert len(fused.fusion_report.moves) <= 1
+    @pytest.mark.parametrize(
+        "name, transfers, moves",
+        [
+            pytest.param("BrainStimul", (6, 2), 2, id="BrainStimul"),
+            pytest.param("OptionPricing", (2, 0), 1, id="OptionPricing"),
+        ],
+    )
+    def test_every_move_strictly_lowers_modeled_seconds(self, name, transfers, moves):
+        """The greedy loop stops by measure: each committed move has a
+        positive gain, and modelled seconds fall by exactly that gain."""
+        _, plain = _compiled(name)
+        graph, accelerators = plain.graph, plain.accelerators
+        report = fuse_cross_domain(graph, accelerators)
+        assert (report.transfers_before, report.transfers_after) == transfers
+        assert len(report.moves) == moves
+        seconds = report.modeled_seconds_before
+        for move in report.moves:
+            assert move.gain_seconds > 0
+            seconds -= move.gain_seconds
+        assert seconds == pytest.approx(report.modeled_seconds_after, rel=1e-12)
+        assert report.modeled_seconds_after == modeled_cost(graph, accelerators).seconds
 
     def test_session_fuse_stage_recorded(self):
-        _, fused = _compiled("OptionPricing", fusion=FusionConfig())
+        _, fused = _compiled("OptionPricing", fusion=True)
         assert fused.fusion_report.transfers_removed > 0
+
+
+def test_combination_shrinks_mobile_robot_on_robox():
+    """Algebraic combination (§IV-B) on the MobileRobot MPC, lowered for
+    ROBOX: fusing matvec chains leaves fewer fragments and a lower
+    modelled time."""
+    from repro.passes import lower
+    from repro.rewrite import DEAD_CODE_ELIMINATION, combination_pass
+    from repro.targets import Robox, compile_to_targets
+    from repro.workloads import get_workload
+
+    source = get_workload("MobileRobot").source()
+
+    def compiled(combine):
+        graph = build(source, domain="RBT")
+        lower(graph, {"RBT": Robox.spec.supported_ops},
+              {"RBT": {"alu", "mul", "div", "nonlinear"}})
+        if combine:
+            PassManager([combination_pass(), RulePass(DEAD_CODE_ELIMINATION)]).run(graph)
+        accelerator = Robox()
+        program = compile_to_targets(graph, {"RBT": accelerator})["RBT"]
+        return len(program), accelerator.estimate(program).seconds
+
+    plain_fragments, plain_seconds = compiled(False)
+    combined_fragments, combined_seconds = compiled(True)
+    assert combined_fragments < plain_fragments
+    assert combined_seconds < plain_seconds
 
 
 # ---------------------------------------------------------------------------

@@ -115,3 +115,28 @@ class TestScheduleStatementApi:
         assert schedule.makespan > 0
         # Expansion attached the scalar level to the node (srDFG recursion).
         assert node.subgraph is not None
+
+    def test_schedule_within_a_band_of_the_analytic_cost(self):
+        """The list-scheduled makespan and the analytic ``fragment_cost``
+        of one 16x16 matvec agree within a factor of 8 either way."""
+        from repro.driver import CompilerSession
+        from repro.targets import Tabla
+
+        source = (
+            "main(input float A[16][16], input float x[16], output float y[16]) {"
+            " index i[0:15], j[0:15]; y[j] = sum[i](A[j][i]*x[i]); }"
+        )
+        [node] = build(source, domain="DA").compute_nodes()
+        schedule = TablaScheduler(num_pes=64, nonlinear_pes=8).schedule_statement(node)
+        accelerator = Tabla()
+        app = CompilerSession({"DA": accelerator}, run_pipeline=False).compile(
+            source, domain="DA"
+        )
+        fragment = next(
+            f for f in app.programs["DA"].fragments if f.attrs.get("op_counts")
+        )
+        analytic_cycles = (
+            accelerator.fragment_cost(fragment).seconds
+            * accelerator.params.frequency_hz
+        )
+        assert analytic_cycles / 8 < schedule.makespan < analytic_cycles * 8
