@@ -6,10 +6,11 @@ compiled :class:`~repro.srdfg.plan.ExecutionPlan` into one straight-line
 Python/numpy function via :class:`~repro.codegen.emitter.KernelEmitter`,
 compiled and wrapped in a :class:`~repro.codegen.kernel.KernelArtifact`.
 
-Codegen is best-effort by contract: :func:`build_kernel` returns
-``None`` on any build failure and counts it as a declined build in
-:data:`CODEGEN_STATS` — a diagnostic, never an error. Plans without an
-attached kernel simply keep executing interpreted.
+Codegen declines by contract: :func:`build_kernel` returns ``None`` when
+the emitter raises :class:`Unsupported` for the whole plan and counts it
+as a declined build in :data:`CODEGEN_STATS` — a diagnostic, never an
+error. Plans without an attached kernel simply keep executing
+interpreted. Any other exception is an emitter defect and propagates.
 """
 
 from __future__ import annotations
@@ -57,16 +58,16 @@ def kernel_cache_key(plan_key):
 def build_kernel(plan, plan_key=None, diagnostics=None):
     """Lower *plan* to a KernelArtifact, or None when codegen declines.
 
-    Never raises: unsupported plan shapes, emission bugs, and compile
-    failures all count as ``builds_declined`` (with a diagnostics note
-    when a collector is supplied) and leave the plan interpreted.
+    A plan the emitter raises :class:`Unsupported` for counts as
+    ``builds_declined`` (with a diagnostics note when a collector is
+    supplied) and stays interpreted. Any other exception — an emission
+    bug, printed source that does not compile — propagates.
     """
     start = time.perf_counter()
     key = plan_key or f"{plan.graph_name}:{id(plan):x}"
     try:
         emitted = KernelEmitter(plan).emit()
-        artifact = KernelArtifact(key, *emitted)
-    except Exception as exc:
+    except Unsupported as exc:
         CODEGEN_STATS.bump(
             builds_declined=1,
             build_seconds=time.perf_counter() - start,
@@ -78,21 +79,20 @@ def build_kernel(plan, plan_key=None, diagnostics=None):
                 stage="codegen",
             )
         return None
+    artifact = KernelArtifact(key, *emitted)
     report = emitted.report
     CODEGEN_STATS.bump(
         kernels_built=1,
         build_seconds=time.perf_counter() - start,
         statements_specialized=report.get("specialized", 0),
         statements_fallback=report.get("fallback", 0),
-        statements_fused=report.get("fused", 0),
         source_bytes=len(emitted.source),
     )
     if diagnostics is not None:
         diagnostics.note(
             f"built kernel for {plan.graph_name!r}: "
             f"{report.get('specialized', 0)}/{report.get('statements', 0)} "
-            f"statement(s) specialized, {report.get('fused', 0)} fused, "
-            f"{len(emitted.source)} source bytes",
+            f"statement(s) specialized, {len(emitted.source)} source bytes",
             stage="codegen",
         )
     return artifact

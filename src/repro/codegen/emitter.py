@@ -25,22 +25,12 @@ What is the emitter's own preserves bit-identity by argument:
     elements into a fresh C-contiguous array of the same shape, so
     every downstream ufunc/reduction sees identical values in an
     identical layout.
-
-Adjacent elementwise statements fuse: a single-consumer, float64,
-full-cover elementwise statement is inlined into its consumer as one
-expression (its producer statement is dropped from the kernel), which
-is sound because elementwise IEEE ops are pointwise deterministic —
-evaluating the producer's expression at the consumer's gathered lattice
-points yields bitwise the values the materialised array held. A
-producer fragment is only dropped when its local is referenced nowhere
-in the surviving source.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import re
 from collections import namedtuple
 
 import numpy as np
@@ -60,9 +50,6 @@ __all__ = ["EmitResult", "KernelEmitter", "Unsupported"]
 #: statement falls back to the interpreter instead of bloating the
 #: kernel's constant pool.
 MAX_INDEX_CONSTANT = 1 << 22
-
-#: Producer statements bigger than this many AST nodes are not inlined.
-MAX_INLINE_NODES = 24
 
 
 class Unsupported(Exception):
@@ -123,29 +110,13 @@ def _shadow0(dtype):
     return np.zeros((), dtype=dtype)
 
 
-class _InlineDef:
-    """A producer statement eligible for elementwise inlining."""
-
-    __slots__ = ("statement", "operands", "local", "refs", "committed")
-
-    def __init__(self, statement, operands, local):
-        self.statement = statement
-        #: operand name -> _Val of the producer's gathered values.
-        self.operands = operands
-        #: the local holding the materialised result (fallback target).
-        self.local = local
-        self.refs = 0
-        self.committed = 0
-
-
 #: What :class:`~repro.codegen.kernel.KernelArtifact` is constructed
 #: from, in its constructor's order (after the plan key).
 EmitResult = namedtuple("EmitResult", "source constants scratch_specs report")
 
 
-#: Raised while staging a statement (or an inlined producer): the
-#: emitter cannot print it, or it would raise at run time. Either way
-#: the interpreter keeps it.
+#: Raised while staging a statement: the emitter cannot print it, or it
+#: would raise at run time. Either way the interpreter keeps it.
 _DECLINED = (Unsupported, ExecutionError)
 
 
@@ -160,14 +131,9 @@ class _StagedEvaluator(_ExprEvaluator):
     shadows through the same function. Values that must be inspected at
     build time (subscripts, predicates) decline the statement when they
     are symbolic.
-
-    *index_env* binds index variables to arrays other than their own
-    aranges (fusion: a producer's target indices stand for the consumer's
-    subscripts), and *mask_stack* shares the consumer's active predicates.
     """
 
-    def __init__(self, emitter, statement, operands, index_env=None,
-                 mask_stack=None):
+    def __init__(self, emitter, statement, operands):
         super().__init__(
             statement.space, statement.static_env, {}, statement.reductions,
             enable_einsum=statement.enable_einsum,
@@ -176,10 +142,6 @@ class _StagedEvaluator(_ExprEvaluator):
         self.statement = statement
         #: operand name -> _Val of the gathered value.
         self.operands = operands
-        self._index_env = index_env or {}
-        self._index_cache.update(self._index_env)
-        if mask_stack is not None:
-            self._mask_stack = mask_stack
 
     def lift(self, value):
         """*value* as a :class:`_Val` (build-time values embed)."""
@@ -213,7 +175,7 @@ class _StagedEvaluator(_ExprEvaluator):
             for position, val in enumerate(vals):
                 if val.fresh and val.shape == shape and val.dtype == dtype:
                     temp = val.code
-                    if not re.fullmatch(r"\w+", temp):
+                    if not temp.isidentifier():
                         temp = self.emitter._temp()
                         args[position] = f"({temp} := {val.code})"
                     args.append(f"out=_reuse({temp})")
@@ -233,19 +195,14 @@ class _StagedEvaluator(_ExprEvaluator):
         return _Val(code, value.shape, shadow)
 
     def _operand(self, name):
-        return self.operands.get(name)
+        value = self.operands.get(name)
+        if value is not None:
+            # Looked up to be printed (or the statement declines).
+            self.emitter._named.add(value.code)
+        return value
 
     def _scalar(self, value):
         return _Val(f"{value.code}.reshape(())", (), value.shadow)
-
-    def _bare_axes(self, expr, shape):
-        # A name bound by fusion stands for the consumer's subscripts.
-        if any(
-            isinstance(index_expr, ast.Name) and index_expr.id in self._index_env
-            for index_expr in expr.indices
-        ):
-            return None
-        return super()._bare_axes(expr, shape)
 
     def _bare_view(self, base, order, absent):
         shape = [base.shape[dim] for dim in order]
@@ -263,11 +220,6 @@ class _StagedEvaluator(_ExprEvaluator):
                 raise Unsupported(
                     f"subscript {dim} of {expr.base!r} is not integral"
                 )
-        inline = self.emitter._inline.get(base.code)
-        if inline is not None:
-            fused = self.emitter._try_inline(self, inline, index_arrays)
-            if fused is not None:
-                return fused
         return self.emitter._emit_gather(base, index_arrays)
 
     def _broadcast_to(self, value, shape):
@@ -387,7 +339,6 @@ class KernelEmitter:
         self.lines = []
         self.constants = {}
         self._const_by_digest = {}
-        self._const_serial = 0
         self.scratch_specs = []
         self._temp_serial = 0
         self._locals = {}
@@ -395,17 +346,15 @@ class KernelEmitter:
             "statements": 0,
             "specialized": 0,
             "fallback": 0,
-            "fused": 0,
             "einsum": 0,
             "gathers": 0,
             "fallback_reasons": [],
         }
-        #: compute-step local -> _InlineDef for fusable producers.
-        self._inline = {}
-        #: value keys that escape through the collect epilogue.
-        self._escapes = {final for _, _, final in plan.collect}
-        #: local -> (start, stop) line range of that statement's code.
-        self._fragments = {}
+        #: The ``_vN``/``_tN`` locals the statement being printed names:
+        #: its result, the temps it binds, the operands it reads.
+        self._named = set()
+        #: (stop line, names) of every printed statement, in order.
+        self._fragments = []
         #: transient-arena allocation cursor/peak, in float64 elements.
         #: Fragment-local gather buffers are carved from one shared
         #: arena whose cursor resets per statement, so every statement
@@ -433,7 +382,9 @@ class KernelEmitter:
 
     def _temp(self):
         self._temp_serial += 1
-        return f"_t{self._temp_serial}"
+        temp = f"_t{self._temp_serial}"
+        self._named.add(temp)
+        return temp
 
     def _let(self, code, shape, shadow, fresh=False):
         """Bind *code* to a new temporary; returns its :class:`_Val`."""
@@ -454,8 +405,7 @@ class KernelEmitter:
                 return name
         else:
             key = None
-        self._const_serial += 1
-        name = f"{prefix}{self._const_serial}"
+        name = f"{prefix}{len(self.constants) + 1}"
         self.constants[name] = value
         if key is not None:
             self._const_by_digest[key] = name
@@ -476,7 +426,6 @@ class KernelEmitter:
         size = int(np.prod(shape)) if shape else 1
         offset = self._arena_off
         self._arena_off += size
-        self._arena_peak = max(self._arena_peak, self._arena_off)
         code = f"_A[{offset}:{offset + size}]"
         if shape != (size,):
             code = f"{code}.reshape({shape!r})"
@@ -506,10 +455,17 @@ class KernelEmitter:
                 self._emit_compute_step(step, local)
             else:
                 raise Unsupported(f"unsupported step kind {step.kind!r}")
-        self._emit_collect()
-        source = self._assemble()
-        return EmitResult(source, self.constants, self.scratch_specs,
-                          self.report)
+        returned = self._emit_collect()
+        self._release_dead_locals(returned)
+        if self._arena_peak:
+            # The transient arena is one final scratch slot, bound to _A
+            # right after the signature line.
+            self.scratch_specs.append(
+                ((self._arena_peak,), np.dtype(np.float64))
+            )
+            self.lines.insert(1, f"    _A = _S[{len(self.scratch_specs) - 1}]")
+        return EmitResult("\n".join(self.lines) + "\n", self.constants,
+                          self.scratch_specs, self.report)
 
     def _local(self, key):
         name = self._locals.get(key)
@@ -556,122 +512,85 @@ class KernelEmitter:
     def _emit_compute_step(self, step, local):
         self.report["statements"] += 1
         statement = step.statement
-        start_line = len(self.lines)
+        # A declined statement leaves no line, constant or scratch slot.
+        mark = (len(self.lines), len(self.constants), len(self.scratch_specs))
         self._arena_off = 0  # transients from the previous statement died
+        self._named = {local}
         operands = {}
         for key, name in step.gather:
             src = self._local(key)
             shape, dtype = self._value_facts[key]
             operands[name] = _Val(src, shape, _shadow0(dtype))
         try:
-            self._specialize_statement(step, statement, operands, local)
+            self._specialize_statement(statement, operands, local)
             self.report["specialized"] += 1
-            self._register_inline_candidate(step, statement, operands, local)
+            self._arena_peak = max(self._arena_peak, self._arena_off)
         except _DECLINED as exc:
-            del self.lines[start_line:]
-            self._emit_statement_fallback(step, statement, operands, local,
+            self._rollback(*mark)
+            self._named = {local}
+            self._emit_statement_fallback(statement, operands, local,
                                           reason=str(exc))
             self.report["fallback"] += 1
             self.report["fallback_reasons"].append(
                 f"{statement.label}: {exc}"
             )
-        self._fragments[local] = (start_line, len(self.lines))
+        self._fragments.append((len(self.lines), self._named))
         self._locals[step.key] = local
 
-    def _emit_statement_fallback(self, step, statement, operands, local,
-                                 reason=""):
+    def _rollback(self, lines, constants, scratch):
+        del self.lines[lines:]
+        del self.scratch_specs[scratch:]
+        for name in list(self.constants)[constants:]:
+            del self.constants[name]
+        self._const_by_digest = {
+            key: name for key, name in self._const_by_digest.items()
+            if name in self.constants
+        }
+
+    def _emit_statement_fallback(self, statement, operands, local, reason=""):
         splan = self._const(statement, prefix="_stmt")
         gather = ", ".join(
             f"{name!r}: {value.code}" for name, value in operands.items()
         )
+        self._named.update(value.code for value in operands.values())
         note = f"  # fallback: {reason}" if reason else ""
         self._emit(f"{local} = {splan}.execute({{{gather}}}){note}")
 
     def _emit_collect(self):
-        outputs, state = [], []
+        """Print the return line; answers the locals it names."""
+        outputs, state, returned = [], [], set()
         for name, modifier, final in self.plan.collect:
-            entry = f"{name!r}: {self._local(final)}"
-            (outputs if modifier == "output" else state).append(entry)
-        self._emit(f"return {{{', '.join(outputs)}}}, {{{', '.join(state)}}}")
-
-    def _assemble(self):
-        """Drop fully inlined producer fragments, prune dead scratch.
-
-        A fragment is only dropped when its local is referenced nowhere
-        in the surviving source — views, einsum operands, fallback
-        gathers, and previous-value reads all keep their producer alive
-        regardless of inline bookkeeping.
-        """
-        for info in self._inline.values():
-            if not info.refs or info.refs != info.committed:
-                continue
-            start, stop = self._fragments[info.local]
-            kept = self.lines[:start] + self.lines[stop:]
-            if re.search(rf"\b{info.local}\b", "\n".join(kept)):
-                continue
-            # Blanked, not removed: fragment line numbers stay valid.
-            self.lines[start:stop] = [""] * (stop - start)
-            self.report["fused"] += 1
-        self._release_dead_locals()
-        source = "\n".join(line for line in self.lines if line) + "\n"
-
-        # Prune scratch slots orphaned by dropped fragments or rolled-back
-        # speculative emissions, remapping the survivors densely.
-        used = sorted({int(m) for m in re.findall(r"_S\[(\d+)\]", source)})
-        remap = {old: new for new, old in enumerate(used)}
-        source = re.sub(
-            r"_S\[(\d+)\]", lambda m: f"_S[{remap[int(m.group(1))]}]", source
-        )
-        self.scratch_specs = [self.scratch_specs[old] for old in used]
-        # Materialise the transient arena as one final scratch slot,
-        # bound to _A right after the signature line.
-        if self._arena_peak and "_A[" in source:
-            arena_index = len(self.scratch_specs)
-            self.scratch_specs.append(
-                ((self._arena_peak,), np.dtype(np.float64))
+            local = self._local(final)
+            returned.add(local)
+            (outputs if modifier == "output" else state).append(
+                f"{name!r}: {local}"
             )
-            head, _, tail = source.partition("\n")
-            source = f"{head}\n    _A = _S[{arena_index}]\n{tail}"
-        # Prune constants never referenced by the surviving source.
-        referenced = set(re.findall(r"_(?:c|stmt)\d+\b", source))
-        self.constants = {
-            name: value
-            for name, value in self.constants.items()
-            if name in referenced
-        }
-        return source
+        self._emit(f"return {{{', '.join(outputs)}}}, {{{', '.join(state)}}}")
+        return returned
 
-    def _release_dead_locals(self):
+    def _release_dead_locals(self, returned):
         """``del`` every ``_vN`` / ``_tN`` at the end of the statement
         fragment that names it last, so a kernel holds a statement result
-        no longer than its last reader runs. Read off the surviving
-        source, like the fragment drop, because that is where fusion's
-        outcome is written down: an inlined producer's operands are named
-        in its consumer. A local last named outside any fragment (the
-        return line) is never released.
+        no longer than its last reader runs. What a fragment names was
+        recorded as it was printed; a local the return line names is
+        never released.
         """
-        defined = set()
         last = {}
-        for index, line in enumerate(self.lines):
-            defined.update(re.findall(r"(_[vt]\d+) :?= ", line))
-            for local in re.findall(r"\b_[vt]\d+\b", line):
-                last[local] = index
-        fragment_end = {
-            index: stop
-            for start, stop in self._fragments.values()
-            for index in range(start, stop)
-        }
-        dead = {}
-        for local in sorted(defined):
-            stop = fragment_end.get(last[local])
-            if stop is not None:
-                dead.setdefault(stop, []).append(local)
-        for stop in sorted(dead, reverse=True):
-            self.lines.insert(stop, f"    del {', '.join(dead[stop])}")
+        for position, (_, named) in enumerate(self._fragments):
+            for local in named:
+                last[local] = position
+        for position in reversed(range(len(self._fragments))):
+            stop, named = self._fragments[position]
+            dead = sorted(
+                local for local in named
+                if last[local] == position and local not in returned
+            )
+            if dead:
+                self.lines.insert(stop, f"    del {', '.join(dead)}")
 
     # -- statement specialization ------------------------------------------
 
-    def _specialize_statement(self, step, statement, operands, local):
+    def _specialize_statement(self, statement, operands, local):
         ev = _StagedEvaluator(self, statement, operands)
         self._emit(f"# {statement.label}")
         raw = ev.lift(ev.statement_value(
@@ -684,7 +603,6 @@ class KernelEmitter:
         stmt = statement.stmt
         lhs_shape = statement.lhs_shape
         dtype = np.dtype(statement.target_dtype)
-        dt = self._const(dtype)
 
         if not stmt.target_indices:
             if lhs_shape not in ((), (1,)):
@@ -697,7 +615,7 @@ class KernelEmitter:
             # operand, or a kernel constant (same element-wise cast as
             # the interpreter's asarray, so values are identical).
             self._emit(
-                f"{local} = _np.array({raw.code}, dtype={dt}, "
+                f"{local} = _np.array({raw.code}, dtype={self._const(dtype)}, "
                 f"copy=True).reshape({lhs_shape!r})"
             )
             return
@@ -726,15 +644,20 @@ class KernelEmitter:
                     f".reshape({lhs_shape!r})"
                 )
             else:
-                self._emit(f"{local} = _np.empty({lhs_shape!r}, dtype={dt})")
+                self._emit(
+                    f"{local} = _np.empty({lhs_shape!r}, "
+                    f"dtype={self._const(dtype)})"
+                )
                 self._emit(f"{view}[...] = {raw.code}")
             return
 
         # General static scatter: prev-copy or zeros, then a fancy write
         # through precomputed broadcast target indices (the exact
         # interpreter _store sequence, with the subscripts prebound).
+        dt = self._const(dtype)
         previous = ev.operands.get(stmt.target)
         if previous is not None and previous.shape == lhs_shape:
+            self._named.add(previous.code)
             self._emit(
                 f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)"
             )
@@ -893,69 +816,3 @@ class KernelEmitter:
             shape,
             base.shadow,
         )
-
-    # -- fusion ------------------------------------------------------------
-
-    def _register_inline_candidate(self, step, statement, operands, local):
-        """Mark *statement* fusable: single-consumer, float64, full-cover
-        elementwise, and its own full-lattice specialization just
-        succeeded (so dropping it can never lose a runtime error)."""
-        stmt = statement.stmt
-        if step.key in self._escapes:
-            return
-        nodes = 0
-        for node in ast.walk_expr(stmt.value):
-            nodes += 1
-            if isinstance(node, ast.ReductionCall):
-                return
-        if nodes > MAX_INLINE_NODES:
-            return
-        if np.dtype(statement.target_dtype) != np.float64:
-            return
-        if not (stmt.target_indices and self._is_identity_cover(statement)):
-            return
-        consumers = 0
-        for other in self.plan.steps:
-            if other.kind != COMPUTE:
-                continue
-            consumers += sum(1 for key, _ in other.gather if key == step.key)
-        if consumers != 1:
-            return
-        self._inline[local] = _InlineDef(statement, dict(operands), local)
-
-    def _try_inline(self, ev, inline, index_arrays):
-        """Substitute the producer's elementwise expression at the
-        consumer's gathered lattice points: a second staged evaluator
-        over the producer, its index variables bound to the consumer's
-        subscripts, under the consumer's mask stack."""
-        producer = inline.statement
-        stmt = producer.stmt
-        inline.refs += 1
-        if inline.refs > 2:
-            return None
-        mark = len(self.lines)
-        try:
-            broadcast = [
-                np.ascontiguousarray(b)
-                for b in np.broadcast_arrays(*index_arrays)
-            ]
-            sub = _StagedEvaluator(
-                self,
-                producer,
-                inline.operands,
-                index_env={
-                    index_expr.id: broadcast[dim]
-                    for dim, index_expr in enumerate(stmt.target_indices)
-                },
-                mask_stack=ev._mask_stack,
-            )
-            value = sub.lift(sub.eval(stmt.value))
-            if value.dtype != np.float64:
-                raise Unsupported("inlined value is not float64")
-            value = sub._broadcast_to(value, broadcast[0].shape)
-        except (ValueError, *_DECLINED):
-            del self.lines[mark:]
-            inline.refs -= 1
-            return None
-        inline.committed += 1
-        return value

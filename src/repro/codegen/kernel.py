@@ -51,7 +51,6 @@ CODEGEN_STATS = DEFAULT_REGISTRY.counters("codegen", (
     "kernel_fallbacks",
     "statements_specialized",
     "statements_fallback",
-    "statements_fused",
     "source_bytes",
 ))
 

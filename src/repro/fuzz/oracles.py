@@ -239,9 +239,11 @@ def check_codegen(program, precision, context, reference, app):
     kernel is deliberately *not* attached to the shared plan, so the
     plan oracle keeps exercising the interpreted tier. Bit-identical at
     f64, tolerance at f32 (the kernel threads the same host-fallback f32
-    rounding the plan does). A declined build passes with a detail note
-    (transparent fallback is the tier's contract), but a *runtime*
-    failure on a program the reference executes cleanly is a finding.
+    rounding the plan does). A declined build (the emitter raised
+    ``Unsupported`` for the whole plan) passes with a detail note
+    (transparent fallback is the tier's contract). Any other exception
+    out of ``build_kernel`` (an emitter defect) is a finding, and so is a
+    *runtime* failure on a program the reference executes cleanly.
     """
     from ..codegen import build_kernel
     from ..srdfg.interpreter import ExecutionResult

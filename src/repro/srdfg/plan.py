@@ -1,8 +1,8 @@
 """Plan/execute engine for srDFGs: compile once, run many times.
 
 Every backend in this stack funnels through the functional interpreter
-(accelerator ``simulate``, ``CompiledApplication.run``, the HostManager's
-retry/host-fallback path, workload reference drivers), and steady-state
+(``CompiledApplication.run``, the HostManager's retry/host-fallback
+path, workload reference drivers), and steady-state
 workloads — an MPC control loop, a chaos run retrying the same stage —
 invoke the *same* graph thousands of times. Re-deriving axis spaces,
 einsum eligibility, chunk plans, topological order, and dtype tables on
@@ -31,8 +31,9 @@ and MLIR's separation of analyzable lowering from a reusable executable:
 
 Plans carry counters (``built``, ``executions``, per-statement timings)
 so steady-state reuse is *observable*, not assumed: ``python -m repro
-stats --execute N`` and the CI plan-reuse smoke step assert each
-statement plan is built exactly once while being executed N times.
+stats --execute N`` and the ``plan-reuse`` row of ``repro selfcheck``
+assert each statement plan is built exactly once while being executed
+N times.
 
 :func:`plan_for_graph` memoises plans per graph *instance* (weakly, so
 plans never extend a graph's lifetime); cross-instance reuse is the
@@ -739,9 +740,10 @@ class ExecutionPlan:
         """How many statement plans this plan's construction built.
 
         Each statement's plan is constructed exactly once per
-        ExecutionPlan, so this equals :attr:`statement_count`; the CI
-        smoke step checks the ``plan`` group's ``statements_planned``
-        delta against it to prove nothing was silently re-planned.
+        ExecutionPlan, so this equals :attr:`statement_count`; the
+        ``plan-reuse`` row of ``repro selfcheck`` checks the ``plan``
+        group's ``statements_planned`` delta against it to prove nothing
+        was silently re-planned.
         """
         return self.statement_count
 

@@ -375,8 +375,8 @@ class TestBufferLifetimes:
     their last reader, and never alias anything the caller or the kernel
     keeps."""
 
-    #: C inlines A, whose operand ``xx`` is last *gathered* by B.
-    INLINE_PAST_A_READER = (
+    #: ``xx`` is read by A and B; C reads only A's result.
+    READERS_OF_XX = (
         "main(input float x[8], output float y[8], output float z[8]) {"
         " index i[0:7]; float xx[8], a[8];"
         " xx[i] = x[i] * 3.0;"
@@ -385,10 +385,10 @@ class TestBufferLifetimes:
         " y[i] = a[7 - i] * 5.0; }"
     )
 
-    def test_inlined_producers_operand_outlives_an_intermediate_reader(self):
-        session, plan = _compile_plan(self.INLINE_PAST_A_READER)
+    def test_operand_released_after_its_last_reader(self):
+        session, plan = _compile_plan(self.READERS_OF_XX)
         kernel = plan.kernel
-        assert kernel.report["fused"] == 1 and kernel.report["fallback"] == 0
+        assert kernel.report["fallback"] == 0
         lines = [line.strip() for line in kernel.source.splitlines()]
         [xx] = [
             line.split(" = ")[0] for line in lines
@@ -398,10 +398,13 @@ class TestBufferLifetimes:
             number for number, line in enumerate(lines)
             if line.startswith("del ") and xx in line.replace(",", " ").split()
         ]
+        [last_reader] = [
+            number for number, line in enumerate(lines) if "2.0" in line
+        ]
         [consumer] = [
             number for number, line in enumerate(lines) if "5.0" in line
         ]
-        assert released > consumer
+        assert last_reader < released < consumer
         rng = np.random.default_rng(31)
         inputs = {"x": _int_floats(rng, 8)}
         outputs, _ = kernel.run(inputs)
@@ -502,17 +505,18 @@ class TestBufferLifetimes:
         assert len(re.findall(r"^ +del .*_v", kernel.source, re.M)) >= 4
 
 
-#: ``(statements, specialized, fallback, fused, einsum, gathers)`` of the
-#: 17 ledger programs' kernels, and the reason of every statement
-#: fallback — literals of the commit before the emitter became the
-#: reference evaluator run over symbolic operands, but for the DCT and
-#: conv statements: contractions over affine subscripts (``img[by*8+x]``,
+#: ``(statements, specialized, fallback, einsum, gathers)`` of the 17
+#: ledger programs' kernels, and the reason of every statement fallback
+#: — literals of the commit before the emitter became the reference
+#: evaluator run over symbolic operands, but for the DCT and conv
+#: statements: contractions over affine subscripts (``img[by*8+x]``,
 #: ``x[ic][oy*s+ky][ox*s+kx]``) dispatch to einsum over a strided view,
 #: so they left ``gathers`` (and the deleted ``blocked`` column) for
-#: ``einsum``, and DCT-2048's over-limit stencil no longer chunks.
-REPORT_COUNTERS = (
-    "statements", "specialized", "fallback", "fused", "einsum", "gathers",
-)
+#: ``einsum``, and DCT-2048's over-limit stencil no longer chunks; and
+#: for the three statements elementwise inlining used to fold into their
+#: consumer (MobileRobot, Hexacopter, BrainStimul), each now one gather
+#: fewer.
+REPORT_COUNTERS = ("statements", "specialized", "fallback", "einsum", "gathers")
 DATA_DEPENDENT_SUBSCRIPT = "xr := copy: subscript 0 of 'sig' is data-dependent"
 DATA_DEPENDENT_PREDICATE = (
     "relax := reduce_min: data-dependent reduction predicate"
@@ -522,24 +526,72 @@ ARGMIN = (
     "(argmax/argmin/custom combiner)"
 )
 LEDGER_REPORTS = {
-    "MobileRobot": ((9, 9, 0, 1, 4, 4), []),
-    "Hexacopter": ((12, 12, 0, 1, 4, 6), []),
-    "Twitter-BFS": ((3, 2, 1, 0, 0, 0), [DATA_DEPENDENT_PREDICATE]),
-    "Wiki-BFS": ((3, 2, 1, 0, 0, 0), [DATA_DEPENDENT_PREDICATE]),
-    "LiveJourn-SSP": ((3, 2, 1, 0, 0, 0), [DATA_DEPENDENT_PREDICATE]),
-    "MovieL-20M": ((7, 7, 0, 0, 4, 0), []),
-    "MovieL-100K": ((7, 7, 0, 0, 4, 0), []),
-    "DigitCluster": ((7, 6, 1, 0, 3, 0), [ARGMIN]),
-    "ElecUse": ((7, 6, 1, 0, 3, 0), [ARGMIN]),
-    "FFT-8192": ((30, 29, 1, 0, 0, 130), [DATA_DEPENDENT_SUBSCRIPT]),
-    "FFT-16384": ((32, 31, 1, 0, 0, 140), [DATA_DEPENDENT_SUBSCRIPT]),
-    "DCT-1024": ((2, 2, 0, 0, 2, 0), []),
-    "DCT-2048": ((2, 2, 0, 0, 2, 0), []),
-    "ResNet-18": ((56, 56, 0, 0, 22, 0), []),
-    "MobileNet": ((45, 45, 0, 0, 19, 0), []),
-    "BrainStimul": ((39, 38, 1, 1, 5, 124), [DATA_DEPENDENT_SUBSCRIPT]),
-    "OptionPricing": ((5, 5, 0, 0, 1, 0), []),
+    "MobileRobot": ((9, 9, 0, 4, 3), []),
+    "Hexacopter": ((12, 12, 0, 4, 5), []),
+    "Twitter-BFS": ((3, 2, 1, 0, 0), [DATA_DEPENDENT_PREDICATE]),
+    "Wiki-BFS": ((3, 2, 1, 0, 0), [DATA_DEPENDENT_PREDICATE]),
+    "LiveJourn-SSP": ((3, 2, 1, 0, 0), [DATA_DEPENDENT_PREDICATE]),
+    "MovieL-20M": ((7, 7, 0, 4, 0), []),
+    "MovieL-100K": ((7, 7, 0, 4, 0), []),
+    "DigitCluster": ((7, 6, 1, 3, 0), [ARGMIN]),
+    "ElecUse": ((7, 6, 1, 3, 0), [ARGMIN]),
+    "FFT-8192": ((30, 29, 1, 0, 130), [DATA_DEPENDENT_SUBSCRIPT]),
+    "FFT-16384": ((32, 31, 1, 0, 140), [DATA_DEPENDENT_SUBSCRIPT]),
+    "DCT-1024": ((2, 2, 0, 2, 0), []),
+    "DCT-2048": ((2, 2, 0, 2, 0), []),
+    "ResNet-18": ((56, 56, 0, 22, 0), []),
+    "MobileNet": ((45, 45, 0, 19, 0), []),
+    "BrainStimul": ((39, 38, 1, 5, 123), [DATA_DEPENDENT_SUBSCRIPT]),
+    "OptionPricing": ((5, 5, 0, 1, 0), []),
 }
+
+
+#: Prints a gather of an int operand (an index constant and a ``_S``
+#: slot) before it declines on ``argmin``.
+DECLINED_AFTER_A_GATHER = (
+    "main(input int k[4][6], input float x[4][6], output float y[4]) {"
+    " index i[0:3], j[0:5];"
+    " y[i] = k[i][0] + argmin[j](x[i][j]); }"
+)
+
+
+class TestKernelNamespace:
+    """Every constant and scratch slot a kernel carries is one its source
+    names: a declined statement leaves none behind, and a store registers
+    none it does not print."""
+
+    @staticmethod
+    def _assert_all_referenced(kernel):
+        for name in kernel.constants:
+            assert re.search(rf"\b{name}\b", kernel.source), name
+        for slot in range(len(kernel.scratch_specs)):
+            assert f"_S[{slot}]" in kernel.source, slot
+
+    @pytest.mark.parametrize("name", sorted(LEDGER_REPORTS))
+    def test_ledger_programs(self, name):
+        from repro.eval import Harness
+
+        harness = Harness()
+        _, app, _ = harness.compiled(name)
+        self._assert_all_referenced(
+            harness.session.plan_for(app, codegen=True).kernel
+        )
+
+    def test_declined_statement_rolls_back(self):
+        session, plan = _compile_plan(DECLINED_AFTER_A_GATHER)
+        kernel = plan.kernel
+        assert kernel.report["fallback"] == 1
+        assert kernel.report["gathers"] == 1
+        self._assert_all_referenced(kernel)
+        assert not kernel.scratch_specs
+        rng = np.random.default_rng(41)
+        inputs = {
+            "k": rng.integers(-6, 7, size=(4, 6)),
+            "x": _int_floats(rng, (4, 6)),
+        }
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        outputs, _ = kernel.run(inputs)
+        assert np.array_equal(outputs["y"], ref.outputs["y"])
 
 
 class TestStagedEvaluator:
@@ -602,11 +654,11 @@ class TestStagedEvaluator:
 
 
 class TestBuildContract:
-    def test_build_never_raises_and_counts_decline(self):
+    def test_unsupported_plan_counts_decline(self):
         class Hostile:
             graph_name = "hostile"
-            steps = property(lambda self: (_ for _ in ()).throw(
-                RuntimeError("boom")))
+            steps = ()
+            _components = {"sub": None}
 
         base = CODEGEN_STATS.to_dict()
         diagnostics = Diagnostics()
@@ -616,6 +668,23 @@ class TestBuildContract:
         assert any(
             "codegen declined" in entry.message
             for entry in diagnostics.entries
+        )
+
+    def test_emitter_defect_propagates(self, monkeypatch):
+        """Only ``Unsupported`` is a decline: an emitter crash must not
+        pass for one, or the codegen fuzz oracle would wave it through."""
+        from repro.codegen.emitter import KernelEmitter
+
+        def crash(self, step, local):
+            raise KeyError("emitter defect")
+
+        _, plan = _compile_plan(MATVEC, codegen=False)
+        monkeypatch.setattr(KernelEmitter, "_emit_compute_step", crash)
+        base = CODEGEN_STATS.to_dict()
+        with pytest.raises(KeyError, match="emitter defect"):
+            build_kernel(plan)
+        assert CODEGEN_STATS.to_dict()["builds_declined"] == (
+            base["builds_declined"]
         )
 
     def test_codegen_stage_recorded(self):
