@@ -820,8 +820,6 @@ def _cmd_codegen(args):
     """
     import os
 
-    import numpy as np
-
     from .codegen import CODEGEN_STATS, Unsupported
     from .eval import Harness
     from .workloads import Trajectory
@@ -904,7 +902,7 @@ def _cmd_codegen(args):
                             b is None
                             or a.dtype != b.dtype
                             or a.shape != b.shape
-                            or not np.array_equal(a, b, equal_nan=True)
+                            or a.tobytes() != b.tobytes()
                         ):
                             identical = False
                             entry.setdefault("mismatches", []).append(

@@ -38,8 +38,9 @@ __all__ = [
 #: who owns a statement result). It salts :func:`kernel_cache_key`, so a
 #: persistent ``--cache-dir`` never replays source printed under another
 #: contract: bump it with any such change. 2: results left ``_S``.
-#: 3: ``_affine_view`` joined the namespace.
-KERNEL_ABI = 3
+#: 3: ``_affine_view`` joined the namespace. 4: ``_in_range`` joined it,
+#: and predicated min/max reduce masked.
+KERNEL_ABI = 4
 
 
 def kernel_cache_key(plan_key):

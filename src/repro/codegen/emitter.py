@@ -6,12 +6,17 @@ straight-line Python/numpy function per plan. The contract is strict
 construction: a statement is lowered by running the reference
 interpreter's own ``_ExprEvaluator`` over it with symbolic operands
 (:class:`_StagedEvaluator`). Whatever is derivable from the graph —
-index arithmetic, subscript bounds and clamping, reduction masks, axis
-extents, broadcast shapes, dtype casts — the inherited numpy calls
-compute at build time; every call that touches run-time data is printed,
-so the kernel *is* the interpreter's numpy operation sequence with the
-static parts folded to constants. A statement the staged evaluator
-declines (or that would raise) falls back to calling its own
+index arithmetic, static subscript bounds and clamping, index-only
+reduction masks, axis extents, broadcast shapes, dtype casts — the
+inherited numpy calls compute at build time; every call that touches
+run-time data is printed, so the kernel *is* the interpreter's numpy
+operation sequence with the static parts folded to constants. That
+includes predicates over data (a printed mask, reduced through
+``where=``), argmin/argmax, and subscripts over data (printed rounding,
+the interpreter's own ``_in_range`` check and fancy gather). A
+statement the staged evaluator declines (a custom combiner, a chunked
+reduction, a data-dependent subscript under a predicate, a size cap) or
+that would raise falls back to calling its own
 :class:`~repro.srdfg.plan.StatementPlan`, so unsupported constructs are
 correct by construction and runtime error behaviour (out-of-range
 subscripts, unbound names) is preserved verbatim.
@@ -37,6 +42,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..pmlang import ast_nodes as ast
+from ..pmlang.builtins import GROUP_REDUCTIONS
 from ..srdfg.graph import COMPUTE, CONST, VAR
 from ..srdfg.interpreter import (
     _REDUCE_IDENTITY,
@@ -129,8 +135,8 @@ class _StagedEvaluator(_ExprEvaluator):
     rounding, subscript guards and NEP-50 promotion. A primitive with a
     symbolic argument prints the call into the kernel and pushes the
     shadows through the same function. Values that must be inspected at
-    build time (subscripts, predicates) decline the statement when they
-    are symbolic.
+    build time (write subscripts, predicate masks excusing a stray
+    subscript) decline the statement when they are symbolic.
     """
 
     def __init__(self, emitter, statement, operands):
@@ -212,6 +218,22 @@ class _StagedEvaluator(_ExprEvaluator):
             f"_axview({base.code}, {order!r}, {absent!r})", shape, base.shadow
         )
 
+    def _subscript(self, expr, dim, value, extent):
+        if not isinstance(value, _Val):
+            return super()._subscript(expr, dim, value, extent)
+        if any(mask is not None for mask in self._mask_stack):
+            # Where a predicate masks it, the interpreter clamps a stray
+            # subscript instead of raising: that stays interpreted.
+            raise Unsupported(f"subscript {dim} of {expr.base!r} is data-dependent "
+                              "under a reduction predicate")
+        code = value.code if value.is_array else f"_np.asarray({value.code})"
+        shadow = value.shadow  # _gather declines it unless integral
+        if value.dtype.kind == "f":
+            code, shadow = f"_np.rint({code}).astype(_np.int64)", _shadow0(np.int64)
+        return self.emitter._let(
+            f"_in_range({code}, {extent}, {dim}, {expr.base!r})", value.shape, shadow
+        )
+
     def _gather(self, expr, base, index_arrays):
         for dim, array in enumerate(index_arrays):
             if array.dtype.kind not in ("i", "u"):
@@ -220,6 +242,14 @@ class _StagedEvaluator(_ExprEvaluator):
                 raise Unsupported(
                     f"subscript {dim} of {expr.base!r} is not integral"
                 )
+        if any(isinstance(array, _Val) for array in index_arrays):
+            # Known only at run time: the interpreter's own gather.
+            indices = [self.lift(array) for array in index_arrays]
+            return self.emitter._let(
+                f"{base.code}[tuple(_np.broadcast_arrays"
+                f"({', '.join(index.code for index in indices)}))]",
+                _bshape(*[index.shape for index in indices]), base.shadow, fresh=True,
+            )
         return self.emitter._emit_gather(base, index_arrays)
 
     def _broadcast_to(self, value, shape):
@@ -251,16 +281,26 @@ class _StagedEvaluator(_ExprEvaluator):
             fresh=value.fresh,
         )
 
-    def _reduce(self, op, data, axes):
-        if not isinstance(data, _Val):
-            return super()._reduce(op, data, axes)
+    def _reduce(self, op, data, axes, where=None):
+        if not isinstance(data, _Val) and not isinstance(where, _Val):
+            return super()._reduce(op, data, axes, where)
+        data = self.lift(data)
+        if op in _REDUCE_IDENTITY:
+            masked = "" if where is None else (
+                f", where={self.lift(where).code}, "
+                f"initial={self.lift(_REDUCE_IDENTITY[op]).code}"
+            )
+            call, shadow = f"_np.{op}({data.code}, axis={axes!r}{masked})", data.shadow
+        else:  # argmax / argmin: the interpreter's own function
+            reduce = self.emitter._const(GROUP_REDUCTIONS[op][0])
+            call, shadow = f"{reduce}({data.code}, {axes!r})", _shadow0(np.intp)
         reindex = ", ".join(
             "None" if axis in axes else ":" for axis in range(data.ndim)
         )
         return self.emitter._let(
-            f"_np.{op}({data.code}, axis={axes!r})[{reindex}]",
+            f"{call}[{reindex}]",
             [1 if axis in axes else n for axis, n in enumerate(data.shape)],
-            data.shadow,
+            shadow,
             fresh=True,
         )
 
@@ -318,14 +358,10 @@ class _StagedEvaluator(_ExprEvaluator):
             raise Unsupported(reason.format(*args))
         return value
 
-    # -- reductions: decline early ----------------------------------------
+    # -- reductions the kernel does not print -----------------------------
 
-    def _eval_reduction(self, expr):
-        if expr.op not in _REDUCE_IDENTITY:
-            raise Unsupported(
-                f"reduction {expr.op!r} (argmax/argmin/custom combiner)"
-            )
-        return super()._eval_reduction(expr)
+    def _eval_custom_reduction(self, expr, arg, mask, axes):
+        raise Unsupported(f"reduction {expr.op!r} (custom combiner)")
 
     def _eval_chunked(self, expr, chunk_plan):
         raise Unsupported("chunked reduction (over-limit lattice)")
@@ -424,6 +460,8 @@ class KernelEmitter:
             self.scratch_specs.append((shape, np.dtype(dtype)))
             return f"_S[{len(self.scratch_specs) - 1}]"
         size = int(np.prod(shape)) if shape else 1
+        if not size:
+            return f"_np.empty({shape!r})"  # carves nothing from the arena
         offset = self._arena_off
         self._arena_off += size
         code = f"_A[{offset}:{offset + size}]"

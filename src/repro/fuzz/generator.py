@@ -2,14 +2,16 @@
 
 The generator draws from the surface the rest of the stack already
 exercises — elementwise arithmetic, scalar builtins, group reductions
-(dot/matvec/row-sum, predicated prefix sums), rotated/reversed affine
-subscripts, contractions over strided windows, reversed operands and
-offset reduce ranges, ternary selects, ``unroll`` accumulation loops,
-``state`` variables threaded across invocations, and cross-domain
-component calls — and builds programs that are *valid by construction*:
-every local is written before it is read, every subscript is provably in
-range (bare indices, rotations modulo the dimension, reversals, windows
-sized to their operand), and numeric ranges stay in [-1, 1] territory so
+(dot/matvec/row-sum, predicated prefix sums, predicates and
+argmin/argmax over run-time data), rotated/reversed affine subscripts,
+data-dependent subscripts through int inputs, contractions over strided
+windows, reversed operands and offset reduce ranges, ternary selects,
+``unroll`` accumulation loops, ``state`` variables threaded across
+invocations, and cross-domain component calls — and builds programs that
+are *valid by construction*: every local is written before it is read,
+every subscript is provably in range (bare indices, rotations modulo the
+dimension, reversals, windows sized to their operand, int inputs drawn
+below their length), and numeric ranges stay in [-1, 1] territory so
 no oracle diverges on overflow instead of on a real compiler bug.
 
 A :class:`FuzzProgram` is an intermediate representation (declarations +
@@ -37,8 +39,9 @@ CALL_DOMAINS = ("DSP", "DA", "RBT")
 #: and free of poles, so f32 tolerance comparison stays meaningful.
 SAFE_FUNCS = ("sin", "cos", "sigmoid", "tanh", "relu", "gaussian", "abs")
 
-#: Group reductions the generator emits (argmax/argmin are deliberately
-#: excluded: a tie broken differently under f32 rounding is not a bug).
+#: Group reductions the generator emits over any value (argmax/argmin
+#: read run-time data only: a tie broken differently under f32 rounding
+#: is not a bug).
 SAFE_REDUCTIONS = ("sum", "max", "min")
 
 #: Helper components instantiable from ``main`` under a random domain.
@@ -72,6 +75,8 @@ class VarSpec:
     name: str
     shape: Tuple[int, ...]  # () scalar, (n,) vector, (n, m) matrix
     modifier: str  # input | param | state | output | local
+    #: ``int`` only for subscript operands, drawn in range of their length.
+    dtype: str = "float"
 
     def declare(self):
         dims = "".join(f"[{dim}]" for dim in self.shape)
@@ -160,7 +165,7 @@ class FuzzProgram:
         for spec in self.args:
             if spec.modifier != "output" and spec.name not in referenced:
                 continue  # minimized away
-            arg_decls.append(f"{spec.modifier} float {spec.declare()}")
+            arg_decls.append(f"{spec.modifier} {spec.dtype} {spec.declare()}")
         header = "main(" + ", ".join(arg_decls) + ") {"
 
         n, m = self.sizes["n"], self.sizes["m"]
@@ -186,10 +191,12 @@ class FuzzProgram:
     def _rng(self):
         return np.random.default_rng(self.seed)
 
-    def _draw(self, rng, shape):
-        if not shape:
+    def _draw(self, rng, spec):
+        if spec.dtype == "int":
+            return rng.integers(0, spec.shape[0], size=spec.shape)
+        if not spec.shape:
             return float(rng.uniform(-1.0, 1.0))
-        return rng.uniform(-1.0, 1.0, size=shape)
+        return rng.uniform(-1.0, 1.0, size=spec.shape)
 
     def bindings(self, modifier):
         rng = self._rng()
@@ -200,7 +207,7 @@ class FuzzProgram:
         # or which statements the minimizer has dropped; arguments no
         # longer referenced (and so no longer rendered) are skipped.
         for spec in self.args:
-            value = self._draw(rng, spec.shape)
+            value = self._draw(rng, spec)
             if spec.modifier != modifier:
                 continue
             if spec.modifier != "output" and spec.name not in referenced:
@@ -325,6 +332,7 @@ class _Generator:
         makers.append(self._make_prefix_reduce)
         makers.append(self._make_unroll)
         makers.append(self._make_view_contraction)
+        makers += [self._make_data_reduce, self._make_gather]
         if rng.random() < cfg.p_helper:
             makers.append(self._make_helper_call)
             makers.append(self._make_helper_call)  # weight helpers up
@@ -335,6 +343,7 @@ class _Generator:
             "scalars": scalars,
             "matrices": matrices,
             "locals": locals_,
+            "args": args,
         }
         for _ in range(budget):
             maker = rng.choice(makers)
@@ -562,6 +571,47 @@ class _Generator:
             reads=reads,
             kind=variant,
         )
+
+    def _make_data_reduce(self, context):
+        """A reduction under a predicate on run-time data, the graph
+        programs' ``min[u: adj[u][v] == 1](...)``:
+        ``t[i] = min[p: m[p] <= m[i]](a[p])``, or ``argmin[...](d[p]) *
+        0.25``. ``m`` and ``d`` are float inputs or params — data no
+        statement computes — so the mask, and the index an argmin/argmax
+        picks, are equal on every path at either precision. Point
+        ``p == i`` always passes, so no selection is empty."""
+        size, a = self._pick_vec(context)
+        data = [
+            spec.name for spec in context["args"]
+            if spec.modifier in ("input", "param") and spec.dtype == "float"
+            and spec.shape == (size,)
+        ]
+        if not data:
+            return None
+        m, d = self.rng.choice(data), self.rng.choice(data)
+        free, r = self._index_for(context, size), self._reduce_index_for(context, size)
+        reduce_op = self.rng.choice(SAFE_REDUCTIONS + ("argmin", "argmax"))
+        arg, scale = (a, "") if reduce_op in SAFE_REDUCTIONS else (d, " * 0.25")
+        compare = self.rng.choice(("<=", ">="))
+        target = self._new_local(context, (size,))
+        return Stmt(
+            text=f"{target}[{free}] = {reduce_op}"
+            f"[{r}: {m}[{r}] {compare} {m}[{free}]]({arg}[{r}]){scale};",
+            writes=target,
+            reads=(arg, m),
+            kind="data_reduce",
+        )
+
+    def _make_gather(self, context):
+        """A data-dependent subscript, the FFTs' bit reversal
+        ``sig[br[t]]``: ``t[i] = a[k[i]]`` through a new int input ``k``
+        drawn in range."""
+        size, a = self._pick_vec(context)
+        key = VarSpec(self.fresh("ix"), (size,), "input", dtype="int")
+        context["args"].append(key)
+        index, target = self._index_for(context, size), self._new_local(context, (size,))
+        text = f"{target}[{index}] = {a}[{key.name}[{index}]];"
+        return Stmt(text=text, writes=target, reads=(a, key.name), kind="gather")
 
     def _make_row_reduce(self, context):
         matrix = self.rng.choice(context["matrices"])

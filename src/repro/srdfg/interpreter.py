@@ -12,7 +12,14 @@ variable evaluates to an ``arange`` reshaped to occupy its axis, so the
 whole right-hand side evaluates to an ndarray over the statement's index
 lattice with plain numpy broadcasting — including strided subscripts like
 ``ctrl_prev[(i+1)*h]`` (fancy indexing with integer arrays) and boolean
-index predicates (masking with the reduction's identity element).
+reduction predicates. A predicated ``sum``/``prod``/``argmin``/``argmax``
+masks its argument with the reduction's identity element; a predicated
+``min``/``max`` is one masked ufunc reduction (``where=`` the mask,
+``initial=`` the identity) over the broadcast argument, so no
+lattice-sized select is built. The two agree bit for bit but for one
+edge: when a tie is between ``-0.0`` and ``+0.0``, the masked reduction
+may return the other zero than select-then-reduce did. NaN and the
+infinities behave identically.
 
 Two optimisations keep large workloads practical without changing
 semantics:
@@ -186,6 +193,17 @@ def _axview(array, order, absent):
     for axis in absent:
         out = np.expand_dims(out, axis=axis)
     return out
+
+
+def _in_range(array, extent, dim, base):
+    """*array*, unless an entry is no subscript into an axis of *extent*:
+    then the error for subscript *dim* of *base*. Kernels call it too."""
+    if array.size and (array.min() < 0 or array.max() >= extent):
+        raise ExecutionError(
+            f"subscript {dim} of {base!r} out of range "
+            f"[{int(array.min())}, {int(array.max())}] for extent {extent}"
+        )
+    return array
 
 
 def _affine_view(array, origin, coeffs, shape):
@@ -446,8 +464,25 @@ class _ExprEvaluator:
     def _bare_view(self, base, order, absent):
         return _axview(base, order, absent)
 
+    def _subscript(self, expr, dim, value, extent):
+        """*value* as the integer array selecting along dimension *dim* of
+        *expr*'s base: floats round to the nearest integer, and an entry
+        out of range raises unless an active predicate masks it out."""
+        array = np.asarray(value)
+        if array.dtype.kind == "f":
+            array = np.rint(array).astype(np.int64)
+        if array.size and (array.min() < 0 or array.max() >= extent):
+            array = self._guard_subscript(expr, dim, array, extent)
+        return array
+
     def _gather(self, expr, base, index_arrays):
         return base[tuple(np.broadcast_arrays(*index_arrays))]
+
+    def _as_mask(self, value):
+        """A reduction predicate's value as a boolean mask (nonzero selects)."""
+        if np.dtype(getattr(value, "dtype", type(value))) == np.bool_:
+            return value
+        return self._apply(np.not_equal, value, 0)
 
     def _broadcast_to(self, value, shape):
         return np.broadcast_to(value, shape)
@@ -455,9 +490,14 @@ class _ExprEvaluator:
     def _squeeze(self, value, axes):
         return np.squeeze(value, axis=axes)
 
-    def _reduce(self, op, data, axes):
-        """Builtin reduction over *axes*, reduced axes kept as singletons."""
-        return GROUP_REDUCTIONS[op][0](data, axes)[
+    def _reduce(self, op, data, axes, where=None):
+        """Builtin reduction over *axes*, reduced axes kept as singletons;
+        a *where* mask (``min``/``max`` only) leaves out what it clears."""
+        if where is None:
+            reduced = GROUP_REDUCTIONS[op][0](data, axes)
+        else:
+            reduced = getattr(np, op)(data, axis=axes, where=where, initial=_REDUCE_IDENTITY[op])
+        return reduced[
             tuple(
                 np.newaxis if axis in axes else slice(None)
                 for axis in range(self.space.total)
@@ -468,9 +508,9 @@ class _ExprEvaluator:
         return einsum.run(self.var_values)
 
     def _concrete(self, value, reason, *args):
-        """*value* is about to be inspected (subscript bounds, predicate
-        masks): a staged evaluator declines ``reason.format(*args)`` here
-        when it is not known until run time."""
+        """*value* is about to be inspected (write subscripts, masks excusing
+        a stray subscript): a staged evaluator declines
+        ``reason.format(*args)`` here when it is not known until run time."""
         return value
 
     # -- expressions -------------------------------------------------------
@@ -544,18 +584,10 @@ class _ExprEvaluator:
         bare = self._bare_axes(expr, base.shape)
         if bare is not None:
             return self._bare_view(base, *bare)
-        index_arrays = []
-        for dim, index_expr in enumerate(expr.indices):
-            array = np.asarray(self._concrete(
-                self.eval(index_expr),
-                "subscript {} of {!r} is data-dependent", dim, expr.base,
-            ))
-            if array.dtype.kind == "f":
-                array = np.rint(array).astype(np.int64)
-            extent = base.shape[dim]
-            if array.size and (array.min() < 0 or array.max() >= extent):
-                array = self._guard_subscript(expr, dim, array, extent)
-            index_arrays.append(array)
+        index_arrays = [
+            self._subscript(expr, dim, self.eval(index_expr), base.shape[dim])
+            for dim, index_expr in enumerate(expr.indices)
+        ]
         return self._gather(expr, base, index_arrays)
 
     def _guard_subscript(self, expr, dim, array, extent):
@@ -568,17 +600,17 @@ class _ExprEvaluator:
         for mask in self._mask_stack:
             if mask is None:
                 continue
-            selected = np.asarray(mask, dtype=bool)
+            selected = self._concrete(
+                mask, "subscript {} of {!r} is guarded by a data-dependent "
+                "predicate", dim, expr.base,
+            )
             try:
                 exposed = np.broadcast_arrays(violating, selected)
             except ValueError:
                 continue
             if not np.any(exposed[0] & exposed[1]):
                 return np.clip(array, 0, extent - 1)
-        raise ExecutionError(
-            f"subscript {dim} of {expr.base!r} out of range "
-            f"[{int(array.min())}, {int(array.max())}] for extent {extent}"
-        )
+        return _in_range(array, extent, dim, expr.base)  # raises
 
     def _bare_axes(self, expr, shape):
         """``(order, absent)`` for :func:`_axview` when *expr* is a pure
@@ -622,14 +654,8 @@ class _ExprEvaluator:
         for spec in expr.indices:
             if spec.predicate is None:
                 continue
-            predicate = np.asarray(
-                self._concrete(
-                    self.eval(spec.predicate),
-                    "data-dependent reduction predicate",
-                ),
-                dtype=bool,
-            )
-            mask = predicate if mask is None else np.logical_and(mask, predicate)
+            predicate = self._as_mask(self.eval(spec.predicate))
+            mask = predicate if mask is None else self._apply(np.logical_and, mask, predicate)
 
         self._mask_stack.append(mask)
         try:
@@ -643,9 +669,16 @@ class _ExprEvaluator:
         target_shape = self._reduce_target_shape(np.shape(arg), mask, axes)
         arg = self._broadcast_to(arg, target_shape)
         if mask is not None:
-            mask = np.broadcast_to(mask, target_shape)
+            mask = self._broadcast_to(mask, target_shape)
 
         if expr.op in _REDUCE_IDENTITY:
+            if mask is not None and expr.op in ("min", "max") and all(
+                target_shape[axis] for axis in axes
+            ):
+                # One masked ufunc reduction over the broadcast argument:
+                # no lattice-sized select is materialised. (An empty bound
+                # range keeps the select, and numpy's error for it.)
+                return self._reduce(expr.op, self._to_float(arg), axes, where=mask)
             if mask is not None:
                 arg = self._apply(np.where, mask, arg, _REDUCE_IDENTITY[expr.op])
             return self._reduce(expr.op, self._to_float(arg), axes)
@@ -659,7 +692,7 @@ class _ExprEvaluator:
         the argument does not), with every bound axis at full extent."""
         total = self.space.total
         target_shape = [1] * total
-        for shape in (arg_shape, () if mask is None else mask.shape):
+        for shape in (arg_shape, np.shape(mask)):
             if len(shape) == total:
                 target_shape = [
                     max(have, got) for have, got in zip(target_shape, shape)
@@ -671,19 +704,17 @@ class _ExprEvaluator:
         return tuple(target_shape)
 
     def _eval_arg_extremum(self, expr, arg, mask, axes):
+        """The first extreme point's bound index; masked-out points never win.
+        Compares in ``_to_float``'s kind (complex orders as numpy's does)."""
         if len(axes) != 1:
             raise ExecutionError(f"{expr.op} supports a single index variable")
-        axis = axes[0]
-        name = self.space.order[axis]
+        name = self.space.order[axes[0]]
         low, _ = self.sub_ranges.get(name, self.space.index_ranges[name])
-        fill = -np.inf if expr.op == "argmax" else np.inf
-        data = np.asarray(arg, dtype=np.float64)
+        data = self._to_float(arg)
         if mask is not None:
-            data = np.where(mask, data, fill)
-        pick = np.argmax(data, axis=axis) if expr.op == "argmax" else np.argmin(
-            data, axis=axis
-        )
-        return np.expand_dims(pick + low, axis=axis)
+            fill = -np.inf if expr.op == "argmax" else np.inf
+            data = self._apply(np.where, mask, data, fill)
+        return self._apply(np.add, self._reduce(expr.op, data, axes), low)
 
     def _eval_custom_reduction(self, expr, arg, mask, axes):
         definition = self.reductions.get(expr.op)

@@ -14,6 +14,7 @@ statement boundaries.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import re
 
@@ -27,6 +28,7 @@ from repro.codegen import (
     kernel_cache_key,
 )
 from repro.driver import CompilerSession
+from repro.errors import ExecutionError
 from repro.targets import default_accelerators
 from repro.driver.cache import KERNEL, PLAN, ArtifactCache
 from repro.driver.diagnostics import Diagnostics
@@ -506,52 +508,47 @@ class TestBufferLifetimes:
 
 
 #: ``(statements, specialized, fallback, einsum, gathers)`` of the 17
-#: ledger programs' kernels, and the reason of every statement fallback
-#: — literals of the commit before the emitter became the reference
-#: evaluator run over symbolic operands, but for the DCT and conv
-#: statements: contractions over affine subscripts (``img[by*8+x]``,
-#: ``x[ic][oy*s+ky][ox*s+kx]``) dispatch to einsum over a strided view,
-#: so they left ``gathers`` (and the deleted ``blocked`` column) for
-#: ``einsum``, and DCT-2048's over-limit stencil no longer chunks; and
-#: for the three statements elementwise inlining used to fold into their
-#: consumer (MobileRobot, Hexacopter, BrainStimul), each now one gather
-#: fewer.
+#: ledger programs' kernels — literals of the commit before the emitter
+#: became the reference evaluator run over symbolic operands, but for the
+#: DCT and conv statements: contractions over affine subscripts
+#: (``img[by*8+x]``, ``x[ic][oy*s+ky][ox*s+kx]``) dispatch to einsum over
+#: a strided view, so they left ``gathers`` (and the deleted ``blocked``
+#: column) for ``einsum``, and DCT-2048's over-limit stencil no longer
+#: chunks; for the three statements elementwise inlining used to fold
+#: into their consumer (MobileRobot, Hexacopter, BrainStimul), each now
+#: one gather fewer; and for the eight statements that used to fall back
+#: (the graph programs' data-dependent predicate, DigitCluster's and
+#: ElecUse's ``argmin``, the FFTs' and BrainStimul's bit-reversal copy
+#: ``sig[br[t]]``), each now specialized. No program falls back.
 REPORT_COUNTERS = ("statements", "specialized", "fallback", "einsum", "gathers")
-DATA_DEPENDENT_SUBSCRIPT = "xr := copy: subscript 0 of 'sig' is data-dependent"
-DATA_DEPENDENT_PREDICATE = (
-    "relax := reduce_min: data-dependent reduction predicate"
-)
-ARGMIN = (
-    "assign := reduce_argmin: reduction 'argmin' "
-    "(argmax/argmin/custom combiner)"
-)
 LEDGER_REPORTS = {
-    "MobileRobot": ((9, 9, 0, 4, 3), []),
-    "Hexacopter": ((12, 12, 0, 4, 5), []),
-    "Twitter-BFS": ((3, 2, 1, 0, 0), [DATA_DEPENDENT_PREDICATE]),
-    "Wiki-BFS": ((3, 2, 1, 0, 0), [DATA_DEPENDENT_PREDICATE]),
-    "LiveJourn-SSP": ((3, 2, 1, 0, 0), [DATA_DEPENDENT_PREDICATE]),
-    "MovieL-20M": ((7, 7, 0, 4, 0), []),
-    "MovieL-100K": ((7, 7, 0, 4, 0), []),
-    "DigitCluster": ((7, 6, 1, 3, 0), [ARGMIN]),
-    "ElecUse": ((7, 6, 1, 3, 0), [ARGMIN]),
-    "FFT-8192": ((30, 29, 1, 0, 130), [DATA_DEPENDENT_SUBSCRIPT]),
-    "FFT-16384": ((32, 31, 1, 0, 140), [DATA_DEPENDENT_SUBSCRIPT]),
-    "DCT-1024": ((2, 2, 0, 2, 0), []),
-    "DCT-2048": ((2, 2, 0, 2, 0), []),
-    "ResNet-18": ((56, 56, 0, 22, 0), []),
-    "MobileNet": ((45, 45, 0, 19, 0), []),
-    "BrainStimul": ((39, 38, 1, 5, 123), [DATA_DEPENDENT_SUBSCRIPT]),
-    "OptionPricing": ((5, 5, 0, 1, 0), []),
+    "MobileRobot": (9, 9, 0, 4, 3),
+    "Hexacopter": (12, 12, 0, 4, 5),
+    "Twitter-BFS": (3, 3, 0, 0, 0),
+    "Wiki-BFS": (3, 3, 0, 0, 0),
+    "LiveJourn-SSP": (3, 3, 0, 0, 0),
+    "MovieL-20M": (7, 7, 0, 4, 0),
+    "MovieL-100K": (7, 7, 0, 4, 0),
+    "DigitCluster": (7, 7, 0, 3, 0),
+    "ElecUse": (7, 7, 0, 3, 0),
+    "FFT-8192": (30, 30, 0, 0, 130),
+    "FFT-16384": (32, 32, 0, 0, 140),
+    "DCT-1024": (2, 2, 0, 2, 0),
+    "DCT-2048": (2, 2, 0, 2, 0),
+    "ResNet-18": (56, 56, 0, 22, 0),
+    "MobileNet": (45, 45, 0, 19, 0),
+    "BrainStimul": (39, 39, 0, 5, 123),
+    "OptionPricing": (5, 5, 0, 1, 0),
 }
 
 
 #: Prints a gather of an int operand (an index constant and a ``_S``
-#: slot) before it declines on ``argmin``.
+#: slot) before it declines on a custom combiner.
 DECLINED_AFTER_A_GATHER = (
+    "reduction rmin(a,b) = a < b ? a : b;\n"
     "main(input int k[4][6], input float x[4][6], output float y[4]) {"
     " index i[0:3], j[0:5];"
-    " y[i] = k[i][0] + argmin[j](x[i][j]); }"
+    " y[i] = k[i][0] + rmin[j](x[i][j]); }"
 )
 
 
@@ -604,9 +601,9 @@ class TestStagedEvaluator:
         harness = Harness()
         _, app, _ = harness.compiled(name)
         report = harness.session.plan_for(app, codegen=True).kernel.report
-        counters, reasons = LEDGER_REPORTS[name]
-        assert tuple(report[key] for key in REPORT_COUNTERS) == counters
-        assert report["fallback_reasons"] == reasons
+        counters = tuple(report[key] for key in REPORT_COUNTERS)
+        assert counters == LEDGER_REPORTS[name]
+        assert report["fallback_reasons"] == []
 
     def test_nested_einsum_dispatches_through_compile_einsum(
         self, monkeypatch
@@ -651,6 +648,118 @@ class TestStagedEvaluator:
         assert np.array_equal(
             ref.outputs["y"], inputs["a"] + inputs["M"] @ inputs["x"]
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_of(source):
+    return _compile_plan(source)[1]
+
+
+def _predicated_by_data(op):
+    """*op* under a predicate that reads the run-time operand ``m``."""
+    if op in ("min", "max"):
+        # Two predicated bound indices: their masks combine.
+        body = f"{op}[u: m[u][v] > 0.0][w: z[w] >= x[u]](x[u] + z[w])"
+    else:  # argmin / argmax bind a single index
+        body = f"{op}[u: m[u][v] > 0.0](x[u] + z[v])"
+    return (
+        "main(input float m[6][5], input float x[6], input float z[5],"
+        " output float y[5]) {"
+        f" index u[0:5], v[0:4], w[0:4]; y[v] = {body}; }}"
+    )
+
+
+def _specials(shape):
+    """Arrays of signed zeros, NaN, infinities and a few plain values."""
+    values = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
+    size = int(np.prod(shape))
+    return st.lists(values, min_size=size, max_size=size).map(
+        lambda drawn: np.array(drawn).reshape(shape)
+    )
+
+
+class TestRunTimeValues:
+    """Predicates and subscripts known only at run time are printed:
+    the kernel computes the mask, rounds, range-checks and gathers
+    through the interpreter's own calls."""
+
+    @pytest.mark.parametrize("op", ["min", "max", "argmin", "argmax"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_data_dependent_predicate_is_byte_identical(self, op, data):
+        plan = _plan_of(_predicated_by_data(op))
+        assert plan.kernel.report["fallback"] == 0
+        inputs = {
+            name: data.draw(_specials(shape), label=name)
+            for name, shape in (("m", (6, 5)), ("x", (6,)), ("z", (5,)))
+        }
+        with np.errstate(invalid="ignore"):  # inf + -inf is a payload
+            ref = plan._execute(inputs, {}, {}, {}, None)
+            outputs, _ = plan.kernel.run(inputs)
+        assert outputs["y"].dtype == ref.outputs["y"].dtype
+        assert outputs["y"].tobytes() == ref.outputs["y"].tobytes()
+
+    def test_predicated_min_over_an_empty_range_still_raises(self):
+        """An empty bound range keeps the select-then-reduce, so numpy's
+        error for a reduction without an identity, on both tiers."""
+        _, plan = _compile_plan(
+            "main(input float x[8], input float m[8], output float y[4]) {"
+            " index i[0:3], j[4:3]; y[i] = min[j: m[j] > 0.0](x[j]); }"
+        )
+        inputs = {"x": np.ones(8), "m": np.ones(8)}
+        for run in (
+            lambda: plan._execute(inputs, {}, {}, {}, None),
+            lambda: plan.kernel.run(inputs),
+        ):
+            with pytest.raises(ValueError, match="zero-size array"):
+                run()
+
+    @pytest.mark.parametrize("dtype, stray, message", [
+        ("int", 9, "out of range [0, 9] for extent 8"),
+        ("float", -0.7, "out of range [-1, 7] for extent 8"),
+    ])
+    def test_data_dependent_subscript_errors_alike(self, dtype, stray,
+                                                   message):
+        _, plan = _compile_plan(
+            f"main(input float x[8], input {dtype} k[8], output float y[8])"
+            " { index i[0:7]; y[i] = x[k[i]] * 2.0; }"
+        )
+        assert plan.kernel.report["fallback"] == 0
+        rng = np.random.default_rng(47)
+        inputs = {"x": _int_floats(rng, 8), "k": np.arange(8.0)[::-1] + 0.4}
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        outputs, _ = plan.kernel.run(inputs)
+        assert np.array_equal(outputs["y"], ref.outputs["y"])
+        inputs["k"] = np.where(np.arange(8) == 3, stray, inputs["k"])
+        errors = []
+        for run in (
+            lambda: plan._execute(inputs, {}, {}, {}, None),
+            lambda: plan.kernel.run(inputs),
+        ):
+            with pytest.raises(ExecutionError) as raised:
+                run()
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert errors[0] == f"subscript 0 of 'x' {message}"
+
+    def test_data_dependent_subscript_under_a_predicate_declines(self):
+        """Where a predicate masks it, the interpreter clamps a stray
+        subscript: that statement stays interpreted, with its reason."""
+        _, plan = _compile_plan(
+            "main(input float x[8], input int k[8], output float y[8]) {"
+            " index i[0:7], j[0:7]; y[i] = sum[j: j <= i](x[k[j]]); }"
+        )
+        report = plan.kernel.report
+        assert report["fallback"] == 1
+        [reason] = report["fallback_reasons"]
+        assert reason.endswith(
+            "subscript 0 of 'x' is data-dependent under a reduction predicate"
+        )
+        rng = np.random.default_rng(53)
+        inputs = {"x": _int_floats(rng, 8), "k": rng.integers(0, 8, size=8)}
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        outputs, _ = plan.kernel.run(inputs)
+        assert np.array_equal(outputs["y"], ref.outputs["y"])
 
 
 class TestBuildContract:
@@ -846,15 +955,9 @@ class TestKernelCache:
         """A fallback statement rides in the kernel's constants as its
         StatementPlan, which holds a lock: it must still pickle, or the
         kernel silently never leaves the process that built it."""
-        from repro.workloads import get_workload
-
-        workload = get_workload("Twitter-BFS")
 
         def plan_in(session):
-            app = session.compile(
-                workload.source(), domain=workload.domain,
-                data_hints=workload.hints(),
-            )
+            app = session.compile(DECLINED_AFTER_A_GATHER, domain="DA")
             return session.plan_for(app, codegen=True)
 
         first = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
@@ -867,9 +970,13 @@ class TestKernelCache:
         assert second.cache.stats.kernel_disk_hits == 1
         assert second.cache.stats.disk_errors == 0
         assert plan2.kernel is not plan.kernel
-        inputs, params = workload.inputs(0, None), workload.params()
-        ref = plan._execute(inputs, params, {}, {}, None)
-        got = plan2.kernel.try_execute(plan2, inputs, params)
+        rng = np.random.default_rng(43)
+        inputs = {
+            "k": rng.integers(-6, 7, size=(4, 6)),
+            "x": _int_floats(rng, (4, 6)),
+        }
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        got = plan2.kernel.try_execute(plan2, inputs)
         assert got is not None
         _assert_identical(ref, got)
 
