@@ -1,11 +1,11 @@
-"""Extending the stack: a custom compiler pass and a custom accelerator.
+"""Extending the stack: a custom rewrite rule and a custom accelerator.
 
 The paper positions PolyMath as "the very first extensible, modular, and
 open-source computation stack" for cross-domain acceleration. This example
 shows both extension points:
 
-* a user-defined pass (strength reduction: ``x * 2`` -> ``x + x``) plugged
-  into the standard pipeline;
+* a user-defined rule set (strength reduction: ``x * -1`` -> ``-x``, a
+  negation instead of a multiply) appended to the standard pipeline;
 * a user-defined accelerator backend (a fictional vector DSP) given its
   own AcceleratorSpec and hardware parameters, then used as a lowering and
   translation target.
@@ -17,63 +17,46 @@ Run with::
 
 import numpy as np
 
-from repro import CompilerSession
+from repro import CompilerSession, Pipeline
 from repro.hw import HardwareParams
-from repro.passes import PassManager, Pass, default_pipeline
 from repro.pmlang import ast_nodes as ast
-from repro.srdfg import Executor, build, classify
+from repro.rewrite import DEFAULT_RULESETS, Any, Bin, ExprRule, Lit, RuleSet
+from repro.srdfg import Executor, build
 from repro.targets import Accelerator, AcceleratorSpec
 
 SOURCE = """
 main(input float x[1024], param float gain, output float y[1024]) {
   index i[0:1023];
   float t[1024];
-  t[i] = x[i] * 2.0;
+  t[i] = x[i] * -1.0;
   y[i] = tanh(t[i] * gain);
 }
 """
 
 
-class StrengthReduction(Pass):
-    """Rewrite ``expr * 2`` into ``expr + expr`` (adds are cheaper)."""
+def _negate(expr, bindings, ctx):
+    return ast.UnaryOp(op="-", operand=bindings["x"], line=expr.line)
 
-    name = "strength-reduction"
 
-    def _rewrite(self, expr):
-        if isinstance(expr, ast.BinOp):
-            left = self._rewrite(expr.left)
-            right = self._rewrite(expr.right)
-            if (
-                expr.op == "*"
-                and isinstance(right, ast.Literal)
-                and right.value == 2.0
-                and isinstance(left, (ast.Indexed, ast.Name))
-            ):
-                return ast.BinOp(op="+", left=left, right=left, line=expr.line)
-            return ast.BinOp(op=expr.op, left=left, right=right, line=expr.line)
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(
-                func=expr.func,
-                args=tuple(self._rewrite(arg) for arg in expr.args),
-                line=expr.line,
-            )
-        return expr
+#: One expression rule. Like every rule it keeps the value (``x * -1`` is
+#: exactly ``-x`` in IEEE arithmetic) and strictly lowers (expression
+#: size, ``Name`` count) where it fires: three nodes become two.
+STRENGTH_REDUCTION = RuleSet(
+    name="strength-reduction",
+    expr_rules=(
+        ExprRule(
+            "mul-minus-one-to-neg",
+            Bin(op="*", left=Any(name="x"), right=Lit(value=-1, numeric=True),
+                commutative=True),
+            _negate,
+        ),
+    ),
+)
 
-    def run(self, graph):
-        for node in graph.compute_nodes():
-            stmt = node.attrs["stmt"]
-            new_stmt = ast.Assign(
-                target=stmt.target,
-                target_indices=stmt.target_indices,
-                value=self._rewrite(stmt.value),
-                line=stmt.line,
-            )
-            node.attrs["stmt"] = new_stmt
-            node.attrs["descriptor"] = classify(
-                new_stmt, node.attrs["index_ranges"], getattr(graph, "reductions", {})
-            )
-            node.name = node.attrs["descriptor"].opname
-        return graph
+#: The standard pipeline with the rule set appended; constant folding runs
+#: first and turns the source's ``-1.0`` (a negated literal) into the
+#: literal the rule matches.
+PIPELINE = Pipeline(DEFAULT_RULESETS + (STRENGTH_REDUCTION,))
 
 
 class VectorDsp(Accelerator):
@@ -103,16 +86,15 @@ def main():
     rng = np.random.default_rng(0)
     x = rng.normal(size=1024)
 
-    # Reference execution, no custom pass.
+    # Reference execution, no custom rule set.
     plain = Executor(build(SOURCE, domain="DSP")).run(
         inputs={"x": x}, params={"gain": 0.5}
     )
 
-    # Pipeline with the custom pass appended.
-    pipeline = default_pipeline().add(StrengthReduction())
-    graph = pipeline.run(build(SOURCE, domain="DSP")).graph
+    # The pipeline with the custom rule set appended.
+    graph = PIPELINE.run(build(SOURCE, domain="DSP")).graph
     tuned = Executor(graph).run(inputs={"x": x}, params={"gain": 0.5})
-    assert np.allclose(plain.outputs["y"], tuned.outputs["y"])
+    assert np.array_equal(plain.outputs["y"], tuned.outputs["y"])
 
     muls_before = sum(
         node.attrs["descriptor"].op_counts.get("mul", 0)
@@ -124,14 +106,10 @@ def main():
     )
     print(f"strength reduction: multiplies {muls_before} -> {muls_after}")
 
-    # Compile for the custom accelerator, with the custom pass installed
-    # in the session's pipeline. The pass-pipeline fingerprint is part of
-    # the artifact cache key, so this never aliases a default-pipeline
-    # compile of the same source.
-    session = CompilerSession(
-        {"DSP": VectorDsp()},
-        pipeline_factory=lambda: default_pipeline().add(StrengthReduction()),
-    )
+    # Compile for the custom accelerator through the same pipeline. Its
+    # fingerprint is part of the artifact cache key, so this never aliases
+    # a default-pipeline compile of the same source.
+    session = CompilerSession({"DSP": VectorDsp()}, pipeline=PIPELINE)
     app = session.compile(SOURCE, domain="DSP")
     print("\nVectorDSP program:")
     print(app.programs["DSP"].listing())

@@ -33,7 +33,6 @@ from .errors import (
     LoweringError,
     PMLangSemanticError,
     PMLangSyntaxError,
-    PassError,
     PolyMathError,
     RuntimeFailure,
     ShapeError,
@@ -50,7 +49,7 @@ from .runtime import (
 from .eval import Harness, all_figures, all_tables, full_report
 from .hw import SoCRuntime, make_jetson, make_titan_xp, make_xeon
 from .pmlang import analyze, parse, tokenize
-from .passes import PassManager, default_pipeline, lower
+from .rewrite import Pipeline, default_pipeline, lower
 from .srdfg import Executor, SrDFG, build
 from .targets import PolyMath, default_accelerators
 from .workloads import get_workload, workload_names
@@ -71,8 +70,7 @@ __all__ = [
     "LoweringError",
     "PMLangSemanticError",
     "PMLangSyntaxError",
-    "PassError",
-    "PassManager",
+    "Pipeline",
     "PolyMath",
     "PolyMathError",
     "RecoveryPolicy",

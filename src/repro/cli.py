@@ -184,25 +184,30 @@ def _stats_workload(args):
 def _cmd_rewrite(args):
     """Run the declarative rewrite engine over workload srDFGs.
 
-    Applies the rule-based optimisation pipeline to each named workload
-    and reports per-rule activity. ``--explain`` prints each rule firing
-    with its site; ``--fuse`` additionally compiles each workload with
-    cost-guided cross-domain fusion enabled and prints the
+    Applies the rule-based optimisation pipeline to each named workload,
+    then lowers it (Algorithm 1's rule set) for the workload's own
+    accelerators, and reports per-rule activity. ``--explain`` prints
+    each rule firing with its site; ``--fuse`` additionally compiles each
+    workload with cost-guided cross-domain fusion enabled and prints the
     :class:`~repro.rewrite.fusion.FusionReport`.
     """
-    from .rewrite import REWRITE_STATS, ExplainLog, per_rule, rewrite_pipeline
+    from .rewrite import LOWERING_STATS, REWRITE_STATS, ExplainLog, default_pipeline, lower, per_rule
+    from .targets import default_accelerators, retag_component_domain
     from .workloads import END_TO_END, SINGLE_DOMAIN, get_workload
 
     names = args.names or list(SINGLE_DOMAIN + END_TO_END)
     explain = ExplainLog() if (args.explain or args.json) else None
     REWRITE_STATS.reset()
+    LOWERING_STATS.reset()
     entries = []
     for name in names:
         workload = get_workload(name)
         graph = workload.build_graph()
+        for component, tag in (getattr(workload, "component_domains", None) or {}).items():
+            retag_component_domain(graph, component, tag)
         nodes_before, edges_before = graph.total_counts()
-        result = rewrite_pipeline(explain=explain).run(graph)
-        nodes_after, edges_after = result.graph.total_counts()
+        graph = default_pipeline().run(graph, explain=explain).graph
+        nodes_after, edges_after = graph.total_counts()
         print(
             f"{name:15s} ok        nodes {nodes_before}->{nodes_after}, "
             f"edges {edges_before}->{edges_after}"
@@ -214,6 +219,10 @@ def _cmd_rewrite(args):
             "edges_before": edges_before,
             "edges_after": edges_after,
         })
+        accelerators = default_accelerators(workload.accelerator_overrides)
+        om = {domain: acc.om_entry() for domain, acc in accelerators.items()}
+        scalar_om = {domain: acc.scalar_entry() for domain, acc in accelerators.items()}
+        lower(graph, om, scalar_om, explain=explain)
 
     fusion_reports = []
     if args.fuse:
@@ -234,7 +243,9 @@ def _cmd_rewrite(args):
         print(explain.render())
 
     fired = {
-        rule: counts for rule, counts in per_rule(REWRITE_STATS).items()
+        rule: counts
+        for stats in (REWRITE_STATS, LOWERING_STATS)
+        for rule, counts in per_rule(stats).items()
         if counts["rewrites"]
     }
     if fired and not args.explain:
@@ -248,7 +259,7 @@ def _cmd_rewrite(args):
     if args.json:
         payload = {
             "workloads": entries,
-            "counters": REWRITE_STATS.to_dict(),
+            "counters": {**REWRITE_STATS.to_dict(), "lowering": LOWERING_STATS.to_dict()},
             "firings": explain.by_rule() if explain is not None else {},
             "fusion": fusion_reports,
         }
@@ -479,7 +490,6 @@ def _serving(args):
             breaker_threshold=args.breaker_threshold,
             bucket_policy=args.bucket_policy,
             pool=args.pool,
-            aging_s=args.aging,
         )
         with server:
             yield server
@@ -1041,14 +1051,6 @@ def build_parser():
         metavar="PATH",
         help="artifact-cache directory shared by worker processes; "
         "--pool process uses a temporary directory when omitted",
-    )
-    serve.add_argument(
-        "--aging",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="priority aging interval: a queued request gains one "
-        "priority level per SECONDS waited (default off)",
     )
     serve.add_argument(
         "--workloads",

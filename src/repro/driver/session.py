@@ -1,10 +1,10 @@
 """The instrumented compilation driver (`CompilerSession`).
 
 The paper presents compilation as a pipeline — parse PMLang, build the
-srDFG, run target-independent passes, lower (Algorithm 1), translate per
-domain (Algorithm 2) — but the stack previously exposed it only as the
-monolithic ``PolyMath.compile``. :class:`CompilerSession` makes the
-pipeline explicit: each named stage
+srDFG, run the target-independent rule sets, lower (Algorithm 1),
+translate per domain (Algorithm 2) — but the stack previously exposed it
+only as the monolithic ``PolyMath.compile``. :class:`CompilerSession`
+makes the pipeline explicit: each named stage
 
     parse -> semantic -> srdfg-build -> optimize -> lower -> translate
 
@@ -31,12 +31,12 @@ from typing import Callable, Dict, List
 from ..codegen import CODEGEN_STATS, build_kernel, kernel_cache_key
 from ..errors import PolyMathError, TargetError
 from ..obs import NULL_TRACER, MetricsRegistry
-from ..passes import default_pipeline
-from ..passes.lowering import lower, supported_summary
 from ..pmlang.parser import parse
 from ..pmlang.semantic import analyze
 from ..rewrite.engine import REWRITE_STATS
 from ..rewrite.fusion import fuse_cross_domain
+from ..rewrite.lowering import lower, supported_summary
+from ..rewrite.rulesets import default_pipeline
 from ..srdfg.builder import build
 from ..srdfg.plan import (
     PLAN_FIELDS,
@@ -146,8 +146,7 @@ class CompilerSession:
     def __init__(
         self,
         accelerators=None,
-        run_pipeline=True,
-        pipeline_factory=None,
+        pipeline=default_pipeline(),
         cache=None,
         cache_dir=None,
         diagnostics=None,
@@ -155,16 +154,16 @@ class CompilerSession:
         fusion=False,
     ):
         self.accelerators = dict(accelerators or {})
-        self.run_pipeline = run_pipeline
-        self.pipeline_factory: Callable = pipeline_factory or default_pipeline
+        #: What the ``optimize`` stage runs (a ``Pipeline``); None skips it.
+        self.pipeline = pipeline
         #: Whether the ``fuse`` stage runs cost-guided cross-domain fusion
         #: (:func:`~repro.rewrite.fusion.fuse_cross_domain`) on the
         #: lowered graph.
         self.fusion = bool(fusion)
         self.cache = cache or ArtifactCache(cache_dir=cache_dir)
-        self.diagnostics = diagnostics or Diagnostics()
-        #: Observability spine: stage spans (category ``session``), pass
-        #: spans (via the pipeline), and plan spans all land here. The
+        self.diagnostics = Diagnostics() if diagnostics is None else diagnostics
+        #: Observability spine: stage spans (category ``session``), rule
+        #: set spans (via the pipeline), and plan spans all land here. The
         #: default NULL_TRACER records nothing at near-zero cost.
         self.tracer = tracer or NULL_TRACER
         # Disk-tier degradation (corrupt entries, failed writes) surfaces
@@ -174,8 +173,8 @@ class CompilerSession:
             self.cache.diagnostics = self.diagnostics
         self.records: List[StageRecord] = []
         #: This session's counter groups: ``plan``, ``cache`` (the cache's
-        #: own group) and ``session``. Process-scoped ``rewrite`` and
-        #: ``codegen`` live in :data:`~repro.obs.DEFAULT_REGISTRY`.
+        #: own group) and ``session``. Process-scoped ``rewrite``,
+        #: ``lowering`` and ``codegen`` live in :data:`~repro.obs.DEFAULT_REGISTRY`.
         self.metrics = MetricsRegistry()
         #: Plan builds this session paid for. Serving's ``plan_reuse_ok``
         #: deltas read this, so two concurrent servers — or sibling worker
@@ -276,19 +275,7 @@ class CompilerSession:
 
     # -- cache key -----------------------------------------------------------
 
-    def _pipeline_fingerprint(self, pipeline):
-        if pipeline is None:
-            return "no-pipeline"
-        return fingerprint(
-            tuple(type(p).__name__ for p in pipeline.passes),
-            tuple(p.name for p in pipeline.passes),
-            pipeline.validate,
-            pipeline.recursive,
-        )
-
-    def cache_key(
-        self, source, entry, domain, component_domains, accelerators, pipeline
-    ):
+    def cache_key(self, source, entry, domain, component_domains, accelerators):
         """Content-addressed key for one compile request."""
         return fingerprint(
             fingerprint(source),
@@ -296,7 +283,7 @@ class CompilerSession:
             domain,
             tuple(sorted((component_domains or {}).items())),
             accelerator_fingerprint(accelerators),
-            self._pipeline_fingerprint(pipeline),
+            "no-pipeline" if self.pipeline is None else self.pipeline.fingerprint,
             "fusion" if self.fusion else "no-fusion",
         )
 
@@ -391,12 +378,8 @@ class CompilerSession:
                 "CompilerSession has no accelerators; pass them at construction "
                 "or to compile()"
             )
-        pipeline = self.pipeline_factory() if self.run_pipeline else None
-        if pipeline is not None:
-            # Per-pass spans nest under this compile's span.
-            pipeline.tracer = self.tracer
         key = self.cache_key(
-            source, entry, domain, component_domains, accelerators, pipeline
+            source, entry, domain, component_domains, accelerators
         )
 
         self._counts.bump(compiles=1)
@@ -404,8 +387,7 @@ class CompilerSession:
             COMPILE,
             key,
             lambda: self._compile_stages(
-                source, entry, domain, component_domains, accelerators,
-                pipeline,
+                source, entry, domain, component_domains, accelerators
             ),
             lambda artifact: f"key {key[:12]}",
             entry=entry,
@@ -428,8 +410,7 @@ class CompilerSession:
         )
 
     def _compile_stages(
-        self, source, entry, domain, component_domains, accelerators,
-        pipeline,
+        self, source, entry, domain, component_domains, accelerators
     ):
         """Run the six stages for one uncached compile; returns the artifact."""
         from ..targets.compiler import (
@@ -456,28 +437,21 @@ class CompilerSession:
             "srdfg-build", build_graph, graph_after=lambda g: g
         )
 
-        # optimize: the target-independent pass pipeline, one sub-record
-        # per pass fed by the PassManager's stage hooks.
-        if pipeline is not None:
-            pipeline.add_hook(
-                lambda report: self._record(
-                    StageRecord(
-                        stage=f"optimize/{report.name}",
-                        seconds=report.seconds,
-                        nodes_before=report.nodes_before,
-                        nodes_after=report.nodes_after,
-                        edges_before=report.edges_before,
-                        edges_after=report.edges_after,
-                    )
-                )
+        # optimize: the target-independent rule sets, one sub-record per
+        # rule set from the pipeline's reports; its spans nest under this
+        # compile's.
+        if self.pipeline is not None:
+
+            def optimize():
+                run = self.pipeline.run(graph, tracer=self.tracer)
+                # A report's fields follow the record's: seconds, nodes, edges.
+                for ruleset, *measured in run.reports:
+                    self._record(StageRecord(f"optimize/{ruleset}", *measured))
+                return run.graph
+
+            graph, _ = self._run_stage(
+                "optimize", optimize, graph_before=graph, graph_after=lambda g: g
             )
-            result, _ = self._run_stage(
-                "optimize",
-                lambda: pipeline.run(graph),
-                graph_before=graph,
-                graph_after=lambda res: res.graph,
-            )
-            graph = result.graph
 
         # lower: Algorithm 1 — inline components, match group ops against
         # each target's Om, fall back to scalar DFGs where the ALUs cover.

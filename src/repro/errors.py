@@ -78,19 +78,16 @@ class ExecutionError(PolyMathError):
     """The srDFG interpreter was given bad values or an unsupported form."""
 
 
-class PassError(PolyMathError):
-    """A transformation pass failed or produced an invalid graph."""
-
-
-class RewriteError(PassError):
+class RewriteError(PolyMathError):
     """The declarative rewrite engine diverged or a rule misbehaved.
 
     Raised when a rule set does not reach a fixpoint within the engine's
     bound on rewrites at one position or on sweeps of one graph — which
     means its rules break their termination measure (e.g. two rules that
-    undo each other) — or declares an unknown sweep strategy. Subclasses
-    :class:`PassError` so pipeline-level handlers and the pass manager
-    treat it like any other failing pass.
+    undo each other) — when a rule's own code raises, when a pipeline's
+    rule set leaves an invalid graph, or when a rule set declares an
+    unknown sweep strategy. The message names the rule set, and the rule
+    where one is to blame.
     """
 
 

@@ -189,36 +189,30 @@ def explore_rules(workload_name, candidates=None, include_combination=True):
     """Pass-ordering / rule-subset search for one workload.
 
     Each candidate pipeline is compiled through its own
-    :class:`~repro.driver.CompilerSession` (``pipeline_factory`` wires
-    the rule sets straight into the session's ``optimize`` stage, so
-    stage records and spans are the real ones) and scored with
+    :class:`~repro.driver.CompilerSession` (``pipeline=`` wires the rule
+    sets straight into the session's ``optimize`` stage, so stage records
+    and spans are the real ones) and scored with
     :func:`~repro.rewrite.fusion.modeled_cost` — the same SoC accounting
     the fusion pass and runtime use. Returns one :class:`RulePoint` per
     candidate, in candidate order (the default pipeline first).
     """
-    from ..driver import CompilerSession
-    from ..obs import Counters
-    from ..passes.manager import PassManager
+    from ..rewrite import REWRITE_STATS, Pipeline, per_rule
     from ..rewrite.fusion import modeled_cost
-    from ..rewrite.rulepass import RulePass
+
+    def rewrites():
+        return sum(counts["rewrites"] for counts in per_rule(REWRITE_STATS).values())
 
     workload = get_workload(workload_name)
     candidates = candidates or pipeline_candidates(include_combination)
     points = []
     for rulesets in candidates:
-        stats = Counters()
-
-        def factory(chosen=rulesets, chosen_stats=stats):
-            return PassManager(
-                [RulePass(ruleset, stats=chosen_stats) for ruleset in chosen]
-            )
-
-        session = CompilerSession(pipeline_factory=factory)
+        session = CompilerSession(pipeline=Pipeline(rulesets))
+        before = rewrites()
         start = time.perf_counter()
         app, _ = session.compile_workload(workload)
         compile_seconds = time.perf_counter() - start
+        fired = rewrites() - before
         cost = modeled_cost(app.graph, app.accelerators)
-        counters = stats.to_dict()
         nodes, edges = app.graph.total_counts()
         points.append(
             RulePoint(
@@ -227,30 +221,11 @@ def explore_rules(workload_name, candidates=None, include_combination=True):
                 edges=edges,
                 modeled_seconds=cost.seconds,
                 dma_transfers=cost.dma_transfers,
-                rewrites=sum(
-                    value for key, value in counters.items()
-                    if key.endswith(".rewrites")
-                ),
+                rewrites=fired,
                 compile_seconds=compile_seconds,
             )
         )
     return points
-
-
-def render_rules(points, title="rule-pipeline search"):
-    """Tabular rendering of rule-search points, fastest modelled first."""
-    lines = [title]
-    lines.append(
-        f"{'modelled':>12s} {'nodes':>6s} {'edges':>6s} {'DMA':>4s} "
-        f"{'rewrites':>8s}  pipeline"
-    )
-    for point in sorted(points, key=lambda p: p.modeled_seconds):
-        lines.append(
-            f"{point.modeled_seconds * 1e6:9.3f} us {point.nodes:6d} "
-            f"{point.edges:6d} {point.dma_transfers:4d} "
-            f"{point.rewrites:8d}  {point.label}"
-        )
-    return "\n".join(lines)
 
 
 def render(points, title="design space"):

@@ -11,9 +11,9 @@ state read under the owner's own lock) and answers one flat, namespaced
 There are two kinds of registry owner. Each
 :class:`~repro.driver.CompilerSession` owns one (``plan``, ``cache``,
 ``session`` groups), and :data:`DEFAULT_REGISTRY` is what a layer bumps
-when it is handed nothing: ``rewrite`` and ``codegen`` live there because
-pipelines come from zero-argument factories and kernels are artifacts
-shared across sessions. See the "Observability" section of
+when it is handed nothing: ``rewrite``, ``lowering`` and ``codegen`` live
+there because a pipeline is a value shared by every session that runs it
+and kernels are artifacts shared across sessions. See the "Observability" section of
 ``docs/ARCHITECTURE.md`` for the group table.
 """
 

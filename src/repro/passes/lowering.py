@@ -1,198 +1,4 @@
-"""srDFG lowering — Algorithm 1 of the paper.
+"""Alias of :func:`repro.rewrite.lowering.lower`, kept only for
+``benchmarks/ledger/compile_cold.py``."""
 
-``Lower(srdfg, Om)`` walks the graph with a per-domain map of supported
-operation names ``Om``. A node whose name the target supports is kept at
-its current granularity; otherwise the node is refined:
-
-* a **component** node is recursively lowered and then *inlined* — its
-  sub-srDFG's nodes replace it at the caller level, with edges rewired
-  through the formal/actual bindings (the srDFG's edge metadata carries a
-  ``src_name`` so values published under a formal's name flow to
-  consumers that read the actual's name, and vice versa);
-* a **compute** (group-op) node that the target does not support as a unit
-  is checked for *scalar decomposability*: if the target's scalar
-  operation classes cover every scalar op the statement performs, the node
-  is annotated ``lowered="scalar"`` and the target's translation emits
-  scalar-granularity IR for it (TABLA and DECO take this path). If even
-  the scalar ops are unsupported, compilation for that accelerator fails,
-  exactly as §III-C prescribes.
-
-Inlining preserves functional semantics: tests execute a fully-lowered
-graph and the original multi-granularity graph and compare outputs.
-"""
-
-from __future__ import annotations
-
-from ..errors import LoweringError
-from ..srdfg.graph import COMPONENT, COMPUTE, VAR, Node
-from ..srdfg.metadata import LOCAL, VarInfo
-
-
-def _find_var_node(graph, name):
-    for node in graph.nodes:
-        if node.kind == VAR and node.name == name:
-            return node
-    return None
-
-
-def _inline_component(graph, node):
-    """Replace a component *node* with the nodes of its sub-srDFG."""
-    sub = node.subgraph
-    bindings = {binding.formal: binding for binding in node.attrs["bindings"]}
-
-    # Where does each actual's current value come from at the call site?
-    caller_source = {}
-    for edge in graph.in_edges(node):
-        caller_source[edge.md.name] = (edge.src, edge.md.producer_name)
-
-    def source_for_actual(actual, declared_shape, dtype):
-        if actual in caller_source:
-            return caller_source[actual]
-        existing = _find_var_node(graph, actual)
-        if existing is not None:
-            return (existing, actual)
-        info = getattr(graph, "vars", {}).get(actual) or VarInfo(
-            name=actual, dtype=dtype, modifier=LOCAL, shape=declared_shape
-        )
-        fresh = Node(
-            name=actual,
-            kind=VAR,
-            domain=graph.domain,
-            attrs={
-                "modifier": LOCAL,
-                "dtype": info.dtype,
-                "shape": info.shape,
-            },
-        )
-        graph.add_node(fresh)
-        return (fresh, actual)
-
-    # 1. Move every interior (non-boundary) node up into the caller graph.
-    boundary = {}
-    for sub_node in sub.nodes:
-        if sub_node.kind == VAR and sub_node.name in bindings:
-            boundary[sub_node.uid] = sub_node
-            continue
-        graph.add_node(sub_node)
-
-    # 2. Re-create interior edges; translate edges that touch a boundary
-    # variable through the call-site bindings.
-    #    Also collect the final interior producer of each written formal.
-    final_producer = {}
-    for edge in sub.edges:
-        src_boundary = edge.src.uid in boundary
-        dst_boundary = edge.dst.uid in boundary
-        if src_boundary and dst_boundary:
-            continue  # state self-edge on a bound formal
-        if not src_boundary and not dst_boundary:
-            graph.add_edge(edge.src, edge.dst, edge.md)
-            continue
-        if src_boundary:
-            # Interior reader of a bound formal: feed it from the caller.
-            formal = edge.src.name
-            binding = bindings[formal]
-            if binding.kind == "const":
-                # Consts were folded into static envs at build time; a var
-                # node for them never exists, so this cannot happen.
-                raise LoweringError(
-                    f"const-bound formal {formal!r} has a var node"
-                )
-            declared = edge.src.attrs.get("shape", ())
-            dtype = edge.src.attrs.get("dtype", "float")
-            src, publish = source_for_actual(binding.actual, declared, dtype)
-            graph.add_edge(src, edge.dst, edge.md.with_src_name(publish))
-        else:
-            # Interior writer finishing a bound output/state formal.
-            formal = edge.dst.name
-            final_producer[formal] = (edge.src, edge.md.producer_name)
-
-    # 3. Reconnect the call site's consumers to the interior producers.
-    for edge in list(graph.out_edges(node)):
-        actual = edge.md.producer_name
-        formal = None
-        for binding in node.attrs["bindings"]:
-            if binding.kind == "var" and binding.actual == actual and binding.modifier in (
-                "output",
-                "state",
-            ):
-                formal = binding.formal
-                break
-        if formal is None:
-            raise LoweringError(
-                f"component {node.name!r} publishes {actual!r} without an "
-                "output/state binding"
-            )
-        if formal in final_producer:
-            src, publish = final_producer[formal]
-        else:
-            # Never written inside: pass the initial value through.
-            sub_var = next(
-                boundary[uid] for uid in boundary if boundary[uid].name == formal
-            )
-            src, publish = source_for_actual(
-                actual, sub_var.attrs.get("shape", ()), sub_var.attrs.get("dtype", "float")
-            )
-        graph.remove_edge(edge)
-        graph.add_edge(src, edge.dst, edge.md.with_src_name(publish))
-
-    graph.remove_node(node)
-
-
-def _scalar_classes(node):
-    """Scalar operation classes a compute node needs (alu/mul/div/...)."""
-    descriptor = node.attrs.get("descriptor")
-    if descriptor is None:
-        return set()
-    return {name for name, count in descriptor.op_counts.items() if count > 0}
-
-
-def lower(graph, om, scalar_om=None, _depth=0):
-    """Algorithm 1: lower *graph* until every node is target-supported.
-
-    Parameters
-    ----------
-    graph:
-        srDFG to lower (mutated in place; also returned).
-    om:
-        ``{domain: set(operation names)}`` — the paper's ``Om`` map.
-    scalar_om:
-        ``{domain: set(cost classes)}`` — which scalar op classes the
-        domain's accelerator ALUs implement. A compute node whose group op
-        is unsupported is kept as a ``lowered="scalar"`` node when its
-        scalar decomposition fits; otherwise lowering fails.
-    """
-    scalar_om = scalar_om or {}
-    for node in list(graph.nodes):
-        domain = node.domain or graph.domain
-        supported = om.get(domain, set())
-        if node.kind == COMPONENT:
-            if node.name in supported:
-                node.attrs["lowered"] = "macro"
-                continue
-            lower(node.subgraph, om, scalar_om, _depth + 1)
-            _inline_component(graph, node)
-        elif node.kind == COMPUTE:
-            if node.name in supported:
-                node.attrs["lowered"] = "group"
-                continue
-            needed = _scalar_classes(node)
-            available = scalar_om.get(domain, set())
-            if needed <= available:
-                node.attrs["lowered"] = "scalar"
-                continue
-            raise LoweringError(
-                f"node {node.name!r} (domain {domain}) is not supported as a "
-                f"group op and needs scalar classes {sorted(needed - available)} "
-                "the target lacks; compilation fails for this accelerator"
-            )
-    return graph
-
-
-def supported_summary(graph):
-    """Count nodes by their ``lowered`` annotation (for reports/tests)."""
-    summary = {}
-    for _, node in graph.walk():
-        tag = node.attrs.get("lowered")
-        if tag:
-            summary[tag] = summary.get(tag, 0) + 1
-    return summary
+from ..rewrite.lowering import lower  # noqa: F401

@@ -1,21 +1,23 @@
 """Declarative pattern/match/rewrite engine over srDFGs.
 
-The stack's optimisation passes, restated as data: patterns with
-op/attr/shape predicates and capture variables (:mod:`.pattern`), rules
-and rule sets (:mod:`.rules`), one fixpoint driver with per-rule trip
-counts and one bound per loop (:mod:`.engine`), the rule sets themselves
-(:mod:`.rulesets`, with the paper's algebraic combination in
-:mod:`.combination`), and adapters into the ``PassManager`` surface
-(:mod:`.rulepass`). Termination is the rules' obligation: each firing
-strictly lowers a measure, stated in :mod:`.rulesets`. Cost-guided
-cross-domain fusion (:mod:`.fusion`) reports through the same counters
-and explain log.
+Every graph transformation from source to translation, restated as data:
+patterns with op/attr/shape predicates and capture variables
+(:mod:`.pattern`), rules and rule sets (:mod:`.rules`), one fixpoint
+driver with per-rule trip counts and one bound per loop, and the
+:class:`Pipeline` that runs rule sets as the optimise stage
+(:mod:`.engine`), the optimisation rule sets themselves (:mod:`.rulesets`,
+with the paper's algebraic combination in :mod:`.combination`), and
+Algorithm 1's lowering (:mod:`.lowering`). Termination is the rules'
+obligation: each firing strictly lowers a measure, stated in
+:mod:`.rulesets` and :mod:`.lowering`. Cost-guided cross-domain fusion
+(:mod:`.fusion`) reports through the same counters and explain log.
 """
 
 from .engine import (
     REWRITE_STATS,
     ExplainEntry,
     ExplainLog,
+    Pipeline,
     apply_graph_rules,
     per_rule,
     rewrite_statement,
@@ -26,6 +28,12 @@ from .fusion import (
     FusionReport,
     fuse_cross_domain,
     modeled_cost,
+)
+from .lowering import (
+    LOWERING_STATS,
+    lower,
+    lowering_rules,
+    supported_summary,
 )
 from .pattern import (
     ANY,
@@ -42,7 +50,6 @@ from .pattern import (
     Un,
     structural_key,
 )
-from .rulepass import RulePass, combination_pass, rewrite_pipeline
 from .rules import (
     FIXPOINT,
     RESTART,
@@ -60,6 +67,7 @@ from .rulesets import (
     CSE,
     DEAD_CODE_ELIMINATION,
     DEFAULT_RULESETS,
+    default_pipeline,
 )
 
 __all__ = [
@@ -84,24 +92,27 @@ __all__ = [
     "FIXPOINT",
     "GraphRule",
     "Idx",
+    "LOWERING_STATS",
     "Lit",
     "NodePattern",
     "Pattern",
+    "Pipeline",
     "REWRITE_STATS",
     "RESTART",
     "Ref",
-    "RulePass",
     "RuleSet",
     "SWEEP",
     "Tern",
     "Un",
     "apply_graph_rules",
-    "combination_pass",
+    "default_pipeline",
     "fuse_cross_domain",
+    "lower",
+    "lowering_rules",
     "modeled_cost",
     "per_rule",
-    "rewrite_pipeline",
     "rewrite_statement",
     "run_ruleset",
     "structural_key",
+    "supported_summary",
 ]

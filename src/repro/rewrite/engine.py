@@ -7,8 +7,9 @@ over a node snapshot under the rule set's declared strategy.
 Termination is the rules' own property, not something the engine
 detects: every expression rule strictly lowers (expression size, ``Name``
 count) at the position it fires, and every graph-rule firing strictly
-lowers (nodes, then edges) of its level — the measure obligations of
-:mod:`repro.rewrite.rulesets`. Each loop keeps one bound,
+lowers its rule set's measure of its level — (nodes, then edges) for
+:mod:`repro.rewrite.rulesets`, undecided nodes for
+:mod:`repro.rewrite.lowering`. Each loop keeps one bound,
 :data:`POSITION_LIMIT` or :data:`SWEEP_LIMIT`; reaching it means a rule
 set broke its obligation, and raises :class:`~repro.errors.RewriteError`
 naming the measure.
@@ -17,20 +18,29 @@ Counters land in the :class:`~repro.obs.Counters` group a caller hands
 in as ``stats=`` or, by default, in :data:`REWRITE_STATS` — the
 process-default registry's ``rewrite`` group, surfaced by ``repro stats
 --json``.
+
+A rule whose own code raises surfaces as a :class:`RewriteError` naming
+the rule set, the rule and the site; the stack's own errors (lowering's
+:class:`~repro.errors.LoweringError`) pass through unchanged. A
+:class:`Pipeline` runs rule sets in order over every level, subgraphs
+first.
 """
 
 from __future__ import annotations
 
+import hashlib
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Tuple
 
-from ..errors import RewriteError
-from ..obs import DEFAULT_REGISTRY
+from ..errors import PolyMathError, RewriteError
+from ..obs import DEFAULT_REGISTRY, NULL_TRACER
 from ..pmlang import ast_nodes as ast
 from ..pmlang.render import render_expr
 from ..srdfg import opclass
+from ..srdfg.graph import COMPONENT
 from .pattern import Bindings
-from .rules import RESTART, SWEEP, ExprContext
+from .rules import RESTART, SWEEP, ExprContext, RuleSet
 
 #: Rewrites allowed at one expression position: a rule set that needs
 #: more does not strictly lower (expression size, ``Name`` count).
@@ -42,9 +52,14 @@ SWEEP_LIMIT = 256
 
 #: The process-default ``rewrite`` group — open key space (one
 #: ``ruleset/rule.matches``/``.rewrites`` pair per rule plus per-rule-set
-#: sweep counts), process-scoped because pipelines come from
-#: zero-argument factories that have no session to charge.
+#: sweep counts), process-scoped because a pipeline is a value shared by
+#: every session that runs it, with no session to charge.
 REWRITE_STATS = DEFAULT_REGISTRY.counters("rewrite")
+
+
+def _rule_failed(ruleset, rule, site, exc):
+    """The :class:`RewriteError` naming *rule*, whose code raised *exc*."""
+    return RewriteError(f"rule {ruleset.name}/{rule.name} failed at {site}: {exc!r}")
 
 
 def per_rule(stats):
@@ -204,10 +219,15 @@ class _ExprDriver:
         """
         for rule in self.ruleset.expr_rules_for(type(expr)):
             bindings = Bindings()
-            if not rule.pattern.match(expr, bindings):
-                continue
-            self.stats.bump(f"{self.ruleset.name}/{rule.name}.matches")
-            replacement = rule.build(expr, bindings, self.ctx)
+            try:
+                if not rule.pattern.match(expr, bindings):
+                    continue
+                self.stats.bump(f"{self.ruleset.name}/{rule.name}.matches")
+                replacement = rule.build(expr, bindings, self.ctx)
+            except PolyMathError:
+                raise
+            except Exception as exc:
+                raise _rule_failed(self.ruleset, rule, self.site, exc) from exc
             if replacement is None:
                 continue
             self.stats.bump(f"{self.ruleset.name}/{rule.name}.rewrites")
@@ -310,10 +330,17 @@ def _one_sweep(graph, ruleset, ctx, stats, explain):
             if node.uid not in graph._nodes_by_uid:
                 continue  # removed earlier in this sweep
             for rule in ruleset.graph_rules:
-                if not rule.pattern.matches(graph, node):
-                    continue
-                stats.bump(f"{ruleset.name}/{rule.name}.matches")
-                if not rule.rewrite(graph, node, ctx):
+                try:
+                    if not rule.pattern.matches(graph, node):
+                        continue
+                    stats.bump(f"{ruleset.name}/{rule.name}.matches")
+                    fired = rule.rewrite(graph, node, ctx)
+                except PolyMathError:
+                    raise
+                except Exception as exc:
+                    site = f"{graph.name}:{node.name}@{node.uid}"
+                    raise _rule_failed(ruleset, rule, site, exc) from exc
+                if not fired:
                     continue
                 stats.bump(f"{ruleset.name}/{rule.name}.rewrites")
                 changed += 1
@@ -333,12 +360,8 @@ def _one_sweep(graph, ruleset, ctx, stats, explain):
 
 
 def run_ruleset(graph, ruleset, stats=None, explain=None):
-    """Apply one rule set (expression rules, then graph rules) to *graph*.
-
-    Returns True when anything changed. This is the single entry point
-    the :class:`~repro.rewrite.rulepass.RulePass` adapter calls per graph
-    level.
-    """
+    """Apply one rule set (expression rules, then graph rules) to one
+    level of *graph*. Returns True when anything changed."""
     stats = stats or REWRITE_STATS
     changed = False
     if ruleset.expr_rules:
@@ -349,3 +372,91 @@ def run_ruleset(graph, ruleset, stats=None, explain=None):
         if apply_graph_rules(graph, ruleset, stats=stats, explain=explain):
             changed = True
     return changed
+
+
+# ---------------------------------------------------------------------------
+# Pipelines
+# ---------------------------------------------------------------------------
+
+
+class RulesetReport(NamedTuple):
+    """One rule set of a pipeline run: wall time and recursive (every
+    nested level) node/edge counts before and after."""
+
+    ruleset: str
+    seconds: float
+    nodes_before: int
+    nodes_after: int
+    edges_before: int
+    edges_after: int
+
+
+class PipelineRun(NamedTuple):
+    """The optimized graph and one :class:`RulesetReport` per rule set."""
+
+    graph: object
+    reports: Tuple[RulesetReport, ...]
+
+
+def _run_nested(graph, ruleset, stats, explain):
+    """*ruleset* over every component subgraph of *graph*, innermost
+    first, then over *graph*'s own level."""
+    for node in list(graph.nodes):
+        if node.kind == COMPONENT and node.subgraph is not None:
+            _run_nested(node.subgraph, ruleset, stats, explain)
+    run_ruleset(graph, ruleset, stats=stats, explain=explain)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """The optimise stage as a value: rule sets, run in order.
+
+    ``fingerprint`` (names, strategies and rule names of the rule sets)
+    is computed once, so a compile-cache lookup keys on a pipeline
+    without rebuilding or rehashing it.
+    """
+
+    rulesets: Tuple[RuleSet, ...]
+    fingerprint: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rulesets = tuple(self.rulesets)
+        identity = repr([
+            (ruleset.name, ruleset.strategy, ruleset.reclassify, ruleset.rule_names)
+            for ruleset in rulesets
+        ])
+        object.__setattr__(self, "rulesets", rulesets)
+        object.__setattr__(
+            self, "fingerprint", hashlib.sha256(identity.encode()).hexdigest()
+        )
+
+    def run(self, graph, *, stats=None, explain=None, tracer=None):
+        """Apply each rule set to every level of *graph* (in place),
+        subgraphs first, validating the graph after each; returns a
+        :class:`PipelineRun`.
+
+        Each rule set runs in one ``passes``-category span on *tracer*,
+        noted with its node/edge deltas. Any failure is a
+        :class:`RewriteError` naming the rule set; the engine's also name
+        the rule.
+        """
+        tracer = tracer or NULL_TRACER
+        reports = []
+        for ruleset in self.rulesets:
+            nodes, edges = graph.total_counts()
+            start = time.perf_counter()
+            with tracer.span(ruleset.name, category="passes", graph=graph.name) as span:
+                try:
+                    _run_nested(graph, ruleset, stats, explain)
+                    graph.validate()
+                except RewriteError:
+                    raise
+                except Exception as exc:
+                    raise RewriteError(f"rule set {ruleset.name!r} failed: {exc!r}") from exc
+                seconds = time.perf_counter() - start
+                nodes_after, edges_after = graph.total_counts()
+                span.note(nodes=f"{nodes}->{nodes_after}", edges=f"{edges}->{edges_after}")
+            reports.append(RulesetReport(
+                ruleset.name, seconds, nodes, nodes_after, edges, edges_after
+            ))
+        return PipelineRun(graph, tuple(reports))

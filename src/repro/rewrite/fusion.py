@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import List
 
 from ..hw.soc import SoCRuntime
-from ..passes.lowering import _scalar_classes
 from ..srdfg.graph import COMPUTE, VAR
 from .engine import REWRITE_STATS
+from .lowering import scalar_classes
 
 #: Counter namespace in :data:`~repro.rewrite.engine.REWRITE_STATS`.
 RULESET = "fusion"
@@ -162,7 +162,7 @@ def _relower_tag(node, accelerator):
     node would get in *accelerator*'s domain, or None when illegal."""
     if node.name in accelerator.om_entry():
         return "group"
-    if _scalar_classes(node) <= accelerator.scalar_entry():
+    if scalar_classes(node) <= accelerator.scalar_entry():
         return "scalar"
     return None
 

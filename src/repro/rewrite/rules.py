@@ -14,7 +14,7 @@ Two rule granularities mirror the two granularities the srDFG exposes:
 * :class:`ExprRule` rewrites inside one compute statement's expression
   tree (constant folding, algebraic identities);
 * :class:`GraphRule` rewrites the node/edge structure of one srDFG level
-  (CSE, copy propagation, DCE, combination, fusion).
+  (CSE, copy propagation, DCE, combination, Algorithm 1's lowering).
 """
 
 from __future__ import annotations
@@ -55,12 +55,13 @@ class GraphRule:
 
     ``rewrite(graph, node, ctx)`` performs the transformation in place
     and returns True when it changed the graph; a change must strictly
-    lower the level's (node count, then edge count), which is what makes
-    every graph rule set terminate. ``ctx`` is whatever the
-    owning rule set's ``prepare`` produced for the current sweep (a live
-    set, a seen-key table, variable metadata) — per-sweep analysis
-    results stay out of the rule's own state so rules remain reusable
-    values.
+    lower its rule set's measure of the level — (node count, then edge
+    count) for the optimisation rule sets, undecided nodes for lowering —
+    which is what makes every graph rule set terminate. ``ctx`` is
+    whatever the owning rule set's ``prepare`` produced for the current
+    sweep (a live set, a seen-key table, variable metadata) — per-sweep
+    analysis results stay out of the rule's own state so rules remain
+    reusable values.
     """
 
     name: str
@@ -70,7 +71,7 @@ class GraphRule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """A named collection of rules applied as one pipeline pass.
+    """A named collection of rules, driven as one unit by the engine.
 
     *strategy* governs the graph-rule driver (see the module constants);
     expression rules are always driven bottom-up to a per-position

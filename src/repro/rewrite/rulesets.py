@@ -26,13 +26,13 @@ import math
 
 import numpy as np
 
-from ..passes.base import reroute_consumers
 from ..pmlang import ast_nodes as ast
 from ..pmlang.builtins import SCALAR_FUNCTIONS
 from ..srdfg.graph import COMPUTE, VAR
 from ..srdfg.interpreter import _BINOPS
 from ..srdfg.metadata import LOCAL
 from .combination import fuse_matvec_producer
+from .engine import Pipeline
 from .pattern import Any, Bin, Call, Lit, NodePattern, Ref, Tern, Un
 from .rules import RESTART, SWEEP, ExprRule, GraphRule, RuleSet
 
@@ -199,6 +199,24 @@ def _is_identity_copy(graph, node):
 
 def _graph_vars(graph):
     return getattr(graph, "vars", {})
+
+
+def reroute_consumers(graph, old_node, new_node, rename=None):
+    """Point every consumer of *old_node* at *new_node* instead.
+
+    *rename* optionally maps consumer-visible operand names to the names
+    under which *new_node* publishes them (recorded as ``src_name``).
+    """
+    for edge in list(graph.edges):
+        if edge.src.uid != old_node.uid or edge.dst.uid == old_node.uid:
+            continue
+        md = edge.md
+        if rename:
+            publish = rename.get(md.producer_name)
+            if publish is not None:
+                md = md.with_src_name(publish)
+        graph.remove_edge(edge)
+        graph.add_edge(new_node, edge.dst, md)
 
 
 def _forward_copy(graph, node, ctx):
@@ -393,3 +411,13 @@ DEFAULT_RULESETS = (
     CSE,
     DEAD_CODE_ELIMINATION,
 )
+
+_DEFAULT_PIPELINE = Pipeline(DEFAULT_RULESETS)
+
+
+def default_pipeline():
+    """The stack's standard target-independent pipeline: constant folding,
+    algebraic simplification, copy propagation, CSE and DCE, in that
+    order. Algebraic combination stays opt-in
+    (``Pipeline(DEFAULT_RULESETS + (ALGEBRAIC_COMBINATION,))``)."""
+    return _DEFAULT_PIPELINE

@@ -74,12 +74,13 @@ _EINSUM_FLOORS = {"ResNet-18": 22, "MobileNet": 19, "DCT-1024": 2, "DCT-2048": 2
 _PAPER_PROGRAMS = SINGLE_DOMAIN + END_TO_END
 
 TABLE = (
-    # The rule pipeline runs and rules fire, on MPC and an FFT.
+    # The rule pipeline and Algorithm 1's lowering rules fire on MPC and an FFT.
     Row(
         "rewrite",
         f"-m repro rewrite MobileRobot FFT-8192 --json {OUT}/rewrite.json",
         expect=(
             (("counters", "constant-folding/fold-binop.rewrites"), ">=", 1),
+            (("counters", "lowering", "lowering/inline-component.rewrites"), ">=", 1),
         ),
     ),
     # The paper's figure claims hold, and the figures match the baseline.

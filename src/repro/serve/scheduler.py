@@ -12,34 +12,20 @@ from __future__ import annotations
 
 import heapq
 import threading
-import time
 
 from ..errors import QueueFullError
 
 
 class Scheduler:
-    """Bounded priority queue between submitters and the worker pool.
+    """Bounded priority queue between submitters and the worker pool:
+    strict priority order, FIFO within a level."""
 
-    With *aging_s* set, a queued entry's effective priority improves by
-    one level per *aging_s* seconds waited (``max(0, priority -
-    intervals_waited)``), so a burst of high-priority traffic can delay
-    low-priority requests but never starve them. Aging is applied lazily
-    — the heap is rebuilt at most once per interval, on dispatch — so
-    the steady-state cost stays one heap push/pop per request.
-    """
-
-    def __init__(self, capacity=64, aging_s=None, clock=None):
+    def __init__(self, capacity=64):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        if aging_s is not None and aging_s <= 0:
-            raise ValueError(f"aging_s must be positive, got {aging_s}")
         self.capacity = capacity
-        self.aging_s = aging_s
-        #: Injectable time source (tests age the queue without sleeping).
-        self._clock = clock or time.monotonic
         self._heap = []
         self._seq = 0
-        self._last_aged = self._clock()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
@@ -93,10 +79,7 @@ class Scheduler:
             if depth >= self.capacity:
                 self.rejected += 1
             else:
-                heapq.heappush(
-                    self._heap,
-                    (priority, self._seq, self._clock(), priority, entry),
-                )
+                heapq.heappush(self._heap, (priority, self._seq, entry))
                 self._seq += 1
                 self.admitted += 1
                 self.peak_depth = max(self.peak_depth, depth + 1)
@@ -111,31 +94,6 @@ class Scheduler:
             retry_after=retry_after,
         )
 
-    def _age_heap_locked(self):
-        """Lazily re-key the heap by aged effective priority.
-
-        Runs at most once per aging interval (amortised O(n) rebuild);
-        effective priority is ``max(0, original - intervals_waited)`` so
-        long-waiting low-priority entries drift toward the front.
-        """
-        if self.aging_s is None or not self._heap:
-            return
-        now = self._clock()
-        if now - self._last_aged < self.aging_s:
-            return
-        self._last_aged = now
-        self._heap = [
-            (
-                max(0, orig - int((now - stamp) / self.aging_s)),
-                seq,
-                stamp,
-                orig,
-                entry,
-            )
-            for _, seq, stamp, orig, entry in self._heap
-        ]
-        heapq.heapify(self._heap)
-
     def next(self, timeout=None):
         """Highest-priority entry, blocking while the queue is empty.
 
@@ -149,8 +107,7 @@ class Scheduler:
                 if not self._not_empty.wait(timeout=timeout):
                     if not self._heap:
                         return None
-            self._age_heap_locked()
-            _, _, _, _, entry = heapq.heappop(self._heap)
+            _, _, entry = heapq.heappop(self._heap)
             return entry
 
     def close(self):

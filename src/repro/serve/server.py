@@ -169,7 +169,6 @@ class Server:
         breaker_cooldown_s=0.25,
         bucket_policy="exact",
         pool="thread",
-        aging_s=None,
     ):
         if pool not in ("thread", "process"):
             raise ValueError(
@@ -186,7 +185,7 @@ class Server:
             # tracer through unless the session already has its own.
             session.tracer = self.tracer
         self.session = session
-        self.scheduler = Scheduler(capacity=queue_capacity, aging_s=aging_s)
+        self.scheduler = Scheduler(capacity=queue_capacity)
         self.scheduler.retry_after_estimator = self._retry_after
         self.pool = WorkerPool(
             self.scheduler, self._handle, workers=workers, name="serve",

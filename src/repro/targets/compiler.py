@@ -23,6 +23,7 @@ from typing import Dict, Optional
 from ..errors import TargetError
 from ..hw.cost import safe_div
 from ..hw.soc import SoCRuntime
+from ..rewrite.rulesets import default_pipeline
 from ..srdfg.graph import VAR
 from .base import Accelerator, AcceleratorProgram, IRFragment
 
@@ -303,7 +304,7 @@ def retag_component_domain(graph, component_name, domain):
 
 
 class PolyMath:
-    """The cross-domain compiler: PMLang -> srDFG -> passes -> targets.
+    """The cross-domain compiler: PMLang -> srDFG -> rule sets -> targets.
 
     A thin facade over :class:`repro.driver.CompilerSession`. Every
     ``PolyMath`` owns a session, so repeated compiles of the same source
@@ -312,14 +313,11 @@ class PolyMath:
     and diagnostics for inspection.
     """
 
-    def __init__(self, accelerators, run_pipeline=True, session=None):
+    def __init__(self, accelerators, pipeline=default_pipeline(), session=None):
         from ..driver import CompilerSession
 
-        self.session = session or CompilerSession(
-            accelerators, run_pipeline=run_pipeline
-        )
+        self.session = session or CompilerSession(accelerators, pipeline=pipeline)
         self.accelerators = self.session.accelerators
-        self.run_pipeline = self.session.run_pipeline
 
     @property
     def diagnostics(self):

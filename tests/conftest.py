@@ -104,11 +104,11 @@ def mpc_reference_result(mpc_data):
 
 
 def _rewrite_expr(ruleset, expr, static_env=None, protected=()):
-    """*expr* after ``RulePass(ruleset)``, as the value of a one-statement
-    graph (names in *protected* are index variables and stay symbolic)."""
-    from repro.pmlang import ast_nodes as ast
-    from repro.rewrite import RulePass
+    """*expr* after *ruleset*, as the value of a one-statement graph
+    (names in *protected* are index variables and stay symbolic)."""
     from repro.obs import Counters
+    from repro.pmlang import ast_nodes as ast
+    from repro.rewrite import run_ruleset
     from repro.srdfg import build
 
     graph = build("main(output float out) { out = 0; }")
@@ -116,7 +116,7 @@ def _rewrite_expr(ruleset, expr, static_env=None, protected=()):
     node.attrs["stmt"] = ast.Assign(target="out", target_indices=(), value=expr)
     node.attrs["static_env"] = dict(static_env or {})
     node.attrs["index_ranges"] = {name: (0, 0) for name in protected}
-    RulePass(ruleset, stats=Counters()).run(graph)
+    run_ruleset(graph, ruleset, stats=Counters())
     return node.attrs["stmt"].value
 
 

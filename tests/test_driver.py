@@ -18,9 +18,8 @@ from repro.codegen import build_kernel
 from repro.driver.cache import COMPILE, KERNEL, TIERS
 from repro.driver.diagnostics import Diagnostic
 from repro.errors import PMLangSyntaxError, TargetError
-from repro.passes import default_pipeline
-from repro.passes.lowering import lower
 from repro.pmlang.parser import parse
+from repro.rewrite import default_pipeline, lower
 from repro.srdfg import build
 from repro.srdfg.plan import build_plan, graph_fingerprint
 from repro.targets import (
@@ -144,11 +143,11 @@ class TestArtifactCache:
 
     def test_pipeline_fingerprint_in_key(self, mpc_source):
         plain = CompilerSession(default_accelerators())
-        unoptimized = CompilerSession(default_accelerators(), run_pipeline=False)
-        key = plain.cache_key(mpc_source, "main", "RBT", None,
-                              plain.accelerators, default_pipeline())
-        key_no_pipeline = unoptimized.cache_key(mpc_source, "main", "RBT", None,
-                                                unoptimized.accelerators, None)
+        unoptimized = CompilerSession(default_accelerators(), pipeline=None)
+        key = plain.cache_key(mpc_source, "main", "RBT", None, plain.accelerators)
+        key_no_pipeline = unoptimized.cache_key(
+            mpc_source, "main", "RBT", None, unoptimized.accelerators
+        )
         assert key != key_no_pipeline
 
     def test_accelerator_fingerprint_tracks_configuration(self):

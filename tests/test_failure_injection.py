@@ -12,14 +12,14 @@ from repro.errors import (
     LoweringError,
     PMLangSemanticError,
     PMLangSyntaxError,
-    PassError,
+    RewriteError,
     RuntimeFailure,
     ShapeError,
     TargetError,
 )
 from repro.hw import HardwareParams, SoCRuntime
 from repro.hw.soc import schedule
-from repro.passes import PassManager
+from repro.rewrite import GraphRule, NodePattern, Pipeline, RuleSet
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
@@ -95,17 +95,16 @@ class TestCompilerFailures:
         with pytest.raises((TargetError, LoweringError)):
             compiler.compile(source, domain="DA")
 
-    def test_pass_failure_is_wrapped(self, mpc_source):
-        from repro.passes.base import Pass
+    def test_rule_failure_is_wrapped(self, mpc_source):
+        def explode(graph, node, ctx):
+            raise RuntimeError("boom")
 
-        class Exploding(Pass):
-            name = "exploding"
-
-            def run(self, graph):
-                raise RuntimeError("boom")
-
-        with pytest.raises(PassError, match="exploding"):
-            PassManager([Exploding()]).run(build(mpc_source, domain="RBT"))
+        exploding = RuleSet(
+            name="exploding",
+            graph_rules=(GraphRule("explode", NodePattern(kind="compute"), explode),),
+        )
+        with pytest.raises(RewriteError, match="exploding/explode.*boom"):
+            Pipeline((exploding,)).run(build(mpc_source, domain="RBT"))
 
 
 class TestRuntimeFailures:

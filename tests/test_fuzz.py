@@ -1,6 +1,6 @@
 """Differential fuzzer tests: deterministic generation, validity by
 construction, zero divergences on the healthy stack, and — the test that
-justifies the harness — a deliberately sabotaged optimizer pass is
+justifies the harness — a deliberately sabotaged optimizer rule set is
 caught by the plan oracle and minimized to a tiny reproducer."""
 
 import json
@@ -18,9 +18,8 @@ from repro.fuzz import (
     run_program,
     run_reference,
 )
-from repro.passes import PassManager
-from repro.passes.base import Pass
 from repro.pmlang.ast_nodes import BinOp
+from repro.rewrite import Bin, ExprRule, Pipeline, RuleSet
 from repro.srdfg import Executor, build
 from repro.targets import default_accelerators
 
@@ -117,44 +116,26 @@ class TestHarness:
         assert any(r.availability is not None for r in results)
 
 
-class _SabotagePass(Pass):
-    """Deliberately miscompiling pass: flips the first ``+`` to ``-``.
+def _flip(expr, bindings, ctx):
+    return BinOp(op="-", left=expr.left, right=expr.right, line=expr.line)
 
-    One flip per pipeline run (``run_recursive`` shares the instance
-    across subgraphs), so every compile of the same source diverges the
-    same way — exactly the kind of silent wrong-code bug the
-    differential harness exists to catch.
-    """
 
-    name = "sabotage"
-
-    def __init__(self):
-        self.fired = False
-
-    def _flip(self, expr):
-        if not isinstance(expr, BinOp):
-            return False
-        if expr.op == "+":
-            expr.op = "-"
-            return True
-        return self._flip(expr.left) or self._flip(expr.right)
-
-    def run(self, graph):
-        if self.fired:
-            return graph
-        for node in graph.compute_nodes():
-            stmt = node.attrs.get("stmt")
-            if stmt is not None and self._flip(stmt.value):
-                self.fired = True
-                break
-        return graph
+#: A deliberately miscompiling pipeline: every ``+`` becomes ``-``, so
+#: every compile of the same source diverges the same way — exactly the
+#: kind of silent wrong-code bug the differential harness exists to catch.
+_SABOTAGE = Pipeline((
+    RuleSet(
+        name="sabotage",
+        expr_rules=(ExprRule("plus-to-minus", Bin(op="+"), _flip),),
+    ),
+))
 
 
 class TestSabotage:
     def test_injected_bug_is_caught_and_minimized(self):
         sabotaged = CompilerSession(
             default_accelerators(),
-            pipeline_factory=lambda: PassManager([_SabotagePass()]),
+            pipeline=_SABOTAGE,
         )
         context = OracleContext(rules=sabotaged)
         # Eight seeds: a program whose first ``+`` is dead, or feeds only
@@ -191,7 +172,7 @@ class TestSabotage:
     def test_minimized_reproducer_still_diverges(self):
         sabotaged = CompilerSession(
             default_accelerators(),
-            pipeline_factory=lambda: PassManager([_SabotagePass()]),
+            pipeline=_SABOTAGE,
         )
         context = OracleContext(rules=sabotaged)
 

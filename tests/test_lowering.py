@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.driver import CompilerSession
 from repro.errors import LoweringError
-from repro.passes.lowering import lower, supported_summary
+from repro.rewrite import lower, supported_summary
 from repro.srdfg import Executor, build
+from repro.workloads import get_workload
 
 ALL_SCALAR = {"alu", "mul", "div", "nonlinear"}
 
@@ -152,3 +154,86 @@ class TestInliningCorrectness:
         remaining = graph.component_nodes()
         assert len(remaining) == 1
         assert remaining[0].domain == "DA"
+
+
+#: What Algorithm 1 makes of each paper program on its own accelerators:
+#: the annotation counts and the lowered graph's fingerprint (the root of
+#: every plan-cache key). A change here is a change to what lowering does.
+_LOWERED = {
+    "MobileRobot": (
+        {"group": 9},
+        "dcb5116ebae4e305a1eba5289eae05d3e4f5352ace5330175dd08950a2593558",
+    ),
+    "Hexacopter": (
+        {"group": 12},
+        "884bed012f5a3aedf3d9c15586fe7037a46ed826642dc5d219264e06ff068045",
+    ),
+    "Twitter-BFS": (
+        {"group": 3},
+        "c5a866fe6049ca13bad1cc3fb030b10de18263295ca706001e04c9041790a768",
+    ),
+    "Wiki-BFS": (
+        {"group": 3},
+        "71ff883729ccb158c39b9b04ab1a07ae0b3581554aaed0ab55742c9afa49be52",
+    ),
+    "LiveJourn-SSP": (
+        {"group": 3},
+        "e5fba47aacb25c6303db17473e8121a11c173e73a257e5fe5d42e2626cb642d4",
+    ),
+    "MovieL-20M": (
+        {"scalar": 7},
+        "56902716236fbff81b2e5ec53d901d578e9f4f75a906ab38449156a6671dbb85",
+    ),
+    "MovieL-100K": (
+        {"scalar": 7},
+        "82336a59e5e8eaf93149cbf4d43c322b4d566b5776a1aca25d42c2fad26ac02e",
+    ),
+    "DigitCluster": (
+        {"scalar": 7},
+        "382d8e24db52ed66b302d6c616b4c36922d5b3fc6abae678885fb07762419158",
+    ),
+    "ElecUse": (
+        {"scalar": 7},
+        "29635db5521f8d7842492cf7573205892b03a53f40fce7e26d8a278ae961b512",
+    ),
+    "FFT-8192": (
+        {"group": 30},
+        "2353978a754da3498f6445db221a7d28e8f755d076265532f4c7d01ed704ce58",
+    ),
+    "FFT-16384": (
+        {"group": 32},
+        "7d80262a722da322180d3d8289a64d510978b98cfce7458c330d4eb2039ba17e",
+    ),
+    "DCT-1024": (
+        {"group": 2},
+        "4d8368f47fe41babc909f50d0aa0b5e61b30b4092e14749878ac1fc5e5de308e",
+    ),
+    "DCT-2048": (
+        {"group": 2},
+        "2a8329cfc89bcce4ab54dccced6601e2901eef2194bec1f0891aad66b831de29",
+    ),
+    "ResNet-18": (
+        {"group": 56},
+        "1c4de285ee039dc70d6948f684d4226a803a36e3ba5f71049960ad201bb77b49",
+    ),
+    "MobileNet": (
+        {"group": 45},
+        "b061807799de3a13a61760abd8c0ac3d5be97a06e40be7b92a9f30b542e918ff",
+    ),
+    "BrainStimul": (
+        {"group": 37, "scalar": 2},
+        "4631b6f23c137d7ab5b17de9231d96ede02c83da8b65e62f4245a434ac69f070",
+    ),
+    "OptionPricing": (
+        {"group": 4, "scalar": 1},
+        "4d000544e70cdb5b4cd891ff1516cc3fd1cf1f96426813ab31c27f6fcf96fdeb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOWERED))
+def test_paper_program_lowering_is_pinned(name):
+    summary, fingerprint = _LOWERED[name]
+    app, _ = CompilerSession().compile_workload(get_workload(name))
+    assert supported_summary(app.graph) == summary
+    assert app.graph_fingerprint == fingerprint

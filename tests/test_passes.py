@@ -1,21 +1,26 @@
-"""Unit tests for the pass framework and individual passes."""
+"""Unit tests for the pipeline driver and the individual rule sets."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import PassError
-from repro.passes import PassManager, default_pipeline, lower
 from repro.pmlang import ast_nodes as ast
 from repro.rewrite import (
+    ALGEBRAIC_COMBINATION,
     ALGEBRAIC_SIMPLIFICATION,
     CONSTANT_FOLDING,
     COPY_PROPAGATION,
     CSE,
     DEAD_CODE_ELIMINATION,
-    RulePass,
-    combination_pass,
+    Pipeline,
+    default_pipeline,
+    lower,
 )
 from repro.srdfg import Executor, build
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def execute(graph, **kwargs):
@@ -65,7 +70,7 @@ class TestConstantFolding:
         inputs = {"x": np.arange(4.0)}
         graph = build(source)
         expected = execute(graph, inputs=inputs).outputs["y"]
-        folded = PassManager([RulePass(CONSTANT_FOLDING)]).run(build(source)).graph
+        folded = Pipeline((CONSTANT_FOLDING,)).run(build(source)).graph
         got = execute(folded, inputs=inputs).outputs["y"]
         assert np.allclose(got, expected)
         # The unroll binder and literal zero must have been folded away.
@@ -90,7 +95,7 @@ class TestAlgebraicSimplification:
             f"main(input float x[4], output float y[4]) {{"
             f" index i[0:3]; y[i] = {before}; }}"
         )
-        graph = PassManager([RulePass(ALGEBRAIC_SIMPLIFICATION)]).run(build(source)).graph
+        graph = Pipeline((ALGEBRAIC_SIMPLIFICATION,)).run(build(source)).graph
         [node] = graph.compute_nodes()
         assert isinstance(node.attrs["stmt"].value, ast.Indexed)
 
@@ -121,7 +126,7 @@ class TestDeadCode:
         )
         graph = build(source)
         assert len(graph.compute_nodes()) == 2
-        graph = PassManager([RulePass(DEAD_CODE_ELIMINATION)]).run(graph).graph
+        graph = Pipeline((DEAD_CODE_ELIMINATION,)).run(graph).graph
         assert len(graph.compute_nodes()) == 1
         assert graph.compute_nodes()[0].attrs["stmt"].target == "y"
 
@@ -130,14 +135,14 @@ class TestDeadCode:
             "main(input float unused[4], input float x[4], output float y[4]) {"
             " index i[0:3]; y[i] = x[i]; }"
         )
-        graph = PassManager([RulePass(DEAD_CODE_ELIMINATION)]).run(build(source)).graph
+        graph = Pipeline((DEAD_CODE_ELIMINATION,)).run(build(source)).graph
         assert {node.name for node in graph.var_nodes()} >= {"unused", "x", "y"}
 
     def test_state_writers_are_live(self):
         source = (
             "main(input float x, state float acc) { acc = acc + x; }"
         )
-        graph = PassManager([RulePass(DEAD_CODE_ELIMINATION)]).run(build(source)).graph
+        graph = Pipeline((DEAD_CODE_ELIMINATION,)).run(build(source)).graph
         assert len(graph.compute_nodes()) == 1
 
 
@@ -154,9 +159,7 @@ class TestCse:
         inputs = {"x": np.arange(4.0)}
         graph = build(source)
         expected = execute(graph, inputs=inputs).outputs["y"]
-        deduped = PassManager(
-            [RulePass(CSE), RulePass(DEAD_CODE_ELIMINATION)]
-        ).run(build(source)).graph
+        deduped = Pipeline((CSE, DEAD_CODE_ELIMINATION)).run(build(source)).graph
         assert len(deduped.compute_nodes()) == 2  # one mul + the add
         got = execute(deduped, inputs=inputs).outputs["y"]
         assert np.allclose(got, expected)
@@ -170,7 +173,7 @@ class TestCse:
             " b[i] = x[i] * 3.0;"
             " y[i] = a[i] + b[i]; }"
         )
-        graph = PassManager([RulePass(CSE)]).run(build(source)).graph
+        graph = Pipeline((CSE,)).run(build(source)).graph
         assert len(graph.compute_nodes()) == 3
 
     def test_skips_boundary_targets(self):
@@ -180,7 +183,7 @@ class TestCse:
             " y[i] = x[i] * 2.0;"
             " z[i] = x[i] * 2.0; }"
         )
-        graph = PassManager([RulePass(CSE)]).run(build(source)).graph
+        graph = Pipeline((CSE,)).run(build(source)).graph
         assert len(graph.compute_nodes()) == 2
 
 
@@ -189,7 +192,7 @@ class TestAlgebraicCombination:
         graph = build(mpc_source, domain="RBT")
         lower(graph, {"RBT": set()}, {"RBT": {"alu", "mul", "div", "nonlinear"}})
         before = len(graph.compute_nodes())
-        fused = PassManager([combination_pass()]).run(graph).graph
+        fused = Pipeline((ALGEBRAIC_COMBINATION,)).run(graph).graph
         assert len(fused.compute_nodes()) < before
         assert any(
             node.attrs["descriptor"].fused for node in fused.compute_nodes()
@@ -213,25 +216,18 @@ class TestAlgebraicCombination:
             " z[j] = t[j] + 2.0; }"
         )
         graph = build(source)
-        fused = PassManager([combination_pass()]).run(graph).graph
+        fused = Pipeline((ALGEBRAIC_COMBINATION,)).run(graph).graph
         assert len(fused.compute_nodes()) == 3
 
 
-class TestPassManager:
-    def test_reports_deltas(self, mpc_source):
-        result = default_pipeline().run(build(mpc_source, domain="RBT"))
-        assert len(result.reports) == 5
-        assert "constant-folding" in result.summary()
-
-    def test_rejects_non_pass(self):
-        with pytest.raises(PassError):
-            PassManager().add(object())
-
-    def test_reports_are_timed(self, mpc_source):
-        result = default_pipeline().run(build(mpc_source, domain="RBT"))
-        assert all(report.seconds >= 0.0 for report in result.reports)
-        assert result.seconds == sum(r.seconds for r in result.reports)
-        assert "ms" in result.summary()
+class TestPipeline:
+    def test_reports_one_record_per_ruleset(self, mpc_source):
+        run = default_pipeline().run(build(mpc_source, domain="RBT"))
+        assert [report.ruleset for report in run.reports] == [
+            "constant-folding", "algebraic-simplification", "copy-propagation",
+            "cse", "dead-code-elimination",
+        ]
+        assert all(report.seconds >= 0.0 for report in run.reports)
 
     def test_counts_include_nested_graphs(self, mpc_source):
         graph = build(mpc_source, domain="RBT")
@@ -239,25 +235,20 @@ class TestPassManager:
         total_nodes, total_edges = graph.total_counts()
         assert total_nodes > top_level  # the MPC program nests components
 
-        recursive = PassManager(recursive=True).run(graph)
-        assert recursive.reports == []  # no passes, but counting still works
+        assert Pipeline(()).run(graph).reports == ()
 
-        result = default_pipeline().run(build(mpc_source, domain="RBT"))
-        assert result.reports[0].nodes_before == total_nodes
+        run = default_pipeline().run(build(mpc_source, domain="RBT"))
+        assert run.reports[0].nodes_before == total_nodes
+        assert run.reports[0].edges_before == total_edges
 
-    def test_flat_counting_opt_out(self, mpc_source):
-        graph = build(mpc_source, domain="RBT")
-        flat = PassManager([RulePass(CONSTANT_FOLDING)], recursive=False).run(graph)
-        assert flat.reports[0].nodes_before == len(graph.nodes)
-
-    def test_hooks_observe_each_pass(self, mpc_source):
-        seen = []
-        pipeline = default_pipeline()
-        pipeline.add_hook(seen.append)
-        result = pipeline.run(build(mpc_source, domain="RBT"))
-        assert [r.name for r in seen] == [r.name for r in result.reports]
-        with pytest.raises(PassError):
-            pipeline.add_hook("nope")
+    def test_fingerprint_is_the_rulesets_in_order(self):
+        assert default_pipeline() is default_pipeline()
+        assert Pipeline((CSE, DEAD_CODE_ELIMINATION)).fingerprint == Pipeline(
+            [CSE, DEAD_CODE_ELIMINATION]
+        ).fingerprint
+        assert Pipeline((CSE, DEAD_CODE_ELIMINATION)).fingerprint != Pipeline(
+            (DEAD_CODE_ELIMINATION, CSE)
+        ).fingerprint
 
     def test_default_pipeline_preserves_execution(
         self, mpc_source, mpc_data, mpc_reference_result
@@ -280,9 +271,7 @@ class TestCopyPropagation:
         )
         inputs = {"x": np.arange(4.0)}
         expected = execute(build(source), inputs=inputs).outputs["y"]
-        graph = PassManager(
-            [RulePass(COPY_PROPAGATION), RulePass(DEAD_CODE_ELIMINATION)]
-        ).run(
+        graph = Pipeline((COPY_PROPAGATION, DEAD_CODE_ELIMINATION)).run(
             build(source)
         ).graph
         assert len(graph.compute_nodes()) == 1
@@ -296,7 +285,7 @@ class TestCopyPropagation:
             " index i[0:3];"
             " y[i] = x[i]; }"
         )
-        graph = PassManager([RulePass(COPY_PROPAGATION)]).run(build(source)).graph
+        graph = Pipeline((COPY_PROPAGATION,)).run(build(source)).graph
         assert len(graph.compute_nodes()) == 1
 
     def test_strided_copy_kept(self):
@@ -308,7 +297,7 @@ class TestCopyPropagation:
             " t[i] = x[2*i];"
             " y[i] = t[i]; }"
         )
-        graph = PassManager([RulePass(COPY_PROPAGATION)]).run(build(source)).graph
+        graph = Pipeline((COPY_PROPAGATION,)).run(build(source)).graph
         names = [node.name for node in graph.compute_nodes()]
         assert names.count("copy") == 2
 
@@ -323,3 +312,19 @@ class TestCopyPropagation:
         assert np.allclose(
             result.state["ctrl_mdl"], mpc_reference_result["ctrl_mdl"]
         )
+
+
+def test_nothing_imports_the_passes_aliases():
+    """``repro.passes`` is two aliases kept for the ledger's compile-cold
+    workload alone: no module, test or example may import it."""
+    importer = re.compile(
+        r"^\s*(?:from|import)\s+(?:repro\.passes|\.+passes)\b", re.MULTILINE
+    )
+    aliases = ROOT / "src" / "repro" / "passes"
+    found = [
+        str(path.relative_to(ROOT))
+        for tree in ("src", "tests", "examples")
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        if aliases not in path.parents and importer.search(path.read_text())
+    ]
+    assert found == []

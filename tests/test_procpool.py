@@ -1,6 +1,6 @@
 """Process-parallel serving suite: cross-process compile coalescing via
-lease files, the process-backed worker pool, crash healing, priority
-aging, and closed-scheduler rejections.
+lease files, the process-backed worker pool, crash healing, strict
+priority order, and closed-scheduler rejections.
 
 The contracts under test:
 
@@ -13,8 +13,7 @@ The contracts under test:
   per-process counters aggregated into one truthful ServeReport,
 * a worker process that dies mid-service answers its request with
   ``WorkerCrashedError``, the slot respawns, and later requests succeed,
-* priority aging promotes long-waiting low-priority entries (injectable
-  clock, no sleeping),
+* the scheduler dispatches in strict priority order,
 * a closed scheduler rejects with ``closed=True`` / ``retry_after=None``
   and ``loadgen.replay`` gives up instead of spinning.
 """
@@ -546,21 +545,8 @@ def test_worker_crashed_error_is_a_serve_error():
 
 
 # ---------------------------------------------------------------------------
-# Priority aging (injectable clock — no sleeping).
+# Strict priority order.
 # ---------------------------------------------------------------------------
-
-
-def test_aging_promotes_long_waiting_low_priority():
-    now = [0.0]
-    scheduler = Scheduler(capacity=8, aging_s=1.0, clock=lambda: now[0])
-    scheduler.submit(PRIORITY_LOW, "old-low")
-    now[0] = 2.5
-    scheduler.submit(PRIORITY_NORMAL, "new-normal")
-    # After 2.5s the low entry has aged two levels (effective 0) while
-    # the just-submitted normal entry has not aged at all — the old
-    # request dispatches first instead of starving.
-    assert scheduler.next(timeout=1) == "old-low"
-    assert scheduler.next(timeout=1) == "new-normal"
 
 
 def test_without_aging_priority_order_is_strict():
@@ -569,23 +555,6 @@ def test_without_aging_priority_order_is_strict():
     scheduler.submit(PRIORITY_NORMAL, "normal")
     assert scheduler.next(timeout=1) == "normal"
     assert scheduler.next(timeout=1) == "low"
-
-
-def test_aging_rebuild_is_lazy():
-    now = [0.0]
-    scheduler = Scheduler(capacity=8, aging_s=1.0, clock=lambda: now[0])
-    scheduler.submit(PRIORITY_LOW, "low")
-    scheduler.submit(PRIORITY_NORMAL, "normal")
-    # Within the first interval nothing has aged: strict priority holds.
-    now[0] = 0.5
-    assert scheduler.next(timeout=1) == "normal"
-
-
-def test_aging_s_must_be_positive():
-    with pytest.raises(ValueError):
-        Scheduler(capacity=8, aging_s=0)
-    with pytest.raises(ValueError):
-        Scheduler(capacity=8, aging_s=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def random_pipeline(draw):
 @given(random_pipeline())
 @settings(max_examples=40, deadline=None)
 def test_default_pipeline_preserves_random_programs(case):
-    from repro.passes import default_pipeline
+    from repro.rewrite import default_pipeline
 
     depth, size, operators, constants, seed = case
     lines = [f"  float t0[{size}];", f"  index i[0:{size - 1}];",
@@ -351,7 +351,7 @@ def nested_program(draw):
 @given(nested_program())
 @settings(max_examples=30, deadline=None)
 def test_lowering_preserves_semantics_on_random_programs(case):
-    from repro.passes.lowering import lower
+    from repro.rewrite import lower
 
     size, inner_op, inner_const, outer_uses_state, seed = case
     state_decl = "state float acc[N]," if outer_uses_state else ""

@@ -10,8 +10,8 @@ from repro.pmlang.render import (
     render_program,
     render_stmt,
 )
+from repro.rewrite import lower
 from repro.srdfg import Executor, build
-from repro.passes import lower
 
 
 class TestExprRendering:

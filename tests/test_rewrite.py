@@ -3,12 +3,15 @@
 Covers the pattern matcher (commutativity, capture binding, non-linear
 patterns), the fixpoint driver (trip counts, the one bound per loop), the
 per-rule proof obligations — every rule checked against the reference
-interpreter and its termination measure on generated instances — and
-cost-guided cross-domain fusion (legality around stateful nodes,
-strictly improving moves, bit-identical fused vs unfused outputs).
+interpreter and its termination measure on generated instances, Algorithm
+1's lowering rules included — cost-guided cross-domain fusion (legality
+around stateful nodes, strictly improving moves, bit-identical fused vs
+unfused outputs), and how a pipeline reports a failing rule.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +20,9 @@ from hypothesis import assume, given, settings, strategies as st
 import repro.rewrite
 from repro.driver import CompilerSession
 from repro.driver.diagnostics import Diagnostics
-from repro.errors import PassError, RewriteError
+from repro.errors import LoweringError, RewriteError
 from repro.fuzz import generate_program, run_reference
 from repro.obs import Counters
-from repro.passes import PassManager, default_pipeline
-from repro.passes.base import Pass
 from repro.pmlang import ast_nodes as ast
 from repro.pmlang.builtins import SCALAR_FUNCTIONS
 from repro.pmlang.parser import parse
@@ -42,18 +43,20 @@ from repro.rewrite import (
     Lit,
     NodePattern,
     Pattern,
+    Pipeline,
     Ref,
-    RulePass,
     RuleSet,
     SWEEP,
     Tern,
     Un,
     apply_graph_rules,
-    rewrite_pipeline,
+    default_pipeline,
+    lowering_rules,
     rewrite_statement,
     run_ruleset,
 )
 from repro.rewrite.engine import POSITION_LIMIT, SWEEP_LIMIT, per_rule
+from repro.rewrite.lowering import _inline_component, lowering_measure
 from repro.rewrite.fusion import (
     _crossing_candidates,
     _is_stateful,
@@ -66,6 +69,8 @@ from repro.srdfg import Executor, build, evaluate_statement
 from repro.srdfg.graph import COMPUTE, CONST, Node
 from repro.srdfg.interpreter import _BINOPS
 from repro.srdfg.plan import PlanConfig, plan_for_graph
+from repro.targets import default_accelerators, retag_component_domain
+from repro.workloads import END_TO_END, SINGLE_DOMAIN, get_workload
 
 
 def _expr(source):
@@ -215,7 +220,7 @@ class TestEngine:
             "main(input float x[4], output float y[4]) {"
             " index i[0:3]; y[i] = x[i] * 1.0 + (2 + 3); }"
         )
-        rewrite_pipeline(stats=stats).run(graph)
+        default_pipeline().run(graph, stats=stats)
         counters = stats.to_dict()
         assert counters["constant-folding/fold-binop.rewrites"] == 1
         assert counters["algebraic-simplification/mul-one.rewrites"] == 1
@@ -229,7 +234,7 @@ class TestEngine:
             "main(input float x[4], output float y[4]) {"
             " index i[0:3]; y[i] = x[i] * 1.0; }"
         )
-        rewrite_pipeline(explain=explain).run(graph)
+        default_pipeline().run(graph, explain=explain)
         assert len(explain) >= 1
         fired = explain.by_rule()
         assert fired.get("algebraic-simplification/mul-one") == 1
@@ -246,7 +251,7 @@ class TestEngine:
             "main(input float x[4], output float y) {"
             " index i[0:3]; y = sum[i: i < 2](x[i]) * 1.0; }"
         )
-        rewrite_pipeline(explain=explain).run(graph)
+        default_pipeline().run(graph, explain=explain)
         assert explain.render().endswith("-> sum[i: i < 2](x[i])")
 
     def test_operand_swap_hits_the_position_limit(self):
@@ -401,12 +406,10 @@ class TestEngine:
     def test_paper_program_trip_counts(self, workload, expected):
         """Per-rule matches/rewrites, captured before the driver indexed
         rules by root type: dispatch may skip work, never a match."""
-        from repro.workloads import get_workload
-
         program = get_workload(workload)
         stats = Counters()
-        rewrite_pipeline(stats=stats).run(
-            build(program.source(), domain=program.domain)
+        default_pipeline().run(
+            build(program.source(), domain=program.domain), stats=stats
         )
         assert {
             rule: (counts["matches"], counts["rewrites"])
@@ -557,16 +560,21 @@ def _check_expr_obligation(rule):
     check()
 
 
-def _measured(ruleset, firings):
-    """*ruleset* with each graph rule recording ``(rule, (nodes, edges)
-    before, after)`` of its level into *firings* whenever it fires."""
+def _level_size(graph):
+    """The optimisation graph rules' measure: (nodes, edges) of a level."""
+    return len(graph.nodes), len(graph.edges)
+
+
+def _measured(ruleset, firings, measure=_level_size):
+    """*ruleset* with each graph rule recording ``(rule, measure before,
+    after)`` of its level into *firings* whenever it fires."""
 
     def wrap(rule):
         def rewrite(graph, node, ctx):
-            before = len(graph.nodes), len(graph.edges)
+            before = measure(graph)
             fired = rule.rewrite(graph, node, ctx)
             if fired:
-                firings.append((rule.name, before, (len(graph.nodes), len(graph.edges))))
+                firings.append((rule.name, before, measure(graph)))
             return fired
 
         return dataclasses.replace(rule, rewrite=rewrite)
@@ -584,8 +592,8 @@ def _check_graph_obligation(ruleset, seeds):
     for seed in seeds:
         program = generate_program(seed)
         firings = []
-        optimized = PassManager([RulePass(_measured(ruleset, firings), stats=stats)]).run(
-            build(program.render(), domain="DA")
+        optimized = Pipeline((_measured(ruleset, firings),)).run(
+            build(program.render(), domain="DA"), stats=stats
         ).graph
         for rule, before, after in firings:
             assert after < before, (
@@ -597,6 +605,52 @@ def _check_graph_obligation(ruleset, seeds):
         )
         assert candidate == reference, f"seed {seed}"
     return per_rule(stats)
+
+
+_EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "custom_pass_and_target.py"
+
+
+def _example_ruleset():
+    """The extension example's ``STRENGTH_REDUCTION`` rule set."""
+    spec = importlib.util.spec_from_file_location("custom_pass_and_target", _EXAMPLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.STRENGTH_REDUCTION
+
+
+def _target_maps(accelerators):
+    """``(om, scalar_om)`` of an accelerator set, as a compile builds them."""
+    return (
+        {domain: acc.om_entry() for domain, acc in accelerators.items()},
+        {domain: acc.scalar_entry() for domain, acc in accelerators.items()},
+    )
+
+
+def _lowering_corpus():
+    """``(label, optimized graph, om, scalar_om, program)``: the 17 paper
+    programs on their own accelerators, the generated programs of seeds
+    10-39 that call a component in another domain (*program* set, for the
+    bit-identity check), and MPC with its three components kept."""
+    for name in SINGLE_DOMAIN + END_TO_END:
+        workload = get_workload(name)
+        graph = build(workload.source(), domain=workload.domain)
+        retags = getattr(workload, "component_domains", None) or {}
+        for component, tag in retags.items():
+            retag_component_domain(graph, component, tag)
+        accelerators = default_accelerators(workload.accelerator_overrides)
+        graph = default_pipeline().run(graph).graph
+        yield (name, graph, *_target_maps(accelerators), None)
+    for seed in range(10, 40):
+        program = generate_program(seed)
+        if any(stmt.kind == "call" for stmt in program.statements):
+            graph = default_pipeline().run(build(program.render(), domain="DA")).graph
+            yield (f"seed {seed}", graph, *_target_maps(default_accelerators()), program)
+    mpc = get_workload("MobileRobot")
+    kept = {"predict_trajectory", "compute_ctrl_grad", "update_ctrl_model"}
+    yield (
+        "MobileRobot, components kept", build(mpc.source(), domain=mpc.domain),
+        {"RBT": kept}, {"RBT": {"alu", "mul", "div", "nonlinear"}}, None,
+    )
 
 
 #: Every RuleSet the package exports: a rule added to any of them is
@@ -689,9 +743,68 @@ class TestRuleObligations:
         else:
             np.testing.assert_array_equal(optimized, raw)
 
-    def test_default_pipeline_is_rule_engine(self):
-        pipeline = default_pipeline()
-        assert all(isinstance(p, RulePass) for p in pipeline.passes)
+    def test_default_pipeline_is_the_default_rulesets(self):
+        assert default_pipeline().rulesets == DEFAULT_RULESETS
+
+    @pytest.mark.parametrize(
+        "rule",
+        [pytest.param(rule, id=rule.name) for rule in _example_ruleset().expr_rules],
+    )
+    def test_example_rule_preserves_value_and_shrinks(self, rule):
+        """The extension example's strength reduction is held to the same
+        obligation as the shipped rules."""
+        _check_expr_obligation(rule)
+
+    def test_lowering_rules_decide_one_node_per_firing(self):
+        """Algorithm 1 on the 17 paper programs, generated cross-domain
+        programs, and MPC with its components kept: each firing lowers
+        :func:`lowering_measure` at its level, every generated program
+        stays bit-identical at f64, and every rule fires somewhere."""
+        stats = Counters()
+        for label, graph, om, scalar_om, program in _lowering_corpus():
+            firings = []
+            ruleset = _measured(lowering_rules(om, scalar_om), firings, lowering_measure)
+            apply_graph_rules(graph, ruleset, stats=stats)
+            for rule, before, after in firings:
+                assert after < before, f"lowering/{rule}, {label}: {before} -> {after}"
+            assert lowering_measure(graph) == 0, label
+            if program is not None:
+                reference, candidate = (
+                    [result_signature(step) for step in run_reference(program, "f64", lowered)]
+                    for lowered in (None, graph)  # None: the raw graph
+                )
+                assert candidate == reference, label
+        fired = per_rule(stats)
+        names = lowering_rules({}).rule_names
+        assert sorted(fired) == sorted(f"lowering/{rule}" for rule in names)
+        assert all(counts["rewrites"] > 0 for counts in fired.values()), fired
+
+    def test_inline_that_skips_the_callee_fails_the_obligation(self):
+        """Mutation: inlining a component whose level was not lowered
+        first moves undecided nodes up, so the measure does not fall."""
+        _, graph, om, scalar_om, _ = next(_lowering_corpus())  # MobileRobot
+
+        def inline_unlowered(graph, node, ctx):
+            _inline_component(graph, node)
+            return True
+
+        rules = lowering_rules(om, scalar_om)
+        broken = dataclasses.replace(
+            rules,
+            graph_rules=tuple(
+                dataclasses.replace(rule, rewrite=inline_unlowered)
+                if rule.name == "inline-component" else rule
+                for rule in rules.graph_rules
+            ),
+        )
+        firings = []
+        apply_graph_rules(
+            graph, _measured(broken, firings, lowering_measure), stats=Counters()
+        )
+        assert any(
+            rule == "inline-component" and after >= before
+            for rule, before, after in firings
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +943,8 @@ def test_combination_shrinks_mobile_robot_on_robox():
     """Algebraic combination (§IV-B) on the MobileRobot MPC, lowered for
     ROBOX: fusing matvec chains leaves fewer fragments and a lower
     modelled time."""
-    from repro.passes import lower
-    from repro.rewrite import DEAD_CODE_ELIMINATION, combination_pass
+    from repro.rewrite import DEAD_CODE_ELIMINATION, lower
     from repro.targets import Robox, compile_to_targets
-    from repro.workloads import get_workload
 
     source = get_workload("MobileRobot").source()
 
@@ -842,7 +953,7 @@ def test_combination_shrinks_mobile_robot_on_robox():
         lower(graph, {"RBT": Robox.spec.supported_ops},
               {"RBT": {"alu", "mul", "div", "nonlinear"}})
         if combine:
-            PassManager([combination_pass(), RulePass(DEAD_CODE_ELIMINATION)]).run(graph)
+            Pipeline((ALGEBRAIC_COMBINATION, DEAD_CODE_ELIMINATION)).run(graph)
         accelerator = Robox()
         program = compile_to_targets(graph, {"RBT": accelerator})["RBT"]
         return len(program), accelerator.estimate(program).seconds
@@ -854,72 +965,88 @@ def test_combination_shrinks_mobile_robot_on_robox():
 
 
 # ---------------------------------------------------------------------------
-# PassManager failure handling
+# Pipeline failure handling
 # ---------------------------------------------------------------------------
 
 
-class _ExplodingPass(Pass):
-    name = "exploding-rewrite"
-
-    def run(self, graph):
-        raise ValueError("internal rule failure")
-
-
-class _CorruptingPass(Pass):
-    name = "graph-corruptor"
-
-    def run(self, graph):
-        # Drop a node while leaving its edges dangling: post-pass
-        # validation must catch this and name the pass.
-        victim = graph.compute_nodes()[0]
-        graph.nodes = [n for n in graph.nodes if n.uid != victim.uid]
-        del graph._nodes_by_uid[victim.uid]
-        return graph
-
-
-def _small_graph():
-    return build(
-        "main(input float x[4], output float y[4]) {"
-        " index i[0:3]; y[i] = x[i] * 2.0; }"
+def _one_rule(name, rewrite):
+    return RuleSet(
+        name=name,
+        graph_rules=(GraphRule(name, NodePattern(kind=COMPUTE), rewrite),),
+        strategy=SWEEP,
     )
 
 
-class TestPassManagerFailures:
-    def test_pass_exception_wrapped_and_recorded(self):
+def _explode(graph, node, ctx):
+    raise ValueError("internal rule failure")
+
+
+def _corrupt(graph, node, ctx):
+    # Drop a node while leaving its edges dangling: validation after the
+    # rule set must catch this and name it.
+    graph.nodes = [n for n in graph.nodes if n.uid != node.uid]
+    del graph._nodes_by_uid[node.uid]
+    return True
+
+
+_SMALL = (
+    "main(input float x[4], output float y[4]) {"
+    " index i[0:3]; y[i] = x[i] * 2.0; }"
+)
+
+
+def _small_graph():
+    return build(_SMALL)
+
+
+class TestPipelineFailures:
+    def test_rule_exception_names_ruleset_and_rule(self):
+        pipeline = Pipeline((_one_rule("exploding", _explode),))
+        with pytest.raises(
+            RewriteError,
+            match=r"exploding/exploding failed at main:.*internal rule failure",
+        ) as caught:
+            pipeline.run(_small_graph())
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    def test_session_records_the_failure(self):
         diagnostics = Diagnostics()
-        manager = PassManager([_ExplodingPass()], diagnostics=diagnostics)
-        with pytest.raises(PassError, match="exploding-rewrite.*failed during run"):
-            manager.run(_small_graph())
-        [entry] = diagnostics.errors
-        assert entry.stage == "pass/exploding-rewrite"
-        assert "internal rule failure" in entry.message
-
-    def test_validation_failure_names_pass(self):
-        manager = PassManager([_CorruptingPass()])
-        with pytest.raises(PassError, match="graph-corruptor"):
-            manager.run(_small_graph())
-
-    def test_hook_failure_names_pass_and_phase(self):
-        def bad_hook(report):
-            raise RuntimeError("hook exploded")
-
-        diagnostics = Diagnostics()
-        manager = PassManager(
-            [RulePass(RuleSet(name="noop"))],
-            hooks=[bad_hook],
+        session = CompilerSession(
+            default_accelerators(),
+            pipeline=Pipeline((_one_rule("exploding", _explode),)),
             diagnostics=diagnostics,
         )
-        with pytest.raises(PassError, match="stage hook"):
-            manager.run(_small_graph())
+        with pytest.raises(RewriteError, match="exploding"):
+            session.compile(_SMALL, domain="DA")
         [entry] = diagnostics.errors
-        assert "stage hook" in entry.message
+        assert entry.stage == "optimize"
+        assert "internal rule failure" in entry.message
 
-    def test_rewrite_error_keeps_type(self):
-        class _RaisingRulePass(Pass):
-            name = "raising"
+    def test_validation_failure_names_ruleset(self):
+        with pytest.raises(RewriteError, match="graph-corruptor"):
+            Pipeline((_one_rule("graph-corruptor", _corrupt),)).run(_small_graph())
 
-            def run(self, graph):
-                raise RewriteError("rule set 'x' cycles")
+    def test_rewrite_error_keeps_its_message(self):
+        def raising(graph, node, ctx):
+            raise RewriteError("rule set 'x' cycles")
 
-        with pytest.raises(RewriteError, match="cycles"):
-            PassManager([_RaisingRulePass()]).run(_small_graph())
+        with pytest.raises(RewriteError, match="^rule set 'x' cycles$"):
+            Pipeline((_one_rule("raising", raising),)).run(_small_graph())
+
+    def test_lowering_error_passes_the_engine_unchanged(self):
+        graph = build(
+            "main(input float x[4], output float y[4]) {"
+            " index i[0:3]; y[i] = sigmoid(x[i]); }",
+            domain="DA",
+        )
+        with pytest.raises(LoweringError) as caught:
+            apply_graph_rules(
+                graph,
+                lowering_rules({"DA": set()}, {"DA": {"alu", "mul"}}),
+                stats=Counters(),
+            )
+        assert str(caught.value) == (
+            "node 'map_sigmoid' (domain DA) is not supported as a group op and "
+            "needs scalar classes ['nonlinear'] the target lacks; compilation "
+            "fails for this accelerator"
+        )

@@ -129,7 +129,7 @@ class TestScheduleStatementApi:
         [node] = build(source, domain="DA").compute_nodes()
         schedule = TablaScheduler(num_pes=64, nonlinear_pes=8).schedule_statement(node)
         accelerator = Tabla()
-        app = CompilerSession({"DA": accelerator}, run_pipeline=False).compile(
+        app = CompilerSession({"DA": accelerator}, pipeline=None).compile(
             source, domain="DA"
         )
         fragment = next(

@@ -99,7 +99,7 @@ class TestVtaUops:
             " index i[0:255], j[0:255]; y[j] = sum[i](A[j][i]*x[i]); }"
         )
         accelerator = Vta()
-        compiler = PolyMath({"DL": accelerator}, run_pipeline=False)
+        compiler = PolyMath({"DL": accelerator}, pipeline=None)
         app = compiler.compile(source, domain="DL")
         fragment = next(
             f for f in app.programs["DL"].fragments if f.op == "matvec"

@@ -47,7 +47,7 @@ class TestRegistry:
 class TestTranslation:
     def test_matvec_fragment_fields(self, matvec_source):
         accelerator = Robox()
-        compiler = PolyMath({"RBT": accelerator}, run_pipeline=False)
+        compiler = PolyMath({"RBT": accelerator}, pipeline=None)
         app = compiler.compile(matvec_source, domain="RBT")
         ops = app.programs["RBT"].ops()
         assert "matvec" in ops
@@ -59,21 +59,21 @@ class TestTranslation:
 
     def test_scalar_lowered_fragment_named(self, matvec_source):
         accelerator = Tabla()
-        compiler = PolyMath({"DA": accelerator}, run_pipeline=False)
+        compiler = PolyMath({"DA": accelerator}, pipeline=None)
         app = compiler.compile(matvec_source, domain="DA")
         ops = app.programs["DA"].ops()
         assert any(op.startswith("scalar_dfg[") for op in ops)
 
     def test_var_fragments(self, matvec_source):
         accelerator = Robox()
-        compiler = PolyMath({"RBT": accelerator}, run_pipeline=False)
+        compiler = PolyMath({"RBT": accelerator}, pipeline=None)
         app = compiler.compile(matvec_source, domain="RBT")
         ops = app.programs["RBT"].ops()
         assert ops.count("read_fifo") == 2
         assert ops.count("write_fifo") == 1
 
     def test_program_listing_renders(self, matvec_source):
-        compiler = PolyMath({"RBT": Robox()}, run_pipeline=False)
+        compiler = PolyMath({"RBT": Robox()}, pipeline=None)
         app = compiler.compile(matvec_source, domain="RBT")
         listing = app.programs["RBT"].listing()
         assert "matvec" in listing
@@ -92,7 +92,7 @@ class TestGraphicionadoPipeline:
 
     def test_vertex_reduce_becomes_pipeline(self):
         accelerator = Graphicionado()
-        compiler = PolyMath({"GA": accelerator}, run_pipeline=False)
+        compiler = PolyMath({"GA": accelerator}, pipeline=None)
         app = compiler.compile(self.SOURCE, domain="GA")
         pipeline = next(
             f for f in app.programs["GA"].fragments if f.op == "pipeline"
@@ -103,7 +103,7 @@ class TestGraphicionadoPipeline:
     def test_hints_reduce_pipeline_cost(self):
         dense = Graphicionado()
         sparse = Graphicionado(data_hints={"vertices": 64, "edges": 128})
-        compiler = PolyMath({"GA": dense}, run_pipeline=False)
+        compiler = PolyMath({"GA": dense}, pipeline=None)
         app = compiler.compile(self.SOURCE, domain="GA")
         pipeline = next(
             f for f in app.programs["GA"].fragments if f.op == "pipeline"
@@ -118,7 +118,7 @@ class TestCosts:
     def test_estimate_positive(self, backend, matvec_source):
         accelerator = backend()
         domain = accelerator.domain
-        compiler = PolyMath({domain: accelerator}, run_pipeline=False)
+        compiler = PolyMath({domain: accelerator}, pipeline=None)
         app = compiler.compile(matvec_source, domain=domain)
         stats = accelerator.estimate(app.programs[domain])
         assert stats.seconds > 0
@@ -136,7 +136,7 @@ class TestCosts:
         )
         costs = {}
         for tag, source in (("small", small), ("big", big)):
-            compiler = PolyMath({"DL": accelerator}, run_pipeline=False)
+            compiler = PolyMath({"DL": accelerator}, pipeline=None)
             app = compiler.compile(source, domain="DL")
             fragment = next(
                 f for f in app.programs["DL"].fragments if f.op == "matvec"
@@ -153,7 +153,7 @@ class TestCosts:
 
     def test_deco_matrix_penalty(self, matvec_source):
         accelerator = Deco()
-        compiler = PolyMath({"DSP": accelerator}, run_pipeline=False)
+        compiler = PolyMath({"DSP": accelerator}, pipeline=None)
         app = compiler.compile(matvec_source, domain="DSP")
         fragment = next(
             f for f in app.programs["DSP"].fragments if f.op == "matvec"
@@ -163,7 +163,7 @@ class TestCosts:
     def test_op_scale_hint_scales_cost(self, matvec_source):
         dense = Robox()
         sparse = Robox(data_hints={"op_scale": 0.01})
-        compiler = PolyMath({"RBT": dense}, run_pipeline=False)
+        compiler = PolyMath({"RBT": dense}, pipeline=None)
         app = compiler.compile(matvec_source, domain="RBT")
         fragment = next(
             f for f in app.programs["RBT"].fragments if f.op == "matvec"
@@ -200,7 +200,7 @@ class TestAlgorithm2:
 
     def test_missing_accelerator_raises(self):
         graph = build(self.CROSS_SOURCE, domain="DSP")
-        from repro.passes.lowering import lower
+        from repro.rewrite import lower
 
         lower(graph, {"DSP": set(), "DA": set()},
               {"DSP": {"alu", "mul", "div", "nonlinear"},
@@ -258,10 +258,10 @@ class TestCompilationFlexibility:
 
     def test_same_source_different_granularities(self):
         # VTA keeps the matmul whole; TABLA lowers it to a scalar DFG.
-        vta_app = PolyMath({"DL": Vta()}, run_pipeline=False).compile(
+        vta_app = PolyMath({"DL": Vta()}, pipeline=None).compile(
             self.MATMUL, domain="DL"
         )
-        tabla_app = PolyMath({"DA": Tabla()}, run_pipeline=False).compile(
+        tabla_app = PolyMath({"DA": Tabla()}, pipeline=None).compile(
             self.MATMUL, domain="DA"
         )
         assert "matmul" in vta_app.programs["DL"].ops()
