@@ -39,8 +39,9 @@ __all__ = [
 #: persistent ``--cache-dir`` never replays source printed under another
 #: contract: bump it with any such change. 2: results left ``_S``.
 #: 3: ``_affine_view`` joined the namespace. 4: ``_in_range`` joined it,
-#: and predicated min/max reduce masked.
-KERNEL_ABI = 4
+#: and predicated min/max reduce masked. 5: ``_contract`` joined it, and
+#: contractions replay their planned steps instead of ``_np.einsum``.
+KERNEL_ABI = 5
 
 
 def kernel_cache_key(plan_key):

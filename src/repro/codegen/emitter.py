@@ -306,8 +306,8 @@ class _StagedEvaluator(_ExprEvaluator):
 
     def _run_einsum(self, einsum):
         """Replay :meth:`_EinsumPlan.run`'s operand checks on the static
-        shapes; print the dispatch, or answer None (lattice path) where
-        ``run`` would."""
+        shapes; print its planned contraction, or answer None (lattice
+        path) where ``run`` would."""
         operands = []
         for (name, shape), view in zip(einsum.operands, einsum.views):
             operand = self._operand(name)
@@ -331,9 +331,11 @@ class _StagedEvaluator(_ExprEvaluator):
                     operand.shadow,
                 )
             operands.append(self._to_float(operand))
+        # The contraction the plan decided, replayed by the very function
+        # the interpreter runs.
         code = (
-            f"_np.einsum({einsum.spec!r}, "
-            f"{', '.join(operand.code for operand in operands)}, optimize=True)"
+            f"_contract({self.emitter._const(einsum.steps)}, "
+            f"({', '.join(operand.code for operand in operands)},))"
         )
         shadow = _shadow0(np.result_type(*[op.dtype for op in operands]))
         if einsum.scalar != 1.0:

@@ -33,7 +33,9 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..obs import DEFAULT_REGISTRY
-from ..srdfg.interpreter import ExecutionResult, _affine_view, _axview, _in_range
+from ..srdfg.interpreter import (
+    ExecutionResult, _affine_view, _axview, _contract, _in_range,
+)
 
 __all__ = ["CODEGEN_STATS", "KernelArtifact"]
 
@@ -79,6 +81,7 @@ class KernelArtifact:
             "_axview": _axview,
             "_affine_view": _affine_view,
             "_in_range": _in_range,
+            "_contract": _contract,
             "_reuse": _reuse,
         }
         namespace.update(constants)

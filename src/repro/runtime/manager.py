@@ -64,7 +64,9 @@ class HostManager:
         self.soc = SoCRuntime(accelerators, host=host)
         self.accelerators = self.soc.accelerators
         self.policy = policy or RecoveryPolicy()
-        self.diagnostics = diagnostics or Diagnostics()
+        # An empty sink is falsy (Diagnostics defines __len__) and is
+        # still the caller's: test for None, not truth.
+        self.diagnostics = Diagnostics() if diagnostics is None else diagnostics
         #: Every RuntimeEvent is mirrored as a ``runtime``-category
         #: instant on this tracer, and each stage runs under a span —
         #: so dispatch/DMA/retry/fallback land on the same timeline as

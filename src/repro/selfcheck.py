@@ -182,11 +182,14 @@ TABLE = (
         "--seconds 4 --trace 0",
         expect=_VERDICT,
     ),
-    Row(
-        "ledger-serve-process",
-        "benchmarks/ledger/run.py --workload serve-process --seed 1 "
-        "--seconds 4 --trace 0",
-        expect=_VERDICT,
+    *(
+        Row(
+            f"ledger-serve-{pool}",
+            f"benchmarks/ledger/run.py --workload serve-{pool} --seed 1 "
+            "--seconds 4 --trace 0",
+            expect=_VERDICT,
+        )
+        for pool in ("thread", "process")
     ),
     # Spans from all six layers on one timeline (the fault-injecting
     # requests route through the HostManager, which is the runtime layer).

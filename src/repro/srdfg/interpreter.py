@@ -25,10 +25,15 @@ Two optimisations keep large workloads practical without changing
 semantics:
 
 * a ``sum``-of-products whose subscripts are affine in the index
-  variables is dispatched to ``numpy.einsum`` over zero-copy strided
-  views of its operands (dot/matvec/matmul, general tensor contractions,
-  strided and windowed ones such as convolutions), after checking each
-  operand's rank and each subscript's range against the run-time shape;
+  variables is a contraction over zero-copy strided views of its
+  operands (dot/matvec/matmul, general tensor contractions, strided and
+  windowed ones such as convolutions). Its shapes are static, so what
+  ``numpy.einsum(..., optimize=True)`` would decide on every call — the
+  contraction order and each pairwise step's batch-matmul lowering — is
+  decided once when the plan is built (:func:`_contraction_steps`), and
+  both tiers replay exactly those numpy calls (:func:`_contract`) after
+  checking each operand's rank and each subscript's range against the
+  run-time shape;
 * other big reductions are evaluated in chunks along their largest bound
   axis so the materialised lattice stays under ``lattice_limit`` elements.
 
@@ -44,10 +49,14 @@ workloads stop paying planning cost on every step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+# The two helpers np.einsum(optimize=True) itself calls: the one-operand
+# kernel, and the parse of a pairwise step into its matmul lowering.
+from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, c_einsum
 
 from ..errors import ExecutionError
 from ..pmlang import ast_nodes as ast
@@ -252,15 +261,88 @@ def _affine(values):
     return (origin, coeffs) if np.all(model == values) else None
 
 
+@functools.lru_cache(maxsize=4096)
+def _contraction_steps(spec, shapes):
+    """What ``np.einsum(spec, *operands, optimize=True)`` decides for
+    operands of *shapes*, decided once: one ``(positions, equation,
+    lowering)`` per contraction of numpy's greedy path.
+
+    *positions* are popped from the operand list in order and the step's
+    result is appended to it. *lowering* is None for a step that is one
+    ``c_einsum`` call, else numpy's own batch-matmul parse of the
+    pairwise step: ``(eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab,
+    pure_multiplication)``. The path depends on shapes alone, so
+    zero-stride shadows stand in for the operands; each intermediate's
+    shape is its output labels' extents, as numpy sizes them. Cached
+    because a nested reduction has no statement plan to hold its steps.
+    """
+    shadows = [np.broadcast_to(np.empty(()), shape) for shape in shapes]
+    _, contractions = np.einsum_path(
+        spec, *shadows, optimize=True, einsum_call=True
+    )
+    sizes = {}
+    for term, shape in zip(spec.partition("->")[0].split(","), shapes):
+        for label, extent in zip(term, shape):
+            if sizes.get(label, 1) == 1:
+                sizes[label] = extent
+    pending = list(shapes)
+    steps = []
+    for positions, equation, _ in contractions:
+        picked = [pending.pop(position) for position in positions]
+        lowering = None
+        if len(picked) == 2:
+            lowering = tuple(
+                tuple(part) if isinstance(part, list) else part
+                for part in _parse_eq_to_batch_matmul(equation, *picked)
+            )
+        steps.append((positions, equation, lowering))
+        pending.append(tuple(sizes[label] for label in equation.partition("->")[2]))
+    return tuple(steps)
+
+
+def _contract(steps, arrays):
+    """``np.einsum(spec, *arrays, optimize=True)`` without its planning:
+    the numpy calls it makes, in its order, from :func:`_contraction_steps`
+    — so the result is byte-identical. Generated kernels call this very
+    function."""
+    operands = list(arrays)
+    for positions, equation, lowering in steps:
+        picked = [operands.pop(position) for position in positions]
+        if lowering is None:
+            operands.append(c_einsum(equation, *picked))
+            continue
+        a, b = picked
+        eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab, pure = lowering
+        if eq_a is not None:
+            a = c_einsum(eq_a, a)
+        if shape_a is not None:
+            a = a.reshape(shape_a)
+        if eq_b is not None:
+            b = c_einsum(eq_b, b)
+        if shape_b is not None:
+            b = b.reshape(shape_b)
+        if pure:
+            operands.append(np.multiply(a, b))
+            continue
+        ab = np.matmul(a, b)
+        if shape_ab is not None:
+            ab = ab.reshape(shape_ab)
+        if perm_ab is not None:
+            ab = ab.transpose(perm_ab)
+        operands.append(ab)
+    return operands[0]
+
+
 @dataclass
 class _EinsumPlan:
-    """Precompiled ``numpy.einsum`` dispatch for one sum-of-products.
+    """One sum-of-products as a planned contraction.
 
     Structure (subscript string, operand views, static scalar factors,
-    output shape) is resolved by :func:`compile_einsum`; only per-operand
-    presence, shape/range and dtype checks remain for :meth:`run`, and a
-    mismatch answers None so the caller evaluates the lattice instead
-    (and raises whatever the lattice raises).
+    output shape) and the contraction itself (:attr:`steps`) are decided
+    by :func:`compile_einsum`; only per-operand presence, shape/range and
+    dtype checks remain for :meth:`run`, and a mismatch answers None so
+    the caller evaluates the lattice instead (and raises whatever the
+    lattice raises).
     """
 
     spec: str
@@ -273,6 +355,9 @@ class _EinsumPlan:
     #: subscripts; it must have exactly the operand's shape), else the
     #: ``(origin, coeffs)`` of its :func:`_affine_view`.
     views: Tuple[Optional[Tuple], ...]
+    #: :func:`_contraction_steps` of ``spec`` over the operand shapes:
+    #: what :func:`_contract` replays on both tiers.
+    steps: Tuple
 
     def run(self, var_values):
         arrays = []
@@ -291,7 +376,7 @@ class _EinsumPlan:
             if array.dtype.kind not in ("f", "c"):
                 array = array.astype(np.float64)
             arrays.append(array)
-        result = np.einsum(self.spec, *arrays, optimize=True)
+        result = _contract(self.steps, arrays)
         if self.scalar != 1.0:
             result = result * self.scalar
         return np.asarray(result).reshape(self.out_shape)
@@ -310,10 +395,13 @@ def compile_einsum(expr, space, static_env):
     extent); :meth:`_EinsumPlan.run` checks the provisos. Affine is
     decided numerically (:func:`_affine`) on subscripts evaluated from
     index variables and static names alone, so ``(i+k) % n`` and
-    data-dependent subscripts stay on the lattice path. The one place
-    that decides this: the evaluator asks for every reduction it meets,
-    ``StatementPlan`` once at build for the statement's whole value, and
-    the kernel emitter prints the answer.
+    data-dependent subscripts stay on the lattice path. The operand
+    shapes are static, so the contraction is decided here too
+    (:func:`_contraction_steps`), and both tiers replay it through
+    :func:`_contract`. The one place that decides all this: the
+    evaluator asks for every reduction it meets, ``StatementPlan`` once
+    at build for the statement's whole value, and the kernel emitter
+    prints the answer.
     """
     if not isinstance(expr, ast.ReductionCall):
         return None
@@ -377,14 +465,16 @@ def compile_einsum(expr, space, static_env):
     out_shape = [1] * space.total
     for name in output_names:
         out_shape[space.axis[name]] = space.size(name)
+    spec = ",".join(subscripts) + "->" + "".join(
+        letter(name) for name in output_names
+    )
     return _EinsumPlan(
-        spec=",".join(subscripts) + "->" + "".join(
-            letter(name) for name in output_names
-        ),
+        spec=spec,
         operands=tuple(operands),
         scalar=scalar,
         out_shape=tuple(out_shape),
         views=tuple(views),
+        steps=_contraction_steps(spec, tuple(shape for _, shape in operands)),
     )
 
 

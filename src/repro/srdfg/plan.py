@@ -14,9 +14,9 @@ and MLIR's separation of analyzable lowering from a reusable executable:
 :class:`StatementPlan`
     Everything about one formula statement that is knowable from the
     graph alone: its :class:`~repro.srdfg.interpreter._AxisSpace`, the
-    precompiled einsum dispatch (subscript strings, operand shape
-    requirements, static scalar factors), the chunking decision for big
-    reductions, and the resolved target dtype.
+    planned contraction (subscript strings, operand shape requirements,
+    static scalar factors, numpy's contraction steps), the chunking
+    decision for big reductions, and the resolved target dtype.
 
 :class:`ExecutionPlan`
     One graph compiled into a flat list of prebuilt steps (var binding,
@@ -140,10 +140,10 @@ class StatementPlan:
     """One formula statement, compiled for repeated execution.
 
     Hoists out of the per-call path: axis-space construction, the
-    einsum-eligibility decision (with precomputed subscript strings),
-    the chunking decision for over-limit reductions, and target-dtype
-    resolution. ``execute`` binds the statement's operand values and
-    runs the prebuilt plan.
+    einsum-eligibility decision (with precomputed subscript strings and
+    contraction steps), the chunking decision for over-limit reductions,
+    and target-dtype resolution. ``execute`` binds the statement's
+    operand values and runs the prebuilt plan.
     """
 
     __slots__ = (

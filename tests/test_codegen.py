@@ -631,10 +631,17 @@ class TestStagedEvaluator:
         [statement] = plan.statements.values()
         assert statement.einsum is None
         assert statement.path() == "lattice"
-        # One dispatch so far: the emitter's, printed into the kernel.
-        assert [einsum.spec for einsum in dispatched] == ["ab,b->a"]
+        # One dispatch so far: the emitter's, printed into the kernel as a
+        # replay of the steps it planned.
+        [einsum] = dispatched
+        assert einsum.spec == "ab,b->a"
         assert plan.kernel.report["einsum"] == 1
-        assert "_np.einsum('ab,b->a'" in plan.kernel.source
+        [steps] = [
+            name for name, value in plan.kernel.constants.items()
+            if value == einsum.steps
+        ]
+        assert f"_contract({steps}, (" in plan.kernel.source
+        assert "einsum(" not in plan.kernel.source
         rng = np.random.default_rng(31)
         inputs = {
             "a": _int_floats(rng, 6),
@@ -648,6 +655,44 @@ class TestStagedEvaluator:
         assert np.array_equal(
             ref.outputs["y"], inputs["a"] + inputs["M"] @ inputs["x"]
         )
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, report in LEDGER_REPORTS.items() if report[3]
+    ))
+    def test_contractions_are_planned_once(self, name, monkeypatch):
+        """After plan build and one warm step, neither tier asks numpy to
+        plan a contraction again: both replay the planned steps."""
+        from repro.eval import Harness
+        from repro.workloads import Trajectory
+
+        harness = Harness()
+        workload, app, _ = harness.compiled(name)
+        plan = harness.session.plan_for(app, codegen=True)
+        assert "optimize=" not in plan.kernel.source
+
+        def kernel(**call):
+            result = plan.kernel.try_execute(plan, **call)
+            assert result is not None and result.tier == "kernel"
+            return result
+
+        def interpreted(**call):
+            result = plan.execute(trace=[], **call)
+            assert result.tier == "interpreted"
+            return result
+
+        trajectories = {
+            tier: Trajectory(workload) for tier in (kernel, interpreted)
+        }
+        for tier, trajectory in trajectories.items():
+            trajectory.step(tier)
+
+        def planning(*args, **kwargs):
+            raise AssertionError("a contraction was planned at run time")
+
+        monkeypatch.setattr(np, "einsum_path", planning)
+        monkeypatch.setattr(np, "einsum", planning)
+        for tier, trajectory in trajectories.items():
+            trajectory.step(tier)
 
 
 @functools.lru_cache(maxsize=None)

@@ -319,6 +319,21 @@ class TestRuntimeFaults:
             "crash" in d.message for d in manager.diagnostics.warnings
         ) or any("crash" in d.message for d in manager.diagnostics.errors)
 
+    def test_an_empty_caller_sink_receives_the_warnings(self, two_domain_app):
+        """An empty ``Diagnostics`` is falsy; it is still the caller's sink,
+        not one the manager swaps for a private one."""
+        from repro.driver.diagnostics import Diagnostics
+
+        sink = Diagnostics()
+        manager = HostManager(two_domain_app.accelerators, diagnostics=sink)
+        assert manager.diagnostics is sink
+        report = manager.run(
+            two_domain_app, inputs=self.INPUTS,
+            fault_plan=FaultPlan.parse(["crash@DA"], seed=5),
+        )
+        assert report.completed and report.degraded_domains == ["DA"]
+        assert any("crash" in d.message for d in sink.warnings)
+
     def test_same_plan_and_seed_reproduce_identical_event_sequences(
         self, two_domain_app, manager
     ):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
 from repro.srdfg import Executor, build
@@ -316,6 +317,84 @@ class TestCompileEinsum:
     def test_run_declines_mismatched_operands(self, values):
         einsum = self._compile("sum[j](A[i][j] * x[j])")
         assert einsum.run(values) is None
+
+
+#: Labels and extents of generated contractions; extents 0 and 1 are the
+#: edges numpy's matmul lowering treats apart.
+_LABELS = "abcdef"
+_DTYPES = (np.float32, np.float64, np.complex128)
+
+
+@st.composite
+def _contraction(draw):
+    """``(spec, arrays)``: 1-4 operands whose terms mix batch, contracted,
+    kept and summed-away labels, a label repeated within one term
+    (``aa``), mixed dtypes, and at most one strided ``_affine_view``."""
+    from repro.srdfg.interpreter import _affine_view
+
+    extent = {
+        label: draw(st.sampled_from((0, 1, 2, 2, 3, 3, 4, 4)))
+        for label in _LABELS
+    }
+    terms = draw(st.lists(
+        st.text(_LABELS, min_size=1, max_size=3), min_size=1, max_size=4
+    ))
+    used = sorted(set("".join(terms)))
+    out = draw(st.permutations(used).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda n: order[:n])
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strided = draw(st.integers(-1, len(terms) - 1))
+    arrays = []
+    for position, term in enumerate(terms):
+        shape = tuple(extent[label] for label in term)
+        dtype = draw(st.sampled_from(_DTYPES))
+        if position == strided and 0 not in shape:
+            # Every other element of a larger base, from origin 1.
+            base = rng.normal(size=tuple(2 * n + 1 for n in shape))
+            array = _affine_view(
+                base, (1,) * len(shape),
+                tuple(tuple(2 * (row == col) for col in range(len(shape)))
+                      for row in range(len(shape))),
+                shape,
+            ).astype(dtype, copy=False)
+        else:
+            array = rng.normal(size=shape).astype(dtype)
+        if array.dtype.kind == "c":
+            array = array + 1j * rng.normal(size=shape)
+        arrays.append(array)
+    return ",".join(terms) + "->" + "".join(out), arrays
+
+
+class TestContract:
+    """A planned contraction replays ``np.einsum(optimize=True)``'s own
+    calls, so it is byte-identical to it by construction. A numpy whose
+    einsum lowers differently fails here instead of drifting."""
+
+    @given(_contraction())
+    @settings(max_examples=300, deadline=None)
+    def test_replay_is_byte_identical_to_einsum(self, contraction):
+        import pickle
+
+        from repro.srdfg.interpreter import _contract, _contraction_steps
+
+        spec, arrays = contraction
+        steps = _contraction_steps(spec, tuple(array.shape for array in arrays))
+        assert pickle.loads(pickle.dumps(steps)) == steps
+        want = np.asarray(np.einsum(spec, *arrays, optimize=True))
+        got = np.asarray(_contract(steps, arrays))
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pairwise_steps_carry_the_matmul_lowering(self):
+        from repro.srdfg.interpreter import _contraction_steps
+
+        [(positions, equation, lowering)] = _contraction_steps(
+            "ab,bc->ac", ((4, 3), (3, 5))
+        )
+        assert (positions, equation) == ((1, 0), "bc,ab->ac")
+        # matmul yields (c, a): the output order is known at plan time.
+        assert lowering[5] == (1, 0)
 
 
 class TestAffineView:
