@@ -34,13 +34,18 @@ from ..obs import Counters
 from .lease import Lease
 
 
-def fingerprint(*parts):
-    """sha256 hex digest over the stable repr of *parts*."""
+def _digest(texts):
+    """sha256 hex digest over *texts*, each NUL-terminated."""
     digest = hashlib.sha256()
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
+    for text in texts:
+        digest.update(text.encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()
+
+
+def fingerprint(*parts):
+    """sha256 hex digest over the stable repr of *parts*."""
+    return _digest(map(repr, parts))
 
 
 def accelerator_fingerprint(accelerators):
@@ -51,24 +56,26 @@ def accelerator_fingerprint(accelerators):
     hardware parameter set (so a DSE-configured variant never aliases the
     stock backend). Workload ``data_hints`` are deliberately excluded —
     they are bound per compile and do not change the compiled artifact.
+
+    The spec and the hardware parameters carry their own digest text:
+    they are frozen values that render ``fingerprint_part`` once, at
+    construction, so a cache hit only folds those parts with each
+    domain's name, class and backend name. Each folded text is exactly
+    ``repr((domain, class name, backend name, *four sorted name tuples,
+    repr(params)))``, hashed through the same :func:`fingerprint` framing,
+    which is why caching the parts left every key byte-identical and
+    existing ``--cache-dir`` trees valid
+    (``tests/test_driver.py::test_paper_program_cache_keys_are_pinned``).
+    A reconfigured backend (``accelerator.params =
+    dataclasses.replace(...)``, as ``eval.dse`` does) carries a new
+    parameter object, hence a new part and a new key.
     """
-    parts = []
-    for domain in sorted(accelerators):
-        accelerator = accelerators[domain]
-        spec = accelerator.spec
-        parts.append(
-            (
-                domain,
-                type(accelerator).__name__,
-                accelerator.name,
-                tuple(sorted(spec.supported_ops)),
-                tuple(sorted(spec.scalar_classes)),
-                tuple(sorted(spec.macro_components)),
-                tuple(sorted(spec.translations)),
-                repr(accelerator.params),
-            )
-        )
-    return fingerprint(*parts)
+    return _digest(
+        f"({domain!r}, {type(accelerator).__name__!r}, {accelerator.name!r}, "
+        f"{accelerator.spec.fingerprint_part}, "
+        f"{accelerator.params.fingerprint_part})"
+        for domain, accelerator in sorted(accelerators.items())
+    )
 
 
 #: Counter attribute names, in render order.

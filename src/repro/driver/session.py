@@ -23,6 +23,7 @@ cross-workload hint-leak the old harness had.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -75,6 +76,9 @@ CACHE_HIT_STAGE = "cache-hit"
 #: Stage name recorded when a compile (or plan) awaited an identical
 #: in-flight request instead of running itself.
 COALESCED_STAGE = "coalesced"
+
+#: Source digests one session remembers (see ``_source_digest``).
+SOURCE_DIGESTS = 128
 
 _PROVENANCES = ("built", "cache", "coalesced", "declined")
 
@@ -200,6 +204,10 @@ class CompilerSession:
         # value).
         self._state_lock = threading.RLock()
         self._flights = SingleFlight()
+        #: Source text -> its digest in :meth:`cache_key`. Bounded, so a
+        #: long-lived session that sees many programs keeps the recent
+        #: ones; a repeated compile re-hashes nothing.
+        self._source_digest = functools.lru_cache(SOURCE_DIGESTS)(fingerprint)
 
     @property
     def compiles(self):
@@ -278,7 +286,7 @@ class CompilerSession:
     def cache_key(self, source, entry, domain, component_domains, accelerators):
         """Content-addressed key for one compile request."""
         return fingerprint(
-            fingerprint(source),
+            self._source_digest(source),
             entry,
             domain,
             tuple(sorted((component_domains or {}).items())),

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..pmlang.builtins import COST_ALU, COST_DIV, COST_MUL, COST_NONLINEAR
+from ..util import ReadOnlyDict
 
 #: DRAM access energy, picojoules per byte (LPDDR4-class figure).
 DRAM_PJ_PER_BYTE = 20.0
@@ -48,9 +49,15 @@ SRAM_PJ_PER_BYTE = 1.0
 OP_PJ = {COST_ALU: 1.0, COST_MUL: 4.0, COST_DIV: 12.0, COST_NONLINEAR: 20.0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class HardwareParams:
-    """Static description of one execution platform."""
+    """Static description of one execution platform.
+
+    A frozen value, ``throughput`` included: a variant (a DSE grid point,
+    a per-domain CPU efficiency) is ``dataclasses.replace(params, ...)``,
+    a new object with its own ``fingerprint_part``, never an edit of a
+    shared one.
+    """
 
     name: str
     frequency_hz: float
@@ -79,6 +86,15 @@ class HardwareParams:
     #: every invocation (priced by :mod:`repro.hw.soc`). ``None`` disables
     #: the check.
     onchip_capacity_bytes: float = None
+    #: What this record contributes to
+    #: :func:`~repro.driver.cache.accelerator_fingerprint` — the repr of
+    #: its repr — computed once, so a compile-cache hit does not re-render
+    #: it.
+    fingerprint_part: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "throughput", ReadOnlyDict(self.throughput))
+        object.__setattr__(self, "fingerprint_part", repr(repr(self)))
 
     def ops_per_second(self, cost_class):
         rate = self.throughput.get(cost_class)

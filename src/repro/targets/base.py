@@ -30,6 +30,7 @@ from ..hw.cost import PerfStats, RooflineModel
 from ..hw.soc import SoCRuntime
 from ..srdfg.graph import COMPONENT, COMPUTE, CONST, VAR
 from ..srdfg.metadata import LOCAL
+from ..util import ReadOnlyDict
 
 
 @dataclass
@@ -72,10 +73,15 @@ class AcceleratorProgram:
         return len(self.fragments)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcceleratorSpec:
     """The paper's per-domain specification ``(md, +d)`` plus ``Om``/scalar
-    capability sets consumed by Algorithm 1."""
+    capability sets consumed by Algorithm 1.
+
+    A frozen value, like :class:`~repro.hw.cost.HardwareParams`: the sets
+    are frozensets and ``translations`` is read-only, so the
+    ``fingerprint_part`` rendered at construction can never go stale.
+    """
 
     #: Group-op names translated natively (the entries of ``Om``).
     supported_ops: frozenset
@@ -86,6 +92,24 @@ class AcceleratorSpec:
     translations: Dict[str, Callable] = field(default_factory=dict)
     #: Component names accepted wholesale as macro tasks.
     macro_components: frozenset = frozenset()
+    #: What this spec contributes to
+    #: :func:`~repro.driver.cache.accelerator_fingerprint` — each
+    #: capability set and the translated operator names, sorted and
+    #: rendered — computed once.
+    fingerprint_part: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("supported_ops", "scalar_classes", "macro_components"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        object.__setattr__(self, "translations", ReadOnlyDict(self.translations))
+        object.__setattr__(self, "fingerprint_part", ", ".join(
+            repr(tuple(sorted(names))) for names in (
+                self.supported_ops,
+                self.scalar_classes,
+                self.macro_components,
+                self.translations,
+            )
+        ))
 
 
 def _edge_operands(graph, node):

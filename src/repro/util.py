@@ -1,4 +1,4 @@
-"""Small shared numeric utilities used across the stack."""
+"""Small shared utilities used across the stack."""
 
 from __future__ import annotations
 
@@ -17,3 +17,25 @@ def geomean(values):
     if array.size == 0:
         return 0.0
     return float(np.exp(np.mean(np.log(array))))
+
+
+class ReadOnlyDict(dict):
+    """A ``dict`` that refuses every mutation after construction.
+
+    The mapping fields of the frozen configuration values
+    (``HardwareParams.throughput``, ``AcceleratorSpec.translations``) hold
+    one: those values compute their cache-key text once, so an in-place
+    edit must raise instead of leaving a stale key. Being a ``dict``, it
+    reprs, compares and serialises exactly like the plain dict it wraps.
+    """
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # Rebuild through the constructor: unpickling and ``copy`` would
+        # otherwise refill the dict through the refused ``__setitem__``.
+        return type(self), (dict(self),)

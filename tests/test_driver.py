@@ -1,6 +1,10 @@
 """Tests for the instrumented compilation driver (`repro.driver`)."""
 
 import copy
+import dataclasses
+import hashlib
+import pickle
+from dataclasses import FrozenInstanceError, field
 
 import pytest
 
@@ -18,11 +22,13 @@ from repro.codegen import build_kernel
 from repro.driver.cache import COMPILE, KERNEL, TIERS
 from repro.driver.diagnostics import Diagnostic
 from repro.errors import PMLangSyntaxError, TargetError
+from repro.hw.cost import HardwareParams, RooflineModel
 from repro.pmlang.parser import parse
 from repro.rewrite import default_pipeline, lower
 from repro.srdfg import build
 from repro.srdfg.plan import build_plan, graph_fingerprint
 from repro.targets import (
+    AcceleratorSpec,
     PolyMath,
     Robox,
     Tabla,
@@ -437,3 +443,221 @@ class TestAcceleratorBinding:
         accelerator.data_hints["base"] = 1
         bound = accelerator.bound({"extra": 2})
         assert bound.data_hints == {"base": 1, "extra": 2}
+
+
+class TestFrozenConfiguration:
+    """Spec and hardware parameters render their key text once, so
+    freezing them must not hide a configuration change."""
+
+    def test_reassigned_params_miss_with_a_new_key(self, mpc_source):
+        # What ``eval.dse`` does to a backend between grid points.
+        robox = Robox()
+        session = CompilerSession({"RBT": robox})
+        before = session.cache_key(mpc_source, "main", "RBT", None, {"RBT": robox})
+        session.compile(mpc_source, domain="RBT")
+        robox.params = dataclasses.replace(robox.params, dram_bw=1e9)
+        robox.model = RooflineModel(robox.params)
+        after = session.cache_key(mpc_source, "main", "RBT", None, {"RBT": robox})
+        session.compile(mpc_source, domain="RBT")
+        assert after != before
+        assert session.cache.stats.misses == 2
+        assert session.cache.stats.hits == 0
+
+    def test_bound_clone_keeps_its_originals_digest(self):
+        robox = Robox()
+        clone = robox.bound({"op_scale": 0.5})
+        assert clone.params is robox.params and clone.spec is robox.spec
+        assert accelerator_fingerprint({"RBT": clone}) == (
+            accelerator_fingerprint({"RBT": robox})
+        )
+
+    def test_fields_refuse_assignment(self):
+        params, spec = Robox.params, Robox.spec
+        with pytest.raises(FrozenInstanceError):
+            params.frequency_hz = 2e9
+        with pytest.raises(FrozenInstanceError):
+            spec.supported_ops = frozenset()
+        with pytest.raises(TypeError):
+            params.throughput["mul"] = 1.0
+        with pytest.raises(TypeError):
+            params.throughput.update(mul=1.0)
+        with pytest.raises(TypeError):
+            spec.translations["copy"] = None
+        # The sets were frozen at construction, whatever was passed.
+        loose = AcceleratorSpec(supported_ops={"copy"}, scalar_classes={"alu"})
+        assert isinstance(loose.supported_ops, frozenset)
+
+    def test_copies_keep_value_and_key_text(self):
+        params = Robox.params
+        for twin in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+            assert twin == params
+            assert twin.fingerprint_part == params.fingerprint_part
+            with pytest.raises(TypeError):
+                twin.throughput["mul"] = 1.0
+        # The read-only mapping reprs as the dict it wraps — the key
+        # text is the one the mutable dataclass rendered.
+        assert repr(params.throughput) == repr(dict(params.throughput))
+
+
+#: (compile, plan, kernel) cache keys of the 17 paper programs. A change
+#: to any key strands every existing ``--cache-dir`` tree, so these are
+#: literals: moving one is a deliberate, announced format break.
+PAPER_PROGRAM_KEYS = {
+    "MobileRobot": (
+        "7ab951e36ab95100cecfce982100e01003647428c4bd9e35b5f831d75dd5fbe5",
+        "ec95beeeaf1d2c0cdaf3e2210235de854478f8d5fef890114f4d555d6ba4a3b6",
+        "74d14421d79a57e357c7e487cb635eaa39e099ac8aca49fb54fd793023814181",
+    ),
+    "Hexacopter": (
+        "cbcb5e480e296bfc5464ba3311bd1eb740158e8b5457d60aaae085669c6864d4",
+        "6961b07853fd691860d1fa959ced49ce1cfff343b6134fab54cae5f4e99419ee",
+        "9047481644ba84b9f3b7519403ea2d6ea591de58c4df1415ee3b277b0db7aa19",
+    ),
+    "Twitter-BFS": (
+        "b3f6fd7fac080b2b9e709d57045c3c29ad6f4d6368cd07a24bc7d35a8b3f7846",
+        "7595f81d38aa46cf8c089199a778bed10c665150f7457cd077b647556672ab81",
+        "693a0feb1d3a39e629bcce71c77cc48031a2aa3a0c575a53f486b974aeb3f150",
+    ),
+    "Wiki-BFS": (
+        "5bb7fb2b81423ef9257a3beafc94f6a3e7e34d12470d1c7becb2247bfa8d1ae4",
+        "ee963fac1f0ed1cfa473561c255a35024dd561b33b7c824bd0ac4bed14778e42",
+        "36a276dd7dd95b4261a3515e302098ff8725770e1c62a9e91d67af99f229f4ed",
+    ),
+    "LiveJourn-SSP": (
+        "1141bfe0bde2f7255279d2ce2966f396d7a282ad630202b0b7d39b55aded8afc",
+        "523f88614ed94b4c612204d0da69a04ad2eb0aac00a2398bc3bdb520d44674f1",
+        "e898b4c2200209c68c53b5ad408354855164ecddb0569493d6780cb342df4aa4",
+    ),
+    "MovieL-20M": (
+        "6fceb57ce26f8b4e760abc8ad317cbd2e89e8fb45d68a4104d2f1c5485a35d84",
+        "03b6a4eb7c0e98a986a3501cf7a5b474ab31c5c96979da220a2b5fa258853d54",
+        "ef9cfdf32b3023f1e2fed9646048cd3043c88a854d45d17968fe0e710e41e3c3",
+    ),
+    "MovieL-100K": (
+        "152a11a15f1da6d1a556d949e7d1d7eafe3aa523eacde5d4809243a0d5da5e39",
+        "f7b585f8cf3ec2d711bc10e75c300c8d52e7569d630471118dee02209951e45a",
+        "0275b9cb3fbc486f9e52bfee0fdb56b1cf530cf98a76589810759fe4ebc554a2",
+    ),
+    "DigitCluster": (
+        "361d54637117e5a750cc3b9b859281ba5a41d2d3617a369145c5ff5c7d16d2f7",
+        "3f1bdc50954e4f28439d0240b91f3f1495f2b231de765253a428891fb5e8eb44",
+        "1da27d26e34106f0abd5ebc9b1a2615adb27d80f3ccd6be6f41d07bc3e8da205",
+    ),
+    "ElecUse": (
+        "5fcef597d0bb8025d3a7455c627d4d9892e3b6234f0b6b252b939123443c4f8b",
+        "3dd44533d837e641ccf770ecdaeb4d9a2fc4cfe77bb449ff49cac14ec8487dfd",
+        "39847ec7de0767bcbee394006721607c39dae425f4335e4e0a5603d9146b582e",
+    ),
+    "FFT-8192": (
+        "44206183f79e358cf5b4394b22d0e403e908f0a33ac06f167ad5586bf185ec79",
+        "fcee42dd700826457f9af8f53837f566742abd4b31d8b30985628aa46c78b8f9",
+        "7220d7bc7654a176c470b7ef55283c050ed33cb8ec38fb9c85b60985cdd1a923",
+    ),
+    "FFT-16384": (
+        "5f685939b2e8a01668fbb352b9b8f71625da5be5729edaa26564b5e7a876181a",
+        "cdd113ff36cb1130cb3d0732c0b500206ec48604d30332aea323638d65af46ae",
+        "f953b72bdb19f200e2ffb7487cbf494f6911f947919bd12a2c5a8c36790c609f",
+    ),
+    "DCT-1024": (
+        "73364e81b146a8f3787589f083fa1d6f918ca97d42f05ef88edbf405189331ef",
+        "3876ec15ba8b8d590dae0283f90490846a15ac51e43b35edef6b09862e33e329",
+        "131824b9910b50d851b5a3c3833b826522fb915f801c3425d8acfba4b42e1ff8",
+    ),
+    "DCT-2048": (
+        "f302f0a1a262f35547193f844c75548c8d935152aea1841442b85bcb5e3ebb50",
+        "31845a7f3147079c4e4af2163c32b2495ca573139e76f855089de5b62c1c37e4",
+        "f3c4619985d2da09fcd5deb6c093f3dab8f0be0c3dbd87a5063c422f64f8670a",
+    ),
+    "ResNet-18": (
+        "b4bb64a25b4086cdabae1fcf526cba677812488d11c8b45701a101fb003b0a75",
+        "9fbcbf31e4d5bdd05989f39a9a67793ea133d1303c80f11d3c7ebb1a9e525f50",
+        "22c4df725e307e07f4e523cf277e1768cf678ec8d2a5058269432513e4a76b45",
+    ),
+    "MobileNet": (
+        "41ba30640b089be0eda370cb846a5c9328e0ba96f77bef63de916b33828fd399",
+        "2c9a6f815ef242cd5a737b214aee6bf754608fee2ddcd425ffcaf9ce58a5a2c0",
+        "5bbac5896c405c8249769376fe2256c370742e1a123cfa67104d4e0d69b7065e",
+    ),
+    "BrainStimul": (
+        "544522a9157a148fb0bfdafb673175eb28ab2ddff9632ce8e09805ff6d257eaa",
+        "2f7354c9b2215df44bf134567881452ff81d251a1419b37ac17d88d0a93a2eb3",
+        "d9cc01ce093fa5a058e3892330d17cf2d16582a532057526c1ec7e2d24a70a1f",
+    ),
+    "OptionPricing": (
+        "034fc6db3992b118f10e4e9e7e269cfc926112e480dc4e9e8c6aae2b8f621723",
+        "12e8c4db9593e8677c7334518a4fa4f2211b28b59b913ecaad89286f5fd467b9",
+        "60d1648f77c59247db757c4eb3cfe5218ae218c70abb4ae4b75fddf15ff2948e",
+    ),
+}
+
+
+@dataclasses.dataclass
+class _KeyLog(ArtifactCache):
+    """An artifact cache that records every key it is asked for."""
+
+    asked: list = field(default_factory=list)
+
+    def get(self, tier, key):
+        self.asked.append(key)
+        return super().get(tier, key)
+
+
+def test_paper_program_cache_keys_are_pinned():
+    for name, keys in PAPER_PROGRAM_KEYS.items():
+        workload = get_workload(name)
+        cache = _KeyLog()
+        session = CompilerSession(cache=cache)
+        app, _ = session.compile_workload(workload)
+        session.plan_for(app, codegen=True)
+        assert tuple(cache.asked) == keys, name
+        # A repeated hit asks for the same strings (the plan carries its
+        # kernel by then, so there is no third lookup).
+        cache.asked.clear()
+        for _ in range(2):
+            app, provenance = session.compile_workload(workload)
+            session.plan_for(app, codegen=True)
+            assert provenance == "cache", name
+        assert tuple(cache.asked) == keys[:2] * 2, name
+
+
+def test_cache_hits_rehash_nothing(monkeypatch):
+    """A warm compile + kernel-ready plan lookup folds precomputed parts:
+    no spec or hardware-parameter repr, no hash over the source."""
+    workload = get_workload("ResNet-18")
+    session = CompilerSession()
+    app, _ = session.compile_workload(workload)
+    session.plan_for(app, codegen=True)
+
+    reprs, hashed = [], []
+    for cls in (HardwareParams, AcceleratorSpec):
+        def counted(self, _repr=cls.__repr__):
+            reprs.append(type(self).__name__)
+            return _repr(self)
+        monkeypatch.setattr(cls, "__repr__", counted)
+    real_sha256 = hashlib.sha256
+
+    class Sha256Log:
+        """``hashlib.sha256`` that keeps every byte string it hashes."""
+
+        def __init__(self, data=b"", **kwargs):
+            self._digest = real_sha256(**kwargs)
+            self.update(data)
+
+        def update(self, data):
+            hashed.append(bytes(data))
+            self._digest.update(data)
+
+        def hexdigest(self):
+            return self._digest.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Sha256Log)
+    for _ in range(20):
+        app, provenance = session.compile_workload(workload)
+        session.plan_for(app, codegen=True)
+        assert provenance == "cache"
+
+    source = workload.source()
+    forms = (source.encode(), repr(source).encode())
+    assert reprs == []
+    assert hashed, "the spy saw no hashing at all"
+    assert not [data for data in hashed if any(form in data for form in forms)]
