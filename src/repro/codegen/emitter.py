@@ -30,6 +30,13 @@ What is the emitter's own preserves bit-identity by argument:
     elements into a fresh C-contiguous array of the same shape, so
     every downstream ufunc/reduction sees identical values in an
     identical layout.
+
+The index-map memo
+    A static gather's flat index is a function of what
+    :meth:`_StagedEvaluator._index_map_key` holds, and nothing else, so a
+    gather with an equal key prints the constant the first one
+    registered — the name ``_const``'s content digest would have
+    answered — without evaluating, raveling or hashing again.
 """
 
 from __future__ import annotations
@@ -234,23 +241,76 @@ class _StagedEvaluator(_ExprEvaluator):
             f"_in_range({code}, {extent}, {dim}, {expr.base!r})", value.shape, shadow
         )
 
-    def _gather(self, expr, base, index_arrays):
-        for dim, array in enumerate(index_arrays):
-            if array.dtype.kind not in ("i", "u"):
-                # Boolean subscripts mean mask indexing — ravel_multi_index
-                # would silently reinterpret them as 0/1 positions.
-                raise Unsupported(
-                    f"subscript {dim} of {expr.base!r} is not integral"
+    def _gather(self, expr, base):
+        emitter = self.emitter
+        key = self._index_map_key(expr, base.shape)
+        index_map = emitter._index_maps.get(key)
+        if index_map is None:
+            index_arrays = self._index_arrays(expr, base)
+            for dim, array in enumerate(index_arrays):
+                if array.dtype.kind not in ("i", "u"):
+                    # Boolean subscripts mean mask indexing —
+                    # ravel_multi_index would silently reinterpret them
+                    # as 0/1 positions.
+                    raise Unsupported(
+                        f"subscript {dim} of {expr.base!r} is not integral"
+                    )
+            if any(isinstance(array, _Val) for array in index_arrays):
+                # Known only at run time: the interpreter's own gather.
+                indices = [self.lift(array) for array in index_arrays]
+                return emitter._let(
+                    f"{base.code}[tuple(_np.broadcast_arrays"
+                    f"({', '.join(index.code for index in indices)}))]",
+                    _bshape(*[index.shape for index in indices]), base.shadow,
+                    fresh=True,
                 )
-        if any(isinstance(array, _Val) for array in index_arrays):
-            # Known only at run time: the interpreter's own gather.
-            indices = [self.lift(array) for array in index_arrays]
-            return self.emitter._let(
-                f"{base.code}[tuple(_np.broadcast_arrays"
-                f"({', '.join(index.code for index in indices)}))]",
-                _bshape(*[index.shape for index in indices]), base.shadow, fresh=True,
-            )
-        return self.emitter._emit_gather(base, index_arrays)
+            index_map = emitter._index_map(base, index_arrays)
+            if key is not None:
+                emitter._index_maps[key] = index_map
+        return emitter._emit_gather(base, index_map)
+
+    def _index_map_key(self, expr, base_shape):
+        """Everything a static gather's index map is a function of, or
+        None when it may not be static.
+
+        The map is the subscripts evaluated over the lattice, so it is
+        fixed by the subscripts' structure (``expr_key``, plus each
+        literal's type and repr, which ``expr_key`` equates across
+        ``1``/``1.0``/``True`` and ``0.0``/``-0.0``), the lattice axes and
+        ranges, the static values the subscripts read, and the base's
+        shape (the extents it is range-checked against and raveled
+        into). None when a subscript reads an operand or holds a
+        reduction, or when an active predicate could excuse a stray
+        subscript.
+        """
+        if any(mask is not None for mask in self._mask_stack):
+            return None
+        space, static_env = self.space, self.static_env
+        literals, statics = [], {}
+        for index_expr in expr.indices:
+            for node in ast.walk_expr(index_expr):
+                if isinstance(node, ast.Literal):
+                    literals.append((type(node.value), repr(node.value)))
+                elif isinstance(node, ast.Name):
+                    name = node.id
+                    if name in space.axis:
+                        continue
+                    value = static_env.get(name)
+                    if not (
+                        type(value) in (bool, int, float)
+                        or isinstance(value, np.generic)
+                    ):
+                        return None  # an operand, unbound, or an array
+                    statics[name] = (type(value), repr(value))
+                elif isinstance(node, (ast.Indexed, ast.ReductionCall)):
+                    return None
+        return (
+            tuple(ast.expr_key(index_expr) for index_expr in expr.indices),
+            tuple(literals),
+            tuple(sorted(statics.items())),
+            tuple((name, space.index_ranges[name]) for name in space.order),
+            tuple(base_shape),
+        )
 
     def _broadcast_to(self, value, shape):
         if not isinstance(value, _Val):
@@ -377,6 +437,10 @@ class KernelEmitter:
         self.lines = []
         self.constants = {}
         self._const_by_digest = {}
+        #: :meth:`_StagedEvaluator._index_map_key` -> ``(constant, shape)``
+        #: of every static gather index map built so far: a repeat of a
+        #: map is neither evaluated, raveled nor hashed again.
+        self._index_maps = {}
         self.scratch_specs = []
         self._temp_serial = 0
         self._locals = {}
@@ -585,6 +649,12 @@ class KernelEmitter:
         self._const_by_digest = {
             key: name for key, name in self._const_by_digest.items()
             if name in self.constants
+        }
+        # A rolled-back constant's name is handed out again: no index
+        # map may keep pointing at it.
+        self._index_maps = {
+            key: index_map for key, index_map in self._index_maps.items()
+            if index_map[0] in self.constants
         }
 
     def _emit_statement_fallback(self, statement, operands, local, reason=""):
@@ -823,12 +893,13 @@ class KernelEmitter:
             value = value[()]  # 0-d -> numpy scalar, constant below
         return _Val(self._const(value), np.shape(value), value)
 
-    def _emit_gather(self, base, index_arrays):
-        """``np.take`` through a prebound flat index constant.
+    def _index_map(self, base, index_arrays):
+        """``(constant, shape)`` of the flat index selecting *base* at the
+        static *index_arrays*.
 
-        Selects exactly the elements the interpreter's fancy gather
-        ``base[tuple(np.broadcast_arrays(*idx))]`` selects, into a fresh
-        C-contiguous buffer of the same shape.
+        ``np.take`` through the constant selects exactly the elements the
+        interpreter's fancy gather ``base[tuple(np.broadcast_arrays(*idx))]``
+        selects, in the order of the broadcast *shape*.
         """
         try:
             broadcast = np.broadcast_arrays(*index_arrays)
@@ -847,8 +918,13 @@ class KernelEmitter:
                 tuple(np.ascontiguousarray(b) for b in broadcast),
                 tuple(base.shape),
             ).astype(np.intp, copy=False).reshape(-1)
-        cname = self._const(np.ascontiguousarray(flat))
-        buf = self._transient((flat.size,), base.dtype)
+        return self._const(np.ascontiguousarray(flat)), shape
+
+    def _emit_gather(self, base, index_map):
+        """``np.take`` through a prebound flat index constant, into a
+        fresh C-contiguous buffer of the index map's shape."""
+        cname, shape = index_map
+        buf = self._transient((math.prod(shape),), base.dtype)
         self.report["gathers"] += 1
         return self._let(
             f"_np.take({base.code}.reshape(-1), {cname}, "

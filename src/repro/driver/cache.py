@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..codegen import KernelArtifact, kernel_cache_key
 from ..obs import Counters
 from .lease import Lease
@@ -142,8 +144,9 @@ class Tier:
     #: Selects its counters: ``<prefix>hits``, ``<prefix>misses``, ... —
     #: those of them that :data:`_STAT_FIELDS` declares.
     prefix: str = ""
-    #: ``(encode, decode)`` between a value and its picklable disk record;
-    #: None for a memory-only tier.
+    #: ``(encode, decode)`` between a value and its picklable disk record
+    #: (decode answers None for a stale record); None for a memory-only
+    #: tier.
     codec: Optional[tuple] = None
     #: ``(tier, key -> sibling key)`` entries that go when one of this
     #: tier's does.
@@ -160,6 +163,28 @@ def _same(value):
 #: (raising, like any undecodable entry, on truncated or stale source).
 _KERNEL_RECORD = ("plan_key", "source", "constants", "scratch_specs", "report")
 
+
+def _encode_kernel(kernel):
+    record = {name: getattr(kernel, name) for name in _KERNEL_RECORD}
+    # Constants bake in numpy's own contraction steps (``_contract``), so
+    # the record is stamped with the numpy that planned them.
+    record["numpy"] = np.__version__
+    return record
+
+
+def _decode_kernel(record):
+    """The kernel of a source record, or None — a miss, rebuilt and
+    overwritten — when numpy's version is not the one stamped on it (an
+    unstamped record's numpy is unknown). The stamp lives in the record,
+    not the key, so kernel keys do not depend on the numpy installed. The
+    source compiles first, so an uncompilable record is reported corrupt
+    whatever its stamp."""
+    record = dict(record)
+    stamp = record.pop("numpy", None)
+    kernel = KernelArtifact(**record)
+    return kernel if stamp == np.__version__ else None
+
+
 #: Compiled applications, keyed by :meth:`CompilerSession.cache_key`.
 COMPILE = Tier("compile", codec=(_same, _same))
 #: Generated kernels, keyed by :func:`repro.codegen.kernel_cache_key` — a
@@ -168,10 +193,7 @@ COMPILE = Tier("compile", codec=(_same, _same))
 KERNEL = Tier(
     "kernel",
     "kernel_",
-    codec=(
-        lambda kernel: {name: getattr(kernel, name) for name in _KERNEL_RECORD},
-        lambda record: KernelArtifact(**record),
-    ),
+    codec=(_encode_kernel, _decode_kernel),
 )
 #: Execution plans, keyed by :func:`repro.srdfg.plan.plan_cache_key` (the
 #: graph's *structure*, so a replay that rebuilt an identical graph still
@@ -231,7 +253,8 @@ class ArtifactCache:
         Memory first, then — for a tier with a codec, under a
         ``cache_dir`` — the disk entry decoded. A corrupt, truncated,
         unreadable or undecodable entry is a *miss*: it is evicted (best
-        effort) and reported, and the caller simply rebuilds. No
+        effort) and reported, and the caller simply rebuilds. A stale
+        record (decoded to None) is a miss too, evicted unreported. No
         disk-tier failure ever escapes this method.
         """
         with self._lock:
@@ -248,6 +271,10 @@ class ArtifactCache:
                         record = pickle.loads(path.read_bytes())
                         stage = "source"
                         value = tier.codec[1](record)
+                        if value is None:
+                            # The codec declined a stale record: it goes,
+                            # so nobody waits on it as a publish.
+                            self._unlink(key)
                 except Exception as exc:
                     self.stats.bump(disk_errors=1)
                     self._unlink(key)

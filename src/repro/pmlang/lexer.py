@@ -1,11 +1,29 @@
-"""Hand-written lexer for PMLang.
+"""Regular-expression lexer for PMLang.
 
-PMLang is small enough that a character-at-a-time scanner is clearer than a
-regex table and produces precise error positions. Comments use ``//`` to the
-end of the line (as in the paper's Fig 4 listings).
+One compiled pattern, one alternative per token class, scanned with
+``finditer``: the regex engine does the character loop, and Python code
+runs once per token instead of once per character. Comments use ``//`` to
+the end of the line (as in the paper's Fig 4 listings).
+
+Lexical rules the pattern encodes:
+
+* an identifier is a word character that is not a decimal digit,
+  followed by word characters (``str.isalnum`` or ``_``); a reserved word
+  becomes a ``KEYWORD`` token;
+* a number is decimal digits with an optional fraction and an optional
+  exponent, or a fraction alone (``.5``); it is a ``FLOAT`` when it has a
+  point or an exponent, else an ``INT``;
+* a string is double-quoted on one line, with ``\\"`` and ``\\\\`` as its
+  only escapes;
+* operators are matched longest first, so ``<=`` never lexes as ``<``.
+
+A character no alternative accepts is an error at its own position; an
+unterminated string is an error at its opening quote.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..errors import PMLangSyntaxError
 from .tokens import (
@@ -22,6 +40,26 @@ from .tokens import (
     Token,
 )
 
+_EXPONENT = r"[eE][+-]?\d+"
+
+#: Group name -> token kind, or a lexeme the lexer consumes itself.
+_SCANNER = re.compile("|".join((
+    r"(?P<SKIP>[ \t\r]+)",
+    r"(?P<COMMENT>//[^\n]*)",
+    r"(?P<NEWLINE>\n)",
+    rf"(?P<{NAME}>[^\W\d]\w*)",
+    rf"(?P<{FLOAT}>\d+\.\d*(?:{_EXPONENT})?|\d+{_EXPONENT}|\.\d+(?:{_EXPONENT})?)",
+    rf"(?P<{INT}>\d+)",
+    # An escape is a backslash before a quote or backslash; any other
+    # backslash is literal, so there is exactly one way to match.
+    rf'(?P<{STRING}>"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*")',
+    rf"(?P<{OP}>{'|'.join(re.escape(op) for op in MULTI_CHAR_OPS)}"
+    rf"|[{re.escape(SINGLE_CHAR_OPS)}])",
+    r"(?P<ERROR>.)",
+))).finditer
+
+_ESCAPE = re.compile(r'\\(["\\])')
+
 
 def tokenize(source):
     """Convert PMLang *source* text into a list of :class:`Token`.
@@ -30,112 +68,39 @@ def tokenize(source):
     :class:`PMLangSyntaxError` on any character that cannot start a token.
     """
     tokens = []
+    append = tokens.append
     line = 1
-    column = 1
-    i = 0
-    n = len(source)
-
-    def error(message):
-        raise PMLangSyntaxError(message, line=line, column=column)
-
-    while i < n:
-        ch = source[i]
-
-        if ch == "\n":
-            i += 1
+    line_start = 0  # offset of the current line's first character
+    end = len(source)  # where the EOF token sits: before a trailing comment
+    for match in _SCANNER(source):
+        kind = match.lastgroup
+        start = match.start()
+        if kind == "SKIP":
+            continue
+        if kind == "COMMENT":
+            end = start
+            continue
+        if kind == "NEWLINE":
             line += 1
-            column = 1
+            line_start = start + 1
+            end = len(source)
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-
-        # Line comments.
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-
-        start_column = column
-
-        # Identifiers and keywords.
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = KEYWORD if text in KEYWORDS else NAME
-            tokens.append(Token(kind, text, line, start_column))
-            column += j - i
-            i = j
-            continue
-
-        # Numeric literals: integers, decimals, and exponent forms.
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            is_float = False
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            tokens.append(Token(FLOAT if is_float else INT, text, line, start_column))
-            column += j - i
-            i = j
-            continue
-
-        # String literals (double-quoted, no escapes beyond \" and \\).
-        if ch == '"':
-            j = i + 1
-            chars = []
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    error("unterminated string literal")
-                if source[j] == "\\" and j + 1 < n and source[j + 1] in ('"', "\\"):
-                    chars.append(source[j + 1])
-                    j += 2
-                else:
-                    chars.append(source[j])
-                    j += 1
-            if j >= n:
-                error("unterminated string literal")
-            tokens.append(Token(STRING, "".join(chars), line, start_column))
-            column += (j + 1) - i
-            i = j + 1
-            continue
-
-        # Multi-character operators before single-character ones.
-        matched = None
-        for op in MULTI_CHAR_OPS:
-            if source.startswith(op, i):
-                matched = op
-                break
-        if matched is not None:
-            tokens.append(Token(OP, matched, line, start_column))
-            i += len(matched)
-            column += len(matched)
-            continue
-
-        if ch in SINGLE_CHAR_OPS:
-            tokens.append(Token(OP, ch, line, start_column))
-            i += 1
-            column += 1
-            continue
-
-        error(f"unexpected character {ch!r}")
-
-    tokens.append(Token(EOF, "", line, column))
+        text = match.group()
+        column = start - line_start + 1
+        if kind == NAME:
+            append(Token(KEYWORD if text in KEYWORDS else NAME, text, line, column))
+        elif kind == STRING:
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(r"\1", body)
+            append(Token(STRING, body, line, column))
+        elif kind == "ERROR":
+            if text == '"':
+                message = "unterminated string literal"
+            else:
+                message = f"unexpected character {text!r}"
+            raise PMLangSyntaxError(message, line=line, column=column)
+        else:
+            append(Token(kind, text, line, column))
+    append(Token(EOF, "", line, end - line_start + 1))
     return tokens

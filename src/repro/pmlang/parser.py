@@ -48,6 +48,7 @@ from .tokens import (
     INT,
     KEYWORD,
     NAME,
+    OP,
     STRING,
     TYPE_MODIFIERS,
 )
@@ -56,29 +57,39 @@ from .tokens import (
 #: reductions are additionally registered as they are parsed.
 BUILTIN_REDUCTIONS = ("sum", "prod", "max", "min", "argmax", "argmin")
 
+_COMPARISONS = frozenset(("==", "!=", "<=", ">=", "<", ">"))
+
 
 class _Parser:
-    """Stateful cursor over the token list with one-token lookahead."""
+    """Stateful cursor over the token list with one-token lookahead.
+
+    ``current`` is the token under the cursor and ``op`` its text when it
+    is an operator or punctuation token (None otherwise): the grammar
+    asks "is the next token this operator?" at nearly every step, and
+    that is one comparison.
+    """
 
     def __init__(self, source):
         self.tokens = tokenize(source)
-        self.pos = 0
         self.reduction_names = set(BUILTIN_REDUCTIONS)
+        self.seek(0)
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def current(self):
-        return self.tokens[self.pos]
+    def seek(self, pos):
+        """Move the cursor to token *pos* (backtracking uses it too)."""
+        self.pos = pos
+        self.current = token = self.tokens[pos]
+        self.op = token.text if token.kind == OP else None
 
     def peek(self, offset=1):
         index = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[index]
 
     def advance(self):
-        token = self.tokens[self.pos]
+        token = self.current
         if token.kind != EOF:
-            self.pos += 1
+            self.seek(self.pos + 1)
         return token
 
     def error(self, message, token=None):
@@ -86,7 +97,7 @@ class _Parser:
         raise PMLangSyntaxError(message, line=token.line, column=token.column)
 
     def expect_op(self, text):
-        if not self.current.is_op(text):
+        if self.op != text:
             self.error(f"expected {text!r}, found {self.current.text!r}")
         return self.advance()
 
@@ -96,7 +107,7 @@ class _Parser:
         return self.advance()
 
     def accept_op(self, text):
-        if self.current.is_op(text):
+        if self.op == text:
             self.advance()
             return True
         return False
@@ -140,14 +151,14 @@ class _Parser:
         name_token = self.expect_name()
         self.expect_op("(")
         args = []
-        if not self.current.is_op(")"):
+        if self.op != ")":
             args.append(self.parse_arg_decl())
             while self.accept_op(","):
                 args.append(self.parse_arg_decl())
         self.expect_op(")")
         self.expect_op("{")
         body = []
-        while not self.current.is_op("}"):
+        while self.op != "}":
             if self.current.kind == EOF:
                 self.error("unterminated component body (missing '}')")
             body.append(self.parse_stmt())
@@ -176,7 +187,7 @@ class _Parser:
 
     def parse_dims(self):
         dims = []
-        while self.current.is_op("["):
+        while self.op == "[":
             self.advance()
             dims.append(self.parse_expr())
             self.expect_op("]")
@@ -249,7 +260,7 @@ class _Parser:
         name = self.expect_name()
         self.expect_op("(")
         args = []
-        if not self.current.is_op(")"):
+        if self.op != ")":
             args.append(self.parse_expr())
             while self.accept_op(","):
                 args.append(self.parse_expr())
@@ -269,7 +280,7 @@ class _Parser:
         self.expect_op("]")
         self.expect_op("{")
         body = []
-        while not self.current.is_op("}"):
+        while self.op != "}":
             if self.current.kind == EOF:
                 self.error("unterminated unroll body (missing '}')")
             body.append(self.parse_stmt())
@@ -292,7 +303,7 @@ class _Parser:
 
     def parse_logic_or(self):
         left = self.parse_logic_and()
-        while self.current.is_op("||"):
+        while self.op == "||":
             self.advance()
             right = self.parse_logic_and()
             left = ast.BinOp(op="||", left=left, right=right, line=left.line)
@@ -300,7 +311,7 @@ class _Parser:
 
     def parse_logic_and(self):
         left = self.parse_comparison()
-        while self.current.is_op("&&"):
+        while self.op == "&&":
             self.advance()
             right = self.parse_comparison()
             left = ast.BinOp(op="&&", left=left, right=right, line=left.line)
@@ -308,16 +319,16 @@ class _Parser:
 
     def parse_comparison(self):
         left = self.parse_additive()
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.current.is_op(op):
-                self.advance()
-                right = self.parse_additive()
-                return ast.BinOp(op=op, left=left, right=right, line=left.line)
+        op = self.op
+        if op in _COMPARISONS:
+            self.advance()
+            right = self.parse_additive()
+            return ast.BinOp(op=op, left=left, right=right, line=left.line)
         return left
 
     def parse_additive(self):
         left = self.parse_multiplicative()
-        while self.current.is_op("+") or self.current.is_op("-"):
+        while self.op in ("+", "-"):
             op = self.advance().text
             right = self.parse_multiplicative()
             left = ast.BinOp(op=op, left=left, right=right, line=left.line)
@@ -325,7 +336,7 @@ class _Parser:
 
     def parse_multiplicative(self):
         left = self.parse_unary()
-        while self.current.is_op("*") or self.current.is_op("/") or self.current.is_op("%"):
+        while self.op in ("*", "/", "%"):
             op = self.advance().text
             right = self.parse_unary()
             left = ast.BinOp(op=op, left=left, right=right, line=left.line)
@@ -333,7 +344,7 @@ class _Parser:
 
     def parse_unary(self):
         token = self.current
-        if token.is_op("-") or token.is_op("!"):
+        if self.op in ("-", "!"):
             self.advance()
             operand = self.parse_unary()
             return ast.UnaryOp(op=token.text, operand=operand, line=token.line)
@@ -357,7 +368,7 @@ class _Parser:
         if token.kind == STRING:
             self.advance()
             return ast.Literal(value=token.text, line=token.line)
-        if token.is_op("("):
+        if self.op == "(":
             self.advance()
             inner = self.parse_expr()
             self.expect_op(")")
@@ -370,10 +381,10 @@ class _Parser:
         name = self.expect_name()
 
         # Function call: NAME '(' args ')'.
-        if self.current.is_op("("):
+        if self.op == "(":
             self.advance()
             args = []
-            if not self.current.is_op(")"):
+            if self.op != ")":
                 args.append(self.parse_expr())
                 while self.accept_op(","):
                     args.append(self.parse_expr())
@@ -383,7 +394,7 @@ class _Parser:
         # Try a reduction call first; fall back to indexed access. The
         # attempt is made for any name so that misspelled reductions still
         # parse and fail in semantic analysis with a helpful message.
-        if self.current.is_op("["):
+        if self.op == "[":
             saved = self.pos
             try:
                 reduction = self._try_reduction_call(name)
@@ -391,9 +402,9 @@ class _Parser:
                 reduction = None
             if reduction is not None:
                 return reduction
-            self.pos = saved
+            self.seek(saved)
 
-        if self.current.is_op("["):
+        if self.op == "[":
             indices = self.parse_dims()
             return ast.Indexed(base=name.text, indices=indices, line=name.line)
 
@@ -408,7 +419,7 @@ class _Parser:
         as an indexed access.
         """
         specs = []
-        while self.current.is_op("["):
+        while self.op == "[":
             self.advance()
             if self.current.kind != NAME:
                 return None
@@ -416,15 +427,15 @@ class _Parser:
             predicate = None
             if self.accept_op(":"):
                 predicate = self.parse_expr()
-            if not self.current.is_op("]"):
+            if self.op != "]":
                 return None
             self.advance()
             specs.append(ast.ReductionIndex(name=index_name, predicate=predicate))
-        if not specs or not self.current.is_op("("):
+        if not specs or self.op != "(":
             return None
         self.advance()
         arg = self.parse_expr()
-        if not self.current.is_op(")"):
+        if self.op != ")":
             return None
         self.advance()
         return ast.ReductionCall(op=name.text, indices=tuple(specs), arg=arg, line=name.line)

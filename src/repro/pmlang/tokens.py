@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Token kinds. Keywords get their own kind so the parser never has to
 # compare identifier text against reserved words.
 NAME = "NAME"
@@ -38,14 +36,33 @@ MULTI_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||")
 SINGLE_CHAR_OPS = "+-*/%^<>=!?:;,()[]{}."
 
 
-@dataclass(frozen=True)
 class Token:
-    """A single lexeme with its source position (1-based line/column)."""
+    """A single lexeme with its source position (1-based line/column).
 
-    kind: str
-    text: str
-    line: int
-    column: int
+    A plain slotted class rather than a frozen dataclass: a program is
+    thousands of tokens, and construction is most of what the lexer
+    spends on each. Tokens are values — compared and hashed by all four
+    fields — and nothing assigns to one after the lexer made it.
+    """
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind, text, line, column):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+
+    def _fields(self):
+        return (self.kind, self.text, self.line, self.column)
+
+    def __eq__(self, other):
+        if not isinstance(other, Token):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def is_op(self, text):
         """Return True when this token is the operator/punctuation *text*."""

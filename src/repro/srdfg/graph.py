@@ -33,6 +33,7 @@ the end, and carries a self-edge tagged with the ``state`` modifier.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -105,6 +106,30 @@ class SrDFG:
         self.nodes: List[Node] = []
         self.edges: List[Edge] = []
         self._nodes_by_uid: Dict[int, Node] = {}
+        #: The adjacency index: node uid -> the non-self edges arriving
+        #: at / leaving it, in insertion order. ``nodes`` and ``edges``
+        #: change only through the three mutators below, which keep it
+        #: in step, so an edge query costs the node's degree.
+        self._in: Dict[int, List[Edge]] = {}
+        self._out: Dict[int, List[Edge]] = {}
+
+    def __getstate__(self):
+        # The index is derived: it is rebuilt on load, not pickled.
+        state = dict(self.__dict__)
+        del state["_in"], state["_out"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._in = {node.uid: [] for node in self.nodes}
+        self._out = {node.uid: [] for node in self.nodes}
+        for edge in self.edges:
+            self._index(edge)
+
+    def _index(self, edge):
+        if edge.src.uid != edge.dst.uid:
+            self._out[edge.src.uid].append(edge)
+            self._in[edge.dst.uid].append(edge)
 
     # -- construction --------------------------------------------------------
 
@@ -114,6 +139,8 @@ class SrDFG:
             raise GraphError(f"node {node!r} already in graph {self.name!r}")
         self.nodes.append(node)
         self._nodes_by_uid[node.uid] = node
+        self._in[node.uid] = []
+        self._out[node.uid] = []
         return node
 
     def add_edge(self, src, dst, md):
@@ -125,22 +152,32 @@ class SrDFG:
                 )
         edge = Edge(src=src, dst=dst, md=md)
         self.edges.append(edge)
+        self._index(edge)
         return edge
 
     def remove_node(self, node):
         """Remove *node* and every edge touching it."""
-        if node.uid not in self._nodes_by_uid:
+        uid = node.uid
+        if uid not in self._nodes_by_uid:
             raise GraphError(f"node {node!r} not in graph {self.name!r}")
-        del self._nodes_by_uid[node.uid]
-        self.nodes = [candidate for candidate in self.nodes if candidate.uid != node.uid]
+        del self._nodes_by_uid[uid]
+        for edge in self._in.pop(uid):
+            _discard(self._out[edge.src.uid], edge)
+        for edge in self._out.pop(uid):
+            _discard(self._in[edge.dst.uid], edge)
+        self.nodes = [candidate for candidate in self.nodes if candidate.uid != uid]
         self.edges = [
             edge
             for edge in self.edges
-            if edge.src.uid != node.uid and edge.dst.uid != node.uid
+            if edge.src.uid != uid and edge.dst.uid != uid
         ]
 
     def remove_edge(self, edge):
+        """Remove *edge* (by identity); a no-op when it is not here."""
         self.edges = [candidate for candidate in self.edges if candidate is not edge]
+        if edge.src.uid != edge.dst.uid:
+            _discard(self._out.get(edge.src.uid, []), edge)
+            _discard(self._in.get(edge.dst.uid, []), edge)
 
     # -- queries ----------------------------------------------------------------
 
@@ -148,20 +185,14 @@ class SrDFG:
         return self._nodes_by_uid[uid]
 
     def in_edges(self, node):
-        """Edges arriving at *node*, excluding state self-edges."""
-        return [
-            edge
-            for edge in self.edges
-            if edge.dst.uid == node.uid and edge.src.uid != node.uid
-        ]
+        """Edges arriving at *node*, excluding state self-edges, in
+        insertion order."""
+        return list(self._in.get(node.uid, ()))
 
     def out_edges(self, node):
-        """Edges leaving *node*, excluding state self-edges."""
-        return [
-            edge
-            for edge in self.edges
-            if edge.src.uid == node.uid and edge.dst.uid != node.uid
-        ]
+        """Edges leaving *node*, excluding state self-edges, in insertion
+        order."""
+        return list(self._out.get(node.uid, ()))
 
     def var_nodes(self, modifier=None):
         """Boundary variable nodes, optionally filtered by modifier."""
@@ -178,43 +209,35 @@ class SrDFG:
     def component_nodes(self):
         return [node for node in self.nodes if node.kind == COMPONENT]
 
-    @staticmethod
-    def _is_ordering_edge(edge):
-        """True when *edge* constrains execution order.
+    def topological_order(self):
+        """Kahn topological sort over the ordering edges, in O(N+E).
 
-        Two edge families are excluded: state self-edges (``src == dst``,
-        the paper's state marker) and *write-back* edges whose destination
-        is a boundary ``var`` node. A var node is read at the start of an
+        Two edge families do not order execution: state self-edges
+        (``src == dst``, the paper's state marker, which the adjacency
+        index leaves out) and *write-back* edges whose destination is a
+        boundary ``var`` node. A var node is read at the start of an
         invocation and its final value is resolved after execution, so the
         producer -> var edge carries the result out without sequencing
         anything; keeping it as an ordering edge would make every
         read-then-write variable (state, outputs) a false cycle.
         """
-        if edge.src.uid == edge.dst.uid:
-            return False
-        if edge.dst.kind == VAR:
-            return False
-        return True
-
-    def topological_order(self):
-        """Kahn topological sort over ordering edges (see above)."""
-        indegree = {node.uid: 0 for node in self.nodes}
-        for edge in self.edges:
-            if self._is_ordering_edge(edge):
-                indegree[edge.dst.uid] += 1
-
+        indegree = {
+            node.uid: 0 if node.kind == VAR else len(self._in[node.uid])
+            for node in self.nodes
+        }
         # Seed with zero-indegree nodes in insertion order for determinism.
-        ready = [node for node in self.nodes if indegree[node.uid] == 0]
+        ready = deque(node for node in self.nodes if not indegree[node.uid])
         order = []
         while ready:
-            node = ready.pop(0)
+            node = ready.popleft()
             order.append(node)
-            for edge in self.out_edges(node):
-                if not self._is_ordering_edge(edge):
+            for edge in self._out[node.uid]:
+                dst = edge.dst
+                if dst.kind == VAR:
                     continue
-                indegree[edge.dst.uid] -= 1
-                if indegree[edge.dst.uid] == 0:
-                    ready.append(edge.dst)
+                indegree[dst.uid] -= 1
+                if not indegree[dst.uid]:
+                    ready.append(dst)
         if len(order) != len(self.nodes):
             raise GraphError(
                 f"srDFG {self.name!r} contains a non-state cycle "
@@ -309,6 +332,15 @@ class SrDFG:
             f"SrDFG({self.name!r}, domain={self.domain}, nodes={len(self.nodes)}, "
             f"edges={len(self.edges)})"
         )
+
+
+def _discard(edges, edge):
+    """Drop *edge* from the index list *edges* by identity: equal edges
+    (same endpoints and metadata) are distinct edges."""
+    for position, candidate in enumerate(edges):
+        if candidate is edge:
+            del edges[position]
+            return
 
 
 def make_state_self_edge(graph, var_node, meta):

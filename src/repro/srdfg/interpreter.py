@@ -565,8 +565,17 @@ class _ExprEvaluator:
             array = self._guard_subscript(expr, dim, array, extent)
         return array
 
-    def _gather(self, expr, base, index_arrays):
-        return base[tuple(np.broadcast_arrays(*index_arrays))]
+    def _gather(self, expr, base):
+        """*base* (of rank ``len(expr.indices)``) at *expr*'s subscripts."""
+        return base[tuple(np.broadcast_arrays(*self._index_arrays(expr, base)))]
+
+    def _index_arrays(self, expr, base):
+        """One integer array per subscript of *expr*, each selecting along
+        its dimension of *base* (see :meth:`_subscript`)."""
+        return [
+            self._subscript(expr, dim, self.eval(index_expr), base.shape[dim])
+            for dim, index_expr in enumerate(expr.indices)
+        ]
 
     def _as_mask(self, value):
         """A reduction predicate's value as a boolean mask (nonzero selects)."""
@@ -674,11 +683,7 @@ class _ExprEvaluator:
         bare = self._bare_axes(expr, base.shape)
         if bare is not None:
             return self._bare_view(base, *bare)
-        index_arrays = [
-            self._subscript(expr, dim, self.eval(index_expr), base.shape[dim])
-            for dim, index_expr in enumerate(expr.indices)
-        ]
-        return self._gather(expr, base, index_arrays)
+        return self._gather(expr, base)
 
     def _guard_subscript(self, expr, dim, array, extent):
         """Clamp out-of-range subscripts that an active predicate masks.

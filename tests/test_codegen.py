@@ -15,6 +15,7 @@ statement boundaries.
 from __future__ import annotations
 
 import functools
+import hashlib
 import pickle
 import re
 
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codegen import (
     CODEGEN_STATS,
+    KernelEmitter,
     build_kernel,
     kernel_cache_key,
 )
@@ -542,6 +544,102 @@ LEDGER_REPORTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _ledger_kernel(name):
+    """The kernel of ledger program *name*, built once per test run."""
+    from repro.eval import Harness
+
+    harness = Harness()
+    _, app, _ = harness.compiled(name)
+    return harness.session.plan_for(app, codegen=True).kernel
+
+
+#: sha256 of each ledger program's kernel source, and of its array
+#: constants (name, dtype, shape and bytes, in registration order) —
+#: literals of the commit before a kernel build memoised its static index
+#: maps. The memo is a build-time saving only: not a byte may move.
+KERNEL_DIGESTS = {
+    "MobileRobot": (
+        "223ecc9462b2e4d506f643cc51deb7d990cba5f4fc0cd231377a843392e8aa37",
+        "68f56455d0d1aea502a31a69cfc434efa20c0704097390de8c01e67097e0c573",
+    ),
+    "Hexacopter": (
+        "eb75e542140d65b4d52cf1c2905a7648785bd00c132fac55d66b8ff6afca32f5",
+        "33fd2f056ed2c79a84cff99e1f24818f85103c4ccb026e1d42eb96fe2d6a85fa",
+    ),
+    "Twitter-BFS": (
+        "2e06dafec185dcd06be55c504e9dc1804416d5969ec74d82ff80524d6e3c5ee2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "Wiki-BFS": (
+        "e57fb2b259b57b17ec18d578b353a298c47e440ceed2626956324c133935cbb8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "LiveJourn-SSP": (
+        "8e95c729ccba50d91f9de85061cf6e5a0722c652e663cff6d3707337c46f58d9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "MovieL-20M": (
+        "eb2fad48e9f60c6a4c93aec93606234ec020ba0823df1ff1e53f3fbc07c86017",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "MovieL-100K": (
+        "d9916f95085c78d6191f9c1e53e3be83c9143312918e1da6883f165419ba71e0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "DigitCluster": (
+        "cd118e8a20ea502438c29a373c7ba81244272ede3ab3050c7de13a325dd8c8c9",
+        "6e6f799c117f4228d21501bfeebbd7b016c2c646e7e10073d576ef83d9951d95",
+    ),
+    "ElecUse": (
+        "7dc64fee82de761dc9e1dbaa5d4132a20a9f1358376f8e535235b3d39f901d15",
+        "27703e9443c002d187b370a83fcd2bf00966b4ca5a8015446d54abd93522e0d2",
+    ),
+    "FFT-8192": (
+        "6519887ab67da3b3832c91fc6e6f408432254a295bb6e9a398f291fcc8df6eee",
+        "e2f823bd4254d98dfa956b5e446ef03f0d2794ca1668e2bdb354307e75e65bc6",
+    ),
+    "FFT-16384": (
+        "1cb125fb331e049e92bf0dda80632a24922c88c9d3e64cc169eb0cd73e1e62bc",
+        "f501962719de04ca11cb92ed4957a6c90c89fa941c0ca572843d1c4b8e8717e3",
+    ),
+    "DCT-1024": (
+        "f6313eab2b5edb47152b2c5a3f8d9b0fbea0af2f1ca360c38cb7d97da3f2aec6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "DCT-2048": (
+        "91814f3f3c77e868864953cc93ecf4334c330a12379cb64913b96f56158f770a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "ResNet-18": (
+        "15e2592052790723b90160cf2d60c32f6156bffbde769895de797788a81b43aa",
+        "bd39255a30819a0317a7c68f99b27fdbf28c633be9db06d43cf9d7789343cbd4",
+    ),
+    "MobileNet": (
+        "eb5ac2bc7dc670c94ccfceeb6c1895ba0eb29a2b12f1d8daa65bdddf760a60c2",
+        "6e85e847a8a7cf2a02ff43122baa1714f74196a41b3c9faab1e9bdcb9b369282",
+    ),
+    "BrainStimul": (
+        "4f7e600d1ddead1db5f51445dec2e1517a53466090708b9e55c1106befec26a0",
+        "1d5d966182f11cf6428e44743f624817786b3bab63c76b076030390a64621d81",
+    ),
+    "OptionPricing": (
+        "35a7110cc6bb967162bd8a0900410dfed017f547ae1d089afb415237fd747b5c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+def _kernel_digests(kernel):
+    source = hashlib.sha256(kernel.source.encode()).hexdigest()
+    arrays = hashlib.sha256()
+    for name, value in kernel.constants.items():
+        if isinstance(value, np.ndarray):
+            arrays.update(f"{name}:{value.dtype}:{value.shape}:".encode())
+            arrays.update(np.ascontiguousarray(value).tobytes())
+    return source, arrays.hexdigest()
+
+
 #: Prints a gather of an int operand (an index constant and a ``_S``
 #: slot) before it declines on a custom combiner.
 DECLINED_AFTER_A_GATHER = (
@@ -566,13 +664,7 @@ class TestKernelNamespace:
 
     @pytest.mark.parametrize("name", sorted(LEDGER_REPORTS))
     def test_ledger_programs(self, name):
-        from repro.eval import Harness
-
-        harness = Harness()
-        _, app, _ = harness.compiled(name)
-        self._assert_all_referenced(
-            harness.session.plan_for(app, codegen=True).kernel
-        )
+        self._assert_all_referenced(_ledger_kernel(name))
 
     def test_declined_statement_rolls_back(self):
         session, plan = _compile_plan(DECLINED_AFTER_A_GATHER)
@@ -591,16 +683,85 @@ class TestKernelNamespace:
         assert np.array_equal(outputs["y"], ref.outputs["y"])
 
 
+#: ``y``'s statement gathers ``k[i][0]`` and then declines; ``z``'s, over
+#: the same lattice, gathers the same index map after the rollback.
+MEMO_AFTER_A_DECLINE = (
+    "reduction rmin(a,b) = a < b ? a : b;\n"
+    "main(input int k[4][6], input float x[4][6], output float y[4],"
+    " output float z[4]) {"
+    " index i[0:3], j[0:5];"
+    " y[i] = k[i][0] + rmin[j](x[i][j]);"
+    " z[i] = y[i] + max[j](k[i][0] + x[i][j]); }"
+)
+
+
+class TestIndexMapMemo:
+    """A kernel build evaluates, ravels and hashes each distinct static
+    index map once; a repeat reuses the constant, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_DIGESTS))
+    def test_ledger_kernels_are_byte_identical(self, name):
+        assert _kernel_digests(_ledger_kernel(name)) == KERNEL_DIGESTS[name]
+
+    def test_fft_ravels_each_index_map_once(self, monkeypatch):
+        """FFT-8192's 130 gathers read 38 distinct index constants. Its
+        build ravels 39 maps: ``twr[t % 4096]`` and
+        ``xr[t - t % 8192 + t % 4096]`` (last stage) are different
+        subscripts over different bases whose maps happen to be equal, so
+        no structural key can tell; the content digest still shares one
+        constant between them."""
+        from repro.eval import Harness
+
+        harness = Harness()
+        _, app, _ = harness.compiled("FFT-8192")
+        plan = harness.session.plan_for(app)
+        raveled = []
+        ravel = np.ravel_multi_index
+
+        def counting(*args, **kwargs):
+            raveled.append(args[1])
+            return ravel(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ravel_multi_index", counting)
+        kernel = build_kernel(plan)
+        assert kernel.report["gathers"] == 130
+        assert len(raveled) == 39
+        taken = re.findall(r"_np\.take\(\w+\.reshape\(-1\), (_c\d+),", kernel.source)
+        assert len(taken) == 130
+        assert len(set(taken)) == 38
+
+    def test_declined_statement_leaves_no_index_map(self):
+        """The rollback of a declined statement drops the index maps whose
+        constant it removed: a later repeat of the map rebuilds it
+        instead of printing a name the kernel does not define."""
+        session, plan = _compile_plan(MEMO_AFTER_A_DECLINE)
+        emitter = KernelEmitter(plan)
+        emitted = emitter.emit()
+        assert emitted.report["fallback"] == 1
+        # The report counts the declined statement's gather too.
+        assert emitted.report["gathers"] == 2
+        assert emitter._index_maps
+        for constant, _ in emitter._index_maps.values():
+            assert constant in emitted.constants
+        for name in set(re.findall(r"\b_c\d+\b", emitted.source)):
+            assert name in emitted.constants, name
+        rng = np.random.default_rng(43)
+        inputs = {
+            "k": rng.integers(-6, 7, size=(4, 6)),
+            "x": _int_floats(rng, (4, 6)),
+        }
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        outputs, _ = plan.kernel.run(inputs)
+        for name in ("y", "z"):
+            assert np.array_equal(outputs[name], ref.outputs[name]), name
+
+
 class TestStagedEvaluator:
     """The emitter is ``_ExprEvaluator`` staged, not a second walker."""
 
     @pytest.mark.parametrize("name", sorted(LEDGER_REPORTS))
     def test_ledger_program_reports_unchanged(self, name):
-        from repro.eval import Harness
-
-        harness = Harness()
-        _, app, _ = harness.compiled(name)
-        report = harness.session.plan_for(app, codegen=True).kernel.report
+        report = _ledger_kernel(name).report
         counters = tuple(report[key] for key in REPORT_COUNTERS)
         assert counters == LEDGER_REPORTS[name]
         assert report["fallback_reasons"] == []
@@ -995,6 +1156,42 @@ class TestKernelCache:
         stats = second.cache.stats
         assert (stats.kernel_misses, stats.kernel_disk_hits) == (1, 0)
         assert stats.disk_errors == 0
+
+    def test_record_of_another_numpy_is_a_miss(self, tmp_path, monkeypatch):
+        """Kernels bake numpy's contraction steps into their constants, so
+        a record is stamped with numpy's version: under another numpy it
+        is a miss — rebuilt and overwritten, not reported as corrupt —
+        and the kernel key (hence the file) stays the same."""
+        def plan_in(session):
+            return session.plan_for(
+                session.compile(MATVEC, domain="DA"), codegen=True
+            )
+
+        def kernel_records():
+            records = {}
+            for path in tmp_path.glob("*.pkl"):
+                record = pickle.loads(path.read_bytes())
+                if isinstance(record, dict) and "source" in record:
+                    records[path.name] = record
+            return records
+
+        first = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        plan_in(first)
+        [(name, record)] = kernel_records().items()
+        assert record["numpy"] == np.__version__
+
+        monkeypatch.setattr(np, "__version__", "0.0.0+another")
+        base = CODEGEN_STATS.kernels_built
+        second = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        plan = plan_in(second)
+        assert plan.kernel is not None
+        assert CODEGEN_STATS.kernels_built - base == 1
+        stats = second.cache.stats
+        assert (stats.kernel_misses, stats.kernel_disk_hits) == (1, 0)
+        assert stats.disk_errors == 0
+        [(rebuilt_name, rebuilt)] = kernel_records().items()
+        assert rebuilt_name == name
+        assert rebuilt["numpy"] == "0.0.0+another"
 
     def test_kernel_with_fallback_statement_reaches_disk_tier(self, tmp_path):
         """A fallback statement rides in the kernel's constants as its

@@ -1,6 +1,17 @@
 """Unit tests for the srDFG data structure itself."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    consumes,
+    invariant,
+    rule,
+)
 
 from repro.errors import GraphError
 from repro.srdfg.graph import COMPUTE, VAR, Node, SrDFG
@@ -164,3 +175,147 @@ class TestEdgeMeta:
         info = VarInfo(name="v", dtype="int", modifier="param", shape=(5,))
         assert info.meta().modifier == "param"
         assert info.meta("local").modifier == "local"
+
+
+def _scan_in_edges(graph, node):
+    """The adjacency index's definition: a scan over every edge."""
+    return [
+        edge for edge in graph.edges
+        if edge.dst.uid == node.uid and edge.src.uid != node.uid
+    ]
+
+
+def _scan_out_edges(graph, node):
+    return [
+        edge for edge in graph.edges
+        if edge.src.uid == node.uid and edge.dst.uid != node.uid
+    ]
+
+
+def _reference_order(graph):
+    """Kahn over ``graph.edges``: self-edges and edges into a var node do
+    not order; ready nodes leave first-in first-out."""
+    def ordering(edge):
+        return edge.src.uid != edge.dst.uid and edge.dst.kind != VAR
+
+    indegree = {node.uid: 0 for node in graph.nodes}
+    for edge in graph.edges:
+        if ordering(edge):
+            indegree[edge.dst.uid] += 1
+    ready = [node for node in graph.nodes if indegree[node.uid] == 0]
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for edge in _scan_out_edges(graph, node):
+            if ordering(edge):
+                indegree[edge.dst.uid] -= 1
+                if indegree[edge.dst.uid] == 0:
+                    ready.append(edge.dst)
+    return order if len(order) == len(graph.nodes) else None
+
+
+def _assert_index_matches_scan(graph):
+    for node in graph.nodes:
+        assert graph.in_edges(node) == _scan_in_edges(graph, node)
+        assert graph.out_edges(node) == _scan_out_edges(graph, node)
+        # Element-wise identity, not just equality: equal edges are
+        # distinct edges.
+        assert all(
+            a is b for a, b in zip(graph.in_edges(node), _scan_in_edges(graph, node))
+        )
+    expected = _reference_order(graph)
+    if expected is None:
+        with pytest.raises(GraphError, match="non-state cycle"):
+            graph.topological_order()
+    else:
+        assert [node.uid for node in graph.topological_order()] == [
+            node.uid for node in expected
+        ]
+
+
+class AdjacencyIndexMachine(RuleBasedStateMachine):
+    """Random mutation sequences keep the adjacency index equal to the
+    full-scan definition it replaced."""
+
+    nodes = Bundle("nodes")
+    edges = Bundle("edges")
+
+    def __init__(self):
+        super().__init__()
+        self.graph = SrDFG("g")
+        self.serial = 0
+
+    @rule(target=nodes, kind=st.sampled_from([COMPUTE, COMPUTE, VAR]))
+    def add_node(self, kind):
+        self.serial += 1
+        return self.graph.add_node(make_node(f"n{self.serial}", kind=kind))
+
+    @rule(target=edges, src=nodes, dst=nodes, name=st.sampled_from("vw"))
+    def add_edge(self, src, dst, name):
+        # Self-edges and repeated equal edges are both legal.
+        return self.graph.add_edge(src, dst, meta(name))
+
+    @rule(edge=consumes(edges))
+    def remove_edge(self, edge):
+        # The edge may already have gone with one of its endpoints.
+        self.graph.remove_edge(edge)
+
+    @rule(node=consumes(nodes))
+    def remove_node(self, node):
+        self.graph.remove_node(node)
+
+    @invariant()
+    def index_matches_scan(self):
+        _assert_index_matches_scan(self.graph)
+
+    @invariant()
+    def index_survives_pickle_and_deepcopy(self):
+        for clone in (
+            pickle.loads(pickle.dumps(self.graph)),
+            copy.deepcopy(self.graph),
+        ):
+            _assert_index_matches_scan(clone)
+            assert [e.describe() for e in clone.edges] == [
+                e.describe() for e in self.graph.edges
+            ]
+
+
+TestAdjacencyIndex = AdjacencyIndexMachine.TestCase
+TestAdjacencyIndex.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
+
+
+class TestAdjacencyIndexCases:
+    def test_equal_edges_are_removed_by_identity(self):
+        graph = SrDFG("g")
+        a = graph.add_node(make_node("a"))
+        b = graph.add_node(make_node("b"))
+        first = graph.add_edge(a, b, meta("v"))
+        second = graph.add_edge(a, b, meta("v"))
+        assert first == second and first is not second
+        graph.remove_edge(second)
+        [kept] = graph.out_edges(a)
+        assert kept is first
+        assert graph.in_edges(b)[0] is first
+
+    def test_queries_return_copies(self):
+        graph = SrDFG("g")
+        a = graph.add_node(make_node("a"))
+        b = graph.add_node(make_node("b"))
+        edge = graph.add_edge(a, b, meta("v"))
+        for out in graph.out_edges(a):
+            graph.remove_edge(out)
+        assert graph.out_edges(a) == [] and graph.in_edges(b) == []
+        assert graph.edges == []
+        graph.remove_edge(edge)  # no longer here: a no-op
+
+    def test_self_edge_is_not_indexed(self):
+        graph = SrDFG("g")
+        var = graph.add_node(Node(name="s", kind=VAR, attrs={"modifier": "state"}))
+        edge = graph.add_edge(var, var, meta("s", modifier="state"))
+        assert graph.in_edges(var) == [] and graph.out_edges(var) == []
+        assert graph.state_edges() == [edge]
+        graph.remove_node(var)
+        assert graph.edges == []

@@ -1,10 +1,14 @@
 """Unit tests for the PMLang parser."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import PMLangSyntaxError
 from repro.pmlang import ast_nodes as ast
 from repro.pmlang.parser import parse
+from repro.pmlang.render import render_program
+from repro.workloads import END_TO_END, SINGLE_DOMAIN, get_workload
 
 
 def parse_component(body, args="input float x[4], output float y[4]"):
@@ -269,3 +273,92 @@ def _walk_expr_recursive(expr):
     elif isinstance(expr, ast.Indexed):
         for index in expr.indices:
             yield from _walk_expr_recursive(index)
+
+
+#: sha256 of each ledger program's AST, rendered back to PMLang and as
+#: its ``repr`` (which carries every node's line) — literals of the
+#: commit before the parser's token plumbing was rewritten.
+AST_DIGESTS = {
+    "MobileRobot": (
+        "a4257020ef15be6edd6a2ef49b423d70de0cd8f4c40eb1953971aa4cde777b30",
+        "65ab46d3da74d9a8e9aea7e2ec05f46620861e102d19f5ec8ab8c030a3b52e78",
+    ),
+    "Hexacopter": (
+        "701ba11050359278022524de78573404ea40e2ecafc6b9a2889e58aafbe10395",
+        "efe07007592671c5e2d656b563cd9a16487586a8eb826fd8bcd99afe06e03c58",
+    ),
+    "Twitter-BFS": (
+        "fd207516b6e9020deeff0eaed822c441f4c8e1ba3223164e4a2b876273779a9d",
+        "384e225f1db12f22eee985dd5afef6b0e87928c706cd85d992d678bb6847bb5e",
+    ),
+    "Wiki-BFS": (
+        "9198623ce5e6134c775d36c083dfe4b76bbeb0029179ce6c85605153063169e3",
+        "dfb05eb2ac269e9d21afd6a9bca46f73ccf6c3ad513f387b39c18b5821beb9ed",
+    ),
+    "LiveJourn-SSP": (
+        "b39251e904d0774c1a1f72541cfa4966b4dba0ab14b1682224a1f922fdfa0224",
+        "5101ff3613aeee353fc71d8a9a06425c52a556af2430548b095c6290885dbd35",
+    ),
+    "MovieL-20M": (
+        "220b21deb068f6c903bd8596b2d5a370431c625bfacd0cddf70064e5a8e93d10",
+        "5adf92931f84fc431e123a37373e860a404aeb83a644bab54bb3cfb40404227a",
+    ),
+    "MovieL-100K": (
+        "882a7ed49fefd6796f237449632f17ae1a8dc8d5cda7fa29e5555639e494d638",
+        "afa01242d41f731652746833c4d54a7f3cbc42eea9f5804eaf6339dc3c95e644",
+    ),
+    "DigitCluster": (
+        "5536b5094c8012dcbf2b2002fb2a9a70093f33e86a7904e88198ada1848fe71f",
+        "cacd4c9eb014a17c75809ceae9f81ffb961bee441f1775a326e60872e4464ad6",
+    ),
+    "ElecUse": (
+        "f84a223a68b85112d64bc129ad4124d0c75dc54a98d8886f1e6ac1c435457dc9",
+        "f0d95f725c2c55beb1a3c6a0b127426fa5d2aef712ad42cb246abd4a5c1ba63e",
+    ),
+    "FFT-8192": (
+        "4598a7165015a2381fb86f0266d3a910d13c21c55908256865bb7549c1aaa4c1",
+        "d5f3e7bec993faf4cf09c1d17ce83bc861de6046b75eda41f910032a509c4744",
+    ),
+    "FFT-16384": (
+        "5a15280f01e3d83c9e3f9574d52acde2481a84cbafe0ba64c03d3bf5e29f8486",
+        "a351ef31f9159d185d3922da96ba42e6f3b410d5612d77156f102a4239b46585",
+    ),
+    "DCT-1024": (
+        "668a93794708f103eda6e6197e6cc8a8aa628bb0e0ac943281dcb6c42715b82c",
+        "00011ca94e839a2806898408f3cba095d13ae2d5b26317a4b96451093755080d",
+    ),
+    "DCT-2048": (
+        "68726e3b2f91db51fc4a98d9e97d461fa0acd00481d0dac2b19a28c19a7af189",
+        "0974995223eadb00ea55470602d828cca3dbec2b8ae3e10b6a3b261100ca09e5",
+    ),
+    "ResNet-18": (
+        "fadc55d8d8d7c753baeb0c7b5e8ed5a02f6d5974587127af0b9a9f8f619051e3",
+        "6183a9e21e2e4af714352f7c34956cbe0beb2c6289816b4a3086ec2b0f179df9",
+    ),
+    "MobileNet": (
+        "d6ebc1a17177ef6554d652b376b3a8fe4ccda53bfaa0f4c35d307108ca3a515f",
+        "4e063635cbd912aeb0ba444e9322e06215c49c167de879d835784b16bc7dd641",
+    ),
+    "BrainStimul": (
+        "6191d405b40a0d000df141b801c3ce8f948fabc81cc1787013929fc4d040e188",
+        "66182701fa1a98386d957ec13d3f05b9aeda12253af978874bb52ef931614372",
+    ),
+    "OptionPricing": (
+        "e59aba00512d96dae13e6bff0f2f8ae29874bafbebec5c740606f47580156150",
+        "7515fc909d745b3ee18b4a20f7f25d3f15b6eabd621406f8cfc54fad3c64a71d",
+    ),
+}
+
+
+class TestWorkloadAsts:
+    def test_every_workload_is_pinned(self):
+        assert set(AST_DIGESTS) == set(SINGLE_DOMAIN + END_TO_END)
+
+    @pytest.mark.parametrize("name", sorted(AST_DIGESTS))
+    def test_ast_unchanged(self, name):
+        program = parse(get_workload(name).source())
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (render_program(program), repr(program))
+        )
+        assert digests == AST_DIGESTS[name]
