@@ -859,6 +859,9 @@ def _cmd_codegen(args):
             statements=report.get("statements", 0),
             einsum=report.get("einsum", 0),
             fallback=report.get("fallback", 0),
+            slice_stores=report.get("slice_stores", 0),
+            slice_gathers=report.get("slice_gathers", 0),
+            scatters=report.get("scatters", 0),
         )
         line = (
             f"{name:15s} kernel "

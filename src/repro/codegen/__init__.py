@@ -41,7 +41,9 @@ __all__ = [
 #: 3: ``_affine_view`` joined the namespace. 4: ``_in_range`` joined it,
 #: and predicated min/max reduce masked. 5: ``_contract`` joined it, and
 #: contractions replay their planned steps instead of ``_np.einsum``.
-KERNEL_ABI = 5
+#: 6: ``_axview`` left it (relabels print as indexing): a record of 5
+#: would call a name the namespace no longer binds, so it must miss.
+KERNEL_ABI = 6
 
 
 def kernel_cache_key(plan_key):

@@ -31,6 +31,14 @@ What is the emitter's own preserves bit-identity by argument:
     every downstream ufunc/reduction sees identical values in an
     identical layout.
 
+Slices
+    A store writing each cell of a strided window once
+    (:func:`_slice_store`) and a gather whose flat index is a
+    positive-step progression move the values the scatter or ``np.take``
+    would, under the same cast. A gathered view keeps the take's element
+    order (its strides are the C ones times the step) and is never
+    ``fresh``, so it is copied before anything keeps it.
+
 The index-map memo
     A static gather's flat index is a function of what
     :meth:`_StagedEvaluator._index_map_key` holds, and nothing else, so a
@@ -54,6 +62,7 @@ from ..srdfg.graph import COMPUTE, CONST, VAR
 from ..srdfg.interpreter import (
     _REDUCE_IDENTITY,
     _ExprEvaluator,
+    _affine,
     _affine_view,
 )
 
@@ -90,15 +99,19 @@ class _Val:
     says the run-time value is an array this statement's own numpy call
     allocated — no operand, constant or scratch buffer shares its memory
     — so a full-cover store may bind it instead of copying it.
+    ``unsqueezed`` / ``unbroadcast`` is what a bare ``_np.squeeze`` /
+    ``_np.broadcast_to`` wraps: a store's ``.reshape`` / assignment does it.
     """
 
-    __slots__ = ("code", "shape", "shadow", "fresh")
+    __slots__ = ("code", "shape", "shadow", "fresh", "unsqueezed", "unbroadcast")
 
-    def __init__(self, code, shape, shadow, fresh=False):
+    def __init__(self, code, shape, shadow, fresh=False, unsqueezed=None, unbroadcast=None):
         self.code = code
         self.shape = tuple(shape)
         self.shadow = shadow
         self.fresh = fresh
+        self.unsqueezed = unsqueezed
+        self.unbroadcast = unbroadcast
 
     @property
     def dtype(self):
@@ -121,6 +134,54 @@ class _Val:
 
 def _shadow0(dtype):
     return np.zeros((), dtype=dtype)
+
+
+def _slice(origin, step, count):
+    """The basic slice selecting *count* cells from *origin* by *step*."""
+    stop = origin + step * (count - 1) + 1
+    return f"{origin}:{stop}" if step == 1 else f"{origin}:{stop}:{step}"
+
+
+def _slice_store(index_arrays, lhs_shape, lattice):
+    """``(index, order, cover)`` printing the store through the static
+    *index_arrays* as ``dest[index] = payload.transpose(order)``, or None.
+
+    Each subscript must be constant or ``origin + step*a``
+    (:func:`_affine`), ``step >= 1``, over a lattice axis ``a`` of its
+    own, and every lattice axis of extent other than 1 mapped: then each
+    lattice point writes a cell of its own, so no write order shows.
+    *order* (None for the identity) moves the payload's unmapped axes
+    first, where assignment drops them; *cover* says *index* is every
+    cell, in the payload's C order.
+    """
+    if len(index_arrays) != len(lhs_shape):
+        return None
+    index, mapped = [], []
+    for value, extent in zip(index_arrays, lhs_shape):
+        affine = _affine(value) if value.ndim in (0, len(lattice)) else None
+        if affine is None or len(affine[1]) > 1:
+            return None
+        origin, coeffs = affine
+        if not coeffs:
+            index.append(str(origin))  # an integer: the dimension drops
+            continue
+        [(axis, step)] = coeffs.items()
+        count = lattice[axis]
+        if step < 1 or axis in mapped or value.shape[axis] != count:
+            return None
+        mapped.append(axis)
+        index.append(":" if count == extent else _slice(origin, step, count))
+    unmapped = [axis for axis in range(len(lattice)) if axis not in mapped]
+    if any(lattice[axis] != 1 for axis in unmapped):
+        return None
+    order = tuple(unmapped + mapped)
+    cover = mapped == sorted(mapped) and all(
+        part == ":" or extent == 1 for part, extent in zip(index, lhs_shape)
+    )
+    if not mapped:
+        index.append("...")  # a 0-d view broadcasts, an element does not
+    index = "..." if set(index) == {":"} else ", ".join(index)
+    return index, None if order == tuple(sorted(order)) else order, cover
 
 
 #: What :class:`~repro.codegen.kernel.KernelArtifact` is constructed
@@ -219,11 +280,14 @@ class _StagedEvaluator(_ExprEvaluator):
 
     def _bare_view(self, base, order, absent):
         shape = [base.shape[dim] for dim in order]
+        # _axview's view, by basic indexing.
+        code = base.code if order == tuple(sorted(order)) else f"{base.code}.transpose({order!r})"
         for axis in absent:
             shape.insert(axis, 1)
-        return _Val(
-            f"_axview({base.code}, {order!r}, {absent!r})", shape, base.shadow
-        )
+        if absent:
+            index = ("None" if axis in absent else ":" for axis in range(absent[-1] + 1))
+            code = f"{code}[{', '.join(index)}]"
+        return _Val(code, shape, base.shadow)
 
     def _subscript(self, expr, dim, value, extent):
         if not isinstance(value, _Val):
@@ -324,6 +388,7 @@ class _StagedEvaluator(_ExprEvaluator):
             f"_np.broadcast_to({value.code}, {shape!r})",
             shape,
             np.asarray(value.shadow),
+            unbroadcast=value if value.ndim in (0, len(shape)) else None,
         )
 
     def _squeeze(self, value, axes):
@@ -339,6 +404,7 @@ class _StagedEvaluator(_ExprEvaluator):
             [n for axis, n in enumerate(value.shape) if axis not in axes],
             value.shadow,
             fresh=value.fresh,
+            unsqueezed=value,
         )
 
     def _reduce(self, op, data, axes, where=None):
@@ -450,6 +516,9 @@ class KernelEmitter:
             "fallback": 0,
             "einsum": 0,
             "gathers": 0,
+            "slice_gathers": 0,
+            "slice_stores": 0,
+            "scatters": 0,
             "fallback_reasons": [],
         }
         #: The ``_vN``/``_tN`` locals the statement being printed names:
@@ -731,62 +800,52 @@ class KernelEmitter:
             return
 
         index_arrays = self._static_target_indices(ev)
-        if self._is_identity_cover(statement):
-            view = local
-        elif self._is_row_major_cover(index_arrays, lhs_shape, raw.shape):
-            view = f"{local}.reshape({raw.shape!r})"
-        else:
-            view = None
-        if view is not None:
+        window = _slice_store(index_arrays, lhs_shape, raw.shape)
+        dest = local
+        if window is None and self._is_row_major_cover(index_arrays, lhs_shape, raw.shape):
+            dest, window = f"{local}.reshape({raw.shape!r})", ("...", None, True)
+        cover = window is not None and window[2]
+        if cover and raw.fresh and raw.dtype == dtype and raw.size == math.prod(lhs_shape):
             # Every cell is written exactly once, so neither the previous
             # value nor a zero fill is observable. A fresh payload holding
             # every cell in the target dtype *is* the result
             # (ascontiguousarray answers a C-ordered array with itself);
             # anything else is copied into a new buffer. Never scratch
             # either way, so the result may escape as it is.
-            if (
-                raw.fresh
-                and raw.dtype == dtype
-                and raw.size == math.prod(lhs_shape)
-            ):
-                self._emit(
-                    f"{local} = _np.ascontiguousarray({raw.code})"
-                    f".reshape({lhs_shape!r})"
-                )
-            else:
-                self._emit(
-                    f"{local} = _np.empty({lhs_shape!r}, "
-                    f"dtype={self._const(dtype)})"
-                )
-                self._emit(f"{view}[...] = {raw.code}")
+            self._emit(
+                f"{local} = _np.ascontiguousarray("
+                f"{(raw.unsqueezed or raw).code}).reshape({lhs_shape!r})"
+            )
             return
-
-        # General static scatter: prev-copy or zeros, then a fancy write
-        # through precomputed broadcast target indices (the exact
-        # interpreter _store sequence, with the subscripts prebound).
         dt = self._const(dtype)
         previous = ev.operands.get(stmt.target)
-        if previous is not None and previous.shape == lhs_shape:
+        if cover:
+            self._emit(f"{local} = _np.empty({lhs_shape!r}, dtype={dt})")
+        elif previous is not None and previous.shape == lhs_shape:
+            # The interpreter's _store: prev-copy or zeros, then the write.
             self._named.add(previous.code)
-            self._emit(
-                f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)"
-            )
+            self._emit(f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)")
         else:
             self._emit(f"{local} = _np.zeros({lhs_shape!r}, dtype={dt})")
-        try:
-            broadcast = np.broadcast_arrays(
-                *index_arrays, np.empty(raw.shape, dtype=np.bool_)
-            )
-        except ValueError as exc:
-            raise Unsupported(
-                f"store broadcast mismatch (runtime error): {exc}"
-            ) from exc
-        targets = tuple(
-            self._const(np.ascontiguousarray(array))
-            for array in broadcast[:-1]
-        )
-        payload = ev._broadcast_to(raw, broadcast[-1].shape)
-        self._emit(f"{local}[({', '.join(targets)},)] = {payload.code}")
+        if window is None:
+            # A fancy write through precomputed broadcast target indices.
+            try:
+                broadcast = np.broadcast_arrays(*index_arrays, np.empty(raw.shape, dtype=np.bool_))
+            except ValueError as exc:
+                raise Unsupported(f"store broadcast mismatch (runtime error): {exc}") from exc
+            targets = [self._const(np.ascontiguousarray(array)) for array in broadcast[:-1]]
+            window = (f"({', '.join(targets)},)", None, False)
+            self.report["scatters"] += 1
+        elif not cover:
+            self.report["slice_stores"] += 1
+        index, order, _ = window
+        # Assignment broadcasts the payload. A numpy scalar converts as a
+        # Python one (a NaN into an int raises), not as a 0-d array does.
+        payload = raw.unbroadcast or raw
+        code = payload.code if payload.is_array else f"_np.asarray({payload.code})"
+        if order is not None and payload.ndim:
+            code = f"{code}.transpose({order!r})"
+        self._emit(f"{dest}[{index}] = {code}")
 
     def _static_target_indices(self, ev):
         """The statement's write subscripts, evaluated at build time."""
@@ -798,34 +857,6 @@ class KernelEmitter:
             if value.dtype.kind not in ("i", "u", "b"):
                 raise Unsupported("non-integral write subscript")
         return arrays
-
-    @staticmethod
-    def _is_identity_cover(statement):
-        """True when the write is a full-cover identity assignment.
-
-        Each subscript d must be dimension d's own free index variable
-        spanning exactly ``lhs_shape[d]`` — then ``out[idx...] = payload``
-        writes every cell exactly once in place, which is the same
-        element-wise cast-assignment as ``out[...] = payload``.
-        """
-        stmt = statement.stmt
-        space = statement.space
-        lhs_shape = statement.lhs_shape
-        if len(stmt.target_indices) != space.free_count:
-            return False
-        if len(stmt.target_indices) != len(lhs_shape):
-            return False
-        for dim, index_expr in enumerate(stmt.target_indices):
-            if not (
-                isinstance(index_expr, ast.Name)
-                and index_expr.id in space.axis
-                and space.axis[index_expr.id] == dim
-            ):
-                return False
-            low, high = space.index_ranges[index_expr.id]
-            if low != 0 or high != lhs_shape[dim] - 1:
-                return False
-        return True
 
     def _is_row_major_cover(self, index_arrays, lhs_shape, lattice_shape):
         """True when the write is a full cover that is a reshape view.
@@ -881,10 +912,11 @@ class KernelEmitter:
             )]
             if core.size > MAX_INDEX_CONSTANT:
                 raise Unsupported("static constant exceeds size cap")
-            code = self._const(np.ascontiguousarray(core))
-            if core.shape != value.shape:
-                code = f"_np.broadcast_to({code}, {value.shape!r})"
-            return _Val(code, value.shape, _shadow0(value.dtype))
+            core = _Val(self._const(np.ascontiguousarray(core)), core.shape, _shadow0(value.dtype))
+            if core.shape == value.shape:
+                return core
+            code = f"_np.broadcast_to({core.code}, {value.shape!r})"
+            return _Val(code, value.shape, core.shadow, unbroadcast=core)
         if type(value) in (bool, int) or (
             type(value) is float and math.isfinite(value)
         ):
@@ -894,12 +926,12 @@ class KernelEmitter:
         return _Val(self._const(value), np.shape(value), value)
 
     def _index_map(self, base, index_arrays):
-        """``(constant, shape)`` of the flat index selecting *base* at the
-        static *index_arrays*.
-
-        ``np.take`` through the constant selects exactly the elements the
-        interpreter's fancy gather ``base[tuple(np.broadcast_arrays(*idx))]``
-        selects, in the order of the broadcast *shape*.
+        """``(index, shape)`` of the flat index selecting *base* at the
+        static *index_arrays*: a slice of the raveled base when it is a
+        positive-step progression, else a constant ``np.take`` selects
+        through — exactly the elements the interpreter's fancy gather
+        ``base[tuple(np.broadcast_arrays(*idx))]`` selects, in the order
+        of the broadcast *shape*.
         """
         try:
             broadcast = np.broadcast_arrays(*index_arrays)
@@ -918,16 +950,24 @@ class KernelEmitter:
                 tuple(np.ascontiguousarray(b) for b in broadcast),
                 tuple(base.shape),
             ).astype(np.intp, copy=False).reshape(-1)
+        step = int(flat[1] - flat[0]) if size > 1 else 1
+        if size and step >= 1 and flat[-1] - flat[0] == step * (size - 1) and _affine(flat):
+            return _slice(int(flat[0]), step, size), shape
         return self._const(np.ascontiguousarray(flat)), shape
 
     def _emit_gather(self, base, index_map):
-        """``np.take`` through a prebound flat index constant, into a
-        fresh C-contiguous buffer of the index map's shape."""
-        cname, shape = index_map
+        """A strided view, or ``np.take`` through a prebound flat index
+        constant into fresh C-contiguous scratch, of the map's shape."""
+        index, shape = index_map
+        if ":" in index:
+            self.report["slice_gathers"] += 1
+            code = base.code if base.ndim == 1 else f"{base.code}.reshape(-1)"
+            code = f"{code}[{index}]" + ("" if len(shape) == 1 else f".reshape({shape!r})")
+            return _Val(code, shape, base.shadow)
         buf = self._transient((math.prod(shape),), base.dtype)
         self.report["gathers"] += 1
         return self._let(
-            f"_np.take({base.code}.reshape(-1), {cname}, "
+            f"_np.take({base.code}.reshape(-1), {index}, "
             f"out={buf}).reshape({shape!r})",
             shape,
             base.shadow,

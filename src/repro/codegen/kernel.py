@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..obs import DEFAULT_REGISTRY
 from ..srdfg.interpreter import (
-    ExecutionResult, _affine_view, _axview, _contract, _in_range,
+    ExecutionResult, _affine_view, _contract, _in_range,
 )
 
 __all__ = ["CODEGEN_STATS", "KernelArtifact"]
@@ -78,7 +78,6 @@ class KernelArtifact:
         namespace = {
             "_np": np,
             "ExecutionError": ExecutionError,
-            "_axview": _axview,
             "_affine_view": _affine_view,
             "_in_range": _in_range,
             "_contract": _contract,

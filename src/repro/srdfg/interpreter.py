@@ -50,6 +50,7 @@ workloads stop paying planning cost on every step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -195,8 +196,8 @@ def _axview(array, order, absent):
 
     Transposes *array* into axis order and inserts a singleton axis for
     every *absent* lattice axis (present axes keep their extent even when
-    it is 1). Views stay views throughout. Generated kernels call this
-    very function.
+    it is 1). Views stay views throughout. Generated kernels print the
+    same relabelling as basic indexing.
     """
     out = np.transpose(array, order)
     for axis in absent:
@@ -254,11 +255,13 @@ def _affine(values):
         return None
     origin = int(values.flat[0])
     coeffs, model = {}, origin
-    for axis, ramp in enumerate(np.indices(values.shape, sparse=True)):
-        if ramp.size > 1:
-            coeffs[axis] = int(np.take(values, 1, axis=axis).flat[0]) - origin
+    for axis, extent in enumerate(values.shape):
+        if extent > 1:
+            # One step along *axis* is math.prod(shape[axis+1:]) flat cells.
+            coeffs[axis] = int(values.flat[math.prod(values.shape[axis + 1:])]) - origin
+            ramp = np.arange(extent).reshape((extent,) + (1,) * (values.ndim - axis - 1))
             model = model + coeffs[axis] * ramp
-    return (origin, coeffs) if np.all(model == values) else None
+    return (origin, coeffs) if not coeffs or (model == values).all() else None
 
 
 @functools.lru_cache(maxsize=4096)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import pickle
 import re
 
@@ -233,7 +234,8 @@ def _binding(kernel, op):
 
 
 class TestStoreShapes:
-    """The three store shapes: identity cover, row-major cover, scatter."""
+    """The store forms: full cover (bound, or copied whole), slice, and
+    scatter."""
 
     def _check(self, source, inputs):
         session, plan = _compile_plan(source)
@@ -265,9 +267,11 @@ class TestStoreShapes:
         # is an einsum over an affine view of ``img`` and binds the same
         # way, so the op names ``out``'s temporary.)
         assert "(128, 8, 128, 8, 1)" in kernel.source
+        # The binding's own reshape drops the reduced axis: no squeeze.
         assert _binding(
-            kernel, "ascontiguousarray(_np.squeeze(_t2"
+            kernel, "ascontiguousarray(_t2)"
         ).endswith(".reshape((1024, 1024))")
+        assert "squeeze" not in kernel.source
         # No fancy write, and no out-shaped subscript constants for one.
         assert not any("[(" in line for line in _store_lines(kernel))
         assert not self._index_constants(kernel, (128, 8, 128, 8))
@@ -365,6 +369,171 @@ class TestStoreShapes:
             kernel = self._check(source, inputs)
             assert "= _np.empty((8,)" in kernel.source
             assert len(_store_lines(kernel)) == 1
+
+
+def _lattice_ramp(lattice, axis):
+    """The coordinates along lattice *axis*, broadcastable over it."""
+    shape = [1] * len(lattice)
+    shape[axis] = lattice[axis]
+    return np.arange(lattice[axis], dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def _subscripts(draw, lattice, rank):
+    """*rank* static subscripts over *lattice*, each a constant (drawn
+    as None) or ``origin + step*axis`` (any sign of step) or
+    ``origin + axis % m``, drawn as ``(axis, step)`` with the effective
+    step: 0 or ``"repeats"`` when cells repeat."""
+    arrays, steps = [], []
+    # Mostly distinct axes, in a drawn (often permuted) order.
+    axes = draw(st.permutations(range(len(lattice))))
+    for dim in range(rank):
+        origin = draw(st.integers(0, 2))
+        kind = draw(st.sampled_from(["affine", "mod", "const"])) if lattice else "const"
+        if kind == "const":
+            shape = draw(st.sampled_from([(), (1,) * len(lattice)]))
+            arrays.append(np.full(shape, origin, dtype=np.int64))
+            steps.append(None)  # maps no axis
+            continue
+        axis = axes[dim % len(axes)] if draw(st.booleans()) else draw(
+            st.integers(0, len(lattice) - 1)
+        )
+        ramp, count = _lattice_ramp(lattice, axis), lattice[axis]
+        if kind == "affine":
+            step = draw(st.integers(-1, 2))
+            arrays.append(origin + max(0, -step * (count - 1)) + step * ramp)
+        else:
+            modulus = draw(st.integers(1, 3))
+            arrays.append(origin + ramp % modulus)
+            step = 1 if modulus >= count else 0 if modulus == 1 else "repeats"
+        steps.append((axis, step))
+    return arrays, steps
+
+
+#: Lattices of up to three axes; one in about seven extents is zero.
+_LATTICES = st.lists(st.sampled_from([1, 2, 3, 4, 0, 3, 4]), max_size=3)
+
+
+def _qualifies(lattice, steps):
+    """The slice rule, read from how the subscripts were drawn: each
+    maps a lattice axis of its own with a positive step (or none, or an
+    extent-1 one), and every lattice axis of extent other than 1 is
+    mapped."""
+    mapped = []
+    for drawn in steps:
+        if drawn is None or lattice[drawn[0]] == 1:
+            continue
+        axis, step = drawn
+        if lattice[axis] == 0 or step == "repeats" or step < 1 or axis in mapped:
+            return False
+        mapped.append(axis)
+    return all(
+        extent == 1 or axis in mapped for axis, extent in enumerate(lattice)
+    )
+
+
+def _run_printed(emitter, namespace):
+    exec("\n".join(line.strip() for line in emitter.lines), namespace)
+    return namespace
+
+
+class TestSliceDecision:
+    """A static store or gather prints as a basic slice exactly when its
+    subscripts make one, and the slice moves the bytes the scatter or
+    ``np.take`` would have."""
+
+    @staticmethod
+    def _emitter():
+        from types import SimpleNamespace
+
+        return KernelEmitter(SimpleNamespace(steps=[]))
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_store_slice_equals_the_scatter(self, data):
+        from types import SimpleNamespace
+
+        from repro.codegen.emitter import _Val
+
+        lattice = tuple(data.draw(_LATTICES, label="lattice"))
+        rank = data.draw(st.integers(1, 3), label="rank")
+        arrays, steps = data.draw(_subscripts(lattice, rank), label="subscripts")
+        lhs_shape = tuple(
+            (int(array.max()) + 1 if array.size else 1) + data.draw(st.integers(0, 2))
+            for array in arrays
+        )
+        # A payload over the lattice, or broadcast along some of its axes.
+        payload_shape = data.draw(st.sampled_from([
+            (),
+            lattice,
+            tuple(1 if axis % 2 else extent for axis, extent in enumerate(lattice)),
+        ]), label="payload")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        payload = rng.standard_normal(payload_shape)
+        previous = rng.standard_normal(lhs_shape) if data.draw(st.booleans()) else None
+
+        shadow = np.zeros(())
+        raw = _Val("P", payload_shape, shadow, fresh=data.draw(st.booleans()))
+        if payload_shape != lattice:
+            raw = _Val("_np.broadcast_to(P, L)", lattice, shadow, unbroadcast=raw)
+        statement = SimpleNamespace(
+            stmt=SimpleNamespace(target="y", target_indices=arrays),
+            lhs_shape=lhs_shape, target_dtype="float64",
+        )
+        ev = SimpleNamespace(
+            statement=statement,
+            operands={} if previous is None else {"y": _Val("prev", lhs_shape, shadow)},
+            write_subscripts=lambda stmt, shape: arrays,
+        )
+        emitter = self._emitter()
+        emitter._emit_store(ev, raw, "out")
+        got = _run_printed(emitter, {
+            "_np": np, "P": payload, "L": lattice, "prev": previous, **emitter.constants,
+        })["out"]
+
+        # The interpreter's _store: prev-copy or zeros, then the scatter.
+        want = np.zeros(lhs_shape) if previous is None else previous.copy()
+        *targets, values = np.broadcast_arrays(
+            *arrays, np.broadcast_to(payload, lattice)
+        )
+        want[tuple(targets)] = values
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        scatters = any(re.search(r"\[\(_c\d+", line) for line in emitter.lines)
+        assert scatters != _qualifies(lattice, steps)
+        assert emitter.report["scatters"] == scatters
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_gather_slice_equals_the_take(self, data):
+        from repro.codegen.emitter import _Val
+
+        lattice = tuple(data.draw(_LATTICES, label="lattice"))
+        rank = data.draw(st.integers(1, 3), label="rank")
+        arrays, _ = data.draw(_subscripts(lattice, rank), label="subscripts")
+        base_shape = tuple(
+            (int(array.max()) + 1 if array.size else 1) + data.draw(st.integers(0, 2))
+            for array in arrays
+        )
+        base = np.arange(math.prod(base_shape), dtype=np.float64).reshape(base_shape)
+        emitter = self._emitter()
+        operand = _Val("base", base_shape, np.zeros(()))
+        value = emitter._emit_gather(operand, emitter._index_map(operand, arrays))
+        namespace = _run_printed(emitter, {
+            "_np": np, "base": base, "_A": np.empty(emitter._arena_off),
+            **emitter.constants,
+        })
+        got = eval(value.code, namespace)
+
+        want = base[tuple(np.broadcast_arrays(*arrays))]
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        # A positive-step progression, read off the flat index itself.
+        flat = np.ravel_multi_index(np.broadcast_arrays(*arrays), base_shape).reshape(-1)
+        steps = set(np.diff(flat).tolist())
+        progression = flat.size == 1 or flat.size > 1 and len(steps) == 1 and steps.pop() >= 1
+        assert ("_np.take(" in value.code or "_np.take(" in "".join(emitter.lines)) != progression
+        assert emitter.report["slice_gathers"] == progression
 
 
 def _arrays(*mappings):
@@ -509,8 +678,8 @@ class TestBufferLifetimes:
         assert len(re.findall(r"^ +del .*_v", kernel.source, re.M)) >= 4
 
 
-#: ``(statements, specialized, fallback, einsum, gathers)`` of the 17
-#: ledger programs' kernels — literals of the commit before the emitter
+#: :data:`REPORT_COUNTERS` of the 17 ledger programs' kernels. The first
+#: five are literals of the commit before the emitter
 #: became the reference evaluator run over symbolic operands, but for the
 #: DCT and conv statements: contractions over affine subscripts
 #: (``img[by*8+x]``, ``x[ic][oy*s+ky][ox*s+kx]``) dispatch to einsum over
@@ -522,109 +691,124 @@ class TestBufferLifetimes:
 #: (the graph programs' data-dependent predicate, DigitCluster's and
 #: ElecUse's ``argmin``, the FFTs' and BrainStimul's bit-reversal copy
 #: ``sig[br[t]]``), each now specialized. No program falls back.
-REPORT_COUNTERS = ("statements", "specialized", "fallback", "einsum", "gathers")
+#: Since static stores and gathers were decided by their subscripts, the
+#: 11 gathers that are positive-step progressions (MobileRobot 3,
+#: Hexacopter 5, BrainStimul 3) left ``gathers`` (the ``np.take``s) for
+#: ``slice_gathers``, and the 35 stores that scattered left for
+#: ``slice_stores``: no program scatters.
+REPORT_COUNTERS = (
+    "statements", "specialized", "fallback", "einsum", "gathers",
+    "slice_gathers", "slice_stores", "scatters",
+)
 LEDGER_REPORTS = {
-    "MobileRobot": (9, 9, 0, 4, 3),
-    "Hexacopter": (12, 12, 0, 4, 5),
-    "Twitter-BFS": (3, 3, 0, 0, 0),
-    "Wiki-BFS": (3, 3, 0, 0, 0),
-    "LiveJourn-SSP": (3, 3, 0, 0, 0),
-    "MovieL-20M": (7, 7, 0, 4, 0),
-    "MovieL-100K": (7, 7, 0, 4, 0),
-    "DigitCluster": (7, 7, 0, 3, 0),
-    "ElecUse": (7, 7, 0, 3, 0),
-    "FFT-8192": (30, 30, 0, 0, 130),
-    "FFT-16384": (32, 32, 0, 0, 140),
-    "DCT-1024": (2, 2, 0, 2, 0),
-    "DCT-2048": (2, 2, 0, 2, 0),
-    "ResNet-18": (56, 56, 0, 22, 0),
-    "MobileNet": (45, 45, 0, 19, 0),
-    "BrainStimul": (39, 39, 0, 5, 123),
-    "OptionPricing": (5, 5, 0, 1, 0),
+    "MobileRobot": (9, 9, 0, 4, 0, 3, 2, 0),
+    "Hexacopter": (12, 12, 0, 4, 0, 5, 5, 0),
+    "Twitter-BFS": (3, 3, 0, 0, 0, 0, 0, 0),
+    "Wiki-BFS": (3, 3, 0, 0, 0, 0, 0, 0),
+    "LiveJourn-SSP": (3, 3, 0, 0, 0, 0, 0, 0),
+    "MovieL-20M": (7, 7, 0, 4, 0, 0, 0, 0),
+    "MovieL-100K": (7, 7, 0, 4, 0, 0, 0, 0),
+    "DigitCluster": (7, 7, 0, 3, 0, 0, 0, 0),
+    "ElecUse": (7, 7, 0, 3, 0, 0, 0, 0),
+    "FFT-8192": (30, 30, 0, 0, 130, 0, 0, 0),
+    "FFT-16384": (32, 32, 0, 0, 140, 0, 0, 0),
+    "DCT-1024": (2, 2, 0, 2, 0, 0, 0, 0),
+    "DCT-2048": (2, 2, 0, 2, 0, 0, 0, 0),
+    "ResNet-18": (56, 56, 0, 22, 0, 0, 17, 0),
+    "MobileNet": (45, 45, 0, 19, 0, 0, 9, 0),
+    "BrainStimul": (39, 39, 0, 5, 120, 3, 2, 0),
+    "OptionPricing": (5, 5, 0, 1, 0, 0, 0, 0),
 }
 
 
 @functools.lru_cache(maxsize=None)
-def _ledger_kernel(name):
-    """The kernel of ledger program *name*, built once per test run."""
+def _ledger_plan(name):
+    """``(workload, plan)`` of ledger program *name*, its kernel attached,
+    built once per test run."""
     from repro.eval import Harness
 
     harness = Harness()
-    _, app, _ = harness.compiled(name)
-    return harness.session.plan_for(app, codegen=True).kernel
+    workload, app, _ = harness.compiled(name)
+    return workload, harness.session.plan_for(app, codegen=True)
+
+
+def _ledger_kernel(name):
+    return _ledger_plan(name)[1].kernel
 
 
 #: sha256 of each ledger program's kernel source, and of its array
 #: constants (name, dtype, shape and bytes, in registration order) —
-#: literals of the commit before a kernel build memoised its static index
-#: maps. The memo is a build-time saving only: not a byte may move.
+#: literals of the commit whose kernels address memory with slices:
+#: stores and progression gathers print as basic slices, relabels as
+#: indexing. The source changes by design; :data:`OUTPUT_DIGESTS` pins
+#: what it computes.
 KERNEL_DIGESTS = {
     "MobileRobot": (
-        "223ecc9462b2e4d506f643cc51deb7d990cba5f4fc0cd231377a843392e8aa37",
-        "68f56455d0d1aea502a31a69cfc434efa20c0704097390de8c01e67097e0c573",
+        "ffbe30507caaa776aebd31711a8dfa415c9acf13abda036acc1dd80fe0f3b543",
+        "1ab33432bc6219fdf74a78be0066ea74bf19215d30b79f4d480a521a124acf3d",
     ),
     "Hexacopter": (
-        "eb75e542140d65b4d52cf1c2905a7648785bd00c132fac55d66b8ff6afca32f5",
-        "33fd2f056ed2c79a84cff99e1f24818f85103c4ccb026e1d42eb96fe2d6a85fa",
+        "867b3455ef4c1901cc025380bf8d2061a7c8569925790eb24f15b68e68f9d3ae",
+        "4bccfdeff6542eaa2787dc230c0a740ff791e2671f6f4c53090f5ce57d2bc05b",
     ),
     "Twitter-BFS": (
-        "2e06dafec185dcd06be55c504e9dc1804416d5969ec74d82ff80524d6e3c5ee2",
+        "188985320af619ea03a104cfca1b98a9922c88f624f4971341332b274a311d74",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "Wiki-BFS": (
-        "e57fb2b259b57b17ec18d578b353a298c47e440ceed2626956324c133935cbb8",
+        "afba7dbc4a8bde9a787c44ec4f8e9e50afc383548d06035a0bc85358106a814e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "LiveJourn-SSP": (
-        "8e95c729ccba50d91f9de85061cf6e5a0722c652e663cff6d3707337c46f58d9",
+        "5d2ea60bba03f7dd214aaccd0143771dbac50ffdc9f8d663a5900dc14c6f2ebe",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-20M": (
-        "eb2fad48e9f60c6a4c93aec93606234ec020ba0823df1ff1e53f3fbc07c86017",
+        "b3a0acb7c5211afb315d6df4ad6f65b56a5fd74d1d31b8971ac7bda4807296fa",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-100K": (
-        "d9916f95085c78d6191f9c1e53e3be83c9143312918e1da6883f165419ba71e0",
+        "cc6fd4a11591a0c09cb2d7d4652452d4822eee93b203783c685b838fb141d31b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DigitCluster": (
-        "cd118e8a20ea502438c29a373c7ba81244272ede3ab3050c7de13a325dd8c8c9",
+        "e6d86203e485bfb87dba1fdbf6f08f535ce50715f7634d18456b989c208222e9",
         "6e6f799c117f4228d21501bfeebbd7b016c2c646e7e10073d576ef83d9951d95",
     ),
     "ElecUse": (
-        "7dc64fee82de761dc9e1dbaa5d4132a20a9f1358376f8e535235b3d39f901d15",
+        "4d023d3a2dc19d9aae5d4cd2fc8d9c2813382a300240e7e9054f219365d2114d",
         "27703e9443c002d187b370a83fcd2bf00966b4ca5a8015446d54abd93522e0d2",
     ),
     "FFT-8192": (
-        "6519887ab67da3b3832c91fc6e6f408432254a295bb6e9a398f291fcc8df6eee",
+        "7d84def7e0d967d128906c563dc8cee7e5858a8badb4f81352876140aa1e3bc1",
         "e2f823bd4254d98dfa956b5e446ef03f0d2794ca1668e2bdb354307e75e65bc6",
     ),
     "FFT-16384": (
-        "1cb125fb331e049e92bf0dda80632a24922c88c9d3e64cc169eb0cd73e1e62bc",
+        "3e0ca68be07387cc159f93b88b6d6c95c0b2b439892df8e890e5d19cf62dbeeb",
         "f501962719de04ca11cb92ed4957a6c90c89fa941c0ca572843d1c4b8e8717e3",
     ),
     "DCT-1024": (
-        "f6313eab2b5edb47152b2c5a3f8d9b0fbea0af2f1ca360c38cb7d97da3f2aec6",
+        "62459fa546b4e2303e4ab26ec07215224fbea9d8ea4874aba3cabd4094211dce",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DCT-2048": (
-        "91814f3f3c77e868864953cc93ecf4334c330a12379cb64913b96f56158f770a",
+        "33023963f6bf3ea5d407208c62a8b10c78c6837fc4391de39eabdfc072949de3",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "ResNet-18": (
-        "15e2592052790723b90160cf2d60c32f6156bffbde769895de797788a81b43aa",
-        "bd39255a30819a0317a7c68f99b27fdbf28c633be9db06d43cf9d7789343cbd4",
+        "3817ecbe2ad7d11a195e330b13205164c742535a3c71122b09e34481b3e8a3ae",
+        "3182a0ab9442c52b4a41838439f6094bf91a61597cda06887d2350784ba22d87",
     ),
     "MobileNet": (
-        "eb5ac2bc7dc670c94ccfceeb6c1895ba0eb29a2b12f1d8daa65bdddf760a60c2",
-        "6e85e847a8a7cf2a02ff43122baa1714f74196a41b3c9faab1e9bdcb9b369282",
+        "db160846f73c114f0d54a4a0696fdeb50a746fb4064b0f25d2c46ad21fb6b5c2",
+        "72154824daecc76ec3757412270562135604741336b6e2c90eeb2fa2d5d00433",
     ),
     "BrainStimul": (
-        "4f7e600d1ddead1db5f51445dec2e1517a53466090708b9e55c1106befec26a0",
-        "1d5d966182f11cf6428e44743f624817786b3bab63c76b076030390a64621d81",
+        "f805790e6b1758de827310da7485de7c922640b5130b52ce327c522394cb9109",
+        "401d6f2b9e24f2b56b59cf4f68ffdc56945301a36f2961ad85353ae403c4eeb5",
     ),
     "OptionPricing": (
-        "35a7110cc6bb967162bd8a0900410dfed017f547ae1d089afb415237fd747b5c",
+        "f353365578b9999815c16b30e335772a172d50798f0814fa2176cbeba18fb75b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
@@ -640,13 +824,67 @@ def _kernel_digests(kernel):
     return source, arrays.hexdigest()
 
 
+#: sha256 of each ledger program's outputs and state over a 3-step
+#: kernel-tier trajectory (kind, name, dtype, shape and bytes, names
+#: sorted) — literals of the commit before kernels addressed memory with
+#: slices, whose stores scattered and whose gathers all took: however
+#: the kernel is printed, not a byte it computes may move.
+OUTPUT_DIGESTS = {
+    "MobileRobot": "74e0ffd992f0d6c94edf35c102f62695498bc4cf1dc08d0ba11db362f96c2cfd",
+    "Hexacopter": "8ad7fbbeac94336ea2ddc22a007c607ac30dd66044d93b3f2184735e719f9461",
+    "Twitter-BFS": "003ec710bb041a9481029db16f0e17b8ff0f4b0e853330b09fce279631ab88b8",
+    "Wiki-BFS": "fe1a4005b689bc7a2126c7c38dcd2b0339379028d9a435213283162687868e75",
+    "LiveJourn-SSP": "6e2abe2f410440329295cf46062b9fd3dffc3c1366d1c75a6f15fa8c66821f3f",
+    "MovieL-20M": "d7886e3347f068b2bcbf6d8ead9ed7465e18231c3e39ad8f8b9a76aedd1df9ff",
+    "MovieL-100K": "e865100dd95811fa04a743ad1a26c4c1cf335b80d5abdf9619a6b163eea8c495",
+    "DigitCluster": "7d63dd066815bb4381e29b5c2072886de384bf363a3ebf350a774c76f60fc357",
+    "ElecUse": "8db772313ae49ea7f08ab14c9192554f81758be713a5aa85fe076643ea918b60",
+    "FFT-8192": "a437796a87eaeb7f545e6b8a610d49e96a30e03837ef29b251d6a90386c28e8c",
+    "FFT-16384": "63f077103f5663039b0bf3a842f4055b4003a498d070a138094ee317fe7036d8",
+    "DCT-1024": "956a6890eb6d3ca9b9e403629798be0eb7f171721f86513f82bd6e6ac3c4de4a",
+    "DCT-2048": "eb1f4b7eacd4bcc27d2736dfe56bb1e203ed868b5b5ca8965b7a64baaa79cafa",
+    "ResNet-18": "921ca5ff7f43fb7ac783211a7cf26ecf05dd58cfeee5a58e72b6d29ae47557bd",
+    "MobileNet": "92b9f4dedd57e3c4123839a87d1ef9c7f10f7de773995a430f5048bf41ce9a1c",
+    "BrainStimul": "f34055b8dad6fbedfe44c9f338abde05a19d1d7c59c79e3b2f59fc4c80dea95c",
+    "OptionPricing": "f66d2bfc2206276a2939e8698b587a1c07d54379d0511ebd07e6d194b0e28d0f",
+}
+
+
+def _trajectory_digest(name):
+    from repro.workloads import Trajectory
+
+    workload, plan = _ledger_plan(name)
+
+    def kernel(**call):
+        result = plan.kernel.try_execute(plan, **call)
+        assert result is not None and result.tier == "kernel"
+        return result
+
+    trajectory = Trajectory(workload)
+    digest = hashlib.sha256()
+    for _ in range(3):
+        result = trajectory.step(kernel)
+        for kind, values in (("output", result.outputs), ("state", result.state)):
+            for key in sorted(values):
+                value = np.asarray(values[key])
+                digest.update(f"{kind}:{key}:{value.dtype}:{value.shape}:".encode())
+                digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_ledger_kernel_outputs_are_pinned(name):
+    assert _trajectory_digest(name) == OUTPUT_DIGESTS[name]
+
+
 #: Prints a gather of an int operand (an index constant and a ``_S``
-#: slot) before it declines on a custom combiner.
+#: slot: ``k[3 - i][0]`` walks back, so it is no slice) before it
+#: declines on a custom combiner.
 DECLINED_AFTER_A_GATHER = (
     "reduction rmin(a,b) = a < b ? a : b;\n"
     "main(input int k[4][6], input float x[4][6], output float y[4]) {"
     " index i[0:3], j[0:5];"
-    " y[i] = k[i][0] + rmin[j](x[i][j]); }"
+    " y[i] = k[3 - i][0] + rmin[j](x[i][j]); }"
 )
 
 
@@ -683,15 +921,15 @@ class TestKernelNamespace:
         assert np.array_equal(outputs["y"], ref.outputs["y"])
 
 
-#: ``y``'s statement gathers ``k[i][0]`` and then declines; ``z``'s, over
-#: the same lattice, gathers the same index map after the rollback.
+#: ``y``'s statement gathers ``k[3 - i][0]`` and then declines; ``z``'s,
+#: over the same lattice, gathers the same index map after the rollback.
 MEMO_AFTER_A_DECLINE = (
     "reduction rmin(a,b) = a < b ? a : b;\n"
     "main(input int k[4][6], input float x[4][6], output float y[4],"
     " output float z[4]) {"
     " index i[0:3], j[0:5];"
-    " y[i] = k[i][0] + rmin[j](x[i][j]);"
-    " z[i] = y[i] + max[j](k[i][0] + x[i][j]); }"
+    " y[i] = k[3 - i][0] + rmin[j](x[i][j]);"
+    " z[i] = y[i] + max[j](k[3 - i][0] + x[i][j]); }"
 )
 
 
@@ -1300,3 +1538,5 @@ class TestCli:
         entry = payload["workloads"]["MobileRobot"]
         assert entry["provenance"] == "kernel"
         assert entry["identical"] is True
+        # The selfcheck's codegen row reads these: no store scatters.
+        assert (entry["slice_stores"], entry["slice_gathers"], entry["scatters"]) == (2, 3, 0)

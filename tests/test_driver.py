@@ -501,92 +501,94 @@ class TestFrozenConfiguration:
 
 #: (compile, plan, kernel) cache keys of the 17 paper programs. A change
 #: to any key strands every existing ``--cache-dir`` tree, so these are
-#: literals: moving one is a deliberate, announced format break.
+#: literals: moving one is a deliberate, announced format break. The
+#: kernel keys moved with ``KERNEL_ABI`` 6, when printed kernels stopped
+#: calling ``_axview``.
 PAPER_PROGRAM_KEYS = {
     "MobileRobot": (
         "7ab951e36ab95100cecfce982100e01003647428c4bd9e35b5f831d75dd5fbe5",
         "ec95beeeaf1d2c0cdaf3e2210235de854478f8d5fef890114f4d555d6ba4a3b6",
-        "74d14421d79a57e357c7e487cb635eaa39e099ac8aca49fb54fd793023814181",
+        "9a8fffbf0ca77048921bc29a5d236763952d5a3ce8272460b51a4358666a1ad8",
     ),
     "Hexacopter": (
         "cbcb5e480e296bfc5464ba3311bd1eb740158e8b5457d60aaae085669c6864d4",
         "6961b07853fd691860d1fa959ced49ce1cfff343b6134fab54cae5f4e99419ee",
-        "9047481644ba84b9f3b7519403ea2d6ea591de58c4df1415ee3b277b0db7aa19",
+        "d7a43461ae91d27444c2a23e74ab7b705f65532e52525f53f26ebdf07d7f29a1",
     ),
     "Twitter-BFS": (
         "b3f6fd7fac080b2b9e709d57045c3c29ad6f4d6368cd07a24bc7d35a8b3f7846",
         "7595f81d38aa46cf8c089199a778bed10c665150f7457cd077b647556672ab81",
-        "693a0feb1d3a39e629bcce71c77cc48031a2aa3a0c575a53f486b974aeb3f150",
+        "4f71e9181022048d814f6bf264cef7bd3bfb6b7bb629bb0ff7f76bac14730bf9",
     ),
     "Wiki-BFS": (
         "5bb7fb2b81423ef9257a3beafc94f6a3e7e34d12470d1c7becb2247bfa8d1ae4",
         "ee963fac1f0ed1cfa473561c255a35024dd561b33b7c824bd0ac4bed14778e42",
-        "36a276dd7dd95b4261a3515e302098ff8725770e1c62a9e91d67af99f229f4ed",
+        "c7981b7959fd1cc24cedffe2f14531ce271688d8aa24730e2eb5ce1474629dc9",
     ),
     "LiveJourn-SSP": (
         "1141bfe0bde2f7255279d2ce2966f396d7a282ad630202b0b7d39b55aded8afc",
         "523f88614ed94b4c612204d0da69a04ad2eb0aac00a2398bc3bdb520d44674f1",
-        "e898b4c2200209c68c53b5ad408354855164ecddb0569493d6780cb342df4aa4",
+        "d418f21107f36c8a1e2d6650f28e285ba278999de379f07eb3213bfac3aaca83",
     ),
     "MovieL-20M": (
         "6fceb57ce26f8b4e760abc8ad317cbd2e89e8fb45d68a4104d2f1c5485a35d84",
         "03b6a4eb7c0e98a986a3501cf7a5b474ab31c5c96979da220a2b5fa258853d54",
-        "ef9cfdf32b3023f1e2fed9646048cd3043c88a854d45d17968fe0e710e41e3c3",
+        "ed95b73a8cf7baa01d2d770b8520dd66dfae94e2b466d433c0b9122e0080dc05",
     ),
     "MovieL-100K": (
         "152a11a15f1da6d1a556d949e7d1d7eafe3aa523eacde5d4809243a0d5da5e39",
         "f7b585f8cf3ec2d711bc10e75c300c8d52e7569d630471118dee02209951e45a",
-        "0275b9cb3fbc486f9e52bfee0fdb56b1cf530cf98a76589810759fe4ebc554a2",
+        "c2366820900d99c49541e78b6920ff93bfc9e5657a5883326244f4a33f681680",
     ),
     "DigitCluster": (
         "361d54637117e5a750cc3b9b859281ba5a41d2d3617a369145c5ff5c7d16d2f7",
         "3f1bdc50954e4f28439d0240b91f3f1495f2b231de765253a428891fb5e8eb44",
-        "1da27d26e34106f0abd5ebc9b1a2615adb27d80f3ccd6be6f41d07bc3e8da205",
+        "24c89c3e85e827f23e408fa9f8e3d90734e4bc58a9a7fc3e081bf6a70225a38d",
     ),
     "ElecUse": (
         "5fcef597d0bb8025d3a7455c627d4d9892e3b6234f0b6b252b939123443c4f8b",
         "3dd44533d837e641ccf770ecdaeb4d9a2fc4cfe77bb449ff49cac14ec8487dfd",
-        "39847ec7de0767bcbee394006721607c39dae425f4335e4e0a5603d9146b582e",
+        "48488e1dcd297fb62fbc153ea680f2ed723aed9f314a1167e6926ba66981159e",
     ),
     "FFT-8192": (
         "44206183f79e358cf5b4394b22d0e403e908f0a33ac06f167ad5586bf185ec79",
         "fcee42dd700826457f9af8f53837f566742abd4b31d8b30985628aa46c78b8f9",
-        "7220d7bc7654a176c470b7ef55283c050ed33cb8ec38fb9c85b60985cdd1a923",
+        "6bc2e47e88720c7ee2f522ddb4a8062d0f8be2bd92b4a8e0129258a4ad524f76",
     ),
     "FFT-16384": (
         "5f685939b2e8a01668fbb352b9b8f71625da5be5729edaa26564b5e7a876181a",
         "cdd113ff36cb1130cb3d0732c0b500206ec48604d30332aea323638d65af46ae",
-        "f953b72bdb19f200e2ffb7487cbf494f6911f947919bd12a2c5a8c36790c609f",
+        "796355c61390b05f72dffb556d6504f9693f08441de6dbc22b4883c1f439355e",
     ),
     "DCT-1024": (
         "73364e81b146a8f3787589f083fa1d6f918ca97d42f05ef88edbf405189331ef",
         "3876ec15ba8b8d590dae0283f90490846a15ac51e43b35edef6b09862e33e329",
-        "131824b9910b50d851b5a3c3833b826522fb915f801c3425d8acfba4b42e1ff8",
+        "19d52883671ea76533f00b03d884f905240b0b1110e6e8ca7e8fefc7a1a770c4",
     ),
     "DCT-2048": (
         "f302f0a1a262f35547193f844c75548c8d935152aea1841442b85bcb5e3ebb50",
         "31845a7f3147079c4e4af2163c32b2495ca573139e76f855089de5b62c1c37e4",
-        "f3c4619985d2da09fcd5deb6c093f3dab8f0be0c3dbd87a5063c422f64f8670a",
+        "b74ea7b0af435b06e471c394648469539b0664211c309e291a7b7b666f103e54",
     ),
     "ResNet-18": (
         "b4bb64a25b4086cdabae1fcf526cba677812488d11c8b45701a101fb003b0a75",
         "9fbcbf31e4d5bdd05989f39a9a67793ea133d1303c80f11d3c7ebb1a9e525f50",
-        "22c4df725e307e07f4e523cf277e1768cf678ec8d2a5058269432513e4a76b45",
+        "ddbb79b2a45842d933ad12afd8b2d06cb2528fd9a59be24ee425c68b6b000de6",
     ),
     "MobileNet": (
         "41ba30640b089be0eda370cb846a5c9328e0ba96f77bef63de916b33828fd399",
         "2c9a6f815ef242cd5a737b214aee6bf754608fee2ddcd425ffcaf9ce58a5a2c0",
-        "5bbac5896c405c8249769376fe2256c370742e1a123cfa67104d4e0d69b7065e",
+        "a62611131069d017ac36266b75a4c2851e1ce95bcb92d3f6ceddc0a3e65f75b8",
     ),
     "BrainStimul": (
         "544522a9157a148fb0bfdafb673175eb28ab2ddff9632ce8e09805ff6d257eaa",
         "2f7354c9b2215df44bf134567881452ff81d251a1419b37ac17d88d0a93a2eb3",
-        "d9cc01ce093fa5a058e3892330d17cf2d16582a532057526c1ec7e2d24a70a1f",
+        "79c47fe1844493b29a063e25a06d0df33ca5a0eef7f13e4c870c23a9957b5b3b",
     ),
     "OptionPricing": (
         "034fc6db3992b118f10e4e9e7e269cfc926112e480dc4e9e8c6aae2b8f621723",
         "12e8c4db9593e8677c7334518a4fa4f2211b28b59b913ecaad89286f5fd467b9",
-        "60d1648f77c59247db757c4eb3cfe5218ae218c70abb4ae4b75fddf15ff2948e",
+        "7119b9fbdf7d27a949388d1ed2da7e8b54d7215e27686de6bf070d683b0c84f1",
     ),
 }
 
