@@ -56,6 +56,12 @@ def one_plan_per_config(report):
     return reuse["plans_built"] == reuse["distinct_configs"]
 
 
+def sites_cover_executed(report):
+    """provenance.site counts sum to completed + failed"""
+    sites = report["provenance"].get("site", {})
+    return sum(sites.values()) == report["completed"] + report["failed"]
+
+
 def claims_reproduce(report):
     """every paper claim holds and no leaf drifted from the baseline"""
     from .eval.claims import BASELINE, failures
@@ -118,13 +124,14 @@ TABLE = (
         "tests/test_procpool.py::test_lease_is_never_visible_without_its_payload",
         repeat=20,
     ),
-    # The same trace on worker processes: cross-process lease coalescing.
+    # The same trace on worker processes: cross-process lease coalescing;
+    # every executed request ran in the parent or in a child.
     Row(
         "serve-process",
         "-m repro serve --requests 32 --workers 4 --pool process "
         "--assert-plan-reuse --assert-conservation --compare-serial "
         f"--json {OUT}/serve-process.json",
-        expect=(_ALL_KERNEL,),
+        expect=(_ALL_KERNEL, sites_cover_executed),
     ),
     # Differential oracles, 25 seeds x 2 dim variants; the validation matrix.
     Row(

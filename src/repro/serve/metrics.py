@@ -2,7 +2,9 @@
 
 Every request's life is measured in four segments — queue wait, compile,
 plan, execute — plus provenance for the compile and plan phases (did this
-request build, hit the cache, or coalesce onto another request's work?).
+request build, hit the cache, or coalesce onto another request's work?),
+the tier that executed it, and the site (parent or child process) its
+body ran in.
 :class:`ServeReport` folds the finished :class:`RequestMetrics` stream
 into the numbers a service operator actually watches: throughput,
 p50/p95/p99 latency, queue-wait distribution, hit/coalesce rates, and the
@@ -50,6 +52,10 @@ class RequestMetrics:
     #: declined its plan) | "fallback" (a kernel failed at run time and
     #: the step re-ran interpreted); empty when the request never executed.
     kernel_provenance: str = ""
+    #: Where the body ran: "parent" (thread mode, a session step, or a
+    #: process-mode request cheaper than the pipe) | "child" (a worker
+    #: process); empty when the request never executed.
+    site: str = ""
     worker: str = ""
     ok: bool = True
     #: "completed" | "failed" | "expired" | "cancelled" | "timed_out"
@@ -87,6 +93,7 @@ class RequestMetrics:
             "compile_provenance": self.compile_provenance,
             "plan_provenance": self.plan_provenance,
             "kernel_provenance": self.kernel_provenance,
+            "site": self.site,
         }
 
 
@@ -305,7 +312,7 @@ class ServeReport:
             f"{self.mean_queue_seconds * 1e3:.1f} ms, max "
             f"{self.max_queue_seconds * 1e3:.1f} ms"
         )
-        for phase in ("compile", "plan", "execute"):
+        for phase in ("compile", "plan", "execute", "site"):
             counts = self.provenance_counts(phase)
             if counts:
                 rendered = ", ".join(

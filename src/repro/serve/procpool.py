@@ -16,6 +16,15 @@ Deadlines ship as *remaining seconds* because ``perf_counter`` values
 are not comparable across processes; the child re-arms the body's
 post-compile guard from them.
 
+Not every request makes the trip. The server's
+:class:`~repro.serve.server.Placement` runs a one-shot request in the
+parent iff its config has a warm child measurement and ``steps x
+per-step execute`` is below the measured trip overhead (the wall time
+around :meth:`ProcessWorkerSet.dispatch` less the reply's compile, plan
+and execute seconds); fault-injecting requests always come here. An
+inline request gives up the isolation a child buys: a kernel that
+segfaults in the parent takes the server down, as in thread mode.
+
 A crashed child (its pipe breaks mid-request) is respawned and the
 in-flight request answered with ``WorkerCrashedError`` — the pool heals,
 the request fails loudly, and ``worker_crashes`` counts it. At

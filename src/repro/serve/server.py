@@ -9,7 +9,8 @@ flow::
 
     submit -> [scheduler: priority heap, backpressure] -> worker
            -> LocalExecutor.serve, the one request body (in this process,
-              or in the worker's bound child in process mode):
+              or in the worker's bound child in process mode, unless the
+              request is cheaper than the trip there — see Placement):
               config lookup; the first request of a config binds it:
                  compile (single-flight: identical requests coalesce)
                  -> plan (single-flight, plan-tier cached)
@@ -20,7 +21,20 @@ flow::
            -> Outcome -> Response (outputs + signature + RequestMetrics)
 
 This module is the orchestration around that body: admission, deadlines,
-finish-time classification, breakers, and the report.
+finish-time classification, breakers, placement, and the report.
+
+In process mode a one-shot request still runs in the parent when the pipe
+would cost more than the work it carries. :class:`Placement` keeps two
+running minima per config, both read off the warm replies the children
+send anyway: the execute seconds per step, and the trip's overhead (the
+wall time around ``dispatch`` minus the reply's compile, plan and
+execute seconds). A config goes to a child until it has a measurement;
+after that a request runs in the parent iff ``steps x per-step execute
+< overhead``. Fault-injecting requests always go to a child. An inline
+request binds its config in the parent from the shared disk cache and
+gives up process isolation: a kernel that crashes there takes the
+parent down, as in thread mode. Each request's ``site`` ("parent" or
+"child") says where its body ran.
 
 Because compilation amortizes — the paper's whole premise, sharpened by
 DaCe/MLIR-style reusable compiled artifacts — the steady state of a hot
@@ -55,7 +69,7 @@ from .procpool import ProcessWorkerSet
 from .request import PRIORITY_NORMAL, Outcome, Request, Response
 from .scheduler import Scheduler
 
-__all__ = ["Server", "Ticket"]
+__all__ = ["Placement", "Server", "Ticket"]
 
 #: The ``serve`` group: where every submission ends up (exactly one of the
 #: outcomes per submitted request — the conservation identity), plus
@@ -155,6 +169,62 @@ class Ticket:
         return self.response
 
 
+class Placement:
+    """Where process mode runs a one-shot request: in a child, or inline.
+
+    Keyed on the request's own fields, so deciding never resolves or
+    constructs a workload in the parent. Per config it keeps the running
+    minimum of two numbers, both from warm child replies: the execute
+    seconds per step, and the trip's overhead — the wall time around
+    ``dispatch`` less the reply's compile, plan and execute seconds. A
+    reply that bound its config in the child also carried the workload's
+    construction, which no segment times, so only a reply that found its
+    config bound (zero compile and plan seconds) measures; a failed reply
+    and a fault-injecting request measure nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        #: config key -> (per-step execute seconds, trip overhead seconds)
+        self._measured = {}
+
+    @staticmethod
+    def key(request):
+        return (
+            request.workload,
+            tuple(sorted((request.dims or {}).items())),
+            request.precision,
+        )
+
+    def inline(self, request):
+        """Run *request* in the parent? True iff its config is measured
+        and its steps cost less than the trip; never for fault injection."""
+        if request.inject:
+            return False
+        measured = self._measured.get(self.key(request))
+        return measured is not None and request.steps * measured[0] < measured[1]
+
+    def observe(self, request, outcome, seconds):
+        """Fold a child's *outcome* for *request*, *seconds* of wall time
+        around its dispatch, into the config's minima."""
+        if (
+            request.inject
+            or outcome.error is not None
+            or outcome.compile_seconds
+            or outcome.plan_seconds
+        ):
+            return
+        step = outcome.execute_seconds / request.steps
+        # A warm reply's compile and plan seconds are zero.
+        trip = seconds - outcome.execute_seconds
+        key = self.key(request)
+        with self._lock:
+            known = self._measured.get(key)
+            if known is not None:
+                step, trip = min(step, known[0]), min(trip, known[1])
+            self._measured[key] = (step, trip)
+
+
 class Server:
     """Concurrent compile-and-execute service over one CompilerSession."""
 
@@ -202,7 +272,8 @@ class Server:
         self.bucket_policy = BucketPolicy.parse(bucket_policy)
         #: The in-process request body. Thread mode runs every request
         #: through it; process mode keeps it for session steps (whose
-        #: retained numpy state cannot cross a pipe) and for
+        #: retained numpy state cannot cross a pipe), for one-shot
+        #: requests cheaper than the trip to a child, and for
         #: admission-time shape resolution. Every plan is lowered to a
         #: generated kernel — the one serving tier; a plan the emitter
         #: declines, and a kernel that fails at run time, fall back to
@@ -215,6 +286,8 @@ class Server:
         )
         #: "thread" or "process": which backend runs the request body.
         self.pool_mode = pool
+        #: Process mode's per-request choice between parent and child.
+        self.placement = Placement()
         self.procs = None
         if pool == "process":
             self.procs = ProcessWorkerSet(
@@ -559,8 +632,9 @@ class Server:
         """The request body's Outcome for *ticket*.
 
         In process mode a one-shot request is proxied to this worker's
-        bound child; the envelope carries the *remaining* deadline budget
-        in seconds (``perf_counter`` values are not comparable across
+        bound child unless :attr:`placement` finds it cheaper than the
+        trip; the envelope carries the *remaining* deadline budget in
+        seconds (``perf_counter`` values are not comparable across
         processes). A child that dies mid-request is respawned by the
         worker set and the request answered with ``WorkerCrashedError``.
         Session steps always run in-parent, even in process mode: the
@@ -568,7 +642,12 @@ class Server:
         every step would cost more than it buys.
         """
         request = ticket.request
-        if self.procs is None or ticket.session is not None:
+        if (
+            self.procs is None
+            or ticket.session is not None
+            or self.placement.inline(request)
+        ):
+            ticket.metrics.site = "parent"
             return self.executor.serve(
                 request,
                 session=ticket.session,
@@ -576,16 +655,19 @@ class Server:
                 deadline_at=ticket.deadline_at,
                 cancelled=lambda: ticket.cancelled,
             )
+        ticket.metrics.site = "child"
+        start = time.perf_counter()
         remaining_s = None
         if ticket.deadline_at is not None:
-            remaining_s = ticket.deadline_at - time.perf_counter()
+            remaining_s = ticket.deadline_at - start
         worker = ticket.metrics.worker
         outcome = self.procs.dispatch(worker, request, remaining_s)
         if outcome is None:
-            outcome = Outcome().fail(WorkerCrashedError(
+            return Outcome().fail(WorkerCrashedError(
                 f"worker process for {worker} died serving request "
                 f"{request.request_id}; slot respawned"
             ))
+        self.placement.observe(request, outcome, time.perf_counter() - start)
         return outcome
 
     # -- reporting ---------------------------------------------------------
@@ -667,6 +749,7 @@ class Server:
                 ("compile", metrics.compile_provenance),
                 ("plan", metrics.plan_provenance),
                 ("execute", metrics.kernel_provenance),
+                ("site", metrics.site),
             ):
                 if not provenance:
                     continue

@@ -96,6 +96,25 @@ class Workload:
         """Constant ``param`` values for every invocation."""
         return {}
 
+    def shared_params(self):
+        """:meth:`params`, computed once per instance, arrays read-only.
+
+        Every :class:`Trajectory` of this instance steps these same
+        values, so tables such as the FFT's twiddles are built once, not
+        per request; the read-only views make a step that writes into one
+        raise instead of corrupting every later request.
+        """
+        params = getattr(self, "_params", None)
+        if params is None:
+            params = {}
+            for name, value in self.params().items():
+                if isinstance(value, np.ndarray):
+                    value = value.view()
+                    value.flags.writeable = False
+                params[name] = value
+            self._params = params
+        return params
+
     def initial_state(self):
         """Initial ``state`` values (zeros by default)."""
         return {}
@@ -294,7 +313,7 @@ class Trajectory:
 
     def __init__(self, workload, state=None, index=0):
         self.workload = workload
-        self.params = workload.params()
+        self.params = workload.shared_params()
         #: Live ``state`` arrays: *state* or the workload's own initial.
         self.state = {
             key: np.asarray(value)

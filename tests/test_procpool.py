@@ -13,6 +13,10 @@ The contracts under test:
   per-process counters aggregated into one truthful ServeReport,
 * a worker process that dies mid-service answers its request with
   ``WorkerCrashedError``, the slot respawns, and later requests succeed,
+* a one-shot request cheaper than the pipe runs in the parent, decided
+  from measurements the children's replies carry (injected here: no
+  timing assumptions), and the parent never builds a workload that
+  stays in a child,
 * the scheduler dispatches in strict priority order,
 * a closed scheduler rejects with ``closed=True`` / ``retry_after=None``
   and ``loadgen.replay`` gives up instead of spinning.
@@ -37,6 +41,7 @@ from repro.driver.lease import Lease
 from repro.serve import (
     PRIORITY_LOW,
     PRIORITY_NORMAL,
+    Outcome,
     Request,
     Scheduler,
     Server,
@@ -46,6 +51,7 @@ from repro.serve import (
     synth_trace,
 )
 from repro.errors import QueueFullError, WorkerCrashedError
+from repro.serve.server import Placement
 
 
 _FORK = multiprocessing.get_context("fork")
@@ -330,6 +336,29 @@ def _mixed_trace():
     )
 
 
+def _measure(placement, name, step_s, trip_s, steps=2):
+    """Feed *placement* a warm child reply for *name*: *step_s* seconds
+    of execution per step and a trip that cost *trip_s* on top."""
+    outcome = Outcome(
+        execute_seconds=step_s * steps,
+        compile_provenance="cache", plan_provenance="cache",
+    )
+    placement.observe(
+        Request(workload=name, steps=steps), outcome, trip_s + step_s * steps
+    )
+
+
+def _inline(server, name):
+    """Measure *name* as free to run and dear to ship: it runs in the
+    parent from now on, whatever real replies say (the minima only fall)."""
+    _measure(server.placement, name, step_s=0.0, trip_s=1.0)
+
+
+def _in_child(server, name):
+    """Measure *name*'s trip as free: it stays in a child for good."""
+    _measure(server.placement, name, step_s=1.0, trip_s=0.0)
+
+
 def test_process_mode_bit_identical_to_thread_mode(tmp_path):
     from repro.driver import CompilerSession
 
@@ -342,6 +371,9 @@ def test_process_mode_bit_identical_to_thread_mode(tmp_path):
     with Server(
         session=session, workers=3, queue_capacity=32, pool="process"
     ) as server:
+        # MobileRobot is cheaper than the pipe: it runs in the parent,
+        # bound there from the shared disk cache.
+        _inline(server, "MobileRobot")
         responses, _ = replay(server, trace)
     report = server.report()
 
@@ -349,6 +381,13 @@ def test_process_mode_bit_identical_to_thread_mode(tmp_path):
     assert [r.signature for r in responses] == [
         r.signature for r in thread_responses
     ]
+    assert [r.metrics.site for r in responses] == [
+        "parent" if r.request.workload == "MobileRobot" else "child"
+        for r in responses
+    ]
+    sites = report.provenance_counts("site")
+    assert sites["parent"] >= 1 and sites["child"] >= 1
+    assert sum(sites.values()) == len(trace)
     # The child sends the body's Outcome home as-is, so a request's
     # metrics come back populated exactly as thread mode fills them.
     for remote, local in zip(responses, thread_responses):
@@ -498,30 +537,43 @@ def test_process_mode_coalesces_compiles_across_processes(tmp_path):
     assert sum(compile_counts.values()) == len(trace)
 
 
-def test_worker_crash_yields_error_and_respawns():
-    with Server(workers=2, queue_capacity=16, pool="process") as server:
+def _kill_children(server):
+    with server.procs._members_lock:
+        members = list(server.procs._members.values())
+    for member in members:
+        os.kill(member.process.pid, signal.SIGKILL)
+    for member in members:
+        member.process.join(timeout=10)
+
+
+def test_worker_crash_yields_error_and_respawns(tmp_path):
+    # ElecUse's steps cost more than the pipe, so the rule keeps every
+    # one of them in a child (pinned there, so no timing decides it); the
+    # disk tier spares each respawned child the compile.
+    with Server(
+        workers=2, queue_capacity=16, pool="process",
+        cache_dir=str(tmp_path),
+    ) as server:
+        _in_child(server, "ElecUse")
         # Warm both workers so every child has served at least once.
         warm = [
-            server.request(Request(workload="MobileRobot", steps=1))
+            server.request(Request(workload="ElecUse", steps=1))
             for _ in range(4)
         ]
         assert all(response.ok for response in warm)
 
         # Kill every child out from under the pool.
-        with server.procs._members_lock:
-            members = list(server.procs._members.values())
-        for member in members:
-            os.kill(member.process.pid, signal.SIGKILL)
-        for member in members:
-            member.process.join(timeout=10)
+        _kill_children(server)
 
         # The next dispatch per worker hits the dead child: the request
         # fails loudly with WorkerCrashedError and the slot respawns.
         after = [
-            server.request(Request(workload="MobileRobot", steps=1))
+            server.request(Request(workload="ElecUse", steps=1))
             for _ in range(6)
         ]
     report = server.report()
+
+    assert {r.metrics.site for r in warm + after} == {"child"}
 
     crashed = [r for r in after if not r.ok]
     healed = [r for r in after if r.ok]
@@ -534,6 +586,116 @@ def test_worker_crash_yields_error_and_respawns():
     assert report.conservation_ok
     assert report.completed == len(warm) + len(healed)
     assert report.failed == len(crashed)
+
+
+def test_inline_config_answers_after_every_child_is_killed():
+    """A request that runs in the parent never touches a child: killing
+    them all fails none of its requests and counts no crash."""
+    with Server(workers=2, queue_capacity=16, pool="process") as server:
+        _inline(server, "MobileRobot")
+        before = server.request(Request(workload="MobileRobot", steps=2))
+        _kill_children(server)
+        after = [
+            server.request(Request(workload="MobileRobot", steps=2))
+            for _ in range(4)
+        ]
+    report = server.report()
+
+    assert all(r.ok for r in [before] + after)
+    assert {r.signature for r in [before] + after} == {before.signature}
+    assert {r.metrics.site for r in [before] + after} == {"parent"}
+    assert report.worker_crashes == 0
+    assert report.provenance_counts("site") == {"parent": 5}
+
+
+def test_placement_sends_an_unmeasured_config_to_a_child():
+    placement = Placement()
+    assert not placement.inline(Request(workload="MobileRobot"))
+    # Replies that bound their config in the child (a disk-cache hit
+    # among them) carry its construction, compile and plan, and failed
+    # replies carry no execution: none of them measures.
+    for outcome in (
+        Outcome(compile_seconds=0.5, compile_provenance="built"),
+        Outcome(compile_seconds=0.5, plan_seconds=0.5,
+                compile_provenance="cache", plan_provenance="built"),
+        Outcome().fail(RuntimeError("boom")),
+    ):
+        placement.observe(Request(workload="MobileRobot", steps=2), outcome, 1.0)
+    assert not placement.inline(Request(workload="MobileRobot"))
+
+
+def test_placement_runs_a_cheap_config_in_the_parent():
+    placement = Placement()
+    _measure(placement, "MobileRobot", step_s=1.0, trip_s=4.0)
+    assert placement.inline(Request(workload="MobileRobot", steps=2))
+    # The key is the request's own fields: other dims or precision are
+    # another config, still unmeasured.
+    assert not placement.inline(Request(workload="MobileRobot", precision="f32"))
+    assert not placement.inline(Request(workload="Hexacopter"))
+
+
+def test_placement_scales_the_execute_side_by_steps():
+    placement = Placement()
+    _measure(placement, "MobileRobot", step_s=1.0, trip_s=4.0)
+    assert [
+        placement.inline(Request(workload="MobileRobot", steps=steps))
+        for steps in (1, 3, 4, 8)
+    ] == [True, True, False, False]
+
+
+def test_placement_keeps_a_heavy_config_in_a_child():
+    placement = Placement()
+    _measure(placement, "ElecUse", step_s=8.0, trip_s=1.0)
+    assert not placement.inline(Request(workload="ElecUse", steps=1))
+    # Each number is a running minimum: a slower reply changes nothing,
+    # a faster trip only makes the child more attractive.
+    _measure(placement, "ElecUse", step_s=16.0, trip_s=0.5)
+    _measure(placement, "ElecUse", step_s=0.25, trip_s=8.0)
+    assert placement.inline(Request(workload="ElecUse", steps=1))
+    assert not placement.inline(Request(workload="ElecUse", steps=2))
+
+
+def test_placement_sends_fault_injection_to_a_child():
+    placement = Placement()
+    _measure(placement, "MobileRobot", step_s=1.0, trip_s=4.0)
+    injected = Request(workload="MobileRobot", inject=("transient",))
+    assert not placement.inline(injected)
+    # Nor does a fault-injecting reply measure its config.
+    _measure(placement, "Hexacopter", step_s=1.0, trip_s=4.0)
+    placement.observe(
+        Request(workload="Hexacopter", inject=("transient",)),
+        Outcome(execute_seconds=8.0), 8.0,
+    )
+    assert placement.inline(Request(workload="Hexacopter"))
+
+
+def test_parent_never_builds_a_child_served_workload(monkeypatch):
+    """Deciding reads only the request: a config that stays in a child is
+    never resolved or constructed in the parent."""
+    import repro.serve.executor as executor_module
+
+    built = []
+    real = executor_module.get_workload
+
+    def recording(name, *args, **kwargs):
+        built.append(name)
+        return real(name, *args, **kwargs)
+
+    with Server(workers=2, queue_capacity=16, pool="process") as server:
+        # The children are forked already: only the parent records.
+        monkeypatch.setattr(executor_module, "get_workload", recording)
+        _inline(server, "MobileRobot")
+        _in_child(server, "ElecUse")
+        names = ["ElecUse", "MobileRobot"] * 3
+        responses = [
+            server.request(Request(workload=name, steps=1)) for name in names
+        ]
+
+    assert all(response.ok for response in responses)
+    assert built == ["MobileRobot"]
+    assert [r.metrics.site for r in responses] == [
+        "parent" if name == "MobileRobot" else "child" for name in names
+    ]
 
 
 def test_worker_crashed_error_is_a_serve_error():

@@ -33,6 +33,7 @@ from repro.serve import (
     Server,
     percentile,
     replay,
+    result_signature,
     run_serial,
     synth_trace,
 )
@@ -251,7 +252,6 @@ def interpreted_signatures(tmp_path_factory):
     baseline included) takes part in — and the cache directory holding
     the compiles."""
     from repro.driver import CompilerSession
-    from repro.serve import result_signature
     from repro.workloads import Trajectory, get_workload
 
     cache_dir = str(tmp_path_factory.mktemp("ledger-serve-cache"))
@@ -295,6 +295,38 @@ def test_served_replies_match_the_interpreted_plan(interpreted_signatures, pool)
     }
     snapshot = server.metrics_registry().snapshot()
     assert snapshot["codegen.kernel_fallbacks"] == fallbacks
+
+
+def test_shared_read_only_params_serve_what_fresh_params_compute(
+    interpreted_signatures,
+):
+    """Every request of a workload steps the same read-only params: each
+    ledger serve config, served twice by ``run_serial``, answers what its
+    kernel plan computes from freshly built, writeable params."""
+    from repro.driver import CompilerSession
+    from repro.workloads import Trajectory, get_workload
+
+    cache_dir, _ = interpreted_signatures
+    session = CompilerSession(cache_dir=cache_dir)
+    expected = {}
+    for name in LEDGER_SERVE_CONFIGS:
+        workload = get_workload(name)
+        app, _ = session.compile_workload(workload)
+        plan = session.plan_for(app, codegen=True)
+        trajectory = Trajectory(workload)
+        trajectory.params = workload.params()
+        for _ in range(2):
+            result = trajectory.step(plan.execute)
+        expected[name] = result_signature(result.outputs)
+
+    responses, _ = run_serial(
+        [Request(workload=name, steps=2) for name in LEDGER_SERVE_CONFIGS * 2],
+        session=CompilerSession(cache_dir=cache_dir),
+    )
+    assert all(response.ok for response in responses)
+    assert [response.signature for response in responses] == [
+        expected[name] for name in LEDGER_SERVE_CONFIGS * 2
+    ]
 
 
 def test_execute_provenance_names_what_ran(monkeypatch):

@@ -241,3 +241,31 @@ class TestTrajectory:
         given_inputs = workload.inputs(0, None)
         Trajectory(workload).step(record, given_inputs)
         assert seen == [given_inputs]
+
+    @pytest.mark.parametrize("name", ["FFT-8192", "BrainStimul", "MovieL-100K"])
+    def test_params_are_computed_once_and_read_only(self, name):
+        workload = get_workload(name)
+        first, second = Trajectory(workload), Trajectory(workload)
+        assert first.params is second.params is workload.shared_params()
+        arrays = {
+            key: value for key, value in first.params.items()
+            if isinstance(value, np.ndarray)
+        }
+        assert arrays
+        for key, value in arrays.items():
+            assert not value.flags.writeable, key
+            with pytest.raises(ValueError):
+                value[...] = 0
+        # The values are params()'s, and what params() hands out (the
+        # workload's own arrays among them) stays writeable.
+        fresh = workload.params()
+        assert sorted(fresh) == sorted(first.params)
+        for key, value in arrays.items():
+            np.testing.assert_array_equal(value, fresh[key])
+            assert fresh[key].flags.writeable, key
+        # A re-specialized instance computes its own.
+        if workload.symbolic_dims:
+            other = workload.with_dims(
+                **{dim: 2 * size for dim, size in workload.dims().items()}
+            )
+            assert other.shared_params() is not first.params
