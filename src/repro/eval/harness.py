@@ -149,53 +149,6 @@ class Harness:
     def run_all(self, names=SINGLE_DOMAIN):
         return [self.run(name) for name in names]
 
-    # -- resilience (chaos) measurements ---------------------------------------------
-
-    def resilience(self, name, fault_plan, policy=None, accelerated_domains=None):
-        """One timing-plane chaos run of *name* under *fault_plan*.
-
-        Returns the :class:`~repro.runtime.RunReport` (``execute=False``:
-        the event/cost plane only, no interpreter execution — cheap enough
-        to sweep). Raises :class:`~repro.errors.RuntimeFailure` when the
-        plan defeats the recovery policy.
-        """
-        from ..runtime import HostManager
-
-        workload, app, accelerators = self.compiled(name)
-        manager = HostManager(accelerators, policy=policy)
-        return manager.run(
-            app,
-            fault_plan=fault_plan,
-            hints=workload.hints(),
-            accelerated_domains=accelerated_domains,
-            execute=False,
-        )
-
-    def resilience_row(self, name, fault_plan, policy=None):
-        """Resilience columns for one workload: availability, overhead, recovery.
-
-        The optional companion to :class:`BenchmarkRun`'s performance
-        columns; aborted runs come back with ``completed=False`` instead
-        of raising, so a sweep over plans always yields a full table.
-        """
-        from ..errors import RuntimeFailure
-
-        try:
-            report = self.resilience(name, fault_plan, policy=policy)
-        except RuntimeFailure as exc:
-            report = exc.report
-        return {
-            "name": name,
-            "plan": report.fault_plan,
-            "completed": report.completed,
-            "availability": report.availability,
-            "overhead": report.overhead,
-            "faults": report.faults_injected,
-            "recovered": report.faults_recovered,
-            "retries": report.retries,
-            "degraded": ",".join(report.degraded_domains) or "-",
-        }
-
     # -- end-to-end combination study (Fig 10/11/12) -----------------------------------
 
     def end_to_end(self, name):

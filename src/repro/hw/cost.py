@@ -143,11 +143,6 @@ class PerfStats:
     def watts(self):
         return safe_div(self.energy_j, self.seconds)
 
-    @property
-    def performance_per_watt(self):
-        """Work rate per watt (ops/s/W); used for PPW comparisons."""
-        return safe_div(self.op_count, self.energy_j)
-
     def __repr__(self):
         return (
             f"PerfStats(seconds={self.seconds:.6g}, ops={self.op_count}, "

@@ -228,8 +228,3 @@ class ActiveFaultPlan:
                 if struck is None:
                     struck = spec
         return struck
-
-    @property
-    def triggered(self):
-        """Total faults this active plan has fired so far."""
-        return sum(self._fired)

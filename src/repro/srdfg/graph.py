@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import GraphError
-from .metadata import EdgeMeta, STATE
+from .metadata import EdgeMeta
 
 VAR = "var"
 CONST = "const"
@@ -341,8 +341,3 @@ def _discard(edges, edge):
         if candidate is edge:
             del edges[position]
             return
-
-
-def make_state_self_edge(graph, var_node, meta):
-    """Attach the paper's ``src == dst`` marker edge to a state variable."""
-    return graph.add_edge(var_node, var_node, meta.with_modifier(STATE))

@@ -61,10 +61,6 @@ class EdgeMeta:
         """Storage footprint in bytes (drives DMA and energy models)."""
         return self.size * DTYPE_BYTES.get(self.dtype, 4)
 
-    def with_modifier(self, modifier):
-        """Copy of this metadata with a different type modifier."""
-        return replace(self, modifier=modifier)
-
     def with_src_name(self, src_name):
         """Copy of this metadata publishing from a differently-named value."""
         return replace(self, src_name=src_name)

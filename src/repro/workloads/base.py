@@ -201,14 +201,6 @@ class Workload:
         specialized.__module__ = cls.__module__
         return specialized()
 
-    def expected_input_shapes(self) -> Dict[str, tuple]:
-        """Declared shape of every ``input`` tensor, from the srDFG."""
-        return self._declared_shapes("input")
-
-    def expected_state_shapes(self) -> Dict[str, tuple]:
-        """Declared shape of every ``state`` tensor, from the srDFG."""
-        return self._declared_shapes("state")
-
     def _declared_shapes(self, modifier):
         shapes = {}
         for node in self.cached_graph().var_nodes():

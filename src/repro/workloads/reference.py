@@ -44,19 +44,6 @@ def mpc_step(pos, ctrl_mdl, problem, h, signal_len):
     return ctrl_sgnl, new_ctrl
 
 
-def mpc_trajectory(initial_pos, problem, h, signal_len, control_len, steps, plant=None):
-    """Run *steps* MPC iterations; returns the control-signal history."""
-    ctrl_mdl = np.zeros(control_len)
-    pos = np.array(initial_pos, dtype=np.float64)
-    signals = []
-    for step in range(steps):
-        signal, ctrl_mdl = mpc_step(pos, ctrl_mdl, problem, h, signal_len)
-        signals.append(signal)
-        if plant is not None:
-            pos = plant(pos, signal, step)
-    return np.array(signals)
-
-
 # ---------------------------------------------------------------------------
 # Graph analytics
 # ---------------------------------------------------------------------------
@@ -89,21 +76,6 @@ def bfs_step(adjacency, dist):
     return np.minimum(relax, dist)
 
 
-def sssp_distances(adjacency, weights, source):
-    """Single-source shortest paths via Bellman-Ford relaxations."""
-    vertices = adjacency.shape[0]
-    dist = np.full(vertices, UNREACHED)
-    dist[source] = 0.0
-    edge_cost = np.where(adjacency > 0, weights, np.inf)
-    for _ in range(vertices - 1):
-        relax = (dist[:, None] + edge_cost).min(axis=0)
-        new_dist = np.minimum(dist, relax)
-        if np.allclose(new_dist, dist):
-            break
-        dist = new_dist
-    return dist
-
-
 def sssp_step(adjacency, weights, dist):
     """One relaxation step (oracle for the srDFG iteration)."""
     edge_cost = np.where(adjacency > 0, weights, np.inf)
@@ -124,19 +96,6 @@ def lrmf_step(ratings, mask, w, h, lr):
     return w - lr * gw, h - lr * gh
 
 
-def lrmf_train(ratings, mask, rank, lr, iters, seed=0):
-    """Gradient-descent factorisation; returns (W, H, loss history)."""
-    rng = np.random.default_rng(seed)
-    users, items = ratings.shape
-    w = rng.normal(scale=0.1, size=(users, rank))
-    h = rng.normal(scale=0.1, size=(rank, items))
-    losses = []
-    for _ in range(iters):
-        w, h = lrmf_step(ratings, mask, w, h, lr)
-        losses.append(float(np.sum((mask * (w @ h - ratings)) ** 2)))
-    return w, h, losses
-
-
 def kmeans_step(points, centroids):
     """One Lloyd iteration; returns (assignments, new centroids)."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; argmin over c.
@@ -151,20 +110,6 @@ def kmeans_step(points, centroids):
     # Empty clusters keep their previous centroid.
     new_centroids[counts == 0] = centroids[counts == 0]
     return assign, new_centroids
-
-
-def kmeans_train(points, k, iters, seed=0):
-    rng = np.random.default_rng(seed)
-    centroids = points[rng.choice(points.shape[0], size=k, replace=False)].copy()
-    assign = None
-    for _ in range(iters):
-        assign, centroids = kmeans_step(points, centroids)
-    return assign, centroids
-
-
-def logistic_inference(weights, bias, features):
-    """Multi-class logistic scores: sigmoid(W @ x + b)."""
-    return sp_special.expit(weights @ features + bias)
 
 
 def black_scholes_call(spot, strike, maturity, volatility, rate):
