@@ -108,11 +108,11 @@ class LocalExecutor:
         key = (name, (), precision)
         with self._lock:
             base = self._configs.get(key)
-            if base is None:
-                workload = get_workload(name)
-                base = self._configs[key] = Config(
-                    key, workload, workload.shape_binding()
-                )
+        if base is None:
+            workload = get_workload(name)
+            base = Config(key, workload, workload.shape_binding())
+            with self._lock:
+                base = self._configs.setdefault(key, base)
         if not dims:
             return base
         dims = dict(dims)

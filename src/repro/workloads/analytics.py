@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import reference
-from .base import Workload, register
+from .base import Workload, once, register
 from .datasets import gaussian_clusters, rating_matrix
 
 LRMF_SOURCE = """
@@ -52,13 +52,19 @@ class _LrmfWorkload(Workload):
     seed = 3
     rtol = 1e-7
 
-    def __init__(self):
-        self.data = rating_matrix(
+    @once
+    def data(self):
+        return rating_matrix(
             self.users, self.items, self.observed, rank=self.rank, seed=self.seed
         )
+
+    @once
+    def factors(self):
+        """Initial (W, H), drawn in that order from one generator."""
         rng = np.random.default_rng(self.seed + 1)
-        self.w0 = rng.normal(scale=0.1, size=(self.users, self.rank))
-        self.h0 = rng.normal(scale=0.1, size=(self.rank, self.items))
+        w0 = rng.normal(scale=0.1, size=(self.users, self.rank))
+        h0 = rng.normal(scale=0.1, size=(self.rank, self.items))
+        return w0, h0
 
     def source(self):
         return LRMF_SOURCE.format(u=self.users, m=self.items, k=self.rank)
@@ -67,13 +73,15 @@ class _LrmfWorkload(Workload):
         return {"R": self.data.ratings, "B": self.data.mask, "lr": self.lr}
 
     def initial_state(self):
-        return {"W": self.w0.copy(), "H": self.h0.copy()}
+        w0, h0 = self.factors
+        return {"W": w0.copy(), "H": h0.copy()}
 
     def extract(self, results):
         return np.array([float(result.outputs["loss"]) for result in results])
 
     def reference(self):
-        w, h = self.w0.copy(), self.h0.copy()
+        w0, h0 = self.factors
+        w, h = w0.copy(), h0.copy()
         losses = []
         for _ in range(self.functional_steps):
             err = self.data.mask * (w @ h - self.data.ratings)
@@ -133,10 +141,14 @@ class _KmeansWorkload(Workload):
     seed = 6
     rtol = 1e-7
 
-    def __init__(self):
-        self.data = gaussian_clusters(self.n, self.d, self.k, seed=self.seed)
+    @once
+    def data(self):
+        return gaussian_clusters(self.n, self.d, self.k, seed=self.seed)
+
+    @once
+    def c0(self):
         rng = np.random.default_rng(self.seed + 1)
-        self.c0 = self.data.points[
+        return self.data.points[
             rng.choice(self.n, size=self.k, replace=False)
         ].copy()
 

@@ -2,8 +2,9 @@
 
 A workload bundles a PMLang program, its parameter data (synthetic
 datasets), a driver that threads state across invocations, a reference
-implementation, and the data hints the cost models need. The evaluation
-harness consumes workloads uniformly:
+implementation, and the data hints the cost models need; its datasets
+materialize on first read (:class:`once`). The evaluation harness
+consumes workloads uniformly:
 
 * ``check_functional()`` — compile, execute a few invocations through the
   srDFG interpreter, and compare against the numpy reference;
@@ -15,6 +16,7 @@ harness consumes workloads uniformly:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict
 
@@ -54,6 +56,45 @@ def count_loc(source):
     return total
 
 
+#: Guards the creation of each instance's :class:`once` lock (only).
+_ONCE_GUARD = threading.Lock()
+
+
+class once:
+    """A per-instance attribute computed on its first read, exactly once.
+
+    The method runs under its instance's reentrant lock (so one ``once``
+    attribute may read another), and its value lands in the instance
+    ``__dict__``, where it shadows this non-data descriptor: every later
+    read is a plain instance-dict read. Concurrent first reads of one
+    instance compute once and share the object; different instances
+    never wait on each other — unlike ``functools.cached_property``,
+    which locks per descriptor on 3.11 and not at all on 3.12+. A method
+    that raises stores nothing.
+    """
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        values = instance.__dict__
+        lock = values.get("_once_lock")
+        if lock is None:
+            with _ONCE_GUARD:
+                lock = values.setdefault("_once_lock", threading.RLock())
+        with lock:
+            if self.name not in values:
+                values[self.name] = self.method(instance)
+            return values[self.name]
+
+
 @dataclass
 class CheckResult:
     """Outcome of a functional validation run."""
@@ -64,7 +105,13 @@ class CheckResult:
 
 
 class Workload:
-    """One benchmark: program + data + driver + oracle."""
+    """One benchmark: program + data + driver + oracle.
+
+    Subclasses declare their data as :class:`once` attributes and define
+    no ``__init__``: constructing a workload, reading its ``source()``,
+    ``dims()`` or ``shape_binding()``, and specializing it with
+    :meth:`with_dims` generate nothing.
+    """
 
     #: Table III metadata.
     name = "workload"
@@ -104,15 +151,16 @@ class Workload:
         per request; the read-only views make a step that writes into one
         raise instead of corrupting every later request.
         """
-        params = getattr(self, "_params", None)
-        if params is None:
-            params = {}
-            for name, value in self.params().items():
-                if isinstance(value, np.ndarray):
-                    value = value.view()
-                    value.flags.writeable = False
-                params[name] = value
-            self._params = params
+        return self._shared_params
+
+    @once
+    def _shared_params(self):
+        params = {}
+        for name, value in self.params().items():
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.flags.writeable = False
+            params[name] = value
         return params
 
     def initial_state(self):
@@ -188,10 +236,11 @@ class Workload:
     def with_dims(self, **overrides):
         """A new instance specialized at the overridden dims.
 
-        The override happens *before* ``__init__`` runs (via a throwaway
-        subclass), so constructors that derive data from the dims — the
-        MPC problem matrices, the FFT input signal — see the new extents.
-        ``with_dims()`` with no overrides returns ``self``.
+        The overrides become class attributes of a throwaway subclass, so
+        the new instance's data — the MPC problem matrices, the FFT input
+        signal — is generated at the new extents on its first read, and
+        nothing is generated here. ``with_dims()`` with no overrides
+        returns ``self``.
         """
         if not overrides:
             return self
@@ -248,11 +297,11 @@ class Workload:
         workload's reference driver plans its program exactly once, no
         matter how many validation or chaos runs reuse the instance.
         """
-        graph = getattr(self, "_graph", None)
-        if graph is None:
-            graph = self.build_graph()
-            self._graph = graph
-        return graph
+        return self._graph
+
+    @once
+    def _graph(self):
+        return self.build_graph()
 
     def run_functional(self, graph=None, steps=None):
         """Execute the program for *steps* invocations, threading state.

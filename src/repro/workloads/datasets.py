@@ -14,20 +14,36 @@ All generators are deterministic given a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .base import once
 
 
 @dataclass
 class GraphData:
-    """A synthetic graph: dense adjacency for the srDFG path plus stats."""
+    """A synthetic graph: dense adjacency for the srDFG path plus stats.
+
+    Only SSSP reads edge weights, so the dense ``weights`` matrix is drawn
+    on its first read, from the generator state the sampler left behind.
+    """
 
     adjacency: np.ndarray  # (V, V) int8, adjacency[u, v] = 1 for edge u->v
-    weights: np.ndarray  # (V, V) float, +inf-free (0 where no edge)
     vertices: int
     edges: int
-    source: int = 0
+    source: int
+    #: Generator state right after the sampler's last draw.
+    weight_state: dict = field(repr=False)
+
+    @once
+    def weights(self):
+        """(V, V) float, +inf-free (0 where no edge)."""
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self.weight_state
+        weights = rng.uniform(1.0, 10.0, size=(self.vertices, self.vertices))
+        weights *= self.adjacency
+        return weights
 
     @property
     def hints(self):
@@ -69,17 +85,12 @@ def rmat_graph(vertices, avg_degree, seed=0, a=0.57, b=0.19, c=0.19):
     # random Hamiltonian-ish backbone.
     order = rng.permutation(vertices)
     adjacency[order[:-1], order[1:]] = 1
-    edges = int(adjacency.sum())
-
-    weights = rng.uniform(1.0, 10.0, size=(vertices, vertices))
-    weights *= adjacency
-    source = int(order[0])
     return GraphData(
         adjacency=adjacency,
-        weights=weights,
         vertices=vertices,
-        edges=edges,
-        source=source,
+        edges=int(adjacency.sum()),
+        source=int(order[0]),
+        weight_state=rng.bit_generator.state,
     )
 
 

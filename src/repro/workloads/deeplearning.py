@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import reference
-from .base import Workload, register
+from .base import Workload, once, register
 from .datasets import image_batch
 
 LAYER_COMPONENTS = """
@@ -72,28 +72,45 @@ fc(input float x[n], param float W[m][n], param float b[m],
 
 
 class _SourceBuilder:
-    """Accumulates main-body lines, local buffers, and weight params."""
+    """Accumulates main-body lines, local buffers, and weight params.
+
+    A weight is declared by shape only; :meth:`draw` initializes every
+    declared weight afterwards, so the source text is generated without
+    drawing a single one.
+    """
 
     def __init__(self):
         self.locals = []
         self.lines = []
-        self.params = {}
+        #: (name, shape, fan_in) per weight, in declaration order.
+        self.weights = []
         self.param_decls = []
-        self._rng = None
 
     def local(self, name, shape):
         dims = "".join(f"[{dim}]" for dim in shape)
         self.locals.append(f"  float {name}{dims};")
         return name
 
-    def param(self, name, array):
-        self.params[name] = array
-        dims = "".join(f"[{dim}]" for dim in array.shape)
+    def param(self, name, shape, fan_in=None):
+        """Declare weight *name*: He-initialized over *fan_in*, or zeros
+        (a bias) without one."""
+        self.weights.append((name, shape, fan_in))
+        dims = "".join(f"[{dim}]" for dim in shape)
         self.param_decls.append(f"param float {name}{dims}")
         return name
 
     def call(self, text):
         self.lines.append(f"  DL: {text}")
+
+    def draw(self, seed):
+        """The declared weights, drawn in declaration order from one
+        generator seeded with *seed*."""
+        rng = np.random.default_rng(seed)
+        return {
+            name: np.zeros(shape) if fan_in is None
+            else _he_init(rng, shape, fan_in)
+            for name, shape, fan_in in self.weights
+        }
 
 
 def _he_init(rng, shape, fan_in):
@@ -111,29 +128,11 @@ class _CnnWorkload(Workload):
     rtol = 1e-6
     atol = 1e-6
 
-    def __init__(self):
-        self.rng = np.random.default_rng(self.seed)
-        self.image = image_batch(3, self.input_hw, self.input_hw, seed=self.seed)
-        self.builder = _SourceBuilder()
-        self._source = self._generate()
-
-    def source(self):
-        return self._source
-
-    def params(self):
-        return dict(self.builder.params)
-
-    def inputs(self, step, previous):
-        return {"img": self.image}
-
-    def extract(self, results):
-        return results[-1].outputs["logits"]
-
-    def _generate(self):
-        raise NotImplementedError
-
-    def _finalize_main(self, body_intro=""):
-        builder = self.builder
+    @once
+    def _network(self):
+        """(source text, builder): the network declared, no weight drawn."""
+        builder = _SourceBuilder()
+        self._generate(builder)
         params = ",\n     ".join(builder.param_decls)
         main = (
             f"main(input float img[3][{self.input_hw}][{self.input_hw}],\n"
@@ -141,11 +140,34 @@ class _CnnWorkload(Workload):
             f"     output float logits[{self.classes}]) {{\n"
             + "\n".join(builder.locals)
             + "\n"
-            + body_intro
             + "\n".join(builder.lines)
             + "\n}\n"
         )
-        return LAYER_COMPONENTS + "\n" + main
+        return LAYER_COMPONENTS + "\n" + main, builder
+
+    @once
+    def weights(self):
+        return self._network[1].draw(self.seed)
+
+    @once
+    def image(self):
+        return image_batch(3, self.input_hw, self.input_hw, seed=self.seed)
+
+    def source(self):
+        return self._network[0]
+
+    def params(self):
+        return dict(self.weights)
+
+    def inputs(self, step, previous):
+        return {"img": self.image}
+
+    def extract(self, results):
+        return results[-1].outputs["logits"]
+
+    def _generate(self, builder):
+        """Declare the network's layers on *builder*."""
+        raise NotImplementedError
 
 
 @register
@@ -158,14 +180,11 @@ class ResNet18(_CnnWorkload):
     blocks_per_stage = 2
     seed = 21
 
-    def _generate(self):
-        builder, rng = self.builder, self.rng
+    def _generate(self, builder):
         hw = self.input_hw
 
         # Stem: conv3x3(3 -> widths[0]) + relu.
-        w = builder.param(
-            "stem_W", _he_init(rng, (self.widths[0], 3, 3, 3), 27)
-        )
+        w = builder.param("stem_W", (self.widths[0], 3, 3, 3), 27)
         builder.local("img_p", (3, hw + 2, hw + 2))
         builder.local("stem", (self.widths[0], hw, hw))
         builder.local("act0", (self.widths[0], hw, hw))
@@ -179,28 +198,21 @@ class ResNet18(_CnnWorkload):
             for block in range(self.blocks_per_stage):
                 stride = 2 if (stage > 0 and block == 0) else 1
                 current, hw, channels = self._basic_block(
-                    f"s{stage}b{block}", current, channels, width, hw, stride
+                    builder, f"s{stage}b{block}", current, channels, width,
+                    hw, stride,
                 )
 
         builder.local("pooled", (channels,))
         builder.call(f"global_pool({current}, pooled, {hw * hw});")
-        fc_w = builder.param(
-            "fc_W", _he_init(rng, (self.classes, channels), channels)
-        )
-        fc_b = builder.param("fc_b", np.zeros(self.classes))
+        fc_w = builder.param("fc_W", (self.classes, channels), channels)
+        fc_b = builder.param("fc_b", (self.classes,))
         builder.call(f"fc(pooled, {fc_w}, {fc_b}, logits);")
-        return self._finalize_main()
 
-    def _basic_block(self, tag, x, cin, cout, hw, stride):
-        builder, rng = self.builder, self.rng
+    def _basic_block(self, builder, tag, x, cin, cout, hw, stride):
         out_hw = hw // stride
 
-        w1 = builder.param(
-            f"{tag}_c1_W", _he_init(rng, (cout, cin, 3, 3), cin * 9)
-        )
-        w2 = builder.param(
-            f"{tag}_c2_W", _he_init(rng, (cout, cout, 3, 3), cout * 9)
-        )
+        w1 = builder.param(f"{tag}_c1_W", (cout, cin, 3, 3), cin * 9)
+        w2 = builder.param(f"{tag}_c2_W", (cout, cout, 3, 3), cout * 9)
         builder.local(f"{tag}_p1", (cin, hw + 2, hw + 2))
         builder.local(f"{tag}_c1", (cout, out_hw, out_hw))
         builder.local(f"{tag}_a1", (cout, out_hw, out_hw))
@@ -214,7 +226,7 @@ class ResNet18(_CnnWorkload):
         builder.call(f"conv3x3({tag}_p2, {w2}, {tag}_c2, 1);")
 
         if stride != 1 or cin != cout:
-            wd = builder.param(f"{tag}_ds_W", _he_init(rng, (cout, cin), cin))
+            wd = builder.param(f"{tag}_ds_W", (cout, cin), cin)
             builder.local(f"{tag}_skip", (cout, out_hw, out_hw))
             builder.call(f"conv1x1({x}, {wd}, {tag}_skip, {stride});")
             skip = f"{tag}_skip"
@@ -224,7 +236,7 @@ class ResNet18(_CnnWorkload):
         return f"{tag}_out", out_hw, cout
 
     def reference(self):
-        params = self.builder.params
+        params = self.weights
         x = self.image
         x = reference.relu(reference.conv2d(x, params["stem_W"], stride=1, pad=1))
         cin = self.widths[0]
@@ -267,10 +279,9 @@ class MobileNet(_CnnWorkload):
     stem_width = 16
     seed = 22
 
-    def _generate(self):
-        builder, rng = self.builder, self.rng
+    def _generate(self, builder):
         hw = self.input_hw
-        w = builder.param("stem_W", _he_init(rng, (self.stem_width, 3, 3, 3), 27))
+        w = builder.param("stem_W", (self.stem_width, 3, 3, 3), 27)
         builder.local("img_p", (3, hw + 2, hw + 2))
         builder.local("stem", (self.stem_width, hw, hw))
         builder.local("act0", (self.stem_width, hw, hw))
@@ -283,12 +294,8 @@ class MobileNet(_CnnWorkload):
         for position, (stride, cout) in enumerate(self.blocks):
             tag = f"b{position}"
             out_hw = hw // stride
-            dw = builder.param(
-                f"{tag}_dw_W", _he_init(rng, (channels, 3, 3), 9)
-            )
-            pw = builder.param(
-                f"{tag}_pw_W", _he_init(rng, (cout, channels), channels)
-            )
+            dw = builder.param(f"{tag}_dw_W", (channels, 3, 3), 9)
+            pw = builder.param(f"{tag}_pw_W", (cout, channels), channels)
             builder.local(f"{tag}_p", (channels, hw + 2, hw + 2))
             builder.local(f"{tag}_dw", (channels, out_hw, out_hw))
             builder.local(f"{tag}_da", (channels, out_hw, out_hw))
@@ -303,13 +310,12 @@ class MobileNet(_CnnWorkload):
 
         builder.local("pooled", (channels,))
         builder.call(f"global_pool({current}, pooled, {hw * hw});")
-        fc_w = builder.param("fc_W", _he_init(rng, (self.classes, channels), channels))
-        fc_b = builder.param("fc_b", np.zeros(self.classes))
+        fc_w = builder.param("fc_W", (self.classes, channels), channels)
+        fc_b = builder.param("fc_b", (self.classes,))
         builder.call(f"fc(pooled, {fc_w}, {fc_b}, logits);")
-        return self._finalize_main()
 
     def reference(self):
-        params = self.builder.params
+        params = self.weights
         x = reference.relu(reference.conv2d(self.image, params["stem_W"], 1, 1))
         for position, (stride, cout) in enumerate(self.blocks):
             tag = f"b{position}"

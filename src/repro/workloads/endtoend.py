@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special as sp_special
 
 from . import reference
-from .base import Workload, register
+from .base import Workload, once, register
 from .datasets import bandlimited_signal, mpc_problem, option_chain, sentiment_features
 
 BRAIN_STIMUL_SOURCE = """
@@ -134,14 +134,20 @@ class BrainStimul(Workload):
     #: Kernel name per domain, for the Fig 10/11 combination study.
     kernels_by_domain = {"DSP": "FFT", "DA": "LR", "RBT": "MPC"}
 
-    def __init__(self):
-        self.problem = mpc_problem(
+    @once
+    def problem(self):
+        return mpc_problem(
             self.biomarkers, self.pred_len, self.ctrl_len, self.signal_len,
             seed=self.seed,
         )
+
+    @once
+    def classifier(self):
+        """The biomarker classifier's (Wl, bl), drawn in that order."""
         rng = np.random.default_rng(self.seed)
-        self.wl = rng.normal(scale=1.0 / self.n, size=(self.biomarkers, self.n))
-        self.bl = rng.normal(scale=0.1, size=self.biomarkers)
+        wl = rng.normal(scale=1.0 / self.n, size=(self.biomarkers, self.n))
+        bl = rng.normal(scale=0.1, size=self.biomarkers)
+        return wl, bl
 
     def source(self):
         return BRAIN_STIMUL_SOURCE.format(
@@ -160,12 +166,13 @@ class BrainStimul(Workload):
 
     def params(self):
         twr, twi = reference.twiddle_tables(self.n)
+        wl, bl = self.classifier
         return {
             "br": reference.bit_reversal_permutation(self.n),
             "twr": twr,
             "twi": twi,
-            "Wl": self.wl,
-            "bl": self.bl,
+            "Wl": wl,
+            "bl": bl,
             **self.problem,
         }
 
@@ -179,12 +186,13 @@ class BrainStimul(Workload):
         return np.array([result.outputs["ctrl_sgnl"] for result in results])
 
     def reference(self):
+        wl, bl = self.classifier
         ctrl_mdl = np.zeros(self.ctrl_len)
         signals = []
         for step in range(self.functional_steps):
             spectrum = reference.fft_real(self._signal(step))
             magnitude = np.abs(spectrum)
-            pos = sp_special.expit(self.wl @ magnitude + self.bl)
+            pos = sp_special.expit(wl @ magnitude + bl)
             signal, ctrl_mdl = reference.mpc_step(
                 pos, ctrl_mdl, self.problem, self.horizon, self.signal_len
             )
@@ -242,10 +250,23 @@ class OptionPricing(Workload):
     accelerator_overrides = {"DA-BLKS": "hyperstreams"}
     kernels_by_domain = {"DA": "LR", "DA-BLKS": "BLKS"}
 
-    def __init__(self):
-        self.chain = option_chain(self.options, seed=self.seed)
-        self.features, self.weights = sentiment_features(self.words, seed=self.seed)
-        self.bias = 0.05
+    bias = 0.05
+
+    @once
+    def chain(self):
+        return option_chain(self.options, seed=self.seed)
+
+    @once
+    def _sentiment(self):
+        return sentiment_features(self.words, seed=self.seed)
+
+    @once
+    def features(self):
+        return self._sentiment[0]
+
+    @once
+    def weights(self):
+        return self._sentiment[1]
 
     def source(self):
         return OPTION_PRICING_SOURCE.format(w=self.words, n=self.options)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as sp_special
 
-from .base import Workload, register
+from .base import Workload, once, register
 from .datasets import rmat_graph
 
 PAGERANK_SOURCE = """
@@ -50,12 +50,16 @@ class PageRank(Workload):
     perf_iterations = 30
     rtol = 1e-9
 
-    def __init__(self):
-        self.graph_data = rmat_graph(self.vertices, self.avg_degree, seed=self.seed)
+    @once
+    def graph_data(self):
+        return rmat_graph(self.vertices, self.avg_degree, seed=self.seed)
+
+    @once
+    def outdeg(self):
         degree = self.graph_data.adjacency.sum(axis=1).astype(np.float64)
         # Dangling vertices keep a unit divisor (they simply leak mass,
         # and the reference does the same).
-        self.outdeg = np.maximum(degree, 1.0)
+        return np.maximum(degree, 1.0)
 
     def source(self):
         return PAGERANK_SOURCE.format(v=self.vertices)
@@ -114,13 +118,27 @@ class LogisticRegression(Workload):
     perf_iterations = 100
     rtol = 1e-7
 
-    def __init__(self):
+    @once
+    def _dataset(self):
+        """(features, labels): a planted model's draws, in that order."""
         rng = np.random.default_rng(self.seed)
-        self.true_w = rng.normal(size=self.d) / np.sqrt(self.d)
-        self.features = rng.normal(size=(self.n, self.d))
-        probabilities = sp_special.expit(self.features @ self.true_w)
-        self.labels = (rng.random(self.n) < probabilities).astype(np.float64)
-        self.w0 = np.zeros(self.d)
+        true_w = rng.normal(size=self.d) / np.sqrt(self.d)
+        features = rng.normal(size=(self.n, self.d))
+        probabilities = sp_special.expit(features @ true_w)
+        labels = (rng.random(self.n) < probabilities).astype(np.float64)
+        return features, labels
+
+    @once
+    def features(self):
+        return self._dataset[0]
+
+    @once
+    def labels(self):
+        return self._dataset[1]
+
+    @once
+    def w0(self):
+        return np.zeros(self.d)
 
     def source(self):
         return LOGREG_SOURCE.format(n=self.n, d=self.d)

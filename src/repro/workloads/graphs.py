@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import reference
-from .base import Workload, register
+from .base import Workload, once, register
 from .datasets import rmat_graph
 
 BFS_SOURCE = """
@@ -56,8 +56,9 @@ class _GraphWorkload(Workload):
     functional_steps = 12
     rtol = 1e-9
 
-    def __init__(self):
-        self.graph_data = rmat_graph(self.vertices, self.avg_degree, seed=self.seed)
+    @once
+    def graph_data(self):
+        return rmat_graph(self.vertices, self.avg_degree, seed=self.seed)
 
     def hints(self):
         return self.graph_data.hints

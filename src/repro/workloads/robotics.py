@@ -16,7 +16,7 @@ import numpy as np
 
 from . import reference
 from ..errors import ShapeError
-from .base import Workload, register, substitute
+from .base import Workload, once, register, substitute
 from .datasets import mpc_problem
 
 MOBILE_ROBOT_SOURCE = """
@@ -85,8 +85,9 @@ class _MpcWorkload(Workload):
     horizon = 10
     seed = 11
 
-    def __init__(self):
-        self.problem = mpc_problem(
+    @once
+    def problem(self):
+        return mpc_problem(
             self._extended_dim(), self.pred_len, self.ctrl_len, self.signal_len,
             seed=self.seed,
         )
