@@ -128,6 +128,7 @@ def _cmd_codegen(args):
             continue
         entry.update(provenance="kernel", source_bytes=len(kernel.source))
         for key in ("specialized", "statements", "einsum", "fallback",
+                    "gathers", "gathers_shared", "subexpressions_shared",
                     "slice_stores", "slice_gathers", "scatters"):
             entry[key] = kernel.report.get(key, 0)
         line = (

@@ -34,16 +34,19 @@ __all__ = [
 
 
 #: Version of the contract between the source the emitter prints and the
-#: :class:`KernelArtifact` that runs it (namespace names, ``_S`` layout,
-#: who owns a statement result). It salts :func:`kernel_cache_key`, so a
-#: persistent ``--cache-dir`` never replays source printed under another
-#: contract: bump it with any such change. 2: results left ``_S``.
+#: :class:`KernelArtifact` that runs it (namespace names, the kernel's
+#: parameters, who owns a statement result). It salts
+#: :func:`kernel_cache_key`, so a persistent ``--cache-dir`` never
+#: replays source printed under another contract: bump it with any such
+#: change. 2: results left ``_S``.
 #: 3: ``_affine_view`` joined the namespace. 4: ``_in_range`` joined it,
 #: and predicated min/max reduce masked. 5: ``_contract`` joined it, and
 #: contractions replay their planned steps instead of ``_np.einsum``.
 #: 6: ``_axview`` left it (relabels print as indexing): a record of 5
 #: would call a name the namespace no longer binds, so it must miss.
-KERNEL_ABI = 6
+#: 7: the ``_S`` parameter and the scratch pool left (takes allocate): a
+#: record of 6 would be called with one argument too many.
+KERNEL_ABI = 7
 
 
 def kernel_cache_key(plan_key):

@@ -31,6 +31,14 @@ What is the emitter's own preserves bit-identity by argument:
     every downstream ufunc/reduction sees identical values in an
     identical layout.
 
+The value table
+    A take of one SSA base through one index constant to one shape is
+    printed once, and structurally equal subexpressions of a statement
+    outside any predicate mask (where a stray subscript clamps) are
+    staged once: a reader gets the bytes a repeat of the same numpy call
+    would produce. A take is never ``fresh``, and a staged temp is
+    written over only by a ufunc handed its every occurrence.
+
 Slices
     A store writing each cell of a strided window once
     (:func:`_slice_store`) and a gather whose flat index is a
@@ -51,7 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -97,8 +105,9 @@ class _Val:
     it prints, so result dtypes follow the running numpy's promotion
     rules exactly instead of a hand-written approximation. ``fresh``
     says the run-time value is an array this statement's own numpy call
-    allocated — no operand, constant or scratch buffer shares its memory
-    — so a full-cover store may bind it instead of copying it.
+    allocated and that nothing else reads — no operand, constant or take
+    shares its memory — so an ``out=`` may write over it and a full-cover
+    store may bind it instead of copying it.
     ``unsqueezed`` / ``unbroadcast`` is what a bare ``_np.squeeze`` /
     ``_np.broadcast_to`` wraps: a store's ``.reshape`` / assignment does it.
     """
@@ -184,9 +193,15 @@ def _slice_store(index_arrays, lhs_shape, lattice):
     return index, None if order == tuple(sorted(order)) else order, cover
 
 
+def _literals(expr):
+    """Each literal's type and repr: ``expr_key`` equates 1/1.0/True and 0.0/-0.0."""
+    return tuple((type(node.value), repr(node.value))
+                 for node in ast.walk_expr(expr) if isinstance(node, ast.Literal))
+
+
 #: What :class:`~repro.codegen.kernel.KernelArtifact` is constructed
 #: from, in its constructor's order (after the plan key).
-EmitResult = namedtuple("EmitResult", "source constants scratch_specs report")
+EmitResult = namedtuple("EmitResult", "source constants report")
 
 
 #: Raised while staging a statement: the emitter cannot print it, or it
@@ -216,6 +231,39 @@ class _StagedEvaluator(_ExprEvaluator):
         self.statement = statement
         #: operand name -> _Val of the gathered value.
         self.operands = operands
+        #: id of each subexpression whose ``expr_key`` recurs in the statement
+        #: -> that key; key -> its occurrences, and the :func:`_literals` and
+        #: temp staged for it; staged temp -> its key's occurrences.
+        keys = {}
+        if statement.einsum is None:  # a planned contraction stages none
+            ast.expr_key(statement.stmt.value, keys)
+        # Appearances, not nodes: a rewrite may put one node in two places.
+        self._occurrences = Counter(
+            keys[id(node)] for node in ast.walk_expr(statement.stmt.value) if id(node) in keys
+        )
+        self._repeated = {node: key for node, key in keys.items() if self._occurrences[key] > 1}
+        self._staged, self._uses = {}, {}
+
+    def eval(self, expr):
+        """Stage a repeated subexpression once: its first value, bound to
+        a temp, answers every later occurrence outside a predicate mask."""
+        key = self._repeated.get(id(expr))
+        if key is None or any(mask is not None for mask in self._mask_stack):
+            return super().eval(expr)
+        staged = self._staged.get(key)
+        if staged is not None and staged[0] == _literals(expr):
+            self.emitter.report["subexpressions_shared"] += 1
+            return staged[1]
+        value = super().eval(expr)
+        if staged is None and isinstance(value, _Val) and value.fresh:
+            # Read again later, so never fresh; only this memo hands it
+            # out, so _uses counts every reader.
+            if not value.code.isidentifier():
+                value = self.emitter._let(value.code, value.shape, value.shadow)
+            value = _Val(value.code, value.shape, value.shadow)
+            self._staged[key] = _literals(expr), value
+            self._uses[value.code] = self._occurrences[key]
+        return value
 
     def lift(self, value):
         """*value* as a :class:`_Val` (build-time values embed)."""
@@ -242,12 +290,15 @@ class _StagedEvaluator(_ExprEvaluator):
         args = [val.code for val in vals]
         if isinstance(func, np.ufunc) and func.nout == 1 and shape:
             # An elementwise ufunc may overwrite a fresh operand of the
-            # result's shape and dtype: only this call reads it, and a
+            # result's shape and dtype, or a staged one whose every
+            # occurrence it is handed: only this call reads it, and a
             # C-ordered one (_reuse checks) is laid out as the result
             # would be.
             dtype = np.asarray(shadow).dtype
             for position, val in enumerate(vals):
-                if val.fresh and val.shape == shape and val.dtype == dtype:
+                if (val.fresh or val.code in self._uses and self._uses[val.code] == sum(
+                    other.code == val.code for other in vals
+                )) and val.shape == shape and val.dtype == dtype:
                     temp = val.code
                     if not temp.isidentifier():
                         temp = self.emitter._temp()
@@ -338,24 +389,20 @@ class _StagedEvaluator(_ExprEvaluator):
         None when it may not be static.
 
         The map is the subscripts evaluated over the lattice, so it is
-        fixed by the subscripts' structure (``expr_key``, plus each
-        literal's type and repr, which ``expr_key`` equates across
-        ``1``/``1.0``/``True`` and ``0.0``/``-0.0``), the lattice axes and
-        ranges, the static values the subscripts read, and the base's
-        shape (the extents it is range-checked against and raveled
-        into). None when a subscript reads an operand or holds a
-        reduction, or when an active predicate could excuse a stray
-        subscript.
+        fixed by the subscripts' structure (``expr_key`` and
+        :func:`_literals`), the lattice axes and ranges, the static values
+        the subscripts read, and the base's shape (the extents it is
+        range-checked against and raveled into). None when a subscript
+        reads an operand or holds a reduction, or when an active
+        predicate could excuse a stray subscript.
         """
         if any(mask is not None for mask in self._mask_stack):
             return None
         space, static_env = self.space, self.static_env
-        literals, statics = [], {}
+        statics = {}
         for index_expr in expr.indices:
             for node in ast.walk_expr(index_expr):
-                if isinstance(node, ast.Literal):
-                    literals.append((type(node.value), repr(node.value)))
-                elif isinstance(node, ast.Name):
+                if isinstance(node, ast.Name):
                     name = node.id
                     if name in space.axis:
                         continue
@@ -370,7 +417,7 @@ class _StagedEvaluator(_ExprEvaluator):
                     return None
         return (
             tuple(ast.expr_key(index_expr) for index_expr in expr.indices),
-            tuple(literals),
+            tuple(_literals(index_expr) for index_expr in expr.indices),
             tuple(sorted(statics.items())),
             tuple((name, space.index_ranges[name]) for name in space.order),
             tuple(base_shape),
@@ -507,7 +554,10 @@ class KernelEmitter:
         #: of every static gather index map built so far: a repeat of a
         #: map is neither evaluated, raveled nor hashed again.
         self._index_maps = {}
-        self.scratch_specs = []
+        #: ``(SSA base local, flat index constant, shape)`` -> ``(line, _Val)``
+        #: of every take printed so far: a later gather of the same key
+        #: reads it instead of taking again.
+        self._gathers = {}
         self._temp_serial = 0
         self._locals = {}
         self.report = {
@@ -516,6 +566,8 @@ class KernelEmitter:
             "fallback": 0,
             "einsum": 0,
             "gathers": 0,
+            "gathers_shared": 0,
+            "subexpressions_shared": 0,
             "slice_gathers": 0,
             "slice_stores": 0,
             "scatters": 0,
@@ -526,13 +578,6 @@ class KernelEmitter:
         self._named = set()
         #: (stop line, names) of every printed statement, in order.
         self._fragments = []
-        #: transient-arena allocation cursor/peak, in float64 elements.
-        #: Fragment-local gather buffers are carved from one shared
-        #: arena whose cursor resets per statement, so every statement
-        #: reuses the same cache-hot memory instead of touching its own
-        #: cold dedicated slot.
-        self._arena_off = 0
-        self._arena_peak = 0
         #: value key -> (shape, dtype) of every value the plan produces.
         self._value_facts = {}
         for step in plan.steps:
@@ -582,28 +627,6 @@ class KernelEmitter:
             self._const_by_digest[key] = name
         return name
 
-    def _transient(self, shape, dtype):
-        """Fragment-local scratch carved from the shared f64 arena.
-
-        Only values that are dead by the end of their statement may use
-        it (gather buffers — a carving is never ``fresh``, so every store
-        copies it and nothing downstream aliases it). Non-f64 transients
-        get a dedicated ``_S`` slot instead.
-        """
-        shape = tuple(shape)
-        if np.dtype(dtype) != np.float64:
-            self.scratch_specs.append((shape, np.dtype(dtype)))
-            return f"_S[{len(self.scratch_specs) - 1}]"
-        size = int(np.prod(shape)) if shape else 1
-        if not size:
-            return f"_np.empty({shape!r})"  # carves nothing from the arena
-        offset = self._arena_off
-        self._arena_off += size
-        code = f"_A[{offset}:{offset + size}]"
-        if shape != (size,):
-            code = f"{code}.reshape({shape!r})"
-        return code
-
     def _emit(self, line, indent=1):
         self.lines.append("    " * indent + line)
 
@@ -616,8 +639,7 @@ class KernelEmitter:
                 "plan invokes component sub-plans (lowered graphs inline "
                 "components; source graphs stay interpreted)"
             )
-        self._emit("def _kernel(_inputs, _params, _state, _output_init, _S):",
-                   indent=0)
+        self._emit("def _kernel(_inputs, _params, _state, _output_init):", indent=0)
         for index, step in enumerate(plan.steps):
             local = f"_v{index}"
             if step.kind == VAR:
@@ -630,15 +652,7 @@ class KernelEmitter:
                 raise Unsupported(f"unsupported step kind {step.kind!r}")
         returned = self._emit_collect()
         self._release_dead_locals(returned)
-        if self._arena_peak:
-            # The transient arena is one final scratch slot, bound to _A
-            # right after the signature line.
-            self.scratch_specs.append(
-                ((self._arena_peak,), np.dtype(np.float64))
-            )
-            self.lines.insert(1, f"    _A = _S[{len(self.scratch_specs) - 1}]")
-        return EmitResult("\n".join(self.lines) + "\n", self.constants,
-                          self.scratch_specs, self.report)
+        return EmitResult("\n".join(self.lines) + "\n", self.constants, self.report)
 
     def _local(self, key):
         name = self._locals.get(key)
@@ -685,9 +699,8 @@ class KernelEmitter:
     def _emit_compute_step(self, step, local):
         self.report["statements"] += 1
         statement = step.statement
-        # A declined statement leaves no line, constant or scratch slot.
-        mark = (len(self.lines), len(self.constants), len(self.scratch_specs))
-        self._arena_off = 0  # transients from the previous statement died
+        # A declined statement leaves no line, constant or table entry.
+        mark = (len(self.lines), len(self.constants))
         self._named = {local}
         operands = {}
         for key, name in step.gather:
@@ -697,7 +710,6 @@ class KernelEmitter:
         try:
             self._specialize_statement(statement, operands, local)
             self.report["specialized"] += 1
-            self._arena_peak = max(self._arena_peak, self._arena_off)
         except _DECLINED as exc:
             self._rollback(*mark)
             self._named = {local}
@@ -710,9 +722,10 @@ class KernelEmitter:
         self._fragments.append((len(self.lines), self._named))
         self._locals[step.key] = local
 
-    def _rollback(self, lines, constants, scratch):
+    def _rollback(self, lines, constants):
         del self.lines[lines:]
-        del self.scratch_specs[scratch:]
+        # No later statement may read a take whose line is gone.
+        self._gathers = {key: e for key, e in self._gathers.items() if e[0] < lines}
         for name in list(self.constants)[constants:]:
             del self.constants[name]
         self._const_by_digest = {
@@ -790,9 +803,9 @@ class KernelEmitter:
                     "(runtime error)"
                 )
             # Always copy: the result is at most one element, and a
-            # fresh array can never alias transient-arena scratch, an
-            # operand, or a kernel constant (same element-wise cast as
-            # the interpreter's asarray, so values are identical).
+            # fresh array can never alias a take, an operand, or
+            # a kernel constant (same element-wise cast as the
+            # interpreter's asarray, so values are identical).
             self._emit(
                 f"{local} = _np.array({raw.code}, dtype={self._const(dtype)}, "
                 f"copy=True).reshape({lhs_shape!r})"
@@ -810,8 +823,8 @@ class KernelEmitter:
             # value nor a zero fill is observable. A fresh payload holding
             # every cell in the target dtype *is* the result
             # (ascontiguousarray answers a C-ordered array with itself);
-            # anything else is copied into a new buffer. Never scratch
-            # either way, so the result may escape as it is.
+            # anything else is copied into a new buffer. Either way the
+            # result may escape as it is.
             self._emit(
                 f"{local} = _np.ascontiguousarray("
                 f"{(raw.unsqueezed or raw).code}).reshape({lhs_shape!r})"
@@ -957,18 +970,21 @@ class KernelEmitter:
 
     def _emit_gather(self, base, index_map):
         """A strided view, or ``np.take`` through a prebound flat index
-        constant into fresh C-contiguous scratch, of the map's shape."""
+        constant, of the map's shape: printed once per base, constant and
+        shape (:attr:`_gathers`), and never fresh, so every reader may
+        read it."""
         index, shape = index_map
+        flat = base.code if base.ndim == 1 else f"{base.code}.reshape(-1)"
+        reshape = "" if len(shape) == 1 else f".reshape({shape!r})"
         if ":" in index:
             self.report["slice_gathers"] += 1
-            code = base.code if base.ndim == 1 else f"{base.code}.reshape(-1)"
-            code = f"{code}[{index}]" + ("" if len(shape) == 1 else f".reshape({shape!r})")
-            return _Val(code, shape, base.shadow)
-        buf = self._transient((math.prod(shape),), base.dtype)
+            return _Val(f"{flat}[{index}]{reshape}", shape, base.shadow)
+        entry = self._gathers.get((base.code, index, shape))
+        if entry is not None:
+            self.report["gathers_shared"] += 1
+            self._named.add(entry[1].code)
+            return entry[1]
         self.report["gathers"] += 1
-        return self._let(
-            f"_np.take({base.code}.reshape(-1), {index}, "
-            f"out={buf}).reshape({shape!r})",
-            shape,
-            base.shadow,
-        )
+        value = self._let(f"_np.take({flat}, {index}){reshape}", shape, base.shadow)
+        self._gathers[base.code, index, shape] = (len(self.lines) - 1, value)
+        return value

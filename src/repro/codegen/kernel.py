@@ -4,15 +4,11 @@ A :class:`KernelArtifact` wraps one emitted kernel function for one
 :class:`~repro.srdfg.plan.ExecutionPlan`. It owns
 
 * the generated source (kept for ``repro codegen --dump-source``, the
-  disk cache record, and diagnostics),
-* the exec'd function object bound to its constant namespace, and
-* a free list of scratch-buffer sets (the per-statement transient arena
-  and non-f64 transients — statement results never live there), popped
-  per execution and pushed back afterwards so concurrent serving workers
-  never share a buffer while a single-threaded caller reuses the same
-  allocation on every step. A set is only ever allocated for a caller
-  that found the list empty, so the list holds as many sets as callers
-  have run at once, and none before the first call.
+  disk cache record, and diagnostics), and
+* the exec'd function object bound to its constant namespace.
+
+A kernel holds no buffer between calls: each numpy call it makes
+allocates its own result, so concurrent workers share only the artifact.
 
 ``try_execute`` is the only entry point the plan layer calls: it
 returns an :class:`~repro.srdfg.interpreter.ExecutionResult` on
@@ -26,7 +22,6 @@ mid-kernel failure is safe.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import numpy as np
@@ -67,12 +62,10 @@ def _reuse(array):
 class KernelArtifact:
     """One compiled kernel, shareable across threads and sessions."""
 
-    def __init__(self, plan_key, source, constants, scratch_specs,
-                 report=None):
+    def __init__(self, plan_key, source, constants, report=None):
         self.plan_key = plan_key
         self.source = source
         self.constants = dict(constants)
-        self.scratch_specs = tuple(scratch_specs)
         self.report = dict(report or {})
         self.code = compile(source, f"<kernel {plan_key}>", "exec")
         namespace = {
@@ -86,29 +79,12 @@ class KernelArtifact:
         namespace.update(constants)
         exec(self.code, namespace)
         self._fn = namespace["_kernel"]
-        self._pool = []
-        self._pool_lock = threading.Lock()
 
     # -- execution ---------------------------------------------------------
 
     def run(self, inputs=None, params=None, state=None, output_init=None):
         """Raw invocation; returns (outputs, state) dicts. May raise."""
-        try:
-            with self._pool_lock:
-                scratch = self._pool.pop()
-        except IndexError:
-            scratch = [
-                np.empty(shape, dtype=dtype)
-                for shape, dtype in self.scratch_specs
-            ]
-        try:
-            return self._fn(
-                inputs or {}, params or {}, state or {}, output_init or {},
-                scratch,
-            )
-        finally:
-            with self._pool_lock:
-                self._pool.append(scratch)
+        return self._fn(inputs or {}, params or {}, state or {}, output_init or {})
 
     def try_execute(self, plan, inputs=None, params=None, state=None,
                     output_init=None):

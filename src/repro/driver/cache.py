@@ -161,7 +161,7 @@ def _same(value):
 #: ``KernelArtifact``'s own constructor arguments: code objects and exec'd
 #: functions do not pickle, the source does, and a disk hit recompiles it
 #: (raising, like any undecodable entry, on truncated or stale source).
-_KERNEL_RECORD = ("plan_key", "source", "constants", "scratch_specs", "report")
+_KERNEL_RECORD = ("plan_key", "source", "constants", "report")
 
 
 def _encode_kernel(kernel):

@@ -262,12 +262,13 @@ def walk_expr(expr):
             stack.extend(spec.predicate for spec in reversed(node.indices))
 
 
-def expr_key(expr):
+def expr_key(expr, memo=None):
     """Hashable structural key of an expression (names stay symbolic).
 
     Ignores line info. This is the one definition of structural equality:
     CSE's statement keys and non-linear pattern captures both compare
-    these.
+    these. A *memo* dict, when given, receives the key of every compound
+    sub-expression under ``id(node)``: one call keys a whole tree.
     """
     if expr is None:
         return None
@@ -276,28 +277,32 @@ def expr_key(expr):
     if isinstance(expr, Name):
         return ("name", expr.id)
     if isinstance(expr, Indexed):
-        return ("idx", expr.base, tuple(expr_key(i) for i in expr.indices))
-    if isinstance(expr, UnaryOp):
-        return ("un", expr.op, expr_key(expr.operand))
-    if isinstance(expr, BinOp):
-        return ("bin", expr.op, expr_key(expr.left), expr_key(expr.right))
-    if isinstance(expr, Ternary):
-        return (
+        key = ("idx", expr.base, tuple(expr_key(i, memo) for i in expr.indices))
+    elif isinstance(expr, UnaryOp):
+        key = ("un", expr.op, expr_key(expr.operand, memo))
+    elif isinstance(expr, BinOp):
+        key = ("bin", expr.op, expr_key(expr.left, memo), expr_key(expr.right, memo))
+    elif isinstance(expr, Ternary):
+        key = (
             "tern",
-            expr_key(expr.cond),
-            expr_key(expr.then),
-            expr_key(expr.other),
+            expr_key(expr.cond, memo),
+            expr_key(expr.then, memo),
+            expr_key(expr.other, memo),
         )
-    if isinstance(expr, FuncCall):
-        return ("call", expr.func, tuple(expr_key(a) for a in expr.args))
-    if isinstance(expr, ReductionCall):
-        return (
+    elif isinstance(expr, FuncCall):
+        key = ("call", expr.func, tuple(expr_key(a, memo) for a in expr.args))
+    elif isinstance(expr, ReductionCall):
+        key = (
             "red",
             expr.op,
-            tuple((s.name, expr_key(s.predicate)) for s in expr.indices),
-            expr_key(expr.arg),
+            tuple((s.name, expr_key(s.predicate, memo)) for s in expr.indices),
+            expr_key(expr.arg, memo),
         )
-    return ("other", repr(expr))
+    else:
+        return ("other", repr(expr))
+    if memo is not None:
+        memo[id(expr)] = key
+    return key
 
 
 def expr_names(expr):

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parents[2]
 #: Where every row writes, relative to :data:`ROOT`.
 OUT = "results/selfcheck"
 
-_OPS = {"==": operator.eq, ">=": operator.ge, "is": operator.is_}
+_OPS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le, "is": operator.is_}
 
 
 @dataclass
@@ -40,8 +40,8 @@ class Row:
     argv: tuple
     #: Held against the command's JSON report — the file its ``--json``
     #: names, else its last stdout line: ``(keys, op, value)`` with *op*
-    #: one of ``==``, ``>=``, ``is``, or a predicate whose docstring
-    #: states it.
+    #: one of ``==``, ``>=``, ``<=``, ``is``, or a predicate whose
+    #: docstring states it.
     expect: tuple = ()
     #: Consecutive runs that must all exit 0.
     repeat: int = 1
@@ -76,6 +76,8 @@ _ALL_KERNEL = (("provenance", "execute"), "==", {"kernel": 32})
 _VERDICT = ((("correct",), "is", True), (("failed",), "==", 0))
 #: Contractions each program must keep on einsum (none back on the lattice).
 _EINSUM_FLOORS = {"ResNet-18": 22, "MobileNet": 19, "DCT-1024": 2, "DCT-2048": 2}
+#: Takes each program may print: one per (SSA base, index constant).
+_GATHER_CEILINGS = {"FFT-8192": 78, "FFT-16384": 84, "BrainStimul": 72}
 #: Tables III and IV of the paper.
 _PAPER_PROGRAMS = SINGLE_DOMAIN + END_TO_END
 
@@ -164,7 +166,7 @@ TABLE = (
     # The kernel tier is bit-identical to the interpreter (--compare),
     # interprets no statement of the 17 paper programs and scatters none
     # of their stores (each is a slice or a cover); conv / DCT
-    # contractions run on einsum.
+    # contractions run on einsum; no take repeats.
     Row(
         "codegen",
         "-m repro codegen "
@@ -175,6 +177,7 @@ TABLE = (
             *((("workloads", name, "fallback"), "==", 0) for name in _PAPER_PROGRAMS),
             *((("workloads", name, "scatters"), "==", 0) for name in _PAPER_PROGRAMS),
             *((("workloads", name, "einsum"), ">=", n) for name, n in _EINSUM_FLOORS.items()),
+            *((("workloads", name, "gathers"), "<=", n) for name, n in _GATHER_CEILINGS.items()),
         ),
     ),
     # The ledger's own verdicts: traced compile; kernel == interpreter on

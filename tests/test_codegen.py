@@ -330,8 +330,7 @@ class TestStoreShapes:
     def test_cover_stores_bind_fresh_values_and_copy_the_rest(self):
         """A full-cover store of a fresh value of the target dtype binds
         it — escaping or not, reshape-view store exactly as identity store
-        — and every other payload is copied into a new buffer; no
-        statement result lives in the kernel's scratch set."""
+        — and every other payload is copied into a new buffer."""
         template = (
             "main(input float img[8][8], output float out[8][8]) {{"
             " index by[0:3], bx[0:3], u[0:1], v[0:1], r[0:7], c[0:7];"
@@ -355,19 +354,22 @@ class TestStoreShapes:
                 assert "= _np.ascontiguousarray(" in line
                 assert line.endswith(".reshape((8, 8))")
             assert "_np.empty(" not in kernel.source
-            assert not re.search(r"_v\d+ = _S\[", kernel.source)
-        # Not fresh (a gathered operand view), and not the target dtype
-        # (f64 sum into an int target): copied into a new buffer.
+        # Not fresh (a take, which other gathers may read, or a strided
+        # view of the operand), and not the target dtype (f64 sum into an
+        # int target): copied into a new buffer.
         for source, inputs in (
             ("main(input float x[8], output float y[8]) {"
              " index i[0:7]; y[i] = x[7 - i]; }",
+             {"x": _int_floats(rng, 8)}),
+            ("main(input float x[8], output float y[4]) {"
+             " index i[0:3]; y[i] = x[2 * i]; }",
              {"x": _int_floats(rng, 8)}),
             ("main(input float x[8], output int y[8]) {"
              " index i[0:7]; y[i] = x[i] + 1.0; }",
              {"x": _int_floats(rng, 8)}),
         ):
             kernel = self._check(source, inputs)
-            assert "= _np.empty((8,)" in kernel.source
+            assert re.search(r"= _np\.empty\(\(\d,\)", kernel.source)
             assert len(_store_lines(kernel)) == 1
 
 
@@ -519,10 +521,7 @@ class TestSliceDecision:
         emitter = self._emitter()
         operand = _Val("base", base_shape, np.zeros(()))
         value = emitter._emit_gather(operand, emitter._index_map(operand, arrays))
-        namespace = _run_printed(emitter, {
-            "_np": np, "base": base, "_A": np.empty(emitter._arena_off),
-            **emitter.constants,
-        })
+        namespace = _run_printed(emitter, {"_np": np, "base": base, **emitter.constants})
         got = eval(value.code, namespace)
 
         want = base[tuple(np.broadcast_arrays(*arrays))]
@@ -614,9 +613,7 @@ class TestBufferLifetimes:
         outputs, state_out = kernel.run(inputs, params, state)
         returned = _arrays(outputs, state_out)
         expected = [array.copy() for array in returned]
-        kept = _arrays(inputs, params, state, kernel.constants) + [
-            buffer for scratch in kernel._pool for buffer in scratch
-        ]
+        kept = _arrays(inputs, params, state, kernel.constants)
         for array in returned:
             assert array.flags.writeable
             assert not any(np.shares_memory(array, other) for other in kept)
@@ -659,21 +656,15 @@ class TestBufferLifetimes:
             plan.kernel, {}, {}, {"W": _int_floats(rng, (4, 3))}
         )
 
-    def test_movielens_kernel_holds_no_statement_result_in_scratch(self):
+    def test_movielens_kernel_releases_results_after_their_last_reader(self):
         """The structural form of the memory claim (an RSS assertion
-        would flake): MovieL-100K's five 12.7 MB statement results used
-        to be pinned ``_S`` slots, 25.6 MB a scratch set."""
+        would flake): MovieL-100K's 12.7 MB statement results live from
+        their store to their last reader, in no buffer the kernel keeps."""
         from repro.workloads import get_workload
 
         session = CompilerSession()
         app, _ = session.compile_workload(get_workload("MovieL-100K"))
         kernel = session.plan_for(app, codegen=True).kernel
-        scratch_bytes = sum(
-            int(np.prod(shape)) * dtype.itemsize
-            for shape, dtype in kernel.scratch_specs
-        )
-        assert scratch_bytes < 1 << 20
-        assert not re.search(r"_v\d+ = _S\[", kernel.source)
         # pred, err, gw and gh are released once their last reader ran.
         assert len(re.findall(r"^ +del .*_v", kernel.source, re.M)) >= 4
 
@@ -695,29 +686,35 @@ class TestBufferLifetimes:
 #: 11 gathers that are positive-step progressions (MobileRobot 3,
 #: Hexacopter 5, BrainStimul 3) left ``gathers`` (the ``np.take``s) for
 #: ``slice_gathers``, and the 35 stores that scattered left for
-#: ``slice_stores``: no program scatters.
+#: ``slice_stores``: no program scatters. Since a kernel moves each value
+#: once, ``gathers`` counts the takes printed, one per (SSA base, index
+#: constant), and ``gathers_shared`` the gathers that read one of them
+#: (FFT-8192 130 = 78 + 52, FFT-16384 140 = 84 + 56, BrainStimul 120 =
+#: 72 + 48); ElecUse's and DigitCluster's ``X[i][j]-C[c][j]`` is staged
+#: once (``subexpressions_shared``).
 REPORT_COUNTERS = (
     "statements", "specialized", "fallback", "einsum", "gathers",
+    "gathers_shared", "subexpressions_shared",
     "slice_gathers", "slice_stores", "scatters",
 )
 LEDGER_REPORTS = {
-    "MobileRobot": (9, 9, 0, 4, 0, 3, 2, 0),
-    "Hexacopter": (12, 12, 0, 4, 0, 5, 5, 0),
-    "Twitter-BFS": (3, 3, 0, 0, 0, 0, 0, 0),
-    "Wiki-BFS": (3, 3, 0, 0, 0, 0, 0, 0),
-    "LiveJourn-SSP": (3, 3, 0, 0, 0, 0, 0, 0),
-    "MovieL-20M": (7, 7, 0, 4, 0, 0, 0, 0),
-    "MovieL-100K": (7, 7, 0, 4, 0, 0, 0, 0),
-    "DigitCluster": (7, 7, 0, 3, 0, 0, 0, 0),
-    "ElecUse": (7, 7, 0, 3, 0, 0, 0, 0),
-    "FFT-8192": (30, 30, 0, 0, 130, 0, 0, 0),
-    "FFT-16384": (32, 32, 0, 0, 140, 0, 0, 0),
-    "DCT-1024": (2, 2, 0, 2, 0, 0, 0, 0),
-    "DCT-2048": (2, 2, 0, 2, 0, 0, 0, 0),
-    "ResNet-18": (56, 56, 0, 22, 0, 0, 17, 0),
-    "MobileNet": (45, 45, 0, 19, 0, 0, 9, 0),
-    "BrainStimul": (39, 39, 0, 5, 120, 3, 2, 0),
-    "OptionPricing": (5, 5, 0, 1, 0, 0, 0, 0),
+    "MobileRobot": (9, 9, 0, 4, 0, 0, 0, 3, 2, 0),
+    "Hexacopter": (12, 12, 0, 4, 0, 0, 0, 5, 5, 0),
+    "Twitter-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0),
+    "Wiki-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0),
+    "LiveJourn-SSP": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0),
+    "MovieL-20M": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0),
+    "MovieL-100K": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0),
+    "DigitCluster": (7, 7, 0, 3, 0, 0, 1, 0, 0, 0),
+    "ElecUse": (7, 7, 0, 3, 0, 0, 1, 0, 0, 0),
+    "FFT-8192": (30, 30, 0, 0, 78, 52, 0, 0, 0, 0),
+    "FFT-16384": (32, 32, 0, 0, 84, 56, 0, 0, 0, 0),
+    "DCT-1024": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0),
+    "DCT-2048": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0),
+    "ResNet-18": (56, 56, 0, 22, 0, 0, 0, 0, 17, 0),
+    "MobileNet": (45, 45, 0, 19, 0, 0, 0, 0, 9, 0),
+    "BrainStimul": (39, 39, 0, 5, 72, 48, 0, 3, 2, 0),
+    "OptionPricing": (5, 5, 0, 1, 0, 0, 0, 0, 0, 0),
 }
 
 
@@ -738,77 +735,77 @@ def _ledger_kernel(name):
 
 #: sha256 of each ledger program's kernel source, and of its array
 #: constants (name, dtype, shape and bytes, in registration order) —
-#: literals of the commit whose kernels address memory with slices:
-#: stores and progression gathers print as basic slices, relabels as
-#: indexing. The source changes by design; :data:`OUTPUT_DIGESTS` pins
-#: what it computes.
+#: literals of the commit whose kernels move each value once: a take per
+#: (SSA base, index constant), without ``out=``, and repeated
+#: subexpressions staged once. The source changes by design;
+#: :data:`OUTPUT_DIGESTS` pins what it computes.
 KERNEL_DIGESTS = {
     "MobileRobot": (
-        "ffbe30507caaa776aebd31711a8dfa415c9acf13abda036acc1dd80fe0f3b543",
+        "6c939c6ac5ef81df366d8581828f75bf9e938f5e72469584fcd9ce558c87dd49",
         "1ab33432bc6219fdf74a78be0066ea74bf19215d30b79f4d480a521a124acf3d",
     ),
     "Hexacopter": (
-        "867b3455ef4c1901cc025380bf8d2061a7c8569925790eb24f15b68e68f9d3ae",
+        "65ce6496a638307911e1ec24f1abef4803d49882f97c0c89055354a7adc20739",
         "4bccfdeff6542eaa2787dc230c0a740ff791e2671f6f4c53090f5ce57d2bc05b",
     ),
     "Twitter-BFS": (
-        "188985320af619ea03a104cfca1b98a9922c88f624f4971341332b274a311d74",
+        "3def6e26028ee0893e905f123be4e426fac1c35b4ad345908d2733cdb8022e28",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "Wiki-BFS": (
-        "afba7dbc4a8bde9a787c44ec4f8e9e50afc383548d06035a0bc85358106a814e",
+        "78a09324d46ca75c2b0e81a8f19617914a1189402f22a05e86fa770f9e0dbaaf",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "LiveJourn-SSP": (
-        "5d2ea60bba03f7dd214aaccd0143771dbac50ffdc9f8d663a5900dc14c6f2ebe",
+        "86daddb4d2bbc99e6808050bc88c05202b36646df52c2a9de581a5b39406800e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-20M": (
-        "b3a0acb7c5211afb315d6df4ad6f65b56a5fd74d1d31b8971ac7bda4807296fa",
+        "db501e933121ebc596bd6aea423ddc8d376ae3e02825badfd0180d649036b889",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-100K": (
-        "cc6fd4a11591a0c09cb2d7d4652452d4822eee93b203783c685b838fb141d31b",
+        "21e93bccb0299d7d061ff1df339da5f35592da4a8d37d0ad8e58aa7b6d4f82ce",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DigitCluster": (
-        "e6d86203e485bfb87dba1fdbf6f08f535ce50715f7634d18456b989c208222e9",
+        "32130a4f684d51d52d64ff7e01fc8181567c67cdb3d9ed56b08d5b29248ad210",
         "6e6f799c117f4228d21501bfeebbd7b016c2c646e7e10073d576ef83d9951d95",
     ),
     "ElecUse": (
-        "4d023d3a2dc19d9aae5d4cd2fc8d9c2813382a300240e7e9054f219365d2114d",
+        "16dbf611f8d12a1e05ec1e6a6d052d155d6e337bbad417f9af7c336908281574",
         "27703e9443c002d187b370a83fcd2bf00966b4ca5a8015446d54abd93522e0d2",
     ),
     "FFT-8192": (
-        "7d84def7e0d967d128906c563dc8cee7e5858a8badb4f81352876140aa1e3bc1",
+        "45758ffa8c6c3eb3f044b46ed4a24e15bd1163a33e62a3c6559a6344bd07bb08",
         "e2f823bd4254d98dfa956b5e446ef03f0d2794ca1668e2bdb354307e75e65bc6",
     ),
     "FFT-16384": (
-        "3e0ca68be07387cc159f93b88b6d6c95c0b2b439892df8e890e5d19cf62dbeeb",
+        "6499869f7a1d4387b4510de45e9707ca5b5e15c78da80a84e54586809e5b4780",
         "f501962719de04ca11cb92ed4957a6c90c89fa941c0ca572843d1c4b8e8717e3",
     ),
     "DCT-1024": (
-        "62459fa546b4e2303e4ab26ec07215224fbea9d8ea4874aba3cabd4094211dce",
+        "0e681653b4bb5a9596ef418f438565bb0e92da52e276c0d4e5b6c0ddeabb3fd4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DCT-2048": (
-        "33023963f6bf3ea5d407208c62a8b10c78c6837fc4391de39eabdfc072949de3",
+        "9bb68fd4cdd4bf97faabfe8d902aebb54a8959144186498d0ca7833518cbd6a6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "ResNet-18": (
-        "3817ecbe2ad7d11a195e330b13205164c742535a3c71122b09e34481b3e8a3ae",
+        "ce1ffcdd5094874d28202382d779ae2acfb059b7b1508b7f31f81318efe925c8",
         "3182a0ab9442c52b4a41838439f6094bf91a61597cda06887d2350784ba22d87",
     ),
     "MobileNet": (
-        "db160846f73c114f0d54a4a0696fdeb50a746fb4064b0f25d2c46ad21fb6b5c2",
+        "37af5d14ddb957a2481fb5d143fa6bd1a46117f129fc57c7c2ff422f5fcf891d",
         "72154824daecc76ec3757412270562135604741336b6e2c90eeb2fa2d5d00433",
     ),
     "BrainStimul": (
-        "f805790e6b1758de827310da7485de7c922640b5130b52ce327c522394cb9109",
+        "1568e22bb3e3bc6785147b5fa529920faaa99a934978c7d5cf4815962c266482",
         "401d6f2b9e24f2b56b59cf4f68ffdc56945301a36f2961ad85353ae403c4eeb5",
     ),
     "OptionPricing": (
-        "f353365578b9999815c16b30e335772a172d50798f0814fa2176cbeba18fb75b",
+        "04f2e9bc6dc19b686ca4b534fdcd0b437b626e87dd1fe6b0829e4e16df5d9651",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
@@ -877,9 +874,8 @@ def test_ledger_kernel_outputs_are_pinned(name):
     assert _trajectory_digest(name) == OUTPUT_DIGESTS[name]
 
 
-#: Prints a gather of an int operand (an index constant and a ``_S``
-#: slot: ``k[3 - i][0]`` walks back, so it is no slice) before it
-#: declines on a custom combiner.
+#: Prints a take of an int operand (``k[3 - i][0]`` walks back, so it is
+#: no slice) before it declines on a custom combiner.
 DECLINED_AFTER_A_GATHER = (
     "reduction rmin(a,b) = a < b ? a : b;\n"
     "main(input int k[4][6], input float x[4][6], output float y[4]) {"
@@ -889,16 +885,14 @@ DECLINED_AFTER_A_GATHER = (
 
 
 class TestKernelNamespace:
-    """Every constant and scratch slot a kernel carries is one its source
-    names: a declined statement leaves none behind, and a store registers
-    none it does not print."""
+    """Every constant a kernel carries is one its source names: a
+    declined statement leaves none behind, and a store registers none it
+    does not print."""
 
     @staticmethod
     def _assert_all_referenced(kernel):
         for name in kernel.constants:
             assert re.search(rf"\b{name}\b", kernel.source), name
-        for slot in range(len(kernel.scratch_specs)):
-            assert f"_S[{slot}]" in kernel.source, slot
 
     @pytest.mark.parametrize("name", sorted(LEDGER_REPORTS))
     def test_ledger_programs(self, name):
@@ -910,7 +904,7 @@ class TestKernelNamespace:
         assert kernel.report["fallback"] == 1
         assert kernel.report["gathers"] == 1
         self._assert_all_referenced(kernel)
-        assert not kernel.scratch_specs
+        assert "_np.take(" not in kernel.source
         rng = np.random.default_rng(41)
         inputs = {
             "k": rng.integers(-6, 7, size=(4, 6)),
@@ -942,12 +936,12 @@ class TestIndexMapMemo:
         assert _kernel_digests(_ledger_kernel(name)) == KERNEL_DIGESTS[name]
 
     def test_fft_ravels_each_index_map_once(self, monkeypatch):
-        """FFT-8192's 130 gathers read 38 distinct index constants. Its
-        build ravels 39 maps: ``twr[t % 4096]`` and
-        ``xr[t - t % 8192 + t % 4096]`` (last stage) are different
-        subscripts over different bases whose maps happen to be equal, so
-        no structural key can tell; the content digest still shares one
-        constant between them."""
+        """FFT-8192's 130 gathers print 78 takes, one per (base, index
+        constant), through 38 distinct index constants. Its build ravels
+        39 maps: ``twr[t % 4096]`` and ``xr[t - t % 8192 + t % 4096]``
+        (last stage) are different subscripts over different bases whose
+        maps happen to be equal, so no structural key can tell; the
+        content digest still shares one constant between them."""
         from repro.eval import Harness
 
         harness = Harness()
@@ -962,11 +956,12 @@ class TestIndexMapMemo:
 
         monkeypatch.setattr(np, "ravel_multi_index", counting)
         kernel = build_kernel(plan)
-        assert kernel.report["gathers"] == 130
+        assert kernel.report["gathers"] == 78
+        assert kernel.report["gathers"] + kernel.report["gathers_shared"] == 130
         assert len(raveled) == 39
-        taken = re.findall(r"_np\.take\(\w+\.reshape\(-1\), (_c\d+),", kernel.source)
-        assert len(taken) == 130
-        assert len(set(taken)) == 38
+        taken = re.findall(r"_np\.take\((\w+), (_c\d+)\)", kernel.source)
+        assert len(taken) == len(set(taken)) == 78
+        assert len({constant for _, constant in taken}) == 38
 
     def test_declined_statement_leaves_no_index_map(self):
         """The rollback of a declined statement drops the index maps whose
@@ -992,6 +987,247 @@ class TestIndexMapMemo:
         outputs, _ = plan.kernel.run(inputs)
         for name in ("y", "z"):
             assert np.array_equal(outputs[name], ref.outputs[name]), name
+
+
+def _takes(kernel):
+    """``(temp, base, index constant)`` of every take the kernel prints."""
+    return re.findall(
+        r"(_t\d+) = _np\.take\((\w+)(?:\.reshape\(-1\))?, (_c\d+)\)", kernel.source
+    )
+
+
+def _check_steps(plan, inputs, state=None, steps=3):
+    """Step the kernel and the interpreted plan *steps* times, threading
+    state: every output and state value bit-identical."""
+    ref_state = kern_state = state or {}
+    for _ in range(steps):
+        ref = plan._execute(inputs, {}, ref_state, {}, None)
+        got = plan.kernel.try_execute(plan, inputs, state=kern_state)
+        assert got is not None
+        _assert_identical(ref, got)
+        ref_state, kern_state = ref.state, got.state
+
+
+#: ``P`` is a transposed contraction result (``perm_ab``); *reader* is
+#: its one reader.
+TRANSPOSED = (
+    "main(input float A[6][4], input float B[4][5], input float C[5][3],"
+    " output float y[{out}]) {{"
+    " index i[0:5], k[0:3], j[0:4], l[0:2]; float P[6][5];"
+    " P[i][j] = sum[k](A[i][k] * B[k][j]); {reader} }}"
+)
+
+
+class TestValueTable:
+    """A kernel computes and moves each distinct value once, and shares
+    nothing where sharing could show: across an SSA update, a predicate
+    mask, a contraction's operand order, an ``out=`` write or a rollback."""
+
+    def test_a_base_updated_between_reads_is_taken_again(self):
+        _, plan = _compile_plan(
+            "main(input float x[8], state float s[8], output float y[8],"
+            " output float z[8]) {"
+            " index i[0:7]; float t[8];"
+            " t[i] = x[i] * 2.0; y[i] = s[7 - i] + t[7 - i] + x[7 - i];"
+            " s[i] = s[i] + x[i]; t[i] = t[i] + 1.0;"
+            " z[i] = s[7 - i] + t[7 - i] + x[7 - i]; }"
+        )
+        report = plan.kernel.report
+        assert report["fallback"] == 0
+        # ``s`` and ``t`` are each taken before and after their update;
+        # ``x[7 - i]`` is taken once and read again.
+        assert (report["gathers"], report["gathers_shared"]) == (5, 1)
+        bases = [base for _, base, _ in _takes(plan.kernel)]
+        assert len(set(bases)) == 5
+        rng = np.random.default_rng(59)
+        _check_steps(plan, {"x": _int_floats(rng, 8)}, {"s": _int_floats(rng, 8)})
+
+    def test_a_subexpression_under_a_predicate_is_not_shared(self):
+        rng = np.random.default_rng(61)
+        inputs = {"x": _int_floats(rng, 8), "w": _int_floats(rng, 8)}
+        template = (
+            "main(input float x[8], input float w[8], output float y[8]) {{"
+            " index i[0:7], j[0:7]; y[i] = {value}; }}"
+        )
+        for value, shared in (
+            # Inside the masked max, a stray subscript would clamp.
+            ("(x[i] - w[i]) + max[j: j <= i](x[i] - w[i] + w[j])", 0),
+            # Equal under expr_key, but 2 and 2.0 promote apart.
+            ("(x[i] - 2) * (x[i] - 2.0)", 0),
+            ("(x[i] - w[i]) * (x[i] - w[i])", 1),
+        ):
+            _, plan = _compile_plan(template.format(value=value))
+            report = plan.kernel.report
+            assert report["fallback"] == 0
+            assert report["subexpressions_shared"] == shared, value
+            subtracts = plan.kernel.source.count("_np.subtract(")
+            assert subtracts == 2 - shared, value
+            _check_steps(plan, inputs, steps=1)
+
+    def test_a_staged_value_is_written_over_only_by_its_only_reader(self):
+        _, plan = _compile_plan(
+            "main(input float x[8], input float w[8], output float y[8],"
+            " output float z[8], output float v[8]) {"
+            " index i[0:7];"
+            " y[i] = (x[i] - w[i]) * (x[i] - w[i]);"
+            " z[i] = (x[i] - w[i]) + exp(x[i] - w[i]) * (x[i] - w[i]);"
+            " v[i] = x[7 - i] + x[(15 - i) % 8] * x[7 - i]; }"
+        )
+        [y_temp, z_temp] = re.findall(r"(_t\d+) = _np\.subtract\(", plan.kernel.source)
+        # Both of y's occurrences are multiply's arguments: it may write
+        # over them. z's third occurrence is read after exp's.
+        assert f"out=_reuse({y_temp})" in plan.kernel.source
+        assert f"out=_reuse({z_temp})" not in plan.kernel.source
+        # v's x[7 - i] is a take, never staged: x[(15 - i) % 8], the same
+        # index constant, reads it too, and nothing writes over it.
+        [(taken, _, _)] = _takes(plan.kernel)
+        assert plan.kernel.report["gathers_shared"] == 2
+        assert f"out=_reuse({taken})" not in plan.kernel.source
+        rng = np.random.default_rng(67)
+        _check_steps(plan, {"x": _int_floats(rng, 8), "w": _int_floats(rng, 8)}, steps=1)
+
+    def test_a_node_appearing_twice_counts_twice(self):
+        """A rewrite that substitutes one expression object in two places
+        leaves a node twice in the tree: each appearance is a reader, so
+        the staged ``x[i] - w[i]`` is not squared in place while ``exp``
+        still has to read it."""
+        _, plan = _compile_plan(
+            "main(input float x[8], input float w[8], output float y[8]) {"
+            " index i[0:7]; y[i] = (x[i] - w[i]) * (x[i] - w[i]) + exp(x[i] - w[i]); }",
+            codegen=False,
+        )
+        [statement] = plan.statements.values()
+        value = statement.stmt.value
+        value.right.args = (value.left.left,)
+        kernel = build_kernel(plan)
+        assert "out=_reuse(_t1)" not in kernel.source
+        rng = np.random.default_rng(89)
+        inputs = {"x": _int_floats(rng, 8), "w": _int_floats(rng, 8)}
+        ref = plan._execute(inputs, {}, {}, {}, None)
+        outputs, _ = kernel.run(inputs)
+        assert outputs["y"].tobytes() == ref.outputs["y"].tobytes()
+
+    @pytest.mark.parametrize("reader, out", [
+        ("y[i][l] = sum[j](P[i][j] * C[j][l]);", "6][3"),
+        ("y[i][j] = P[i][j] * 2.0 + P[i][j];", "6][5"),
+    ])
+    def test_a_transposed_result_is_copied_into_c_order(self, reader, out):
+        """A contraction reads C-ordered operands, as the interpreter
+        hands them: a different layout can take BLAS another path. So
+        ``P``, held transposed, is copied by its store whoever reads it."""
+        _, plan = _compile_plan(TRANSPOSED.format(reader=reader, out=out))
+        [store] = [line.strip() for line in plan.kernel.source.splitlines()
+                   if re.match(r"\s+_v\d+ = .*\.reshape\(\(6, 5\)\)$", line)
+                   and "multiply" not in line]
+        assert "ascontiguousarray" in store
+        rng = np.random.default_rng(71)
+        inputs = {
+            name: _int_floats(rng, shape)
+            for name, shape in (("A", (6, 4)), ("B", (4, 5)), ("C", (5, 3)))
+        }
+        _check_steps(plan, inputs, steps=1)
+
+    def test_a_take_of_another_shape_is_taken_again(self):
+        """``x[7 - i]`` ravels to one index constant under ``s``'s
+        lattice, of shape (8,), and under ``z``'s, of shape (8, 1): the
+        second is another value, so it is taken again."""
+        _, plan = _compile_plan(
+            "main(input float x[8], input float w[8], output float s,"
+            " output float z[8][8]) { index i[0:7], j[0:7];"
+            " s = max[i](x[7 - i]); z[i][j] = x[7 - i] + w[j]; }"
+        )
+        [(_, _, constant), (_, _, again)] = _takes(plan.kernel)
+        assert constant == again
+        assert plan.kernel.report["gathers_shared"] == 0
+        rng = np.random.default_rng(97)
+        _check_steps(plan, {"x": _int_floats(rng, 8), "w": _int_floats(rng, 8)}, steps=1)
+
+    @pytest.mark.parametrize("first", ["x[7 - i] + 1.0", "x[7 - i]"])
+    def test_a_take_is_never_written_over_or_bound(self, first):
+        """``x[7 - i]`` and ``x[(15 - i) % 8]`` are no structural repeat,
+        but their index constants are one: ``z`` reads ``y``'s take, so
+        ``y`` neither writes its sum over it nor binds it as its result."""
+        _, plan = _compile_plan(
+            "main(input float x[8], output float y[8], output float z[8]) {"
+            f" index i[0:7]; y[i] = {first}; z[i] = x[(15 - i) % 8] * 2.0; }}"
+        )
+        [(taken, _, _)] = _takes(plan.kernel)
+        assert plan.kernel.report["gathers_shared"] == 1
+        assert f"out=_reuse({taken})" not in plan.kernel.source
+        assert f"_np.ascontiguousarray({taken})" not in plan.kernel.source
+        rng = np.random.default_rng(79)
+        _check_steps(plan, {"x": _int_floats(rng, 8)}, steps=1)
+
+    def test_a_declined_statement_drops_the_takes_it_printed(self):
+        """``y``'s statement reads ``w``'s take of ``k[3 - i][0]``, takes
+        ``x`` through the index constant ``w`` registered for
+        ``k[3 - i][j]``, and declines: the rollback keeps the first take
+        and drops the second, so ``z`` reads one and takes the other
+        again."""
+        session, plan = _compile_plan(
+            "reduction rmin(a,b) = a < b ? a : b;\n"
+            "main(input int k[4][6], input float x[4][6], output float w[4],"
+            " output float y[4], output float z[4]) {"
+            " index i[0:3], j[0:5];"
+            " w[i] = max[j](k[3 - i][0] * k[3 - i][j]);"
+            " y[i] = k[3 - i][0] + rmin[j](x[3 - i][j]);"
+            " z[i] = max[j](k[3 - i][0] + x[3 - i][j]); }"
+        )
+        report = plan.kernel.report
+        assert report["fallback"] == 1
+        # The report counts the declined statement's take and read too.
+        assert (report["gathers"], report["gathers_shared"]) == (4, 2)
+        takes = _takes(plan.kernel)
+        assert [base for _, base, _ in takes] == ["_v0", "_v0", "_v1"]
+        assert takes[1][2] == takes[2][2]
+        defined = set(re.findall(r"^\s+(_t\d+) = ", plan.kernel.source, re.M))
+        assert set(re.findall(r"\b_t\d+\b", plan.kernel.source)) == defined
+        rng = np.random.default_rng(83)
+        _check_steps(plan, {
+            "k": rng.integers(-6, 7, size=(4, 6)), "x": _int_floats(rng, (4, 6)),
+        }, steps=1)
+
+    def test_steady_step_peak_memory(self):
+        """ElecUse's ``X[i][j]-C[c][j]`` lattice (7.7 MB) is computed once
+        and squared in place, so its steady step peaks one lattice lower
+        than when it was computed twice (15,492,416 traced bytes, the
+        literal of the commit before subexpressions were staged).
+        MovieL-100K's holds at 25,378,888 bytes, before and after: ``err``
+        needs ``pred`` and its own result at once, two 12.7 MB arrays."""
+        import tracemalloc
+
+        from repro.workloads import Trajectory
+
+        def peak(name):
+            workload, plan = _ledger_plan(name)
+            calls = []
+
+            def kernel(**call):
+                calls.append(call)
+                return plan.kernel.try_execute(plan, **call)
+
+            trajectory = Trajectory(workload)
+            for _ in range(2):
+                trajectory.step(kernel)
+            tracemalloc.start()
+            try:
+                plan.kernel.run(**calls[-1])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak("ElecUse") < 15_492_416 - 5_000_000
+        # Python's own small objects move the peak by some bytes a run.
+        assert peak("MovieL-100K") < 25_378_888 + 4096
+
+    @pytest.mark.parametrize("name", sorted(LEDGER_REPORTS))
+    def test_ledger_kernels_hold_no_buffer(self, name):
+        source = _ledger_kernel(name).source
+        assert source.startswith("def _kernel(_inputs, _params, _state, _output_init):")
+        assert not re.search(r"\b_[SA]\b", source)
+        takes = re.findall(r"_np\.take\([^)]*\)", source)
+        assert len(takes) == LEDGER_REPORTS[name][REPORT_COUNTERS.index("gathers")]
+        assert not any("out=" in take for take in takes)
 
 
 class TestStagedEvaluator:
@@ -1318,7 +1554,6 @@ class TestKernelCache:
             "plan_key": "k3",
             "source": "def _kernel(:  # truncated mid-write",
             "constants": {},
-            "scratch_specs": [],
             "report": {},
         }
         cache._path(key).write_bytes(pickle.dumps(record))
@@ -1394,6 +1629,45 @@ class TestKernelCache:
         stats = second.cache.stats
         assert (stats.kernel_misses, stats.kernel_disk_hits) == (1, 0)
         assert stats.disk_errors == 0
+
+    def test_record_of_kernel_abi_6_is_a_miss(self, tmp_path, monkeypatch):
+        """A ``--cache-dir`` written under ``KERNEL_ABI`` 6 holds records
+        with ``scratch_specs`` whose kernel takes ``_S``: under 7 their key
+        is never asked for, so the kernel is rebuilt, with no disk error."""
+        import repro.codegen
+
+        def plan_in(session):
+            return session.plan_for(
+                session.compile(MATVEC, domain="DA"), codegen=True
+            )
+
+        abi = repro.codegen.KERNEL_ABI
+        assert abi == 7
+        monkeypatch.setattr(repro.codegen, "KERNEL_ABI", 6)
+        plan_in(CompilerSession(default_accelerators(), cache_dir=str(tmp_path)))
+        [path] = [
+            path for path in tmp_path.glob("*.pkl")
+            if isinstance(record := pickle.loads(path.read_bytes()), dict)
+            and "source" in record
+        ]
+        record = pickle.loads(path.read_bytes())
+        record["scratch_specs"] = ()
+        record["source"] = record["source"].replace(
+            "_output_init):", "_output_init, _S):"
+        )
+        path.write_bytes(pickle.dumps(record))
+
+        monkeypatch.setattr(repro.codegen, "KERNEL_ABI", abi)
+        base = CODEGEN_STATS.kernels_built
+        second = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        plan = plan_in(second)
+        assert "_S" not in plan.kernel.source
+        assert CODEGEN_STATS.kernels_built - base == 1
+        stats = second.cache.stats
+        assert (stats.kernel_misses, stats.kernel_disk_hits) == (1, 0)
+        assert stats.disk_errors == 0
+        # The version 6 record is left as it was, under its own key.
+        assert pickle.loads(path.read_bytes()) == record
 
     def test_record_of_another_numpy_is_a_miss(self, tmp_path, monkeypatch):
         """Kernels bake numpy's contraction steps into their constants, so
@@ -1538,5 +1812,8 @@ class TestCli:
         entry = payload["workloads"]["MobileRobot"]
         assert entry["provenance"] == "kernel"
         assert entry["identical"] is True
-        # The selfcheck's codegen row reads these: no store scatters.
+        # The selfcheck's codegen row reads these: no store scatters, and
+        # takes are counted.
         assert (entry["slice_stores"], entry["slice_gathers"], entry["scatters"]) == (2, 3, 0)
+        assert (entry["gathers"], entry["gathers_shared"]) == (0, 0)
+        assert entry["subexpressions_shared"] == 0
