@@ -129,7 +129,7 @@ def _cmd_codegen(args):
         entry.update(provenance="kernel", source_bytes=len(kernel.source))
         for key in ("specialized", "statements", "einsum", "fallback",
                     "gathers", "gathers_shared", "subexpressions_shared",
-                    "slice_stores", "slice_gathers", "scatters"):
+                    "short_sums", "slice_stores", "slice_gathers", "scatters"):
             entry[key] = kernel.report.get(key, 0)
         line = (
             f"{name:15s} kernel "
@@ -145,6 +145,8 @@ def _cmd_codegen(args):
             with open(path, "w") as handle:
                 handle.write(kernel.source)
             entry["source_path"] = path
+        if args.statement_ms:
+            entry["statement_ms"] = _statement_ms(workload, kernel, max(1, args.steps))
         if args.compare:
             # One trajectory per tier, stepped in lockstep; only the
             # tier's own execution is timed, not input generation.
@@ -195,6 +197,8 @@ def _cmd_codegen(args):
             if not identical:
                 failures += 1
         print(line)
+        for timed in entry.get("statement_ms", ()):
+            print(f"  {timed['ms']:10.4f} ms  {timed['statement']}")
         workloads_payload[name] = entry
     payload = {
         "workloads": workloads_payload,
@@ -204,6 +208,34 @@ def _cmd_codegen(args):
     if args.json:
         _emit_json(payload, args.json)
     return 1 if failures else 0
+
+
+def _statement_ms(workload, kernel, steps):
+    """Each statement of *kernel* with its median wall time (ms) over
+    *steps* steps of a fresh trajectory, run by an instrumented copy."""
+    import statistics
+
+    from ..codegen import timed_statements
+    from ..srdfg.interpreter import ExecutionResult
+    from ..workloads import Trajectory
+
+    copy, labels, laps = timed_statements(kernel)
+    samples = [[] for _ in labels]
+
+    def invoke(**values):
+        laps.clear()
+        outputs, state = copy.run(**values)
+        for position, (start, stop) in enumerate(zip(laps, laps[1:])):
+            samples[position].append(stop - start)
+        return ExecutionResult(outputs, state, tier="kernel")
+
+    trajectory = Trajectory(workload)
+    for _ in range(steps):
+        trajectory.step(invoke)
+    return [
+        {"statement": label, "ms": statistics.median(times) * 1e3}
+        for label, times in zip(labels, samples) if label is not None
+    ]
 
 
 def add_codegen(sub):
@@ -225,7 +257,13 @@ def add_codegen(sub):
     )
     codegen.add_argument(
         "--steps", type=int, default=3,
-        help="trajectory steps for --compare (default 3)",
+        help="trajectory steps for --compare and --statement-ms (default 3)",
+    )
+    codegen.add_argument(
+        "--statement-ms", action="store_true",
+        help="print each kernel statement's median wall time over --steps "
+        "runs of an instrumented copy of the kernel (the built kernel is "
+        "left as it is)",
     )
     codegen.add_argument(
         "--dump-source", metavar="DIR",

@@ -19,7 +19,7 @@ import hashlib
 import time
 
 from .emitter import EmitResult, KernelEmitter, Unsupported
-from .kernel import CODEGEN_STATS, KernelArtifact
+from .kernel import CODEGEN_STATS, KernelArtifact, timed_statements
 
 __all__ = [
     "CODEGEN_STATS",
@@ -30,6 +30,7 @@ __all__ = [
     "Unsupported",
     "build_kernel",
     "kernel_cache_key",
+    "timed_statements",
 ]
 
 
@@ -46,7 +47,9 @@ __all__ = [
 #: would call a name the namespace no longer binds, so it must miss.
 #: 7: the ``_S`` parameter and the scratch pool left (takes allocate): a
 #: record of 6 would be called with one argument too many.
-KERNEL_ABI = 7
+#: 8: short sums fold slice by slice, and a folded total holding a NaN
+#: calls an ``_ExactSum`` constant.
+KERNEL_ABI = 8
 
 
 def kernel_cache_key(plan_key):

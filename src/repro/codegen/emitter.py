@@ -47,6 +47,13 @@ Slices
     order (its strides are the C ones times the step) and is never
     ``fresh``, so it is copied before anything keeps it.
 
+Folded slices
+    A slice of a short sum is added into its total and read by nothing
+    else, so the next slice's first ufunc of its shape and dtype may
+    write over its buffer (``out=_reuse(spare)``), as a ufunc writes over
+    a fresh operand. A slice's staged subexpressions and index maps are
+    keyed by its sub-range, so no slice reads another's.
+
 The index-map memo
     A static gather's flat index is a function of what
     :meth:`_StagedEvaluator._index_map_key` holds, and nothing else, so a
@@ -209,6 +216,11 @@ EmitResult = namedtuple("EmitResult", "source constants report")
 _DECLINED = (Unsupported, ExecutionError)
 
 
+class _Unfolded(Exception):
+    """A slice of a folded sum reads a subscript known only at run time:
+    its range check would name the slice's range, not the lattice's."""
+
+
 class _StagedEvaluator(_ExprEvaluator):
     """The reference evaluator run over one statement with :class:`_Val`
     operands — the emitter's only reading of PMLang semantics.
@@ -231,6 +243,12 @@ class _StagedEvaluator(_ExprEvaluator):
         self.statement = statement
         #: operand name -> _Val of the gathered value.
         self.operands = operands
+        #: True once a sum of the statement was folded slice by slice.
+        self.folded = False
+        #: Buffers of folded slices already added into their total, which
+        #: nothing reads again: a ufunc of their shape and dtype writes
+        #: its result over one.
+        self._spares = []
         #: id of each subexpression whose ``expr_key`` recurs in the statement
         #: -> that key; key -> its occurrences, and the :func:`_literals` and
         #: temp staged for it; staged temp -> its key's occurrences.
@@ -250,6 +268,8 @@ class _StagedEvaluator(_ExprEvaluator):
         key = self._repeated.get(id(expr))
         if key is None or any(mask is not None for mask in self._mask_stack):
             return super().eval(expr)
+        # A slice of a folded sum is a lattice of its own.
+        key = key, tuple(sorted(self.sub_ranges.items()))
         staged = self._staged.get(key)
         if staged is not None and staged[0] == _literals(expr):
             self.emitter.report["subexpressions_shared"] += 1
@@ -262,7 +282,7 @@ class _StagedEvaluator(_ExprEvaluator):
                 value = self.emitter._let(value.code, value.shape, value.shadow)
             value = _Val(value.code, value.shape, value.shadow)
             self._staged[key] = _literals(expr), value
-            self._uses[value.code] = self._occurrences[key]
+            self._uses[value.code] = self._occurrences[key[0]]
         return value
 
     def lift(self, value):
@@ -305,6 +325,13 @@ class _StagedEvaluator(_ExprEvaluator):
                         args[position] = f"({temp} := {val.code})"
                     args.append(f"out=_reuse({temp})")
                     break
+            else:
+                spare = next((val for val in self._spares
+                              if val.shape == shape and val.dtype == dtype), None)
+                if spare is not None:
+                    # A folded slice's buffer, dead once added in.
+                    self._spares.remove(spare)
+                    args.append(f"out=_reuse({spare.code})")
         # Ufuncs, np.where and the SCALAR_FUNCTIONS allocate their result
         # (or were just handed a fresh operand to put it in).
         return _Val(f"{code}({', '.join(args)})", shape, shadow, fresh=True)
@@ -348,6 +375,8 @@ class _StagedEvaluator(_ExprEvaluator):
             # subscript instead of raising: that stays interpreted.
             raise Unsupported(f"subscript {dim} of {expr.base!r} is data-dependent "
                               "under a reduction predicate")
+        if self.sub_ranges:
+            raise _Unfolded
         code = value.code if value.is_array else f"_np.asarray({value.code})"
         shadow = value.shadow  # _gather declines it unless integral
         if value.dtype.kind == "f":
@@ -419,7 +448,10 @@ class _StagedEvaluator(_ExprEvaluator):
             tuple(ast.expr_key(index_expr) for index_expr in expr.indices),
             tuple(_literals(index_expr) for index_expr in expr.indices),
             tuple(sorted(statics.items())),
-            tuple((name, space.index_ranges[name]) for name in space.order),
+            tuple(
+                (name, self.sub_ranges.get(name, space.index_ranges[name]))
+                for name in space.order
+            ),
             tuple(base_shape),
         )
 
@@ -533,6 +565,53 @@ class _StagedEvaluator(_ExprEvaluator):
             raise Unsupported(reason.format(*args))
         return value
 
+    # -- folded sums ---------------------------------------------------------
+
+    def _fold_short_sum(self, expr, axes):
+        """A sum that does not fold prints nothing: a slice is taken back
+        when the first shows it is not float data, or when it reads a
+        subscript known only at run time (:class:`_Unfolded`). The lattice
+        path prints the sum instead, with the bytes a fold would give."""
+        mark = self.emitter._mark(), dict(self._staged), dict(self._uses), list(self._spares)
+        try:
+            total = super()._fold_short_sum(expr, axes)
+        except _Unfolded:
+            total = None
+        if total is None:
+            self.emitter._restore(mark[0])
+            self._staged, self._uses, self._spares = mark[1:]
+        elif isinstance(total, _Val):
+            self.folded = True
+        return total
+
+    def _fold(self, total, piece):
+        spare = None
+        if (isinstance(total, _Val) and total.fresh and isinstance(piece, _Val) and piece.fresh
+                and piece.shape == total.shape and piece.dtype == total.dtype):
+            # The add writes over the total, so the piece is dead after it.
+            spare = self.emitter._temp()
+            piece = _Val(f"({spare} := {piece.code})", piece.shape, piece.shadow, fresh=True)
+        value = super()._fold(total, piece)
+        if not isinstance(value, _Val):
+            return value
+        if spare is not None:
+            self._spares.append(_Val(spare, piece.shape, piece.shadow))
+        # One line per slice; the total is fresh, so the next slice's
+        # add writes into it.
+        return self.emitter._let(value.code, value.shape, value.shadow, fresh=True)
+
+    def _unless_nan(self, total, expr, axes):
+        if not isinstance(total, _Val):
+            return super()._unless_nan(total, expr, axes)
+        exact = self.emitter._const(_ExactSum(
+            self.statement, expr, axes, tuple(sorted(self.sub_ranges.items()))
+        ))
+        operands = ", ".join(f"{name!r}: {value.code}" for name, value in self.operands.items())
+        self.emitter._named.update(value.code for value in self.operands.values())
+        self.emitter._emit(f"if _np.isnan({total.code}.min()):")
+        self.emitter._emit(f"{total.code} = {exact}({{{operands}}})", indent=2)
+        return total
+
     # -- reductions the kernel does not print -----------------------------
 
     def _eval_custom_reduction(self, expr, arg, mask, axes):
@@ -540,6 +619,21 @@ class _StagedEvaluator(_ExprEvaluator):
 
     def _eval_chunked(self, expr, chunk_plan):
         raise Unsupported("chunked reduction (over-limit lattice)")
+
+
+class _ExactSum(namedtuple("_ExactSum", "statement expr axes sub_ranges")):
+    """The lattice sum of one folded sum of *statement*: what its kernel
+    answers when the folded total holds a NaN, whose bytes only numpy's
+    own reduce over the lattice argument decides."""
+
+    __slots__ = ()
+
+    def __call__(self, var_values):
+        statement = self.statement
+        return _ExprEvaluator(
+            statement.space, statement.static_env, var_values, statement.reductions,
+            sub_ranges=dict(self.sub_ranges), enable_einsum=statement.enable_einsum,
+        )._reduce_lattice(self.expr, self.axes)
 
 
 class KernelEmitter:
@@ -568,6 +662,7 @@ class KernelEmitter:
             "gathers": 0,
             "gathers_shared": 0,
             "subexpressions_shared": 0,
+            "short_sums": 0,
             "slice_gathers": 0,
             "slice_stores": 0,
             "scatters": 0,
@@ -722,6 +817,18 @@ class KernelEmitter:
         self._fragments.append((len(self.lines), self._named))
         self._locals[step.key] = local
 
+    def _mark(self):
+        """What :meth:`_restore` takes the emitter back to."""
+        report = dict(self.report, fallback_reasons=list(self.report["fallback_reasons"]))
+        return len(self.lines), len(self.constants), report, set(self._named), self._temp_serial
+
+    def _restore(self, mark):
+        lines, constants, report, named, self._temp_serial = mark
+        self._rollback(lines, constants)
+        self.report.clear()
+        self.report.update(report)
+        self._named = named
+
     def _rollback(self, lines, constants):
         del self.lines[lines:]
         # No later statement may read a take whose line is gone.
@@ -789,6 +896,7 @@ class KernelEmitter:
             statement.stmt, statement.einsum, statement.chunk_plan
         ))
         self._emit_store(ev, raw, local)
+        self.report["short_sums"] += ev.folded
 
     def _emit_store(self, ev, raw, local):
         statement = ev.statement

@@ -22,6 +22,7 @@ mid-kernel failure is safe.
 
 from __future__ import annotations
 
+import re
 import time
 
 import numpy as np
@@ -32,7 +33,7 @@ from ..srdfg.interpreter import (
     ExecutionResult, _affine_view, _contract, _in_range,
 )
 
-__all__ = ["CODEGEN_STATS", "KernelArtifact"]
+__all__ = ["CODEGEN_STATS", "KernelArtifact", "timed_statements"]
 
 #: The ``codegen`` counter group — process-scoped, because kernels are
 #: artifacts shared across sessions (an execution has no session to
@@ -113,3 +114,34 @@ class KernelArtifact:
                 plan.counters.first_seconds = seconds
         CODEGEN_STATS.bump(kernel_executions=1)
         return result
+
+
+#: The first line of each plan step a kernel prints: the comment opening
+#: a variable or a specialized statement, a constant's binding, or a
+#: statement's fallback call (group 1 names its ``StatementPlan``).
+_STEP_START = re.compile(r"    (?:# |_v\d+ = _c\d+  # const |_v\d+ = (_stmt\d+)\.execute\()")
+
+
+def timed_statements(kernel):
+    """``(copy, labels, laps)``: a copy of *kernel* that reads the clock
+    before each plan step it prints and before it returns.
+
+    After a call of ``copy.run``, ``laps`` holds that call's readings:
+    ``labels[n]`` names the statement timed from ``laps[n]`` to
+    ``laps[n + 1]``, or is None for a variable or constant step. *kernel*
+    itself, cached and served, is left as it is.
+    """
+    laps, lines, labels = [], [], []
+    for line in kernel.source.splitlines():
+        start = _STEP_START.match(line)
+        if start and start.group(1):
+            labels.append(kernel.constants[start.group(1)].label)
+        elif start:
+            variable = line.startswith("    # var ") or "  # const " in line
+            labels.append(None if variable else line[len("    # "):])
+        if start or line.startswith("    return "):
+            lines.append("    _lap(_clock())")
+        lines.append(line)
+    constants = {**kernel.constants, "_lap": laps.append, "_clock": time.perf_counter}
+    copy = KernelArtifact(kernel.plan_key, "\n".join(lines) + "\n", constants, kernel.report)
+    return copy, labels, laps

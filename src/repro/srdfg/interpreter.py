@@ -81,6 +81,11 @@ PRECISIONS = {"f64": np.float64, "f32": np.float32}
 #: Maximum lattice elements materialised at once before reductions chunk.
 DEFAULT_LATTICE_LIMIT = 1 << 24
 
+#: A ``sum`` over fewer elements than this is folded slice by slice
+#: (:meth:`_ExprEvaluator._fold_short_sum`): below it numpy's pairwise
+#: summation adds the elements one after another.
+SHORT_SUM = 8
+
 _REDUCE_IDENTITY = {"sum": 0.0, "prod": 1.0, "max": -np.inf, "min": np.inf}
 
 _UNARYOPS = {"-": np.negative, "!": np.logical_not}
@@ -609,6 +614,17 @@ class _ExprEvaluator:
     def _run_einsum(self, einsum):
         return einsum.run(self.var_values)
 
+    def _fold(self, total, piece):
+        """The running total of a folded sum plus its next slice."""
+        return self._apply(np.add, total, piece)
+
+    def _unless_nan(self, total, expr, axes):
+        """A folded sum's *total*, or the lattice sum when it holds a NaN
+        (``min`` propagates a NaN and warns of nothing)."""
+        if np.isnan(np.min(total)):
+            return self._reduce_lattice(expr, axes)
+        return total
+
     def _concrete(self, value, reason, *args):
         """*value* is about to be inspected (write subscripts, masks excusing
         a stray subscript): a staged evaluator declines
@@ -747,7 +763,67 @@ class _ExprEvaluator:
             fast = None if einsum is None else self._run_einsum(einsum)
             if fast is not None:
                 return fast
+        if expr.op == "sum":
+            folded = self._fold_short_sum(expr, axes)
+            if folded is not None:
+                return folded
+        return self._reduce_lattice(expr, axes)
 
+    def _fold_short_sum(self, expr, axes):
+        """``sum[j](arg)`` evaluated one slice of ``j`` at a time, or None.
+
+        The sum folds when it has one index and no predicate, the index's
+        extent is 1 to ``SHORT_SUM - 1``, the statement's other axes
+        together are larger than that extent, *arg* holds no reduction and
+        is float32/float64, and no enclosing predicate masks the lattice.
+        Each slice is then *arg* over the rest of the lattice, added into
+        a total that starts at +0.0, so the lattice-sized argument with
+        the short axis innermost is never built. That total has np.sum's
+        bytes: whichever of its loops a layout takes, numpy adds fewer
+        than eight elements one after another starting from +0.0, and
+        float addition is commutative. A NaN is the exception: its sign
+        and payload depend on which operand numpy's add loop hands the
+        hardware first, which differs between its vector body, its tail
+        and its pairwise reduce; so a total holding a NaN is taken again
+        on the lattice (:meth:`_unless_nan`). A slice that raises leaves
+        the error to the lattice, whose message names the lattice's
+        subscript range.
+        """
+        if len(expr.indices) != 1 or expr.indices[0].predicate is not None or any(
+            mask is not None for mask in self._mask_stack
+        ) or any(isinstance(node, ast.ReductionCall) for node in ast.walk_expr(expr.arg)):
+            return None
+        name = expr.indices[0].name
+        ranges = {
+            other: self.sub_ranges.get(other, self.space.index_ranges[other])
+            for other in self.space.order
+        }
+        low, high = ranges.pop(name)
+        extent = high - low + 1
+        others = math.prod(max(0, stop - start + 1) for start, stop in ranges.values())
+        if not 0 < extent < SHORT_SUM or others <= extent:
+            return None
+        saved = self.sub_ranges, self._index_cache
+        total = 0.0
+        try:
+            for point in range(low, high + 1):
+                self.sub_ranges = {**saved[0], name: (point, point)}
+                self._index_cache = {}
+                piece = self.eval(expr.arg)
+                if point == low and not (
+                    np.ndim(piece) == self.space.total
+                    and getattr(piece, "dtype", None) in (np.float32, np.float64)
+                ):
+                    return None
+                total = self._fold(total, piece)
+        except ExecutionError:
+            return None  # the lattice raises it with the lattice's ranges
+        finally:
+            self.sub_ranges, self._index_cache = saved
+        return self._unless_nan(total, expr, axes)
+
+    def _reduce_lattice(self, expr, axes):
+        """A builtin reduction over its whole lattice argument."""
         mask = None
         for spec in expr.indices:
             if spec.predicate is None:

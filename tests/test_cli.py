@@ -279,6 +279,7 @@ PARSER_SURFACE = {
         (("--compare",), False, None, 0, None, "_StoreTrueAction"),
         (("--dump-source",), None, None, None, None, "_StoreAction"),
         (("--json",), None, None, None, None, "_StoreAction"),
+        (("--statement-ms",), False, None, 0, None, "_StoreTrueAction"),
         (("--steps",), 3, None, None, "int", "_StoreAction"),
         (("--workload",), None, None, None, None, "_AppendAction"),
         (("-h", "--help"), "==SUPPRESS==", None, 0, None, "_HelpAction"),

@@ -16,9 +16,15 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
+import json
 import math
+import os
+import pathlib
 import pickle
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -691,30 +697,33 @@ class TestBufferLifetimes:
 #: constant), and ``gathers_shared`` the gathers that read one of them
 #: (FFT-8192 130 = 78 + 52, FFT-16384 140 = 84 + 56, BrainStimul 120 =
 #: 72 + 48); ElecUse's and DigitCluster's ``X[i][j]-C[c][j]`` is staged
-#: once (``subexpressions_shared``).
+#: once (``subexpressions_shared``). Since short sums fold slice by slice,
+#: ElecUse's ``dsq`` is its one ``short_sums`` statement: four slices,
+#: each staging ``X[i][j]-C[c][j]`` once (``subexpressions_shared`` 4)
+#: through two column slices (``slice_gathers`` 8).
 REPORT_COUNTERS = (
     "statements", "specialized", "fallback", "einsum", "gathers",
-    "gathers_shared", "subexpressions_shared",
+    "gathers_shared", "subexpressions_shared", "short_sums",
     "slice_gathers", "slice_stores", "scatters",
 )
 LEDGER_REPORTS = {
-    "MobileRobot": (9, 9, 0, 4, 0, 0, 0, 3, 2, 0),
-    "Hexacopter": (12, 12, 0, 4, 0, 0, 0, 5, 5, 0),
-    "Twitter-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0),
-    "Wiki-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0),
-    "LiveJourn-SSP": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0),
-    "MovieL-20M": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0),
-    "MovieL-100K": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0),
-    "DigitCluster": (7, 7, 0, 3, 0, 0, 1, 0, 0, 0),
-    "ElecUse": (7, 7, 0, 3, 0, 0, 1, 0, 0, 0),
-    "FFT-8192": (30, 30, 0, 0, 78, 52, 0, 0, 0, 0),
-    "FFT-16384": (32, 32, 0, 0, 84, 56, 0, 0, 0, 0),
-    "DCT-1024": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0),
-    "DCT-2048": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0),
-    "ResNet-18": (56, 56, 0, 22, 0, 0, 0, 0, 17, 0),
-    "MobileNet": (45, 45, 0, 19, 0, 0, 0, 0, 9, 0),
-    "BrainStimul": (39, 39, 0, 5, 72, 48, 0, 3, 2, 0),
-    "OptionPricing": (5, 5, 0, 1, 0, 0, 0, 0, 0, 0),
+    "MobileRobot": (9, 9, 0, 4, 0, 0, 0, 0, 3, 2, 0),
+    "Hexacopter": (12, 12, 0, 4, 0, 0, 0, 0, 5, 5, 0),
+    "Twitter-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "Wiki-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "LiveJourn-SSP": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "MovieL-20M": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0, 0),
+    "MovieL-100K": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0, 0),
+    "DigitCluster": (7, 7, 0, 3, 0, 0, 1, 0, 0, 0, 0),
+    "ElecUse": (7, 7, 0, 3, 0, 0, 4, 1, 8, 0, 0),
+    "FFT-8192": (30, 30, 0, 0, 78, 52, 0, 0, 0, 0, 0),
+    "FFT-16384": (32, 32, 0, 0, 84, 56, 0, 0, 0, 0, 0),
+    "DCT-1024": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0),
+    "DCT-2048": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0),
+    "ResNet-18": (56, 56, 0, 22, 0, 0, 0, 0, 0, 17, 0),
+    "MobileNet": (45, 45, 0, 19, 0, 0, 0, 0, 0, 9, 0),
+    "BrainStimul": (39, 39, 0, 5, 72, 48, 0, 0, 3, 2, 0),
+    "OptionPricing": (5, 5, 0, 1, 0, 0, 0, 0, 0, 0, 0),
 }
 
 
@@ -737,7 +746,8 @@ def _ledger_kernel(name):
 #: constants (name, dtype, shape and bytes, in registration order) —
 #: literals of the commit whose kernels move each value once: a take per
 #: (SSA base, index constant), without ``out=``, and repeated
-#: subexpressions staged once. The source changes by design;
+#: subexpressions staged once; ElecUse's of the commit whose short sums
+#: fold slice by slice. The source changes by design;
 #: :data:`OUTPUT_DIGESTS` pins what it computes.
 KERNEL_DIGESTS = {
     "MobileRobot": (
@@ -773,8 +783,8 @@ KERNEL_DIGESTS = {
         "6e6f799c117f4228d21501bfeebbd7b016c2c646e7e10073d576ef83d9951d95",
     ),
     "ElecUse": (
-        "16dbf611f8d12a1e05ec1e6a6d052d155d6e337bbad417f9af7c336908281574",
-        "27703e9443c002d187b370a83fcd2bf00966b4ca5a8015446d54abd93522e0d2",
+        "207b5ded8ea33f93700ba0fc4090109e7e50cff46f8c423bfe5e14c647c7404f",
+        "99c71331694394815895e82a233c0f836a75eaa5c16788316c16bbc8797504d7",
     ),
     "FFT-8192": (
         "45758ffa8c6c3eb3f044b46ed4a24e15bd1163a33e62a3c6559a6344bd07bb08",
@@ -825,17 +835,21 @@ def _kernel_digests(kernel):
 #: kernel-tier trajectory (kind, name, dtype, shape and bytes, names
 #: sorted) — literals of the commit before kernels addressed memory with
 #: slices, whose stores scattered and whose gathers all took: however
-#: the kernel is printed, not a byte it computes may move.
+#: the kernel is printed, not a byte it computes may move. Taken under
+#: the ledger's ``PINNED_ENV`` (single-thread BLAS): DigitCluster,
+#: ElecUse and both MovieLens programs were re-taken in that env at the
+#: commit before short sums folded slice by slice, since their matmuls
+#: round differently with more OpenBLAS threads.
 OUTPUT_DIGESTS = {
     "MobileRobot": "74e0ffd992f0d6c94edf35c102f62695498bc4cf1dc08d0ba11db362f96c2cfd",
     "Hexacopter": "8ad7fbbeac94336ea2ddc22a007c607ac30dd66044d93b3f2184735e719f9461",
     "Twitter-BFS": "003ec710bb041a9481029db16f0e17b8ff0f4b0e853330b09fce279631ab88b8",
     "Wiki-BFS": "fe1a4005b689bc7a2126c7c38dcd2b0339379028d9a435213283162687868e75",
     "LiveJourn-SSP": "6e2abe2f410440329295cf46062b9fd3dffc3c1366d1c75a6f15fa8c66821f3f",
-    "MovieL-20M": "d7886e3347f068b2bcbf6d8ead9ed7465e18231c3e39ad8f8b9a76aedd1df9ff",
-    "MovieL-100K": "e865100dd95811fa04a743ad1a26c4c1cf335b80d5abdf9619a6b163eea8c495",
-    "DigitCluster": "7d63dd066815bb4381e29b5c2072886de384bf363a3ebf350a774c76f60fc357",
-    "ElecUse": "8db772313ae49ea7f08ab14c9192554f81758be713a5aa85fe076643ea918b60",
+    "MovieL-20M": "312a63a9fe278638b5abda8e1242a19bab9172dbae7b960f71f38c73bd9a28ce",
+    "MovieL-100K": "f8fc4d9cb4999d9dab142137244039f26109d7684d6a65b2607c328fa5183240",
+    "DigitCluster": "809081b13f4a1f7318dcf87c10cf86c90b23c9638f72809054703bcef89d4275",
+    "ElecUse": "1afbfdf44c2ada57e1d3c701ea92cbe65cd9828e4fc69c07b02dba71ce665e31",
     "FFT-8192": "a437796a87eaeb7f545e6b8a610d49e96a30e03837ef29b251d6a90386c28e8c",
     "FFT-16384": "63f077103f5663039b0bf3a842f4055b4003a498d070a138094ee317fe7036d8",
     "DCT-1024": "956a6890eb6d3ca9b9e403629798be0eb7f171721f86513f82bd6e6ac3c4de4a",
@@ -869,9 +883,41 @@ def _trajectory_digest(name):
     return digest.hexdigest()
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: Prints :func:`_trajectory_digest` of every :data:`OUTPUT_DIGESTS`
+#: program as one JSON object; argv names the directories to import from.
+_DIGESTS_SCRIPT = (
+    "import json, sys\n"
+    "sys.path[:0] = sys.argv[1:]\n"
+    "import test_codegen as t\n"
+    "print(json.dumps({n: t._trajectory_digest(n) for n in sorted(t.OUTPUT_DIGESTS)}))\n"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_trajectory_digests():
+    """:func:`_trajectory_digest` of every program, computed in one child
+    started with the ledger's ``PINNED_ENV``: OpenBLAS's thread count
+    moves the f64 bytes of some contractions, so the pins must not
+    depend on the host's core count or this process's environment."""
+    loader = importlib.util.spec_from_file_location(
+        "_ledger_spec", ROOT / "benchmarks" / "ledger" / "spec.py"
+    )
+    spec = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spec)
+    env = {**os.environ, **spec.PINNED_ENV}
+    env.pop("PYTHONPATH", None)
+    completed = subprocess.run(
+        [sys.executable, "-c", _DIGESTS_SCRIPT, str(ROOT / "src"), str(ROOT / "tests")],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_ledger_kernel_outputs_are_pinned(name):
-    assert _trajectory_digest(name) == OUTPUT_DIGESTS[name]
+    assert _pinned_trajectory_digests()[name] == OUTPUT_DIGESTS[name]
 
 
 #: Prints a take of an int operand (``k[3 - i][0]`` walks back, so it is
@@ -1632,8 +1678,9 @@ class TestKernelCache:
 
     def test_record_of_kernel_abi_6_is_a_miss(self, tmp_path, monkeypatch):
         """A ``--cache-dir`` written under ``KERNEL_ABI`` 6 holds records
-        with ``scratch_specs`` whose kernel takes ``_S``: under 7 their key
-        is never asked for, so the kernel is rebuilt, with no disk error."""
+        with ``scratch_specs`` whose kernel takes ``_S``: under 7 and later
+        their key is never asked for, so the kernel is rebuilt, with no
+        disk error."""
         import repro.codegen
 
         def plan_in(session):
@@ -1642,7 +1689,7 @@ class TestKernelCache:
             )
 
         abi = repro.codegen.KERNEL_ABI
-        assert abi == 7
+        assert abi > 6
         monkeypatch.setattr(repro.codegen, "KERNEL_ABI", 6)
         plan_in(CompilerSession(default_accelerators(), cache_dir=str(tmp_path)))
         [path] = [
@@ -1817,3 +1864,42 @@ class TestCli:
         assert (entry["slice_stores"], entry["slice_gathers"], entry["scatters"]) == (2, 3, 0)
         assert (entry["gathers"], entry["gathers_shared"]) == (0, 0)
         assert entry["subexpressions_shared"] == 0
+        assert entry["short_sums"] == 0
+
+    def test_statement_ms_times_a_copy(self, capsys):
+        """``--statement-ms`` times every statement of an instrumented
+        copy; the built kernel's source is left as it is."""
+        import json
+
+        from repro.cli import main
+
+        source = _ledger_kernel("ElecUse").source
+        code = main([
+            "codegen", "--workload", "ElecUse", "--statement-ms",
+            "--steps", "2", "--json", "-",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        entry = json.loads(out[out.index("{"):])["workloads"]["ElecUse"]
+        assert entry["short_sums"] == 1
+        timed = entry["statement_ms"]
+        assert [row["statement"] for row in timed] == [
+            "dsq := reduce_sum", "assign := reduce_argmin", "member := elemwise",
+            "cnt := reduce_sum", "csum := matmul", "inertia := contract", "C := elemwise",
+        ]
+        assert all(row["ms"] > 0 for row in timed)
+        assert "ms  dsq := reduce_sum" in out
+        assert _ledger_kernel("ElecUse").source == source
+        assert "_lap" not in source
+
+    def test_timed_copy_names_fallback_statements(self):
+        from repro.codegen import timed_statements
+
+        session, plan = _compile_plan(DECLINED_AFTER_A_GATHER)
+        copy, labels, laps = timed_statements(plan.kernel)
+        assert labels == [None, None, None, "y := reduce_rmin"]
+        rng = np.random.default_rng(3)
+        inputs = {"k": rng.integers(-6, 7, size=(4, 6)), "x": _int_floats(rng, (4, 6))}
+        outputs, _ = copy.run(inputs)
+        assert len(laps) == len(labels) + 1
+        assert np.array_equal(outputs["y"], plan.kernel.run(inputs)[0]["y"])

@@ -1,5 +1,7 @@
 """Unit tests for the vectorised srDFG interpreter."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,6 +397,149 @@ class TestContract:
         assert (positions, equation) == ((1, 0), "bc,ab->ac")
         # matmul yields (c, a): the output order is known at plan time.
         assert lowering[5] == (1, 0)
+
+
+#: Bodies of the short sums :class:`TestShortSum` draws, over ``x`` in
+#: lattice order (the free axes, then ``j``) and ``w`` along ``j``: numpy
+#: building the lattice argument the way the evaluator's lattice path does.
+_SHORT_SUM_BODIES = {
+    "{x}": lambda x, w: x,
+    "{x} + w[j]": np.add,
+    "({x} - w[j]) * ({x} - w[j])": lambda x, w: np.multiply(
+        np.subtract(x, w), np.subtract(x, w)
+    ),
+}
+
+
+@st.composite
+def _short_sum(draw):
+    """``(source, einsum, precision, inputs, want)``: ``y`` over one or two
+    free axes is a sum over ``j`` of extent 1-7, which subscripts any
+    dimension of ``x``; *want* is np.sum over the lattice argument. The
+    data mixes signed zeros, infinities, NaNs and subnormals."""
+    from hypothesis.extra.numpy import arrays
+
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    extent = draw(st.integers(1, 7))
+    free = draw(st.lists(st.integers(1, 9), min_size=1, max_size=2).filter(
+        lambda sizes: int(np.prod(sizes)) > extent
+    ))
+    names = "ab"[: len(free)]
+    position = draw(st.integers(0, len(free)))
+    subscripts = list(names)
+    subscripts.insert(position, "j")
+    shape = list(free)
+    shape.insert(position, extent)
+    body = draw(st.sampled_from(sorted(_SHORT_SUM_BODIES)))
+    info = np.finfo(dtype)
+    bits = np.array([0x7FC00001, 0xFFC00002], dtype=np.uint32)
+    if dtype == np.float64:
+        bits = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64)
+    elements = st.floats(width=info.bits) | st.sampled_from([
+        0.0, -0.0, np.inf, -np.inf, *bits.view(dtype), info.smallest_subnormal,
+    ])
+    x = draw(arrays(dtype, tuple(shape), elements=elements))
+    w = draw(arrays(dtype, (extent,), elements=elements))
+    lattice = np.moveaxis(x, position, -1)
+    with np.errstate(all="ignore"):
+        arg = _SHORT_SUM_BODIES[body](lattice, w.reshape((1,) * len(free) + (extent,)))
+        want = np.sum(arg, axis=-1)
+    declared = "".join(f"[{n}]" for n in shape)
+    out = "".join(f"[{n}]" for n in free)
+    source = (
+        f"main(input float x{declared}, input float w[{extent}], output float y{out}) {{"
+        f" index {', '.join(f'{n}[0:{size - 1}]' for n, size in zip(names, free))},"
+        f" j[0:{extent - 1}];"
+        f" y{''.join(f'[{n}]' for n in names)} = sum[j]("
+        + body.format(x="x" + "".join(f"[{n}]" for n in subscripts)) + "); }"
+    )
+    precision = "f32" if dtype == np.float32 else "f64"
+    # A bare operand is an einsum; the lattice path is what folds.
+    return source, body != "{x}", precision, {"x": x, "w": w}, want
+
+
+@functools.lru_cache(maxsize=None)
+def _short_sum_plan(source, einsum, precision):
+    from repro.driver import CompilerSession
+    from repro.targets import default_accelerators
+
+    session = CompilerSession(default_accelerators())
+    app = session.compile(source, domain="DA")
+    return session.plan_for(app, precision=precision, enable_einsum=einsum, codegen=True)
+
+
+class TestShortSum:
+    """A sum over fewer than eight elements folds slice by slice on both
+    tiers, byte-identical to ``np.sum`` over the lattice argument: numpy
+    adds so few elements one after another from +0.0, and a total holding
+    a NaN is taken again on the lattice. A numpy that sums differently
+    fails here instead of drifting."""
+
+    @given(_short_sum())
+    @settings(max_examples=300, deadline=None)
+    def test_fold_is_byte_identical_to_np_sum(self, case):
+        source, einsum, precision, inputs, want = case
+        plan = _short_sum_plan(source, einsum, precision)
+        assert plan.kernel.report["short_sums"] == 1
+        with np.errstate(all="ignore"):
+            interpreted = plan._execute(inputs, {}, {}, {}, None).outputs["y"]
+            kernel, _ = plan.kernel.run(inputs)
+        for got in (interpreted, kernel["y"]):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_a_nan_total_is_taken_on_the_lattice(self):
+        """Two NaNs of opposite sign meet where numpy's add loop and its
+        pairwise reduce hand the hardware their operands in different
+        orders: the total would keep the other NaN than np.sum does."""
+        source = (
+            "main(input float x[9][2], input float w[2], output float y[9]) {"
+            " index a[0:8], j[0:1]; y[a] = sum[j](x[a][j] + w[j]); }"
+        )
+        nan = np.float64(np.nan)
+        x = np.zeros((9, 2))
+        x[:, 0], x[:, 1] = nan, -nan
+        inputs = {"x": x, "w": np.zeros(2)}
+        want = np.sum(x + np.zeros(2), axis=1)
+        plan = _short_sum_plan(source, True, "f64")
+        assert "if _np.isnan(" in plan.kernel.source
+        with np.errstate(all="ignore"):
+            interpreted = plan._execute(inputs, {}, {}, {}, None).outputs["y"]
+            kernel, _ = plan.kernel.run(inputs)
+        assert interpreted.tobytes() == want.tobytes()
+        assert kernel["y"].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("declared, body", [
+        # extent 8: numpy's pairwise summation unrolls from there
+        ("input float x[16][8], input float w[8]", "sum[j](x[a][j] + w[j])"),
+        # a predicate
+        ("input float x[16][4], input float w[4]", "sum[j: j != 1](x[a][j] + w[j])"),
+        # int, bool and complex operands
+        ("input int x[16][4], input float w[4]", "sum[j](x[a][j] + 1)"),
+        ("input float x[16][4], input float w[4]", "sum[j](x[a][j] > w[j])"),
+        ("input complex x[16][4], input float w[4]", "sum[j](x[a][j] + w[j])"),
+        # the reduced axis longer than the rest
+        ("input float x[3][4], input float w[4]", "sum[j](x[a][j] + w[j])"),
+    ])
+    def test_what_does_not_fold_keeps_np_sum(self, declared, body):
+        rows, extent = _rows_and_extent(declared)
+        source = (
+            f"main({declared}, output float y[{rows}]) {{"
+            f" index a[0:{rows - 1}], j[0:{extent - 1}]; y[a] = {body}; }}"
+        )
+        plan = _short_sum_plan(source, True, "f64")
+        kernel = plan.kernel
+        assert kernel.report["short_sums"] == 0
+        assert "_np.sum(" in kernel.source
+        # A fold taken back on its first slice leaves no line behind.
+        assert "_np.add(0.0" not in kernel.source
+        assert "if _np.isnan(" not in kernel.source
+
+
+def _rows_and_extent(declared):
+    """The two extents of ``x`` in a declaration list."""
+    dims = declared.split("x[", 1)[1].split(",")[0]
+    return tuple(int(n) for n in dims.rstrip("]").split("]["))
 
 
 class TestAffineView:
