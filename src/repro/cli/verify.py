@@ -129,12 +129,14 @@ def _cmd_codegen(args):
         entry.update(provenance="kernel", source_bytes=len(kernel.source))
         for key in ("specialized", "statements", "einsum", "fallback",
                     "gathers", "gathers_shared", "subexpressions_shared",
-                    "short_sums", "slice_stores", "slice_gathers", "scatters"):
+                    "short_sums", "compressed", "slice_stores", "slice_gathers",
+                    "scatters"):
             entry[key] = kernel.report.get(key, 0)
         line = (
             f"{name:15s} kernel "
             f"{entry['specialized']}/{entry['statements']} specialized, "
             f"{entry['einsum']} einsum, "
+            f"{entry['compressed']} compressed, "
             f"{entry['source_bytes']} bytes"
         )
         if args.dump_source:

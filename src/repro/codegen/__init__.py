@@ -48,8 +48,11 @@ __all__ = [
 #: 7: the ``_S`` parameter and the scratch pool left (takes allocate): a
 #: record of 6 would be called with one argument too many.
 #: 8: short sums fold slice by slice, and a folded total holding a NaN
-#: calls an ``_ExactSum`` constant.
-KERNEL_ABI = 8
+#: calls a lattice-reduction constant.
+#: 9: a predicated min/max over a read-only param runs on its points: a
+#: constant holding a memo is called for them, and one of 8 would run the
+#: masked reduction every step.
+KERNEL_ABI = 9
 
 
 def kernel_cache_key(plan_key):

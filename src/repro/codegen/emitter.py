@@ -54,6 +54,14 @@ Folded slices
     a fresh operand. A slice's staged subexpressions and index maps are
     keyed by its sub-range, so no slice reads another's.
 
+Points
+    A reduction on its predicate's points prints a branch: the memo
+    lookup, the argument staged at the points as the interpreter
+    evaluates it there, and ``Points.reduce`` — the interpreter's own
+    method — or, when either says None, the interpreter's lattice
+    reduction. A take printed in the branch is read by nothing after it,
+    and no subexpression is shared across its edge.
+
 The index-map memo
     A static gather's flat index is a function of what
     :meth:`_StagedEvaluator._index_map_key` holds, and nothing else, so a
@@ -237,7 +245,7 @@ class _StagedEvaluator(_ExprEvaluator):
     def __init__(self, emitter, statement, operands):
         super().__init__(
             statement.space, statement.static_env, {}, statement.reductions,
-            enable_einsum=statement.enable_einsum,
+            enable_einsum=statement.enable_einsum, compressed=statement.compressed,
         )
         self.emitter = emitter
         self.statement = statement
@@ -266,7 +274,7 @@ class _StagedEvaluator(_ExprEvaluator):
         """Stage a repeated subexpression once: its first value, bound to
         a temp, answers every later occurrence outside a predicate mask."""
         key = self._repeated.get(id(expr))
-        if key is None or any(mask is not None for mask in self._mask_stack):
+        if key is None or self._pointwise or any(mask is not None for mask in self._mask_stack):
             return super().eval(expr)
         # A slice of a folded sum is a lattice of its own.
         key = key, tuple(sorted(self.sub_ranges.items()))
@@ -370,6 +378,14 @@ class _StagedEvaluator(_ExprEvaluator):
     def _subscript(self, expr, dim, value, extent):
         if not isinstance(value, _Val):
             return super()._subscript(expr, dim, value, extent)
+        if self._pointwise:
+            # Static at the points, and range-checked when they were
+            # derived (CompressedReduction.points).
+            if value.dtype.kind != "f":
+                return value
+            return self.emitter._let(
+                f"_np.rint({value.code}).astype(_np.int64)", value.shape, _shadow0(np.int64)
+            )
         if any(mask is not None for mask in self._mask_stack):
             # Where a predicate masks it, the interpreter clamps a stray
             # subscript instead of raising: that stays interpreted.
@@ -425,7 +441,7 @@ class _StagedEvaluator(_ExprEvaluator):
         reads an operand or holds a reduction, or when an active
         predicate could excuse a stray subscript.
         """
-        if any(mask is not None for mask in self._mask_stack):
+        if self._pointwise or any(mask is not None for mask in self._mask_stack):
             return None
         space, static_env = self.space, self.static_env
         statics = {}
@@ -603,14 +619,55 @@ class _StagedEvaluator(_ExprEvaluator):
     def _unless_nan(self, total, expr, axes):
         if not isinstance(total, _Val):
             return super()._unless_nan(total, expr, axes)
-        exact = self.emitter._const(_ExactSum(
+        exact = self.emitter._const(_LatticeReduction(
             self.statement, expr, axes, tuple(sorted(self.sub_ranges.items()))
         ))
-        operands = ", ".join(f"{name!r}: {value.code}" for name, value in self.operands.items())
-        self.emitter._named.update(value.code for value in self.operands.values())
         self.emitter._emit(f"if _np.isnan({total.code}.min()):")
-        self.emitter._emit(f"{total.code} = {exact}({{{operands}}})", indent=2)
+        self.emitter._emit(f"{total.code} = {exact}({self._operand_dict()})", indent=2)
         return total
+
+    def _operand_dict(self):
+        """The statement's operands as the dict a constant is called with."""
+        self.emitter._named.update(value.code for value in self.operands.values())
+        return "{" + ", ".join(
+            f"{name!r}: {value.code}" for name, value in self.operands.items()
+        ) + "}"
+
+    # -- reductions on their predicate's points ----------------------------
+
+    def _reduce_points(self, expr, axes, compressed):
+        """Print the memo lookup, the argument staged over the points'
+        coordinates and :meth:`~repro.srdfg.interpreter.Points.reduce`;
+        the lattice reduction, called as the interpreter runs it, answers
+        when either says None. A temp the branch binds is released in it,
+        and no later gather reads a take it printed."""
+        emitter = self.emitter
+        operands = self._operand_dict()
+        points = emitter._let(f"{emitter._const(compressed)}.points({operands})", (), None)
+        result = emitter._temp()
+        emitter._emit(f"if {points.code} is not None:")
+        line, serial = len(emitter.lines), emitter._temp_serial
+        emitter._indent += 1
+        try:
+            coords = {
+                name: _Val(f"{points.code}.coords[{name!r}]", (compressed.size,),
+                           _shadow0(np.int64))
+                for name in compressed.names
+            }
+            values = self.lift(self._to_float(self._at_points(expr.arg, coords)))
+            emitter._emit(f"{result} = {points.code}.reduce({expr.op!r}, {values.code})")
+            temps = [f"_t{n}" for n in range(serial + 1, emitter._temp_serial + 1)]
+            if temps:
+                emitter._emit(f"del {', '.join(temps)}")
+        finally:
+            emitter._indent -= 1
+        emitter._named.difference_update(temps)
+        emitter._gathers = {key: e for key, e in emitter._gathers.items() if e[0] < line}
+        lattice = emitter._const(_LatticeReduction(self.statement, expr, axes, ()))
+        emitter._emit(f"if {points.code} is None or {result} is None:")
+        emitter._emit(f"{result} = {lattice}({operands})", indent=2)
+        emitter.report["compressed"] += 1
+        return _Val(result, compressed.shape, values.shadow, fresh=True)
 
     # -- reductions the kernel does not print -----------------------------
 
@@ -621,10 +678,12 @@ class _StagedEvaluator(_ExprEvaluator):
         raise Unsupported("chunked reduction (over-limit lattice)")
 
 
-class _ExactSum(namedtuple("_ExactSum", "statement expr axes sub_ranges")):
-    """The lattice sum of one folded sum of *statement*: what its kernel
-    answers when the folded total holds a NaN, whose bytes only numpy's
-    own reduce over the lattice argument decides."""
+class _LatticeReduction(namedtuple("_LatticeReduction", "statement expr axes sub_ranges")):
+    """One reduction of *statement* over its lattice, as the interpreter
+    runs it: what a kernel answers when a folded sum's total holds a NaN,
+    or when a reduction has no points or they answer a zero or a NaN —
+    whose bytes only numpy's own reduce over the lattice argument
+    decides."""
 
     __slots__ = ()
 
@@ -654,6 +713,9 @@ class KernelEmitter:
         self._gathers = {}
         self._temp_serial = 0
         self._locals = {}
+        #: The indentation :meth:`_emit` prints at by default: 2 inside
+        #: a branch the kernel takes when a reduction has its points.
+        self._indent = 1
         self.report = {
             "statements": 0,
             "specialized": 0,
@@ -663,6 +725,7 @@ class KernelEmitter:
             "gathers_shared": 0,
             "subexpressions_shared": 0,
             "short_sums": 0,
+            "compressed": 0,
             "slice_gathers": 0,
             "slice_stores": 0,
             "scatters": 0,
@@ -722,8 +785,8 @@ class KernelEmitter:
             self._const_by_digest[key] = name
         return name
 
-    def _emit(self, line, indent=1):
-        self.lines.append("    " * indent + line)
+    def _emit(self, line, indent=None):
+        self.lines.append("    " * (self._indent if indent is None else indent) + line)
 
     # -- plan walk ---------------------------------------------------------
 

@@ -9,6 +9,11 @@ A :class:`KernelArtifact` wraps one emitted kernel function for one
 
 A kernel holds no buffer between calls: each numpy call it makes
 allocates its own result, so concurrent workers share only the artifact.
+It holds one derived value: a reduction running on its predicate's
+points keeps them in its statement's memo
+(:class:`~repro.srdfg.plan.CompressedReduction`), shared with the
+interpreted plan and derived from a read-only param — constant while
+that object lives — under a lock, once.
 
 ``try_execute`` is the only entry point the plan layer calls: it
 returns an :class:`~repro.srdfg.interpreter.ExecutionResult` on

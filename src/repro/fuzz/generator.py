@@ -75,7 +75,8 @@ class VarSpec:
     name: str
     shape: Tuple[int, ...]  # () scalar, (n,) vector, (n, m) matrix
     modifier: str  # input | param | state | output | local
-    #: ``int`` only for subscript operands, drawn in range of their length.
+    #: ``int`` only for subscript operands, drawn in range of their length;
+    #: ``bin`` only for edge matrices, drawn 0/1 with the diagonal set.
     dtype: str = "float"
 
     def declare(self):
@@ -194,6 +195,12 @@ class FuzzProgram:
     def _draw(self, rng, spec):
         if spec.dtype == "int":
             return rng.integers(0, spec.shape[0], size=spec.shape)
+        if spec.dtype == "bin":
+            # Edges at a density of its own, either side of the share
+            # above which a reduction keeps its lattice; the diagonal set.
+            edges = rng.random(spec.shape) < rng.random()
+            np.fill_diagonal(edges, True)
+            return edges.astype(np.int8)
         if not spec.shape:
             return float(rng.uniform(-1.0, 1.0))
         return rng.uniform(-1.0, 1.0, size=spec.shape)
@@ -579,8 +586,11 @@ class _Generator:
         0.25``. ``m`` and ``d`` are float inputs or params — data no
         statement computes — so the mask, and the index an argmin/argmax
         picks, are equal on every path at either precision. Point
-        ``p == i`` always passes, so no selection is empty."""
+        ``p == i`` always passes, so no selection is empty. Half the time
+        the predicate is the graph programs' own (:meth:`_make_edge_reduce`)."""
         size, a = self._pick_vec(context)
+        if self.rng.random() < 0.5:
+            return self._make_edge_reduce(context, size, a)
         data = [
             spec.name for spec in context["args"]
             if spec.modifier in ("input", "param") and spec.dtype == "float"
@@ -599,6 +609,25 @@ class _Generator:
             f"[{r}: {m}[{r}] {compare} {m}[{free}]]({arg}[{r}]){scale};",
             writes=target,
             reads=(arg, m),
+            kind="data_reduce",
+        )
+
+    def _make_edge_reduce(self, context, size, a):
+        """The graph programs' shape over a new ``param bin e[size][size]``:
+        ``t[i] = min[p: e[p][i] == 1](a[p] + c)``, or ``max``. Its
+        predicate reads a param only, so read-only params run it on its
+        points. ``e`` keeps its diagonal (:meth:`FuzzProgram._draw`), so
+        no selection is empty."""
+        edges = VarSpec(self.fresh("e"), (size, size), "param", dtype="bin")
+        context["args"].append(edges)
+        free, r = self._index_for(context, size), self._reduce_index_for(context, size)
+        reduce_op = self.rng.choice(("min", "max"))
+        target = self._new_local(context, (size,))
+        return Stmt(
+            text=f"{target}[{free}] = {reduce_op}[{r}: {edges.name}[{r}][{free}] == 1]"
+            f"({a}[{r}] + {self._const()});",
+            writes=target,
+            reads=(a, edges.name),
             kind="data_reduce",
         )
 

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..srdfg.plan import POINTS_STATS
 from .generator import GenConfig, generate_program
 from .minimize import minimize_program, reproducer_size
 from .oracles import ORACLES, OracleContext, run_program
@@ -66,6 +67,9 @@ class FuzzReport:
     dim_variants: int = 1
     checks: int = 0
     failures: int = 0
+    #: Point forms the run derived (``repro.srdfg.plan.POINTS_STATS``):
+    #: reductions that ran on their predicate's points, not the lattice.
+    compressed: int = 0
     wall_seconds: float = 0.0
     #: Per-program rows: seed, size, and every oracle verdict.
     matrix: List[dict] = field(default_factory=list)
@@ -107,6 +111,7 @@ class FuzzReport:
                 "checks": self.checks,
                 "failures": self.failures,
                 "ok": self.ok,
+                "compressed": self.compressed,
                 "wall_seconds": self.wall_seconds,
                 "availability_floor": self.availability_floor(),
                 "overhead_ceiling": self.overhead_ceiling(),
@@ -129,6 +134,10 @@ class FuzzReport:
             f"({self.campaigns} fault campaigns) "
             f"in {self.wall_seconds:.1f} s"
         ]
+        lines.append(
+            f"  compressed: {self.compressed} reduction(s) ran on their "
+            "predicate's points"
+        )
         floor = self.availability_floor()
         ceiling = self.overhead_ceiling()
         if floor is not None:
@@ -234,6 +243,7 @@ def run_fuzz(
         dim_variants=dim_variants,
     )
     started = time.perf_counter()
+    built = POINTS_STATS.snapshot().built
     for offset in range(programs):
         program_seed = seed + offset
         for variant, program in enumerate(
@@ -286,5 +296,6 @@ def run_fuzz(
                     except Exception:  # noqa: BLE001 — size is best-effort
                         divergence.minimized_nodes = None
                 report.divergences.append(divergence)
+    report.compressed = POINTS_STATS.snapshot().built - built
     report.wall_seconds = time.perf_counter() - started
     return report

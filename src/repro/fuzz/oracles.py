@@ -12,7 +12,9 @@ through the stack:
     the einsum fast path against the paper's lattice semantics.
 ``plan``
     The full compile pipeline (rule-based optimizer, lowering,
-    translation) followed by shared :class:`ExecutionPlan` execution.
+    translation) followed by shared :class:`ExecutionPlan` execution,
+    stepped with one read-only params dict (so a predicate over params
+    runs on its points, against the reference's lattice).
     Bit-identical at f64.
 ``codegen``
     The plan lowered further into a generated straight-line numpy kernel
@@ -62,6 +64,7 @@ __all__ = [
     "OracleContext",
     "ORACLES",
     "fault_campaigns",
+    "frozen_params",
     "run_program",
     "run_reference",
 ]
@@ -127,13 +130,16 @@ class OracleContext:
         self.domain = domain
 
 
-def _execute_steps(program, execute):
+def _execute_steps(program, execute, params=None):
     """Run *execute* once per program step, threading state; returns the
-    per-step output dictionaries."""
+    per-step output dictionaries. Each step gets fresh writeable params
+    unless *params* is given."""
     state = program.initial_state()
     steps = []
     for step in range(program.steps):
-        result = execute(program.inputs(), program.params(), state)
+        result = execute(
+            program.inputs(), program.params() if params is None else params, state
+        )
         state = result.state
         steps.append(dict(result.outputs))
     return steps
@@ -192,12 +198,24 @@ def _compare(reference, candidate, precision, strict=True):
     return True, "", max_error
 
 
-def _plan_steps(program, plan):
+def frozen_params(program):
+    """One read-only copy of *program*'s params, held across its steps
+    as a workload's are, so a predicate over them runs on its points
+    while the reference, handed writeable ones, stays on the lattice."""
+    params = {}
+    for name, value in program.params().items():
+        params[name] = np.array(value)
+        params[name].flags.writeable = False
+    return params
+
+
+def _plan_steps(program, plan, params=None):
     return _execute_steps(
         program,
         lambda inputs, params, state: plan.execute(
             inputs=inputs, params=params, state=state
         ),
+        params,
     )
 
 
@@ -215,22 +233,23 @@ def check_interpreter(program, precision, context, reference, graph):
                        max_error=err)
 
 
-def check_plan(program, precision, context, reference, app):
+def check_plan(program, precision, context, reference, app, params=None):
     """Rule-optimized, lowered ExecutionPlan execution vs the reference.
 
     The plan comes from the session's content-addressed plan tier, so
     every dim variant of one generated seed — and every minimized clone,
     which shares the seed *and* the sizes while compiling to a different
-    graph — gets the plan of its own graph.
+    graph — gets the plan of its own graph. It steps with *params*
+    (:func:`frozen_params`) when given.
     """
     plan = context.rules.plan_for(app, precision=precision)
     ok, detail, err = _compare(
-        reference, _plan_steps(program, plan), precision
+        reference, _plan_steps(program, plan, params), precision
     )
     return CheckResult("plan", precision, ok, detail=detail, max_error=err)
 
 
-def check_codegen(program, precision, context, reference, app):
+def check_codegen(program, precision, context, reference, app, params=None):
     """Generated-kernel execution vs the reference.
 
     Lowers the same plan the plan oracle runs (shared through the
@@ -243,7 +262,8 @@ def check_codegen(program, precision, context, reference, app):
     ``Unsupported`` for the whole plan) passes with a detail note
     (transparent fallback is the tier's contract). Any other exception
     out of ``build_kernel`` (an emitter defect) is a finding, and so is a
-    *runtime* failure on a program the reference executes cleanly.
+    *runtime* failure on a program the reference executes cleanly. It
+    steps with *params* (:func:`frozen_params`) when given.
     """
     from ..codegen import build_kernel
     from ..srdfg.interpreter import ExecutionResult
@@ -267,7 +287,7 @@ def check_codegen(program, precision, context, reference, app):
         result.state.update(state_out)
         return result
 
-    candidate = _execute_steps(program, execute)
+    candidate = _execute_steps(program, execute, params)
     ok, detail, err = _compare(reference, candidate, precision)
     return CheckResult("codegen", precision, ok, detail=detail,
                        max_error=err)
@@ -386,6 +406,7 @@ def run_program(program, context=None, precisions=("f64", "f32"),
     """
     context = context or OracleContext()
     source = program.render()
+    params = frozen_params(program)
     results = []
     try:
         graph = build(source, domain="DA")
@@ -419,10 +440,10 @@ def run_program(program, context=None, precisions=("f64", "f32"),
                         program, precision, context, reference, graph))
                 elif oracle == "plan":
                     results.append(check_plan(
-                        program, precision, context, reference, app))
+                        program, precision, context, reference, app, params))
                 elif oracle == "codegen":
                     results.append(check_codegen(
-                        program, precision, context, reference, app))
+                        program, precision, context, reference, app, params))
                 elif oracle == "fusion":
                     results.append(check_fusion(
                         program, precision, context, reference))

@@ -46,6 +46,7 @@ lazily through this function.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 import weakref
@@ -57,6 +58,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..obs import DEFAULT_REGISTRY, NULL_TRACER
+from ..pmlang import ast_nodes as ast
 from ..pmlang.render import render_reduction, render_stmt
 from .graph import COMPONENT, COMPUTE, CONST, VAR
 from .interpreter import (
@@ -71,7 +73,9 @@ from .interpreter import (
 )
 
 __all__ = [
+    "CompressedReduction",
     "ExecutionPlan",
+    "POINTS_STATS",
     "PLAN_FIELDS",
     "PlanConfig",
     "SingleFlight",
@@ -130,10 +134,187 @@ PLAN_FIELDS = ("graphs_planned", "statements_planned")
 #: each plan constructed exactly once however many steps run.
 _DEFAULT_STATS = DEFAULT_REGISTRY.counters("plan", PLAN_FIELDS)
 
+#: ``built`` counts the :class:`~repro.srdfg.interpreter.Points` that
+#: :meth:`CompressedReduction.points` derived. Process-scoped: points
+#: outlive sessions with their plans.
+POINTS_STATS = DEFAULT_REGISTRY.counters("points", ("built",))
+
 
 # ---------------------------------------------------------------------------
 # Per-statement plans
 # ---------------------------------------------------------------------------
+
+
+def _frozen(value):
+    """True when *value* is an ndarray nothing can write through numpy:
+    it and every array it views are read-only, down to an owner or
+    immutable bytes."""
+    if not isinstance(value, np.ndarray):
+        return False
+    while isinstance(value, np.ndarray):
+        if value.flags.writeable:
+            return False
+        value = value.base
+    return value is None or isinstance(value, bytes)
+
+
+class CompressedReduction:
+    """A predicated ``min``/``max`` of one statement that runs on its
+    predicate's true points (:class:`~repro.srdfg.interpreter.Points`).
+
+    Eligible, decided at plan build from the statement alone, is a
+    reduction outside any other whose predicate reads params (at least
+    one), index variables, static names and literals only, and whose
+    argument holds no reduction, reads no index variable the predicate
+    does not or the reduction binds, and subscripts with index variables,
+    static names and literals only. Its points are then a function of the
+    params the predicate reads; a read-only param (:func:`_frozen`) is
+    constant for the life of the object, so the points are derived the
+    first time the statement runs with read-only params — by the one
+    evaluator, then ``np.nonzero`` — and kept in a one-slot memo keyed by
+    weak references to those params (and the shapes of the operands the
+    argument reads). The interpreted statement and its generated kernel
+    share this object, so they share the memo. A writeable param never
+    builds a memo: the reduction stays on the lattice. So does one whose
+    predicate selects more than ``POINTS_SHARE`` of its lattice, or whose
+    argument raises at the points: the memo then holds None.
+    """
+
+    __slots__ = (
+        "expr", "axes", "params", "operands", "names", "space", "static_env",
+        "reductions", "shape", "size", "_memo", "_lock",
+    )
+
+    def __init__(self, expr, axes, params, operands, names, space, static_env,
+                 reductions, point_shape):
+        self.expr = expr
+        self.axes = axes
+        #: The params the predicate reads, and every other operand the
+        #: argument reads (only their shapes key the memo).
+        self.params = params
+        self.operands = operands
+        #: The index variables the argument reads: the points' coordinates.
+        self.names = names
+        self.space = space
+        self.static_env = static_env
+        self.reductions = reductions
+        #: The result shape (reduced axes kept as singletons), and the size
+        #: of the lattice the points are drawn from — the most there can be.
+        self.shape = tuple(1 if axis in axes else n for axis, n in enumerate(point_shape))
+        self.size = math.prod(point_shape)
+        self._memo = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def find(cls, stmt, space, static_env, params, reductions):
+        """The eligible reductions of *stmt* (see the class docstring)."""
+        found = [node for node in ast.walk_expr(stmt.value) if isinstance(node, ast.ReductionCall)]
+        inner = {
+            id(node)
+            for reduction in found
+            for part in (reduction.arg, *(spec.predicate for spec in reduction.indices))
+            for node in ast.walk_expr(part)
+            if isinstance(node, ast.ReductionCall)
+        }
+        return tuple(filter(None, (
+            cls._eligible(node, space, static_env, params, reductions)
+            for node in found if id(node) not in inner
+        )))
+
+    @classmethod
+    def _eligible(cls, expr, space, static_env, params, reductions):
+        predicates = [spec.predicate for spec in expr.indices if spec.predicate is not None]
+        if expr.op not in ("min", "max") or not predicates:
+            return None
+        indices = set(space.axis)
+        read = set()
+        for predicate in predicates:
+            if any(isinstance(node, ast.ReductionCall) for node in ast.walk_expr(predicate)):
+                return None
+            names = ast.expr_names(predicate)
+            if names - indices - set(static_env) - set(params):
+                return None
+            read |= names
+        if not read & set(params):
+            return None
+        bound = {spec.name for spec in expr.indices}
+        arg_names = ast.expr_names(expr.arg)
+        if (arg_names & indices) - read - bound:
+            return None
+        for node in ast.walk_expr(expr.arg):
+            if isinstance(node, ast.ReductionCall):
+                return None
+            if isinstance(node, ast.Indexed):
+                for index_expr in node.indices:
+                    for part in ast.walk_expr(index_expr):
+                        if isinstance(part, ast.Indexed) or (
+                            isinstance(part, ast.Name)
+                            and part.id not in indices and part.id not in static_env
+                        ):
+                            return None
+        point_shape = tuple(
+            space.size(name) if name in read or name in bound else 1
+            for name in space.order
+        )
+        if 0 in point_shape:
+            return None
+        return cls(
+            expr,
+            tuple(space.axis[spec.name] for spec in expr.indices),
+            tuple(sorted(read & set(params))),
+            tuple(sorted(arg_names - indices - set(static_env))),
+            tuple(sorted(arg_names & indices)),
+            space, static_env, reductions, point_shape,
+        )
+
+    def points(self, values):
+        """The :class:`~repro.srdfg.interpreter.Points` for the operand
+        *values* (name -> array), or None: the lattice answers. Derived
+        once per read-only param object; generated kernels call this very
+        method."""
+        params = [values.get(name) for name in self.params]
+        if not all(map(_frozen, params)):
+            return None
+        shapes = tuple(np.shape(values.get(name)) for name in self.operands)
+        memo = self._memo
+        if not self._holds(memo, params, shapes):
+            with self._lock:
+                memo = self._memo
+                if not self._holds(memo, params, shapes):
+                    memo = self._memo = (
+                        tuple(map(weakref.ref, params)), shapes, self._derive(values),
+                    )
+        return memo[2]
+
+    @staticmethod
+    def _holds(memo, params, shapes):
+        return memo is not None and memo[1] == shapes and all(
+            ref() is value for ref, value in zip(memo[0], params)
+        )
+
+    def _derive(self, values):
+        evaluator = _ExprEvaluator(self.space, self.static_env, values, self.reductions)
+        try:
+            points = evaluator._select_points(self.expr, self.axes, self.names)
+            if points is not None:
+                evaluator._at_points(self.expr.arg, points.coords)
+        except ExecutionError:
+            return None  # the lattice raises it
+        if points is not None:
+            POINTS_STATS.bump(built=1)
+        return points
+
+    # Pickled with their statement (kernel constants go to the disk
+    # tier): the memo and the lock are dropped.
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__[:-2]}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._memo = None
+        self._lock = threading.Lock()
 
 
 class StatementPlan:
@@ -142,8 +323,10 @@ class StatementPlan:
     Hoists out of the per-call path: axis-space construction, the
     einsum-eligibility decision (with precomputed subscript strings and
     contraction steps), the chunking decision for over-limit reductions,
-    and target-dtype resolution. ``execute`` binds the statement's
-    operand values and runs the prebuilt plan.
+    target-dtype resolution, and which predicated reductions may run on
+    their predicate's points (:class:`CompressedReduction`; *params*
+    names the operands bound to ``param`` variables). ``execute`` binds
+    the statement's operand values and runs the prebuilt plan.
     """
 
     __slots__ = (
@@ -159,6 +342,7 @@ class StatementPlan:
         "space",
         "chunk_plan",
         "einsum",
+        "compressed",
         "target_dtype",
         "built",
         "build_seconds",
@@ -181,6 +365,7 @@ class StatementPlan:
         enable_einsum=True,
         label=None,
         stats=None,
+        params=(),
     ):
         start = time.perf_counter()
         self.stmt = stmt
@@ -200,6 +385,9 @@ class StatementPlan:
             compile_einsum(stmt.value, self.space, static_env)
             if enable_einsum
             else None
+        )
+        self.compressed = () if self.chunk_plan is not None else CompressedReduction.find(
+            stmt, self.space, static_env, params, self.reductions
         )
 
         self.built = 1
@@ -225,6 +413,7 @@ class StatementPlan:
             var_values,
             self.reductions,
             enable_einsum=self.enable_einsum,
+            compressed=self.compressed,
         )
         raw = evaluator.statement_value(self.stmt, self.einsum, self.chunk_plan)
         result = self._store(evaluator, raw)
@@ -296,9 +485,12 @@ class StatementPlan:
         )
 
     def path(self):
-        """Which evaluation path this plan prefers (einsum/chunked/lattice)."""
+        """Which evaluation path this plan prefers
+        (einsum/compressed/chunked/lattice)."""
         if self.einsum is not None:
             return "einsum"
+        if self.compressed:
+            return "compressed"
         if self.chunk_plan is not None:
             return "chunked"
         return "lattice"
@@ -509,14 +701,19 @@ class ExecutionPlan:
         self._components: List[Tuple[str, "ExecutionPlan"]] = []
 
         produced = set()
+        #: Value keys of the ``param`` variables.
+        param_keys = set()
         order = graph.topological_order()
         for node in order:
             if node.kind == VAR:
                 step = _VarStep(node, float_dtype)
+                if step.modifier == "param":
+                    param_keys.add(step.key)
             elif node.kind == CONST:
                 step = _ConstStep(node, float_dtype)
             elif node.kind == COMPUTE:
                 stmt = node.attrs["stmt"]
+                gather = self._gather_list(graph, node, produced)
                 statement = StatementPlan(
                     stmt,
                     node.attrs["index_ranges"],
@@ -529,6 +726,7 @@ class ExecutionPlan:
                     enable_einsum=config.enable_einsum,
                     label=f"{stmt.target} := {node.name}",
                     stats=stats,
+                    params=frozenset(name for key, name in gather if key in param_keys),
                 )
                 label = statement.label
                 serial = 2
@@ -536,9 +734,7 @@ class ExecutionPlan:
                     label = f"{statement.label} #{serial}"
                     serial += 1
                 self.statements[label] = statement
-                step = _ComputeStep(
-                    node, self._gather_list(graph, node, produced), statement
-                )
+                step = _ComputeStep(node, gather, statement)
             elif node.kind == COMPONENT:
                 sub_plan = ExecutionPlan(
                     node.subgraph, reductions=self.reductions, config=config,
@@ -778,12 +974,12 @@ class ExecutionPlan:
             f"{counters.executions} execution(s)"
         ]
         lines.append(
-            f"  {'statement':34s} {'path':8s} {'built':>5s} {'execs':>6s} "
+            f"  {'statement':34s} {'path':10s} {'built':>5s} {'execs':>6s} "
             f"{'first':>12s} {'steady':>12s}"
         )
         for label, path, built, executions, first, steady in self.stats_rows():
             lines.append(
-                f"  {label:34s} {path:8s} {built:5d} {executions:6d} "
+                f"  {label:34s} {path:10s} {built:5d} {executions:6d} "
                 f"{first * 1e3:9.3f} ms {steady * 1e3:9.3f} ms"
             )
         return "\n".join(lines)

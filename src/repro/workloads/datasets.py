@@ -27,6 +27,8 @@ class GraphData:
 
     Only SSSP reads edge weights, so the dense ``weights`` matrix is drawn
     on its first read, from the generator state the sampler left behind.
+    Both matrices are read-only: every consumer shares one, and a plan
+    derives the edge list of a predicate over a read-only param once.
     """
 
     adjacency: np.ndarray  # (V, V) int8, adjacency[u, v] = 1 for edge u->v
@@ -43,6 +45,7 @@ class GraphData:
         rng.bit_generator.state = self.weight_state
         weights = rng.uniform(1.0, 10.0, size=(self.vertices, self.vertices))
         weights *= self.adjacency
+        weights.flags.writeable = False
         return weights
 
     @property
@@ -85,6 +88,7 @@ def rmat_graph(vertices, avg_degree, seed=0, a=0.57, b=0.19, c=0.19):
     # random Hamiltonian-ish backbone.
     order = rng.permutation(vertices)
     adjacency[order[:-1], order[1:]] = 1
+    adjacency.flags.writeable = False
     return GraphData(
         adjacency=adjacency,
         vertices=vertices,

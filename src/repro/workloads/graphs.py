@@ -7,11 +7,13 @@ GRAPHICIONADO pipeline's full sweep), and the driver iterates until the
 distance vector reaches a fixed point.
 
 Scale substitution (see DESIGN.md): the paper's graphs have 3.5M-61M
-vertices; the functional simulator evaluates the dense V x V formulation,
-so we use R-MAT graphs of 1-2K vertices with the same power-law shape.
-``hints()`` carries the true vertex/edge counts so cost models charge the
-sparse work every real implementation (GraphMat, Enterprise,
-GRAPHICIONADO) performs.
+vertices; the programs declare a dense V x V adjacency, so we use R-MAT
+graphs of 1-2K vertices with the same power-law shape. The adjacency is a
+read-only param, so a plan derives its edge list once and each sweep's
+``min`` runs over the edges alone (``repro.srdfg.plan.CompressedReduction``)
+— the sparse work every real implementation (GraphMat, Enterprise,
+GRAPHICIONADO) performs, and ``hints()`` carries the true vertex/edge
+counts so the cost models charge it at paper scale.
 """
 
 from __future__ import annotations

@@ -700,30 +700,32 @@ class TestBufferLifetimes:
 #: once (``subexpressions_shared``). Since short sums fold slice by slice,
 #: ElecUse's ``dsq`` is its one ``short_sums`` statement: four slices,
 #: each staging ``X[i][j]-C[c][j]`` once (``subexpressions_shared`` 4)
-#: through two column slices (``slice_gathers`` 8).
+#: through two column slices (``slice_gathers`` 8). Since a predicate over
+#: a read-only param runs on its true points, each graph program's
+#: ``relax`` is its one ``compressed`` reduction.
 REPORT_COUNTERS = (
     "statements", "specialized", "fallback", "einsum", "gathers",
-    "gathers_shared", "subexpressions_shared", "short_sums",
+    "gathers_shared", "subexpressions_shared", "short_sums", "compressed",
     "slice_gathers", "slice_stores", "scatters",
 )
 LEDGER_REPORTS = {
-    "MobileRobot": (9, 9, 0, 4, 0, 0, 0, 0, 3, 2, 0),
-    "Hexacopter": (12, 12, 0, 4, 0, 0, 0, 0, 5, 5, 0),
-    "Twitter-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "Wiki-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "LiveJourn-SSP": (3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "MovieL-20M": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0, 0),
-    "MovieL-100K": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0, 0),
-    "DigitCluster": (7, 7, 0, 3, 0, 0, 1, 0, 0, 0, 0),
-    "ElecUse": (7, 7, 0, 3, 0, 0, 4, 1, 8, 0, 0),
-    "FFT-8192": (30, 30, 0, 0, 78, 52, 0, 0, 0, 0, 0),
-    "FFT-16384": (32, 32, 0, 0, 84, 56, 0, 0, 0, 0, 0),
-    "DCT-1024": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0),
-    "DCT-2048": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0),
-    "ResNet-18": (56, 56, 0, 22, 0, 0, 0, 0, 0, 17, 0),
-    "MobileNet": (45, 45, 0, 19, 0, 0, 0, 0, 0, 9, 0),
-    "BrainStimul": (39, 39, 0, 5, 72, 48, 0, 0, 3, 2, 0),
-    "OptionPricing": (5, 5, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+    "MobileRobot": (9, 9, 0, 4, 0, 0, 0, 0, 0, 3, 2, 0),
+    "Hexacopter": (12, 12, 0, 4, 0, 0, 0, 0, 0, 5, 5, 0),
+    "Twitter-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+    "Wiki-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+    "LiveJourn-SSP": (3, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+    "MovieL-20M": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0),
+    "MovieL-100K": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0),
+    "DigitCluster": (7, 7, 0, 3, 0, 0, 1, 0, 0, 0, 0, 0),
+    "ElecUse": (7, 7, 0, 3, 0, 0, 4, 1, 0, 8, 0, 0),
+    "FFT-8192": (30, 30, 0, 0, 78, 52, 0, 0, 0, 0, 0, 0),
+    "FFT-16384": (32, 32, 0, 0, 84, 56, 0, 0, 0, 0, 0, 0),
+    "DCT-1024": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0),
+    "DCT-2048": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0),
+    "ResNet-18": (56, 56, 0, 22, 0, 0, 0, 0, 0, 0, 17, 0),
+    "MobileNet": (45, 45, 0, 19, 0, 0, 0, 0, 0, 0, 9, 0),
+    "BrainStimul": (39, 39, 0, 5, 72, 48, 0, 0, 0, 3, 2, 0),
+    "OptionPricing": (5, 5, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
 }
 
 
@@ -747,7 +749,10 @@ def _ledger_kernel(name):
 #: literals of the commit whose kernels move each value once: a take per
 #: (SSA base, index constant), without ``out=``, and repeated
 #: subexpressions staged once; ElecUse's of the commit whose short sums
-#: fold slice by slice. The source changes by design;
+#: fold slice by slice; the three graph programs' of the commit whose
+#: predicates over read-only params run on their true points (``relax``
+#: prints the memo lookup, the argument at the points and ``reduceat``).
+#: The source changes by design;
 #: :data:`OUTPUT_DIGESTS` pins what it computes.
 KERNEL_DIGESTS = {
     "MobileRobot": (
@@ -759,15 +764,15 @@ KERNEL_DIGESTS = {
         "4bccfdeff6542eaa2787dc230c0a740ff791e2671f6f4c53090f5ce57d2bc05b",
     ),
     "Twitter-BFS": (
-        "3def6e26028ee0893e905f123be4e426fac1c35b4ad345908d2733cdb8022e28",
+        "1f5eac6f4a49371987b8622354cf90d2ac5b05ac264abe24a200301ff38ea739",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "Wiki-BFS": (
-        "78a09324d46ca75c2b0e81a8f19617914a1189402f22a05e86fa770f9e0dbaaf",
+        "9b62f3648089eefd711d0b5788fee7c81890d790987f3afa5db86e83e4461037",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "LiveJourn-SSP": (
-        "86daddb4d2bbc99e6808050bc88c05202b36646df52c2a9de581a5b39406800e",
+        "f6b502fa48d9b0f5846ec51fb88114d62cfd9e57dde662b09e86c3204550addf",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-20M": (
@@ -918,6 +923,27 @@ def _pinned_trajectory_digests():
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_ledger_kernel_outputs_are_pinned(name):
     assert _pinned_trajectory_digests()[name] == OUTPUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["Twitter-BFS", "Wiki-BFS", "LiveJourn-SSP"])
+def test_graph_kernels_relax_on_points_without_fallback(name):
+    """``try_execute`` turns any kernel exception into an interpreted
+    re-run, which would hide a broken point reduction as a slow step: 20
+    steps of each graph program count no fallback, and ``relax`` holds
+    the points of the workload's own adjacency."""
+    from repro.workloads import Trajectory
+
+    workload, plan = _ledger_plan(name)
+    before = CODEGEN_STATS.snapshot().kernel_fallbacks
+    trajectory = Trajectory(workload)
+    for _ in range(20):
+        result = trajectory.step(lambda **call: plan.kernel.try_execute(plan, **call))
+        assert result.tier == "kernel"
+    assert CODEGEN_STATS.snapshot().kernel_fallbacks == before
+    relax = next(statement for label, statement in plan.iter_statements()
+                 if label.startswith("relax"))
+    refs, _, points = relax.compressed[0]._memo
+    assert refs[0]() is workload.shared_params()["adj"] and points is not None
 
 
 #: Prints a take of an int operand (``k[3 - i][0]`` walks back, so it is

@@ -542,6 +542,224 @@ def _rows_and_extent(declared):
     return tuple(int(n) for n in dims.rstrip("]").split("]["))
 
 
+#: Where ``e`` puts the reduced index ``b``: first (the graph programs'
+#: ``adj[u][v]``, whose mask is a transposed view of ``e``), second, or
+#: alone under a scalar target (one group).
+_EDGE_LAYOUTS = {"first": "e[b][a]", "second": "e[a][b]", "alone": "e[b]"}
+
+
+def _read_only(value):
+    value = np.array(value)
+    value.flags.writeable = False
+    return value
+
+
+@st.composite
+def _edge_reduce(draw):
+    """``(source, precision, params, inputs, mask)``: a min or max over
+    ``b`` under ``e[..] == 1`` with ``e`` a bin param, on data mixing
+    signed zeros, infinities and NaNs of both signs. *mask* is the
+    predicate over the ``(a, b)`` lattice: a density either side of
+    ``POINTS_SHARE``, with the first or last group emptied or one group
+    filled on request."""
+    from hypothesis.extra.numpy import arrays
+
+    precision = draw(st.sampled_from(("f32", "f64")))
+    dtype = np.float32 if precision == "f32" else np.float64
+    op = draw(st.sampled_from(("min", "max")))
+    layout = draw(st.sampled_from(sorted(_EDGE_LAYOUTS)))
+    groups = 1 if layout == "alone" else draw(st.integers(1, 6))
+    extent = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.0, 0.1, 0.5, 0.7, 0.8, 1.0)))
+    mask = rng.random((groups, extent)) < density
+    for row, value in ((0, False), (-1, False), (draw(st.integers(0, groups - 1)), True)):
+        if draw(st.booleans()):
+            mask[row] = value
+    edges = {"first": mask.T, "second": mask, "alone": mask[0]}[layout]
+    bits = np.array([0x7FC00001, 0xFFC00002], dtype=np.uint32)
+    if dtype == np.float64:
+        bits = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64)
+    elements = st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, *bits.view(dtype)])
+    if layout == "alone" or draw(st.booleans()):
+        x, arg, declared = draw(arrays(dtype, (extent,), elements=elements)), "x[b]", f"x[{extent}]"
+    else:
+        x = draw(arrays(dtype, (groups, extent), elements=elements))
+        arg, declared = "x[a][b] + x[a][b]", f"x[{groups}][{extent}]"
+    target, free = ("y", "") if layout == "alone" else (f"y[{groups}]", f"a[0:{groups - 1}], ")
+    source = (
+        f"main(param bin e{''.join(f'[{n}]' for n in edges.shape)}, input float {declared},"
+        f" output float {target}) {{ index {free}b[0:{extent - 1}];"
+        f" {target.split('[')[0]}{'' if layout == 'alone' else '[a]'} ="
+        f" {op}[b: {_EDGE_LAYOUTS[layout]} == 1]({arg}); }}"
+    )
+    return source, precision, {"e": np.ascontiguousarray(edges, dtype=np.int8)}, {"x": x}, mask
+
+
+class TestCompressedReduction:
+    """A predicated min/max over a read-only param runs on its true
+    points, byte-identical on both tiers to the masked reduction over the
+    lattice that a writeable param keeps: a group answering a zero or a
+    NaN is taken again on the lattice, where numpy's loop order picks
+    which one; every other answer is the one value the group holds."""
+
+    @given(_edge_reduce())
+    @settings(max_examples=300, deadline=None)
+    def test_points_are_byte_identical_to_the_lattice(self, case):
+        from repro.srdfg.interpreter import POINTS_SHARE
+
+        source, precision, params, inputs, mask = case
+        plan = _short_sum_plan(source, True, precision)
+        [statement] = plan.statements.values()
+        assert statement.path() == "compressed"
+        assert plan.kernel.report["compressed"] == 1
+        memo = statement.compressed[0]._memo
+        with np.errstate(all="ignore"):
+            want = plan._execute(inputs, params, {}, {}, None).outputs["y"]
+            assert statement.compressed[0]._memo is memo  # writeable: the lattice
+            frozen = {name: _read_only(value) for name, value in params.items()}
+            interpreted = plan._execute(inputs, frozen, {}, {}, None).outputs["y"]
+            kernel, _ = plan.kernel.run(inputs, frozen)
+        points = statement.compressed[0]._memo[2]
+        assert (points is not None) == (mask.sum() <= POINTS_SHARE * mask.size)
+        for got in (interpreted, kernel["y"]):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+#: A BFS relaxation over six vertices, as the graph programs write it.
+_RELAX = (
+    "main(param bin adj[6][6], input float x[6], output float y[6]) {"
+    " index u[0:5], v[0:5]; y[v] = min[u: adj[u][v] == 1](x[u] + 1.0); }"
+)
+
+
+def _relax(adj, x):
+    return np.min(np.where(adj.T == 1, x[None, :] + 1.0, np.inf), axis=1)
+
+
+class TestCompressedSoundness:
+    """Points are derived only from read-only params, once per object."""
+
+    X = np.arange(6.0)
+
+    @staticmethod
+    def _edges(*pairs):
+        adj = np.zeros((6, 6), dtype=np.int8)
+        for u, v in pairs:
+            adj[u, v] = 1
+        return adj
+
+    def _run(self, plan, adj):
+        interpreted = plan._execute({"x": self.X}, {"adj": adj}, {}, {}, None).outputs["y"]
+        kernel, _ = plan.kernel.run({"x": self.X}, {"adj": adj})
+        assert interpreted.tobytes() == kernel["y"].tobytes()
+        return interpreted
+
+    def test_a_writeable_param_builds_no_memo_and_edits_show(self):
+        plan = _short_sum_plan(_RELAX, True, "f64")
+        [statement] = plan.statements.values()
+        memo = statement.compressed[0]._memo
+        adj = self._edges((0, 1), (1, 2))
+        first = self._run(plan, adj)
+        adj[0, 2] = 1
+        second = self._run(plan, adj)
+        assert statement.compressed[0]._memo is memo
+        assert first.tobytes() == _relax(self._edges((0, 1), (1, 2)), self.X).tobytes()
+        assert second.tobytes() == _relax(adj, self.X).tobytes()
+        assert second[2] != first[2]
+        # A read-only view of a writeable array is written through it.
+        view = adj.view()
+        view.flags.writeable = False
+        self._run(plan, view)
+        assert statement.compressed[0]._memo is memo
+
+    def test_a_new_read_only_object_derives_again(self):
+        from repro.srdfg.plan import POINTS_STATS
+
+        plan = _short_sum_plan(_RELAX, True, "f64")
+        [statement] = plan.statements.values()
+        before = POINTS_STATS.snapshot().built
+        first = _read_only(self._edges((0, 1), (1, 2)))
+        second = _read_only(self._edges((0, 1), (1, 2), (3, 2)))
+        for adj in (first, first, second, second):
+            assert self._run(plan, adj).tobytes() == _relax(adj, self.X).tobytes()
+            assert statement.compressed[0]._memo[0][0]() is adj
+        assert POINTS_STATS.snapshot().built - before == 2
+
+    @pytest.mark.parametrize("name, param", [
+        ("Twitter-BFS", "adj"), ("Wiki-BFS", "adj"),
+        ("LiveJourn-SSP", "adj"), ("LiveJourn-SSP", "w"),
+    ])
+    def test_graph_params_are_read_only(self, name, param):
+        from repro.workloads import get_workload
+
+        params = get_workload(name).params()
+        with pytest.raises(ValueError):
+            params[param][0, 0] = 1
+
+    def test_subscripts_stray_only_where_the_lattice_lets_them(self):
+        """``x[u + 1]`` leaves ``x`` at ``u == 5``: where no edge leaves
+        vertex 5 the lattice clamps it and the points never reach it;
+        where one does, both tiers raise the lattice's own error."""
+        plan = _short_sum_plan(_RELAX.replace("x[u] + 1.0", "x[u + 1]"), True, "f64")
+        x = np.arange(6.0)
+        clear = self._edges((0, 1), (4, 2))
+        want = plan._execute({"x": x}, {"adj": clear}, {}, {}, None).outputs["y"]
+        frozen = _read_only(clear)
+        got = plan._execute({"x": x}, {"adj": frozen}, {}, {}, None).outputs["y"]
+        kernel, _ = plan.kernel.run({"x": x}, {"adj": frozen})
+        assert want.tobytes() == got.tobytes() == kernel["y"].tobytes()
+        errors = []
+        for adj in (self._edges((5, 2)), _read_only(self._edges((5, 2)))):
+            for run in (
+                lambda: plan._execute({"x": x}, {"adj": adj}, {}, {}, None),
+                lambda: plan.kernel.run({"x": x}, {"adj": adj}),
+            ):
+                with pytest.raises(ExecutionError) as raised:
+                    run()
+                errors.append(str(raised.value))
+        assert len(set(errors)) == 1
+        assert errors[0] == "subscript 0 of 'x' out of range [1, 6] for extent 6"
+
+    def test_threads_first_touching_one_plan_agree(self):
+        """Eight threads on both tiers meet an empty memo at once: one
+        derives the points, every one answers the lattice's bytes."""
+        import sys
+        import threading
+
+        from repro.srdfg.plan import POINTS_STATS
+
+        plan = _short_sum_plan(_RELAX, True, "f64")
+        adj = _read_only(self._edges((0, 1), (1, 2), (2, 3), (5, 4)))
+        before = POINTS_STATS.snapshot().built
+        barrier = threading.Barrier(8)
+        results = []
+
+        def touch(run):
+            barrier.wait(timeout=30)
+            results.append(run())
+
+        runs = [
+            lambda: plan._execute({"x": self.X}, {"adj": adj}, {}, {}, None).outputs["y"],
+            lambda: plan.kernel.run({"x": self.X}, {"adj": adj})[0]["y"],
+        ] * 4
+        threads = [threading.Thread(target=touch, args=(run,)) for run in runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert {result.tobytes() for result in results} == {_relax(adj, self.X).tobytes()}
+        assert POINTS_STATS.snapshot().built - before == 1
+
+
 class TestAffineView:
     """Contractions over affine subscripts: einsum over ``_affine_view``
     must equal lattice evaluation, interpreted and as a kernel."""
