@@ -105,7 +105,7 @@ def _cmd_codegen(args):
     """
     import os
 
-    from ..codegen import CODEGEN_STATS, Unsupported
+    from ..codegen import CODEGEN_STATS
     from ..eval import Harness
     from ..workloads import Trajectory
 
@@ -120,21 +120,17 @@ def _cmd_codegen(args):
         kernel = plan.kernel
         entry = {"kernel": kernel is not None}
         if kernel is None:
-            entry["provenance"] = "interpreter"
-            print(f"{name:15s} DECLINED (interpreter tier only)")
+            entry.update(provenance="interpreter", declined=plan.kernel_declined)
+            print(f"{name:15s} DECLINED (interpreter tier only): {plan.kernel_declined}")
             if args.compare:
                 failures += 1
             workloads_payload[name] = entry
             continue
         entry.update(provenance="kernel", source_bytes=len(kernel.source))
-        for key in ("specialized", "statements", "einsum", "fallback",
-                    "gathers", "gathers_shared", "subexpressions_shared",
-                    "short_sums", "compressed", "slice_stores", "slice_gathers",
-                    "scatters"):
-            entry[key] = kernel.report.get(key, 0)
+        entry.update(kernel.report)
         line = (
             f"{name:15s} kernel "
-            f"{entry['specialized']}/{entry['statements']} specialized, "
+            f"{entry['statements']} statement(s), "
             f"{entry['einsum']} einsum, "
             f"{entry['compressed']} compressed, "
             f"{entry['source_bytes']} bytes"
@@ -159,8 +155,6 @@ def _cmd_codegen(args):
                     start = time.perf_counter()
                     result = run(**values)
                     seconds[tier] += time.perf_counter() - start
-                    if result is None:
-                        raise Unsupported(f"{tier} tier declined the step")
                     return result
                 return invoke
 
@@ -172,11 +166,7 @@ def _cmd_codegen(args):
             identical = True
             for step in range(max(1, args.steps)):
                 ref = ref_run.step(interp)
-                try:
-                    got = kern_run.step(kern)
-                except Unsupported:
-                    identical = False
-                    break
+                got = kern_run.step(kern)
                 for where in _mismatches(ref, got):
                     identical = False
                     entry.setdefault("mismatches", []).append(

@@ -6,11 +6,13 @@ compiled :class:`~repro.srdfg.plan.ExecutionPlan` into one straight-line
 Python/numpy function via :class:`~repro.codegen.emitter.KernelEmitter`,
 compiled and wrapped in a :class:`~repro.codegen.kernel.KernelArtifact`.
 
-Codegen declines by contract: :func:`build_kernel` returns ``None`` when
-the emitter raises :class:`Unsupported` for the whole plan and counts it
-as a declined build in :data:`CODEGEN_STATS` — a diagnostic, never an
-error. Plans without an attached kernel simply keep executing
-interpreted. Any other exception is an emitter defect and propagates.
+A kernel is the whole plan or none. :func:`build_kernel` returns
+``None`` when the emitter raises :class:`Unsupported` — for the plan, or
+for one statement it cannot print, named in the reason — and counts it
+as a declined build in :data:`CODEGEN_STATS`: a diagnostic, never an
+error. The plan keeps executing interpreted and remembers the reason
+(``plan.kernel_declined``). Any other exception is an emitter defect and
+propagates.
 """
 
 from __future__ import annotations
@@ -72,9 +74,10 @@ def build_kernel(plan, plan_key=None, diagnostics=None):
     """Lower *plan* to a KernelArtifact, or None when codegen declines.
 
     A plan the emitter raises :class:`Unsupported` for counts as
-    ``builds_declined`` (with a diagnostics note when a collector is
-    supplied) and stays interpreted. Any other exception — an emission
-    bug, printed source that does not compile — propagates.
+    ``builds_declined`` (with a diagnostics warning when a collector is
+    supplied), keeps the reason as ``plan.kernel_declined`` and stays
+    interpreted. Any other exception — an emission bug, printed source
+    that does not compile — propagates.
     """
     start = time.perf_counter()
     key = plan_key or f"{plan.graph_name}:{id(plan):x}"
@@ -85,27 +88,24 @@ def build_kernel(plan, plan_key=None, diagnostics=None):
             builds_declined=1,
             build_seconds=time.perf_counter() - start,
         )
+        plan.kernel_declined = str(exc) or type(exc).__name__
         if diagnostics is not None:
-            reason = str(exc) or type(exc).__name__
             diagnostics.warning(
-                f"codegen declined for {plan.graph_name!r}: {reason}",
+                f"codegen declined for {plan.graph_name!r}: {plan.kernel_declined}",
                 stage="codegen",
             )
         return None
     artifact = KernelArtifact(key, *emitted)
-    report = emitted.report
     CODEGEN_STATS.bump(
         kernels_built=1,
         build_seconds=time.perf_counter() - start,
-        statements_specialized=report.get("specialized", 0),
-        statements_fallback=report.get("fallback", 0),
         source_bytes=len(emitted.source),
     )
     if diagnostics is not None:
         diagnostics.note(
             f"built kernel for {plan.graph_name!r}: "
-            f"{report.get('specialized', 0)}/{report.get('statements', 0)} "
-            f"statement(s) specialized, {len(emitted.source)} source bytes",
+            f"{emitted.report['statements']} statement(s), "
+            f"{len(emitted.source)} source bytes",
             stage="codegen",
         )
     return artifact

@@ -13,13 +13,12 @@ run-time data is printed, so the kernel *is* the interpreter's numpy
 operation sequence with the static parts folded to constants. That
 includes predicates over data (a printed mask, reduced through
 ``where=``), argmin/argmax, and subscripts over data (printed rounding,
-the interpreter's own ``_in_range`` check and fancy gather). A
-statement the staged evaluator declines (a custom combiner, a chunked
-reduction, a data-dependent subscript under a predicate, a size cap) or
-that would raise falls back to calling its own
-:class:`~repro.srdfg.plan.StatementPlan`, so unsupported constructs are
-correct by construction and runtime error behaviour (out-of-range
-subscripts, unbound names) is preserved verbatim.
+the interpreter's own ``_in_range`` check and fancy gather). A kernel
+is the whole plan or none: a statement the staged evaluator declines (a
+custom combiner, a chunked reduction, a data-dependent subscript under a
+predicate, a size cap) or that would raise at run time declines the plan
+with :class:`Unsupported` naming that statement, and the plan runs
+interpreted.
 
 What is the emitter's own preserves bit-identity by argument:
 
@@ -91,22 +90,20 @@ from ..srdfg.interpreter import (
 
 __all__ = ["EmitResult", "KernelEmitter", "Unsupported"]
 
-#: Largest precomputed index/mask constant (elements) before the
-#: statement falls back to the interpreter instead of bloating the
-#: kernel's constant pool.
+#: Largest precomputed index/mask constant (elements) before the plan
+#: stays interpreted instead of bloating the kernel's constant pool.
 MAX_INDEX_CONSTANT = 1 << 22
 
 
 class Unsupported(Exception):
-    """One statement (or the whole plan) cannot be specialized."""
+    """The plan cannot be printed as a kernel: it runs interpreted."""
 
 
 def _bshape(*shapes):
     try:
         return np.broadcast_shapes(*shapes)
     except ValueError as exc:
-        # The interpreter would raise the same broadcast error at run
-        # time; statement fallback preserves it.
+        # The interpreter raises the same broadcast error at run time.
         raise Unsupported(f"static broadcast mismatch: {exc}") from exc
 
 
@@ -220,7 +217,7 @@ EmitResult = namedtuple("EmitResult", "source constants report")
 
 
 #: Raised while staging a statement: the emitter cannot print it, or it
-#: would raise at run time. Either way the interpreter keeps it.
+#: would raise at run time. Either way the plan stays interpreted.
 _DECLINED = (Unsupported, ExecutionError)
 
 
@@ -718,8 +715,6 @@ class KernelEmitter:
         self._indent = 1
         self.report = {
             "statements": 0,
-            "specialized": 0,
-            "fallback": 0,
             "einsum": 0,
             "gathers": 0,
             "gathers_shared": 0,
@@ -729,7 +724,6 @@ class KernelEmitter:
             "slice_gathers": 0,
             "slice_stores": 0,
             "scatters": 0,
-            "fallback_reasons": [],
         }
         #: The ``_vN``/``_tN`` locals the statement being printed names:
         #: its result, the temps it binds, the operands it reads.
@@ -857,8 +851,6 @@ class KernelEmitter:
     def _emit_compute_step(self, step, local):
         self.report["statements"] += 1
         statement = step.statement
-        # A declined statement leaves no line, constant or table entry.
-        mark = (len(self.lines), len(self.constants))
         self._named = {local}
         operands = {}
         for key, name in step.gather:
@@ -867,23 +859,15 @@ class KernelEmitter:
             operands[name] = _Val(src, shape, _shadow0(dtype))
         try:
             self._specialize_statement(statement, operands, local)
-            self.report["specialized"] += 1
         except _DECLINED as exc:
-            self._rollback(*mark)
-            self._named = {local}
-            self._emit_statement_fallback(statement, operands, local,
-                                          reason=str(exc))
-            self.report["fallback"] += 1
-            self.report["fallback_reasons"].append(
-                f"{statement.label}: {exc}"
-            )
+            raise Unsupported(f"{statement.label}: {exc}") from exc
         self._fragments.append((len(self.lines), self._named))
         self._locals[step.key] = local
 
     def _mark(self):
         """What :meth:`_restore` takes the emitter back to."""
-        report = dict(self.report, fallback_reasons=list(self.report["fallback_reasons"]))
-        return len(self.lines), len(self.constants), report, set(self._named), self._temp_serial
+        return (len(self.lines), len(self.constants), dict(self.report), set(self._named),
+                self._temp_serial)
 
     def _restore(self, mark):
         lines, constants, report, named, self._temp_serial = mark
@@ -908,15 +892,6 @@ class KernelEmitter:
             key: index_map for key, index_map in self._index_maps.items()
             if index_map[0] in self.constants
         }
-
-    def _emit_statement_fallback(self, statement, operands, local, reason=""):
-        splan = self._const(statement, prefix="_stmt")
-        gather = ", ".join(
-            f"{name!r}: {value.code}" for name, value in operands.items()
-        )
-        self._named.update(value.code for value in operands.values())
-        note = f"  # fallback: {reason}" if reason else ""
-        self._emit(f"{local} = {splan}.execute({{{gather}}}){note}")
 
     def _emit_collect(self):
         """Print the return line; answers the locals it names."""

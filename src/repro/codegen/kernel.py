@@ -16,13 +16,10 @@ interpreted plan and derived from a read-only param — constant while
 that object lives — under a lock, once.
 
 ``try_execute`` is the only entry point the plan layer calls: it
-returns an :class:`~repro.srdfg.interpreter.ExecutionResult` on
-success, lets :class:`~repro.errors.ExecutionError` propagate (those
-are semantic errors the interpreter would raise identically), and
-converts *any other* failure into a counted fallback by returning
-``None`` — the plan then re-executes interpreted. The kernel never
-mutates the caller's input/param/state dicts, so re-execution after a
-mid-kernel failure is safe.
+returns an :class:`~repro.srdfg.interpreter.ExecutionResult`, and
+whatever the kernel raises propagates — a plan with a kernel is never
+re-run interpreted. The kernel never mutates the caller's
+input/param/state dicts.
 """
 
 from __future__ import annotations
@@ -44,16 +41,14 @@ __all__ = ["CODEGEN_STATS", "KernelArtifact", "timed_statements"]
 #: artifacts shared across sessions (an execution has no session to
 #: charge). ``kernels_built`` / ``builds_declined`` count whole-plan
 #: outcomes (a declined build is a diagnostic, never an error: the plan
-#: keeps executing interpreted); ``kernel_fallbacks`` counts executions
-#: that started on the kernel and fell back to the interpreter at run time.
+#: keeps executing interpreted). No kernel execution re-runs interpreted,
+#: so ``kernel_fallbacks`` stays 0; the execute-steady ledger reads it.
 CODEGEN_STATS = DEFAULT_REGISTRY.counters("codegen", (
     "kernels_built",
     "builds_declined",
     "build_seconds",
     "kernel_executions",
     "kernel_fallbacks",
-    "statements_specialized",
-    "statements_fallback",
     "source_bytes",
 ))
 
@@ -94,22 +89,10 @@ class KernelArtifact:
 
     def try_execute(self, plan, inputs=None, params=None, state=None,
                     output_init=None):
-        """Kernel-tier execution with transparent interpreter fallback.
-
-        Returns an ExecutionResult, or ``None`` when the kernel declined
-        at run time (counted in ``CODEGEN_STATS.kernel_fallbacks``; the
-        caller re-runs the interpreted plan). ExecutionError propagates:
-        the interpreter would raise the same error, so falling back
-        would only mask it more slowly.
-        """
+        """One kernel-tier execution of *plan*, counted on it; returns an
+        ExecutionResult. Whatever the kernel raises propagates."""
         start = time.perf_counter()
-        try:
-            outputs, state_out = self.run(inputs, params, state, output_init)
-        except ExecutionError:
-            raise
-        except Exception:
-            CODEGEN_STATS.bump(kernel_fallbacks=1)
-            return None
+        outputs, state_out = self.run(inputs, params, state, output_init)
         seconds = time.perf_counter() - start
         result = ExecutionResult(outputs, state_out, tier="kernel")
         with plan._counters_lock:
@@ -122,9 +105,8 @@ class KernelArtifact:
 
 
 #: The first line of each plan step a kernel prints: the comment opening
-#: a variable or a specialized statement, a constant's binding, or a
-#: statement's fallback call (group 1 names its ``StatementPlan``).
-_STEP_START = re.compile(r"    (?:# |_v\d+ = _c\d+  # const |_v\d+ = (_stmt\d+)\.execute\()")
+#: a variable or a statement, or a constant's binding.
+_STEP_START = re.compile(r"    (?:# |_v\d+ = _c\d+  # const )")
 
 
 def timed_statements(kernel):
@@ -139,9 +121,7 @@ def timed_statements(kernel):
     laps, lines, labels = [], [], []
     for line in kernel.source.splitlines():
         start = _STEP_START.match(line)
-        if start and start.group(1):
-            labels.append(kernel.constants[start.group(1)].label)
-        elif start:
+        if start:
             variable = line.startswith("    # var ") or "  # const " in line
             labels.append(None if variable else line[len("    # "):])
         if start or line.startswith("    return "):

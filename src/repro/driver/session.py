@@ -528,8 +528,7 @@ class CompilerSession:
 
     # -- execution plans --------------------------------------------------------
 
-    def plan_for(self, app, precision="f64", lattice_limit=None,
-                 enable_einsum=True, codegen=False):
+    def plan_for(self, app, precision="f64", codegen=False):
         """The shared :class:`~repro.srdfg.plan.ExecutionPlan` for *app*.
 
         Backed by the artifact cache's plan tier, keyed on the graph's
@@ -540,30 +539,19 @@ class CompilerSession:
 
         *codegen=True* additionally lowers the plan to a generated kernel
         (cache-first, recorded as a ``codegen`` stage) and attaches it, so
-        ``plan.execute`` runs the kernel tier with transparent interpreter
-        fallback. A declined build is a diagnostic, never an error.
+        ``plan.execute`` runs the kernel. A declined build is a
+        diagnostic, never an error: the plan runs interpreted.
         """
-        plan, _ = self.plan_for_traced(
-            app,
-            precision=precision,
-            lattice_limit=lattice_limit,
-            enable_einsum=enable_einsum,
-            codegen=codegen,
-        )
+        plan, _ = self.plan_for_traced(app, precision=precision, codegen=codegen)
         return plan
 
-    def plan_for_traced(self, app, precision="f64", lattice_limit=None,
-                        enable_einsum=True, codegen=False):
+    def plan_for_traced(self, app, precision="f64", codegen=False):
         """:meth:`plan_for` plus provenance: ``(plan, "built"|"cache"|"coalesced")``.
 
         Identical concurrent plan requests coalesce exactly like compiles
         do: one worker builds, the rest await the finished plan.
         """
-        config = PlanConfig(
-            precision=precision,
-            lattice_limit=lattice_limit,
-            enable_einsum=enable_einsum,
-        )
+        config = PlanConfig(precision=precision)
         # The fingerprint a compile stamped on the app; anything else with
         # a ``graph`` (or an artifact pickled before the stamp) is hashed.
         key = plan_cache_key(
@@ -605,11 +593,11 @@ class CompilerSession:
 
         Recorded as a ``codegen`` stage: cache hits carry
         ``cached=True`` like plan hits do, fresh builds carry the
-        emitter's specialization summary, and a declined build records
-        the decline (the plan keeps executing interpreted — a declined
-        build is never an error) and the plan remembers it, so a plan
-        the emitter cannot lower costs one attempt per process, not one
-        per request. Returns the kernel or None.
+        kernel's size, and a declined build records the decline (the
+        plan keeps executing interpreted — a declined build is never an
+        error) and the plan remembers its reason, so a plan the emitter
+        cannot lower costs one attempt per process, not one per request.
+        Returns the kernel or None.
         """
         if plan.kernel is not None or plan.kernel_declined:
             return plan.kernel
@@ -621,16 +609,13 @@ class CompilerSession:
                 plan, plan_key=plan_key, diagnostics=self.diagnostics
             ),
             lambda artifact: (
-                f"{artifact.report.get('specialized', 0)}/"
-                f"{artifact.report.get('statements', 0)} specialized, "
+                f"{artifact.report['statements']} statement(s), "
                 f"{len(artifact.source)} bytes, key {key[:12]}"
             ),
             graph=plan.graph_name,
             key=key[:12],
         )
-        if artifact is None:
-            plan.kernel_declined = True
-        else:
+        if artifact is not None:
             plan.attach_kernel(artifact)
         return artifact
 

@@ -19,8 +19,9 @@ through the stack:
 ``codegen``
     The plan lowered further into a generated straight-line numpy kernel
     (:mod:`repro.codegen`), replayed through ``KernelArtifact.run``.
-    Bit-identical at f64; a declined build passes (transparent fallback
-    is the tier's contract) but a runtime failure is a finding.
+    Bit-identical at f64; a declined build is a finding (no generated
+    construct is one the emitter declines, so a decline is lost coverage),
+    and so is a runtime failure.
 ``fusion``
     Compilation with cost-guided fusion enabled. Fusion retags domains
     and erases DMA crossings but must never change values: bit-identical
@@ -259,11 +260,12 @@ def check_codegen(program, precision, context, reference, app, params=None):
     plan oracle keeps exercising the interpreted tier. Bit-identical at
     f64, tolerance at f32 (the kernel threads the same host-fallback f32
     rounding the plan does). A declined build (the emitter raised
-    ``Unsupported`` for the whole plan) passes with a detail note
-    (transparent fallback is the tier's contract). Any other exception
-    out of ``build_kernel`` (an emitter defect) is a finding, and so is a
-    *runtime* failure on a program the reference executes cleanly. It
-    steps with *params* (:func:`frozen_params`) when given.
+    ``Unsupported``) is a divergence whose detail is the decline reason:
+    no generated construct is one the emitter declines, so a decline is
+    lost coverage. Any other exception out of ``build_kernel`` (an
+    emitter defect) is a finding, and so is a *runtime* failure on a
+    program the reference executes cleanly. It steps with *params*
+    (:func:`frozen_params`) when given.
     """
     from ..codegen import build_kernel
     from ..srdfg.interpreter import ExecutionResult
@@ -275,10 +277,7 @@ def check_codegen(program, precision, context, reference, app, params=None):
         diagnostics=context.rules.diagnostics,
     )
     if kernel is None:
-        return CheckResult(
-            "codegen", precision, True,
-            detail="build declined; interpreted tier only",
-        )
+        return CheckResult("codegen", precision, False, detail=plan.kernel_declined)
 
     def execute(inputs, params, state):
         outputs, state_out = kernel.run(inputs, params, state)

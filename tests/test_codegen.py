@@ -1,11 +1,11 @@
 """Tests for the kernel codegen tier (repro.codegen).
 
 The contract under test: a generated kernel is *bit-identical* to the
-interpreted ExecutionPlan at f64 — it either prints the interpreter's
-own numpy op sequence with build-time-folded index arithmetic, or
-falls back per-statement to the interpreter's own StatementPlan — and
-codegen failure at any level (build decline, runtime fallback, corrupt
-cache entry) is a counted diagnostic, never an error.
+interpreted ExecutionPlan at f64 — it prints the interpreter's own numpy
+op sequence with build-time-folded index arithmetic for every statement
+of the plan, or the plan declines as a whole and runs interpreted — and
+a declined build or a corrupt cache entry is a counted diagnostic, never
+an error.
 
 Equivalence tests use integer-valued floats so bit-identity assertions
 (``np.array_equal``) also hold at f32, where the plan rounds at
@@ -99,10 +99,12 @@ class TestKernelEquivalence:
         assert got is not None
         _assert_identical(ref, got)
 
-    def test_chunked_statement_bit_identical(self):
-        """A lattice_limit small enough to force the interpreter's
-        chunked accumulation path must not diverge from the kernel."""
-        session, plan = _compile_plan(MATVEC, lattice_limit=8)
+    def test_chunked_statement_bit_identical(self, monkeypatch):
+        """A lattice limit small enough to plan the interpreter's chunked
+        accumulation path must not diverge from the kernel (its
+        contraction runs first)."""
+        monkeypatch.setattr("repro.srdfg.interpreter.DEFAULT_LATTICE_LIMIT", 8)
+        session, plan = _compile_plan(MATVEC)
         assert plan.kernel is not None
         rng = np.random.default_rng(5)
         inputs = {"A": _int_floats(rng, (6, 5)), "x": _int_floats(rng, 5)}
@@ -134,17 +136,15 @@ class TestKernelEquivalence:
         )
         kernel = plan.kernel
         assert kernel is not None
-        assert kernel.report["specialized"] == 1
         rng = np.random.default_rng(29)
         inputs = {"x": _int_floats(rng, 8)}
-        base = CODEGEN_STATS.to_dict()
         outputs, _ = kernel.run(inputs)
         ref = plan._execute(inputs, {}, {}, {}, None)
         assert outputs["y"].dtype == ref.outputs["y"].dtype
         assert np.array_equal(outputs["y"], ref.outputs["y"])
-        _assert_identical(ref, plan.execute(inputs))
-        stats = CODEGEN_STATS.to_dict()
-        assert stats["kernel_fallbacks"] == base["kernel_fallbacks"]
+        result = plan.execute(inputs)
+        assert result.tier == "kernel"
+        _assert_identical(ref, result)
 
     def test_f32_precision_threaded(self):
         """f32 plans generate f32 kernels: same dtypes, same values on
@@ -181,11 +181,11 @@ class TestKernelEquivalence:
             u = {"u": _int_floats(rng, 4)}
             ref = plan._execute(u, {}, ref_state, {}, None)
             got = plan.execute(u, params={}, state=kern_state)
+            assert got.tier == "kernel"
             _assert_identical(ref, got)
             ref_state, kern_state = ref.state, got.state
         stats = CODEGEN_STATS.to_dict()
         assert stats["kernels_built"] - base["kernels_built"] == 1
-        assert stats["kernel_fallbacks"] == base["kernel_fallbacks"]
 
     def test_plan_execute_prefers_kernel(self):
         session, plan = _compile_plan(STATEFUL)
@@ -246,7 +246,6 @@ class TestStoreShapes:
     def _check(self, source, inputs):
         session, plan = _compile_plan(source)
         assert plan.kernel is not None
-        assert plan.kernel.report["fallback"] == 0
         ref = plan._execute(inputs, {}, {}, {}, None)
         got = plan.kernel.try_execute(plan, inputs)
         assert got is not None
@@ -566,7 +565,6 @@ class TestBufferLifetimes:
     def test_operand_released_after_its_last_reader(self):
         session, plan = _compile_plan(self.READERS_OF_XX)
         kernel = plan.kernel
-        assert kernel.report["fallback"] == 0
         lines = [line.strip() for line in kernel.source.splitlines()]
         [xx] = [
             line.split(" = ")[0] for line in lines
@@ -656,7 +654,6 @@ class TestBufferLifetimes:
     ])
     def test_copied_stores_never_alias(self, source):
         session, plan = _compile_plan(source)
-        assert plan.kernel.report["fallback"] == 0
         rng = np.random.default_rng(37)
         self._check_no_aliasing(
             plan.kernel, {}, {}, {"W": _int_floats(rng, (4, 3))}
@@ -687,7 +684,9 @@ class TestBufferLifetimes:
 #: one gather fewer; and for the eight statements that used to fall back
 #: (the graph programs' data-dependent predicate, DigitCluster's and
 #: ElecUse's ``argmin``, the FFTs' and BrainStimul's bit-reversal copy
-#: ``sig[br[t]]``), each now specialized. No program falls back.
+#: ``sig[br[t]]``), each now specialized. Since a kernel is the whole
+#: plan or none, the ``specialized`` (always ``statements``) and
+#: ``fallback`` (always 0) columns are gone.
 #: Since static stores and gathers were decided by their subscripts, the
 #: 11 gathers that are positive-step progressions (MobileRobot 3,
 #: Hexacopter 5, BrainStimul 3) left ``gathers`` (the ``np.take``s) for
@@ -704,28 +703,28 @@ class TestBufferLifetimes:
 #: a read-only param runs on its true points, each graph program's
 #: ``relax`` is its one ``compressed`` reduction.
 REPORT_COUNTERS = (
-    "statements", "specialized", "fallback", "einsum", "gathers",
-    "gathers_shared", "subexpressions_shared", "short_sums", "compressed",
-    "slice_gathers", "slice_stores", "scatters",
+    "statements", "einsum", "gathers", "gathers_shared",
+    "subexpressions_shared", "short_sums", "compressed", "slice_gathers",
+    "slice_stores", "scatters",
 )
 LEDGER_REPORTS = {
-    "MobileRobot": (9, 9, 0, 4, 0, 0, 0, 0, 0, 3, 2, 0),
-    "Hexacopter": (12, 12, 0, 4, 0, 0, 0, 0, 0, 5, 5, 0),
-    "Twitter-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "Wiki-BFS": (3, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "LiveJourn-SSP": (3, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "MovieL-20M": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0),
-    "MovieL-100K": (7, 7, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0),
-    "DigitCluster": (7, 7, 0, 3, 0, 0, 1, 0, 0, 0, 0, 0),
-    "ElecUse": (7, 7, 0, 3, 0, 0, 4, 1, 0, 8, 0, 0),
-    "FFT-8192": (30, 30, 0, 0, 78, 52, 0, 0, 0, 0, 0, 0),
-    "FFT-16384": (32, 32, 0, 0, 84, 56, 0, 0, 0, 0, 0, 0),
-    "DCT-1024": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0),
-    "DCT-2048": (2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0),
-    "ResNet-18": (56, 56, 0, 22, 0, 0, 0, 0, 0, 0, 17, 0),
-    "MobileNet": (45, 45, 0, 19, 0, 0, 0, 0, 0, 0, 9, 0),
-    "BrainStimul": (39, 39, 0, 5, 72, 48, 0, 0, 0, 3, 2, 0),
-    "OptionPricing": (5, 5, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    "MobileRobot": (9, 4, 0, 0, 0, 0, 0, 3, 2, 0),
+    "Hexacopter": (12, 4, 0, 0, 0, 0, 0, 5, 5, 0),
+    "Twitter-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+    "Wiki-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+    "LiveJourn-SSP": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+    "MovieL-20M": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0),
+    "MovieL-100K": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0),
+    "DigitCluster": (7, 3, 0, 0, 1, 0, 0, 0, 0, 0),
+    "ElecUse": (7, 3, 0, 0, 4, 1, 0, 8, 0, 0),
+    "FFT-8192": (30, 0, 78, 52, 0, 0, 0, 0, 0, 0),
+    "FFT-16384": (32, 0, 84, 56, 0, 0, 0, 0, 0, 0),
+    "DCT-1024": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
+    "DCT-2048": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
+    "ResNet-18": (56, 22, 0, 0, 0, 0, 0, 0, 17, 0),
+    "MobileNet": (45, 19, 0, 0, 0, 0, 0, 0, 9, 0),
+    "BrainStimul": (39, 5, 72, 48, 0, 0, 0, 3, 2, 0),
+    "OptionPricing": (5, 1, 0, 0, 0, 0, 0, 0, 0, 0),
 }
 
 
@@ -927,39 +926,47 @@ def test_ledger_kernel_outputs_are_pinned(name):
 
 @pytest.mark.parametrize("name", ["Twitter-BFS", "Wiki-BFS", "LiveJourn-SSP"])
 def test_graph_kernels_relax_on_points_without_fallback(name):
-    """``try_execute`` turns any kernel exception into an interpreted
-    re-run, which would hide a broken point reduction as a slow step: 20
-    steps of each graph program count no fallback, and ``relax`` holds
-    the points of the workload's own adjacency."""
+    """20 steps of each graph program run on its kernel (a broken point
+    reduction raises: nothing re-runs it interpreted), and ``relax``
+    holds the points of the workload's own adjacency."""
     from repro.workloads import Trajectory
 
     workload, plan = _ledger_plan(name)
-    before = CODEGEN_STATS.snapshot().kernel_fallbacks
     trajectory = Trajectory(workload)
     for _ in range(20):
         result = trajectory.step(lambda **call: plan.kernel.try_execute(plan, **call))
         assert result.tier == "kernel"
-    assert CODEGEN_STATS.snapshot().kernel_fallbacks == before
     relax = next(statement for label, statement in plan.iter_statements()
                  if label.startswith("relax"))
     refs, _, points = relax.compressed[0]._memo
     assert refs[0]() is workload.shared_params()["adj"] and points is not None
 
 
-#: Prints a take of an int operand (``k[3 - i][0]`` walks back, so it is
-#: no slice) before it declines on a custom combiner.
-DECLINED_AFTER_A_GATHER = (
-    "reduction rmin(a,b) = a < b ? a : b;\n"
-    "main(input int k[4][6], input float x[4][6], output float y[4]) {"
-    " index i[0:3], j[0:5];"
-    " y[i] = k[3 - i][0] + rmin[j](x[i][j]); }"
+#: A short sum whose first slice prints a take of an int operand
+#: (``k[7 - i][j]`` walks back, so it is no slice) and registers its
+#: index map, then reads ``x`` through a subscript known only at run time:
+#: the fold is taken back, and the lattice path prints the sum.
+TAKEN_BACK_AFTER_A_GATHER = (
+    "main(input int k[8][4], input float x[8][4], input int idx[4],"
+    " output float y[8]) {"
+    " index i[0:7], j[0:3];"
+    " y[i] = sum[j](k[7 - i][j] + x[i][idx[j]]); }"
 )
 
 
+def _taken_back_inputs(seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "k": rng.integers(-6, 7, size=(8, 4)),
+        "x": _int_floats(rng, (8, 4)),
+        "idx": rng.integers(0, 4, size=4),
+    }
+
+
 class TestKernelNamespace:
-    """Every constant a kernel carries is one its source names: a
-    declined statement leaves none behind, and a store registers none it
-    does not print."""
+    """Every constant a kernel carries is one its source names: a fold
+    taken back leaves none behind, and a store registers none it does not
+    print."""
 
     @staticmethod
     def _assert_all_referenced(kernel):
@@ -971,31 +978,30 @@ class TestKernelNamespace:
         self._assert_all_referenced(_ledger_kernel(name))
 
     def test_declined_statement_rolls_back(self):
-        session, plan = _compile_plan(DECLINED_AFTER_A_GATHER)
+        session, plan = _compile_plan(TAKEN_BACK_AFTER_A_GATHER)
         kernel = plan.kernel
-        assert kernel.report["fallback"] == 1
+        assert kernel.report["short_sums"] == 0
+        # The take-back restored the report: only the lattice's take counts.
         assert kernel.report["gathers"] == 1
         self._assert_all_referenced(kernel)
-        assert "_np.take(" not in kernel.source
-        rng = np.random.default_rng(41)
-        inputs = {
-            "k": rng.integers(-6, 7, size=(4, 6)),
-            "x": _int_floats(rng, (4, 6)),
-        }
+        assert kernel.source.count("_np.take(") == 1
+        assert "_np.sum(" in kernel.source
+        inputs = _taken_back_inputs(41)
         ref = plan._execute(inputs, {}, {}, {}, None)
         outputs, _ = kernel.run(inputs)
         assert np.array_equal(outputs["y"], ref.outputs["y"])
 
 
-#: ``y``'s statement gathers ``k[3 - i][0]`` and then declines; ``z``'s,
-#: over the same lattice, gathers the same index map after the rollback.
-MEMO_AFTER_A_DECLINE = (
-    "reduction rmin(a,b) = a < b ? a : b;\n"
-    "main(input int k[4][6], input float x[4][6], output float y[4],"
-    " output float z[4]) {"
-    " index i[0:3], j[0:5];"
-    " y[i] = k[3 - i][0] + rmin[j](x[i][j]);"
-    " z[i] = y[i] + max[j](k[3 - i][0] + x[i][j]); }"
+#: ``y``'s fold maps ``k[7 - i][j]`` on its first slice and is taken
+#: back; its lattice path registers a constant of its own, under the name
+#: the taken-back map had. ``z``'s fold, over the same lattice, maps the
+#: same slice after the rollback.
+MEMO_AFTER_A_TAKE_BACK = (
+    "main(input int k[8][4], input float x[8][4], input int idx[4],"
+    " output float y[8], output float z[8]) {"
+    " index i[0:7], j[0:3];"
+    " y[i] = sum[j](k[7 - i][j] + x[i][idx[j]]);"
+    " z[i] = y[i] + sum[j](k[7 - i][j] + x[i][j]); }"
 )
 
 
@@ -1036,25 +1042,21 @@ class TestIndexMapMemo:
         assert len({constant for _, constant in taken}) == 38
 
     def test_declined_statement_leaves_no_index_map(self):
-        """The rollback of a declined statement drops the index maps whose
+        """The rollback of a fold taken back drops the index maps whose
         constant it removed: a later repeat of the map rebuilds it
-        instead of printing a name the kernel does not define."""
-        session, plan = _compile_plan(MEMO_AFTER_A_DECLINE)
+        instead of printing a name the kernel defines as another map."""
+        session, plan = _compile_plan(MEMO_AFTER_A_TAKE_BACK)
         emitter = KernelEmitter(plan)
         emitted = emitter.emit()
-        assert emitted.report["fallback"] == 1
-        # The report counts the declined statement's gather too.
-        assert emitted.report["gathers"] == 2
+        # ``z`` folds, ``y`` was taken back: its lattice take, z's four.
+        assert (emitted.report["short_sums"], emitted.report["gathers"]) == (1, 5)
         assert emitter._index_maps
-        for constant, _ in emitter._index_maps.values():
-            assert constant in emitted.constants
+        for constant, shape in emitter._index_maps.values():
+            if ":" not in constant:
+                assert emitted.constants[constant].size == math.prod(shape)
         for name in set(re.findall(r"\b_c\d+\b", emitted.source)):
             assert name in emitted.constants, name
-        rng = np.random.default_rng(43)
-        inputs = {
-            "k": rng.integers(-6, 7, size=(4, 6)),
-            "x": _int_floats(rng, (4, 6)),
-        }
+        inputs = _taken_back_inputs(43)
         ref = plan._execute(inputs, {}, {}, {}, None)
         outputs, _ = plan.kernel.run(inputs)
         for name in ("y", "z"):
@@ -1105,7 +1107,6 @@ class TestValueTable:
             " z[i] = s[7 - i] + t[7 - i] + x[7 - i]; }"
         )
         report = plan.kernel.report
-        assert report["fallback"] == 0
         # ``s`` and ``t`` are each taken before and after their update;
         # ``x[7 - i]`` is taken once and read again.
         assert (report["gathers"], report["gathers_shared"]) == (5, 1)
@@ -1130,7 +1131,6 @@ class TestValueTable:
         ):
             _, plan = _compile_plan(template.format(value=value))
             report = plan.kernel.report
-            assert report["fallback"] == 0
             assert report["subexpressions_shared"] == shared, value
             subtracts = plan.kernel.source.count("_np.subtract(")
             assert subtracts == 2 - shared, value
@@ -1231,33 +1231,30 @@ class TestValueTable:
         _check_steps(plan, {"x": _int_floats(rng, 8)}, steps=1)
 
     def test_a_declined_statement_drops_the_takes_it_printed(self):
-        """``y``'s statement reads ``w``'s take of ``k[3 - i][0]``, takes
-        ``x`` through the index constant ``w`` registered for
-        ``k[3 - i][j]``, and declines: the rollback keeps the first take
-        and drops the second, so ``z`` reads one and takes the other
-        again."""
+        """``y``'s fold, on its first slice, reads ``w``'s take of
+        ``k[7 - i][0]``, takes ``x`` through the index constant ``w``
+        registered for it (``x[7 - i][j]`` at ``j = 0``), and is taken back
+        on ``x[i][idx[j]]``: the rollback keeps the first take and drops
+        the second, so ``z``'s fold reads one and takes the other again."""
         session, plan = _compile_plan(
-            "reduction rmin(a,b) = a < b ? a : b;\n"
-            "main(input int k[4][6], input float x[4][6], output float w[4],"
-            " output float y[4], output float z[4]) {"
-            " index i[0:3], j[0:5];"
-            " w[i] = max[j](k[3 - i][0] * k[3 - i][j]);"
-            " y[i] = k[3 - i][0] + rmin[j](x[3 - i][j]);"
-            " z[i] = max[j](k[3 - i][0] + x[3 - i][j]); }"
+            "main(input int k[8][4], input float x[8][4], input int idx[4],"
+            " output float w[8], output float y[8], output float z[8]) {"
+            " index i[0:7], j[0:3];"
+            " w[i] = max[j](k[7 - i][0] * k[7 - i][j]);"
+            " y[i] = w[i] + sum[j](k[7 - i][0] + x[7 - i][j] + x[i][idx[j]]);"
+            " z[i] = y[i] + sum[j](k[7 - i][0] + x[7 - i][j]); }"
         )
         report = plan.kernel.report
-        assert report["fallback"] == 1
-        # The report counts the declined statement's take and read too.
-        assert (report["gathers"], report["gathers_shared"]) == (4, 2)
+        # Only ``z`` folds; the take-back restored the report.
+        assert report["short_sums"] == 1
+        assert (report["gathers"], report["gathers_shared"]) == (7, 5)
         takes = _takes(plan.kernel)
-        assert [base for _, base, _ in takes] == ["_v0", "_v0", "_v1"]
-        assert takes[1][2] == takes[2][2]
-        defined = set(re.findall(r"^\s+(_t\d+) = ", plan.kernel.source, re.M))
+        assert [base for _, base, _ in takes] == ["_v0", "_v0"] + ["_v1"] * 5
+        assert takes[3][2] == takes[0][2]
+        # Bound by a line or inside one (``out=`` writes over a temp).
+        defined = set(re.findall(r"(?:^\s+|\()(_t\d+) :?= ", plan.kernel.source, re.M))
         assert set(re.findall(r"\b_t\d+\b", plan.kernel.source)) == defined
-        rng = np.random.default_rng(83)
-        _check_steps(plan, {
-            "k": rng.integers(-6, 7, size=(4, 6)), "x": _int_floats(rng, (4, 6)),
-        }, steps=1)
+        _check_steps(plan, _taken_back_inputs(83), steps=1)
 
     def test_steady_step_peak_memory(self):
         """ElecUse's ``X[i][j]-C[c][j]`` lattice (7.7 MB) is computed once
@@ -1310,7 +1307,7 @@ class TestStagedEvaluator:
         report = _ledger_kernel(name).report
         counters = tuple(report[key] for key in REPORT_COUNTERS)
         assert counters == LEDGER_REPORTS[name]
-        assert report["fallback_reasons"] == []
+        assert set(report) == set(REPORT_COUNTERS)
 
     def test_nested_einsum_dispatches_through_compile_einsum(
         self, monkeypatch
@@ -1364,7 +1361,8 @@ class TestStagedEvaluator:
         )
 
     @pytest.mark.parametrize("name", sorted(
-        name for name, report in LEDGER_REPORTS.items() if report[3]
+        name for name, report in LEDGER_REPORTS.items()
+        if report[REPORT_COUNTERS.index("einsum")]
     ))
     def test_contractions_are_planned_once(self, name, monkeypatch):
         """After plan build and one warm step, neither tier asks numpy to
@@ -1440,7 +1438,6 @@ class TestRunTimeValues:
     @settings(max_examples=30, deadline=None)
     def test_data_dependent_predicate_is_byte_identical(self, op, data):
         plan = _plan_of(_predicated_by_data(op))
-        assert plan.kernel.report["fallback"] == 0
         inputs = {
             name: data.draw(_specials(shape), label=name)
             for name, shape in (("m", (6, 5)), ("x", (6,)), ("z", (5,)))
@@ -1476,7 +1473,6 @@ class TestRunTimeValues:
             f"main(input float x[8], input {dtype} k[8], output float y[8])"
             " { index i[0:7]; y[i] = x[k[i]] * 2.0; }"
         )
-        assert plan.kernel.report["fallback"] == 0
         rng = np.random.default_rng(47)
         inputs = {"x": _int_floats(rng, 8), "k": np.arange(8.0)[::-1] + 0.4}
         ref = plan._execute(inputs, {}, {}, {}, None)
@@ -1496,22 +1492,65 @@ class TestRunTimeValues:
 
     def test_data_dependent_subscript_under_a_predicate_declines(self):
         """Where a predicate masks it, the interpreter clamps a stray
-        subscript: that statement stays interpreted, with its reason."""
-        _, plan = _compile_plan(
-            "main(input float x[8], input int k[8], output float y[8]) {"
-            " index i[0:7], j[0:7]; y[i] = sum[j: j <= i](x[k[j]]); }"
-        )
-        report = plan.kernel.report
-        assert report["fallback"] == 1
-        [reason] = report["fallback_reasons"]
-        assert reason.endswith(
-            "subscript 0 of 'x' is data-dependent under a reduction predicate"
-        )
+        subscript: the plan stays interpreted, with the statement's reason."""
         rng = np.random.default_rng(53)
-        inputs = {"x": _int_floats(rng, 8), "k": rng.integers(0, 8, size=8)}
-        ref = plan._execute(inputs, {}, {}, {}, None)
-        outputs, _ = plan.kernel.run(inputs)
-        assert np.array_equal(outputs["y"], ref.outputs["y"])
+        _assert_declines_like_the_reference(
+            "main(input float x[8], input int k[8], output float y[8]) {"
+            " index i[0:7], j[0:7]; y[i] = sum[j: j <= i](x[k[j]]); }",
+            "subscript 0 of 'x' is data-dependent under a reduction predicate",
+            {"x": _int_floats(rng, 8), "k": rng.integers(0, 8, size=8)},
+        )
+
+
+def _assert_declines_like_the_reference(source, reason, inputs):
+    """*source*'s one statement declines the whole kernel build with
+    *reason*, named by its label: no kernel, one counted decline, one
+    diagnostics warning, and the interpreted plan matches the reference
+    :class:`~repro.srdfg.Executor` over the unoptimized graph bit for bit."""
+    from repro.srdfg import Executor, build
+
+    ref = Executor(build(source)).run(inputs=inputs)
+    base = CODEGEN_STATS.to_dict()
+    session, plan = _compile_plan(source)
+    assert plan.kernel is None
+    [label] = plan.statements
+    assert plan.kernel_declined == f"{label}: {reason}"
+    assert CODEGEN_STATS.to_dict()["builds_declined"] - base["builds_declined"] == 1
+    assert [
+        entry.message for entry in session.diagnostics.entries
+        if "codegen declined" in entry.message
+    ] == [f"codegen declined for {plan.graph_name!r}: {label}: {reason}"]
+    got = plan.execute(inputs)
+    assert got.tier == "interpreted"
+    _assert_identical(ref, got)
+
+
+class TestDeclinedPlans:
+    """A statement the emitter cannot print declines the whole plan, which
+    runs interpreted: a kernel is the whole plan or none."""
+
+    def test_custom_combiner_declines(self):
+        rng = np.random.default_rng(89)
+        _assert_declines_like_the_reference(
+            "reduction rmin(a,b) = a < b ? a : b;\n"
+            "main(input float x[4][6], output float y[4]) {"
+            " index i[0:3], j[0:5]; y[i] = rmin[j](x[i][j]); }",
+            "reduction 'rmin' (custom combiner)",
+            {"x": _int_floats(rng, (4, 6))},
+        )
+
+    def test_chunked_reduction_declines(self, monkeypatch):
+        """A reduction over a lattice above the limit is chunked, which the
+        emitter does not print (not a product of operands: no contraction
+        runs first)."""
+        monkeypatch.setattr("repro.srdfg.interpreter.DEFAULT_LATTICE_LIMIT", 8)
+        rng = np.random.default_rng(97)
+        _assert_declines_like_the_reference(
+            "main(input float A[6][5], output float y[6]) {"
+            " index i[0:5], j[0:4]; y[i] = sum[j](A[i][j] * 2.0 + 1.0); }",
+            "chunked reduction (over-limit lattice)",
+            {"A": _int_floats(rng, (6, 5))},
+        )
 
 
 class TestBuildContract:
@@ -1560,6 +1599,7 @@ class TestBuildContract:
 
         def decline(plan, plan_key=None, diagnostics=None):
             calls.append(plan_key)
+            plan.kernel_declined = "declined by the test"
             return None
 
         monkeypatch.setattr("repro.driver.session.build_kernel", decline)
@@ -1778,34 +1818,38 @@ class TestKernelCache:
         assert rebuilt_name == name
         assert rebuilt["numpy"] == "0.0.0+another"
 
-    def test_kernel_with_fallback_statement_reaches_disk_tier(self, tmp_path):
-        """A fallback statement rides in the kernel's constants as its
-        StatementPlan, which holds a lock: it must still pickle, or the
-        kernel silently never leaves the process that built it."""
+    def test_kernel_with_a_statement_constant_reaches_disk_tier(self, tmp_path):
+        """ElecUse's folded sum calls a lattice-reduction constant when its
+        total holds a NaN; the constant holds its StatementPlan, which holds
+        a lock: it must still pickle, or the kernel silently never leaves
+        the process that built it."""
+        from repro.codegen.emitter import _LatticeReduction
+        from repro.workloads import Trajectory, get_workload
+
+        workload = get_workload("ElecUse")
 
         def plan_in(session):
-            app = session.compile(DECLINED_AFTER_A_GATHER, domain="DA")
+            app, _ = session.compile_workload(workload)
             return session.plan_for(app, codegen=True)
 
-        first = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        first = CompilerSession(cache_dir=str(tmp_path))
         plan = plan_in(first)
-        assert plan.kernel.report["fallback"] == 1
+        assert any(
+            isinstance(value, _LatticeReduction)
+            for value in plan.kernel.constants.values()
+        )
         assert first.cache.stats.disk_errors == 0
 
-        second = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
+        second = CompilerSession(cache_dir=str(tmp_path))
         plan2 = plan_in(second)
         assert second.cache.stats.kernel_disk_hits == 1
         assert second.cache.stats.disk_errors == 0
         assert plan2.kernel is not plan.kernel
-        rng = np.random.default_rng(43)
-        inputs = {
-            "k": rng.integers(-6, 7, size=(4, 6)),
-            "x": _int_floats(rng, (4, 6)),
-        }
-        ref = plan._execute(inputs, {}, {}, {}, None)
-        got = plan2.kernel.try_execute(plan2, inputs)
-        assert got is not None
-        _assert_identical(ref, got)
+        ref_run, got_run = Trajectory(workload), Trajectory(workload)
+        for _ in range(2):
+            ref = ref_run.step(functools.partial(plan._execute, output_init=None, trace=None))
+            got = got_run.step(functools.partial(plan2.kernel.try_execute, plan2))
+            _assert_identical(ref, got)
 
     def test_unpicklable_kernel_is_reported(self, tmp_path):
         session, plan = _compile_plan(MATVEC)
@@ -1867,6 +1911,23 @@ class TestFuzzOracle:
         stats = CODEGEN_STATS.to_dict()
         assert stats["kernels_built"] > base["kernels_built"]
 
+    def test_a_declined_build_is_a_divergence(self, monkeypatch):
+        """No generated construct is one the emitter declines, so a decline
+        is lost coverage: the oracle reports it, its detail the reason."""
+        from repro.codegen import Unsupported
+        from repro.fuzz import run_fuzz
+
+        def decline(self):
+            raise Unsupported("no kernel here")
+
+        monkeypatch.setattr(KernelEmitter, "emit", decline)
+        report = run_fuzz(programs=1, seed=1, campaigns="none", minimize=False)
+        assert not report.ok
+        declined = [d for d in report.divergences if d.oracle == "codegen"]
+        assert [d.precision for d in declined] == ["f64", "f32"]
+        assert all(d.detail == "no kernel here" for d in declined)
+        assert all(d.oracle == "codegen" for d in report.divergences)
+
 
 class TestCli:
     def test_codegen_compare_json(self, capsys):
@@ -1891,6 +1952,28 @@ class TestCli:
         assert (entry["gathers"], entry["gathers_shared"]) == (0, 0)
         assert entry["subexpressions_shared"] == 0
         assert entry["short_sums"] == 0
+
+    def test_codegen_names_why_a_plan_declined(self, capsys, monkeypatch):
+        import json
+
+        from repro.cli import main
+        from repro.codegen import Unsupported
+
+        def decline(self):
+            raise Unsupported("y := elemwise: no kernel here")
+
+        monkeypatch.setattr(KernelEmitter, "emit", decline)
+        code = main([
+            "codegen", "--workload", "MobileRobot", "--compare", "--json", "-",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "DECLINED (interpreter tier only): y := elemwise: no kernel here" in out
+        entry = json.loads(out[out.index("{"):])["workloads"]["MobileRobot"]
+        assert entry == {
+            "kernel": False, "provenance": "interpreter",
+            "declined": "y := elemwise: no kernel here",
+        }
 
     def test_statement_ms_times_a_copy(self, capsys):
         """``--statement-ms`` times every statement of an instrumented
@@ -1917,15 +2000,3 @@ class TestCli:
         assert "ms  dsq := reduce_sum" in out
         assert _ledger_kernel("ElecUse").source == source
         assert "_lap" not in source
-
-    def test_timed_copy_names_fallback_statements(self):
-        from repro.codegen import timed_statements
-
-        session, plan = _compile_plan(DECLINED_AFTER_A_GATHER)
-        copy, labels, laps = timed_statements(plan.kernel)
-        assert labels == [None, None, None, "y := reduce_rmin"]
-        rng = np.random.default_rng(3)
-        inputs = {"k": rng.integers(-6, 7, size=(4, 6)), "x": _int_floats(rng, (4, 6))}
-        outputs, _ = copy.run(inputs)
-        assert len(laps) == len(labels) + 1
-        assert np.array_equal(outputs["y"], plan.kernel.run(inputs)[0]["y"])

@@ -1,6 +1,7 @@
 """Unit tests for the vectorised srDFG interpreter."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ class TestReductions:
         )
         assert np.allclose(result.outputs["y"], a @ x + b)
 
-    def test_chunked_reduction_equals_unchunked(self):
+    def test_chunked_reduction_equals_unchunked(self, monkeypatch):
         rng = np.random.default_rng(4)
         a, x = rng.normal(size=(16, 64)), rng.normal(size=64)
         source = (
@@ -231,7 +232,8 @@ class TestReductions:
         # The odd subscript defeats the einsum fast path so the general
         # (and, with a tiny limit, chunked) evaluator runs.
         big = run(source, inputs={"A": a, "x": x})
-        small = run(source, inputs={"A": a, "x": x}, lattice_limit=64)
+        monkeypatch.setattr("repro.srdfg.interpreter.DEFAULT_LATTICE_LIMIT", 64)
+        small = run(source, inputs={"A": a, "x": x})
         assert np.allclose(big.outputs["y"], small.outputs["y"])
         assert np.allclose(big.outputs["y"], a @ x)
 
@@ -460,12 +462,16 @@ def _short_sum(draw):
 
 @functools.lru_cache(maxsize=None)
 def _short_sum_plan(source, einsum, precision):
+    from repro.codegen import build_kernel
     from repro.driver import CompilerSession
+    from repro.srdfg.plan import PlanConfig, build_plan
     from repro.targets import default_accelerators
 
-    session = CompilerSession(default_accelerators())
-    app = session.compile(source, domain="DA")
-    return session.plan_for(app, precision=precision, enable_einsum=einsum, codegen=True)
+    app = CompilerSession(default_accelerators()).compile(source, domain="DA")
+    plan = build_plan(
+        app.graph, config=PlanConfig(precision=precision, enable_einsum=einsum)
+    )
+    return plan.attach_kernel(build_kernel(plan))
 
 
 class TestShortSum:
@@ -782,7 +788,6 @@ class TestAffineView:
             for statement in statements
         )
         assert plan.kernel.report["einsum"] == len(statements)
-        assert plan.kernel.report["fallback"] == 0
         lattice = Executor(build(source), enable_einsum=False).run(inputs=inputs)
         interpreted = plan._execute(inputs, {}, {}, {}, None)
         kernel, _ = plan.kernel.run(inputs)
@@ -842,8 +847,12 @@ class TestAffineView:
         plan = session.plan_for(
             session.compile(source, domain="DA"), codegen=True
         )
+        # A statement that would raise declines the kernel with its error,
+        # and the interpreted plan raises it.
+        assert plan.kernel is None
+        assert re.search(message, plan.kernel_declined)
         with pytest.raises(ExecutionError, match=message):
-            plan.kernel.run(inputs)
+            plan.execute(inputs)
 
     def test_view_is_read_only_and_checked(self):
         from repro.srdfg.interpreter import _affine_view

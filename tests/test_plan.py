@@ -15,11 +15,7 @@ from repro.driver import CompilerSession
 from repro.errors import ExecutionError
 from repro.obs import Counters
 from repro.srdfg import build
-from repro.srdfg.interpreter import (
-    DEFAULT_LATTICE_LIMIT,
-    Executor,
-    resolve_dtype,
-)
+from repro.srdfg.interpreter import Executor, resolve_dtype
 from repro.srdfg.plan import (
     PLAN_FIELDS,
     PlanConfig,
@@ -51,9 +47,6 @@ def matvec_data(rng=None):
 
 
 class TestPlanConfig:
-    def test_none_lattice_limit_normalises_to_default(self):
-        assert PlanConfig(lattice_limit=None).lattice_limit == DEFAULT_LATTICE_LIMIT
-
     def test_unknown_precision_rejected(self):
         with pytest.raises(ExecutionError):
             PlanConfig(precision="f16")
@@ -81,16 +74,16 @@ class TestResolveDtype:
 class TestPathEquivalence:
     """The same statement down einsum, lattice, and chunked paths."""
 
-    def test_three_paths_bit_identical(self):
+    def test_three_paths_bit_identical(self, monkeypatch):
         inputs = matvec_data()
         graphs = [build(MATVEC) for _ in range(3)]
         einsum_plan = build_plan(graphs[0])
         lattice_plan = build_plan(
             graphs[1], config=PlanConfig(enable_einsum=False)
         )
+        monkeypatch.setattr("repro.srdfg.interpreter.DEFAULT_LATTICE_LIMIT", 8)
         chunked_plan = build_plan(
-            graphs[2],
-            config=PlanConfig(enable_einsum=False, lattice_limit=8),
+            graphs[2], config=PlanConfig(enable_einsum=False)
         )
 
         # Each plan must actually have picked the intended path.
@@ -106,9 +99,10 @@ class TestPathEquivalence:
         for got in results:
             assert np.array_equal(got, expected)
 
-    def test_executor_flags_reach_the_plan(self):
+    def test_executor_flags_reach_the_plan(self, monkeypatch):
+        monkeypatch.setattr("repro.srdfg.interpreter.DEFAULT_LATTICE_LIMIT", 8)
         graph = build(MATVEC)
-        executor = Executor(graph, enable_einsum=False, lattice_limit=8)
+        executor = Executor(graph, enable_einsum=False)
         result = executor.run(inputs=matvec_data())
         assert [s.path() for s in executor.plan.statements.values()] == ["chunked"]
         data = matvec_data()

@@ -330,21 +330,24 @@ def test_shared_read_only_params_serve_what_fresh_params_compute(
 
 
 def test_execute_provenance_names_what_ran(monkeypatch):
-    """A kernel that fails at run time is a ``fallback``, a fault-injecting
-    request is whatever its HostManager run executed, and a plan the
-    emitter declined is ``interpreted`` — never ``kernel`` because a
-    kernel merely exists."""
+    """A kernel that raises fails its request, counted ``failed`` and not
+    re-run interpreted; a fault-injecting request is whatever its
+    HostManager run executed, and a plan the emitter declined is
+    ``interpreted`` — never ``kernel`` because a kernel merely exists."""
     from repro.codegen import KernelArtifact
 
     with Server(workers=1, queue_capacity=4) as server:
         assert server.request(Request(workload="MobileRobot")).ok
+        plan = server.executor.resolve("MobileRobot").plan
+        executions = plan.counters.executions
 
         def broken(self, *args, **kwargs):
             raise RuntimeError("kernel bug")
 
         monkeypatch.setattr(KernelArtifact, "run", broken)
-        fallback = server.request(Request(workload="MobileRobot", steps=2))
+        raised = server.request(Request(workload="MobileRobot", steps=2))
         monkeypatch.undo()
+        assert plan.counters.executions == executions
         injected = server.request(
             Request(workload="MobileRobot", inject=("transient",))
         )
@@ -352,13 +355,16 @@ def test_execute_provenance_names_what_ran(monkeypatch):
             "repro.driver.session.build_kernel", lambda *args, **kwargs: None
         )
         declined = server.request(Request(workload="Hexacopter"))
-    assert fallback.ok and injected.ok and declined.ok
-    assert fallback.metrics.kernel_provenance == "fallback"
+    assert not raised.ok and "kernel bug" in raised.error
+    assert raised.metrics.outcome == "failed"
+    assert raised.metrics.kernel_provenance == ""
+    assert injected.ok and declined.ok
     assert declined.metrics.kernel_provenance == "interpreted"
-    counts = server.report().provenance_counts("execute")
-    assert counts["kernel"] >= 1 and counts["fallback"] == 1
-    assert sum(counts.values()) == 4
-    assert "1 fallback" in server.report().render()
+    report = server.report()
+    assert report.failed == 1
+    counts = report.provenance_counts("execute")
+    assert counts["kernel"] >= 1 and "fallback" not in counts
+    assert sum(counts.values()) == 3
 
 
 def test_concurrent_run_bit_identical_to_serial():
