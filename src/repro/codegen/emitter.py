@@ -28,7 +28,10 @@ What is the emitter's own preserves bit-identity by argument:
     ``flat = ravel_multi_index(broadcast, base.shape)`` select the same
     elements into a fresh C-contiguous array of the same shape, so
     every downstream ufunc/reduction sees identical values in an
-    identical layout.
+    identical layout. At a reduction's points a one-index gather is
+    known only at run time; there ``np.take(base, idx)`` and
+    ``base[tuple(np.broadcast_arrays(idx))]`` of the 1-D base select
+    the same elements the same way.
 
 The value table
     A take of one SSA base through one index constant to one shape is
@@ -413,13 +416,17 @@ class _StagedEvaluator(_ExprEvaluator):
                         f"subscript {dim} of {expr.base!r} is not integral"
                     )
             if any(isinstance(array, _Val) for array in index_arrays):
-                # Known only at run time: the interpreter's own gather.
+                # Known only at run time: the interpreter's own gather,
+                # or, of one index at a reduction's points, ``np.take``.
                 indices = [self.lift(array) for array in index_arrays]
+                if self._pointwise and len(indices) == 1:
+                    code = f"_np.take({base.code}, {indices[0].code})"
+                else:
+                    code = (f"{base.code}[tuple(_np.broadcast_arrays"
+                            f"({', '.join(index.code for index in indices)}))]")
                 return emitter._let(
-                    f"{base.code}[tuple(_np.broadcast_arrays"
-                    f"({', '.join(index.code for index in indices)}))]",
-                    _bshape(*[index.shape for index in indices]), base.shadow,
-                    fresh=True,
+                    code, _bshape(*[index.shape for index in indices]),
+                    base.shadow, fresh=True,
                 )
             index_map = emitter._index_map(base, index_arrays)
             if key is not None:

@@ -9,7 +9,10 @@ A :class:`KernelArtifact` wraps one emitted kernel function for one
 
 A kernel holds no buffer between calls: each numpy call it makes
 allocates its own result, so concurrent workers share only the artifact.
-It holds one derived value: a reduction running on its predicate's
+Reusing those allocations step after step is the allocator's job, not
+the kernel's: a serving worker's heap keeps the pages a step frees for
+the next (:func:`repro.serve.heap.keep_heap`). It holds one derived
+value: a reduction running on its predicate's
 points keeps them in its statement's memo
 (:class:`~repro.srdfg.plan.CompressedReduction`), shared with the
 interpreted plan and derived from a read-only param — constant while

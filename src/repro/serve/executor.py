@@ -36,6 +36,20 @@ from .request import Outcome, result_signature
 
 __all__ = ["Config", "LocalExecutor"]
 
+try:
+    import resource
+    _RUSAGE_THREAD = resource.RUSAGE_THREAD
+except (ImportError, AttributeError):  # not Linux: no per-thread counts
+    _RUSAGE_THREAD = None
+
+
+def _minor_faults():
+    """Minor page faults this thread has taken so far; 0 where the
+    platform does not count per thread."""
+    if _RUSAGE_THREAD is None:
+        return 0
+    return resource.getrusage(_RUSAGE_THREAD).ru_minflt
+
 
 class Config:
     """One served configuration — a workload at one bucketed binding and
@@ -205,10 +219,12 @@ class LocalExecutor:
                 invoke = self._recovering_invoke(request, config.workload, app)
             else:
                 invoke = functools.partial(plan.execute, tracer=self.tracer)
+            faults = _minor_faults()
             start = time.perf_counter()
             for _ in range(request.steps):
                 result = trajectory.step(invoke, inputs)
             outcome.execute_seconds = time.perf_counter() - start
+            outcome.minor_faults = _minor_faults() - faults
             outcome.kernel_provenance = result.tier
 
             outcome.outputs = dict(result.outputs)

@@ -51,6 +51,10 @@ class RequestMetrics:
     #: The tier that executed it: "kernel" | "interpreted" (the emitter
     #: declined its plan); empty when the request never executed.
     kernel_provenance: str = ""
+    #: Minor page faults the executing thread took over the step loop
+    #: (its pages faulted in, mostly buffers the allocator had handed
+    #: back to the kernel); 0 where the platform does not count them.
+    minor_faults: int = 0
     #: Where the body ran: "parent" (thread mode, a session step, or a
     #: process-mode request cheaper than the pipe) | "child" (a worker
     #: process); empty when the request never executed.
@@ -92,6 +96,7 @@ class RequestMetrics:
             "compile_provenance": self.compile_provenance,
             "plan_provenance": self.plan_provenance,
             "kernel_provenance": self.kernel_provenance,
+            "minor_faults": self.minor_faults,
             "site": self.site,
         }
 
@@ -350,6 +355,7 @@ class ServeReport:
             lines.append(
                 f"    {name:15s} {len(group):3d} req  p50 "
                 f"{percentile([m.total_seconds for m in group], 0.5) * 1e3:8.1f} ms  "
-                f"exec {sum(m.execute_seconds for m in group) * 1e3:8.1f} ms total"
+                f"exec {sum(m.execute_seconds for m in group) * 1e3:8.1f} ms total  "
+                f"{sum(m.minor_faults for m in group) / len(group):8.0f} faults/req"
             )
         return "\n".join(lines)

@@ -48,10 +48,14 @@ def child_main(conn, config):
     from ..driver import CompilerSession
     from ..obs import DEFAULT_REGISTRY
     from .executor import LocalExecutor
+    from .heap import keep_heap
 
     # A forked child inherits the parent's process-wide counts; what it
     # ships home must be its own work only.
     DEFAULT_REGISTRY.reset()
+    # The child exists to run kernels: the pages a step frees stay for
+    # the next, instead of being trimmed and faulted in again.
+    keep_heap()
     session = CompilerSession(cache_dir=config.get("cache_dir"))
     executor = LocalExecutor(
         session, bucket_policy=config.get("bucket_policy", "exact")

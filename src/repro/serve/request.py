@@ -131,6 +131,8 @@ class Outcome:
     compile_provenance: str = ""
     plan_provenance: str = ""
     kernel_provenance: str = ""
+    #: Minor page faults the executing thread took over the step loop.
+    minor_faults: int = 0
     outputs: Dict[str, np.ndarray] = field(default_factory=dict)
     state: Dict[str, np.ndarray] = field(default_factory=dict)
     signature: str = ""

@@ -63,6 +63,7 @@ from ..errors import (
 from ..obs import Counters, MetricsRegistry, NULL_TRACER
 from .breaker import BreakerBoard
 from .executor import LocalExecutor
+from .heap import keep_heap
 from .metrics import RequestMetrics, ServeReport
 from .pool import WorkerPool
 from .procpool import ProcessWorkerSet
@@ -334,6 +335,12 @@ class Server:
             # Fork the worker processes before any drainer thread exists:
             # a single-threaded fork cannot inherit a held lock.
             self.procs.start()
+        else:
+            # The workers about to start run every kernel: keep the pages
+            # their steps free (the arena limit binds only threads that
+            # have not allocated yet). A process-mode parent keeps glibc's
+            # defaults; its children set the policy themselves.
+            keep_heap()
         self.pool.start()
         return self
 

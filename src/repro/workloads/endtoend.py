@@ -17,12 +17,17 @@ by retagging the Black-Scholes instantiation with a private domain label
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import special as sp_special
 
 from . import reference
 from .base import Workload, once, register
 from .datasets import bandlimited_signal, mpc_problem, option_chain, sentiment_features
+
+#: Steps whose ECoG window a BrainStimul instance keeps (``_signal``).
+KEPT_SIGNALS = 8
 
 BRAIN_STIMUL_SOURCE = """
 // ECoG -> FFT -> logistic biomarker classification -> MPC stimulation.
@@ -162,7 +167,24 @@ class BrainStimul(Workload):
         )
 
     def _signal(self, step):
-        return bandlimited_signal(self.n, seed=self.seed + step)
+        """The ECoG window of invocation *step*, read-only.
+
+        Drawing one costs milliseconds and every served request steps a
+        fresh trajectory from step 0, so the last :data:`KEPT_SIGNALS`
+        steps are kept per instance instead of drawn again; a session
+        stepping past them draws each new one once.
+        """
+        return self._signals(step)
+
+    @once
+    def _signals(self):
+        @functools.lru_cache(maxsize=KEPT_SIGNALS)
+        def draw(step):
+            signal = bandlimited_signal(self.n, seed=self.seed + step)
+            signal.flags.writeable = False
+            return signal
+
+        return draw
 
     def params(self):
         twr, twi = reference.twiddle_tables(self.n)

@@ -215,3 +215,45 @@ def test_concurrent_first_reads_build_once(builds):
         np.testing.assert_array_equal(other[3]["W"], state["W"])
     # Once built, each value is a plain instance attribute.
     assert {"data", "factors", "_shared_params"} <= set(vars(workload))
+
+
+# -- a served BrainStimul request draws no signal ------------------------------
+
+
+def _direct_signal(workload, step):
+    return datasets.bandlimited_signal(workload.n, seed=workload.seed + step)
+
+
+def test_brainstimul_keeps_its_recent_signals_read_only(builds):
+    workload = get_workload("BrainStimul")
+    first = [workload.inputs(step, None)["sig"] for step in range(6)]
+    again = [workload.inputs(step, None)["sig"] for step in range(6)]
+    assert _counts(builds) == {"bandlimited_signal": 6}
+    for step, (signal, kept) in enumerate(zip(first, again)):
+        assert kept is signal
+        assert not signal.flags.writeable
+        assert signal.tobytes() == _direct_signal(workload, step).tobytes()
+
+
+def test_brainstimul_session_past_the_kept_signals_answers_correctly():
+    from repro.serve import Server, result_signature
+    from repro.workloads import Trajectory
+    from repro.workloads.endtoend import KEPT_SIGNALS
+
+    steps = KEPT_SIGNALS + 3
+    with Server(workers=1) as server:
+        with server.open_session("BrainStimul") as session:
+            replies = [session.step(timeout=120) for _ in range(steps)]
+        config = server.executor.resolve("BrainStimul")
+    assert all(reply.ok for reply in replies)
+    reference = Trajectory(get_workload("BrainStimul"))
+    for step, reply in enumerate(replies):
+        expected = reference.step(
+            config.plan.execute,
+            {"sig": _direct_signal(config.workload, step)},
+        )
+        assert reply.signature == result_signature(expected.outputs), step
+    # The first steps' signals were let go, and come back the same.
+    assert config.workload.inputs(0, None)["sig"].tobytes() == (
+        _direct_signal(config.workload, 0).tobytes()
+    )
