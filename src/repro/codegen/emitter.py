@@ -82,7 +82,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..pmlang import ast_nodes as ast
-from ..pmlang.builtins import GROUP_REDUCTIONS
+from ..pmlang.builtins import GROUP_REDUCTIONS, SCALAR_FUNCTIONS
 from ..srdfg.graph import COMPUTE, CONST, VAR
 from ..srdfg.interpreter import (
     _REDUCE_IDENTITY,
@@ -96,6 +96,13 @@ __all__ = ["EmitResult", "KernelEmitter", "Unsupported"]
 #: Largest precomputed index/mask constant (elements) before the plan
 #: stays interpreted instead of bloating the kernel's constant pool.
 MAX_INDEX_CONSTANT = 1 << 22
+
+#: Builtin implementation -> the numpy function its shadows go through:
+#: the same result dtype, without importing what the implementation
+#: calls (``scipy.special``) while the kernel is built.
+_STAND_INS = {
+    impl: stand_in for impl, _, _, stand_in in SCALAR_FUNCTIONS.values() if stand_in is not None
+}
 
 
 class Unsupported(Exception):
@@ -237,9 +244,10 @@ class _StagedEvaluator(_ExprEvaluator):
     numpy call: that is static folding, with the interpreter's own rint
     rounding, subscript guards and NEP-50 promotion. A primitive with a
     symbolic argument prints the call into the kernel and pushes the
-    shadows through the same function. Values that must be inspected at
-    build time (write subscripts, predicate masks excusing a stray
-    subscript) decline the statement when they are symbolic.
+    shadows through the same function, or through a builtin's numpy
+    stand-in (``SCALAR_FUNCTIONS``' fourth column). Values that must be
+    inspected at build time (write subscripts, predicate masks excusing a
+    stray subscript) decline the statement when they are symbolic.
     """
 
     def __init__(self, emitter, statement, operands):
@@ -308,7 +316,7 @@ class _StagedEvaluator(_ExprEvaluator):
         # Shadows go in raw: a Python-scalar shadow is a NEP-50 weak
         # scalar exactly as the literal is in the printed call.
         with np.errstate(all="ignore"):
-            shadow = func(*[val.shadow for val in vals])
+            shadow = _STAND_INS.get(func, func)(*[val.shadow for val in vals])
         name = getattr(func, "__name__", "")
         if getattr(np, name, None) is func:
             code = f"_np.{name}"

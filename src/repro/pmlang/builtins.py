@@ -6,12 +6,20 @@ here pairs the language-level name with a vectorised numpy implementation
 used by the srDFG interpreter and with a cost class consumed by the
 hardware models (a ``sigmoid`` costs more than an ``add`` on every target
 that lacks a dedicated unit).
+
+``sigmoid`` and ``phi`` are the only entries backed by ``scipy.special``
+(``expit``, ``ndtr``). They reach it through :func:`special`, which imports
+it on first call, so a process that only compiles, plans and builds
+kernels never loads scipy. Their rows name a numpy stand-in with the same
+result dtype, which the kernel emitter runs on its build-time shadows in
+place of the real function.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy import special as _special
 
 #: Cost classes let hardware models price operations without knowing
 #: language-level names: "alu" (add/sub/cmp/...), "mul", "div", and
@@ -31,46 +39,56 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
+@functools.cache
+def special():
+    """``scipy.special``, imported on the first call."""
+    from scipy import special as module
+
+    return module
+
+
 def _sigmoid(x):
-    return _special.expit(x)
+    return special().expit(x)
 
 
 def _phi(x):
     """Standard normal CDF (Black-Scholes uses this heavily)."""
-    return _special.ndtr(x)
+    return special().ndtr(x)
 
 
 def _rsqrt(x):
     return 1.0 / np.sqrt(x)
 
 
-#: name -> (numpy implementation, arity, cost class)
+#: name -> (implementation, arity, cost class, dtype stand-in). The
+#: stand-in is a numpy function with the implementation's result dtype on
+#: float operands, or None when the implementation is plain numpy itself.
 SCALAR_FUNCTIONS = {
-    "sin": (np.sin, 1, COST_NONLINEAR),
-    "cos": (np.cos, 1, COST_NONLINEAR),
-    "tan": (np.tan, 1, COST_NONLINEAR),
-    "asin": (np.arcsin, 1, COST_NONLINEAR),
-    "acos": (np.arccos, 1, COST_NONLINEAR),
-    "atan": (np.arctan, 1, COST_NONLINEAR),
-    "atan2": (np.arctan2, 2, COST_NONLINEAR),
-    "exp": (np.exp, 1, COST_NONLINEAR),
-    "ln": (np.log, 1, COST_NONLINEAR),
-    "log": (np.log, 1, COST_NONLINEAR),
-    "log2": (np.log2, 1, COST_NONLINEAR),
-    "sqrt": (np.sqrt, 1, COST_NONLINEAR),
-    "rsqrt": (_rsqrt, 1, COST_NONLINEAR),
-    "sigmoid": (_sigmoid, 1, COST_NONLINEAR),
-    "tanh": (np.tanh, 1, COST_NONLINEAR),
-    "relu": (_relu, 1, COST_ALU),
-    "gaussian": (_gaussian, 1, COST_NONLINEAR),
-    "phi": (_phi, 1, COST_NONLINEAR),
-    "abs": (np.abs, 1, COST_ALU),
-    "floor": (np.floor, 1, COST_ALU),
-    "ceil": (np.ceil, 1, COST_ALU),
-    "sign": (np.sign, 1, COST_ALU),
-    "pow": (np.power, 2, COST_NONLINEAR),
-    "fmin": (np.minimum, 2, COST_ALU),
-    "fmax": (np.maximum, 2, COST_ALU),
+    "sin": (np.sin, 1, COST_NONLINEAR, None),
+    "cos": (np.cos, 1, COST_NONLINEAR, None),
+    "tan": (np.tan, 1, COST_NONLINEAR, None),
+    "asin": (np.arcsin, 1, COST_NONLINEAR, None),
+    "acos": (np.arccos, 1, COST_NONLINEAR, None),
+    "atan": (np.arctan, 1, COST_NONLINEAR, None),
+    "atan2": (np.arctan2, 2, COST_NONLINEAR, None),
+    "exp": (np.exp, 1, COST_NONLINEAR, None),
+    "ln": (np.log, 1, COST_NONLINEAR, None),
+    "log": (np.log, 1, COST_NONLINEAR, None),
+    "log2": (np.log2, 1, COST_NONLINEAR, None),
+    "sqrt": (np.sqrt, 1, COST_NONLINEAR, None),
+    "rsqrt": (_rsqrt, 1, COST_NONLINEAR, None),
+    "sigmoid": (_sigmoid, 1, COST_NONLINEAR, np.exp),
+    "tanh": (np.tanh, 1, COST_NONLINEAR, None),
+    "relu": (_relu, 1, COST_ALU, None),
+    "gaussian": (_gaussian, 1, COST_NONLINEAR, None),
+    "phi": (_phi, 1, COST_NONLINEAR, np.exp),
+    "abs": (np.abs, 1, COST_ALU, None),
+    "floor": (np.floor, 1, COST_ALU, None),
+    "ceil": (np.ceil, 1, COST_ALU, None),
+    "sign": (np.sign, 1, COST_ALU, None),
+    "pow": (np.power, 2, COST_NONLINEAR, None),
+    "fmin": (np.minimum, 2, COST_ALU, None),
+    "fmax": (np.maximum, 2, COST_ALU, None),
 }
 
 

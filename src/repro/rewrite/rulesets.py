@@ -82,6 +82,9 @@ def _select_branch(expr, bindings, ctx):
 
 
 def _fold_call(expr, bindings, ctx):
+    """A call over literals as the literal of its value. This runs the real
+    implementation, not the kernel emitter's dtype stand-in: the literal
+    needs the value, so folding ``sigmoid``/``phi`` imports scipy."""
     impl = SCALAR_FUNCTIONS[expr.func][0]
     # Integer arguments promote to float, as the interpreter promotes them
     # (``pow(2, -1)`` is 0.5 there, an error on numpy integers).

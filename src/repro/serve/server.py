@@ -61,6 +61,7 @@ from ..errors import (
     WorkerCrashedError,
 )
 from ..obs import Counters, MetricsRegistry, NULL_TRACER
+from ..pmlang.builtins import special
 from .breaker import BreakerBoard
 from .executor import LocalExecutor
 from .heap import keep_heap
@@ -331,6 +332,9 @@ class Server:
     def start(self):
         if self._started_at is None:
             self._started_at = time.perf_counter()
+        # Every worker may run sigmoid or phi: import scipy.special here,
+        # once, so forked children inherit it and no request pays for it.
+        special()
         if self.procs is not None:
             # Fork the worker processes before any drainer thread exists:
             # a single-threaded fork cannot inherit a held lock.

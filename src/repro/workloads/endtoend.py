@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import special as sp_special
 
 from . import reference
 from .base import Workload, once, register
@@ -208,6 +207,8 @@ class BrainStimul(Workload):
         return np.array([result.outputs["ctrl_sgnl"] for result in results])
 
     def reference(self):
+        from scipy import special as sp_special
+
         wl, bl = self.classifier
         ctrl_mdl = np.zeros(self.ctrl_len)
         signals = []
@@ -311,6 +312,8 @@ class OptionPricing(Workload):
         return np.array([result.outputs["call"] for result in results])
 
     def reference(self):
+        from scipy import special as sp_special
+
         prices = []
         for step in range(self.functional_steps):
             inputs = self.inputs(step, None)

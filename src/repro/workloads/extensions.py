@@ -18,7 +18,6 @@ package init) but are kept out of the paper-figure sweeps.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as sp_special
 
 from .base import Workload, once, register
 from .datasets import rmat_graph
@@ -121,6 +120,8 @@ class LogisticRegression(Workload):
     @once
     def _dataset(self):
         """(features, labels): a planted model's draws, in that order."""
+        from scipy import special as sp_special
+
         rng = np.random.default_rng(self.seed)
         true_w = rng.normal(size=self.d) / np.sqrt(self.d)
         features = rng.normal(size=(self.n, self.d))
@@ -153,6 +154,8 @@ class LogisticRegression(Workload):
         return results[-1].state["w"]
 
     def reference(self):
+        from scipy import special as sp_special
+
         weights = self.w0.copy()
         for _ in range(self.functional_steps):
             probabilities = sp_special.expit(self.features @ weights)
@@ -162,5 +165,7 @@ class LogisticRegression(Workload):
 
     def accuracy(self, weights):
         """Classification accuracy of *weights* on the training set."""
+        from scipy import special as sp_special
+
         predictions = sp_special.expit(self.features @ weights) > 0.5
         return float(np.mean(predictions == (self.labels > 0.5)))

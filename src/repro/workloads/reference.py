@@ -19,7 +19,6 @@ library.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as sp_special
 
 # ---------------------------------------------------------------------------
 # Robotics: model predictive control
@@ -114,6 +113,8 @@ def kmeans_step(points, centroids):
 
 def black_scholes_call(spot, strike, maturity, volatility, rate):
     """European call prices under Black-Scholes."""
+    from scipy import special as sp_special
+
     sqrt_t = np.sqrt(maturity)
     d1 = (np.log(spot / strike) + (rate + 0.5 * volatility**2) * maturity) / (
         volatility * sqrt_t

@@ -900,12 +900,9 @@ _DIGESTS_SCRIPT = (
 )
 
 
-@functools.lru_cache(maxsize=None)
-def _pinned_trajectory_digests():
-    """:func:`_trajectory_digest` of every program, computed in one child
-    started with the ledger's ``PINNED_ENV``: OpenBLAS's thread count
-    moves the f64 bytes of some contractions, so the pins must not
-    depend on the host's core count or this process's environment."""
+def pinned_env():
+    """This environment under the ledger's ``PINNED_ENV``, without
+    ``PYTHONPATH``: what a child computing :data:`OUTPUT_DIGESTS` runs in."""
     loader = importlib.util.spec_from_file_location(
         "_ledger_spec", ROOT / "benchmarks" / "ledger" / "spec.py"
     )
@@ -913,9 +910,18 @@ def _pinned_trajectory_digests():
     loader.loader.exec_module(spec)
     env = {**os.environ, **spec.PINNED_ENV}
     env.pop("PYTHONPATH", None)
+    return env
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_trajectory_digests():
+    """:func:`_trajectory_digest` of every program, computed in one child
+    started with the ledger's ``PINNED_ENV``: OpenBLAS's thread count
+    moves the f64 bytes of some contractions, so the pins must not
+    depend on the host's core count or this process's environment."""
     completed = subprocess.run(
         [sys.executable, "-c", _DIGESTS_SCRIPT, str(ROOT / "src"), str(ROOT / "tests")],
-        env=env, capture_output=True, text=True, check=True, timeout=600,
+        env=pinned_env(), capture_output=True, text=True, check=True, timeout=600,
     )
     return json.loads(completed.stdout.splitlines()[-1])
 
