@@ -54,7 +54,10 @@ __all__ = [
 #: 9: a predicated min/max over a read-only param runs on its points: a
 #: constant holding a memo is called for them, and one of 8 would run the
 #: masked reduction every step.
-KERNEL_ABI = 9
+#: 10: a point branch reads a param's subscripts from ``Points.taken``,
+#: which a runtime of 9 does not set; a record of 9 would copy 3x3
+#: windows through ``reshape`` and gather params at the points every step.
+KERNEL_ABI = 10
 
 
 def kernel_cache_key(plan_key):

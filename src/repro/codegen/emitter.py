@@ -68,13 +68,20 @@ The index-map memo
     A static gather's flat index is a function of what
     :meth:`_StagedEvaluator._index_map_key` holds, and nothing else, so a
     gather with an equal key prints the constant the first one
-    registered — the name ``_const``'s content digest would have
-    answered — without evaluating, raveling or hashing again.
+    registered — the name ``_const``'s content dedupe would have
+    answered — without evaluating, raveling or comparing again.
+
+Window takes
+    A contraction operand that is a short-run window view
+    (:meth:`KernelEmitter._window_take`) is read by ``_contract`` only
+    through a ``reshape`` that copies it, in C order, into a fresh
+    C-ordered matrix. ``np.take`` through the view's flat index fills a
+    fresh C-ordered array with the same elements in the same order, so
+    the ``reshape`` copies nothing and the matmul reads the same matrix.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter, namedtuple
 
@@ -96,6 +103,21 @@ __all__ = ["EmitResult", "KernelEmitter", "Unsupported"]
 #: Largest precomputed index/mask constant (elements) before the plan
 #: stays interpreted instead of bloating the kernel's constant pool.
 MAX_INDEX_CONSTANT = 1 << 22
+
+#: Longest inner-loop run (elements) of a window view that a contraction
+#: gathers by ``np.take`` instead of letting ``reshape`` copy it
+#: (:meth:`KernelEmitter._window_take`): the copy pays a loop call per
+#: run, the take a lookup per element. Measured, the take wins about 2x
+#: at runs of 3 (3x3 windows) and 1.6x at 4; past 4 its edge narrows and
+#: swings with the host while its index costs 8 bytes per element, and
+#: it loses on DCT's 8-wide blocks and on 1x1 channel permutations.
+WINDOW_RUN = 4
+
+#: About how many elements of an array constant :meth:`KernelEmitter._const`
+#: keys its dedupe on, beside its dtype and shape: evenly spaced at an odd
+#: stride, so that index maps which differ only in their low bits (FFT's
+#: stages) seldom share a key.
+_FINGERPRINT = 64
 
 #: Builtin implementation -> the numpy function its shadows go through:
 #: the same result dtype, without importing what the implementation
@@ -213,6 +235,46 @@ def _slice_store(index_arrays, lhs_shape, lattice):
         index.append("...")  # a 0-d view broadcasts, an element does not
     index = "..." if set(index) == {":"} else ", ".join(index)
     return index, None if order == tuple(sorted(order)) else order, cover
+
+
+def _matrix_shape(steps, count, position):
+    """The shape the contraction *steps* over *count* operands reshape
+    operand *position* to before anything else reads it, or None.
+
+    That is a pairwise step numpy lowers to ``matmul``
+    (:func:`~repro.srdfg.interpreter._contraction_steps`) with no
+    ``c_einsum`` of its own on that operand's side: the matmul then reads
+    the C-ordered copy ``reshape`` makes of a strided operand, whoever
+    made it.
+    """
+    pending = list(range(count))
+    for positions, _, lowering in steps:
+        picked = [pending.pop(at) for at in positions]
+        if position in picked:
+            if lowering is None:
+                return None
+            side = picked.index(position)
+            equation, shape = lowering[side], lowering[2 + side]
+            return shape if equation is None else None
+        pending.append(-1)  # the step's result: no operand of the statement
+    return None
+
+
+def _copy_run(shape, strides):
+    """The elements numpy's C-order copy of a view of *shape* and
+    element *strides* moves per inner-loop call: its last axis of extent
+    above 1, merged with each outer axis that continues it."""
+    run = inner = None
+    for extent, stride in zip(reversed(shape), reversed(strides)):
+        if extent == 1:
+            continue
+        if run is None:
+            run, inner = extent, stride
+        elif stride == inner * run:
+            run *= extent
+        else:
+            break
+    return run or 1
 
 
 def _literals(expr):
@@ -542,7 +604,7 @@ class _StagedEvaluator(_ExprEvaluator):
         shapes; print its planned contraction, or answer None (lattice
         path) where ``run`` would."""
         operands = []
-        for (name, shape), view in zip(einsum.operands, einsum.views):
+        for position, ((name, shape), view) in enumerate(zip(einsum.operands, einsum.views)):
             operand = self._operand(name)
             if operand is None:
                 return None
@@ -557,7 +619,8 @@ class _StagedEvaluator(_ExprEvaluator):
                     *view, shape,
                 ) is None:
                     return None
-                operand = _Val(
+                matrix = _matrix_shape(einsum.steps, len(einsum.operands), position)
+                operand = self.emitter._window_take(operand, view, shape, matrix) or _Val(
                     f"_affine_view({operand.code}, {view[0]!r}, "
                     f"{view[1]!r}, {shape!r})",
                     shape,
@@ -666,7 +729,13 @@ class _StagedEvaluator(_ExprEvaluator):
                            _shadow0(np.int64))
                 for name in compressed.names
             }
-            values = self.lift(self._to_float(self._at_points(expr.arg, coords)))
+            # A param's subscripts were read when the points were derived.
+            taken = {
+                id(node): _Val(f"{points.code}.taken[{position}]", (compressed.size,),
+                               self.operands[node.base].shadow)
+                for position, node in enumerate(compressed.taken_nodes())
+            }
+            values = self.lift(self._to_float(self._at_points(expr.arg, coords, taken)))
             emitter._emit(f"{result} = {points.code}.reduce({expr.op!r}, {values.code})")
             temps = [f"_t{n}" for n in range(serial + 1, emitter._temp_serial + 1)]
             if temps:
@@ -714,10 +783,12 @@ class KernelEmitter:
         self.plan = plan
         self.lines = []
         self.constants = {}
-        self._const_by_digest = {}
-        #: :meth:`_StagedEvaluator._index_map_key` -> ``(constant, shape)``
-        #: of every static gather index map built so far: a repeat of a
-        #: map is neither evaluated, raveled nor hashed again.
+        #: :meth:`_const`'s fingerprint -> the array constants under it.
+        self._const_by_content = {}
+        #: :meth:`_StagedEvaluator._index_map_key` (or a window's
+        #: :meth:`_window_take` key) -> ``(constant, shape)`` of every
+        #: static gather index map built so far: a repeat of a map is
+        #: neither evaluated, raveled nor compared again.
         self._index_maps = {}
         #: ``(SSA base local, flat index constant, shape)`` -> ``(line, _Val)``
         #: of every take printed so far: a later gather of the same key
@@ -776,22 +847,27 @@ class KernelEmitter:
         return _Val(temp, shape, shadow, fresh)
 
     def _const(self, value, prefix="_c"):
-        """Register a build-time constant; dedupes ndarrays by content."""
-        if isinstance(value, np.ndarray):
-            digest = hashlib.sha256()
-            digest.update(str(value.dtype).encode())
-            digest.update(repr(value.shape).encode())
-            digest.update(np.ascontiguousarray(value).tobytes())
-            key = (prefix, digest.hexdigest())
-            name = self._const_by_digest.get(key)
-            if name is not None:
-                return name
-        else:
-            key = None
+        """Register a build-time constant; dedupes ndarrays by content.
+
+        An array is looked up by its dtype, shape and a sample of its
+        elements (:data:`_FINGERPRINT`), then compared byte for byte with
+        each constant under that key: the name a hash of dtype, shape and
+        bytes would answer, without hashing every byte of every constant.
+        """
+        key = None
+        if isinstance(value, np.ndarray) and not value.dtype.hasobject:
+            flat = np.ascontiguousarray(value).reshape(-1)
+            sample = flat[::flat.size // _FINGERPRINT | 1]
+            key = (prefix, str(value.dtype), value.shape, sample.tobytes())
+            raw = flat.view(np.uint8)
+            for name in self._const_by_content.get(key, ()):
+                other = np.ascontiguousarray(self.constants[name]).reshape(-1)
+                if np.array_equal(raw, other.view(np.uint8)):
+                    return name
         name = f"{prefix}{len(self.constants) + 1}"
         self.constants[name] = value
         if key is not None:
-            self._const_by_digest[key] = name
+            self._const_by_content.setdefault(key, []).append(name)
         return name
 
     def _emit(self, line, indent=None):
@@ -897,9 +973,9 @@ class KernelEmitter:
         self._gathers = {key: e for key, e in self._gathers.items() if e[0] < lines}
         for name in list(self.constants)[constants:]:
             del self.constants[name]
-        self._const_by_digest = {
-            key: name for key, name in self._const_by_digest.items()
-            if name in self.constants
+        self._const_by_content = {
+            key: kept for key, names in self._const_by_content.items()
+            if (kept := [name for name in names if name in self.constants])
         }
         # A rolled-back constant's name is handed out again: no index
         # map may keep pointing at it.
@@ -1128,6 +1204,39 @@ class KernelEmitter:
         if size and step >= 1 and flat[-1] - flat[0] == step * (size - 1) and _affine(flat):
             return _slice(int(flat[0]), step, size), shape
         return self._const(np.ascontiguousarray(flat)), shape
+
+    def _window_take(self, base, view, shape, matrix):
+        """The :func:`_affine_view` *view* of *base* at *shape* as a take
+        (:meth:`_emit_gather`) through a flat index constant, or None.
+
+        A take when the contraction reshapes the operand to *matrix*
+        before anything else reads it (:func:`_matrix_shape`), that
+        reshape copies (the view's axes do not merge), and the copy's
+        inner loop moves at most :data:`WINDOW_RUN` elements
+        (:func:`_copy_run`) — a 3x3 convolution window, not a DCT block
+        or a 1x1 channel permutation. The take fills a fresh C-ordered
+        array of *shape* in the copy's element order, so ``reshape`` then
+        copies nothing and the matmul reads the matrix it read before.
+        The index is ``np.arange`` over *base* pushed through the same
+        view, built once per base shape, view and shape.
+        """
+        if matrix is None or math.prod(shape) > MAX_INDEX_CONSTANT:
+            return None
+        origin, coeffs = view
+        key = ("window", base.shape, origin, coeffs, shape, matrix)
+        index_map = self._index_maps.get(key)
+        if index_map is None:
+            base_strides = [math.prod(base.shape[dim + 1:]) for dim in range(base.ndim)]
+            strides = [sum(row[axis] * stride for row, stride in zip(coeffs, base_strides))
+                       for axis in range(len(shape))]
+            if _copy_run(shape, strides) > WINDOW_RUN:
+                return None
+            flat = np.arange(base.size, dtype=np.intp).reshape(base.shape)
+            packed = _affine_view(flat, origin, coeffs, shape).reshape(matrix)
+            if np.may_share_memory(packed, flat):
+                return None  # reshape answers a view: there is no copy to replace
+            index_map = self._index_maps[key] = (self._const(packed.reshape(-1)), shape)
+        return self._emit_gather(base, index_map)
 
     def _emit_gather(self, base, index_map):
         """A strided view, or ``np.take`` through a prebound flat index

@@ -530,18 +530,21 @@ class Points:
     point (``reduceat`` rejects an offset equal to the point count);
     :attr:`empty` lists the empty groups among them, and the groups after
     them are all empty. :attr:`shape` is the reduction's result shape
-    with its reduced axes kept as singletons.
+    with its reduced axes kept as singletons. :attr:`taken` holds the
+    argument's param subscripts read at the points, read-only
+    (``repro.srdfg.plan.CompressedReduction.taken_nodes``).
     """
 
-    __slots__ = ("coords", "count", "groups", "starts", "empty", "shape")
+    __slots__ = ("coords", "count", "groups", "starts", "empty", "shape", "taken")
 
-    def __init__(self, coords, count, groups, starts, empty, shape):
+    def __init__(self, coords, count, groups, starts, empty, shape, taken=()):
         self.coords = coords
         self.count = count
         self.groups = groups
         self.starts = starts
         self.empty = empty
         self.shape = shape
+        self.taken = taken
 
     def reduce(self, op, values):
         """``min``/``max`` of *values* (one per point, or one for all)
@@ -605,6 +608,9 @@ class _ExprEvaluator:
         #: True while an argument is evaluated at a list of points: index
         #: variables are then coordinate vectors, not lattice axes.
         self._pointwise = False
+        #: ``id(node) -> value`` of the subscripts read once with the
+        #: points (:attr:`Points.taken`), while they are evaluated at.
+        self._taken = {}
 
     # -- primitives (the staging seam) -------------------------------------
 
@@ -761,6 +767,8 @@ class _ExprEvaluator:
         return self._scalar(value) if value.ndim else value
 
     def _eval_indexed(self, expr):
+        if self._pointwise and id(expr) in self._taken:
+            return self._taken[id(expr)]
         base = self._operand(expr.base)
         if base is None:
             raise ExecutionError(f"unbound variable {expr.base!r}")
@@ -909,21 +917,24 @@ class _ExprEvaluator:
         if points is None:
             return None
         try:
-            values = self._to_float(self._at_points(expr.arg, points.coords))
+            values = self._to_float(
+                self._at_points(expr.arg, points.coords, compressed.taken(points))
+            )
         except ExecutionError:
             return None
         return points.reduce(expr.op, values)
 
-    def _at_points(self, expr, coords):
+    def _at_points(self, expr, coords, taken=None):
         """*expr* evaluated at a list of points: each index variable is
         its vector of *coords*, so every value is one per point (or one
-        for all) and a subscript is a gather, never a relabelling."""
+        for all) and a subscript is a gather, never a relabelling — or,
+        for a node in *taken* (``id(node) -> value``), that value."""
         saved = self._index_cache
-        self._index_cache, self._pointwise = dict(coords), True
+        self._index_cache, self._pointwise, self._taken = dict(coords), True, taken or {}
         try:
             return self.eval(expr)
         finally:
-            self._index_cache, self._pointwise = saved, False
+            self._index_cache, self._pointwise, self._taken = saved, False, {}
 
     def _select_points(self, expr, axes, names):
         """The :class:`Points` of *expr*'s predicate, carrying the

@@ -166,16 +166,19 @@ class CompressedReduction:
     argument holds no reduction, reads no index variable the predicate
     does not or the reduction binds, and subscripts with index variables,
     static names and literals only. Its points are then a function of the
-    params the predicate reads; a read-only param (:func:`_frozen`) is
-    constant for the life of the object, so the points are derived the
-    first time the statement runs with read-only params — by the one
-    evaluator, then ``np.nonzero`` — and kept in a one-slot memo keyed by
-    weak references to those params (and the shapes of the operands the
-    argument reads). The interpreted statement and its generated kernel
-    share this object, so they share the memo. A writeable param never
-    builds a memo: the reduction stays on the lattice. So does one whose
-    predicate selects more than ``POINTS_SHARE`` of its lattice, or whose
-    argument raises at the points: the memo then holds None.
+    params the predicate reads, and so is every subscript of a param the
+    argument reads at them (:meth:`taken_nodes`: LiveJourn-SSP's
+    ``w[u][v]``). A read-only param (:func:`_frozen`) is constant for the
+    life of the object, so the points and those param gathers
+    (``Points.taken``) are derived the first time the statement runs with
+    read-only params — by the one evaluator, then ``np.nonzero`` — and
+    kept in a one-slot memo keyed by weak references to those params (and
+    the shapes of the operands the argument reads). The interpreted
+    statement and its generated kernel share this object, so they share
+    the memo. A writeable param never builds a memo: the reduction stays
+    on the lattice. So does one whose predicate selects more than
+    ``POINTS_SHARE`` of its lattice, or whose argument raises at the
+    points: the memo then holds None.
     """
 
     __slots__ = (
@@ -187,8 +190,9 @@ class CompressedReduction:
                  reductions, point_shape):
         self.expr = expr
         self.axes = axes
-        #: The params the predicate reads, and every other operand the
-        #: argument reads (only their shapes key the memo).
+        #: The params the predicate reads or the argument gathers (their
+        #: identities key the memo), and every other operand the argument
+        #: reads (only their shapes do).
         self.params = params
         self.operands = operands
         #: The index variables the argument reads: the points' coordinates.
@@ -256,14 +260,35 @@ class CompressedReduction:
         )
         if 0 in point_shape:
             return None
+        gathered = {node.base for node in cls._gathers(expr.arg, set(params), indices)}
         return cls(
             expr,
             tuple(space.axis[spec.name] for spec in expr.indices),
-            tuple(sorted(read & set(params))),
+            tuple(sorted(read & set(params) | gathered)),
             tuple(sorted(arg_names - indices - set(static_env))),
             tuple(sorted(arg_names & indices)),
             space, static_env, reductions, point_shape,
         )
+
+    @staticmethod
+    def _gathers(arg, params, indices):
+        """The subscripts of a name in *params* that *arg* reads with an
+        index variable, in walk order."""
+        return [
+            node for node in ast.walk_expr(arg)
+            if isinstance(node, ast.Indexed) and node.base in params
+            and any(ast.expr_names(index_expr) & indices for index_expr in node.indices)
+        ]
+
+    def taken_nodes(self):
+        """The argument's subscripts of a memo-keyed param, each read at
+        the points once, when they are derived: ``Points.taken`` holds
+        their values, in this order."""
+        return self._gathers(self.expr.arg, set(self.params), set(self.space.axis))
+
+    def taken(self, points):
+        """``id(node) -> value`` of :meth:`taken_nodes` at *points*."""
+        return {id(node): value for node, value in zip(self.taken_nodes(), points.taken)}
 
     def points(self, values):
         """The :class:`~repro.srdfg.interpreter.Points` for the operand
@@ -295,7 +320,12 @@ class CompressedReduction:
         try:
             points = evaluator._select_points(self.expr, self.axes, self.names)
             if points is not None:
-                evaluator._at_points(self.expr.arg, points.coords)
+                points.taken = tuple(
+                    evaluator._at_points(node, points.coords) for node in self.taken_nodes()
+                )
+                for value in points.taken:
+                    value.flags.writeable = False  # shared by every later step
+                evaluator._at_points(self.expr.arg, points.coords, self.taken(points))
         except ExecutionError:
             return None  # the lattice raises it
         if points is not None:

@@ -25,8 +25,33 @@ from . import reference
 from .base import Workload, once, register
 from .datasets import bandlimited_signal, mpc_problem, option_chain, sentiment_features
 
-#: Steps whose ECoG window a BrainStimul instance keeps (``_signal``).
+#: Steps whose per-step input an instance keeps (:func:`_kept`):
+#: BrainStimul's ECoG window, OptionPricing's jittered news features.
 KEPT_SIGNALS = 8
+
+
+def _kept(draw):
+    """A :class:`~repro.workloads.base.once` attribute answering
+    ``draw(self, step)`` read-only, the last :data:`KEPT_SIGNALS` steps
+    kept.
+
+    Every served request steps a fresh trajectory from step 0, so a
+    step's input is drawn once per instance instead of once per request;
+    a session stepping past the kept steps draws each new one once.
+    """
+
+    def steps(self):
+        @functools.lru_cache(maxsize=KEPT_SIGNALS)
+        def kept(step):
+            value = draw(self, step)
+            value.flags.writeable = False
+            return value
+
+        return kept
+
+    steps.__name__, steps.__doc__ = draw.__name__, draw.__doc__
+    return once(steps)
+
 
 BRAIN_STIMUL_SOURCE = """
 // ECoG -> FFT -> logistic biomarker classification -> MPC stimulation.
@@ -165,25 +190,10 @@ class BrainStimul(Workload):
             h=self.horizon,
         )
 
+    @_kept
     def _signal(self, step):
-        """The ECoG window of invocation *step*, read-only.
-
-        Drawing one costs milliseconds and every served request steps a
-        fresh trajectory from step 0, so the last :data:`KEPT_SIGNALS`
-        steps are kept per instance instead of drawn again; a session
-        stepping past them draws each new one once.
-        """
-        return self._signals(step)
-
-    @once
-    def _signals(self):
-        @functools.lru_cache(maxsize=KEPT_SIGNALS)
-        def draw(step):
-            signal = bandlimited_signal(self.n, seed=self.seed + step)
-            signal.flags.writeable = False
-            return signal
-
-        return draw
+        """The ECoG window of invocation *step* (milliseconds to draw)."""
+        return bandlimited_signal(self.n, seed=self.seed + step)
 
     def params(self):
         twr, twi = reference.twiddle_tables(self.n)
@@ -297,11 +307,16 @@ class OptionPricing(Workload):
     def params(self):
         return {"wt": self.weights, "b": self.bias, "r0": self.chain.rate}
 
-    def inputs(self, step, previous):
+    @_kept
+    def _jitter(self, step):
+        """The news features of invocation *step*: each word's frequency
+        scaled by a uniform draw in [0.8, 1.2)."""
         rng = np.random.default_rng(self.seed + 100 + step)
-        jitter = self.features * rng.uniform(0.8, 1.2, size=self.words)
+        return self.features * rng.uniform(0.8, 1.2, size=self.words)
+
+    def inputs(self, step, previous):
         return {
-            "x": jitter,
+            "x": self._jitter(step),
             "S": self.chain.spot,
             "K": self.chain.strike,
             "T": self.chain.maturity,

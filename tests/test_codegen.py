@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.codegen import (
     CODEGEN_STATS,
@@ -540,6 +540,126 @@ class TestSliceDecision:
         assert emitter.report["slice_gathers"] == progression
 
 
+#: Values a convolution window must carry through a take byte for byte.
+_WINDOW_SPECIALS = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-40)
+
+
+@st.composite
+def _conv_window(draw):
+    """``(base, view, shape, weights, spec)``: a convolution's window
+    :func:`_affine_view` of a padded ``(C, H, W)`` base — standard
+    (``oy, ox, c, ky, kx``) or depthwise (``c, oy, ox, ky, kx``) — and
+    the weights it contracts with, in f32 or f64, holding signed zeros,
+    NaNs, infinities and subnormals."""
+    channels = draw(st.integers(1, 64), label="C")
+    kernel = draw(st.integers(1, 7), label="K")
+    stride = draw(st.integers(1, 2), label="stride")
+    out = draw(st.integers(1, 5), label="out")
+    offset = draw(st.integers(0, 1), label="offset")
+    slack = draw(st.integers(0, 2), label="slack")
+    depthwise = draw(st.booleans(), label="depthwise")
+    dtype = draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16), label="seed"))
+    side = offset + stride * (out - 1) + kernel + slack
+    base = rng.standard_normal((channels, side, side))
+    sprinkled = rng.random(base.shape) < 0.1
+    base[sprinkled] = rng.choice(_WINDOW_SPECIALS, size=int(sprinkled.sum()))
+    base = base.astype(dtype)
+    if depthwise:
+        coeffs = ((1, 0, 0, 0, 0), (0, stride, 0, 1, 0), (0, 0, stride, 0, 1))
+        shape = (channels, out, out, kernel, kernel)
+        weights, spec = (channels, kernel, kernel), "abc,adebc->ade"
+    else:
+        coeffs = ((0, 0, 1, 0, 0), (stride, 0, 0, 1, 0), (0, stride, 0, 0, 1))
+        shape = (out, out, channels, kernel, kernel)
+        weights = (draw(st.integers(1, 8), label="Cout"), channels, kernel, kernel)
+        spec = "abcd,efbcd->aef"
+    view = ((0, offset, offset), coeffs)
+    return base, view, shape, rng.standard_normal(weights).astype(dtype), spec
+
+
+class TestWindowTakes:
+    """A contraction operand that is a short-run window view prints as a
+    take through its flat index constant, and hands ``_contract`` the
+    bytes the view's ``reshape`` copy did; DCT's blocks and 1x1 views
+    keep the view."""
+
+    @given(window=_conv_window())
+    @settings(max_examples=300, deadline=None)
+    def test_take_equals_the_view_copy(self, window):
+        from types import SimpleNamespace
+
+        from repro.codegen.emitter import WINDOW_RUN, _copy_run, _matrix_shape, _Val
+        from repro.srdfg.interpreter import _affine_view, _contract, _contraction_steps
+
+        base, view, shape, weights, spec = window
+        steps = _contraction_steps(spec, (weights.shape, shape))
+        matrix = _matrix_shape(steps, 2, 1)
+        emitter = KernelEmitter(SimpleNamespace(steps=[]))
+        operand = _Val("base", base.shape, np.zeros((), dtype=base.dtype))
+        taken = emitter._window_take(operand, view, shape, matrix)
+        windowed = _affine_view(base, *view, shape)
+        strides = [stride // base.itemsize for stride in windowed.strides]
+        copies = matrix is not None and not np.may_share_memory(windowed.reshape(matrix), base)
+        assert (taken is not None) == (copies and _copy_run(shape, strides) <= WINDOW_RUN)
+        event(f"window take: {taken is not None}")
+        if taken is None:
+            return
+        assert re.fullmatch(r"_t1 = _np\.take\(base\.reshape\(-1\), _c1\)\.reshape\(.*\)",
+                            emitter.lines[-1].strip())
+        got = _run_printed(emitter, {"_np": np, "base": base, **emitter.constants})[taken.code]
+        assert got.shape == shape and got.flags.c_contiguous
+        assert got.reshape(matrix).tobytes() == windowed.reshape(matrix).tobytes()
+        with np.errstate(all="ignore"):
+            want = np.asarray(_contract(steps, (weights, windowed)))
+            result = np.asarray(_contract(steps, (weights, got)))
+        assert (result.dtype, result.shape) == (want.dtype, want.shape)
+        assert result.tobytes() == want.tobytes()
+
+    def test_only_a_reshaped_matmul_side_is_a_matrix(self):
+        """The take stands in for the copy ``reshape`` makes before a
+        matmul; a side ``c_einsum`` rewrites first, or a step with no
+        matmul, has no such copy."""
+        from repro.codegen.emitter import _matrix_shape
+
+        lowering = ("ab->ba", None, (4, 3), (3, 5), None, None, False)
+        steps = (((1, 0), "ba,bc->ac", lowering),)
+        assert _matrix_shape(steps, 2, 0) == (3, 5)
+        assert _matrix_shape(steps, 2, 1) is None
+        assert _matrix_shape((((1, 0), "ab,b->a", None),), 2, 1) is None
+        # Operand 2 meets the first step's result in the second step.
+        later = (((0, 0), "ab,b->a", None), ((1, 0), "a,ac->c", lowering))
+        assert _matrix_shape(later, 3, 2) == (3, 5)
+        assert _matrix_shape(later, 3, 0) is None
+
+    def test_window_whose_reshape_is_a_view_keeps_it(self):
+        """A 1x1 window over a 2x2 plane is the plane itself: ``reshape``
+        copies nothing, so there is no copy for a take to replace."""
+        from types import SimpleNamespace
+
+        from repro.codegen.emitter import _Val
+
+        emitter = KernelEmitter(SimpleNamespace(steps=[]))
+        view = ((0, 0, 0), ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1)))
+        operand = _Val("base", (1, 2, 2), np.zeros(()))
+        assert emitter._window_take(operand, view, (1, 2, 2, 1, 1), (1, 4, 1)) is None
+        assert emitter.lines == [] and emitter.constants == {}
+
+    @pytest.mark.parametrize("name, taken, kept", [
+        ("ResNet-18", 17, 3), ("MobileNet", 9, 0), ("DCT-1024", 0, 1), ("DCT-2048", 0, 1),
+    ])
+    def test_rule_per_paper_program(self, name, taken, kept):
+        """ResNet-18's and MobileNet's 3x3 windows are taken (one take per
+        distinct base); ResNet-18's three 1x1 shortcut views and DCT's
+        8x8 blocks (its first contraction) keep ``_affine_view``."""
+        source = _ledger_kernel(name).source
+        windows = re.findall(r"_np\.take\(_v\d+\.reshape\(-1\), _c\d+\)\.reshape\(\((.*?)\)\)",
+                             source)
+        assert len(windows) == taken
+        assert all(shape.endswith("3, 3") for shape in windows)
+        assert source.count("_affine_view(") == kept
+
+
 def _arrays(*mappings):
     return [
         value for mapping in mappings for value in mapping.values()
@@ -701,7 +821,10 @@ class TestBufferLifetimes:
 #: each staging ``X[i][j]-C[c][j]`` once (``subexpressions_shared`` 4)
 #: through two column slices (``slice_gathers`` 8). Since a predicate over
 #: a read-only param runs on its true points, each graph program's
-#: ``relax`` is its one ``compressed`` reduction.
+#: ``relax`` is its one ``compressed`` reduction. Since short-run
+#: convolution windows are taken, each 3x3 conv's window is one of
+#: ``gathers`` (ResNet-18 17, MobileNet 9); the 1x1 shortcuts keep their
+#: view.
 REPORT_COUNTERS = (
     "statements", "einsum", "gathers", "gathers_shared",
     "subexpressions_shared", "short_sums", "compressed", "slice_gathers",
@@ -721,8 +844,8 @@ LEDGER_REPORTS = {
     "FFT-16384": (32, 0, 84, 56, 0, 0, 0, 0, 0, 0),
     "DCT-1024": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
     "DCT-2048": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
-    "ResNet-18": (56, 22, 0, 0, 0, 0, 0, 0, 17, 0),
-    "MobileNet": (45, 19, 0, 0, 0, 0, 0, 0, 9, 0),
+    "ResNet-18": (56, 22, 17, 0, 0, 0, 0, 0, 17, 0),
+    "MobileNet": (45, 19, 9, 0, 0, 0, 0, 0, 9, 0),
     "BrainStimul": (39, 5, 72, 48, 0, 0, 0, 3, 2, 0),
     "OptionPricing": (5, 1, 0, 0, 0, 0, 0, 0, 0, 0),
 }
@@ -751,7 +874,10 @@ def _ledger_kernel(name):
 #: fold slice by slice; the three graph programs' of the commit whose
 #: predicates over read-only params run on their true points (``relax``
 #: prints the memo lookup, the argument at the points and ``reduceat``),
-#: re-taken when a one-index gather at the points became ``np.take``.
+#: re-taken when a one-index gather at the points became ``np.take``;
+#: ResNet-18's and MobileNet's of the commit whose 3x3 convolution windows
+#: are taken through an index constant, and LiveJourn-SSP's of the one
+#: whose point branch reads ``w[u][v]`` from ``Points.taken`` (the same).
 #: The source changes by design;
 #: :data:`OUTPUT_DIGESTS` pins what it computes.
 KERNEL_DIGESTS = {
@@ -772,7 +898,7 @@ KERNEL_DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "LiveJourn-SSP": (
-        "93118eef9e94072582edf2b740bcc19c61a616109e6afc4338c91f667d2256a1",
+        "4773462bd4dc2ac6d397d68c5cce46d25c338b40290e819d25a240850809038a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-20M": (
@@ -808,12 +934,12 @@ KERNEL_DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "ResNet-18": (
-        "ce1ffcdd5094874d28202382d779ae2acfb059b7b1508b7f31f81318efe925c8",
-        "3182a0ab9442c52b4a41838439f6094bf91a61597cda06887d2350784ba22d87",
+        "8b6d4b0dfbc5ecc9792ca52658ff5ad50cd4578e4fa87d789807f167e5bbcb77",
+        "2e8cd1c491aaae4ac3a9e27ab70527684d3b210b1121bb7d9b46f8692b8d6529",
     ),
     "MobileNet": (
-        "37af5d14ddb957a2481fb5d143fa6bd1a46117f129fc57c7c2ff422f5fcf891d",
-        "72154824daecc76ec3757412270562135604741336b6e2c90eeb2fa2d5d00433",
+        "4902c2730ff7d1dd9c4d7358f61595e68d7b11ff56c85cbde55d45803ce899cf",
+        "52666905965d730bba80dbc44a9849a2071ca607d1869eff7e14efe12a58ddcd",
     ),
     "BrainStimul": (
         "1568e22bb3e3bc6785147b5fa529920faaa99a934978c7d5cf4815962c266482",
@@ -947,6 +1073,15 @@ def test_graph_kernels_relax_on_points_without_fallback(name):
                  if label.startswith("relax"))
     refs, _, points = relax.compressed[0]._memo
     assert refs[0]() is workload.shared_params()["adj"] and points is not None
+    # SSSP's ``w[u][v]`` was gathered with the points; BFS reads no param.
+    weights = workload.shared_params().get("w")
+    if weights is None:
+        assert points.taken == ()
+        return
+    [taken] = points.taken
+    assert refs[1]() is weights and not taken.flags.writeable
+    assert taken.tobytes() == weights[points.coords["u"], points.coords["v"]].tobytes()
+    assert "_t1.taken[0]" in plan.kernel.source
 
 
 #: A short sum whose first slice prints a take of an int operand

@@ -502,93 +502,93 @@ class TestFrozenConfiguration:
 #: (compile, plan, kernel) cache keys of the 17 paper programs. A change
 #: to any key strands every existing ``--cache-dir`` tree, so these are
 #: literals: moving one is a deliberate, announced format break. The
-#: kernel keys moved with ``KERNEL_ABI`` 9, when predicates over read-only
-#: params began to run on their true points.
+#: kernel keys moved with ``KERNEL_ABI`` 10, when point branches began to
+#: read params' subscripts from ``Points.taken``.
 PAPER_PROGRAM_KEYS = {
     "MobileRobot": (
         "7ab951e36ab95100cecfce982100e01003647428c4bd9e35b5f831d75dd5fbe5",
         "ec95beeeaf1d2c0cdaf3e2210235de854478f8d5fef890114f4d555d6ba4a3b6",
-        "c5b077388b7392172c05ce8f75b1895902127014f43a75d228e2ef9619add619",
+        "eb24e987841d44e7a70dc74e0337d2ffae46c16474a2985b9d05b61b9ed7fe0c",
     ),
     "Hexacopter": (
         "cbcb5e480e296bfc5464ba3311bd1eb740158e8b5457d60aaae085669c6864d4",
         "6961b07853fd691860d1fa959ced49ce1cfff343b6134fab54cae5f4e99419ee",
-        "a9e206af0adcf551918c93f8184cf66d00723666afaef3634019f6bb27a829d0",
+        "dfa5ad930dfea2ec1ae3fa29d98ddda89ef1196b2a22942b7164623c577f889f",
     ),
     "Twitter-BFS": (
         "b3f6fd7fac080b2b9e709d57045c3c29ad6f4d6368cd07a24bc7d35a8b3f7846",
         "7595f81d38aa46cf8c089199a778bed10c665150f7457cd077b647556672ab81",
-        "511142606f8306cf65e9b0ac49124c437d315e816aef088f5a1f2d1dcdad9e7d",
+        "c32a7aafb9bb5026419bcedc1ddf05d60f2b017242be290f1ee524f41368673c",
     ),
     "Wiki-BFS": (
         "5bb7fb2b81423ef9257a3beafc94f6a3e7e34d12470d1c7becb2247bfa8d1ae4",
         "ee963fac1f0ed1cfa473561c255a35024dd561b33b7c824bd0ac4bed14778e42",
-        "cde643b5874a7da328263e2e0b68d1a33b2c5cb1be1097e0cd57b7e9b7f5fb13",
+        "6f9039c18f3774a162eb9fe3898a98c5bea046cc09c41da7c3d045ab1666a812",
     ),
     "LiveJourn-SSP": (
         "1141bfe0bde2f7255279d2ce2966f396d7a282ad630202b0b7d39b55aded8afc",
         "523f88614ed94b4c612204d0da69a04ad2eb0aac00a2398bc3bdb520d44674f1",
-        "26a26efeeababe16cac95e7bfb654020c0c01619e8919a14cad64cc4b33f1e18",
+        "c3bdcad86a7940c4c1269ebf8de355891b67b238d25ba221c63be9114fe4b1ee",
     ),
     "MovieL-20M": (
         "6fceb57ce26f8b4e760abc8ad317cbd2e89e8fb45d68a4104d2f1c5485a35d84",
         "03b6a4eb7c0e98a986a3501cf7a5b474ab31c5c96979da220a2b5fa258853d54",
-        "8cb8ebe889d33bddf4a1fccc576b24c189c0d42752d762c69f4af31d8afc0161",
+        "4a8f59c1a284a07b4acea01783d889c5b51cdc2c021fda0c78e455719e2455bb",
     ),
     "MovieL-100K": (
         "152a11a15f1da6d1a556d949e7d1d7eafe3aa523eacde5d4809243a0d5da5e39",
         "f7b585f8cf3ec2d711bc10e75c300c8d52e7569d630471118dee02209951e45a",
-        "c94225f31d4d64367812766ecc1c95ddb5612cb16179785d4fd145a6dbf75aa0",
+        "9349e89894563886cecca7cd999b5c5e2e78f97c2c26bffbfee8f508f90ed954",
     ),
     "DigitCluster": (
         "361d54637117e5a750cc3b9b859281ba5a41d2d3617a369145c5ff5c7d16d2f7",
         "3f1bdc50954e4f28439d0240b91f3f1495f2b231de765253a428891fb5e8eb44",
-        "e0bef467fbbf0a0382e6e7cf7bb872a623beb4ffa37c050373d9e90ca0d2153f",
+        "a5040f94b1739f2984b53c71a4ed415e673678362700289b4792efb2f4f9b6ea",
     ),
     "ElecUse": (
         "5fcef597d0bb8025d3a7455c627d4d9892e3b6234f0b6b252b939123443c4f8b",
         "3dd44533d837e641ccf770ecdaeb4d9a2fc4cfe77bb449ff49cac14ec8487dfd",
-        "c763f80af95bd9be7ae06df23125d9c2a34903e09e6bc71423497e4c17c06318",
+        "95f32af77cff4850deba5ba05b17eb3be07c60d0f93d1a4f1c2e94a7020711d5",
     ),
     "FFT-8192": (
         "44206183f79e358cf5b4394b22d0e403e908f0a33ac06f167ad5586bf185ec79",
         "fcee42dd700826457f9af8f53837f566742abd4b31d8b30985628aa46c78b8f9",
-        "8eaef7a797b24f2a8f0c1bd06b77d5ec7a885852525df20e4afff1058059c7f4",
+        "40fd249de546b21a2575b058b0736d365c4ce8bd2dd302ef6c422ad063d7ccf1",
     ),
     "FFT-16384": (
         "5f685939b2e8a01668fbb352b9b8f71625da5be5729edaa26564b5e7a876181a",
         "cdd113ff36cb1130cb3d0732c0b500206ec48604d30332aea323638d65af46ae",
-        "d8ad3db0da8c6c2e90065f77a8318bd4475a213edc60c427581133af8a3d0653",
+        "da102465486a38fc72a5af5316e7c13838b2ca5abe548fe498054b1703d92d2e",
     ),
     "DCT-1024": (
         "73364e81b146a8f3787589f083fa1d6f918ca97d42f05ef88edbf405189331ef",
         "3876ec15ba8b8d590dae0283f90490846a15ac51e43b35edef6b09862e33e329",
-        "93de5f003b4c4540bc82bbeec53f74f524f1d09256afa527cbf230c6a35eb305",
+        "8355b047314cdb4beedb3d1e61188f918d6c1c885534fdec56bf78df9978b927",
     ),
     "DCT-2048": (
         "f302f0a1a262f35547193f844c75548c8d935152aea1841442b85bcb5e3ebb50",
         "31845a7f3147079c4e4af2163c32b2495ca573139e76f855089de5b62c1c37e4",
-        "4fcdd55826004c95eff8080a9ae7f27e37c36dd43315693b55207c517e9c4d6e",
+        "254de1350c1661318d2d11817b3fab060b3c505488723ba9e1601502a55745ac",
     ),
     "ResNet-18": (
         "b4bb64a25b4086cdabae1fcf526cba677812488d11c8b45701a101fb003b0a75",
         "9fbcbf31e4d5bdd05989f39a9a67793ea133d1303c80f11d3c7ebb1a9e525f50",
-        "f2a50f234b81ffdfb4b6efc5d28a0cb8057ca3d0fc48bd6268ec7a40e4252d8b",
+        "0a358995adb5e316d6b7d4bab43b02975efe6afb9ac556028ba58727f0f70f7e",
     ),
     "MobileNet": (
         "41ba30640b089be0eda370cb846a5c9328e0ba96f77bef63de916b33828fd399",
         "2c9a6f815ef242cd5a737b214aee6bf754608fee2ddcd425ffcaf9ce58a5a2c0",
-        "2c99ff3b6ebb29bd951528cc3f9f3f76aa54053c265944a2d9fdf0c86a3d8c5d",
+        "e1312d49699d0113acac95a04a13b701600828dccdd90987ab47923f15532dc9",
     ),
     "BrainStimul": (
         "544522a9157a148fb0bfdafb673175eb28ab2ddff9632ce8e09805ff6d257eaa",
         "2f7354c9b2215df44bf134567881452ff81d251a1419b37ac17d88d0a93a2eb3",
-        "ebcfa9ecce3896c869ceb77f379b783aa6a9b136a70bebc70c3955797ed08a90",
+        "54cb6db041794508014b3b702e0caa7dd0d0ce4f33d93b50a5aa77b06c4d42f9",
     ),
     "OptionPricing": (
         "034fc6db3992b118f10e4e9e7e269cfc926112e480dc4e9e8c6aae2b8f621723",
         "12e8c4db9593e8677c7334518a4fa4f2211b28b59b913ecaad89286f5fd467b9",
-        "e0bf39c6ce9bc50cebd452f8ab58748264f20c8362b4e3cee43b57465b842195",
+        "2a1afd2d31af474383c63d11d0b2a3b7ab5b81de9eda01e0617f3385339b61f1",
     ),
 }
 

@@ -235,6 +235,18 @@ def test_brainstimul_keeps_its_recent_signals_read_only(builds):
         assert signal.tobytes() == _direct_signal(workload, step).tobytes()
 
 
+def test_optionpricing_keeps_its_recent_jitter_read_only():
+    workload = get_workload("OptionPricing")
+    first = [workload.inputs(step, None)["x"] for step in range(6)]
+    again = [workload.inputs(step, None)["x"] for step in range(6)]
+    for step, (jitter, kept) in enumerate(zip(first, again)):
+        assert kept is jitter
+        assert not jitter.flags.writeable
+        rng = np.random.default_rng(workload.seed + 100 + step)
+        direct = workload.features * rng.uniform(0.8, 1.2, size=workload.words)
+        assert jitter.tobytes() == direct.tobytes()
+
+
 def test_brainstimul_session_past_the_kept_signals_answers_correctly():
     from repro.serve import Server, result_signature
     from repro.workloads import Trajectory
