@@ -204,13 +204,16 @@ def _cmd_codegen(args):
 
 def _statement_ms(workload, kernel, steps):
     """Each statement of *kernel* with its median wall time (ms) over
-    *steps* steps of a fresh trajectory, run by an instrumented copy."""
+    *steps* steps of a fresh trajectory, run by an instrumented copy
+    under the heap policy a serving worker runs kernels with."""
     import statistics
 
     from ..codegen import timed_statements
+    from ..serve.heap import keep_heap
     from ..srdfg.interpreter import ExecutionResult
     from ..workloads import Trajectory
 
+    keep_heap()
     copy, labels, laps = timed_statements(kernel)
     samples = [[] for _ in labels]
 

@@ -57,7 +57,10 @@ __all__ = [
 #: 10: a point branch reads a param's subscripts from ``Points.taken``,
 #: which a runtime of 9 does not set; a record of 9 would copy 3x3
 #: windows through ``reshape`` and gather params at the points every step.
-KERNEL_ABI = 10
+#: 11: a matmul einsum would transpose takes its terms swapped; a record
+#: of 10 holds einsum's steps, and would compute other bytes than the
+#: interpreted plan.
+KERNEL_ABI = 11
 
 
 def kernel_cache_key(plan_key):

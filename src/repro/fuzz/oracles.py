@@ -9,7 +9,8 @@ through the stack:
     The same raw graph with einsum dispatch disabled (pure recursive
     lattice semantics). Summation order legitimately differs, so this
     oracle compares under a tight per-precision tolerance; it validates
-    the einsum fast path against the paper's lattice semantics.
+    each contraction's planned form against the paper's lattice
+    semantics.
 ``plan``
     The full compile pipeline (rule-based optimizer, lowering,
     translation) followed by shared :class:`ExecutionPlan` execution,

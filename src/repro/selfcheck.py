@@ -77,9 +77,9 @@ _VERDICT = ((("correct",), "is", True), (("failed",), "==", 0))
 #: Contractions each program must keep on einsum (none back on the lattice).
 _EINSUM_FLOORS = {"ResNet-18": 22, "MobileNet": 19, "DCT-1024": 2, "DCT-2048": 2}
 #: Takes each program may print: one per (SSA base, index constant); a
-#: CNN's, one per 3x3 convolution window.
+#: CNN's, one per 3x3 window its matmul would copy through ``reshape``.
 _GATHER_CEILINGS = {
-    "FFT-8192": 78, "FFT-16384": 84, "BrainStimul": 72, "ResNet-18": 17, "MobileNet": 9,
+    "FFT-8192": 78, "FFT-16384": 84, "BrainStimul": 72, "ResNet-18": 0, "MobileNet": 8,
 }
 #: Statements folded slice by slice: ElecUse's 4-wide ``dsq`` sum alone.
 _SHORT_SUMS = {"ElecUse": 1}
@@ -173,9 +173,9 @@ TABLE = (
     # The kernel tier is bit-identical to the interpreter (--compare; a
     # declined build fails it), scatters none of the 17 paper programs'
     # stores (each is a slice or a cover); conv / DCT
-    # contractions run on einsum; no take repeats; only ElecUse's short
-    # sum folds slice by slice; each graph program's relax runs on its
-    # predicate's points.
+    # contractions stay off the lattice; no take repeats; only
+    # ElecUse's short sum folds slice by slice; each graph program's
+    # relax runs on its predicate's points.
     Row(
         "codegen",
         "-m repro codegen "

@@ -25,8 +25,10 @@ does not grow an arena per worker started after it:
 
 The policy is the process's, for the life of the process: it is applied
 where serving runs kernels (a thread-pool :class:`~repro.serve.Server`'s
-host process, a process pool's children), never on import and never by
-compiling, planning or running a kernel outside a server.
+host process, a process pool's children) and where ``repro codegen
+--statement-ms`` times them as a serving worker runs them, never on
+import and never by compiling, planning or running a kernel outside a
+server.
 """
 
 from __future__ import annotations

@@ -30,13 +30,14 @@ semantics:
 * a ``sum``-of-products whose subscripts are affine in the index
   variables is a contraction over zero-copy strided views of its
   operands (dot/matvec/matmul, general tensor contractions, strided and
-  windowed ones such as convolutions). Its shapes are static, so what
-  ``numpy.einsum(..., optimize=True)`` would decide on every call — the
-  contraction order and each pairwise step's batch-matmul lowering — is
-  decided once when the plan is built (:func:`_contraction_steps`), and
-  both tiers replay exactly those numpy calls (:func:`_contract`) after
-  checking each operand's rank and each subscript's range against the
-  run-time shape;
+  windowed ones such as convolutions). Its shapes are static, so its
+  form is decided once when the plan is built (:func:`_contraction_steps`):
+  the contraction order and each pairwise step's batch-matmul lowering
+  that ``numpy.einsum(..., optimize=True)`` would pick, but a matmul
+  whose product einsum would transpose takes its terms swapped. Both
+  tiers replay exactly that form (:func:`_contract`) after checking each
+  operand's rank and each subscript's range against the run-time shape:
+  a contraction's bytes are the bytes of the form the plan chose;
 * other big reductions are evaluated in chunks along their largest bound
   axis so the materialised lattice stays under
   :data:`DEFAULT_LATTICE_LIMIT` elements.
@@ -278,17 +279,28 @@ def _affine(values):
     return (origin, coeffs) if not coeffs or (model == values).all() else None
 
 
+def _lowering(equation, shape_a, shape_b):
+    """numpy's batch-matmul parse of a pairwise step, as a tuple."""
+    return tuple(
+        tuple(part) if isinstance(part, list) else part
+        for part in _parse_eq_to_batch_matmul(equation, shape_a, shape_b)
+    )
+
+
 @functools.lru_cache(maxsize=4096)
 def _contraction_steps(spec, shapes):
-    """What ``np.einsum(spec, *operands, optimize=True)`` decides for
-    operands of *shapes*, decided once: one ``(positions, equation,
-    lowering)`` per contraction of numpy's greedy path.
+    """The contraction of *spec* over operands of *shapes*, decided once:
+    one ``(positions, equation, lowering)`` per contraction of the greedy
+    path ``np.einsum(spec, *operands, optimize=True)`` takes.
 
     *positions* are popped from the operand list in order and the step's
     result is appended to it. *lowering* is None for a step that is one
     ``c_einsum`` call, else numpy's own batch-matmul parse of the
     pairwise step: ``(eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab,
-    pure_multiplication)``. The path depends on shapes alone, so
+    pure_multiplication)``. One form rule departs from einsum: a matmul
+    whose product einsum would transpose (``perm_ab``) takes its terms
+    swapped, popped in the swapped order, when that matmul writes the
+    product in output order. The path depends on shapes alone, so
     zero-stride shadows stand in for the operands; each intermediate's
     shape is its output labels' extents, as numpy sizes them. Cached
     because a nested reduction has no statement plan to hold its steps.
@@ -308,20 +320,27 @@ def _contraction_steps(spec, shapes):
         picked = [pending.pop(position) for position in positions]
         lowering = None
         if len(picked) == 2:
-            lowering = tuple(
-                tuple(part) if isinstance(part, list) else part
-                for part in _parse_eq_to_batch_matmul(equation, *picked)
-            )
+            lowering = _lowering(equation, *picked)
+            if lowering[5] is not None:
+                terms, _, out = equation.partition("->")
+                term_a, term_b = terms.split(",")
+                swapped = f"{term_b},{term_a}->{out}"
+                other = _lowering(swapped, picked[1], picked[0])
+                if other[5] is None and not other[6]:
+                    first, second = positions
+                    positions = (second, first - 1) if second < first else (second + 1, first)
+                    equation, lowering = swapped, other
         steps.append((positions, equation, lowering))
         pending.append(tuple(sizes[label] for label in equation.partition("->")[2]))
     return tuple(steps)
 
 
 def _contract(steps, arrays):
-    """``np.einsum(spec, *arrays, optimize=True)`` without its planning:
-    the numpy calls it makes, in its order, from :func:`_contraction_steps`
-    — so the result is byte-identical. Generated kernels call this very
-    function."""
+    """The contraction the plan chose (:func:`_contraction_steps`), without
+    planning: its numpy calls, in its order. Byte-identical to
+    ``np.einsum(spec, *arrays, optimize=True)`` when no step swapped, and
+    to the swapped ``matmul`` when one did. Generated kernels call this
+    very function."""
     operands = list(arrays)
     for positions, equation, lowering in steps:
         picked = [operands.pop(position) for position in positions]

@@ -646,12 +646,14 @@ class TestWindowTakes:
         assert emitter.lines == [] and emitter.constants == {}
 
     @pytest.mark.parametrize("name, taken, kept", [
-        ("ResNet-18", 17, 3), ("MobileNet", 9, 0), ("DCT-1024", 0, 1), ("DCT-2048", 0, 1),
+        ("ResNet-18", 0, 20), ("MobileNet", 8, 1), ("DCT-1024", 0, 1), ("DCT-2048", 0, 1),
     ])
     def test_rule_per_paper_program(self, name, taken, kept):
-        """ResNet-18's and MobileNet's 3x3 windows are taken (one take per
-        distinct base); ResNet-18's three 1x1 shortcut views and DCT's
-        8x8 blocks (its first contraction) keep ``_affine_view``."""
+        """MobileNet's depthwise 3x3 windows are taken (one take per
+        distinct base). ResNet-18's 3x3 windows and MobileNet's first,
+        which their swapped matmuls transpose by ``c_einsum`` first,
+        ResNet-18's three 1x1 shortcut views and DCT's 8x8 blocks (its
+        first contraction) keep ``_affine_view``."""
         source = _ledger_kernel(name).source
         windows = re.findall(r"_np\.take\(_v\d+\.reshape\(-1\), _c\d+\)\.reshape\(\((.*?)\)\)",
                              source)
@@ -821,10 +823,12 @@ class TestBufferLifetimes:
 #: each staging ``X[i][j]-C[c][j]`` once (``subexpressions_shared`` 4)
 #: through two column slices (``slice_gathers`` 8). Since a predicate over
 #: a read-only param runs on its true points, each graph program's
-#: ``relax`` is its one ``compressed`` reduction. Since short-run
-#: convolution windows are taken, each 3x3 conv's window is one of
-#: ``gathers`` (ResNet-18 17, MobileNet 9); the 1x1 shortcuts keep their
-#: view.
+#: ``relax`` is its one ``compressed`` reduction. A short-run 3x3
+#: convolution window that a matmul would copy through ``reshape`` is one
+#: of ``gathers``: MobileNet's 8 depthwise windows. Since a transposed
+#: matmul takes its terms swapped, ResNet-18's windows and MobileNet's
+#: first one are transposed by ``c_einsum`` before ``reshape`` copies them
+#: in runs along ``w``, so no take stands in for that copy.
 REPORT_COUNTERS = (
     "statements", "einsum", "gathers", "gathers_shared",
     "subexpressions_shared", "short_sums", "compressed", "slice_gathers",
@@ -844,8 +848,8 @@ LEDGER_REPORTS = {
     "FFT-16384": (32, 0, 84, 56, 0, 0, 0, 0, 0, 0),
     "DCT-1024": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
     "DCT-2048": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
-    "ResNet-18": (56, 22, 17, 0, 0, 0, 0, 0, 17, 0),
-    "MobileNet": (45, 19, 9, 0, 0, 0, 0, 0, 9, 0),
+    "ResNet-18": (56, 22, 0, 0, 0, 0, 0, 0, 17, 0),
+    "MobileNet": (45, 19, 8, 0, 0, 0, 0, 0, 9, 0),
     "BrainStimul": (39, 5, 72, 48, 0, 0, 0, 3, 2, 0),
     "OptionPricing": (5, 1, 0, 0, 0, 0, 0, 0, 0, 0),
 }
@@ -875,9 +879,10 @@ def _ledger_kernel(name):
 #: predicates over read-only params run on their true points (``relax``
 #: prints the memo lookup, the argument at the points and ``reduceat``),
 #: re-taken when a one-index gather at the points became ``np.take``;
-#: ResNet-18's and MobileNet's of the commit whose 3x3 convolution windows
-#: are taken through an index constant, and LiveJourn-SSP's of the one
-#: whose point branch reads ``w[u][v]`` from ``Points.taken`` (the same).
+#: LiveJourn-SSP's of the commit whose point branch reads ``w[u][v]``
+#: from ``Points.taken``; ResNet-18's and MobileNet's of the one whose
+#: matmuls einsum would transpose take their terms swapped (their windows'
+#: takes and index constants went with it).
 #: The source changes by design;
 #: :data:`OUTPUT_DIGESTS` pins what it computes.
 KERNEL_DIGESTS = {
@@ -934,12 +939,12 @@ KERNEL_DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "ResNet-18": (
-        "8b6d4b0dfbc5ecc9792ca52658ff5ad50cd4578e4fa87d789807f167e5bbcb77",
-        "2e8cd1c491aaae4ac3a9e27ab70527684d3b210b1121bb7d9b46f8692b8d6529",
+        "ce1ffcdd5094874d28202382d779ae2acfb059b7b1508b7f31f81318efe925c8",
+        "3182a0ab9442c52b4a41838439f6094bf91a61597cda06887d2350784ba22d87",
     ),
     "MobileNet": (
-        "4902c2730ff7d1dd9c4d7358f61595e68d7b11ff56c85cbde55d45803ce899cf",
-        "52666905965d730bba80dbc44a9849a2071ca607d1869eff7e14efe12a58ddcd",
+        "d3772ab4db5cd96617dba384013cee5fba4d81c02f118879955d599e75f72f79",
+        "8c0ee4542f6104858a9a780101db07cbde2a2e6b5e01de8313ab7e81ea4131a7",
     ),
     "BrainStimul": (
         "1568e22bb3e3bc6785147b5fa529920faaa99a934978c7d5cf4815962c266482",
@@ -970,7 +975,10 @@ def _kernel_digests(kernel):
 #: the ledger's ``PINNED_ENV`` (single-thread BLAS): DigitCluster,
 #: ElecUse and both MovieLens programs were re-taken in that env at the
 #: commit before short sums folded slice by slice, since their matmuls
-#: round differently with more OpenBLAS threads.
+#: round differently with more OpenBLAS threads. MovieL-100K's was
+#: re-taken when a matmul einsum would transpose began to take its terms
+#: swapped: a contraction's bytes are those of the form the plan chose, and
+#: its ``pred`` product now runs as ``U @ V`` instead of ``(V.T @ U.T).T``.
 OUTPUT_DIGESTS = {
     "MobileRobot": "74e0ffd992f0d6c94edf35c102f62695498bc4cf1dc08d0ba11db362f96c2cfd",
     "Hexacopter": "8ad7fbbeac94336ea2ddc22a007c607ac30dd66044d93b3f2184735e719f9461",
@@ -978,7 +986,7 @@ OUTPUT_DIGESTS = {
     "Wiki-BFS": "fe1a4005b689bc7a2126c7c38dcd2b0339379028d9a435213283162687868e75",
     "LiveJourn-SSP": "6e2abe2f410440329295cf46062b9fd3dffc3c1366d1c75a6f15fa8c66821f3f",
     "MovieL-20M": "312a63a9fe278638b5abda8e1242a19bab9172dbae7b960f71f38c73bd9a28ce",
-    "MovieL-100K": "f8fc4d9cb4999d9dab142137244039f26109d7684d6a65b2607c328fa5183240",
+    "MovieL-100K": "38f06058d8127d5b094cbdbc926b989781b7c2e2d34c19e97227e177c79c4d68",
     "DigitCluster": "809081b13f4a1f7318dcf87c10cf86c90b23c9638f72809054703bcef89d4275",
     "ElecUse": "1afbfdf44c2ada57e1d3c701ea92cbe65cd9828e4fc69c07b02dba71ce665e31",
     "FFT-8192": "a437796a87eaeb7f545e6b8a610d49e96a30e03837ef29b251d6a90386c28e8c",
@@ -1856,18 +1864,28 @@ class TestKernelCache:
     def test_record_of_another_kernel_abi_is_a_miss(self, tmp_path, monkeypatch):
         """The key is salted with ``KERNEL_ABI``: source printed under
         another contract is never found, so never exec'd — the kernel is
-        rebuilt under the current one."""
+        rebuilt under the current one. A ``--cache-dir`` of ``KERNEL_ABI``
+        10 holds einsum's steps for a matmul the plan now swaps; it
+        misses cleanly, and the rebuilt kernel replays the plan's form."""
         import hashlib
 
         import repro.codegen
 
         assert kernel_cache_key("k") != hashlib.sha256(b"kernel:k").hexdigest()
+        matmul = (
+            "main(input float A[6][5], input float B[5][7], output float C[6][7]) {"
+            " index i[0:5], j[0:4], k[0:6];"
+            " C[i][k] = sum[j](A[i][j] * B[j][k]); }"
+        )
 
         def plan_in(session):
             return session.plan_for(
-                session.compile(MATVEC, domain="DA"), codegen=True
+                session.compile(matmul, domain="DA"), codegen=True
             )
 
+        abi = repro.codegen.KERNEL_ABI
+        assert abi > 10
+        monkeypatch.setattr(repro.codegen, "KERNEL_ABI", 10)
         first = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
         plan_in(first)
         assert first.cache.stats.kernel_stores == 1
@@ -1878,9 +1896,7 @@ class TestKernelCache:
                 record["source"] = "raise RuntimeError('stale kernel ran')\n"
                 path.write_bytes(pickle.dumps(record))
 
-        monkeypatch.setattr(
-            repro.codegen, "KERNEL_ABI", repro.codegen.KERNEL_ABI + 1
-        )
+        monkeypatch.setattr(repro.codegen, "KERNEL_ABI", abi)
         base = CODEGEN_STATS.kernels_built
         second = CompilerSession(default_accelerators(), cache_dir=str(tmp_path))
         plan = plan_in(second)
@@ -1889,6 +1905,19 @@ class TestKernelCache:
         stats = second.cache.stats
         assert (stats.kernel_misses, stats.kernel_disk_hits) == (1, 0)
         assert stats.disk_errors == 0
+        from repro.srdfg.interpreter import _contraction_steps
+
+        # The swapped matmul, which einsum would run as ``bc,ab->ac``.
+        steps = _contraction_steps("ab,bc->ac", ((6, 5), (5, 7)))
+        assert steps[0][:2] == ((0, 0), "ab,bc->ac")
+        assert any(
+            isinstance(value, tuple) and value == steps
+            for value in plan.kernel.constants.values()
+        )
+        rng = np.random.default_rng(0)
+        inputs = {"A": rng.normal(size=(6, 5)), "B": rng.normal(size=(5, 7))}
+        outputs, _ = plan.kernel.run(inputs)
+        assert outputs["C"].tobytes() == (inputs["A"] @ inputs["B"]).tobytes()
 
     def test_record_of_kernel_abi_6_is_a_miss(self, tmp_path, monkeypatch):
         """A ``--cache-dir`` written under ``KERNEL_ABI`` 6 holds records
@@ -2123,12 +2152,19 @@ class TestCli:
             "declined": "y := elemwise: no kernel here",
         }
 
-    def test_statement_ms_times_a_copy(self, capsys):
+    def test_statement_ms_times_a_copy(self, capsys, monkeypatch):
         """``--statement-ms`` times every statement of an instrumented
         copy; the built kernel's source is left as it is."""
         import json
+        import types
 
         from repro.cli import main
+        from repro.serve import heap
+
+        # The serving heap policy it sets is this process's for good.
+        monkeypatch.setattr(
+            heap, "_libc", lambda: types.SimpleNamespace(mallopt=lambda *_: 1)
+        )
 
         source = _ledger_kernel("ElecUse").source
         code = main([

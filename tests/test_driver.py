@@ -502,93 +502,93 @@ class TestFrozenConfiguration:
 #: (compile, plan, kernel) cache keys of the 17 paper programs. A change
 #: to any key strands every existing ``--cache-dir`` tree, so these are
 #: literals: moving one is a deliberate, announced format break. The
-#: kernel keys moved with ``KERNEL_ABI`` 10, when point branches began to
-#: read params' subscripts from ``Points.taken``.
+#: kernel keys moved with ``KERNEL_ABI`` 11, when a matmul einsum would
+#: transpose began to take its terms swapped.
 PAPER_PROGRAM_KEYS = {
     "MobileRobot": (
         "7ab951e36ab95100cecfce982100e01003647428c4bd9e35b5f831d75dd5fbe5",
         "ec95beeeaf1d2c0cdaf3e2210235de854478f8d5fef890114f4d555d6ba4a3b6",
-        "eb24e987841d44e7a70dc74e0337d2ffae46c16474a2985b9d05b61b9ed7fe0c",
+        "2b58783a7ae91e0a89dc4fac50f99022f27a98209d56c28918a4b975d55c6f8c",
     ),
     "Hexacopter": (
         "cbcb5e480e296bfc5464ba3311bd1eb740158e8b5457d60aaae085669c6864d4",
         "6961b07853fd691860d1fa959ced49ce1cfff343b6134fab54cae5f4e99419ee",
-        "dfa5ad930dfea2ec1ae3fa29d98ddda89ef1196b2a22942b7164623c577f889f",
+        "3abb715c7763d7018ad467c008d10ad32123133683df3ebb1af59ed4b5e6c56e",
     ),
     "Twitter-BFS": (
         "b3f6fd7fac080b2b9e709d57045c3c29ad6f4d6368cd07a24bc7d35a8b3f7846",
         "7595f81d38aa46cf8c089199a778bed10c665150f7457cd077b647556672ab81",
-        "c32a7aafb9bb5026419bcedc1ddf05d60f2b017242be290f1ee524f41368673c",
+        "c3c1e508044c70391b2cce34b4310c4bedb37415d2b74ea7cec904dfe8487a56",
     ),
     "Wiki-BFS": (
         "5bb7fb2b81423ef9257a3beafc94f6a3e7e34d12470d1c7becb2247bfa8d1ae4",
         "ee963fac1f0ed1cfa473561c255a35024dd561b33b7c824bd0ac4bed14778e42",
-        "6f9039c18f3774a162eb9fe3898a98c5bea046cc09c41da7c3d045ab1666a812",
+        "963e3b276749591110aab0dc95c6833c8c569e18df9bdb6d96f4bb486bf2d4c7",
     ),
     "LiveJourn-SSP": (
         "1141bfe0bde2f7255279d2ce2966f396d7a282ad630202b0b7d39b55aded8afc",
         "523f88614ed94b4c612204d0da69a04ad2eb0aac00a2398bc3bdb520d44674f1",
-        "c3bdcad86a7940c4c1269ebf8de355891b67b238d25ba221c63be9114fe4b1ee",
+        "98c823a364e00682713f5b9265db6a8188f1418d2fe49c8a804a35adecd5586e",
     ),
     "MovieL-20M": (
         "6fceb57ce26f8b4e760abc8ad317cbd2e89e8fb45d68a4104d2f1c5485a35d84",
         "03b6a4eb7c0e98a986a3501cf7a5b474ab31c5c96979da220a2b5fa258853d54",
-        "4a8f59c1a284a07b4acea01783d889c5b51cdc2c021fda0c78e455719e2455bb",
+        "f54e275208fbfe79e7fa55f2cfe392d11cbda2c4b4691aacfd243597146f7a6b",
     ),
     "MovieL-100K": (
         "152a11a15f1da6d1a556d949e7d1d7eafe3aa523eacde5d4809243a0d5da5e39",
         "f7b585f8cf3ec2d711bc10e75c300c8d52e7569d630471118dee02209951e45a",
-        "9349e89894563886cecca7cd999b5c5e2e78f97c2c26bffbfee8f508f90ed954",
+        "a0881b3e134c7e3e906c0b2820689c0c3186e1e280462d7800e23468f880307b",
     ),
     "DigitCluster": (
         "361d54637117e5a750cc3b9b859281ba5a41d2d3617a369145c5ff5c7d16d2f7",
         "3f1bdc50954e4f28439d0240b91f3f1495f2b231de765253a428891fb5e8eb44",
-        "a5040f94b1739f2984b53c71a4ed415e673678362700289b4792efb2f4f9b6ea",
+        "18801280edc907805a5a1f323cd870607e11f810b319d53beb18e18301216081",
     ),
     "ElecUse": (
         "5fcef597d0bb8025d3a7455c627d4d9892e3b6234f0b6b252b939123443c4f8b",
         "3dd44533d837e641ccf770ecdaeb4d9a2fc4cfe77bb449ff49cac14ec8487dfd",
-        "95f32af77cff4850deba5ba05b17eb3be07c60d0f93d1a4f1c2e94a7020711d5",
+        "ff6a0c33a8676b57e014b5c9b64a7cf7bb7e7620129797277abe20e0ef112617",
     ),
     "FFT-8192": (
         "44206183f79e358cf5b4394b22d0e403e908f0a33ac06f167ad5586bf185ec79",
         "fcee42dd700826457f9af8f53837f566742abd4b31d8b30985628aa46c78b8f9",
-        "40fd249de546b21a2575b058b0736d365c4ce8bd2dd302ef6c422ad063d7ccf1",
+        "1e5d0cf8afe67b5cd5f508d036ead64da3e6426a3d1d252285102122bf41cea4",
     ),
     "FFT-16384": (
         "5f685939b2e8a01668fbb352b9b8f71625da5be5729edaa26564b5e7a876181a",
         "cdd113ff36cb1130cb3d0732c0b500206ec48604d30332aea323638d65af46ae",
-        "da102465486a38fc72a5af5316e7c13838b2ca5abe548fe498054b1703d92d2e",
+        "61a0347ad1668f22398732b084e8b71c4df8d3700110b896046361780170ed15",
     ),
     "DCT-1024": (
         "73364e81b146a8f3787589f083fa1d6f918ca97d42f05ef88edbf405189331ef",
         "3876ec15ba8b8d590dae0283f90490846a15ac51e43b35edef6b09862e33e329",
-        "8355b047314cdb4beedb3d1e61188f918d6c1c885534fdec56bf78df9978b927",
+        "e9878d97db580bafc04adb62f71d7045b0a2b0557652da280bb854bea4a08d85",
     ),
     "DCT-2048": (
         "f302f0a1a262f35547193f844c75548c8d935152aea1841442b85bcb5e3ebb50",
         "31845a7f3147079c4e4af2163c32b2495ca573139e76f855089de5b62c1c37e4",
-        "254de1350c1661318d2d11817b3fab060b3c505488723ba9e1601502a55745ac",
+        "6cbab5ccc1a35b83e9edf8b0d36aedbc9d68c892f0cc1a0456581394fb232138",
     ),
     "ResNet-18": (
         "b4bb64a25b4086cdabae1fcf526cba677812488d11c8b45701a101fb003b0a75",
         "9fbcbf31e4d5bdd05989f39a9a67793ea133d1303c80f11d3c7ebb1a9e525f50",
-        "0a358995adb5e316d6b7d4bab43b02975efe6afb9ac556028ba58727f0f70f7e",
+        "4e5259fd8812e08392cb62e07f4791df7028ced3f6c160a62b19790b989b3670",
     ),
     "MobileNet": (
         "41ba30640b089be0eda370cb846a5c9328e0ba96f77bef63de916b33828fd399",
         "2c9a6f815ef242cd5a737b214aee6bf754608fee2ddcd425ffcaf9ce58a5a2c0",
-        "e1312d49699d0113acac95a04a13b701600828dccdd90987ab47923f15532dc9",
+        "a2a112aad100c46f2a6e3166b96a1f3b782625103bf241cd07f03e723fe1ba4a",
     ),
     "BrainStimul": (
         "544522a9157a148fb0bfdafb673175eb28ab2ddff9632ce8e09805ff6d257eaa",
         "2f7354c9b2215df44bf134567881452ff81d251a1419b37ac17d88d0a93a2eb3",
-        "54cb6db041794508014b3b702e0caa7dd0d0ce4f33d93b50a5aa77b06c4d42f9",
+        "b48159b055a1e283b28f88695eb48eadf3694cfcfb15824fe85f0e93898f43a2",
     ),
     "OptionPricing": (
         "034fc6db3992b118f10e4e9e7e269cfc926112e480dc4e9e8c6aae2b8f621723",
         "12e8c4db9593e8677c7334518a4fa4f2211b28b59b913ecaad89286f5fd467b9",
-        "2a1afd2d31af474383c63d11d0b2a3b7ab5b81de9eda01e0617f3385339b61f1",
+        "d4ad43402a079f4915ae07468aa280c7bf3973dadf0d422825d773b104b5a87c",
     ),
 }
 

@@ -82,6 +82,29 @@ def test_kernels_outside_a_server_leave_the_heap_alone(policy_calls):
     assert len(policy_calls) == len(heap._POLICY)
 
 
+def test_statement_ms_times_under_the_serving_policy(policy_calls, monkeypatch, capsys):
+    """``repro codegen --statement-ms`` times a kernel the way a serving
+    worker runs it: the policy is set before the instrumented copy runs.
+    The rest of ``repro codegen`` leaves the heap alone."""
+    import repro.codegen
+    from repro.cli import main
+
+    assert main(["codegen", "--workload", "OptionPricing"]) == 0
+    assert policy_calls == []
+    instrument = repro.codegen.timed_statements
+
+    def after_the_policy(kernel):
+        assert len(policy_calls) == len(heap._POLICY)
+        return instrument(kernel)
+
+    monkeypatch.setattr(repro.codegen, "timed_statements", after_the_policy)
+    assert main([
+        "codegen", "--workload", "OptionPricing", "--statement-ms", "--steps", "1",
+    ]) == 0
+    assert len(policy_calls) == len(heap._POLICY)
+    assert " ms  " in capsys.readouterr().out
+
+
 def test_minor_faults_survive_the_pickle():
     shipped = pickle.loads(pickle.dumps(Outcome(minor_faults=6164)))
     assert shipped.minor_faults == 6164

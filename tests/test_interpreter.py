@@ -333,20 +333,35 @@ _DTYPES = (np.float32, np.float64, np.complex128)
 def _contraction(draw):
     """``(spec, arrays)``: 1-4 operands whose terms mix batch, contracted,
     kept and summed-away labels, a label repeated within one term
-    (``aa``), mixed dtypes, and at most one strided ``_affine_view``."""
+    (``aa``), mixed dtypes, and at most one strided ``_affine_view`` — or
+    a batched matmul whose output follows its terms' order, which einsum
+    lowers to a transposed product and the plan swaps."""
     from repro.srdfg.interpreter import _affine_view
 
     extent = {
         label: draw(st.sampled_from((0, 1, 2, 2, 3, 3, 4, 4)))
         for label in _LABELS
     }
-    terms = draw(st.lists(
-        st.text(_LABELS, min_size=1, max_size=3), min_size=1, max_size=4
-    ))
-    used = sorted(set("".join(terms)))
-    out = draw(st.permutations(used).flatmap(
-        lambda order: st.integers(0, len(order)).map(lambda n: order[:n])
-    ))
+    if draw(st.booleans()):
+        terms = draw(st.lists(
+            st.text(_LABELS, min_size=1, max_size=3), min_size=1, max_size=4
+        ))
+        used = sorted(set("".join(terms)))
+        out = draw(st.permutations(used).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda n: order[:n])
+        ))
+    else:
+        order = draw(st.permutations(_LABELS))
+        batch, kept_a, summed, kept_b = (
+            order[:1], order[1:2], order[2:4], order[4:]
+        )
+        term_a = draw(st.permutations(batch + kept_a + summed))
+        term_b = draw(st.permutations(batch + summed + kept_b))
+        terms = ["".join(term_a), "".join(term_b)]
+        out = (
+            [label for label in term_a if label in batch + kept_a]
+            + [label for label in term_b if label in kept_b]
+        )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     strided = draw(st.integers(-1, len(terms) - 1))
     arrays = []
@@ -370,35 +385,120 @@ def _contraction(draw):
     return ",".join(terms) + "->" + "".join(out), arrays
 
 
-class TestContract:
-    """A planned contraction replays ``np.einsum(optimize=True)``'s own
-    calls, so it is byte-identical to it by construction. A numpy whose
-    einsum lowers differently fails here instead of drifting."""
+def _planned_form(spec, arrays):
+    """``(result, swapped)``: *spec* over *arrays* in the form the plan
+    states, through numpy's own calls — einsum's greedy path, each
+    pairwise step numpy's ``bmm_einsum`` — except that a step whose matmul
+    einsum would transpose runs its two terms swapped when that matmul
+    writes the product in output order. *swapped* counts those steps."""
+    from numpy._core.einsumfunc import _parse_eq_to_batch_matmul, bmm_einsum, c_einsum
 
-    @given(_contraction())
-    @settings(max_examples=300, deadline=None)
-    def test_replay_is_byte_identical_to_einsum(self, contraction):
+    _, path = np.einsum_path(spec, *arrays, optimize=True, einsum_call=True)
+    operands, swapped = list(arrays), 0
+    for positions, equation, _ in path:
+        picked = [operands.pop(position) for position in positions]
+        if len(picked) != 2:
+            operands.append(c_einsum(equation, *picked))
+            continue
+        a, b = picked
+        terms, _, out = equation.partition("->")
+        term_a, term_b = terms.split(",")
+        turned = f"{term_b},{term_a}->{out}"
+        other = _parse_eq_to_batch_matmul(turned, b.shape, a.shape)
+        if (_parse_eq_to_batch_matmul(equation, a.shape, b.shape)[5] is not None
+                and other[5] is None and not other[6]):
+            operands.append(bmm_einsum(turned, b, a))
+            swapped += 1
+        else:
+            operands.append(bmm_einsum(equation, a, b))
+    return np.asarray(operands[0]), swapped
+
+
+class TestContract:
+    """A contraction's bytes are those of the form the plan chose: einsum's
+    own calls, but for a matmul einsum would transpose, which takes its
+    terms swapped. Where nothing swaps the replay is byte-identical to
+    ``np.einsum(optimize=True)``; a numpy whose einsum lowers differently
+    fails here instead of drifting."""
+
+    def test_replay_is_byte_identical_to_the_planned_form(self):
         import pickle
 
         from repro.srdfg.interpreter import _contract, _contraction_steps
 
-        spec, arrays = contraction
-        steps = _contraction_steps(spec, tuple(array.shape for array in arrays))
-        assert pickle.loads(pickle.dumps(steps)) == steps
-        want = np.asarray(np.einsum(spec, *arrays, optimize=True))
-        got = np.asarray(_contract(steps, arrays))
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes()
+        swaps = []
+
+        @given(_contraction())
+        @settings(max_examples=300, deadline=None)
+        def check(contraction):
+            spec, arrays = contraction
+            steps = _contraction_steps(spec, tuple(array.shape for array in arrays))
+            assert pickle.loads(pickle.dumps(steps)) == steps
+            einsum = np.asarray(np.einsum(spec, *arrays, optimize=True))
+            want, swapped = _planned_form(spec, arrays)
+            got = np.asarray(_contract(steps, arrays))
+            assert (got.dtype, got.shape) == (want.dtype, want.shape) == (
+                einsum.dtype, einsum.shape
+            )
+            assert got.tobytes() == want.tobytes()
+            swaps.append(swapped)
+            if not swapped:
+                assert got.tobytes() == einsum.tobytes()
+                return
+            # Both sum the same products: a dot product's rounding is
+            # bounded by the sum of its terms' magnitudes.
+            scale = np.einsum(spec, *map(np.abs, arrays), optimize=True)
+            rel = 1e-5 if got.dtype == np.float32 else 1e-12
+            assert (np.abs(got - einsum) <= rel * scale).all()
+
+        check()
+        assert sum(swaps) > 0
 
     def test_pairwise_steps_carry_the_matmul_lowering(self):
-        from repro.srdfg.interpreter import _contraction_steps
+        from repro.srdfg.interpreter import _contract, _contraction_steps
 
         [(positions, equation, lowering)] = _contraction_steps(
             "ab,bc->ac", ((4, 3), (3, 5))
         )
-        assert (positions, equation) == ((1, 0), "bc,ab->ac")
-        # matmul yields (c, a): the output order is known at plan time.
-        assert lowering[5] == (1, 0)
+        assert (positions, equation) == ((0, 0), "ab,bc->ac")
+        # matmul yields (a, c): the product is already in output order.
+        assert lowering[5] is None
+        result = _contract(
+            ((positions, equation, lowering),), (np.ones((4, 3)), np.ones((3, 5)))
+        )
+        assert result.shape == (4, 5) and result.flags.c_contiguous
+
+    def test_swapped_pops_take_the_same_operands(self):
+        """A swapped step pops its terms in the other order: einsum's
+        second step pops ``(1, 0)`` (``db`` then ``ab``), the plan's
+        ``(0, 0)`` (``ab``, then ``db`` shifted down)."""
+        from repro.srdfg.interpreter import _contract, _contraction_steps
+
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=shape) for shape in ((5, 6), (6, 7), (7, 4))]
+        steps = _contraction_steps("ab,bc,cd->ad", tuple(a.shape for a in arrays))
+        assert [step[:2] for step in steps] == [
+            ((2, 1), "cd,bc->db"), ((0, 0), "ab,db->ad"),
+        ]
+        assert [lowering[5] for _, _, lowering in steps] == [None, None]
+        want, swapped = _planned_form("ab,bc,cd->ad", arrays)
+        assert swapped == 1
+        assert _contract(steps, arrays).tobytes() == want.tobytes()
+
+    def test_contract_is_the_plan_form_not_einsum(self):
+        """MovieL-100K's ``pred``: 943 users x 10 factors times 10 x 1682
+        items. The plan's ``U @ V`` rounds otherwise than einsum's
+        ``(V.T @ U.T).T``; the plan's form is the contract."""
+        from repro.srdfg.interpreter import _contract, _contraction_steps
+
+        rng = np.random.default_rng(0)
+        u, v = rng.normal(size=(943, 10)), rng.normal(size=(10, 1682))
+        steps = _contraction_steps("ab,bc->ac", (u.shape, v.shape))
+        got = _contract(steps, (u, v))
+        assert got.tobytes() == np.matmul(u, v).tobytes()
+        einsum = np.einsum("ab,bc->ac", u, v, optimize=True)
+        assert got.tobytes() != einsum.tobytes()
+        assert (np.abs(got - einsum) <= 1e-12 * (np.abs(u) @ np.abs(v))).all()
 
 
 #: Bodies of the short sums :class:`TestShortSum` draws, over ``x`` in
