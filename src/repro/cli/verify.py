@@ -133,6 +133,7 @@ def _cmd_codegen(args):
             f"{entry['statements']} statement(s), "
             f"{entry['einsum']} einsum, "
             f"{entry['compressed']} compressed, "
+            f"{entry['reuses']} reuse(s), "
             f"{entry['source_bytes']} bytes"
         )
         if args.dump_source:

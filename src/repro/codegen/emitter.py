@@ -42,10 +42,11 @@ The value table
     written over only by a ufunc handed its every occurrence.
 
 Slices
-    A store writing each cell of a strided window once
-    (:func:`_slice_store`) and a gather whose flat index is a
-    positive-step progression move the values the scatter or ``np.take``
-    would, under the same cast. A gathered view keeps the take's element
+    A store writing each cell of a strided window once (the plan's
+    :class:`~repro.srdfg.plan.StoreForm`, which the interpreted plan runs
+    too) and a gather whose flat index is a positive-step progression
+    move the values the scatter or ``np.take`` would, under the same
+    cast. A gathered view keeps the take's element
     order (its strides are the C ones times the step) and is never
     ``fresh``, so it is copied before anything keeps it.
 
@@ -55,6 +56,17 @@ Folded slices
     write over its buffer (``out=_reuse(spare)``), as a ufunc writes over
     a fresh operand. A slice's staged subexpressions and index maps are
     keyed by its sub-range, so no slice reads another's.
+
+Dead results
+    A statement result is an array the kernel allocated. Once the kernel
+    is printed, a ufunc offered one of the result's shape and dtype
+    writes over it (``out=_reuse(_vN)``) when its statement names it
+    only as that operand and no later line names it
+    (:meth:`KernelEmitter._write_over_dead_results`): then nothing reads
+    it after the ufunc, no view of it is live, and it is no output or
+    state. The ufunc computes the bytes it would into a new buffer. A
+    statement whose result the kernel returns takes none: what outlives
+    the call is allocated by the statement that computes it.
 
 Points
     A reduction on its predicate's points prints a branch: the memo
@@ -83,6 +95,7 @@ Window takes
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -97,6 +110,7 @@ from ..srdfg.interpreter import (
     _affine,
     _affine_view,
 )
+from ..srdfg.plan import _cells
 
 __all__ = ["EmitResult", "KernelEmitter", "Unsupported"]
 
@@ -118,6 +132,13 @@ WINDOW_RUN = 4
 #: stride, so that index maps which differ only in their low bits (FFT's
 #: stages) seldom share a key.
 _FINGERPRINT = 64
+
+#: Marks the ``out=`` a ufunc is offered over an earlier statement's
+#: result (``_vN``), settled once the whole kernel is printed.
+_OFFER = "\0"
+_OFFERED = re.compile(r", \0(_v\d+)")
+#: A statement result's local.
+_RESULT = re.compile(r"\b_v\d+\b")
 
 #: Builtin implementation -> the numpy function its shadows go through:
 #: the same result dtype, without importing what the implementation
@@ -189,52 +210,24 @@ def _shadow0(dtype):
     return np.zeros((), dtype=dtype)
 
 
+def _index_code(index):
+    """Source text of the basic *index*: a tuple of ints, slices and
+    ``Ellipsis`` (a :class:`~repro.srdfg.plan.StoreForm`'s)."""
+    parts = []
+    for part in index:
+        if part is Ellipsis:
+            parts.append("...")
+        elif isinstance(part, slice):
+            bounds = [part.start, part.stop] + ([] if part.step is None else [part.step])
+            parts.append(":".join("" if bound is None else str(bound) for bound in bounds))
+        else:
+            parts.append(str(part))
+    return ", ".join(parts)
+
+
 def _slice(origin, step, count):
     """The basic slice selecting *count* cells from *origin* by *step*."""
-    stop = origin + step * (count - 1) + 1
-    return f"{origin}:{stop}" if step == 1 else f"{origin}:{stop}:{step}"
-
-
-def _slice_store(index_arrays, lhs_shape, lattice):
-    """``(index, order, cover)`` printing the store through the static
-    *index_arrays* as ``dest[index] = payload.transpose(order)``, or None.
-
-    Each subscript must be constant or ``origin + step*a``
-    (:func:`_affine`), ``step >= 1``, over a lattice axis ``a`` of its
-    own, and every lattice axis of extent other than 1 mapped: then each
-    lattice point writes a cell of its own, so no write order shows.
-    *order* (None for the identity) moves the payload's unmapped axes
-    first, where assignment drops them; *cover* says *index* is every
-    cell, in the payload's C order.
-    """
-    if len(index_arrays) != len(lhs_shape):
-        return None
-    index, mapped = [], []
-    for value, extent in zip(index_arrays, lhs_shape):
-        affine = _affine(value) if value.ndim in (0, len(lattice)) else None
-        if affine is None or len(affine[1]) > 1:
-            return None
-        origin, coeffs = affine
-        if not coeffs:
-            index.append(str(origin))  # an integer: the dimension drops
-            continue
-        [(axis, step)] = coeffs.items()
-        count = lattice[axis]
-        if step < 1 or axis in mapped or value.shape[axis] != count:
-            return None
-        mapped.append(axis)
-        index.append(":" if count == extent else _slice(origin, step, count))
-    unmapped = [axis for axis in range(len(lattice)) if axis not in mapped]
-    if any(lattice[axis] != 1 for axis in unmapped):
-        return None
-    order = tuple(unmapped + mapped)
-    cover = mapped == sorted(mapped) and all(
-        part == ":" or extent == 1 for part, extent in zip(index, lhs_shape)
-    )
-    if not mapped:
-        index.append("...")  # a 0-d view broadcasts, an element does not
-    index = "..." if set(index) == {":"} else ", ".join(index)
-    return index, None if order == tuple(sorted(order)) else order, cover
+    return _index_code((_cells(origin, step, count),))
 
 
 def _matrix_shape(steps, count, position):
@@ -410,6 +403,13 @@ class _StagedEvaluator(_ExprEvaluator):
                     # A folded slice's buffer, dead once added in.
                     self._spares.remove(spare)
                     args.append(f"out=_reuse({spare.code})")
+                else:
+                    # An earlier statement's result, if this call is its
+                    # last reader (KernelEmitter._write_over_dead_results).
+                    dead = next((val.code for val in vals if val.code in self.emitter._results
+                                 and val.shape == shape and val.dtype == dtype), None)
+                    if dead is not None:
+                        args.append(_OFFER + dead)
         # Ufuncs, np.where and the SCALAR_FUNCTIONS allocate their result
         # (or were just handed a fresh operand to put it in).
         return _Val(f"{code}({', '.join(args)})", shape, shadow, fresh=True)
@@ -810,12 +810,18 @@ class KernelEmitter:
             "slice_gathers": 0,
             "slice_stores": 0,
             "scatters": 0,
+            "reuses": 0,
         }
         #: The ``_vN``/``_tN`` locals the statement being printed names:
         #: its result, the temps it binds, the operands it reads.
         self._named = set()
-        #: (stop line, names) of every printed statement, in order.
+        #: (stop line, names, result local) of every printed statement,
+        #: in order.
         self._fragments = []
+        #: The ``_vN`` of every statement printed so far: an array the
+        #: kernel allocated, which a later ufunc may write over once it
+        #: is dead.
+        self._results = set()
         #: value key -> (shape, dtype) of every value the plan produces.
         self._value_facts = {}
         for step in plan.steps:
@@ -894,6 +900,7 @@ class KernelEmitter:
             else:
                 raise Unsupported(f"unsupported step kind {step.kind!r}")
         returned = self._emit_collect()
+        self._write_over_dead_results(returned)
         self._release_dead_locals(returned)
         return EmitResult("\n".join(self.lines) + "\n", self.constants, self.report)
 
@@ -952,8 +959,9 @@ class KernelEmitter:
             self._specialize_statement(statement, operands, local)
         except _DECLINED as exc:
             raise Unsupported(f"{statement.label}: {exc}") from exc
-        self._fragments.append((len(self.lines), self._named))
+        self._fragments.append((len(self.lines), self._named, local))
         self._locals[step.key] = local
+        self._results.add(local)
 
     def _mark(self):
         """What :meth:`_restore` takes the emitter back to."""
@@ -996,6 +1004,46 @@ class KernelEmitter:
         self._emit(f"return {{{', '.join(outputs)}}}, {{{', '.join(state)}}}")
         return returned
 
+    def _write_over_dead_results(self, returned):
+        """Settle each ``out=`` a ufunc was offered over an earlier
+        statement's result: kept when the ufunc's statement names that
+        local once — as the ufunc's operand — and no line after the
+        statement names it, return line included; else dropped, and the
+        ufunc allocates. Named once, nothing in the statement reads it
+        after the ufunc or holds a view of it (no ``_in_range``, slice or
+        operand dict of it), and it is no output or state.
+
+        A statement whose result the kernel returns takes no dead result:
+        what it returns outlives the call, so it is allocated where that
+        statement runs, after the step's big temporaries are freed, and
+        not inside the heap region they come back to next step (a warm
+        MovieL-100K worker whose state landed there faulted hundreds of
+        pages a request).
+        """
+        if not any(_OFFER in line for line in self.lines):
+            return
+        clean = [_OFFERED.sub("", line) for line in self.lines]
+        last = {}
+        for number, line in enumerate(clean):
+            for local in _RESULT.findall(line):
+                last[local] = number
+        starts = [0] + [stop for stop, _, _ in self._fragments]
+        for start, (stop, _, result) in zip(starts, self._fragments):
+            offered = [number for number in range(start, stop) if _OFFER in self.lines[number]]
+            if not offered:
+                continue
+            named = Counter(local for line in clean[start:stop] for local in _RESULT.findall(line))
+
+            def settle(match):
+                local = match.group(1)
+                if result in returned or named[local] > 1 or last[local] >= stop:
+                    return ""
+                self.report["reuses"] += 1
+                return f", out=_reuse({local})"
+
+            for number in offered:
+                self.lines[number] = _OFFERED.sub(settle, self.lines[number])
+
     def _release_dead_locals(self, returned):
         """``del`` every ``_vN`` / ``_tN`` at the end of the statement
         fragment that names it last, so a kernel holds a statement result
@@ -1004,11 +1052,11 @@ class KernelEmitter:
         never released.
         """
         last = {}
-        for position, (_, named) in enumerate(self._fragments):
+        for position, (_, named, _) in enumerate(self._fragments):
             for local in named:
                 last[local] = position
         for position in reversed(range(len(self._fragments))):
-            stop, named = self._fragments[position]
+            stop, named, _ = self._fragments[position]
             dead = sorted(
                 local for local in named
                 if last[local] == position and local not in returned
@@ -1028,6 +1076,9 @@ class KernelEmitter:
         self.report["short_sums"] += ev.folded
 
     def _emit_store(self, ev, raw, local):
+        """Print the statement's store: the plan's
+        :class:`~repro.srdfg.plan.StoreForm`, as the interpreted plan
+        runs it, but for a cover of a fresh payload, which is bound."""
         statement = ev.statement
         stmt = statement.stmt
         lhs_shape = statement.lhs_shape
@@ -1049,13 +1100,12 @@ class KernelEmitter:
             )
             return
 
-        index_arrays = self._static_target_indices(ev)
-        window = _slice_store(index_arrays, lhs_shape, raw.shape)
-        dest = local
-        if window is None and self._is_row_major_cover(index_arrays, lhs_shape, raw.shape):
-            dest, window = f"{local}.reshape({raw.shape!r})", ("...", None, True)
-        cover = window is not None and window[2]
-        if cover and raw.fresh and raw.dtype == dtype and raw.size == math.prod(lhs_shape):
+        form = statement.store
+        if form is None:
+            # Known only at run time, or raising: the staged subscripts say which.
+            ev.write_subscripts(stmt, lhs_shape)
+            raise Unsupported("write subscripts are not static")
+        if form.cover and raw.fresh and raw.dtype == dtype and raw.size == math.prod(lhs_shape):
             # Every cell is written exactly once, so neither the previous
             # value nor a zero fill is observable. A fresh payload holding
             # every cell in the target dtype *is* the result
@@ -1069,7 +1119,7 @@ class KernelEmitter:
             return
         dt = self._const(dtype)
         previous = ev.operands.get(stmt.target)
-        if cover:
+        if form.cover:
             self._emit(f"{local} = _np.empty({lhs_shape!r}, dtype={dt})")
         elif previous is not None and previous.shape == lhs_shape:
             # The interpreter's _store: prev-copy or zeros, then the write.
@@ -1077,18 +1127,29 @@ class KernelEmitter:
             self._emit(f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)")
         else:
             self._emit(f"{local} = _np.zeros({lhs_shape!r}, dtype={dt})")
-        if window is None:
+        dest, order = local, None
+        if form.index is None:
             # A fancy write through precomputed broadcast target indices.
+            for value in form.subscripts:
+                if value.size > MAX_INDEX_CONSTANT:
+                    raise Unsupported("write subscript constant exceeds size cap")
+                if value.dtype.kind not in ("i", "u", "b"):
+                    raise Unsupported("non-integral write subscript")
             try:
-                broadcast = np.broadcast_arrays(*index_arrays, np.empty(raw.shape, dtype=np.bool_))
+                broadcast = np.broadcast_arrays(
+                    *form.subscripts, np.empty(raw.shape, dtype=np.bool_)
+                )
             except ValueError as exc:
                 raise Unsupported(f"store broadcast mismatch (runtime error): {exc}") from exc
             targets = [self._const(np.ascontiguousarray(array)) for array in broadcast[:-1]]
-            window = (f"({', '.join(targets)},)", None, False)
+            index = f"({', '.join(targets)},)"
             self.report["scatters"] += 1
-        elif not cover:
-            self.report["slice_stores"] += 1
-        index, order, _ = window
+        else:
+            if not form.cover:
+                self.report["slice_stores"] += 1
+            if form.view is not None:
+                dest = f"{local}.reshape({form.view!r})"
+            index, order = _index_code(form.index), form.order
         # Assignment broadcasts the payload. A numpy scalar converts as a
         # Python one (a NaN into an int raises), not as a 0-d array does.
         payload = raw.unbroadcast or raw
@@ -1096,52 +1157,6 @@ class KernelEmitter:
         if order is not None and payload.ndim:
             code = f"{code}.transpose({order!r})"
         self._emit(f"{dest}[{index}] = {code}")
-
-    def _static_target_indices(self, ev):
-        """The statement's write subscripts, evaluated at build time."""
-        statement = ev.statement
-        arrays = ev.write_subscripts(statement.stmt, statement.lhs_shape)
-        for value in arrays:
-            if value.size > MAX_INDEX_CONSTANT:
-                raise Unsupported("write subscript constant exceeds size cap")
-            if value.dtype.kind not in ("i", "u", "b"):
-                raise Unsupported("non-integral write subscript")
-        return arrays
-
-    def _is_row_major_cover(self, index_arrays, lhs_shape, lattice_shape):
-        """True when the write is a full cover that is a reshape view.
-
-        *lattice_shape* is the payload's shape. Dimension d's subscripts
-        must vary over their own contiguous run of lattice axes only —
-        the runs in dimension order, between them using up the lattice —
-        and, flattened, count ``0..lhs_shape[d]-1``. Then lattice point
-        ``a`` lands on the cell whose d-th coordinate is the row-major
-        rank of ``a`` within run d, which is precisely
-        ``out.reshape(lattice_shape)[a]``: a blocked store such as
-        ``out[by*8+u][bx*8+v]`` over ``(by, u, bx, v)``. The subscript
-        arrays arrive un-broadcast, so the test reads ``sum(lhs_shape)``
-        elements, not the lattice.
-        """
-        if len(index_arrays) != len(lhs_shape):
-            return False
-        rank = len(lattice_shape)
-        axis = 0
-        for value, extent in zip(index_arrays, lhs_shape):
-            stop, covered = axis, 1
-            while stop < rank and covered < extent:
-                covered *= lattice_shape[stop]
-                stop += 1
-            run_shape = (
-                (1,) * axis + lattice_shape[axis:stop] + (1,) * (rank - stop)
-            )
-            if (
-                value.dtype.kind not in ("i", "u")
-                or value.shape != run_shape
-                or not np.array_equal(value.reshape(-1), np.arange(extent))
-            ):
-                return False
-            axis = stop
-        return all(size == 1 for size in lattice_shape[axis:])
 
     # -- constants and gathers ---------------------------------------------
 

@@ -7,11 +7,13 @@ A :class:`KernelArtifact` wraps one emitted kernel function for one
   disk cache record, and diagnostics), and
 * the exec'd function object bound to its constant namespace.
 
-A kernel holds no buffer between calls: each numpy call it makes
-allocates its own result, so concurrent workers share only the artifact.
-Reusing those allocations step after step is the allocator's job, not
-the kernel's: a serving worker's heap keeps the pages a step frees for
-the next (:func:`repro.serve.heap.keep_heap`). It holds one derived
+A kernel holds no buffer between calls: within a call, a numpy call
+allocates its result or writes it over a buffer the same call allocated
+and nothing reads again (``out=_reuse(...)``: a fresh operand, a folded
+slice, a dead statement result), so concurrent workers share only the
+artifact. Reusing allocations step after step is the allocator's job,
+not the kernel's: a serving worker's heap keeps the pages a step frees
+for the next (:func:`repro.serve.heap.keep_heap`). It holds one derived
 value: a reduction running on its predicate's
 points keeps them in its statement's memo
 (:class:`~repro.srdfg.plan.CompressedReduction`), shared with the

@@ -5,7 +5,8 @@ exercises — elementwise arithmetic, scalar builtins, group reductions
 (dot/matvec/row-sum, predicated prefix sums, predicates and
 argmin/argmax over run-time data), rotated/reversed affine subscripts,
 data-dependent subscripts through int inputs, contractions over strided
-windows, reversed operands and offset reduce ranges, ternary selects,
+windows, reversed operands and offset reduce ranges, matrix products
+(two-dimensional outputs, whose matmuls the plan swaps), ternary selects,
 ``unroll`` accumulation loops, ``state`` variables threaded across
 invocations, and cross-domain component calls — and builds programs that
 are *valid by construction*: every local is written before it is read,
@@ -378,6 +379,10 @@ class _Generator:
                     removable=False,
                 )
             )
+        product = self._make_matmul(context, random.Random(f"matmul/{self.seed}"))
+        if product is not None:
+            statements.extend(product[0])
+            outputs.append(product[1])
         args.extend(outputs)
 
         steps = self.rng.randint(1, self.config.max_steps)
@@ -534,6 +539,53 @@ class _Generator:
             reads=(matrix.name, vec),
             kind="matvec",
         )
+
+    def _make_matmul(self, context, rng):
+        """A contraction with a two-dimensional output, MovieL's ``pred``,
+        and an output reading it, or None: ``T[i][p] = sum[q](M[i][q] *
+        N[q][p])`` with ``N`` a matrix of the transposed shape, else the
+        Gram matrix ``M[i][q]*M[p][q]`` — a matmul whose product einsum
+        would transpose, so the plan takes its terms swapped — then
+        ``o[i] = sum[p](T[i][p]*v[p])``. Drawn from *rng*, not the
+        program's stream, and reading arguments only: appended to a
+        program, it leaves every other statement as it was drawn.
+        Returns ``(statements, output spec)``."""
+        matrices = context["matrices"]
+        if not matrices or rng.random() < 0.5:
+            return None
+        matrix = rng.choice(matrices)
+        rows, cols = matrix.shape
+        free, other = ("i", "p") if rows == context["sizes"]["n"] else ("j", "q")
+        reduce_index = "q" if free == "i" else "p"
+        partners = [spec.name for spec in matrices if spec.shape == (cols, rows)]
+        if partners and rng.random() < 0.5:
+            partner = rng.choice(partners)
+            right = f"{partner}[{reduce_index}][{other}]"
+        else:
+            partner, right = matrix.name, f"{matrix.name}[{other}][{reduce_index}]"
+        vec = rng.choice([
+            spec.name for spec in context["args"]
+            if spec.shape == (rows,) and spec.dtype == "float" and spec.modifier != "output"
+        ])
+        product = self._new_local(context, (rows, rows))
+        output = VarSpec(self.fresh("o"), (rows,), "output")
+        return (
+            Stmt(
+                text=f"{product}[{free}][{other}] = sum[{reduce_index}]"
+                f"({matrix.name}[{free}][{reduce_index}]*{right});",
+                writes=product,
+                reads=tuple(dict.fromkeys((matrix.name, partner))),
+                kind="matmul",
+            ),
+            Stmt(
+                text=f"{output.name}[{free}] = "
+                f"sum[{other}]({product}[{free}][{other}]*{vec}[{other}]);",
+                writes=output.name,
+                reads=(product, vec),
+                kind="output",
+                removable=False,
+            ),
+        ), output
 
     def _make_view_contraction(self, context):
         """A sum of products over affine subscripts — what dispatches to

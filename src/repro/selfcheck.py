@@ -81,6 +81,9 @@ _EINSUM_FLOORS = {"ResNet-18": 22, "MobileNet": 19, "DCT-1024": 2, "DCT-2048": 2
 _GATHER_CEILINGS = {
     "FFT-8192": 78, "FFT-16384": 84, "BrainStimul": 72, "ResNet-18": 0, "MobileNet": 8,
 }
+#: Ufuncs writing over a dead statement result: MovieL's ``err`` into
+#: ``pred`` (12.7 MB at 100K, 100 MB at 20M), at least.
+_REUSE_FLOORS = {"MovieL-100K": 1, "MovieL-20M": 1}
 #: Statements folded slice by slice: ElecUse's 4-wide ``dsq`` sum alone.
 _SHORT_SUMS = {"ElecUse": 1}
 #: Reductions run on their predicate's points: each graph program's relax.
@@ -173,7 +176,8 @@ TABLE = (
     # The kernel tier is bit-identical to the interpreter (--compare; a
     # declined build fails it), scatters none of the 17 paper programs'
     # stores (each is a slice or a cover); conv / DCT
-    # contractions stay off the lattice; no take repeats; only
+    # contractions stay off the lattice; no take repeats; MovieL's err
+    # writes over a dead result instead of a fresh buffer; only
     # ElecUse's short sum folds slice by slice; each graph program's
     # relax runs on its predicate's points.
     Row(
@@ -186,6 +190,7 @@ TABLE = (
             *((("workloads", name, "scatters"), "==", 0) for name in _PAPER_PROGRAMS),
             *((("workloads", name, "einsum"), ">=", n) for name, n in _EINSUM_FLOORS.items()),
             *((("workloads", name, "gathers"), "<=", n) for name, n in _GATHER_CEILINGS.items()),
+            *((("workloads", name, "reuses"), ">=", n) for name, n in _REUSE_FLOORS.items()),
             *((("workloads", name, "short_sums"), "==", _SHORT_SUMS.get(name, 0))
               for name in _PAPER_PROGRAMS),
             *((("workloads", name, "compressed"), "==", _COMPRESSED.get(name, 0))

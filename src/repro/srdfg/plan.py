@@ -16,7 +16,10 @@ and MLIR's separation of analyzable lowering from a reusable executable:
     graph alone: its :class:`~repro.srdfg.interpreter._AxisSpace`, the
     planned contraction (subscript strings, operand shape requirements,
     static scalar factors, numpy's contraction steps), the chunking
-    decision for big reductions, and the resolved target dtype.
+    decision for big reductions, the resolved target dtype, and how the
+    result is stored (:class:`StoreForm`: a cover, a slice store or a
+    scatter, decided from the write subscripts; the kernel emitter
+    prints the same form).
 
 :class:`ExecutionPlan`
     One graph compiled into a flat list of prebuilt steps (var binding,
@@ -50,6 +53,7 @@ import math
 import threading
 import time
 import weakref
+from collections import namedtuple
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -67,6 +71,7 @@ from .interpreter import (
     PRECISIONS,
     _AxisSpace,
     _ExprEvaluator,
+    _affine,
     _plan_chunks,
     compile_einsum,
     resolve_dtype,
@@ -80,11 +85,13 @@ __all__ = [
     "PlanConfig",
     "SingleFlight",
     "StatementPlan",
+    "StoreForm",
     "build_plan",
     "graph_fingerprint",
     "memoize_plan",
     "plan_cache_key",
     "plan_for_graph",
+    "store_form",
 ]
 
 
@@ -345,15 +352,153 @@ class CompressedReduction:
         self._lock = threading.Lock()
 
 
+def _cells(origin, step, count):
+    """The basic slice selecting *count* cells from *origin* by *step*."""
+    return slice(origin, origin + step * (count - 1) + 1, None if step == 1 else step)
+
+
+def _slice_store(subscripts, shape, lattice):
+    """``(index, order, cover)`` writing the payload through the static
+    *subscripts* as ``target[index] = payload.transpose(order)``, or None.
+
+    Each subscript must be constant or ``origin + step*a``
+    (:func:`~repro.srdfg.interpreter._affine`), ``step >= 1``, over a
+    lattice axis ``a`` of its own, and every lattice axis of extent other
+    than 1 mapped: then each lattice point writes a cell of its own, so
+    no write order shows. *order* (None for the identity) moves the
+    payload's unmapped axes first, where assignment drops them; *cover*
+    says *index* is every cell, in the payload's C order.
+    """
+    if len(subscripts) != len(shape):
+        return None
+    index, mapped = [], []
+    for value, extent in zip(subscripts, shape):
+        affine = _affine(value) if value.ndim in (0, len(lattice)) else None
+        if affine is None or len(affine[1]) > 1:
+            return None
+        origin, coeffs = affine
+        if not coeffs:
+            index.append(origin)  # an integer: the dimension drops
+            continue
+        [(axis, step)] = coeffs.items()
+        count = lattice[axis]
+        if step < 1 or axis in mapped or value.shape[axis] != count:
+            return None
+        mapped.append(axis)
+        index.append(slice(None) if count == extent else _cells(origin, step, count))
+    unmapped = [axis for axis in range(len(lattice)) if axis not in mapped]
+    if any(lattice[axis] != 1 for axis in unmapped):
+        return None
+    order = tuple(unmapped + mapped)
+    whole = [part == slice(None) for part in index]
+    cover = mapped == sorted(mapped) and all(
+        part or extent == 1 for part, extent in zip(whole, shape)
+    )
+    if not mapped:
+        index.append(Ellipsis)  # a 0-d view broadcasts, an element does not
+    elif all(whole):
+        index = [Ellipsis]
+    return tuple(index), None if order == tuple(sorted(order)) else order, cover
+
+
+def _is_row_major_cover(subscripts, shape, lattice):
+    """True when the write is a full cover that is a reshape view.
+
+    Dimension d's subscripts must vary over their own contiguous run of
+    lattice axes only — the runs in dimension order, between them using
+    up the lattice — and, flattened, count ``0..shape[d]-1``. Then
+    lattice point ``a`` lands on the cell whose d-th coordinate is the
+    row-major rank of ``a`` within run d, which is precisely
+    ``target.reshape(lattice)[a]``: a blocked store such as
+    ``out[by*8+u][bx*8+v]`` over ``(by, u, bx, v)``. The subscript arrays
+    arrive un-broadcast, so the test reads ``sum(shape)`` elements, not
+    the lattice.
+    """
+    if len(subscripts) != len(shape):
+        return False
+    rank = len(lattice)
+    axis = 0
+    for value, extent in zip(subscripts, shape):
+        stop, covered = axis, 1
+        while stop < rank and covered < extent:
+            covered *= lattice[stop]
+            stop += 1
+        run_shape = (1,) * axis + lattice[axis:stop] + (1,) * (rank - stop)
+        if (
+            value.dtype.kind not in ("i", "u")
+            or value.shape != run_shape
+            or not np.array_equal(value.reshape(-1), np.arange(extent))
+        ):
+            return False
+        axis = stop
+    return all(size == 1 for size in lattice[axis:])
+
+
+class StoreForm(namedtuple("StoreForm", "shape index order cover view subscripts")):
+    """How one statement writes its target of *shape*: decided once, at
+    plan build (:func:`store_form`), from its static write subscripts and
+    the lattice its payload spans. The interpreted plan runs it
+    (:meth:`apply`) and the kernel emitter prints it; neither derives it
+    again.
+
+    *index* is a basic index (ints, slices, ``Ellipsis``) that writes
+    each cell the subscripts name once, with the payload transposed by
+    *order* (None: as it is) and the target viewed as *view* (None: as
+    it is; a row-major cover views it as the lattice); *cover* says
+    every cell is written. None: the subscripts are not affine, and the
+    payload scatters through *subscripts* (one bounds-checked integer
+    array per target dimension, un-broadcast; kept for this form only).
+    """
+
+    __slots__ = ()
+
+    def apply(self, raw, previous, dtype):
+        """A new array of *dtype* holding the statement's target after the
+        write of *raw*: a cover writes every cell of ``np.empty``; any
+        other store writes over a copy of *previous* (when it has the
+        target's shape) or zeros — through the basic index, else by the
+        fancy scatter."""
+        payload = np.asarray(raw)
+        if self.cover:
+            out = np.empty(self.shape, dtype=dtype)
+        elif previous is not None:
+            out = np.array(previous, dtype=dtype, copy=True)
+            if tuple(out.shape) != self.shape:
+                out = np.zeros(self.shape, dtype=dtype)
+        else:
+            out = np.zeros(self.shape, dtype=dtype)
+        if self.index is None:
+            *targets, payload = np.broadcast_arrays(*self.subscripts, payload)
+            out[tuple(targets)] = payload
+            return out
+        if self.order is not None and payload.ndim:
+            payload = payload.transpose(self.order)
+        (out if self.view is None else out.reshape(self.view))[self.index] = payload
+        return out
+
+
+def store_form(subscripts, shape, lattice):
+    """The :class:`StoreForm` of a write through the static *subscripts*
+    into a target of *shape*, of a payload spanning *lattice*."""
+    shape, lattice = tuple(shape), tuple(lattice)
+    window = _slice_store(subscripts, shape, lattice)
+    if window is not None:
+        return StoreForm(shape, *window, None, None)
+    if _is_row_major_cover(subscripts, shape, lattice):
+        return StoreForm(shape, (Ellipsis,), None, True, lattice, None)
+    return StoreForm(shape, None, None, False, None, tuple(subscripts))
+
+
 class StatementPlan:
     """One formula statement, compiled for repeated execution.
 
     Hoists out of the per-call path: axis-space construction, the
     einsum-eligibility decision (with precomputed subscript strings and
     contraction steps), the chunking decision for over-limit reductions,
-    target-dtype resolution, and which predicated reductions may run on
+    target-dtype resolution, which predicated reductions may run on
     their predicate's points (:class:`CompressedReduction`; *params*
-    names the operands bound to ``param`` variables). ``execute`` binds
+    names the operands bound to ``param`` variables), and the store
+    form (:attr:`store`). ``execute`` binds
     the statement's operand values and runs the prebuilt plan.
     """
 
@@ -372,6 +517,7 @@ class StatementPlan:
         "einsum",
         "compressed",
         "target_dtype",
+        "store",
         "built",
         "build_seconds",
         "executions",
@@ -416,6 +562,7 @@ class StatementPlan:
         self.compressed = () if self.chunk_plan is not None else CompressedReduction.find(
             stmt, self.space, static_env, params, self.reductions
         )
+        self.store = self._store_form()
 
         self.built = 1
         self.build_seconds = time.perf_counter() - start
@@ -454,8 +601,29 @@ class StatementPlan:
                 self.first_seconds = seconds
         return result
 
+    def _store_form(self):
+        """The statement's :class:`StoreForm`, from its write subscripts
+        evaluated once over the free lattice; None without subscripts,
+        or when they read operand data (unbound here) or leave the
+        target, as they will again where the statement runs."""
+        stmt = self.stmt
+        if not stmt.target_indices:
+            return None
+        evaluator = _ExprEvaluator(self.space, self.static_env, {}, self.reductions)
+        try:
+            subscripts = evaluator.write_subscripts(stmt, self.lhs_shape)
+        except ExecutionError:
+            return None
+        return store_form(subscripts, self.lhs_shape, self.space.free_shape)
+
     def _store(self, evaluator, raw):
-        """Materialise the statement result into its target variable."""
+        """Materialise the statement result into its target variable.
+
+        A statement with write subscripts writes by its :class:`StoreForm`,
+        decided at plan build: a cover into ``np.empty``, a slice store
+        through a basic index over the previous value (or zeros), and only
+        subscripts that are not affine through the fancy scatter. Subscripts
+        that read operand data are evaluated here, and scatter."""
         stmt = self.stmt
         target_dtype = self.target_dtype
         lhs_shape = self.lhs_shape
@@ -468,19 +636,12 @@ class StatementPlan:
                 )
             return np.asarray(raw, dtype=target_dtype).reshape(lhs_shape)
 
-        previous = evaluator.var_values.get(stmt.target)
-        if previous is not None:
-            out = np.array(previous, dtype=target_dtype, copy=True)
-            if tuple(out.shape) != lhs_shape:
-                out = np.zeros(lhs_shape, dtype=target_dtype)
-        else:
-            out = np.zeros(lhs_shape, dtype=target_dtype)
-
-        index_arrays = evaluator.write_subscripts(stmt, lhs_shape)
-        broadcast = np.broadcast_arrays(*index_arrays, np.asarray(raw))
-        targets, payload = broadcast[:-1], broadcast[-1]
-        out[tuple(targets)] = payload
-        return out
+        form = self.store
+        if form is None:
+            form = StoreForm(
+                lhs_shape, None, None, False, None, evaluator.write_subscripts(stmt, lhs_shape)
+            )
+        return form.apply(raw, evaluator.var_values.get(stmt.target), target_dtype)
 
     # Kernels carry statements in their lattice-reduction constants and
     # are pickled into the disk cache tier: the lock is dropped and

@@ -461,6 +461,7 @@ class TestSliceDecision:
         from types import SimpleNamespace
 
         from repro.codegen.emitter import _Val
+        from repro.srdfg.plan import store_form
 
         lattice = tuple(data.draw(_LATTICES, label="lattice"))
         rank = data.draw(st.integers(1, 3), label="rank")
@@ -486,11 +487,11 @@ class TestSliceDecision:
         statement = SimpleNamespace(
             stmt=SimpleNamespace(target="y", target_indices=arrays),
             lhs_shape=lhs_shape, target_dtype="float64",
+            store=store_form(arrays, lhs_shape, lattice),
         )
         ev = SimpleNamespace(
             statement=statement,
             operands={} if previous is None else {"y": _Val("prev", lhs_shape, shadow)},
-            write_subscripts=lambda stmt, shape: arrays,
         )
         emitter = self._emitter()
         emitter._emit_store(ev, raw, "out")
@@ -794,6 +795,136 @@ class TestBufferLifetimes:
         assert len(re.findall(r"^ +del .*_v", kernel.source, re.M)) >= 4
 
 
+
+#: ``a`` is a local statement result; ``{reader}`` reads it into locals
+#: that the outputs take (``y[i] = b[7 - i]`` binds no ufunc's result).
+DEAD_RESULT = (
+    "main(input float x[8], output float y[8], output float z[8]) {{"
+    " index i[0:7]; float a[8], b[8], c[8];"
+    " a[i] = x[i] * 3.0; {reader} y[i] = b[7 - i]; z[i] = c[7 - i]; }}"
+)
+
+
+def _result_local(plan, label):
+    """The ``_vN`` the kernel binds statement *label*'s result to."""
+    lines = plan.kernel.source.splitlines()
+    start = lines.index(f"    # {label}")
+    return next(re.match(r"\s+(_v\d+) = ", line).group(1) for line in lines[start + 1:]
+                if re.match(r"\s+_v\d+ = ", line))
+
+
+class TestDeadResults:
+    """A ufunc writes over an earlier statement's result (``out=``) only
+    when the kernel allocated it, it is no output or state, nothing reads
+    it after the ufunc, nothing else names it in the ufunc's statement,
+    it has the result's shape and dtype, and the ufunc's statement is not
+    returned; at run time only a C-ordered buffer is written over."""
+
+    @staticmethod
+    def _reused(plan, local):
+        return f"out=_reuse({local})" in plan.kernel.source
+
+    @staticmethod
+    def _check(plan):
+        rng = np.random.default_rng(101)
+        _check_steps(plan, {"x": _int_floats(rng, 8)}, steps=2)
+
+    def test_the_last_reader_writes_over_a_dead_result(self):
+        _, plan = _compile_plan(DEAD_RESULT.format(
+            reader="b[i] = a[i] - x[i]; c[i] = x[i] * 2.0;"
+        ))
+        a = _result_local(plan, "a := elemwise_mul")
+        assert f"_np.subtract({a}, _v0, out=_reuse({a}))" in plan.kernel.source
+        assert plan.kernel.report["reuses"] == 1
+        self._check(plan)
+
+    def test_only_the_last_of_two_statements_reading_it(self):
+        _, plan = _compile_plan(DEAD_RESULT.format(
+            reader="b[i] = a[i] - x[i]; c[i] = a[i] * 2.0;"
+        ))
+        a = _result_local(plan, "a := elemwise_mul")
+        assert f"_np.subtract({a}, _v0)" in plan.kernel.source
+        assert f"_np.multiply({a}, 2.0, out=_reuse({a}))" in plan.kernel.source
+        self._check(plan)
+
+    @pytest.mark.parametrize("declared", [
+        # An output: the caller keeps it.
+        "output float a[8]",
+        # State: the next step reads it.
+        "state float a[8]",
+    ])
+    def test_never_an_output_or_state(self, declared):
+        source = (
+            f"main(input float x[8], {declared}, output float y[8]) {{"
+            " index i[0:7]; float b[8];"
+            " a[i] = x[i] * 3.0; b[i] = a[i] - x[i]; y[i] = b[7 - i]; }"
+        )
+        _, plan = _compile_plan(source)
+        a = _result_local(plan, "a := elemwise_mul")
+        assert not self._reused(plan, a)
+        assert plan.kernel.report["reuses"] == 0
+        self._check(plan)
+
+    def test_never_into_a_returned_result(self):
+        """``y`` outlives the call: its subtract allocates, where ``a``'s
+        buffer, allocated earlier in the step, would carry it out."""
+        _, plan = _compile_plan(
+            "main(input float x[8], output float y[8]) {"
+            " index i[0:7]; float a[8]; a[i] = x[i] * 3.0; y[i] = a[i] - x[i]; }"
+        )
+        a = _result_local(plan, "a := elemwise_mul")
+        assert f"_np.subtract({a}, _v0)" in plan.kernel.source
+        assert plan.kernel.report["reuses"] == 0
+        self._check(plan)
+
+    @pytest.mark.parametrize("reader", [
+        # Read again after the subtract, by the multiply.
+        "b[i] = (a[i] - x[i]) * a[i]; c[i] = x[i] * 2.0;",
+        # Read again through a take of it.
+        "b[i] = (a[i] - x[i]) + a[7 - i]; c[i] = x[i] * 2.0;",
+        # Read again by a later statement.
+        "b[i] = a[i] - x[i]; c[i] = a[7 - i] + 1.0;",
+    ])
+    def test_never_a_result_read_again(self, reader):
+        _, plan = _compile_plan(DEAD_RESULT.format(reader=reader))
+        a = _result_local(plan, "a := elemwise_mul")
+        assert not self._reused(plan, a)
+        self._check(plan)
+
+    def test_never_a_transposed_read(self):
+        """A result read transposed is a strided view of it: a C-ordered
+        ``out=`` would make the ufunc walk its operand against its
+        layout (Twitter-BFS's mask ran 3.2 -> 45.9 ms so), so only an
+        identity read is written over."""
+        _, plan = _compile_plan(
+            "main(input float x[4][6], input float w[6][4], output float y[6][4]) {"
+            " index i[0:3], j[0:5]; float a[4][6], b[6][4];"
+            " a[i][j] = x[i][j] * 3.0; b[j][i] = a[i][j] - w[j][i];"
+            " y[j][i] = b[5 - j][i]; }"
+        )
+        a = _result_local(plan, "a := elemwise_mul")
+        assert f"{a}.transpose((1, 0))" in plan.kernel.source
+        assert not self._reused(plan, a)
+        rng = np.random.default_rng(113)
+        _check_steps(plan, {"x": _int_floats(rng, (4, 6)), "w": _int_floats(rng, (6, 4))},
+                     steps=1)
+
+    def test_reuse_takes_only_a_c_ordered_buffer(self):
+        from repro.codegen.kernel import _reuse
+
+        buffer = np.zeros((4, 6))
+        assert _reuse(buffer) is buffer
+        assert _reuse(buffer.T) is None
+        assert _reuse(np.asfortranarray(buffer)) is None
+        assert _reuse(buffer[:, ::2]) is None
+
+    def test_movielens_err_subtracts_into_pred(self):
+        source = _ledger_kernel("MovieL-100K").source
+        [pred] = re.findall(r"(_v\d+) = _np\.ascontiguousarray\(_t\d+\)\.reshape\(\(943, 1682\)\)",
+                            source)
+        assert f"_np.subtract({pred}, _v0, out=_reuse({pred}))" in source
+
+
 #: :data:`REPORT_COUNTERS` of the 17 ledger programs' kernels. The first
 #: five are literals of the commit before the emitter
 #: became the reference evaluator run over symbolic operands, but for the
@@ -828,30 +959,35 @@ class TestBufferLifetimes:
 #: of ``gathers``: MobileNet's 8 depthwise windows. Since a transposed
 #: matmul takes its terms swapped, ResNet-18's windows and MobileNet's
 #: first one are transposed by ``c_einsum`` before ``reshape`` copies them
-#: in runs along ``w``, so no take stands in for that copy.
+#: in runs along ``w``, so no take stands in for that copy. Since a ufunc
+#: writes over an earlier statement's dead result, ``reuses`` counts those
+#: writes: MovieL's ``err`` into ``pred``, ResNet-18's eight residual adds,
+#: the MPC programs' (and BrainStimul's) ``err`` and ``g``. A statement
+#: whose result is returned takes none: MovieL's ``W``/``H`` updates,
+#: the clustering programs' centroids and the graph programs' ``dist``.
 REPORT_COUNTERS = (
     "statements", "einsum", "gathers", "gathers_shared",
     "subexpressions_shared", "short_sums", "compressed", "slice_gathers",
-    "slice_stores", "scatters",
+    "slice_stores", "scatters", "reuses",
 )
 LEDGER_REPORTS = {
-    "MobileRobot": (9, 4, 0, 0, 0, 0, 0, 3, 2, 0),
-    "Hexacopter": (12, 4, 0, 0, 0, 0, 0, 5, 5, 0),
-    "Twitter-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "Wiki-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "LiveJourn-SSP": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "MovieL-20M": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0),
-    "MovieL-100K": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0),
-    "DigitCluster": (7, 3, 0, 0, 1, 0, 0, 0, 0, 0),
-    "ElecUse": (7, 3, 0, 0, 4, 1, 0, 8, 0, 0),
-    "FFT-8192": (30, 0, 78, 52, 0, 0, 0, 0, 0, 0),
-    "FFT-16384": (32, 0, 84, 56, 0, 0, 0, 0, 0, 0),
-    "DCT-1024": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
-    "DCT-2048": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
-    "ResNet-18": (56, 22, 0, 0, 0, 0, 0, 0, 17, 0),
-    "MobileNet": (45, 19, 8, 0, 0, 0, 0, 0, 9, 0),
-    "BrainStimul": (39, 5, 72, 48, 0, 0, 0, 3, 2, 0),
-    "OptionPricing": (5, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    "MobileRobot": (9, 4, 0, 0, 0, 0, 0, 3, 2, 0, 2),
+    "Hexacopter": (12, 4, 0, 0, 0, 0, 0, 5, 5, 0, 2),
+    "Twitter-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+    "Wiki-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+    "LiveJourn-SSP": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+    "MovieL-20M": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    "MovieL-100K": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    "DigitCluster": (7, 3, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+    "ElecUse": (7, 3, 0, 0, 4, 1, 0, 8, 0, 0, 0),
+    "FFT-8192": (30, 0, 78, 52, 0, 0, 0, 0, 0, 0, 0),
+    "FFT-16384": (32, 0, 84, 56, 0, 0, 0, 0, 0, 0, 0),
+    "DCT-1024": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "DCT-2048": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "ResNet-18": (56, 22, 0, 0, 0, 0, 0, 0, 17, 0, 8),
+    "MobileNet": (45, 19, 8, 0, 0, 0, 0, 0, 9, 0, 0),
+    "BrainStimul": (39, 5, 72, 48, 0, 0, 0, 3, 2, 0, 2),
+    "OptionPricing": (5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 }
 
 
@@ -882,16 +1018,18 @@ def _ledger_kernel(name):
 #: LiveJourn-SSP's of the commit whose point branch reads ``w[u][v]``
 #: from ``Points.taken``; ResNet-18's and MobileNet's of the one whose
 #: matmuls einsum would transpose take their terms swapped (their windows'
-#: takes and index constants went with it).
-#: The source changes by design;
+#: takes and index constants went with it). The sources of the six
+#: kernels with a ``reuses`` count are of the commit whose ufuncs write
+#: over dead statement results (``out=_reuse(_vN)``); their constants did
+#: not move. The source changes by design;
 #: :data:`OUTPUT_DIGESTS` pins what it computes.
 KERNEL_DIGESTS = {
     "MobileRobot": (
-        "6c939c6ac5ef81df366d8581828f75bf9e938f5e72469584fcd9ce558c87dd49",
+        "63811b650a245ae0115e36c8263bde57b472cbe3d9fe8280f57a8af461af8e1f",
         "1ab33432bc6219fdf74a78be0066ea74bf19215d30b79f4d480a521a124acf3d",
     ),
     "Hexacopter": (
-        "65ce6496a638307911e1ec24f1abef4803d49882f97c0c89055354a7adc20739",
+        "22edadeb046e4ec9607a656462390053e519ec9d0814b20a6211385e82817863",
         "4bccfdeff6542eaa2787dc230c0a740ff791e2671f6f4c53090f5ce57d2bc05b",
     ),
     "Twitter-BFS": (
@@ -907,11 +1045,11 @@ KERNEL_DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-20M": (
-        "db501e933121ebc596bd6aea423ddc8d376ae3e02825badfd0180d649036b889",
+        "c12eb4598b082c99f6306b2323df748be62d103a1607fe082476ce0da4dbd264",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-100K": (
-        "21e93bccb0299d7d061ff1df339da5f35592da4a8d37d0ad8e58aa7b6d4f82ce",
+        "b063456fcbcc02e57bf3c8342d9fcec18bce84e2799cb0b5a5713b6927deac0a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DigitCluster": (
@@ -939,7 +1077,7 @@ KERNEL_DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "ResNet-18": (
-        "ce1ffcdd5094874d28202382d779ae2acfb059b7b1508b7f31f81318efe925c8",
+        "4fc9fc27cf2075305daa6d1438b0a27a5a1457d2df639182b7ce7cfc6a43dba3",
         "3182a0ab9442c52b4a41838439f6094bf91a61597cda06887d2350784ba22d87",
     ),
     "MobileNet": (
@@ -947,7 +1085,7 @@ KERNEL_DIGESTS = {
         "8c0ee4542f6104858a9a780101db07cbde2a2e6b5e01de8313ab7e81ea4131a7",
     ),
     "BrainStimul": (
-        "1568e22bb3e3bc6785147b5fa529920faaa99a934978c7d5cf4815962c266482",
+        "f1e1fd066bf1798e206b26ae6e31c3a8d4c7bf6f7aa1568f391d80257e72b107",
         "401d6f2b9e24f2b56b59cf4f68ffdc56945301a36f2961ad85353ae403c4eeb5",
     ),
     "OptionPricing": (
@@ -1411,8 +1549,10 @@ class TestValueTable:
         and squared in place, so its steady step peaks one lattice lower
         than when it was computed twice (15,492,416 traced bytes, the
         literal of the commit before subexpressions were staged).
-        MovieL-100K's holds at 25,378,888 bytes, before and after: ``err``
-        needs ``pred`` and its own result at once, two 12.7 MB arrays."""
+        MovieL-100K's peaks at 12,901,272 bytes, one 12.7 MB array:
+        ``err`` subtracts into ``pred``, dead after it, where it held
+        ``pred`` and its own result at once (25,378,888 bytes, the literal
+        of the commit before ufuncs wrote over dead statement results)."""
         import tracemalloc
 
         from repro.workloads import Trajectory
@@ -1437,7 +1577,7 @@ class TestValueTable:
 
         assert peak("ElecUse") < 15_492_416 - 5_000_000
         # Python's own small objects move the peak by some bytes a run.
-        assert peak("MovieL-100K") < 25_378_888 + 4096
+        assert peak("MovieL-100K") < 12_901_272 + 4096
 
     @pytest.mark.parametrize("name", sorted(LEDGER_REPORTS))
     def test_ledger_kernels_hold_no_buffer(self, name):

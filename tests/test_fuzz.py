@@ -78,8 +78,9 @@ class TestGenerator:
         config = GenConfig(min_statements=2, max_statements=3, max_outputs=1)
         for seed in range(5):
             program = generate_program(seed, config)
-            # Budget + at most one state update + one output copy.
-            assert len(program.statements) <= 3 + 1 + 1
+            # Budget + at most one state update + one output copy + at
+            # most one matrix product and the output reading it.
+            assert len(program.statements) <= 3 + 1 + 1 + 2
 
 
 class TestHarness:

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.driver import CompilerSession
 from repro.errors import ExecutionError
@@ -480,3 +481,164 @@ class TestTraceCompatibility:
         assert len(trace) == len(graph.nodes)
         compute = [r for r in trace if r["kind"] == "compute"]
         assert compute and compute[0]["produced"]["y"][0] == (6,)
+
+
+#: What a store payload and a previous value are drawn from: signed
+#: zeros, NaNs, infinities, and ordinary values of each kind.
+_SPECIALS = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.0, 3.0, 7.0)
+_DTYPES = (np.float64, np.float32, np.int64, np.bool_)
+
+
+def _ramp(lattice, axis):
+    """The coordinates along lattice *axis*, broadcastable over it."""
+    shape = [1] * len(lattice)
+    shape[axis] = lattice[axis]
+    return np.arange(lattice[axis], dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def _blocked_subscripts(draw):
+    """A blocked store, ``out[by*u_n+u][bx*v_n+v]`` over ``(by, u, bx, v)``,
+    its two subscripts in either order: a row-major cover, or not."""
+    lattice = tuple(draw(st.lists(st.integers(1, 3), min_size=4, max_size=4)))
+    rows = _ramp(lattice, 0) * lattice[1] + _ramp(lattice, 1)
+    cols = _ramp(lattice, 2) * lattice[3] + _ramp(lattice, 3)
+    subscripts = [rows, cols] if draw(st.booleans()) else [cols, rows]
+    return lattice, subscripts
+
+
+@st.composite
+def _affine_subscripts(draw):
+    """Up to three subscripts over a lattice of up to three axes (one in
+    about five extents zero), each a constant, ``origin + step*axis`` of
+    any sign of step, or ``origin + axis % m`` (cells repeat), over
+    distinct or shared axes in a drawn order."""
+    lattice = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 0]), max_size=3)))
+    axes = draw(st.permutations(range(len(lattice))))
+    subscripts = []
+    for dim in range(draw(st.integers(1, 3))):
+        origin = draw(st.integers(0, 2))
+        kind = draw(st.sampled_from(["affine", "affine", "mod", "const"])) if lattice else "const"
+        if kind == "const":
+            shape = draw(st.sampled_from([(), (1,) * len(lattice)]))
+            subscripts.append(np.full(shape, origin, dtype=np.int64))
+            continue
+        axis = axes[dim % len(axes)] if draw(st.booleans()) else draw(
+            st.integers(0, len(lattice) - 1)
+        )
+        ramp, count = _ramp(lattice, axis), lattice[axis]
+        if kind == "affine":
+            step = draw(st.integers(-1, 2))
+            subscripts.append(origin + max(0, -step * (count - 1)) + step * ramp)
+        else:
+            subscripts.append(origin + ramp % draw(st.integers(1, 3)))
+    return lattice, subscripts
+
+
+def _values(draw, shape, dtype, label):
+    values = np.array(
+        draw(st.lists(st.sampled_from(_SPECIALS), min_size=1, max_size=8), label=label)
+    )
+    with np.errstate(all="ignore"):
+        return np.resize(values, shape).astype(dtype)
+
+
+@st.composite
+def _store_case(draw):
+    """``(subscripts, shape, lattice, raw, previous, dtype)`` of one
+    static store: its payload *raw* spans the lattice (broadcast, or 0-d
+    over an empty one, as ``statement_value`` hands it), *previous* is
+    None, the target's or of another shape."""
+    lattice, subscripts = draw(st.one_of(_affine_subscripts(), _blocked_subscripts()))
+    shape = tuple(
+        (int(value.max()) + 1 if value.size else 1) + draw(st.integers(0, 2))
+        for value in subscripts
+    )
+    dtype = draw(st.sampled_from(_DTYPES), label="target dtype")
+    core = draw(st.sampled_from([
+        (), lattice, tuple(1 if axis % 2 else n for axis, n in enumerate(lattice)),
+    ]), label="payload shape")
+    payload = _values(draw, core, draw(st.sampled_from(_DTYPES), label="payload dtype"),
+                      "payload")
+    if lattice:
+        raw = np.broadcast_to(payload, lattice)
+    else:
+        raw = payload[()] if draw(st.booleans(), label="numpy scalar") else payload
+    previous = draw(st.sampled_from([None, shape, shape + (1,)]), label="previous")
+    if previous is not None:
+        previous = _values(draw, previous, dtype, "previous")
+    return subscripts, shape, lattice, raw, previous, dtype
+
+
+def _scatter_store(subscripts, shape, raw, previous, dtype):
+    """How every statement stored before store forms: a copy of the
+    previous value (zeros without one of the target's shape), then a
+    fancy write through the broadcast subscripts."""
+    if previous is not None:
+        out = np.array(previous, dtype=dtype, copy=True)
+        if tuple(out.shape) != shape:
+            out = np.zeros(shape, dtype=dtype)
+    else:
+        out = np.zeros(shape, dtype=dtype)
+    *targets, payload = np.broadcast_arrays(*subscripts, np.asarray(raw))
+    out[tuple(targets)] = payload
+    return out
+
+
+class TestStoreForms:
+    """A statement's store form — cover, slice store or scatter, decided
+    once from its static write subscripts and run by every tier — writes
+    the bytes the zero-fill-and-scatter store wrote."""
+
+    @given(_store_case())
+    @settings(max_examples=600, deadline=None)
+    def test_form_is_byte_identical_to_the_scatter(self, case):
+        from repro.srdfg.plan import store_form
+
+        subscripts, shape, lattice, raw, previous, dtype = case
+        form = store_form(subscripts, shape, lattice)
+        event("cover" if form.cover else "scatter" if form.index is None else "slice")
+        event(f"view {form.view is not None}, transpose {form.order is not None}")
+        with np.errstate(all="ignore"):
+            got = form.apply(raw, previous, dtype)
+            want = _scatter_store(subscripts, shape, raw, previous, dtype)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("target, index, order, cover, view", [
+        # Identity covers: the lattice follows the target's subscripts.
+        ("y[i][j] = x[i][j]", (Ellipsis,), None, True, None),
+        ("y[j][i] = x[i][j]", (Ellipsis,), None, True, None),
+        # A strided window over the previous value, and a constant row.
+        ("y[2*i+1][j] = x[i][j]", (slice(1, 8, 2), slice(None)), None, False, None),
+        ("y[3][j] = sum[i](x[i][j])", (3, slice(None)), None, False, None),
+        # A blocked cover viewed as its lattice.
+        ("y[b*2+u][j] = x[b*2+u][j] * 2.0", (Ellipsis,), None, True, (2, 2, 3)),
+        # Cells repeat: the scatter.
+        ("y[i % 2][j] = x[i][j]", None, None, False, None),
+    ])
+    def test_plan_records_the_form(self, target, index, order, cover, view):
+        declared, ranges = {
+            "y[j][i]": ("y[3][4]", "i[0:3], j[0:2]"),
+            "y[b*2+u": ("y[4][3]", "b[0:1], u[0:1], j[0:2]"),
+            "y[2*i+1": ("y[8][3]", "i[0:3], j[0:2]"),
+        }.get(target[:7], ("y[4][3]", "i[0:3], j[0:2]"))
+        source = (
+            f"main(input float x[4][3], output float {declared}) {{"
+            f" index {ranges}; {target}; }}"
+        )
+        [statement] = build_plan(build(source, domain="DA")).statements.values()
+        form = statement.store
+        assert (form.index, form.order, form.cover, form.view) == (index, order, cover, view)
+
+    def test_data_dependent_subscripts_are_evaluated_when_run(self):
+        source = (
+            "main(input float x[4], input int k[4], output float y[4]) {"
+            " index i[0:3]; y[k[i]] = x[i] * 2.0; }"
+        )
+        plan = build_plan(build(source, domain="DA"))
+        [statement] = plan.statements.values()
+        assert statement.store is None
+        inputs = {"x": np.array([1.0, 2.0, 3.0, 4.0]), "k": np.array([3, 1, 1, 0])}
+        result = plan.execute(inputs=inputs)
+        assert result.outputs["y"].tolist() == [8.0, 6.0, 0.0, 2.0]
