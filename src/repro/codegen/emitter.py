@@ -59,14 +59,17 @@ Folded slices
 
 Dead results
     A statement result is an array the kernel allocated. Once the kernel
-    is printed, a ufunc offered one of the result's shape and dtype
-    writes over it (``out=_reuse(_vN)``) when its statement names it
-    only as that operand and no later line names it
-    (:meth:`KernelEmitter._write_over_dead_results`): then nothing reads
-    it after the ufunc, no view of it is live, and it is no output or
-    state. The ufunc computes the bytes it would into a new buffer. A
-    statement whose result the kernel returns takes none: what outlives
-    the call is allocated by the statement that computes it.
+    is printed, one pass over its lines finds the last line naming each
+    local (:meth:`KernelEmitter._settle_lifetimes`). A ufunc offered a
+    result of its shape and dtype writes over it (``out=_reuse(_vN)``)
+    when its statement names it only as that operand and no later line
+    names it: then nothing reads it after the ufunc, no view of it is
+    live, and it is no output or state. The ufunc computes the bytes it
+    would into a new buffer. A statement whose result the kernel returns
+    takes none: what outlives the call is allocated by the statement
+    that computes it. The same pass places each ``del`` after the
+    statement of a local's last reader: the printed text is the only
+    record of what reads what.
 
 Points
     A reduction on its predicate's points prints a branch: the memo
@@ -137,8 +140,15 @@ _FINGERPRINT = 64
 #: result (``_vN``), settled once the whole kernel is printed.
 _OFFER = "\0"
 _OFFERED = re.compile(r", \0(_v\d+)")
-#: A statement result's local.
-_RESULT = re.compile(r"\b_v\d+\b")
+#: What in a printed line names no local: a comment or a string literal,
+#: so a PMLang name shaped like one (``# _t7 := ...``, ``'_v1'``) is never
+#: taken for it. An f-string's ``f"`` is matched alone: its replacement
+#: fields are code.
+_UNNAMED = re.compile(r'''#.*|'[^'\n]*'|f"|"[^"\n]*"''')
+#: Once :data:`_UNNAMED` is gone, a kernel local (``_vN``/``_tN``: no
+#: other name the kernel prints starts so), and one that a line binds.
+_LOCAL = re.compile(r"_[vt]\d+")
+_BOUND = re.compile(r"(_[vt]\d+) :?= ")
 
 #: Builtin implementation -> the numpy function its shadows go through:
 #: the same result dtype, without importing what the implementation
@@ -405,7 +415,7 @@ class _StagedEvaluator(_ExprEvaluator):
                     args.append(f"out=_reuse({spare.code})")
                 else:
                     # An earlier statement's result, if this call is its
-                    # last reader (KernelEmitter._write_over_dead_results).
+                    # last reader (KernelEmitter._settle_lifetimes).
                     dead = next((val.code for val in vals if val.code in self.emitter._results
                                  and val.shape == shape and val.dtype == dtype), None)
                     if dead is not None:
@@ -425,11 +435,7 @@ class _StagedEvaluator(_ExprEvaluator):
         return _Val(code, value.shape, shadow)
 
     def _operand(self, name):
-        value = self.operands.get(name)
-        if value is not None:
-            # Looked up to be printed (or the statement declines).
-            self.emitter._named.add(value.code)
-        return value
+        return self.operands.get(name)
 
     def _scalar(self, value):
         return _Val(f"{value.code}.reshape(())", (), value.shadow)
@@ -703,7 +709,6 @@ class _StagedEvaluator(_ExprEvaluator):
 
     def _operand_dict(self):
         """The statement's operands as the dict a constant is called with."""
-        self.emitter._named.update(value.code for value in self.operands.values())
         return "{" + ", ".join(
             f"{name!r}: {value.code}" for name, value in self.operands.items()
         ) + "}"
@@ -742,7 +747,6 @@ class _StagedEvaluator(_ExprEvaluator):
                 emitter._emit(f"del {', '.join(temps)}")
         finally:
             emitter._indent -= 1
-        emitter._named.difference_update(temps)
         emitter._gathers = {key: e for key, e in emitter._gathers.items() if e[0] < line}
         lattice = emitter._const(_LatticeReduction(self.statement, expr, axes, ()))
         emitter._emit(f"if {points.code} is None or {result} is None:")
@@ -812,11 +816,8 @@ class KernelEmitter:
             "scatters": 0,
             "reuses": 0,
         }
-        #: The ``_vN``/``_tN`` locals the statement being printed names:
-        #: its result, the temps it binds, the operands it reads.
-        self._named = set()
-        #: (stop line, names, result local) of every printed statement,
-        #: in order.
+        #: (first line, stop line, result local) of every printed
+        #: statement, in order.
         self._fragments = []
         #: The ``_vN`` of every statement printed so far: an array the
         #: kernel allocated, which a later ufunc may write over once it
@@ -842,9 +843,7 @@ class KernelEmitter:
 
     def _temp(self):
         self._temp_serial += 1
-        temp = f"_t{self._temp_serial}"
-        self._named.add(temp)
-        return temp
+        return f"_t{self._temp_serial}"
 
     def _let(self, code, shape, shadow, fresh=False):
         """Bind *code* to a new temporary; returns its :class:`_Val`."""
@@ -899,9 +898,7 @@ class KernelEmitter:
                 self._emit_compute_step(step, local)
             else:
                 raise Unsupported(f"unsupported step kind {step.kind!r}")
-        returned = self._emit_collect()
-        self._write_over_dead_results(returned)
-        self._release_dead_locals(returned)
+        self._settle_lifetimes(self._emit_collect())
         return EmitResult("\n".join(self.lines) + "\n", self.constants, self.report)
 
     def _local(self, key):
@@ -949,7 +946,7 @@ class KernelEmitter:
     def _emit_compute_step(self, step, local):
         self.report["statements"] += 1
         statement = step.statement
-        self._named = {local}
+        start = len(self.lines)
         operands = {}
         for key, name in step.gather:
             src = self._local(key)
@@ -959,21 +956,19 @@ class KernelEmitter:
             self._specialize_statement(statement, operands, local)
         except _DECLINED as exc:
             raise Unsupported(f"{statement.label}: {exc}") from exc
-        self._fragments.append((len(self.lines), self._named, local))
+        self._fragments.append((start, len(self.lines), local))
         self._locals[step.key] = local
         self._results.add(local)
 
     def _mark(self):
         """What :meth:`_restore` takes the emitter back to."""
-        return (len(self.lines), len(self.constants), dict(self.report), set(self._named),
-                self._temp_serial)
+        return len(self.lines), len(self.constants), dict(self.report), self._temp_serial
 
     def _restore(self, mark):
-        lines, constants, report, named, self._temp_serial = mark
+        lines, constants, report, self._temp_serial = mark
         self._rollback(lines, constants)
         self.report.clear()
         self.report.update(report)
-        self._named = named
 
     def _rollback(self, lines, constants):
         del self.lines[lines:]
@@ -1004,65 +999,55 @@ class KernelEmitter:
         self._emit(f"return {{{', '.join(outputs)}}}, {{{', '.join(state)}}}")
         return returned
 
-    def _write_over_dead_results(self, returned):
+    def _settle_lifetimes(self, returned):
         """Settle each ``out=`` a ufunc was offered over an earlier
-        statement's result: kept when the ufunc's statement names that
-        local once — as the ufunc's operand — and no line after the
-        statement names it, return line included; else dropped, and the
-        ufunc allocates. Named once, nothing in the statement reads it
-        after the ufunc or holds a view of it (no ``_in_range``, slice or
-        operand dict of it), and it is no output or state.
+        statement's result, and each ``del``, from the printed lines: the
+        one record of what reads what. A statement's lines run from its
+        own first to its last, so no variable or constant step lies in one.
 
-        A statement whose result the kernel returns takes no dead result:
-        what it returns outlives the call, so it is allocated where that
-        statement runs, after the step's big temporaries are freed, and
-        not inside the heap region they come back to next step (a warm
-        MovieL-100K worker whose state landed there faulted hundreds of
-        pages a request).
+        An offer is kept when the ufunc's statement names that local once
+        — as the ufunc's operand — and no line after the statement names
+        it, return line included; else the ufunc allocates. Named once,
+        nothing in the statement reads it after the ufunc or holds a view
+        of it, and it is no output or state. A statement whose result the
+        kernel returns takes none: what outlives the call is allocated
+        where its statement runs, not in the heap region the step's big
+        temporaries come back to next step (a warm MovieL-100K worker
+        whose state landed there faulted hundreds of pages a request).
+
+        A local the kernel binds (by assignment or walrus) is released at
+        the end of the statement holding the last line that names it,
+        unless that line is in no statement (an unread variable or
+        constant, or the return line) or a ``del`` (a point branch's)
+        released it.
         """
-        if not any(_OFFER in line for line in self.lines):
-            return
-        clean = [_OFFERED.sub("", line) for line in self.lines]
-        last = {}
-        for number, line in enumerate(clean):
-            for local in _RESULT.findall(line):
-                last[local] = number
-        starts = [0] + [stop for stop, _, _ in self._fragments]
-        for start, (stop, _, result) in zip(starts, self._fragments):
-            offered = [number for number in range(start, stop) if _OFFER in self.lines[number]]
-            if not offered:
-                continue
-            named = Counter(local for line in clean[start:stop] for local in _RESULT.findall(line))
+        lines = self.lines
+        text = _UNNAMED.sub("", _OFFERED.sub("", "\n".join(lines)))
+        bound = set(_BOUND.findall(text))
+        found = [_LOCAL.findall(line) for line in text.split("\n")]
+        last = {local: number for number, names in enumerate(found) for local in names}
+        released = {local for number, line in enumerate(lines)
+                    if line.lstrip().startswith("del ") for local in found[number]}
+        span_of = {number: span for span in self._fragments for number in range(*span[:2])}
+        for number, line in enumerate(lines):
+            if _OFFER in line:
+                start, stop, result = span_of[number]
+                named = Counter(local for names in found[start:stop] for local in names)
 
-            def settle(match):
-                local = match.group(1)
-                if result in returned or named[local] > 1 or last[local] >= stop:
-                    return ""
-                self.report["reuses"] += 1
-                return f", out=_reuse({local})"
+                def settle(match):
+                    local = match.group(1)
+                    if result in returned or named[local] > 1 or last[local] >= stop:
+                        return ""
+                    self.report["reuses"] += 1
+                    return f", out=_reuse({local})"
 
-            for number in offered:
-                self.lines[number] = _OFFERED.sub(settle, self.lines[number])
-
-    def _release_dead_locals(self, returned):
-        """``del`` every ``_vN`` / ``_tN`` at the end of the statement
-        fragment that names it last, so a kernel holds a statement result
-        no longer than its last reader runs. What a fragment names was
-        recorded as it was printed; a local the return line names is
-        never released.
-        """
-        last = {}
-        for position, (_, named, _) in enumerate(self._fragments):
-            for local in named:
-                last[local] = position
-        for position in reversed(range(len(self._fragments))):
-            stop, named, _ = self._fragments[position]
-            dead = sorted(
-                local for local in named
-                if last[local] == position and local not in returned
-            )
-            if dead:
-                self.lines.insert(stop, f"    del {', '.join(dead)}")
+                lines[number] = _OFFERED.sub(settle, line)
+        dead = {}
+        for local in bound - released:
+            if last[local] in span_of:
+                dead.setdefault(span_of[last[local]][1], []).append(local)
+        for stop in sorted(dead, reverse=True):
+            lines.insert(stop, f"    del {', '.join(sorted(dead[stop]))}")
 
     # -- statement specialization ------------------------------------------
 
@@ -1123,7 +1108,6 @@ class KernelEmitter:
             self._emit(f"{local} = _np.empty({lhs_shape!r}, dtype={dt})")
         elif previous is not None and previous.shape == lhs_shape:
             # The interpreter's _store: prev-copy or zeros, then the write.
-            self._named.add(previous.code)
             self._emit(f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)")
         else:
             self._emit(f"{local} = _np.zeros({lhs_shape!r}, dtype={dt})")
@@ -1267,7 +1251,6 @@ class KernelEmitter:
         entry = self._gathers.get((base.code, index, shape))
         if entry is not None:
             self.report["gathers_shared"] += 1
-            self._named.add(entry[1].code)
             return entry[1]
         self.report["gathers"] += 1
         value = self._let(f"_np.take({flat}, {index}){reshape}", shape, base.shadow)

@@ -98,15 +98,9 @@ class KernelArtifact:
         ExecutionResult. Whatever the kernel raises propagates."""
         start = time.perf_counter()
         outputs, state_out = self.run(inputs, params, state, output_init)
-        seconds = time.perf_counter() - start
-        result = ExecutionResult(outputs, state_out, tier="kernel")
-        with plan._counters_lock:
-            plan.counters.executions += 1
-            plan.counters.seconds += seconds
-            if plan.counters.first_seconds is None:
-                plan.counters.first_seconds = seconds
+        plan.count_execution(time.perf_counter() - start)
         CODEGEN_STATS.bump(kernel_executions=1)
-        return result
+        return ExecutionResult(outputs, state_out, tier="kernel")
 
 
 #: The first line of each plan step a kernel prints: the comment opening

@@ -1241,27 +1241,19 @@ class Executor:
         if reductions is None:
             reductions = getattr(graph, "reductions", None)
         self.reductions = dict(reductions or {})
-        if precision not in PRECISIONS:
-            raise ExecutionError(
-                f"unknown precision {precision!r}; choose from "
-                f"{sorted(PRECISIONS)}"
-            )
-        self.precision = precision
-        self.float_dtype = PRECISIONS[precision]
-        self.enable_einsum = enable_einsum
+        from .plan import PlanConfig
+
+        self.config = PlanConfig(precision=precision, enable_einsum=enable_einsum)
         self._plan = None
 
     @property
     def plan(self):
         """The ExecutionPlan this executor runs; built/shared on first use."""
         if self._plan is None:
-            from .plan import PlanConfig, plan_for_graph
+            from .plan import plan_for_graph
 
-            config = PlanConfig(
-                precision=self.precision, enable_einsum=self.enable_einsum
-            )
             self._plan = plan_for_graph(
-                self.graph, reductions=self.reductions, config=config
+                self.graph, reductions=self.reductions, config=self.config
             )
         return self._plan
 

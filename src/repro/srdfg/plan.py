@@ -1067,13 +1067,16 @@ class ExecutionPlan:
             else:
                 result.state[name] = value
 
-        seconds = time.perf_counter() - start
+        self.count_execution(time.perf_counter() - start)
+        return result
+
+    def count_execution(self, seconds):
+        """Count one execution of *seconds* on either tier."""
         with self._counters_lock:
             self.counters.executions += 1
             self.counters.seconds += seconds
             if self.counters.first_seconds is None:
                 self.counters.first_seconds = seconds
-        return result
 
     def attach_kernel(self, kernel):
         """Attach (or detach, with None) a generated-kernel artifact.
