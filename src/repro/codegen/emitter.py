@@ -112,6 +112,8 @@ from ..srdfg.interpreter import (
     _ExprEvaluator,
     _affine,
     _affine_view,
+    _literals,
+    static_key,
 )
 from ..srdfg.plan import _cells
 
@@ -278,12 +280,6 @@ def _copy_run(shape, strides):
         else:
             break
     return run or 1
-
-
-def _literals(expr):
-    """Each literal's type and repr: ``expr_key`` equates 1/1.0/True and 0.0/-0.0."""
-    return tuple((type(node.value), repr(node.value))
-                 for node in ast.walk_expr(expr) if isinstance(node, ast.Literal))
 
 
 #: What :class:`~repro.codegen.kernel.KernelArtifact` is constructed
@@ -514,42 +510,16 @@ class _StagedEvaluator(_ExprEvaluator):
         None when it may not be static.
 
         The map is the subscripts evaluated over the lattice, so it is
-        fixed by the subscripts' structure (``expr_key`` and
-        :func:`_literals`), the lattice axes and ranges, the static values
-        the subscripts read, and the base's shape (the extents it is
-        range-checked against and raveled into). None when a subscript
-        reads an operand or holds a reduction, or when an active
-        predicate could excuse a stray subscript.
+        fixed by their :func:`~repro.srdfg.interpreter.static_key` and the
+        base's shape (the extents it is range-checked against and raveled
+        into). None when a subscript reads an operand or holds a
+        reduction, or when an active predicate could excuse a stray
+        subscript.
         """
         if self._pointwise or any(mask is not None for mask in self._mask_stack):
             return None
-        space, static_env = self.space, self.static_env
-        statics = {}
-        for index_expr in expr.indices:
-            for node in ast.walk_expr(index_expr):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                    if name in space.axis:
-                        continue
-                    value = static_env.get(name)
-                    if not (
-                        type(value) in (bool, int, float)
-                        or isinstance(value, np.generic)
-                    ):
-                        return None  # an operand, unbound, or an array
-                    statics[name] = (type(value), repr(value))
-                elif isinstance(node, (ast.Indexed, ast.ReductionCall)):
-                    return None
-        return (
-            tuple(ast.expr_key(index_expr) for index_expr in expr.indices),
-            tuple(_literals(index_expr) for index_expr in expr.indices),
-            tuple(sorted(statics.items())),
-            tuple(
-                (name, self.sub_ranges.get(name, space.index_ranges[name]))
-                for name in space.order
-            ),
-            tuple(base_shape),
-        )
+        key = static_key(expr.indices, self.space, self.static_env, self.sub_ranges)
+        return None if key is None else key + (tuple(base_shape),)
 
     def _broadcast_to(self, value, shape):
         if not isinstance(value, _Val):

@@ -670,8 +670,10 @@ class CompilerSession:
                             "executions": execs,
                             "first_seconds": first,
                             "steady_seconds": steady,
+                            "static_entries": static,
+                            "static_bytes": nbytes,
                         }
-                        for label, path, built, execs, first, steady
+                        for label, path, built, execs, first, steady, static, nbytes
                         in plan.stats_rows()
                     ],
                 }

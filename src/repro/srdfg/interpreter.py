@@ -50,12 +50,17 @@ compiled once into an :class:`~repro.srdfg.plan.ExecutionPlan` (see
 :mod:`repro.srdfg.plan`); :class:`Executor` is a thin facade that plans
 lazily on first use and only binds data per call, so steady-state
 workloads stop paying planning cost on every step.
+
+Index arithmetic is a compile-time fact: a plan's steps compute each
+static value (:class:`StaticMemo`) once and reuse it. That adds no
+semantics: the same numpy calls run on the same arguments, less often.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -595,6 +600,94 @@ class Points:
         return reduced.reshape(self.shape)
 
 
+def _literals(expr):
+    """Each literal's type and repr: ``expr_key`` equates 1/1.0/True and 0.0/-0.0."""
+    return tuple((type(node.value), repr(node.value))
+                 for node in ast.walk_expr(expr) if isinstance(node, ast.Literal))
+
+
+def static_key(exprs, space, static_env, sub_ranges=None):
+    """What the values of *exprs* over *space* are a function of — their
+    structure, the static values they read, the lattice's axes and ranges
+    (narrowed by *sub_ranges*) — or None when one reads an operand, an
+    array or a reduction. A gather's caller appends the base's shape."""
+    statics = {}
+    for expr in exprs:
+        for node in ast.walk_expr(expr):
+            if isinstance(node, ast.Name):
+                if node.id in space.axis:
+                    continue
+                value = static_env.get(node.id)
+                if not (type(value) in (bool, int, float) or isinstance(value, np.generic)):
+                    return None  # an operand, unbound, or an array
+                statics[node.id] = (type(value), repr(value))
+            elif isinstance(node, (ast.Indexed, ast.ReductionCall)):
+                return None
+    sub_ranges = sub_ranges or {}
+    return (
+        tuple(ast.expr_key(expr) for expr in exprs),
+        tuple(_literals(expr) for expr in exprs),
+        tuple(sorted(statics.items())),
+        tuple(
+            (name, sub_ranges.get(name, space.index_ranges[name]))
+            for name in space.order
+        ),
+    )
+
+
+class StaticMemo:
+    """One statement's static values: each computed by the first step that
+    evaluates it, stored read-only, and read back by every later step.
+
+    :attr:`nodes` keys (:func:`static_key`) the maximal static parts of
+    the statement's value, found from its AST: each gather whose
+    subscripts are static but not all bare names (those mostly relabel
+    axes), and each other compound subexpression. Values live in *store*,
+    a dict the statements of one plan share. Never pickled.
+    """
+
+    __slots__ = ("nodes", "store", "values", "nbytes", "_lock")
+
+    def __init__(self, expr, space, static_env, store):
+        self.nodes = {}
+        covered = set()
+        for node in ast.walk_expr(expr):
+            if id(node) in covered or isinstance(node, (ast.Literal, ast.Name, ast.ReductionCall)):
+                continue
+            gather = isinstance(node, ast.Indexed)
+            if gather and all(isinstance(part, ast.Name) for part in node.indices):
+                continue
+            key = static_key(node.indices if gather else (node,), space, static_env)
+            if key is not None:
+                self.nodes[id(node)] = ("gather" if gather else "value", key)
+                covered.update(id(part) for part in ast.walk_expr(node))
+        self.store = store
+        #: id of a value node, or ``(id, base shape)`` of a gather -> value.
+        self.values = {}
+        #: Bytes of the entries this statement stored first.
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def fetch(self, slot, key, compute):
+        """The value under *key*, else ``compute()``'s ``(value, arrays
+        it holds)``, frozen and stored."""
+        value = self.values.get(slot)
+        if value is None:
+            value = self.store.get(key)
+            if value is None:
+                value, arrays = compute()
+                for array in arrays:
+                    if isinstance(array, np.ndarray):
+                        array.flags.writeable = False
+                with self._lock:
+                    kept = self.store.setdefault(key, value)
+                    if kept is value:
+                        self.nbytes += sum(np.asarray(array).nbytes for array in arrays)
+                value = kept
+            self.values[slot] = value
+        return value
+
+
 class _ExprEvaluator:
     """Evaluates one statement's expressions over its axis space.
 
@@ -605,7 +698,8 @@ class _ExprEvaluator:
     the call when an argument is symbolic and inherits the numpy call
     (static folding) when none is. A new operator or builtin is a table
     entry (``_BINOPS``, ``_UNARYOPS``, ``SCALAR_FUNCTIONS``) and reaches
-    both tiers through :meth:`_apply`.
+    both tiers through :meth:`_apply`. A plan's steps run it as
+    :class:`_MemoEvaluator`, which reuses static values and adds no semantics.
     """
 
     def __init__(self, space, static_env, var_values, reductions, sub_ranges=None,
@@ -1171,6 +1265,48 @@ class _ExprEvaluator:
             partial = piece if partial is None else combine(partial, piece)
             start = stop + 1
         return partial
+
+
+class _MemoEvaluator(_ExprEvaluator):
+    """The evaluator of a plan's step over a statement with static parts,
+    which it reads from the :class:`StaticMemo` *statics*."""
+
+    def __init__(self, *args, statics, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.statics = statics
+
+    def _static_key(self, expr):
+        """*expr*'s memo key, unless on a sliced lattice, at points, or
+        under a predicate mask (which may clamp a stray subscript)."""
+        key = self.statics.nodes.get(id(expr))
+        if key is None or self.sub_ranges or self._pointwise or any(
+            mask is not None for mask in self._mask_stack
+        ):
+            return None
+        return key
+
+    def eval(self, expr):
+        key = self._static_key(expr)
+        if key is None or key[0] != "value":
+            return super().eval(expr)
+
+        def compute():
+            value = super(_MemoEvaluator, self).eval(expr)
+            return value, (value,)
+
+        return self.statics.fetch(id(expr), key, compute)
+
+    def _gather(self, expr, base):
+        key = self._static_key(expr)
+        if key is None:
+            return super()._gather(expr, base)
+
+        def compute():
+            arrays = self._index_arrays(expr, base)
+            return tuple(np.broadcast_arrays(*arrays)), arrays
+
+        shape = base.shape
+        return base[self.statics.fetch((id(expr), shape), (key, shape), compute)]
 
 
 def _product_factors(expr):

@@ -48,6 +48,7 @@ lazily through this function.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import threading
@@ -69,8 +70,10 @@ from . import interpreter
 from .interpreter import (
     ExecutionResult,
     PRECISIONS,
+    StaticMemo,
     _AxisSpace,
     _ExprEvaluator,
+    _MemoEvaluator,
     _affine,
     _plan_chunks,
     compile_einsum,
@@ -371,18 +374,30 @@ def _slice_store(subscripts, shape, lattice):
     """
     if len(subscripts) != len(shape):
         return None
-    index, mapped = [], []
-    for value, extent in zip(subscripts, shape):
+    steps = []
+    for value in subscripts:
         affine = _affine(value) if value.ndim in (0, len(lattice)) else None
         if affine is None or len(affine[1]) > 1:
             return None
         origin, coeffs = affine
-        if not coeffs:
+        axis, step = next(iter(coeffs.items()), (None, 0))
+        if axis is not None and value.shape[axis] != lattice[axis]:
+            return None
+        steps.append((origin, axis, step))
+    return _slice_index(steps, shape, lattice)
+
+
+def _slice_index(steps, shape, lattice):
+    """:func:`_slice_store`'s answer for subscripts given as ``(origin,
+    axis, step)``: ``origin + step*a`` over lattice axis ``a``, or the
+    constant *origin* when *axis* is None."""
+    index, mapped = [], []
+    for (origin, axis, step), extent in zip(steps, shape):
+        if axis is None:
             index.append(origin)  # an integer: the dimension drops
             continue
-        [(axis, step)] = coeffs.items()
         count = lattice[axis]
-        if step < 1 or axis in mapped or value.shape[axis] != count:
+        if step < 1 or axis in mapped:
             return None
         mapped.append(axis)
         index.append(slice(None) if count == extent else _cells(origin, step, count))
@@ -432,6 +447,20 @@ def _is_row_major_cover(subscripts, shape, lattice):
             return False
         axis = stop
     return all(size == 1 for size in lattice[axis:])
+
+
+def _shifted_name(index_expr):
+    """``(name, shift)`` of a subscript ``name``, ``name + c``, ``c + name``
+    or ``name - c`` for an integer literal ``c``; else ``(None, 0)``."""
+    if isinstance(index_expr, ast.Name):
+        return index_expr.id, 0
+    if isinstance(index_expr, ast.BinOp) and index_expr.op in ("+", "-"):
+        name, shift = index_expr.left, index_expr.right
+        if index_expr.op == "+" and isinstance(name, ast.Literal):
+            name, shift = shift, name
+        if isinstance(name, ast.Name) and isinstance(shift, ast.Literal) and type(shift.value) is int:
+            return name.id, shift.value if index_expr.op == "+" else -shift.value
+    return None, 0
 
 
 class StoreForm(namedtuple("StoreForm", "shape index order cover view subscripts")):
@@ -499,7 +528,8 @@ class StatementPlan:
     their predicate's points (:class:`CompressedReduction`; *params*
     names the operands bound to ``param`` variables), and the store
     form (:attr:`store`). ``execute`` binds
-    the statement's operand values and runs the prebuilt plan.
+    the statement's operand values and runs the prebuilt plan; its first
+    step makes :attr:`statics` over *memo*, which a plan's statements share.
     """
 
     __slots__ = (
@@ -518,6 +548,8 @@ class StatementPlan:
         "compressed",
         "target_dtype",
         "store",
+        "memo",
+        "statics",
         "built",
         "build_seconds",
         "executions",
@@ -539,6 +571,7 @@ class StatementPlan:
         label=None,
         stats=None,
         params=(),
+        memo=None,
     ):
         start = time.perf_counter()
         self.stmt = stmt
@@ -563,6 +596,8 @@ class StatementPlan:
             stmt, self.space, static_env, params, self.reductions
         )
         self.store = self._store_form()
+        self.memo = {} if memo is None else memo
+        self.statics = None
 
         self.built = 1
         self.build_seconds = time.perf_counter() - start
@@ -581,7 +616,17 @@ class StatementPlan:
     def execute(self, var_values):
         """Evaluate the statement; returns the new value of its target."""
         start = time.perf_counter()
-        evaluator = _ExprEvaluator(
+        if self.statics is None:
+            with self._lock:
+                if self.statics is None:
+                    self.statics = StaticMemo(
+                        self.stmt.value, self.space, self.static_env, self.memo
+                    )
+        make = (
+            functools.partial(_MemoEvaluator, statics=self.statics)
+            if self.statics.nodes else _ExprEvaluator
+        )
+        evaluator = make(
             self.space,
             self.static_env,
             var_values,
@@ -602,13 +647,36 @@ class StatementPlan:
         return result
 
     def _store_form(self):
-        """The statement's :class:`StoreForm`, from its write subscripts
-        evaluated once over the free lattice; None without subscripts,
-        or when they read operand data (unbound here) or leave the
-        target, as they will again where the statement runs."""
-        stmt = self.stmt
+        """The statement's :class:`StoreForm`; None without subscripts.
+        Subscripts that are index names, each maybe shifted by an integer
+        literal, and in range are read off the axis space; others are
+        evaluated (:meth:`_evaluated_store_form`)."""
+        stmt, space, shape = self.stmt, self.space, self.lhs_shape
         if not stmt.target_indices:
             return None
+        steps = []
+        for index_expr, extent in zip(stmt.target_indices, shape):
+            name, shift = _shifted_name(index_expr)
+            if name not in space.axis:
+                break
+            low, high = space.index_ranges[name]
+            low, high = low + shift, high + shift
+            if not 0 <= low <= high < extent:
+                break
+            steps.append((low, space.axis[name], 1) if high > low else (low, None, 0))
+        index = None
+        if len(steps) == len(stmt.target_indices) == len(shape):
+            index = _slice_index(steps, shape, space.free_shape)
+        if index is None:
+            return self._evaluated_store_form()
+        return StoreForm(shape, *index, None, None)
+
+    def _evaluated_store_form(self):
+        """The :class:`StoreForm` of the write subscripts evaluated once
+        over the free lattice; None when they read operand data (unbound
+        here) or leave the target, as they will again where the statement
+        runs."""
+        stmt = self.stmt
         evaluator = _ExprEvaluator(self.space, self.static_env, {}, self.reductions)
         try:
             subscripts = evaluator.write_subscripts(stmt, self.lhs_shape)
@@ -634,7 +702,8 @@ class StatementPlan:
                     f"whole-array assignment to {stmt.target!r} requires "
                     "subscripts"
                 )
-            return np.asarray(raw, dtype=target_dtype).reshape(lhs_shape)
+            # A copy: *raw* may be a read-only value of the static memo.
+            return np.array(raw, dtype=target_dtype).reshape(lhs_shape)
 
         form = self.store
         if form is None:
@@ -644,15 +713,15 @@ class StatementPlan:
         return form.apply(raw, evaluator.var_values.get(stmt.target), target_dtype)
 
     # Kernels carry statements in their lattice-reduction constants and
-    # are pickled into the disk cache tier: the lock is dropped and
-    # recreated, and the execution counters restart at zero in the
-    # loading process.
+    # are pickled into the disk cache tier: the lock and the static memo
+    # are dropped and recreated, and the execution counters restart at
+    # zero in the loading process.
 
     def __getstate__(self):
         state = {
             name: getattr(self, name)
             for name in self.__slots__
-            if name != "_lock"
+            if name not in ("memo", "statics", "_lock")
         }
         state.update(executions=0, seconds=0.0, first_seconds=None)
         return state
@@ -660,6 +729,7 @@ class StatementPlan:
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
+        self.memo, self.statics = {}, None
         self._lock = threading.Lock()
 
     # -- reporting ---------------------------------------------------------
@@ -873,7 +943,7 @@ class ExecutionPlan:
     """
 
     def __init__(self, graph, reductions=None, config=None, diagnostics=None,
-                 stats=None):
+                 stats=None, memo=None):
         start = time.perf_counter()
         config = config or PlanConfig()
         if reductions is None:
@@ -888,6 +958,8 @@ class ExecutionPlan:
         #: label -> StatementPlan, in step order (this plan's level only).
         self.statements: Dict[str, StatementPlan] = {}
         self._components: List[Tuple[str, "ExecutionPlan"]] = []
+        #: The static values of its and its components' statements.
+        self.memo = {} if memo is None else memo
 
         produced = set()
         #: Value keys of the ``param`` variables.
@@ -915,6 +987,7 @@ class ExecutionPlan:
                     label=f"{stmt.target} := {node.name}",
                     stats=stats,
                     params=frozenset(name for key, name in gather if key in param_keys),
+                    memo=self.memo,
                 )
                 label = statement.label
                 serial = 2
@@ -926,7 +999,7 @@ class ExecutionPlan:
             elif node.kind == COMPONENT:
                 sub_plan = ExecutionPlan(
                     node.subgraph, reductions=self.reductions, config=config,
-                    stats=stats,
+                    stats=stats, memo=self.memo,
                 )
                 self._components.append((node.name, sub_plan))
                 step = _ComponentStep(
@@ -1131,8 +1204,9 @@ class ExecutionPlan:
             yield from sub_plan.iter_statements(prefix=f"{prefix}{name}/")
 
     def stats_rows(self):
-        """Per-statement rows: (label, path, built, executions, first ms,
-        steady-state ms)."""
+        """Per-statement rows: (label, path, built, executions, first
+        seconds, steady-state seconds, static memo entries read, bytes
+        stored first)."""
         return [
             (
                 label,
@@ -1141,6 +1215,10 @@ class ExecutionPlan:
                 statement.executions,
                 statement.first_seconds or 0.0,
                 statement.steady_seconds,
+                *(
+                    (0, 0) if statement.statics is None
+                    else (len(statement.statics.values), statement.statics.nbytes)
+                ),
             )
             for label, statement in self.iter_statements()
         ]
@@ -1155,12 +1233,12 @@ class ExecutionPlan:
         ]
         lines.append(
             f"  {'statement':34s} {'path':10s} {'built':>5s} {'execs':>6s} "
-            f"{'first':>12s} {'steady':>12s}"
+            f"{'first':>12s} {'steady':>12s} {'static':>6s} {'bytes':>10s}"
         )
-        for label, path, built, executions, first, steady in self.stats_rows():
+        for label, path, built, executions, first, steady, static, nbytes in self.stats_rows():
             lines.append(
                 f"  {label:34s} {path:10s} {built:5d} {executions:6d} "
-                f"{first * 1e3:9.3f} ms {steady * 1e3:9.3f} ms"
+                f"{first * 1e3:9.3f} ms {steady * 1e3:9.3f} ms {static:6d} {nbytes:10d}"
             )
         return "\n".join(lines)
 

@@ -642,3 +642,283 @@ class TestStoreForms:
         inputs = {"x": np.array([1.0, 2.0, 3.0, 4.0]), "k": np.array([3, 1, 1, 0])}
         result = plan.execute(inputs=inputs)
         assert result.outputs["y"].tolist() == [8.0, 6.0, 0.0, 2.0]
+
+
+def _paper_plans(names=None):
+    """``(name, workload, app, plan)`` of each of the 17 paper programs (or
+    of *names*), planned without a kernel, so ``plan.execute`` steps the
+    interpreted plan (the app keeps the plan's graph alive)."""
+    from repro.eval import Harness
+    from repro.workloads import END_TO_END, SINGLE_DOMAIN
+
+    harness = Harness()
+    for name in names or SINGLE_DOMAIN + END_TO_END:
+        workload, app, _ = harness.compiled(name)
+        yield name, workload, app, harness.session.plan_for(app)
+
+
+def test_read_off_store_forms_equal_the_evaluated_ones(monkeypatch):
+    """A write through index names, bare or shifted by a literal, takes
+    the store form the evaluated subscripts give, field by field, in
+    every statement of the 17 paper programs; only the strided and the
+    blocked targets are evaluated."""
+    from repro.srdfg.plan import StatementPlan
+
+    evaluated = []
+    real = StatementPlan._evaluated_store_form
+
+    def counted(statement):
+        evaluated.append(statement.label)
+        return real(statement)
+
+    plans = list(_paper_plans())
+    monkeypatch.setattr(StatementPlan, "_evaluated_store_form", counted)
+    compared = 0
+    for _, _, _, plan in plans:
+        for _, statement in build_plan(plan.graph).iter_statements():
+            if statement.stmt.target_indices:
+                want = real(statement)
+                assert statement.store._asdict() == want._asdict()
+                compared += 1
+    assert compared > 250
+    # MobileRobot's, Hexacopter's and BrainStimul's ``9*j``-style strides,
+    # and both DCTs' ``by*8+u`` blocks.
+    assert len(evaluated) == 5, evaluated
+
+
+def test_second_fft_step_evaluates_no_static_subscript(monkeypatch):
+    """FFT-8192's butterflies read ``xr[t - t%(2^(s+1)) + t%(2^s)]`` and
+    the twiddles at static subscripts: from its second interpreted step
+    on, the only subscript evaluated is the bit reversal's ``sig[br[t]]``,
+    which reads operand data."""
+    from repro.srdfg.interpreter import _ExprEvaluator
+    from repro.workloads import Trajectory
+
+    [(_, workload, _, plan)] = _paper_plans(["FFT-8192"])
+    trajectory = Trajectory(workload)
+    trajectory.step(plan.execute)
+    calls = []
+    real = _ExprEvaluator._subscript
+
+    def counted(self, expr, dim, value, extent):
+        calls.append((expr.base, dim))
+        return real(self, expr, dim, value, extent)
+
+    monkeypatch.setattr(_ExprEvaluator, "_subscript", counted)
+    trajectory.step(plan.execute)
+    assert calls == [("sig", 0)]
+
+
+class TestStaticMemo:
+    """Static values — index arithmetic and static gathers' index arrays —
+    are computed on the first interpreted step and reused: never where a
+    value could differ, never shared where the key differs, never
+    writeable, never pickled."""
+
+    COMPONENT = (
+        "scale(input float x[n], output float y[m], param int h) {"
+        " index i[0:m-1]; y[i] = x[i*h] + i%h; }"
+        " main(input float x[8], output float a[4], output float b[{b}]) {"
+        " scale(x, a, 2); scale(x, b, {h}); }"
+    )
+
+    @staticmethod
+    def _gathers(plan):
+        # A gather's key is ``(("gather", static key), base shape)``.
+        return [key for key in plan.memo if key[0][0] == "gather"]
+
+    @pytest.mark.parametrize("source, name, want", [
+        ("main(input float x[4], output float y[4]) { index i[0:3]; y[i] = i * 2; }",
+         "y", [0.0, 2.0, 4.0, 6.0]),
+        ("main(input float x[4], output float z) { z = 3 < 2 ? 1.0 : 2.5; }",
+         "z", 2.5),
+    ])
+    def test_static_statement_returns_a_fresh_writeable_array(self, source, name, want):
+        plan = build_plan(build(source))
+        first = plan.execute(inputs={"x": np.zeros(4)}).outputs[name]
+        assert len(plan.memo) == 1 and first.flags.writeable
+        first[...] = -1.0
+        assert plan.execute(inputs={"x": np.zeros(4)}).outputs[name].tolist() == want
+
+    def test_memo_values_are_read_only(self):
+        plan = build_plan(build(self.COMPONENT.replace("{b}", "4").replace("{h}", "1")))
+        plan.execute(inputs={"x": np.arange(8.0)})
+        arrays = [
+            array for value in plan.memo.values()
+            for array in (value if isinstance(value, tuple) else (value,))
+        ]
+        assert len(arrays) == 4
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 7
+
+    def test_axis_order_and_ranges_key_their_entries(self):
+        source = (
+            "main(input float x[8], output float c[4][3], output float d[3][4],"
+            " output float e[5]) {"
+            " index i[0:3], k[0:2], n[0:4];"
+            " c[i][k] = x[i+k]; d[k][i] = x[i+k]; e[n] = x[n+2]; }"
+        )
+        plan = build_plan(build(source))
+        x = np.arange(8.0) ** 2
+        for _ in range(2):
+            out = plan.execute(inputs={"x": x}).outputs
+            assert out["c"].tolist() == x[np.add.outer(np.arange(4), np.arange(3))].tolist()
+            assert out["d"].tolist() == out["c"].T.tolist()
+            assert out["e"].tolist() == x[2:7].tolist()
+        assert len(self._gathers(plan)) == 3
+        # One subscript text over two ranges: its instances of ``scale``.
+        plan = build_plan(build(self.COMPONENT.replace("{b}", "3").replace("{h}", "2")))
+        for _ in range(2):
+            out = plan.execute(inputs={"x": x}).outputs
+            assert out["a"].tolist() == (x[0::2] + np.arange(4) % 2).tolist()
+            assert out["b"].tolist() == (x[0:6:2] + np.arange(3) % 2).tolist()
+        assert len(plan.memo) == 4
+
+    def test_base_shapes_key_gathers(self):
+        """``z[i+1]`` indexes past a shorter base: its range check runs."""
+        plan = build_plan(build(
+            "main(input float x[8], input float z[4], output float c[4],"
+            " output float d[4]) { index i[0:3]; c[i] = x[i+1]; d[i] = z[i+1]; }"
+        ))
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="subscript 0 of 'z' out of range"):
+                plan.execute(inputs={"x": np.arange(8.0), "z": np.arange(4.0)})
+
+    def test_literal_types_key_their_entries(self):
+        """``expr_key`` equates ``0.0`` and ``-0.0``; their quotients differ."""
+        from repro.pmlang import ast_nodes as ast
+        from repro.pmlang.parser import parse
+        from repro.srdfg.plan import StatementPlan
+
+        memo, got = {}, []
+        for zero in (0.0, -0.0, 0.0):
+            program = parse(
+                "main(output float y[4]) { index i[0:3]; y[i] = 1.0 / (i * 2.0); }"
+            )
+            stmt = program.components["main"].body[-1]
+            [literal] = [node for node in ast.walk_expr(stmt.value)
+                         if isinstance(node, ast.Literal) and node.value == 2.0]
+            literal.value = zero
+            statement = StatementPlan(stmt, {"i": (0, 3)}, {}, lhs_shape=(4,), memo=memo)
+            with np.errstate(divide="ignore"):
+                got.append(statement.execute({}).tolist())
+        assert got == [[np.inf] * 4, [-np.inf] * 4, [np.inf] * 4]
+        assert len(memo) == 2
+
+    def test_static_names_key_their_entries(self):
+        plan = build_plan(build(self.COMPONENT.replace("{b}", "4").replace("{h}", "1")))
+        x = np.arange(8.0) ** 2
+        for _ in range(2):
+            out = plan.execute(inputs={"x": x}).outputs
+            assert out["a"].tolist() == (x[0::2] + np.arange(4) % 2).tolist()
+            assert out["b"].tolist() == x[:4].tolist()
+        assert len(self._gathers(plan)) == 2 and len(plan.memo) == 4
+
+    def test_predicate_guarded_gather_is_never_stored(self):
+        plan = build_plan(build(
+            "main(input float x[6], output float y[6]) {"
+            " index i[0:5], j[0:2]; y[i] = sum[j: i+j < 6](x[i+j]); }"
+        ))
+        x = np.arange(6.0) + 1.0
+        want = [x[i:i + 3].sum() for i in range(6)]
+        for _ in range(2):
+            assert plan.execute(inputs={"x": x}).outputs["y"].tolist() == want
+        [statement] = plan.statements.values()
+        assert statement.statics.nodes and not self._gathers(plan)
+
+    def test_short_sum_fold_and_chunks_bypass_the_memo(self, monkeypatch):
+        source = (
+            "main(input float x[24], output float y[6]) {"
+            " index i[0:5], k[0:2]; y[i] = sum[k](x[i*3+k] * x[i*3+k] + 1.0); }"
+        )
+        x = np.arange(24.0)
+        want = [sum(x[i * 3 + k] ** 2 + 1.0 for k in range(3)) for i in range(6)]
+
+        def stepped(plan):
+            for _ in range(2):
+                assert plan.execute(inputs={"x": x}).outputs["y"].tolist() == want
+            return len(plan.memo)
+
+        assert stepped(build_plan(build(source))) == 0
+        monkeypatch.setattr("repro.srdfg.interpreter.SHORT_SUM", 0)
+        assert stepped(build_plan(build(source))) == 1  # on the lattice
+        monkeypatch.setattr("repro.srdfg.interpreter.DEFAULT_LATTICE_LIMIT", 8)
+        chunked = build_plan(build(source))
+        assert [s.path() for s in chunked.statements.values()] == ["chunked"]
+        assert stepped(chunked) == 0
+
+    def test_statement_pickles_are_unchanged_by_steps(self):
+        import pickle
+
+        plan = build_plan(build(self.COMPONENT.replace("{b}", "4").replace("{h}", "1")))
+        statements = [statement for _, statement in plan.iter_statements()]
+        before = pickle.dumps(statements)
+        plan.execute(inputs={"x": np.arange(8.0)})
+        assert plan.memo and pickle.dumps(statements) == before
+        loaded = pickle.loads(before)
+        assert [s.statics for s in loaded] == [None, None] and loaded[0].memo == {}
+
+    def test_stats_report_entries_and_the_bytes_stored(self):
+        """Two like instances of ``scale`` read the same two entries (the
+        gather's index array and ``i%h``): the first stores them, the
+        second reads them and stores nothing."""
+        from repro.targets import default_accelerators
+
+        session = CompilerSession(default_accelerators())
+        app = session.compile(
+            self.COMPONENT.replace("{b}", "4").replace("{h}", "2"), domain="DA"
+        )
+        plan = session.plan_for(app)
+        plan.execute(inputs={"x": np.arange(8.0)})
+        rows = {row[0]: row[6:] for row in plan.stats_rows()}
+        assert sorted(rows.values()) == [(2, 0), (2, 8 * 4 + 8 * 4)]
+        assert " static " in plan.render_stats().splitlines()[1]
+        [entry] = session.stats_dict()["plans"]
+        assert sorted(
+            (row["static_entries"], row["static_bytes"]) for row in entry["statements"]
+        ) == sorted(rows.values())
+
+    def test_threads_stepping_one_plan_agree_bitwise(self):
+        """Four threads (more than the cores) fill one plan's memo at once,
+        switching often: every result is the one a plan stepped alone
+        gives, and the bytes the statements count as stored are exactly
+        the memo's (a lost or doubled count breaks the sum)."""
+        import sys
+        import threading
+
+        source = (
+            "main(input float x[64], output float y[64]) { index t[0:63];"
+            " float v[64], w[64]; v[t] = x[t];"
+            " unroll s[0:2] { w[t] = v[t - t%(2^(s+1)) + t%(2^s)]"
+            " + ((t%(2^(s+1))) < (2^s) ? 1.0 : -1.0) * v[t - t%(2^(s+1)) + t%(2^s) + 2^s];"
+            " v[t] = w[t]; }"
+            " y[t] = v[t]; }"
+        )
+        inputs = [{"x": np.random.default_rng(seed).standard_normal(64)} for seed in range(8)]
+        want = [build_plan(build(source)).execute(inputs=i).outputs["y"].tobytes() for i in inputs]
+        shared = build_plan(build(source))
+        got = {}
+
+        def run(thread):
+            got[thread] = [shared.execute(inputs=i).outputs["y"].tobytes() for i in inputs]
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [got[n] for n in range(4)] == [want] * 4
+        stored = sum(statement.statics.nbytes for statement in shared.statements.values())
+        held = sum(
+            array.nbytes for value in shared.memo.values()
+            for array in (value if isinstance(value, tuple) else (value,))
+        )
+        assert stored == held > 0
