@@ -126,15 +126,22 @@ def _cmd_codegen(args):
                 failures += 1
             workloads_payload[name] = entry
             continue
-        entry.update(provenance="kernel", source_bytes=len(kernel.source))
+        entry.update(
+            provenance="kernel",
+            source_bytes=len(kernel.source),
+            source_lines=kernel.source.count("\n"),
+            build_ms=None if kernel.build_seconds is None else kernel.build_seconds * 1e3,
+        )
         entry.update(kernel.report)
+        built = "cached" if entry["build_ms"] is None else f"built in {entry['build_ms']:.2f} ms"
         line = (
             f"{name:15s} kernel "
             f"{entry['statements']} statement(s), "
             f"{entry['einsum']} einsum, "
             f"{entry['compressed']} compressed, "
             f"{entry['reuses']} reuse(s), "
-            f"{entry['source_bytes']} bytes"
+            f"{entry['source_bytes']} bytes, "
+            f"{entry['source_lines']} lines, {built}"
         )
         if args.dump_source:
             os.makedirs(args.dump_source, exist_ok=True)

@@ -60,7 +60,12 @@ __all__ = [
 #: 11: a matmul einsum would transpose takes its terms swapped; a record
 #: of 10 holds einsum's steps, and would compute other bytes than the
 #: interpreted plan.
-KERNEL_ABI = 11
+#: 12: a variable binds through ``_bind``, the interpreted plan's binder,
+#: in one line instead of 6-7 of inline checks (kernel sources shrank by
+#: about 30%, and their ``compile`` with them). ``_bind`` joined the
+#: namespace and ``ExecutionError`` left it: a record of 11 would raise a
+#: missing input through a name the namespace no longer binds.
+KERNEL_ABI = 12
 
 
 def kernel_cache_key(plan_key):
@@ -102,9 +107,10 @@ def build_kernel(plan, plan_key=None, diagnostics=None):
             )
         return None
     artifact = KernelArtifact(key, *emitted)
+    artifact.build_seconds = time.perf_counter() - start
     CODEGEN_STATS.bump(
         kernels_built=1,
-        build_seconds=time.perf_counter() - start,
+        build_seconds=artifact.build_seconds,
         source_bytes=len(emitted.source),
     )
     if diagnostics is not None:

@@ -1,7 +1,10 @@
 """Lower an :class:`~repro.srdfg.plan.ExecutionPlan` into Python source.
 
 The emitter walks the plan's topological step list and generates one
-straight-line Python/numpy function per plan. The contract is strict
+straight-line Python/numpy function per plan. A variable is one call of
+the plan's binder (``_bind``, which the interpreted plan's variable
+step calls too): the presence, cast and shape checks and the zero fill
+have one encoding for both tiers. The contract is strict
 **bit-identity with the interpreter at f64**, and it holds by
 construction: a statement is lowered by running the reference
 interpreter's own ``_ExprEvaluator`` over it with symbolic operands
@@ -329,13 +332,9 @@ class _StagedEvaluator(_ExprEvaluator):
         #: id of each subexpression whose ``expr_key`` recurs in the statement
         #: -> that key; key -> its occurrences, and the :func:`_literals` and
         #: temp staged for it; staged temp -> its key's occurrences.
-        keys = {}
+        keys, self._occurrences = {}, {}
         if statement.einsum is None:  # a planned contraction stages none
-            ast.expr_key(statement.stmt.value, keys)
-        # Appearances, not nodes: a rewrite may put one node in two places.
-        self._occurrences = Counter(
-            keys[id(node)] for node in ast.walk_expr(statement.stmt.value) if id(node) in keys
-        )
+            ast.expr_key(statement.stmt.value, keys, self._occurrences)
         self._repeated = {node: key for node, key in keys.items() if self._occurrences[key] > 1}
         self._staged, self._uses = {}, {}
 
@@ -878,34 +877,14 @@ class KernelEmitter:
         return name
 
     def _emit_var_step(self, step, local):
-        name = step.name
-        shape = step.shape
+        """One ``# var`` comment and one ``_vN = _bind(...)`` line: what
+        :func:`~repro.codegen.kernel.timed_statements` and :data:`_BOUND` read."""
+        name, modifier, shape = step.name, step.modifier, step.shape
+        # The kernel's parameters, in the order of the plan step's.
+        source = ("_inputs", "_params", "_state", "_output_init", "{}")[step.source]
         dt = self._const(np.dtype(step.np_dtype))
-        modifier = step.modifier
         self._emit(f"# var {step.node_name}: {modifier} {name!r} {shape!r}")
-        if modifier == "input":
-            self._emit(f"if {name!r} not in _inputs:")
-            self._emit(f"    raise ExecutionError(\"missing input '{name}'\")")
-            self._emit(f"{local} = _inputs[{name!r}]")
-        elif modifier == "param":
-            self._emit(f"if {name!r} not in _params:")
-            self._emit(f"    raise ExecutionError(\"missing param '{name}'\")")
-            self._emit(f"{local} = _params[{name!r}]")
-        elif modifier in ("state", "output"):
-            source = "_state" if modifier == "state" else "_output_init"
-            self._emit(f"{local} = {source}.get({name!r})")
-            self._emit(f"if {local} is None:")
-            # np.zeros(shape) then asarray(dtype) casts 0.0 exactly.
-            self._emit(f"    {local} = _np.zeros({shape!r}, dtype={dt})")
-        else:  # local read-before-write
-            self._emit(f"{local} = _np.zeros({shape!r}, dtype={dt})")
-        self._emit(f"{local} = _np.asarray({local}, dtype={dt})")
-        self._emit(f"if {local}.shape != {shape!r}:")
-        self._emit(
-            f"    raise ExecutionError("
-            f"f\"value for '{name}' has shape "
-            f"{{tuple({local}.shape)}}, declared {shape!r}\")"
-        )
+        self._emit(f"{local} = _bind({source}, {name!r}, {modifier!r}, {shape!r}, {dt})")
         self._locals[step.key] = local
 
     def _emit_const_step(self, step, local):

@@ -5,7 +5,10 @@ A :class:`KernelArtifact` wraps one emitted kernel function for one
 
 * the generated source (kept for ``repro codegen --dump-source``, the
   disk cache record, and diagnostics), and
-* the exec'd function object bound to its constant namespace.
+* the exec'd function object bound to its constant namespace, which
+  holds the runtime helpers it calls: among them ``_bind``, the plan's
+  variable binder, called once per variable, so a kernel checks and
+  fills its arguments exactly as the interpreted plan does.
 
 A kernel holds no buffer between calls: within a call, a numpy call
 allocates its result or writes it over a buffer the same call allocated
@@ -34,11 +37,11 @@ import time
 
 import numpy as np
 
-from ..errors import ExecutionError
 from ..obs import DEFAULT_REGISTRY
 from ..srdfg.interpreter import (
     ExecutionResult, _affine_view, _contract, _in_range,
 )
+from ..srdfg.plan import _bind
 
 __all__ = ["CODEGEN_STATS", "KernelArtifact", "timed_statements"]
 
@@ -73,10 +76,13 @@ class KernelArtifact:
         self.source = source
         self.constants = dict(constants)
         self.report = dict(report or {})
+        #: What :func:`~repro.codegen.build_kernel` took to emit and
+        #: compile it, in seconds; None for a kernel read from a cache.
+        self.build_seconds = None
         self.code = compile(source, f"<kernel {plan_key}>", "exec")
         namespace = {
             "_np": np,
-            "ExecutionError": ExecutionError,
+            "_bind": _bind,
             "_affine_view": _affine_view,
             "_in_range": _in_range,
             "_contract": _contract,

@@ -108,7 +108,8 @@ class CacheStats(Counters):
 
     The ``lease_*`` fields count cross-process single-flight (see
     :meth:`ArtifactCache.build_once`): leases this process won (it
-    built), waits that ended with another process's artifact, stale
+    built), waits that ended with another process's artifact (also a
+    lease won over a key a sibling had just published), stale
     leases reclaimed from dead builders, and waits that timed out into a
     defensive local build.
     """
@@ -416,15 +417,17 @@ class ArtifactCache:
                     )
                 return build()
             if acquired:
-                self.stats.bump(lease_acquired=1)
                 try:
                     # A sibling may have published while we raced for the
                     # lease; re-check before paying for the build (the
-                    # miss that brought us here is already counted).
+                    # miss that brought us here is already counted). Its
+                    # artifact is waited for, not built.
                     if self._published(key):
                         value = self.get(tier, key)
                         if value is not None:
+                            self.stats.bump(lease_waited=1)
                             return value, "coalesced"
+                    self.stats.bump(lease_acquired=1)
                     return build()
                 finally:
                     lease.release()

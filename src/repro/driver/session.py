@@ -432,11 +432,11 @@ class CompilerSession:
         parse_record.detail = f"{len(program.components)} component(s)"
 
         # semantic: symbol/modifier/arity checking -> ProgramInfo.
-        self._run_stage("semantic", lambda: analyze(program, entry=entry))
+        info, _ = self._run_stage("semantic", lambda: analyze(program, entry=entry))
 
         # srdfg-build: AST -> simultaneously-recursive dataflow graph.
         def build_graph():
-            graph = build(program, entry=entry, domain=domain)
+            graph = build(program, entry=entry, domain=domain, info=info)
             for name, tag in (component_domains or {}).items():
                 retag_component_domain(graph, name, tag)
             return graph

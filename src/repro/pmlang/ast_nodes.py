@@ -262,13 +262,15 @@ def walk_expr(expr):
             stack.extend(spec.predicate for spec in reversed(node.indices))
 
 
-def expr_key(expr, memo=None):
+def expr_key(expr, memo=None, counts=None):
     """Hashable structural key of an expression (names stay symbolic).
 
     Ignores line info. This is the one definition of structural equality:
     CSE's statement keys and non-linear pattern captures both compare
     these. A *memo* dict, when given, receives the key of every compound
-    sub-expression under ``id(node)``: one call keys a whole tree.
+    sub-expression under ``id(node)``: one call keys a whole tree. A
+    *counts* dict, when given, counts each compound key's appearances (a
+    rewrite may put one node in two places).
     """
     if expr is None:
         return None
@@ -277,31 +279,34 @@ def expr_key(expr, memo=None):
     if isinstance(expr, Name):
         return ("name", expr.id)
     if isinstance(expr, Indexed):
-        key = ("idx", expr.base, tuple(expr_key(i, memo) for i in expr.indices))
+        key = ("idx", expr.base, tuple(expr_key(i, memo, counts) for i in expr.indices))
     elif isinstance(expr, UnaryOp):
-        key = ("un", expr.op, expr_key(expr.operand, memo))
+        key = ("un", expr.op, expr_key(expr.operand, memo, counts))
     elif isinstance(expr, BinOp):
-        key = ("bin", expr.op, expr_key(expr.left, memo), expr_key(expr.right, memo))
+        key = ("bin", expr.op, expr_key(expr.left, memo, counts),
+               expr_key(expr.right, memo, counts))
     elif isinstance(expr, Ternary):
         key = (
             "tern",
-            expr_key(expr.cond, memo),
-            expr_key(expr.then, memo),
-            expr_key(expr.other, memo),
+            expr_key(expr.cond, memo, counts),
+            expr_key(expr.then, memo, counts),
+            expr_key(expr.other, memo, counts),
         )
     elif isinstance(expr, FuncCall):
-        key = ("call", expr.func, tuple(expr_key(a, memo) for a in expr.args))
+        key = ("call", expr.func, tuple(expr_key(a, memo, counts) for a in expr.args))
     elif isinstance(expr, ReductionCall):
         key = (
             "red",
             expr.op,
-            tuple((s.name, expr_key(s.predicate, memo)) for s in expr.indices),
-            expr_key(expr.arg, memo),
+            tuple((s.name, expr_key(s.predicate, memo, counts)) for s in expr.indices),
+            expr_key(expr.arg, memo, counts),
         )
     else:
         return ("other", repr(expr))
     if memo is not None:
         memo[id(expr)] = key
+    if counts is not None:
+        counts[key] = counts.get(key, 0) + 1
     return key
 
 

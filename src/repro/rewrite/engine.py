@@ -30,8 +30,11 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Tuple
+
+import numpy as np
 
 from ..errors import PolyMathError, RewriteError
 from ..obs import DEFAULT_REGISTRY, NULL_TRACER
@@ -181,12 +184,14 @@ def map_children(expr, fn):
 
 
 class _ExprDriver:
-    """Bottom-up driver for one rule set over one statement."""
+    """Bottom-up driver for one rule set over one statement. It tallies
+    ``matches``/``rewrites`` in :attr:`counts`, which its caller merges
+    into the counter group once per statement."""
 
-    def __init__(self, ruleset, ctx, stats, explain=None, site=""):
+    def __init__(self, ruleset, ctx, explain=None, site=""):
         self.ruleset = ruleset
         self.ctx = ctx
-        self.stats = stats
+        self.counts = Counter()
         self.explain = explain
         self.site = site
 
@@ -222,7 +227,7 @@ class _ExprDriver:
             try:
                 if not rule.pattern.match(expr, bindings):
                     continue
-                self.stats.bump(f"{self.ruleset.name}/{rule.name}.matches")
+                self.counts[f"{self.ruleset.name}/{rule.name}.matches"] += 1
                 replacement = rule.build(expr, bindings, self.ctx)
             except PolyMathError:
                 raise
@@ -230,7 +235,7 @@ class _ExprDriver:
                 raise _rule_failed(self.ruleset, rule, self.site, exc) from exc
             if replacement is None:
                 continue
-            self.stats.bump(f"{self.ruleset.name}/{rule.name}.rewrites")
+            self.counts[f"{self.ruleset.name}/{rule.name}.rewrites"] += 1
             if self.explain is not None:
                 self.explain.add(
                     self.ruleset.name,
@@ -252,6 +257,10 @@ def rewrite_statement(graph, node, ruleset, stats=None, explain=None):
     for it — the node's operation descriptor is reclassified, since
     rewrites can change the op profile. Returns True when the statement
     changed.
+
+    The statement's firings reach *stats* in one merge, also when a rule
+    raises. Its rules run with numpy's floating-point errors ignored: a
+    folded ``x / 0`` is declined by its rule, not warned about.
     """
     stats = stats or REWRITE_STATS
     stmt = node.attrs["stmt"]
@@ -263,11 +272,14 @@ def rewrite_statement(graph, node, ruleset, stats=None, explain=None):
         protected=frozenset(index_ranges),
         index_ranges=index_ranges,
     )
-    driver = _ExprDriver(
-        ruleset, ctx, stats, explain=explain, site=f"{stmt.target}@{node.uid}"
-    )
-    target_indices = tuple(driver.rewrite(index) for index in stmt.target_indices)
-    value = driver.rewrite(stmt.value)
+    driver = _ExprDriver(ruleset, ctx, explain=explain, site=f"{stmt.target}@{node.uid}")
+    try:
+        with np.errstate(all="ignore"):
+            target_indices = tuple(driver.rewrite(index) for index in stmt.target_indices)
+            value = driver.rewrite(stmt.value)
+    finally:
+        if driver.counts:
+            stats.merge(driver.counts)
     if value is stmt.value and _same(target_indices, stmt.target_indices):
         return False
     rewritten = ast.Assign(
@@ -304,24 +316,28 @@ def apply_graph_rules(graph, ruleset, stats=None, explain=None):
 
     Returns the number of successful rewrites. Raises
     :class:`~repro.errors.RewriteError` when the graph still changes after
-    :data:`SWEEP_LIMIT` sweeps.
+    :data:`SWEEP_LIMIT` sweeps. Its sweeps and firings reach *stats* in
+    one merge, also when a rule raises.
     """
     stats = stats or REWRITE_STATS
-    total = 0
-    for _ in range(SWEEP_LIMIT):
-        stats.bump(f"{ruleset.name}.sweeps")
-        ctx = ruleset.prepare(graph) if ruleset.prepare is not None else None
-        changed = _one_sweep(graph, ruleset, ctx, stats, explain)
-        total += changed
-        if ruleset.strategy == SWEEP or not changed:
-            return total
+    counts, total = Counter(), 0
+    try:
+        for _ in range(SWEEP_LIMIT):
+            counts[f"{ruleset.name}.sweeps"] += 1
+            ctx = ruleset.prepare(graph) if ruleset.prepare is not None else None
+            changed = _one_sweep(graph, ruleset, ctx, counts, explain)
+            total += changed
+            if ruleset.strategy == SWEEP or not changed:
+                return total
+    finally:
+        stats.merge(counts)
     raise RewriteError(
         f"rule set {ruleset.name!r} exceeded {SWEEP_LIMIT} sweeps on graph "
         f"{graph.name!r}: its graph rules do not strictly lower (nodes, edges)"
     )
 
 
-def _one_sweep(graph, ruleset, ctx, stats, explain):
+def _one_sweep(graph, ruleset, ctx, counts, explain):
     changed = 0
     restart = ruleset.strategy == RESTART
     while True:
@@ -333,7 +349,7 @@ def _one_sweep(graph, ruleset, ctx, stats, explain):
                 try:
                     if not rule.pattern.matches(graph, node):
                         continue
-                    stats.bump(f"{ruleset.name}/{rule.name}.matches")
+                    counts[f"{ruleset.name}/{rule.name}.matches"] += 1
                     fired = rule.rewrite(graph, node, ctx)
                 except PolyMathError:
                     raise
@@ -342,7 +358,7 @@ def _one_sweep(graph, ruleset, ctx, stats, explain):
                     raise _rule_failed(ruleset, rule, site, exc) from exc
                 if not fired:
                     continue
-                stats.bump(f"{ruleset.name}/{rule.name}.rewrites")
+                counts[f"{ruleset.name}/{rule.name}.rewrites"] += 1
                 changed += 1
                 fired_this_scan = True
                 if explain is not None:

@@ -62,12 +62,10 @@ def _fold_binop(expr, bindings, ctx):
     integers do not wrap). Declines where that is no finite number —
     ``x / 0`` stays for the runtime to answer with nan or a signed inf —
     and where numpy refuses (integers to negative integer powers, Python
-    integers beyond int64)."""
+    integers beyond int64). The engine runs it with numpy's
+    floating-point errors ignored."""
     try:
-        with np.errstate(all="ignore"):
-            value = np.asarray(
-                _BINOPS[expr.op](expr.left.value, expr.right.value)
-            ).item()
+        value = np.asarray(_BINOPS[expr.op](expr.left.value, expr.right.value)).item()
     except (ValueError, OverflowError):
         return None
     if not math.isfinite(value):

@@ -147,7 +147,9 @@ class ServeReport:
     expected_statements: int = 0
     provenance: Dict[str, Dict[str, int]] = field(default_factory=dict)
     requests: List[RequestMetrics] = field(default_factory=list)
-    #: The shared CompilerSession's stats_dict() (cache + stage report).
+    #: The shared CompilerSession's stats_dict() (cache + stage report);
+    #: its ``plans`` also list each retired worker process's, every plan
+    #: tagged with its ``worker`` (``"parent"`` for the session's own).
     session: Optional[dict] = None
 
     # -- derived -----------------------------------------------------------

@@ -30,7 +30,9 @@ in-flight request answered with ``WorkerCrashedError`` — the pool heals,
 the request fails loudly, and ``worker_crashes`` counts it. At
 retirement every child sends back one flat snapshot of its executor's
 :class:`~repro.obs.MetricsRegistry` (plus the set of configs it served),
-which the parent merges — once per child — into the server's registry.
+which the parent merges — once per child — into the server's registry,
+and its session's plans, which the serve report lists under the
+worker's name.
 """
 
 from __future__ import annotations
@@ -67,9 +69,11 @@ def child_main(conn, config):
             break
         if kind == "stop":
             try:
-                conn.send(
-                    ("stats", (executor.metrics.snapshot(), executor.configs()))
-                )
+                conn.send(("stats", (
+                    executor.metrics.snapshot(),
+                    executor.configs(),
+                    session.stats_dict()["plans"],
+                )))
             except (OSError, ValueError):
                 pass
             break
@@ -192,22 +196,24 @@ class ProcessWorkerSet:
     # -- retirement ---------------------------------------------------------
 
     def stop(self, timeout=5.0):
-        """Retire every child; returns the ``(flat counter snapshot,
-        distinct configs)`` pair each one sent back. A child is asked
-        once — a second ``stop`` finds no members and returns ``[]``."""
+        """Retire every child; returns ``(worker name, flat counter
+        snapshot, distinct configs, plans)`` of each one that answered,
+        its plans as its session's ``stats_dict()["plans"]``. A child is
+        asked once — a second ``stop`` finds no members and returns
+        ``[]``."""
         with self._members_lock:
             members = dict(self._members)
             self._members = {}
         deadline = time.monotonic() + timeout
         payloads = []
-        for member in members.values():
+        for worker_name, member in members.items():
             with member.lock:
                 try:
                     member.conn.send(("stop", None))
                     if member.conn.poll(max(0.1, deadline - time.monotonic())):
                         kind, payload = member.conn.recv()
                         if kind == "stats":
-                            payloads.append(payload)
+                            payloads.append((worker_name, *payload))
                 except (EOFError, OSError, BrokenPipeError):
                     pass
                 try:

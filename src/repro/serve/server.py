@@ -310,6 +310,9 @@ class Server:
         self._finished: List[RequestMetrics] = []
         self._tallies = Counters(_TALLIES)
         self._sessions: List[object] = []
+        #: The plans of every retired worker process, each tagged with
+        #: its worker's name.
+        self._worker_plans: List[dict] = []
         self._started_at = None
         self._stopped_at = None
         #: Every counter this server touches, thread or process mode
@@ -356,9 +359,10 @@ class Server:
         if self.procs is not None:
             # Retire the children; each one's counters (plan builds,
             # cache/lease stats, kernels) merge in exactly once.
-            for flat, configs in self.procs.stop():
+            for worker, flat, configs, plans in self.procs.stop():
                 self.metrics.merge(flat)
                 self.executor.note_served(configs)
+                self._worker_plans += [dict(plan, worker=worker) for plan in plans]
         if self._stopped_at is None:
             self._stopped_at = time.perf_counter()
         return self
@@ -755,6 +759,9 @@ class Server:
             requests=finished,
             session=self.session.stats_dict(),
         )
+        report.session["plans"] = [
+            dict(plan, worker="parent") for plan in report.session["plans"]
+        ] + self._worker_plans
         for metrics in finished:
             for phase, provenance in (
                 ("compile", metrics.compile_provenance),

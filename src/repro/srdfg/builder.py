@@ -207,15 +207,13 @@ class _ComponentBuilder:
             return self.var_nodes[name]
         return self._add_var_node(info)
 
-    def _read_vars(self, expr):
-        """Variable names (not indices/statics) read by *expr*."""
-        names = []
-        for name in sorted(ast.expr_names(expr)):
-            if name in self.index_ranges or name in self.static_env:
-                continue
-            if name in self.graph.vars:
-                names.append(name)
-        return names
+    def _read_vars(self, names):
+        """The variables (not indices/statics) among *names*, sorted."""
+        return [
+            name for name in sorted(names)
+            if name not in self.index_ranges and name not in self.static_env
+            and name in self.graph.vars
+        ]
 
     # -- argument setup ----------------------------------------------------------
 
@@ -283,12 +281,12 @@ class _ComponentBuilder:
                 f"assignment to undeclared variable {stmt.target!r} "
                 f"(line {stmt.line})"
             )
-        descriptor = opclass.classify(
+        descriptor, (value_names, *index_names) = opclass.classify_reads(
             stmt, self.index_ranges, self.context.program.reductions
         )
-        reads = self._read_vars(stmt.value)
-        for index_expr in stmt.target_indices:
-            for name in self._read_vars(index_expr):
+        reads = self._read_vars(value_names)
+        for names in index_names:
+            for name in self._read_vars(names):
                 if name not in reads:
                     reads.append(name)
 
@@ -499,19 +497,22 @@ class BuildContext:
         return builder.build_body()
 
 
-def build(source_or_program, entry="main", domain=None, bindings=None):
+def build(source_or_program, entry="main", domain=None, bindings=None, info=None):
     """Compile PMLang source (or a parsed Program) into an srDFG.
 
     Returns the srDFG of the *entry* component (``main`` by default) with
     every instantiation recursively expanded into its own sub-srDFG.
     *bindings* optionally pre-binds entry dimension symbols/params for
-    entry components with symbolic shapes.
+    entry components with symbolic shapes. *info* is the program's
+    :func:`~repro.pmlang.semantic.analyze` result for *entry*, when the
+    caller has it; else the program is analyzed here.
     """
     if isinstance(source_or_program, str):
         program = parse(source_or_program)
     else:
         program = source_or_program
-    info = analyze(program, entry=entry)
+    if info is None:
+        info = analyze(program, entry=entry)
     context = BuildContext(program, info)
     component = program.components[entry]
     graph = context.build_component(

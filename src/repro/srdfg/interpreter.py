@@ -606,27 +606,52 @@ def _literals(expr):
                  for node in ast.walk_expr(expr) if isinstance(node, ast.Literal))
 
 
+class _NotStatic(Exception):
+    """Raised in :func:`static_key` at an operand, an array or a reduction."""
+
+
 def static_key(exprs, space, static_env, sub_ranges=None):
     """What the values of *exprs* over *space* are a function of — their
     structure, the static values they read, the lattice's axes and ranges
     (narrowed by *sub_ranges*) — or None when one reads an operand, an
-    array or a reduction. A gather's caller appends the base's shape."""
-    statics = {}
-    for expr in exprs:
-        for node in ast.walk_expr(expr):
-            if isinstance(node, ast.Name):
-                if node.id in space.axis:
-                    continue
-                value = static_env.get(node.id)
+    array or a reduction. A gather's caller appends the base's shape.
+    One walk of each expression reads its ``expr_key``, its
+    :func:`_literals` and its statics."""
+    statics, literals, structure = {}, [], []
+
+    def key(expr):
+        if isinstance(expr, ast.Literal):
+            literals[-1].append((type(expr.value), repr(expr.value)))
+            return ("lit", expr.value)
+        if isinstance(expr, ast.Name):
+            if expr.id not in space.axis:
+                value = static_env.get(expr.id)
                 if not (type(value) in (bool, int, float) or isinstance(value, np.generic)):
-                    return None  # an operand, unbound, or an array
-                statics[node.id] = (type(value), repr(value))
-            elif isinstance(node, (ast.Indexed, ast.ReductionCall)):
-                return None
+                    raise _NotStatic  # an operand, unbound, or an array
+                statics[expr.id] = (type(value), repr(value))
+            return ("name", expr.id)
+        if isinstance(expr, ast.UnaryOp):
+            return ("un", expr.op, key(expr.operand))
+        if isinstance(expr, ast.BinOp):
+            return ("bin", expr.op, key(expr.left), key(expr.right))
+        if isinstance(expr, ast.Ternary):
+            return ("tern", key(expr.cond), key(expr.then), key(expr.other))
+        if isinstance(expr, ast.FuncCall):
+            return ("call", expr.func, tuple(map(key, expr.args)))
+        if isinstance(expr, (ast.Indexed, ast.ReductionCall)):
+            raise _NotStatic
+        return ast.expr_key(expr)
+
+    try:
+        for expr in exprs:
+            literals.append([])
+            structure.append(key(expr))
+    except _NotStatic:
+        return None
     sub_ranges = sub_ranges or {}
     return (
-        tuple(ast.expr_key(expr) for expr in exprs),
-        tuple(_literals(expr) for expr in exprs),
+        tuple(structure),
+        tuple(map(tuple, literals)),
         tuple(sorted(statics.items())),
         tuple(
             (name, sub_ranges.get(name, space.index_ranges[name]))

@@ -62,15 +62,6 @@ def _range_size(bounds):
     return max(0, high - low + 1)
 
 
-def _collect_reductions(expr):
-    """All ReductionCall nodes, outermost first (nested reductions rare)."""
-    found = []
-    for node in ast.walk_expr(expr):
-        if isinstance(node, ast.ReductionCall):
-            found.append(node)
-    return found
-
-
 def _index_names_in(expr, index_ranges):
     """Index variables referenced anywhere inside *expr*."""
     return tuple(
@@ -162,60 +153,62 @@ def _classify_sum_product(expr, free, reduce_names, index_ranges):
     return "contract", False
 
 
-def _count_expr_ops(expr, multiplier, index_ranges, reductions, counts):
-    """Accumulate scalar-op counts for *expr* executed *multiplier* times."""
+def _survey(expr, index_ranges, reductions):
+    """``(counts, names, calls)`` of *expr* from one walk: the scalar-op
+    counts of executing it once, by cost class; the names it reads
+    (:func:`~repro.pmlang.ast_nodes.expr_names`); and its reduction calls,
+    outermost first (:func:`~repro.pmlang.ast_nodes.walk_expr` order).
+    Counts are linear in the times *expr* runs, so a caller scales them."""
+    counts, names, calls = {}, set(), []
 
     def bump(cost_class, amount):
         counts[cost_class] = counts.get(cost_class, 0) + amount
 
-    if expr is None or isinstance(expr, (ast.Literal, ast.Name)):
-        return
-    if isinstance(expr, ast.Indexed):
-        for index_expr in expr.indices:
-            if not isinstance(index_expr, (ast.Name, ast.Literal)):
-                # Address arithmetic for strided subscripts.
-                _count_expr_ops(index_expr, multiplier, index_ranges, reductions, counts)
-        return
-    if isinstance(expr, ast.UnaryOp):
-        bump(COST_ALU, multiplier)
-        _count_expr_ops(expr.operand, multiplier, index_ranges, reductions, counts)
-        return
-    if isinstance(expr, ast.BinOp):
-        bump(BINOP_COST.get(expr.op, COST_ALU), multiplier)
-        _count_expr_ops(expr.left, multiplier, index_ranges, reductions, counts)
-        _count_expr_ops(expr.right, multiplier, index_ranges, reductions, counts)
-        return
-    if isinstance(expr, ast.Ternary):
-        bump(COST_ALU, multiplier)
-        for sub in (expr.cond, expr.then, expr.other):
-            _count_expr_ops(sub, multiplier, index_ranges, reductions, counts)
-        return
-    if isinstance(expr, ast.FuncCall):
-        bump(SCALAR_FUNCTIONS[expr.func][2], multiplier)
-        for arg in expr.args:
-            _count_expr_ops(arg, multiplier, index_ranges, reductions, counts)
-        return
-    if isinstance(expr, ast.ReductionCall):
-        inner = multiplier
-        for spec in expr.indices:
-            inner *= _range_size(index_ranges[spec.name])
-            if spec.predicate is not None:
-                _count_expr_ops(
-                    spec.predicate, multiplier, index_ranges, reductions, counts
-                )
-        _count_expr_ops(expr.arg, inner, index_ranges, reductions, counts)
-        # Combining N elements costs N-1 applications of the combiner.
-        combos = max(0, inner - multiplier)
-        if is_builtin_reduction(expr.op):
-            bump(COST_ALU, combos)
+    def visit(expr, multiplier):
+        if expr is None or isinstance(expr, ast.Literal):
+            return
+        if isinstance(expr, ast.Name):
+            names.add(expr.id)
+        elif isinstance(expr, ast.Indexed):
+            names.add(expr.base)
+            for index_expr in expr.indices:
+                # Address arithmetic for strided subscripts counts.
+                visit(index_expr, multiplier)
+        elif isinstance(expr, ast.UnaryOp):
+            bump(COST_ALU, multiplier)
+            visit(expr.operand, multiplier)
+        elif isinstance(expr, ast.BinOp):
+            bump(BINOP_COST.get(expr.op, COST_ALU), multiplier)
+            visit(expr.left, multiplier)
+            visit(expr.right, multiplier)
+        elif isinstance(expr, ast.Ternary):
+            bump(COST_ALU, multiplier)
+            for sub in (expr.cond, expr.then, expr.other):
+                visit(sub, multiplier)
+        elif isinstance(expr, ast.FuncCall):
+            bump(SCALAR_FUNCTIONS[expr.func][2], multiplier)
+            for arg in expr.args:
+                visit(arg, multiplier)
+        elif isinstance(expr, ast.ReductionCall):
+            calls.append(expr)
+            inner = multiplier
+            for spec in expr.indices:
+                inner *= _range_size(index_ranges[spec.name])
+                visit(spec.predicate, multiplier)
+            visit(expr.arg, inner)
+            # Combining N elements costs N-1 applications of the combiner.
+            combos = max(0, inner - multiplier)
+            if is_builtin_reduction(expr.op):
+                bump(COST_ALU, combos)
+            else:
+                body = _survey(reductions[expr.op].expr, index_ranges, reductions)[0]
+                for cost_class, per_combo in body.items():
+                    bump(cost_class, per_combo * combos)
         else:
-            definition = reductions[expr.op]
-            body_counts = {}
-            _count_expr_ops(definition.expr, 1, index_ranges, reductions, body_counts)
-            for cost_class, per_combo in body_counts.items():
-                bump(cost_class, per_combo * combos)
-        return
-    raise TypeError(f"unexpected expression node {type(expr).__name__}")
+            raise TypeError(f"unexpected expression node {type(expr).__name__}")
+
+    visit(expr, 1)
+    return counts, names, calls
 
 
 def classify(stmt, index_ranges, reductions=None):
@@ -225,17 +218,28 @@ def classify(stmt, index_ranges, reductions=None):
     inclusive ``(low, high)`` bounds; *reductions* maps user-defined
     reduction names to their definitions.
     """
+    return classify_reads(stmt, index_ranges, reductions)[0]
+
+
+def classify_reads(stmt, index_ranges, reductions=None):
+    """``(descriptor, reads)``: :func:`classify`'s descriptor, and the
+    names the statement's value and then each of its target subscripts
+    read (one set each), from one walk of each."""
     reductions = reductions or {}
+    value_counts, value_names, reduction_calls = _survey(stmt.value, index_ranges, reductions)
+    reads = [value_names]
+    counts: Dict[str, int] = dict(value_counts)
     free = []
-    seen = set()
     for index_expr in stmt.target_indices:
-        for name in _index_names_in(index_expr, index_ranges):
-            if name not in seen:
-                seen.add(name)
+        index_counts, index_names, _ = _survey(index_expr, index_ranges, reductions)
+        reads.append(index_names)
+        for name in sorted(index_names):
+            if name in index_ranges and name not in free:
                 free.append(name)
+        for cost_class, count in index_counts.items():
+            counts[cost_class] = counts.get(cost_class, 0) + count
     free = tuple(free)
 
-    reduction_calls = _collect_reductions(stmt.value)
     reduce_names = []
     has_predicate = False
     for call in reduction_calls:
@@ -286,11 +290,8 @@ def classify(stmt, index_ranges, reductions=None):
         else:
             opname = f"reduce_{call.op}"
 
-    counts: Dict[str, int] = {}
-    _count_expr_ops(stmt.value, free_size, index_ranges, reductions, counts)
-    for index_expr in stmt.target_indices:
-        if not isinstance(index_expr, (ast.Name, ast.Literal)):
-            _count_expr_ops(index_expr, free_size, index_ranges, reductions, counts)
+    # Each part runs once per free point.
+    counts = {cost_class: count * free_size for cost_class, count in counts.items()}
 
     return OpDescriptor(
         opname=opname,
@@ -301,4 +302,4 @@ def classify(stmt, index_ranges, reductions=None):
         fused=fused,
         has_predicate=has_predicate,
         op_counts=counts,
-    )
+    ), reads

@@ -769,8 +769,34 @@ class _Step:
         raise NotImplementedError
 
 
+def _bind(values, name, modifier, shape, dtype):
+    """The array variable *name* binds to: *values*' entry (the caller's
+    dict of its *modifier*, ``{}`` for a local read before it is
+    written), as *dtype* and checked against *shape*. A missing input or
+    param raises; a missing state, output or local reads zeros. Both
+    tiers bind through it: a kernel prints one call per variable."""
+    if modifier == "input" or modifier == "param":
+        if name not in values:
+            raise ExecutionError(f"missing {modifier} {name!r}")
+        value = values[name]
+    else:
+        value = values.get(name)
+        if value is None:
+            return np.zeros(shape, dtype)
+    array = np.asarray(value, dtype=dtype)
+    if array.shape != shape:
+        raise ExecutionError(f"value for {name!r} has shape {array.shape}, declared {shape}")
+    return array
+
+
+#: A variable's modifier -> the ``run`` argument it binds from (a
+#: kernel's parameter, in the same order); a local binds from an empty
+#: dict, index 4.
+_SOURCE = {"input": 0, "param": 1, "state": 2, "output": 3}
+
+
 class _VarStep(_Step):
-    __slots__ = ("key", "name", "modifier", "np_dtype", "shape")
+    __slots__ = ("key", "name", "modifier", "np_dtype", "shape", "source")
 
     def __init__(self, node, float_dtype):
         self.node_name = node.name
@@ -780,36 +806,12 @@ class _VarStep(_Step):
         self.modifier = node.attrs["modifier"]
         self.np_dtype = resolve_dtype(node.attrs["dtype"], float_dtype)
         self.shape = tuple(node.attrs["shape"])
+        self.source = _SOURCE.get(self.modifier, 4)
         self.produced = ((self.key, self.name),)
 
     def run(self, values, inputs, params, state, output_init):
-        name = self.name
-        modifier = self.modifier
-        if modifier == "input":
-            if name not in inputs:
-                raise ExecutionError(f"missing input {name!r}")
-            value = inputs[name]
-        elif modifier == "param":
-            if name not in params:
-                raise ExecutionError(f"missing param {name!r}")
-            value = params[name]
-        elif modifier == "state":
-            value = state.get(name)
-            if value is None:
-                value = np.zeros(self.shape)
-        elif modifier == "output":
-            value = output_init.get(name)
-            if value is None:
-                value = np.zeros(self.shape)
-        else:  # local read-before-write
-            value = np.zeros(self.shape)
-        array = np.asarray(value, dtype=self.np_dtype)
-        if tuple(array.shape) != self.shape:
-            raise ExecutionError(
-                f"value for {name!r} has shape {tuple(array.shape)}, "
-                f"declared {self.shape}"
-            )
-        values[self.key] = array
+        source = (inputs, params, state, output_init, {})[self.source]
+        values[self.key] = _bind(source, self.name, self.modifier, self.shape, self.np_dtype)
 
 
 class _ConstStep(_Step):

@@ -33,6 +33,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from repro.codegen import (
     CODEGEN_STATS,
+    KernelArtifact,
     KernelEmitter,
     build_kernel,
     kernel_cache_key,
@@ -1043,76 +1044,78 @@ def _ledger_kernel(name):
 #: commit whose ``del``s are placed from the printed lines alone: an
 #: operand a statement reads only through a take shared from an earlier
 #: statement (FFT's ``txi`` reads ``xr`` only via that take) is released
-#: one statement earlier; only ``del`` lines moved. The source changes by
+#: one statement earlier; only ``del`` lines moved. All 17 sources were
+#: re-taken at ``KERNEL_ABI`` 12, when a variable began to bind through
+#: one ``_bind`` line; only variable lines moved. The source changes by
 #: design;
 #: :data:`OUTPUT_DIGESTS` pins what it computes.
 KERNEL_DIGESTS = {
     "MobileRobot": (
-        "63811b650a245ae0115e36c8263bde57b472cbe3d9fe8280f57a8af461af8e1f",
+        "33b5db88f139c3d3bfa55f2f5fb88361b899c71cd75a69ff53e27a0f9bf01ac9",
         "1ab33432bc6219fdf74a78be0066ea74bf19215d30b79f4d480a521a124acf3d",
     ),
     "Hexacopter": (
-        "22edadeb046e4ec9607a656462390053e519ec9d0814b20a6211385e82817863",
+        "24e8671e6d3966a7aaba81293717ca430ddab4747f82707ee841c4bcc7c25f2d",
         "4bccfdeff6542eaa2787dc230c0a740ff791e2671f6f4c53090f5ce57d2bc05b",
     ),
     "Twitter-BFS": (
-        "d5839e4a8cc17d1f5308d88a8eea4b1f17b4da7029034158d65b0271c36894e1",
+        "b64c2e6789112b8c95eb59b132b38636504ee633c0383e8472891825b166775f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "Wiki-BFS": (
-        "d10b929f2d1f7746752b03784c3b57874ebe2c1796ac5c3f4cc149b88d06809b",
+        "b05ad5537a63ee99dd0c063a0f38bd37acecb603aa5ee6edd3d7c00f7f4cd107",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "LiveJourn-SSP": (
-        "4773462bd4dc2ac6d397d68c5cce46d25c338b40290e819d25a240850809038a",
+        "eeed2e9e1e9f14f2ba12c643f762c1380297acfcda6f68518bd906a3724d3b1b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-20M": (
-        "c12eb4598b082c99f6306b2323df748be62d103a1607fe082476ce0da4dbd264",
+        "204ff0e3ee3d09d6078a8cda51164b9e1ff4da635106ad3a5daed56137f30eae",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-100K": (
-        "b063456fcbcc02e57bf3c8342d9fcec18bce84e2799cb0b5a5713b6927deac0a",
+        "2e325c62f25718c757aa3054c05a2498583644ab41573dc2c928bdeb798d0028",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DigitCluster": (
-        "32130a4f684d51d52d64ff7e01fc8181567c67cdb3d9ed56b08d5b29248ad210",
+        "d20252ac631bb24628a580c3c59f56a4ccfe071ff1f257c6c119c215f3b81477",
         "6e6f799c117f4228d21501bfeebbd7b016c2c646e7e10073d576ef83d9951d95",
     ),
     "ElecUse": (
-        "207b5ded8ea33f93700ba0fc4090109e7e50cff46f8c423bfe5e14c647c7404f",
+        "c83f77564ad9cfd4178b67d890c15cdfd6503f2143333308b7d5263d78a258aa",
         "99c71331694394815895e82a233c0f836a75eaa5c16788316c16bbc8797504d7",
     ),
     "FFT-8192": (
-        "0d6916deea634c7f2431666e747d76b47f91d8e5981487ff1ff64659967df3c0",
+        "cdfce2482ab6d62ae69efc49d1ee735f2a15b7b467c603e21c086d71b88875d5",
         "e2f823bd4254d98dfa956b5e446ef03f0d2794ca1668e2bdb354307e75e65bc6",
     ),
     "FFT-16384": (
-        "6eac0cacd38d5ba5fd427afb02bd04d45b9ec31364832fb418d402fb1c068b50",
+        "f5cdd00b153844ad84071eaeaa6d003e8c8db3a99556ce435c6387214d337019",
         "f501962719de04ca11cb92ed4957a6c90c89fa941c0ca572843d1c4b8e8717e3",
     ),
     "DCT-1024": (
-        "0e681653b4bb5a9596ef418f438565bb0e92da52e276c0d4e5b6c0ddeabb3fd4",
+        "03cb53f8c556af6b989e423e297027ad0f0686d189dee8ae6051ae77c4430ed7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DCT-2048": (
-        "9bb68fd4cdd4bf97faabfe8d902aebb54a8959144186498d0ca7833518cbd6a6",
+        "e9bc4ff55ab310961afb9b052e1bab2c9ad1e430ebc9df46829ddac83fd326f3",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "ResNet-18": (
-        "4fc9fc27cf2075305daa6d1438b0a27a5a1457d2df639182b7ce7cfc6a43dba3",
+        "ed1fad0c93b4654da47ccb415af90641a8c2eca30a52f462f1ff9730e6b1f10d",
         "3182a0ab9442c52b4a41838439f6094bf91a61597cda06887d2350784ba22d87",
     ),
     "MobileNet": (
-        "d3772ab4db5cd96617dba384013cee5fba4d81c02f118879955d599e75f72f79",
+        "4d2e485d6ed4856adf4e996506222bdb37f98be520bd207715f3c9e918187ede",
         "8c0ee4542f6104858a9a780101db07cbde2a2e6b5e01de8313ab7e81ea4131a7",
     ),
     "BrainStimul": (
-        "19d3bbc5f8e99d62d60c1793a507ffd4b379f8a3a18f1b0fa75f21f99ca799d6",
+        "7f2aed9e798062045224049121d64eeee1c5384769106f25c83b79c6ad866c62",
         "401d6f2b9e24f2b56b59cf4f68ffdc56945301a36f2961ad85353ae403c4eeb5",
     ),
     "OptionPricing": (
-        "04f2e9bc6dc19b686ca4b534fdcd0b437b626e87dd1fe6b0829e4e16df5d9651",
+        "a840144b971693f0829fe4d9ee52eb643f76eca9d22a8601ea1497bf684f009c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
@@ -1353,6 +1356,125 @@ MEMO_AFTER_A_TAKE_BACK = (
     " y[i] = sum[j](k[7 - i][j] + x[i][idx[j]]);"
     " z[i] = y[i] + sum[j](k[7 - i][j] + x[i][j]); }"
 )
+
+
+#: Every variable modifier, int-typed state and output among them, and
+#: a local read before it is written.
+_BINDING_PROGRAM = """
+main(input float x[4], state int c[4], output int y[4], output float z[4]) {
+  index i[0:3];
+  float t[4];
+  y[i] = c[i] + 1;
+  c[i] = y[i];
+  z[i] = t[i] + x[i];
+}
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _binding_case(name):
+    """``(plan, inputs, params, state)`` of paper program *name*, or of
+    :data:`_BINDING_PROGRAM` for ``"all-modifiers"``."""
+    if name == "all-modifiers":
+        session = CompilerSession(default_accelerators())
+        plan = session.plan_for(session.compile(_BINDING_PROGRAM, domain="DA"), codegen=True)
+        return plan, {"x": np.arange(4.0)}, {}, {"c": np.arange(4)}
+    workload, plan = _ledger_plan(name)
+    state = {key: np.asarray(value) for key, value in workload.initial_state().items()}
+    return plan, workload.inputs(0, None), workload.params(), state
+
+
+class TestBinding:
+    """The interpreted plan and the kernel bind variables alike: both call
+    ``_bind``, the kernel through one printed line per variable."""
+
+    @staticmethod
+    def _bind_on_both_tiers(plan, inputs, params, state, output_init=None):
+        """``{tier: {name: array} or ExecutionError text}``: what each tier
+        bound every variable to, or what the binding raised."""
+        from repro.srdfg import plan as plan_module
+
+        real = plan_module._bind
+        results = {}
+        for tier in ("interpreted", "kernel"):
+            bound = {}
+
+            def record(values, name, modifier, shape, dtype):
+                bound[name] = real(values, name, modifier, shape, dtype)
+                return bound[name]
+
+            args = (inputs, params, state, output_init or {})
+            try:
+                if tier == "kernel":
+                    constants = {**plan.kernel.constants, "_bind": record}
+                    KernelArtifact("binding", plan.kernel.source, constants).run(*args)
+                else:
+                    plan_module._bind = record
+                    try:
+                        plan._execute(*args, trace=None)
+                    finally:
+                        plan_module._bind = real
+            except ExecutionError as exc:
+                results[tier] = str(exc)
+            else:
+                results[tier] = bound
+        return results
+
+    @pytest.mark.parametrize("name", ["MobileRobot", "Twitter-BFS", "OptionPricing", "all-modifiers"])
+    def test_a_missing_input_or_param_raises_alike(self, name):
+        plan, inputs, params, state = _binding_case(name)
+        checked = 0
+        for step in plan.steps:
+            if step.kind == "var" and step.modifier in ("input", "param"):
+                values = {"input": dict(inputs), "param": dict(params)}
+                del values[step.modifier][step.name]
+                results = self._bind_on_both_tiers(plan, values["input"], values["param"], state)
+                assert results == dict.fromkeys(
+                    ("interpreted", "kernel"), f"missing {step.modifier} {step.name!r}"
+                )
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("name", ["MobileRobot", "Twitter-BFS", "OptionPricing", "all-modifiers"])
+    def test_a_wrong_shape_raises_alike(self, name):
+        plan, inputs, params, state = _binding_case(name)
+        checked = set()
+        for step in plan.steps:
+            if step.kind == "var" and step.modifier != "local":
+                wrong = np.zeros((1,) * (len(step.shape) + 1))
+                values = {"input": dict(inputs), "param": dict(params),
+                          "state": dict(state), "output": {}}
+                values[step.modifier][step.name] = wrong
+                results = self._bind_on_both_tiers(
+                    plan, values["input"], values["param"], values["state"], values["output"]
+                )
+                assert results == dict.fromkeys(
+                    ("interpreted", "kernel"),
+                    f"value for {step.name!r} has shape {wrong.shape}, declared {step.shape}",
+                )
+                checked.add(step.modifier)
+        assert {"input", "param", "state", "output"} & checked
+
+    @pytest.mark.parametrize("name", ["MobileRobot", "Twitter-BFS", "OptionPricing", "all-modifiers"])
+    def test_absent_state_outputs_and_locals_read_zeros_of_their_dtype(self, name):
+        plan, inputs, params, _ = _binding_case(name)
+        results = self._bind_on_both_tiers(plan, inputs, params, {})
+        interpreted, kernel = results["interpreted"], results["kernel"]
+        assert interpreted.keys() == kernel.keys()
+        filled = 0
+        for step in plan.steps:
+            if step.kind != "var":
+                continue
+            for array in (interpreted[step.name], kernel[step.name]):
+                assert array.dtype == np.dtype(step.np_dtype) and array.shape == step.shape
+            if step.modifier in ("state", "output", "local"):
+                assert not kernel[step.name].any() and not interpreted[step.name].any()
+                filled += 1
+            else:
+                assert kernel[step.name].tobytes() == interpreted[step.name].tobytes()
+        assert filled
+        if name == "all-modifiers":
+            assert {kernel[n].dtype.kind for n in ("c", "y", "t")} == {"i", "f"}
 
 
 class TestIndexMapMemo:
@@ -2331,6 +2453,11 @@ class TestCli:
         assert (entry["gathers"], entry["gathers_shared"]) == (0, 0)
         assert entry["subexpressions_shared"] == 0
         assert entry["short_sums"] == 0
+        # The codegen layer's cost per program: build time and size.
+        assert entry["build_ms"] > 0
+        assert entry["source_lines"] == _ledger_kernel("MobileRobot").source.count("\n")
+        assert (f"{entry['source_bytes']} bytes, {entry['source_lines']} lines, "
+                f"built in {entry['build_ms']:.2f} ms") in out
 
     def test_codegen_names_why_a_plan_declined(self, capsys, monkeypatch):
         import json

@@ -503,92 +503,93 @@ class TestFrozenConfiguration:
 #: to any key strands every existing ``--cache-dir`` tree, so these are
 #: literals: moving one is a deliberate, announced format break. The
 #: kernel keys moved with ``KERNEL_ABI`` 11, when a matmul einsum would
-#: transpose began to take its terms swapped.
+#: transpose began to take its terms swapped, and with 12, when variables
+#: began to bind through ``_bind``; the compile and plan keys did not.
 PAPER_PROGRAM_KEYS = {
     "MobileRobot": (
         "7ab951e36ab95100cecfce982100e01003647428c4bd9e35b5f831d75dd5fbe5",
         "ec95beeeaf1d2c0cdaf3e2210235de854478f8d5fef890114f4d555d6ba4a3b6",
-        "2b58783a7ae91e0a89dc4fac50f99022f27a98209d56c28918a4b975d55c6f8c",
+        "8dce67c106d7526a4c9be3139e69a682ee7d3743c3b1e231d6532e6e2682c9d4",
     ),
     "Hexacopter": (
         "cbcb5e480e296bfc5464ba3311bd1eb740158e8b5457d60aaae085669c6864d4",
         "6961b07853fd691860d1fa959ced49ce1cfff343b6134fab54cae5f4e99419ee",
-        "3abb715c7763d7018ad467c008d10ad32123133683df3ebb1af59ed4b5e6c56e",
+        "266c6984fa4446655a8c98d8ed484bcfeee65c0ed2caade54415cf0746f360f1",
     ),
     "Twitter-BFS": (
         "b3f6fd7fac080b2b9e709d57045c3c29ad6f4d6368cd07a24bc7d35a8b3f7846",
         "7595f81d38aa46cf8c089199a778bed10c665150f7457cd077b647556672ab81",
-        "c3c1e508044c70391b2cce34b4310c4bedb37415d2b74ea7cec904dfe8487a56",
+        "7c8f09a4cab41bb13982191ba2b1dc06c626baed45b4bac817adac81276b3ff9",
     ),
     "Wiki-BFS": (
         "5bb7fb2b81423ef9257a3beafc94f6a3e7e34d12470d1c7becb2247bfa8d1ae4",
         "ee963fac1f0ed1cfa473561c255a35024dd561b33b7c824bd0ac4bed14778e42",
-        "963e3b276749591110aab0dc95c6833c8c569e18df9bdb6d96f4bb486bf2d4c7",
+        "34d240878d1426781f8973b3500faca9ce36bcabfd976570fe49f33fe4809ea1",
     ),
     "LiveJourn-SSP": (
         "1141bfe0bde2f7255279d2ce2966f396d7a282ad630202b0b7d39b55aded8afc",
         "523f88614ed94b4c612204d0da69a04ad2eb0aac00a2398bc3bdb520d44674f1",
-        "98c823a364e00682713f5b9265db6a8188f1418d2fe49c8a804a35adecd5586e",
+        "572f87255e9f240e72701f42e223fea66c727002c5f27aeee7e21740bf2d1609",
     ),
     "MovieL-20M": (
         "6fceb57ce26f8b4e760abc8ad317cbd2e89e8fb45d68a4104d2f1c5485a35d84",
         "03b6a4eb7c0e98a986a3501cf7a5b474ab31c5c96979da220a2b5fa258853d54",
-        "f54e275208fbfe79e7fa55f2cfe392d11cbda2c4b4691aacfd243597146f7a6b",
+        "cf7e7eabf80d7133c188a51828b451e04289c8862efb8122d105ada4bbf3b579",
     ),
     "MovieL-100K": (
         "152a11a15f1da6d1a556d949e7d1d7eafe3aa523eacde5d4809243a0d5da5e39",
         "f7b585f8cf3ec2d711bc10e75c300c8d52e7569d630471118dee02209951e45a",
-        "a0881b3e134c7e3e906c0b2820689c0c3186e1e280462d7800e23468f880307b",
+        "548a7e67579123f7a6b48579d895c5f636eed469bd5c02d0e895f65c2ee718d8",
     ),
     "DigitCluster": (
         "361d54637117e5a750cc3b9b859281ba5a41d2d3617a369145c5ff5c7d16d2f7",
         "3f1bdc50954e4f28439d0240b91f3f1495f2b231de765253a428891fb5e8eb44",
-        "18801280edc907805a5a1f323cd870607e11f810b319d53beb18e18301216081",
+        "2e96e383111dbec6f6527f968b119895a93b1ce78ade5ab6aaa9bb982a2e16db",
     ),
     "ElecUse": (
         "5fcef597d0bb8025d3a7455c627d4d9892e3b6234f0b6b252b939123443c4f8b",
         "3dd44533d837e641ccf770ecdaeb4d9a2fc4cfe77bb449ff49cac14ec8487dfd",
-        "ff6a0c33a8676b57e014b5c9b64a7cf7bb7e7620129797277abe20e0ef112617",
+        "2e6bb7c1bd654f59fa7ba0613dcea965f100f0ff40743eb0b518c9d549385d59",
     ),
     "FFT-8192": (
         "44206183f79e358cf5b4394b22d0e403e908f0a33ac06f167ad5586bf185ec79",
         "fcee42dd700826457f9af8f53837f566742abd4b31d8b30985628aa46c78b8f9",
-        "1e5d0cf8afe67b5cd5f508d036ead64da3e6426a3d1d252285102122bf41cea4",
+        "8f89f70db62b2bb00ef32799470015a77614d89eaf298c49f51c2e3793981aca",
     ),
     "FFT-16384": (
         "5f685939b2e8a01668fbb352b9b8f71625da5be5729edaa26564b5e7a876181a",
         "cdd113ff36cb1130cb3d0732c0b500206ec48604d30332aea323638d65af46ae",
-        "61a0347ad1668f22398732b084e8b71c4df8d3700110b896046361780170ed15",
+        "8899c7f8f583e469b1e91a2c127a0ef36148831c45c13344db88c35a9d6c4de5",
     ),
     "DCT-1024": (
         "73364e81b146a8f3787589f083fa1d6f918ca97d42f05ef88edbf405189331ef",
         "3876ec15ba8b8d590dae0283f90490846a15ac51e43b35edef6b09862e33e329",
-        "e9878d97db580bafc04adb62f71d7045b0a2b0557652da280bb854bea4a08d85",
+        "9d05cc9a912c76212682cbe29e312d0a2a0fd562316a84a5855be0e111281edd",
     ),
     "DCT-2048": (
         "f302f0a1a262f35547193f844c75548c8d935152aea1841442b85bcb5e3ebb50",
         "31845a7f3147079c4e4af2163c32b2495ca573139e76f855089de5b62c1c37e4",
-        "6cbab5ccc1a35b83e9edf8b0d36aedbc9d68c892f0cc1a0456581394fb232138",
+        "b05a4f7656902ed98be9136ad8c29f5b295026d0f8b15d3d65db115b9f40fba9",
     ),
     "ResNet-18": (
         "b4bb64a25b4086cdabae1fcf526cba677812488d11c8b45701a101fb003b0a75",
         "9fbcbf31e4d5bdd05989f39a9a67793ea133d1303c80f11d3c7ebb1a9e525f50",
-        "4e5259fd8812e08392cb62e07f4791df7028ced3f6c160a62b19790b989b3670",
+        "0a378804b2086bd5ac98902c9872af1ad3b3bc8d415c51b7f832d9be221425b5",
     ),
     "MobileNet": (
         "41ba30640b089be0eda370cb846a5c9328e0ba96f77bef63de916b33828fd399",
         "2c9a6f815ef242cd5a737b214aee6bf754608fee2ddcd425ffcaf9ce58a5a2c0",
-        "a2a112aad100c46f2a6e3166b96a1f3b782625103bf241cd07f03e723fe1ba4a",
+        "666f815685596cfcf0f0e09c9f19ff351179f04a7fc34b643d1c60a787dd1e6f",
     ),
     "BrainStimul": (
         "544522a9157a148fb0bfdafb673175eb28ab2ddff9632ce8e09805ff6d257eaa",
         "2f7354c9b2215df44bf134567881452ff81d251a1419b37ac17d88d0a93a2eb3",
-        "b48159b055a1e283b28f88695eb48eadf3694cfcfb15824fe85f0e93898f43a2",
+        "fb59a2c15432a3f3b8ef60ee8bb9dac96b91e043c444c887937437ff39a88a79",
     ),
     "OptionPricing": (
         "034fc6db3992b118f10e4e9e7e269cfc926112e480dc4e9e8c6aae2b8f621723",
         "12e8c4db9593e8677c7334518a4fa4f2211b28b59b913ecaad89286f5fd467b9",
-        "d4ad43402a079f4915ae07468aa280c7bf3973dadf0d422825d773b104b5a87c",
+        "f8240ba16fa7b42ac19ffa9dabfa9915706696b14e4638297a9fe860e0023fe6",
     ),
 }
 

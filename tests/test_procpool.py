@@ -118,6 +118,21 @@ def test_two_processes_racing_same_key_build_exactly_once(tmp_path):
     assert not (cache_dir / "k-race.lease").exists()
 
 
+def test_a_won_lease_over_a_published_key_counts_a_wait(tmp_path):
+    """A sibling published the key between our miss and our lease: the
+    lease is won, nothing is built, and the artifact is the sibling's —
+    a wait, not an acquisition (``lease_acquired`` counts builds)."""
+    ArtifactCache(cache_dir=str(tmp_path)).put(COMPILE, "k-sibling", {"v": "theirs"})
+    cache = ArtifactCache(cache_dir=str(tmp_path))
+
+    def builder():
+        raise AssertionError("the published key was built again")
+
+    assert cache.build_once(COMPILE, "k-sibling", builder) == ({"v": "theirs"}, "coalesced")
+    assert (cache.stats.lease_waited, cache.stats.lease_acquired) == (1, 0)
+    assert not list(tmp_path.glob("*.lease"))
+
+
 def test_sessions_sharing_a_cache_dir_build_one_key_once(tmp_path, monkeypatch):
     """No flag asks for the lease: two sessions (two caches) over one
     ``cache_dir`` — the shape of ``--pool process``'s parent session and
@@ -793,3 +808,31 @@ def test_serial_baseline_matches_process_trace(tmp_path):
     assert [r.signature for r in responses] == [
         r.signature for r in serial
     ]
+
+
+def test_process_pool_lists_every_workers_plans(tmp_path):
+    """Each child sends its session's plans home at retirement: the serve
+    report lists them under the worker's name beside the parent's own
+    (``parent``), so their executions add up to the steps served, in a
+    child or inline."""
+    from repro.driver import CompilerSession
+
+    trace = synth_trace(
+        requests=9,
+        workloads=("MobileRobot", "OptionPricing", "Twitter-BFS"),
+        seed=11,
+        max_steps=3,
+    )
+    session = CompilerSession(cache_dir=str(tmp_path))
+    with Server(session=session, workers=2, queue_capacity=32, pool="process") as server:
+        responses, _ = replay(server, trace)
+    assert all(response.ok for response in responses)
+    report = server.report()
+    plans = report.session["plans"]
+
+    workers = {plan["worker"] for plan in plans}
+    assert workers & {"serve-0", "serve-1"}
+    assert workers <= {"parent", "serve-0", "serve-1"}
+    served = sum(metrics.steps for metrics in report.requests)
+    assert served == sum(request.steps for request in trace)
+    assert sum(plan["executions"] for plan in plans) == served

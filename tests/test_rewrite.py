@@ -9,8 +9,11 @@ around stateful nodes, strictly improving moves, bit-identical fused vs
 unfused outputs), and how a pipeline reports a failing rule.
 """
 
+import collections
 import dataclasses
+import functools
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +58,7 @@ from repro.rewrite import (
     rewrite_statement,
     run_ruleset,
 )
-from repro.rewrite.engine import POSITION_LIMIT, SWEEP_LIMIT, per_rule
+from repro.rewrite.engine import POSITION_LIMIT, REWRITE_STATS, SWEEP_LIMIT, per_rule
 from repro.rewrite.lowering import _inline_component, lowering_measure
 from repro.rewrite.fusion import (
     _crossing_candidates,
@@ -359,6 +362,63 @@ class TestEngine:
         with pytest.raises(RewriteError, match=f"exceeded {POSITION_LIMIT}"):
             rewrite_statement(graph, node, counting, stats=stats)
         assert stats.to_dict()["counting/increment.rewrites"] == POSITION_LIMIT
+
+    def test_a_raising_rule_keeps_its_statements_earlier_matches(self):
+        """A statement's firings reach the counters in one merge, also
+        when a rule raises partway through it."""
+        offered = []
+
+        def fail_third(expr, bindings, ctx):
+            offered.append(expr)
+            if len(offered) == 3:
+                raise ValueError("third literal")
+            return None
+
+        failing = RuleSet(
+            name="failing",
+            expr_rules=(ExprRule("third-fails", Lit(numeric=True), fail_third),),
+        )
+        graph = build(
+            "main(input float x[4], output float y[4]) {"
+            " index i[0:3]; y[i] = x[i] * 2.0 + 3.0 - 4.0; }"
+        )
+        [node] = graph.compute_nodes()
+        stats = Counters()
+        with pytest.raises(RewriteError, match="failing/third-fails"):
+            rewrite_statement(graph, node, failing, stats=stats)
+        assert stats.to_dict() == {"failing/third-fails.matches": 3}
+
+    def test_concurrent_compiles_add_up_in_the_process_counters(self):
+        """Two threads compiling different paper programs at once leave
+        ``REWRITE_STATS`` at the sum of what each compile adds alone."""
+        names = ("MobileRobot", "BrainStimul")
+
+        def compile_one(name, barrier=None):
+            if barrier is not None:
+                barrier.wait(timeout=30)
+            CompilerSession().compile_workload(get_workload(name))
+
+        def added(run):
+            before = REWRITE_STATS.to_dict()
+            run()
+            return collections.Counter(
+                {key: value - before.get(key, 0) for key, value in REWRITE_STATS.to_dict().items()}
+            )
+
+        alone = sum((added(functools.partial(compile_one, name)) for name in names),
+                    collections.Counter())
+        assert alone
+
+        def both():
+            barrier = threading.Barrier(len(names))
+            threads = [threading.Thread(target=compile_one, args=(name, barrier))
+                       for name in names]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+
+        assert added(both) == alone
 
     def test_wildcard_and_unknown_patterns_offered_everywhere(self):
         class Recording(Pattern):
