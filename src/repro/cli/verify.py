@@ -140,6 +140,7 @@ def _cmd_codegen(args):
             f"{entry['einsum']} einsum, "
             f"{entry['compressed']} compressed, "
             f"{entry['reuses']} reuse(s), "
+            f"{entry['in_place']} in place, "
             f"{entry['source_bytes']} bytes, "
             f"{entry['source_lines']} lines, {built}"
         )

@@ -65,7 +65,12 @@ __all__ = [
 #: about 30%, and their ``compile`` with them). ``_bind`` joined the
 #: namespace and ``ExecutionError`` left it: a record of 11 would raise a
 #: missing input through a name the namespace no longer binds.
-KERNEL_ABI = 12
+#: 13: a contraction prints the numpy calls ``_contract`` makes for its
+#: steps (``c_einsum`` joined the namespace and ``_contract`` left it), a
+#: value known C-ordered drops its no-op wrappers, and a partial store
+#: writes over a dead buffer the kernel allocated: a record of 12 would
+#: call a name the namespace no longer binds.
+KERNEL_ABI = 13
 
 
 def kernel_cache_key(plan_key):

@@ -61,18 +61,29 @@ Folded slices
     keyed by its sub-range, so no slice reads another's.
 
 Dead results
-    A statement result is an array the kernel allocated. Once the kernel
-    is printed, one pass over its lines finds the last line naming each
-    local (:meth:`KernelEmitter._settle_lifetimes`). A ufunc offered a
-    result of its shape and dtype writes over it (``out=_reuse(_vN)``)
-    when its statement names it only as that operand and no later line
-    names it: then nothing reads it after the ufunc, no view of it is
-    live, and it is no output or state. The ufunc computes the bytes it
-    would into a new buffer. A statement whose result the kernel returns
-    takes none: what outlives the call is allocated by the statement
-    that computes it. The same pass places each ``del`` after the
-    statement of a local's last reader: the printed text is the only
-    record of what reads what.
+    A statement result, like a zero-filled local, is an array the kernel
+    allocated. Once the kernel is printed, one pass over its lines finds
+    the last line naming each local
+    (:meth:`KernelEmitter._settle_lifetimes`). A ufunc offered such an
+    array of its shape and dtype writes over it (``out=_vN``) when its
+    statement names it only as that operand and no later line names it:
+    then nothing reads it after the ufunc, no view of it is live, and it
+    is no output or state. The ufunc computes the bytes it would into a
+    new buffer. A statement whose result the kernel returns takes none:
+    what outlives the call is allocated by the statement that computes
+    it. The same pass places each ``del`` after the statement of a
+    local's last reader: the printed text is the only record of what
+    reads what.
+
+Stores over dead locals
+    A partial store copies its previous value, then writes its cells. When
+    that value is a known array the kernel allocated in the target dtype,
+    and the pass above finds it dead once the store's statement reads it —
+    named there once, named by no later line, and the store's result no
+    output or state — the store binds it and writes its cells in place
+    (``_vN = _vM``): no one reads the cells it overwrites, so the result
+    holds the bytes the copy would (the conv nets' padded zero fills). A
+    copy that stays needs no cast, and prints none.
 
 Points
     A reduction on its predicate's points prints a branch: the memo
@@ -91,11 +102,30 @@ The index-map memo
 
 Window takes
     A contraction operand that is a short-run window view
-    (:meth:`KernelEmitter._window_take`) is read by ``_contract`` only
+    (:meth:`KernelEmitter._window_take`) is read by the contraction only
     through a ``reshape`` that copies it, in C order, into a fresh
     C-ordered matrix. ``np.take`` through the view's flat index fills a
     fresh C-ordered array with the same elements in the same order, so
     the ``reshape`` copies nothing and the matmul reads the same matrix.
+
+Printed contractions
+    A contraction prints the numpy calls that the interpreter's
+    ``_contract`` makes for the plan's steps (:func:`_contraction`):
+    ``c_einsum``, ``reshape``, ``matmul``, ``multiply`` and ``transpose``
+    on the operands it pops in the same order, each step's result an
+    argument of the step that pops it. The same calls on the same arrays
+    give the same bytes, and no kernel walks a steps tuple at run time.
+
+Known layouts
+    A value known to be a C-ordered array of its static shape (``_Val``'s
+    ``contiguous``: a ``matmul`` product, a buffer the store allocated, an
+    array of at most one axis longer than 1 that a call allocated, a
+    ufunc's result written over such a value) loses the wrappers that do
+    nothing on it: ``_np.asarray``, a same-shape ``.reshape``,
+    ``_np.ascontiguousarray``, and ``_reuse``, whose run-time layout check
+    it would pass; reshapes of it compose into one. A 0-d value, and one
+    whose layout the build does not know (a bound input, param or state,
+    a view, a take), keeps them.
 """
 
 from __future__ import annotations
@@ -141,10 +171,14 @@ WINDOW_RUN = 4
 #: stages) seldom share a key.
 _FINGERPRINT = 64
 
-#: Marks the ``out=`` a ufunc is offered over an earlier statement's
-#: result (``_vN``), settled once the whole kernel is printed.
+#: Marks the ``out=`` a ufunc is offered over a buffer the kernel
+#: allocated (``_vN``), settled once the whole kernel is printed.
 _OFFER = "\0"
 _OFFERED = re.compile(r", \0(_v\d+)")
+#: Marks the previous value a partial store copies when it could write
+#: over it instead, settled with the offers.
+_OVER = "\1"
+_OVERWRITTEN = re.compile(r"_np\.array\(\x01(_v\d+), copy=True\)")
 #: What in a printed line names no local: a comment or a string literal,
 #: so a PMLang name shaped like one (``# _t7 := ...``, ``'_v1'``) is never
 #: taken for it. An f-string's ``f"`` is matched alone: its replacement
@@ -190,17 +224,26 @@ class _Val:
     store may bind it instead of copying it.
     ``unsqueezed`` / ``unbroadcast`` is what a bare ``_np.squeeze`` /
     ``_np.broadcast_to`` wraps: a store's ``.reshape`` / assignment does it.
+    ``contiguous`` says the run-time value is known to be a C-ordered
+    ndarray of ``shape`` (never a 0-d one), on which ``_np.asarray``,
+    ``_np.ascontiguousarray``, ``_reuse`` and a same-shape ``.reshape`` do
+    nothing and are not printed; ``unshaped`` is the known value whose
+    reshape a value's code is, where a later reshape starts (:func:`_reshape`).
     """
 
-    __slots__ = ("code", "shape", "shadow", "fresh", "unsqueezed", "unbroadcast")
+    __slots__ = ("code", "shape", "shadow", "fresh", "unsqueezed", "unbroadcast",
+                 "contiguous", "unshaped")
 
-    def __init__(self, code, shape, shadow, fresh=False, unsqueezed=None, unbroadcast=None):
+    def __init__(self, code, shape, shadow, fresh=False, unsqueezed=None, unbroadcast=None,
+                 contiguous=False, unshaped=None):
         self.code = code
         self.shape = tuple(shape)
         self.shadow = shadow
         self.fresh = fresh
         self.unsqueezed = unsqueezed
         self.unbroadcast = unbroadcast
+        self.contiguous = contiguous and bool(self.shape)
+        self.unshaped = unshaped
 
     @property
     def dtype(self):
@@ -223,6 +266,32 @@ class _Val:
 
 def _shadow0(dtype):
     return np.zeros((), dtype=dtype)
+
+
+def _one_axis(shape):
+    """True when an array of *shape* that a numpy call allocates is
+    C-ordered however numpy lays it out: at most one axis is longer than 1."""
+    return sum(extent > 1 for extent in shape) <= 1
+
+
+def _out(buffer, known):
+    """The ``out=`` of a ufunc offered *buffer*: ``_reuse`` checks its
+    layout at run time unless it is *known* C-ordered."""
+    return f"out={buffer}" if known else f"out=_reuse({buffer})"
+
+
+def _reshape(value, shape):
+    """*value* reshaped to *shape*. A known value's reshapes compose (C
+    order both ways), so it starts from what the value's code reshaped,
+    and a same-shape reshape of a known value is that value."""
+    shape = tuple(shape)
+    source = value.unshaped or (value if value.contiguous else None)
+    if source is None:
+        return _Val(f"{value.code}.reshape({shape!r})", shape, value.shadow, value.fresh)
+    if source.shape == shape:
+        return _Val(source.code, shape, value.shadow, value.fresh, contiguous=True)
+    return _Val(f"{source.code}.reshape({shape!r})", shape, value.shadow, value.fresh,
+                contiguous=True, unshaped=source)
 
 
 def _index_code(index):
@@ -266,6 +335,66 @@ def _matrix_shape(steps, count, position):
             return shape if equation is None else None
         pending.append(-1)  # the step's result: no operand of the statement
     return None
+
+
+def _einsum(equation, operands, shadow):
+    """``c_einsum(equation, *operands)``, of the shape its output labels
+    take. It allocates when it sums a label or reads two operands; a pure
+    relabelling of one may answer a view of it."""
+    terms, _, out = equation.partition("->")
+    sizes = {}
+    for term, operand in zip(terms.split(","), operands):
+        for label, extent in zip(term, operand.shape):
+            if sizes.get(label, 1) == 1:
+                sizes[label] = extent
+    shape = tuple(sizes[label] for label in out)
+    allocates = len(operands) > 1 or bool(set(terms) - {","} - set(out))
+    return _Val(f"c_einsum({equation!r}, {', '.join(operand.code for operand in operands)})",
+                shape, shadow, contiguous=allocates and _one_axis(shape))
+
+
+def _matmul_shape(a, b):
+    """The shape of ``np.matmul`` of operands of shapes *a* and *b*."""
+    if len(a) == 1 or len(b) == 1:
+        return (b[:-2] + b[-1:]) if len(b) > 1 else a[:-1]
+    return _bshape(a[:-2], b[:-2]) + (a[-2], b[-1])
+
+
+def _contraction(steps, operands, shadow):
+    """The numpy calls :func:`~repro.srdfg.interpreter._contract` makes for
+    the plan's *steps* over *operands*, as one expression: a step's result
+    is an argument of the step that pops it, so each intermediate lives
+    exactly as long as it does there. A ``matmul`` product is known."""
+    pending = list(operands)
+    for positions, equation, lowering in steps:
+        picked = [pending.pop(at) for at in positions]
+        if lowering is None:
+            pending.append(_einsum(equation, picked, shadow))
+            continue
+        a, b = picked
+        eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab, pure = lowering
+        if eq_a is not None:
+            a = _einsum(eq_a, [a], shadow)
+        if shape_a is not None:
+            a = _reshape(a, shape_a)
+        if eq_b is not None:
+            b = _einsum(eq_b, [b], shadow)
+        if shape_b is not None:
+            b = _reshape(b, shape_b)
+        if pure:
+            shape = _bshape(a.shape, b.shape)
+            pending.append(_Val(f"_np.multiply({a.code}, {b.code})", shape, shadow,
+                                contiguous=_one_axis(shape)))
+            continue
+        ab = _Val(f"_np.matmul({a.code}, {b.code})", _matmul_shape(a.shape, b.shape), shadow,
+                  contiguous=True)
+        if shape_ab is not None:
+            ab = _reshape(ab, shape_ab)
+        if perm_ab is not None:
+            ab = _Val(f"{ab.code}.transpose({perm_ab!r})",
+                      tuple(ab.shape[axis] for axis in perm_ab), shadow)
+        pending.append(ab)
+    return pending[0]
 
 
 def _copy_run(shape, strides):
@@ -355,8 +484,9 @@ class _StagedEvaluator(_ExprEvaluator):
             # Read again later, so never fresh; only this memo hands it
             # out, so _uses counts every reader.
             if not value.code.isidentifier():
-                value = self.emitter._let(value.code, value.shape, value.shadow)
-            value = _Val(value.code, value.shape, value.shadow)
+                value = self.emitter._let(value.code, value.shape, value.shadow,
+                                          contiguous=value.contiguous)
+            value = _Val(value.code, value.shape, value.shadow, contiguous=value.contiguous)
             self._staged[key] = _literals(expr), value
             self._uses[value.code] = self._occurrences[key[0]]
         return value
@@ -384,12 +514,15 @@ class _StagedEvaluator(_ExprEvaluator):
             code = self.emitter._const(func)
         shape = _bshape(*[val.shape for val in vals])
         args = [val.code for val in vals]
+        # A call allocates its result (or is handed a buffer to put it in,
+        # which may make it known).
+        contiguous = _one_axis(shape)
         if isinstance(func, np.ufunc) and func.nout == 1 and shape:
             # An elementwise ufunc may overwrite a fresh operand of the
             # result's shape and dtype, or a staged one whose every
             # occurrence it is handed: only this call reads it, and a
-            # C-ordered one (_reuse checks) is laid out as the result
-            # would be.
+            # C-ordered one (_reuse checks, unless it is known) is laid
+            # out as the result would be.
             dtype = np.asarray(shadow).dtype
             for position, val in enumerate(vals):
                 if (val.fresh or val.code in self._uses and self._uses[val.code] == sum(
@@ -399,7 +532,8 @@ class _StagedEvaluator(_ExprEvaluator):
                     if not temp.isidentifier():
                         temp = self.emitter._temp()
                         args[position] = f"({temp} := {val.code})"
-                    args.append(f"out=_reuse({temp})")
+                    args.append(_out(temp, val.contiguous))
+                    contiguous = contiguous or val.contiguous
                     break
             else:
                 spare = next((val for val in self._spares
@@ -407,17 +541,18 @@ class _StagedEvaluator(_ExprEvaluator):
                 if spare is not None:
                     # A folded slice's buffer, dead once added in.
                     self._spares.remove(spare)
-                    args.append(f"out=_reuse({spare.code})")
+                    args.append(_out(spare.code, spare.contiguous))
+                    contiguous = contiguous or spare.contiguous
                 else:
                     # An earlier statement's result, if this call is its
                     # last reader (KernelEmitter._settle_lifetimes).
-                    dead = next((val.code for val in vals if val.code in self.emitter._results
+                    dead = next((val.code for val in vals if val.code in self.emitter._owned
                                  and val.shape == shape and val.dtype == dtype), None)
                     if dead is not None:
                         args.append(_OFFER + dead)
         # Ufuncs, np.where and the SCALAR_FUNCTIONS allocate their result
         # (or were just handed a fresh operand to put it in).
-        return _Val(f"{code}({', '.join(args)})", shape, shadow, fresh=True)
+        return _Val(f"{code}({', '.join(args)})", shape, shadow, fresh=True, contiguous=contiguous)
 
     def _to_float(self, value):
         if not isinstance(value, _Val):
@@ -427,7 +562,7 @@ class _StagedEvaluator(_ExprEvaluator):
         if shadow.dtype.kind not in ("f", "c"):
             code = f"{code}.astype(_np.float64)"
             shadow = shadow.astype(np.float64)
-        return _Val(code, value.shape, shadow)
+        return _Val(code, value.shape, shadow, contiguous=value.contiguous and code == value.code)
 
     def _operand(self, name):
         return self.operands.get(name)
@@ -549,6 +684,7 @@ class _StagedEvaluator(_ExprEvaluator):
             value.shadow,
             fresh=value.fresh,
             unsqueezed=value,
+            contiguous=value.contiguous,
         )
 
     def _reduce(self, op, data, axes, where=None):
@@ -567,11 +703,9 @@ class _StagedEvaluator(_ExprEvaluator):
         reindex = ", ".join(
             "None" if axis in axes else ":" for axis in range(data.ndim)
         )
+        shape = [1 if axis in axes else n for axis, n in enumerate(data.shape)]
         return self.emitter._let(
-            f"{call}[{reindex}]",
-            [1 if axis in axes else n for axis, n in enumerate(data.shape)],
-            shadow,
-            fresh=True,
+            f"{call}[{reindex}]", shape, shadow, fresh=True, contiguous=_one_axis(shape)
         )
 
     def _run_einsum(self, einsum):
@@ -602,28 +736,30 @@ class _StagedEvaluator(_ExprEvaluator):
                     operand.shadow,
                 )
             operands.append(self._to_float(operand))
-        # The contraction the plan decided, replayed by the very function
-        # the interpreter runs.
-        code = (
-            f"_contract({self.emitter._const(einsum.steps)}, "
-            f"({', '.join(operand.code for operand in operands)},))"
-        )
+        # The contraction the plan decided: the calls the interpreter's
+        # _contract makes for its steps, printed.
         shadow = _shadow0(np.result_type(*[op.dtype for op in operands]))
+        value = _contraction(einsum.steps, operands, shadow)
         if einsum.scalar != 1.0:
-            code = f"({code} * {self.lift(einsum.scalar).code})"
             with np.errstate(all="ignore"):
                 shadow = shadow * einsum.scalar
+            value = _Val(f"({value.code} * {self.lift(einsum.scalar).code})", value.shape, shadow)
         self.emitter.report["einsum"] += 1
         # einsum answers a pure relabelling ('ab->ba', 'aa->a') with a
         # view of its operand; summing a label away, or the scalar
         # multiply, allocates.
         operand_labels, _, out_labels = einsum.spec.partition("->")
         summed = set(operand_labels) - {","} - set(out_labels)
+        fresh = bool(summed) or einsum.scalar != 1.0
+        source = value.unshaped or (value if value.contiguous else None)
+        if source is not None:
+            # Bound before any reshape: whoever reads it reshapes it from there.
+            source = self.emitter._let(source.code, source.shape, shadow, fresh, contiguous=True)
+            return _reshape(source, einsum.out_shape)
+        # The statement's shape is never 0-d: ``reshape`` makes an ndarray
+        # of a numpy scalar too, so nothing wraps the value in ``asarray``.
         return self.emitter._let(
-            f"_np.asarray({code}).reshape({einsum.out_shape!r})",
-            einsum.out_shape,
-            shadow,
-            fresh=bool(summed) or einsum.scalar != 1.0,
+            _reshape(value, einsum.out_shape).code, einsum.out_shape, shadow, fresh
         )
 
     def _concrete(self, value, reason, *args):
@@ -661,7 +797,7 @@ class _StagedEvaluator(_ExprEvaluator):
         if not isinstance(value, _Val):
             return value
         if spare is not None:
-            self._spares.append(_Val(spare, piece.shape, piece.shadow))
+            self._spares.append(_Val(spare, piece.shape, piece.shadow, contiguous=piece.contiguous))
         # One line per slice; the total is fresh, so the next slice's
         # add writes into it.
         return self.emitter._let(value.code, value.shape, value.shadow, fresh=True)
@@ -784,14 +920,16 @@ class KernelEmitter:
             "slice_stores": 0,
             "scatters": 0,
             "reuses": 0,
+            "in_place": 0,
         }
         #: (first line, stop line, result local) of every printed
         #: statement, in order.
         self._fragments = []
-        #: The ``_vN`` of every statement printed so far: an array the
-        #: kernel allocated, which a later ufunc may write over once it
-        #: is dead.
-        self._results = set()
+        #: The ``_vN`` of every array the kernel allocated so far (each
+        #: statement's result, each zero-filled local) -> whether it is
+        #: known C-ordered: a later ufunc or partial store may write over
+        #: it once it is dead.
+        self._owned = {}
         #: value key -> (shape, dtype) of every value the plan produces.
         self._value_facts = {}
         for step in plan.steps:
@@ -814,11 +952,11 @@ class KernelEmitter:
         self._temp_serial += 1
         return f"_t{self._temp_serial}"
 
-    def _let(self, code, shape, shadow, fresh=False):
+    def _let(self, code, shape, shadow, fresh=False, contiguous=False):
         """Bind *code* to a new temporary; returns its :class:`_Val`."""
         temp = self._temp()
         self._emit(f"{temp} = {code}")
-        return _Val(temp, shape, shadow, fresh)
+        return _Val(temp, shape, shadow, fresh, contiguous=contiguous)
 
     def _const(self, value, prefix="_c"):
         """Register a build-time constant; dedupes ndarrays by content.
@@ -886,6 +1024,8 @@ class KernelEmitter:
         self._emit(f"# var {step.node_name}: {modifier} {name!r} {shape!r}")
         self._emit(f"{local} = _bind({source}, {name!r}, {modifier!r}, {shape!r}, {dt})")
         self._locals[step.key] = local
+        if source == "{}":
+            self._owned[local] = True  # _bind's zero fill
 
     def _emit_const_step(self, step, local):
         cname = self._const(step.value)
@@ -900,14 +1040,15 @@ class KernelEmitter:
         for key, name in step.gather:
             src = self._local(key)
             shape, dtype = self._value_facts[key]
-            operands[name] = _Val(src, shape, _shadow0(dtype))
+            operands[name] = _Val(src, shape, _shadow0(dtype),
+                                  contiguous=self._owned.get(src, False))
         try:
-            self._specialize_statement(statement, operands, local)
+            known = self._specialize_statement(statement, operands, local)
         except _DECLINED as exc:
             raise Unsupported(f"{statement.label}: {exc}") from exc
         self._fragments.append((start, len(self.lines), local))
         self._locals[step.key] = local
-        self._results.add(local)
+        self._owned[local] = known
 
     def _mark(self):
         """What :meth:`_restore` takes the emitter back to."""
@@ -949,18 +1090,21 @@ class KernelEmitter:
         return returned
 
     def _settle_lifetimes(self, returned):
-        """Settle each ``out=`` a ufunc was offered over an earlier
-        statement's result, and each ``del``, from the printed lines: the
-        one record of what reads what. A statement's lines run from its
-        own first to its last, so no variable or constant step lies in one.
+        """Settle each ``out=`` a ufunc was offered over a buffer the
+        kernel allocated, each partial store's copy of one, and each
+        ``del``, from the printed lines: the one record of what reads
+        what. A statement's lines run from its own first to its last, so
+        no variable or constant step lies in one.
 
         An offer is kept when the ufunc's statement names that local once
         — as the ufunc's operand — and no line after the statement names
         it, return line included; else the ufunc allocates. Named once,
         nothing in the statement reads it after the ufunc or holds a view
-        of it, and it is no output or state. A statement whose result the
-        kernel returns takes none: what outlives the call is allocated
-        where its statement runs, not in the heap region the step's big
+        of it, and it is no output or state. A store writes over its
+        previous value on the same terms, that value named once, by the
+        copy it replaces. A statement whose result the kernel returns
+        takes neither: what outlives the call is allocated where its
+        statement runs, not in the heap region the step's big
         temporaries come back to next step (a warm MovieL-100K worker
         whose state landed there faulted hundreds of pages a request).
 
@@ -979,18 +1123,29 @@ class KernelEmitter:
                     if line.lstrip().startswith("del ") for local in found[number]}
         span_of = {number: span for span in self._fragments for number in range(*span[:2])}
         for number, line in enumerate(lines):
-            if _OFFER in line:
-                start, stop, result = span_of[number]
-                named = Counter(local for names in found[start:stop] for local in names)
+            if _OFFER not in line and _OVER not in line:
+                continue
+            start, stop, result = span_of[number]
+            named = Counter(local for names in found[start:stop] for local in names)
 
-                def settle(match):
-                    local = match.group(1)
-                    if result in returned or named[local] > 1 or last[local] >= stop:
-                        return ""
-                    self.report["reuses"] += 1
-                    return f", out=_reuse({local})"
+            def free(local):
+                return result not in returned and named[local] == 1 and last[local] < stop
 
-                lines[number] = _OFFERED.sub(settle, line)
+            def offer(match):
+                local = match.group(1)
+                if not free(local):
+                    return ""
+                self.report["reuses"] += 1
+                return ", " + _out(local, self._owned[local])
+
+            def overwrite(match):
+                local = match.group(1)
+                if not free(local):
+                    return f"_np.array({local}, copy=True)"
+                self.report["in_place"] += 1
+                return local
+
+            lines[number] = _OVERWRITTEN.sub(overwrite, _OFFERED.sub(offer, line))
         dead = {}
         for local in bound - released:
             if last[local] in span_of:
@@ -1001,18 +1156,22 @@ class KernelEmitter:
     # -- statement specialization ------------------------------------------
 
     def _specialize_statement(self, statement, operands, local):
+        """Print *statement*; answers whether its result is known C-ordered."""
         ev = _StagedEvaluator(self, statement, operands)
         self._emit(f"# {statement.label}")
         raw = ev.lift(ev.statement_value(
             statement.stmt, statement.einsum, statement.chunk_plan
         ))
-        self._emit_store(ev, raw, local)
+        known = self._emit_store(ev, raw, local)
         self.report["short_sums"] += ev.folded
+        return known
 
     def _emit_store(self, ev, raw, local):
         """Print the statement's store: the plan's
         :class:`~repro.srdfg.plan.StoreForm`, as the interpreted plan
-        runs it, but for a cover of a fresh payload, which is bound."""
+        runs it, but for a cover of a fresh payload, which is bound, and a
+        partial store over a dead buffer, which writes in place. Answers
+        whether the result is known C-ordered."""
         statement = ev.statement
         stmt = statement.stmt
         lhs_shape = statement.lhs_shape
@@ -1032,7 +1191,7 @@ class KernelEmitter:
                 f"{local} = _np.array({raw.code}, dtype={self._const(dtype)}, "
                 f"copy=True).reshape({lhs_shape!r})"
             )
-            return
+            return True
 
         form = statement.store
         if form is None:
@@ -1043,23 +1202,33 @@ class KernelEmitter:
             # Every cell is written exactly once, so neither the previous
             # value nor a zero fill is observable. A fresh payload holding
             # every cell in the target dtype *is* the result
-            # (ascontiguousarray answers a C-ordered array with itself);
-            # anything else is copied into a new buffer. Either way the
-            # result may escape as it is.
-            self._emit(
-                f"{local} = _np.ascontiguousarray("
-                f"{(raw.unsqueezed or raw).code}).reshape({lhs_shape!r})"
-            )
-            return
-        dt = self._const(dtype)
+            # (ascontiguousarray answers a C-ordered array with itself, so
+            # a known one is bound as it is); anything else is copied into
+            # a new buffer. Either way the result may escape as it is.
+            payload = raw.unsqueezed or raw
+            if payload.contiguous:
+                code = _reshape(payload, lhs_shape).code
+            else:
+                code = f"_np.ascontiguousarray({payload.code}).reshape({lhs_shape!r})"
+            self._emit(f"{local} = {code}")
+            return True
         previous = ev.operands.get(stmt.target)
-        if form.cover:
-            self._emit(f"{local} = _np.empty({lhs_shape!r}, dtype={dt})")
-        elif previous is not None and previous.shape == lhs_shape:
+        known = True
+        if not form.cover and previous is not None and previous.shape == lhs_shape:
             # The interpreter's _store: prev-copy or zeros, then the write.
-            self._emit(f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)")
+            # A known buffer the kernel allocated in the target dtype is
+            # written over instead once it is dead (_settle_lifetimes); its
+            # copy needs no cast.
+            if previous.contiguous and previous.code in self._owned and previous.dtype == dtype:
+                self._emit(f"{local} = _np.array({_OVER}{previous.code}, copy=True)")
+            else:
+                dt = self._const(dtype)
+                self._emit(f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)")
+                known = _one_axis(lhs_shape)
         else:
-            self._emit(f"{local} = _np.zeros({lhs_shape!r}, dtype={dt})")
+            dt = self._const(dtype)
+            alloc = "empty" if form.cover else "zeros"
+            self._emit(f"{local} = _np.{alloc}({lhs_shape!r}, dtype={dt})")
         dest, order = local, None
         if form.index is None:
             # A fancy write through precomputed broadcast target indices.
@@ -1090,6 +1259,7 @@ class KernelEmitter:
         if order is not None and payload.ndim:
             code = f"{code}.transpose({order!r})"
         self._emit(f"{dest}[{index}] = {code}")
+        return known
 
     # -- constants and gathers ---------------------------------------------
 

@@ -8,13 +8,15 @@ A :class:`KernelArtifact` wraps one emitted kernel function for one
 * the exec'd function object bound to its constant namespace, which
   holds the runtime helpers it calls: among them ``_bind``, the plan's
   variable binder, called once per variable, so a kernel checks and
-  fills its arguments exactly as the interpreted plan does.
+  fills its arguments exactly as the interpreted plan does, and
+  ``c_einsum``, numpy's one-operand einsum kernel, which a printed
+  contraction calls as the interpreter's ``_contract`` does.
 
 A kernel holds no buffer between calls: within a call, a numpy call
 allocates its result or writes it over a buffer the same call allocated
-and nothing reads again (``out=_reuse(...)``: a fresh operand, a folded
-slice, a dead statement result), so concurrent workers share only the
-artifact. Reusing allocations step after step is the allocator's job,
+and nothing reads again (``out=``: a fresh operand, a folded slice, a dead
+statement result; a partial store over a dead local), so concurrent
+workers share only the artifact. Reusing allocations step after step is the allocator's job,
 not the kernel's: a serving worker's heap keeps the pages a step frees
 for the next (:func:`repro.serve.heap.keep_heap`). It holds one derived
 value: a reduction running on its predicate's
@@ -39,7 +41,7 @@ import numpy as np
 
 from ..obs import DEFAULT_REGISTRY
 from ..srdfg.interpreter import (
-    ExecutionResult, _affine_view, _contract, _in_range,
+    ExecutionResult, _affine_view, _in_range, c_einsum,
 )
 from ..srdfg.plan import _bind
 
@@ -85,7 +87,7 @@ class KernelArtifact:
             "_bind": _bind,
             "_affine_view": _affine_view,
             "_in_range": _in_range,
-            "_contract": _contract,
+            "c_einsum": c_einsum,
             "_reuse": _reuse,
         }
         namespace.update(constants)
@@ -105,8 +107,8 @@ class KernelArtifact:
         start = time.perf_counter()
         outputs, state_out = self.run(inputs, params, state, output_init)
         plan.count_execution(time.perf_counter() - start)
-        CODEGEN_STATS.bump(kernel_executions=1)
-        return ExecutionResult(outputs, state_out, tier="kernel")
+        CODEGEN_STATS.bump("kernel_executions")
+        return ExecutionResult(outputs, state_out, "kernel")
 
 
 #: The first line of each plan step a kernel prints: the comment opening

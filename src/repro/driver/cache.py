@@ -167,8 +167,9 @@ _KERNEL_RECORD = ("plan_key", "source", "constants", "report")
 
 def _encode_kernel(kernel):
     record = {name: getattr(kernel, name) for name in _KERNEL_RECORD}
-    # Constants bake in numpy's own contraction steps (``_contract``), so
-    # the record is stamped with the numpy that planned them.
+    # The source bakes in numpy's own contraction steps (the calls its
+    # einsum lowering makes, printed), so the record is stamped with the
+    # numpy that planned them.
     record["numpy"] = np.__version__
     return record
 

@@ -84,6 +84,8 @@ _GATHER_CEILINGS = {
 #: Ufuncs writing over a dead statement result: MovieL's ``err`` into
 #: ``pred`` (12.7 MB at 100K, 100 MB at 20M), at least.
 _REUSE_FLOORS = {"MovieL-100K": 1, "MovieL-20M": 1}
+#: Partial stores writing over a dead buffer: the CNNs' padded copies.
+_IN_PLACE_FLOORS = {"ResNet-18": 17, "MobileNet": 9}
 #: Statements folded slice by slice: ElecUse's 4-wide ``dsq`` sum alone.
 _SHORT_SUMS = {"ElecUse": 1}
 #: Reductions run on their predicate's points: each graph program's relax.
@@ -177,7 +179,8 @@ TABLE = (
     # declined build fails it), scatters none of the 17 paper programs'
     # stores (each is a slice or a cover); conv / DCT
     # contractions stay off the lattice; no take repeats; MovieL's err
-    # writes over a dead result instead of a fresh buffer; only
+    # writes over a dead result instead of a fresh buffer, and the CNNs'
+    # pads over their dead zero fills; only
     # ElecUse's short sum folds slice by slice; each graph program's
     # relax runs on its predicate's points.
     Row(
@@ -191,6 +194,7 @@ TABLE = (
             *((("workloads", name, "einsum"), ">=", n) for name, n in _EINSUM_FLOORS.items()),
             *((("workloads", name, "gathers"), "<=", n) for name, n in _GATHER_CEILINGS.items()),
             *((("workloads", name, "reuses"), ">=", n) for name, n in _REUSE_FLOORS.items()),
+            *((("workloads", name, "in_place"), ">=", n) for name, n in _IN_PLACE_FLOORS.items()),
             *((("workloads", name, "short_sums"), "==", _SHORT_SUMS.get(name, 0))
               for name in _PAPER_PROGRAMS),
             *((("workloads", name, "compressed"), "==", _COMPRESSED.get(name, 0))

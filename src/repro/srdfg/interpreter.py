@@ -35,9 +35,10 @@ semantics:
   the contraction order and each pairwise step's batch-matmul lowering
   that ``numpy.einsum(..., optimize=True)`` would pick, but a matmul
   whose product einsum would transpose takes its terms swapped. Both
-  tiers replay exactly that form (:func:`_contract`) after checking each
-  operand's rank and each subscript's range against the run-time shape:
-  a contraction's bytes are the bytes of the form the plan chose;
+  tiers run exactly that form after checking each operand's rank and
+  each subscript's range against the run-time shape — the interpreted
+  tier through :func:`_contract`, a generated kernel as the same calls
+  printed: a contraction's bytes are the bytes of the form the plan chose;
 * other big reductions are evaluated in chunks along their largest bound
   axis so the materialised lattice stays under
   :data:`DEFAULT_LATTICE_LIMIT` elements.
@@ -344,8 +345,10 @@ def _contract(steps, arrays):
     """The contraction the plan chose (:func:`_contraction_steps`), without
     planning: its numpy calls, in its order. Byte-identical to
     ``np.einsum(spec, *arrays, optimize=True)`` when no step swapped, and
-    to the swapped ``matmul`` when one did. Generated kernels call this
-    very function."""
+    to the swapped ``matmul`` when one did. The interpreted tier runs it;
+    a generated kernel prints the very calls it makes for the same steps
+    (``repro.codegen.emitter._contraction``), so no kernel walks the steps
+    at run time."""
     operands = list(arrays)
     for positions, equation, lowering in steps:
         picked = [operands.pop(position) for position in positions]
@@ -397,7 +400,7 @@ class _EinsumPlan:
     #: ``(origin, coeffs)`` of its :func:`_affine_view`.
     views: Tuple[Optional[Tuple], ...]
     #: :func:`_contraction_steps` of ``spec`` over the operand shapes:
-    #: what :func:`_contract` replays on both tiers.
+    #: what :func:`_contract` replays and a kernel prints.
     steps: Tuple
 
     def run(self, var_values):
@@ -438,11 +441,11 @@ def compile_einsum(expr, space, static_env):
     index variables and static names alone, so ``(i+k) % n`` and
     data-dependent subscripts stay on the lattice path. The operand
     shapes are static, so the contraction is decided here too
-    (:func:`_contraction_steps`), and both tiers replay it through
-    :func:`_contract`. The one place that decides all this: the
-    evaluator asks for every reduction it meets, ``StatementPlan`` once
-    at build for the statement's whole value, and the kernel emitter
-    prints the answer.
+    (:func:`_contraction_steps`): the interpreted tier replays it through
+    :func:`_contract`, and a kernel prints its calls. The one place that
+    decides all this: the evaluator asks for every reduction it meets,
+    ``StatementPlan`` once at build for the statement's whole value, and
+    the kernel emitter prints the answer.
     """
     if not isinstance(expr, ast.ReductionCall):
         return None
@@ -626,7 +629,7 @@ def static_key(exprs, space, static_env, sub_ranges=None):
         if isinstance(expr, ast.Name):
             if expr.id not in space.axis:
                 value = static_env.get(expr.id)
-                if not (type(value) in (bool, int, float) or isinstance(value, np.generic)):
+                if not _scalar_static(value):
                     raise _NotStatic  # an operand, unbound, or an array
                 statics[expr.id] = (type(value), repr(value))
             return ("name", expr.id)
@@ -660,6 +663,37 @@ def static_key(exprs, space, static_env, sub_ranges=None):
     )
 
 
+def _scalar_static(value):
+    """True when *value*, a static name's, is a scalar a key can hold."""
+    return type(value) in (bool, int, float) or isinstance(value, np.generic)
+
+
+def _operands_of(node):
+    """The sub-expressions :func:`static_key` keys an operator *node*
+    through, or ``()`` for any other node."""
+    if isinstance(node, ast.BinOp):
+        return (node.left, node.right)
+    if isinstance(node, ast.UnaryOp):
+        return (node.operand,)
+    if isinstance(node, ast.Ternary):
+        return (node.cond, node.then, node.other)
+    if isinstance(node, ast.FuncCall):
+        return node.args
+    return ()
+
+
+def _static_node(node, static, space, static_env):
+    """Whether :func:`static_key` keys *node*, given in *static* (by id)
+    its answer for each of the node's operands."""
+    if isinstance(node, ast.Literal):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in space.axis or _scalar_static(static_env.get(node.id))
+    if isinstance(node, (ast.Indexed, ast.ReductionCall)):
+        return False
+    return all(static[id(part)] for part in _operands_of(node))
+
+
 class StaticMemo:
     """One statement's static values: each computed by the first step that
     evaluates it, stored read-only, and read back by every later step.
@@ -667,25 +701,37 @@ class StaticMemo:
     :attr:`nodes` keys (:func:`static_key`) the maximal static parts of
     the statement's value, found from its AST: each gather whose
     subscripts are static but not all bare names (those mostly relabel
-    axes), and each other compound subexpression. Values live in *store*,
-    a dict the statements of one plan share. Never pickled.
+    axes), and each other compound subexpression. One walk decides, bottom
+    up, which nodes are static; the maximal ones are then picked top down
+    and each is keyed once. Values live in *store*, a dict the statements
+    of one plan share. Never pickled.
     """
 
     __slots__ = ("nodes", "store", "values", "nbytes", "_lock")
 
     def __init__(self, expr, space, static_env, store):
         self.nodes = {}
+        nodes = list(ast.walk_expr(expr))
+        # Children before parents: whether :func:`static_key` would key
+        # each node, decided once per node from its operands' answers.
+        static = {}
+        for node in reversed(nodes):
+            static[id(node)] = _static_node(node, static, space, static_env)
+        # Parents before children: a node under a keyed one is covered.
         covered = set()
-        for node in ast.walk_expr(expr):
-            if id(node) in covered or isinstance(node, (ast.Literal, ast.Name, ast.ReductionCall)):
+        for node in nodes:
+            if isinstance(node, (ast.Literal, ast.Name, ast.ReductionCall)):
                 continue
             gather = isinstance(node, ast.Indexed)
-            if gather and all(isinstance(part, ast.Name) for part in node.indices):
-                continue
-            key = static_key(node.indices if gather else (node,), space, static_env)
-            if key is not None:
+            parts = node.indices if gather else _operands_of(node)
+            if id(node) not in covered:
+                if not (all(static[id(part)] for part in parts) if gather else static[id(node)]):
+                    continue
+                if gather and all(isinstance(part, ast.Name) for part in parts):
+                    continue
+                key = static_key(parts if gather else (node,), space, static_env)
                 self.nodes[id(node)] = ("gather" if gather else "value", key)
-                covered.update(id(part) for part in ast.walk_expr(node))
+            covered.update(map(id, parts))
         self.store = store
         #: id of a value node, or ``(id, base shape)`` of a gather -> value.
         self.values = {}

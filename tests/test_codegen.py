@@ -665,6 +665,130 @@ class TestWindowTakes:
         assert source.count("_affine_view(") == kept
 
 
+_CONTRACTION_LABELS = "abcdef"
+
+
+@st.composite
+def _printed_contraction(draw):
+    """``(spec, arrays, forms)``: 1-3 f32/f64 operands of a contraction —
+    terms of random labels (a label may repeat within one, ``aa``), a
+    batched matmul whose output follows its terms' order (a swapped
+    step), or terms that keep every label (a pure multiplication). Each
+    operand's form is a C-ordered array (``known`` to the emitter or not),
+    a strided ``_affine_view``, or a window ``take`` of one (``np.take``
+    through the view's flat index): the operands a kernel prints."""
+    from repro.srdfg.interpreter import _affine_view
+
+    extent = {label: draw(st.sampled_from((0, 1, 2, 3, 4))) for label in _CONTRACTION_LABELS}
+    kind = draw(st.sampled_from(("terms", "swapped", "pure")))
+    if kind == "swapped":
+        order = draw(st.permutations(_CONTRACTION_LABELS))
+        batch, kept_a, summed, kept_b = order[:1], order[1:2], order[2:4], order[4:]
+        term_a = "".join(draw(st.permutations(batch + kept_a + summed)))
+        term_b = "".join(draw(st.permutations(batch + summed + kept_b)))
+        terms = [term_a, term_b]
+        out = [label for label in term_a if label in batch + kept_a] + list(kept_b)
+    else:
+        terms = draw(st.lists(st.text(_CONTRACTION_LABELS[:5], min_size=1, max_size=3),
+                              min_size=2 if kind == "pure" else 1, max_size=3))
+        used = sorted(set("".join(terms)))
+        order = draw(st.permutations(used))
+        out = order if kind == "pure" else order[:draw(st.integers(0, len(order)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays, forms = [], []
+    for term in terms:
+        shape = tuple(extent[label] for label in term)
+        dtype = draw(st.sampled_from((np.float32, np.float64)))
+        form = draw(st.sampled_from(("array", "known", "view", "take")))
+        if form in ("view", "take") and 0 in shape:
+            form = "array"
+        if form in ("view", "take"):
+            # Every other element of a larger base, from origin 1.
+            base = rng.normal(size=tuple(2 * n + 1 for n in shape)).astype(dtype)
+            view = ((1,) * len(shape), tuple(
+                tuple(2 * (row == col) for col in range(len(shape))) for row in range(len(shape))
+            ))
+            array = _affine_view(base, *view, shape)
+            if form == "take":
+                flat = _affine_view(np.arange(base.size).reshape(base.shape), *view, shape)
+                array = np.take(base.reshape(-1), flat.reshape(-1)).reshape(shape)
+        else:
+            array = rng.normal(size=shape).astype(dtype)
+        arrays.append(array)
+        forms.append(form)
+    return ",".join(terms) + "->" + "".join(out), arrays, forms
+
+
+class TestPrintedContraction:
+    """A kernel prints a contraction as the numpy calls
+    :func:`~repro.srdfg.interpreter._contract` makes for the plan's steps,
+    a known operand's no-op reshapes left out: executed, they give its
+    bytes, in its layout, and what the emitter states of the result holds."""
+
+    def test_printed_calls_are_byte_equal_to_contract(self):
+        from numpy._core.einsumfunc import c_einsum
+
+        from repro.codegen.emitter import _contraction, _reshape, _shadow0, _Val
+        from repro.srdfg.interpreter import _contract, _contraction_steps
+
+        seen = set()
+
+        @given(_printed_contraction())
+        @settings(max_examples=400, deadline=None)
+        def check(contraction):
+            spec, arrays, forms = contraction
+            seen.update(forms)
+            steps = _contraction_steps(spec, tuple(array.shape for array in arrays))
+            _, path = np.einsum_path(spec, *arrays, optimize=True, einsum_call=True)
+            for (_, equation, lowering), (_, planned, _) in zip(steps, path):
+                if equation != planned:
+                    seen.add("swapped")
+                if lowering is None:
+                    seen.add("c_einsum" if equation.count(",") == 0 else "einsum")
+                elif lowering[6]:
+                    seen.add("pure")
+            namespace = {"_np": np, "c_einsum": c_einsum}
+            operands = []
+            for position, (array, form) in enumerate(zip(arrays, forms)):
+                namespace[f"_o{position}"] = array
+                operands.append(_Val(f"_o{position}", array.shape, _shadow0(array.dtype),
+                                     contiguous=form == "known"))
+            shadow = _shadow0(np.result_type(*arrays))
+            value = _contraction(steps, operands, shadow)
+            with np.errstate(all="ignore"):
+                want = _contract(steps, arrays)
+                got = eval(value.code, namespace)
+            want, got = np.asarray(want), np.asarray(got)
+            assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+            assert got.tobytes() == want.tobytes()
+            assert value.shape == got.shape
+            if value.contiguous:
+                seen.add("known product")
+                assert got.flags.c_contiguous
+            # The statement's reshape, from what the value reshapes.
+            if got.size:
+                out = (1,) + got.shape
+                reshaped = eval(_reshape(value, out).code, namespace)
+                assert reshaped.shape == out and reshaped.tobytes() == got.tobytes()
+
+        check()
+        assert seen >= {"swapped", "c_einsum", "pure", "known", "view", "take",
+                        "known product"}, seen
+
+    def test_a_matvec_prints_its_matmul(self):
+        """MobileRobot's ``pred := matvec``: the swapped step's calls, the
+        product known, and nothing printed that walks the steps."""
+        from repro.codegen.emitter import _contraction, _shadow0, _Val
+        from repro.srdfg.interpreter import _contraction_steps
+
+        steps = _contraction_steps("ab,b->a", ((30, 3), (3,)))
+        shadow = _shadow0(np.float64)
+        value = _contraction(steps, [_Val("P", (30, 3), shadow), _Val("x", (3,), shadow)], shadow)
+        assert value.code == "_np.matmul(x.reshape((1, 3)), c_einsum('ab->ba', P)).reshape((30,))"
+        assert value.contiguous and value.shape == (30,)
+        assert value.unshaped.code.startswith("_np.matmul(") and value.unshaped.shape == (1, 30)
+
+
 def _arrays(*mappings):
     return [
         value for mapping in mappings for value in mapping.values()
@@ -826,7 +950,18 @@ DEAD_RESULT = (
 
 def _result_local(plan, label):
     """The ``_vN`` the kernel binds statement *label*'s result to."""
-    lines = plan.kernel.source.splitlines()
+    return _bound_by(plan.kernel.source, label)
+
+
+def _written_over(source, local):
+    """True when a ufunc in *source* writes its result over *local*: with
+    ``out=`` straight, or through ``_reuse``'s run-time layout check."""
+    return re.search(rf"out=(?:_reuse\()?{local}\b", source) is not None
+
+
+def _bound_by(source, label):
+    """The ``_vN`` that *source* binds statement *label*'s result to."""
+    lines = source.splitlines()
     start = lines.index(f"    # {label}")
     return next(re.match(r"\s+(_v\d+) = ", line).group(1) for line in lines[start + 1:]
                 if re.match(r"\s+_v\d+ = ", line))
@@ -841,7 +976,7 @@ class TestDeadResults:
 
     @staticmethod
     def _reused(plan, local):
-        return f"out=_reuse({local})" in plan.kernel.source
+        return _written_over(plan.kernel.source, local)
 
     @staticmethod
     def _check(plan):
@@ -853,7 +988,8 @@ class TestDeadResults:
             reader="b[i] = a[i] - x[i]; c[i] = x[i] * 2.0;"
         ))
         a = _result_local(plan, "a := elemwise_mul")
-        assert f"_np.subtract({a}, _v0, out=_reuse({a}))" in plan.kernel.source
+        # A statement result is known C-ordered: no _reuse checks it.
+        assert f"_np.subtract({a}, _v0, out={a})" in plan.kernel.source
         assert plan.kernel.report["reuses"] == 1
         self._check(plan)
 
@@ -863,7 +999,7 @@ class TestDeadResults:
         ))
         a = _result_local(plan, "a := elemwise_mul")
         assert f"_np.subtract({a}, _v0)" in plan.kernel.source
-        assert f"_np.multiply({a}, 2.0, out=_reuse({a}))" in plan.kernel.source
+        assert f"_np.multiply({a}, 2.0, out={a})" in plan.kernel.source
         self._check(plan)
 
     @pytest.mark.parametrize("declared", [
@@ -939,9 +1075,55 @@ class TestDeadResults:
 
     def test_movielens_err_subtracts_into_pred(self):
         source = _ledger_kernel("MovieL-100K").source
-        [pred] = re.findall(r"(_v\d+) = _np\.ascontiguousarray\(_t\d+\)\.reshape\(\(943, 1682\)\)",
-                            source)
-        assert f"_np.subtract({pred}, _v0, out=_reuse({pred}))" in source
+        pred = _bound_by(source, "pred := matmul")
+        assert f"_np.subtract({pred}, _v0, out={pred})" in source
+
+
+class TestInPlaceStores:
+    """A partial store writes into its previous value instead of a copy
+    of it only when the kernel allocated that value (a zero-filled local
+    or a statement result), its statement names it once and no later line
+    names it, and the store's result is no output or state."""
+
+    @staticmethod
+    def _check(source, label, in_place):
+        _, plan = _compile_plan(source)
+        kernel = plan.kernel
+        local = _result_local(plan, label)
+        written = re.search(rf"\n    {local} = (_v\d+)\n", kernel.source)
+        assert (written is not None) == in_place, kernel.source
+        assert kernel.report["in_place"] == in_place
+        assert _check_lifetimes(kernel.source)
+        rng = np.random.default_rng(127)
+        _check_steps(plan, {"x": _int_floats(rng, 8)}, steps=2)
+
+    def test_a_pad_writes_into_its_zero_fill(self):
+        self._check(
+            "main(input float x[8], output float y[8]) { index i[0:7]; float p[10];"
+            " p[i+1] = x[i] * 2.0; y[i] = p[i] + p[i+2]; }",
+            "p := elemwise_mul", True,
+        )
+
+    def test_an_update_writes_into_the_result_before_it(self):
+        self._check(
+            "main(input float x[8], output float y[8]) { index i[0:7], j[0:3]; float a[8];"
+            " a[i] = x[i] * 3.0; a[j] = x[j] + 1.0; y[i] = a[7 - i]; }",
+            "a := elemwise_add", True,
+        )
+
+    @pytest.mark.parametrize("source, label", [
+        # The statement reads its previous value too.
+        ("main(input float x[8], output float y[8]) { index i[0:7], j[0:3]; float a[8];"
+         " a[i] = x[i] * 3.0; a[j] = a[j] + 1.0; y[i] = a[7 - i]; }", "a := elemwise_add"),
+        # The store's result is returned.
+        ("main(input float x[8], output float y[8]) { index i[0:7], j[0:3];"
+         " y[i] = x[i] * 3.0; y[j] = x[j] + 1.0; }", "y := elemwise_add"),
+        # The previous value is the caller's state.
+        ("main(input float x[8], state float s[8], output float y[8]) { index i[0:7], j[0:3];"
+         " s[j] = x[j] + 1.0; y[i] = s[7 - i]; }", "s := elemwise_add"),
+    ])
+    def test_otherwise_the_store_copies(self, source, label):
+        self._check(source, label, False)
 
 
 #: :data:`REPORT_COUNTERS` of the 17 ledger programs' kernels. The first
@@ -984,29 +1166,33 @@ class TestDeadResults:
 #: the MPC programs' (and BrainStimul's) ``err`` and ``g``. A statement
 #: whose result is returned takes none: MovieL's ``W``/``H`` updates,
 #: the clustering programs' centroids and the graph programs' ``dist``.
+#: Since a partial store writes over a dead buffer the kernel allocated,
+#: ``in_place`` counts those stores: the conv nets' padded copies (ResNet-18
+#: 17, MobileNet 9) and Hexacopter's three updates of a local; the MPC
+#: programs' returned ``ctrl_mdl`` still copies.
 REPORT_COUNTERS = (
     "statements", "einsum", "gathers", "gathers_shared",
     "subexpressions_shared", "short_sums", "compressed", "slice_gathers",
-    "slice_stores", "scatters", "reuses",
+    "slice_stores", "scatters", "reuses", "in_place",
 )
 LEDGER_REPORTS = {
-    "MobileRobot": (9, 4, 0, 0, 0, 0, 0, 3, 2, 0, 2),
-    "Hexacopter": (12, 4, 0, 0, 0, 0, 0, 5, 5, 0, 2),
-    "Twitter-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-    "Wiki-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-    "LiveJourn-SSP": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-    "MovieL-20M": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    "MovieL-100K": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    "DigitCluster": (7, 3, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-    "ElecUse": (7, 3, 0, 0, 4, 1, 0, 8, 0, 0, 0),
-    "FFT-8192": (30, 0, 78, 52, 0, 0, 0, 0, 0, 0, 0),
-    "FFT-16384": (32, 0, 84, 56, 0, 0, 0, 0, 0, 0, 0),
-    "DCT-1024": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "DCT-2048": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "ResNet-18": (56, 22, 0, 0, 0, 0, 0, 0, 17, 0, 8),
-    "MobileNet": (45, 19, 8, 0, 0, 0, 0, 0, 9, 0, 0),
-    "BrainStimul": (39, 5, 72, 48, 0, 0, 0, 3, 2, 0, 2),
-    "OptionPricing": (5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "MobileRobot": (9, 4, 0, 0, 0, 0, 0, 3, 2, 0, 2, 0),
+    "Hexacopter": (12, 4, 0, 0, 0, 0, 0, 5, 5, 0, 2, 3),
+    "Twitter-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+    "Wiki-BFS": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+    "LiveJourn-SSP": (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+    "MovieL-20M": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
+    "MovieL-100K": (7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
+    "DigitCluster": (7, 3, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+    "ElecUse": (7, 3, 0, 0, 4, 1, 0, 8, 0, 0, 0, 0),
+    "FFT-8192": (30, 0, 78, 52, 0, 0, 0, 0, 0, 0, 0, 0),
+    "FFT-16384": (32, 0, 84, 56, 0, 0, 0, 0, 0, 0, 0, 0),
+    "DCT-1024": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "DCT-2048": (2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    "ResNet-18": (56, 22, 0, 0, 0, 0, 0, 0, 17, 0, 8, 17),
+    "MobileNet": (45, 19, 8, 0, 0, 0, 0, 0, 9, 0, 0, 9),
+    "BrainStimul": (39, 5, 72, 48, 0, 0, 0, 3, 2, 0, 2, 0),
+    "OptionPricing": (5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 }
 
 
@@ -1046,76 +1232,80 @@ def _ledger_kernel(name):
 #: statement (FFT's ``txi`` reads ``xr`` only via that take) is released
 #: one statement earlier; only ``del`` lines moved. All 17 sources were
 #: re-taken at ``KERNEL_ABI`` 12, when a variable began to bind through
-#: one ``_bind`` line; only variable lines moved. The source changes by
-#: design;
+#: one ``_bind`` line; only variable lines moved. All 17 were re-taken at
+#: ``KERNEL_ABI`` 13, when contractions began to print as their numpy
+#: calls, known C-ordered values lost their no-op wrappers and partial
+#: stores began to write over dead buffers; the array constants did not
+#: move, but MobileNet's and BrainStimul's were renamed once the steps
+#: tuples before them left the namespace. The source changes by design;
 #: :data:`OUTPUT_DIGESTS` pins what it computes.
 KERNEL_DIGESTS = {
     "MobileRobot": (
-        "33b5db88f139c3d3bfa55f2f5fb88361b899c71cd75a69ff53e27a0f9bf01ac9",
+        "bfcfd9a89e337044281e9a7f5ffc8df1511d1e7bb13a12e7f93e2acf6e2eb755",
         "1ab33432bc6219fdf74a78be0066ea74bf19215d30b79f4d480a521a124acf3d",
     ),
     "Hexacopter": (
-        "24e8671e6d3966a7aaba81293717ca430ddab4747f82707ee841c4bcc7c25f2d",
+        "871f963ec339fe4b98c0f7e3af389b3ceca53c66b0c7f03f4b073e8cdd6d0be5",
         "4bccfdeff6542eaa2787dc230c0a740ff791e2671f6f4c53090f5ce57d2bc05b",
     ),
     "Twitter-BFS": (
-        "b64c2e6789112b8c95eb59b132b38636504ee633c0383e8472891825b166775f",
+        "cad4db0067045f313d2b1b018a62cf4c2a9f80086e679f55a76cc72742c95197",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "Wiki-BFS": (
-        "b05ad5537a63ee99dd0c063a0f38bd37acecb603aa5ee6edd3d7c00f7f4cd107",
+        "d5c59165d1e2348ddf086a611a348c4588dd5409ec14758a6512a8e1b851c86b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "LiveJourn-SSP": (
-        "eeed2e9e1e9f14f2ba12c643f762c1380297acfcda6f68518bd906a3724d3b1b",
+        "a5f21865ce8f85b40b2ba2596e016c286327b9196d7eefce318e1f6657c724e3",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-20M": (
-        "204ff0e3ee3d09d6078a8cda51164b9e1ff4da635106ad3a5daed56137f30eae",
+        "84dd85370ef221ceba91485cf9800b4366a46185b9f36bb614a2ef066f825da8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "MovieL-100K": (
-        "2e325c62f25718c757aa3054c05a2498583644ab41573dc2c928bdeb798d0028",
+        "b2edb556d2e4872e5b4d71d14fb4935db6e0d2f8664585b140b2ffa38be39422",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DigitCluster": (
-        "d20252ac631bb24628a580c3c59f56a4ccfe071ff1f257c6c119c215f3b81477",
+        "29a75bcbe0389efc4e0439f0e0af23d8ecbdd05d8d566b56f2c3dbfdef43ea21",
         "6e6f799c117f4228d21501bfeebbd7b016c2c646e7e10073d576ef83d9951d95",
     ),
     "ElecUse": (
-        "c83f77564ad9cfd4178b67d890c15cdfd6503f2143333308b7d5263d78a258aa",
+        "a2e5c602a14b2bf169497f156b73829d52ad26b1edbceb687626f0bb22aabd80",
         "99c71331694394815895e82a233c0f836a75eaa5c16788316c16bbc8797504d7",
     ),
     "FFT-8192": (
-        "cdfce2482ab6d62ae69efc49d1ee735f2a15b7b467c603e21c086d71b88875d5",
+        "2e49a4290c0943ab6a32aaff2145ba2638b759b9aa1ebd3a2348a479ebdbca12",
         "e2f823bd4254d98dfa956b5e446ef03f0d2794ca1668e2bdb354307e75e65bc6",
     ),
     "FFT-16384": (
-        "f5cdd00b153844ad84071eaeaa6d003e8c8db3a99556ce435c6387214d337019",
+        "671d14b095ac695f8c06383e22f5707d75c201a4f4f231138f21f8a8832ad665",
         "f501962719de04ca11cb92ed4957a6c90c89fa941c0ca572843d1c4b8e8717e3",
     ),
     "DCT-1024": (
-        "03cb53f8c556af6b989e423e297027ad0f0686d189dee8ae6051ae77c4430ed7",
+        "f66dc9094f805eae54c32fbf23268a3a2534a71f8037d7e70816afb23309ac0a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "DCT-2048": (
-        "e9bc4ff55ab310961afb9b052e1bab2c9ad1e430ebc9df46829ddac83fd326f3",
+        "6484d5f132fb3a77d11b94efbf6f5c7ce7a8a423798fc2bc7d4d25f4b37f8424",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "ResNet-18": (
-        "ed1fad0c93b4654da47ccb415af90641a8c2eca30a52f462f1ff9730e6b1f10d",
+        "a8d7d2c1f7a0855b94b07382c7e25a1481bed09d70db237cd7b70c00499615bb",
         "3182a0ab9442c52b4a41838439f6094bf91a61597cda06887d2350784ba22d87",
     ),
     "MobileNet": (
-        "4d2e485d6ed4856adf4e996506222bdb37f98be520bd207715f3c9e918187ede",
-        "8c0ee4542f6104858a9a780101db07cbde2a2e6b5e01de8313ab7e81ea4131a7",
+        "1759ba7a2c4c85dfe4ee20d418bdb7ffa57ff556a14b99e824aa2d83cbfcaa18",
+        "055700df830fc063cbe66f315786efbde5f49031e5d944ac0fdf40047cee38ca",
     ),
     "BrainStimul": (
-        "7f2aed9e798062045224049121d64eeee1c5384769106f25c83b79c6ad866c62",
-        "401d6f2b9e24f2b56b59cf4f68ffdc56945301a36f2961ad85353ae403c4eeb5",
+        "a6e5d7542f10b7742070aa5803c8243d2a72226bde84eb81d1b8fd66e95ec2d9",
+        "4b6262d70fc026529ed84d3973d8e8071cef12a44aec6a31bdd16103bf416fb8",
     ),
     "OptionPricing": (
-        "a840144b971693f0829fe4d9ee52eb643f76eca9d22a8601ea1497bf684f009c",
+        "957e72d34e70dcf147b67d8df9eaa97b0ab0189acf9344dd946f2c74d7c84c1d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
@@ -1260,9 +1450,11 @@ def _check_lifetimes(source):
     """Walk the kernel's body in order, an ``if`` body as a nested block
     whose bindings and ``del``s hold on the path through it: each ``del``
     releases a ``_vN``/``_tN`` that a line earlier on its path binds, no
-    local is released twice, and no line after a local's ``del`` names it."""
+    local is released twice, and no line after a local's ``del`` names it.
+    An in-place store (``_vN = _vM``) writes over ``_vM``: no line after
+    it names ``_vM`` but its ``del``. Answers the released locals."""
     [kernel] = ast.parse(source).body
-    bound, released = set(), set()
+    bound, released, overwritten = set(), set(), set()
 
     def walk(block):
         for node in block:
@@ -1274,8 +1466,11 @@ def _check_lifetimes(source):
                 continue
             head = node.test if isinstance(node, ast.If) else node
             names = [name for name in ast.walk(head) if isinstance(name, ast.Name)]
-            assert not released & {name.id for name in names}, ast.unparse(head)
+            assert not (released | overwritten) & {name.id for name in names}, ast.unparse(head)
             bound.update(name.id for name in names if isinstance(name.ctx, ast.Store))
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) \
+                    and isinstance(node.value, ast.Name) and re.fullmatch(r"_v\d+", node.value.id):
+                overwritten.add(node.value.id)
             if isinstance(node, ast.If):
                 walk(node.body + node.orelse)
 
@@ -1293,6 +1488,35 @@ def test_every_del_follows_the_last_reader_of_its_local(name):
     else:
         kernel = _compile_plan(LOCAL_SHAPED_NAMES)[1].kernel
     assert _check_lifetimes(kernel.source)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DIGESTS))
+def test_paper_kernels_print_only_their_numpy_calls(name):
+    """A contraction prints its calls, never the runner that walks its
+    steps, and no value is wrapped in ``asarray``: every contraction of
+    the 17 paper programs has a result of some rank."""
+    source = _ledger_kernel(name).source
+    assert "_contract(" not in source and "_np.asarray(" not in source
+
+
+def test_a_returned_partial_store_still_copies():
+    """MobileRobot's ``ctrl_mdl`` update writes over the copy of the
+    state that the statement before it made, and is returned: the state
+    the call returns is allocated by the statement that computes it."""
+    source = _ledger_kernel("MobileRobot").source
+    local = _bound_by(source, "ctrl_mdl := elemwise_sub")
+    assert re.search(rf"    {local} = _np\.array\(_v\d+, copy=True\)\n", source)
+    assert _ledger_kernel("MobileRobot").report["in_place"] == 0
+
+
+@pytest.mark.parametrize("name, pads", [("ResNet-18", 17), ("MobileNet", 9)])
+def test_cnn_pads_write_in_place(name, pads):
+    """Each padded copy writes the interior of its zero fill, dead once
+    read, instead of copying it first."""
+    kernel = _ledger_kernel(name)
+    assert kernel.report["in_place"] == pads
+    assert "copy=True" not in kernel.source
+    assert len(re.findall(r"\n    _v\d+ = _v\d+\n    _v\d+\[", kernel.source)) == pads
 
 
 #: A short sum whose first slice prints a take of an int operand
@@ -1619,14 +1843,15 @@ class TestValueTable:
         )
         [y_temp, z_temp] = re.findall(r"(_t\d+) = _np\.subtract\(", plan.kernel.source)
         # Both of y's occurrences are multiply's arguments: it may write
-        # over them. z's third occurrence is read after exp's.
-        assert f"out=_reuse({y_temp})" in plan.kernel.source
-        assert f"out=_reuse({z_temp})" not in plan.kernel.source
+        # over them (a one-axis result is known C-ordered). z's third
+        # occurrence is read after exp's.
+        assert f"out={y_temp})" in plan.kernel.source
+        assert not _written_over(plan.kernel.source, z_temp)
         # v's x[7 - i] is a take, never staged: x[(15 - i) % 8], the same
         # index constant, reads it too, and nothing writes over it.
         [(taken, _, _)] = _takes(plan.kernel)
         assert plan.kernel.report["gathers_shared"] == 2
-        assert f"out=_reuse({taken})" not in plan.kernel.source
+        assert not _written_over(plan.kernel.source, taken)
         rng = np.random.default_rng(67)
         _check_steps(plan, {"x": _int_floats(rng, 8), "w": _int_floats(rng, 8)}, steps=1)
 
@@ -1644,7 +1869,7 @@ class TestValueTable:
         value = statement.stmt.value
         value.right.args = (value.left.left,)
         kernel = build_kernel(plan)
-        assert "out=_reuse(_t1)" not in kernel.source
+        assert not _written_over(kernel.source, "_t1")
         rng = np.random.default_rng(89)
         inputs = {"x": _int_floats(rng, 8), "w": _int_floats(rng, 8)}
         ref = plan._execute(inputs, {}, {}, {}, None)
@@ -1655,19 +1880,39 @@ class TestValueTable:
         ("y[i][l] = sum[j](P[i][j] * C[j][l]);", "6][3"),
         ("y[i][j] = P[i][j] * 2.0 + P[i][j];", "6][5"),
     ])
-    def test_a_transposed_result_is_copied_into_c_order(self, reader, out):
+    def test_a_result_is_stored_in_c_order(self, reader, out):
         """A contraction reads C-ordered operands, as the interpreter
-        hands them: a different layout can take BLAS another path. So
-        ``P``, held transposed, is copied by its store whoever reads it."""
+        hands them: a different layout can take BLAS another path. ``P``
+        is a matmul's product, C-ordered: its store binds it as it is."""
         _, plan = _compile_plan(TRANSPOSED.format(reader=reader, out=out))
-        [store] = [line.strip() for line in plan.kernel.source.splitlines()
-                   if re.match(r"\s+_v\d+ = .*\.reshape\(\(6, 5\)\)$", line)
-                   and "multiply" not in line]
-        assert "ascontiguousarray" in store
+        product = re.search(r"(_t\d+) = _np\.matmul\(_v0, _v1\)\n", plan.kernel.source)
+        stored = _result_local(plan, "P := matmul")
+        assert f"    {stored} = {product.group(1)}\n" in plan.kernel.source
         rng = np.random.default_rng(71)
         inputs = {
             name: _int_floats(rng, shape)
             for name, shape in (("A", (6, 4)), ("B", (4, 5)), ("C", (5, 3)))
+        }
+        _check_steps(plan, inputs, steps=1)
+
+    def test_a_transposed_product_is_copied_into_c_order(self):
+        """``ab,cbd->adc`` keeps a transposed matmul either way round:
+        its result is no known layout, so its store copies it, and the
+        contraction reading it gets a C-ordered operand."""
+        _, plan = _compile_plan(
+            "main(input float A[2][3], input float B[4][3][5], input float C[4][2],"
+            " output float y[2][5][2]) {"
+            " index a[0:1], b[0:2], c[0:3], d[0:4], e[0:1]; float P[2][5][4];"
+            " P[a][d][c] = sum[b](A[a][b] * B[c][b][d]);"
+            " y[a][d][e] = sum[c](P[a][d][c] * C[c][e]); }"
+        )
+        assert ".transpose((2, 1, 0))" in plan.kernel.source
+        store = _binding(plan.kernel, "_np.ascontiguousarray(")
+        assert store.startswith(f"{_result_local(plan, 'P := contract')} = ")
+        rng = np.random.default_rng(73)
+        inputs = {
+            name: _int_floats(rng, shape)
+            for name, shape in (("A", (2, 3)), ("B", (4, 3, 5)), ("C", (4, 2)))
         }
         _check_steps(plan, inputs, steps=1)
 
@@ -1697,7 +1942,7 @@ class TestValueTable:
         )
         [(taken, _, _)] = _takes(plan.kernel)
         assert plan.kernel.report["gathers_shared"] == 1
-        assert f"out=_reuse({taken})" not in plan.kernel.source
+        assert not _written_over(plan.kernel.source, taken)
         assert f"_np.ascontiguousarray({taken})" not in plan.kernel.source
         rng = np.random.default_rng(79)
         _check_steps(plan, {"x": _int_floats(rng, 8)}, steps=1)
@@ -1815,17 +2060,15 @@ class TestStagedEvaluator:
         [statement] = plan.statements.values()
         assert statement.einsum is None
         assert statement.path() == "lattice"
-        # One dispatch so far: the emitter's, printed into the kernel as a
-        # replay of the steps it planned.
+        # One dispatch so far: the emitter's, printed into the kernel as
+        # the calls of the steps it planned (the swapped matvec).
         [einsum] = dispatched
         assert einsum.spec == "ab,b->a"
         assert plan.kernel.report["einsum"] == 1
-        [steps] = [
-            name for name, value in plan.kernel.constants.items()
-            if value == einsum.steps
-        ]
-        assert f"_contract({steps}, (" in plan.kernel.source
-        assert "einsum(" not in plan.kernel.source
+        assert einsum.steps[0][1] == "b,ab->a"
+        assert "_np.matmul(_v2.reshape((1, 5)), c_einsum('ab->ba', _v1))" in plan.kernel.source
+        assert "_np.einsum(" not in plan.kernel.source
+        assert not any(value == einsum.steps for value in plan.kernel.constants.values())
         rng = np.random.default_rng(31)
         inputs = {
             "a": _int_floats(rng, 6),
@@ -2234,10 +2477,7 @@ class TestKernelCache:
         # The swapped matmul, which einsum would run as ``bc,ab->ac``.
         steps = _contraction_steps("ab,bc->ac", ((6, 5), (5, 7)))
         assert steps[0][:2] == ((0, 0), "ab,bc->ac")
-        assert any(
-            isinstance(value, tuple) and value == steps
-            for value in plan.kernel.constants.values()
-        )
+        assert "_np.matmul(_v0, _v1)" in plan.kernel.source
         rng = np.random.default_rng(0)
         inputs = {"A": rng.normal(size=(6, 5)), "B": rng.normal(size=(5, 7))}
         outputs, _ = plan.kernel.run(inputs)

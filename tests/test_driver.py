@@ -503,93 +503,94 @@ class TestFrozenConfiguration:
 #: to any key strands every existing ``--cache-dir`` tree, so these are
 #: literals: moving one is a deliberate, announced format break. The
 #: kernel keys moved with ``KERNEL_ABI`` 11, when a matmul einsum would
-#: transpose began to take its terms swapped, and with 12, when variables
-#: began to bind through ``_bind``; the compile and plan keys did not.
+#: transpose began to take its terms swapped, with 12, when variables
+#: began to bind through ``_bind``, and with 13, when contractions began
+#: to print as their numpy calls; the compile and plan keys did not.
 PAPER_PROGRAM_KEYS = {
     "MobileRobot": (
         "7ab951e36ab95100cecfce982100e01003647428c4bd9e35b5f831d75dd5fbe5",
         "ec95beeeaf1d2c0cdaf3e2210235de854478f8d5fef890114f4d555d6ba4a3b6",
-        "8dce67c106d7526a4c9be3139e69a682ee7d3743c3b1e231d6532e6e2682c9d4",
+        "8456e17db3d9c38969c9b3c18f4d684f0eb5e8527ede2df43fe9d87958375896",
     ),
     "Hexacopter": (
         "cbcb5e480e296bfc5464ba3311bd1eb740158e8b5457d60aaae085669c6864d4",
         "6961b07853fd691860d1fa959ced49ce1cfff343b6134fab54cae5f4e99419ee",
-        "266c6984fa4446655a8c98d8ed484bcfeee65c0ed2caade54415cf0746f360f1",
+        "14edc8a9d3ea7510ca498eb359455e7917aa9831ee1977e78939a776cb782323",
     ),
     "Twitter-BFS": (
         "b3f6fd7fac080b2b9e709d57045c3c29ad6f4d6368cd07a24bc7d35a8b3f7846",
         "7595f81d38aa46cf8c089199a778bed10c665150f7457cd077b647556672ab81",
-        "7c8f09a4cab41bb13982191ba2b1dc06c626baed45b4bac817adac81276b3ff9",
+        "f7035b9c5103598be2b2ecfd78add25786045fec05d274b6052034cbc39370f4",
     ),
     "Wiki-BFS": (
         "5bb7fb2b81423ef9257a3beafc94f6a3e7e34d12470d1c7becb2247bfa8d1ae4",
         "ee963fac1f0ed1cfa473561c255a35024dd561b33b7c824bd0ac4bed14778e42",
-        "34d240878d1426781f8973b3500faca9ce36bcabfd976570fe49f33fe4809ea1",
+        "c4b4888fdb6926b54803662fb80e6faaa8384463bc5dff325588392fcd84777b",
     ),
     "LiveJourn-SSP": (
         "1141bfe0bde2f7255279d2ce2966f396d7a282ad630202b0b7d39b55aded8afc",
         "523f88614ed94b4c612204d0da69a04ad2eb0aac00a2398bc3bdb520d44674f1",
-        "572f87255e9f240e72701f42e223fea66c727002c5f27aeee7e21740bf2d1609",
+        "19710c69de0ef6210f9eb6afc0f7b8eb31168ebd0d6193699e6de5c71a321870",
     ),
     "MovieL-20M": (
         "6fceb57ce26f8b4e760abc8ad317cbd2e89e8fb45d68a4104d2f1c5485a35d84",
         "03b6a4eb7c0e98a986a3501cf7a5b474ab31c5c96979da220a2b5fa258853d54",
-        "cf7e7eabf80d7133c188a51828b451e04289c8862efb8122d105ada4bbf3b579",
+        "85eed3d961159d0a60cdfd1f2ac156799bb3443cf12f2c0c1e9c3b612dcdf208",
     ),
     "MovieL-100K": (
         "152a11a15f1da6d1a556d949e7d1d7eafe3aa523eacde5d4809243a0d5da5e39",
         "f7b585f8cf3ec2d711bc10e75c300c8d52e7569d630471118dee02209951e45a",
-        "548a7e67579123f7a6b48579d895c5f636eed469bd5c02d0e895f65c2ee718d8",
+        "b3d4302ce678ca000d526ad57087b755afbc940f661cd1637a78bbb5d27c0a40",
     ),
     "DigitCluster": (
         "361d54637117e5a750cc3b9b859281ba5a41d2d3617a369145c5ff5c7d16d2f7",
         "3f1bdc50954e4f28439d0240b91f3f1495f2b231de765253a428891fb5e8eb44",
-        "2e96e383111dbec6f6527f968b119895a93b1ce78ade5ab6aaa9bb982a2e16db",
+        "c6c0286cd72b09e71bd49d13708b0e612a18ddb636692b0cf2a584346648adbe",
     ),
     "ElecUse": (
         "5fcef597d0bb8025d3a7455c627d4d9892e3b6234f0b6b252b939123443c4f8b",
         "3dd44533d837e641ccf770ecdaeb4d9a2fc4cfe77bb449ff49cac14ec8487dfd",
-        "2e6bb7c1bd654f59fa7ba0613dcea965f100f0ff40743eb0b518c9d549385d59",
+        "36939570bead5577a07ff86e2150afea3a34ddbc43d5dd0d5a53d4f6120e9979",
     ),
     "FFT-8192": (
         "44206183f79e358cf5b4394b22d0e403e908f0a33ac06f167ad5586bf185ec79",
         "fcee42dd700826457f9af8f53837f566742abd4b31d8b30985628aa46c78b8f9",
-        "8f89f70db62b2bb00ef32799470015a77614d89eaf298c49f51c2e3793981aca",
+        "d515e6a40c8aff977bf7373d6a3f19db9b750888c58e672af7660faf3f20174e",
     ),
     "FFT-16384": (
         "5f685939b2e8a01668fbb352b9b8f71625da5be5729edaa26564b5e7a876181a",
         "cdd113ff36cb1130cb3d0732c0b500206ec48604d30332aea323638d65af46ae",
-        "8899c7f8f583e469b1e91a2c127a0ef36148831c45c13344db88c35a9d6c4de5",
+        "23895d95243c751a4b25f3b292be7ae6d158370f122f265657d997ea9f265b61",
     ),
     "DCT-1024": (
         "73364e81b146a8f3787589f083fa1d6f918ca97d42f05ef88edbf405189331ef",
         "3876ec15ba8b8d590dae0283f90490846a15ac51e43b35edef6b09862e33e329",
-        "9d05cc9a912c76212682cbe29e312d0a2a0fd562316a84a5855be0e111281edd",
+        "bb98ebe73b592215d0155dd6195c711a05480b63c0dc1292308c09dadfd9f43d",
     ),
     "DCT-2048": (
         "f302f0a1a262f35547193f844c75548c8d935152aea1841442b85bcb5e3ebb50",
         "31845a7f3147079c4e4af2163c32b2495ca573139e76f855089de5b62c1c37e4",
-        "b05a4f7656902ed98be9136ad8c29f5b295026d0f8b15d3d65db115b9f40fba9",
+        "2b4fd9d5f74021393f2954dc9e16976448eef548c9ffdff81e192deb4a176801",
     ),
     "ResNet-18": (
         "b4bb64a25b4086cdabae1fcf526cba677812488d11c8b45701a101fb003b0a75",
         "9fbcbf31e4d5bdd05989f39a9a67793ea133d1303c80f11d3c7ebb1a9e525f50",
-        "0a378804b2086bd5ac98902c9872af1ad3b3bc8d415c51b7f832d9be221425b5",
+        "2b68c1f743a0267b2b2160e1c87a86b8de174dff89981bff80393c4f157155cb",
     ),
     "MobileNet": (
         "41ba30640b089be0eda370cb846a5c9328e0ba96f77bef63de916b33828fd399",
         "2c9a6f815ef242cd5a737b214aee6bf754608fee2ddcd425ffcaf9ce58a5a2c0",
-        "666f815685596cfcf0f0e09c9f19ff351179f04a7fc34b643d1c60a787dd1e6f",
+        "cb8e4b77be55772c3d8d801bc42817710f71848f49ba60d0631a69438f1e883a",
     ),
     "BrainStimul": (
         "544522a9157a148fb0bfdafb673175eb28ab2ddff9632ce8e09805ff6d257eaa",
         "2f7354c9b2215df44bf134567881452ff81d251a1419b37ac17d88d0a93a2eb3",
-        "fb59a2c15432a3f3b8ef60ee8bb9dac96b91e043c444c887937437ff39a88a79",
+        "945e511e6ac4fd0aa532d2658066047df3571b3939aeefd3fcc26ee22fac5f56",
     ),
     "OptionPricing": (
         "034fc6db3992b118f10e4e9e7e269cfc926112e480dc4e9e8c6aae2b8f621723",
         "12e8c4db9593e8677c7334518a4fa4f2211b28b59b913ecaad89286f5fd467b9",
-        "f8240ba16fa7b42ac19ffa9dabfa9915706696b14e4638297a9fe860e0023fe6",
+        "e733b374a66edf7d3aba7020e080997e3fe7e1172f33c23470199420a24cbced",
     ),
 }
 

@@ -200,6 +200,7 @@ class TestCounters:
         def work():
             for _ in range(bumps):
                 declared.bump(hits=1, seconds=0.5)
+                declared.bump("misses")
                 opened.bump("set/rule.matches")
                 opened.bump("set/rule.rewrites", 2)
 
@@ -216,7 +217,7 @@ class TestCounters:
         assert not any(thread.is_alive() for thread in threads)
         total = threads_n * bumps
         assert declared.to_dict() == {
-            "hits": total, "misses": 0, "seconds": total * 0.5,
+            "hits": total, "misses": total, "seconds": total * 0.5,
         }
         assert opened.to_dict() == {
             "set/rule.matches": total, "set/rule.rewrites": 2 * total,

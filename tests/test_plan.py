@@ -807,6 +807,57 @@ class TestStaticMemo:
         assert got == [[np.inf] * 4, [-np.inf] * 4, [np.inf] * 4]
         assert len(memo) == 2
 
+    @staticmethod
+    def _rekeyed_nodes(expr, space, static_env):
+        """:attr:`StaticMemo.nodes` as each uncovered compound node keyed
+        from scratch finds them: the definition the one walk must keep."""
+        from repro.pmlang import ast_nodes as ast
+        from repro.srdfg.interpreter import static_key
+
+        nodes, covered = {}, set()
+        for node in ast.walk_expr(expr):
+            if id(node) in covered or isinstance(node, (ast.Literal, ast.Name, ast.ReductionCall)):
+                continue
+            gather = isinstance(node, ast.Indexed)
+            if gather and all(isinstance(part, ast.Name) for part in node.indices):
+                continue
+            key = static_key(node.indices if gather else (node,), space, static_env)
+            if key is not None:
+                nodes[id(node)] = ("gather" if gather else "value", key)
+                covered.update(id(part) for part in ast.walk_expr(node))
+        return nodes
+
+    def test_paper_programs_key_each_node_once(self, monkeypatch):
+        """Over every statement plan of the 17 paper programs, the memo
+        finds the nodes keying each from scratch finds, and hands no node
+        to :func:`static_key` twice."""
+        from repro.eval import Harness
+        from repro.pmlang import ast_nodes as ast
+        from repro.srdfg import interpreter
+        from repro.workloads import END_TO_END, SINGLE_DOMAIN
+
+        real, keyed = interpreter.static_key, []
+
+        def counting(exprs, *args):
+            keyed.extend(id(node) for expr in exprs for node in ast.walk_expr(expr))
+            return real(exprs, *args)
+
+        harness, statements, found = Harness(), 0, 0
+        for name in SINGLE_DOMAIN + END_TO_END:
+            _, app, _ = harness.compiled(name)
+            for _, statement in harness.session.plan_for(app).iter_statements():
+                value, space, env = statement.stmt.value, statement.space, statement.static_env
+                want = self._rekeyed_nodes(value, space, env)
+                keyed.clear()
+                monkeypatch.setattr(interpreter, "static_key", counting)
+                memo = interpreter.StaticMemo(value, space, env, {})
+                monkeypatch.setattr(interpreter, "static_key", real)
+                assert memo.nodes == want, (name, statement.label)
+                assert len(keyed) == len(set(keyed)), (name, statement.label)
+                statements += 1
+                found += len(want)
+        assert statements > 200 and found > 0
+
     def test_static_names_key_their_entries(self):
         plan = build_plan(build(self.COMPONENT.replace("{b}", "4").replace("{h}", "1")))
         x = np.arange(8.0) ** 2
