@@ -70,7 +70,11 @@ __all__ = [
 #: value known C-ordered drops its no-op wrappers, and a partial store
 #: writes over a dead buffer the kernel allocated: a record of 12 would
 #: call a name the namespace no longer binds.
-KERNEL_ABI = 13
+#: 14: a statement plan carries the contraction of every reduction in its
+#: statement, nested ones included (``contractions``, in place of
+#: ``enable_einsum``), which the lattice-reduction constants read: a
+#: record of 13 would unpickle statements that have no table.
+KERNEL_ABI = 14
 
 
 def kernel_cache_key(plan_key):

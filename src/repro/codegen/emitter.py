@@ -46,10 +46,11 @@ The value table
 
 Slices
     A store writing each cell of a strided window once (the plan's
-    :class:`~repro.srdfg.plan.StoreForm`, which the interpreted plan runs
-    too) and a gather whose flat index is a positive-step progression
-    move the values the scatter or ``np.take`` would, under the same
-    cast. A gathered view keeps the take's element
+    :class:`~repro.srdfg.plan.StoreForm`, whose one routine both tiers
+    run: the staged store primitives print the calls the interpreted
+    plan's make) and a gather whose flat index is a positive-step
+    progression move the values the scatter or ``np.take`` would, under
+    the same cast. A gathered view keeps the take's element
     order (its strides are the C ones times the step) and is never
     ``fresh``, so it is copied before anything keeps it.
 
@@ -102,19 +103,21 @@ The index-map memo
 
 Window takes
     A contraction operand that is a short-run window view
-    (:meth:`KernelEmitter._window_take`) is read by the contraction only
+    (:meth:`KernelEmitter._window_take`, asked by the staged ``_reshape``
+    primitive when it meets the view) is read by the contraction only
     through a ``reshape`` that copies it, in C order, into a fresh
     C-ordered matrix. ``np.take`` through the view's flat index fills a
     fresh C-ordered array with the same elements in the same order, so
     the ``reshape`` copies nothing and the matmul reads the same matrix.
 
 Printed contractions
-    A contraction prints the numpy calls that the interpreter's
-    ``_contract`` makes for the plan's steps (:func:`_contraction`):
-    ``c_einsum``, ``reshape``, ``matmul``, ``multiply`` and ``transpose``
-    on the operands it pops in the same order, each step's result an
-    argument of the step that pops it. The same calls on the same arrays
-    give the same bytes, and no kernel walks a steps tuple at run time.
+    A contraction is the interpreter's own runner
+    (``_ExprEvaluator._run_einsum`` and ``_contract``) over the staged
+    primitives: ``c_einsum``, ``reshape``, ``matmul``, ``multiply`` and
+    ``transpose`` print on the operands it pops in the same order, each
+    step's result an argument of the step that pops it. The same calls on
+    the same arrays give the same bytes, and no kernel walks a steps tuple
+    at run time.
 
 Known layouts
     A value known to be a C-ordered array of its static shape (``_Val``'s
@@ -224,6 +227,9 @@ class _Val:
     store may bind it instead of copying it.
     ``unsqueezed`` / ``unbroadcast`` is what a bare ``_np.squeeze`` /
     ``_np.broadcast_to`` wraps: a store's ``.reshape`` / assignment does it.
+    ``window`` is the ``(base, view)`` of a contraction operand's
+    ``_affine_view``, which its matrix reshape may take instead
+    (:meth:`_StagedEvaluator._reshape`).
     ``contiguous`` says the run-time value is known to be a C-ordered
     ndarray of ``shape`` (never a 0-d one), on which ``_np.asarray``,
     ``_np.ascontiguousarray``, ``_reuse`` and a same-shape ``.reshape`` do
@@ -232,10 +238,10 @@ class _Val:
     """
 
     __slots__ = ("code", "shape", "shadow", "fresh", "unsqueezed", "unbroadcast",
-                 "contiguous", "unshaped")
+                 "contiguous", "unshaped", "window")
 
     def __init__(self, code, shape, shadow, fresh=False, unsqueezed=None, unbroadcast=None,
-                 contiguous=False, unshaped=None):
+                 contiguous=False, unshaped=None, window=None):
         self.code = code
         self.shape = tuple(shape)
         self.shadow = shadow
@@ -244,6 +250,7 @@ class _Val:
         self.unbroadcast = unbroadcast
         self.contiguous = contiguous and bool(self.shape)
         self.unshaped = unshaped
+        self.window = window
 
     @property
     def dtype(self):
@@ -314,43 +321,9 @@ def _slice(origin, step, count):
     return _index_code((_cells(origin, step, count),))
 
 
-def _matrix_shape(steps, count, position):
-    """The shape the contraction *steps* over *count* operands reshape
-    operand *position* to before anything else reads it, or None.
-
-    That is a pairwise step numpy lowers to ``matmul``
-    (:func:`~repro.srdfg.interpreter._contraction_steps`) with no
-    ``c_einsum`` of its own on that operand's side: the matmul then reads
-    the C-ordered copy ``reshape`` makes of a strided operand, whoever
-    made it.
-    """
-    pending = list(range(count))
-    for positions, _, lowering in steps:
-        picked = [pending.pop(at) for at in positions]
-        if position in picked:
-            if lowering is None:
-                return None
-            side = picked.index(position)
-            equation, shape = lowering[side], lowering[2 + side]
-            return shape if equation is None else None
-        pending.append(-1)  # the step's result: no operand of the statement
-    return None
-
-
-def _einsum(equation, operands, shadow):
-    """``c_einsum(equation, *operands)``, of the shape its output labels
-    take. It allocates when it sums a label or reads two operands; a pure
-    relabelling of one may answer a view of it."""
-    terms, _, out = equation.partition("->")
-    sizes = {}
-    for term, operand in zip(terms.split(","), operands):
-        for label, extent in zip(term, operand.shape):
-            if sizes.get(label, 1) == 1:
-                sizes[label] = extent
-    shape = tuple(sizes[label] for label in out)
-    allocates = len(operands) > 1 or bool(set(terms) - {","} - set(out))
-    return _Val(f"c_einsum({equation!r}, {', '.join(operand.code for operand in operands)})",
-                shape, shadow, contiguous=allocates and _one_axis(shape))
+def _result_shadow(*operands):
+    """The shadow of a numpy call's result over contraction *operands*."""
+    return _shadow0(np.result_type(*[operand.dtype for operand in operands]))
 
 
 def _matmul_shape(a, b):
@@ -358,43 +331,6 @@ def _matmul_shape(a, b):
     if len(a) == 1 or len(b) == 1:
         return (b[:-2] + b[-1:]) if len(b) > 1 else a[:-1]
     return _bshape(a[:-2], b[:-2]) + (a[-2], b[-1])
-
-
-def _contraction(steps, operands, shadow):
-    """The numpy calls :func:`~repro.srdfg.interpreter._contract` makes for
-    the plan's *steps* over *operands*, as one expression: a step's result
-    is an argument of the step that pops it, so each intermediate lives
-    exactly as long as it does there. A ``matmul`` product is known."""
-    pending = list(operands)
-    for positions, equation, lowering in steps:
-        picked = [pending.pop(at) for at in positions]
-        if lowering is None:
-            pending.append(_einsum(equation, picked, shadow))
-            continue
-        a, b = picked
-        eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab, pure = lowering
-        if eq_a is not None:
-            a = _einsum(eq_a, [a], shadow)
-        if shape_a is not None:
-            a = _reshape(a, shape_a)
-        if eq_b is not None:
-            b = _einsum(eq_b, [b], shadow)
-        if shape_b is not None:
-            b = _reshape(b, shape_b)
-        if pure:
-            shape = _bshape(a.shape, b.shape)
-            pending.append(_Val(f"_np.multiply({a.code}, {b.code})", shape, shadow,
-                                contiguous=_one_axis(shape)))
-            continue
-        ab = _Val(f"_np.matmul({a.code}, {b.code})", _matmul_shape(a.shape, b.shape), shadow,
-                  contiguous=True)
-        if shape_ab is not None:
-            ab = _reshape(ab, shape_ab)
-        if perm_ab is not None:
-            ab = _Val(f"{ab.code}.transpose({perm_ab!r})",
-                      tuple(ab.shape[axis] for axis in perm_ab), shadow)
-        pending.append(ab)
-    return pending[0]
 
 
 def _copy_run(shape, strides):
@@ -443,15 +379,17 @@ class _StagedEvaluator(_ExprEvaluator):
     stray subscript) decline the statement when they are symbolic.
     """
 
-    def __init__(self, emitter, statement, operands):
+    def __init__(self, emitter, statement, operands, local):
         super().__init__(
             statement.space, statement.static_env, {}, statement.reductions,
-            enable_einsum=statement.enable_einsum, compressed=statement.compressed,
+            contractions=statement.contractions, compressed=statement.compressed,
         )
         self.emitter = emitter
         self.statement = statement
         #: operand name -> _Val of the gathered value.
         self.operands = operands
+        #: The local the statement's result is bound to.
+        self.local = local
         #: True once a sum of the statement was folded slice by slice.
         self.folded = False
         #: Buffers of folded slices already added into their total, which
@@ -562,7 +500,8 @@ class _StagedEvaluator(_ExprEvaluator):
         if shadow.dtype.kind not in ("f", "c"):
             code = f"{code}.astype(_np.float64)"
             shadow = shadow.astype(np.float64)
-        return _Val(code, value.shape, shadow, contiguous=value.contiguous and code == value.code)
+        return _Val(code, value.shape, shadow, contiguous=value.contiguous and code == value.code,
+                    window=value.window)
 
     def _operand(self, name):
         return self.operands.get(name)
@@ -708,38 +647,58 @@ class _StagedEvaluator(_ExprEvaluator):
             f"{call}[{reindex}]", shape, shadow, fresh=True, contiguous=_one_axis(shape)
         )
 
-    def _run_einsum(self, einsum):
-        """Replay :meth:`_EinsumPlan.run`'s operand checks on the static
-        shapes; print its planned contraction, or answer None (lattice
-        path) where ``run`` would."""
-        operands = []
-        for position, ((name, shape), view) in enumerate(zip(einsum.operands, einsum.views)):
-            operand = self._operand(name)
-            if operand is None:
-                return None
-            if view is None:
-                if operand.shape != shape:
-                    return None
-            else:
-                # The shadow, at the operand's static shape, goes through
-                # the function the kernel calls.
-                if _affine_view(
-                    np.broadcast_to(operand.shadow, operand.shape),
-                    *view, shape,
-                ) is None:
-                    return None
-                matrix = _matrix_shape(einsum.steps, len(einsum.operands), position)
-                operand = self.emitter._window_take(operand, view, shape, matrix) or _Val(
-                    f"_affine_view({operand.code}, {view[0]!r}, "
-                    f"{view[1]!r}, {shape!r})",
-                    shape,
-                    operand.shadow,
-                )
-            operands.append(self._to_float(operand))
-        # The contraction the plan decided: the calls the interpreter's
-        # _contract makes for its steps, printed.
-        shadow = _shadow0(np.result_type(*[op.dtype for op in operands]))
-        value = _contraction(einsum.steps, operands, shadow)
+    # -- contractions (the calls the interpreter makes, printed) -----------
+
+    def _window(self, array, view, shape):
+        # The shadow, at the operand's static shape, goes through the
+        # function the kernel calls.
+        if _affine_view(np.broadcast_to(array.shadow, array.shape), *view, shape) is None:
+            return None
+        return _Val(f"_affine_view({array.code}, {view[0]!r}, {view[1]!r}, {shape!r})",
+                    shape, array.shadow, window=(array, view))
+
+    def _einsum(self, equation, *operands):
+        """``c_einsum``, of the shape its output labels take. It allocates
+        when it sums a label or reads two operands; a pure relabelling of
+        one may answer a view of it."""
+        terms, _, out = equation.partition("->")
+        sizes = {}
+        for term, operand in zip(terms.split(","), operands):
+            for label, extent in zip(term, operand.shape):
+                if sizes.get(label, 1) == 1:
+                    sizes[label] = extent
+        shape = tuple(sizes[label] for label in out)
+        allocates = len(operands) > 1 or bool(set(terms) - {","} - set(out))
+        return _Val(f"c_einsum({equation!r}, {', '.join(operand.code for operand in operands)})",
+                    shape, _result_shadow(*operands), contiguous=allocates and _one_axis(shape))
+
+    def _reshape(self, value, shape):
+        if value.window is not None:
+            # The copy this reshape makes of a window view, as a take.
+            taken = self.emitter._window_take(*value.window, value.shape, shape)
+            if taken is not None:
+                value = self._to_float(taken)
+        return _reshape(value, shape)
+
+    def _matmul(self, a, b):
+        """A ``matmul`` product is known."""
+        return _Val(f"_np.matmul({a.code}, {b.code})", _matmul_shape(a.shape, b.shape),
+                    _result_shadow(a, b), contiguous=True)
+
+    def _multiply(self, a, b):
+        shape = _bshape(a.shape, b.shape)
+        return _Val(f"_np.multiply({a.code}, {b.code})", shape, _result_shadow(a, b),
+                    contiguous=_one_axis(shape))
+
+    def _transpose(self, value, axes):
+        return _Val(f"{value.code}.transpose({axes!r})",
+                    tuple(value.shape[axis] for axis in axes), value.shadow)
+
+    def _contracted(self, value, einsum):
+        """The contraction, one expression (a step's result is an argument
+        of the step that pops it, so each intermediate lives exactly as
+        long as it does in the interpreter), bound before its reshape."""
+        shadow = value.shadow
         if einsum.scalar != 1.0:
             with np.errstate(all="ignore"):
                 shadow = shadow * einsum.scalar
@@ -766,6 +725,55 @@ class _StagedEvaluator(_ExprEvaluator):
         if isinstance(value, _Val):
             raise Unsupported(reason.format(*args))
         return value
+
+    # -- the store (StatementPlan.write), printed into the statement's local --
+
+    def _allocate(self, shape, dtype, zeros):
+        dt = self.emitter._const(np.dtype(dtype))
+        return _Val(f"_np.{'zeros' if zeros else 'empty'}({shape!r}, dtype={dt})", shape,
+                    _shadow0(dtype), contiguous=True)
+
+    def _copied(self, value, dtype):
+        """The copy of *value*; of a known buffer the kernel allocated in
+        *dtype*, without a cast and marked so that the store writes over
+        it instead once it is dead (:meth:`KernelEmitter._settle_lifetimes`)."""
+        dtype = np.dtype(dtype)
+        if value.contiguous and value.code in self.emitter._owned and value.dtype == dtype:
+            return _Val(f"_np.array({_OVER}{value.code}, copy=True)", value.shape, value.shadow,
+                        contiguous=True)
+        return _Val(f"_np.array({value.code}, dtype={self.emitter._const(dtype)}, copy=True)",
+                    value.shape, _shadow0(dtype), contiguous=_one_axis(value.shape))
+
+    def _write(self, out, index, order, view, raw):
+        dest = self.local if view is None else f"{self.local}.reshape({view!r})"
+        return self._assign(out, f"{dest}[{_index_code(index)}]", raw, order)
+
+    def _scatter(self, out, subscripts, raw):
+        """A fancy write through the subscripts broadcast at build."""
+        for value in subscripts:
+            if value.size > MAX_INDEX_CONSTANT:
+                raise Unsupported("write subscript constant exceeds size cap")
+            if value.dtype.kind not in ("i", "u", "b"):
+                raise Unsupported("non-integral write subscript")
+        try:
+            broadcast = np.broadcast_arrays(*subscripts, np.empty(raw.shape, dtype=np.bool_))
+        except ValueError as exc:
+            raise Unsupported(f"store broadcast mismatch (runtime error): {exc}") from exc
+        targets = [self.emitter._const(np.ascontiguousarray(array)) for array in broadcast[:-1]]
+        return self._assign(out, f"{self.local}[({', '.join(targets)},)]", raw)
+
+    def _assign(self, out, dest, raw, order=None):
+        """Bind the store's buffer *out* to the statement's local, then
+        print its write of *raw* through *dest*. Assignment broadcasts
+        the payload. A numpy scalar converts as a Python one (a NaN into
+        an int raises), not as a 0-d array does."""
+        self.emitter._emit(f"{self.local} = {out.code}")
+        payload = raw.unbroadcast or raw
+        code = payload.code if payload.is_array else f"_np.asarray({payload.code})"
+        if order is not None and payload.ndim:
+            code = f"{code}.transpose({order!r})"
+        self.emitter._emit(f"{dest} = {code}")
+        return _Val(self.local, out.shape, out.shadow, contiguous=out.contiguous)
 
     # -- folded sums ---------------------------------------------------------
 
@@ -881,7 +889,7 @@ class _LatticeReduction(namedtuple("_LatticeReduction", "statement expr axes sub
         statement = self.statement
         return _ExprEvaluator(
             statement.space, statement.static_env, var_values, statement.reductions,
-            sub_ranges=dict(self.sub_ranges), enable_einsum=statement.enable_einsum,
+            sub_ranges=dict(self.sub_ranges), contractions=statement.contractions,
         )._reduce_lattice(self.expr, self.axes)
 
 
@@ -1157,48 +1165,25 @@ class KernelEmitter:
 
     def _specialize_statement(self, statement, operands, local):
         """Print *statement*; answers whether its result is known C-ordered."""
-        ev = _StagedEvaluator(self, statement, operands)
+        ev = _StagedEvaluator(self, statement, operands, local)
         self._emit(f"# {statement.label}")
         raw = ev.lift(ev.statement_value(
             statement.stmt, statement.einsum, statement.chunk_plan
         ))
-        known = self._emit_store(ev, raw, local)
+        known = self._emit_store(ev, raw)
         self.report["short_sums"] += ev.folded
         return known
 
-    def _emit_store(self, ev, raw, local):
-        """Print the statement's store: the plan's
-        :class:`~repro.srdfg.plan.StoreForm`, as the interpreted plan
-        runs it, but for a cover of a fresh payload, which is bound, and a
-        partial store over a dead buffer, which writes in place. Answers
-        whether the result is known C-ordered."""
-        statement = ev.statement
-        stmt = statement.stmt
+    def _emit_store(self, ev, raw):
+        """Print the statement's store: the interpreted plan's own
+        (:meth:`~repro.srdfg.plan.StatementPlan.write`) over the staged
+        store primitives, but for a cover of a fresh payload, which is
+        bound. Answers whether the result is known C-ordered."""
+        statement, local = ev.statement, ev.local
         lhs_shape = statement.lhs_shape
-        dtype = np.dtype(statement.target_dtype)
-
-        if not stmt.target_indices:
-            if lhs_shape not in ((), (1,)):
-                raise Unsupported(
-                    "whole-array assignment without subscripts "
-                    "(runtime error)"
-                )
-            # Always copy: the result is at most one element, and a
-            # fresh array can never alias a take, an operand, or
-            # a kernel constant (same element-wise cast as the
-            # interpreter's asarray, so values are identical).
-            self._emit(
-                f"{local} = _np.array({raw.code}, dtype={self._const(dtype)}, "
-                f"copy=True).reshape({lhs_shape!r})"
-            )
-            return True
-
         form = statement.store
-        if form is None:
-            # Known only at run time, or raising: the staged subscripts say which.
-            ev.write_subscripts(stmt, lhs_shape)
-            raise Unsupported("write subscripts are not static")
-        if form.cover and raw.fresh and raw.dtype == dtype and raw.size == math.prod(lhs_shape):
+        if (form is not None and form.cover and raw.fresh and raw.dtype == statement.target_dtype
+                and raw.size == math.prod(lhs_shape)):
             # Every cell is written exactly once, so neither the previous
             # value nor a zero fill is observable. A fresh payload holding
             # every cell in the target dtype *is* the result
@@ -1212,54 +1197,15 @@ class KernelEmitter:
                 code = f"_np.ascontiguousarray({payload.code}).reshape({lhs_shape!r})"
             self._emit(f"{local} = {code}")
             return True
-        previous = ev.operands.get(stmt.target)
-        known = True
-        if not form.cover and previous is not None and previous.shape == lhs_shape:
-            # The interpreter's _store: prev-copy or zeros, then the write.
-            # A known buffer the kernel allocated in the target dtype is
-            # written over instead once it is dead (_settle_lifetimes); its
-            # copy needs no cast.
-            if previous.contiguous and previous.code in self._owned and previous.dtype == dtype:
-                self._emit(f"{local} = _np.array({_OVER}{previous.code}, copy=True)")
-            else:
-                dt = self._const(dtype)
-                self._emit(f"{local} = _np.array({previous.code}, dtype={dt}, copy=True)")
-                known = _one_axis(lhs_shape)
-        else:
-            dt = self._const(dtype)
-            alloc = "empty" if form.cover else "zeros"
-            self._emit(f"{local} = _np.{alloc}({lhs_shape!r}, dtype={dt})")
-        dest, order = local, None
-        if form.index is None:
-            # A fancy write through precomputed broadcast target indices.
-            for value in form.subscripts:
-                if value.size > MAX_INDEX_CONSTANT:
-                    raise Unsupported("write subscript constant exceeds size cap")
-                if value.dtype.kind not in ("i", "u", "b"):
-                    raise Unsupported("non-integral write subscript")
-            try:
-                broadcast = np.broadcast_arrays(
-                    *form.subscripts, np.empty(raw.shape, dtype=np.bool_)
-                )
-            except ValueError as exc:
-                raise Unsupported(f"store broadcast mismatch (runtime error): {exc}") from exc
-            targets = [self._const(np.ascontiguousarray(array)) for array in broadcast[:-1]]
-            index = f"({', '.join(targets)},)"
+        result = statement.write(ev, raw)
+        if result.code != local:
+            self._emit(f"{local} = {result.code}")
+        if form is not None and form.index is None:
             self.report["scatters"] += 1
-        else:
-            if not form.cover:
-                self.report["slice_stores"] += 1
-            if form.view is not None:
-                dest = f"{local}.reshape({form.view!r})"
-            index, order = _index_code(form.index), form.order
-        # Assignment broadcasts the payload. A numpy scalar converts as a
-        # Python one (a NaN into an int raises), not as a 0-d array does.
-        payload = raw.unbroadcast or raw
-        code = payload.code if payload.is_array else f"_np.asarray({payload.code})"
-        if order is not None and payload.ndim:
-            code = f"{code}.transpose({order!r})"
-        self._emit(f"{dest}[{index}] = {code}")
-        return known
+        elif form is not None and not form.cover:
+            self.report["slice_stores"] += 1
+        # A store's own buffer, and a copy of at most one axis longer than 1.
+        return result.contiguous or _one_axis(lhs_shape)
 
     # -- constants and gathers ---------------------------------------------
 
@@ -1328,7 +1274,8 @@ class KernelEmitter:
         (:meth:`_emit_gather`) through a flat index constant, or None.
 
         A take when the contraction reshapes the operand to *matrix*
-        before anything else reads it (:func:`_matrix_shape`), that
+        before anything else reads it (a ``matmul`` side no ``c_einsum``
+        rewrites first: :meth:`_StagedEvaluator._reshape`), that
         reshape copies (the view's axes do not merge), and the copy's
         inner loop moves at most :data:`WINDOW_RUN` elements
         (:func:`_copy_run`) — a 3x3 convolution window, not a DCT block
@@ -1338,7 +1285,7 @@ class KernelEmitter:
         The index is ``np.arange`` over *base* pushed through the same
         view, built once per base shape, view and shape.
         """
-        if matrix is None or math.prod(shape) > MAX_INDEX_CONSTANT:
+        if math.prod(shape) > MAX_INDEX_CONSTANT:
             return None
         origin, coeffs = view
         key = ("window", base.shape, origin, coeffs, shape, matrix)

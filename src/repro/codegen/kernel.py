@@ -10,7 +10,7 @@ A :class:`KernelArtifact` wraps one emitted kernel function for one
   variable binder, called once per variable, so a kernel checks and
   fills its arguments exactly as the interpreted plan does, and
   ``c_einsum``, numpy's one-operand einsum kernel, which a printed
-  contraction calls as the interpreter's ``_contract`` does.
+  contraction calls where the interpreter's contraction primitive does.
 
 A kernel holds no buffer between calls: within a call, a numpy call
 allocates its result or writes it over a buffer the same call allocated
@@ -104,9 +104,8 @@ class KernelArtifact:
                     output_init=None):
         """One kernel-tier execution of *plan*, counted on it; returns an
         ExecutionResult. Whatever the kernel raises propagates."""
-        start = time.perf_counter()
         outputs, state_out = self.run(inputs, params, state, output_init)
-        plan.count_execution(time.perf_counter() - start)
+        plan.count_execution()
         CODEGEN_STATS.bump("kernel_executions")
         return ExecutionResult(outputs, state_out, "kernel")
 

@@ -36,9 +36,10 @@ semantics:
   that ``numpy.einsum(..., optimize=True)`` would pick, but a matmul
   whose product einsum would transpose takes its terms swapped. Both
   tiers run exactly that form after checking each operand's rank and
-  each subscript's range against the run-time shape — the interpreted
-  tier through :func:`_contract`, a generated kernel as the same calls
-  printed: a contraction's bytes are the bytes of the form the plan chose;
+  each subscript's range against the run-time shape, through one
+  runner (:meth:`_ExprEvaluator._run_einsum`): the interpreted tier
+  calls its numpy primitives, a generated kernel prints them. A
+  contraction's bytes are the bytes of the form the plan chose;
 * other big reductions are evaluated in chunks along their largest bound
   axis so the materialised lattice stays under
   :data:`DEFAULT_LATTICE_LIMIT` elements.
@@ -309,7 +310,7 @@ def _contraction_steps(spec, shapes):
     product in output order. The path depends on shapes alone, so
     zero-stride shadows stand in for the operands; each intermediate's
     shape is its output labels' extents, as numpy sizes them. Cached
-    because a nested reduction has no statement plan to hold its steps.
+    because ``compile-cold`` recompiles the same shapes across sessions.
     """
     shadows = [np.broadcast_to(np.empty(()), shape) for shape in shapes]
     _, contractions = np.einsum_path(
@@ -341,42 +342,6 @@ def _contraction_steps(spec, shapes):
     return tuple(steps)
 
 
-def _contract(steps, arrays):
-    """The contraction the plan chose (:func:`_contraction_steps`), without
-    planning: its numpy calls, in its order. Byte-identical to
-    ``np.einsum(spec, *arrays, optimize=True)`` when no step swapped, and
-    to the swapped ``matmul`` when one did. The interpreted tier runs it;
-    a generated kernel prints the very calls it makes for the same steps
-    (``repro.codegen.emitter._contraction``), so no kernel walks the steps
-    at run time."""
-    operands = list(arrays)
-    for positions, equation, lowering in steps:
-        picked = [operands.pop(position) for position in positions]
-        if lowering is None:
-            operands.append(c_einsum(equation, *picked))
-            continue
-        a, b = picked
-        eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab, pure = lowering
-        if eq_a is not None:
-            a = c_einsum(eq_a, a)
-        if shape_a is not None:
-            a = a.reshape(shape_a)
-        if eq_b is not None:
-            b = c_einsum(eq_b, b)
-        if shape_b is not None:
-            b = b.reshape(shape_b)
-        if pure:
-            operands.append(np.multiply(a, b))
-            continue
-        ab = np.matmul(a, b)
-        if shape_ab is not None:
-            ab = ab.reshape(shape_ab)
-        if perm_ab is not None:
-            ab = ab.transpose(perm_ab)
-        operands.append(ab)
-    return operands[0]
-
-
 @dataclass
 class _EinsumPlan:
     """One sum-of-products as a planned contraction.
@@ -384,9 +349,9 @@ class _EinsumPlan:
     Structure (subscript string, operand views, static scalar factors,
     output shape) and the contraction itself (:attr:`steps`) are decided
     by :func:`compile_einsum`; only per-operand presence, shape/range and
-    dtype checks remain for :meth:`run`, and a mismatch answers None so
-    the caller evaluates the lattice instead (and raises whatever the
-    lattice raises).
+    dtype checks remain for :meth:`_ExprEvaluator._run_einsum`, and a
+    mismatch answers None so the caller evaluates the lattice instead
+    (and raises whatever the lattice raises).
     """
 
     spec: str
@@ -400,30 +365,8 @@ class _EinsumPlan:
     #: ``(origin, coeffs)`` of its :func:`_affine_view`.
     views: Tuple[Optional[Tuple], ...]
     #: :func:`_contraction_steps` of ``spec`` over the operand shapes:
-    #: what :func:`_contract` replays and a kernel prints.
+    #: what :meth:`_ExprEvaluator._contract` runs or prints.
     steps: Tuple
-
-    def run(self, var_values):
-        arrays = []
-        for (name, shape), view in zip(self.operands, self.views):
-            value = var_values.get(name)
-            if value is None:
-                return None
-            array = np.asarray(value)
-            if view is None:
-                if tuple(array.shape) != shape:
-                    return None
-            else:
-                array = _affine_view(array, *view, shape)
-                if array is None:
-                    return None
-            if array.dtype.kind not in ("f", "c"):
-                array = array.astype(np.float64)
-            arrays.append(array)
-        result = _contract(self.steps, arrays)
-        if self.scalar != 1.0:
-            result = result * self.scalar
-        return np.asarray(result).reshape(self.out_shape)
 
 
 def compile_einsum(expr, space, static_env):
@@ -436,16 +379,15 @@ def compile_einsum(expr, space, static_env):
     its ranges exactly); anything else — ``x[oy*s+ky]``, ``v[n-1-p]``, a
     range starting above zero — is an :func:`_affine_view` of it (equal
     provided the operand has that rank and no subscript leaves its
-    extent); :meth:`_EinsumPlan.run` checks the provisos. Affine is
-    decided numerically (:func:`_affine`) on subscripts evaluated from
-    index variables and static names alone, so ``(i+k) % n`` and
-    data-dependent subscripts stay on the lattice path. The operand
-    shapes are static, so the contraction is decided here too
-    (:func:`_contraction_steps`): the interpreted tier replays it through
-    :func:`_contract`, and a kernel prints its calls. The one place that
-    decides all this: the evaluator asks for every reduction it meets,
-    ``StatementPlan`` once at build for the statement's whole value, and
-    the kernel emitter prints the answer.
+    extent); :meth:`_ExprEvaluator._run_einsum` checks the provisos.
+    Affine is decided numerically (:func:`_affine`) on subscripts
+    evaluated from index variables and static names alone, so
+    ``(i+k) % n`` and data-dependent subscripts stay on the lattice path.
+    The operand shapes are static, so the contraction is decided here too
+    (:func:`_contraction_steps`). The one place that decides all this:
+    ``StatementPlan`` asks once, at build, for every reduction of its
+    statement (its ``contractions``); the evaluator of either tier reads
+    those answers and never asks while a statement runs.
     """
     if not isinstance(expr, ast.ReductionCall):
         return None
@@ -762,25 +704,31 @@ class StaticMemo:
 class _ExprEvaluator:
     """Evaluates one statement's expressions over its axis space.
 
-    This class is the only statement of what a PMLang expression means.
-    Every numpy application it performs on operand data goes through one
-    of the primitives below, so a subclass can stage the evaluation: the
-    kernel emitter (:mod:`repro.codegen.emitter`) overrides them to print
-    the call when an argument is symbolic and inherits the numpy call
-    (static folding) when none is. A new operator or builtin is a table
-    entry (``_BINOPS``, ``_UNARYOPS``, ``SCALAR_FUNCTIONS``) and reaches
-    both tiers through :meth:`_apply`. A plan's steps run it as
-    :class:`_MemoEvaluator`, which reuses static values and adds no semantics.
+    This class is the only statement of what a PMLang expression means,
+    and holds the one contraction runner (:meth:`_run_einsum`); the one
+    store (``repro.srdfg.plan.StatementPlan.write``) runs over its store
+    primitives. Every numpy application it performs on operand data goes
+    through one of the primitives, so a subclass can stage the
+    evaluation: the kernel emitter (:mod:`repro.codegen.emitter`)
+    overrides them to print the call when an argument is symbolic and
+    inherits the numpy call (static folding) when none is. A new
+    operator or builtin is a table entry (``_BINOPS``, ``_UNARYOPS``,
+    ``SCALAR_FUNCTIONS``) and reaches both tiers through :meth:`_apply`.
+    A plan's steps run it as :class:`_MemoEvaluator`, which reuses static
+    values and adds no semantics.
     """
 
     def __init__(self, space, static_env, var_values, reductions, sub_ranges=None,
-                 enable_einsum=True, compressed=()):
+                 contractions=(), compressed=()):
         self.space = space
         self.static_env = static_env
         self.var_values = var_values
         self.reductions = reductions
         self.sub_ranges = sub_ranges or {}
-        self.enable_einsum = enable_einsum
+        #: ``(reduction node, _EinsumPlan)`` of each of the statement's
+        #: reductions that is a contraction, decided at plan build
+        #: (``repro.srdfg.plan.StatementPlan.contractions``).
+        self.contractions = contractions
         #: The statement's reductions that may run on their predicate's
         #: points (``repro.srdfg.plan.CompressedReduction``).
         self.compressed = compressed
@@ -871,8 +819,32 @@ class _ExprEvaluator:
             )
         ]
 
-    def _run_einsum(self, einsum):
-        return einsum.run(self.var_values)
+    def _window(self, array, view, shape):
+        """A contraction operand's :func:`_affine_view`, or None."""
+        return _affine_view(array, *view, shape)
+
+    def _einsum(self, equation, *operands):
+        return c_einsum(equation, *operands)
+
+    def _reshape(self, value, shape):
+        return value.reshape(shape)
+
+    def _matmul(self, a, b):
+        return np.matmul(a, b)
+
+    def _multiply(self, a, b):
+        """A contraction step that is a pure multiplication."""
+        return np.multiply(a, b)
+
+    def _transpose(self, value, axes):
+        return value.transpose(axes)
+
+    def _contracted(self, value, einsum):
+        """A contraction's result, times its static scalar, at the
+        statement's full rank."""
+        if einsum.scalar != 1.0:
+            value = value * einsum.scalar
+        return np.asarray(value).reshape(einsum.out_shape)
 
     def _fold(self, total, piece):
         """The running total of a folded sum plus its next slice."""
@@ -1027,11 +999,11 @@ class _ExprEvaluator:
                 value = self._reduce_points(expr, axes, compressed)
                 if value is not None:
                     return value
-        if self.enable_einsum and not self.sub_ranges:
-            einsum = compile_einsum(expr, self.space, self.static_env)
-            fast = None if einsum is None else self._run_einsum(einsum)
-            if fast is not None:
-                return fast
+        for node, einsum in () if self.sub_ranges else self.contractions:
+            if node is expr:
+                fast = self._run_einsum(einsum)
+                if fast is not None:
+                    return fast
         if expr.op == "sum":
             folded = self._fold_short_sum(expr, axes)
             if folded is not None:
@@ -1264,6 +1236,83 @@ class _ExprEvaluator:
             result = np.expand_dims(result, axis=axis)
         return result
 
+    # -- contractions ----------------------------------------------------------
+
+    def _run_einsum(self, einsum):
+        """The planned contraction *einsum* (:func:`compile_einsum`) over
+        the statement's operands, or None where the lattice answers: an
+        operand is unbound, has another shape, or its view leaves its
+        extent. Integer and bool operands promote to float."""
+        operands = []
+        for (name, shape), view in zip(einsum.operands, einsum.views):
+            array = self._operand(name)
+            if array is not None:
+                if view is not None:
+                    array = self._window(array, view, shape)
+                elif tuple(array.shape) != shape:
+                    array = None
+            if array is None:
+                return None
+            operands.append(self._to_float(array))
+        return self._contracted(self._contract(einsum.steps, operands), einsum)
+
+    def _contract(self, steps, operands):
+        """The contraction the plan chose (:func:`_contraction_steps`),
+        without planning: its numpy calls, in its order. Byte-identical to
+        ``np.einsum(spec, *operands, optimize=True)`` when no step
+        swapped, and to the swapped ``matmul`` when one did."""
+        operands = list(operands)
+        for positions, equation, lowering in steps:
+            picked = [operands.pop(position) for position in positions]
+            if lowering is None:
+                operands.append(self._einsum(equation, *picked))
+                continue
+            a, b = picked
+            eq_a, eq_b, shape_a, shape_b, shape_ab, perm_ab, pure = lowering
+            if eq_a is not None:
+                a = self._einsum(eq_a, a)
+            if shape_a is not None:
+                a = self._reshape(a, shape_a)
+            if eq_b is not None:
+                b = self._einsum(eq_b, b)
+            if shape_b is not None:
+                b = self._reshape(b, shape_b)
+            if pure:
+                operands.append(self._multiply(a, b))
+                continue
+            ab = self._matmul(a, b)
+            if shape_ab is not None:
+                ab = self._reshape(ab, shape_ab)
+            if perm_ab is not None:
+                ab = self._transpose(ab, perm_ab)
+            operands.append(ab)
+        return operands[0]
+
+    # -- the store (repro.srdfg.plan.StatementPlan.write) ----------------------
+
+    def _allocate(self, shape, dtype, zeros):
+        return (np.zeros if zeros else np.empty)(shape, dtype=dtype)
+
+    def _copied(self, value, dtype):
+        """A new array of *dtype* holding *value*."""
+        return np.array(value, dtype=dtype, copy=True)
+
+    def _write(self, out, index, order, view, raw):
+        """*out* with *raw* written through the basic *index*: transposed
+        by *order* (None: as it is), into *out* viewed as *view* (None: as
+        it is)."""
+        payload = np.asarray(raw)
+        if order is not None and payload.ndim:
+            payload = payload.transpose(order)
+        (out if view is None else out.reshape(view))[index] = payload
+        return out
+
+    def _scatter(self, out, subscripts, raw):
+        """*out* with *raw* scattered through the integer *subscripts*."""
+        *targets, payload = np.broadcast_arrays(*subscripts, np.asarray(raw))
+        out[tuple(targets)] = payload
+        return out
+
     # -- whole statements ------------------------------------------------------
 
     def statement_value(self, stmt, einsum=None, chunk_plan=None):
@@ -1330,7 +1379,6 @@ class _ExprEvaluator:
             evaluator = _ExprEvaluator(
                 self.space, self.static_env, self.var_values, self.reductions,
                 sub_ranges={chunk_name: (start, stop)},
-                enable_einsum=self.enable_einsum,
             )
             piece = np.asarray(evaluator.eval(expr))
             partial = piece if partial is None else combine(partial, piece)

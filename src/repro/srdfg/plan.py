@@ -14,12 +14,12 @@ and MLIR's separation of analyzable lowering from a reusable executable:
 :class:`StatementPlan`
     Everything about one formula statement that is knowable from the
     graph alone: its :class:`~repro.srdfg.interpreter._AxisSpace`, the
-    planned contraction (subscript strings, operand shape requirements,
-    static scalar factors, numpy's contraction steps), the chunking
-    decision for big reductions, the resolved target dtype, and how the
-    result is stored (:class:`StoreForm`: a cover, a slice store or a
-    scatter, decided from the write subscripts; the kernel emitter
-    prints the same form).
+    planned contraction of each of its reductions, nested ones included
+    (subscript strings, operand shape requirements, static scalar
+    factors, numpy's contraction steps), the chunking decision for big
+    reductions, the resolved target dtype, and how the result is stored
+    (:class:`StoreForm`: a cover, a slice store or a scatter, decided
+    from the write subscripts; the kernel emitter prints the same store).
 
 :class:`ExecutionPlan`
     One graph compiled into a flat list of prebuilt steps (var binding,
@@ -57,7 +57,7 @@ import weakref
 from collections import namedtuple
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -466,9 +466,10 @@ def _shifted_name(index_expr):
 class StoreForm(namedtuple("StoreForm", "shape index order cover view subscripts")):
     """How one statement writes its target of *shape*: decided once, at
     plan build (:func:`store_form`), from its static write subscripts and
-    the lattice its payload spans. The interpreted plan runs it
-    (:meth:`apply`) and the kernel emitter prints it; neither derives it
-    again.
+    the lattice its payload spans. Both tiers run it through
+    :meth:`StatementPlan.write` over their evaluator's store primitives:
+    the interpreted plan's call numpy, the kernel emitter's print the
+    calls. Neither derives the form again.
 
     *index* is a basic index (ints, slices, ``Ellipsis``) that writes
     each cell the subscripts name once, with the payload transposed by
@@ -480,30 +481,6 @@ class StoreForm(namedtuple("StoreForm", "shape index order cover view subscripts
     """
 
     __slots__ = ()
-
-    def apply(self, raw, previous, dtype):
-        """A new array of *dtype* holding the statement's target after the
-        write of *raw*: a cover writes every cell of ``np.empty``; any
-        other store writes over a copy of *previous* (when it has the
-        target's shape) or zeros — through the basic index, else by the
-        fancy scatter."""
-        payload = np.asarray(raw)
-        if self.cover:
-            out = np.empty(self.shape, dtype=dtype)
-        elif previous is not None:
-            out = np.array(previous, dtype=dtype, copy=True)
-            if tuple(out.shape) != self.shape:
-                out = np.zeros(self.shape, dtype=dtype)
-        else:
-            out = np.zeros(self.shape, dtype=dtype)
-        if self.index is None:
-            *targets, payload = np.broadcast_arrays(*self.subscripts, payload)
-            out[tuple(targets)] = payload
-            return out
-        if self.order is not None and payload.ndim:
-            payload = payload.transpose(self.order)
-        (out if self.view is None else out.reshape(self.view))[self.index] = payload
-        return out
 
 
 def store_form(subscripts, shape, lattice):
@@ -521,9 +498,10 @@ def store_form(subscripts, shape, lattice):
 class StatementPlan:
     """One formula statement, compiled for repeated execution.
 
-    Hoists out of the per-call path: axis-space construction, the
-    einsum-eligibility decision (with precomputed subscript strings and
-    contraction steps), the chunking decision for over-limit reductions,
+    Hoists out of the per-call path: axis-space construction, every
+    reduction's einsum-eligibility decision (:attr:`contractions`, with
+    precomputed subscript strings and contraction steps), the chunking
+    decision for over-limit reductions,
     target-dtype resolution, which predicated reductions may run on
     their predicate's points (:class:`CompressedReduction`; *params*
     names the operands bound to ``param`` variables), and the store
@@ -540,10 +518,10 @@ class StatementPlan:
         "dtype",
         "reductions",
         "float_dtype",
-        "enable_einsum",
         "label",
         "space",
         "chunk_plan",
+        "contractions",
         "einsum",
         "compressed",
         "target_dtype",
@@ -581,16 +559,22 @@ class StatementPlan:
         self.dtype = dtype
         self.reductions = dict(reductions or {})
         self.float_dtype = float_dtype
-        self.enable_einsum = enable_einsum
         self.label = label or stmt.target
 
         self.space = _AxisSpace(stmt, index_ranges)
         self.target_dtype = resolve_dtype(dtype, float_dtype)
         self.chunk_plan = _plan_chunks(stmt, self.space)
-        self.einsum = (
-            compile_einsum(stmt.value, self.space, static_env)
-            if enable_einsum
-            else None
+        #: ``(node, _EinsumPlan)`` of every reduction in the statement that
+        #: is a contraction, nested ones included: keyed by the node
+        #: itself, which a pickle of the statement keeps with its ``stmt``.
+        self.contractions = tuple(
+            (node, einsum)
+            for node in ast.walk_expr(stmt.value)
+            if enable_einsum and isinstance(node, ast.ReductionCall)
+            and (einsum := compile_einsum(node, self.space, static_env)) is not None
+        )
+        self.einsum = next(
+            (einsum for node, einsum in self.contractions if node is stmt.value), None
         )
         self.compressed = () if self.chunk_plan is not None else CompressedReduction.find(
             stmt, self.space, static_env, params, self.reductions
@@ -631,11 +615,11 @@ class StatementPlan:
             self.static_env,
             var_values,
             self.reductions,
-            enable_einsum=self.enable_einsum,
+            contractions=self.contractions,
             compressed=self.compressed,
         )
         raw = evaluator.statement_value(self.stmt, self.einsum, self.chunk_plan)
-        result = self._store(evaluator, raw)
+        result = self.write(evaluator, raw)
         seconds = time.perf_counter() - start
         # Plans are shared across serving workers; counter updates must
         # not lose increments (the reuse assertions are counter-based).
@@ -684,14 +668,17 @@ class StatementPlan:
             return None
         return store_form(subscripts, self.lhs_shape, self.space.free_shape)
 
-    def _store(self, evaluator, raw):
-        """Materialise the statement result into its target variable.
+    def write(self, evaluator, raw):
+        """A new array of the target dtype holding the statement's target
+        after the write of its value *raw*, through *evaluator*'s store
+        primitives: the one store both tiers run.
 
         A statement with write subscripts writes by its :class:`StoreForm`,
-        decided at plan build: a cover into ``np.empty``, a slice store
-        through a basic index over the previous value (or zeros), and only
-        subscripts that are not affine through the fancy scatter. Subscripts
-        that read operand data are evaluated here, and scatter."""
+        decided at plan build: a cover into an empty array, a slice store
+        through a basic index over the previous value (when it has the
+        target's shape) or zeros, and only subscripts that are not affine
+        through the fancy scatter. Subscripts that read operand data are
+        evaluated here, and scatter."""
         stmt = self.stmt
         target_dtype = self.target_dtype
         lhs_shape = self.lhs_shape
@@ -703,14 +690,23 @@ class StatementPlan:
                     "subscripts"
                 )
             # A copy: *raw* may be a read-only value of the static memo.
-            return np.array(raw, dtype=target_dtype).reshape(lhs_shape)
+            return evaluator._reshape(evaluator._copied(raw, target_dtype), lhs_shape)
 
         form = self.store
         if form is None:
             form = StoreForm(
                 lhs_shape, None, None, False, None, evaluator.write_subscripts(stmt, lhs_shape)
             )
-        return form.apply(raw, evaluator.var_values.get(stmt.target), target_dtype)
+        previous = evaluator._operand(stmt.target)
+        if form.cover:
+            out = evaluator._allocate(lhs_shape, target_dtype, zeros=False)
+        elif previous is not None and previous.shape == lhs_shape:
+            out = evaluator._copied(previous, target_dtype)
+        else:
+            out = evaluator._allocate(lhs_shape, target_dtype, zeros=True)
+        if form.index is None:
+            return evaluator._scatter(out, form.subscripts, raw)
+        return evaluator._write(out, form.index, form.order, form.view, raw)
 
     # Kernels carry statements in their lattice-reduction constants and
     # are pickled into the disk cache tier: the lock and the static memo
@@ -922,17 +918,7 @@ class PlanCounters:
     """Aggregate counters for one :class:`ExecutionPlan`."""
 
     executions: int = 0
-    seconds: float = 0.0
     build_seconds: float = 0.0
-    first_seconds: Optional[float] = None
-
-    @property
-    def steady_seconds(self):
-        if self.executions <= 1:
-            return 0.0
-        return (self.seconds - (self.first_seconds or 0.0)) / (
-            self.executions - 1
-        )
 
 
 class ExecutionPlan:
@@ -1112,7 +1098,6 @@ class ExecutionPlan:
         return self._execute(inputs, params, state, output_init, trace)
 
     def _execute(self, inputs, params, state, output_init, trace):
-        start = time.perf_counter()
         inputs = inputs or {}
         params = params or {}
         state = state or {}
@@ -1142,16 +1127,13 @@ class ExecutionPlan:
             else:
                 result.state[name] = value
 
-        self.count_execution(time.perf_counter() - start)
+        self.count_execution()
         return result
 
-    def count_execution(self, seconds):
-        """Count one execution of *seconds* on either tier."""
+    def count_execution(self):
+        """Count one execution on either tier."""
         with self._counters_lock:
             self.counters.executions += 1
-            self.counters.seconds += seconds
-            if self.counters.first_seconds is None:
-                self.counters.first_seconds = seconds
 
     def attach_kernel(self, kernel):
         """Attach (or detach, with None) a generated-kernel artifact.

@@ -446,6 +446,26 @@ def _run_printed(emitter, namespace):
     return namespace
 
 
+def _staged(emitter, operands=None, **statement):
+    """The kernel emitter's staged evaluator over a stand-in statement:
+    no lattice, no contraction, no reduction on its points, but the
+    *statement* fields given; it stores through ``StatementPlan.write``
+    and binds its result to ``out``."""
+    from types import SimpleNamespace
+
+    from repro.codegen.emitter import _StagedEvaluator
+    from repro.pmlang import ast_nodes
+    from repro.srdfg.plan import StatementPlan
+
+    stand_in = SimpleNamespace(**{
+        "space": None, "static_env": {}, "reductions": {}, "contractions": (),
+        "compressed": (), "einsum": None,
+        "stmt": SimpleNamespace(value=ast_nodes.Literal(0.0)), **statement,
+    })
+    stand_in.write = functools.partial(StatementPlan.write, stand_in)
+    return _StagedEvaluator(emitter, stand_in, operands or {}, "out")
+
+
 class TestSliceDecision:
     """A static store or gather prints as a basic slice exactly when its
     subscripts make one, and the slice moves the bytes the scatter or
@@ -463,6 +483,7 @@ class TestSliceDecision:
         from types import SimpleNamespace
 
         from repro.codegen.emitter import _Val
+        from repro.pmlang.ast_nodes import Literal
         from repro.srdfg.plan import store_form
 
         lattice = tuple(data.draw(_LATTICES, label="lattice"))
@@ -486,17 +507,14 @@ class TestSliceDecision:
         raw = _Val("P", payload_shape, shadow, fresh=data.draw(st.booleans()))
         if payload_shape != lattice:
             raw = _Val("_np.broadcast_to(P, L)", lattice, shadow, unbroadcast=raw)
-        statement = SimpleNamespace(
-            stmt=SimpleNamespace(target="y", target_indices=arrays),
+        emitter = self._emitter()
+        ev = _staged(
+            emitter, {} if previous is None else {"y": _Val("prev", lhs_shape, shadow)},
+            stmt=SimpleNamespace(target="y", target_indices=arrays, value=Literal(0.0)),
             lhs_shape=lhs_shape, target_dtype="float64",
             store=store_form(arrays, lhs_shape, lattice),
         )
-        ev = SimpleNamespace(
-            statement=statement,
-            operands={} if previous is None else {"y": _Val("prev", lhs_shape, shadow)},
-        )
-        emitter = self._emitter()
-        emitter._emit_store(ev, raw, "out")
+        emitter._emit_store(ev, raw)
         got = _run_printed(emitter, {
             "_np": np, "P": payload, "L": lattice, "prev": previous, **emitter.constants,
         })["out"]
@@ -592,48 +610,81 @@ class TestWindowTakes:
     def test_take_equals_the_view_copy(self, window):
         from types import SimpleNamespace
 
-        from repro.codegen.emitter import WINDOW_RUN, _copy_run, _matrix_shape, _Val
-        from repro.srdfg.interpreter import _affine_view, _contract, _contraction_steps
+        from numpy._core.einsumfunc import c_einsum
+
+        from repro.codegen.emitter import WINDOW_RUN, _copy_run, _Val
+        from repro.srdfg.interpreter import _affine_view, _contraction_steps, _ExprEvaluator
 
         base, view, shape, weights, spec = window
         steps = _contraction_steps(spec, (weights.shape, shape))
-        matrix = _matrix_shape(steps, 2, 1)
-        emitter = KernelEmitter(SimpleNamespace(steps=[]))
-        operand = _Val("base", base.shape, np.zeros((), dtype=base.dtype))
-        taken = emitter._window_take(operand, view, shape, matrix)
         windowed = _affine_view(base, *view, shape)
-        strides = [stride // base.itemsize for stride in windowed.strides]
-        copies = matrix is not None and not np.may_share_memory(windowed.reshape(matrix), base)
-        assert (taken is not None) == (copies and _copy_run(shape, strides) <= WINDOW_RUN)
-        event(f"window take: {taken is not None}")
-        if taken is None:
-            return
-        assert re.fullmatch(r"_t1 = _np\.take\(base\.reshape\(-1\), _c1\)\.reshape\(.*\)",
-                            emitter.lines[-1].strip())
-        got = _run_printed(emitter, {"_np": np, "base": base, **emitter.constants})[taken.code]
-        assert got.shape == shape and got.flags.c_contiguous
-        assert got.reshape(matrix).tobytes() == windowed.reshape(matrix).tobytes()
+        #: What the contraction reshapes the view to before anything else
+        #: reads it, if anything: the matrix a matmul reads.
+        matrices = []
+
+        class Recording(_ExprEvaluator):
+            def _reshape(self, value, shape):
+                if value is windowed:
+                    matrices.append(shape)
+                return super()._reshape(value, shape)
+
         with np.errstate(all="ignore"):
-            want = np.asarray(_contract(steps, (weights, windowed)))
-            result = np.asarray(_contract(steps, (weights, got)))
+            want = np.asarray(Recording(None, {}, {}, {})._contract(steps, (weights, windowed)))
+        emitter = KernelEmitter(SimpleNamespace(steps=[]))
+        ev = _staged(emitter)
+        operand = ev._window(_Val("base", base.shape, np.zeros((), dtype=base.dtype)), view, shape)
+        value = ev._contract(steps, [_Val("w", weights.shape, np.zeros((), dtype=weights.dtype)),
+                                     operand])
+        strides = [stride // base.itemsize for stride in windowed.strides]
+        copies = bool(matrices) and not np.may_share_memory(windowed.reshape(*matrices), base)
+        taken = bool(emitter.lines)
+        assert taken == (copies and _copy_run(shape, strides) <= WINDOW_RUN)
+        event(f"window take: {taken}")
+        namespace = _run_printed(emitter, {
+            "_np": np, "base": base, "w": weights, "c_einsum": c_einsum,
+            "_affine_view": _affine_view, **emitter.constants,
+        })
+        if taken:
+            assert re.fullmatch(r"_t1 = _np\.take\(base\.reshape\(-1\), _c1\)\.reshape\(.*\)",
+                                emitter.lines[-1].strip())
+            got = namespace["_t1"]
+            assert got.shape == shape and got.flags.c_contiguous
+            assert got.reshape(*matrices).tobytes() == windowed.reshape(*matrices).tobytes()
+        with np.errstate(all="ignore"):
+            result = np.asarray(eval(value.code, namespace))
         assert (result.dtype, result.shape) == (want.dtype, want.shape)
         assert result.tobytes() == want.tobytes()
 
-    def test_only_a_reshaped_matmul_side_is_a_matrix(self):
+    @pytest.mark.parametrize("spec, shapes, matrices", [
+        # Operand 0 is reshaped as it is; c_einsum rewrites operand 1 first.
+        ("abc,dbc->ad", ((2, 3, 4), (5, 3, 4)), [("_o0", (2, 12))]),
+        # A step with no matmul.
+        ("ab->a", ((3, 4),), []),
+        # Operand 1 is the first step's reshaped side; operand 2 meets
+        # that step's result in the second, as it is.
+        ("ab,b,ac->c", ((3, 4), (4,), (3, 5)), [("_o1", (1, 4))]),
+    ])
+    def test_only_a_reshaped_matmul_side_is_a_matrix(self, spec, shapes, matrices):
         """The take stands in for the copy ``reshape`` makes before a
         matmul; a side ``c_einsum`` rewrites first, or a step with no
         matmul, has no such copy."""
-        from repro.codegen.emitter import _matrix_shape
+        from types import SimpleNamespace
 
-        lowering = ("ab->ba", None, (4, 3), (3, 5), None, None, False)
-        steps = (((1, 0), "ba,bc->ac", lowering),)
-        assert _matrix_shape(steps, 2, 0) == (3, 5)
-        assert _matrix_shape(steps, 2, 1) is None
-        assert _matrix_shape((((1, 0), "ab,b->a", None),), 2, 1) is None
-        # Operand 2 meets the first step's result in the second step.
-        later = (((0, 0), "ab,b->a", None), ((1, 0), "a,ac->c", lowering))
-        assert _matrix_shape(later, 3, 2) == (3, 5)
-        assert _matrix_shape(later, 3, 0) is None
+        from repro.codegen.emitter import _Val
+        from repro.srdfg.interpreter import _contraction_steps
+
+        emitter = KernelEmitter(SimpleNamespace(steps=[]))
+        asked = []
+        emitter._window_take = lambda base, view, shape, matrix: asked.append((base.code, matrix))
+        ev = _staged(emitter)
+        operands = []
+        for position, shape in enumerate(shapes):
+            base = _Val(f"_o{position}", shape, np.zeros(()))
+            rank = range(len(shape))
+            identity = tuple(tuple(int(row == col) for col in rank) for row in rank)
+            operands.append(ev._window(base, ((0,) * len(shape), identity), shape))
+        ev._contract(_contraction_steps(spec, shapes), operands)
+        assert asked == matrices
 
     def test_window_whose_reshape_is_a_view_keeps_it(self):
         """A 1x1 window over a 2x2 plane is the plane itself: ``reshape``
@@ -720,16 +771,20 @@ def _printed_contraction(draw):
 
 
 class TestPrintedContraction:
-    """A kernel prints a contraction as the numpy calls
-    :func:`~repro.srdfg.interpreter._contract` makes for the plan's steps,
-    a known operand's no-op reshapes left out: executed, they give its
-    bytes, in its layout, and what the emitter states of the result holds."""
+    """A kernel prints a contraction as the numpy calls the one
+    :meth:`~repro.srdfg.interpreter._ExprEvaluator._contract` makes for
+    the plan's steps, through the staged primitives, a known operand's
+    no-op reshapes left out: executed, they give the bytes the numpy
+    primitives give, in their layout, and what the emitter states of the
+    result holds."""
 
     def test_printed_calls_are_byte_equal_to_contract(self):
+        from types import SimpleNamespace
+
         from numpy._core.einsumfunc import c_einsum
 
-        from repro.codegen.emitter import _contraction, _reshape, _shadow0, _Val
-        from repro.srdfg.interpreter import _contract, _contraction_steps
+        from repro.codegen.emitter import _reshape, _shadow0, _Val
+        from repro.srdfg.interpreter import _contraction_steps, _ExprEvaluator
 
         seen = set()
 
@@ -753,15 +808,14 @@ class TestPrintedContraction:
                 namespace[f"_o{position}"] = array
                 operands.append(_Val(f"_o{position}", array.shape, _shadow0(array.dtype),
                                      contiguous=form == "known"))
-            shadow = _shadow0(np.result_type(*arrays))
-            value = _contraction(steps, operands, shadow)
+            value = _staged(KernelEmitter(SimpleNamespace(steps=[])))._contract(steps, operands)
             with np.errstate(all="ignore"):
-                want = _contract(steps, arrays)
+                want = _ExprEvaluator(None, {}, {}, {})._contract(steps, arrays)
                 got = eval(value.code, namespace)
             want, got = np.asarray(want), np.asarray(got)
             assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
             assert got.tobytes() == want.tobytes()
-            assert value.shape == got.shape
+            assert (value.dtype, value.shape) == (got.dtype, got.shape)
             if value.contiguous:
                 seen.add("known product")
                 assert got.flags.c_contiguous
@@ -778,12 +832,15 @@ class TestPrintedContraction:
     def test_a_matvec_prints_its_matmul(self):
         """MobileRobot's ``pred := matvec``: the swapped step's calls, the
         product known, and nothing printed that walks the steps."""
-        from repro.codegen.emitter import _contraction, _shadow0, _Val
+        from types import SimpleNamespace
+
+        from repro.codegen.emitter import _shadow0, _Val
         from repro.srdfg.interpreter import _contraction_steps
 
         steps = _contraction_steps("ab,b->a", ((30, 3), (3,)))
         shadow = _shadow0(np.float64)
-        value = _contraction(steps, [_Val("P", (30, 3), shadow), _Val("x", (3,), shadow)], shadow)
+        ev = _staged(KernelEmitter(SimpleNamespace(steps=[])))
+        value = ev._contract(steps, [_Val("P", (30, 3), shadow), _Val("x", (3,), shadow)])
         assert value.code == "_np.matmul(x.reshape((1, 3)), c_einsum('ab->ba', P)).reshape((30,))"
         assert value.contiguous and value.shape == (30,)
         assert value.unshaped.code.startswith("_np.matmul(") and value.unshaped.shape == (1, 30)
@@ -2038,9 +2095,10 @@ class TestStagedEvaluator:
         self, monkeypatch
     ):
         """An einsum that fires only in a nested position has no
-        statement-level plan; the evaluator and the emitter both get it
-        from the one ``compile_einsum``."""
-        from repro.srdfg import interpreter
+        statement-level einsum; the statement plan asks the one
+        ``compile_einsum`` for it once, at build, and the evaluator and
+        the emitter both read that answer."""
+        from repro.srdfg import interpreter, plan as plan_module
 
         dispatched = []
         compile_einsum = interpreter.compile_einsum
@@ -2051,6 +2109,7 @@ class TestStagedEvaluator:
             return einsum
 
         monkeypatch.setattr(interpreter, "compile_einsum", counting)
+        monkeypatch.setattr(plan_module, "compile_einsum", counting)
         session, plan = _compile_plan(
             "main(input float a[6], input float M[6][5], input float x[5],"
             " output float y[6]) {"
@@ -2060,9 +2119,11 @@ class TestStagedEvaluator:
         [statement] = plan.statements.values()
         assert statement.einsum is None
         assert statement.path() == "lattice"
-        # One dispatch so far: the emitter's, printed into the kernel as
-        # the calls of the steps it planned (the swapped matvec).
+        # One dispatch: the plan's, printed into the kernel as the calls
+        # of the steps it planned (the swapped matvec).
         [einsum] = dispatched
+        [(node, planned)] = statement.contractions
+        assert node is statement.stmt.value.right and planned is einsum
         assert einsum.spec == "ab,b->a"
         assert plan.kernel.report["einsum"] == 1
         assert einsum.steps[0][1] == "b,ab->a"
@@ -2076,7 +2137,7 @@ class TestStagedEvaluator:
             "x": _int_floats(rng, 5),
         }
         ref = plan._execute(inputs, {}, {}, {}, None)
-        assert [einsum.spec for einsum in dispatched] == ["ab,b->a"] * 2
+        assert dispatched == [einsum]
         outputs, _ = plan.kernel.run(inputs)
         assert np.array_equal(outputs["y"], ref.outputs["y"])
         assert np.array_equal(
@@ -2121,6 +2182,96 @@ class TestStagedEvaluator:
         monkeypatch.setattr(np, "einsum", planning)
         for tier, trajectory in trajectories.items():
             trajectory.step(tier)
+
+
+class TestContractionsDecidedOnce:
+    """Every reduction's contraction, nested ones included, is decided by
+    ``compile_einsum`` once, when its statement is planned: no step of
+    either tier asks again."""
+
+    @pytest.mark.parametrize("name", sorted(LEDGER_REPORTS))
+    def test_no_step_calls_compile_einsum(self, name, monkeypatch):
+        from repro.srdfg import interpreter, plan as plan_module
+        from repro.workloads import Trajectory
+
+        workload, plan = _ledger_plan(name)
+
+        def kernel(**call):
+            return plan.kernel.try_execute(plan, **call)
+
+        def interpreted(**call):
+            return plan.execute(trace=[], **call)
+
+        trajectories = {tier: Trajectory(workload) for tier in (kernel, interpreted)}
+        for tier, trajectory in trajectories.items():
+            trajectory.step(tier)
+        calls = []
+        for module in (interpreter, plan_module):
+            monkeypatch.setattr(module, "compile_einsum", lambda *args: calls.append(args))
+        for tier, trajectory in trajectories.items():
+            trajectory.step(tier)
+        assert calls == []
+
+    def test_every_reduction_holds_what_compile_einsum_answers(self):
+        """Each reduction of each statement of the 17 paper programs maps
+        to ``compile_einsum``'s answer for that very node, or to nothing
+        when it answers None."""
+        from repro.pmlang import ast_nodes
+        from repro.srdfg.interpreter import compile_einsum
+
+        nested = 0
+        for name in LEDGER_REPORTS:
+            for _, statement in _ledger_plan(name)[1].iter_statements():
+                planned = {id(node): einsum for node, einsum in statement.contractions}
+                reductions = [node for node in ast_nodes.walk_expr(statement.stmt.value)
+                              if isinstance(node, ast_nodes.ReductionCall)]
+                assert set(planned) <= set(map(id, reductions))
+                for node in reductions:
+                    want = compile_einsum(node, statement.space, statement.static_env)
+                    assert planned.get(id(node)) == want
+                    nested += want is not None and node is not statement.stmt.value
+                assert statement.einsum is planned.get(id(statement.stmt.value))
+        # MobileRobot, Hexacopter, DigitCluster, ElecUse, ResNet-18,
+        # MobileNet, BrainStimul and OptionPricing nest contractions.
+        assert nested >= 8
+
+    def test_a_pickled_statement_keeps_its_table_keyed_to_its_own_nodes(self, monkeypatch):
+        """The disk tier pickles statements with their kernel's lattice
+        reductions: the restored table is keyed by the restored
+        statement's own nodes, the reduction's among them, and the
+        restored statement runs its nested contraction without asking."""
+        from repro.codegen.emitter import _LatticeReduction
+        from repro.srdfg import interpreter, plan as plan_module
+        from repro.srdfg.interpreter import _ExprEvaluator
+
+        _, plan = _ledger_plan("MobileRobot")
+        [statement] = [statement for label, statement in plan.iter_statements()
+                       if label.startswith("pred := matvec #2")]
+        [(node, einsum)] = statement.contractions
+        assert node is statement.stmt.value.right and statement.einsum is None
+        reduction = _LatticeReduction(statement, node, (statement.space.axis["j"],), ())
+        restored = pickle.loads(pickle.dumps(reduction))
+        [(restored_node, restored_einsum)] = restored.statement.contractions
+        assert restored_node is restored.expr is restored.statement.stmt.value.right
+        assert restored_node is not node and restored_einsum == einsum
+
+        rng = np.random.default_rng(5)
+        assert einsum.views == (None, None)
+        values = {name: _int_floats(rng, shape) for name, shape in einsum.operands}
+        values["pred"] = _int_floats(rng, statement.lhs_shape)
+        contracted = []
+        run_einsum = _ExprEvaluator._run_einsum
+
+        def recording(evaluator, planned):
+            contracted.append(planned)
+            return run_einsum(evaluator, planned)
+
+        monkeypatch.setattr(_ExprEvaluator, "_run_einsum", recording)
+        for module in (interpreter, plan_module):
+            monkeypatch.setattr(module, "compile_einsum", None)
+        got = restored.statement.execute(values)
+        assert contracted == [restored_einsum]
+        assert got.tobytes() == statement.execute(values).tobytes()
 
 
 @functools.lru_cache(maxsize=None)

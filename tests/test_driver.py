@@ -504,93 +504,94 @@ class TestFrozenConfiguration:
 #: literals: moving one is a deliberate, announced format break. The
 #: kernel keys moved with ``KERNEL_ABI`` 11, when a matmul einsum would
 #: transpose began to take its terms swapped, with 12, when variables
-#: began to bind through ``_bind``, and with 13, when contractions began
-#: to print as their numpy calls; the compile and plan keys did not.
+#: began to bind through ``_bind``, with 13, when contractions began to
+#: print as their numpy calls, and with 14, when statement plans began to
+#: carry their nested contractions; the compile and plan keys did not.
 PAPER_PROGRAM_KEYS = {
     "MobileRobot": (
         "7ab951e36ab95100cecfce982100e01003647428c4bd9e35b5f831d75dd5fbe5",
         "ec95beeeaf1d2c0cdaf3e2210235de854478f8d5fef890114f4d555d6ba4a3b6",
-        "8456e17db3d9c38969c9b3c18f4d684f0eb5e8527ede2df43fe9d87958375896",
+        "2ffc491698b75aa54ca6176190c84b487cb5506454527e54111a183069036636",
     ),
     "Hexacopter": (
         "cbcb5e480e296bfc5464ba3311bd1eb740158e8b5457d60aaae085669c6864d4",
         "6961b07853fd691860d1fa959ced49ce1cfff343b6134fab54cae5f4e99419ee",
-        "14edc8a9d3ea7510ca498eb359455e7917aa9831ee1977e78939a776cb782323",
+        "b9eea9ba3e9fbb5492f580b69140abf45545e6ccb4807d46cd8ecb02c346424a",
     ),
     "Twitter-BFS": (
         "b3f6fd7fac080b2b9e709d57045c3c29ad6f4d6368cd07a24bc7d35a8b3f7846",
         "7595f81d38aa46cf8c089199a778bed10c665150f7457cd077b647556672ab81",
-        "f7035b9c5103598be2b2ecfd78add25786045fec05d274b6052034cbc39370f4",
+        "4b764b95d334b3dc7f1e80fb3fee59aaefe7f0dbac2f9d95dd4643add1aae9f4",
     ),
     "Wiki-BFS": (
         "5bb7fb2b81423ef9257a3beafc94f6a3e7e34d12470d1c7becb2247bfa8d1ae4",
         "ee963fac1f0ed1cfa473561c255a35024dd561b33b7c824bd0ac4bed14778e42",
-        "c4b4888fdb6926b54803662fb80e6faaa8384463bc5dff325588392fcd84777b",
+        "1f0e387b9755d7f6e61f5f543f0ed2fb958ea11d4521779639158df494d15f47",
     ),
     "LiveJourn-SSP": (
         "1141bfe0bde2f7255279d2ce2966f396d7a282ad630202b0b7d39b55aded8afc",
         "523f88614ed94b4c612204d0da69a04ad2eb0aac00a2398bc3bdb520d44674f1",
-        "19710c69de0ef6210f9eb6afc0f7b8eb31168ebd0d6193699e6de5c71a321870",
+        "9b4dc6aade833e774977d4ac8cf77f92389ab65294592c1e4e1b35d7cb907721",
     ),
     "MovieL-20M": (
         "6fceb57ce26f8b4e760abc8ad317cbd2e89e8fb45d68a4104d2f1c5485a35d84",
         "03b6a4eb7c0e98a986a3501cf7a5b474ab31c5c96979da220a2b5fa258853d54",
-        "85eed3d961159d0a60cdfd1f2ac156799bb3443cf12f2c0c1e9c3b612dcdf208",
+        "7362251532082fdfa505ee744d8718b229adc9b5f5caddc858c8021adaab5a8a",
     ),
     "MovieL-100K": (
         "152a11a15f1da6d1a556d949e7d1d7eafe3aa523eacde5d4809243a0d5da5e39",
         "f7b585f8cf3ec2d711bc10e75c300c8d52e7569d630471118dee02209951e45a",
-        "b3d4302ce678ca000d526ad57087b755afbc940f661cd1637a78bbb5d27c0a40",
+        "440733a01725c25f6bb8bf4437c8aa61170117744fd3a32e437470f7b6566687",
     ),
     "DigitCluster": (
         "361d54637117e5a750cc3b9b859281ba5a41d2d3617a369145c5ff5c7d16d2f7",
         "3f1bdc50954e4f28439d0240b91f3f1495f2b231de765253a428891fb5e8eb44",
-        "c6c0286cd72b09e71bd49d13708b0e612a18ddb636692b0cf2a584346648adbe",
+        "b04057e0700c4d0cbc174c9cfccb986bfd83872541bb4ce86725dc02a11e9183",
     ),
     "ElecUse": (
         "5fcef597d0bb8025d3a7455c627d4d9892e3b6234f0b6b252b939123443c4f8b",
         "3dd44533d837e641ccf770ecdaeb4d9a2fc4cfe77bb449ff49cac14ec8487dfd",
-        "36939570bead5577a07ff86e2150afea3a34ddbc43d5dd0d5a53d4f6120e9979",
+        "e8d4e78b9649adc77e7ef448e9921abe17f08facccb704b18383cfde03464365",
     ),
     "FFT-8192": (
         "44206183f79e358cf5b4394b22d0e403e908f0a33ac06f167ad5586bf185ec79",
         "fcee42dd700826457f9af8f53837f566742abd4b31d8b30985628aa46c78b8f9",
-        "d515e6a40c8aff977bf7373d6a3f19db9b750888c58e672af7660faf3f20174e",
+        "d5d67ff6a619c55de80b5c36a1457e39dbe985c1c3ec3f3050f97625ff763639",
     ),
     "FFT-16384": (
         "5f685939b2e8a01668fbb352b9b8f71625da5be5729edaa26564b5e7a876181a",
         "cdd113ff36cb1130cb3d0732c0b500206ec48604d30332aea323638d65af46ae",
-        "23895d95243c751a4b25f3b292be7ae6d158370f122f265657d997ea9f265b61",
+        "fcfcb13378716fb96ed20f507c77b3f22a82a3d1f0189cd5ded2af2548298d0a",
     ),
     "DCT-1024": (
         "73364e81b146a8f3787589f083fa1d6f918ca97d42f05ef88edbf405189331ef",
         "3876ec15ba8b8d590dae0283f90490846a15ac51e43b35edef6b09862e33e329",
-        "bb98ebe73b592215d0155dd6195c711a05480b63c0dc1292308c09dadfd9f43d",
+        "90783e083f630d1169b4bcdaa5c93d3fc4f06de8eebb6c5f9cb48b6473838ccd",
     ),
     "DCT-2048": (
         "f302f0a1a262f35547193f844c75548c8d935152aea1841442b85bcb5e3ebb50",
         "31845a7f3147079c4e4af2163c32b2495ca573139e76f855089de5b62c1c37e4",
-        "2b4fd9d5f74021393f2954dc9e16976448eef548c9ffdff81e192deb4a176801",
+        "40e9aad394c4ba3032afe0b75147ff5a74243fa6f958c1b51a1e96945a015488",
     ),
     "ResNet-18": (
         "b4bb64a25b4086cdabae1fcf526cba677812488d11c8b45701a101fb003b0a75",
         "9fbcbf31e4d5bdd05989f39a9a67793ea133d1303c80f11d3c7ebb1a9e525f50",
-        "2b68c1f743a0267b2b2160e1c87a86b8de174dff89981bff80393c4f157155cb",
+        "a9951b7b4c8ca5eae40dcbade2bb2e65430463ab30d18ac17285fe85e9c67aa0",
     ),
     "MobileNet": (
         "41ba30640b089be0eda370cb846a5c9328e0ba96f77bef63de916b33828fd399",
         "2c9a6f815ef242cd5a737b214aee6bf754608fee2ddcd425ffcaf9ce58a5a2c0",
-        "cb8e4b77be55772c3d8d801bc42817710f71848f49ba60d0631a69438f1e883a",
+        "f830e2d0c4958ecafc45140876cd92160a0933b7d2a33df6623755ea8466de18",
     ),
     "BrainStimul": (
         "544522a9157a148fb0bfdafb673175eb28ab2ddff9632ce8e09805ff6d257eaa",
         "2f7354c9b2215df44bf134567881452ff81d251a1419b37ac17d88d0a93a2eb3",
-        "945e511e6ac4fd0aa532d2658066047df3571b3939aeefd3fcc26ee22fac5f56",
+        "542cb39490eea11f2d33d06c1cb3ec3d6076a0ccb36b01e33a1e7b1afe59f60b",
     ),
     "OptionPricing": (
         "034fc6db3992b118f10e4e9e7e269cfc926112e480dc4e9e8c6aae2b8f621723",
         "12e8c4db9593e8677c7334518a4fa4f2211b28b59b913ecaad89286f5fd467b9",
-        "e733b374a66edf7d3aba7020e080997e3fe7e1172f33c23470199420a24cbced",
+        "bc5d5bc32d9df450ff6203594c00f403c4574e3dc5ff84ea3abb44c85ce5e745",
     ),
 }
 

@@ -11,6 +11,18 @@ from repro.errors import ExecutionError
 from repro.srdfg import Executor, build
 
 
+def _evaluator(var_values=None):
+    """An evaluator over no lattice: what a contraction runs on, with the
+    numpy primitives."""
+    from repro.srdfg.interpreter import _ExprEvaluator
+
+    return _ExprEvaluator(None, {}, var_values or {}, {})
+
+
+def _contract(steps, arrays):
+    return _evaluator()._contract(steps, arrays)
+
+
 def run(source, inputs=None, params=None, state=None, **kwargs):
     graph = build(source)
     return Executor(graph, **kwargs).run(inputs=inputs, params=params, state=state)
@@ -269,7 +281,7 @@ class TestCompileEinsum:
         assert einsum.out_shape == (4, 1)
         A, x = np.arange(12.0).reshape(4, 3), np.array([1.0, -1.0, 2.0])
         assert np.array_equal(
-            einsum.run({"A": A, "x": x}), (6.0 * (A @ x)).reshape(4, 1)
+            _evaluator({"A": A, "x": x})._run_einsum(einsum), (6.0 * (A @ x)).reshape(4, 1)
         )
 
     @pytest.mark.parametrize("value, ranges, operands, views", [
@@ -293,7 +305,7 @@ class TestCompileEinsum:
         A, x = np.arange(12.0).reshape(4, 3), np.array([1.0, -1.0, 2.0])
         low = views[1][0][0]
         assert np.array_equal(
-            einsum.run({"A": A, "x": x}),
+            _evaluator({"A": A, "x": x})._run_einsum(einsum),
             (A[:, low:] @ x[low:]).reshape(4, 1),
         )
 
@@ -320,7 +332,7 @@ class TestCompileEinsum:
     ])
     def test_run_declines_mismatched_operands(self, values):
         einsum = self._compile("sum[j](A[i][j] * x[j])")
-        assert einsum.run(values) is None
+        assert _evaluator(values)._run_einsum(einsum) is None
 
 
 #: Labels and extents of generated contractions; extents 0 and 1 are the
@@ -424,7 +436,7 @@ class TestContract:
     def test_replay_is_byte_identical_to_the_planned_form(self):
         import pickle
 
-        from repro.srdfg.interpreter import _contract, _contraction_steps
+        from repro.srdfg.interpreter import _contraction_steps
 
         swaps = []
 
@@ -455,7 +467,7 @@ class TestContract:
         assert sum(swaps) > 0
 
     def test_pairwise_steps_carry_the_matmul_lowering(self):
-        from repro.srdfg.interpreter import _contract, _contraction_steps
+        from repro.srdfg.interpreter import _contraction_steps
 
         [(positions, equation, lowering)] = _contraction_steps(
             "ab,bc->ac", ((4, 3), (3, 5))
@@ -472,7 +484,7 @@ class TestContract:
         """A swapped step pops its terms in the other order: einsum's
         second step pops ``(1, 0)`` (``db`` then ``ab``), the plan's
         ``(0, 0)`` (``ab``, then ``db`` shifted down)."""
-        from repro.srdfg.interpreter import _contract, _contraction_steps
+        from repro.srdfg.interpreter import _contraction_steps
 
         rng = np.random.default_rng(3)
         arrays = [rng.normal(size=shape) for shape in ((5, 6), (6, 7), (7, 4))]
@@ -489,7 +501,7 @@ class TestContract:
         """MovieL-100K's ``pred``: 943 users x 10 factors times 10 x 1682
         items. The plan's ``U @ V`` rounds otherwise than einsum's
         ``(V.T @ U.T).T``; the plan's form is the contract."""
-        from repro.srdfg.interpreter import _contract, _contraction_steps
+        from repro.srdfg.interpreter import _contraction_steps
 
         rng = np.random.default_rng(0)
         u, v = rng.normal(size=(943, 10)), rng.normal(size=(10, 1682))

@@ -16,7 +16,7 @@ from repro.driver import CompilerSession
 from repro.errors import ExecutionError
 from repro.obs import Counters
 from repro.srdfg import build
-from repro.srdfg.interpreter import Executor, resolve_dtype
+from repro.srdfg.interpreter import Executor, _ExprEvaluator, resolve_dtype
 from repro.srdfg.plan import (
     PLAN_FIELDS,
     PlanConfig,
@@ -585,6 +585,24 @@ def _scatter_store(subscripts, shape, raw, previous, dtype):
     return out
 
 
+def _storing(subscripts, shape, dtype, form):
+    """What ``StatementPlan.write`` reads of a statement storing into
+    ``y`` through *form*, and of a staged evaluator over it."""
+    import functools
+    from types import SimpleNamespace
+
+    from repro.pmlang import ast_nodes
+    from repro.srdfg.plan import StatementPlan
+
+    statement = SimpleNamespace(
+        stmt=SimpleNamespace(target="y", target_indices=subscripts, value=ast_nodes.Literal(0.0)),
+        lhs_shape=shape, target_dtype=dtype, store=form, space=None, static_env={},
+        reductions={}, contractions=(), compressed=(), einsum=None,
+    )
+    statement.write = functools.partial(StatementPlan.write, statement)
+    return statement
+
+
 class TestStoreForms:
     """A statement's store form — cover, slice store or scatter, decided
     once from its static write subscripts and run by every tier — writes
@@ -599,11 +617,79 @@ class TestStoreForms:
         form = store_form(subscripts, shape, lattice)
         event("cover" if form.cover else "scatter" if form.index is None else "slice")
         event(f"view {form.view is not None}, transpose {form.order is not None}")
+        evaluator = _ExprEvaluator(None, {}, {} if previous is None else {"y": previous}, {})
         with np.errstate(all="ignore"):
-            got = form.apply(raw, previous, dtype)
+            got = _storing(subscripts, shape, dtype, form).write(evaluator, raw)
             want = _scatter_store(subscripts, shape, raw, previous, dtype)
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
+
+    @given(_store_case(), st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_printed_store_is_byte_identical_to_the_numpy_one(self, case, data):
+        """The one store routine (``StatementPlan.write``), run through the
+        numpy primitives and printed through the kernel emitter's (the
+        lines exec'd), writes the same bytes: every form, a fresh payload
+        bound as the result, a partial store copying its previous value
+        or writing over it as a dead buffer, and an assignment without
+        subscripts."""
+        import re
+        from types import SimpleNamespace
+
+        from repro.codegen.emitter import (
+            _OVERWRITTEN, KernelEmitter, _StagedEvaluator, _Val,
+        )
+        from repro.srdfg.plan import store_form
+
+        subscripts, shape, lattice, raw, previous, dtype = case
+        if not lattice and data.draw(st.booleans(), label="no subscripts"):
+            subscripts, shape = [], data.draw(st.sampled_from([(), (1,)]), label="shape")
+        form = store_form(subscripts, shape, lattice) if subscripts else None
+        event("whole" if form is None else "cover" if form.cover
+              else "scatter" if form.index is None else "slice")
+        statement = _storing(subscripts, shape, dtype, form)
+
+        # The payload as the staged evaluator hands it: a numpy scalar is no
+        # array; a broadcast keeps what it broadcasts (its stride-0 axes).
+        core = raw
+        if np.ndim(raw):
+            core = raw[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in raw.strides)]
+        shadow = np.zeros((), dtype=np.asarray(raw).dtype)
+        fresh = np.shape(core) == lattice and data.draw(st.booleans(), label="fresh")
+        staged = _Val("P", np.shape(core), shadow if isinstance(raw, np.ndarray) else shadow[()],
+                      fresh=fresh)
+        if np.shape(core) != lattice:
+            staged = _Val("_np.broadcast_to(P, L)", lattice, shadow, unbroadcast=staged)
+        emitter = KernelEmitter(SimpleNamespace(steps=[]))
+        operands = {}
+        if previous is not None:
+            with np.errstate(all="ignore"):
+                previous = previous.astype(data.draw(st.sampled_from(_DTYPES), label="previous"))
+            owned = data.draw(st.booleans(), label="dead buffer")
+            if owned:
+                emitter._owned["_v1"] = True
+            operands["y"] = _Val("_v1", previous.shape, np.zeros((), dtype=previous.dtype),
+                                 contiguous=owned)
+        ev = _StagedEvaluator(emitter, statement, operands, "out")
+        emitter._emit_store(ev, staged)
+        # A dead previous value is written over, as the kernel settles it.
+        lines = [_OVERWRITTEN.sub(r"\1", line) for line in emitter.lines]
+        if lines != emitter.lines:
+            event("written over its previous value")
+        namespace = {
+            "_np": np, "P": core, "L": lattice,
+            "_v1": None if previous is None else previous.copy(), **emitter.constants,
+        }
+        with np.errstate(all="ignore"):
+            exec("\n".join(line.strip() for line in lines), namespace)
+            got = namespace["out"]
+            want = statement.write(
+                _ExprEvaluator(None, {}, {"y": previous}, {}), raw
+            )
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        if re.search(r"^out = (?!_np\.(zeros|empty|array)\()", lines[0].strip()):
+            event("bound as the result")
 
     @pytest.mark.parametrize("target, index, order, cover, view", [
         # Identity covers: the lattice follows the target's subscripts.
